@@ -46,6 +46,12 @@ func TestMemFootprintSmall(t *testing.T) {
 	var layers uint64
 	for _, l := range rep.Layers {
 		layers += l.Bytes
+		// The shared path (one chord.Shared per partition) keeps its slab:
+		// intern base plus four slab chunks, as before private Shareds
+		// stopped using one.
+		if l.Label == "chord.ring" && l.Bytes != 133240 {
+			t.Fatalf("chord.ring reports %d bytes, want 133240", l.Bytes)
+		}
 	}
 	if layers > rep.HeapBytes {
 		t.Fatalf("layer sources claim %d bytes, more than the %d measured", layers, rep.HeapBytes)

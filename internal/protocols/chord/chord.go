@@ -196,7 +196,7 @@ func New(ctx *core.AppContext, cfg Config) (*Node, error) {
 		space:  space,
 		self:   NodeRef{ID: id, Addr: ctx.Job.Me},
 		shared: shared,
-		finger: shared.fingers(int(cfg.Bits) + 1),
+		finger: shared.fingers(int(cfg.Bits)+1, cfg.Shared == nil),
 	}
 	// The node's own reference travels in every notify and join; encode
 	// it once and hand the canonical bytes to each call.

@@ -327,3 +327,28 @@ func TestDynamicFixFingersConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerStorage: a node built without Config.Shared holds one plain
+// finger array — not a 256-block slab chunk to serve it — while nodes
+// given a Shared still carve theirs from its slab.
+func TestFingerStorage(t *testing.T) {
+	const blockBytes = (32 + 1) * 4 // 132 B, against the 34 KB of a slab chunk
+	private := newTestRing(t, 3, Config{Bits: 32}, 1)
+	for _, n := range private.nodes {
+		if n.shared.slab != nil {
+			t.Fatalf("%s: private Shared allocated a slab (%d bytes)", n.Self(), n.shared.slab.Bytes())
+		}
+		if b := cap(n.finger) * 4; b != blockBytes {
+			t.Fatalf("%s: finger array retains %d bytes, want %d", n.Self(), b, blockBytes)
+		}
+	}
+	shared := NewShared(nil)
+	before := shared.Bytes()
+	newTestRing(t, 3, Config{Bits: 32, Shared: shared}, 1)
+	if live := shared.slab.Live(); live != 3 {
+		t.Fatalf("shared slab has %d live blocks, want 3", live)
+	}
+	if got := shared.slab.Bytes(); got != 256*blockBytes || shared.Bytes() < before+got {
+		t.Fatalf("shared slab reports %d bytes (Shared %d), want one %d-byte chunk", got, shared.Bytes(), 256*blockBytes)
+	}
+}

@@ -16,7 +16,8 @@ import (
 // A Shared must only be given to nodes created on the same partition
 // (the same sub-kernel): its interner and slab are single-threaded by
 // design. Nodes created without one get a private Shared, which is
-// correct but buys no sharing.
+// correct but buys no sharing; its one finger array is a plain allocation,
+// not a slab chunk.
 type Shared struct {
 	refs *ring.Interner[NodeRef]
 	slab *arena.Slab[ring.Handle] // created on first finger allocation
@@ -67,12 +68,14 @@ func (s *Shared) internConfig(cfg Config) *Config {
 // fingers hands out one node's finger array. Arrays of the partition's
 // common length come from the slab (and return to it on Stop); an
 // off-size request — mixed Bits configs on one partition — falls back to
-// a plain allocation.
-func (s *Shared) fingers(n int) []ring.Handle {
-	if s.slab == nil {
+// a plain allocation. So does a private Shared, the one New makes for a
+// node given none: a slab chunk would cost that node 256 arrays to hold
+// one.
+func (s *Shared) fingers(n int, private bool) []ring.Handle {
+	if s.slab == nil && !private {
 		s.slab = arena.NewSlab[ring.Handle](n, 256)
 	}
-	if s.slab.BlockLen() != n {
+	if s.slab == nil || s.slab.BlockLen() != n {
 		return make([]ring.Handle, n)
 	}
 	return s.slab.Get()

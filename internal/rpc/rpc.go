@@ -97,7 +97,7 @@ func (a Args) Decode(i int, v any) error {
 	if a.l == nil || i < 0 || i >= len(a.l.elems) {
 		return fmt.Errorf("rpc: argument %d out of range (%d args)", i, a.Len())
 	}
-	return json.Unmarshal(a.l.elems[i], v)
+	return unmarshal(a.l.elems[i], v)
 }
 
 // String returns argument i as a string (empty on mismatch). Plain
@@ -155,7 +155,7 @@ func (r Result) Decode(v any) error {
 	if len(r) == 0 {
 		return errors.New("rpc: empty result")
 	}
-	return json.Unmarshal([]byte(r), v)
+	return unmarshal([]byte(r), v)
 }
 
 // Handler executes one remote procedure. Handlers run as tasks and may

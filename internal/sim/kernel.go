@@ -1,24 +1,24 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel owns a virtual clock and an event queue. Application code runs
-// in cooperative tasks: ordinary goroutines that only block through kernel
-// primitives (Sleep, Waiter.Wait). At any instant exactly one goroutine is
-// runnable — either the kernel's run loop or a single task — so simulations
-// are deterministic: the same seed and inputs produce the same event order,
-// bit for bit.
+// in cooperative tasks: coroutines that only block through kernel primitives
+// (Sleep, Waiter.Wait). The run loop switches into a task and the task
+// switches back when it parks or finishes, so at any instant exactly one of
+// them executes and simulations are deterministic: the same seed and inputs
+// produce the same event order, bit for bit.
 //
 // This mirrors the SPLAY execution model: Lua coroutines scheduled by a
 // single-threaded event loop, where the processor is yielded only at
 // blocking points in the base libraries.
 //
 // The scheduling hot path is allocation-free in steady state: events, tasks
-// (with their goroutines and parking channels) and Waiters are all pooled on
-// free lists, and the event queue is a hierarchical timer wheel (see
-// wheel.go and DESIGN.md).
+// (with their coroutines) and Waiters are all pooled on free lists, and the
+// event queue is a hierarchical timer wheel (see wheel.go and DESIGN.md).
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"time"
 )
@@ -27,40 +27,42 @@ import (
 // date is arbitrary; experiments only use durations relative to it.
 var Epoch = time.Date(2009, 4, 22, 0, 0, 0, 0, time.UTC)
 
-// maxFreeTasks bounds the task pool: a finished task's goroutine parks for
-// reuse up to this limit and exits beyond it, so bursty spawns don't pin an
-// unbounded number of idle goroutines to the kernel.
+// maxFreeTasks bounds the task pool: a finished task's coroutine stays
+// suspended for reuse up to this limit and exits beyond it, so bursty spawns
+// don't pin an unbounded number of idle coroutines to the kernel.
 const maxFreeTasks = 512
 
-// task is a pooled cooperative task: one goroutine plus one parking channel,
-// reused across task spawns so GoAfter and Waiter.Wait never allocate a
-// channel.
+// task is a pooled cooperative task: one iter.Pull coroutine, reused across
+// task spawns so GoAfter and Waiter.Wait never allocate. The run loop enters
+// it through next and it hands the processor back through yield — a direct
+// switch between the two, with no trip through the Go scheduler.
 type task struct {
-	k    *Kernel
-	park chan any // kernel -> task: resume value (or spawn kick-off)
-	fn   func()   // body to run, set by the kernel before the spawn resume
-	next *task    // free-list link
+	k     *Kernel
+	fn    func()                  // body to run, set by the kernel before the spawn resume
+	v     any                     // resume value, stored by the kernel before next
+	next  func() (struct{}, bool) // kernel side: run the task until it parks or finishes
+	yield func(struct{}) bool     // task side: park; false once stop was called
+	stop  func()                  // kernel side: end a pooled task's coroutine
+	link  *task                   // free-list link
 }
 
-// loop is the task goroutine's life: wait for a spawn, run the body, recycle.
-// A closed park channel (drainTaskPool) retires the goroutine.
-func (t *task) loop() {
+// run is the coroutine's life: run the spawned body, recycle, wait for the
+// next spawn. It returns — ending the coroutine — when the pool is full or
+// drainTaskPool stops it.
+func (t *task) run(yield func(struct{}) bool) {
+	t.yield = yield
 	for {
-		if _, ok := <-t.park; !ok {
-			return
-		}
 		t.fn()
 		t.fn = nil
 		k := t.k
 		k.tasks--
-		recycled := k.freeTaskCount < maxFreeTasks
-		if recycled {
-			t.next = k.freeTasks
-			k.freeTasks = t
-			k.freeTaskCount++
+		if k.freeTaskCount >= maxFreeTasks {
+			return
 		}
-		k.yield <- struct{}{}
-		if !recycled {
+		t.link = k.freeTasks
+		k.freeTasks = t
+		k.freeTaskCount++
+		if !yield(struct{}{}) {
 			return
 		}
 	}
@@ -78,10 +80,9 @@ type Kernel struct {
 	nowNS   int64 // virtual ns since Epoch
 	seq     uint64
 	wq      wheel
-	yield   chan struct{} // task -> kernel: parked or finished
-	current *task         // the task executing right now, nil on the run loop
-	tasks   int           // live (started, unfinished) tasks
-	events  uint64        // total events executed, for stats
+	current *task  // the task executing right now, nil on the run loop
+	tasks   int    // live (started, unfinished) tasks
+	events  uint64 // total events executed, for stats
 	halted  bool
 
 	freeEvents      *event
@@ -106,7 +107,7 @@ const (
 
 // NewKernel returns a kernel with its clock set to Epoch.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -160,7 +161,9 @@ func (k *Kernel) push(e *event, atNS int64) {
 	e.atNS = atNS
 	e.seq = k.seq
 	k.seq++
-	k.wq.push(e)
+	if k.wq.push(e) {
+		k.sweepOverflow()
+	}
 }
 
 // Timer is a handle to a scheduled event, returned by the allocation-free
@@ -226,7 +229,7 @@ func (k *Kernel) Go(fn func()) {
 }
 
 // GoAfter starts fn as a new task after virtual duration d. The task runs
-// on a pooled goroutine; spawning is allocation-free in steady state.
+// on a pooled coroutine; spawning is allocation-free in steady state.
 func (k *Kernel) GoAfter(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -238,25 +241,28 @@ func (k *Kernel) GoAfter(d time.Duration, fn func()) {
 	k.push(e, k.nowNS+int64(d))
 }
 
-// allocTask takes a parked task goroutine from the pool, or starts one.
+// allocTask takes a suspended task coroutine from the pool, or creates one.
 func (k *Kernel) allocTask() *task {
 	if t := k.freeTasks; t != nil {
-		k.freeTasks = t.next
+		k.freeTasks = t.link
 		k.freeTaskCount--
-		t.next = nil
+		t.link = nil
 		return t
 	}
-	t := &task{k: k, park: make(chan any)}
-	go t.loop()
+	t := &task{k: k}
+	t.next, t.stop = iter.Pull(t.run)
 	return t
 }
 
-// resume hands the processor to t, delivering v, and waits until t parks
-// again or finishes. It must only be called from the kernel run loop.
+// resume hands the processor to t, delivering v, and returns when t parks
+// again or finishes. It must only be called from the kernel run loop. A
+// panic or runtime.Goexit inside the task surfaces here, on the goroutine
+// driving the run loop (iter.Pull re-raises it from next); run clears
+// current on that path, so no defer sits on every switch.
 func (k *Kernel) resume(t *task, v any) {
 	k.current = t
-	t.park <- v
-	<-k.yield
+	t.v = v
+	t.next()
 	k.current = nil
 }
 
@@ -267,8 +273,10 @@ func (k *Kernel) parkCurrent() any {
 	if t == nil {
 		panic("sim: blocking kernel primitive called outside a task")
 	}
-	k.yield <- struct{}{}
-	return <-t.park
+	t.yield(struct{}{}) // always true: only pooled tasks are ever stopped
+	v := t.v
+	t.v = nil
+	return v
 }
 
 // Sleep parks the calling task for virtual duration d.
@@ -315,6 +323,7 @@ func (k *Kernel) setNow(ns int64) {
 
 func (k *Kernel) run(limitNS int64, bounded bool) uint64 {
 	k.halted = false
+	defer k.leaveTask() // a task that panicked or called Goexit is unwinding through here
 	var n uint64
 	for !k.halted {
 		e := k.wq.pop(limitNS, bounded)
@@ -337,14 +346,18 @@ func (k *Kernel) run(limitNS int64, bounded bool) uint64 {
 	}
 	if k.wq.size() == 0 {
 		// Nothing can fire until new work is scheduled from outside, so
-		// retire the idle pooled goroutines: goroutines blocked on a
-		// reachable channel are never collected, and without this every
-		// finished simulation would pin its task pool (and kernel) for the
-		// process lifetime. The pool re-grows on demand.
+		// retire the idle pooled coroutines: a suspended coroutine is never
+		// collected, and without this every finished simulation would pin
+		// its task pool (and kernel) for the process lifetime. The pool
+		// re-grows on demand.
 		k.drainTaskPool()
 	}
 	return n
 }
+
+// leaveTask marks the run loop as executing. resume does it inline on the
+// normal path; the run entry points defer it for a task's panic or Goexit.
+func (k *Kernel) leaveTask() { k.current = nil }
 
 // peekNS returns the firing time of the earliest queued event, or
 // math.MaxInt64 when the queue is empty. ParKernel uses it to compute the
@@ -381,13 +394,14 @@ func (k *Kernel) runWindow(limitNS int64) uint64 {
 	return n
 }
 
-// drainTaskPool retires every idle pooled task goroutine. Only free tasks
+// drainTaskPool ends every idle pooled task's coroutine. stop is
+// synchronous, so their goroutines are gone when it returns. Only free tasks
 // are touched; parked tasks (blocked in Wait) keep running when resumed.
 func (k *Kernel) drainTaskPool() {
 	for t := k.freeTasks; t != nil; {
-		next := t.next
-		t.next = nil
-		close(t.park)
+		next := t.link
+		t.link = nil
+		t.stop()
 		t = next
 	}
 	k.freeTasks = nil

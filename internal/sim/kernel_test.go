@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -278,6 +279,62 @@ func TestNestedSpawn(t *testing.T) {
 	}
 	if k.Tasks() != 0 {
 		t.Fatalf("live tasks = %d, want 0", k.Tasks())
+	}
+}
+
+// TestTaskPanicReachesDriver: a panic inside a task unwinds through Run on
+// the goroutine driving the kernel, which can recover the original value —
+// it does not kill the process from a goroutine the driver cannot reach.
+func TestTaskPanicReachesDriver(t *testing.T) {
+	k := NewKernel()
+	boom := &struct{ why string }{"boom"}
+	k.Go(func() {
+		k.Sleep(time.Millisecond)
+		panic(boom)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.Run()
+	}()
+	if got != boom {
+		t.Fatalf("driver recovered %v, want the task's own panic value", got)
+	}
+	if k.current != nil {
+		t.Fatal("kernel still believes a task is executing after its panic unwound")
+	}
+	// The run loop is intact: other work still runs.
+	ran := false
+	k.Go(func() { ran = true })
+	k.Run()
+	if !ran {
+		t.Fatal("kernel unusable after a recovered task panic")
+	}
+}
+
+// TestTaskGoexitEndsDriver: runtime.Goexit inside a task — what t.Fatal
+// does — ends the goroutine driving Run, running its deferred calls, instead
+// of leaving it blocked on a task that will never hand the processor back.
+func TestTaskGoexitEndsDriver(t *testing.T) {
+	done := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(done)
+		k := NewKernel()
+		k.Go(func() {
+			k.Sleep(time.Millisecond)
+			runtime.Goexit()
+		})
+		k.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("driver goroutine still blocked in Run after a task called Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned normally although a task called Goexit")
 	}
 }
 

@@ -108,15 +108,23 @@ func NewParKernel(parts, workers int, lookahead time.Duration) *ParKernel {
 		panic("sim: NewParKernel needs a positive lookahead with more than one partition")
 	}
 	pk := &ParKernel{
-		subs:    make([]*Kernel, parts),
-		lookNS:  int64(lookahead),
-		workers: workers,
-		out:     make([]outbox, parts),
-		in:      make([][]xev, parts),
+		subs:   make([]*Kernel, parts),
+		lookNS: int64(lookahead),
+		out:    make([]outbox, parts),
+		in:     make([][]xev, parts),
 	}
 	for i := range pk.subs {
 		pk.subs[i] = NewKernel()
 	}
+	pk.setWorkers(workers)
+	return pk
+}
+
+// setWorkers sizes the worker pool (1 ≤ workers ≤ parts); one worker runs
+// every partition inline on the driver. Tests also call it between runs, to
+// resume parked tasks from goroutines that did not create their coroutines.
+func (pk *ParKernel) setWorkers(workers int) {
+	pk.workers, pk.wchans, pk.wcounts = workers, nil, nil
 	if workers > 1 {
 		pk.wchans = make([]chan int64, workers)
 		for i := range pk.wchans {
@@ -124,7 +132,6 @@ func NewParKernel(parts, workers int, lookahead time.Duration) *ParKernel {
 		}
 		pk.wcounts = make([]uint64, workers)
 	}
-	return pk
 }
 
 // Sub returns partition i's sub-kernel. All scheduling entry points (Go,
@@ -236,7 +243,12 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 		panic("sim: ParKernel run loop re-entered")
 	}
 	pk.running = true
-	defer func() { pk.running = false }()
+	defer func() {
+		pk.running = false
+		for _, s := range pk.subs {
+			s.leaveTask()
+		}
+	}()
 
 	// Reset halt latches on entry, mirroring Kernel.run: Halt stops this
 	// run, not every future one.

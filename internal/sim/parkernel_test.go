@@ -66,12 +66,18 @@ func (tr *parTrace) String() string {
 	return b.String()
 }
 
-// runHopWorkload seeds a cross-partition hopping workload on pk and runs it
-// to completion: four chains of deterministic AfterFunc delays, every third
-// hop crossing to the next partition at exactly lookahead + jitter, plus a
-// sleeping task per partition to exercise the task-switch path. Returns the
-// trace and the event count.
+// runHopWorkload seeds the hopping workload on pk and runs it to completion.
+// Returns the trace and the event count.
 func runHopWorkload(pk *ParKernel) (*parTrace, uint64) {
+	tr := seedHopWorkload(pk)
+	return tr, pk.Run()
+}
+
+// seedHopWorkload seeds a cross-partition hopping workload on pk: four
+// chains of deterministic AfterFunc delays, every third hop crossing to the
+// next partition at exactly lookahead + jitter, plus a sleeping task per
+// partition to exercise the task-switch path.
+func seedHopWorkload(pk *ParKernel) *parTrace {
 	const parts = 4
 	tr := newParTrace(parts)
 	var hop func(part, chain, step int)
@@ -100,8 +106,38 @@ func runHopWorkload(pk *ParKernel) (*parTrace, uint64) {
 		})
 		pk.GoAfter(c, time.Duration(c)*50*time.Microsecond, func() { hop(c, c, 0) })
 	}
-	n := pk.Run()
-	return tr, n
+	return tr
+}
+
+// TestParKernelTasksMigrateAcrossWorkers: a task's coroutine may be resumed
+// by any goroutine as long as resumes never overlap, which the window barrier
+// guarantees. Run the workload in bounded steps with fewer workers than
+// partitions, then inline on the driver, then one worker per partition — every
+// run has fresh worker goroutines, so the sleepers parked across each step are
+// resumed by a goroutine that did not create them — and require the schedule
+// of an undisturbed single-worker run. The race detector checks the hand-off.
+func TestParKernelTasksMigrateAcrossWorkers(t *testing.T) {
+	ref, refEvents := runHopWorkload(NewParKernel(4, 1, time.Millisecond))
+
+	pk := NewParKernel(4, 2, time.Millisecond)
+	tr := seedHopWorkload(pk)
+	n := pk.RunFor(3 * time.Millisecond)
+	n += pk.RunFor(3 * time.Millisecond)
+	pk.setWorkers(1)
+	n += pk.RunFor(3 * time.Millisecond)
+	pk.setWorkers(4)
+	n += pk.RunFor(3 * time.Millisecond)
+	pk.setWorkers(3)
+	n += pk.Run()
+	if got, want := tr.String(), ref.String(); got != want {
+		t.Fatalf("schedule diverged when tasks moved between workers:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if n != refEvents {
+		t.Fatalf("executed %d events, the undisturbed run %d", n, refEvents)
+	}
+	if pk.Tasks() != 0 {
+		t.Fatalf("%d tasks still live", pk.Tasks())
+	}
 }
 
 // TestParKernelDeterministicAcrossWorkers pins invariant 9 at the kernel

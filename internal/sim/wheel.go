@@ -12,7 +12,9 @@ import "math/bits"
 //     ~2 ms of virtual time each (~0.5 s horizon) absorbs the dominant
 //     near-future events (RTT-scale delays, task switches), while far events
 //     (RPC timeouts, churn epochs) overflow to a single binary heap and
-//     cascade into the ring as the clock approaches them.
+//     cascade into the ring as the clock approaches them. Most far events
+//     are timeouts that get cancelled long before they are due, so the heap
+//     is swept of cancelled events whenever it doubles (sweepOverflow).
 //
 // Each bucket is itself a tiny binary heap ordered by (time, seq), so the
 // fully deterministic total order of the original single-heap design is
@@ -89,7 +91,13 @@ func evPop(h *[]*event) *event {
 	s[n] = nil
 	s = s[:n]
 	*h = s
-	i := 0
+	evDown(s, 0)
+	return top
+}
+
+// evDown restores the heap property below index i of heap s.
+func evDown(s []*event, i int) {
+	n := len(s)
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -105,7 +113,6 @@ func evPop(h *[]*event) *event {
 		s[i], s[m] = s[m], s[i]
 		i = m
 	}
-	return top
 }
 
 // wheel is the kernel's event queue: the near-future ring plus the overflow
@@ -116,21 +123,53 @@ type wheel struct {
 	buckets   [wheelSlots][]*event
 	occ       [occWords]uint64 // bitmap of non-empty buckets
 	overflow  []*event         // events beyond the ring horizon
+	sweepAt   int              // len(overflow) at which push asks for a sweep; the first one sets it
 }
 
 func (q *wheel) size() int { return q.ringCount + len(q.overflow) }
 
 // push enqueues e (atNS and seq already set). Events within the horizon go
-// to their ring bucket; the rest overflow.
-func (q *wheel) push(e *event) {
+// to their ring bucket; the rest overflow. It reports whether the overflow
+// heap has reached its sweep watermark.
+func (q *wheel) push(e *event) (sweep bool) {
 	if (e.atNS>>slotBits)-q.startSlot < wheelSlots {
 		i := int((e.atNS >> slotBits) & wheelMask)
 		evPush(&q.buckets[i], e)
 		q.occ[i>>6] |= 1 << uint(i&63)
 		q.ringCount++
-	} else {
-		evPush(&q.overflow, e)
+		return false
 	}
+	evPush(&q.overflow, e)
+	return len(q.overflow) >= q.sweepAt
+}
+
+// minSweepAt is the smallest overflow size worth sweeping.
+const minSweepAt = 1024
+
+// sweepOverflow recycles the cancelled events of the overflow heap. Every
+// answered RPC leaves its cancelled timeout there until the deadline, which
+// under steady traffic is most of the heap. The next sweep waits until the
+// heap is twice the survivors, so the cost is amortised O(1) per push; and
+// because (atNS, seq) is a strict total order, the survivors pop in the same
+// order whatever shape the rebuilt heap has. (A swept event can no longer
+// anchor a ParKernel window through peekNS; that moves barriers, never a
+// partition's own event order.)
+func (k *Kernel) sweepOverflow() {
+	q := &k.wq
+	live := q.overflow[:0]
+	for _, e := range q.overflow {
+		if e.canceled {
+			k.free(e)
+		} else {
+			live = append(live, e)
+		}
+	}
+	clear(q.overflow[len(live):])
+	q.overflow = live
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		evDown(live, i)
+	}
+	q.sweepAt = max(minSweepAt, 2*len(live))
 }
 
 // minSlot returns the bucket index holding the earliest ring event. It must

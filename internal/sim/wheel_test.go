@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -137,5 +140,105 @@ func TestWheelRunUntilAcrossHorizon(t *testing.T) {
 	}
 	if k.Since() != 20*time.Second {
 		t.Fatalf("clock at %v, want 20s", k.Since())
+	}
+}
+
+// sweepTrace drives one kernel through a seeded mix of AfterFunc, Stop and
+// waiter timeouts that are mostly answered before they expire, over delays on
+// both sides of the ring horizon, and returns every firing with its instant.
+// sweepAt is written back before each operation, so 1 sweeps the overflow
+// heap on every far push and math.MaxInt never sweeps it.
+func sweepTrace(seed int64, sweepAt int) (trace []string, events uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	k := NewKernel()
+	spans := []time.Duration{time.Millisecond, 300 * time.Millisecond, 5 * time.Second, time.Minute}
+	delay := func() time.Duration { return time.Duration(rng.Int63n(int64(spans[rng.Intn(len(spans))]))) }
+	record := func(what string, id int) {
+		trace = append(trace, fmt.Sprintf("%s %d @%s", what, id, k.Since()))
+	}
+	var timers []Timer
+	var waiters []WaiterRef
+	k.Go(func() {
+		for id := 0; id < 3000; id++ {
+			id := id
+			k.wq.sweepAt = sweepAt
+			switch rng.Intn(6) {
+			case 0, 1:
+				timers = append(timers, k.AfterFunc(delay(), func() { record("func", id) }))
+			case 2:
+				if len(timers) > 0 {
+					if timers[rng.Intn(len(timers))].Stop() {
+						record("stopped by", id)
+					}
+				}
+			case 3, 4:
+				w := k.NewWaiter()
+				w.WakeAfter(delay(), "timeout")
+				waiters = append(waiters, w.Ref())
+				k.Go(func() { record(w.Wait().(string), id) })
+			case 5:
+				if len(waiters) > 0 {
+					waiters[rng.Intn(len(waiters))].Wake("reply")
+				}
+			}
+			k.Sleep(time.Duration(rng.Int63n(int64(20 * time.Millisecond))))
+		}
+	})
+	k.Run()
+	return trace, k.Events()
+}
+
+// TestOverflowSweepInvisible: sweeping cancelled events out of the overflow
+// heap — on every far push or never — must not change what fires, when, in
+// which order, or how many events the kernel counts.
+func TestOverflowSweepInvisible(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		swept, sweptEvents := sweepTrace(seed, 1)
+		kept, keptEvents := sweepTrace(seed, math.MaxInt)
+		if sweptEvents != keptEvents {
+			t.Fatalf("seed %d: %d events with sweeping, %d without", seed, sweptEvents, keptEvents)
+		}
+		if !slices.Equal(swept, kept) {
+			i := 0
+			for i < len(swept) && i < len(kept) && swept[i] == kept[i] {
+				i++
+			}
+			t.Fatalf("seed %d: traces (%d firings with sweeping, %d without) diverge at %d: %q with, %q without",
+				seed, len(swept), len(kept), i, swept[i:min(i+1, len(swept))], kept[i:min(i+1, len(kept))])
+		}
+	}
+}
+
+// TestOverflowBoundedUnderAnsweredTimeouts is the RPC pattern: every call
+// arms a far timeout and is answered within milliseconds. The cancelled
+// timeouts must not pile up until their deadlines: the overflow heap stays
+// within twice the armed ones.
+func TestOverflowBoundedUnderAnsweredTimeouts(t *testing.T) {
+	const callers, calls = 600, 200
+	k := NewKernel()
+	bound := max(minSweepAt, 2*callers)
+	worst := 0
+	for c := 0; c < callers; c++ {
+		c := c
+		k.Go(func() {
+			for i := 0; i < calls; i++ {
+				w := k.NewWaiter()
+				w.WakeAfter(30*time.Second, "timeout")
+				ref := w.Ref()
+				k.AfterFunc(time.Duration(1+(c+i)%5)*time.Millisecond, func() { ref.Wake("reply") })
+				if v := w.Wait(); v != "reply" {
+					t.Errorf("caller %d call %d got %v", c, i, v)
+					return
+				}
+				worst = max(worst, len(k.wq.overflow))
+			}
+		})
+	}
+	k.Run()
+	if worst > bound {
+		t.Fatalf("overflow heap reached %d events with %d timeouts armed, want at most %d", worst, callers, bound)
+	}
+	if k.Since() >= 30*time.Second {
+		t.Fatalf("clock at %s: the run outlived the timeouts, so the bound proved nothing", k.Since())
 	}
 }
