@@ -69,8 +69,10 @@ import (
 
 	splay "github.com/splaykit/splay"
 	"github.com/splaykit/splay/internal/controller"
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/livenet"
 	"github.com/splaykit/splay/internal/metrics"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 func main() {
@@ -96,7 +98,7 @@ func main() {
 		case "validate":
 			err = validateCmd(flag.Args()[1:])
 		case "catalog":
-			err = catalogCmd()
+			err = catalogCmd(os.Stdout)
 		default:
 			err = fmt.Errorf("unknown command %q (want watch, faults, submit, jobs, kill, usage, apply, validate or catalog)", cmd)
 		}
@@ -107,7 +109,7 @@ func main() {
 		return
 	}
 
-	rt := splay.NewLiveRuntime(1)
+	rt := core.NewLiveRuntime(1)
 	node := livenet.NewNode(*host)
 	if *useTLS {
 		cfg, err := livenet.SelfSignedTLS(*host)
@@ -180,13 +182,7 @@ func main() {
 	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
-			var req struct {
-				App      string          `json:"app"`
-				Nodes    int             `json:"nodes"`
-				Params   json.RawMessage `json:"params"`
-				Superset float64         `json:"superset"`
-				FullList bool            `json:"full_list"`
-			}
+			var req wire.App // one application entry of the scenario format
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -653,15 +649,15 @@ func validateCmd(args []string) error {
 
 // catalogCmd prints the built-in app catalog: what a document may
 // reference, each parameter's kind, default and bounds.
-func catalogCmd() error {
+func catalogCmd(w io.Writer) error {
 	for i, app := range splay.BuiltinCatalog().Apps() {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		fmt.Printf("%s — %s\n", app.Name, app.Doc)
-		fmt.Printf("  %-16s %-9s %-10s %-22s %s\n", "param", "kind", "default", "bounds", "doc")
+		fmt.Fprintf(w, "%s — %s\n", app.Name, app.Doc)
+		fmt.Fprintf(w, "  %-16s %-9s %-10s %-22s %s\n", "param", "kind", "default", "bounds", "doc")
 		for _, p := range app.Params {
-			fmt.Printf("  %-16s %-9s %-10s %-22s %s\n",
+			fmt.Fprintf(w, "  %-16s %-9s %-10s %-22s %s\n",
 				p.Name, p.Kind, p.FormatDefault(), p.FormatBounds(), p.Doc)
 		}
 	}

@@ -32,6 +32,7 @@ import (
 	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/config"
 	"github.com/splaykit/splay/internal/controller"
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/hosting"
 	"github.com/splaykit/splay/internal/livenet"
@@ -101,7 +102,15 @@ func main() {
 	if err != nil {
 		log.Fatalf("splayd: %v", err)
 	}
-	rt := splay.NewLiveRuntime(time.Now().UnixNano())
+	// The collect target: the daemon's own instruments and every built-in
+	// instance whose job sets report: true stream to this aggregator.
+	var maddr transport.Addr
+	if *metricsAddr != "" {
+		if maddr, err = transport.ParseAddr(*metricsAddr); err != nil {
+			log.Fatalf("splayd: metrics: %v", err)
+		}
+	}
+	rt := core.NewLiveRuntime(time.Now().UnixNano())
 	node := livenet.NewNode(*name)
 	if *useTLS {
 		cfg, err := livenet.SelfSignedTLS(*name)
@@ -114,15 +123,11 @@ func main() {
 	cfg.Net = sandbox.NetLimits{MaxSockets: *maxSockets, MaxTxBytes: *maxTx}
 	cfg.Reconnect = *reconnect
 	lg := logging.New(&logging.WriterSink{W: os.Stdout}, *name, cfg.Key, nil)
-	d := daemon.New(rt, node, apps.Default(), cfg, lg)
+	d := daemon.New(rt, node, builtinRegistry(maddr, *metricsKey), cfg, lg)
 
 	// The observability plane: the daemon's own instruments stream to
 	// the controller-side aggregator as batched delta reports.
 	if *metricsAddr != "" {
-		maddr, err := transport.ParseAddr(*metricsAddr)
-		if err != nil {
-			log.Fatalf("splayd: metrics: %v", err)
-		}
 		reg := metrics.NewRegistry()
 		d.SetInstruments(daemon.NewInstruments(reg))
 		go func() {
@@ -172,6 +177,48 @@ func main() {
 	}
 }
 
+// builtinRegistry is the application registry the daemon instantiates
+// jobs from: every built-in, observed through the collect target at
+// maddr (the zero address when the daemon has none).
+func builtinRegistry(maddr transport.Addr, key string) *core.Registry {
+	return apps.Registry(func(ctx *core.AppContext) apps.Observer {
+		return &instanceObserver{ctx: ctx, addr: maddr, key: key}
+	})
+}
+
+// instanceObserver is a built-in instance's observation plane on a
+// daemon — what Env.Metrics/Env.StartReporting are under a Scenario, so
+// report: true means the same in both: instruments on a registry of the
+// instance's own, streamed to the collect target, or ErrNoCollector when
+// the daemon has none.
+type instanceObserver struct {
+	ctx  *core.AppContext
+	reg  *metrics.Registry
+	addr transport.Addr // zero without -metrics
+	key  string
+}
+
+func (o *instanceObserver) Metrics() *metrics.Registry {
+	if o.reg == nil {
+		o.reg = metrics.NewRegistry()
+	}
+	return o.reg
+}
+
+func (o *instanceObserver) StartReporting() error {
+	if o.addr == (transport.Addr{}) {
+		return splay.ErrNoCollector
+	}
+	rep, err := metrics.DialReporter(o.ctx.Node(), o.addr, o.Metrics(),
+		metrics.ReporterConfig{Key: o.key, Node: o.ctx.Job.Me.Host})
+	if err != nil {
+		return err
+	}
+	o.ctx.Track(rep)
+	o.ctx.Periodic(5*time.Second, func() { rep.Flush() }) //nolint:errcheck // monitoring is best effort
+	return nil
+}
+
 // hostMain runs the hosting plane: a controller that plain splayd
 // daemons connect to, wrapped by the multi-tenant hosting service and
 // its HTTP/JSON API. The app registry lives in the daemons (hosted
@@ -181,7 +228,7 @@ func hostMain(name string, port, httpPort int, useTLS bool, capacity int, tenant
 	if len(tenants) == 0 {
 		return fmt.Errorf("admit at least one -tenant name:key")
 	}
-	rt := splay.NewLiveRuntime(time.Now().UnixNano())
+	rt := core.NewLiveRuntime(time.Now().UnixNano())
 	node := livenet.NewNode(name)
 	if useTLS {
 		cfg, err := livenet.SelfSignedTLS(name)

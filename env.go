@@ -13,6 +13,7 @@ import (
 	"github.com/splaykit/splay/internal/rpc"
 	"github.com/splaykit/splay/internal/sandbox"
 	"github.com/splaykit/splay/internal/transport"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // Re-exported types: the SDK's application-facing vocabulary. These are
@@ -86,13 +87,13 @@ var (
 // application and may only ever be tightened.
 type Cap uint32
 
-// Capabilities.
+// Capabilities. The bit values are the serialized form's.
 const (
 	// CapNet grants the sandboxed socket layer: Dial, Listen,
 	// ListenPacket, and the RPC helpers.
-	CapNet Cap = 1 << iota
+	CapNet = Cap(wire.CapNet)
 	// CapFS grants the sandboxed virtual filesystem.
-	CapFS
+	CapFS = Cap(wire.CapFS)
 
 	// AllCaps is the default grant.
 	AllCaps Cap = CapNet | CapFS

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
+
+	"github.com/splaykit/splay/internal/apps"
 )
 
 // The app catalog: every application a config document may reference
@@ -12,89 +13,23 @@ import (
 // documents are validated at compile (and hosted submissions at
 // admission) instead of failing opaquely at deploy time, and so
 // "splayctl catalog" can show authors what is available without
-// reading Go.
-
-// ParamKind types one application parameter.
-type ParamKind int
-
-// Parameter kinds and the document syntax each accepts.
-const (
-	KindString   ParamKind = iota // any scalar
-	KindBool                      // true / false
-	KindInt                       // 42
-	KindFloat                     // 2.5
-	KindDuration                  // 30s, 100ms (wire: integer nanoseconds)
-	KindSize                      // 64KB, 4MB (wire: integer bytes)
-	KindRate                      // 512kbps, 10mbps (wire: bit/s number)
-	KindFraction                  // 50% or 0.5 (wire: number in 0..1)
-)
-
-func (k ParamKind) String() string {
-	switch k {
-	case KindString:
-		return "string"
-	case KindBool:
-		return "bool"
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindDuration:
-		return "duration"
-	case KindSize:
-		return "size"
-	case KindRate:
-		return "rate"
-	case KindFraction:
-		return "fraction"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Param is one declared application parameter. Min/Max bound numeric
-// kinds when Bounded is set (durations in nanoseconds, sizes in bytes,
-// rates in bit/s). Default is documentation — the app factory applies
-// it; the compiler only ships keys the document sets, never defaults.
-type Param struct {
-	Name    string
-	Kind    ParamKind
-	Doc     string
-	Default any
-	Min     float64
-	Max     float64
-	Bounded bool
-}
-
-// AppSchema declares one catalog application.
-type AppSchema struct {
-	Name   string
-	Doc    string
-	Params []Param
-}
-
-// param looks a parameter up by name.
-func (a AppSchema) param(name string) (Param, bool) {
-	for _, p := range a.Params {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Param{}, false
-}
+// reading Go. The schema vocabulary (apps.Schema, apps.Param, the
+// parameter kinds) is declared beside the built-in applications, which
+// sit below this package.
 
 // Catalog is the set of applications a platform accepts by name.
 type Catalog struct {
 	order []string
-	apps  map[string]AppSchema
+	apps  map[string]apps.Schema
 }
 
 // NewCatalog builds an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{apps: make(map[string]AppSchema)}
+	return &Catalog{apps: make(map[string]apps.Schema)}
 }
 
 // Register adds an application schema; duplicates error.
-func (c *Catalog) Register(a AppSchema) error {
+func (c *Catalog) Register(a apps.Schema) error {
 	if a.Name == "" {
 		return fmt.Errorf("config: app schema needs a name")
 	}
@@ -107,14 +42,14 @@ func (c *Catalog) Register(a AppSchema) error {
 }
 
 // Lookup returns an application's schema.
-func (c *Catalog) Lookup(name string) (AppSchema, bool) {
+func (c *Catalog) Lookup(name string) (apps.Schema, bool) {
 	a, ok := c.apps[name]
 	return a, ok
 }
 
 // Apps lists the registered schemas in registration order.
-func (c *Catalog) Apps() []AppSchema {
-	out := make([]AppSchema, 0, len(c.order))
+func (c *Catalog) Apps() []apps.Schema {
+	out := make([]apps.Schema, 0, len(c.order))
 	for _, name := range c.order {
 		out = append(out, c.apps[name])
 	}
@@ -147,10 +82,10 @@ func (c *Catalog) compileParams(app string, n *node, path string) ([]byte, *Erro
 	for i := range n.keys {
 		e := &n.keys[i]
 		ppath := path + "." + e.key
-		p, ok := schema.param(e.key)
+		p, ok := schema.Param(e.key)
 		if !ok {
 			return nil, &Error{Code: ErrUnknownParam, Path: ppath, Line: e.keyLine, Col: e.keyCol,
-				Msg: fmt.Sprintf("app %q has no parameter %q (have %v)", app, e.key, schema.paramNames())}
+				Msg: fmt.Sprintf("app %q has no parameter %q (have %v)", app, e.key, schema.ParamNames())}
 		}
 		v, perr := compileParamValue(p, e.val, ppath)
 		if perr != nil {
@@ -168,63 +103,55 @@ func (c *Catalog) compileParams(app string, n *node, path string) ([]byte, *Erro
 	return data, nil
 }
 
-func (a AppSchema) paramNames() []string {
-	out := make([]string, len(a.Params))
-	for i, p := range a.Params {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // compileParamValue converts one scalar per its declared kind and
 // checks bounds.
-func compileParamValue(p Param, n *node, path string) (any, *Error) {
+func compileParamValue(p apps.Param, n *node, path string) (any, *Error) {
 	var num float64
 	var val any
 	switch p.Kind {
-	case KindString:
+	case apps.KindString:
 		s, perr := asString(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		return s, nil
-	case KindBool:
+	case apps.KindBool:
 		b, perr := asBool(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		return b, nil
-	case KindInt:
+	case apps.KindInt:
 		v, perr := asInt(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		num, val = float64(v), v
-	case KindFloat:
+	case apps.KindFloat:
 		v, perr := asFloat(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		num, val = v, v
-	case KindDuration:
+	case apps.KindDuration:
 		d, perr := asDuration(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		num, val = float64(d), int64(d)
-	case KindSize:
+	case apps.KindSize:
 		v, perr := asSize(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		num, val = float64(v), v
-	case KindRate:
+	case apps.KindRate:
 		v, perr := asRate(n, path)
 		if perr != nil {
 			return nil, perr
 		}
 		num, val = v, v
-	case KindFraction:
+	case apps.KindFraction:
 		v, perr := asFraction(n, path)
 		if perr != nil {
 			return nil, perr
@@ -235,7 +162,7 @@ func compileParamValue(p Param, n *node, path string) (any, *Error) {
 	}
 	if p.Bounded && (num < p.Min || num > p.Max) {
 		return nil, errf(ErrOutOfRange, path, n, "%s is outside %s..%s",
-			formatParam(p.Kind, num), formatParam(p.Kind, p.Min), formatParam(p.Kind, p.Max))
+			p.Kind.Format(num), p.Kind.Format(p.Min), p.Kind.Format(p.Max))
 	}
 	return val, nil
 }
@@ -262,10 +189,10 @@ func (c *Catalog) validateParamsJSON(app string, raw []byte, path string) *Error
 	sort.Strings(keys)
 	for _, k := range keys {
 		ppath := path + ".params." + k
-		p, ok := schema.param(k)
+		p, ok := schema.Param(k)
 		if !ok {
 			return &Error{Code: ErrUnknownParam, Path: ppath,
-				Msg: fmt.Sprintf("app %q has no parameter %q (have %v)", app, k, schema.paramNames())}
+				Msg: fmt.Sprintf("app %q has no parameter %q (have %v)", app, k, schema.ParamNames())}
 		}
 		if perr := validateParamJSON(p, m[k], ppath); perr != nil {
 			return perr
@@ -274,16 +201,16 @@ func (c *Catalog) validateParamsJSON(app string, raw []byte, path string) *Error
 	return nil
 }
 
-func validateParamJSON(p Param, raw json.RawMessage, path string) *Error {
+func validateParamJSON(p apps.Param, raw json.RawMessage, path string) *Error {
 	var num float64
 	switch p.Kind {
-	case KindString:
+	case apps.KindString:
 		var s string
 		if err := json.Unmarshal(raw, &s); err != nil {
 			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want a string, got %s", raw)}
 		}
 		return nil
-	case KindBool:
+	case apps.KindBool:
 		var b bool
 		if err := json.Unmarshal(raw, &b); err != nil {
 			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want a boolean, got %s", raw)}
@@ -293,137 +220,32 @@ func validateParamJSON(p Param, raw json.RawMessage, path string) *Error {
 		if err := json.Unmarshal(raw, &num); err != nil {
 			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want a number, got %s", raw)}
 		}
-		if (p.Kind == KindInt || p.Kind == KindDuration || p.Kind == KindSize) && num != float64(int64(num)) {
+		if (p.Kind == apps.KindInt || p.Kind == apps.KindDuration || p.Kind == apps.KindSize) && num != float64(int64(num)) {
 			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want an integer, got %s", raw)}
 		}
 	}
 	if p.Bounded && (num < p.Min || num > p.Max) {
 		return &Error{Code: ErrOutOfRange, Path: path,
 			Msg: fmt.Sprintf("%s is outside %s..%s",
-				formatParam(p.Kind, num), formatParam(p.Kind, p.Min), formatParam(p.Kind, p.Max))}
+				p.Kind.Format(num), p.Kind.Format(p.Min), p.Kind.Format(p.Max))}
 	}
 	return nil
 }
 
-// formatParam renders a wire value in the kind's human unit for error
-// messages and the catalog listing.
-func formatParam(k ParamKind, v float64) string {
-	switch k {
-	case KindDuration:
-		return time.Duration(v).String()
-	case KindSize:
-		switch {
-		case v >= 1<<30 && float64(int64(v))/(1<<30) == v/(1<<30):
-			return fmt.Sprintf("%gGB", v/(1<<30))
-		case v >= 1<<20:
-			return fmt.Sprintf("%gMB", v/(1<<20))
-		case v >= 1<<10:
-			return fmt.Sprintf("%gKB", v/(1<<10))
-		}
-		return fmt.Sprintf("%gB", v)
-	case KindRate:
-		switch {
-		case v >= 1e9:
-			return fmt.Sprintf("%ggbps", v/1e9)
-		case v >= 1e6:
-			return fmt.Sprintf("%gmbps", v/1e6)
-		case v >= 1e3:
-			return fmt.Sprintf("%gkbps", v/1e3)
-		}
-		return fmt.Sprintf("%gbps", v)
-	case KindFraction:
-		return fmt.Sprintf("%g%%", v*100)
-	}
-	return fmt.Sprintf("%g", v)
-}
-
-// FormatDefault renders a parameter's default for the catalog listing.
-func (p Param) FormatDefault() string {
-	switch v := p.Default.(type) {
-	case nil:
-		return "-"
-	case time.Duration:
-		return v.String()
-	case bool:
-		return fmt.Sprintf("%v", v)
-	case string:
-		return v
-	case int:
-		if p.Kind == KindSize {
-			return formatParam(KindSize, float64(v))
-		}
-		return fmt.Sprintf("%d", v)
-	case float64:
-		return formatParam(p.Kind, v)
-	}
-	return fmt.Sprintf("%v", p.Default)
-}
-
-// FormatBounds renders a parameter's bounds for the catalog listing.
-func (p Param) FormatBounds() string {
-	if !p.Bounded {
-		return "-"
-	}
-	return formatParam(p.Kind, p.Min) + ".." + formatParam(p.Kind, p.Max)
-}
-
-// Builtins catalogs the SDK's built-in applications (the registry
-// apps.Register installs, as surfaced through the root package's
-// Env-backed factories). This is the schema "splayctl catalog" prints
-// and splayd -host validates against.
+// Builtins catalogs the built-in applications, derived from their
+// declarations in internal/apps: the schema "splayctl catalog" prints and
+// splayd -host validates against. Each call returns a catalog of the
+// caller's own, free to Register further applications on.
 func Builtins() *Catalog {
 	c := NewCatalog()
-	for _, a := range []AppSchema{
-		{
-			Name: "chord",
-			Doc:  "Chord DHT ring: staggered joins, periodic maintenance, optional lookup workload",
-			Params: []Param{
-				{Name: "bits", Kind: KindInt, Doc: "ring identifier bits (m)", Default: 24, Min: 1, Max: 52, Bounded: true},
-				{Name: "fault_tolerant", Kind: KindBool, Doc: "successor lists + lookup retries", Default: false},
-				{Name: "lookups_per_min", Kind: KindInt, Doc: "per-node random lookups per minute (0 = none)", Default: 0, Min: 0, Max: 600, Bounded: true},
-				{Name: "report", Kind: KindBool, Doc: "stream chord.* and rpc.* instruments to the collect plane", Default: false},
-			},
-		},
-		{
-			Name: "pastry",
-			Doc:  "Pastry prefix-routing overlay with an optional route workload",
-			Params: []Param{
-				{Name: "lookups_per_min", Kind: KindInt, Doc: "per-node random routes per minute (0 = none)", Default: 0, Min: 0, Max: 600, Bounded: true},
-			},
-		},
-		{
-			Name: "cyclon",
-			Doc:  "Cyclon gossip membership: periodic view shuffles with the oldest peer",
-			Params: []Param{
-				{Name: "view_size", Kind: KindInt, Doc: "partial view size (c)", Default: 20, Min: 1, Max: 128, Bounded: true},
-				{Name: "shuffle_len", Kind: KindInt, Doc: "entries exchanged per shuffle (l)", Default: 8, Min: 1, Max: 64, Bounded: true},
-				{Name: "shuffle_every", Kind: KindDuration, Doc: "gossip period", Default: 5 * time.Second,
-					Min: float64(100 * time.Millisecond), Max: float64(10 * time.Minute), Bounded: true},
-				{Name: "report", Kind: KindBool, Doc: "stream cyclon.* instruments to the collect plane", Default: false},
-			},
-		},
-		{
-			Name: "epidemic",
-			Doc:  "epidemic broadcast: position 1 may originate a rumor, everyone forwards",
-			Params: []Param{
-				{Name: "fanout", Kind: KindInt, Doc: "peers infected per round", Default: 8, Min: 1, Max: 64, Bounded: true},
-				{Name: "originate", Kind: KindBool, Doc: "position-1 instance broadcasts a rumor", Default: false},
-			},
-		},
-		{
-			Name: "bittorrent",
-			Doc:  "BitTorrent swarm: position 1 tracks, position 2 seeds, the rest leech",
-			Params: []Param{
-				{Name: "size", Kind: KindSize, Doc: "torrent payload size", Default: 4 << 20,
-					Min: 1 << 10, Max: 1 << 30, Bounded: true},
-				{Name: "piece_size", Kind: KindSize, Doc: "piece size", Default: 64 << 10,
-					Min: 1 << 10, Max: 64 << 20, Bounded: true},
-			},
-		},
-	} {
-		if err := c.Register(a); err != nil {
+	for _, a := range apps.Builtins() {
+		if err := c.Register(a.Schema); err != nil {
 			panic(err) // static table: duplicates are impossible
 		}
 	}
 	return c
 }
+
+// builtinCatalog is what a nil Options.Catalog means; it is never handed
+// out, so nothing can register onto it.
+var builtinCatalog = Builtins()

@@ -7,11 +7,12 @@
 //
 // The compiler emits exactly the bytes Scenario.Marshal would produce
 // for the equivalent handwritten-Go scenario (invariant 11, DESIGN.md):
-// the wire mirror below must stay field-for-field identical to
-// serialize.go's, pinned by the root package's differential tests and
-// the golden-pinned configplane experiment. Emitting wire JSON (rather
-// than a Scenario value) is what lets both the root SDK and the hosting
-// plane's admission path share one compiler without an import cycle.
+// both fill the same internal/wire structs, so the document shape agrees
+// by construction, and the root package's differential tests and the
+// golden-pinned configplane experiment pin the compiled values. Emitting
+// the wire form (rather than a Scenario value) is what lets both the
+// root SDK and the hosting plane's admission path share one compiler
+// without an import cycle.
 package config
 
 import (
@@ -23,12 +24,13 @@ import (
 	"github.com/splaykit/splay/internal/churn"
 	"github.com/splaykit/splay/internal/faults"
 	"github.com/splaykit/splay/internal/sandbox"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // Options parameterizes compilation.
 type Options struct {
 	// Catalog validates application references and parameters; nil uses
-	// Builtins().
+	// the built-in catalog.
 	Catalog *Catalog
 	// Open loads a churn trace reference (churn: {trace: path}),
 	// resolved by the caller (LoadScenarioFile resolves relative to the
@@ -68,7 +70,7 @@ func Validate(data []byte, opt Options) *Error {
 func Compile(data []byte, opt Options) ([]byte, *Error) {
 	cat := opt.Catalog
 	if cat == nil {
-		cat = Builtins()
+		cat = builtinCatalog
 	}
 	doc, perr := parseDoc(data)
 	if perr != nil {
@@ -85,68 +87,6 @@ func Compile(data []byte, opt Options) ([]byte, *Error) {
 	}
 	return out, nil
 }
-
-// The wire mirror: field-for-field identical to serialize.go's
-// wireScenario so json.Marshal emits byte-identical documents.
-type wireScenario struct {
-	Name            string             `json:"name,omitempty"`
-	Seed            int64              `json:"seed,omitempty"`
-	Testbed         *wireTestbed       `json:"testbed,omitempty"`
-	Apps            []wireApp          `json:"apps,omitempty"`
-	Churn           []wireChurnEvent   `json:"churn,omitempty"`
-	Collect         *wireCollect       `json:"collect,omitempty"`
-	Faults          *faults.Plan       `json:"faults,omitempty"`
-	Assert          []faults.Assertion `json:"assert,omitempty"`
-	SettleNS        time.Duration      `json:"settle_ns,omitempty"`
-	DurationNS      time.Duration      `json:"duration_ns,omitempty"`
-	RegisterTimeout time.Duration      `json:"register_timeout_ns,omitempty"`
-	ControllerPort  int                `json:"controller_port,omitempty"`
-	Workers         int                `json:"workers,omitempty"`
-}
-
-type wireTestbed struct {
-	Kind    string        `json:"kind"`
-	Daemons int           `json:"daemons"`
-	RTT     time.Duration `json:"rtt_ns,omitempty"`
-	Bps     float64       `json:"bps,omitempty"`
-}
-
-type wireApp struct {
-	App      string          `json:"app"`
-	Params   json.RawMessage `json:"params,omitempty"`
-	Nodes    int             `json:"nodes,omitempty"`
-	Superset float64         `json:"superset,omitempty"`
-	FullList bool            `json:"full_list,omitempty"`
-	Env      *wireEnv        `json:"env,omitempty"`
-	Port     int             `json:"port,omitempty"`
-}
-
-type wireEnv struct {
-	Caps uint32             `json:"caps,omitempty"`
-	Net  *sandbox.NetLimits `json:"net,omitempty"`
-	FS   *sandbox.FSLimits  `json:"fs,omitempty"`
-}
-
-type wireChurnEvent struct {
-	At   time.Duration `json:"at"`
-	Join bool          `json:"join"`
-	Node int           `json:"node"`
-}
-
-type wireCollect struct {
-	Metrics     bool          `json:"metrics,omitempty"`
-	ReportEvery time.Duration `json:"report_every_ns,omitempty"`
-	Key         string        `json:"key,omitempty"`
-	MetricsPort int           `json:"metrics_port,omitempty"`
-}
-
-// Capability bits, mirroring the root package's Cap constants (pinned
-// by TestConfigCapBits in the root package — config cannot import it).
-const (
-	capNet uint32 = 1 << 0
-	capFS  uint32 = 1 << 1
-	capAll        = capNet | capFS
-)
 
 type compiler struct {
 	cat  *Catalog
@@ -184,12 +124,12 @@ func joinPath(base, key string) string {
 	return base + "." + key
 }
 
-func (c *compiler) scenario(doc *node) (*wireScenario, *Error) {
+func (c *compiler) scenario(doc *node) (*wire.Scenario, *Error) {
 	if perr := requireKeys(doc, "", "name", "seed", "testbed", "apps", "churn", "collect",
 		"faults", "assert", "settle", "duration", "register_timeout", "controller_port", "workers"); perr != nil {
 		return nil, perr
 	}
-	w := &wireScenario{}
+	w := &wire.Scenario{}
 	var perr *Error
 	if n := doc.get("name"); n != nil {
 		if w.Name, perr = asString(n, "name"); perr != nil {
@@ -272,14 +212,14 @@ func (c *compiler) scenario(doc *node) (*wireScenario, *Error) {
 	return w, nil
 }
 
-func (c *compiler) testbed(n *node) (*wireTestbed, *Error) {
+func (c *compiler) testbed(n *node) (*wire.Testbed, *Error) {
 	if n.kind != mapNode {
 		return nil, errf(ErrBadValue, "testbed", n, "testbed must be a mapping")
 	}
 	if perr := requireKeys(n, "testbed", "kind", "daemons", "rtt", "bps"); perr != nil {
 		return nil, perr
 	}
-	w := &wireTestbed{}
+	w := &wire.Testbed{}
 	kindN := n.get("kind")
 	if kindN == nil {
 		return nil, errf(ErrMissing, "testbed.kind", n, "want planetlab, modelnet, uniform or live")
@@ -326,8 +266,8 @@ func (c *compiler) testbed(n *node) (*wireTestbed, *Error) {
 	return w, nil
 }
 
-func (c *compiler) app(n *node, path string) (wireApp, *Error) {
-	var w wireApp
+func (c *compiler) app(n *node, path string) (wire.App, *Error) {
+	var w wire.App
 	if n.kind != mapNode {
 		return w, errf(ErrBadValue, path, n, "each apps entry must be a mapping")
 	}
@@ -399,14 +339,14 @@ func (c *compiler) app(n *node, path string) (wireApp, *Error) {
 	return w, nil
 }
 
-func (c *compiler) env(n *node, path string) (*wireEnv, *Error) {
+func (c *compiler) env(n *node, path string) (*wire.Env, *Error) {
 	if n.kind != mapNode {
 		return nil, errf(ErrBadValue, path, n, "env must be a mapping")
 	}
 	if perr := requireKeys(n, path, "caps", "net", "fs"); perr != nil {
 		return nil, perr
 	}
-	w := &wireEnv{}
+	w := &wire.Env{}
 	if capsN := n.get("caps"); capsN != nil {
 		switch capsN.kind {
 		case scalarNode:
@@ -414,14 +354,14 @@ func (c *compiler) env(n *node, path string) (*wireEnv, *Error) {
 				return nil, errf(ErrBadValue, path+".caps", capsN,
 					"want \"all\" or a list like [net, fs], got %q", capsN.scalar)
 			}
-			w.Caps = capAll
+			w.Caps = wire.CapNet | wire.CapFS
 		case listNode:
 			for _, item := range capsN.items {
 				switch item.scalar {
 				case "net":
-					w.Caps |= capNet
+					w.Caps |= wire.CapNet
 				case "fs":
-					w.Caps |= capFS
+					w.Caps |= wire.CapFS
 				default:
 					return nil, errf(ErrBadValue, path+".caps", item,
 						"unknown capability %q (want net or fs)", item.scalar)
@@ -508,14 +448,14 @@ func (c *compiler) env(n *node, path string) (*wireEnv, *Error) {
 	return w, nil
 }
 
-func (c *compiler) collect(n *node) (*wireCollect, *Error) {
+func (c *compiler) collect(n *node) (*wire.Collect, *Error) {
 	if n.kind != mapNode {
 		return nil, errf(ErrBadValue, "collect", n, "collect must be a mapping")
 	}
 	if perr := requireKeys(n, "collect", "metrics", "report_every", "key", "metrics_port"); perr != nil {
 		return nil, perr
 	}
-	w := &wireCollect{}
+	w := &wire.Collect{}
 	var perr *Error
 	if v := n.get("metrics"); v != nil {
 		if w.Metrics, perr = asBool(v, "collect.metrics"); perr != nil {
@@ -545,7 +485,7 @@ func (c *compiler) collect(n *node) (*wireCollect, *Error) {
 	return w, nil
 }
 
-func (c *compiler) churn(n *node, seed int64) ([]wireChurnEvent, *Error) {
+func (c *compiler) churn(n *node, seed int64) ([]wire.ChurnEvent, *Error) {
 	if n.kind != mapNode {
 		return nil, errf(ErrBadValue, "churn", n, "churn must be a mapping")
 	}
@@ -604,9 +544,9 @@ func (c *compiler) churn(n *node, seed int64) ([]wireChurnEvent, *Error) {
 			return nil, errf(ErrBadValue, "churn.trace", traceN, "trace %q: %v", path, err)
 		}
 	}
-	out := make([]wireChurnEvent, len(tr))
+	out := make([]wire.ChurnEvent, len(tr))
 	for i, e := range tr {
-		out[i] = wireChurnEvent{At: e.At, Join: e.Action == churn.Join, Node: e.Node}
+		out[i] = wire.ChurnEvent{At: e.At, Join: e.Action == churn.Join, Node: e.Node}
 	}
 	return out, nil
 }
@@ -870,23 +810,14 @@ func (c *compiler) assertion(n *node, path string) (faults.Assertion, *Error) {
 	return a, nil
 }
 
-// ValidateWire validates an already-serialized wire scenario's
-// application references against the catalog — the hosting plane's
-// admission check for plain JSON submissions. It reads only the apps
-// array; structural validation of the rest belongs to the submission
-// decoder.
-func ValidateWire(data []byte, cat *Catalog) *Error {
+// ValidateWire validates a decoded wire scenario's application
+// references against the catalog — the hosting plane's admission check
+// for plain JSON submissions. It reads only the apps array; structural
+// validation of the rest belongs to wire.Decode and the submission
+// reader.
+func ValidateWire(w *wire.Scenario, cat *Catalog) *Error {
 	if cat == nil {
-		cat = Builtins()
-	}
-	var w struct {
-		Apps []struct {
-			App    string          `json:"app"`
-			Params json.RawMessage `json:"params"`
-		} `json:"apps"`
-	}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return &Error{Code: ErrSyntax, Msg: fmt.Sprintf("scenario does not parse: %v", err)}
+		cat = builtinCatalog
 	}
 	for i, a := range w.Apps {
 		path := fmt.Sprintf("apps[%d]", i)

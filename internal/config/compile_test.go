@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/splaykit/splay/internal/apps"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // TestCompileMinimal pins the exact wire bytes small documents compile
@@ -324,7 +327,6 @@ func TestValidateWire(t *testing.T) {
 	}{
 		{"ok", `{"apps":[{"app":"chord","params":{"bits":16}}]}`, "", ""},
 		{"no params ok", `{"apps":[{"app":"chord"}]}`, "", ""},
-		{"not json", `{broken`, ErrSyntax, ""},
 		{"missing app name", `{"apps":[{"nodes":3}]}`, ErrMissing, "apps[0].app"},
 		{"unknown app", `{"apps":[{"app":"quux"}]}`, ErrUnknownApp, "apps[0]"},
 		{"unknown param", `{"apps":[{"app":"chord","params":{"qux":1}}]}`, ErrUnknownParam, "apps[0].params.qux"},
@@ -336,7 +338,11 @@ func TestValidateWire(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			perr := ValidateWire([]byte(tc.wire), nil)
+			w, err := wire.Decode([]byte(tc.wire))
+			if err != nil {
+				t.Fatal(err)
+			}
+			perr := ValidateWire(w, nil)
 			if tc.code == "" {
 				if perr != nil {
 					t.Fatalf("valid wire rejected: %v", perr)
@@ -374,8 +380,8 @@ func TestCatalogListing(t *testing.T) {
 	if !ok {
 		t.Fatal("no chord schema")
 	}
-	bits, ok := chord.param("bits")
-	if !ok || bits.Kind != KindInt || !bits.Bounded {
+	bits, ok := chord.Param("bits")
+	if !ok || bits.Kind != apps.KindInt || !bits.Bounded {
 		t.Errorf("chord.bits schema = %+v", bits)
 	}
 	if got := bits.FormatBounds(); got != "1..52" {
@@ -385,7 +391,7 @@ func TestCatalogListing(t *testing.T) {
 		t.Errorf("bits default = %q", got)
 	}
 	cyclon, _ := c.Lookup("cyclon")
-	se, _ := cyclon.param("shuffle_every")
+	se, _ := cyclon.Param("shuffle_every")
 	if got := se.FormatDefault(); got != "5s" {
 		t.Errorf("shuffle_every default = %q", got)
 	}
@@ -394,13 +400,13 @@ func TestCatalogListing(t *testing.T) {
 	}
 	// Registration rejects duplicates and anonymous schemas.
 	fresh := NewCatalog()
-	if err := fresh.Register(AppSchema{Name: "x"}); err != nil {
+	if err := fresh.Register(apps.Schema{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Register(AppSchema{Name: "x"}); err == nil {
+	if err := fresh.Register(apps.Schema{Name: "x"}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := fresh.Register(AppSchema{}); err == nil {
+	if err := fresh.Register(apps.Schema{}); err == nil {
 		t.Error("anonymous schema accepted")
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // FuzzCompile drives the whole config plane — parser, unit converters,
 // catalog validation, wire emission — with arbitrary documents. The
 // invariants: never panic, and either return a typed *Error or emit
 // valid JSON that compiles identically a second time (determinism) and
-// passes wire re-validation (what Compile admits, ValidateWire admits).
+// passes the strict wire decode and re-validation (what Compile emits,
+// wire.Decode and ValidateWire admit).
 // Seeds live in testdata/fuzz/FuzzCompile; `go test -fuzz=FuzzCompile`
 // explores from there.
 func FuzzCompile(f *testing.F) {
@@ -27,7 +30,7 @@ func FuzzCompile(f *testing.F) {
 	f.Add("\tbad")
 	f.Add("apps: {flow: map}")
 	f.Fuzz(func(t *testing.T, doc string) {
-		wire, perr := Compile([]byte(doc), Options{})
+		out, perr := Compile([]byte(doc), Options{})
 		if perr != nil {
 			if perr.Code == "" || perr.Msg == "" {
 				t.Fatalf("untyped error %+v for %q", perr, doc)
@@ -35,15 +38,19 @@ func FuzzCompile(f *testing.F) {
 			_ = perr.Error() // rendering must not panic either
 			return
 		}
-		if !json.Valid(wire) {
-			t.Fatalf("compiled invalid JSON %q from %q", wire, doc)
+		if !json.Valid(out) {
+			t.Fatalf("compiled invalid JSON %q from %q", out, doc)
 		}
 		again, perr := Compile([]byte(doc), Options{})
-		if perr != nil || !bytes.Equal(wire, again) {
+		if perr != nil || !bytes.Equal(out, again) {
 			t.Fatalf("non-deterministic compile of %q: %v", doc, perr)
 		}
-		if verr := ValidateWire(wire, nil); verr != nil {
-			t.Fatalf("compiled wire fails admission: %v (doc %q, wire %s)", verr, doc, wire)
+		w, err := wire.Decode(out)
+		if err != nil {
+			t.Fatalf("compiled wire fails the strict decode: %v (doc %q, wire %s)", err, doc, out)
+		}
+		if verr := ValidateWire(w, nil); verr != nil {
+			t.Fatalf("compiled wire fails admission: %v (doc %q, wire %s)", verr, doc, out)
 		}
 	})
 }

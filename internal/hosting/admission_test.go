@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/config"
 )
 
@@ -19,10 +20,10 @@ import (
 func sleeperCatalog(t *testing.T) *config.Catalog {
 	t.Helper()
 	c := config.NewCatalog()
-	if err := c.Register(config.AppSchema{
+	if err := c.Register(apps.Schema{
 		Name: "sleeper",
-		Params: []config.Param{
-			{Name: "depth", Kind: config.KindInt, Min: 1, Max: 8, Bounded: true},
+		Params: []apps.Param{
+			{Name: "depth", Kind: apps.KindInt, Min: 1, Max: 8, Bounded: true},
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -100,6 +101,16 @@ func TestAdmissionRejections(t *testing.T) {
 		t.Errorf("out-of-range wire field = %q (%v)", got, err)
 	}
 
+	// A misspelt member is refused by name, not run with its default.
+	_, err = svc.Submit("ke", []byte(`{"apps":[{"app":"sleeper","nodes":2}],"duration":1000000000}`))
+	if got := field(err); got != "duration" {
+		t.Errorf("misspelt wire member field = %q (%v)", got, err)
+	}
+	_, err = svc.Submit("ke", []byte(`{broken`))
+	if got := field(err); got != "" {
+		t.Errorf("unparseable wire field = %q (%v)", got, err)
+	}
+
 	// Without a catalog, documents are declined outright (nothing can
 	// compile them) and wire JSON passes unvalidated — the pre-config
 	// behavior, unchanged.
@@ -109,6 +120,9 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	if _, err := bare.Submit("kf", []byte("apps:\n  - app: sleeper\n")); err == nil || code(t, err) != ErrBadScenario {
 		t.Errorf("catalog-less document submit = %v, want bad_scenario", err)
+	}
+	if _, err := bare.Submit("kf", []byte(`{"apps":[{"app":"sleeper","node":1}]}`)); err == nil || code(t, err) != ErrBadScenario {
+		t.Errorf("catalog-less misspelt wire submit = %v, want bad_scenario", err)
 	}
 	fl.k.Go(func() {
 		if _, err := bare.Submit("kf", []byte(`{"apps":[{"app":"sleeper","nodes":1}],"duration_ns":1000000000}`)); err != nil {

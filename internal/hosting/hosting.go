@@ -32,6 +32,7 @@ import (
 	"github.com/splaykit/splay/internal/controller"
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/metrics"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // Fleet is the shared daemon population jobs are placed onto.
@@ -286,30 +287,40 @@ func (s *Service) Submit(key string, scenario []byte) (JobView, error) {
 	if jerr != nil {
 		return JobView{}, jerr
 	}
-	if config.IsDocument(scenario) {
+	reject := func(field string, err error) (JobView, error) {
+		s.rejects.Inc()
+		return JobView{}, &JobError{Code: ErrBadScenario, Tenant: ten.Name, Field: field, Err: err}
+	}
+	isDoc := config.IsDocument(scenario)
+	if isDoc {
 		if s.cfg.Catalog == nil {
 			s.rejects.Inc()
 			return JobView{}, &JobError{Code: ErrBadScenario, Tenant: ten.Name,
 				Detail: "this platform accepts wire JSON only (no catalog configured for config documents)"}
 		}
-		wire, perr := config.Compile(scenario, config.Options{Catalog: s.cfg.Catalog})
+		compiled, perr := config.Compile(scenario, config.Options{Catalog: s.cfg.Catalog})
 		if perr != nil {
-			s.rejects.Inc()
-			return JobView{}, &JobError{Code: ErrBadScenario, Tenant: ten.Name,
-				Field: perr.Path, Err: perr}
+			return reject(perr.Path, perr)
 		}
-		scenario = wire
-	} else if s.cfg.Catalog != nil {
-		if perr := config.ValidateWire(scenario, s.cfg.Catalog); perr != nil {
-			s.rejects.Inc()
-			return JobView{}, &JobError{Code: ErrBadScenario, Tenant: ten.Name,
-				Field: perr.Path, Err: perr}
+		scenario = compiled
+	}
+	// The one decode of the submission: admission and placement both read w.
+	w, err := wire.Decode(scenario)
+	if err != nil {
+		var derr *wire.DecodeError
+		if errors.As(err, &derr) {
+			return reject(derr.Field, err)
+		}
+		return reject("", err)
+	}
+	if s.cfg.Catalog != nil && !isDoc { // the compiler validated documents
+		if perr := config.ValidateWire(w, s.cfg.Catalog); perr != nil {
+			return reject(perr.Path, perr)
 		}
 	}
-	req, err := decodeSubmission(scenario)
+	req, err := newSubmission(w)
 	if err != nil {
-		s.rejects.Inc()
-		return JobView{}, &JobError{Code: ErrBadScenario, Tenant: ten.Name, Err: err}
+		return reject("", err)
 	}
 	dur := req.duration
 	if dur == 0 {

@@ -1,16 +1,16 @@
 package hosting
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
 	"github.com/splaykit/splay/internal/controller"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // Submissions arrive as serialized Scenarios (the splay package's
-// Marshal format). The hosting plane reads the subset it places —
+// Marshal format, internal/wire). The hosting plane places a subset —
 // application references, instance counts, run length — and ignores
 // the rest: the testbed and collection planes belong to the resident
 // platform, not the submission, and sandbox grants are fixed by the
@@ -19,22 +19,7 @@ import (
 // splay.UnmarshalScenario — the hosted-vs-local byte-identity
 // invariant needs exactly that.
 
-// wireSubmission is the subset of the scenario document hosting reads.
-type wireSubmission struct {
-	Name string `json:"name"`
-	Seed int64  `json:"seed"`
-	Apps []struct {
-		App      string          `json:"app"`
-		Params   json.RawMessage `json:"params"`
-		Nodes    int             `json:"nodes"`
-		Superset float64         `json:"superset"`
-		FullList bool            `json:"full_list"`
-	} `json:"apps"`
-	SettleNS   time.Duration `json:"settle_ns"`
-	DurationNS time.Duration `json:"duration_ns"`
-}
-
-// submission is a decoded, validated job request.
+// submission is a validated job request.
 type submission struct {
 	name     string
 	seed     int64
@@ -43,12 +28,9 @@ type submission struct {
 	duration time.Duration
 }
 
-// decodeSubmission parses and validates a serialized scenario.
-func decodeSubmission(data []byte) (submission, error) {
-	var w wireSubmission
-	if err := json.Unmarshal(data, &w); err != nil {
-		return submission{}, fmt.Errorf("scenario does not parse: %w", err)
-	}
+// newSubmission validates a decoded scenario and extracts what hosting
+// places.
+func newSubmission(w *wire.Scenario) (submission, error) {
 	if len(w.Apps) == 0 {
 		return submission{}, errors.New("scenario deploys no applications")
 	}
@@ -67,7 +49,7 @@ func decodeSubmission(data []byte) (submission, error) {
 		}
 		sub.specs = append(sub.specs, controller.JobSpec{
 			App:      a.App,
-			Params:   append([]byte(nil), a.Params...),
+			Params:   a.Params,
 			Nodes:    nodes,
 			Superset: a.Superset,
 			FullList: a.FullList,

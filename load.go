@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/config"
 )
 
@@ -27,10 +28,10 @@ type ConfigError = config.Error
 type Catalog = config.Catalog
 
 // AppSchema describes one catalog application.
-type AppSchema = config.AppSchema
+type AppSchema = apps.Schema
 
 // CatalogParam is one typed parameter schema.
-type CatalogParam = config.Param
+type CatalogParam = apps.Param
 
 // BuiltinCatalog returns the catalog of built-in applications (chord,
 // pastry, cyclon, epidemic, bittorrent).

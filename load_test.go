@@ -2,31 +2,30 @@ package splay
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestConfigCapBits pins the capability bits the config compiler
-// hardcodes (it cannot import this package) against the SDK's Cap
-// constants — differentially, by comparing a compiled document with its
-// handwritten-Go twin byte for byte.
+// TestConfigCapBits pins the compiler's capability names against the
+// SDK's Cap constants, and the bit values both travel as. (The two sides
+// share internal/wire's constants, so only the name mapping and the
+// serialized numbers are left to check.)
 func TestConfigCapBits(t *testing.T) {
 	t.Parallel()
-	if uint32(CapNet) != 1 || uint32(CapFS) != 2 || uint32(AllCaps) != 3 {
-		t.Fatalf("Cap constants moved (net=%d fs=%d all=%d); update internal/config's cap bits",
-			CapNet, CapFS, AllCaps)
-	}
 	cases := []struct {
 		caps string
 		want Cap
+		bits string
 	}{
-		{"[net]", CapNet},
-		{"[fs]", CapFS},
-		{"[net, fs]", AllCaps},
-		{"all", AllCaps},
+		{"[net]", CapNet, "1"},
+		{"[fs]", CapFS, "2"},
+		{"[net, fs]", AllCaps, "3"},
+		{"all", AllCaps, "3"},
 	}
 	for _, tc := range cases {
 		doc := "apps:\n  - app: chord\n    env:\n      caps: " + tc.caps + "\n"
@@ -39,9 +38,44 @@ func TestConfigCapBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wire, want) {
-			t.Errorf("caps %s:\n doc  %s\n twin %s", tc.caps, wire, want)
+		if pin := `{"apps":[{"app":"chord","env":{"caps":` + tc.bits + `}}]}`; !bytes.Equal(wire, want) || string(wire) != pin {
+			t.Errorf("caps %s:\n doc  %s\n twin %s\n pin  %s", tc.caps, wire, want, pin)
 		}
+	}
+}
+
+// TestPastryReport is the regression test for the drift three copies of
+// each built-in allowed: pastry honored `report` but its catalog entry
+// did not declare it, so documents could not ask for it.
+func TestPastryReport(t *testing.T) {
+	t.Parallel()
+	doc := "apps:\n  - app: pastry\n    params:\n      report: true\n"
+	wire, err := CompileConfig([]byte(doc + "collect:\n  metrics: true\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"apps":[{"app":"pastry","params":{"report":true}}],"collect":{"metrics":true}}`; string(wire) != want {
+		t.Errorf("compiled %s\n    want %s", wire, want)
+	}
+	_, err = CompileConfig([]byte(doc))
+	var cerr *ConfigError
+	if !errors.As(err, &cerr) || cerr.Code != "bad_value" || cerr.Line != 4 || cerr.Col != 15 ||
+		!strings.Contains(cerr.Msg, "report: true needs collect.metrics") {
+		t.Errorf("report without a collector = %v, want the positioned collect.metrics error", err)
+	}
+	// And the compiled job does report: pastry.* series reach the result.
+	sc, err := LoadScenario([]byte("seed: 5\ntestbed:\n  kind: uniform\n  daemons: 4\n  rtt: 5ms\n" +
+		"apps:\n  - app: pastry\n    nodes: 3\n    params:\n      report: true\n      lookups_per_min: 60\n" +
+		"collect:\n  metrics: true\n  report_every: 2s\nduration: 20s\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Metrics.Counter("pastry.routes"); n == 0 {
+		t.Errorf("pastry.routes = %d after 20s of 60 routes/min on 3 nodes", n)
 	}
 }
 

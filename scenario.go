@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/churn"
 	"github.com/splaykit/splay/internal/controller"
 	"github.com/splaykit/splay/internal/core"
@@ -678,17 +679,24 @@ func (sc Scenario) buildRegistry(collect *collectTarget, rules *faults.RPCRules)
 		if spec.Name == "" {
 			return nil, errors.New("splay: app spec needs a name")
 		}
-		if spec.App == nil && spec.New == nil {
-			// By-name built-ins deploy through the SDK factories so they
-			// get an Env: instruments and collect-plane reporting when the
-			// job's params opt in, the raw engine schedule otherwise.
-			nf := builtinFactory(spec.Name)
-			if nf == nil {
+		var factory core.Factory
+		if spec.App != nil || spec.New != nil {
+			factory = makeFactory(spec, collect, rules)
+		} else {
+			// By-name built-ins are declared once, in internal/apps. Here
+			// they gain an Env as their observation plane: instruments and
+			// collect-plane reporting when the job's params set `report`
+			// (ErrNoCollector when nothing collects), the raw engine
+			// schedule otherwise.
+			a, ok := apps.Lookup(spec.Name)
+			if !ok {
 				return nil, fmt.Errorf("splay: app %q is not built in and has no implementation", spec.Name)
 			}
-			spec.New = nf
+			factory = a.Factory(func(ctx *core.AppContext) apps.Observer {
+				return newEnv(ctx, spec.Env, collect, rules)
+			})
 		}
-		if err := reg.Register(spec.Name, makeFactory(spec, collect, rules)); err != nil {
+		if err := reg.Register(spec.Name, factory); err != nil {
 			return nil, fmt.Errorf("splay: %w", err)
 		}
 	}

@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/splaykit/splay/internal/churn"
-	"github.com/splaykit/splay/internal/faults"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // Scenario serialization: the explicit JSON wire format a Scenario
@@ -21,76 +20,14 @@ import (
 // AppSpec's App or New — the environment executing the scenario must
 // register the implementation under the spec's Name instead) and
 // Collect.Logs (an io.Writer). Marshal rejects both rather than
-// silently dropping them. All durations are serialized as nanoseconds,
-// so no precision is lost to a textual unit.
-
-// wireScenario is the serialized Scenario document.
-type wireScenario struct {
-	Name            string             `json:"name,omitempty"`
-	Seed            int64              `json:"seed,omitempty"`
-	Testbed         *wireTestbed       `json:"testbed,omitempty"`
-	Apps            []wireApp          `json:"apps,omitempty"`
-	Churn           []wireChurnEvent   `json:"churn,omitempty"`
-	Collect         *wireCollect       `json:"collect,omitempty"`
-	Faults          *faults.Plan       `json:"faults,omitempty"`
-	Assert          []faults.Assertion `json:"assert,omitempty"`
-	SettleNS        time.Duration      `json:"settle_ns,omitempty"`
-	DurationNS      time.Duration      `json:"duration_ns,omitempty"`
-	RegisterTimeout time.Duration      `json:"register_timeout_ns,omitempty"`
-	ControllerPort  int                `json:"controller_port,omitempty"`
-	Workers         int                `json:"workers,omitempty"`
-}
-
-// wireTestbed is a kind-tagged testbed: the constructors' closures are
-// rebuilt from the recorded kind and parameters.
-type wireTestbed struct {
-	Kind    string        `json:"kind"`
-	Daemons int           `json:"daemons"`
-	RTT     time.Duration `json:"rtt_ns,omitempty"` // uniform
-	Bps     float64       `json:"bps,omitempty"`    // uniform
-}
-
-// wireApp is one AppSpec. Implementations travel by name only: the
-// running side registers the factory (built-ins register themselves).
-type wireApp struct {
-	App      string          `json:"app"`
-	Params   json.RawMessage `json:"params,omitempty"`
-	Nodes    int             `json:"nodes,omitempty"`
-	Superset float64         `json:"superset,omitempty"`
-	FullList bool            `json:"full_list,omitempty"`
-	Env      *wireEnv        `json:"env,omitempty"`
-	Port     int             `json:"port,omitempty"`
-}
-
-// wireEnv is an AppSpec's capability grant and sandbox limits.
-type wireEnv struct {
-	Caps uint32     `json:"caps,omitempty"`
-	Net  *NetLimits `json:"net,omitempty"`
-	FS   *FSLimits  `json:"fs,omitempty"`
-}
-
-// wireChurnEvent is one churn trace entry, exact to the nanosecond
-// (the text trace format rounds to milliseconds, which would break
-// byte-identical replay).
-type wireChurnEvent struct {
-	At   time.Duration `json:"at"`
-	Join bool          `json:"join"`
-	Node int           `json:"node"`
-}
-
-// wireCollect is the observability-plane declaration, minus Logs.
-type wireCollect struct {
-	Metrics     bool          `json:"metrics,omitempty"`
-	ReportEvery time.Duration `json:"report_every_ns,omitempty"`
-	Key         string        `json:"key,omitempty"`
-	MetricsPort int           `json:"metrics_port,omitempty"`
-}
+// silently dropping them. The document's shape is declared once, in
+// internal/wire.
 
 // Marshal serializes the scenario as JSON. It fails on members that
 // cannot travel: inline App/New implementations (register the factory
 // by name on the running side instead) and a Collect.Logs writer.
 func (sc Scenario) Marshal() ([]byte, error) {
-	w := wireScenario{
+	w := wire.Scenario{
 		Name:            sc.Name,
 		Seed:            sc.Seed,
 		SettleNS:        sc.Settle,
@@ -113,7 +50,7 @@ func (sc Scenario) Marshal() ([]byte, error) {
 		if spec.Name == "" {
 			return nil, errors.New("splay: app spec needs a name")
 		}
-		wa := wireApp{
+		wa := wire.App{
 			App:      spec.Name,
 			Params:   append(json.RawMessage(nil), spec.Params...),
 			Nodes:    spec.Nodes,
@@ -122,7 +59,7 @@ func (sc Scenario) Marshal() ([]byte, error) {
 			Port:     spec.Port,
 		}
 		if e := spec.Env; envNonZero(e) {
-			we := &wireEnv{Caps: uint32(e.Caps)}
+			we := &wire.Env{Caps: uint32(e.Caps)}
 			if netNonZero(e.Net) {
 				n := e.Net
 				we.Net = &n
@@ -136,13 +73,13 @@ func (sc Scenario) Marshal() ([]byte, error) {
 		w.Apps = append(w.Apps, wa)
 	}
 	for _, e := range sc.Churn.trace {
-		w.Churn = append(w.Churn, wireChurnEvent{At: e.At, Join: e.Action == churn.Join, Node: e.Node})
+		w.Churn = append(w.Churn, wire.ChurnEvent{At: e.At, Join: e.Action == churn.Join, Node: e.Node})
 	}
 	if c := sc.Collect; c.Metrics || c.ReportEvery != 0 || c.Key != "" || c.MetricsPort != 0 || c.Logs != nil {
 		if c.Logs != nil {
 			return nil, errors.New("splay: Collect.Logs is a writer and cannot be serialized")
 		}
-		w.Collect = &wireCollect{Metrics: c.Metrics, ReportEvery: c.ReportEvery, Key: c.Key, MetricsPort: c.MetricsPort}
+		w.Collect = &wire.Collect{Metrics: c.Metrics, ReportEvery: c.ReportEvery, Key: c.Key, MetricsPort: c.MetricsPort}
 	}
 	if !sc.Faults.Empty() || sc.Faults.EvalEvery != 0 {
 		f := sc.Faults
@@ -163,28 +100,29 @@ func netNonZero(n NetLimits) bool {
 	return n.MaxSockets != 0 || n.MaxTxBytes != 0 || n.MaxRxBytes != 0 || len(n.Blacklist) > 0
 }
 
-func marshalTestbed(tb Testbed) (*wireTestbed, error) {
+func marshalTestbed(tb Testbed) (*wire.Testbed, error) {
 	switch t := tb.(type) {
 	case *simTestbed:
 		if t.kind == "" {
 			return nil, errors.New("splay: testbed was not built by a splay constructor and cannot be serialized")
 		}
-		return &wireTestbed{Kind: t.kind, Daemons: t.daemons, RTT: t.rtt, Bps: t.bps}, nil
+		return &wire.Testbed{Kind: t.kind, Daemons: t.daemons, RTT: t.rtt, Bps: t.bps}, nil
 	case *liveTestbed:
-		return &wireTestbed{Kind: "live", Daemons: t.daemons}, nil
+		return &wire.Testbed{Kind: "live", Daemons: t.daemons}, nil
 	}
 	return nil, fmt.Errorf("splay: unknown testbed %T", tb)
 }
 
 // UnmarshalScenario parses a document produced by Marshal (or written
-// by hand against the same format) back into a runnable Scenario.
+// by hand against the same format) back into a runnable Scenario. The
+// decode is strict: a field the format does not declare is an error.
 // Applications are referenced by name; built-ins resolve automatically
 // and anything else needs its factory attached (AppSpec.New) before the
 // scenario can Start.
 func UnmarshalScenario(data []byte) (Scenario, error) {
-	var w wireScenario
-	if err := json.Unmarshal(data, &w); err != nil {
-		return Scenario{}, fmt.Errorf("splay: scenario: %w", err)
+	w, err := wire.Decode(data)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("splay: %w", err)
 	}
 	sc := Scenario{
 		Name:            w.Name,
@@ -251,7 +189,7 @@ func UnmarshalScenario(data []byte) (Scenario, error) {
 	return sc, nil
 }
 
-func unmarshalTestbed(w *wireTestbed) (Testbed, error) {
+func unmarshalTestbed(w *wire.Testbed) (Testbed, error) {
 	if w.Daemons < 0 {
 		return nil, fmt.Errorf("splay: scenario: negative daemon count %d", w.Daemons)
 	}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,5 +118,25 @@ func TestScenarioMarshalRejectsInline(t *testing.T) {
 	}
 	if _, err := splay.UnmarshalScenario([]byte(`{"testbed":{"kind":"warp","daemons":3}}`)); err == nil {
 		t.Error("unknown testbed kind accepted")
+	}
+}
+
+// TestUnmarshalScenarioStrict: hand-written wire JSON with a misspelt
+// member fails loudly instead of running with that member's default
+// (here: 30 s instead of the 5 s the author meant). Every document
+// Marshal itself emits still decodes — the round-trip test above and
+// the empty scenario here.
+func TestUnmarshalScenarioStrict(t *testing.T) {
+	t.Parallel()
+	_, err := splay.UnmarshalScenario([]byte(`{"apps":[{"app":"chord"}],"duration":5000000000}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "duration"`) {
+		t.Errorf(`"duration" for "duration_ns" = %v, want an unknown-field error`, err)
+	}
+	empty, err := splay.Scenario{}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := splay.UnmarshalScenario(empty); err != nil {
+		t.Errorf("Marshal output %s does not decode: %v", empty, err)
 	}
 }
