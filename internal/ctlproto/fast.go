@@ -17,30 +17,27 @@ import (
 // differentially; anything the fast path cannot reproduce exactly
 // (strings needing escapes, non-ASCII, raw Params payloads) reports
 // false and the caller falls back to encoding/json, so the wire format
-// never diverges. The character-class rules and lexer primitives are
-// shared with the RPC envelope codec via llenc (JSONSafe, Lexer).
-
-// jsonSafe reports whether encoding/json would emit s as a plain quoted
-// string.
-func jsonSafe(s string) bool { return llenc.JSONSafe(s) }
+// never diverges. The character-class rules, lexer primitives and the
+// object/array walk are shared with the other codecs via llenc
+// (JSONSafe, Lexer.Object/Array).
 
 // AppendJSON implements llenc.FastMarshaler. On success the appended
 // bytes equal json.Marshal(m); on false buf is returned unchanged.
 func (m *Msg) AppendJSON(buf []byte) ([]byte, bool) {
-	if !jsonSafe(m.Type) || !jsonSafe(m.Name) || !jsonSafe(m.Key) || !jsonSafe(m.Err) {
+	if !llenc.JSONSafe(m.Type) || !llenc.JSONSafe(m.Name) || !llenc.JSONSafe(m.Key) || !llenc.JSONSafe(m.Err) {
 		return buf, false
 	}
 	for _, h := range m.Hosts {
-		if !jsonSafe(h) {
+		if !llenc.JSONSafe(h) {
 			return buf, false
 		}
 	}
 	if j := m.Job; j != nil {
-		if len(j.Params) > 0 || !jsonSafe(j.ID) || !jsonSafe(j.App) {
+		if len(j.Params) > 0 || !llenc.JSONSafe(j.ID) || !llenc.JSONSafe(j.App) {
 			return buf, false
 		}
 		for _, a := range j.Nodes {
-			if !jsonSafe(a.Host) {
+			if !llenc.JSONSafe(a.Host) {
 				return buf, false
 			}
 		}
@@ -118,26 +115,89 @@ func appendIntField(b []byte, prefix string, v int) []byte {
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
-// ParseJSON implements llenc.FastUnmarshaler: a non-recursive parser for
-// the exact shape the fast encoder (and encoding/json on this struct)
-// produces. It reports false — leaving m untouched — on anything it does
-// not handle: escape sequences, unknown keys, null, floats, or raw
-// Params payloads. The caller then retries with encoding/json.
+// ParseJSON implements llenc.FastUnmarshaler: key switches over
+// llenc's object walker for the exact shape the fast encoder (and
+// encoding/json on this struct) produces. It reports false — leaving m
+// untouched — on anything it does not handle: escape sequences, unknown
+// keys, null, floats, raw Params payloads, or a repeated job/nodes
+// member (encoding/json merges the second into the first's structs).
+// In each switch a key no case names leaves ok false. The caller then
+// retries with encoding/json.
 func (m *Msg) ParseJSON(data []byte) bool {
-	p := parser{Lexer: llenc.Lexer{Data: data}}
+	l := llenc.Lexer{Data: data}
 	var out Msg
-	if !p.parseMsg(&out) {
-		return false
-	}
-	if !p.End() {
+	if !l.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "seq":
+			out.Seq, ok = l.Uint()
+		case "type":
+			var b []byte
+			b, ok = l.RawString()
+			out.Type = internType(b)
+		case "name":
+			out.Name, ok = l.String()
+		case "key":
+			out.Key, ok = l.String()
+		case "port_low":
+			out.PortLow, ok = l.Int()
+		case "port_high":
+			out.PortHigh, ok = l.Int()
+		case "job":
+			if out.Job != nil {
+				return false
+			}
+			j := &Job{}
+			out.Job = j
+			ok = l.Object(func(key []byte) (ok bool) {
+				switch string(key) {
+				case "id":
+					j.ID, ok = l.String()
+				case "app":
+					j.App, ok = l.String()
+				case "position":
+					j.Position, ok = l.Int()
+				case "nodes":
+					if j.Nodes != nil {
+						return false
+					}
+					j.Nodes = []transport.Addr{}
+					ok = l.Array(func() bool {
+						var a transport.Addr
+						ok := l.Object(func(key []byte) (ok bool) {
+							switch string(key) {
+							case "host":
+								a.Host, ok = l.String()
+							case "port":
+								a.Port, ok = l.Int()
+							}
+							return ok
+						})
+						j.Nodes = append(j.Nodes, a)
+						return ok
+					})
+				}
+				// Any other key declines, "params" included: raw payloads
+				// keep encoding/json's exact semantics via the fallback.
+				return ok
+			})
+		case "hosts":
+			out.Hosts = []string{}
+			ok = l.Array(func() bool {
+				s, ok := l.String()
+				out.Hosts = append(out.Hosts, s)
+				return ok
+			})
+		case "port":
+			out.Port, ok = l.Int()
+		case "err":
+			out.Err, ok = l.String()
+		}
+		return ok
+	}) || !l.End() {
 		return false
 	}
 	*m = out
 	return true
-}
-
-type parser struct {
-	llenc.Lexer
 }
 
 // internType avoids a string allocation for the protocol's fixed command
@@ -168,201 +228,4 @@ func internType(b []byte) string {
 		return TBlacklist
 	}
 	return string(b)
-}
-
-func (p *parser) parseMsg(out *Msg) bool {
-	p.SkipWS()
-	if !p.Consume('{') {
-		return false
-	}
-	p.SkipWS()
-	if p.Consume('}') {
-		return true
-	}
-	for {
-		p.SkipWS()
-		key, ok := p.RawString()
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if !p.Consume(':') {
-			return false
-		}
-		p.SkipWS()
-		switch string(key) {
-		case "seq":
-			out.Seq, ok = p.Uint()
-		case "type":
-			var b []byte
-			b, ok = p.RawString()
-			out.Type = internType(b)
-		case "name":
-			out.Name, ok = p.String()
-		case "key":
-			out.Key, ok = p.String()
-		case "port_low":
-			out.PortLow, ok = p.Int()
-		case "port_high":
-			out.PortHigh, ok = p.Int()
-		case "job":
-			out.Job = &Job{}
-			ok = p.parseJob(out.Job)
-		case "hosts":
-			out.Hosts, ok = p.parseStrings()
-		case "port":
-			out.Port, ok = p.Int()
-		case "err":
-			out.Err, ok = p.String()
-		default:
-			return false
-		}
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		return p.Consume('}')
-	}
-}
-
-func (p *parser) parseJob(out *Job) bool {
-	if !p.Consume('{') {
-		return false
-	}
-	p.SkipWS()
-	if p.Consume('}') {
-		return true
-	}
-	for {
-		p.SkipWS()
-		key, ok := p.RawString()
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if !p.Consume(':') {
-			return false
-		}
-		p.SkipWS()
-		switch string(key) {
-		case "id":
-			out.ID, ok = p.String()
-		case "app":
-			out.App, ok = p.String()
-		case "position":
-			out.Position, ok = p.Int()
-		case "nodes":
-			ok = p.parseAddrs(&out.Nodes)
-		default:
-			// Including "params": raw payloads keep encoding/json's exact
-			// semantics via the fallback.
-			return false
-		}
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		return p.Consume('}')
-	}
-}
-
-func (p *parser) parseStrings() ([]string, bool) {
-	if !p.Consume('[') {
-		return nil, false
-	}
-	p.SkipWS()
-	if p.Consume(']') {
-		return []string{}, true
-	}
-	var out []string
-	for {
-		p.SkipWS()
-		s, ok := p.String()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, s)
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		if p.Consume(']') {
-			return out, true
-		}
-		return nil, false
-	}
-}
-
-func (p *parser) parseAddrs(out *[]transport.Addr) bool {
-	if !p.Consume('[') {
-		return false
-	}
-	p.SkipWS()
-	if p.Consume(']') {
-		*out = []transport.Addr{}
-		return true
-	}
-	var addrs []transport.Addr
-	for {
-		p.SkipWS()
-		a, ok := p.parseAddr()
-		if !ok {
-			return false
-		}
-		addrs = append(addrs, a)
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		if p.Consume(']') {
-			*out = addrs
-			return true
-		}
-		return false
-	}
-}
-
-func (p *parser) parseAddr() (transport.Addr, bool) {
-	var a transport.Addr
-	if !p.Consume('{') {
-		return a, false
-	}
-	p.SkipWS()
-	if p.Consume('}') {
-		return a, true
-	}
-	for {
-		p.SkipWS()
-		key, ok := p.RawString()
-		if !ok {
-			return a, false
-		}
-		p.SkipWS()
-		if !p.Consume(':') {
-			return a, false
-		}
-		p.SkipWS()
-		switch string(key) {
-		case "host":
-			a.Host, ok = p.String()
-		case "port":
-			a.Port, ok = p.Int()
-		default:
-			return a, false
-		}
-		if !ok {
-			return a, false
-		}
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		return a, p.Consume('}')
-	}
 }

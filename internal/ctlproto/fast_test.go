@@ -161,6 +161,10 @@ func TestParseJSONRejectsMalformed(t *testing.T) {
 		`{"seq":18446744073709551616,"type":"ack"}`, // uint64 overflow must not wrap
 		`{"seq":01,"type":"ping"}`,                  // leading zero is invalid JSON
 		`{"seq":00,"type":"ping"}`,
+		// A repeated struct-bearing member must decline: encoding/json
+		// merges the second into the first's structs.
+		`{"seq":1,"type":"list","job":{"id":"a","app":"x"},"job":{"app":"b"}}`,
+		`{"seq":1,"type":"list","job":{"id":"a","nodes":[{"host":"h","port":1}],"nodes":[{"port":2}]}}`,
 	}
 	for _, src := range cases {
 		var m Msg

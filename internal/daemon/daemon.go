@@ -249,6 +249,14 @@ func (d *Daemon) Close() {
 func (d *Daemon) handle(m *ctlproto.Msg) *ctlproto.Msg {
 	d.ins.Commands.Inc()
 	switch m.Type {
+	case ctlproto.TRegister, ctlproto.TList, ctlproto.TStart, ctlproto.TFree, ctlproto.TStop:
+		// Frames are network input: one without its job member must not
+		// nil-deref the process every job runs in.
+		if m.Job == nil {
+			return &ctlproto.Msg{Type: ctlproto.TErr, Err: "no job"}
+		}
+	}
+	switch m.Type {
 	case ctlproto.TPing:
 		d.ins.Pings.Inc()
 		return &ctlproto.Msg{Type: ctlproto.TAck}
@@ -274,9 +282,6 @@ func (d *Daemon) handle(m *ctlproto.Msg) *ctlproto.Msg {
 // register reserves a port for the job (the REGISTER answer carries the
 // range available to the application; we grant one concrete port).
 func (d *Daemon) register(job *ctlproto.Job) *ctlproto.Msg {
-	if job == nil {
-		return &ctlproto.Msg{Type: ctlproto.TErr, Err: "no job"}
-	}
 	// Validate the app outside the lock: constructors are caller code.
 	if _, err := d.registry.New(job.App, nil); err != nil {
 		return &ctlproto.Msg{Type: ctlproto.TErr, Err: err.Error()}

@@ -6,13 +6,14 @@ import (
 )
 
 // Shared primitives for hand-rolled JSON fast paths (FastMarshaler /
-// FastUnmarshaler implementations). Two codecs use them today — the
-// control plane's ctlproto.Msg and the RPC library's request/response
-// envelopes — and both carry the same contract: the fast encoding must
-// be byte-identical to encoding/json's output, and the fast parser must
-// either reproduce encoding/json's result exactly or decline so the
-// caller falls back. Keeping the character-class rules here means the
-// codecs cannot drift from each other.
+// FastUnmarshaler implementations). Four codecs use them — the control
+// plane's ctlproto.Msg, the RPC library's request/response envelopes,
+// metrics.Report and logging.Record — and all carry the same contract:
+// the fast encoding must be byte-identical to encoding/json's output,
+// and the fast parser must either reproduce encoding/json's result
+// exactly or decline so the caller falls back. Keeping the
+// character-class rules and the one object/array loop (Lexer.Object,
+// Lexer.Array) here means the codecs cannot drift from each other.
 
 // JSONSafe reports whether encoding/json would emit s as a plain quoted
 // string: printable ASCII with no characters that JSON or the default
@@ -108,6 +109,71 @@ func (l *Lexer) Consume(c byte) bool {
 func (l *Lexer) End() bool {
 	l.SkipWS()
 	return l.Pos == len(l.Data)
+}
+
+// Object walks one JSON object, the only object loop the fast parsers
+// have. For every member it consumes the key — a RawString, so an
+// escaped key declines — and the colon, then calls field with the cursor
+// on the first byte of the value; field must consume exactly that value
+// and report whether it could. Whitespace is skipped wherever JSON
+// allows it except after the closing brace, where the cursor rests on
+// success. Unknown and repeated keys are field's business: a codec
+// declines a key by returning false.
+func (l *Lexer) Object(field func(key []byte) bool) bool {
+	l.SkipWS()
+	if !l.Consume('{') {
+		return false
+	}
+	l.SkipWS()
+	if l.Consume('}') {
+		return true
+	}
+	for {
+		l.SkipWS()
+		key, ok := l.RawString()
+		if !ok {
+			return false
+		}
+		l.SkipWS()
+		if !l.Consume(':') {
+			return false
+		}
+		l.SkipWS()
+		if !field(key) {
+			return false
+		}
+		l.SkipWS()
+		if l.Consume(',') {
+			continue
+		}
+		return l.Consume('}')
+	}
+}
+
+// Array walks one JSON array the way Object walks an object: elem is
+// called with the cursor on the first byte of each element and must
+// consume exactly that element; the cursor rests after the closing
+// bracket on success.
+func (l *Lexer) Array(elem func() bool) bool {
+	l.SkipWS()
+	if !l.Consume('[') {
+		return false
+	}
+	l.SkipWS()
+	if l.Consume(']') {
+		return true
+	}
+	for {
+		l.SkipWS()
+		if !elem() {
+			return false
+		}
+		l.SkipWS()
+		if l.Consume(',') {
+			continue
+		}
+		return l.Consume(']')
+	}
 }
 
 // RawString parses a quoted string with no escapes, returning the raw
@@ -267,6 +333,8 @@ func (l *Lexer) Value() ([]byte, bool) {
 	return l.Data[start:l.Pos], true
 }
 
+// validValue shares Array with the codecs but walks objects itself: the
+// grammar allows escaped keys, which Object declines.
 func (l *Lexer) validValue(depth int) bool {
 	if depth > maxFastDepth || l.Pos >= len(l.Data) {
 		return false
@@ -298,22 +366,7 @@ func (l *Lexer) validValue(depth int) bool {
 			return l.Consume('}')
 		}
 	case c == '[':
-		l.Pos++
-		l.SkipWS()
-		if l.Consume(']') {
-			return true
-		}
-		for {
-			l.SkipWS()
-			if !l.validValue(depth + 1) {
-				return false
-			}
-			l.SkipWS()
-			if l.Consume(',') {
-				continue
-			}
-			return l.Consume(']')
-		}
+		return l.Array(func() bool { return l.validValue(depth + 1) })
 	case c == '"':
 		return l.validString()
 	case c == 't':

@@ -106,3 +106,83 @@ func TestLexerRawStringDeclinesInvalidUTF8(t *testing.T) {
 		t.Fatalf("RawString declined valid UTF-8: %q %v", s, ok)
 	}
 }
+
+// TestLexerObjectArray pins the one object loop and the one array loop
+// every fast parser rides. The callbacks decode a toy shape — an object
+// of uint members whose "xs" member is an array of uints — and stop on
+// the key "stop"; each case states whether the walk succeeds and, when
+// it does, where the cursor rests (just past the closing bracket, never
+// past trailing whitespace).
+func TestLexerObjectArray(t *testing.T) {
+	cases := []struct {
+		name, src string
+		ok        bool
+		rest      string // unconsumed input on success
+		want      string // keys and values seen, in order
+	}{
+		{"empty object", `{}`, true, ``, ``},
+		{"empty object with whitespace", " {\n} ", true, ` `, ``},
+		{"one member", `{"a":1}`, true, ``, `a=1 `},
+		{"empty array member", `{"xs":[]}`, true, ``, `xs[] `},
+		{"empty array with whitespace", `{"xs":[ ]}`, true, ``, `xs[] `},
+		{"nested", `{"a":1,"xs":[2,3],"b":4}tail`, true, `tail`, `a=1 xs[2,3,] b=4 `},
+		{"whitespace everywhere", "\t{ \"a\" : 1 ,\n\"xs\" : [ 2 , 3 ] , \"b\" : 4 }\r\n", true, "\r\n", `a=1 xs[2,3,] b=4 `},
+		{"repeated key reaches the callback twice", `{"a":1,"a":2}`, true, ``, `a=1 a=2 `},
+		{"non-ASCII key passes verbatim", `{"é":1}`, true, ``, `é=1 `},
+		{"not an object", `[1]`, false, ``, ``},
+		{"empty input", ``, false, ``, ``},
+		{"unterminated", `{"a":1`, false, ``, ``},
+		{"trailing comma in object", `{"a":1,}`, false, ``, ``},
+		{"leading comma in object", `{,"a":1}`, false, ``, ``},
+		{"missing colon", `{"a" 1}`, false, ``, ``},
+		{"missing comma", `{"a":1 "b":2}`, false, ``, ``},
+		{"unquoted key", `{a:1}`, false, ``, ``},
+		{"escaped key declines", `{"\u0061":1}`, false, ``, ``},
+		{"invalid UTF-8 key declines", "{\"\xff\":1}", false, ``, ``},
+		{"callback false declines", `{"a":1,"stop":2,"b":3}`, false, ``, ``},
+		{"callback that consumes nothing", `{"a":x}`, false, ``, ``},
+		{"trailing comma in array", `{"xs":[1,]}`, false, ``, ``},
+		{"leading comma in array", `{"xs":[,1]}`, false, ``, ``},
+		{"missing comma in array", `{"xs":[1 2]}`, false, ``, ``},
+		{"unterminated array", `{"xs":[1`, false, ``, ``},
+		{"array closed by brace", `{"xs":[1}`, false, ``, ``},
+		{"element callback false declines", `{"xs":[1,x]}`, false, ``, ``},
+	}
+	for _, tc := range cases {
+		l := Lexer{Data: []byte(tc.src)}
+		var seen []byte
+		ok := l.Object(func(key []byte) bool {
+			if string(key) == "stop" {
+				return false
+			}
+			seen = append(seen, key...)
+			if string(key) == "xs" {
+				seen = append(seen, '[')
+				ok := l.Array(func() bool {
+					v, ok := l.Uint()
+					if ok {
+						seen = append(AppendUint(seen, v), ',')
+					}
+					return ok
+				})
+				seen = append(seen, "] "...)
+				return ok
+			}
+			v, ok := l.Uint()
+			if ok {
+				seen = append(AppendUint(append(seen, '='), v), ' ')
+			}
+			return ok
+		})
+		if ok != tc.ok {
+			t.Errorf("%s: Object(%q) = %v, want %v", tc.name, tc.src, ok, tc.ok)
+			continue
+		}
+		if ok && string(l.Data[l.Pos:]) != tc.rest {
+			t.Errorf("%s: cursor rests before %q, want %q", tc.name, l.Data[l.Pos:], tc.rest)
+		}
+		if ok && string(seen) != tc.want {
+			t.Errorf("%s: callbacks saw %q, want %q", tc.name, seen, tc.want)
+		}
+	}
+}

@@ -64,36 +64,13 @@ func (r *Record) AppendJSON(buf []byte) ([]byte, bool) {
 func (r *Record) ParseJSON(data []byte) bool {
 	l := llenc.Lexer{Data: data}
 	var out Record
-	l.SkipWS()
-	if !l.Consume('{') {
-		return false
-	}
-	l.SkipWS()
-	if l.Consume('}') {
-		if !l.End() {
-			return false
-		}
-		*r = out
-		return true
-	}
-	for {
-		l.SkipWS()
-		key, ok := l.RawString()
-		if !ok {
-			return false
-		}
-		l.SkipWS()
-		if !l.Consume(':') {
-			return false
-		}
-		l.SkipWS()
+	if !l.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "key":
 			out.Key, ok = l.String()
 		case "time":
 			var raw []byte
-			raw, ok = l.RawString()
-			if ok {
+			if raw, ok = l.RawString(); ok {
 				out.Time, ok = parseStrictTime(raw)
 			}
 		case "level":
@@ -104,22 +81,13 @@ func (r *Record) ParseJSON(data []byte) bool {
 			out.Node, ok = l.String()
 		case "msg":
 			out.Msg, ok = l.String()
-		default:
-			return false
 		}
-		if !ok {
-			return false
-		}
-		l.SkipWS()
-		if l.Consume(',') {
-			continue
-		}
-		if !l.Consume('}') || !l.End() {
-			return false
-		}
-		*r = out
-		return true
+		return ok
+	}) || !l.End() {
+		return false
 	}
+	*r = out
+	return true
 }
 
 // parseStrictTime accepts exactly the strict RFC 3339 shape

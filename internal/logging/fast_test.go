@@ -137,3 +137,22 @@ func TestRecordRoundTripOverWriter(t *testing.T) {
 		t.Fatalf("round trip drifted: %+v", back)
 	}
 }
+
+// FuzzRecordParse feeds arbitrary bytes to the record parser; any
+// accepted frame must decode identically via encoding/json, any
+// declined frame must leave the receiver untouched.
+func FuzzRecordParse(f *testing.F) {
+	f.Add([]byte(`{"key":"k-n3","time":"2009-02-13T23:31:30.123456789Z","level":2,"node":"n3:8000","msg":"joined ring as 42"}`))
+	f.Add([]byte(`{"key":"k","time":"2009-02-13T23:31:30+05:45","level":-2,"node":"n","msg":""}`))
+	f.Add([]byte(` { "key" : "ws" , "level" : 1 } `))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"msg":"a","msg":"b","level":1,"level":2}`))
+	f.Add([]byte(`{"key":"k","time":"2009-02-13t23:31:30Z"}`))
+	f.Add([]byte(`{"key":"k","time":"2009-02-30T23:31:30Z"}`))
+	f.Add([]byte(`{"key":"k","time":"2009-02-13T23:31:30,5Z"}`))
+	f.Add([]byte(`{"key":"k","time":null}`))
+	f.Add([]byte(`{"key":"k\u0041","level":1}`))
+	f.Add([]byte(`{"level":1.5}`))
+	f.Add([]byte(`{"level":1,}`))
+	f.Fuzz(checkRecordParse)
+}

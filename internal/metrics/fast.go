@@ -113,284 +113,128 @@ func (r *Report) AppendJSON(buf []byte) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// ParseJSON implements llenc.FastUnmarshaler: a decline-don't-guess
-// parser for the exact shape the fast encoder (and encoding/json on
-// this struct) produces. Escape sequences, unknown keys, floats and
-// out-of-range integers all report false with r untouched, and the
-// caller retries with encoding/json.
+// ParseJSON implements llenc.FastUnmarshaler: key switches over
+// llenc's object/array walkers for the exact shape the fast encoder
+// (and encoding/json on this struct) produces. Escape sequences, unknown
+// keys, floats, out-of-range integers and a repeated defs/c/g/h member
+// (encoding/json decodes the second into the first's elements) all
+// report false with r untouched, and the caller retries with
+// encoding/json.
 func (r *Report) ParseJSON(data []byte) bool {
-	p := reportParser{Lexer: llenc.Lexer{Data: data}}
+	l := llenc.Lexer{Data: data}
 	var out Report
-	if !p.parseReport(&out) || !p.End() {
+	if !l.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "key":
+			out.Key, ok = l.String()
+		case "node":
+			out.Node, ok = l.String()
+		case "seq":
+			out.Seq, ok = l.Uint()
+		case "defs":
+			if out.Defs != nil {
+				return false
+			}
+			out.Defs = []Def{}
+			ok = l.Array(func() bool {
+				var d Def
+				ok := l.Object(func(key []byte) (ok bool) {
+					switch string(key) {
+					case "i":
+						d.ID, ok = l.Int()
+					case "n":
+						d.Name, ok = l.String()
+					case "k":
+						var k uint64
+						k, ok = l.Uint()
+						d.Kind = Kind(k)
+						ok = ok && k <= 255 // uint8 overflow: encoding/json rejects
+					}
+					return ok
+				})
+				out.Defs = append(out.Defs, d)
+				return ok
+			})
+		case "c":
+			if out.C != nil {
+				return false
+			}
+			out.C = []Delta{}
+			ok = l.Array(func() bool {
+				var d Delta
+				ok := l.Object(func(key []byte) (ok bool) {
+					switch string(key) {
+					case "i":
+						d.ID, ok = l.Int()
+					case "d":
+						d.D, ok = l.Uint()
+					}
+					return ok
+				})
+				out.C = append(out.C, d)
+				return ok
+			})
+		case "g":
+			if out.G != nil {
+				return false
+			}
+			out.G = []GaugeVal{}
+			ok = l.Array(func() bool {
+				var g GaugeVal
+				ok := l.Object(func(key []byte) (ok bool) {
+					switch string(key) {
+					case "i":
+						g.ID, ok = l.Int()
+					case "v":
+						var v int
+						v, ok = l.Int()
+						g.V = int64(v)
+					}
+					return ok
+				})
+				out.G = append(out.G, g)
+				return ok
+			})
+		case "h":
+			if out.H != nil {
+				return false
+			}
+			out.H = []HistDelta{}
+			ok = l.Array(func() bool {
+				var h HistDelta
+				ok := l.Object(func(key []byte) (ok bool) {
+					switch string(key) {
+					case "i":
+						h.ID, ok = l.Int()
+					case "b":
+						if l.Pos < len(l.Data) && l.Data[l.Pos] == 'n' {
+							// null is the nil slice, as in encoding/json;
+							// Value accepts no other literal starting with n.
+							h.B = nil
+							_, ok = l.Value()
+							return ok
+						}
+						h.B = []uint64{}
+						ok = l.Array(func() bool {
+							v, ok := l.Uint()
+							h.B = append(h.B, v)
+							return ok
+						})
+					case "s":
+						var v int
+						v, ok = l.Int()
+						h.S = int64(v)
+					}
+					return ok
+				})
+				out.H = append(out.H, h)
+				return ok
+			})
+		}
+		return ok
+	}) || !l.End() {
 		return false
 	}
 	*r = out
 	return true
-}
-
-type reportParser struct {
-	llenc.Lexer
-}
-
-func (p *reportParser) parseReport(out *Report) bool {
-	p.SkipWS()
-	if !p.Consume('{') {
-		return false
-	}
-	p.SkipWS()
-	if p.Consume('}') {
-		return true
-	}
-	for {
-		p.SkipWS()
-		key, ok := p.RawString()
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if !p.Consume(':') {
-			return false
-		}
-		p.SkipWS()
-		switch string(key) {
-		case "key":
-			out.Key, ok = p.String()
-		case "node":
-			out.Node, ok = p.String()
-		case "seq":
-			out.Seq, ok = p.Uint()
-		case "defs":
-			out.Defs, ok = p.parseDefs()
-		case "c":
-			out.C, ok = p.parseDeltas()
-		case "g":
-			out.G, ok = p.parseGauges()
-		case "h":
-			out.H, ok = p.parseHists()
-		default:
-			return false
-		}
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		return p.Consume('}')
-	}
-}
-
-// openArray consumes '[' and reports emptiness; done is true when the
-// array closed immediately.
-func (p *reportParser) openArray() (done, ok bool) {
-	if !p.Consume('[') {
-		return false, false
-	}
-	p.SkipWS()
-	if p.Consume(']') {
-		return true, true
-	}
-	return false, true
-}
-
-// closeElem consumes the separator after an array element; done is
-// true at ']'.
-func (p *reportParser) closeElem() (done, ok bool) {
-	p.SkipWS()
-	if p.Consume(',') {
-		return false, true
-	}
-	return true, p.Consume(']')
-}
-
-func (p *reportParser) parseDefs() ([]Def, bool) {
-	done, ok := p.openArray()
-	if !ok {
-		return nil, false
-	}
-	out := []Def{}
-	for !done {
-		p.SkipWS()
-		var d Def
-		if !p.parseObj(func(key []byte) bool {
-			switch string(key) {
-			case "i":
-				d.ID, ok = p.Int()
-			case "n":
-				d.Name, ok = p.String()
-			case "k":
-				var k uint64
-				k, ok = p.Uint()
-				if k > 255 {
-					return false // uint8 overflow: encoding/json rejects
-				}
-				d.Kind = Kind(k)
-			default:
-				return false
-			}
-			return ok
-		}) {
-			return nil, false
-		}
-		out = append(out, d)
-		if done, ok = p.closeElem(); !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-func (p *reportParser) parseDeltas() ([]Delta, bool) {
-	done, ok := p.openArray()
-	if !ok {
-		return nil, false
-	}
-	out := []Delta{}
-	for !done {
-		p.SkipWS()
-		var d Delta
-		if !p.parseObj(func(key []byte) bool {
-			switch string(key) {
-			case "i":
-				d.ID, ok = p.Int()
-			case "d":
-				d.D, ok = p.Uint()
-			default:
-				return false
-			}
-			return ok
-		}) {
-			return nil, false
-		}
-		out = append(out, d)
-		if done, ok = p.closeElem(); !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-func (p *reportParser) parseGauges() ([]GaugeVal, bool) {
-	done, ok := p.openArray()
-	if !ok {
-		return nil, false
-	}
-	out := []GaugeVal{}
-	for !done {
-		p.SkipWS()
-		var g GaugeVal
-		if !p.parseObj(func(key []byte) bool {
-			switch string(key) {
-			case "i":
-				g.ID, ok = p.Int()
-			case "v":
-				var v int
-				v, ok = p.Int()
-				g.V = int64(v)
-			default:
-				return false
-			}
-			return ok
-		}) {
-			return nil, false
-		}
-		out = append(out, g)
-		if done, ok = p.closeElem(); !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-func (p *reportParser) parseHists() ([]HistDelta, bool) {
-	done, ok := p.openArray()
-	if !ok {
-		return nil, false
-	}
-	out := []HistDelta{}
-	for !done {
-		p.SkipWS()
-		var h HistDelta
-		if !p.parseObj(func(key []byte) bool {
-			switch string(key) {
-			case "i":
-				h.ID, ok = p.Int()
-			case "b":
-				h.B, ok = p.parseUints()
-			case "s":
-				var v int
-				v, ok = p.Int()
-				h.S = int64(v)
-			default:
-				return false
-			}
-			return ok
-		}) {
-			return nil, false
-		}
-		out = append(out, h)
-		if done, ok = p.closeElem(); !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// parseUints parses a []uint64, accepting null as the nil slice the
-// way encoding/json does.
-func (p *reportParser) parseUints() ([]uint64, bool) {
-	if p.Pos+4 <= len(p.Data) && string(p.Data[p.Pos:p.Pos+4]) == "null" {
-		p.Pos += 4
-		return nil, true
-	}
-	done, ok := p.openArray()
-	if !ok {
-		return nil, false
-	}
-	out := []uint64{}
-	for !done {
-		p.SkipWS()
-		v, ok := p.Uint()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v)
-		if done, ok = p.closeElem(); !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// parseObj parses one {"k":v,...} object, dispatching each key to
-// field. A false from field declines the whole parse.
-func (p *reportParser) parseObj(field func(key []byte) bool) bool {
-	if !p.Consume('{') {
-		return false
-	}
-	p.SkipWS()
-	if p.Consume('}') {
-		return true
-	}
-	for {
-		p.SkipWS()
-		key, ok := p.RawString()
-		if !ok {
-			return false
-		}
-		p.SkipWS()
-		if !p.Consume(':') {
-			return false
-		}
-		p.SkipWS()
-		if !field(key) {
-			return false
-		}
-		p.SkipWS()
-		if p.Consume(',') {
-			continue
-		}
-		return p.Consume('}')
-	}
 }

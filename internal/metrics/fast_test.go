@@ -100,6 +100,14 @@ func TestReportParserDeclines(t *testing.T) {
 		`{"key":"k","seq":1,"h":[{"i":0,"b":[1,2,]}]}`,               // trailing comma
 		`not json at all`,
 		`{"key":"k","seq":1}trailing`,
+		// Repeated struct-bearing members: encoding/json decodes the
+		// second array into the first's elements.
+		`{"key":"k","seq":1,"defs":[{"i":1,"n":"a","k":2}],"defs":[{"i":2}]}`,
+		`{"key":"k","seq":1,"c":[{"i":1,"d":5}],"c":[{"i":2}]}`,
+		`{"key":"k","seq":1,"g":[{"i":1,"v":5}],"g":[{"i":2}]}`,
+		`{"key":"k","seq":1,"h":[{"i":1,"b":[1,2],"s":3}],"h":[{"i":2}]}`,
+		// Repeated scalars and scalar slices are last-wins in both decoders.
+		`{"key":"a","key":"k","seq":1,"seq":2,"h":[{"i":0,"b":[1,2],"b":[3],"b":null}]}`,
 	} {
 		checkReportParse(t, []byte(s))
 	}
@@ -151,6 +159,9 @@ func FuzzMetricsReportParse(f *testing.F) {
 	f.Add([]byte(`{"key":"k","seq":1,"defs":[{"i":-1,"n":"x","k":1}]}`))
 	f.Add([]byte(`{"key":"\u006b","seq":1}`))
 	f.Add([]byte(`{"h":[{"b":[,]}]}`))
+	f.Add([]byte(`{"key":"k","seq":1,"defs":[{"i":1,"n":"a","k":2}],"defs":[{"i":2}]}`))
+	f.Add([]byte(`{"key":"k","seq":1,"h":[{"i":1,"b":[1,2],"s":3}],"h":[{"i":2}]}`))
+	f.Add([]byte(`{"seq":1,"seq":2,"h":[{"b":[1,2],"b":[3]},{"b":[1],"b":null}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReportParse(t, data)
 	})

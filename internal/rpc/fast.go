@@ -143,50 +143,21 @@ type wireRequest struct {
 func parseRequest(data []byte) (wireRequest, bool) {
 	var out wireRequest
 	l := llenc.Lexer{Data: data}
-	l.SkipWS()
-	if !l.Consume('{') {
-		return out, false
-	}
-	l.SkipWS()
-	if l.Consume('}') {
-		return out, l.End()
-	}
-	for {
-		l.SkipWS()
-		key, ok := l.RawString()
-		if !ok {
-			return out, false
-		}
-		l.SkipWS()
-		if !l.Consume(':') {
-			return out, false
-		}
-		l.SkipWS()
+	ok := l.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "id":
 			out.ID, ok = l.Uint()
 		case "m":
 			out.RawMethod, ok = l.RawString()
 		case "a":
-			var span []byte
-			span, ok = l.Value() // strict: the lazy split must never
-			// surface errors the eager path reported at envelope time
-			if ok && (len(span) == 0 || span[0] != '[') {
-				return out, false
-			}
-			out.RawArgs = span
-		default:
-			return out, false
+			// Strict: the lazy split must never surface errors the
+			// eager path reported at envelope time.
+			out.RawArgs, ok = l.Value()
+			ok = ok && out.RawArgs[0] == '['
 		}
-		if !ok {
-			return out, false
-		}
-		l.SkipWS()
-		if l.Consume(',') {
-			continue
-		}
-		return out, l.Consume('}') && l.End()
-	}
+		return ok
+	})
+	return out, ok && l.End()
 }
 
 // parseJSON is the client-side fast parse of a response frame into r.
@@ -195,25 +166,7 @@ func parseRequest(data []byte) (wireRequest, bool) {
 // r may be partially written; the caller resets it before falling back.
 func (r *response) parseJSON(data []byte) bool {
 	l := llenc.Lexer{Data: data}
-	l.SkipWS()
-	if !l.Consume('{') {
-		return false
-	}
-	l.SkipWS()
-	if l.Consume('}') {
-		return l.End()
-	}
-	for {
-		l.SkipWS()
-		key, ok := l.RawString()
-		if !ok {
-			return false
-		}
-		l.SkipWS()
-		if !l.Consume(':') {
-			return false
-		}
-		l.SkipWS()
+	return l.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "id":
 			r.ID, ok = l.Uint()
@@ -223,18 +176,9 @@ func (r *response) parseJSON(data []byte) bool {
 			var span []byte
 			span, ok = l.Value()
 			r.Result = append(json.RawMessage(nil), span...)
-		default:
-			return false
 		}
-		if !ok {
-			return false
-		}
-		l.SkipWS()
-		if l.Consume(',') {
-			continue
-		}
-		return l.Consume('}') && l.End()
-	}
+		return ok
+	}) && l.End()
 }
 
 // argList is the pooled backing store of Args: the raw argument array
@@ -293,33 +237,12 @@ func (l *argList) ensureSplit() {
 	}
 	l.split = true
 	lex := llenc.Lexer{Data: l.raw}
-	if !lex.Consume('[') {
-		l.fallbackSplit()
-		return
-	}
-	lex.SkipWS()
-	if lex.Consume(']') {
-		if !lex.End() {
-			l.fallbackSplit()
-		}
-		return
-	}
-	for {
+	if !lex.Array(func() bool {
 		span, ok := lex.SkipValue()
-		if !ok {
-			l.fallbackSplit()
-			return
-		}
 		l.elems = append(l.elems, json.RawMessage(span))
-		lex.SkipWS()
-		if lex.Consume(',') {
-			continue
-		}
-		if lex.Consume(']') && lex.End() {
-			return
-		}
+		return ok
+	}) || !lex.End() {
 		l.fallbackSplit()
-		return
 	}
 }
 

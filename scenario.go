@@ -224,6 +224,9 @@ func (sc Scenario) Run(ctx context.Context) (*Result, error) {
 	for _, job := range res.Jobs {
 		sess.StopJob(job.ID) //nolint:errcheck // best-effort teardown
 	}
+	if sess.startErr != nil {
+		return nil, sess.startErr // a churned-in slot's factory failed
+	}
 	// Assertion failures are results, not provisioning errors: the
 	// Result still carries the telemetry that explains them.
 	if err := sess.CheckAssertions(); err != nil {
@@ -488,6 +491,14 @@ func (sc Scenario) startSimChurn(s *Session, tb *simTestbed) (*Session, error) {
 	}
 	s.reg = reg
 	spec := sc.Apps[0]
+	if spec.App == nil && spec.New == nil {
+		// A by-name built-in's factory only decodes params, so bad ones
+		// fail here rather than once per churned-in slot. User
+		// factories keep their schedule: one call per join.
+		if _, err := reg.New(spec.Name, spec.Params); err != nil {
+			return nil, err
+		}
+	}
 	port := spec.Port
 	if port == 0 {
 		port = 9000
@@ -499,6 +510,10 @@ func (sc Scenario) startSimChurn(s *Session, tb *simTestbed) (*Session, error) {
 			nw.Host(slot).SetDown(false)
 			app, err := reg.New(spec.Name, spec.Params)
 			if err != nil {
+				// The slot joined but runs nothing: Run reports it.
+				if s.startErr == nil {
+					s.startErr = fmt.Errorf("splay: churn slot %d: %w", slot, err)
+				}
 				return
 			}
 			job := core.JobInfo{

@@ -275,6 +275,44 @@ func TestScenarioChurn(t *testing.T) {
 	}
 }
 
+// TestScenarioChurnFactoryError: a churn scenario whose app cannot be
+// built must not run silently empty. Bad params of a built-in fail
+// Start; a user factory is called once per join as ever, and its first
+// error comes back from Run.
+func TestScenarioChurnFactoryError(t *testing.T) {
+	t.Parallel()
+	churn, err := splay.ChurnScript("at 1s join 4", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := splay.Scenario{
+		Testbed: splay.Uniform(0, time.Millisecond, 0),
+		Churn:   churn,
+		Apps:    []splay.AppSpec{{Name: "cyclon", Params: []byte(`{"view_size":"twenty"}`)}},
+	}
+	if sess, err := sc.Start(context.Background()); err == nil {
+		sess.Stop()
+		t.Error("Start accepted a built-in whose params do not decode")
+	} else if !strings.Contains(err.Error(), "view_size") {
+		t.Errorf("Start: err = %v, want it to name view_size", err)
+	}
+
+	calls := 0
+	sc.Apps = []splay.AppSpec{{Name: "flaky", New: func([]byte) (splay.App, error) {
+		if calls++; calls == 3 {
+			return nil, errors.New("third join fails")
+		}
+		return splay.AppFunc(func(*splay.Env) error { return nil }), nil
+	}}}
+	sc.Duration = 10 * time.Second
+	if _, err := sc.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "third join fails") {
+		t.Errorf("Run: err = %v, want the factory's error", err)
+	}
+	if calls != 4 {
+		t.Errorf("factory called %d times, want once per join (4)", calls)
+	}
+}
+
 // TestScenarioDuplicateAppName checks a duplicate registration surfaces
 // as an error from Start instead of clobbering the first app.
 func TestScenarioDuplicateAppName(t *testing.T) {
