@@ -9,8 +9,13 @@ import (
 // ChurnSpec drives a scenario's population dynamics from a synthetic
 // script or a recorded trace (the paper's §3.5 churn management): node
 // slots join and leave on schedule, each start instantiating the
-// scenario's first application and each stop killing it and taking the
-// host down. The zero value means no churn.
+// scenario's first application (job.nodes names one running instance to
+// bootstrap from, all of them with AppSpec.FullList) and each stop
+// killing it and taking the host down. The trace is the deployment: a
+// churned scenario has no controller or daemons, but collects metrics
+// and logs, takes network and RPC faults and checks assertions like any
+// other; what acts on daemons returns ErrNoController. The zero value
+// means no churn.
 type ChurnSpec struct {
 	trace churn.Trace
 }

@@ -13,9 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
@@ -23,107 +24,126 @@ import (
 	"github.com/splaykit/splay/internal/workload"
 )
 
+// errUsage is returned for an unknown subcommand, and for bad flags — which
+// the flag package has by then printed, so the usage line is all that is
+// left to report.
+var errUsage = errors.New("usage: splay-churn gen|speedup|amplify|stats|overnet|example …")
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := run(os.Args[1:], os.Stdin, os.Stdout)
+	if err == nil {
+		return
 	}
-	switch os.Args[1] {
+	fmt.Fprintln(os.Stderr, "splay-churn:", err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run executes one subcommand: traces are read from stdin and written to
+// stdout, so the subcommands chain through pipes (and tests).
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
+	}
+	switch args[0] {
 	case "gen":
-		gen(os.Args[2:])
+		return gen(args[1:], stdout)
 	case "speedup":
-		speedup(os.Args[2:])
+		return speedup(args[1:], stdin, stdout)
 	case "amplify":
-		amplify(os.Args[2:])
+		return amplify(args[1:], stdin, stdout)
 	case "stats":
-		stats(os.Args[2:])
+		return stats(args[1:], stdin, stdout)
 	case "overnet":
-		overnet(os.Args[2:])
+		return overnet(args[1:], stdout)
 	case "example":
-		fmt.Println(churn.PaperScript)
-	default:
-		usage()
+		_, err := fmt.Fprintln(stdout, churn.PaperScript)
+		return err
 	}
+	return errUsage
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: splay-churn gen|speedup|amplify|stats|overnet|example …")
-	os.Exit(2)
-}
-
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+func gen(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	path := fs.String("script", "", "churn script file (default: the paper's example)")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args) //nolint:errcheck
+	if fs.Parse(args) != nil {
+		return errUsage
+	}
 	src := churn.PaperScript
 	if *path != "" {
 		data, err := os.ReadFile(*path)
 		if err != nil {
-			log.Fatalf("splay-churn: %v", err)
+			return err
 		}
 		src = string(data)
 	}
 	script, err := churn.ParseScript(src)
 	if err != nil {
-		log.Fatalf("splay-churn: %v", err)
+		return err
 	}
-	tr := churn.FromScript(script, *seed)
-	if err := churn.WriteTrace(os.Stdout, tr); err != nil {
-		log.Fatalf("splay-churn: %v", err)
-	}
+	return churn.WriteTrace(stdout, churn.FromScript(script, *seed))
 }
 
-func readTrace() churn.Trace {
-	tr, err := churn.ReadTrace(os.Stdin)
-	if err != nil {
-		log.Fatalf("splay-churn: %v", err)
-	}
-	return tr
-}
-
-func speedup(args []string) {
-	fs := flag.NewFlagSet("speedup", flag.ExitOnError)
+func speedup(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("speedup", flag.ContinueOnError)
 	factor := fs.Float64("factor", 2, "time compression factor")
-	fs.Parse(args) //nolint:errcheck
-	if err := churn.WriteTrace(os.Stdout, readTrace().SpeedUp(*factor)); err != nil {
-		log.Fatal(err)
+	if fs.Parse(args) != nil {
+		return errUsage
 	}
+	tr, err := churn.ReadTrace(stdin)
+	if err != nil {
+		return err
+	}
+	return churn.WriteTrace(stdout, tr.SpeedUp(*factor))
 }
 
-func amplify(args []string) {
-	fs := flag.NewFlagSet("amplify", flag.ExitOnError)
+func amplify(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("amplify", flag.ContinueOnError)
 	factor := fs.Float64("factor", 2, "turnover amplification factor (≥1)")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args) //nolint:errcheck
-	if err := churn.WriteTrace(os.Stdout, readTrace().Amplify(*factor, *seed)); err != nil {
-		log.Fatal(err)
+	if fs.Parse(args) != nil {
+		return errUsage
 	}
+	tr, err := churn.ReadTrace(stdin)
+	if err != nil {
+		return err
+	}
+	return churn.WriteTrace(stdout, tr.Amplify(*factor, *seed))
 }
 
-func stats(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+func stats(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	bucket := fs.Duration("bucket", time.Minute, "aggregation window")
-	fs.Parse(args) //nolint:errcheck
-	tr := readTrace()
-	pop, joins, leaves := tr.Population(*bucket)
-	fmt.Printf("%-10s %8s %8s %8s\n", "window", "joins", "leaves", "total")
-	for i := range pop {
-		fmt.Printf("%-10s %8d %8d %8d\n", time.Duration(i)*(*bucket), joins[i], leaves[i], pop[i])
+	if fs.Parse(args) != nil {
+		return errUsage
 	}
-	fmt.Printf("# events=%d duration=%s peak-slot=%d\n", len(tr), tr.Duration(), tr.MaxSlot())
+	tr, err := churn.ReadTrace(stdin)
+	if err != nil {
+		return err
+	}
+	pop, joins, leaves := tr.Population(*bucket)
+	fmt.Fprintf(stdout, "%-10s %8s %8s %8s\n", "window", "joins", "leaves", "total")
+	for i := range pop {
+		fmt.Fprintf(stdout, "%-10s %8d %8d %8d\n", time.Duration(i)*(*bucket), joins[i], leaves[i], pop[i])
+	}
+	_, err = fmt.Fprintf(stdout, "# events=%d duration=%s peak-slot=%d\n", len(tr), tr.Duration(), tr.MaxSlot())
+	return err
 }
 
-func overnet(args []string) {
-	fs := flag.NewFlagSet("overnet", flag.ExitOnError)
+func overnet(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("overnet", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 620, "target concurrent population")
 	minutes := fs.Int("minutes", 50, "trace length")
 	seed := fs.Int64("seed", 12, "random seed")
-	fs.Parse(args) //nolint:errcheck
+	if fs.Parse(args) != nil {
+		return errUsage
+	}
 	cfg := workload.DefaultOvernet()
 	cfg.Nodes = *nodes
 	cfg.Duration = time.Duration(*minutes) * time.Minute
 	cfg.Seed = *seed
-	if err := churn.WriteTrace(os.Stdout, workload.OvernetTrace(cfg)); err != nil {
-		log.Fatal(err)
-	}
+	return churn.WriteTrace(stdout, workload.OvernetTrace(cfg))
 }

@@ -121,6 +121,13 @@ func (e *CapabilityError) Error() string {
 // instance runs under collects no metrics.
 var ErrNoCollector = errors.New("splay: scenario collects no metrics")
 
+// ErrNoController is returned (wrapped with the offending entry) by what
+// needs a controller and its daemons on a session that has none — a
+// Scenario.Churn session, whose trace owns the population: Crash/Restart
+// fault events and ActKill/ActGrow trigger actions (at Start),
+// Session.Deploy, Session.StopJob and Session.Host.
+var ErrNoController = errors.New("splay: churn scenarios have no controller")
+
 // App is a deployable SPLAY application written against the SDK: Run
 // executes the application's main logic inside a capability-scoped Env
 // and returns when the application terminates or is killed. The same

@@ -2,7 +2,10 @@
 // script, declared as a Scenario churn spec: each trace slot that joins
 // instantiates the application, each leave kills it and takes the host
 // down. Lookup success is sampled through the phases — the §5.5
-// churn-management workflow in miniature.
+// churn-management workflow in miniature. (A churned scenario composes
+// with the other planes: add Collect{Metrics: true} and env.StartReporting
+// to stream the samples, or Faults/Assert to partition the overlay
+// mid-churn and gate the run on the outcome.)
 //
 //	go run ./examples/churn-pastry
 package main

@@ -9,21 +9,25 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/controller"
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/faults"
 )
 
-// daemonSlot tracks one provisioned daemon so the fault plane can crash
-// and revive it. The construction closure rebuilds an identical daemon
-// (same host, config, registry, instruments) when a Restart event fires;
-// a restarted daemon re-registers under its old name, replacing the dead
-// controller session.
-type daemonSlot struct {
+// slot is one entry of a session's population table, which the fault
+// actuators and the churn executor's start/stop closures both read: a
+// provisioned daemon, tracked so the fault plane can crash and revive it,
+// or a churn-trace slot and the instance its last join started. The
+// construction closure rebuilds an identical daemon (same host, config,
+// registry, instruments) when a Restart event fires; a restarted daemon
+// re-registers under its old name, replacing the dead controller session.
+type slot struct {
 	host int    // simulated host index (-1 live)
-	name string // daemon name (simnet host name / live loopback IP)
-	mk   func() *daemon.Daemon
-	d    *daemon.Daemon
+	name string // simnet host name / live loopback IP
 	down bool
+	mk   func() *daemon.Daemon // controller-provisioned slots
+	d    *daemon.Daemon
+	inst *core.Instance // churned slots: the running instance, nil while away
 }
 
 // actuators implements faults.Actuators over a Session: simnet hooks on
@@ -42,8 +46,8 @@ type actuators struct {
 }
 
 // upSlots returns the currently alive slots (callers hold a.mu).
-func (a *actuators) upSlots() []*daemonSlot {
-	up := make([]*daemonSlot, 0, len(a.s.slots))
+func (a *actuators) upSlots() []*slot {
+	up := make([]*slot, 0, len(a.s.slots))
 	for _, sl := range a.s.slots {
 		if !sl.down {
 			up = append(up, sl)
@@ -124,7 +128,7 @@ func (a *actuators) Partition(fraction float64) error {
 	}
 	idx := a.s.frng.Perm(len(slots))[:n]
 	if a.s.nw != nil {
-		side := make([]bool, a.s.nHosts)
+		side := make([]bool, a.s.nw.NumHosts())
 		for _, i := range idx {
 			side[slots[i].host] = true
 		}
@@ -153,7 +157,7 @@ func (a *actuators) Degrade(extraLatency time.Duration, loss float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.s.nw != nil {
-		hosts := make([]bool, a.s.nHosts)
+		hosts := make([]bool, a.s.nw.NumHosts())
 		for _, sl := range a.s.slots {
 			hosts[sl.host] = true
 		}
@@ -226,8 +230,11 @@ func (a *actuators) Grow(count int) error {
 	if count <= 0 {
 		return fmt.Errorf("splay: grow count %d", count)
 	}
-	if a.s.ctl == nil || len(a.s.sc.Apps) == 0 {
-		return errors.New("splay: grow needs a controller-deployed application")
+	if a.s.ctl == nil {
+		return fmt.Errorf("splay: grow %d: %w", count, ErrNoController)
+	}
+	if len(a.s.sc.Apps) == 0 {
+		return errors.New("splay: grow needs a deployed application")
 	}
 	spec := a.s.sc.Apps[0]
 	js := controller.JobSpec{
@@ -255,9 +262,6 @@ func (s *Session) ArmFaults() error {
 	asserts := s.sc.Assert
 	if plan.Empty() && len(asserts) == 0 {
 		return nil
-	}
-	if s.ctl == nil {
-		return errors.New("splay: the fault plane drives controller-provisioned scenarios")
 	}
 	if (len(plan.Rules) > 0 || len(asserts) > 0) && s.agg == nil {
 		return errors.New("splay: trigger rules and assertions need Collect.Metrics")

@@ -12,6 +12,7 @@ package splay
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -81,10 +82,10 @@ type Host struct {
 // Host starts the hosting plane over the session's fleet. When the
 // scenario collects metrics, the service's per-tenant instruments
 // (host.deploys.<tenant>, host.frames.<tenant>, …) stream to the
-// aggregator as node "host".
+// aggregator as node "host". ErrNoController on a churn session.
 func (s *Session) Host(cfg HostConfig) (*Host, error) {
 	if s.ctl == nil {
-		return nil, errors.New("splay: churn scenarios have no controller to host on")
+		return nil, fmt.Errorf("splay: host: %w", ErrNoController)
 	}
 	if s.host != nil {
 		return nil, errors.New("splay: session already hosts")
@@ -113,37 +114,7 @@ func (s *Session) Host(cfg HostConfig) (*Host, error) {
 	if reg != nil {
 		// The host's instrument stream rides the session's collection
 		// plane exactly like the controller's (node "ctl" ↔ node "host").
-		addr, key, every := s.collect.addr, s.collect.key, s.collect.every
-		if s.k != nil {
-			s.k.Go(func() {
-				rep, err := metrics.DialReporter(s.node, addr, reg,
-					metrics.ReporterConfig{Key: key, Node: "host"})
-				if err != nil {
-					return
-				}
-				for {
-					s.k.Sleep(every)
-					if s.stopped.Load() {
-						return
-					}
-					rep.Flush() //nolint:errcheck // monitoring is best effort
-				}
-			})
-		} else {
-			go func() {
-				rep, err := metrics.DialReporter(s.node, addr, reg,
-					metrics.ReporterConfig{Key: key, Node: "host"})
-				if err != nil {
-					return
-				}
-				for !s.stopped.Load() {
-					time.Sleep(every)
-					if rep.Flush() != nil {
-						rep.Reconnect() //nolint:errcheck // retried next period
-					}
-				}
-			}()
-		}
+		s.Go(func() { s.report("host", reg) })
 	}
 	return h, nil
 }

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
-	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/protocols/chord"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
@@ -29,80 +27,11 @@ type chordRun struct {
 }
 
 // runChord deploys n converged Chord nodes over the link model and issues
-// lookups from random sources.
+// lookups from random sources: runChordParProf on a one-partition kernel.
 func runChord(model simnet.LinkModel, n int, cfg chord.Config, lookups int,
 	seed int64, oracle chord.RTTOracle, proc simnet.ProcDelayFunc) (*chordRun, error) {
-
-	k := sim.NewKernel()
-	nw := simnet.New(k, model, n, seed)
-	if proc != nil {
-		nw.SetProcDelay(proc)
-	}
-	rt := core.NewSimRuntime(k, seed)
-	rng := rand.New(rand.NewSource(seed))
-
-	ids := make(map[uint64]bool, n)
-	nodes := make([]*chord.Node, 0, n)
-	for i := 0; i < n; i++ {
-		addr := transport.Addr{Host: simnet.HostName(i), Port: 8000}
-		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: addr, Position: i + 1}, nil)
-		c := cfg
-		var id uint64
-		for {
-			id = rng.Uint64() & ((1 << cfg.Bits) - 1)
-			if !ids[id] {
-				ids[id] = true
-				break
-			}
-		}
-		c.ID = &id
-		node, err := chord.New(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, node)
-	}
-	var startErr error
-	k.Go(func() {
-		for _, node := range nodes {
-			if err := node.Start(); err != nil {
-				startErr = err
-				return
-			}
-		}
-	})
-	k.Run()
-	if startErr != nil {
-		return nil, startErr
-	}
-	if err := chord.BuildRing(nodes, chord.BuildOptions{Oracle: oracle}); err != nil {
-		return nil, err
-	}
-
-	run := &chordRun{hops: &stats.IntHistogram{}}
-	perNode := lookups / n
-	if perNode < 1 {
-		perNode = 1
-	}
-	for i := range nodes {
-		node := nodes[i]
-		start := time.Duration(rng.Intn(10000)) * time.Millisecond
-		k.GoAfter(start, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
-			for j := 0; j < perNode; j++ {
-				key := lrng.Uint64() & ((1 << cfg.Bits) - 1)
-				res, err := node.Lookup(key)
-				if err != nil {
-					run.fails++
-					continue
-				}
-				run.hops.Add(res.Hops)
-				run.delays = append(run.delays, res.RTT)
-			}
-		})
-	}
-	k.Run()
-	return run, nil
+	run, _, err := runChordParProf(sim.NewParKernel(1, 1, 0), model, n, cfg, lookups, seed, oracle, proc, nil)
+	return run, err
 }
 
 // fig6a reproduces Fig. 6(a): Chord route-length PDFs on ModelNet for

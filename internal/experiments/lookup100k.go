@@ -27,17 +27,18 @@ const lookup100kParts = 8
 
 // runChordPar is runChord over a sharded kernel: hosts land on partitions
 // by ID, each partition runs its own sub-kernel, and cross-partition RPCs
-// ride the lookahead barriers. Node construction and ID assignment are
-// byte-compatible with runChord (same rng, same draw order); the schedule
-// itself is a different — but equally deterministic — interleaving, fixed
-// by the partition count and independent of the worker count.
+// ride the lookahead barriers. On one partition the schedule is runChord's
+// (which runs this very body); on more it is a different — but equally
+// deterministic — interleaving, fixed by the partition count and
+// independent of the worker count.
 func runChordPar(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord.Config,
 	lookups int, seed int64) (*chordRun, error) {
-	run, _, err := runChordParProf(pk, model, n, cfg, lookups, seed, nil)
+	run, _, err := runChordParProf(pk, model, n, cfg, lookups, seed, nil, nil, nil)
 	return run, err
 }
 
-// runChordParProf is runChordPar with an optional footprint accountant:
+// runChordParProf is runChordPar with runChord's latency oracle and
+// processing-delay model, plus an optional footprint accountant:
 // when acct is non-nil the network, protocol and RPC layers register
 // their byte sources on it, the kernel samples the heap at every
 // lookahead barrier, and the returned report measures the live system —
@@ -45,12 +46,16 @@ func runChordPar(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord.Con
 // memory statistics, so the schedule (and every golden) is identical
 // with or without it.
 func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord.Config,
-	lookups int, seed int64, acct *memprof.Accountant) (*chordRun, memprof.Report, error) {
+	lookups int, seed int64, oracle chord.RTTOracle, proc simnet.ProcDelayFunc,
+	acct *memprof.Accountant) (*chordRun, memprof.Report, error) {
 
 	var rep memprof.Report
 	nw, err := simnet.NewPartitioned(pk, model, n, seed)
 	if err != nil {
 		return nil, rep, err
+	}
+	if proc != nil {
+		nw.SetProcDelay(proc)
 	}
 	parts := pk.Parts()
 	rts := make([]*core.SimRuntime, parts)
@@ -124,7 +129,7 @@ func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord
 			return nil, rep, err
 		}
 	}
-	if err := chord.BuildRing(nodes, chord.BuildOptions{}); err != nil {
+	if err := chord.BuildRing(nodes, chord.BuildOptions{Oracle: oracle}); err != nil {
 		return nil, rep, err
 	}
 

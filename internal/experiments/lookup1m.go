@@ -43,7 +43,7 @@ func lookup1m(opt Options) (*Result, error) {
 	mn := topology.NewModelNet(topology.DefaultModelNet(n))
 	pk := sim.NewParKernel(lookup1mParts, opt.Workers, mn.MinDelay())
 	acct := memprof.New()
-	run, rep, err := runChordParProf(pk, mn, n, chord.DefaultConfig(), n, opt.Seed, acct)
+	run, rep, err := runChordParProf(pk, mn, n, chord.DefaultConfig(), n, opt.Seed, nil, nil, acct)
 	if err != nil {
 		return nil, fmt.Errorf("lookup1m %d nodes: %w", n, err)
 	}

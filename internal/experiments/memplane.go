@@ -18,7 +18,7 @@ func chordFootprint(n, parts, workers int, seed int64) (memprof.Report, *chordRu
 	mn := topology.NewModelNet(topology.DefaultModelNet(n))
 	pk := sim.NewParKernel(parts, workers, mn.MinDelay())
 	acct := memprof.New()
-	run, rep, err := runChordParProf(pk, mn, n, chord.DefaultConfig(), n, seed, acct)
+	run, rep, err := runChordParProf(pk, mn, n, chord.DefaultConfig(), n, seed, nil, nil, acct)
 	if err != nil {
 		return memprof.Report{}, nil, err
 	}

@@ -79,6 +79,28 @@ func TestPastryReport(t *testing.T) {
 	}
 }
 
+// TestLoadScenarioChurnCollects: churn composes with the other planes, so
+// a document may declare it beside collect and assert — and the loaded
+// scenario runs, the trace's population reporting into the assertion.
+func TestLoadScenarioChurnCollects(t *testing.T) {
+	t.Parallel()
+	sc, err := LoadScenario([]byte("seed: 5\ntestbed:\n  kind: uniform\n  daemons: 1\n  rtt: 5ms\n" +
+		"apps:\n  - app: cyclon\n    params:\n      report: true\n      shuffle_every: 2s\n" +
+		"churn:\n  script:\n    - at 1s join 8\n    - at 20s leave 25%\n" +
+		"collect:\n  metrics: true\n  report_every: 2s\n" +
+		"assert:\n  - name: gossips\n    eventually: total(cyclon.shuffles) > 0\nduration: 30s\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Metrics.Nodes(); n != 8 {
+		t.Errorf("%d streams reported, want the 8 churned-in instances", n)
+	}
+}
+
 // TestConfigGoEquivalence is the compact invariant-11 check: a document
 // exercising testbed, params, collect, faults and assertions compiles to
 // the exact bytes its handwritten-Go twin marshals to. (The golden-pinned

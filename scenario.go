@@ -48,8 +48,9 @@ type AppSpec struct {
 	// Env tunes the capability grant and extra sandbox limits every
 	// instance of this application receives.
 	Env EnvConfig
-	// Port is the instance port used when a churn trace instantiates
-	// the application directly (no daemon grants one); default 9000.
+	// Port is every instance's port under Scenario.Churn, where the
+	// trace starts the application itself and no daemon grants one
+	// (default 9000); controller deployments ignore it.
 	Port int
 }
 
@@ -92,19 +93,24 @@ type Scenario struct {
 	Testbed Testbed
 	// Apps are the applications to deploy.
 	Apps []AppSpec
-	// Churn drives population dynamics from a script or trace
-	// (simulated testbeds only); it instantiates Apps[0] per slot.
+	// Churn hands the population to a script or trace (simulated
+	// testbeds only): no controller and no daemons, each join starts
+	// Apps[0] on the slot's host. Collect, network and RPC faults, trigger
+	// rules and Assert compose with it; what needs daemons returns
+	// ErrNoController.
 	Churn ChurnSpec
 	// Collect configures the observability plane.
 	Collect Collect
 	// Faults is the declarative fault schedule: timed injections plus
 	// closed-loop trigger rules, armed right after deployment. The zero
-	// plan injects nothing and leaves every schedule untouched.
+	// plan injects nothing and leaves every schedule untouched. Under
+	// Churn, Crash/Restart events and ActKill/ActGrow actions fail Start
+	// with ErrNoController: the trace owns who is up.
 	Faults FaultPlan
 	// Assert are metric predicates the run must satisfy; violations
 	// surface from Run as a typed *AssertionError alongside the still
-	// valid Result. Trigger rules and assertions read the aggregated
-	// telemetry and therefore need Collect.Metrics.
+	// valid Result, under Churn as without. Trigger rules and assertions
+	// read the aggregated telemetry and therefore need Collect.Metrics.
 	Assert []Assertion
 	// Settle is the daemon connect window before deployments begin
 	// (default 45 simulated seconds; live, a 10s readiness deadline
@@ -126,8 +132,8 @@ type Scenario struct {
 	// from autoParts, a pure function of the host population, so the
 	// schedule can never depend on Workers — and 0 gives every partition
 	// its own thread. Small populations and scenarios with collection,
-	// faults or assertions run a single partition, where extra workers
-	// are parked.
+	// logging, faults, assertions or churn run a single partition, where
+	// extra workers are parked.
 	Workers int
 }
 
@@ -143,8 +149,7 @@ type Session struct {
 	k      *sim.Kernel
 	pk     *sim.ParKernel // drives k (partition 0) plus any further partitions (simulated testbeds)
 	nw     *simnet.Network
-	netIns simnet.Instruments
-	hasNet bool
+	netIns simnet.Instruments // zero unless a simulated testbed collects
 
 	rt      core.Runtime
 	node    transport.Node // the controller's host (reporter dialing)
@@ -154,14 +159,13 @@ type Session struct {
 	collect *collectTarget
 	host    *Host
 
-	ex    *churn.Executor
-	insts []*core.Instance // churn slots
+	ex *churn.Executor // replays Scenario.Churn onto slots (nil otherwise)
 
-	// Fault plane (see faultplane.go). slots track every provisioned
-	// daemon in both worlds; the rest exists only when the scenario
-	// declares faults or assertions.
-	slots    []*daemonSlot
-	nHosts   int // simulated host count (partition/degrade masks)
+	// slots is the population table: every provisioned daemon in both
+	// worlds, or every churn-trace slot. The rest of the fault plane (see
+	// faultplane.go) exists only when the scenario declares faults or
+	// assertions.
+	slots    []*slot
 	ctlAddr  transport.Addr
 	rpcRules *faults.RPCRules
 	frng     *rand.Rand
@@ -235,39 +239,53 @@ func (sc Scenario) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// startSim provisions on the simulation kernel. The sequence of kernel
-// events is pinned by the experiment goldens (ctlplane, obsplane):
-// aggregator first (when collecting), then controller, then daemons
-// staggered 2ms apart by host index, then the settle window.
+// startSim provisions on the simulation kernel — the one simulated start.
+// Kernel, network, per-partition runtimes, collection plane, RPC fault
+// filter, registry and logger are built the same way for every scenario;
+// only who provisions the population forks: the controller and its
+// daemons, or the churn executor. The sequence of kernel events is pinned
+// by the experiment goldens (ctlplane, obsplane): aggregator first (when
+// collecting), then the population.
 func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	seed := sc.Seed
 	if seed == 0 {
 		seed = 2009
 	}
 	s := &Session{sc: sc, seed: seed}
-	if sc.Churn.Enabled() {
-		s.pk = sim.NewParKernel(1, sc.Workers, 0)
-		s.k = s.pk.Sub(0)
-		return sc.startSimChurn(s, tb)
+	churned, collecting := sc.Churn.Enabled(), sc.Collect.Metrics
+	if churned {
+		if len(sc.Apps) != 1 {
+			return nil, fmt.Errorf("splay: a churn scenario drives exactly one app (have %d)", len(sc.Apps))
+		}
+		if err := needsController(sc.Faults); err != nil {
+			return nil, err
+		}
 	}
 
-	collecting := sc.Collect.Metrics
+	// Host layout. Controller-provisioned: [ctl, mon?, daemons…]. Churned:
+	// [slots…, mon?] — slot i stays host i, there is no controller host,
+	// and the monitoring host is appended only when collecting, so churn
+	// without collection keeps the link model and schedule of its trace.
 	mon := 0
 	if collecting {
-		mon = 1 // host 1 is the dedicated monitoring host
+		mon = 1
 	}
-	total := tb.daemons + 1 + mon
-	s.nHosts = total
+	first, pop, monHost := 1+mon, tb.daemons, 1
+	total := first + pop
+	if churned {
+		first, pop, monHost = 0, sc.Churn.Slots(), sc.Churn.Slots()
+		total = pop + mon
+	}
 	model, proc := tb.build(total, seed)
 
 	// Partition count: a pure function of the host population (never of
 	// Workers — invariant 9), restricted to plain scenarios. Collection,
-	// logging, faults and assertions keep their established
-	// single-partition planes: the aggregator, fault actuators and shared
-	// loggers all assume one kernel owns every host.
+	// logging, faults, assertions and churn keep their single-partition
+	// planes: the aggregator, fault actuators, shared loggers and the
+	// churn executor all assume one kernel owns every host.
 	parts := 1
 	lookahead := time.Duration(0)
-	if !collecting && sc.Collect.Logs == nil && sc.Faults.Empty() && len(sc.Assert) == 0 {
+	if !collecting && sc.Collect.Logs == nil && sc.Faults.Empty() && len(sc.Assert) == 0 && !churned {
 		if p := autoParts(total); p > 1 {
 			if md, ok := model.(simnet.MinDelayModel); ok && md.MinDelay() > 0 {
 				parts, lookahead = p, md.MinDelay()
@@ -280,15 +298,11 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	}
 	s.pk = sim.NewParKernel(parts, workers, lookahead)
 	s.k = s.pk.Sub(0)
-	var nw *simnet.Network
-	if parts > 1 {
-		var err error
-		nw, err = simnet.NewPartitioned(s.pk, model, total, seed)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		nw = simnet.New(s.k, model, total, seed)
+	// At one partition this is the plain single-kernel network: partition
+	// 0 draws the plain seed.
+	nw, err := simnet.NewPartitioned(s.pk, model, total, seed)
+	if err != nil {
+		return nil, err
 	}
 	if proc != nil {
 		nw.SetProcDelay(proc)
@@ -300,16 +314,13 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	for p := range rts {
 		rts[p] = core.NewSimRuntime(s.pk.Sub(p), seed+int64(p))
 	}
-	rt := rts[0]
-	s.nw, s.rt = nw, rt
+	s.nw, s.rt = nw, rts[0]
 
-	var dmnIns daemon.Instruments
 	if collecting {
 		// Network-global instruments: the ground truth monitoring
 		// overhead is measured against.
 		netReg := metrics.NewRegistry()
 		s.netIns = simnet.NewInstruments(netReg)
-		s.hasNet = true
 		nw.SetInstruments(s.netIns)
 
 		every, key := sc.Collect.reportDefaults()
@@ -317,69 +328,20 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 		if port == 0 {
 			port = 7000
 		}
-		var agg *metrics.Aggregator
 		s.k.Go(func() {
-			var err error
-			agg, err = metrics.NewAggregator(nw.Node(1), port, s.k.Go)
-			if err == nil {
-				agg.Authorize(key)
+			if s.agg, err = metrics.NewAggregator(nw.Node(monHost), port, s.k.Go); err == nil {
+				s.agg.Authorize(key)
 			}
 		})
 		s.pk.Run()
-		if agg == nil {
-			return nil, errors.New("splay: aggregator failed to start")
+		if err != nil {
+			return nil, fmt.Errorf("splay: aggregator: %w", err)
 		}
-		s.agg = agg
 		s.collect = &collectTarget{
-			addr:  transport.Addr{Host: simnet.HostName(1), Port: port},
+			addr:  transport.Addr{Host: simnet.HostName(monHost), Port: port},
 			key:   key,
 			every: every,
 		}
-	}
-
-	cfg := controller.DefaultConfig()
-	if sc.ControllerPort != 0 {
-		cfg.Port = sc.ControllerPort
-	}
-	if sc.RegisterTimeout > 0 {
-		cfg.RegisterTimeout = sc.RegisterTimeout
-	}
-	ctl := controller.New(rt, nw.Node(0), cfg)
-	s.ctl = ctl
-	s.node = nw.Node(0)
-	if collecting {
-		// Controller instruments plus fleet-wide daemon accounting
-		// share one registry, reported over the wire like every
-		// application stream.
-		ctlReg := metrics.NewRegistry()
-		ctl.SetInstruments(controller.NewInstruments(ctlReg))
-		dmnIns = daemon.NewInstruments(ctlReg)
-		// One instrument set is shared by the whole fleet: the counters
-		// sum correctly but the per-daemon jobs gauge would just be
-		// clobbered by whichever daemon Set it last — disable it.
-		dmnIns.Jobs = nil
-		aggAddr, key, every := s.collect.addr, s.collect.key, s.collect.every
-		s.k.Go(func() {
-			s.startErr = ctl.Start()
-			if s.startErr != nil {
-				return
-			}
-			ctlRep, err := metrics.DialReporter(nw.Node(0), aggAddr, ctlReg,
-				metrics.ReporterConfig{Key: key, Node: "ctl"})
-			if err != nil {
-				s.startErr = err
-				return
-			}
-			for {
-				s.k.Sleep(every)
-				if s.stopped.Load() {
-					return
-				}
-				ctlRep.Flush() //nolint:errcheck // monitoring is best effort
-			}
-		})
-	} else {
-		s.k.Go(func() { s.startErr = ctl.Start() })
 	}
 
 	// The RPC fault filter exists only for non-empty plans: an unarmed
@@ -388,17 +350,35 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	if !sc.Faults.Empty() {
 		s.rpcRules = faults.NewRPCRules(seed)
 	}
-	reg, err := sc.buildRegistry(s.collect, s.rpcRules)
+	if s.reg, err = sc.buildRegistry(s.collect, s.rpcRules); err != nil {
+		return nil, err
+	}
+	lg := sc.simLogger(s.rt)
+	if churned {
+		err = s.startChurn(lg)
+	} else {
+		err = s.startDaemons(first, pop, rts, lg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.reg = reg
+	return s, nil
+}
 
-	lg := sc.simLogger(rt)
-	ctlAddr := transport.Addr{Host: simnet.HostName(0), Port: cfg.Port}
-	s.ctlAddr = ctlAddr
-	base := 1 + mon
-	for i := base; i < base+tb.daemons; i++ {
+// startDaemons provisions the controller on host 0 and pop daemons from
+// host first on, staggered 2ms apart by host index, then runs the settle
+// window.
+func (s *Session) startDaemons(first, pop int, rts []*core.SimRuntime, lg core.Logger) error {
+	sc, nw := s.sc, s.nw
+	ctlReg, dmnIns := s.newController(nw.Node(0), controller.DefaultConfig())
+	ctl := s.ctl
+	s.k.Go(func() {
+		if s.startErr = ctl.Start(); s.startErr == nil && ctlReg != nil {
+			s.report("ctl", ctlReg)
+		}
+	})
+	s.ctlAddr = ctl.Addr()
+	for i := first; i < first+pop; i++ {
 		host := i
 		// A daemon lives on its host's kernel partition with that
 		// partition's runtime; with one partition this is the plain
@@ -412,16 +392,16 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 			dcfg.Reconnect = true
 		}
 		mk := func() *daemon.Daemon {
-			d := daemon.New(drt, nw.Node(host), reg, dcfg, lg)
-			if collecting {
+			d := daemon.New(drt, nw.Node(host), s.reg, dcfg, lg)
+			if s.collect != nil {
 				d.SetInstruments(dmnIns)
 			}
 			return d
 		}
 		d := mk()
-		s.slots = append(s.slots, &daemonSlot{host: host, name: dcfg.Name, mk: mk, d: d})
+		s.slots = append(s.slots, &slot{host: host, name: dcfg.Name, mk: mk, d: d})
 		s.pk.GoAfter(part, time.Duration(host)*2*time.Millisecond, func() {
-			d.Connect(ctlAddr) //nolint:errcheck // expiry is the monitor's job
+			d.Connect(s.ctlAddr) //nolint:errcheck // expiry is the monitor's job
 		})
 	}
 	// Connect window plus one full ping rotation, so selection has
@@ -432,12 +412,12 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	}
 	s.pk.RunFor(settle)
 	if s.startErr != nil {
-		return nil, s.startErr
+		return s.startErr
 	}
-	if got := ctl.Daemons(); got != tb.daemons {
-		return nil, fmt.Errorf("splay: only %d/%d daemons connected", got, tb.daemons)
+	if got := ctl.Daemons(); got != pop {
+		return fmt.Errorf("splay: only %d/%d daemons connected", got, pop)
 	}
-	return s, nil
+	return nil
 }
 
 // autoParts picks a simulated testbed's kernel partition count from its
@@ -461,79 +441,97 @@ func autoParts(hosts int) int {
 	}
 }
 
-// startSimChurn provisions a churn-driven population: no controller —
-// the trace is the deployment, instantiating Apps[0] per slot.
-func (sc Scenario) startSimChurn(s *Session, tb *simTestbed) (*Session, error) {
-	if len(sc.Apps) != 1 {
-		return nil, fmt.Errorf("splay: a churn scenario drives exactly one app (have %d)", len(sc.Apps))
-	}
-	if !sc.Faults.Empty() || len(sc.Assert) > 0 {
-		// The fault plane actuates through the controller and daemon
-		// slots; a churn trace is its own population schedule.
-		return nil, errors.New("splay: fault plans drive controller-provisioned scenarios, not churn traces")
-	}
-	if sc.Collect.Metrics {
-		// Not wired yet: rejecting beats Env.StartReporting failing
-		// invisibly inside every churned-in instance.
-		return nil, errors.New("splay: churn scenarios do not collect metrics yet")
-	}
-	slots := sc.Churn.Slots()
-	model, proc := tb.build(slots, s.seed)
-	nw := simnet.New(s.k, model, slots, s.seed)
-	if proc != nil {
-		nw.SetProcDelay(proc)
-	}
-	rt := core.NewSimRuntime(s.k, s.seed)
-	s.nw, s.rt = nw, rt
-	reg, err := sc.buildRegistry(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.reg = reg
-	spec := sc.Apps[0]
+// startChurn hands the population to the churn executor: no controller —
+// the trace is the deployment, starting Apps[0] on a slot's host at each
+// join and killing it (and downing the host) at each leave. The slots it
+// fills are the table the fault actuators read.
+func (s *Session) startChurn(lg core.Logger) error {
+	spec := s.sc.Apps[0]
 	if spec.App == nil && spec.New == nil {
 		// A by-name built-in's factory only decodes params, so bad ones
 		// fail here rather than once per churned-in slot. User
 		// factories keep their schedule: one call per join.
-		if _, err := reg.New(spec.Name, spec.Params); err != nil {
-			return nil, err
+		if _, err := s.reg.New(spec.Name, spec.Params); err != nil {
+			return err
 		}
 	}
 	port := spec.Port
 	if port == 0 {
 		port = 9000
 	}
-	lg := sc.simLogger(rt)
-	s.insts = make([]*core.Instance, slots)
+	for i := 0; i < s.sc.Churn.Slots(); i++ {
+		s.slots = append(s.slots, &slot{host: i, name: simnet.HostName(i), down: true})
+	}
+	// Rendez-vous selection draws from its own seeded stream, so neither
+	// the runtime's random sequence nor an app that ignores job.nodes
+	// sees a different schedule.
+	jrng := rand.New(rand.NewSource(s.seed ^ 0x10b5))
 	ctl := churn.NodeControlFuncs{
-		Start: func(slot int) {
-			nw.Host(slot).SetDown(false)
-			app, err := reg.New(spec.Name, spec.Params)
+		Start: func(i int) {
+			sl := s.slots[i]
+			s.nw.Host(i).SetDown(false)
+			sl.down = false
+			app, err := s.reg.New(spec.Name, spec.Params)
 			if err != nil {
 				// The slot joined but runs nothing: Run reports it.
 				if s.startErr == nil {
-					s.startErr = fmt.Errorf("splay: churn slot %d: %w", slot, err)
+					s.startErr = fmt.Errorf("splay: churn slot %d: %w", i, err)
 				}
 				return
 			}
+			// job.nodes as the controller would ship it: one running
+			// instance as the rendez-vous (all of them for FullList),
+			// empty for the first join.
+			var live []transport.Addr
+			for _, o := range s.slots {
+				if o.inst != nil {
+					live = append(live, transport.Addr{Host: o.name, Port: port})
+				}
+			}
+			if !spec.FullList && len(live) > 0 {
+				live = []transport.Addr{live[jrng.Intn(len(live))]}
+			}
 			job := core.JobInfo{
-				JobID:    sc.Name,
-				Me:       transport.Addr{Host: simnet.HostName(slot), Port: port},
-				Position: slot + 1,
+				JobID:    s.sc.label(),
+				Me:       transport.Addr{Host: sl.name, Port: port},
+				Nodes:    live,
+				Position: i + 1,
 			}
-			s.insts[slot] = core.StartInstance(rt, nw.Node(slot), job, lg, app)
+			sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, lg, app)
 		},
-		Stop: func(slot int) {
-			if inst := s.insts[slot]; inst != nil {
-				inst.Kill()
-				s.insts[slot] = nil
+		Stop: func(i int) {
+			sl := s.slots[i]
+			if sl.inst != nil {
+				sl.inst.Kill()
+				sl.inst = nil
 			}
-			nw.Host(slot).SetDown(true)
+			s.nw.Host(i).SetDown(true)
+			sl.down = true
 		},
 	}
-	s.ex = churn.NewExecutor(rt, sc.Churn.trace, ctl)
+	s.ex = churn.NewExecutor(s.rt, s.sc.Churn.trace, ctl)
 	s.k.Go(s.ex.Run)
-	return s, nil
+	return nil
+}
+
+// needsController returns ErrNoController, wrapped with the offending
+// entry, when a churn scenario's fault plan holds something only a daemon
+// population can do: crashing and restarting daemons, or growing the job
+// through the controller. Under churn the trace owns who is up.
+func needsController(plan FaultPlan) error {
+	daemonKind := func(k FaultKind) bool { return k == FaultCrash || k == FaultRestart }
+	for _, ev := range plan.Events {
+		if daemonKind(ev.Kind) {
+			return fmt.Errorf("splay: fault event %s at +%s: %w", ev.Kind, ev.At, ErrNoController)
+		}
+	}
+	for _, r := range plan.Rules {
+		do := r.Do
+		if do.Kind == ActKill || do.Kind == ActGrow || do.Kind == ActInject && do.Event != nil && daemonKind(do.Event.Kind) {
+			return fmt.Errorf("splay: trigger rule %q (%s): %w", r.Name, do, ErrNoController)
+		}
+	}
+	return nil
 }
 
 // startLive provisions controller and daemons in-process on loopback
@@ -549,20 +547,6 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	s := &Session{sc: sc, seed: seed, live: true}
 	rt := core.NewLiveRuntime(seed)
 	s.rt = rt
-	node := livenet.NewNode(tb.host)
-	cfg := controller.DefaultConfig()
-	cfg.Port = controller.PortEphemeral
-	if sc.ControllerPort != 0 {
-		cfg.Port = sc.ControllerPort
-	}
-	if sc.RegisterTimeout > 0 {
-		cfg.RegisterTimeout = sc.RegisterTimeout
-	}
-	ctl := controller.New(rt, node, cfg)
-	s.ctl = ctl
-	s.node = node
-
-	var dmnIns daemon.Instruments
 	if sc.Collect.Metrics {
 		every, key := sc.Collect.reportDefaults()
 		// The aggregator gets its own loopback address: the controller
@@ -576,25 +560,14 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 		agg.Authorize(key)
 		s.agg = agg
 		s.collect = &collectTarget{addr: agg.Addr(), key: key, every: every}
-		ctlReg := metrics.NewRegistry()
-		ctl.SetInstruments(controller.NewInstruments(ctlReg))
-		dmnIns = daemon.NewInstruments(ctlReg)
-		dmnIns.Jobs = nil
-		go func() {
-			rep, err := metrics.DialReporter(node, s.collect.addr, ctlReg,
-				metrics.ReporterConfig{Key: key, Node: "ctl"})
-			if err != nil {
-				return
-			}
-			for !s.stopped.Load() {
-				time.Sleep(every)
-				if rep.Flush() != nil {
-					rep.Reconnect() //nolint:errcheck // retried next period
-				}
-			}
-		}()
 	}
-
+	cfg := controller.DefaultConfig()
+	cfg.Port = controller.PortEphemeral
+	ctlReg, _ := s.newController(livenet.NewNode(tb.host), cfg)
+	ctl := s.ctl
+	if ctlReg != nil {
+		s.Go(func() { s.report("ctl", ctlReg) })
+	}
 	if err := ctl.Start(); err != nil {
 		s.Stop()
 		return nil, err
@@ -636,7 +609,7 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 			s.Stop()
 			return nil, err
 		}
-		s.slots = append(s.slots, &daemonSlot{host: -1, name: name, mk: mk, d: d})
+		s.slots = append(s.slots, &slot{host: -1, name: name, mk: mk, d: d})
 	}
 	// Readiness: poll the controller's registry instead of sleeping an
 	// arbitrary delay and hoping the daemons made it.
@@ -660,6 +633,32 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	return s, nil
 }
 
+// newController builds the scenario's controller on node, cfg giving the
+// testbed's default port. When collecting, controller instruments plus
+// fleet-wide daemon accounting share one registry (returned with the
+// daemons' instrument set), reported over the wire as node "ctl" like
+// every application stream.
+func (s *Session) newController(node transport.Node, cfg controller.Config) (*metrics.Registry, daemon.Instruments) {
+	if s.sc.ControllerPort != 0 {
+		cfg.Port = s.sc.ControllerPort
+	}
+	if s.sc.RegisterTimeout > 0 {
+		cfg.RegisterTimeout = s.sc.RegisterTimeout
+	}
+	s.ctl, s.node = controller.New(s.rt, node, cfg), node
+	if s.collect == nil {
+		return nil, daemon.Instruments{}
+	}
+	ctlReg := metrics.NewRegistry()
+	s.ctl.SetInstruments(controller.NewInstruments(ctlReg))
+	dmnIns := daemon.NewInstruments(ctlReg)
+	// One instrument set is shared by the whole fleet: the counters sum
+	// correctly but the per-daemon jobs gauge would just be clobbered by
+	// whichever daemon Set it last — disable it.
+	dmnIns.Jobs = nil
+	return ctlReg, dmnIns
+}
+
 // reportDefaults resolves the collection plane's period and key.
 func (c Collect) reportDefaults() (every time.Duration, key string) {
 	every, key = c.ReportEvery, c.Key
@@ -678,11 +677,40 @@ func (sc Scenario) simLogger(rt core.Runtime) core.Logger {
 	if sc.Collect.Logs == nil {
 		return nil
 	}
-	name := sc.Name
-	if name == "" {
-		name = "scenario"
+	return logging.New(&logging.WriterSink{W: sc.Collect.Logs}, sc.label(), sc.label(), rt.Now)
+}
+
+// label is the scenario's name in log lines and churned-in job IDs.
+func (sc Scenario) label() string {
+	if sc.Name == "" {
+		return "scenario"
 	}
-	return logging.New(&logging.WriterSink{W: sc.Collect.Logs}, name, name, rt.Now)
+	return sc.Name
+}
+
+// report is the session's one reporter loop, run as a driver task: it
+// streams reg from the controller's host to the collection plane as the
+// named node, one flush per period until the session stops. Live streams
+// redial after a failed flush; a simulated one fails only with the
+// session.
+func (s *Session) report(node string, reg *metrics.Registry) {
+	rep, err := metrics.DialReporter(s.node, s.collect.addr, reg,
+		metrics.ReporterConfig{Key: s.collect.key, Node: node})
+	if err != nil {
+		if !s.live {
+			s.startErr = err
+		}
+		return
+	}
+	for {
+		s.rt.Sleep(s.collect.every)
+		if s.stopped.Load() {
+			return
+		}
+		if rep.Flush() != nil && s.live {
+			rep.Reconnect() //nolint:errcheck // monitoring is best effort, retried next period
+		}
+	}
 }
 
 // buildRegistry assembles the deployable application registry: built-ins
@@ -742,11 +770,12 @@ func makeFactory(spec AppSpec, collect *collectTarget, rules *faults.RPCRules) c
 // Deploy submits one application for deployment and returns immediately;
 // Wait drives the run until the job is placed. The submission runs as a
 // kernel task in simulation, a goroutine live — exactly the shape every
-// experiment hand-wired before this API existed.
+// experiment hand-wired before this API existed. On a churn session (no
+// controller: the trace deploys) Wait returns ErrNoController.
 func (s *Session) Deploy(spec AppSpec) *Deployment {
 	dep := &Deployment{sess: s, done: make(chan struct{})}
 	if s.ctl == nil {
-		dep.err = errors.New("splay: churn scenarios deploy through the trace, not the controller")
+		dep.err = fmt.Errorf("splay: deploy %q: %w", spec.Name, ErrNoController)
 		close(dep.done)
 		return dep
 	}
@@ -764,11 +793,7 @@ func (s *Session) Deploy(spec AppSpec) *Deployment {
 		dep.job, dep.err = job, err
 		close(dep.done)
 	}
-	if s.k != nil {
-		s.k.Go(submit)
-	} else {
-		go submit()
-	}
+	s.rt.Go(submit)
 	return dep
 }
 
@@ -833,13 +858,7 @@ func (s *Session) RunFor(d time.Duration) {
 
 // Go starts fn as a driver task (kernel task in simulation, goroutine
 // live). Driver tasks may Sleep and call into deployed instances.
-func (s *Session) Go(fn func()) {
-	if s.k != nil {
-		s.k.Go(fn)
-	} else {
-		go fn()
-	}
-}
+func (s *Session) Go(fn func()) { s.rt.Go(fn) }
 
 // GoAfter schedules fn as a driver task after d.
 func (s *Session) GoAfter(d time.Duration, fn func()) {
@@ -869,8 +888,8 @@ func (s *Session) Partitions() int {
 	return s.pk.Parts()
 }
 
-// Daemons reports the connected daemon population (under churn, the
-// currently alive slot count).
+// Daemons reports the connected daemon population (under churn, where
+// there are none, the currently alive slot count).
 func (s *Session) Daemons() int {
 	if s.ctl != nil {
 		return s.ctl.Daemons()
@@ -894,18 +913,15 @@ func (s *Session) Telemetry() *Telemetry {
 // the denominator of the monitoring byte share (0 live: the real network
 // is not ours to meter).
 func (s *Session) NetBytes() uint64 {
-	if !s.hasNet {
-		return 0
-	}
 	return s.netIns.StreamBytes.Total()
 }
 
 // StopJob terminates a deployed job everywhere. In simulation the stop
 // protocol runs as a kernel task and the kernel is driven until the
-// daemons acknowledged.
+// daemons acknowledged. ErrNoController on a churn session.
 func (s *Session) StopJob(id string) error {
 	if s.ctl == nil {
-		return errors.New("splay: no controller in a churn scenario")
+		return fmt.Errorf("splay: stop job %s: %w", id, ErrNoController)
 	}
 	if s.k == nil {
 		return s.ctl.StopJob(id)
@@ -934,11 +950,6 @@ func (s *Session) Stop() {
 	if s.ex != nil {
 		s.ex.Stop()
 	}
-	for _, inst := range s.insts {
-		if inst != nil {
-			inst.Kill()
-		}
-	}
 	if s.eng != nil {
 		s.eng.Stop()
 	}
@@ -951,6 +962,9 @@ func (s *Session) Stop() {
 		s.ctl.Stop()
 	}
 	for _, sl := range s.slots {
+		if sl.inst != nil {
+			sl.inst.Kill() // churned-in instances run their kill handlers
+		}
 		// Simulated daemons need no teardown (the kernel stopped with
 		// the session); live ones hold real sockets.
 		if s.live && sl.d != nil {

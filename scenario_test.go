@@ -313,6 +313,198 @@ func TestScenarioChurnFactoryError(t *testing.T) {
 	}
 }
 
+// TestScenarioChurnRendezvous: a churned-in instance gets the job info a
+// daemon-deployed one would — a job ID and one running instance to
+// bootstrap from (every one of them with FullList), nothing for the first
+// join. Without it every by-name built-in bootstraps a ring or view of one.
+func TestScenarioChurnRendezvous(t *testing.T) {
+	t.Parallel()
+	churn, err := splay.ChurnScript("at 1s join 1\nat 10s join 5\nat 20s leave 50%\nat 30s join 2", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, full := range []bool{false, true} {
+		alive := map[splay.Addr]bool{}
+		joins := 0
+		sc := splay.Scenario{
+			Testbed: splay.Uniform(0, time.Millisecond, 0),
+			Churn:   churn,
+			Apps: []splay.AppSpec{{
+				Name:     "joiner",
+				FullList: full,
+				App: splay.AppFunc(func(env *splay.Env) error {
+					job := env.Job()
+					if job.JobID != "scenario" {
+						t.Errorf("job id = %q, want the scenario fallback", job.JobID)
+					}
+					want := 1
+					if full || len(alive) == 0 {
+						want = len(alive)
+					}
+					if len(job.Nodes) != want {
+						t.Errorf("full=%v join %d: job.nodes = %v with %d instances alive, want %d", full, joins, job.Nodes, len(alive), want)
+					}
+					for _, a := range job.Nodes {
+						if !alive[a] {
+							t.Errorf("full=%v join %d: rendez-vous %v is not a running instance", full, joins, a)
+						}
+					}
+					joins++
+					alive[job.Me] = true
+					env.OnKill(func() { delete(alive, job.Me) })
+					return nil
+				}),
+			}},
+		}
+		sess, err := sc.Start(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.RunFor(time.Minute)
+		sess.Stop()
+		if joins != 8 {
+			t.Errorf("full=%v: %d joins, want 8", full, joins)
+		}
+	}
+}
+
+// churnComposed is a by-name cyclon under a join/leave script with every
+// other plane switched on: collection, a timed partition and heal, a
+// trigger rule and the given assertions.
+func churnComposed(t *testing.T, workers int, asserts ...splay.Assertion) splay.Scenario {
+	t.Helper()
+	churn, err := splay.ChurnScript("at 1s join 12\nat 30s leave 25%\nat 40s join 4", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return splay.Scenario{
+		Name:    "composed",
+		Seed:    9,
+		Testbed: splay.Uniform(0, 10*time.Millisecond, 0),
+		Churn:   churn,
+		Apps:    []splay.AppSpec{{Name: "cyclon", Params: []byte(`{"report":true,"shuffle_every":2000000000}`)}},
+		Collect: splay.Collect{Metrics: true, ReportEvery: 2 * time.Second},
+		Faults: splay.FaultPlan{
+			EvalEvery: 2 * time.Second,
+			Events:    []splay.FaultEvent{splay.PartitionAt(15*time.Second, 0.3), splay.HealAt(25 * time.Second)},
+			Rules: []splay.TriggerRule{{
+				Name: "gossiping",
+				When: splay.Metric("cyclon.shuffles", splay.StatTotal, splay.Above, 0),
+				Do:   splay.TriggerAction{Kind: splay.ActHeal},
+			}},
+		},
+		Assert:   asserts,
+		Duration: time.Minute,
+		Workers:  workers,
+	}
+}
+
+// TestScenarioChurnComposes: churn is a population schedule over the one
+// simulated start, so collection, network faults, trigger rules and
+// assertions all run under it — deterministically, at any worker count.
+func TestScenarioChurnComposes(t *testing.T) {
+	t.Parallel()
+	gossips := splay.EventuallyHolds("gossips", splay.Metric("cyclon.shuffles", splay.StatTotal, splay.Above, 0), 0)
+	type outcome struct {
+		shuffles, frames, bytes uint64
+		nodes, daemons          int
+		firings                 string
+	}
+	run := func(workers int) outcome {
+		sc := churnComposed(t, workers, gossips)
+		sess, err := sc.Start(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Stop()
+		if err := sess.ArmFaults(); err != nil {
+			t.Fatal(err)
+		}
+		sess.RunFor(sc.Duration)
+		if err := sess.CheckAssertions(); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+		}
+		tm := sess.Telemetry()
+		o := outcome{shuffles: tm.Counter("cyclon.shuffles"), nodes: tm.Nodes(), daemons: sess.Daemons(), firings: fmt.Sprint(sess.Firings())}
+		o.frames, o.bytes = tm.Received()
+		return o
+	}
+	ref := run(1)
+	if ref.shuffles == 0 || ref.daemons != 13 || ref.firings == "[]" {
+		t.Errorf("composed churn run = %+v, want shuffles, 13 slots alive and a firing", ref)
+	}
+	for _, w := range []int{1, 4} {
+		if got := run(w); got != ref {
+			t.Errorf("Workers=%d changed the result:\n got  %+v\n want %+v", w, got, ref)
+		}
+	}
+
+	// Run reports the same planes: telemetry on the Result, and a violated
+	// assertion as a typed error beside it.
+	res, err := churnComposed(t, 0, gossips).Run(context.Background())
+	if err != nil || res.Metrics == nil || res.Metrics.Counter("cyclon.shuffles") != ref.shuffles {
+		t.Fatalf("Run: res = %+v, err = %v, want %d shuffles in the telemetry", res, err, ref.shuffles)
+	}
+	quiet := splay.StaysBelow("quiet", "cyclon.shuffles", splay.StatTotal, 1, 0)
+	res, err = churnComposed(t, 0, gossips, quiet).Run(context.Background())
+	var aerr *splay.AssertionError
+	if !errors.As(err, &aerr) || len(aerr.Failures) != 1 || aerr.Failures[0].Name != "quiet" {
+		t.Errorf("Run with an impossible assertion: err = %v, want one *AssertionError failure (quiet)", err)
+	}
+	if res == nil || res.Metrics == nil {
+		t.Error("the assertion error came without the Result that explains it")
+	}
+}
+
+// TestScenarioChurnNeedsController: the trace owns who is up, so what
+// acts on daemons or deploys through the controller is refused with one
+// sentinel — fault-plan entries at Start, session calls when made.
+func TestScenarioChurnNeedsController(t *testing.T) {
+	t.Parallel()
+	churn, err := splay.ChurnScript("at 1s join 4", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := splay.Scenario{
+		Testbed: splay.Uniform(0, time.Millisecond, 0),
+		Churn:   churn,
+		Collect: splay.Collect{Metrics: true},
+		Apps:    []splay.AppSpec{{Name: "held", App: holdApp}},
+	}
+	always := splay.Metric("", splay.StatNodes, splay.Above, -1)
+	plans := map[string]splay.FaultPlan{
+		"crash":   {Events: []splay.FaultEvent{splay.CrashAt(time.Second, 0.5)}},
+		"restart": {Events: []splay.FaultEvent{splay.RestartAt(time.Second)}},
+		"kill":    {Rules: []splay.TriggerRule{{Name: "k", When: always, Do: splay.TriggerAction{Kind: splay.ActKill, Count: 1}}}},
+		"grow":    {Rules: []splay.TriggerRule{{Name: "g", When: always, Do: splay.TriggerAction{Kind: splay.ActGrow, Count: 1}}}},
+	}
+	for name, plan := range plans {
+		sc.Faults = plan
+		sess, err := sc.Start(context.Background())
+		if !errors.Is(err, splay.ErrNoController) {
+			t.Errorf("Start with a %s plan: err = %v, want ErrNoController", name, err)
+		}
+		if sess != nil {
+			sess.Stop()
+		}
+	}
+	sc.Faults = splay.FaultPlan{}
+	sess, err := sc.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Stop()
+	if _, err := sess.Deploy(sc.Apps[0]).Wait(); !errors.Is(err, splay.ErrNoController) {
+		t.Errorf("Deploy: err = %v, want ErrNoController", err)
+	}
+	if err := sess.StopJob("job-1"); !errors.Is(err, splay.ErrNoController) {
+		t.Errorf("StopJob: err = %v, want ErrNoController", err)
+	}
+	if _, err := sess.Host(splay.HostConfig{}); !errors.Is(err, splay.ErrNoController) {
+		t.Errorf("Host: err = %v, want ErrNoController", err)
+	}
+}
+
 // TestScenarioDuplicateAppName checks a duplicate registration surfaces
 // as an error from Start instead of clobbering the first app.
 func TestScenarioDuplicateAppName(t *testing.T) {
