@@ -1,648 +1,512 @@
-// Command splayctl runs the SPLAY controller: it accepts daemon
-// connections, exposes the web-services API for job submission,
-// orchestrates deployments (§3.1), and hosts the observability plane's
-// aggregator so instrumented applications can stream metric reports.
+// Command splayctl is the client for a SPLAY platform — splayd -host, or
+// any Session.Host handler — and the config plane's local tool. It runs
+// no service of its own.
 //
 // Usage:
 //
-//	splayctl [-port 5555] [-http 8080] [-host 127.0.0.1] [-tls]
-//	         [-metrics-port 5556] [-metrics-key splay]
-//	splayctl watch [-every 2s] [-key k -job id] http://host:8080
-//	splayctl faults inject [-kind crash|partition] [-count n] [-fraction f] http://host:8080
-//	splayctl faults heal http://host:8080
-//	splayctl submit -key k [-app chord] [-nodes 10] [-duration 30s] [-wait] http://host:8080
+//	splayctl submit -key k [-app chord] [-nodes 10] [-duration 30s] [-f scenario] [-wait] http://host:8080
 //	splayctl jobs -key k [-job id] http://host:8080
 //	splayctl kill -key k -job id http://host:8080
 //	splayctl usage -key k -tenant name http://host:8080
+//	splayctl watch -key k [-job id] [-every 2s] http://host:8080
+//	splayctl daemons -key ko http://host:8080
+//	splayctl faults inject -key ko [-kind crash|partition] [-count n] [-fraction f] http://host:8080
+//	splayctl faults heal -key ko http://host:8080
 //	splayctl apply [-host http://host:8080 -key k [-wait]] scenario.yaml
 //	splayctl validate scenario.yaml [more.yaml ...]
 //	splayctl catalog
 //
-// Submit jobs with the splay CLI or plain HTTP:
+// The tenant subcommands (submit, jobs, kill, usage, watch -job) act as
+// the tenant owning -key. Submissions are serialized Scenarios: built
+// from -app/-nodes/-params/-duration, or shipped from -file / -f (use
+// "-" for stdin). A -file that is a scenario document
+// (splay.IsConfigDocument) is compiled client-side against the built-in
+// catalog, so typed errors surface before any network round-trip and
+// what travels is always the canonical wire form. An open-ended
+// deployment is a job with a long -duration, ended by kill.
 //
-//	curl -X POST localhost:8080/jobs -d '{"app":"chord","nodes":10}'
+// The operator subcommands present the platform's operator key. "watch"
+// without -job polls /metrics and renders the aggregator's live
+// population view — the in-flight counterpart of the log collector;
+// with -job it follows one hosted job (as its tenant) until it settles.
+// "daemons" counts the connected fleet. "faults inject -kind crash"
+// drops daemon control sessions (daemons started with -reconnect redial
+// with backoff), "-kind partition" blacklists a fraction of the
+// population — the controller pushes the blacklist to every daemon,
+// whose sandboxes then refuse traffic to the cut side — and "faults
+// heal" clears the blacklist.
 //
-// Watch mode polls a running splayctl's /metrics endpoint and renders
-// the aggregator's live population view — the in-flight counterpart of
-// the log collector. With -job it instead follows one hosted job's
-// lifecycle until it settles.
+// Every subcommand bounds each HTTP request with -timeout; a platform's
+// refusal arrives as its typed error (code and detail). Exit status is 2
+// for a command-line mistake, 1 for any other failure.
 //
-// Fault mode drives the controller's live actuators: "inject -kind
-// crash" drops daemon control sessions (daemons started with reconnect
-// redial with backoff), "inject -kind partition" blacklists a fraction
-// of the population — the controller pushes the blacklist to every
-// daemon, whose sandboxes then refuse traffic to the cut side — and
-// "heal" clears the blacklist.
-//
-// The hosting subcommands (submit, jobs, kill, usage, watch -job)
-// speak to a hosting plane — splayd -host, or any Session.Host
-// handler — as the tenant owning -key. Submissions are serialized
-// Scenarios: built from -app/-nodes/-params/-duration, or shipped
-// from -file / -f (use "-" for stdin). A -file that is a scenario
-// document (splay.IsConfigDocument) is compiled client-side against
-// the built-in catalog, so typed errors surface before any network
-// round-trip and what travels is always the canonical wire form.
-// Every subcommand bounds each HTTP request with -timeout and exits
-// non-zero on any error.
-//
-// The config-plane subcommands need no running controller: "apply"
-// compiles a scenario document and runs it — in-process on a fresh
-// simulated (or live) testbed, or hosted when -host names a platform
-// — "validate" type-checks documents against the catalog, and
-// "catalog" prints the catalog itself: every built-in application
-// with its typed parameters, defaults and bounds.
+// The config-plane subcommands need no platform: "apply" compiles a
+// scenario document and runs it — in-process on a fresh simulated (or
+// live) testbed, or hosted when -host names a platform — "validate"
+// type-checks documents against the catalog, and "catalog" prints the
+// catalog itself: every built-in application with its typed parameters,
+// defaults and bounds.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"os"
-	"sort"
+	"os/signal"
 	"strings"
 	"time"
 
 	splay "github.com/splaykit/splay"
-	"github.com/splaykit/splay/internal/controller"
-	"github.com/splaykit/splay/internal/core"
-	"github.com/splaykit/splay/internal/livenet"
-	"github.com/splaykit/splay/internal/metrics"
-	"github.com/splaykit/splay/internal/wire"
+	"github.com/splaykit/splay/internal/hosting"
 )
 
-func main() {
-	port := flag.Int("port", 5555, "daemon connection port")
-	httpPort := flag.Int("http", 8080, "web-services API port (0 disables)")
-	host := flag.String("host", "127.0.0.1", "advertised controller host")
-	useTLS := flag.Bool("tls", false, "secure daemon connections with TLS")
-	metricsPort := flag.Int("metrics-port", 5556, "metric report port (0 disables the aggregator)")
-	metricsKey := flag.String("metrics-key", "splay", "key metric streams must present")
-	flag.Parse()
+// errUsage marks a command-line mistake; the flag package has by then
+// printed what it objected to.
+var errUsage = errors.New("usage: splayctl submit|jobs|kill|usage|watch|daemons|faults|apply|validate|catalog [flags] [url|file]")
 
-	if cmd := flag.Arg(0); cmd != "" {
-		var err error
-		switch cmd {
-		case "watch":
-			err = watchCmd(flag.Args()[1:])
-		case "faults":
-			err = faultsCmd(flag.Args()[1:])
-		case "submit", "jobs", "kill", "usage":
-			err = hostCmd(cmd, flag.Args()[1:])
-		case "apply":
-			err = applyCmd(flag.Args()[1:])
-		case "validate":
-			err = validateCmd(flag.Args()[1:])
-		case "catalog":
-			err = catalogCmd(os.Stdout)
-		default:
-			err = fmt.Errorf("unknown command %q (want watch, faults, submit, jobs, kill, usage, apply, validate or catalog)", cmd)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "splayctl %s: %v\n", cmd, err)
-			os.Exit(1)
-		}
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
+	stop()
+	if err == nil {
 		return
 	}
+	fmt.Fprintln(os.Stderr, "splayctl:", err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
 
-	rt := core.NewLiveRuntime(1)
-	node := livenet.NewNode(*host)
-	if *useTLS {
-		cfg, err := livenet.SelfSignedTLS(*host)
-		if err != nil {
-			log.Fatalf("splayctl: tls: %v", err)
-		}
-		node.TLS = cfg
+// run executes one subcommand. Polling subcommands (watch, -wait) end
+// with ctx.
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
 	}
-	cfg := controller.DefaultConfig()
-	cfg.Port = *port
-	ctl := controller.New(rt, node, cfg)
+	c := &cmd{ctx: ctx, stdin: stdin, stdout: stdout, stderr: stderr}
+	c.fs = flag.NewFlagSet(args[0], flag.ContinueOnError)
+	c.fs.SetOutput(stderr)
+	c.fs.StringVar(&c.key, "key", "", "tenant key, or the operator key for watch/daemons/faults")
+	c.fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "per-request timeout")
+	var err error
+	switch args[0] {
+	case "submit", "jobs", "kill", "usage":
+		err = c.tenant(args[0], args[1:])
+	case "watch":
+		err = c.watch(args[1:])
+	case "daemons":
+		err = c.daemons(args[1:])
+	case "faults":
+		err = c.faults(args[1:])
+	case "apply":
+		err = c.apply(args[1:])
+	case "validate":
+		err = c.validate(args[1:])
+	case "catalog":
+		err = catalogCmd(stdout)
+	default:
+		return fmt.Errorf("unknown command %q: %w", args[0], errUsage)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", args[0], err)
+	}
+	return nil
+}
 
-	// The observability plane: instrumented applications stream delta
-	// reports here; /metrics serves the merged live view. The
-	// controller's own instruments feed the same aggregator directly
-	// (it is in-process, no stream needed).
-	var agg *metrics.Aggregator
-	if *metricsPort != 0 {
-		reg := metrics.NewRegistry()
-		ctl.SetInstruments(controller.NewInstruments(reg))
-		var err error
-		agg, err = metrics.NewAggregator(node, *metricsPort, func(fn func()) { go fn() })
-		if err != nil {
-			log.Fatalf("splayctl: aggregator: %v", err)
-		}
-		agg.Authorize(*metricsKey)
-		// Bridge the local registry into the aggregate view over
-		// loopback, so /metrics shows controller and application series
-		// through one plane.
-		go func() {
-			rep, err := metrics.DialReporter(node, agg.Addr(), reg,
-				metrics.ReporterConfig{Key: *metricsKey, Node: "ctl"})
-			if err != nil {
-				log.Printf("splayctl: metrics self-report: %v", err)
-				return
-			}
-			for {
-				time.Sleep(5 * time.Second)
-				if err := rep.Flush(); err != nil {
-					// Reconnect keeps the delta state, so the stream
-					// resumes with increments after a transient failure.
-					log.Printf("splayctl: metrics self-report: %v (redialing)", err)
-					if err := rep.Reconnect(); err != nil {
-						log.Printf("splayctl: metrics self-report: %v", err)
-					}
-				}
-			}
-		}()
-		log.Printf("splayctl: metric aggregator on :%d (key %q)", *metricsPort, *metricsKey)
-	}
+// cmd is one invocation: its streams and the flags every platform
+// subcommand shares.
+type cmd struct {
+	ctx     context.Context
+	stdin   io.Reader
+	stdout  io.Writer
+	stderr  io.Writer
+	fs      *flag.FlagSet
+	key     string
+	timeout time.Duration
+}
 
-	if err := ctl.Start(); err != nil {
-		log.Fatalf("splayctl: %v", err)
+// parseURL parses args and returns the platform URL that follows the
+// flags; -key is required.
+func (c *cmd) parseURL(args []string) (string, error) {
+	if c.fs.Parse(args) != nil {
+		return "", errUsage
 	}
-	log.Printf("splayctl: listening for daemons on :%d (tls=%v)", *port, *useTLS)
+	if c.fs.Arg(0) == "" {
+		return "", fmt.Errorf("need a platform URL (e.g. http://127.0.0.1:8080): %w", errUsage)
+	}
+	if c.key == "" {
+		return "", fmt.Errorf("need a -key: %w", errUsage)
+	}
+	return strings.TrimRight(c.fs.Arg(0), "/"), nil
+}
 
-	if *httpPort == 0 {
-		select {}
-	}
-	mux := http.NewServeMux()
-	if agg != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(agg.Snapshot()) //nolint:errcheck
-		})
-	}
-	mux.HandleFunc("/daemons", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]int{"daemons": ctl.Daemons()}) //nolint:errcheck
-	})
-	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			var req wire.App // one application entry of the scenario format
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			job, err := ctl.Submit(controller.JobSpec{
-				App: req.App, Nodes: req.Nodes, Params: req.Params,
-				Superset: req.Superset, FullList: req.FullList,
-			})
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			writeJob(w, job)
-		case http.MethodGet:
-			id := r.URL.Query().Get("id")
-			job, ok := ctl.Job(id)
-			if !ok {
-				http.Error(w, "unknown job", http.StatusNotFound)
-				return
-			}
-			writeJob(w, job)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
-	mux.HandleFunc("/jobs/stop", func(w http.ResponseWriter, r *http.Request) {
-		if err := ctl.StopJob(r.URL.Query().Get("id")); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		fmt.Fprintln(w, "stopped")
-	})
-	// Fault drills — the live counterparts of the scenario SDK's fault
-	// plan, driven over HTTP so chaos tooling needs no Go. Crash drops
-	// daemon control sessions (reconnect-enabled daemons redial with
-	// backoff); partition blacklists part of the population, which the
-	// controller pushes to every daemon's sandbox; heal clears it.
-	mux.HandleFunc("/faults/inject", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req struct {
-			Kind     string  `json:"kind"`
-			Count    int     `json:"count"`
-			Fraction float64 `json:"fraction"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		names := ctl.DaemonNames()
-		sort.Strings(names)
-		n := req.Count
-		if n <= 0 && req.Fraction > 0 {
-			n = int(req.Fraction * float64(len(names)))
-		}
-		if n <= 0 || n > len(names) {
-			http.Error(w, fmt.Sprintf("need a count (or fraction) selecting 1..%d daemons", len(names)),
-				http.StatusBadRequest)
-			return
-		}
-		victims := names[:n]
-		switch req.Kind {
-		case "crash":
-			dropped := make([]string, 0, n)
-			for _, name := range victims {
-				if ctl.DropDaemon(name) {
-					dropped = append(dropped, name)
-				}
-			}
-			json.NewEncoder(w).Encode(map[string]any{"kind": "crash", "dropped": dropped}) //nolint:errcheck
-		case "partition":
-			ctl.SetBlacklist(victims)
-			json.NewEncoder(w).Encode(map[string]any{"kind": "partition", "blacklisted": victims}) //nolint:errcheck
-		default:
-			http.Error(w, "kind must be crash or partition", http.StatusBadRequest)
-		}
-	})
-	mux.HandleFunc("/faults/heal", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		ctl.SetBlacklist(nil)
-		json.NewEncoder(w).Encode(map[string]any{"healed": true, "daemons": ctl.Daemons()}) //nolint:errcheck
-	})
-	log.Printf("splayctl: web-services API on :%d", *httpPort)
-	if err := http.ListenAndServe(fmt.Sprintf(":%d", *httpPort), mux); err != nil {
-		log.Print(err)
-		os.Exit(1)
+// request returns a context bounding one HTTP request.
+func (c *cmd) request() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(c.ctx, c.timeout)
+}
+
+// sleep waits d, or less when the invocation's context ends first; it
+// reports whether d ran out.
+func (c *cmd) sleep(d time.Duration) bool {
+	select {
+	case <-c.ctx.Done():
+		return false
+	case <-time.After(d):
+		return true
 	}
 }
 
-// postJSON issues one POST bounded by timeout and returns the response
-// body; non-2xx statuses become errors carrying the body.
-func postJSON(url string, body []byte, timeout time.Duration) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// operate issues one operator request and returns the response body; a
+// refusal comes back as the typed *splay.HostError the platform sent.
+func (c *cmd) operate(method, url string, body []byte) ([]byte, error) {
+	ctx, cancel := c.request()
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Authorization", "Bearer "+c.key)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body) //nolint:errcheck // best-effort error body
+	out, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	if err != nil {
+		return nil, err
+	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(out)))
+		return nil, hosting.DecodeError(resp.StatusCode, out)
 	}
 	return out, nil
 }
 
-// faultsCmd drives a running controller's fault endpoints: inject
-// (crash or partition) and heal.
-func faultsCmd(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("need an action (inject or heal)")
+// show prints an operator route's answer.
+func (c *cmd) show(method, url string, body []byte) error {
+	out, err := c.operate(method, url, body)
+	if err == nil {
+		_, err = c.stdout.Write(out)
 	}
-	action, rest := args[0], args[1:]
-	fs := flag.NewFlagSet("faults "+action, flag.ExitOnError)
-	kind := fs.String("kind", "crash", "fault to inject: crash or partition")
-	count := fs.Int("count", 0, "number of daemons to hit")
-	fraction := fs.Float64("fraction", 0, "population fraction to hit (alternative to -count)")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
-	fs.Parse(rest) //nolint:errcheck // ExitOnError
-	url := fs.Arg(0)
-	if url == "" {
-		return fmt.Errorf("%s: need a controller URL (e.g. http://127.0.0.1:8080)", action)
+	return err
+}
+
+// faults drives the platform's fault drills: inject (crash or
+// partition) and heal.
+func (c *cmd) faults(args []string) error {
+	if len(args) == 0 {
+		return fmt.Errorf("need an action (inject or heal): %w", errUsage)
 	}
-	var out []byte
-	var err error
-	switch action {
+	kind := c.fs.String("kind", "crash", "fault to inject: crash or partition")
+	count := c.fs.Int("count", 0, "number of daemons to hit")
+	fraction := c.fs.Float64("fraction", 0, "population fraction to hit (alternative to -count)")
+	url, err := c.parseURL(args[1:])
+	if err != nil {
+		return err
+	}
+	switch args[0] {
 	case "inject":
 		body, _ := json.Marshal(map[string]any{ //nolint:errcheck // static shape
 			"kind": *kind, "count": *count, "fraction": *fraction,
 		})
-		out, err = postJSON(url+"/faults/inject", body, *timeout)
+		return c.show(http.MethodPost, url+"/faults/inject", body)
 	case "heal":
-		out, err = postJSON(url+"/faults/heal", nil, *timeout)
-	default:
-		return fmt.Errorf("unknown action %q (want inject or heal)", action)
+		return c.show(http.MethodPost, url+"/faults/heal", nil)
 	}
-	if err != nil {
-		return fmt.Errorf("%s: %w", action, err)
-	}
-	fmt.Print(string(out))
-	return nil
+	return fmt.Errorf("unknown action %q (want inject or heal): %w", args[0], errUsage)
 }
 
-// watchCmd polls a controller's /metrics view, or — with -key and
-// -job — one hosted job's lifecycle until it settles.
-func watchCmd(args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	every := fs.Duration("every", 2*time.Second, "poll interval")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
-	key := fs.String("key", "", "tenant key (hosted job watch)")
-	jobID := fs.String("job", "", "hosted job to follow until it settles")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	url := fs.Arg(0)
-	if url == "" {
-		return fmt.Errorf("need a controller URL (e.g. http://127.0.0.1:8080)")
+// daemons prints the platform's connected daemon count.
+func (c *cmd) daemons(args []string) error {
+	url, err := c.parseURL(args)
+	if err != nil {
+		return err
+	}
+	return c.show(http.MethodGet, url+"/daemons", nil)
+}
+
+// watch polls the platform's /metrics view until the context ends, or —
+// with -job — one hosted job's lifecycle until it settles; a terminal
+// state other than done is an error.
+func (c *cmd) watch(args []string) error {
+	every := c.fs.Duration("every", 2*time.Second, "poll interval")
+	jobID := c.fs.String("job", "", "hosted job to follow until it settles (as -key's tenant)")
+	url, err := c.parseURL(args)
+	if err != nil {
+		return err
 	}
 	if *jobID != "" {
-		return watchJob(url, *key, *jobID, *every, *timeout)
+		job, err := c.follow(splay.Connect(url, c.key), *jobID, *every, c.stdout)
+		if err != nil {
+			return err
+		}
+		return settled(job.ID, job.State, job.Error)
 	}
 	for {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
+		out, err := c.operate(http.MethodGet, url+"/metrics", nil)
 		if err != nil {
-			cancel()
+			if c.ctx.Err() != nil {
+				return nil
+			}
 			return err
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			cancel()
-			return err
-		}
-		var snaps []metrics.SeriesSnapshot
-		err = json.NewDecoder(resp.Body).Decode(&snaps)
-		resp.Body.Close()
-		cancel()
-		if err != nil {
+		var snaps []splay.SeriesSnapshot
+		if err := json.Unmarshal(out, &snaps); err != nil {
 			return fmt.Errorf("decode: %w", err)
 		}
-		fmt.Printf("%s — %d series\n", time.Now().Format(time.TimeOnly), len(snaps))
-		fmt.Printf("  %-28s %-12s %6s %12s %12s %12s %12s\n",
-			"series", "kind", "nodes", "total/sum", "mean", "p50", "p90")
-		for _, s := range snaps {
-			switch s.Kind {
-			case "counter":
-				fmt.Printf("  %-28s %-12s %6d %12d\n", s.Name, s.Kind, s.Nodes, s.Total)
-			case "gauge":
-				fmt.Printf("  %-28s %-12s %6d %12d\n", s.Name, s.Kind, s.Nodes, s.Sum)
-			default:
-				fmt.Printf("  %-28s %-12s %6d %12d %12.1f %12d %12d\n",
-					s.Name, s.Kind, s.Nodes, s.Count, s.Mean, s.P50, s.P90)
-			}
+		fmt.Fprintf(c.stdout, "%s — %d series\n", time.Now().Format(time.TimeOnly), len(snaps))
+		printSeries(c.stdout, snaps)
+		fmt.Fprintln(c.stdout)
+		if !c.sleep(*every) {
+			return nil
 		}
-		fmt.Println()
-		time.Sleep(*every)
 	}
 }
 
-// watchJob follows one hosted job, printing a row per state change
-// until the job settles; a terminal state other than done is an error.
-func watchJob(url, key, id string, every, timeout time.Duration) error {
-	cl := splay.Connect(url, key)
+// printSeries renders an aggregated view as one table row per series.
+func printSeries(w io.Writer, snaps []splay.SeriesSnapshot) {
+	fmt.Fprintf(w, "  %-28s %-12s %6s %12s %12s %12s %12s\n",
+		"series", "kind", "nodes", "total/sum", "mean", "p50", "p90")
+	for _, s := range snaps {
+		switch s.Kind {
+		case "counter":
+			fmt.Fprintf(w, "  %-28s %-12s %6d %12d\n", s.Name, s.Kind, s.Nodes, s.Total)
+		case "gauge":
+			fmt.Fprintf(w, "  %-28s %-12s %6d %12d\n", s.Name, s.Kind, s.Nodes, s.Sum)
+		default:
+			fmt.Fprintf(w, "  %-28s %-12s %6d %12d %12.1f %12d %12d\n",
+				s.Name, s.Kind, s.Nodes, s.Count, s.Mean, s.P50, s.P90)
+		}
+	}
+}
+
+// follow polls one hosted job until it settles, printing a row to rows
+// per state change.
+func (c *cmd) follow(cl *splay.Remote, id string, every time.Duration, rows io.Writer) (splay.HostJob, error) {
 	last := ""
 	for {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := c.request()
 		job, err := cl.Job(ctx, id)
 		cancel()
 		if err != nil {
-			return err
+			return job, err
 		}
 		if line := fmt.Sprintf("%s %s nodes=%d", job.ID, job.State, job.Nodes); line != last {
-			fmt.Printf("%s  %s\n", time.Now().Format(time.TimeOnly), line)
+			fmt.Fprintf(rows, "%s  %s\n", time.Now().Format(time.TimeOnly), line)
 			last = line
 		}
 		if job.State.Terminal() {
-			if job.State != splay.HostDone {
-				return fmt.Errorf("job %s settled as %s: %s", job.ID, job.State, job.Error)
-			}
-			return nil
+			return job, nil
 		}
-		time.Sleep(every)
+		if !c.sleep(every) {
+			return job, c.ctx.Err()
+		}
 	}
 }
 
-// hostCmd speaks to a hosting plane (splayd -host, or any Session.Host
-// handler) as the tenant owning -key: submit serialized scenarios,
-// list jobs, kill one, read usage.
-func hostCmd(cmd string, args []string) error {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	key := fs.String("key", "", "tenant key")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
-	jobID := fs.String("job", "", "job id (jobs: show one; kill: required)")
-	tenant := fs.String("tenant", "", "tenant to account (usage)")
-	app := fs.String("app", "chord", "application to deploy (submit)")
-	nodes := fs.Int("nodes", 10, "instances to deploy (submit)")
-	params := fs.String("params", "", "JSON parameter document for the app (submit)")
-	name := fs.String("name", "", "job name (submit)")
-	seed := fs.Int64("seed", 0, "scenario seed (submit; 0 = platform default)")
-	duration := fs.Duration("duration", 30*time.Second, "workload window (submit)")
-	file := fs.String("file", "", "submit this scenario — wire JSON, or a document compiled client-side (\"-\" = stdin)")
-	fs.StringVar(file, "f", "", "shorthand for -file")
-	wait := fs.Bool("wait", false, "poll until the job settles and print its result (submit)")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	url := fs.Arg(0)
-	if url == "" {
-		return fmt.Errorf("need a hosting URL (e.g. http://127.0.0.1:8080)")
+// settled is the verdict on a terminal state: anything but done fails
+// the command.
+func settled(id string, state splay.HostJobState, detail string) error {
+	if state != splay.HostDone {
+		return fmt.Errorf("job %s settled as %s: %s", id, state, detail)
 	}
-	if *key == "" {
-		return fmt.Errorf("need a tenant -key")
+	return nil
+}
+
+// tenant speaks to the platform as the tenant owning -key: submit
+// serialized scenarios, list jobs, kill one, read usage.
+func (c *cmd) tenant(verb string, args []string) error {
+	jobID := c.fs.String("job", "", "job id (jobs: show one; kill: required)")
+	tenant := c.fs.String("tenant", "", "tenant to account (usage)")
+	app := c.fs.String("app", "chord", "application to deploy (submit)")
+	nodes := c.fs.Int("nodes", 10, "instances to deploy (submit)")
+	params := c.fs.String("params", "", "JSON parameter document for the app (submit)")
+	name := c.fs.String("name", "", "job name (submit)")
+	seed := c.fs.Int64("seed", 0, "scenario seed (submit; 0 = platform default)")
+	duration := c.fs.Duration("duration", 30*time.Second, "workload window (submit)")
+	file := c.fs.String("file", "", "submit this scenario — wire JSON, or a document compiled client-side (\"-\" = stdin)")
+	c.fs.StringVar(file, "f", "", "shorthand for -file")
+	wait := c.fs.Bool("wait", false, "poll until the job settles and print its result (submit)")
+	url, err := c.parseURL(args)
+	if err != nil {
+		return err
 	}
-	cl := splay.Connect(url, *key)
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	cl := splay.Connect(url, c.key)
+	ctx, cancel := c.request()
 	defer cancel()
-	switch cmd {
+	switch verb {
 	case "submit":
 		var data []byte
-		var err error
-		switch {
-		case *file == "-":
-			data, err = io.ReadAll(os.Stdin)
-		case *file != "":
-			data, err = os.ReadFile(*file)
-		default:
-			sc := splay.Scenario{
+		if *file != "" {
+			data, err = c.readScenario(*file)
+		} else {
+			data, err = splay.Scenario{
 				Name: *name, Seed: *seed, Duration: *duration,
 				Apps: []splay.AppSpec{{Name: *app, Nodes: *nodes, Params: []byte(*params)}},
-			}
-			data, err = sc.Marshal()
+			}.Marshal()
 		}
 		if err != nil {
 			return err
 		}
-		if splay.IsConfigDocument(data) {
-			// Compile here, not server-side: typed *ConfigErrors carry
-			// the document position, and the wire bytes that travel are
-			// exactly what a handwritten Scenario would marshal.
-			data, err = splay.CompileConfig(data)
-			if err != nil {
-				return err
-			}
-		}
-		return submitData(cl, data, *timeout, *wait)
+		return c.submit(cl, data, *wait)
 	case "jobs":
 		if *jobID != "" {
 			job, err := cl.Job(ctx, *jobID)
 			if err != nil {
 				return err
 			}
-			return printJSON(job)
+			return c.printJSON(job)
 		}
 		jobs, err := cl.Jobs(ctx)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %-10s %6s  %-20s %s\n", "id", "state", "nodes", "apps", "error")
+		fmt.Fprintf(c.stdout, "%-12s %-10s %6s  %-20s %s\n", "id", "state", "nodes", "apps", "error")
 		for _, j := range jobs {
-			fmt.Printf("%-12s %-10s %6d  %-20s %s\n",
+			fmt.Fprintf(c.stdout, "%-12s %-10s %6d  %-20s %s\n",
 				j.ID, j.State, j.Nodes, strings.Join(j.Apps, ","), j.Error)
 		}
 		return nil
 	case "kill":
 		if *jobID == "" {
-			return fmt.Errorf("need a -job id")
+			return fmt.Errorf("need a -job id: %w", errUsage)
 		}
 		if err := cl.Kill(ctx, *jobID); err != nil {
 			return err
 		}
-		fmt.Printf("killed %s\n", *jobID)
+		fmt.Fprintf(c.stdout, "killed %s\n", *jobID)
 		return nil
-	case "usage":
+	default: // usage
 		if *tenant == "" {
-			return fmt.Errorf("need a -tenant name")
+			return fmt.Errorf("need a -tenant name: %w", errUsage)
 		}
 		u, err := cl.Usage(ctx, *tenant)
 		if err != nil {
 			return err
 		}
-		return printJSON(u)
+		return c.printJSON(u)
 	}
-	return fmt.Errorf("unknown hosting command %q", cmd)
 }
 
-// submitData ships wire scenario bytes to a hosting plane and, with
-// wait, polls until the job settles and prints its result. Every HTTP
-// request is individually bounded by timeout.
-func submitData(cl *splay.Remote, data []byte, timeout time.Duration, wait bool) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// readScenario reads one scenario argument ("-" = stdin) into the wire
+// bytes a platform admits. A document is compiled here, not
+// server-side: typed *ConfigErrors carry the document position, and what
+// travels is exactly what a handwritten Scenario would marshal.
+func (c *cmd) readScenario(path string) ([]byte, error) {
+	data, err := c.readDoc(path)
+	if err == nil && splay.IsConfigDocument(data) {
+		data, err = splay.CompileConfig(data)
+	}
+	return data, err
+}
+
+// readDoc reads one document argument ("-" = stdin).
+func (c *cmd) readDoc(path string) ([]byte, error) {
+	if path == "-" {
+		return io.ReadAll(c.stdin)
+	}
+	return os.ReadFile(path)
+}
+
+// submit ships wire scenario bytes to the platform and, with wait,
+// follows the job on stderr until it settles, then prints its result.
+// Every HTTP request is individually bounded by -timeout.
+func (c *cmd) submit(cl *splay.Remote, data []byte, wait bool) error {
+	ctx, cancel := c.request()
 	job, err := cl.SubmitRaw(ctx, data)
 	cancel()
 	if err != nil {
 		return err
 	}
 	if !wait {
-		return printJSON(job)
+		return c.printJSON(job)
 	}
-	fmt.Fprintf(os.Stderr, "submitted %s (%s), waiting\n", job.ID, job.State)
-	for {
-		time.Sleep(time.Second)
-		pctx, pcancel := context.WithTimeout(context.Background(), timeout)
-		j, err := cl.Job(pctx, job.ID)
-		pcancel()
-		if err != nil {
-			return err
-		}
-		if !j.State.Terminal() {
-			continue
-		}
-		rctx, rcancel := context.WithTimeout(context.Background(), timeout)
-		res, err := cl.Result(rctx, job.ID)
-		rcancel()
-		if err != nil {
-			return err
-		}
-		if err := printJSON(res); err != nil {
-			return err
-		}
-		if res.State != splay.HostDone {
-			return fmt.Errorf("job %s settled as %s: %s", res.ID, res.State, res.Error)
-		}
-		return nil
+	if _, err := c.follow(cl, job.ID, time.Second, c.stderr); err != nil {
+		return err
 	}
+	ctx, cancel = c.request()
+	res, err := cl.Result(ctx, job.ID)
+	cancel()
+	if err != nil {
+		return err
+	}
+	if err := c.printJSON(res); err != nil {
+		return err
+	}
+	return settled(res.ID, res.State, res.Error)
 }
 
-// applyCmd runs a scenario document. Without -host it compiles and
+// apply runs a scenario document. Without -host it compiles and
 // executes the document in-process — the full no-Go path: testbed,
 // deployment, faults, assertions — and prints the deployed jobs plus
 // the aggregated metric view. With -host it compiles client-side and
-// submits the canonical wire bytes to a hosting plane as -key's
-// tenant.
-func applyCmd(args []string) error {
-	fs := flag.NewFlagSet("apply", flag.ExitOnError)
-	hostURL := fs.String("host", "", "submit to this hosting URL instead of running in-process")
-	key := fs.String("key", "", "tenant key (with -host)")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout (with -host)")
-	wait := fs.Bool("wait", false, "poll until the hosted job settles (with -host)")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	path := fs.Arg(0)
+// submits the canonical wire bytes to a platform as -key's tenant.
+func (c *cmd) apply(args []string) error {
+	hostURL := c.fs.String("host", "", "submit to this platform URL instead of running in-process")
+	wait := c.fs.Bool("wait", false, "poll until the hosted job settles (with -host)")
+	if c.fs.Parse(args) != nil {
+		return errUsage
+	}
+	path := c.fs.Arg(0)
 	if path == "" {
-		return fmt.Errorf("need a scenario document (e.g. examples/quickstart/scenario.yaml)")
+		return fmt.Errorf("need a scenario document (e.g. examples/quickstart/scenario.yaml): %w", errUsage)
 	}
 	if *hostURL != "" {
-		if *key == "" {
-			return fmt.Errorf("need a tenant -key with -host")
+		if c.key == "" {
+			return fmt.Errorf("need a tenant -key with -host: %w", errUsage)
 		}
-		data, err := readDoc(path)
+		data, err := c.readScenario(path)
 		if err != nil {
 			return err
 		}
-		if splay.IsConfigDocument(data) {
-			if data, err = splay.CompileConfig(data); err != nil {
-				return err
-			}
-		}
-		return submitData(splay.Connect(*hostURL, *key), data, *timeout, *wait)
+		return c.submit(splay.Connect(*hostURL, c.key), data, *wait)
 	}
 	sc, err := splay.LoadScenarioFile(path)
 	if err != nil {
 		return err
 	}
-	res, err := sc.Run(context.Background())
+	res, err := sc.Run(c.ctx)
 	if res != nil {
 		for _, j := range res.Jobs {
-			fmt.Printf("job %-10s %-8s %d instances\n", j.ID, j.State, len(j.Deployed))
+			fmt.Fprintf(c.stdout, "job %-10s %-8s %d instances\n", j.ID, j.State, len(j.Deployed))
 		}
 		if res.Metrics != nil {
 			frames, bytes := res.Metrics.Received()
-			fmt.Printf("telemetry: %d nodes, %d frames, %d bytes\n",
+			fmt.Fprintf(c.stdout, "telemetry: %d nodes, %d frames, %d bytes\n",
 				res.Metrics.Nodes(), frames, bytes)
-			for _, s := range res.Metrics.Snapshot() {
-				switch s.Kind {
-				case "counter":
-					fmt.Printf("  %-28s %12d\n", s.Name, s.Total)
-				case "gauge":
-					fmt.Printf("  %-28s %12d\n", s.Name, s.Sum)
-				default:
-					fmt.Printf("  %-28s %12d  p50=%d p90=%d\n", s.Name, s.Count, s.P50, s.P90)
-				}
-			}
+			printSeries(c.stdout, res.Metrics.Snapshot())
 		}
 	}
 	return err
 }
 
-// validateCmd type-checks scenario documents against the built-in
-// catalog without running anything; any invalid document makes the
-// exit status non-zero.
-func validateCmd(args []string) error {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	if fs.NArg() == 0 {
-		return fmt.Errorf("need at least one scenario document")
+// validate type-checks scenario documents against the built-in catalog
+// without running anything; any invalid document fails the command.
+func (c *cmd) validate(args []string) error {
+	if c.fs.Parse(args) != nil || c.fs.NArg() == 0 {
+		return fmt.Errorf("need at least one scenario document: %w", errUsage)
 	}
 	bad := 0
-	for _, path := range fs.Args() {
-		data, err := readDoc(path)
+	for _, path := range c.fs.Args() {
+		data, err := c.readDoc(path)
 		if err == nil {
 			err = splay.ValidateConfig(data)
 		}
 		if err != nil {
 			bad++
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+			fmt.Fprintf(c.stderr, "%s: %v\n", path, err)
 			continue
 		}
-		fmt.Printf("%s: ok\n", path)
+		fmt.Fprintf(c.stdout, "%s: ok\n", path)
 	}
 	if bad > 0 {
-		return fmt.Errorf("%d of %d documents invalid", bad, fs.NArg())
+		return fmt.Errorf("%d of %d documents invalid", bad, c.fs.NArg())
 	}
 	return nil
 }
@@ -664,32 +528,12 @@ func catalogCmd(w io.Writer) error {
 	return nil
 }
 
-// readDoc reads one document argument ("-" = stdin).
-func readDoc(path string) ([]byte, error) {
-	if path == "-" {
-		return io.ReadAll(os.Stdin)
-	}
-	return os.ReadFile(path)
-}
-
 // printJSON renders one API object for scripts: indented, stable keys.
-func printJSON(v any) error {
+func (c *cmd) printJSON(v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(out))
-	return nil
-}
-
-func writeJob(w http.ResponseWriter, job *controller.JobStatus) {
-	out := map[string]any{
-		"id": job.ID, "state": job.State.String(), "error": job.Err,
-	}
-	var nodes []string
-	for _, a := range job.Deployed {
-		nodes = append(nodes, a.String())
-	}
-	out["nodes"] = nodes
-	json.NewEncoder(w).Encode(out) //nolint:errcheck
+	_, err = fmt.Fprintln(c.stdout, string(out))
+	return err
 }

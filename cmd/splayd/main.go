@@ -5,27 +5,46 @@
 //
 // Usage:
 //
-//	splayd -controller 127.0.0.1:5555 -name host-a [-tls]
-//	splayd -host [-port 5555] [-http 8080] [-capacity n]
-//	       -tenant alice:ka:100 -tenant bob:kb
+//	splayd -controller 127.0.0.1:5555 -name host-a [-tls] [-reconnect]
+//	       [-metrics 127.0.2.1:5556]
+//	splayd -host [-port 5555] [-http 8080] [-metrics-port 5556]
+//	       [-capacity n] [-operator ko] -tenant alice:ka:100 -tenant bob:kb
 //
-// Host mode is the hosting plane (the paper's §4 splayweb vision): one
-// resident process owns the controller that plain splayd daemons
-// connect to, and serves the multi-tenant HTTP/JSON job API on -http.
-// Tenants (repeatable -tenant name:key[:maxnodes]) authenticate with
-// their key, submit serialized Scenarios (splayctl submit or
-// splay.Connect), and the platform queues, fair-share places, watches
-// and kills their jobs on the shared fleet.
+// Host mode is the platform (the paper's one controller and its §4
+// splayweb front end): the only resident service. One process owns the
+// controller that plain splayd daemons connect to on -port, the metric
+// aggregator they and their instances stream to on -metrics-port, and
+// the one HTTP/JSON surface on -http that splayctl and splay.Connect
+// speak. Tenants (repeatable -tenant name:key[:maxnodes]) authenticate
+// with their key, submit serialized Scenarios, and the platform queues,
+// fair-share places, watches and kills their jobs on the shared fleet.
+// The operator, holding -operator's key, reads the merged /metrics view
+// (the controller's and the service's own instruments appear in it as
+// nodes "ctl" and "host"), counts /daemons and runs fault drills;
+// without -operator those routes refuse everyone. SIGINT/SIGTERM shuts
+// down in order: stop serving, kill every hosted job on the fleet, close
+// the aggregator, drop the daemons.
+//
+// The controller blacklists its own advertised host (-name) for
+// applications, so a daemon whose instances should report (-metrics)
+// names the platform machine by another of its addresses — on loopback,
+// 127.0.2.1 when the platform runs as -name 127.0.0.1.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	splay "github.com/splaykit/splay"
@@ -77,23 +96,44 @@ func main() {
 	maxSockets := flag.Int("max-sockets", 0, "per-app socket limit (0 = unlimited)")
 	maxTx := flag.Int64("max-tx", 0, "per-app lifetime egress bytes (0 = unlimited)")
 	metricsAddr := flag.String("metrics", "", "aggregator address for metric reports (empty disables)")
-	metricsKey := flag.String("metrics-key", "splay", "key presented to the aggregator")
+	metricsKey := flag.String("metrics-key", "splay", "key authenticating metric streams: daemons present it, the platform (host mode) requires it")
 	reconnect := flag.Bool("reconnect", false,
 		"redial the controller with jittered exponential backoff when the session drops")
 	hostMode := flag.Bool("host", false,
 		"run the resident hosting platform (controller + multi-tenant job API) instead of a daemon")
 	hostPort := flag.Int("port", 5555, "daemon connection port (host mode)")
 	httpPort := flag.Int("http", 8080, "hosting API port (host mode)")
+	metricsPort := flag.Int("metrics-port", 5556, "metric aggregator port (host mode)")
+	operatorKey := flag.String("operator", "",
+		"key for the operator routes: /metrics, /daemons, /faults (host mode; empty refuses them)")
 	capacity := flag.Int("capacity", 0,
 		"instance budget for hosted jobs (host mode; 0 sizes it to the live daemon count)")
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "admit a tenant as name:key[:maxnodes] (host mode; repeatable)")
 	flag.Parse()
 
+	rt := core.NewLiveRuntime(time.Now().UnixNano())
+	node := livenet.NewNode(*name)
+	if *useTLS {
+		cfg, err := livenet.SelfSignedTLS(*name)
+		if err != nil {
+			log.Fatalf("splayd: tls: %v", err)
+		}
+		node.TLS = cfg
+	}
+
 	if *hostMode {
-		if err := hostMain(*name, *hostPort, *httpPort, *useTLS, *capacity, tenants); err != nil {
-			log.Printf("splayd -host: %v", err)
-			os.Exit(1)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err := runHost(ctx, rt, node, hostOptions{
+			port: *hostPort, httpPort: *httpPort, metricsPort: *metricsPort, capacity: *capacity,
+			tenants: tenants, operatorKey: *operatorKey, metricsKey: *metricsKey,
+		}, func(ctl, agg transport.Addr, api net.Addr) {
+			log.Printf("splayd -host: daemons connect on %s (tls=%v), metric streams on %s, API on %s (%d tenants)",
+				ctl, *useTLS, agg, api, len(tenants))
+		})
+		stop()
+		if err != nil {
+			log.Fatalf("splayd -host: %v", err)
 		}
 		return
 	}
@@ -110,15 +150,6 @@ func main() {
 			log.Fatalf("splayd: metrics: %v", err)
 		}
 	}
-	rt := core.NewLiveRuntime(time.Now().UnixNano())
-	node := livenet.NewNode(*name)
-	if *useTLS {
-		cfg, err := livenet.SelfSignedTLS(*name)
-		if err != nil {
-			log.Fatalf("splayd: tls: %v", err)
-		}
-		node.TLS = cfg
-	}
 	cfg := daemon.DefaultConfig(*name)
 	cfg.Net = sandbox.NetLimits{MaxSockets: *maxSockets, MaxTxBytes: *maxTx}
 	cfg.Reconnect = *reconnect
@@ -130,31 +161,7 @@ func main() {
 	if *metricsAddr != "" {
 		reg := metrics.NewRegistry()
 		d.SetInstruments(daemon.NewInstruments(reg))
-		go func() {
-			var rep *metrics.Reporter
-			for {
-				var err error
-				rep, err = metrics.DialReporter(node, maddr, reg,
-					metrics.ReporterConfig{Key: *metricsKey, Node: *name})
-				if err == nil {
-					break
-				}
-				log.Printf("splayd: metrics: %v (retrying in 30s)", err)
-				time.Sleep(30 * time.Second)
-			}
-			for {
-				time.Sleep(5 * time.Second)
-				if err := rep.Flush(); err != nil {
-					// Reconnect keeps the delta state: the stream resumes
-					// with increments, never re-shipping lifetime totals.
-					log.Printf("splayd: metrics: %v (redialing)", err)
-					if err := rep.Reconnect(); err != nil {
-						log.Printf("splayd: metrics: %v (retrying in 30s)", err)
-						time.Sleep(30 * time.Second)
-					}
-				}
-			}
-		}()
+		go report(context.Background(), node, maddr, reg, *metricsKey, *name)
 	}
 
 	for {
@@ -219,40 +226,114 @@ func (o *instanceObserver) StartReporting() error {
 	return nil
 }
 
-// hostMain runs the hosting plane: a controller that plain splayd
-// daemons connect to, wrapped by the multi-tenant hosting service and
-// its HTTP/JSON API. The app registry lives in the daemons (hosted
-// submissions reference built-ins by name), so the platform itself
-// deploys nothing.
-func hostMain(name string, port, httpPort int, useTLS bool, capacity int, tenants []hosting.Tenant) error {
-	if len(tenants) == 0 {
-		return fmt.Errorf("admit at least one -tenant name:key")
-	}
-	rt := core.NewLiveRuntime(time.Now().UnixNano())
-	node := livenet.NewNode(name)
-	if useTLS {
-		cfg, err := livenet.SelfSignedTLS(name)
-		if err != nil {
-			return fmt.Errorf("tls: %w", err)
+// report streams reg to the aggregator at addr as the named node until
+// ctx ends, one flush per 5 s period. A failed dial is retried next
+// period; a failed flush redials at once — Reconnect keeps the delta
+// state, so the stream resumes with increments, never re-shipping
+// lifetime totals.
+func report(ctx context.Context, node transport.Node, addr transport.Addr, reg *metrics.Registry, key, name string) {
+	var rep *metrics.Reporter
+	var err error
+	for {
+		if rep == nil {
+			rep, err = metrics.DialReporter(node, addr, reg, metrics.ReporterConfig{Key: key, Node: name})
+		} else if err = rep.Flush(); err != nil {
+			err = rep.Reconnect()
 		}
-		node.TLS = cfg
+		if err != nil {
+			log.Printf("splayd: metrics: %v (retrying)", err)
+		}
+		select {
+		case <-time.After(5 * time.Second):
+		case <-ctx.Done():
+			if rep != nil {
+				rep.Close() //nolint:errcheck // nothing left to flush to
+			}
+			return
+		}
+	}
+}
+
+// hostOptions is host mode's share of the command line.
+type hostOptions struct {
+	port, httpPort, metricsPort int
+	capacity                    int
+	tenants                     []hosting.Tenant
+	operatorKey, metricsKey     string
+}
+
+// runHost runs the platform until ctx ends: a controller that plain
+// splayd daemons connect to, the metric aggregator, and the multi-tenant
+// hosting service behind the one HTTP surface. The app registry lives in
+// the daemons (hosted submissions reference built-ins by name), so the
+// platform itself deploys nothing. up is told the bound addresses once
+// everything listens. On cancel it stops serving, kills every live job —
+// which stops its instances on the fleet — and only then lets go of the
+// aggregator and the daemons.
+func runHost(ctx context.Context, rt core.Runtime, node transport.Node, o hostOptions, up func(ctl, agg transport.Addr, api net.Addr)) error {
+	if len(o.tenants) == 0 {
+		return errors.New("admit at least one -tenant name:key")
 	}
 	cfg := controller.DefaultConfig()
-	cfg.Port = port
+	cfg.Port = o.port
 	ctl := controller.New(rt, node, cfg)
+	ctlReg, hostReg := metrics.NewRegistry(), metrics.NewRegistry()
+	ctl.SetInstruments(controller.NewInstruments(ctlReg))
 	if err := ctl.Start(); err != nil {
 		return err
 	}
+	defer ctl.Stop()
+	agg, err := metrics.NewAggregator(node, o.metricsPort, func(fn func()) { go fn() })
+	if err != nil {
+		return fmt.Errorf("aggregator: %w", err)
+	}
+	defer agg.Close()
+	agg.Authorize(o.metricsKey)
 	// Admission validates every submission — wire JSON or a config
 	// document — against the built-in app catalog: unknown apps and
 	// out-of-range params bounce as bad_scenario before queuing.
-	svc := hosting.New(rt, ctl, hosting.Config{Capacity: capacity, Catalog: config.Builtins()})
-	for _, t := range tenants {
+	svc := hosting.New(rt, ctl, hosting.Config{
+		Capacity: o.capacity, Catalog: config.Builtins(), Metrics: hostReg,
+		OperatorKey: o.operatorKey, Aggregator: agg,
+	})
+	defer svc.Close()
+	for _, t := range o.tenants {
 		if err := svc.AddTenant(t); err != nil {
 			return err
 		}
 	}
-	log.Printf("splayd -host: daemons connect on %s (tls=%v); job API on :%d (%d tenants)",
-		ctl.Addr(), useTLS, httpPort, len(tenants))
-	return http.ListenAndServe(fmt.Sprintf(":%d", httpPort), svc.Handler())
+	// The platform's own instruments ride the collection plane like every
+	// daemon's and instance's, so /metrics is one merged view.
+	rctx, stopReports := context.WithCancel(ctx)
+	var reports sync.WaitGroup
+	defer reports.Wait()
+	defer stopReports()
+	for name, reg := range map[string]*metrics.Registry{"ctl": ctlReg, "host": hostReg} {
+		reports.Add(1)
+		go func() {
+			defer reports.Done()
+			report(rctx, node, agg.Addr(), reg, o.metricsKey, name)
+		}()
+	}
+
+	ln, err := net.Listen("tcp", fmt.Sprintf(":%d", o.httpPort))
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	up(ctl.Addr(), agg.Addr(), ln.Addr())
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		srv.Close() //nolint:errcheck // a request outlived the grace period; cut it
+	}
+	<-served // http.ErrServerClosed
+	return nil
 }

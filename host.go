@@ -8,7 +8,7 @@ package splay
 // jobs on the session's shared population. The same service runs over
 // a simulated fleet in virtual time (the hostplane experiment) and
 // over a live one behind splayd -host, whose HTTP API splay.Connect
-// and splayctl submit/jobs/watch/kill speak.
+// and splayctl speak.
 
 import (
 	"errors"
@@ -71,6 +71,10 @@ type HostConfig struct {
 	// wire JSON unvalidated and declines documents; BuiltinCatalog()
 	// is the usual choice.
 	Catalog *Catalog
+	// OperatorKey authenticates the handler's operator routes
+	// (GET /metrics over the session's aggregator, GET /daemons,
+	// POST /faults/inject, POST /faults/heal). Empty refuses them all.
+	OperatorKey string
 }
 
 // Host is a session's resident hosting plane.
@@ -97,6 +101,8 @@ func (s *Session) Host(cfg HostConfig) (*Host, error) {
 		DefaultDuration: cfg.DefaultDuration,
 		MaxDuration:     cfg.MaxDuration,
 		Catalog:         cfg.Catalog,
+		OperatorKey:     cfg.OperatorKey,
+		Aggregator:      s.agg,
 	}
 	var reg *metrics.Registry
 	if s.collect != nil {
@@ -148,9 +154,11 @@ func (h *Host) Kill(key, id string) error { return h.svc.Kill(key, id) }
 // Usage reports the tenant's accounting.
 func (h *Host) Usage(key, tenant string) (HostUsage, error) { return h.svc.Usage(key, tenant) }
 
-// Handler exposes the hosting plane's HTTP/JSON API (POST /jobs,
-// GET /jobs/{id}, GET /jobs/{id}/result, DELETE /jobs/{id},
-// GET /tenants/{t}/usage), authenticated per tenant key.
+// Handler exposes the hosting plane's HTTP/JSON API — the handler
+// splayd -host serves: the tenant routes (POST /jobs, GET /jobs/{id},
+// GET /jobs/{id}/result, DELETE /jobs/{id}, GET /tenants/{t}/usage)
+// authenticated per tenant key, and the operator routes behind
+// HostConfig.OperatorKey.
 func (h *Host) Handler() http.Handler { return h.svc.Handler() }
 
 // Close stops admissions and kills every live job. On a simulated

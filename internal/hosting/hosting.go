@@ -8,7 +8,7 @@
 // re-placement on deploy failure and the sandbox caps carried by each
 // app spec.
 //
-// The service is built over core.Runtime and a Fleet interface, so the
+// The service is built over core.Runtime and the controller, so the
 // same state machine runs in virtual time on a simulated fleet (the
 // hostplane experiment drives ≥3 tenants over 5,000 simulated daemons)
 // and in real time behind splayd -host.
@@ -34,17 +34,6 @@ import (
 	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/wire"
 )
-
-// Fleet is the shared daemon population jobs are placed onto.
-// *controller.Controller implements it.
-type Fleet interface {
-	Submit(controller.JobSpec) (*controller.JobStatus, error)
-	StopJob(id string) error
-	Daemons() int
-	FramesSent() int64
-}
-
-var _ Fleet = (*controller.Controller)(nil)
 
 // Quota bounds one tenant's share of the platform. Zero fields are
 // unlimited.
@@ -87,6 +76,14 @@ type Config struct {
 	// canonical wire form JSON submissions arrive in. Nil skips
 	// validation and declines documents.
 	Catalog *config.Catalog
+	// OperatorKey authenticates the operator routes (GET /metrics,
+	// GET /daemons, POST /faults/inject, POST /faults/heal). Empty
+	// refuses them all: fault injection is never reachable
+	// unauthenticated on a multi-tenant port.
+	OperatorKey string
+	// Aggregator is the collection plane GET /metrics renders. Nil
+	// serves an empty view.
+	Aggregator *metrics.Aggregator
 }
 
 // ErrorCode classifies a JobError.
@@ -102,6 +99,7 @@ const (
 	ErrPending     ErrorCode = "pending"      // result requested before the job finished
 	ErrDeploy      ErrorCode = "deploy"       // placement failed after all attempts
 	ErrClosed      ErrorCode = "closed"       // service shut down
+	ErrBadRequest  ErrorCode = "bad_request"  // operator request did not parse or selects nothing
 )
 
 // JobError is the typed error every hosting operation returns. Field
@@ -190,7 +188,7 @@ type job struct {
 // Service is the resident hosting plane.
 type Service struct {
 	rt    core.Runtime
-	fleet Fleet
+	fleet *controller.Controller // the shared daemon population jobs are placed onto
 	cfg   Config
 
 	mu        sync.Mutex
@@ -205,9 +203,9 @@ type Service struct {
 	rejects *metrics.Counter
 }
 
-// New builds a service over a runtime and a fleet. Add tenants with
-// AddTenant before serving submissions.
-func New(rt core.Runtime, fleet Fleet, cfg Config) *Service {
+// New builds a service over a runtime and the fleet's controller. Add
+// tenants with AddTenant before serving submissions.
+func New(rt core.Runtime, fleet *controller.Controller, cfg Config) *Service {
 	if cfg.DeployAttempts == 0 {
 		cfg.DeployAttempts = 2
 	}

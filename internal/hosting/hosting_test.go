@@ -44,6 +44,13 @@ type simFleet struct {
 // runs until everyone registered, and returns the fleet.
 func newSimFleet(t *testing.T, n int) *simFleet {
 	t.Helper()
+	return newSimFleetOf(t, n, false)
+}
+
+// newSimFleetOf is newSimFleet with the daemons' -reconnect choice: a
+// reconnecting daemon redials a dropped control session with backoff.
+func newSimFleetOf(t *testing.T, n int, reconnect bool) *simFleet {
+	t.Helper()
 	k := sim.NewKernel()
 	nw := simnet.New(k, simnet.Symmetric{RTT: 30 * time.Millisecond}, n+1, 1)
 	rt := core.NewSimRuntime(k, 1)
@@ -56,7 +63,9 @@ func newSimFleet(t *testing.T, n int) *simFleet {
 	})
 	ctlAddr := transport.Addr{Host: "n0", Port: controller.DefaultConfig().Port}
 	for i := 1; i <= n; i++ {
-		d := daemon.New(rt, nw.Node(i), reg, daemon.DefaultConfig(simnet.HostName(i)), nil)
+		dcfg := daemon.DefaultConfig(simnet.HostName(i))
+		dcfg.Reconnect = reconnect
+		d := daemon.New(rt, nw.Node(i), reg, dcfg, nil)
 		k.GoAfter(time.Duration(i)*100*time.Millisecond, func() {
 			if err := d.Connect(ctlAddr); err != nil {
 				t.Errorf("daemon connect: %v", err)

@@ -1,6 +1,6 @@
 // Package livenet implements the transport abstraction over the real
-// network (standard library net), used by the splayctl/splayd executables
-// and the quickstart example. An optional TLS mode secures the
+// network (standard library net), used by the splayd executable and live
+// Scenarios (the quickstart example). An optional TLS mode secures the
 // daemon↔controller link with an in-memory self-signed certificate,
 // standing in for the paper's SSL deployment.
 package livenet

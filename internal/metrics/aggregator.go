@@ -15,8 +15,8 @@ import (
 // the paper's log collector, and merges each node's delta reports into
 // live population views — merged counter totals, per-node gauge
 // values, and summed histogram buckets that rank statistics read
-// through stats.Sorted. Everything a query surface needs (splayctl's
-// /metrics endpoint, the obsplane experiment's in-flight rows) comes
+// through stats.Sorted. Everything a query surface needs (the platform's
+// /metrics route, the obsplane experiment's in-flight rows) comes
 // from one snapshot under one mutex, with deterministic iteration
 // order so simulated runs stay bit-stable.
 type Aggregator struct {
@@ -383,7 +383,7 @@ type SeriesSnapshot struct {
 }
 
 // Snapshot returns every series' merged view in first-seen order —
-// the payload behind splayctl's /metrics endpoint and watch loop.
+// the payload behind the platform's /metrics route and splayctl watch.
 func (a *Aggregator) Snapshot() []SeriesSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -32,8 +32,9 @@
 // Entry points:
 //   - Scenario / Session / Env: the authoring and deployment SDK.
 //   - The experiments package: every figure/table of the paper.
-//   - cmd/splayctl, cmd/splayd, cmd/splay: the distributed deployment
-//     chain for real multi-host testbeds.
+//   - cmd/splayd, cmd/splayctl: the distributed deployment chain for
+//     real multi-host testbeds — daemons, the resident platform
+//     (splayd -host), and its client.
 //
 // See DESIGN.md for architecture and EXPERIMENTS.md for the recorded
 // reproduction results.
