@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,20 +37,33 @@ type ParKernel struct {
 	running bool
 
 	// windowEnd is the current round's barrier time. It is written by the
-	// coordinator between rounds and read by Post during rounds (the worker
-	// channel handoff publishes it); 0 between runs, so out-of-run posts are
-	// never rejected.
+	// coordinator between rounds and read by Post during rounds (the epoch
+	// bump publishes it); 0 between runs, so out-of-run posts are never
+	// rejected.
 	windowEnd int64
 
 	out []outbox // per source partition, appended by that partition's worker
 	in  [][]xev  // per destination partition, coordinator merge scratch
 
-	// Worker pool: channels live for the ParKernel's lifetime, goroutines
-	// only for the duration of one Run (parked goroutines would pin the
-	// kernel forever, mirroring drainTaskPool's reasoning).
-	wchans  []chan int64
-	wcounts []uint64
-	wg      sync.WaitGroup
+	// The window barrier. ws[0] is the coordinator — the goroutine driving
+	// the run, which executes worker 0's partitions itself — and ws[1:] the
+	// helpers, goroutines that live only for the duration of one run (parked
+	// goroutines would pin the kernel forever, mirroring drainTaskPool's
+	// reasoning). A round is published by storing last and bumping epoch;
+	// each helper counts pending down when its share is done. spin is this
+	// run's polling budget before a waiter parks. epoch and pending get a
+	// cache line each: one side polls them while the other writes the
+	// fields around them.
+	ws      []worker
+	spin    int
+	_       [64]byte
+	epoch   atomic.Int64
+	last    int64
+	_       [48]byte
+	pending atomic.Int64
+	_       [56]byte
+
+	stats ParStats // Events is filled in by Stats
 
 	// barrierHook, when set, runs on the coordinator between lookahead
 	// windows — after the barrier merge, before the next round starts. It
@@ -124,13 +139,9 @@ func NewParKernel(parts, workers int, lookahead time.Duration) *ParKernel {
 // every partition inline on the driver. Tests also call it between runs, to
 // resume parked tasks from goroutines that did not create their coroutines.
 func (pk *ParKernel) setWorkers(workers int) {
-	pk.workers, pk.wchans, pk.wcounts = workers, nil, nil
-	if workers > 1 {
-		pk.wchans = make([]chan int64, workers)
-		for i := range pk.wchans {
-			pk.wchans[i] = make(chan int64)
-		}
-		pk.wcounts = make([]uint64, workers)
+	pk.workers, pk.ws = workers, make([]worker, workers)
+	for i := range pk.ws {
+		pk.ws[i].wake = make(chan struct{}, 1)
 	}
 }
 
@@ -210,6 +221,29 @@ func (pk *ParKernel) Events() uint64 {
 	return n
 }
 
+// ParStats is what a ParKernel counted about its own runs since it was
+// created: plain counters kept by the coordinator, no clock reads. With one
+// worker there is no barrier to wait at, so the park counts stay 0; with one
+// partition there are no rounds either.
+type ParStats struct {
+	Rounds      uint64   // lookahead windows executed
+	CrossPosts  uint64   // cross-partition events merged at barriers
+	CoordParks  uint64   // rounds in which the coordinator out-waited its spin budget and slept
+	HelperParks uint64   // the same for helpers, one count per helper and round
+	Events      []uint64 // events executed, per partition
+}
+
+// Stats returns the kernel's self-counters. Call it between runs or from a
+// barrier hook.
+func (pk *ParKernel) Stats() ParStats {
+	st := pk.stats
+	st.Events = make([]uint64, len(pk.subs))
+	for i, s := range pk.subs {
+		st.Events[i] = s.events
+	}
+	return st
+}
+
 // Tasks returns the number of live cooperative tasks across all partitions.
 func (pk *ParKernel) Tasks() int {
 	n := 0
@@ -245,6 +279,7 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 	pk.running = true
 	defer func() {
 		pk.running = false
+		pk.windowEnd = 0
 		for _, s := range pk.subs {
 			s.leaveTask()
 		}
@@ -265,7 +300,28 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 		return pk.subs[0].run(limitNS, bounded)
 	}
 
-	pk.startWorkers()
+	n := pk.runWindows(limitNS, bounded)
+	// Posts from the final round are future events: queue them for the next
+	// run before the outboxes go quiet.
+	pk.mergeCross()
+
+	for _, s := range pk.subs {
+		if bounded && !pk.halted && limitNS > s.nowNS {
+			s.setNow(limitNS)
+		}
+		if s.wq.size() == 0 {
+			s.drainTaskPool()
+		}
+	}
+	return n
+}
+
+// runWindows is the lookahead loop of one run: helpers up, rounds until the
+// queues drain, the limit is reached or a partition halts, helpers retired —
+// also when a round panics, so no goroutine outlives the run.
+func (pk *ParKernel) runWindows(limitNS int64, bounded bool) uint64 {
+	pk.startHelpers()
+	defer pk.retireHelpers()
 	var n uint64
 	for !pk.halted {
 		pk.mergeCross()
@@ -294,84 +350,213 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 			pk.barrierHook()
 		}
 	}
-	// Posts from the final round are future events: queue them for the next
-	// run before the outboxes go quiet.
-	pk.mergeCross()
-	pk.windowEnd = 0
-	pk.stopWorkers()
-
-	for _, s := range pk.subs {
-		if bounded && !pk.halted && limitNS > s.nowNS {
-			s.setNow(limitNS)
-		}
-		if s.wq.size() == 0 {
-			s.drainTaskPool()
-		}
-	}
 	return n
 }
 
-// runRound executes one lookahead window on every partition: inline when
-// single-threaded, fanned out over the worker pool otherwise. Partition j is
-// always executed by worker j mod W, so each outbox has exactly one writer.
+// Spin-then-park: a waiter polls the value it waits for spinBudget times
+// (≈ 3 ns a poll, so ≈ 0.4 ms), yielding the processor every spinYield
+// polls, before it parks on its wake channel. A round of a few dozen events
+// lasts tens of microseconds; a futex sleep and wake-up costs as much again,
+// and several times that on a virtual CPU, which the hypervisor takes back
+// while it idles — so a waiter that parks at once more than doubles the cost
+// of every round. The budget covers the imbalance between the shares of an
+// ordinary round (on the bench's chord_plain 1 % of the helper's waits
+// outlast it, 37 % outlast an eighth of it); what does outlast it — a GC
+// cycle, a descheduled thread, an outsized event — is worth sleeping through.
+const (
+	spinBudget = 1 << 17
+	spinYield  = 1 << 8
+)
+
+// retireRound is the round limit that tells a helper to exit.
+const retireRound = math.MinInt64
+
+// worker is one side of the window barrier: ws[0] the coordinator, the rest
+// helpers. Padded so a helper publishing its round result does not share a
+// cache line with its neighbour's parked flag.
+type worker struct {
+	parked atomic.Bool
+	wake   chan struct{} // buffered 1: unpark never blocks
+
+	// Written by the helper during a round, read by the coordinator after
+	// the barrier (the pending countdown orders the two).
+	n     uint64       // events executed this round
+	slept bool         // parked while waiting for this round
+	fault *workerPanic // set once; the helper's goroutine is gone
+	_     [24]byte
+}
+
+// await returns once v holds want, and reports whether it had to park. The
+// parked flag is raised before the final re-check and whoever lowers it —
+// the waiter itself or unpark — settles who owes the wake-up, so none is
+// lost. A wake-up owed for an earlier wait can arrive late; hence the loop.
+func (w *worker) await(v *atomic.Int64, want int64, spin int) (slept bool) {
+	for i := 0; i < spin; i++ {
+		if v.Load() == want {
+			return false
+		}
+		if i%spinYield == spinYield-1 {
+			runtime.Gosched()
+		}
+	}
+	for v.Load() != want {
+		w.parked.Store(true)
+		if v.Load() == want && w.parked.CompareAndSwap(true, false) {
+			break
+		}
+		<-w.wake
+		slept = true
+	}
+	return slept
+}
+
+// unpark wakes w if it is parked or about to park. Call it after storing the
+// value w awaits.
+func (w *worker) unpark() {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
+}
+
+// workerPanic carries a panic (or runtime.Goexit: value nil) out of a helper
+// goroutine to the goroutine driving the run, which re-panics with it: a
+// failing event is recoverable by the caller whichever worker owns its
+// partition, and an unrecovered one prints the stack it actually came from.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	v := p.value
+	if v == nil {
+		v = "runtime.Goexit called"
+	}
+	return fmt.Sprintf("%v\n\nsim: on a ParKernel helper goroutine:\n%s", v, p.stack)
+}
+
+// runRound executes one lookahead window on every partition. Partition j is
+// always executed by worker j mod W, so each outbox has exactly one writer;
+// the coordinator is worker 0, and with one worker it runs everything.
 func (pk *ParKernel) runRound(last int64) uint64 {
-	if pk.wchans == nil {
-		var n uint64
-		for _, s := range pk.subs {
-			n += s.runWindow(last)
+	pk.stats.Rounds++
+	if pk.workers == 1 {
+		return pk.runShare(0, last)
+	}
+	pk.publish(last, pk.workers-1)
+	n := pk.runShare(0, last)
+	if pk.awaitHelpers() {
+		pk.stats.CoordParks++
+	}
+	for i := 1; i < len(pk.ws); i++ {
+		h := &pk.ws[i]
+		if h.fault != nil {
+			panic(h.fault)
 		}
-		return n
-	}
-	pk.wg.Add(len(pk.wchans))
-	for _, c := range pk.wchans {
-		c <- last
-	}
-	pk.wg.Wait()
-	var n uint64
-	for i := range pk.wcounts {
-		n += pk.wcounts[i]
+		if h.slept {
+			pk.stats.HelperParks++
+		}
+		n += h.n
 	}
 	return n
 }
 
-// workerLoop is one pool worker: it owns partitions i, i+W, i+2W, ... for
-// every round of the current run. A math.MinInt64 sentinel retires it.
-func (pk *ParKernel) workerLoop(i int) {
+// runShare executes worker i's partitions — i, i+W, i+2W, ... — up to last.
+func (pk *ParKernel) runShare(i int, last int64) (n uint64) {
+	for j := i; j < len(pk.subs); j += pk.workers {
+		n += pk.subs[j].runWindow(last)
+	}
+	return n
+}
+
+// publish starts a round for the given number of helpers: everything the
+// coordinator wrote before the epoch bump is visible to a helper that has
+// seen the new epoch.
+func (pk *ParKernel) publish(last int64, helpers int) {
+	pk.pending.Store(int64(helpers))
+	pk.last = last
+	pk.epoch.Add(1)
+	for i := 1; i < len(pk.ws); i++ {
+		pk.ws[i].unpark()
+	}
+}
+
+// awaitHelpers blocks the coordinator until every helper of the published
+// round has arrived, and reports whether it had to park.
+func (pk *ParKernel) awaitHelpers() bool {
+	return pk.ws[0].await(&pk.pending, 0, pk.spin)
+}
+
+// arrive is a helper's end of round; the last one in wakes the coordinator.
+// The retire round's arrival is the last thing a helper does, possibly after
+// the run has returned, so it reaches the coordinator through a pointer taken
+// while the run was live and touches nothing a later setWorkers replaces.
+func (pk *ParKernel) arrive(coord *worker) {
+	if pk.pending.Add(-1) == 0 {
+		coord.unpark()
+	}
+}
+
+// workerLoop is helper i: it runs worker i's share of every round published
+// after epoch, until the retire round. A panic or runtime.Goexit unwinding
+// out of its share is left in fault for the coordinator to re-raise; the
+// helper still arrives, so the barrier completes, and is then gone.
+func (pk *ParKernel) workerLoop(i int, epoch int64) {
+	h, coord := &pk.ws[i], &pk.ws[0]
+	retired := false
+	defer func() {
+		if !retired {
+			h.fault = &workerPanic{value: recover(), stack: debug.Stack()}
+		}
+		pk.arrive(coord)
+	}()
 	for {
-		last := <-pk.wchans[i]
-		if last == math.MinInt64 {
-			pk.wg.Done()
+		epoch++
+		h.slept = h.await(&pk.epoch, epoch, pk.spin)
+		last := pk.last
+		if last == retireRound {
+			retired = true
 			return
 		}
-		var n uint64
-		for j := i; j < len(pk.subs); j += pk.workers {
-			n += pk.subs[j].runWindow(last)
-		}
-		pk.wcounts[i] = n
-		pk.wg.Done()
+		h.n = pk.runShare(i, last)
+		pk.arrive(coord)
 	}
 }
 
-// startWorkers spawns the pool goroutines for one run. They are retired at
-// run exit so an abandoned ParKernel is collectable (parked goroutines on a
-// reachable channel never are).
-func (pk *ParKernel) startWorkers() {
-	for i := range pk.wchans {
-		go pk.workerLoop(i)
+// startHelpers spawns the helper goroutines for one run and fixes its spin
+// budget: with more workers than processors a spinning waiter would only
+// keep the worker it waits for off the CPU, so everyone parks at once.
+func (pk *ParKernel) startHelpers() {
+	pk.spin = spinBudget
+	if pk.workers > runtime.GOMAXPROCS(0) {
+		pk.spin = 0
+	}
+	for i := 1; i < pk.workers; i++ {
+		pk.ws[i].fault = nil
+		go pk.workerLoop(i, pk.epoch.Load())
 	}
 }
 
-// stopWorkers retires the pool goroutines and waits for them to exit, so the
-// next run's pool never races this one's on the round channels.
-func (pk *ParKernel) stopWorkers() {
-	if pk.wchans == nil {
+// retireHelpers ends the run's helper goroutines and waits until the last
+// one has let go of the kernel, so an abandoned ParKernel is collectable
+// (goroutines parked on a reachable channel never are) and the next run's
+// helpers never meet this one's. It runs deferred: when the coordinator's
+// own share panicked the helpers may still be inside that round.
+func (pk *ParKernel) retireHelpers() {
+	if pk.workers == 1 {
 		return
 	}
-	pk.wg.Add(len(pk.wchans))
-	for _, c := range pk.wchans {
-		c <- math.MinInt64
+	pk.awaitHelpers()
+	live := 0
+	for i := 1; i < len(pk.ws); i++ {
+		if pk.ws[i].fault == nil {
+			live++
+		}
 	}
-	pk.wg.Wait()
+	if live > 0 {
+		pk.publish(retireRound, live)
+		pk.awaitHelpers()
+	}
 }
 
 // mergeCross drains every outbox, sorts each destination's incoming events
@@ -387,6 +572,7 @@ func (pk *ParKernel) mergeCross() {
 	}
 	for s := range pk.out {
 		o := &pk.out[s]
+		pk.stats.CrossPosts += uint64(len(o.evs))
 		for i := range o.evs {
 			e := o.evs[i]
 			o.evs[i].run = nil // keep retained capacity from pinning closures

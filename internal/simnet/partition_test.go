@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -137,7 +138,8 @@ func TestPartitionedWorkerNeutrality(t *testing.T) {
 	if !strings.Contains(trace1, "echo") || !strings.Contains(trace1, "dgram") {
 		t.Fatalf("workload traced nothing useful:\n%s", trace1)
 	}
-	for _, w := range []int{2, 4} {
+	check := func(w int) {
+		t.Helper()
 		trace, stats, since, ev := partitionedWorkload(t, 4, w)
 		if trace != trace1 {
 			t.Errorf("workers=%d trace differs from workers=1:\n--- w1 ---\n%s\n--- w%d ---\n%s", w, trace1, w, trace)
@@ -149,6 +151,13 @@ func TestPartitionedWorkerNeutrality(t *testing.T) {
 			t.Errorf("workers=%d clock/events (%s, %d) != (%s, %d)", w, since, ev, since1, ev1)
 		}
 	}
+	for _, w := range []int{2, 4} {
+		check(w)
+	}
+	// More workers than processors: the kernel's barrier parks instead of
+	// spinning.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check(4)
 }
 
 // TestPartitionedSeedSensitivity guards against the neutrality test passing

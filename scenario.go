@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -130,10 +131,12 @@ type Scenario struct {
 	// GOMAXPROCS (invariant 9, DESIGN.md). Plain scenarios at large
 	// populations provision a sharded kernel — the partition count comes
 	// from autoParts, a pure function of the host population, so the
-	// schedule can never depend on Workers — and 0 gives every partition
-	// its own thread. Small populations and scenarios with collection,
-	// logging, faults, assertions or churn run a single partition, where
-	// extra workers are parked.
+	// schedule can never depend on Workers — and 0 means
+	// min(partitions, GOMAXPROCS): a thread per partition as far as the
+	// machine has processors for them, every partition inline on the
+	// caller's goroutine when it has one. Small populations, PlanetLab
+	// testbeds and scenarios with collection, logging, faults, assertions
+	// or churn run a single partition, where Workers changes nothing.
 	Workers int
 }
 
@@ -282,10 +285,13 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	// Workers — invariant 9), restricted to plain scenarios. Collection,
 	// logging, faults, assertions and churn keep their single-partition
 	// planes: the aggregator, fault actuators, shared loggers and the
-	// churn executor all assume one kernel owns every host.
+	// churn executor all assume one kernel owns every host. So does a
+	// testbed's processing-delay hook (PlanetLab): it draws every host's
+	// jitter from one stream, which partitions would consume in thread
+	// order — a data race, and a result that depends on the machine.
 	parts := 1
 	lookahead := time.Duration(0)
-	if !collecting && sc.Collect.Logs == nil && sc.Faults.Empty() && len(sc.Assert) == 0 && !churned {
+	if !collecting && sc.Collect.Logs == nil && sc.Faults.Empty() && len(sc.Assert) == 0 && !churned && proc == nil {
 		if p := autoParts(total); p > 1 {
 			if md, ok := model.(simnet.MinDelayModel); ok && md.MinDelay() > 0 {
 				parts, lookahead = p, md.MinDelay()
@@ -294,7 +300,9 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	}
 	workers := sc.Workers
 	if workers == 0 {
-		workers = parts // auto: one thread per partition
+		// Auto: a thread per partition, but never more threads than
+		// processors — they would only take turns at the window barrier.
+		workers = min(parts, runtime.GOMAXPROCS(0))
 	}
 	s.pk = sim.NewParKernel(parts, workers, lookahead)
 	s.k = s.pk.Sub(0)
@@ -886,6 +894,23 @@ func (s *Session) Partitions() int {
 		return 0
 	}
 	return s.pk.Parts()
+}
+
+// KernelStats is what the simulated kernel counted about its own runs:
+// lookahead rounds, cross-partition posts merged at barriers, how often
+// the coordinator and the helper threads slept at a barrier instead of
+// spinning through it, and events per partition. Plain counters that
+// observe the run without entering it (invariant 6) — the park counts
+// depend on the machine, nothing in a Result does.
+type KernelStats = sim.ParStats
+
+// KernelStats returns the simulated kernel's self-counters so far; the
+// zero value on live testbeds.
+func (s *Session) KernelStats() KernelStats {
+	if s.pk == nil {
+		return KernelStats{}
+	}
+	return s.pk.Stats()
 }
 
 // Daemons reports the connected daemon population (under churn, where

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -178,20 +179,21 @@ func TestScenarioWorkerNeutrality(t *testing.T) {
 // TestScenarioAutoPartition pins the testbed partitioning contract: a
 // plain scenario past the population threshold provisions a sharded
 // kernel (P > 1, chosen from the host count alone), and the choice is
-// schedule-visible only via P — Workers, including 0 for "one thread
-// per partition", never changes a result byte.
+// schedule-visible only via P — Workers, including 0 for "as many
+// threads as partitions and processors allow", never changes a result
+// byte, and neither does GOMAXPROCS.
 func TestScenarioAutoPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2k-host population")
 	}
-	t.Parallel()
+	// Not parallel: it sets GOMAXPROCS, which is the whole process's.
 	type outcome struct {
 		parts  int
 		state  splay.JobState
 		placed string
 		now    time.Time
 	}
-	runAt := func(workers int) outcome {
+	runAt := func(workers int) (outcome, splay.KernelStats) {
 		sc := splay.Scenario{
 			Seed:    13,
 			Workers: workers,
@@ -221,19 +223,66 @@ func TestScenarioAutoPartition(t *testing.T) {
 			state:  job.State,
 			placed: strings.Join(placed, ","),
 			now:    sess.Now(),
-		}
+		}, sess.KernelStats()
 	}
-	ref := runAt(0)
-	if ref.parts < 2 {
-		t.Fatalf("partitions = %d at 2048 hosts, want > 1", ref.parts)
+	ref, stats := runAt(0)
+	if ref.parts != 2 {
+		t.Fatalf("partitions = %d at 2048 hosts, want 2", ref.parts)
 	}
 	if ref.placed == "" {
 		t.Fatal("no instances placed")
 	}
+	if stats.Rounds == 0 || len(stats.Events) != 2 || stats.Events[0] == 0 || stats.Events[1] == 0 {
+		t.Errorf("kernel stats of a two-partition run: %+v", stats)
+	}
 	for _, w := range []int{1, 4} {
-		if got := runAt(w); got != ref {
+		if got, _ := runAt(w); got != ref {
 			t.Errorf("Workers=%d changed the result:\n got  %+v\n want %+v", w, got, ref)
 		}
+	}
+	// Workers: 0 follows the machine — one processor runs both partitions
+	// inline and never waits at a barrier, two get a thread each — and the
+	// machine never reaches the result.
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, stats := runAt(0)
+		runtime.GOMAXPROCS(prev)
+		if got != ref {
+			t.Errorf("GOMAXPROCS=%d changed the result:\n got  %+v\n want %+v", procs, got, ref)
+		}
+		if procs == 1 && stats.CoordParks+stats.HelperParks != 0 {
+			t.Errorf("GOMAXPROCS=1, Workers=0: %d barrier parks, want none (every partition inline)", stats.CoordParks+stats.HelperParks)
+		}
+	}
+	// More workers than processors: every barrier wait parks.
+	prev := runtime.GOMAXPROCS(1)
+	got, stats := runAt(4)
+	runtime.GOMAXPROCS(prev)
+	if got != ref {
+		t.Errorf("GOMAXPROCS=1, Workers=4 changed the result:\n got  %+v\n want %+v", got, ref)
+	}
+	if stats.CoordParks == 0 {
+		t.Errorf("GOMAXPROCS=1, Workers=4: no barrier parks in %d rounds", stats.Rounds)
+	}
+}
+
+// TestScenarioProcDelayTestbedStaysUnsharded: PlanetLab's processing-delay
+// hook draws every host's jitter from one stream, so a population that
+// would otherwise shard keeps one partition — partitions consuming that
+// stream concurrently would race, and the result would depend on thread
+// order (at 5,000 daemons the ctlplane experiment lost instances that way).
+func TestScenarioProcDelayTestbedStaysUnsharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2k-host population")
+	}
+	t.Parallel()
+	sess, err := splay.Scenario{Seed: 13, Testbed: splay.PlanetLab(2047)}.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Stop()
+	if got := sess.Partitions(); got != 1 {
+		t.Fatalf("PlanetLab(2047) provisioned %d partitions, want 1", got)
 	}
 }
 
