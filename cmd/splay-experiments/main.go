@@ -24,11 +24,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,28 +38,57 @@ import (
 	"github.com/splaykit/splay/experiments"
 )
 
-func main() {
-	run := flag.String("run", "", "experiment id, or 'all'")
-	scale := flag.Float64("scale", 1.0, "population/workload scale in (0,1]")
-	seed := flag.Int64("seed", 2009, "random seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = serial)")
-	workers := flag.Int("workers", 0, "threads per sharded-kernel experiment (lookup100k); 0/1 = serial, results identical regardless")
-	list := flag.Bool("list", false, "list experiments")
-	live := flag.Bool("live", false, "stream rows to stdout as they are produced (serial)")
-	flag.Parse()
+// errUsage marks a command-line mistake: a bad flag (which the flag package
+// has by then printed) or a flag value out of range.
+var errUsage = errors.New("usage: splay-experiments -list | -run id|all [-scale s] [-seed n] [-parallel n] [-workers n] [-live]")
 
-	if *list || *run == "" {
-		fmt.Println("experiments:")
-		for _, id := range experiments.IDs() {
-			fmt.Println("  " + id)
-		}
-		if *run == "" {
-			os.Exit(0)
-		}
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil {
+		return
 	}
-	ids := []string{*run}
-	if *run == "all" {
-		ids = experiments.IDs()
+	fmt.Fprintln(os.Stderr, "splay-experiments:", err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run executes the command line, printing results to stdout. Nothing is
+// printed for a run that cannot start: a scale outside (0,1] or an unknown
+// id is reported before the first header.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("splay-experiments", flag.ContinueOnError)
+	sel := fs.String("run", "", "experiment id, or 'all'")
+	scale := fs.Float64("scale", 1.0, "population/workload scale in (0,1]")
+	seed := fs.Int64("seed", 2009, "random seed")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = serial)")
+	workers := fs.Int("workers", 0, "threads per sharded-kernel experiment (lookup100k); 0/1 = serial, results identical regardless")
+	list := fs.Bool("list", false, "list experiments")
+	live := fs.Bool("live", false, "stream rows to stdout as they are produced (serial)")
+	if fs.Parse(args) != nil {
+		return errUsage
+	}
+	if !(*scale > 0 && *scale <= 1) {
+		return fmt.Errorf("-scale %v is outside (0,1]: %w", *scale, errUsage)
+	}
+	known := experiments.IDs()
+	ids := []string{*sel}
+	switch {
+	case *sel == "all":
+		ids = known
+	case *sel != "" && !slices.Contains(known, *sel):
+		return fmt.Errorf("unknown experiment %q (have %v)", *sel, known)
+	}
+
+	if *list || *sel == "" {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, id := range known {
+			fmt.Fprintln(stdout, "  "+id)
+		}
+		if *sel == "" {
+			return nil
+		}
 	}
 
 	specs := make([]experiments.Spec, len(ids))
@@ -66,15 +97,17 @@ func main() {
 	}
 	start := time.Now()
 
-	printMetrics := func(res *experiments.Result) {
+	header := func(id string) { fmt.Fprintf(stdout, "=== %s (scale %.2f) ===\n", id, *scale) }
+	footer := func(id string, res *experiments.Result, elapsed time.Duration) {
 		keys := make([]string, 0, len(res.Metrics))
 		for k := range res.Metrics {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("metric %-28s %.3f\n", k, res.Metrics[k])
+			fmt.Fprintf(stdout, "metric %-28s %.3f\n", k, res.Metrics[k])
 		}
+		fmt.Fprintf(stdout, "=== %s done in %s ===\n\n", id, elapsed.Round(time.Millisecond))
 	}
 
 	if *live {
@@ -82,52 +115,52 @@ func main() {
 		// them, so in-flight views (obsplane's aggregator rows) render
 		// while the experiment runs rather than after it.
 		for _, s := range specs {
-			fmt.Printf("=== %s (scale %.2f) ===\n", s.ID, *scale)
+			header(s.ID)
 			opt := s.Opt
-			opt.Out = os.Stdout
+			opt.Out = stdout
 			t0 := time.Now()
 			res, err := experiments.Run(s.ID, opt)
 			if err != nil {
-				log.Fatalf("%s: %v", s.ID, err)
+				return fmt.Errorf("%s: %w", s.ID, err)
 			}
-			printMetrics(res)
-			fmt.Printf("=== %s done in %s ===\n\n", s.ID, time.Since(t0).Round(time.Millisecond))
+			footer(s.ID, res, time.Since(t0))
 		}
-		return
-	}
-
-	print := func(oc experiments.Outcome) {
-		fmt.Printf("=== %s (scale %.2f) ===\n", oc.ID, *scale)
-		if oc.Err != nil {
-			log.Fatalf("%s: %v", oc.ID, oc.Err)
-		}
-		os.Stdout.Write(oc.Output) //nolint:errcheck
-		printMetrics(oc.Res)
-		fmt.Printf("=== %s done in %s ===\n\n", oc.ID, oc.Elapsed.Round(time.Millisecond))
+		return nil
 	}
 
 	// Stream results in submission order as they complete: the bytes are
-	// identical to a serial run, but progress is visible and a failure
-	// aborts as soon as every earlier experiment has printed.
+	// identical to a serial run, but progress is visible. Printing stops at
+	// the first failure, which is returned once the pool has drained.
 	var mu sync.Mutex
+	var failed error
 	pending := make(map[int]experiments.Outcome)
 	cursor := 0
 	experiments.RunParallelFunc(specs, *parallel, func(i int, oc experiments.Outcome) {
 		mu.Lock()
 		defer mu.Unlock()
 		pending[i] = oc
-		for {
+		for failed == nil {
 			next, ok := pending[cursor]
 			if !ok {
 				break
 			}
 			delete(pending, cursor)
 			cursor++
-			print(next)
+			header(next.ID)
+			if next.Err != nil {
+				failed = fmt.Errorf("%s: %w", next.ID, next.Err)
+				break
+			}
+			stdout.Write(next.Output) //nolint:errcheck
+			footer(next.ID, next.Res, next.Elapsed)
 		}
 	})
+	if failed != nil {
+		return failed
+	}
 	if len(specs) > 1 {
-		fmt.Printf("total: %d experiments in %s (%d workers)\n",
+		fmt.Fprintf(stdout, "total: %d experiments in %s (%d workers)\n",
 			len(specs), time.Since(start).Round(time.Millisecond), *parallel)
 	}
+	return nil
 }

@@ -65,9 +65,6 @@ func NewSimRuntime(k *sim.Kernel, seed int64) *SimRuntime {
 	return &SimRuntime{kernel: k, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Kernel returns the underlying simulation kernel.
-func (r *SimRuntime) Kernel() *sim.Kernel { return r.kernel }
-
 // Now implements Runtime.
 func (r *SimRuntime) Now() time.Time { return r.kernel.Now() }
 

@@ -257,7 +257,7 @@ func TestLookup10kFullPopulation(t *testing.T) {
 	}
 	n := 10000
 	mn := topology.NewModelNet(topology.DefaultModelNet(n))
-	run, err := runChord(mn, n, chord.DefaultConfig(), n, 2009, nil, nil)
+	run, err := chordRing(oneBed(mn, n, 2009, nil), chord.DefaultConfig(), n, 2009, chordOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

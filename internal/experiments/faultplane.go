@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 
 	splay "github.com/splaykit/splay"
 	"github.com/splaykit/splay/internal/protocols/chord"
-	"github.com/splaykit/splay/internal/rpc"
 )
 
 func init() {
@@ -88,7 +86,6 @@ type faultplaneRun struct {
 // are declared on the Scenario; the experiment only supplies the
 // workload and reads the outcome.
 func runFaultplane(w io.Writer, daemons, nodes int, seed int64) (*faultplaneRun, error) {
-	var chordNodes []*chord.Node
 	sc := splay.Scenario{
 		Name:            "faultplane",
 		Seed:            seed,
@@ -122,54 +119,19 @@ func runFaultplane(w io.Writer, daemons, nodes int, seed int64) (*faultplaneRun,
 			splay.ConvergesWithin("lookups-reconverge",
 				splay.Metric("chord.failed_lookups", splay.StatRate, splay.Below, 0.5), 0),
 		},
-		Apps: []splay.AppSpec{{
-			Name:  "ftchord",
-			Nodes: nodes,
-			App: splay.AppFunc(func(env *splay.Env) error {
-				ccfg := chord.FaultTolerantConfig()
-				ccfg.Bits = fpBits
-				ccfg.RPCTimeout = fpRPCTimeout
-				node, err := chord.New(env.AppContext(), ccfg)
-				if err != nil {
-					return err
-				}
-				mreg := env.Metrics()
-				node.SetInstruments(chord.NewInstruments(mreg))
-				node.SetRPCInstruments(rpc.NewInstruments(mreg))
-				if err := node.Start(); err != nil {
-					return err
-				}
-				if err := env.StartReporting(); err != nil {
-					return err
-				}
-				chordNodes = append(chordNodes, node)
-				return nil
-			}),
-		}},
 	}
-	sess, err := sc.Start(context.Background())
+	ccfg := chord.FaultTolerantConfig()
+	ccfg.Bits = fpBits
+	ccfg.RPCTimeout = fpRPCTimeout
+	// The ring is converged statically; then the periodic lookup workload
+	// starts (staggered so the aggregated rate is continuous) and the plan
+	// is armed: +0 on the plan's clock is "ring up, workload running".
+	sess, chordNodes, err := observedRing(sc, "ftchord", nodes, ccfg)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Stop()
-
-	dep := sess.Deploy(sc.Apps[0])
-	job, err := dep.Wait()
-	if err != nil {
-		return nil, err
-	}
-	if job.State != splay.JobRunning || len(chordNodes) != nodes {
-		return nil, fmt.Errorf("deployed %d instances (state %s), want %d running",
-			len(chordNodes), job.State, nodes)
-	}
 	tel := sess.Telemetry()
-
-	// Converge the ring statically, then start the periodic lookup
-	// workload (staggered so the aggregated rate is continuous) and arm
-	// the plan: +0 on the plan's clock is "ring up, workload running".
-	if err := chord.BuildRing(chordNodes, chord.BuildOptions{}); err != nil {
-		return nil, err
-	}
 	remaining := nodes
 	rng := rand.New(rand.NewSource(seed))
 	for i := range chordNodes {

@@ -13,7 +13,6 @@ import (
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
 	"github.com/splaykit/splay/internal/topology"
-	"github.com/splaykit/splay/internal/transport"
 	"github.com/splaykit/splay/internal/workload"
 )
 
@@ -97,13 +96,11 @@ func fig13(opt Options) (*Result, error) {
 		sequential bool
 	}{{"splay", false}, {"crcp", true}} {
 		for _, bs := range []int{16 << 10, 128 << 10, 512 << 10} {
-			k := sim.NewKernel()
-			nw := simnet.New(k, simnet.Symmetric{RTT: 20 * time.Millisecond, Bps: 1e6 / 8}, nodes, opt.Seed)
-			rt := core.NewSimRuntime(k, opt.Seed)
+			bed := oneBed(simnet.Symmetric{RTT: 20 * time.Millisecond, Bps: 1e6 / 8}, nodes, opt.Seed, nil)
+			k := bed.K
 			var ctxs []*core.AppContext
 			for i := 0; i < nodes; i++ {
-				addr := transport.Addr{Host: simnet.HostName(i), Port: 7000}
-				ctxs = append(ctxs, core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: addr}, nil))
+				ctxs = append(ctxs, bed.Context(i, 7000))
 			}
 			cfg := trees.Config{
 				Nodes: nodes, Fanout: 2, Trees: 2,
@@ -162,34 +159,24 @@ func fig14(opt Options) (*Result, error) {
 		duration = 20 * time.Minute
 	}
 
-	k := sim.NewKernel()
-	nw := simnet.New(k, simnet.Symmetric{RTT: 10 * time.Millisecond, Bps: 12.5e6}, nodes, opt.Seed)
-	rt := core.NewSimRuntime(k, opt.Seed)
+	bed := oneBed(simnet.Symmetric{RTT: 10 * time.Millisecond, Bps: 12.5e6}, nodes, opt.Seed, nil)
+	k := bed.K
 	var pnodes []*pastry.Node
 	var caches []*webcache.Cache
 	for i := 0; i < nodes; i++ {
-		addr := transport.Addr{Host: simnet.HostName(i), Port: 9000}
-		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: addr}, nil)
+		ctx := bed.Context(i, 9000)
 		p := pastry.New(ctx, pastry.DefaultConfig())
 		pnodes = append(pnodes, p)
 		caches = append(caches, webcache.New(ctx, p, webcache.DefaultConfig()))
 	}
-	var startErr error
-	k.Go(func() {
-		for i := range pnodes {
-			if err := pnodes[i].Start(); err != nil {
-				startErr = err
-				return
-			}
-			if err := caches[i].Start(); err != nil {
-				startErr = err
-				return
-			}
+	err := bed.StartAll(upTo(nodes), func(i int) error {
+		if err := pnodes[i].Start(); err != nil {
+			return err
 		}
+		return caches[i].Start()
 	})
-	k.Run()
-	if startErr != nil {
-		return nil, startErr
+	if err != nil {
+		return nil, err
 	}
 	if err := pastry.BuildNetwork(pnodes, pastry.BuildOptions{Seed: opt.Seed}); err != nil {
 		return nil, err

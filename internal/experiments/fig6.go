@@ -5,8 +5,9 @@ import (
 	"math"
 	"time"
 
+	"github.com/splaykit/splay/internal/memprof"
 	"github.com/splaykit/splay/internal/protocols/chord"
-	"github.com/splaykit/splay/internal/sim"
+	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
 	"github.com/splaykit/splay/internal/topology"
@@ -21,17 +22,21 @@ func init() {
 
 // chordRun is the outcome of one Chord deployment measurement.
 type chordRun struct {
-	hops   *stats.IntHistogram
-	delays stats.Durations
-	fails  int
+	hops      *stats.IntHistogram
+	delays    stats.Durations
+	fails     int
+	footprint memprof.Report // zero unless chordOpts.acct measured it
 }
 
-// runChord deploys n converged Chord nodes over the link model and issues
-// lookups from random sources: runChordParProf on a one-partition kernel.
-func runChord(model simnet.LinkModel, n int, cfg chord.Config, lookups int,
-	seed int64, oracle chord.RTTOracle, proc simnet.ProcDelayFunc) (*chordRun, error) {
-	run, _, err := runChordParProf(sim.NewParKernel(1, 1, 0), model, n, cfg, lookups, seed, oracle, proc, nil)
-	return run, err
+// oneBed is the figure harnesses' substrate: one partition, hence the plain
+// single-kernel wiring — which cannot fail, only sharding constrains the
+// link model.
+func oneBed(model simnet.LinkModel, hosts int, seed int64, proc simnet.ProcDelayFunc) *simbed.Bed {
+	bed, err := simbed.New(1, 1, 0, model, hosts, seed, proc)
+	if err != nil {
+		panic(err)
+	}
+	return bed
 }
 
 // fig6a reproduces Fig. 6(a): Chord route-length PDFs on ModelNet for
@@ -43,7 +48,7 @@ func fig6a(opt Options) (*Result, error) {
 	for _, full := range []int{300, 500, 1000} {
 		n := opt.n(full, 30)
 		mn := topology.NewModelNet(topology.DefaultModelNet(n))
-		run, err := runChord(mn, n, chord.DefaultConfig(), opt.n(50*full, n), opt.Seed, nil, nil)
+		run, err := chordRing(oneBed(mn, n, opt.Seed, nil), chord.DefaultConfig(), opt.n(50*full, n), opt.Seed, chordOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +72,7 @@ func fig6b(opt Options) (*Result, error) {
 	for _, full := range []int{300, 500, 1000} {
 		n := opt.n(full, 30)
 		mn := topology.NewModelNet(topology.DefaultModelNet(n))
-		run, err := runChord(mn, n, chord.DefaultConfig(), opt.n(50*full, n), opt.Seed, nil, nil)
+		run, err := chordRing(oneBed(mn, n, opt.Seed, nil), chord.DefaultConfig(), opt.n(50*full, n), opt.Seed, chordOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +107,7 @@ func fig6c(opt Options) (*Result, error) {
 				return 2 * pl.Delay(ia, ib)
 			}
 		}
-		return runChord(pl, n, chord.FaultTolerantConfig(), lookups, opt.Seed, orc, pl.ProcDelay)
+		return chordRing(oneBed(pl, n, opt.Seed, pl.ProcDelay), chord.FaultTolerantConfig(), lookups, opt.Seed, chordOpts{oracle: orc})
 	}
 	splay, err := runVariant(false)
 	if err != nil {

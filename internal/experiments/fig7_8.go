@@ -5,13 +5,12 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/hostmodel"
 	"github.com/splaykit/splay/internal/protocols/pastry"
 	"github.com/splaykit/splay/internal/sim"
+	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
-	"github.com/splaykit/splay/internal/transport"
 )
 
 func init() {
@@ -30,35 +29,28 @@ func clusterModel() simnet.LinkModel {
 // pastryRun measures lookup delays over a converged Pastry network hosted
 // on a modeled physical cluster.
 func pastryRun(n int, kind hostmodel.Kind, physHosts, lookups int, seed int64) (stats.Durations, error) {
-	k := sim.NewKernel()
-	nw := simnet.New(k, clusterModel(), n, seed)
 	cluster := hostmodel.NewCluster(hostmodel.DefaultConfig(physHosts))
 	cluster.AssignInstances(n, kind)
-	nw.SetProcDelay(cluster.Hook(k.Now))
-	rt := core.NewSimRuntime(k, seed)
-	rng := rand.New(rand.NewSource(seed))
+	bed := oneBed(clusterModel(), n, seed, nil)
+	bed.Net.SetProcDelay(cluster.Hook(bed.K.Now))
+	return pastryRing(bed, lookups, seed, 60*time.Second)
+}
 
+// pastryRing is the one Pastry driver: it deploys a converged Pastry node on
+// every host of a one-partition bed and measures the delays of lookups
+// issued from every node, their starts spread uniformly over spread.
+func pastryRing(bed *simbed.Bed, lookups int, seed int64, spread time.Duration) (stats.Durations, error) {
+	k, n := bed.K, bed.Net.NumHosts()
+	rng := rand.New(rand.NewSource(seed))
 	nodes := make([]*pastry.Node, 0, n)
 	for i := 0; i < n; i++ {
-		addr := transport.Addr{Host: simnet.HostName(i), Port: 9000}
-		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: addr, Position: i + 1}, nil)
 		cfg := pastry.DefaultConfig()
 		id := pastry.ID(rng.Uint64())
 		cfg.ID = &id
-		nodes = append(nodes, pastry.New(ctx, cfg))
+		nodes = append(nodes, pastry.New(bed.Context(i, 9000), cfg))
 	}
-	var startErr error
-	k.Go(func() {
-		for _, node := range nodes {
-			if err := node.Start(); err != nil {
-				startErr = err
-				return
-			}
-		}
-	})
-	k.Run()
-	if startErr != nil {
-		return nil, startErr
+	if err := bed.StartAll(upTo(n), func(i int) error { return nodes[i].Start() }); err != nil {
+		return nil, err
 	}
 	if err := pastry.BuildNetwork(nodes, pastry.BuildOptions{Seed: seed}); err != nil {
 		return nil, err
@@ -68,14 +60,12 @@ func pastryRun(n int, kind hostmodel.Kind, physHosts, lookups int, seed int64) (
 	perNode := lookups/n + 1
 	for i := range nodes {
 		node := nodes[i]
-		k.GoAfter(time.Duration(rng.Intn(60000))*time.Millisecond, func() {
+		k.GoAfter(time.Duration(rng.Intn(int(spread/time.Millisecond)))*time.Millisecond, func() {
 			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
 			for j := 0; j < perNode; j++ {
-				res, err := node.Route(pastry.ID(lrng.Uint64()))
-				if err != nil {
-					continue
+				if res, err := node.Route(pastry.ID(lrng.Uint64())); err == nil {
+					delays = append(delays, res.RTT)
 				}
-				delays = append(delays, res.RTT)
 			}
 		})
 	}

@@ -8,11 +8,10 @@ import (
 	"github.com/splaykit/splay/internal/churn"
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/protocols/pastry"
-	"github.com/splaykit/splay/internal/sim"
+	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
 	"github.com/splaykit/splay/internal/topology"
-	"github.com/splaykit/splay/internal/transport"
 	"github.com/splaykit/splay/internal/workload"
 )
 
@@ -34,7 +33,7 @@ func fig9(opt Options) (*Result, error) {
 	plCfg.Seed = opt.Seed
 
 	run := func(label string, model simnet.LinkModel, proc simnet.ProcDelayFunc) (time.Duration, error) {
-		delays, err := pastryOver(model, n, lookups, opt.Seed, proc)
+		delays, err := pastryRing(oneBed(model, n, opt.Seed, proc), lookups, opt.Seed, 30*time.Second)
 		if err != nil {
 			return 0, err
 		}
@@ -73,65 +72,11 @@ func fig9(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// pastryOver measures a converged Pastry network over an arbitrary link
-// model (no host-resource model).
-func pastryOver(model simnet.LinkModel, n, lookups int, seed int64, proc simnet.ProcDelayFunc) (stats.Durations, error) {
-	k := sim.NewKernel()
-	nw := simnet.New(k, model, n, seed)
-	if proc != nil {
-		nw.SetProcDelay(proc)
-	}
-	rt := core.NewSimRuntime(k, seed)
-	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]*pastry.Node, 0, n)
-	for i := 0; i < n; i++ {
-		addr := transport.Addr{Host: simnet.HostName(i), Port: 9000}
-		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: addr}, nil)
-		cfg := pastry.DefaultConfig()
-		id := pastry.ID(rng.Uint64())
-		cfg.ID = &id
-		nodes = append(nodes, pastry.New(ctx, cfg))
-	}
-	var startErr error
-	k.Go(func() {
-		for _, node := range nodes {
-			if err := node.Start(); err != nil {
-				startErr = err
-				return
-			}
-		}
-	})
-	k.Run()
-	if startErr != nil {
-		return nil, startErr
-	}
-	if err := pastry.BuildNetwork(nodes, pastry.BuildOptions{Seed: seed}); err != nil {
-		return nil, err
-	}
-	var delays stats.Durations
-	perNode := lookups/n + 1
-	for i := range nodes {
-		node := nodes[i]
-		k.GoAfter(time.Duration(rng.Intn(30000))*time.Millisecond, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
-			for j := 0; j < perNode; j++ {
-				if res, err := node.Route(pastry.ID(lrng.Uint64())); err == nil {
-					delays = append(delays, res.RTT)
-				}
-			}
-		})
-	}
-	k.Run()
-	return delays, nil
-}
-
 // churnedPastry hosts a Pastry deployment whose membership the churn
 // manager drives: slots map to sim hosts; stopped slots take their host
 // down, started slots join through the protocol.
 type churnedPastry struct {
-	k     *sim.Kernel
-	nw    *simnet.Network
-	rt    *core.SimRuntime
+	bed   *simbed.Bed
 	cfg   pastry.Config
 	seed  int64
 	rng   *rand.Rand
@@ -142,14 +87,8 @@ type churnedPastry struct {
 
 func newChurnedPastry(model simnet.LinkModel, slots int, cfg pastry.Config,
 	seed int64, proc simnet.ProcDelayFunc) *churnedPastry {
-	k := sim.NewKernel()
-	nw := simnet.New(k, model, slots, seed)
-	if proc != nil {
-		nw.SetProcDelay(proc)
-	}
 	return &churnedPastry{
-		k: k, nw: nw,
-		rt:    core.NewSimRuntime(k, seed),
+		bed:   oneBed(model, slots, seed, proc),
 		cfg:   cfg,
 		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
@@ -159,8 +98,7 @@ func newChurnedPastry(model simnet.LinkModel, slots int, cfg pastry.Config,
 }
 
 func (cp *churnedPastry) newNode(slot int) *pastry.Node {
-	addr := transport.Addr{Host: simnet.HostName(slot), Port: 9000}
-	ctx := core.NewAppContext(cp.rt, cp.nw.Node(slot), core.JobInfo{Me: addr}, nil)
+	ctx := cp.bed.Context(slot, 9000)
 	cfg := cp.cfg
 	id := pastry.ID(cp.rng.Uint64())
 	cfg.ID = &id
@@ -178,23 +116,13 @@ func (cp *churnedPastry) bootstrap(initial []int) error {
 		ns = append(ns, cp.newNode(slot))
 		cp.alive = append(cp.alive, slot)
 	}
-	var startErr error
-	cp.k.Go(func() {
-		for _, n := range ns {
-			if err := n.Start(); err != nil {
-				startErr = err
-				return
-			}
-		}
-	})
-	cp.k.Run()
-	if startErr != nil {
-		return startErr
+	if err := cp.bed.StartAll(initial, func(slot int) error { return cp.nodes[slot].Start() }); err != nil {
+		return err
 	}
 	if err := pastry.BuildNetwork(ns, pastry.BuildOptions{Seed: cp.seed}); err != nil {
 		return err
 	}
-	cp.k.Go(func() {
+	cp.bed.K.Go(func() {
 		for _, n := range ns {
 			n.StartMaintenance()
 		}
@@ -205,7 +133,7 @@ func (cp *churnedPastry) bootstrap(initial []int) error {
 // StartNode implements churn.NodeControl: bring the slot up and join via
 // a random live seed.
 func (cp *churnedPastry) StartNode(slot int) {
-	cp.nw.Host(slot).SetDown(false)
+	cp.bed.Net.Host(slot).SetDown(false)
 	n := cp.newNode(slot)
 	if err := n.Start(); err != nil {
 		return
@@ -222,7 +150,7 @@ func (cp *churnedPastry) StartNode(slot int) {
 // context is killed so that, in silent-failure mode, peers observe no
 // clean shutdown (no EOFs) — only timeouts.
 func (cp *churnedPastry) StopNode(slot int) {
-	cp.nw.Host(slot).SetDown(true)
+	cp.bed.Net.Host(slot).SetDown(true)
 	if cp.ctxs[slot] != nil {
 		cp.ctxs[slot].Kill()
 	}
@@ -278,9 +206,9 @@ func sampleLoop(cp *churnedPastry, every, duration, bucket time.Duration, perTic
 	ticks := int(duration / every)
 	for t := 0; t < ticks; t++ {
 		at := time.Duration(t) * every
-		cp.k.GoAfter(at, func() {
+		cp.bed.K.GoAfter(at, func() {
 			for i := 0; i < perTick; i++ {
-				start := cp.k.Since()
+				start := cp.bed.K.Since()
 				ok, delay, idle := cp.sample()
 				if idle {
 					return
@@ -315,12 +243,8 @@ func fig10(opt Options) (*Result, error) {
 	cp := newChurnedPastry(simnet.Symmetric{RTT: 2 * time.Millisecond, Bps: 125e6}, n, cfg, opt.Seed, nil)
 	// The massive failure models a severed inter-continental link: dead
 	// nodes blackhole traffic, so detection costs full RPC timeouts.
-	cp.nw.SetSilentFailures(true)
-	initial := make([]int, n)
-	for i := range initial {
-		initial[i] = i
-	}
-	if err := cp.bootstrap(initial); err != nil {
+	cp.bed.Net.SetSilentFailures(true)
+	if err := cp.bootstrap(upTo(n)); err != nil {
 		return nil, err
 	}
 
@@ -328,7 +252,7 @@ func fig10(opt Options) (*Result, error) {
 	series := sampleLoop(cp, time.Second, duration, 30*time.Second, opt.n(20, 4))
 
 	// Massive failure at t = 5 min: half the network disappears.
-	cp.k.GoAfter(5*time.Minute, func() {
+	cp.bed.K.GoAfter(5*time.Minute, func() {
 		perm := cp.rng.Perm(len(cp.alive))
 		var victims []int
 		for _, i := range perm[:len(cp.alive)/2] {
@@ -338,7 +262,7 @@ func fig10(opt Options) (*Result, error) {
 			cp.StopNode(slot)
 		}
 	})
-	cp.k.RunFor(duration + time.Minute)
+	cp.bed.K.RunFor(duration + time.Minute)
 
 	fmt.Fprintf(w, "# Fig. 10 — massive failure: %d nodes, 50%% fail at 5m\n", n)
 	fmt.Fprintf(w, "%-8s %8s %8s %10s %10s\n", "t", "ok", "fail", "fail%", "p50")
@@ -415,11 +339,11 @@ func fig11(opt Options) (*Result, error) {
 		if err := cp.bootstrap(initial); err != nil {
 			return nil, err
 		}
-		ex := churn.NewExecutor(cp.rt, replay, cp)
-		cp.k.Go(ex.Run)
+		ex := churn.NewExecutor(cp.bed.Runtime(0), replay, cp)
+		cp.bed.K.Go(ex.Run)
 
 		series := sampleLoop(cp, 2*time.Second, duration, time.Minute, opt.n(10, 3))
-		cp.k.RunFor(duration + time.Minute)
+		cp.bed.K.RunFor(duration + time.Minute)
 
 		pop, joins, leaves := tr.Population(time.Minute)
 		fmt.Fprintf(w, "# Fig. 11 — Overnet churn ×%.0f (%d slots)\n", speed, slots)

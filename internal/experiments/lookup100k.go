@@ -9,8 +9,7 @@ import (
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/memprof"
 	"github.com/splaykit/splay/internal/protocols/chord"
-	"github.com/splaykit/splay/internal/sim"
-	"github.com/splaykit/splay/internal/simnet"
+	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/stats"
 	"github.com/splaykit/splay/internal/topology"
 	"github.com/splaykit/splay/internal/transport"
@@ -25,43 +24,29 @@ func init() {
 // the event schedule — while Workers (the thread count) never does.
 const lookup100kParts = 8
 
-// runChordPar is runChord over a sharded kernel: hosts land on partitions
-// by ID, each partition runs its own sub-kernel, and cross-partition RPCs
-// ride the lookahead barriers. On one partition the schedule is runChord's
-// (which runs this very body); on more it is a different — but equally
-// deterministic — interleaving, fixed by the partition count and
-// independent of the worker count.
-func runChordPar(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord.Config,
-	lookups int, seed int64) (*chordRun, error) {
-	run, _, err := runChordParProf(pk, model, n, cfg, lookups, seed, nil, nil, nil)
-	return run, err
+// chordOpts are chordRing's optional measurement hooks.
+type chordOpts struct {
+	// oracle makes finger selection latency-aware (fig6c's MIT baseline).
+	oracle chord.RTTOracle
+	// acct, when non-nil, measures the footprint: the network and protocol
+	// layers register their byte sources on it, the kernel samples the heap
+	// at every lookahead barrier, and chordRun.footprint reports the live
+	// system — taken while every node is still reachable. The accountant
+	// only reads memory statistics, so the schedule (and every golden) is
+	// identical with or without it.
+	acct *memprof.Accountant
 }
 
-// runChordParProf is runChordPar with runChord's latency oracle and
-// processing-delay model, plus an optional footprint accountant:
-// when acct is non-nil the network, protocol and RPC layers register
-// their byte sources on it, the kernel samples the heap at every
-// lookahead barrier, and the returned report measures the live system —
-// taken while every node is still reachable. The accountant only reads
-// memory statistics, so the schedule (and every golden) is identical
-// with or without it.
-func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord.Config,
-	lookups int, seed int64, oracle chord.RTTOracle, proc simnet.ProcDelayFunc,
-	acct *memprof.Accountant) (*chordRun, memprof.Report, error) {
-
-	var rep memprof.Report
-	nw, err := simnet.NewPartitioned(pk, model, n, seed)
-	if err != nil {
-		return nil, rep, err
-	}
-	if proc != nil {
-		nw.SetProcDelay(proc)
-	}
-	parts := pk.Parts()
-	rts := make([]*core.SimRuntime, parts)
-	for p := range rts {
-		rts[p] = core.NewSimRuntime(pk.Sub(p), seed+int64(p))
-	}
+// chordRing is the one Chord ring driver: it deploys a converged Chord node
+// on every host of the bed and issues lookups from random sources. Hosts
+// land on the bed's partitions, each partition runs its own sub-kernel, and
+// cross-partition RPCs ride the lookahead barriers. On one partition the
+// schedule is the plain single-kernel one; on more it is a different — but
+// equally deterministic — interleaving, fixed by the partition count and
+// independent of the worker count.
+func chordRing(bed *simbed.Bed, cfg chord.Config, lookups int, seed int64, opts chordOpts) (*chordRun, error) {
+	pk, nw, acct := bed.Par, bed.Net, opts.acct
+	n, parts := nw.NumHosts(), pk.Parts()
 	rng := rand.New(rand.NewSource(seed))
 
 	// Identifiers and addresses are drawn before any node exists — the
@@ -69,10 +54,12 @@ func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord
 	// upfront and its intern base can be built once and shared read-only
 	// by every partition's routing tables (see chord.Shared).
 	seen := make(map[uint64]bool, n)
+	ctxs := make([]*core.AppContext, n)
 	addrs := make([]transport.Addr, n)
 	ids := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		addrs[i] = transport.Addr{Host: simnet.HostName(i), Port: 8000}
+		ctxs[i] = bed.Context(i, 8000)
+		addrs[i] = ctxs[i].Job.Me
 		for {
 			id := rng.Uint64() & ((1 << cfg.Bits) - 1)
 			if !seen[id] {
@@ -89,28 +76,14 @@ func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord
 	}
 	nodes := make([]*chord.Node, 0, n)
 	for i := 0; i < n; i++ {
-		h := nw.Host(i)
-		ctx := core.NewAppContext(rts[h.Part()], nw.Node(i), core.JobInfo{Me: addrs[i], Position: i + 1}, nil)
 		c := cfg
 		c.ID = &ids[i]
-		c.Shared = shareds[h.Part()]
-		node, err := chord.New(ctx, c)
+		c.Shared = shareds[nw.Host(i).Part()]
+		node, err := chord.New(ctxs[i], c)
 		if err != nil {
-			return nil, rep, err
+			return nil, err
 		}
 		nodes = append(nodes, node)
-	}
-	startErrs := make([]error, parts)
-	for p := 0; p < parts; p++ {
-		p := p
-		pk.Go(p, func() {
-			for i := p; i < n; i += parts {
-				if err := nodes[i].Start(); err != nil {
-					startErrs[p] = err
-					return
-				}
-			}
-		})
 	}
 	if acct != nil {
 		acct.Track("simnet", nw.FootprintBytes)
@@ -123,14 +96,11 @@ func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord
 		})
 		pk.SetBarrierHook(acct.Observe)
 	}
-	pk.Run()
-	for _, err := range startErrs {
-		if err != nil {
-			return nil, rep, err
-		}
+	if err := bed.StartAll(upTo(n), func(i int) error { return nodes[i].Start() }); err != nil {
+		return nil, err
 	}
-	if err := chord.BuildRing(nodes, chord.BuildOptions{Oracle: oracle}); err != nil {
-		return nil, rep, err
+	if err := chord.BuildRing(nodes, chord.BuildOptions{Oracle: opts.oracle}); err != nil {
+		return nil, err
 	}
 
 	// Per-partition collectors: each is touched only by its partition's
@@ -175,11 +145,40 @@ func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord
 		// Measure while every node, connection and intern table is still
 		// reachable; only the per-run result data has been dropped.
 		runs = nil
-		rep = acct.Report(n)
+		merged.footprint = acct.Report(n)
 		runtime.KeepAlive(nodes)
 		runtime.KeepAlive(nw)
 	}
-	return merged, rep, nil
+	return merged, nil
+}
+
+// shardedChord is the lookup100k shape: a converged Chord ring of n nodes on
+// the ModelNet transit-stub model, on a parts-way sharded kernel whose
+// lookahead is the model's minimum link delay. With footprint set, an
+// accountant whose baseline predates the substrate measures the run (see
+// chordOpts.acct): the memory plane's 10k-node smoke — the denominator
+// behind BENCH_mem.json and the ≥3× reduction gate — and lookup1m are this
+// same machinery two orders of magnitude apart.
+func shardedChord(parts, workers, n, lookups int, seed int64, footprint bool) (*chordRun, error) {
+	mn := topology.NewModelNet(topology.DefaultModelNet(n))
+	var opts chordOpts
+	if footprint {
+		opts.acct = memprof.New()
+	}
+	bed, err := simbed.New(parts, workers, mn.MinDelay(), mn, n, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	return chordRing(bed, chord.DefaultConfig(), lookups, seed, opts)
+}
+
+// upTo lists hosts 0..n-1, the population every ring driver starts.
+func upTo(n int) []int {
+	hosts := make([]int, n)
+	for i := range hosts {
+		hosts[i] = i
+	}
+	return hosts
 }
 
 // lookup100k pushes Chord another order of magnitude past lookup10k:
@@ -197,9 +196,7 @@ func lookup100k(opt Options) (*Result, error) {
 		"nodes", "p5", "p50", "p90", "mean-hops", "bound", "fails")
 	for _, full := range []int{25000, 50000, 100000} {
 		n := opt.n(full, 96)
-		mn := topology.NewModelNet(topology.DefaultModelNet(n))
-		pk := sim.NewParKernel(lookup100kParts, opt.Workers, mn.MinDelay())
-		run, err := runChordPar(pk, mn, n, chord.DefaultConfig(), opt.n(full, n), opt.Seed)
+		run, err := shardedChord(lookup100kParts, opt.Workers, n, opt.n(full, n), opt.Seed, false)
 		if err != nil {
 			return nil, fmt.Errorf("lookup100k %d nodes: %w", n, err)
 		}

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"github.com/splaykit/splay/internal/protocols/chord"
-	"github.com/splaykit/splay/internal/sim"
-	"github.com/splaykit/splay/internal/topology"
 )
 
 func TestLookup100kShape(t *testing.T) {
@@ -71,9 +67,7 @@ func TestLookup100kFullPopulation(t *testing.T) {
 		t.Skip("100,000-host simulation")
 	}
 	n := 100000
-	mn := topology.NewModelNet(topology.DefaultModelNet(n))
-	pk := sim.NewParKernel(lookup100kParts, runtime.GOMAXPROCS(0), mn.MinDelay())
-	run, err := runChordPar(pk, mn, n, chord.DefaultConfig(), n, 2009)
+	run, err := shardedChord(lookup100kParts, runtime.GOMAXPROCS(0), n, n, 2009, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func lookup10k(opt Options) (*Result, error) {
 	for _, full := range []int{2000, 5000, 10000} {
 		n := opt.n(full, 60)
 		mn := topology.NewModelNet(topology.DefaultModelNet(n))
-		run, err := runChord(mn, n, chord.DefaultConfig(), opt.n(2*full, n), opt.Seed, nil, nil)
+		run, err := chordRing(oneBed(mn, n, opt.Seed, nil), chord.DefaultConfig(), opt.n(2*full, n), opt.Seed, chordOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("lookup10k %d nodes: %w", n, err)
 		}

@@ -1,13 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"github.com/splaykit/splay/internal/memprof"
-	"github.com/splaykit/splay/internal/protocols/chord"
-	"github.com/splaykit/splay/internal/sim"
-	"github.com/splaykit/splay/internal/topology"
-)
+import "fmt"
 
 func init() {
 	register("lookup1m", lookup1m)
@@ -40,13 +33,11 @@ func lookup1m(opt Options) (*Result, error) {
 	const full = 1000000
 	n := opt.n(full, 96)
 	fmt.Fprintf(w, "# lookup1m — Chord at %d hosts (%d-way sharded kernel)\n", n, lookup1mParts)
-	mn := topology.NewModelNet(topology.DefaultModelNet(n))
-	pk := sim.NewParKernel(lookup1mParts, opt.Workers, mn.MinDelay())
-	acct := memprof.New()
-	run, rep, err := runChordParProf(pk, mn, n, chord.DefaultConfig(), n, opt.Seed, nil, nil, acct)
+	run, err := shardedChord(lookup1mParts, opt.Workers, n, n, opt.Seed, true)
 	if err != nil {
 		return nil, fmt.Errorf("lookup1m %d nodes: %w", n, err)
 	}
+	rep := run.footprint
 	sorted := run.delays.Sorted()
 	p50, p90 := sorted.Percentile(50), sorted.Percentile(90)
 	fmt.Fprintf(w, "%-8s %9s %9s %9s %9s %7s\n",

@@ -12,10 +12,11 @@ import (
 // -benchtime 1x — the figure is a footprint, not a throughput.
 func BenchmarkMemFootprint10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, run, err := chordFootprint(10000, lookup100kParts, 1, 2009)
+		run, err := shardedChord(lookup100kParts, 1, 10000, 10000, 2009, true)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := run.footprint
 		if run.fails > 0 {
 			b.Fatalf("footprint smoke: %d failed lookups", run.fails)
 		}
@@ -30,10 +31,11 @@ func BenchmarkMemFootprint10k(b *testing.B) {
 // ordinary test run: a small ring must produce a coherent report (layers
 // don't exceed the total, lookups succeed).
 func TestMemFootprintSmall(t *testing.T) {
-	rep, run, err := chordFootprint(256, 4, 1, 7)
+	run, err := shardedChord(4, 1, 256, 256, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := run.footprint
 	if run.fails > 0 {
 		t.Fatalf("%d failed lookups", run.fails)
 	}

@@ -80,6 +80,53 @@ func obsplane(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// observedRing is the instrumented-Chord deployment the observability and
+// fault planes share: it starts sc with one app, name, on nodes daemons —
+// each instance a Chord node configured by cfg whose chord and RPC
+// instruments live in its Env's registry and stream to the scenario's
+// aggregator — waits for the job to run, and converges the ring statically.
+// The caller owns the returned session and must Stop it.
+func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (*splay.Session, []*chord.Node, error) {
+	var ring []*chord.Node
+	sc.Apps = []splay.AppSpec{{
+		Name:  name,
+		Nodes: nodes,
+		App: splay.AppFunc(func(env *splay.Env) error {
+			node, err := chord.New(env.AppContext(), cfg)
+			if err != nil {
+				return err
+			}
+			mreg := env.Metrics()
+			node.SetInstruments(chord.NewInstruments(mreg))
+			node.SetRPCInstruments(rpc.NewInstruments(mreg))
+			if err := node.Start(); err != nil {
+				return err
+			}
+			if err := env.StartReporting(); err != nil {
+				return err
+			}
+			ring = append(ring, node)
+			return nil
+		}),
+	}}
+	sess, err := sc.Start(context.Background())
+	if err != nil {
+		return nil, nil, err
+	}
+	job, err := sess.Deploy(sc.Apps[0]).Wait()
+	if err == nil && (job.State != splay.JobRunning || len(ring) != nodes) {
+		err = fmt.Errorf("deployed %d instances (state %s), want %d running", len(ring), job.State, nodes)
+	}
+	if err == nil {
+		err = chord.BuildRing(ring, chord.BuildOptions{})
+	}
+	if err != nil {
+		sess.Stop()
+		return nil, nil, err
+	}
+	return sess, ring, nil
+}
+
 // obsplaneRun carries one run's aggregated results.
 type obsplaneRun struct {
 	lookups            float64
@@ -100,7 +147,6 @@ type obsplaneRun struct {
 // and the controller's self-reporting stream; each instance wires its
 // own registry and calls Env.StartReporting.
 func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
-	var chordNodes []*chord.Node
 	sc := splay.Scenario{
 		Seed:            seed,
 		Testbed:         splay.PlanetLab(n),
@@ -111,52 +157,17 @@ func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
 			Key:         obsKey,
 			MetricsPort: obsAggPort,
 		},
-		Apps: []splay.AppSpec{{
-			Name:  "obschord",
-			Nodes: nodes,
-			App: splay.AppFunc(func(env *splay.Env) error {
-				ccfg := chord.DefaultConfig()
-				ccfg.Bits = obsBits
-				node, err := chord.New(env.AppContext(), ccfg)
-				if err != nil {
-					return err
-				}
-				mreg := env.Metrics()
-				node.SetInstruments(chord.NewInstruments(mreg))
-				node.SetRPCInstruments(rpc.NewInstruments(mreg))
-				if err := node.Start(); err != nil {
-					return err
-				}
-				if err := env.StartReporting(); err != nil {
-					return err
-				}
-				chordNodes = append(chordNodes, node)
-				return nil
-			}),
-		}},
 	}
-	sess, err := sc.Start(context.Background())
+	ccfg := chord.DefaultConfig()
+	ccfg.Bits = obsBits
+	// Converged statically (§5.2's "let the overlay stabilize"); lookups
+	// are issued from every node, staggered like fig6.
+	sess, chordNodes, err := observedRing(sc, "obschord", nodes, ccfg)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Stop()
-
-	dep := sess.Deploy(sc.Apps[0])
-	job, err := dep.Wait()
-	if err != nil {
-		return nil, err
-	}
-	if job.State != splay.JobRunning || len(chordNodes) != nodes {
-		return nil, fmt.Errorf("deployed %d instances (state %s), want %d running",
-			len(chordNodes), job.State, nodes)
-	}
 	tel := sess.Telemetry()
-
-	// Converge the ring statically (§5.2's "let the overlay stabilize")
-	// and issue lookups from every node, staggered like fig6.
-	if err := chord.BuildRing(chordNodes, chord.BuildOptions{}); err != nil {
-		return nil, err
-	}
 	watchStart := sess.Now()
 	f0, b0 := tel.Received()
 	remaining := nodes

@@ -583,9 +583,6 @@ func (w *Waiter) Wait() any {
 	return v
 }
 
-// Woken reports whether the waiter has already been woken.
-func (w *Waiter) Woken() bool { return w.done }
-
 // String implements fmt.Stringer for debugging.
 func (k *Kernel) String() string {
 	return fmt.Sprintf("sim.Kernel{t=%s queued=%d tasks=%d}", k.Since(), k.wq.size(), k.tasks)

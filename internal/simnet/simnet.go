@@ -256,14 +256,6 @@ func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Net
 	return nw, nil
 }
 
-// Kernel returns the kernel driving this network. On a partitioned network
-// it returns partition 0's sub-kernel; drive the simulation through the
-// ParKernel instead.
-func (nw *Network) Kernel() *sim.Kernel { return nw.parts[0].k }
-
-// Par returns the ParKernel on a partitioned network, nil otherwise.
-func (nw *Network) Par() *sim.ParKernel { return nw.pk }
-
 // Partitions returns the number of kernel partitions (1 on single-kernel
 // networks).
 func (nw *Network) Partitions() int { return len(nw.parts) }

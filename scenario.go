@@ -21,6 +21,7 @@ import (
 	"github.com/splaykit/splay/internal/logging"
 	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/sim"
+	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -304,25 +305,16 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 		// processors — they would only take turns at the window barrier.
 		workers = min(parts, runtime.GOMAXPROCS(0))
 	}
-	s.pk = sim.NewParKernel(parts, workers, lookahead)
-	s.k = s.pk.Sub(0)
-	// At one partition this is the plain single-kernel network: partition
-	// 0 draws the plain seed.
-	nw, err := simnet.NewPartitioned(s.pk, model, total, seed)
+	// The one-partition bed is the plain single-kernel wiring (partition 0
+	// draws the plain seed), so single-partition scenarios keep their exact
+	// historical schedules. The session itself lives where host 0 does (the
+	// controller, or churn slot 0): partition 0.
+	bed, err := simbed.New(parts, workers, lookahead, model, total, seed, proc)
 	if err != nil {
 		return nil, err
 	}
-	if proc != nil {
-		nw.SetProcDelay(proc)
-	}
-	// One runtime per partition, seeded like the sharded experiments
-	// (runChordPar): partition 0 draws the plain seed, so single-partition
-	// scenarios keep their exact historical schedules.
-	rts := make([]*core.SimRuntime, parts)
-	for p := range rts {
-		rts[p] = core.NewSimRuntime(s.pk.Sub(p), seed+int64(p))
-	}
-	s.nw, s.rt = nw, rts[0]
+	nw := bed.Net
+	s.pk, s.k, s.nw, s.rt = bed.Par, bed.K, nw, bed.Runtime(0)
 
 	if collecting {
 		// Network-global instruments: the ground truth monitoring
@@ -365,7 +357,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	if churned {
 		err = s.startChurn(lg)
 	} else {
-		err = s.startDaemons(first, pop, rts, lg)
+		err = s.startDaemons(first, pop, bed, lg)
 	}
 	if err != nil {
 		return nil, err
@@ -376,7 +368,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 // startDaemons provisions the controller on host 0 and pop daemons from
 // host first on, staggered 2ms apart by host index, then runs the settle
 // window.
-func (s *Session) startDaemons(first, pop int, rts []*core.SimRuntime, lg core.Logger) error {
+func (s *Session) startDaemons(first, pop int, bed *simbed.Bed, lg core.Logger) error {
 	sc, nw := s.sc, s.nw
 	ctlReg, dmnIns := s.newController(nw.Node(0), controller.DefaultConfig())
 	ctl := s.ctl
@@ -389,10 +381,8 @@ func (s *Session) startDaemons(first, pop int, rts []*core.SimRuntime, lg core.L
 	for i := first; i < first+pop; i++ {
 		host := i
 		// A daemon lives on its host's kernel partition with that
-		// partition's runtime; with one partition this is the plain
-		// historical wiring.
-		part := nw.Host(host).Part()
-		drt := rts[part]
+		// partition's runtime.
+		part, drt := nw.Host(host).Part(), bed.Runtime(host)
 		dcfg := daemon.DefaultConfig(simnet.HostName(host))
 		if !sc.Faults.Empty() {
 			// Fault-plane sessions survive their own faults: daemons
