@@ -1,17 +1,30 @@
+// Package arena provides chunked slab allocation for population-scaled
+// simulation state that is uniform and comes back: a 100k-node ring holds
+// one finger table per node, nodes leave under churn, and allocating each
+// table individually costs a malloc plus permanent GC scan pressure.
+//
+// The memory plane's rule is that closed costs nothing and heap follows the
+// live population, and the allocator is chosen by who can say when a value
+// is dead. State whose pointers escape into scheduled kernel events
+// (simnet's connections) has no such owner: it is one plain heap object
+// per unit and the collector reclaims it — on cyclon_churn 164,132
+// connection pairs are made over a run that ends with 60,320 open, and
+// storage that never frees would hold all of them. State with a single
+// owner and an explicit release point takes a Slab: blocks return through
+// a free list and are zeroed on reuse.
 package arena
 
 import "unsafe"
 
 // Slab hands out fixed-length []T blocks from chunked backing storage,
-// recycling freed blocks through a free list. It complements Arena for
-// state that is uniform and *does* come back — finger tables of nodes
-// that leave under churn — where never-free semantics would leak a block
-// per departure. Blocks are zeroed on every Get, including reused ones,
-// so a recycled block is indistinguishable from a fresh one and reuse
-// can never leak routing state between owners.
+// recycling freed blocks through a free list — finger tables of nodes that
+// leave under churn, where never-free semantics would leak a block per
+// departure. Blocks are zeroed on every Get, including reused ones, so a
+// recycled block is indistinguishable from a fresh one and reuse can never
+// leak routing state between owners.
 //
-// Like Arena, a Slab is single-threaded: in partitioned simulations each
-// partition owns its own slabs.
+// A Slab is single-threaded: in partitioned simulations each partition
+// owns its own slabs.
 type Slab[T any] struct {
 	blockLen int
 	perChunk int
@@ -85,8 +98,9 @@ func (s *Slab[T]) Live() int {
 // Reused returns how many Gets were served from the free list.
 func (s *Slab[T]) Reused() int { return s.reused }
 
-// Bytes returns the heap bytes the slab's chunks occupy, counted whole
-// like Arena.Bytes.
+// Bytes returns the heap bytes the slab's chunks occupy — the memory
+// plane's accounting hook. Chunks are counted whole: slack at the tail of
+// the newest chunk is committed memory like any other slot.
 func (s *Slab[T]) Bytes() uint64 {
 	var zero T
 	return uint64(len(s.chunks)) * uint64(s.blockLen*s.perChunk) * uint64(unsafe.Sizeof(zero))

@@ -330,7 +330,12 @@ func (c *AppContext) Periodic(interval time.Duration, fn func()) (stop func()) {
 }
 
 // Track registers a socket or other closer to be closed when the instance
-// is killed, and returns it for convenience.
+// is killed, and returns it for convenience. The contract: Kill closes
+// whatever is still tracked, in registration order; an owner that closes a
+// tracked socket itself — a failed connection, a finished one-shot call, a
+// served stream that ended — calls Untrack beside that Close. Otherwise
+// the entry, and everything the dead socket references, stays pinned for
+// the instance's lifetime.
 func (c *AppContext) Track(cl io.Closer) io.Closer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -340,6 +345,36 @@ func (c *AppContext) Track(cl io.Closer) io.Closer {
 	}
 	c.closers = append(c.closers, cl)
 	return cl
+}
+
+// Untrack forgets a closer registered with Track without closing it: the
+// caller closes it itself. Removal preserves the order of the remaining
+// entries, so Kill closes the survivors exactly as it would have. An
+// unknown closer, or any call after Kill, is a no-op. cl's dynamic type
+// must be comparable (sockets are; a func-typed closer is not). The scan
+// runs newest first: what an instance closes itself is most often what it
+// opened last.
+func (c *AppContext) Untrack(cl io.Closer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := len(c.closers) - 1; i >= 0; i-- {
+		if c.closers[i] == cl {
+			last := len(c.closers) - 1
+			copy(c.closers[i:], c.closers[i+1:])
+			c.closers[last] = nil
+			c.closers = c.closers[:last]
+			return
+		}
+	}
+}
+
+// Tracked reports how many closers Kill would close right now. An instance
+// that keeps Track's contract holds one per socket it has open, whatever
+// it has opened and closed before.
+func (c *AppContext) Tracked() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.closers)
 }
 
 // Kill stops the instance: periodic and delayed tasks are canceled and

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +140,45 @@ func TestKillClosesTrackedSockets(t *testing.T) {
 	k.Run()
 	if !errors.Is(acceptErr, transport.ErrClosed) {
 		t.Fatalf("accept err = %v, want ErrClosed", acceptErr)
+	}
+}
+
+// recCloser records its Close into a shared log.
+type recCloser struct {
+	name string
+	log  *[]string
+}
+
+func (r *recCloser) Close() error {
+	*r.log = append(*r.log, r.name)
+	return nil
+}
+
+// TestUntrack pins Track's contract from the owner's side: what the owner
+// closes itself it untracks, Kill closes the survivors in registration
+// order, and unknown closers and post-Kill calls are no-ops.
+func TestUntrack(t *testing.T) {
+	_, rt := newSim(t)
+	ctx := NewAppContext(rt, nil, JobInfo{}, nil)
+	var log []string
+	a, b, c := &recCloser{"a", &log}, &recCloser{"b", &log}, &recCloser{"c", &log}
+	ctx.Track(a)
+	ctx.Track(b)
+	ctx.Track(c)
+	ctx.Untrack(b)
+	ctx.Untrack(b)                     // already gone
+	ctx.Untrack(&recCloser{"x", &log}) // never tracked
+	if n := ctx.Tracked(); n != 2 {
+		t.Fatalf("%d closers tracked after Untrack, want 2", n)
+	}
+	ctx.Kill()
+	if got := strings.Join(log, ","); got != "a,c" {
+		t.Fatalf("Kill closed %q, want a,c (b untouched, order kept)", got)
+	}
+	ctx.Untrack(a) // after Kill: nothing to forget, nothing closed
+	ctx.Untrack(b)
+	if got := strings.Join(log, ","); got != "a,c" {
+		t.Fatalf("post-Kill Untrack closed something: %q", got)
 	}
 }
 

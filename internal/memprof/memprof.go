@@ -42,7 +42,7 @@ type Accountant struct {
 // New snapshots the current live heap (after a forced GC) as the
 // baseline every later figure is relative to.
 func New() *Accountant {
-	return &Accountant{baseline: liveHeap(), every: 64}
+	return &Accountant{baseline: LiveHeap(), every: 64}
 }
 
 // Track registers a labelled byte source for Report's breakdown.
@@ -92,7 +92,7 @@ type Report struct {
 // Report forces a GC and measures. instances scales the per-instance
 // figures; pass the node population.
 func (a *Accountant) Report(instances int) Report {
-	live := liveHeap()
+	live := LiveHeap()
 	r := Report{Instances: instances}
 	if live > a.baseline {
 		r.HeapBytes = live - a.baseline
@@ -166,11 +166,11 @@ func human(b uint64) string {
 	}
 }
 
-// liveHeap returns HeapAlloc after settling the GC. Two cycles make the
+// LiveHeap returns HeapAlloc after settling the GC. Two cycles make the
 // figure stable: the first turns freshly unreachable objects into
 // finalizable garbage, the second collects anything their finalizers
 // released.
-func liveHeap() uint64 {
+func LiveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats

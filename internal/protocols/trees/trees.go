@@ -192,8 +192,12 @@ func (n *node) listen() error {
 			if err != nil {
 				return
 			}
+			// Tracked so Kill closes it mid-stream; once the stream ends
+			// on its own the node hangs up itself, so it untracks too
+			// (core.AppContext.Track). One line: tab1 pins this package's
+			// line count.
 			n.ctx.Track(conn)
-			n.ctx.Go(func() { n.receive(conn) })
+			n.ctx.Go(func() { n.receive(conn); n.ctx.Untrack(conn); conn.Close() })
 		}
 	})
 	return nil

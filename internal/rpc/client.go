@@ -394,6 +394,9 @@ func (p *peerConn) dial(timeout time.Duration) {
 		return
 	}
 	conn = p.client.ins.meter(conn)
+	// Tracked before it is published: once ready, a racing caller (live)
+	// may fail the connection, and fail must find it to untrack it.
+	p.client.ctx.Track(conn)
 	p.client.mu.Lock()
 	p.conn = conn
 	p.enc.Reset(conn)
@@ -401,7 +404,6 @@ func (p *peerConn) dial(timeout time.Duration) {
 	ws := p.pending // all dial waiters: no calls exist before ready
 	p.pending = nil
 	p.client.mu.Unlock()
-	p.client.ctx.Track(conn)
 	for _, pcall := range ws {
 		pcall.w.Wake(nil)
 	}
@@ -414,6 +416,14 @@ func (p *peerConn) dial(timeout time.Duration) {
 		return
 	}
 	p.client.ctx.Go(p.readLoop)
+}
+
+// closeConn ends a one-shot (non-pooled) connection after its call: the
+// client closes it itself, so it untracks it too — see
+// core.AppContext.Track.
+func (p *peerConn) closeConn() {
+	p.client.ctx.Untrack(p.conn)
+	p.conn.Close()
 }
 
 // lastErr reads the connection's verdict under the client lock.
@@ -449,6 +459,7 @@ func (p *peerConn) fail(err error) {
 	p.pending = nil
 	c.mu.Unlock()
 	if conn != nil {
+		c.ctx.Untrack(conn)
 		conn.Close()
 	}
 	// Arrival order: dial waiters or in-flight calls, oldest first.
@@ -585,7 +596,7 @@ func (p *peerConn) call(timeout time.Duration, method string, args []any) (Resul
 	switch v := w.Wait().(type) {
 	case *response:
 		if !p.pooled {
-			p.conn.Close()
+			p.closeConn()
 		}
 		errMsg, result := v.Err, v.Result
 		putResp(v)
@@ -598,7 +609,7 @@ func (p *peerConn) call(timeout time.Duration, method string, args []any) (Resul
 		p.takePending(id)
 		c.mu.Unlock()
 		if !p.pooled {
-			p.conn.Close()
+			p.closeConn()
 		}
 		return nil, v
 	default:

@@ -249,6 +249,7 @@ func (s *Server) Start(port int) error {
 					el.OnAcceptable(drain)
 					return
 				}
+				c = s.ins.meter(c)
 				s.ctx.Track(c)
 				s.serveConnEvent(c)
 			}
@@ -268,7 +269,7 @@ func (s *Server) Start(port int) error {
 			if aerr != nil {
 				return
 			}
-			c := conn
+			c := s.ins.meter(conn)
 			s.ctx.Track(c)
 			s.ctx.Go(func() { s.serveConn(c) })
 		}
@@ -293,9 +294,16 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// closeConn ends a served connection. The accept loop tracked it (already
+// metered, so this is the same value); the server closes it itself, so it
+// untracks it too — see core.AppContext.Track.
+func (s *Server) closeConn(conn transport.Conn) {
+	s.ctx.Untrack(conn)
+	conn.Close()
+}
+
 func (s *Server) serveConn(conn transport.Conn) {
-	defer conn.Close()
-	conn = s.ins.meter(conn)
+	defer s.closeConn(conn)
 	dec := llenc.NewReader(conn)
 	cw := new(replyWriter)
 	cw.init(conn)
@@ -330,16 +338,14 @@ type serverConn struct {
 // event installs a frame reader instead of parking a loop task, so an
 // idle served connection holds no goroutine. Frame processing is shared
 // with serveConn (dispatch), keeping both forms schedule-identical.
-func (s *Server) serveConnEvent(raw transport.Conn) {
-	sc := &serverConn{s: s, conn: raw}
+func (s *Server) serveConnEvent(conn transport.Conn) {
+	sc := &serverConn{s: s, conn: conn}
 	s.ctx.Go(sc.start)
 }
 
 func (sc *serverConn) start() {
-	conn := sc.s.ins.meter(sc.conn)
-	sc.conn = conn
-	sc.cw.init(conn)
-	sc.fr.init(conn.(transport.EventConn), sc) // meter preserves EventConn
+	sc.cw.init(sc.conn)
+	sc.fr.init(sc.conn.(transport.EventConn), sc) // meter preserves EventConn
 	sc.fr.drain()
 }
 
@@ -347,7 +353,7 @@ func (sc *serverConn) onFrame(payload []byte) bool {
 	return sc.s.dispatch(payload, &sc.cw, false)
 }
 
-func (sc *serverConn) onEnd(error) { sc.conn.Close() }
+func (sc *serverConn) onEnd(error) { sc.s.closeConn(sc.conn) }
 
 // dispatch processes one request frame and reports whether the
 // connection should keep serving. inline marks a task-based caller that

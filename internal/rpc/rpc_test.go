@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/livenet"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/transport"
@@ -314,5 +315,107 @@ func TestManyClientsOneServer(t *testing.T) {
 	e.k.Run()
 	if len(results) != clients {
 		t.Fatalf("distinct results = %d, want %d (handler must run per request)", len(results), clients)
+	}
+}
+
+// TestClientReleasesDeadPeers pins core.AppContext.Track's contract on both
+// ends of the fabric: an instance tracks what it has open — its listener
+// and its live connections — not every connection it ever dialed or
+// served. Pooled peers whose servers die are untracked when they fail, and
+// a thousand one-shot (non-pooled) calls leave nothing behind on either
+// side — in simulation (event-driven readers) and over loopback TCP
+// (task-based serveConn and readLoop, what a production splayd runs).
+func TestClientReleasesDeadPeers(t *testing.T) {
+	t.Run("sim", testReleasesDeadPeersSim)
+	t.Run("live", testReleasesClosedConnsLive)
+}
+
+func testReleasesDeadPeersSim(t *testing.T) {
+	const servers = 4
+	e := newEnv(t, 1+servers)
+	cctx := e.ctx(0)
+	sctxs := make([]*core.AppContext, servers)
+	addrs := make([]transport.Addr, servers)
+	e.k.Go(func() {
+		startEchoServer(t, cctx, 8000) // the client instance serves too
+		for i := range sctxs {
+			sctxs[i] = e.ctx(1 + i)
+			addrs[i] = transport.Addr{Host: simnet.HostName(1 + i), Port: 8000}
+			startEchoServer(t, sctxs[i], 8000)
+		}
+	})
+	tracked := func(when string, ctx *core.AppContext, want int) {
+		t.Helper()
+		if got := ctx.Tracked(); got != want {
+			t.Errorf("%s: %d closers tracked, want %d", when, got, want)
+		}
+	}
+	e.k.GoAfter(time.Second, func() {
+		c := NewClient(cctx)
+		for _, a := range addrs {
+			if _, err := c.Call(a, "echo", "x"); err != nil {
+				t.Errorf("echo %s: %v", a, err)
+			}
+		}
+		tracked("pooled, all up", cctx, 1+servers)
+
+		// Two servers die; their pooled connections are reset, fail, and
+		// take their closers entries with them.
+		e.nw.Host(3).SetDown(true)
+		e.nw.Host(4).SetDown(true)
+		cctx.Sleep(time.Second)
+		tracked("pooled, two down", cctx, 1+servers-2)
+		if _, err := c.CallTimeout(addrs[2], time.Second, "echo", "x"); err == nil {
+			t.Errorf("call to a dead server succeeded")
+		}
+		tracked("after a refused redial", cctx, 1+servers-2)
+
+		oneShot := NewClient(cctx)
+		oneShot.SetPooling(false)
+		for i := 0; i < 1000; i++ {
+			if _, err := oneShot.Call(addrs[0], "echo", "x"); err != nil {
+				t.Errorf("one-shot call %d: %v", i, err)
+				return
+			}
+		}
+		cctx.Sleep(time.Second) // let the last EOF reach the server
+		tracked("after 1000 one-shot calls", cctx, 1+servers-2)
+		// The server's side of it: its listener and the one pooled
+		// connection still open from the client.
+		tracked("server, after serving them", sctxs[0], 2)
+	})
+	e.k.Run()
+}
+
+func testReleasesClosedConnsLive(t *testing.T) {
+	rt := core.NewLiveRuntime(1)
+	sctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+	defer sctx.Kill()
+	srv := NewServer(sctx)
+	srv.Register("echo", func(args Args) (any, error) { return args.String(0), nil })
+	if err := srv.Start(0); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	addr := transport.Addr{Host: "127.0.0.1", Port: srv.Addr().Port}
+
+	cctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+	defer cctx.Kill()
+	c := NewClient(cctx)
+	c.SetPooling(false)
+	for i := 0; i < 100; i++ {
+		if _, err := c.CallTimeout(addr, 10*time.Second, "echo", "x"); err != nil {
+			t.Fatalf("one-shot call %d: %v", i, err)
+		}
+	}
+	if got := cctx.Tracked(); got != 0 {
+		t.Errorf("client tracks %d closers after 100 one-shot calls, want 0", got)
+	}
+	// The server untracks as each serve loop sees its EOF.
+	deadline := time.Now().Add(10 * time.Second)
+	for sctx.Tracked() != 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := sctx.Tracked(); got != 1 {
+		t.Errorf("server tracks %d closers after its 100 connections closed, want 1 (the listener)", got)
 	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // pipe is one direction of a stream connection: bytes in flight toward, or
-// buffered at, the destination host. Pipes live in per-partition arenas at
-// one per connection direction, so the struct is kept compact: virtual
-// times are int64 nanoseconds since sim.Epoch (a third the size of
-// time.Time) and cursors are int32.
+// buffered at, the destination host. Two live in every connPair, so the
+// struct is kept compact: virtual times are int64 nanoseconds since
+// sim.Epoch (a third the size of time.Time) and cursors are int32.
 type pipe struct {
 	dst *Host
 
@@ -93,9 +92,9 @@ func (p *pipe) wakeReader() {
 }
 
 // conn is one endpoint of a simulated stream connection. Like pipe it is
-// arena-backed and population-scaled, so only ports are stored — the
-// endpoint addresses are derived from the host pointers on the rare
-// LocalAddr/RemoteAddr call — and the read deadline is int64 nanoseconds.
+// population-scaled, so only ports are stored — the endpoint addresses are
+// derived from the host pointers on the rare LocalAddr/RemoteAddr call —
+// and the read deadline is int64 nanoseconds.
 type conn struct {
 	h        *Host
 	peerHost *Host
@@ -116,23 +115,36 @@ var (
 	_ transport.EventListener = (*listener)(nil)
 )
 
+// connPair is the whole state of one stream connection — both endpoints
+// and both directions — as a single heap object. Nothing pools or recycles
+// it: a pair stays reachable through its hosts' tables while an endpoint is
+// open, through whoever holds an endpoint, and through any scheduled
+// delivery or cross-partition post that names one of its pipes; once both
+// endpoints are closed and the last such event has fired, the collector
+// reclaims the pair together with its segs arrays and unread payload. A
+// closed connection therefore costs nothing, and no kernel event can ever
+// observe a reused pipe.
+type connPair struct {
+	cl, cr            conn
+	toRemote, toLocal pipe
+}
+
 // newConnPair wires two endpoints together and registers them with their
 // hosts so machine failures can reset them. It always runs on the accepting
-// host's partition: pipes and conns come from that partition's arenas, and
-// its connSeq stamps the pair. Seqs are strided by the partition count so
-// they stay globally unique and deterministic (and reduce to the old dense
-// numbering on single-kernel networks). When the dialer lives on another
-// partition, its endpoint is registered by the dial verdict over there —
-// host tables are only ever touched by their owning partition.
+// host's partition, whose connSeq stamps the pair. Seqs are strided by the
+// partition count so they stay globally unique and deterministic (and
+// reduce to the old dense numbering on single-kernel networks). When the
+// dialer lives on another partition, its endpoint is registered by the dial
+// verdict over there — host tables are only ever touched by their owning
+// partition.
 func newConnPair(lh *Host, laddr transport.Addr, rh *Host, raddr transport.Addr) (*conn, *conn) {
 	nw := lh.nw
 	pt := rh.np()
-	toRemote := pt.pipes.Get()
+	pair := new(connPair)
+	toRemote, toLocal := &pair.toRemote, &pair.toLocal
 	toRemote.dst = rh
-	toLocal := pt.pipes.Get()
 	toLocal.dst = lh
-	cl := pt.conns.Get()
-	cr := pt.conns.Get()
+	cl, cr := &pair.cl, &pair.cr
 	cl.h, cl.peerHost, cl.rd, cl.wr = lh, rh, toLocal, toRemote
 	cl.lport, cl.rport = int32(laddr.Port), int32(raddr.Port)
 	cr.h, cr.peerHost, cr.rd, cr.wr = rh, lh, toRemote, toLocal
@@ -391,6 +403,7 @@ func (l *listener) deliver(c *conn) {
 	}
 	for len(l.waiters) > 0 {
 		r := l.waiters[0]
+		l.waiters[0] = sim.WaiterRef{}
 		l.waiters = l.waiters[1:]
 		if r.Wake(c) {
 			return
@@ -413,11 +426,19 @@ func (l *listener) TryAccept() (transport.Conn, error) {
 		return nil, transport.ErrClosed
 	}
 	if len(l.backlog) > 0 {
-		c := l.backlog[0]
-		l.backlog = l.backlog[1:]
-		return c, nil
+		return l.popBacklog(), nil
 	}
 	return nil, nil
+}
+
+// popBacklog dequeues the oldest queued connection, clearing the vacated
+// slot: the backing array outlives the pop, and a stale pointer there would
+// pin a whole closed connPair until the array happened to reallocate.
+func (l *listener) popBacklog() *conn {
+	c := l.backlog[0]
+	l.backlog[0] = nil
+	l.backlog = l.backlog[1:]
+	return c
 }
 
 // OnAcceptable implements transport.EventListener: cb runs as one kernel
@@ -433,9 +454,7 @@ func (l *listener) Accept() (transport.Conn, error) {
 			return nil, transport.ErrClosed
 		}
 		if len(l.backlog) > 0 {
-			c := l.backlog[0]
-			l.backlog = l.backlog[1:]
-			return c, nil
+			return l.popBacklog(), nil
 		}
 		w := l.host.kern().NewWaiter()
 		l.waiters = append(l.waiters, w.Ref())

@@ -33,7 +33,6 @@ import (
 	"time"
 	"unsafe"
 
-	"github.com/splaykit/splay/internal/arena"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -89,8 +88,8 @@ func (s Symmetric) DownlinkBps(host int) float64 { return s.Bps }
 type ProcDelayFunc func(host int, size int) time.Duration
 
 // netPart is the per-partition slice of network state. Everything a message
-// hot path touches — kernel, rng, delivery and payload pools, connection
-// arenas, stats — lives here, owned exclusively by the partition's worker,
+// hot path touches — kernel, rng, delivery and payload pools, stats — lives
+// here, owned exclusively by the partition's worker,
 // so partitions never contend and never race. A single-kernel network is
 // simply a network with one partition.
 type netPart struct {
@@ -99,8 +98,6 @@ type netPart struct {
 	freeDlv *delivery // pooled scheduled messages (see delivery.go)
 	freeBuf [][]byte  // pooled payload buffers (see getBuf/putBuf)
 	connSeq int       // conn creation stamp; see newConnPair for uniqueness
-	conns   *arena.Arena[conn]
-	pipes   *arena.Arena[pipe]
 	stats   Stats
 
 	_ [64]byte // keep neighbouring partitions off this cache line
@@ -109,8 +106,6 @@ type netPart struct {
 func (pt *netPart) init(k *sim.Kernel, seed int64) {
 	pt.k = k
 	pt.rng = rand.New(rand.NewSource(seed))
-	pt.conns = arena.New[conn](256)
-	pt.pipes = arena.New[pipe](256)
 }
 
 // Network is a simulated network of hosts.
@@ -293,14 +288,17 @@ func (nw *Network) assertUnpartitioned(op string) {
 }
 
 // FootprintBytes reports the long-lived heap the network layer holds —
-// the host slab, the connection and pipe arenas, and the payload buffer
-// pools — for the memory plane's accountant. It only reads sizes, so
-// sampling it never perturbs a schedule.
+// the host slab, the open connection endpoints (half a connPair each;
+// closed ones cost nothing) and the payload buffer pools — for the memory
+// plane's accountant. It only reads sizes, so sampling it never perturbs a
+// schedule; call it between runs, when no partition is mutating its hosts.
 func (nw *Network) FootprintBytes() uint64 {
 	b := uint64(len(nw.slab)) * uint64(unsafe.Sizeof(Host{}))
+	for i := range nw.slab {
+		b += uint64(len(nw.slab[i].conns)) * uint64(unsafe.Sizeof(connPair{})/2)
+	}
 	for i := range nw.parts {
 		pt := &nw.parts[i]
-		b += pt.conns.Bytes() + pt.pipes.Bytes()
 		for _, buf := range pt.freeBuf {
 			b += uint64(cap(buf))
 		}
