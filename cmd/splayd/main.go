@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	splay "github.com/splaykit/splay"
 	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/config"
 	"github.com/splaykit/splay/internal/controller"
@@ -185,45 +184,15 @@ func main() {
 }
 
 // builtinRegistry is the application registry the daemon instantiates
-// jobs from: every built-in, observed through the collect target at
-// maddr (the zero address when the daemon has none).
+// jobs from: every built-in, its instances granted the collect target at
+// maddr — what report: true streams to, as under a Scenario. Without one
+// (the zero address) report: true fails the instance with ErrNoCollector.
 func builtinRegistry(maddr transport.Addr, key string) *core.Registry {
-	return apps.Registry(func(ctx *core.AppContext) apps.Observer {
-		return &instanceObserver{ctx: ctx, addr: maddr, key: key}
-	})
-}
-
-// instanceObserver is a built-in instance's observation plane on a
-// daemon — what Env.Metrics/Env.StartReporting are under a Scenario, so
-// report: true means the same in both: instruments on a registry of the
-// instance's own, streamed to the collect target, or ErrNoCollector when
-// the daemon has none.
-type instanceObserver struct {
-	ctx  *core.AppContext
-	reg  *metrics.Registry
-	addr transport.Addr // zero without -metrics
-	key  string
-}
-
-func (o *instanceObserver) Metrics() *metrics.Registry {
-	if o.reg == nil {
-		o.reg = metrics.NewRegistry()
+	var g core.Grant
+	if maddr != (transport.Addr{}) {
+		g.Collect = &core.Collect{Addr: maddr, Key: key, Every: 5 * time.Second}
 	}
-	return o.reg
-}
-
-func (o *instanceObserver) StartReporting() error {
-	if o.addr == (transport.Addr{}) {
-		return splay.ErrNoCollector
-	}
-	rep, err := metrics.DialReporter(o.ctx.Node(), o.addr, o.Metrics(),
-		metrics.ReporterConfig{Key: o.key, Node: o.ctx.Job.Me.Host})
-	if err != nil {
-		return err
-	}
-	o.ctx.Track(rep)
-	o.ctx.Periodic(5*time.Second, func() { rep.Flush() }) //nolint:errcheck // monitoring is best effort
-	return nil
+	return apps.Registry(g)
 }
 
 // report streams reg to the aggregator at addr as the named node until

@@ -3,7 +3,6 @@ package splay
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -117,9 +116,9 @@ func (e *CapabilityError) Error() string {
 	return fmt.Sprintf("splay: capability %q denied", e.Cap)
 }
 
-// ErrNoCollector is returned by Env.StartReporting when the scenario the
-// instance runs under collects no metrics.
-var ErrNoCollector = errors.New("splay: scenario collects no metrics")
+// ErrNoCollector is returned by Env.StartReporting when the host the
+// instance runs under — a scenario, a daemon — collects no metrics.
+var ErrNoCollector = core.ErrNoCollector
 
 // ErrNoController is returned (wrapped with the offending entry) by what
 // needs a controller and its daemons on a session that has none — a
@@ -149,29 +148,17 @@ func (f AppFunc) Run(env *Env) error { return f(env) }
 // to validate the application before reserving resources.
 type Factory func(params []byte) (App, error)
 
-// collectTarget is the metric plane an Env reports into, wired by the
-// Scenario that deployed the instance.
-type collectTarget struct {
-	addr  transport.Addr
-	key   string
-	every time.Duration
-}
-
 // Env is the capability-scoped execution environment of one application
 // instance: cooperative tasks and timers, job information, logging,
 // metric instruments, and — capability-gated — the sandboxed socket layer
-// and virtual filesystem. It replaces direct coupling to the engine's
-// AppContext; the engine context remains reachable through AppContext for
-// protocol libraries built on it.
+// and virtual filesystem. It is a view of the engine's AppContext, which
+// holds what the host granted the instance (core.Grant), so a protocol
+// library built on AppContext() lives under the same restrictions.
 type Env struct {
-	ctx     *core.AppContext
-	caps    Cap
-	node    transport.Node // sandbox-wrapped when the spec adds net limits
-	fsLim   sandbox.FSLimits
-	fs      *sandbox.FS
-	reg     *metrics.Registry
-	collect *collectTarget
-	rules   *faults.RPCRules // fault-plane RPC filter (nil outside fault plans)
+	ctx   *core.AppContext
+	caps  Cap
+	fsLim sandbox.FSLimits
+	fs    *sandbox.FS
 }
 
 // EnvConfig tunes NewEnv for hosts that instantiate applications outside
@@ -186,40 +173,37 @@ type EnvConfig struct {
 	FS FSLimits
 }
 
-// NewEnv wraps an engine context in a capability-scoped environment.
+// NewEnv wraps an engine context in a capability-scoped environment,
+// restricting the context's node in place (cfg.Net, a withheld CapNet).
 // Most applications never call this: daemons and Scenario deployments
 // build the Env; NewEnv is the bridge for static instantiation (tests,
 // hand-built simulations).
 func NewEnv(ctx *core.AppContext, cfg EnvConfig) *Env {
-	return newEnv(ctx, cfg, nil, nil)
+	ctx.Grant(cfg.grant())
+	return cfg.view(ctx)
 }
 
-func newEnv(ctx *core.AppContext, cfg EnvConfig, collect *collectTarget, rules *faults.RPCRules) *Env {
+// grant is the engine-level share of the config: what binds the context.
+func (cfg EnvConfig) grant() core.Grant {
+	if cfg.Caps != 0 && cfg.Caps&CapNet == 0 {
+		return core.Grant{NoNet: &CapabilityError{Cap: CapNet}}
+	}
+	return core.Grant{Net: cfg.Net}
+}
+
+// view is the Env over a context the config's grant was applied to.
+func (cfg EnvConfig) view(ctx *core.AppContext) *Env {
 	caps := cfg.Caps
 	if caps == 0 {
 		caps = AllCaps
 	}
-	node := transport.Node(nil)
-	if caps&CapNet != 0 {
-		node = ctx.Node()
-		if cfg.Net.MaxSockets > 0 || cfg.Net.MaxTxBytes > 0 || cfg.Net.MaxRxBytes > 0 || len(cfg.Net.Blacklist) > 0 {
-			sb := sandbox.Wrap(node, cfg.Net)
-			ctx.Track(closerFunc(func() error { sb.CloseAll(); return nil }))
-			node = sb
-		}
-	}
-	return &Env{ctx: ctx, caps: caps, node: node, fsLim: cfg.FS, collect: collect, rules: rules}
+	return &Env{ctx: ctx, caps: caps, fsLim: cfg.FS}
 }
-
-// closerFunc adapts a function to io.Closer for AppContext.Track.
-type closerFunc func() error
-
-func (f closerFunc) Close() error { return f() }
 
 // AppContext returns the engine context underneath the Env: the bridge
 // for protocol libraries (chord, pastry, …) that are written against the
-// engine. It is always available; the capability model gates the
-// resources the Env itself hands out.
+// engine. It is always available and grants nothing extra: its node, RPC
+// clients and reporting are the ones the host restricted.
 func (e *Env) AppContext() *core.AppContext { return e.ctx }
 
 // Job describes this instance's deployment: its own address (job.me),
@@ -258,17 +242,11 @@ func (e *Env) Killed() bool { return e.ctx.Killed() }
 // OnKill registers fn to run when the instance is killed (periodics
 // canceled, sockets closed). Applications use it to deregister from
 // shared state under churn.
-func (e *Env) OnKill(fn func()) {
-	e.ctx.Track(closerFunc(func() error { fn(); return nil }))
-}
+func (e *Env) OnKill(fn func()) { e.ctx.OnKill(fn) }
 
 // RunUntilKilled parks the main task while background tasks work: the
 // idiomatic tail of a long-running application's Run.
-func (e *Env) RunUntilKilled() {
-	for !e.ctx.Killed() {
-		e.ctx.Sleep(5 * time.Second)
-	}
-}
+func (e *Env) RunUntilKilled() { e.ctx.RunUntilKilled() }
 
 // Log returns the instance's logger (never nil).
 func (e *Env) Log() Logger { return e.ctx.Log }
@@ -278,10 +256,7 @@ func (e *Env) Logf(format string, args ...any) { e.ctx.Log.Printf(format, args..
 
 // Dial opens a stream to a peer through the sandboxed socket layer.
 func (e *Env) Dial(to Addr, timeout time.Duration) (Conn, error) {
-	if e.caps&CapNet == 0 {
-		return nil, &CapabilityError{Cap: CapNet}
-	}
-	c, err := e.node.Dial(to, timeout)
+	c, err := e.ctx.Node().Dial(to, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -291,10 +266,7 @@ func (e *Env) Dial(to Addr, timeout time.Duration) (Conn, error) {
 
 // Listen binds a stream listener; port 0 asks for an ephemeral port.
 func (e *Env) Listen(port int) (Listener, error) {
-	if e.caps&CapNet == 0 {
-		return nil, &CapabilityError{Cap: CapNet}
-	}
-	l, err := e.node.Listen(port)
+	l, err := e.ctx.Node().Listen(port)
 	if err != nil {
 		return nil, err
 	}
@@ -304,10 +276,7 @@ func (e *Env) Listen(port int) (Listener, error) {
 
 // ListenPacket binds a datagram socket.
 func (e *Env) ListenPacket(port int) (PacketConn, error) {
-	if e.caps&CapNet == 0 {
-		return nil, &CapabilityError{Cap: CapNet}
-	}
-	p, err := e.node.ListenPacket(port)
+	p, err := e.ctx.Node().ListenPacket(port)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +290,7 @@ func (e *Env) Node() (transport.Node, error) {
 	if e.caps&CapNet == 0 {
 		return nil, &CapabilityError{Cap: CapNet}
 	}
-	return e.node, nil
+	return e.ctx.Node(), nil
 }
 
 // NewRPCServer returns an RPC server bound to this instance.
@@ -333,17 +302,16 @@ func (e *Env) NewRPCServer() (*RPCServer, error) {
 }
 
 // NewRPCClient returns an RPC client bound to this instance. Under a
-// scenario with a non-empty fault plan the client carries the plan's
-// message filter (drop/delay by method) and paces redials to dead peers
-// with jittered exponential backoff; outside fault plans it is the bare
-// zero-overhead client.
+// scenario with a non-empty fault plan every client of the instance
+// carries the plan's message filter (drop/delay by method); this one also
+// paces redials to dead peers with jittered exponential backoff. Outside
+// fault plans it is the bare zero-overhead client.
 func (e *Env) NewRPCClient() (*RPCClient, error) {
 	if e.caps&CapNet == 0 {
 		return nil, &CapabilityError{Cap: CapNet}
 	}
 	cl := rpc.NewClient(e.ctx)
-	if e.rules != nil {
-		cl.Fault = e.rules.Check
+	if cl.Fault != nil {
 		cl.SetRedialBackoff(faults.DefaultBackoff())
 	}
 	return cl, nil
@@ -362,50 +330,12 @@ func (e *Env) FS() (*FS, error) {
 	return e.fs, nil
 }
 
-// Metrics returns the instance's metric registry, created on first use.
-// Instruments are pure memory operations; they reach an aggregator only
-// through StartReporting (or a reporter the application wires itself).
-func (e *Env) Metrics() *MetricsRegistry {
-	if e.reg == nil {
-		e.reg = metrics.NewRegistry()
-	}
-	return e.reg
-}
+// Metrics returns the instance's metric registry, created on first use
+// (core.AppContext.Metrics).
+func (e *Env) Metrics() *MetricsRegistry { return e.ctx.Metrics() }
 
-// StartReporting streams the instance's metric registry to the
-// scenario's aggregator as batched delta reports, one flush per
-// collection period, until the instance is killed. It fails with
-// ErrNoCollector when the scenario collects no metrics, and requires
-// CapNet: the report stream is network traffic like any other, dialed
-// through the instance's sandboxed stack and charged against its
-// limits.
-func (e *Env) StartReporting() error {
-	if e.collect == nil {
-		return ErrNoCollector
-	}
-	if e.caps&CapNet == 0 {
-		return &CapabilityError{Cap: CapNet}
-	}
-	rep, err := metrics.DialReporter(e.node, e.collect.addr, e.Metrics(),
-		metrics.ReporterConfig{Key: e.collect.key, Node: e.ctx.Job.Me.Host})
-	if err != nil {
-		return err
-	}
-	e.ctx.Track(rep)
-	if e.rules != nil {
-		// Fault-plane scenarios cut and heal the network under the
-		// report stream; redial it so telemetry resumes after a heal.
-		// (Gated on the fault plan so unfaulted schedules stay
-		// byte-identical: an unfaulted stream never fails a flush.)
-		e.ctx.Periodic(e.collect.every, func() {
-			if rep.Flush() != nil {
-				rep.Reconnect() //nolint:errcheck // retried next period
-			}
-		})
-		return nil
-	}
-	e.ctx.Periodic(e.collect.every, func() { rep.Flush() }) //nolint:errcheck // monitoring is best effort
-	return nil
-}
-
-var _ io.Closer = closerFunc(nil)
+// StartReporting streams the registry to the host's aggregator until the
+// instance is killed (core.AppContext.StartReporting). It fails with
+// ErrNoCollector when the host collects no metrics, and requires CapNet:
+// the stream is dialed through the instance's own sandboxed stack.
+func (e *Env) StartReporting() error { return e.ctx.StartReporting() }

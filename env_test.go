@@ -92,8 +92,18 @@ func TestEnvTxQuotaAndBlacklist(t *testing.T) {
 	if !errors.Is(dialErr, splay.ErrBlacklisted) {
 		t.Fatalf("dial to blacklisted host: err = %v, want ErrBlacklisted", dialErr)
 	}
-	// Loopback stream: the env-level tx quota bites after 4 bytes.
-	var wErr error
+	// The bridge for protocol libraries is the same restricted stack.
+	bridge := env.AppContext().Node()
+	k.Go(func() {
+		_, dialErr = bridge.Dial(transport.Addr{Host: simnet.HostName(1), Port: 80}, time.Second)
+	})
+	k.Run()
+	if !errors.Is(dialErr, splay.ErrBlacklisted) {
+		t.Fatalf("bridge dial to blacklisted host: err = %v, want ErrBlacklisted", dialErr)
+	}
+	// Loopback stream: the env-level tx quota bites after 4 bytes,
+	// whichever surface the connection was dialed from.
+	var wErr, bridgeErr error
 	k.Go(func() {
 		ln, err := env.Listen(2000)
 		if err != nil {
@@ -118,10 +128,19 @@ func TestEnvTxQuotaAndBlacklist(t *testing.T) {
 			return
 		}
 		_, wErr = c.Write([]byte("5"))
+		bc, err := bridge.Dial(transport.Addr{Host: simnet.HostName(0), Port: 2000}, time.Second)
+		if err != nil {
+			t.Errorf("bridge dial: %v", err)
+			return
+		}
+		_, bridgeErr = bc.Write([]byte("5"))
 	})
 	k.Run()
 	if !errors.Is(wErr, splay.ErrLimit) {
 		t.Fatalf("write beyond tx quota: err = %v, want ErrLimit", wErr)
+	}
+	if !errors.Is(bridgeErr, splay.ErrLimit) {
+		t.Fatalf("write beyond tx quota on a conn dialed from AppContext().Node(): err = %v, want ErrLimit", bridgeErr)
 	}
 }
 
@@ -154,6 +173,19 @@ func TestEnvDeniedCapabilities(t *testing.T) {
 	}
 	if _, err := fsOnly.Node(); !errors.As(err, &capErr) {
 		t.Fatalf("Node: err = %v, want CapabilityError", err)
+	}
+	// ... and so is the engine context's node, the bridge protocol
+	// libraries open their sockets on.
+	bridge := fsOnly.AppContext().Node()
+	capErr = nil
+	if _, err := bridge.Listen(1000); !errors.As(err, &capErr) || capErr.Cap != splay.CapNet {
+		t.Fatalf("AppContext().Node().Listen: err = %v, want CapabilityError{CapNet}", err)
+	}
+	capErr = nil
+	k.Go(func() { _, dialErr = bridge.Dial(transport.Addr{Host: "n1", Port: 80}, time.Second) })
+	k.Run()
+	if !errors.As(dialErr, &capErr) || capErr.Cap != splay.CapNet {
+		t.Fatalf("AppContext().Node().Dial: err = %v, want CapabilityError{CapNet}", dialErr)
 	}
 	if _, err := fsOnly.NewRPCServer(); !errors.As(err, &capErr) {
 		t.Fatalf("NewRPCServer: err = %v, want CapabilityError", err)

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	splay "github.com/splaykit/splay"
+	"github.com/splaykit/splay/internal/protocols/chord"
+	"github.com/splaykit/splay/internal/rpc"
 )
 
 // holdApp keeps its instances alive until killed, so daemon crashes kill
@@ -183,5 +185,92 @@ func TestLiveChaosReconnectAndReplace(t *testing.T) {
 	waitDaemons(4, 15*time.Second, "restart")
 	if err := sess.CheckAssertions(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chordOnBridge is Chord as an SDK application builds it: the protocol
+// library on the Env's engine context, its instruments on the Env's
+// registry. It mirrors the by-name built-in's body.
+var chordOnBridge = splay.AppFunc(func(env *splay.Env) error {
+	n, err := chord.New(env.AppContext(), chord.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	n.SetInstruments(chord.NewInstruments(env.Metrics()))
+	n.SetRPCInstruments(rpc.NewInstruments(env.Metrics()))
+	if err := n.Start(); err != nil {
+		return err
+	}
+	if err := env.StartReporting(); err != nil {
+		return err
+	}
+	job := env.Job()
+	env.Sleep(time.Duration(job.Position) * time.Second)
+	if job.Position > 1 && len(job.Nodes) > 0 {
+		n.Join(job.Nodes[0]) //nolint:errcheck // stabilization repairs a missed join
+	}
+	n.StartMaintenance()
+	env.Periodic(2*time.Second, func() { n.Lookup(env.Rand().Uint64()) }) //nolint:errcheck // counted by the instruments
+	env.RunUntilKilled()
+	n.Stop()
+	return nil
+})
+
+// TestScenarioRPCFaultBindsEveryClient: an rpc-fault event reaches the
+// RPC clients protocol libraries build on the engine context — the by-name
+// built-in's and an SDK application's on env.AppContext() alike — not only
+// clients made by Env.NewRPCClient. Dropping every request makes calls
+// time out and lookups fail; clearing the filter lets lookups succeed
+// again.
+func TestScenarioRPCFaultBindsEveryClient(t *testing.T) {
+	t.Parallel()
+	for name, spec := range map[string]splay.AppSpec{
+		"by-name": {Name: "chord", Nodes: 10, Params: []byte(`{"lookups_per_min":30,"report":true}`)},
+		"bridge":  {Name: "sdk-chord", Nodes: 10, App: chordOnBridge},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sc := splay.Scenario{
+				Seed:    11,
+				Testbed: splay.Uniform(12, 10*time.Millisecond, 0),
+				Collect: splay.Collect{Metrics: true},
+				Faults: splay.FaultPlan{Events: []splay.FaultEvent{
+					splay.RPCFaultAt(40*time.Second, "", 1.0, 0),
+					splay.RPCClearAt(5 * time.Minute),
+				}},
+				Apps: []splay.AppSpec{spec},
+			}
+			sess, err := sc.Start(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Stop()
+			if _, err := sess.Deploy(spec).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.ArmFaults(); err != nil {
+				t.Fatal(err)
+			}
+			tel := sess.Telemetry()
+			succeeded := func() uint64 { n, _ := tel.HistStats("chord.hops"); return n }
+
+			sess.RunFor(35 * time.Second)
+			if tel.Counter("rpc.timeouts") != 0 || tel.Counter("chord.failed_lookups") != 0 || succeeded() == 0 {
+				t.Fatalf("before the fault: %d timeouts, %d failed lookups, %d succeeded",
+					tel.Counter("rpc.timeouts"), tel.Counter("chord.failed_lookups"), succeeded())
+			}
+			sess.RunFor(5 * time.Minute) // fault at +40s, clear at +5m
+			timeouts, failed, before := tel.Counter("rpc.timeouts"), tel.Counter("chord.failed_lookups"), succeeded()
+			t.Logf("at the clear: %d rpc.calls, %d rpc.timeouts, %d chord.lookups, %d failed, %d succeeded",
+				tel.Counter("rpc.calls"), timeouts, tel.Counter("chord.lookups"), failed, before)
+			if timeouts == 0 || failed == 0 {
+				t.Fatalf("under drop=1.0: %d rpc.timeouts, %d chord.failed_lookups; the filter missed the protocol's client",
+					timeouts, failed)
+			}
+			sess.RunFor(10 * time.Minute)
+			if after := succeeded(); after <= before {
+				t.Fatalf("after the clear: %d lookups succeeded, %d before it", after, before)
+			}
+		})
 	}
 }

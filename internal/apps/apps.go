@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
-	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/protocols/bittorrent"
 	"github.com/splaykit/splay/internal/protocols/chord"
 	"github.com/splaykit/splay/internal/protocols/cyclon"
@@ -24,47 +23,31 @@ import (
 	"github.com/splaykit/splay/internal/rpc"
 )
 
-// Observer is the host's observation plane for one instance: the
-// registry protocol instruments attach to and the call that starts
-// streaming it to the host's collector.
-type Observer interface {
-	Metrics() *metrics.Registry
-	StartReporting() error
-}
-
 // App is one built-in application.
 type App struct {
 	Schema
-	// Factory is the application as the engine deploys it. observe, when
-	// non-nil, supplies each instance's observation plane: the Env under
-	// a Scenario, the daemon's collect target under splayd.
-	Factory func(observe func(*core.AppContext) Observer) core.Factory
+	// Factory is the application as the engine deploys it.
+	Factory core.Factory
 }
 
 // define binds a parameter struct to the instance body that reads it.
 // Nil and {} parameters are every default (daemons probe factories with
-// nil at registration). The body consults obs only when the job sets
-// report: true — instruments attach before the protocol starts (pure
-// memory operations, schedule-neutral) and reporting starts right after
-// it, so jobs that never ask for telemetry keep their exact schedule and
-// footprint; a nil obs ignores report.
-func define[P any](s Schema, body func(ctx *core.AppContext, p P, obs Observer) error) App {
-	return App{Schema: s, Factory: func(observe func(*core.AppContext) Observer) core.Factory {
-		return func(params json.RawMessage) (core.App, error) {
-			var p P
-			if len(params) > 0 {
-				if err := json.Unmarshal(params, &p); err != nil {
-					return nil, fmt.Errorf("%s app: %w", s.Name, err)
-				}
+// nil at registration). A body asks its context for the host's
+// observation plane only when the job sets report: true — instruments
+// attach before the protocol starts (pure memory operations,
+// schedule-neutral) and reporting starts right after it, failing the
+// instance with core.ErrNoCollector on a host that collects nothing — so
+// jobs that never ask for telemetry keep their exact schedule and
+// footprint.
+func define[P any](s Schema, body func(ctx *core.AppContext, p P) error) App {
+	return App{Schema: s, Factory: func(params json.RawMessage) (core.App, error) {
+		var p P
+		if len(params) > 0 {
+			if err := json.Unmarshal(params, &p); err != nil {
+				return nil, fmt.Errorf("%s app: %w", s.Name, err)
 			}
-			return core.AppFunc(func(ctx *core.AppContext) error {
-				var obs Observer
-				if observe != nil {
-					obs = observe(ctx)
-				}
-				return body(ctx, p, obs)
-			}), nil
 		}
+		return core.AppFunc(func(ctx *core.AppContext) error { return body(ctx, p) }), nil
 	}}
 }
 
@@ -83,20 +66,14 @@ func Lookup(name string) (App, bool) {
 	return App{}, false
 }
 
-// Registry returns an engine registry holding every built-in.
-func Registry(observe func(*core.AppContext) Observer) *core.Registry {
+// Registry returns an engine registry holding every built-in, each
+// instance's context granted g by its host.
+func Registry(g core.Grant) *core.Registry {
 	reg := core.NewRegistry()
 	for _, a := range builtins {
-		reg.MustRegister(a.Name, a.Factory(observe))
+		reg.MustRegister(a.Name, a.Factory.Granted(g))
 	}
 	return reg
-}
-
-// runUntilKilled parks the app's main task while background tasks work.
-func runUntilKilled(ctx *core.AppContext) {
-	for !ctx.Killed() {
-		ctx.Sleep(5 * time.Second)
-	}
 }
 
 func reportParam(instruments string) Param {
@@ -126,7 +103,7 @@ var chordApp = define(Schema{
 		lookupsParam("lookups"),
 		reportParam("chord.* and rpc.*"),
 	},
-}, func(ctx *core.AppContext, p chordParams, obs Observer) error {
+}, func(ctx *core.AppContext, p chordParams) error {
 	cfg := chord.DefaultConfig()
 	if p.FaultTolerant {
 		cfg = chord.FaultTolerantConfig()
@@ -138,16 +115,15 @@ var chordApp = define(Schema{
 	if err != nil {
 		return err
 	}
-	report := p.Report && obs != nil
-	if report {
-		n.SetInstruments(chord.NewInstruments(obs.Metrics()))
-		n.SetRPCInstruments(rpc.NewInstruments(obs.Metrics()))
+	if p.Report {
+		n.SetInstruments(chord.NewInstruments(ctx.Metrics()))
+		n.SetRPCInstruments(rpc.NewInstruments(ctx.Metrics()))
 	}
 	if err := n.Start(); err != nil {
 		return err
 	}
-	if report {
-		if err := obs.StartReporting(); err != nil {
+	if p.Report {
+		if err := ctx.StartReporting(); err != nil {
 			return err
 		}
 	}
@@ -167,7 +143,7 @@ var chordApp = define(Schema{
 			}
 		})
 	}
-	runUntilKilled(ctx)
+	ctx.RunUntilKilled()
 	n.Stop()
 	return nil
 })
@@ -184,17 +160,16 @@ var pastryApp = define(Schema{
 		lookupsParam("routes"),
 		reportParam("pastry.*"),
 	},
-}, func(ctx *core.AppContext, p pastryParams, obs Observer) error {
+}, func(ctx *core.AppContext, p pastryParams) error {
 	n := pastry.New(ctx, pastry.DefaultConfig())
-	report := p.Report && obs != nil
-	if report {
-		n.SetInstruments(pastry.NewInstruments(obs.Metrics()))
+	if p.Report {
+		n.SetInstruments(pastry.NewInstruments(ctx.Metrics()))
 	}
 	if err := n.Start(); err != nil {
 		return err
 	}
-	if report {
-		if err := obs.StartReporting(); err != nil {
+	if p.Report {
+		if err := ctx.StartReporting(); err != nil {
 			return err
 		}
 	}
@@ -213,7 +188,7 @@ var pastryApp = define(Schema{
 			}
 		})
 	}
-	runUntilKilled(ctx)
+	ctx.RunUntilKilled()
 	n.Stop()
 	return nil
 })
@@ -240,7 +215,7 @@ var cyclonApp = define(Schema{
 			Min:     float64(100 * time.Millisecond), Max: float64(10 * time.Minute), Bounded: true},
 		reportParam("cyclon.*"),
 	},
-}, func(ctx *core.AppContext, p cyclonParams, obs Observer) error {
+}, func(ctx *core.AppContext, p cyclonParams) error {
 	cfg := cyclon.DefaultConfig()
 	if p.ViewSize > 0 {
 		cfg.ViewSize = p.ViewSize
@@ -252,19 +227,18 @@ var cyclonApp = define(Schema{
 		cfg.ShuffleEvery = time.Duration(p.ShuffleEvery)
 	}
 	n := cyclon.New(ctx, cfg)
-	report := p.Report && obs != nil
-	if report {
-		n.SetInstruments(cyclon.NewInstruments(obs.Metrics()))
+	if p.Report {
+		n.SetInstruments(cyclon.NewInstruments(ctx.Metrics()))
 	}
 	if err := n.Start(ctx.Job.Nodes); err != nil {
 		return err
 	}
-	if report {
-		if err := obs.StartReporting(); err != nil {
+	if p.Report {
+		if err := ctx.StartReporting(); err != nil {
 			return err
 		}
 	}
-	runUntilKilled(ctx)
+	ctx.RunUntilKilled()
 	n.Stop()
 	return nil
 })
@@ -282,7 +256,7 @@ var epidemicApp = define(Schema{
 			Default: epidemic.DefaultConfig().Fanout, Min: 1, Max: 64, Bounded: true},
 		{Name: "originate", Kind: KindBool, Doc: "position-1 instance broadcasts a rumor", Default: false},
 	},
-}, func(ctx *core.AppContext, p epidemicParams, _ Observer) error {
+}, func(ctx *core.AppContext, p epidemicParams) error {
 	cfg := epidemic.DefaultConfig()
 	if p.Fanout > 0 {
 		cfg.Fanout = p.Fanout
@@ -296,7 +270,7 @@ var epidemicApp = define(Schema{
 			n.Broadcast("rumor-1", []byte("hello from the rendez-vous"))
 		})
 	}
-	runUntilKilled(ctx)
+	ctx.RunUntilKilled()
 	n.Stop()
 	return nil
 })
@@ -322,7 +296,7 @@ var bittorrentApp = define(Schema{
 		{Name: "piece_size", Kind: KindSize, Doc: "piece size", Default: defaultPieceSize,
 			Min: 1 << 10, Max: 64 << 20, Bounded: true},
 	},
-}, func(ctx *core.AppContext, p bittorrentParams, _ Observer) error {
+}, func(ctx *core.AppContext, p bittorrentParams) error {
 	if p.Size <= 0 {
 		p.Size = defaultTorrentSize
 	}
@@ -335,7 +309,7 @@ var bittorrentApp = define(Schema{
 		if err := tr.Start(); err != nil {
 			return err
 		}
-		runUntilKilled(ctx)
+		ctx.RunUntilKilled()
 		return nil
 	}
 	if len(ctx.Job.Nodes) == 0 {

@@ -57,11 +57,11 @@ func TestDescriptors(t *testing.T) {
 			}
 		}
 		for _, probe := range []string{"", "{}", "null"} {
-			if _, err := a.Factory(nil)([]byte(probe)); err != nil {
+			if _, err := a.Factory([]byte(probe)); err != nil {
 				t.Errorf("%s: factory(%q) = %v", a.Name, probe, err)
 			}
 		}
-		if _, err := a.Factory(nil)([]byte(`{"` + a.Params[0].Name + `":[]}`)); err == nil || !strings.HasPrefix(err.Error(), a.Name+" app: ") {
+		if _, err := a.Factory([]byte(`{"` + a.Params[0].Name + `":[]}`)); err == nil || !strings.HasPrefix(err.Error(), a.Name+" app: ") {
 			t.Errorf("%s: mistyped parameter = %v, want a %q error", a.Name, err, a.Name+" app: ")
 		}
 		if got, ok := Lookup(a.Name); !ok || got.Name != a.Name {
@@ -73,79 +73,119 @@ func TestDescriptors(t *testing.T) {
 	}
 }
 
-// fakeObserver records what an instance asks of its host.
-type fakeObserver struct {
-	reg       *metrics.Registry
-	atStart   int // instruments registered when reporting started
-	reporting int
-	err       error
+// host is one simulated machine pair: instances run on host 0, an
+// aggregator listens on host 1.
+type host struct {
+	k   *sim.Kernel
+	nw  *simnet.Network
+	agg *metrics.Aggregator
 }
 
-func (o *fakeObserver) Metrics() *metrics.Registry {
-	if o.reg == nil {
-		o.reg = metrics.NewRegistry()
-	}
-	return o.reg
-}
-
-func (o *fakeObserver) StartReporting() error {
-	o.reporting++
-	o.atStart = o.Metrics().Len()
-	return o.err
-}
-
-// start deploys one instance of a built-in from the registry on a fresh
-// simulated host and runs it for ten virtual seconds.
-func start(t *testing.T, reg *core.Registry, name, params string) *core.Instance {
+func newHost(t *testing.T) *host {
 	t.Helper()
-	app, err := reg.New(name, []byte(params))
+	k := sim.NewKernel()
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 2, 1)
+	agg, err := metrics.NewAggregator(nw.Node(1), 7000, k.Go)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := sim.NewKernel()
-	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 1, 1)
-	me := transport.Addr{Host: simnet.HostName(0), Port: 9000}
-	inst := core.StartInstance(core.NewSimRuntime(k, 1), nw.Node(0), core.JobInfo{Me: me, Position: 1}, nil, app)
-	k.RunFor(10 * time.Second)
-	t.Cleanup(func() { inst.Kill(); k.RunFor(10 * time.Second) })
-	return inst
+	agg.Authorize("k")
+	return &host{k: k, nw: nw, agg: agg}
 }
 
-// TestReportThroughObserver pins what `report` means on every host: with
-// an observer, report: true attaches the protocol's instruments before
-// reporting starts, and a host without a collector fails the instance
-// with the host's error; without report — or without an observer — the
-// host is never asked for anything.
+// spy is the instance's node as the test watches it: how many streams the
+// instance dialed to the aggregator, and how many instruments its registry
+// held when it dialed the first — the moment of StartReporting.
+type spy struct {
+	transport.Node
+	agg     transport.Addr
+	ctx     *core.AppContext
+	dials   int
+	atStart int
+}
+
+func (s *spy) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, error) {
+	if to == s.agg {
+		if s.dials++; s.dials == 1 {
+			s.atStart = s.ctx.Metrics().Len() // allocated by now: StartReporting asked for it
+		}
+	}
+	return s.Node.Dial(to, timeout)
+}
+
+// hasRegistry reports whether the context ever allocated its metric
+// registry, without asking for it (Metrics() would allocate one).
+func hasRegistry(ctx *core.AppContext) bool {
+	return !reflect.ValueOf(ctx).Elem().FieldByName("reg").IsNil()
+}
+
+// start deploys one instance of a built-in under grant and runs it for
+// twelve virtual seconds: two 5 s report periods.
+func (h *host) start(t *testing.T, name, params string, grant core.Grant) (*core.Instance, *spy) {
+	t.Helper()
+	app, err := Registry(grant).New(name, []byte(params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	me := transport.Addr{Host: simnet.HostName(0), Port: 9000}
+	sp := &spy{Node: h.nw.Node(0), agg: h.agg.Addr()}
+	inst := core.StartInstance(core.NewSimRuntime(h.k, 1), sp, core.JobInfo{Me: me, Position: 1}, nil, app)
+	sp.ctx = inst.Ctx // the application's Run starts with the kernel, below
+	h.k.RunFor(12 * time.Second)
+	t.Cleanup(func() { inst.Kill(); h.k.RunFor(10 * time.Second) })
+	return inst, sp
+}
+
+// TestReportThroughObserver pins what `report` means on every host, now
+// that the host's observation plane is the instance's own context: with a
+// collect target granted, report: true attaches the protocol's
+// instruments before reporting starts, starts it exactly once — one
+// stream, never redialed while nothing cuts it — and streams them under
+// the host's key; a host that granted none fails the instance with
+// ErrNoCollector; without report the context is never asked for anything
+// — no registry allocated, no stream dialed.
 func TestReportThroughObserver(t *testing.T) {
 	t.Parallel()
-	noCollector := errors.New("no collector")
 	for _, name := range []string{"chord", "pastry", "cyclon"} {
-		obs := &fakeObserver{}
-		reg := Registry(func(*core.AppContext) Observer { return obs })
+		h := newHost(t)
+		collect := core.Grant{Collect: &core.Collect{Addr: h.agg.Addr(), Key: "k", Every: 5 * time.Second}}
 
-		inst := start(t, reg, name, `{"report":true}`)
+		inst, sp := h.start(t, name, `{"report":true}`, collect)
 		if done, err := inst.Done(); done || err != nil {
 			t.Errorf("%s: reporting instance ended early: %v", name, err)
 		}
-		if obs.reporting != 1 || obs.atStart == 0 {
-			t.Errorf("%s: StartReporting called %d times with %d instruments attached", name, obs.reporting, obs.atStart)
+		if sp.dials != 1 || sp.atStart == 0 {
+			t.Errorf("%s: reporting started on %d streams with %d instruments attached", name, sp.dials, sp.atStart)
+		}
+		frames, _ := h.agg.Received()
+		if h.agg.Nodes() != 1 || frames == 0 {
+			t.Errorf("%s: aggregator saw %d nodes, %d frames; want the instance's stream", name, h.agg.Nodes(), frames)
+		}
+		own := 0
+		for _, series := range h.agg.Snapshot() {
+			if strings.HasPrefix(series.Name, name+".") {
+				own++
+			}
+		}
+		if own == 0 || own > sp.atStart {
+			t.Errorf("%s: %d %s.* series reached the aggregator from the %d instruments attached at start",
+				name, own, name, sp.atStart)
 		}
 
-		*obs = fakeObserver{err: noCollector}
-		inst = start(t, reg, name, `{"report":true}`)
-		if done, err := inst.Done(); !done || !errors.Is(err, noCollector) {
-			t.Errorf("%s: instance on a collector-less host: done=%v err=%v", name, done, err)
+		h = newHost(t)
+		inst, sp = h.start(t, name, `{"report":true}`, core.Grant{})
+		if done, err := inst.Done(); !done || !errors.Is(err, core.ErrNoCollector) || sp.dials != 0 {
+			t.Errorf("%s: instance on a collector-less host: done=%v err=%v, %d streams dialed", name, done, err, sp.dials)
 		}
 
-		*obs = fakeObserver{}
-		start(t, reg, name, `{}`)
-		if obs.reporting != 0 || obs.reg != nil {
-			t.Errorf("%s: job without report touched the observer (%d starts, registry %v)", name, obs.reporting, obs.reg)
-		}
-
-		inst = start(t, Registry(nil), name, `{"report":true}`)
+		h = newHost(t)
+		inst, sp = h.start(t, name, `{}`, collect)
 		if done, err := inst.Done(); done || err != nil {
-			t.Errorf("%s: observer-less host should ignore report: done=%v err=%v", name, done, err)
+			t.Errorf("%s: plain instance ended early: %v", name, err)
+		}
+		if frames, _ := h.agg.Received(); sp.dials != 0 || hasRegistry(inst.Ctx) || frames != 0 {
+			t.Errorf("%s: job without report touched the observation plane (%d streams, registry %v, %d frames)",
+				name, sp.dials, hasRegistry(inst.Ctx), frames)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -51,13 +52,18 @@ type AppFunc func(ctx *AppContext) error
 func (f AppFunc) Run(ctx *AppContext) error { return f(ctx) }
 
 // AppContext is the sandboxed environment handed to a running instance:
-// scheduling, randomness, job information, logging, and the node's
-// network stack. It also owns the instance's lifecycle — killing the
-// context cancels periodic tasks and closes tracked sockets, which is how
-// the daemon (and the churn manager) stop instances.
+// scheduling, randomness, job information, logging, the node's network
+// stack, and what the host granted on top of it (see Grant). It also owns
+// the instance's lifecycle — killing the context cancels periodic tasks
+// and closes tracked sockets, which is how the daemon (and the churn
+// manager) stop instances.
 type AppContext struct {
 	rt   Runtime
-	node transport.Node
+	node transport.Node // as the host restricted it (Grant)
+
+	reg      *metrics.Registry // lazily created by Metrics
+	collect  *Collect          // nil: StartReporting is ErrNoCollector
+	rpcFault func(transport.Addr, string) (bool, time.Duration)
 
 	// Job describes this instance's deployment.
 	Job JobInfo
@@ -347,6 +353,14 @@ func (c *AppContext) Track(cl io.Closer) io.Closer {
 	return cl
 }
 
+// closerFunc adapts a function to io.Closer for Track.
+type closerFunc func()
+
+func (f closerFunc) Close() error { f(); return nil }
+
+// OnKill registers fn to run when the instance is killed, in Track order.
+func (c *AppContext) OnKill(fn func()) { c.Track(closerFunc(fn)) }
+
 // Untrack forgets a closer registered with Track without closing it: the
 // caller closes it itself. Removal preserves the order of the remaining
 // entries, so Kill closes the survivors exactly as it would have. An
@@ -395,6 +409,14 @@ func (c *AppContext) Kill() {
 	}
 	for _, cl := range closers {
 		cl.Close()
+	}
+}
+
+// RunUntilKilled parks the calling task while the instance's background
+// tasks work: the idiomatic tail of a long-running application's Run.
+func (c *AppContext) RunUntilKilled() {
+	for !c.Killed() {
+		c.Sleep(5 * time.Second)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splaykit/splay/internal/metrics"
+	"github.com/splaykit/splay/internal/sandbox"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/transport"
@@ -306,4 +308,217 @@ func TestLiveRuntimeBasics(t *testing.T) {
 		go rt.Rand().Intn(100)
 	}
 	rt.Rand().Intn(100)
+}
+
+// countingNode counts the streams dialed through it: attempts, and the
+// ones that are open.
+type countingNode struct {
+	transport.Node
+	dials, open *int
+}
+
+type countedConn struct {
+	transport.Conn
+	open *int
+}
+
+func (n countingNode) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, error) {
+	*n.dials++
+	c, err := n.Node.Dial(to, timeout)
+	if err != nil {
+		return nil, err
+	}
+	*n.open++
+	return &countedConn{Conn: c, open: n.open}, nil
+}
+
+func (c *countedConn) Close() error {
+	if c.open != nil {
+		*c.open--
+		c.open = nil
+	}
+	return c.Conn.Close()
+}
+
+// reportBed is one instance context on host 0 of a two-host network, an
+// aggregator on host 1, and the count of streams the context dials.
+type reportBed struct {
+	k           *sim.Kernel
+	nw          *simnet.Network
+	agg         *metrics.Aggregator
+	ctx         *AppContext
+	dials, open int
+}
+
+func newReportBed(t *testing.T, rtt time.Duration) *reportBed {
+	t.Helper()
+	b := &reportBed{k: sim.NewKernel()}
+	b.nw = simnet.New(b.k, simnet.Symmetric{RTT: rtt}, 2, 1)
+	agg, err := metrics.NewAggregator(b.nw.Node(1), 7000, b.k.Go)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.Authorize("k")
+	b.agg = agg
+	me := transport.Addr{Host: simnet.HostName(0), Port: 9000}
+	b.ctx = NewAppContext(NewSimRuntime(b.k, 1),
+		countingNode{Node: b.nw.Node(0), dials: &b.dials, open: &b.open}, JobInfo{Me: me}, nil)
+	return b
+}
+
+// collect is the grant of the bed's aggregator, flushed every 5 s.
+func (b *reportBed) collect() *Collect {
+	return &Collect{Addr: b.agg.Addr(), Key: "k", Every: 5 * time.Second}
+}
+
+// report starts reporting a counter that ticks once a second.
+func (b *reportBed) report(t *testing.T) *metrics.Counter {
+	t.Helper()
+	ticks := b.ctx.Metrics().Counter("ticks")
+	b.ctx.Periodic(time.Second, ticks.Inc)
+	b.k.Go(func() {
+		if err := b.ctx.StartReporting(); err != nil {
+			t.Errorf("StartReporting: %v", err)
+		}
+	})
+	return ticks
+}
+
+// killed kills the context and checks that nothing of it stays open.
+func (b *reportBed) killed(t *testing.T) {
+	t.Helper()
+	b.ctx.Kill()
+	b.k.RunFor(time.Second)
+	if b.ctx.Tracked() != 0 || b.open != 0 {
+		t.Fatalf("after Kill: %d tracked, %d streams open", b.ctx.Tracked(), b.open)
+	}
+}
+
+// TestGrantReporting pins the context's observation plane: nothing is
+// collected, or even allocated, until the host grants a target and the
+// application asks; then one stream carries the registry to the
+// aggregator, a cut stream is redialed once the network heals, and Kill
+// closes it.
+func TestGrantReporting(t *testing.T) {
+	b := newReportBed(t, time.Millisecond)
+	ctx, k, agg := b.ctx, b.k, b.agg
+
+	if err := ctx.StartReporting(); !errors.Is(err, ErrNoCollector) {
+		t.Fatalf("StartReporting without a collect target: err = %v, want ErrNoCollector", err)
+	}
+	if ctx.reg != nil {
+		t.Fatal("a context nobody asked for metrics holds a registry")
+	}
+
+	ctx.Grant(Grant{Collect: b.collect()})
+	base := ctx.Tracked()
+	ticks := b.report(t)
+	k.RunFor(11 * time.Second)
+	if got := agg.CounterTotal("ticks"); got == 0 || ctx.Tracked() != base+1 || b.dials != 1 || b.open != 1 {
+		t.Fatalf("after two periods: ticks = %d at the aggregator, %d tracked (base %d), %d streams dialed, %d open",
+			got, ctx.Tracked(), base, b.dials, b.open)
+	}
+
+	// A partition resets the stream; after the heal a failed flush
+	// redials and the increments made meanwhile arrive.
+	k.Go(func() { b.nw.Partition([]bool{false, true}) })
+	k.RunFor(20 * time.Second)
+	cut := agg.CounterTotal("ticks")
+	k.Go(b.nw.HealPartition)
+	k.RunFor(3 * time.Minute)
+	if got := agg.CounterTotal("ticks"); got <= cut || got < ticks.Total()-5 {
+		t.Fatalf("after the heal: ticks = %d at the aggregator (%d at the cut, %d counted)", got, cut, ticks.Total())
+	}
+	if ctx.Tracked() != base+1 || b.open != 1 {
+		t.Fatalf("redialing left %d tracked (base %d) and %d streams open, want one stream", ctx.Tracked(), base, b.open)
+	}
+	b.killed(t)
+}
+
+// TestGrantReportingKilledMidRedial pins the other end of the redial: a
+// Kill that lands while the redial's handshake is in flight has already
+// closed the old stream, so the loop closes the fresh one itself.
+func TestGrantReportingKilledMidRedial(t *testing.T) {
+	b := newReportBed(t, 100*time.Millisecond)
+	b.ctx.Grant(Grant{Collect: b.collect()})
+	b.report(t)
+	b.k.RunFor(6 * time.Second)
+	b.k.Go(func() { b.nw.Partition([]bool{false, true}) })
+	b.k.RunFor(2 * time.Second) // the stream is reset, no flush has noticed yet
+	b.k.Go(b.nw.HealPartition)
+	for i := 0; b.dials == 1 && i < 1000; i++ {
+		b.k.RunFor(10 * time.Millisecond)
+	}
+	if b.dials != 2 || b.open != 0 {
+		t.Fatalf("want the failed flush's redial in flight: %d dials, %d streams open", b.dials, b.open)
+	}
+	b.killed(t)
+}
+
+// TestGrantReportingUnderQuota pins the report stream's fate inside the
+// instance's own limits: it is charged against the spec's tx quota like
+// any other traffic, and once the quota is spent the failed flushes do not
+// redial — a fresh stream would be refused the same way, and each redial
+// would park the instance's periodic in a dial.
+func TestGrantReportingUnderQuota(t *testing.T) {
+	b := newReportBed(t, time.Millisecond)
+	b.ctx.Grant(Grant{Net: sandbox.NetLimits{MaxTxBytes: 300}, Collect: b.collect()})
+	ticks := b.report(t)
+	b.k.RunFor(2 * time.Minute)
+	got := b.agg.CounterTotal("ticks")
+	if got == 0 || got >= ticks.Total()-10 {
+		t.Fatalf("ticks = %d at the aggregator of %d counted; want the stream to start and the 300-byte quota to stop it", got, ticks.Total())
+	}
+	if b.dials != 1 || b.open != 1 {
+		t.Fatalf("a stream out of quota was redialed: %d dials, %d open", b.dials, b.open)
+	}
+	b.killed(t)
+}
+
+// TestGrantNode pins the in-place restriction: limits wrap the node the
+// context hands out, a withheld network refuses with the host's error,
+// and the RPC fault hook is nil until granted.
+func TestGrantNode(t *testing.T) {
+	k := sim.NewKernel()
+	rt := NewSimRuntime(k, 1)
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 2, 1)
+
+	ctx := NewAppContext(rt, nw.Node(0), JobInfo{}, nil)
+	ctx.Grant(Grant{})
+	if ctx.Node() != nw.Node(0) || ctx.Tracked() != 0 || ctx.RPCFault() != nil {
+		t.Fatal("the zero grant changed the context")
+	}
+	ctx.Grant(Grant{Net: sandbox.NetLimits{MaxSockets: 1}})
+	k.Go(func() {
+		if _, err := ctx.Node().Listen(80); err != nil {
+			t.Errorf("first socket: %v", err)
+		}
+		if _, err := ctx.Node().Listen(81); !errors.Is(err, transport.ErrLimit) {
+			t.Errorf("second socket: err = %v, want ErrLimit", err)
+		}
+	})
+	k.Run()
+	ctx.Kill() // closes the sandbox's sockets: port 80 is free again
+	k.Go(func() {
+		if _, err := nw.Node(0).Listen(80); err != nil {
+			t.Errorf("listen after the instance was killed: %v", err)
+		}
+	})
+	k.Run()
+
+	denied := errors.New("no network for you")
+	ctx = NewAppContext(rt, nw.Node(1), JobInfo{}, nil)
+	ctx.Grant(Grant{NoNet: denied, RPCFault: func(transport.Addr, string) (bool, time.Duration) { return true, 0 }})
+	if _, err := ctx.Node().Listen(80); err != denied {
+		t.Errorf("Listen on a withheld network: err = %v", err)
+	}
+	if _, err := ctx.Node().ListenPacket(80); err != denied {
+		t.Errorf("ListenPacket on a withheld network: err = %v", err)
+	}
+	if _, err := ctx.Node().Dial(transport.Addr{Host: simnet.HostName(0), Port: 80}, time.Second); err != denied {
+		t.Errorf("Dial on a withheld network: err = %v", err)
+	}
+	if ctx.Node().Host() != simnet.HostName(1) || ctx.RPCFault() == nil {
+		t.Error("grant lost the host name or the fault hook")
+	}
 }

@@ -6,13 +6,18 @@ package hosting
 // both as typed bad_scenario errors carrying the offending field.
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/config"
+	"github.com/splaykit/splay/internal/faults"
+	"github.com/splaykit/splay/internal/sandbox"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // sleeperCatalog declares the test registry's app so documents can
@@ -132,10 +137,96 @@ func TestAdmissionRejections(t *testing.T) {
 	fl.k.RunFor(time.Second)
 }
 
+// unhostedCases are submissions carrying a member the platform would not
+// honour, each with the field its refusal must name; the last entries are
+// the local-replay members a hosted job carries and ignores.
+var unhostedCases = []struct {
+	name  string
+	set   func(*wire.Scenario)
+	field string // "" = admitted
+}{
+	{"faults", func(w *wire.Scenario) {
+		w.Faults = &faults.Plan{Events: []faults.Event{{At: time.Second, Kind: faults.Partition, Fraction: 0.5}}}
+	}, "faults"},
+	{"empty fault plan", func(w *wire.Scenario) { w.Faults = &faults.Plan{} }, "faults"},
+	{"assert", func(w *wire.Scenario) {
+		w.Assert = []faults.Assertion{{Name: "a", Kind: faults.Eventually,
+			Cond: faults.Condition{Metric: "m"}}}
+	}, "assert"},
+	{"churn", func(w *wire.Scenario) { w.Churn = []wire.ChurnEvent{{At: time.Second, Join: true}} }, "churn"},
+	{"env on the second app", func(w *wire.Scenario) {
+		w.Apps = append(w.Apps, wire.App{App: "sleeper", Env: &wire.Env{Net: &sandbox.NetLimits{MaxTxBytes: 64}}})
+	}, "apps[1].env"},
+	{"caps only", func(w *wire.Scenario) { w.Apps[0].Env = &wire.Env{Caps: wire.CapFS} }, "apps[0].env"},
+	{"local-replay members", func(w *wire.Scenario) {
+		w.Testbed = &wire.Testbed{Kind: "uniform", Daemons: 4, RTT: time.Millisecond}
+		w.Collect = &wire.Collect{Metrics: true}
+		w.SettleNS, w.Workers, w.ControllerPort, w.RegisterTimeout = time.Second, 2, 5555, time.Second
+		w.Apps[0].Port = 9000
+	}, ""},
+}
+
+// unhostedWire is a one-app submission with set applied, as wire bytes.
+func unhostedWire(t *testing.T, set func(*wire.Scenario)) []byte {
+	t.Helper()
+	w := &wire.Scenario{Apps: []wire.App{{App: "sleeper", Nodes: 1}}, DurationNS: time.Second}
+	set(w)
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestAdmissionRefusesWhatItWillNotHonour: a hosted job places apps and
+// nothing else, so a submission whose faults, assertions, churn trace or
+// per-app env would be silently dropped is refused as bad_scenario naming
+// the member — with or without a catalog — and no job is counted.
+func TestAdmissionRefusesWhatItWillNotHonour(t *testing.T) {
+	fl := newSimFleet(t, 4)
+	for _, cfg := range []Config{{Catalog: sleeperCatalog(t)}, {}} {
+		svc := New(fl.rt, fl.ctl, cfg)
+		if err := svc.AddTenant(Tenant{Name: "ivy", Key: "ki"}); err != nil {
+			t.Fatal(err)
+		}
+		admitted := 0
+		for _, tc := range unhostedCases {
+			var err error
+			fl.k.Go(func() { _, err = svc.Submit("ki", unhostedWire(t, tc.set)) })
+			fl.k.RunFor(time.Second)
+			var jerr *JobError
+			switch {
+			case tc.field == "":
+				admitted++
+				if err != nil {
+					t.Errorf("%s: refused: %v", tc.name, err)
+				}
+			case !errors.As(err, &jerr) || jerr.Code != ErrBadScenario || jerr.Field != tc.field:
+				t.Errorf("%s: err = %v, want bad_scenario naming %q", tc.name, err, tc.field)
+			}
+		}
+		if u, err := svc.Usage("ki", "ivy"); err != nil || u.TotalJobs != admitted {
+			t.Errorf("usage = %+v, %v; want %d jobs counted", u, err, admitted)
+		}
+	}
+}
+
 // TestFieldOverHTTP round-trips the offending field through the HTTP
-// error body: writeErr serializes it, DecodeError recovers it.
+// error body: writeErr serializes it, DecodeError recovers it — from a
+// hand-built error, and from a fault drill refused at POST /jobs.
 func TestFieldOverHTTP(t *testing.T) {
 	t.Parallel()
+	fl := newSimFleet(t, 2)
+	svc := New(fl.rt, fl.ctl, Config{})
+	if err := svc.AddTenant(Tenant{Name: "eve", Key: "ke"}); err != nil {
+		t.Fatal(err)
+	}
+	drill := fl.serve(svc.Handler(), "POST", "/jobs", "ke", string(unhostedWire(t, unhostedCases[0].set)), time.Second)
+	if jerr := DecodeError(drill.Code, drill.Body.Bytes()); drill.Code != http.StatusBadRequest ||
+		jerr.Code != ErrBadScenario || jerr.Field != "faults" || jerr.Detail == "" {
+		t.Errorf("fault drill over HTTP answered %d %+v, want 400 bad_scenario naming faults", drill.Code, jerr)
+	}
+
 	rec := httptest.NewRecorder()
 	writeErr(rec, &JobError{Code: ErrBadScenario, Tenant: "eve",
 		Field: "apps[0].params.depth", Err: &config.Error{Code: config.ErrOutOfRange,

@@ -316,9 +316,9 @@ func (s *Service) Submit(key string, scenario []byte) (JobView, error) {
 			return reject(perr.Path, perr)
 		}
 	}
-	req, err := newSubmission(w)
+	req, field, err := newSubmission(w)
 	if err != nil {
-		return reject("", err)
+		return reject(field, err)
 	}
 	dur := req.duration
 	if dur == 0 {

@@ -11,13 +11,14 @@ import (
 
 // Submissions arrive as serialized Scenarios (the splay package's
 // Marshal format, internal/wire). The hosting plane places a subset —
-// application references, instance counts, run length — and ignores
-// the rest: the testbed and collection planes belong to the resident
-// platform, not the submission, and sandbox grants are fixed by the
-// app registry the platform was started with. Because the ignored
-// fields still travel, the same bytes run unchanged through a local
-// splay.UnmarshalScenario — the hosted-vs-local byte-identity
-// invariant needs exactly that.
+// application references, instance counts, run length. Members that only
+// describe a local replay (testbed, collect, settle, workers, ports) are
+// accepted and ignored: they belong to the resident platform, and because
+// they still travel, the same bytes run unchanged through a local
+// splay.UnmarshalScenario — the hosted-vs-local byte-identity invariant
+// needs exactly that. Members that change what the job does or whether it
+// passed — faults, assert, churn, a per-app env — are refused: a fault
+// drill reported "done" with nothing injected is worse than a rejection.
 
 // submission is a validated job request.
 type submission struct {
@@ -29,19 +30,33 @@ type submission struct {
 }
 
 // newSubmission validates a decoded scenario and extracts what hosting
-// places.
-func newSubmission(w *wire.Scenario) (submission, error) {
+// places. A refusal names the offending member in field when one is.
+func newSubmission(w *wire.Scenario) (sub submission, field string, err error) {
 	if len(w.Apps) == 0 {
-		return submission{}, errors.New("scenario deploys no applications")
+		return submission{}, "", errors.New("scenario deploys no applications")
 	}
-	sub := submission{
+	unhosted := func(member string) (submission, string, error) {
+		return submission{}, member, fmt.Errorf("hosted jobs do not honour %s: run the scenario locally", member)
+	}
+	switch {
+	case w.Faults != nil:
+		return unhosted("faults")
+	case len(w.Assert) > 0:
+		return unhosted("assert")
+	case len(w.Churn) > 0:
+		return unhosted("churn")
+	}
+	sub = submission{
 		name:     w.Name,
 		seed:     w.Seed,
 		duration: w.SettleNS + w.DurationNS,
 	}
 	for i, a := range w.Apps {
 		if a.App == "" {
-			return submission{}, fmt.Errorf("app entry %d has no name", i)
+			return submission{}, "", fmt.Errorf("app entry %d has no name", i)
+		}
+		if a.Env != nil {
+			return unhosted(fmt.Sprintf("apps[%d].env", i))
 		}
 		nodes := a.Nodes
 		if nodes <= 0 {
@@ -57,9 +72,9 @@ func newSubmission(w *wire.Scenario) (submission, error) {
 		sub.nodes += nodes
 	}
 	if sub.duration < 0 {
-		return submission{}, errors.New("scenario declares a negative duration")
+		return submission{}, "", errors.New("scenario declares a negative duration")
 	}
-	return sub, nil
+	return sub, "", nil
 }
 
 // JobView is a job's externally visible state.

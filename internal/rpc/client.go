@@ -20,16 +20,11 @@ type Client struct {
 
 	// Timeout applies to Call; CallTimeout overrides it per call.
 	Timeout time.Duration
-	// DropRate silently discards this fraction of outgoing requests,
-	// the paper's mechanism for simulating lossy links at the library
-	// level (the call then fails by timeout).
-	DropRate float64
-
 	// Fault, when set, is consulted per call with the destination and
 	// method: a drop verdict makes the request vanish (the call fails by
-	// timeout, like DropRate); a delay stalls it before sending. The
-	// fault plane points this at a shared faults.RPCRules filter; nil —
-	// the default — adds nothing to any schedule.
+	// timeout, the paper's library-level lossy link); a delay stalls it
+	// before sending. NewClient takes it from the instance's context
+	// (core.Grant); nil — no fault plan — adds nothing to any schedule.
 	Fault func(to transport.Addr, method string) (drop bool, delay time.Duration)
 
 	// mu guards the pool and every peerConn's mutable state under
@@ -64,10 +59,10 @@ type redialState struct {
 	notBefore time.Time // earliest next dial under backoff
 }
 
-// NewClient returns a client with the paper's default two-minute timeout
-// and pooling enabled.
+// NewClient returns a client with the paper's default two-minute timeout,
+// pooling enabled, and the fault filter the instance's host granted.
 func NewClient(ctx *core.AppContext) *Client {
-	return &Client{ctx: ctx, Timeout: DefaultTimeout, pooling: true, ins: &noInstruments}
+	return &Client{ctx: ctx, Timeout: DefaultTimeout, Fault: ctx.RPCFault(), pooling: true, ins: &noInstruments}
 }
 
 // findPeer returns the pooled connection to the destination, or nil.
@@ -137,17 +132,10 @@ func (c *Client) CallTimeout(to transport.Addr, timeout time.Duration, method st
 		timeout = DefaultTimeout
 	}
 	c.ins.Calls.Inc()
-	if c.DropRate > 0 && c.ctx.Rand().Float64() < c.DropRate {
-		// Simulated loss: the request vanishes and the caller times out.
-		c.ctx.Sleep(timeout)
-		c.ins.Errors.Inc()
-		c.ins.Timeouts.Inc()
-		return nil, ErrTimeout
-	}
 	if c.Fault != nil {
 		drop, delay := c.Fault(to, method)
 		if drop {
-			// Injected loss: same fate as DropRate.
+			// Injected loss: the request vanishes and the caller times out.
 			c.ctx.Sleep(timeout)
 			c.ins.Errors.Inc()
 			c.ins.Timeouts.Inc()

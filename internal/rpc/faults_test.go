@@ -5,21 +5,27 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/faults"
 	"github.com/splaykit/splay/internal/transport"
 )
 
-// TestFaultHookDropsAndDelays checks the fault-plane filter: drop
-// verdicts fail by timeout, delay verdicts stall the call, and clearing
-// the filter restores normal service.
+// TestFaultHookDropsAndDelays checks the fault-plane filter as a host
+// grants it — on the context, where NewClient finds it: drop verdicts fail
+// by timeout, delay verdicts stall the call, clearing the filter restores
+// normal service, and a context granted nothing yields a bare client.
 func TestFaultHookDropsAndDelays(t *testing.T) {
 	e := newEnv(t, 2)
 	addr := transport.Addr{Host: "n1", Port: 8000}
 	e.k.Go(func() { startEchoServer(t, e.ctx(1), 8000) })
 	e.k.GoAfter(time.Second, func() {
 		rules := faults.NewRPCRules(7)
-		c := NewClient(e.ctx(0))
-		c.Fault = rules.Check
+		ctx := e.ctx(0)
+		if NewClient(ctx).Fault != nil {
+			t.Error("client of an ungranted context carries a fault hook")
+		}
+		ctx.Grant(core.Grant{RPCFault: rules.Check})
+		c := NewClient(ctx)
 
 		// No rules: a plain call.
 		if _, err := c.Call(addr, "echo", "a"); err != nil {

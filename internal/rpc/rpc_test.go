@@ -265,13 +265,15 @@ func TestServerDeathFailsPendingCalls(t *testing.T) {
 	}
 }
 
+// TestDropRateCausesTimeouts: a fault hook that drops every request (the
+// paper's library-level lossy link) fails each call by timeout.
 func TestDropRateCausesTimeouts(t *testing.T) {
 	e := newEnv(t, 2)
 	e.k.Go(func() { startEchoServer(t, e.ctx(1), 8000) })
 	timeouts := 0
 	e.k.GoAfter(time.Second, func() {
 		c := NewClient(e.ctx(0))
-		c.DropRate = 1.0
+		c.Fault = func(transport.Addr, string) (bool, time.Duration) { return true, 0 }
 		for i := 0; i < 3; i++ {
 			if _, err := c.CallTimeout(transport.Addr{Host: "n1", Port: 8000}, time.Second, "echo", "x"); errors.Is(err, ErrTimeout) {
 				timeouts++

@@ -160,7 +160,7 @@ type Session struct {
 	ctl     *controller.Controller
 	agg     *metrics.Aggregator
 	reg     *core.Registry
-	collect *collectTarget
+	collect *core.Collect // where instances and the session's own reporters stream to
 	host    *Host
 
 	ex *churn.Executor // replays Scenario.Churn onto slots (nil otherwise)
@@ -337,20 +337,10 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("splay: aggregator: %w", err)
 		}
-		s.collect = &collectTarget{
-			addr:  transport.Addr{Host: simnet.HostName(monHost), Port: port},
-			key:   key,
-			every: every,
-		}
+		s.collect = &core.Collect{Addr: s.agg.Addr(), Key: key, Every: every}
 	}
 
-	// The RPC fault filter exists only for non-empty plans: an unarmed
-	// filter would still sit on every call path, and schedule neutrality
-	// wants the default client untouched.
-	if !sc.Faults.Empty() {
-		s.rpcRules = faults.NewRPCRules(seed)
-	}
-	if s.reg, err = sc.buildRegistry(s.collect, s.rpcRules); err != nil {
+	if err = s.buildRegistry(); err != nil {
 		return nil, err
 	}
 	lg := sc.simLogger(s.rt)
@@ -557,7 +547,7 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 		}
 		agg.Authorize(key)
 		s.agg = agg
-		s.collect = &collectTarget{addr: agg.Addr(), key: key, every: every}
+		s.collect = &core.Collect{Addr: agg.Addr(), Key: key, Every: every}
 	}
 	cfg := controller.DefaultConfig()
 	cfg.Port = controller.PortEphemeral
@@ -572,15 +562,10 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	}
 	ctlAddr := ctl.Addr()
 	s.ctlAddr = ctlAddr
-	if !sc.Faults.Empty() {
-		s.rpcRules = faults.NewRPCRules(seed)
-	}
-	reg, err := sc.buildRegistry(s.collect, s.rpcRules)
-	if err != nil {
+	if err := s.buildRegistry(); err != nil {
 		s.Stop()
 		return nil, err
 	}
-	s.reg = reg
 
 	for i := 0; i < tb.daemons; i++ {
 		// Distinct loopback addresses per daemon (names must be unique
@@ -600,7 +585,7 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 			lg = logging.New(&logging.WriterSink{W: sc.Collect.Logs}, name, dcfg.Key, nil)
 		}
 		mk := func() *daemon.Daemon {
-			return daemon.New(rt, livenet.NewNode(name), reg, dcfg, lg)
+			return daemon.New(rt, livenet.NewNode(name), s.reg, dcfg, lg)
 		}
 		d := mk()
 		if err := d.Connect(ctlAddr); err != nil {
@@ -692,8 +677,8 @@ func (sc Scenario) label() string {
 // redial after a failed flush; a simulated one fails only with the
 // session.
 func (s *Session) report(node string, reg *metrics.Registry) {
-	rep, err := metrics.DialReporter(s.node, s.collect.addr, reg,
-		metrics.ReporterConfig{Key: s.collect.key, Node: node})
+	rep, err := metrics.DialReporter(s.node, s.collect.Addr, reg,
+		metrics.ReporterConfig{Key: s.collect.Key, Node: node})
 	if err != nil {
 		if !s.live {
 			s.startErr = err
@@ -701,7 +686,7 @@ func (s *Session) report(node string, reg *metrics.Registry) {
 		return
 	}
 	for {
-		s.rt.Sleep(s.collect.every)
+		s.rt.Sleep(s.collect.Every)
 		if s.stopped.Load() {
 			return
 		}
@@ -712,41 +697,45 @@ func (s *Session) report(node string, reg *metrics.Registry) {
 }
 
 // buildRegistry assembles the deployable application registry: built-ins
-// when a spec names one, Env-wrapped factories for inline apps. A
+// when a spec names one, SDK apps otherwise, and every factory decorated
+// with the one grant its instances' contexts start under — the spec's Env
+// restrictions plus the session's collect target and RPC fault filter. A
 // duplicate name surfaces as an error.
-func (sc Scenario) buildRegistry(collect *collectTarget, rules *faults.RPCRules) (*core.Registry, error) {
-	reg := core.NewRegistry()
-	for _, spec := range sc.Apps {
+func (s *Session) buildRegistry() error {
+	session := core.Grant{Collect: s.collect}
+	if !s.sc.Faults.Empty() {
+		// The RPC fault filter exists only for non-empty plans: an unarmed
+		// filter would still sit on every call path, and schedule
+		// neutrality wants the default client untouched.
+		s.rpcRules = faults.NewRPCRules(s.seed)
+		session.RPCFault = s.rpcRules.Check
+	}
+	s.reg = core.NewRegistry()
+	for _, spec := range s.sc.Apps {
 		if spec.Name == "" {
-			return nil, errors.New("splay: app spec needs a name")
+			return errors.New("splay: app spec needs a name")
 		}
 		var factory core.Factory
 		if spec.App != nil || spec.New != nil {
-			factory = makeFactory(spec, collect, rules)
+			factory = makeFactory(spec)
+		} else if a, ok := apps.Lookup(spec.Name); ok {
+			// By-name built-ins are declared once, in internal/apps.
+			factory = a.Factory
 		} else {
-			// By-name built-ins are declared once, in internal/apps. Here
-			// they gain an Env as their observation plane: instruments and
-			// collect-plane reporting when the job's params set `report`
-			// (ErrNoCollector when nothing collects), the raw engine
-			// schedule otherwise.
-			a, ok := apps.Lookup(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("splay: app %q is not built in and has no implementation", spec.Name)
-			}
-			factory = a.Factory(func(ctx *core.AppContext) apps.Observer {
-				return newEnv(ctx, spec.Env, collect, rules)
-			})
+			return fmt.Errorf("splay: app %q is not built in and has no implementation", spec.Name)
 		}
-		if err := reg.Register(spec.Name, factory); err != nil {
-			return nil, fmt.Errorf("splay: %w", err)
+		grant := spec.Env.grant()
+		grant.Collect, grant.RPCFault = session.Collect, session.RPCFault
+		if err := s.reg.Register(spec.Name, factory.Granted(grant)); err != nil {
+			return fmt.Errorf("splay: %w", err)
 		}
 	}
-	return reg, nil
+	return nil
 }
 
 // makeFactory wraps an SDK app (or factory) as an engine factory that
 // hands instances a capability-scoped Env.
-func makeFactory(spec AppSpec, collect *collectTarget, rules *faults.RPCRules) core.Factory {
+func makeFactory(spec AppSpec) core.Factory {
 	return func(params json.RawMessage) (core.App, error) {
 		app := spec.App
 		if spec.New != nil {
@@ -760,7 +749,7 @@ func makeFactory(spec AppSpec, collect *collectTarget, rules *faults.RPCRules) c
 			return nil, fmt.Errorf("splay: app %q has no implementation", spec.Name)
 		}
 		return core.AppFunc(func(ctx *core.AppContext) error {
-			return app.Run(newEnv(ctx, spec.Env, collect, rules))
+			return app.Run(spec.Env.view(ctx))
 		}), nil
 	}
 }
