@@ -416,8 +416,9 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 			func(int, *daemonSession, ctlproto.Msg, error) {})
 	}
 
+	var m ctlproto.Msg // one per session: answers go to p.fn by value
 	for {
-		var m ctlproto.Msg
+		m = ctlproto.Msg{}
 		if err := dec.Decode(&m); err != nil {
 			break
 		}

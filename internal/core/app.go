@@ -301,23 +301,24 @@ func (c *AppContext) Periodic(interval time.Duration, fn func()) (stop func()) {
 	var mu sync.Mutex
 	stopped := false
 	var cancel func()
-	var tick func()
+	var tick, fire func()
 	tick = func() {
 		mu.Lock()
 		defer mu.Unlock()
 		if stopped || c.Killed() {
 			return
 		}
-		cancel = c.rt.After(interval, func() {
-			mu.Lock()
-			dead := stopped
-			mu.Unlock()
-			if dead || c.Killed() {
-				return
-			}
-			c.Go(fn)
-			tick()
-		})
+		cancel = c.rt.After(interval, fire)
+	}
+	fire = func() { // built once, re-armed every tick
+		mu.Lock()
+		dead := stopped
+		mu.Unlock()
+		if dead || c.Killed() {
+			return
+		}
+		c.Go(fn)
+		tick()
 	}
 	tick()
 	stopFn := func() {

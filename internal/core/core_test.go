@@ -522,3 +522,124 @@ func TestGrantNode(t *testing.T) {
 		t.Error("grant lost the host name or the fault hook")
 	}
 }
+
+// TestGrantTwiceIsOneSandbox: a context two hosts granted limits — the
+// daemon its administrator's, then a scenario its AppSpec.Env's — has one
+// sandbox enforcing the tighter of each (blacklists united), one kill
+// hook and one usage counter, not a second wrapper under the first.
+func TestGrantTwiceIsOneSandbox(t *testing.T) {
+	k := sim.NewKernel()
+	rt := NewSimRuntime(k, 1)
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 3, 1)
+	ctx := NewAppContext(rt, nw.Node(0), JobInfo{}, nil)
+
+	ctx.Grant(Grant{Net: sandbox.NetLimits{MaxSockets: 8, MaxTxBytes: 1000, Blacklist: []string{"n2"}}})
+	sb, ok := ctx.Node().(*sandbox.Node)
+	if !ok {
+		t.Fatalf("limits left the node a %T", ctx.Node())
+	}
+	tracked := ctx.Tracked()
+	ctx.Grant(Grant{Net: sandbox.NetLimits{MaxSockets: 2, MaxTxBytes: 5000, MaxRxBytes: 700, Blacklist: []string{"n9"}}})
+	if ctx.Node() != transport.Node(sb) || ctx.Tracked() != tracked {
+		t.Fatalf("the second grant stacked a sandbox: node %T (same: %v), %d tracked (was %d)",
+			ctx.Node(), ctx.Node() == transport.Node(sb), ctx.Tracked(), tracked)
+	}
+
+	k.Go(func() {
+		l, _ := nw.Node(1).Listen(80)
+		for {
+			if _, err := l.Accept(); err != nil {
+				return
+			}
+		}
+	})
+	k.GoAfter(time.Second, func() {
+		to := transport.Addr{Host: "n1", Port: 80}
+		for _, host := range []string{"n2", "n9"} { // blacklists united
+			if _, err := ctx.Node().Dial(transport.Addr{Host: host, Port: 80}, 0); !errors.Is(err, transport.ErrBlacklisted) {
+				t.Errorf("dial to %s, blacklisted by one of the grants: %v", host, err)
+			}
+		}
+		c, err := ctx.Node().Dial(to, 0)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		if _, err := c.Write(make([]byte, 600)); err != nil {
+			t.Errorf("write within the first grant's quota: %v", err)
+		}
+		if _, err := c.Write(make([]byte, 600)); !errors.Is(err, transport.ErrLimit) {
+			t.Errorf("write past the first grant's 1000-byte quota: %v", err)
+		}
+		if _, err := ctx.Node().Dial(to, 0); err != nil {
+			t.Errorf("second socket: %v", err)
+		}
+		if _, err := ctx.Node().Dial(to, 0); !errors.Is(err, transport.ErrLimit) {
+			t.Errorf("third socket under the second grant's MaxSockets 2: %v", err)
+		}
+	})
+	k.RunFor(time.Minute)
+	if tx, _ := sb.Usage(); tx != 600 {
+		t.Errorf("tx = %d on the one usage counter, want 600", tx)
+	}
+	ctx.Kill()
+	if sb.OpenSockets() != 0 {
+		t.Errorf("%d sockets open after Kill", sb.OpenSockets())
+	}
+}
+
+// TestKillClosesLeftoverSocketsInOpenOrder: sockets a sandboxed instance
+// never Tracked are closed by Kill oldest first, so the peers of a killed
+// instance see the same close sequence — the same kernel event order — on
+// every run of a seed. (A map held them before: Go's iteration order.)
+func TestKillClosesLeftoverSocketsInOpenOrder(t *testing.T) {
+	const streams = 50
+	run := func() []int {
+		k := sim.NewKernel()
+		rt := NewSimRuntime(k, 1)
+		nw := simnet.New(k, simnet.Symmetric{RTT: 10 * time.Millisecond}, 2, 1)
+		var closed []int // accept index of each stream, in the order the peer saw it end
+		k.Go(func() {
+			l, _ := nw.Node(1).Listen(80)
+			for i := 0; ; i++ {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				k.Go(func() {
+					c.Read(make([]byte, 1)) //nolint:errcheck // blocks until the far end closes
+					closed = append(closed, i)
+				})
+			}
+		})
+		inst := StartInstance(rt, nw.Node(0), JobInfo{}, nil, Granted(AppFunc(func(ctx *AppContext) error {
+			for i := 0; i < streams; i++ {
+				if _, err := ctx.Node().Dial(transport.Addr{Host: "n1", Port: 80}, 0); err != nil {
+					t.Errorf("dial %d: %v", i, err)
+				}
+			}
+			ctx.RunUntilKilled()
+			return nil
+		}), Grant{Net: sandbox.NetLimits{MaxSockets: 2 * streams}}))
+		k.RunFor(10 * time.Second)
+		sb := inst.Ctx.Node().(*sandbox.Node)
+		if sb.OpenSockets() != streams {
+			t.Fatalf("%d sockets open before the kill, want %d", sb.OpenSockets(), streams)
+		}
+		k.Go(inst.Kill)
+		k.RunFor(10 * time.Second)
+		if inst.Ctx.Tracked() != 0 || sb.OpenSockets() != 0 {
+			t.Errorf("after Kill: %d tracked, %d sockets open", inst.Ctx.Tracked(), sb.OpenSockets())
+		}
+		return closed
+	}
+	first, second := run(), run()
+	if len(first) != streams {
+		t.Fatalf("the peer saw %d of %d streams end", len(first), streams)
+	}
+	for i := range first {
+		if first[i] != i || second[i] != i {
+			t.Fatalf("peer-side close order differs from the open order:\n run 1 %v\n run 2 %v", first, second)
+		}
+	}
+}

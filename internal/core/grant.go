@@ -42,6 +42,14 @@ type Grant struct {
 	RPCFault func(to transport.Addr, method string) (drop bool, delay time.Duration)
 }
 
+// Granted returns app with g applied to its context before it runs.
+func Granted(app App, g Grant) App {
+	return AppFunc(func(ctx *AppContext) error {
+		ctx.Grant(g)
+		return app.Run(ctx)
+	})
+}
+
 // Granted returns f with g applied to the context of every instance it
 // builds, before the application sees it.
 func (f Factory) Granted(g Grant) Factory {
@@ -50,20 +58,24 @@ func (f Factory) Granted(g Grant) Factory {
 		if err != nil {
 			return nil, err
 		}
-		return AppFunc(func(ctx *AppContext) error {
-			ctx.Grant(g)
-			return app.Run(ctx)
-		}), nil
+		return Granted(app, g), nil
 	}
 }
 
 // Grant applies g to the instance. The node is restricted in place, so
-// hosts grant before the application opens a socket (Factory.Granted).
+// hosts grant before the application opens a socket (Granted). However
+// many hosts grant limits — the daemon its administrator's, a scenario
+// its AppSpec.Env's — the instance has one sandbox: the first limits wrap
+// the node, later ones tighten that wrapper.
 func (c *AppContext) Grant(g Grant) {
 	switch {
 	case g.NoNet != nil:
 		c.node = noNet{host: c.node.Host(), err: g.NoNet}
 	case g.Net.MaxSockets > 0 || g.Net.MaxTxBytes > 0 || g.Net.MaxRxBytes > 0 || len(g.Net.Blacklist) > 0:
+		if sb, ok := c.node.(*sandbox.Node); ok {
+			sb.Tighten(g.Net)
+			break
+		}
 		sb := sandbox.Wrap(c.node, g.Net)
 		c.OnKill(sb.CloseAll)
 		c.node = sb

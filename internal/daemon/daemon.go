@@ -67,8 +67,6 @@ type Config struct {
 	// retry sleeps add events to simulation schedules, so the fault plane
 	// turns it on only when a scenario declares a fault plan.
 	Reconnect bool
-	// ReconnectBackoff paces the redials (zero = faults.DefaultBackoff).
-	ReconnectBackoff faults.Backoff
 }
 
 // DefaultConfig fills ports and timeouts.
@@ -85,7 +83,6 @@ type runningJob struct {
 	job      *ctlproto.Job
 	port     int
 	inst     *core.Instance
-	sb       *sandbox.Node
 	starting bool // START in progress (instantiation happens outside the lock)
 }
 
@@ -186,14 +183,13 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 			}
 		}()
 		for {
-			var m ctlproto.Msg
-			if err := dec.Decode(&m); err != nil {
+			m := new(ctlproto.Msg) // one per frame: the handler task keeps it
+			if err := dec.Decode(m); err != nil {
 				return
 			}
-			msg := m // copy for the handler task
 			d.rt.Go(func() {
-				ans := d.handle(&msg)
-				ans.Seq = msg.Seq
+				ans := d.handle(m)
+				ans.Seq = m.Seq
 				wlock.Lock()
 				enc.Encode(ans) //nolint:errcheck
 				wlock.Unlock()
@@ -204,15 +200,12 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 }
 
 // reconnectLoop redials the controller until success or Close, pacing
-// attempts with the configured backoff so a daemon population cut off by
+// attempts with the default backoff so a daemon population cut off by
 // a controller restart or healed partition does not stampede it. It runs
 // on the dead session's read-loop task, which the successful Connect
 // replaces with a fresh one.
 func (d *Daemon) reconnectLoop(controller transport.Addr) {
-	b := d.cfg.ReconnectBackoff
-	if !b.Enabled() {
-		b = faults.DefaultBackoff()
-	}
+	b := faults.DefaultBackoff()
 	for attempt := 0; ; attempt++ {
 		d.rt.Sleep(b.Delay(attempt, d.rt.Rand()))
 		d.mu.Lock()
@@ -359,8 +352,9 @@ func (d *Daemon) start(job *ctlproto.Job) *ctlproto.Msg {
 		d.mu.Unlock()
 		return &ctlproto.Msg{Type: ctlproto.TErr, Err: err.Error()}
 	}
-	limits := d.cfg.Net.Tighten(sandbox.NetLimits{Blacklist: blacklist})
-	sb := sandbox.Wrap(d.node, limits)
+	// The administrator's limits plus the controller's blacklist are what
+	// this host grants; the context sandboxes the node under them.
+	app = core.Granted(app, core.Grant{Net: d.cfg.Net.Tighten(sandbox.NetLimits{Blacklist: blacklist})})
 	info := core.JobInfo{
 		JobID:    spec.ID,
 		Me:       transport.Addr{Host: d.cfg.Name, Port: port},
@@ -371,11 +365,9 @@ func (d *Daemon) start(job *ctlproto.Job) *ctlproto.Msg {
 	if d.jobs[spec.ID] != rj {
 		// A concurrent STOP/FREE removed the job while we instantiated.
 		d.mu.Unlock()
-		sb.CloseAll()
 		return &ctlproto.Msg{Type: ctlproto.TErr, Err: "stopped during start"}
 	}
-	rj.sb = sb
-	rj.inst = core.StartInstance(d.rt, sb, info, d.log, app)
+	rj.inst = core.StartInstance(d.rt, d.node, info, d.log, app)
 	rj.starting = false
 	// Gauge update stays under the lock: a Set applied after unlock
 	// could race a concurrent stop and publish a stale count.
@@ -400,9 +392,6 @@ func (d *Daemon) stopJob(id string) {
 	}
 	if rj.inst != nil {
 		rj.inst.Kill()
-	}
-	if rj.sb != nil {
-		rj.sb.CloseAll()
 	}
 	d.log.Printf("daemon %s: stopped %s", d.cfg.Name, id)
 }

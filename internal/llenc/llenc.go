@@ -23,7 +23,8 @@ const MaxMessage = 64 << 20
 // ErrTooLarge is returned when an encoded frame exceeds MaxMessage.
 var ErrTooLarge = errors.New("llenc: message exceeds maximum size")
 
-const headerSize = 4
+// HeaderSize is the length prefix every frame carries ahead of its payload.
+const HeaderSize = 4
 
 // FastMarshaler is implemented by message types with a hand-rolled JSON
 // fast path. AppendJSON appends the value's encoding to buf and reports
@@ -48,8 +49,13 @@ type FastUnmarshaler interface {
 // one framing writer per cached connection (the RPC planes at simulation
 // scale) would otherwise hold every connection's high-water frame size
 // forever. Steady-state writes still allocate nothing.
+//
+// A Writer tallies what it puts on the wire, headers included: byte meters
+// (rpc.bytes_out, the metrics reporter's Sent) read Bytes instead of
+// wrapping the stream.
 type Writer struct {
 	w io.Writer
+	n uint64
 }
 
 // wbufPool recycles frame staging buffers across all Writers.
@@ -62,21 +68,25 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 // per-connection state needs no separate allocation.
 func (w *Writer) Reset(dst io.Writer) { w.w = dst }
 
+// Bytes returns the frame bytes written so far; the tally survives Reset.
+func (w *Writer) Bytes() uint64 { return w.n }
+
 // WriteMessage writes one frame. It is not safe for concurrent use.
 func (w *Writer) WriteMessage(payload []byte) error {
 	if len(payload) > MaxMessage {
 		return ErrTooLarge
 	}
 	bp := wbufPool.Get().(*[]byte)
-	need := headerSize + len(payload)
+	need := HeaderSize + len(payload)
 	buf := *bp
 	if cap(buf) < need {
 		buf = make([]byte, need)
 	}
 	buf = buf[:need]
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[headerSize:], payload)
-	_, err := w.w.Write(buf)
+	copy(buf[HeaderSize:], payload)
+	n, err := w.w.Write(buf)
+	w.n += uint64(n)
 	*bp = buf[:0]
 	wbufPool.Put(bp)
 	return err
@@ -90,14 +100,15 @@ func (w *Writer) Encode(v any) error {
 		bp := wbufPool.Get().(*[]byte)
 		frame := append((*bp)[:0], 0, 0, 0, 0)
 		if b, ok := fm.AppendJSON(frame); ok {
-			n := len(b) - headerSize
-			if n > MaxMessage {
+			size := len(b) - HeaderSize
+			if size > MaxMessage {
 				*bp = b[:0]
 				wbufPool.Put(bp)
 				return ErrTooLarge
 			}
-			binary.BigEndian.PutUint32(b, uint32(n))
-			_, err := w.w.Write(b)
+			binary.BigEndian.PutUint32(b, uint32(size))
+			n, err := w.w.Write(b)
+			w.n += uint64(n)
 			*bp = b[:0]
 			wbufPool.Put(bp)
 			return err
@@ -113,20 +124,27 @@ func (w *Writer) Encode(v any) error {
 	return w.WriteMessage(payload)
 }
 
-// Reader reads frames from an io.Reader.
+// Reader reads frames from an io.Reader, tallying what it takes off the
+// wire (headers included) as the Writer does for what it puts there.
 type Reader struct {
 	r      io.Reader
-	header [headerSize]byte
+	header [HeaderSize]byte
 	buf    []byte // reused payload buffer
+	n      uint64
 }
 
 // NewReader returns a framing reader.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
+// Bytes returns the frame bytes read so far.
+func (r *Reader) Bytes() uint64 { return r.n }
+
 // ReadMessage reads one frame and returns its payload. The returned slice
 // is valid until the next call to ReadMessage.
 func (r *Reader) ReadMessage() ([]byte, error) {
-	if _, err := io.ReadFull(r.r, r.header[:]); err != nil {
+	got, err := io.ReadFull(r.r, r.header[:])
+	r.n += uint64(got)
+	if err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(r.header[:])
@@ -137,7 +155,9 @@ func (r *Reader) ReadMessage() ([]byte, error) {
 		r.buf = make([]byte, n)
 	}
 	buf := r.buf[:n]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	got, err = io.ReadFull(r.r, buf)
+	r.n += uint64(got)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

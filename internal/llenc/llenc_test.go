@@ -123,3 +123,104 @@ func BenchmarkWriteMessage(b *testing.B) {
 		w.WriteMessage(payload)
 	}
 }
+
+// wireCounter is the socket decorator the tallies replaced: it counts what
+// crosses the stream underneath a Writer or Reader.
+type wireCounter struct {
+	rw     io.ReadWriter
+	rd, wr uint64
+}
+
+func (c *wireCounter) Read(p []byte) (int, error) {
+	n, err := c.rw.Read(p)
+	c.rd += uint64(n)
+	return n, err
+}
+
+func (c *wireCounter) Write(p []byte) (int, error) {
+	n, err := c.rw.Write(p)
+	c.wr += uint64(n)
+	return n, err
+}
+
+// fastMsg takes the FastMarshaler path unless told to decline.
+type fastMsg struct {
+	V       string `json:"v"`
+	decline bool
+}
+
+func (m *fastMsg) AppendJSON(buf []byte) ([]byte, bool) {
+	if m.decline {
+		return buf, false
+	}
+	return append(AppendJSONString(append(buf, `{"v":`...), m.V), '}'), true
+}
+
+// TestTalliesMatchTheWire: Writer.Bytes and Reader.Bytes equal what a
+// counting wrapper under them sees, frame by frame — raw frames, the fast
+// encode path, a declined fast path, plain encoding/json, an oversized
+// frame the writer refuses (nothing written, nothing counted) and an
+// oversized header the reader refuses (four bytes read, four counted).
+func TestTalliesMatchTheWire(t *testing.T) {
+	var stream bytes.Buffer
+	wire := &wireCounter{rw: &stream}
+	w, r := NewWriter(wire), NewReader(wire)
+	check := func(step string) {
+		t.Helper()
+		if w.Bytes() != wire.wr || r.Bytes() != wire.rd {
+			t.Fatalf("%s: writer tally %d (wire %d), reader tally %d (wire %d)", step, w.Bytes(), wire.wr, r.Bytes(), wire.rd)
+		}
+	}
+	writes := []struct {
+		name string
+		do   func() error
+	}{
+		{"raw frame", func() error { return w.WriteMessage([]byte("hello")) }},
+		{"empty frame", func() error { return w.WriteMessage(nil) }},
+		{"fast path", func() error { return w.Encode(&fastMsg{V: "fast"}) }},
+		{"declined fast path", func() error { return w.Encode(&fastMsg{V: "slow", decline: true}) }},
+		{"encoding/json", func() error { return w.Encode(map[string]int{"a": 1}) }},
+	}
+	var want uint64
+	for _, step := range writes {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		check("after writing " + step.name)
+		if w.Bytes() < want+HeaderSize {
+			t.Fatalf("%s moved the writer tally from %d to %d: less than a header", step.name, want, w.Bytes())
+		}
+		want = w.Bytes()
+	}
+	if err := w.WriteMessage(make([]byte, MaxMessage+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized frame: err = %v, want ErrTooLarge", err)
+	}
+	check("after the refused frame")
+	if w.Bytes() != want || want != uint64(stream.Len()) {
+		t.Fatalf("writer tally %d after a refused frame, want %d (stream holds %d)", w.Bytes(), want, stream.Len())
+	}
+
+	for _, step := range writes {
+		if _, err := r.ReadMessage(); err != nil {
+			t.Fatalf("reading %s: %v", step.name, err)
+		}
+		check("after reading " + step.name)
+	}
+	if r.Bytes() != want {
+		t.Fatalf("reader tally %d after every frame, writer wrote %d", r.Bytes(), want)
+	}
+	stream.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}) // a forged oversized header
+	if _, err := r.ReadMessage(); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized header: err = %v, want ErrTooLarge", err)
+	}
+	check("after the refused header")
+	if r.Bytes() != want+HeaderSize {
+		t.Fatalf("reader tally %d after a refused header, want %d", r.Bytes(), want+HeaderSize)
+	}
+
+	// The tally outlives the stream: Reset keeps counting.
+	w.Reset(io.Discard)
+	if err := w.WriteMessage([]byte("abc")); err != nil || w.Bytes() != want+HeaderSize+3 {
+		t.Fatalf("after Reset: err %v, tally %d, want %d", err, w.Bytes(), want+HeaderSize+3)
+	}
+}

@@ -99,15 +99,15 @@ func (a *Aggregator) acceptLoop() {
 
 func (a *Aggregator) serve(conn transport.Conn) {
 	defer conn.Close()
-	var rx byteMeter
 	var st stream
-	dec := llenc.NewReader(countingReader{r: conn, n: &rx})
+	dec := llenc.NewReader(conn)
 	for {
 		var rep Report
+		seen := dec.Bytes()
 		if err := dec.Decode(&rep); err != nil {
 			return
 		}
-		if !a.absorb(&rep, rx.drain(), &st) {
+		if !a.absorb(&rep, dec.Bytes()-seen, &st) {
 			return // unauthenticated or malformed: drop the stream
 		}
 	}
@@ -413,25 +413,4 @@ func (a *Aggregator) Snapshot() []SeriesSnapshot {
 		out = append(out, snap)
 	}
 	return out
-}
-
-// byteMeter tallies a connection's inbound bytes between frames.
-type byteMeter struct{ v uint64 }
-
-func (m *byteMeter) drain() uint64 {
-	v := m.v
-	m.v = 0
-	return v
-}
-
-// countingReader counts bytes as frames are read, headers included.
-type countingReader struct {
-	r transport.Conn
-	n *byteMeter
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n.v += uint64(n)
-	return n, err
 }

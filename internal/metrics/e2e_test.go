@@ -34,6 +34,7 @@ func TestReporterAggregatorEndToEnd(t *testing.T) {
 	k := sim.NewKernel()
 	nw, agg := newSimPair(t, k, 3)
 
+	var sentBytes uint64 // what the reporters' framing writers tallied
 	for i := 1; i <= 2; i++ {
 		host := i
 		k.Go(func() {
@@ -58,6 +59,7 @@ func TestReporterAggregatorEndToEnd(t *testing.T) {
 			if frames != 5 || bytes == 0 {
 				t.Errorf("reporter %d sent %d frames %d bytes", host, frames, bytes)
 			}
+			sentBytes += bytes
 		})
 	}
 	k.Run()
@@ -86,6 +88,11 @@ func TestReporterAggregatorEndToEnd(t *testing.T) {
 	frames, bytes := agg.Received()
 	if frames != 10 || bytes == 0 {
 		t.Fatalf("aggregator received %d frames %d bytes", frames, bytes)
+	}
+	// Both ends read the count off the frames (llenc's tallies, headers
+	// included), so every byte sent is a byte received.
+	if bytes != sentBytes {
+		t.Fatalf("aggregator received %d bytes, reporters sent %d", bytes, sentBytes)
 	}
 
 	snaps := agg.Snapshot()
@@ -220,10 +227,12 @@ func TestReporterReconnectResumes(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel()
 	nw, agg := newSimPair(t, k, 2)
+	var rep *metrics.Reporter
 	k.Go(func() {
 		reg := metrics.NewRegistry()
 		c := reg.Counter("x")
-		rep, err := metrics.DialReporter(nw.Node(1), agg.Addr(), reg,
+		var err error
+		rep, err = metrics.DialReporter(nw.Node(1), agg.Addr(), reg,
 			metrics.ReporterConfig{Key: "obs", Node: "n1"})
 		if err != nil {
 			t.Errorf("dial: %v", err)
@@ -260,6 +269,13 @@ func TestReporterReconnectResumes(t *testing.T) {
 	}
 	if agg.Nodes() != 1 {
 		t.Fatalf("nodes %d, want 1", agg.Nodes())
+	}
+	// Sent spans the reconnect (one tally across both streams); the flush
+	// the dead host refused put nothing on the wire.
+	sf, sb := rep.Sent()
+	rf, rb := agg.Received()
+	if sf != 2 || rf != 2 || sb == 0 || sb != rb {
+		t.Fatalf("sent %d frames %d bytes, received %d frames %d bytes; want 2 frames and equal bytes", sf, sb, rf, rb)
 	}
 }
 

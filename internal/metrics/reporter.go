@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +37,7 @@ type Reporter struct {
 	addr transport.Addr
 	cfg  ReporterConfig
 	conn transport.Conn
-	enc  *llenc.Writer
+	enc  llenc.Writer // its tally spans reconnects
 
 	st  deltaState
 	rep Report
@@ -46,19 +45,6 @@ type Reporter struct {
 
 	frames atomic.Uint64
 	bytes  atomic.Uint64
-}
-
-// countingWriter counts the bytes a stream puts on the wire, framing
-// included — the monitoring-overhead measure obsplane reports.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(uint64(n))
-	return n, err
 }
 
 // DialReporter connects a registry to the aggregator at addr.
@@ -76,7 +62,7 @@ func DialReporter(node transport.Node, addr transport.Addr, reg *Registry, cfg R
 	r := &Reporter{reg: reg, node: node, addr: addr, cfg: cfg, conn: conn}
 	r.rep.Key = cfg.Key
 	r.rep.Node = cfg.Node
-	r.enc = llenc.NewWriter(countingWriter{w: conn, n: &r.bytes})
+	r.enc.Reset(conn)
 	return r, nil
 }
 
@@ -91,7 +77,9 @@ func (r *Reporter) Flush() error {
 		return nil
 	}
 	r.rep.Seq = r.seq + 1
-	if err := r.enc.Encode(&r.rep); err != nil {
+	err := r.enc.Encode(&r.rep)
+	r.bytes.Store(r.enc.Bytes())
+	if err != nil {
 		return fmt.Errorf("metrics: report: %w", err)
 	}
 	r.seq++
@@ -112,13 +100,14 @@ func (r *Reporter) Reconnect() error {
 		return fmt.Errorf("metrics: redial aggregator: %w", err)
 	}
 	r.conn = conn
-	r.enc = llenc.NewWriter(countingWriter{w: conn, n: &r.bytes})
+	r.enc.Reset(conn)
 	r.st.defsSent = 0
 	return nil
 }
 
 // Sent reports the stream's cost so far: frames written and bytes on
-// the wire (llenc headers included).
+// the wire (llenc headers included) — the monitoring-overhead measure
+// obsplane reports, published from the framing writer's own tally.
 func (r *Reporter) Sent() (frames, bytes uint64) {
 	return r.frames.Load(), r.bytes.Load()
 }

@@ -288,19 +288,18 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 }
 
 // peerConn multiplexes calls to one destination over one stream. It is
-// the client fabric's unit of consolidation: the framing writer and the
-// event frame reader embed by value, and in-flight calls ride a short
-// ordered slice instead of a per-connection map — an idle pooled peer is
-// one allocation (plus its write lock and encode thunk), not a
-// constellation of maps, readers and closures.
+// the client fabric's unit of consolidation: the event frame reader embeds
+// by value, the framing writer is borrowed with the pooled encJob for the
+// duration of a send, and in-flight calls ride a short ordered slice
+// instead of a per-connection map — an idle pooled peer is one allocation,
+// not a constellation of maps, readers, writers and closures.
 type peerConn struct {
 	client *Client
 	to     transport.Addr
 	pooled bool
 
 	conn  transport.Conn
-	enc   llenc.Writer // framing writer, embedded
-	wlock core.Lock    // write lock, embedded; encode staging rides pooled encJobs
+	wlock core.Lock // write lock, embedded; framing and encode staging ride pooled encJobs
 
 	ready  bool
 	broken bool
@@ -340,11 +339,11 @@ func newPeerConn(c *Client, to transport.Addr, pooled bool) *peerConn {
 
 // encJob stages one request encode so it can run under ctx.Blocking with
 // a closure allocated once per pooled object, not once per connection —
-// per-connection staging fields would be dead weight on every idle peer.
-// A job is borrowed under the connection's wlock for the duration of one
-// send.
+// a per-connection framing writer and staging fields would be dead weight
+// on every idle peer. A job is borrowed under the connection's wlock for
+// the duration of one send and pointed at that connection.
 type encJob struct {
-	w   *llenc.Writer
+	w   llenc.Writer
 	req request
 	err error
 	run func()
@@ -381,13 +380,11 @@ func (p *peerConn) dial(timeout time.Duration) {
 		p.fail(fmt.Errorf("rpc: dial %s: %w", p.to, err))
 		return
 	}
-	conn = p.client.ins.meter(conn)
 	// Tracked before it is published: once ready, a racing caller (live)
 	// may fail the connection, and fail must find it to untrack it.
 	p.client.ctx.Track(conn)
 	p.client.mu.Lock()
 	p.conn = conn
-	p.enc.Reset(conn)
 	p.ready = true
 	ws := p.pending // all dial waiters: no calls exist before ready
 	p.pending = nil
@@ -499,6 +496,7 @@ func (p *peerConn) onEnd(err error) {
 // handleResponse processes one response frame, waking the pending
 // caller; false means the connection is dead (and already failed).
 func (p *peerConn) handleResponse(payload []byte) bool {
+	p.client.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload)))
 	resp := respPool.Get().(*response)
 	if !resp.parseJSON(payload) {
 		*resp = response{}
@@ -530,14 +528,18 @@ func (p *peerConn) handleResponse(payload []byte) bool {
 func (p *peerConn) send(req request) bool {
 	p.wlock.Lock()
 	j := encJobPool.Get().(*encJob)
-	j.w, j.req = &p.enc, req
+	j.w.Reset(p.conn)
+	j.req = req
 	// Yield the instance baton across the (live-)blocking socket write:
 	// holding it would stall every other task of the instance — and
 	// deadlock outright if both ends of a connection filled their TCP
 	// buffers, since the read loops could never drain them.
+	sent := j.w.Bytes() // the pooled writer's tally spans its borrowers
 	p.client.ctx.Blocking(j.run)
+	p.client.ins.BytesOut.Add(j.w.Bytes() - sent)
 	err := j.err
-	j.w, j.err, j.req = nil, nil, request{}
+	j.w.Reset(nil)
+	j.err, j.req = nil, request{}
 	encJobPool.Put(j)
 	p.wlock.Unlock()
 	if err != nil {

@@ -2,11 +2,19 @@ package rpc
 
 // Event-driven read loops: the memory plane's replacement for the two
 // parked tasks every pooled connection used to pin (the server's
-// serveConn and the client's readLoop). On transports that implement
-// transport.EventConn — the simulated network — an idle connection now
-// holds a ~100-byte frame reader instead of a goroutine, its parking
-// channel and a kernel waiter; at 100k+ nodes those goroutines (g
-// structs plus stacks) were the single largest memory consumer.
+// serveConn and the client's readLoop).
+//
+// The rule: the transport picks the reader. On the simulated network every
+// stream is a transport.EventConn and every listener an EventListener —
+// bare or behind the instance's sandbox, the only decoration a socket ever
+// carries, which passes the capability through — so every simulated
+// instance, however it was started, gets the frame reader and the event
+// accept: an idle connection holds a ~100-byte frame reader instead of a
+// goroutine, its parking channel and a kernel waiter; at 100k+ nodes those
+// goroutines (g structs plus stacks) were the single largest memory
+// consumer. Live sockets are plain Conns, and the task loops (serveConn,
+// readLoop, the blocking accept) are what only they use. Byte instruments
+// are read off the frames, so metering cannot change the reader either.
 //
 // Schedule neutrality is load-bearing: simnet delivers a readability
 // callback with exactly one kernel event (one alloc + one push at the

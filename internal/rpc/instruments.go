@@ -1,9 +1,6 @@
 package rpc
 
-import (
-	"github.com/splaykit/splay/internal/metrics"
-	"github.com/splaykit/splay/internal/transport"
-)
+import "github.com/splaykit/splay/internal/metrics"
 
 // Instruments is the RPC library's optional metric set for the
 // observability plane. The zero value (all nil) is the disabled
@@ -18,8 +15,8 @@ type Instruments struct {
 	Timeouts *metrics.Counter   // the subset that timed out
 	Redials  *metrics.Counter   // retries: dials replacing a broken pooled peer
 	Latency  *metrics.Histogram // per-call wall time, pow2 ns buckets
-	BytesOut *metrics.Counter   // bytes written, llenc headers included
-	BytesIn  *metrics.Counter   // bytes read
+	BytesOut *metrics.Counter   // frame bytes written, llenc headers included
+	BytesIn  *metrics.Counter   // frame bytes received, llenc headers included
 	Served   *metrics.Counter   // server-side requests dispatched
 }
 
@@ -45,57 +42,9 @@ func NewInstruments(reg *metrics.Registry) Instruments {
 var noInstruments Instruments
 
 // SetInstruments attaches instruments to the client. Call it before
-// issuing calls; connections dialed earlier stay uncounted.
+// issuing calls.
 func (c *Client) SetInstruments(ins Instruments) { c.ins = &ins }
 
 // SetInstruments attaches instruments to the server. Call it before
 // Start.
 func (s *Server) SetInstruments(ins Instruments) { s.ins = &ins }
-
-// countedConn meters a connection's bytes in both directions. It is
-// pure delegation — no buffering, no scheduling — so wrapping changes
-// nothing but the counters.
-type countedConn struct {
-	transport.Conn
-	in, out *metrics.Counter
-}
-
-func (cc countedConn) Read(p []byte) (int, error) {
-	n, err := cc.Conn.Read(p)
-	cc.in.Add(uint64(n))
-	return n, err
-}
-
-func (cc countedConn) Write(p []byte) (int, error) {
-	n, err := cc.Conn.Write(p)
-	cc.out.Add(uint64(n))
-	return n, err
-}
-
-// countedEventConn is countedConn for EventConn transports, preserving
-// the event-read capability through the metering wrapper. TryRead
-// counts exactly the bytes a metered Read would.
-type countedEventConn struct {
-	countedConn
-	ec transport.EventConn
-}
-
-func (cc countedEventConn) TryRead(p []byte) (int, error) {
-	n, err := cc.ec.TryRead(p)
-	cc.in.Add(uint64(n))
-	return n, err
-}
-
-func (cc countedEventConn) OnReadable(cb func()) { cc.ec.OnReadable(cb) }
-
-// meter wraps conn when byte counting is on.
-func (ins *Instruments) meter(conn transport.Conn) transport.Conn {
-	if ins.BytesIn == nil && ins.BytesOut == nil {
-		return conn
-	}
-	cc := countedConn{Conn: conn, in: ins.BytesIn, out: ins.BytesOut}
-	if ec, ok := conn.(transport.EventConn); ok {
-		return countedEventConn{countedConn: cc, ec: ec}
-	}
-	return cc
-}

@@ -1,10 +1,15 @@
 package rpc
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
+	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/livenet"
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/metrics"
+	"github.com/splaykit/splay/internal/sandbox"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -87,4 +92,105 @@ func TestInstrumentedRedial(t *testing.T) {
 	if got := ins.Redials.Total(); got != 1 {
 		t.Errorf("redials %d, want 1", got)
 	}
+}
+
+// TestInstrumentsCountBytes: the byte instruments are read off the frames
+// — written ones from the llenc.Writer's tally, received ones as each
+// complete frame reaches dispatch/handleResponse — so what one side counts
+// out the other counts in, headers included, whichever loop reads the
+// connection: the frame reader on simnet (bare or behind the sandbox, where
+// an idle connection parks no task) and the task loops on live sockets.
+func TestInstrumentsCountBytes(t *testing.T) {
+	calls := []string{"hello", "a considerably longer argument than the first one", ""}
+	var wantOut, wantIn uint64
+	for i, arg := range calls {
+		req, _ := json.Marshal(&request{ID: uint64(i + 1), Method: "echo", Args: []any{arg}})
+		res, _ := json.Marshal(arg)
+		resp, _ := json.Marshal(&response{ID: uint64(i + 1), Result: res})
+		wantOut += uint64(llenc.HeaderSize + len(req))
+		wantIn += uint64(llenc.HeaderSize + len(resp))
+	}
+	check := func(t *testing.T, cins, sins Instruments) {
+		t.Helper()
+		if out, in := cins.BytesOut.Total(), sins.BytesIn.Total(); out != wantOut || in != wantOut {
+			t.Errorf("requests: client counted %d bytes out, server %d in; the frames are %d", out, in, wantOut)
+		}
+		if out, in := sins.BytesOut.Total(), cins.BytesIn.Total(); out != wantIn || in != wantIn {
+			t.Errorf("responses: server counted %d bytes out, client %d in; the frames are %d", out, in, wantIn)
+		}
+	}
+	echo := func(t *testing.T, c *Client, addr transport.Addr) {
+		t.Helper()
+		for _, arg := range calls {
+			if res, err := c.CallTimeout(addr, 10*time.Second, "echo", arg); err != nil || string(res) != string(mustJSON(arg)) {
+				t.Errorf("echo %q: %s, %v", arg, res, err)
+			}
+		}
+	}
+
+	for name, grant := range map[string]core.Grant{
+		"sim":           {},
+		"sim-sandboxed": {Net: sandbox.NetLimits{MaxSockets: 8, MaxRxBytes: 1 << 20}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, 2)
+			cins, sins := NewInstruments(metrics.NewRegistry()), NewInstruments(metrics.NewRegistry())
+			sctx, cctx := e.ctx(1), e.ctx(0)
+			sctx.Grant(grant)
+			cctx.Grant(grant)
+			e.k.Go(func() {
+				s := NewServer(sctx)
+				s.SetInstruments(sins)
+				s.Register("echo", func(a Args) (any, error) { return a.String(0), nil })
+				if err := s.Start(8000); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.GoAfter(time.Second, func() {
+				c := NewClient(cctx)
+				c.SetInstruments(cins)
+				echo(t, c, transport.Addr{Host: "n1", Port: 8000})
+			})
+			e.k.Run()
+			check(t, cins, sins)
+			// Listener, served connection and pooled peer are all idle
+			// and all still open: none of them holds a task.
+			if sctx.Tracked() < 2 || cctx.Tracked() < 1 || e.k.Tasks() != 0 {
+				t.Errorf("idle: server tracks %d, client %d, %d kernel tasks parked; want open sockets and no task",
+					sctx.Tracked(), cctx.Tracked(), e.k.Tasks())
+			}
+		})
+	}
+
+	t.Run("live", func(t *testing.T) {
+		rt := core.NewLiveRuntime(1)
+		cins, sins := NewInstruments(metrics.NewRegistry()), NewInstruments(metrics.NewRegistry())
+		sctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+		defer sctx.Kill()
+		s := NewServer(sctx)
+		s.SetInstruments(sins)
+		s.Register("echo", func(a Args) (any, error) { return a.String(0), nil })
+		if err := s.Start(0); err != nil {
+			t.Fatal(err)
+		}
+		cctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+		defer cctx.Kill()
+		c := NewClient(cctx)
+		c.SetInstruments(cins)
+		echo(t, c, transport.Addr{Host: "127.0.0.1", Port: s.Addr().Port})
+		// The flusher publishes its batch's bytes after the write, which
+		// the client may have answered already.
+		for deadline := time.Now().Add(10 * time.Second); sins.BytesOut.Total() != wantIn && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		check(t, cins, sins)
+	})
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

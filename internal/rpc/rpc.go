@@ -176,9 +176,8 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers []namedHandler
 
-	ln     transport.Listener
-	closed bool
-	ins    *Instruments // shared noInstruments when disabled; never nil
+	ln  transport.Listener
+	ins *Instruments // shared noInstruments when disabled; never nil
 }
 
 // namedHandler is one registered method.
@@ -249,9 +248,8 @@ func (s *Server) Start(port int) error {
 					el.OnAcceptable(drain)
 					return
 				}
-				c = s.ins.meter(c)
 				s.ctx.Track(c)
-				s.serveConnEvent(c)
+				s.serveConnEvent(c.(transport.EventConn))
 			}
 		}
 		s.ctx.Go(drain)
@@ -269,7 +267,7 @@ func (s *Server) Start(port int) error {
 			if aerr != nil {
 				return
 			}
-			c := s.ins.meter(conn)
+			c := conn
 			s.ctx.Track(c)
 			s.ctx.Go(func() { s.serveConn(c) })
 		}
@@ -287,16 +285,15 @@ func (s *Server) Addr() transport.Addr {
 
 // Close stops accepting calls.
 func (s *Server) Close() error {
-	s.closed = true
 	if s.ln != nil {
 		return s.ln.Close()
 	}
 	return nil
 }
 
-// closeConn ends a served connection. The accept loop tracked it (already
-// metered, so this is the same value); the server closes it itself, so it
-// untracks it too — see core.AppContext.Track.
+// closeConn ends a served connection. The accept loop tracked it; the
+// server closes it itself, so it untracks it too — see
+// core.AppContext.Track.
 func (s *Server) closeConn(conn transport.Conn) {
 	s.ctx.Untrack(conn)
 	conn.Close()
@@ -324,36 +321,33 @@ func (s *Server) serveConn(conn transport.Conn) {
 }
 
 // serverConn is the whole per-connection state of an event-served
-// connection: frame reader, reply writer and framing encoder embedded
-// by value, so an idle served connection costs one allocation instead
-// of one per layer. It is the server side's frameSink.
+// connection: frame reader (which holds the connection), reply writer
+// and framing encoder embedded by value, so an idle served connection
+// costs one allocation instead of one per layer. It is the server
+// side's frameSink.
 type serverConn struct {
-	s    *Server
-	conn transport.Conn
-	cw   replyWriter
-	fr   frameReader
+	s  *Server
+	cw replyWriter
+	fr frameReader
 }
 
-// serveConnEvent is serveConn for EventConn transports: the same spawn
-// event installs a frame reader instead of parking a loop task, so an
-// idle served connection holds no goroutine. Frame processing is shared
-// with serveConn (dispatch), keeping both forms schedule-identical.
-func (s *Server) serveConnEvent(conn transport.Conn) {
-	sc := &serverConn{s: s, conn: conn}
-	s.ctx.Go(sc.start)
-}
-
-func (sc *serverConn) start() {
-	sc.cw.init(sc.conn)
-	sc.fr.init(sc.conn.(transport.EventConn), sc) // meter preserves EventConn
-	sc.fr.drain()
+// serveConnEvent is serveConn for an EventConn — what an EventListener
+// accepts: the same spawn event installs a frame reader instead of
+// parking a loop task, so an idle served connection holds no goroutine.
+// Frame processing is shared with serveConn (dispatch), keeping both
+// forms schedule-identical.
+func (s *Server) serveConnEvent(conn transport.EventConn) {
+	sc := &serverConn{s: s}
+	sc.cw.init(conn)
+	sc.fr.init(conn, sc)
+	s.ctx.Go(sc.fr.run)
 }
 
 func (sc *serverConn) onFrame(payload []byte) bool {
 	return sc.s.dispatch(payload, &sc.cw, false)
 }
 
-func (sc *serverConn) onEnd(error) { sc.s.closeConn(sc.conn) }
+func (sc *serverConn) onEnd(error) { sc.s.closeConn(sc.fr.conn) }
 
 // dispatch processes one request frame and reports whether the
 // connection should keep serving. inline marks a task-based caller that
@@ -362,6 +356,7 @@ func (sc *serverConn) onEnd(error) { sc.s.closeConn(sc.conn) }
 // arguments — paths no healthy protocol traffic takes).
 func (s *Server) dispatch(payload []byte, cw *replyWriter, inline bool) bool {
 	s.ins.Served.Inc()
+	s.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload))) // both read loops hand frames over here
 	var id uint64
 	var h Handler
 	var hok bool
@@ -508,20 +503,29 @@ func (cw *replyWriter) flushBatch() {
 	}
 }
 
+// oneReply pools the backing the flusher queues its own reply on: a lone
+// reply finding the writer idle, the common case, allocates nothing and
+// a connection still keeps no batch capacity between busy periods.
+var oneReply = sync.Pool{New: func() any { return new([1]response) }}
+
 func (s *Server) reply(cw *replyWriter, resp response) {
 	cw.mu.Lock()
-	cw.queue = append(cw.queue, resp)
 	if cw.flushing {
+		cw.queue = append(cw.queue, resp)
 		cw.mu.Unlock()
 		return
 	}
 	cw.flushing = true
+	first := oneReply.Get().(*[1]response)
+	cw.queue = append(first[:0], resp)
 	var spare []response // recycled batch backing, scoped to this busy period
 	for len(cw.queue) > 0 {
 		cw.wbatch = cw.queue
 		cw.queue = spare[:0]
 		cw.mu.Unlock()
+		sent := cw.enc.Bytes() // the flusher is the writer's only user
 		s.ctx.Blocking(cw.writeBatch)
+		s.ins.BytesOut.Add(cw.enc.Bytes() - sent)
 		cw.mu.Lock()
 		spare = cw.wbatch[:0]
 		cw.wbatch = nil
@@ -532,4 +536,5 @@ func (s *Server) reply(cw *replyWriter, resp response) {
 	// re-allocation when the next burst arrives.
 	cw.queue = nil
 	cw.mu.Unlock()
+	oneReply.Put(first) // flushBatch cleared it; nothing refers to it now
 }

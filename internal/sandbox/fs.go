@@ -38,14 +38,7 @@ type FSLimits struct {
 // Tighten returns limits at least as strict as both (the controller can
 // only restrict further, §3.1).
 func (l FSLimits) Tighten(o FSLimits) FSLimits {
-	out := l
-	if o.MaxBytes > 0 && (out.MaxBytes == 0 || o.MaxBytes < out.MaxBytes) {
-		out.MaxBytes = o.MaxBytes
-	}
-	if o.MaxOpenFiles > 0 && (out.MaxOpenFiles == 0 || o.MaxOpenFiles < out.MaxOpenFiles) {
-		out.MaxOpenFiles = o.MaxOpenFiles
-	}
-	return out
+	return FSLimits{MaxBytes: tighter(l.MaxBytes, o.MaxBytes), MaxOpenFiles: tighter(l.MaxOpenFiles, o.MaxOpenFiles)}
 }
 
 // FS is a virtual filesystem confined to one private store. Path names

@@ -1,6 +1,7 @@
 package sandbox
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -21,23 +22,20 @@ type NetLimits struct {
 
 // Tighten merges limits keeping the stricter of each (controller rule).
 func (l NetLimits) Tighten(o NetLimits) NetLimits {
-	out := l
-	min := func(a, b int64) int64 {
-		if a == 0 {
-			return b
-		}
-		if b == 0 || a < b {
-			return a
-		}
+	return NetLimits{
+		MaxSockets: tighter(l.MaxSockets, o.MaxSockets),
+		MaxTxBytes: tighter(l.MaxTxBytes, o.MaxTxBytes),
+		MaxRxBytes: tighter(l.MaxRxBytes, o.MaxRxBytes),
+		Blacklist:  append(append([]string(nil), l.Blacklist...), o.Blacklist...),
+	}
+}
+
+// tighter returns the stricter of two limits; 0 means unlimited.
+func tighter[T int | int64](a, b T) T {
+	if a == 0 || (b > 0 && b < a) {
 		return b
 	}
-	out.MaxTxBytes = min(l.MaxTxBytes, o.MaxTxBytes)
-	out.MaxRxBytes = min(l.MaxRxBytes, o.MaxRxBytes)
-	if o.MaxSockets > 0 && (out.MaxSockets == 0 || o.MaxSockets < out.MaxSockets) {
-		out.MaxSockets = o.MaxSockets
-	}
-	out.Blacklist = append(append([]string(nil), l.Blacklist...), o.Blacklist...)
-	return out
+	return a
 }
 
 // matches reports whether host matches pattern (exact or '*' suffix
@@ -49,24 +47,38 @@ func matches(pattern, host string) bool {
 	return pattern == host
 }
 
-// Node wraps a transport.Node with enforcement and accounting. It also
-// tracks every socket so the daemon can close them all when killing the
-// instance.
+// closer is any socket the node opened.
+type closer interface{ Close() error }
+
+// Node wraps a transport.Node with enforcement and accounting, and tracks
+// every socket so a killed instance's leftovers can be closed. It is the
+// only decoration between an instance and its transport and never changes
+// how a socket is read: what the transport hands out as an EventConn or
+// EventListener (simnet) comes back as one, charged and limited on that
+// path exactly as on the blocking one; a live socket stays a plain Conn.
 type Node struct {
-	inner  transport.Node
-	limits NetLimits
+	inner transport.Node
 
 	mu      sync.Mutex
+	limits  NetLimits
 	sockets int
 	tx, rx  int64
-	open    map[interface{ Close() error }]struct{}
+	open    []closer // live sockets, oldest first
 }
 
 var _ transport.Node = (*Node)(nil)
 
 // Wrap confines a node's network stack.
 func Wrap(inner transport.Node, limits NetLimits) *Node {
-	return &Node{inner: inner, limits: limits, open: make(map[interface{ Close() error }]struct{})}
+	return &Node{inner: inner, limits: limits}
+}
+
+// Tighten narrows the node's limits in place to the stricter of what it
+// enforces and l (blacklists united); usage so far stays charged.
+func (n *Node) Tighten(l NetLimits) {
+	n.mu.Lock()
+	n.limits = n.limits.Tighten(l)
+	n.mu.Unlock()
 }
 
 // Usage reports transmitted/received byte counters.
@@ -83,13 +95,12 @@ func (n *Node) OpenSockets() int {
 	return n.sockets
 }
 
-// CloseAll force-closes every tracked socket (instance kill).
+// CloseAll force-closes every socket still open (instance kill), oldest
+// first like core.AppContext.Kill, so a killed instance's peers see the
+// same close sequence on every run of a seed.
 func (n *Node) CloseAll() {
 	n.mu.Lock()
-	socks := make([]interface{ Close() error }, 0, len(n.open))
-	for s := range n.open {
-		socks = append(socks, s)
-	}
+	socks := append([]closer(nil), n.open...)
 	n.mu.Unlock()
 	for _, s := range socks {
 		s.Close() //nolint:errcheck
@@ -100,14 +111,13 @@ func (n *Node) CloseAll() {
 func (n *Node) Host() string { return n.inner.Host() }
 
 func (n *Node) blocked(host string) bool {
-	for _, p := range n.limits.Blacklist {
-		if matches(p, host) {
-			return true
-		}
-	}
-	return false
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return slices.ContainsFunc(n.limits.Blacklist, func(p string) bool { return matches(p, host) })
 }
 
+// acquire reserves a socket slot; the caller tracks the socket it then
+// opens or gives the slot back with abandon.
 func (n *Node) acquire() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -118,19 +128,27 @@ func (n *Node) acquire() error {
 	return nil
 }
 
-func (n *Node) track(c interface{ Close() error }) {
+func (n *Node) abandon() {
 	n.mu.Lock()
-	n.open[c] = struct{}{}
+	n.sockets--
 	n.mu.Unlock()
 }
 
-func (n *Node) release(c interface{ Close() error }) {
+func (n *Node) track(c closer) {
 	n.mu.Lock()
-	if _, ok := n.open[c]; ok {
-		delete(n.open, c)
+	n.open = append(n.open, c)
+	n.mu.Unlock()
+}
+
+// release forgets a socket its owner is closing (a second Close finds
+// nothing to forget).
+func (n *Node) release(c closer) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if i := slices.Index(n.open, c); i >= 0 {
+		n.open = slices.Delete(n.open, i, i+1)
 		n.sockets--
 	}
-	n.mu.Unlock()
 }
 
 // chargeTx accounts len bytes of egress, failing when over quota.
@@ -144,14 +162,19 @@ func (n *Node) chargeTx(len int) error {
 	return nil
 }
 
-func (n *Node) chargeRx(len int) error {
+// chargeRx accounts the m bytes a read returned; over quota the data
+// comes back beside ErrLimit.
+func (n *Node) chargeRx(m int, err error) (int, error) {
+	if m <= 0 {
+		return m, err
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.limits.MaxRxBytes > 0 && n.rx+int64(len) > n.limits.MaxRxBytes {
-		return transport.ErrLimit
+	if n.limits.MaxRxBytes > 0 && n.rx+int64(m) > n.limits.MaxRxBytes {
+		return m, transport.ErrLimit
 	}
-	n.rx += int64(len)
-	return nil
+	n.rx += int64(m)
+	return m, err
 }
 
 // Dial implements transport.Node with blacklist and socket limits.
@@ -164,14 +187,10 @@ func (n *Node) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	}
 	c, err := n.inner.Dial(to, timeout)
 	if err != nil {
-		n.mu.Lock()
-		n.sockets--
-		n.mu.Unlock()
+		n.abandon()
 		return nil, err
 	}
-	sc := &sbConn{Conn: c, n: n}
-	n.track(sc)
-	return sc, nil
+	return n.stream(c), nil
 }
 
 // Listen implements transport.Node.
@@ -181,14 +200,15 @@ func (n *Node) Listen(port int) (transport.Listener, error) {
 	}
 	l, err := n.inner.Listen(port)
 	if err != nil {
-		n.mu.Lock()
-		n.sockets--
-		n.mu.Unlock()
+		n.abandon()
 		return nil, err
 	}
-	sl := &sbListener{Listener: l, n: n}
-	n.track(sl)
-	return sl, nil
+	el := &sbEventListener{sbListener{l, n}}
+	n.track(&el.sbListener)
+	if _, ok := l.(transport.EventListener); ok {
+		return el, nil
+	}
+	return &el.sbListener, nil // the same socket without the event methods
 }
 
 // ListenPacket implements transport.Node.
@@ -198,14 +218,32 @@ func (n *Node) ListenPacket(port int) (transport.PacketConn, error) {
 	}
 	p, err := n.inner.ListenPacket(port)
 	if err != nil {
-		n.mu.Lock()
-		n.sockets--
-		n.mu.Unlock()
+		n.abandon()
 		return nil, err
 	}
 	sp := &sbPacket{PacketConn: p, n: n}
 	n.track(sp)
 	return sp, nil
+}
+
+// stream sandboxes a stream whose socket slot is already acquired.
+func (n *Node) stream(c transport.Conn) transport.Conn {
+	ec := &sbEventConn{sbConn{c, n}}
+	n.track(&ec.sbConn)
+	if _, ok := c.(transport.EventConn); ok {
+		return ec
+	}
+	return &ec.sbConn // the same socket without the event methods
+}
+
+// admit sandboxes an accepted stream, or closes it uncounted when the
+// socket limit refuses it.
+func (n *Node) admit(c transport.Conn) (transport.Conn, error) {
+	if err := n.acquire(); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return n.stream(c), nil
 }
 
 // sbConn wraps a stream with accounting.
@@ -221,20 +259,22 @@ func (c *sbConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-func (c *sbConn) Read(p []byte) (int, error) {
-	m, err := c.Conn.Read(p)
-	if m > 0 {
-		if cerr := c.n.chargeRx(m); cerr != nil {
-			return m, cerr
-		}
-	}
-	return m, err
-}
+func (c *sbConn) Read(p []byte) (int, error) { return c.n.chargeRx(c.Conn.Read(p)) }
 
 func (c *sbConn) Close() error {
 	c.n.release(c)
 	return c.Conn.Close()
 }
+
+// sbEventConn is the sbConn of an EventConn: the event read is charged
+// like the blocking one.
+type sbEventConn struct{ sbConn }
+
+func (c *sbEventConn) TryRead(p []byte) (int, error) {
+	return c.n.chargeRx(c.Conn.(transport.EventConn).TryRead(p))
+}
+
+func (c *sbEventConn) OnReadable(cb func()) { c.Conn.(transport.EventConn).OnReadable(cb) }
 
 // sbListener wraps a listener; accepted conns are sandboxed and counted.
 type sbListener struct {
@@ -247,18 +287,28 @@ func (l *sbListener) Accept() (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := l.n.acquire(); err != nil {
-		c.Close()
-		return nil, err
-	}
-	sc := &sbConn{Conn: c, n: l.n}
-	l.n.track(sc)
-	return sc, nil
+	return l.n.admit(c)
 }
 
 func (l *sbListener) Close() error {
 	l.n.release(l)
 	return l.Listener.Close()
+}
+
+// sbEventListener is the sbListener of an EventListener: the event accept
+// admits, refuses and tracks like the blocking one.
+type sbEventListener struct{ sbListener }
+
+func (l *sbEventListener) TryAccept() (transport.Conn, error) {
+	c, err := l.Listener.(transport.EventListener).TryAccept()
+	if c == nil || err != nil {
+		return nil, err
+	}
+	return l.n.admit(c)
+}
+
+func (l *sbEventListener) OnAcceptable(cb func()) {
+	l.Listener.(transport.EventListener).OnAcceptable(cb)
 }
 
 // sbPacket wraps a datagram socket.
@@ -279,11 +329,7 @@ func (p *sbPacket) WriteTo(b []byte, to transport.Addr) (int, error) {
 
 func (p *sbPacket) ReadFrom(b []byte) (int, transport.Addr, error) {
 	m, from, err := p.PacketConn.ReadFrom(b)
-	if m > 0 {
-		if cerr := p.n.chargeRx(m); cerr != nil {
-			return m, from, cerr
-		}
-	}
+	m, err = p.n.chargeRx(m, err)
 	return m, from, err
 }
 

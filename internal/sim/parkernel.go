@@ -231,6 +231,7 @@ type ParStats struct {
 	CoordParks  uint64   // rounds in which the coordinator out-waited its spin budget and slept
 	HelperParks uint64   // the same for helpers, one count per helper and round
 	Events      []uint64 // events executed, per partition
+	Tasks       int      // live cooperative tasks right now, parked ones included
 }
 
 // Stats returns the kernel's self-counters. Call it between runs or from a
@@ -241,6 +242,7 @@ func (pk *ParKernel) Stats() ParStats {
 	for i, s := range pk.subs {
 		st.Events[i] = s.events
 	}
+	st.Tasks = pk.Tasks()
 	return st
 }
 
