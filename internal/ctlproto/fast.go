@@ -1,6 +1,7 @@
 package ctlproto
 
 import (
+	"encoding/json"
 	"strconv"
 
 	"github.com/splaykit/splay/internal/llenc"
@@ -15,11 +16,12 @@ import (
 // encoding/json's output for this struct — field order, omitempty rules,
 // HTML escaping — which TestFastCodecMatchesEncodingJSON checks
 // differentially; anything the fast path cannot reproduce exactly
-// (strings needing escapes, non-ASCII, raw Params payloads) reports
-// false and the caller falls back to encoding/json, so the wire format
-// never diverges. The character-class rules, lexer primitives and the
-// object/array walk are shared with the other codecs via llenc
-// (JSONSafe, Lexer.Object/Array).
+// (strings needing escapes, non-ASCII, job parameters encoding/json would
+// rewrite) reports false and the caller falls back to encoding/json, so
+// the wire format never diverges. Node addresses are transport.Addr's own
+// codec; job parameters travel as the raw span they are. The
+// character-class rules, lexer primitives and the object/array walk are
+// shared with the other codecs via llenc (JSONSafe, Lexer.Object/Array).
 
 // AppendJSON implements llenc.FastMarshaler. On success the appended
 // bytes equal json.Marshal(m); on false buf is returned unchanged.
@@ -33,13 +35,8 @@ func (m *Msg) AppendJSON(buf []byte) ([]byte, bool) {
 		}
 	}
 	if j := m.Job; j != nil {
-		if len(j.Params) > 0 || !llenc.JSONSafe(j.ID) || !llenc.JSONSafe(j.App) {
+		if !llenc.JSONSafe(j.ID) || !llenc.JSONSafe(j.App) || len(j.Params) > 0 && !paramsVerbatim(j.Params) {
 			return buf, false
-		}
-		for _, a := range j.Nodes {
-			if !llenc.JSONSafe(a.Host) {
-				return buf, false
-			}
 		}
 	}
 	b := append(buf, `{"seq":`...)
@@ -65,22 +62,17 @@ func (m *Msg) AppendJSON(buf []byte) ([]byte, bool) {
 		b = append(b, `","app":"`...)
 		b = append(b, j.App...)
 		b = append(b, '"')
+		if len(j.Params) > 0 {
+			b = append(append(b, `,"params":`...), j.Params...)
+		}
 		if j.Position != 0 {
 			b = appendIntField(b, `,"position":`, j.Position)
 		}
 		if len(j.Nodes) > 0 {
-			b = append(b, `,"nodes":[`...)
-			for i, a := range j.Nodes {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = append(b, `{"host":"`...)
-				b = append(b, a.Host...)
-				b = append(b, `","port":`...)
-				b = strconv.AppendInt(b, int64(a.Port), 10)
-				b = append(b, '}')
+			var ok bool
+			if b, ok = llenc.AppendList(append(b, `,"nodes":`...), j.Nodes); !ok {
+				return buf, false // a host encoding/json would escape
 			}
-			b = append(b, ']')
 		}
 		b = append(b, '}')
 	}
@@ -104,6 +96,13 @@ func (m *Msg) AppendJSON(buf []byte) ([]byte, bool) {
 	return b, true
 }
 
+// paramsVerbatim reports whether encoding/json would emit the raw job
+// parameters byte for byte — and read them back the same: it captures a
+// literal null too, but nothing here proves that, so null declines.
+func paramsVerbatim(p []byte) bool {
+	return llenc.JSONVerbatim(p) && llenc.ValidJSON(p) && string(p) != "null"
+}
+
 func appendStrField(b []byte, prefix, s string) []byte {
 	b = append(b, prefix...)
 	b = append(b, s...)
@@ -119,8 +118,8 @@ func appendIntField(b []byte, prefix string, v int) []byte {
 // llenc's object walker for the exact shape the fast encoder (and
 // encoding/json on this struct) produces. It reports false — leaving m
 // untouched — on anything it does not handle: escape sequences, unknown
-// keys, null, floats, raw Params payloads, or a repeated job/nodes
-// member (encoding/json merges the second into the first's structs).
+// keys, null, floats, or a repeated job/nodes member (encoding/json
+// merges the second into the first's structs).
 // In each switch a key no case names leaves ok false. The caller then
 // retries with encoding/json.
 func (m *Msg) ParseJSON(data []byte) bool {
@@ -154,6 +153,14 @@ func (m *Msg) ParseJSON(data []byte) bool {
 					j.ID, ok = l.String()
 				case "app":
 					j.App, ok = l.String()
+				case "params":
+					// The raw span, as rpc carries json.RawMessage
+					// arguments: strictly validated, then copied out of
+					// the read buffer.
+					var span []byte
+					span, ok = l.Value()
+					ok = ok && string(span) != "null"
+					j.Params = append(json.RawMessage(nil), span...)
 				case "position":
 					j.Position, ok = l.Int()
 				case "nodes":
@@ -163,21 +170,11 @@ func (m *Msg) ParseJSON(data []byte) bool {
 					j.Nodes = []transport.Addr{}
 					ok = l.Array(func() bool {
 						var a transport.Addr
-						ok := l.Object(func(key []byte) (ok bool) {
-							switch string(key) {
-							case "host":
-								a.Host, ok = l.String()
-							case "port":
-								a.Port, ok = l.Int()
-							}
-							return ok
-						})
+						ok := a.WalkJSON(&l)
 						j.Nodes = append(j.Nodes, a)
 						return ok
 					})
 				}
-				// Any other key declines, "params" included: raw payloads
-				// keep encoding/json's exact semantics via the fallback.
 				return ok
 			})
 		case "hosts":

@@ -13,7 +13,10 @@ import (
 // sampleMsgs covers every frame the control plane emits, plus edge cases:
 // empty strings, zero ports, empty and nil slices, negative ints, strings
 // that force the encoding/json fallback (escapes, HTML characters,
-// non-ASCII), and raw Params payloads.
+// non-ASCII), and raw Params payloads — the by-name deploy's frame shape,
+// which rides the fast path when encoding/json would emit the parameters
+// byte for byte and declines when it would rewrite them (whitespace, HTML
+// characters) or when they are a literal null.
 func sampleMsgs() []Msg {
 	return []Msg{
 		{},
@@ -30,6 +33,13 @@ func sampleMsgs() []Msg {
 		}},
 		{Seq: 6, Type: TList, Job: &Job{ID: "j", App: "a", Nodes: []transport.Addr{}}},
 		{Seq: 8, Type: TStart, Job: &Job{ID: "job-2", App: "chord", Params: json.RawMessage(`{"bits":16}`)}},
+		{Seq: 8, Type: TRegister, Job: &Job{ID: "job-3", App: "cyclon", Position: 2,
+			Params: json.RawMessage(`{"report":true,"view":[20,8],"peer":{"host":"n1","esc":"a\"b"},"x":null}`),
+			Nodes:  []transport.Addr{{Host: "n1", Port: 8000}}}},
+		{Seq: 8, Type: TStart, Job: &Job{ID: "j", App: "a", Params: json.RawMessage(`7`)}},
+		{Seq: 8, Type: TStart, Job: &Job{ID: "j", App: "a", Params: json.RawMessage(`{ "spaced" : 1 }`)}},
+		{Seq: 8, Type: TStart, Job: &Job{ID: "j", App: "a", Params: json.RawMessage(`{"html":"<&>"}`)}},
+		{Seq: 8, Type: TStart, Job: &Job{ID: "j", App: "a", Params: json.RawMessage(`null`)}},
 		{Seq: 8, Type: TStart, Job: &Job{ID: "job-2", App: "chord", Position: -4}},
 		{Seq: 2, Type: TErr, Err: `needs "quotes" and \backslash`},
 		{Seq: 2, Type: TErr, Err: "html <&> chars"},
@@ -80,7 +90,12 @@ func jsonSafeMsg(m *Msg) bool {
 		ok = ok && jsonSafe(h)
 	}
 	if j := m.Job; j != nil {
-		ok = ok && len(j.Params) == 0 && jsonSafe(j.ID) && jsonSafe(j.App)
+		ok = ok && jsonSafe(j.ID) && jsonSafe(j.App)
+		if len(j.Params) > 0 {
+			// Verbatim means encoding/json's own encoder leaves them alone.
+			enc, err := json.Marshal(j.Params)
+			ok = ok && err == nil && bytes.Equal(enc, j.Params) && string(enc) != "null"
+		}
 		for _, a := range j.Nodes {
 			ok = ok && jsonSafe(a.Host)
 		}
@@ -117,7 +132,8 @@ func TestFastCodecRandomized(t *testing.T) {
 				m.Job.Nodes = append(m.Job.Nodes, transport.Addr{Host: randStr(), Port: rng.Intn(70000) - 2})
 			}
 			if rng.Intn(4) == 0 {
-				m.Job.Params = json.RawMessage(`[1,2]`)
+				quoted, _ := json.Marshal(map[string]string{"k": randStr()})
+				m.Job.Params = json.RawMessage([]string{`[1,2]`, string(quoted), `null`, ` 1`, `{"h":"<"}`}[rng.Intn(5)])
 			}
 		}
 		if rng.Intn(3) == 0 {

@@ -49,6 +49,11 @@ func FuzzMsgParse(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"type":"list","job":{"id":"a","app":"x"},"job":{"app":"b"}}`))
 	f.Add([]byte(`{"job":{"nodes":[{"host":"h","port":1}],"nodes":[{"port":2}]}}`))
 	f.Add([]byte(`{"job":{"id":"a","params":{"k":1}}}`))
+	f.Add([]byte(`{"seq":3,"type":"register","job":{"id":"j","app":"cyclon","params": { "report" : true , "l":[1, 2] } ,"position":1}}`))
+	f.Add([]byte(`{"job":{"params":{"k":"\u00e9<"},"params":[7]}}`))
+	f.Add([]byte(`{"job":{"id":"a","params":null}}`))
+	f.Add([]byte(`{"job":{"params":01}}`))
+	f.Add([]byte(`{"job":{"params":"unterminated}}`))
 	f.Add([]byte(`{"hosts":["a",]}`))
 	f.Fuzz(checkMsgParse)
 }

@@ -342,7 +342,7 @@ func (n *Node) refreshSuccList() {
 		n.suspect(succ)
 		return
 	}
-	var list []NodeRef
+	var list nodeRefs
 	if err := res.Decode(&list); err != nil {
 		return
 	}
@@ -408,7 +408,7 @@ func (n *Node) pickNearFinger(i uint, found NodeRef) NodeRef {
 	candidates := []NodeRef{found}
 	res, err := n.client.Call(found.Addr, "successors")
 	if err == nil {
-		var list []NodeRef
+		var list nodeRefs
 		if res.Decode(&list) == nil {
 			for _, r := range list {
 				if n.space.Between(r.ID, lo, hi, true, false) {
@@ -512,13 +512,13 @@ func (n *Node) handleSuccessors(rpc.Args) (any, error) {
 	if n.cfg.FaultTolerant {
 		// Materialize references for the wire; handles are meaningless
 		// outside this partition's intern table.
-		list := make([]NodeRef, len(n.succs))
+		list := make(nodeRefs, len(n.succs))
 		for i, h := range n.succs {
 			list[i] = n.ref(h)
 		}
 		return list, nil
 	}
-	return []NodeRef{n.ref(n.finger[1])}, nil
+	return nodeRefs{n.ref(n.finger[1])}, nil
 }
 
 // findSuccessor resolves id recursively (Listing 2): answer locally when

@@ -228,11 +228,11 @@ func (n *Node) shuffle() {
 
 	send := n.sample(n.cfg.ShuffleLen-1, peer)
 	payload := append(append([]Entry(nil), send...), Entry{Addr: n.self, Age: 0})
-	res, err := n.client.Call(peer, "shuffle", payload)
+	res, err := n.client.Call(peer, "shuffle", entries(payload))
 	if err != nil {
 		return // dead peer already dropped from the view
 	}
-	var reply []Entry
+	var reply entries
 	if err := res.Decode(&reply); err != nil {
 		return
 	}
@@ -245,7 +245,7 @@ func (n *Node) shuffle() {
 // handleShuffle answers a shuffle: return our own sample and merge
 // theirs.
 func (n *Node) handleShuffle(args rpc.Args) (any, error) {
-	var in []Entry
+	var in entries
 	if err := args.Decode(0, &in); err != nil {
 		return nil, err
 	}
@@ -255,5 +255,5 @@ func (n *Node) handleShuffle(args rpc.Args) (any, error) {
 	if reply == nil {
 		reply = []Entry{}
 	}
-	return reply, nil
+	return entries(reply), nil
 }

@@ -608,7 +608,7 @@ func (p *peerConn) call(timeout time.Duration, method string, args []any) (Resul
 }
 
 // Marshal is a helper for handlers that want to return a raw JSON payload.
-func Marshal(v any) (json.RawMessage, error) { return json.Marshal(v) }
+func Marshal(v any) (json.RawMessage, error) { return marshalValue(v) }
 
 // PreEncode canonically encodes a value once for reuse as a call
 // argument, the zero-rework path for arguments that never change (a
@@ -617,9 +617,9 @@ func Marshal(v any) (json.RawMessage, error) { return json.Marshal(v) }
 // format is unchanged; if v cannot be encoded it is returned as-is and
 // the call reports the error as before.
 func PreEncode(v any) any {
-	raw, err := json.Marshal(v)
+	raw, err := marshalValue(v)
 	if err != nil {
 		return v
 	}
-	return json.RawMessage(raw)
+	return raw
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 
 	"github.com/splaykit/splay/internal/llenc"
@@ -24,47 +25,81 @@ import (
 // pooled buffers owned by the server — see the ownership rules on
 // Handler and in DESIGN.md ("The message plane").
 
-// appendArg appends one call argument exactly as encoding/json would
-// encode it inside the args array. Common scalar types are hand-rolled;
-// pre-encoded json.RawMessage arguments are appended verbatim when
-// provably canonical; everything else takes a per-element
-// encoding/json round trip (still byte-identical: element encoding does
-// not depend on position). It reports false only when the element
-// cannot be marshaled at all, so the caller's fallback surfaces the
-// same error encoding/json would.
-func appendArg(b []byte, v any) ([]byte, bool) {
+// appendValue is the one value encoder of the message plane: call
+// arguments, handler results and PreEncode all go through it, and it
+// appends exactly what encoding/json would. A value with its own codec
+// (llenc.FastMarshaler) encodes itself; common scalar types are
+// hand-rolled; pre-encoded json.RawMessage values are appended verbatim
+// when provably canonical; everything else — a codec that declines
+// included — takes an encoding/json round trip (still byte-identical: a
+// value's encoding does not depend on where it sits). The error is
+// json.Marshal's, for a value that cannot be marshaled at all.
+func appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return append(b, "null"...), true
+		return append(b, "null"...), nil
 	case bool:
 		if x {
-			return append(b, "true"...), true
+			return append(b, "true"...), nil
 		}
-		return append(b, "false"...), true
+		return append(b, "false"...), nil
 	case string:
 		if llenc.JSONSafe(x) {
-			return llenc.AppendJSONString(b, x), true
+			return llenc.AppendJSONString(b, x), nil
 		}
 	case int:
-		return llenc.AppendInt(b, int64(x)), true
+		return llenc.AppendInt(b, int64(x)), nil
 	case int64:
-		return llenc.AppendInt(b, x), true
+		return llenc.AppendInt(b, x), nil
 	case int32:
-		return llenc.AppendInt(b, int64(x)), true
+		return llenc.AppendInt(b, int64(x)), nil
 	case uint64:
-		return llenc.AppendUint(b, x), true
+		return llenc.AppendUint(b, x), nil
 	case uint:
-		return llenc.AppendUint(b, uint64(x)), true
+		return llenc.AppendUint(b, uint64(x)), nil
 	case json.RawMessage:
 		if len(x) > 0 && llenc.JSONVerbatim(x) && llenc.ValidJSON(x) {
-			return append(b, x...), true
+			return append(b, x...), nil
+		}
+	case llenc.FastMarshaler:
+		// encoding/json writes a nil pointer as null without calling its
+		// methods; a value-receiver codec reached through one would panic.
+		if rv := reflect.ValueOf(v); rv.Kind() != reflect.Pointer || !rv.IsNil() {
+			if enc, ok := x.AppendJSON(b); ok {
+				return enc, nil
+			}
 		}
 	}
 	enc, err := json.Marshal(v)
 	if err != nil {
-		return b, false
+		return b, err
 	}
-	return append(b, enc...), true
+	return append(b, enc...), nil
+}
+
+// maxPooledScratch keeps one large payload (a BitTorrent piece) from
+// pinning its size in the scratch pool.
+const maxPooledScratch = 64 << 10
+
+// valueScratch stages marshalValue's encodes, so a result costs one
+// exact-size allocation however large it grows on the way.
+var valueScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// marshalValue is appendValue into a fresh slice the caller owns: handler
+// results (which must be copied before the pooled arguments they may alias
+// are recycled), Marshal and PreEncode.
+func marshalValue(v any) (json.RawMessage, error) {
+	bp := valueScratch.Get().(*[]byte)
+	b, err := appendValue((*bp)[:0], v)
+	var out json.RawMessage
+	if err == nil {
+		out = append(out, b...)
+	}
+	if cap(b) <= maxPooledScratch {
+		*bp = b[:0]
+	}
+	valueScratch.Put(bp)
+	return out, err
 }
 
 // AppendJSON implements llenc.FastMarshaler for the request envelope.
@@ -85,9 +120,9 @@ func (r *request) AppendJSON(buf []byte) ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			var ok bool
-			if b, ok = appendArg(b, a); !ok {
-				return buf, false
+			var err error
+			if b, err = appendValue(b, a); err != nil {
+				return buf, false // the fallback surfaces the same error
 			}
 		}
 		b = append(b, ']')
@@ -96,7 +131,7 @@ func (r *request) AppendJSON(buf []byte) ([]byte, bool) {
 }
 
 // AppendJSON implements llenc.FastMarshaler for the response envelope.
-// Result bytes come from json.Marshal on the server, so they are
+// Result bytes come from appendValue on the server, so they are
 // canonical already; the verbatim scan only rejects what a raw handler
 // payload could smuggle in.
 func (r *response) AppendJSON(buf []byte) ([]byte, bool) {

@@ -12,9 +12,10 @@
 //
 // The message plane is built for throughput: envelopes ride the
 // hand-rolled fast codec in fast.go (byte-identical to encoding/json),
-// argument arrays decode lazily from pooled buffers, and replies queued
-// behind one connection writer are drained in a batch by whichever task
-// got there first. See DESIGN.md ("The message plane").
+// the values inside them ride the same contract when their type has a
+// codec, argument arrays decode lazily from pooled buffers, and replies
+// queued behind one connection writer are drained in a batch by whichever
+// task got there first. See DESIGN.md ("The message plane").
 package rpc
 
 import (
@@ -454,14 +455,14 @@ func (j *reqJob) exec() {
 	if err != nil {
 		resp.Err = err.Error()
 	} else if result != nil {
-		raw, merr := json.Marshal(result)
+		raw, merr := marshalValue(result)
 		if merr != nil {
 			resp.Err = "rpc: unserializable result: " + merr.Error()
 		} else {
 			resp.Result = raw
 		}
 	}
-	// The result is marshaled (copied) above, so the pooled argument
+	// The result is encoded (copied) above, so the pooled argument
 	// buffer can be recycled even if the handler returned bytes
 	// aliasing it.
 	args.release()

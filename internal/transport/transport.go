@@ -18,6 +18,8 @@ import (
 	"net"
 	"strconv"
 	"time"
+
+	"github.com/splaykit/splay/internal/llenc"
 )
 
 // Addr identifies a network endpoint: a host name plus a port. In the
@@ -35,6 +37,38 @@ func (a Addr) String() string { return net.JoinHostPort(a.Host, strconv.Itoa(a.P
 
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }
+
+// AppendJSON implements llenc.FastMarshaler. This file is the one place
+// that spells the address's wire form, {"host":"…","port":…}: control
+// frames and every protocol's node references nest this codec. A host
+// encoding/json would escape declines.
+func (a Addr) AppendJSON(buf []byte) ([]byte, bool) {
+	if !llenc.JSONSafe(a.Host) {
+		return buf, false
+	}
+	b := append(buf, `{"host":"`...)
+	b = append(b, a.Host...)
+	b = append(b, `","port":`...)
+	return append(llenc.AppendInt(b, int64(a.Port)), '}'), true
+}
+
+// WalkJSON is the address's lexer-level parser, for codecs that nest one:
+// it consumes one address object at the cursor, writing only the members
+// it meets. On false a may be half written (see llenc.ParseValue).
+func (a *Addr) WalkJSON(l *llenc.Lexer) bool {
+	return l.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "host":
+			a.Host, ok = l.String()
+		case "port":
+			a.Port, ok = l.Int()
+		}
+		return ok
+	})
+}
+
+// ParseJSON implements llenc.FastUnmarshaler.
+func (a *Addr) ParseJSON(data []byte) bool { return llenc.ParseValue(data, a, (*Addr).WalkJSON) }
 
 // ParseAddr parses "host:port" with net.SplitHostPort's bracket
 // semantics: IPv6 hosts must be bracketed ("[::1]:5555" parses to host
