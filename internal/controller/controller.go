@@ -151,8 +151,9 @@ type JobStatus struct {
 // replyFn receives a daemon's answer to one command frame. It is invoked
 // exactly once — with the answer, or with an error if the daemon was
 // gone, the write failed, the connection dropped, or the reply deadline
-// expired — and runs on a controller task, so it must not block; spawn
-// via the runtime for I/O.
+// expired — from the session's frame sink or the monitor, possibly inside
+// a kernel event callback, so it must not block; spawn via the runtime for
+// I/O.
 type replyFn func(ans ctlproto.Msg, err error)
 
 // pendingReply is one in-flight command awaiting its answer.
@@ -161,13 +162,17 @@ type pendingReply struct {
 	deadline time.Time
 }
 
-// daemonSession is the controller's view of one connected daemon.
+// daemonSession is the controller's view of one connected daemon, and the
+// sink of the frame reader that feeds it the daemon's answers.
 type daemonSession struct {
+	c     *Controller
 	name  string
 	hash  uint32 // nameHash(name): shard (and thereby ping-slice) assignment
 	conn  transport.Conn
 	enc   *llenc.Writer
 	wlock *core.Lock
+	fr    llenc.FrameReader
+	m     ctlproto.Msg // OnFrame's decode target: answers go to p.fn by value
 
 	mu       sync.Mutex // guards the fields below under LiveRuntime
 	lastSeen time.Time
@@ -250,13 +255,9 @@ func (c *Controller) Start() error {
 	c.ln = ln
 	c.mu.Unlock()
 	c.rt.Go(func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
+		transport.Serve(ln, nil, func(conn transport.Conn) {
 			c.rt.Go(func() { c.serveDaemon(conn) })
-		}
+		})
 	})
 	// The unseen process: expire daemons after long-term disconnection;
 	// the monitor ping doubles as the session activity signal. Each tick
@@ -365,15 +366,18 @@ func (c *Controller) SetBlacklist(patterns []string) {
 		func(int, *daemonSession, ctlproto.Msg, error) {})
 }
 
-// serveDaemon handles one daemon connection for its lifetime.
+// serveDaemon runs one daemon connection's handshake on its own task —
+// hello and welcome are blocking exchanges, and llenc.Reader takes exactly
+// the hello frame off the stream — and hands the steady state to the
+// session's frame reader.
 func (c *Controller) serveDaemon(conn transport.Conn) {
-	defer conn.Close()
-	dec := llenc.NewReader(conn)
 	var hello ctlproto.Msg
-	if err := dec.Decode(&hello); err != nil || hello.Type != ctlproto.THello || hello.Name == "" {
+	if err := llenc.NewReader(conn).Decode(&hello); err != nil || hello.Type != ctlproto.THello || hello.Name == "" {
+		conn.Close()
 		return
 	}
 	d := &daemonSession{
+		c:        c,
 		name:     hello.Name,
 		hash:     nameHash(hello.Name),
 		conn:     conn,
@@ -416,38 +420,49 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 			func(int, *daemonSession, ctlproto.Msg, error) {})
 	}
 
-	var m ctlproto.Msg // one per session: answers go to p.fn by value
-	for {
-		m = ctlproto.Msg{}
-		if err := dec.Decode(&m); err != nil {
-			break
-		}
-		d.mu.Lock()
-		d.lastSeen = c.rt.Now()
-		p, ok := d.pending[m.Seq]
-		if ok {
-			delete(d.pending, m.Seq)
-		}
-		d.mu.Unlock()
-		if ok {
-			var err error
-			if m.Type == ctlproto.TErr {
-				err = fmt.Errorf("controller: daemon %s: %s", d.name, m.Err)
-			}
-			p.fn(m, err)
-		}
+	d.fr.Init(conn, d, nil)
+	d.fr.Run()
+}
+
+// OnFrame delivers one answer to the command that awaits it.
+func (d *daemonSession) OnFrame(payload []byte) bool {
+	d.m = ctlproto.Msg{}
+	if llenc.Unmarshal(payload, &d.m) != nil {
+		return false
 	}
+	d.mu.Lock()
+	d.lastSeen = d.c.rt.Now()
+	p, ok := d.pending[d.m.Seq]
+	if ok {
+		delete(d.pending, d.m.Seq)
+	}
+	d.mu.Unlock()
+	if ok {
+		var err error
+		if d.m.Type == ctlproto.TErr {
+			err = fmt.Errorf("controller: daemon %s: %s", d.name, d.m.Err)
+		}
+		p.fn(d.m, err)
+	}
+	return true
+}
+
+// OnEnd retires the session however it ended — EOF, a frame the decoder
+// refused, or the monitor's conn.Close — failing every command still
+// awaiting its answer exactly once, in seq order, then closes.
+func (d *daemonSession) OnEnd(error) {
 	d.mu.Lock()
 	d.gone = true
 	orphans := popPending(d, nil)
 	d.mu.Unlock()
-	if c.reg.removeIf(d) {
-		c.ins.Daemons.Add(-1)
+	if d.c.reg.removeIf(d) {
+		d.c.ins.Daemons.Add(-1)
 	}
 	err := fmt.Errorf("controller: daemon %s disconnected", d.name)
 	for _, p := range orphans {
 		p.fn(ctlproto.Msg{}, err)
 	}
+	d.conn.Close()
 }
 
 // popPending removes and returns pending replies under d.mu, in seq order

@@ -152,59 +152,83 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 	d.mu.Lock()
 	d.conn = conn
 	d.mu.Unlock()
-	enc := llenc.NewWriter(conn)
-	dec := llenc.NewReader(conn)
+	// A refused session must not leak its socket: under Reconnect every
+	// failed attempt would leave one open, and a session at the controller.
+	refuse := func(err error) error {
+		conn.Close()
+		d.mu.Lock()
+		d.conn = nil
+		d.mu.Unlock()
+		return err
+	}
+	s := &control{d: d, controller: controller, enc: llenc.NewWriter(conn), wlock: core.NewLock(d.rt)}
 	hello := &ctlproto.Msg{
 		Type: ctlproto.THello, Name: d.cfg.Name, Key: d.cfg.Key,
 		PortLow: d.cfg.PortLow, PortHigh: d.cfg.PortHigh,
 	}
-	if err := enc.Encode(hello); err != nil {
-		return fmt.Errorf("daemon %s: hello: %w", d.cfg.Name, err)
+	if err := s.enc.Encode(hello); err != nil {
+		return refuse(fmt.Errorf("daemon %s: hello: %w", d.cfg.Name, err))
 	}
+	// The handshake blocks, and llenc.Reader takes exactly the welcome
+	// frame off the stream; the session's frame reader has the rest.
 	var welcome ctlproto.Msg
-	if err := dec.Decode(&welcome); err != nil || welcome.Type != ctlproto.TWelcome {
-		return fmt.Errorf("daemon %s: no welcome (%v)", d.cfg.Name, err)
+	if err := llenc.NewReader(conn).Decode(&welcome); err != nil || welcome.Type != ctlproto.TWelcome {
+		return refuse(fmt.Errorf("daemon %s: no welcome (%v)", d.cfg.Name, err))
 	}
 	d.mu.Lock()
 	d.blacklist = welcome.Hosts
 	d.connected = true
 	d.mu.Unlock()
-	wlock := core.NewLock(d.rt)
-
-	d.rt.Go(func() {
-		defer func() {
-			d.mu.Lock()
-			d.connected = false
-			closed := d.closed
-			d.mu.Unlock()
-			if d.cfg.Reconnect && !closed {
-				d.log.Printf("daemon %s: controller session lost, reconnecting", d.cfg.Name)
-				d.reconnectLoop(controller)
-			}
-		}()
-		for {
-			m := new(ctlproto.Msg) // one per frame: the handler task keeps it
-			if err := dec.Decode(m); err != nil {
-				return
-			}
-			d.rt.Go(func() {
-				ans := d.handle(m)
-				ans.Seq = m.Seq
-				wlock.Lock()
-				enc.Encode(ans) //nolint:errcheck
-				wlock.Unlock()
-			})
-		}
-	})
+	s.fr.Init(conn, s, nil)
+	d.rt.Go(s.fr.Run)
 	return nil
+}
+
+// control is the daemon's end of one controller session: the sink of the
+// frame reader that feeds it commands.
+type control struct {
+	d          *Daemon
+	controller transport.Addr
+	enc        *llenc.Writer
+	wlock      *core.Lock
+	fr         llenc.FrameReader
+}
+
+// OnFrame answers one command under its Seq from a task of its own:
+// handlers instantiate applications and the answer is a socket write.
+func (s *control) OnFrame(payload []byte) bool {
+	m := new(ctlproto.Msg) // one per frame: the handler task keeps it
+	if llenc.Unmarshal(payload, m) != nil {
+		return false
+	}
+	s.d.rt.Go(func() {
+		ans := s.d.handle(m)
+		ans.Seq = m.Seq
+		s.wlock.Lock()
+		s.enc.Encode(ans) //nolint:errcheck
+		s.wlock.Unlock()
+	})
+	return true
+}
+
+// OnEnd marks the session lost and, under Reconnect, starts redialing on
+// a task of its own: the redial sleeps and a sink may not.
+func (s *control) OnEnd(error) {
+	d := s.d
+	d.mu.Lock()
+	d.connected = false
+	closed := d.closed
+	d.mu.Unlock()
+	if d.cfg.Reconnect && !closed {
+		d.rt.Go(func() { d.reconnectLoop(s.controller) })
+	}
 }
 
 // reconnectLoop redials the controller until success or Close, pacing
 // attempts with the default backoff so a daemon population cut off by
-// a controller restart or healed partition does not stampede it. It runs
-// on the dead session's read-loop task, which the successful Connect
-// replaces with a fresh one.
+// a controller restart or healed partition does not stampede it.
 func (d *Daemon) reconnectLoop(controller transport.Addr) {
+	d.log.Printf("daemon %s: controller session lost, reconnecting", d.cfg.Name)
 	b := faults.DefaultBackoff()
 	for attempt := 0; ; attempt++ {
 		d.rt.Sleep(b.Delay(attempt, d.rt.Rand()))

@@ -124,27 +124,22 @@ func (w *Writer) Encode(v any) error {
 	return w.WriteMessage(payload)
 }
 
-// Reader reads frames from an io.Reader, tallying what it takes off the
-// wire (headers included) as the Writer does for what it puts there.
+// Reader reads frames from an io.Reader, blocking in Read: what handshakes
+// and applications use. Steady-state protocol streams are read by
+// FrameReader, whose sinks meter HeaderSize+len(payload) per frame.
 type Reader struct {
 	r      io.Reader
 	header [HeaderSize]byte
 	buf    []byte // reused payload buffer
-	n      uint64
 }
 
 // NewReader returns a framing reader.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Bytes returns the frame bytes read so far.
-func (r *Reader) Bytes() uint64 { return r.n }
-
 // ReadMessage reads one frame and returns its payload. The returned slice
 // is valid until the next call to ReadMessage.
 func (r *Reader) ReadMessage() ([]byte, error) {
-	got, err := io.ReadFull(r.r, r.header[:])
-	r.n += uint64(got)
-	if err != nil {
+	if _, err := io.ReadFull(r.r, r.header[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(r.header[:])
@@ -155,9 +150,7 @@ func (r *Reader) ReadMessage() ([]byte, error) {
 		r.buf = make([]byte, n)
 	}
 	buf := r.buf[:n]
-	got, err = io.ReadFull(r.r, buf)
-	r.n += uint64(got)
-	if err != nil {
+	if _, err := io.ReadFull(r.r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -166,14 +159,20 @@ func (r *Reader) ReadMessage() ([]byte, error) {
 	return buf, nil
 }
 
-// Decode reads one frame and unmarshals its JSON payload into v. Values
-// implementing FastUnmarshaler try their hand-rolled parser first and
-// fall back to encoding/json for anything it declined.
+// Decode reads one frame and unmarshals its JSON payload into v.
 func (r *Reader) Decode(v any) error {
 	payload, err := r.ReadMessage()
 	if err != nil {
 		return err
 	}
+	return Unmarshal(payload, v)
+}
+
+// Unmarshal decodes one frame's JSON payload into v: values implementing
+// FastUnmarshaler try their hand-rolled parser first and fall back to
+// encoding/json for anything it declined. It is the second half of
+// Reader.Decode, for a FrameSink that is handed the payload.
+func Unmarshal(payload []byte, v any) error {
 	if fu, ok := v.(FastUnmarshaler); ok && fu.ParseJSON(payload) {
 		return nil
 	}
@@ -181,16 +180,4 @@ func (r *Reader) Decode(v any) error {
 		return fmt.Errorf("llenc: decode: %w", err)
 	}
 	return nil
-}
-
-// Codec couples a Reader and Writer over one stream, the common case for
-// request/answer protocols.
-type Codec struct {
-	*Reader
-	*Writer
-}
-
-// NewCodec returns a codec over rw.
-func NewCodec(rw io.ReadWriter) *Codec {
-	return &Codec{Reader: NewReader(rw), Writer: NewWriter(rw)}
 }

@@ -38,13 +38,12 @@ func TestJSONRoundTrip(t *testing.T) {
 		Meta map[string]int `json:"meta"`
 	}
 	var buf bytes.Buffer
-	c := NewCodec(&buf)
 	in := msg{Op: "find_successor", Args: []any{"id", 42.0}, Meta: map[string]int{"ttl": 3}}
-	if err := c.Encode(in); err != nil {
+	if err := NewWriter(&buf).Encode(in); err != nil {
 		t.Fatal(err)
 	}
 	var out msg
-	if err := c.Decode(&out); err != nil {
+	if err := NewReader(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != in.Op || len(out.Args) != 2 || out.Meta["ttl"] != 3 {
@@ -156,19 +155,20 @@ func (m *fastMsg) AppendJSON(buf []byte) ([]byte, bool) {
 	return append(AppendJSONString(append(buf, `{"v":`...), m.V), '}'), true
 }
 
-// TestTalliesMatchTheWire: Writer.Bytes and Reader.Bytes equal what a
-// counting wrapper under them sees, frame by frame — raw frames, the fast
-// encode path, a declined fast path, plain encoding/json, an oversized
-// frame the writer refuses (nothing written, nothing counted) and an
-// oversized header the reader refuses (four bytes read, four counted).
+// TestTalliesMatchTheWire: Writer.Bytes equals what a counting wrapper
+// under it sees, frame by frame — raw frames, the fast encode path, a
+// declined fast path, plain encoding/json and an oversized frame the writer
+// refuses (nothing written, nothing counted) — and a FrameSink that sums
+// HeaderSize+len(payload), as rpc's and the aggregator's do, arrives at the
+// count of a wrapper under its FrameReader, event-driven or blocking.
 func TestTalliesMatchTheWire(t *testing.T) {
 	var stream bytes.Buffer
 	wire := &wireCounter{rw: &stream}
-	w, r := NewWriter(wire), NewReader(wire)
+	w := NewWriter(wire)
 	check := func(step string) {
 		t.Helper()
-		if w.Bytes() != wire.wr || r.Bytes() != wire.rd {
-			t.Fatalf("%s: writer tally %d (wire %d), reader tally %d (wire %d)", step, w.Bytes(), wire.wr, r.Bytes(), wire.rd)
+		if w.Bytes() != wire.wr {
+			t.Fatalf("%s: writer tally %d (wire %d)", step, w.Bytes(), wire.wr)
 		}
 	}
 	writes := []struct {
@@ -200,22 +200,10 @@ func TestTalliesMatchTheWire(t *testing.T) {
 		t.Fatalf("writer tally %d after a refused frame, want %d (stream holds %d)", w.Bytes(), want, stream.Len())
 	}
 
-	for _, step := range writes {
-		if _, err := r.ReadMessage(); err != nil {
-			t.Fatalf("reading %s: %v", step.name, err)
-		}
-		check("after reading " + step.name)
-	}
-	if r.Bytes() != want {
-		t.Fatalf("reader tally %d after every frame, writer wrote %d", r.Bytes(), want)
-	}
-	stream.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}) // a forged oversized header
-	if _, err := r.ReadMessage(); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized header: err = %v, want ErrTooLarge", err)
-	}
-	check("after the refused header")
-	if r.Bytes() != want+HeaderSize {
-		t.Fatalf("reader tally %d after a refused header, want %d", r.Bytes(), want+HeaderSize)
+	ev, plain, evRead, plainRead := readBoth(t, stream.Bytes(), []byte{2, 0, 9}, 0)
+	if len(ev.frames) != len(writes) || ev.bytes != want || ev.bytes != evRead || plain.bytes != want || plain.bytes != plainRead {
+		t.Fatalf("sinks summed %d (event, %d frames) and %d (blocking) over %d and %d wire bytes, writer wrote %d",
+			ev.bytes, len(ev.frames), plain.bytes, evRead, plainRead, want)
 	}
 
 	// The tally outlives the stream: Reset keeps counting.

@@ -214,7 +214,7 @@ func NewCollector(node transport.Node, port int, sink Sink, spawn func(fn func()
 		return nil, err
 	}
 	c := &Collector{ln: ln, sink: sink, spawn: spawn, keys: make(map[string]bool)}
-	spawn(c.acceptLoop)
+	spawn(func() { transport.Serve(ln, nil, c.serve) })
 	return c, nil
 }
 
@@ -238,33 +238,39 @@ func (c *Collector) Received() uint64 {
 // Close stops the collector.
 func (c *Collector) Close() error { return c.ln.Close() }
 
-func (c *Collector) acceptLoop() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.spawn(func() { c.serve(conn) })
-	}
+// logStream is one application's connection to the collector: the sink
+// of the frame reader that feeds it the application's records.
+type logStream struct {
+	c    *Collector
+	conn transport.Conn
+	fr   llenc.FrameReader
 }
 
+// serve spawns an accepted stream's frame reader.
 func (c *Collector) serve(conn transport.Conn) {
-	defer conn.Close()
-	dec := llenc.NewReader(conn)
-	for {
-		var r Record
-		if err := dec.Decode(&r); err != nil {
-			return
-		}
-		c.mu.Lock()
-		ok := c.keys[r.Key]
-		if ok {
-			c.recv++
-		}
-		c.mu.Unlock()
-		if !ok {
-			return // unauthenticated sender: drop the connection
-		}
-		c.sink.Emit(r) //nolint:errcheck
-	}
+	st := &logStream{c: c, conn: conn}
+	st.fr.Init(conn, st, nil)
+	c.spawn(st.fr.Run)
 }
+
+// OnFrame forwards one authenticated record to the collector's sink.
+func (st *logStream) OnFrame(payload []byte) bool {
+	var r Record
+	if llenc.Unmarshal(payload, &r) != nil {
+		return false
+	}
+	c := st.c
+	c.mu.Lock()
+	ok := c.keys[r.Key]
+	if ok {
+		c.recv++
+	}
+	c.mu.Unlock()
+	if !ok {
+		return false // unauthenticated sender: drop the connection
+	}
+	c.sink.Emit(r) //nolint:errcheck
+	return true
+}
+
+func (st *logStream) OnEnd(error) { st.conn.Close() }

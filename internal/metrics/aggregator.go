@@ -33,16 +33,20 @@ type Aggregator struct {
 	bytes       uint64
 }
 
-// stream is the aggregator's per-connection state: the reporter's
-// id→series dictionary and its last sequence number. The dictionary
+// stream is the aggregator's per-connection state — the reporter's
+// id→series dictionary and its last sequence number — and the sink of the
+// frame reader that feeds it the reporter's frames. The dictionary
 // belongs to the connection, not the node name — several instances on
 // one daemon host each open their own stream under the shared host
 // name, and each ships its own Defs exactly once. Keying the dictionary
 // by node name would let the newest stream's Defs capture every
 // sibling's subsequent delta frames.
 type stream struct {
+	a    *Aggregator
+	conn transport.Conn
 	defs []*series
 	seq  uint64
+	fr   llenc.FrameReader
 }
 
 // series is one merged instrument across the population.
@@ -70,7 +74,7 @@ func NewAggregator(node transport.Node, port int, spawn func(fn func())) (*Aggre
 		nodes:  make(map[string]string),
 		series: make(map[string]*series),
 	}
-	spawn(a.acceptLoop)
+	spawn(func() { transport.Serve(ln, nil, a.serve) })
 	return a, nil
 }
 
@@ -87,31 +91,24 @@ func (a *Aggregator) Authorize(key string) {
 // Close stops accepting streams.
 func (a *Aggregator) Close() error { return a.ln.Close() }
 
-func (a *Aggregator) acceptLoop() {
-	for {
-		conn, err := a.ln.Accept()
-		if err != nil {
-			return
-		}
-		a.spawn(func() { a.serve(conn) })
-	}
+// serve spawns an accepted stream's frame reader.
+func (a *Aggregator) serve(conn transport.Conn) {
+	st := &stream{a: a, conn: conn}
+	st.fr.Init(conn, st, nil)
+	a.spawn(st.fr.Run)
 }
 
-func (a *Aggregator) serve(conn transport.Conn) {
-	defer conn.Close()
-	var st stream
-	dec := llenc.NewReader(conn)
-	for {
-		var rep Report
-		seen := dec.Bytes()
-		if err := dec.Decode(&rep); err != nil {
-			return
-		}
-		if !a.absorb(&rep, dec.Bytes()-seen, &st) {
-			return // unauthenticated or malformed: drop the stream
-		}
+// OnFrame merges one report frame; an undecodable, unauthenticated or
+// malformed one drops the stream.
+func (st *stream) OnFrame(payload []byte) bool {
+	var rep Report
+	if llenc.Unmarshal(payload, &rep) != nil {
+		return false
 	}
+	return st.a.absorb(&rep, uint64(llenc.HeaderSize+len(payload)), st)
 }
+
+func (st *stream) OnEnd(error) { st.conn.Close() }
 
 // absorb merges one report; it reports false when the stream must be
 // dropped: unknown key — checked on every frame, so a stream that

@@ -314,7 +314,7 @@ type peerConn struct {
 	nextID  uint64
 	pending []pendingCall
 
-	fr frameReader // event-driven read state, embedded
+	fr llenc.FrameReader // read state, embedded; p is its sink
 }
 
 // pendingCall pairs a parked caller's waiter with its request id — 0 for
@@ -392,15 +392,11 @@ func (p *peerConn) dial(timeout time.Duration) {
 	for _, pcall := range ws {
 		pcall.w.Wake(nil)
 	}
-	if ec, ok := conn.(transport.EventConn); ok {
-		// Event-driven responses: the same spawn installs the embedded
-		// frame reader instead of parking readLoop, so an idle pooled
-		// peer holds no goroutine (see eventloop.go).
-		p.fr.init(ec, p)
-		p.client.ctx.Go(p.fr.run)
-		return
-	}
-	p.client.ctx.Go(p.readLoop)
+	// One spawn installs the embedded frame reader; on the simulated
+	// network it arms a callback and ends, so an idle pooled peer holds no
+	// goroutine (see llenc.FrameReader).
+	p.fr.Init(conn, p, p.client.ctx.Blocking)
+	p.client.ctx.Go(p.fr.Run)
 }
 
 // closeConn ends a one-shot (non-pooled) connection after its call: the
@@ -463,39 +459,16 @@ func putResp(r *response) {
 	respPool.Put(r)
 }
 
-func (p *peerConn) readLoop() {
-	dec := llenc.NewReader(p.conn)
-	var payload []byte
-	var err error
-	read := func() { payload, err = dec.ReadMessage() }
-	for {
-		// Yield the instance baton across the blocking read (one
-		// closure per connection, so the loop stays allocation-free).
-		p.client.ctx.Blocking(read)
-		if err != nil {
-			p.fail(fmt.Errorf("rpc: connection to %s lost: %w", p.to, err))
-			return
-		}
-		if !p.handleResponse(payload) {
-			return
-		}
-	}
-}
-
-// onFrame and onEnd make peerConn the sink of its embedded frame
-// reader; frame processing is shared with readLoop (handleResponse),
-// keeping both forms schedule-identical.
-func (p *peerConn) onFrame(payload []byte) bool { return p.handleResponse(payload) }
-
-func (p *peerConn) onEnd(err error) {
+// OnEnd and OnFrame make peerConn the sink of its embedded frame reader.
+func (p *peerConn) OnEnd(err error) {
 	if err != nil {
 		p.fail(fmt.Errorf("rpc: connection to %s lost: %w", p.to, err))
 	}
 }
 
-// handleResponse processes one response frame, waking the pending
-// caller; false means the connection is dead (and already failed).
-func (p *peerConn) handleResponse(payload []byte) bool {
+// OnFrame processes one response frame, waking the pending caller; false
+// means the connection is dead (and already failed).
+func (p *peerConn) OnFrame(payload []byte) bool {
 	p.client.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload)))
 	resp := respPool.Get().(*response)
 	if !resp.parseJSON(payload) {

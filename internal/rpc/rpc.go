@@ -234,45 +234,9 @@ func (s *Server) Start(port int) error {
 	}
 	s.ln = ln
 	s.ctx.Track(ln)
-	if el, ok := ln.(transport.EventListener); ok {
-		// Event-driven accept: same spawn here, same one-event wake per
-		// arrival, but no goroutine parked per idle listener. See
-		// eventloop.go for why this cannot move a schedule.
-		var drain func()
-		drain = func() {
-			for {
-				c, err := el.TryAccept()
-				if err != nil {
-					return
-				}
-				if c == nil {
-					el.OnAcceptable(drain)
-					return
-				}
-				s.ctx.Track(c)
-				s.serveConnEvent(c.(transport.EventConn))
-			}
-		}
-		s.ctx.Go(drain)
-		return nil
-	}
-	s.ctx.Go(func() {
-		var conn transport.Conn
-		var aerr error
-		accept := func() { conn, aerr = ln.Accept() }
-		for {
-			// The baton is yielded across the blocking accept so the
-			// instance's other tasks run meanwhile (live; a plain park
-			// in simulation).
-			s.ctx.Blocking(accept)
-			if aerr != nil {
-				return
-			}
-			c := conn
-			s.ctx.Track(c)
-			s.ctx.Go(func() { s.serveConn(c) })
-		}
-	})
+	// One spawn installs the accept loop; on the simulated network it
+	// arms a callback and ends, so an idle listener parks no task.
+	s.ctx.Go(func() { transport.Serve(ln, s.ctx.Blocking, s.serve) })
 	return nil
 }
 
@@ -292,72 +256,42 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// closeConn ends a served connection. The accept loop tracked it; the
-// server closes it itself, so it untracks it too — see
-// core.AppContext.Track.
-func (s *Server) closeConn(conn transport.Conn) {
-	s.ctx.Untrack(conn)
-	conn.Close()
-}
-
-func (s *Server) serveConn(conn transport.Conn) {
-	defer s.closeConn(conn)
-	dec := llenc.NewReader(conn)
-	cw := new(replyWriter)
-	cw.init(conn)
-	var payload []byte
-	var err error
-	read := func() { payload, err = dec.ReadMessage() }
-	for {
-		// Yield the instance baton across the blocking read (one
-		// closure per connection, so the loop stays allocation-free).
-		s.ctx.Blocking(read)
-		if err != nil {
-			return
-		}
-		if !s.dispatch(payload, cw, true) {
-			return
-		}
-	}
-}
-
-// serverConn is the whole per-connection state of an event-served
-// connection: frame reader (which holds the connection), reply writer
-// and framing encoder embedded by value, so an idle served connection
-// costs one allocation instead of one per layer. It is the server
-// side's frameSink.
+// serverConn is the whole per-connection state of a served connection:
+// frame reader (which holds the connection), reply writer and framing
+// encoder embedded by value, so an idle served connection costs one
+// allocation instead of one per layer. It is its reader's sink.
 type serverConn struct {
 	s  *Server
 	cw replyWriter
-	fr frameReader
+	fr llenc.FrameReader
 }
 
-// serveConnEvent is serveConn for an EventConn — what an EventListener
-// accepts: the same spawn event installs a frame reader instead of
-// parking a loop task, so an idle served connection holds no goroutine.
-// Frame processing is shared with serveConn (dispatch), keeping both
-// forms schedule-identical.
-func (s *Server) serveConnEvent(conn transport.EventConn) {
+// serve tracks an accepted connection and spawns its frame reader
+// (llenc.FrameReader.Run: on the simulated network the task installs a
+// callback and ends, so an idle served connection holds no goroutine).
+func (s *Server) serve(conn transport.Conn) {
+	s.ctx.Track(conn)
 	sc := &serverConn{s: s}
 	sc.cw.init(conn)
-	sc.fr.init(conn, sc)
-	s.ctx.Go(sc.fr.run)
+	sc.fr.Init(conn, sc, s.ctx.Blocking)
+	s.ctx.Go(sc.fr.Run)
 }
 
-func (sc *serverConn) onFrame(payload []byte) bool {
-	return sc.s.dispatch(payload, &sc.cw, false)
+// OnEnd ends the connection. serve tracked it; the server closes it
+// itself, so it untracks it too — see core.AppContext.Track.
+func (sc *serverConn) OnEnd(error) {
+	conn := sc.fr.Source().(transport.Conn)
+	sc.s.ctx.Untrack(conn)
+	conn.Close()
 }
 
-func (sc *serverConn) onEnd(error) { sc.s.closeConn(sc.fr.conn) }
-
-// dispatch processes one request frame and reports whether the
-// connection should keep serving. inline marks a task-based caller that
-// may write error replies itself; event callbacks cannot block, so they
-// spawn a task for those rare frames (unknown method, malformed
-// arguments — paths no healthy protocol traffic takes).
-func (s *Server) dispatch(payload []byte, cw *replyWriter, inline bool) bool {
+// OnFrame processes one request frame and reports whether the connection
+// should keep serving. It may run inside an event callback, so it never
+// blocks: handlers and error replies run as their own tasks.
+func (sc *serverConn) OnFrame(payload []byte) bool {
+	s, cw := sc.s, &sc.cw
 	s.ins.Served.Inc()
-	s.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload))) // both read loops hand frames over here
+	s.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload)))
 	var id uint64
 	var h Handler
 	var hok bool
@@ -391,7 +325,7 @@ func (s *Server) dispatch(payload []byte, cw *replyWriter, inline bool) bool {
 		if len(req.Args) > 0 {
 			var elems []json.RawMessage
 			if err := json.Unmarshal(req.Args, &elems); err != nil {
-				s.errReply(cw, response{ID: req.ID, Err: "rpc: malformed arguments"}, inline)
+				s.errReply(cw, response{ID: req.ID, Err: "rpc: malformed arguments"})
 				return true
 			}
 			args = newArgsSplit(elems)
@@ -401,7 +335,7 @@ func (s *Server) dispatch(payload []byte, cw *replyWriter, inline bool) bool {
 	}
 	if !hok {
 		args.release()
-		s.errReply(cw, response{ID: id, Err: fmt.Sprintf("rpc: unknown method %q", method)}, inline)
+		s.errReply(cw, response{ID: id, Err: fmt.Sprintf("rpc: unknown method %q", method)})
 		return true
 	}
 	// Handlers run as their own task so they may block; the connection
@@ -414,14 +348,10 @@ func (s *Server) dispatch(payload []byte, cw *replyWriter, inline bool) bool {
 	return true
 }
 
-// errReply writes a server-side error response: inline on a task-based
-// caller, via a spawned task from an event callback (which must not
-// block in the reply writer).
-func (s *Server) errReply(cw *replyWriter, resp response, inline bool) {
-	if inline {
-		s.reply(cw, resp)
-		return
-	}
+// errReply writes a server-side error response (unknown method, malformed
+// arguments — paths no healthy protocol traffic takes) from a spawned
+// task: OnFrame must not block in the reply writer.
+func (s *Server) errReply(cw *replyWriter, resp response) {
 	s.ctx.Go(func() { s.reply(cw, resp) })
 }
 

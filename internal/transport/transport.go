@@ -160,6 +160,49 @@ type Listener interface {
 	Addr() Addr
 }
 
+// Serve is the accept loop of every stream server: it hands each
+// connection ln accepts to each, until ln closes or refuses one. Call it
+// on a freshly spawned task. Like llenc.FrameReader for reads, the
+// transport picks the loop: an EventListener is drained and re-armed, so
+// Serve returns at once and an idle listener parks no task (each then
+// runs inside a scheduler callback and must not block — it spawns what
+// does); any other listener is looped on with blocking Accepts, each
+// bracketed by blocking when it is not nil (core.AppContext.Blocking).
+// One arrival costs one scheduler event either way.
+func Serve(ln Listener, blocking func(func()), each func(Conn)) {
+	if el, ok := ln.(EventListener); ok {
+		var drain func()
+		drain = func() {
+			for {
+				c, err := el.TryAccept()
+				if err != nil {
+					return
+				}
+				if c == nil {
+					el.OnAcceptable(drain)
+					return
+				}
+				each(c)
+			}
+		}
+		drain()
+		return
+	}
+	var c Conn
+	var err error
+	accept := func() { c, err = ln.Accept() }
+	if blocking == nil {
+		blocking = func(fn func()) { fn() }
+	}
+	for {
+		blocking(accept)
+		if err != nil {
+			return
+		}
+		each(c)
+	}
+}
+
 // PacketConn sends and receives unreliable datagrams.
 type PacketConn interface {
 	// ReadFrom blocks for the next datagram and reports its sender.
