@@ -1,6 +1,7 @@
 package splay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/faults"
+	"github.com/splaykit/splay/internal/simnet"
 )
 
 // slot is one entry of a session's population table, which the fault
@@ -31,10 +33,14 @@ type slot struct {
 }
 
 // actuators implements faults.Actuators over a Session: simnet hooks on
-// simulated testbeds, daemon kill/restart plus the shared RPC rule set
-// live. Methods run on engine tasks — kernel tasks in simulation (which
-// is what the simnet fault hooks require), goroutines live; the mutex
-// serializes the live case and is uncontended under the cooperative
+// simulated testbeds, daemon kill/restart, and the RPC rule sets live.
+// Methods run on engine tasks — kernel tasks of the session's home
+// partition in simulation, goroutines live. What the engine decides with —
+// the slot table's up/down column, the victim stream, the RPC filters in
+// force — lives on the home partition; what belongs to a host or to a
+// partition's replica is changed there, by Session.stage and onHost:
+// inline on one partition and live, at the window's barrier otherwise. The
+// mutex serializes the live case and is uncontended under the cooperative
 // simulation scheduler.
 type actuators struct {
 	s    *Session
@@ -75,18 +81,24 @@ func (a *actuators) Crash(fraction float64, count int) (int, error) {
 	}
 	a.s.frng.Shuffle(len(up), func(i, j int) { up[i], up[j] = up[j], up[i] })
 	for _, sl := range up[:n] {
-		sl.d.Close()
-		if a.s.nw != nil {
-			a.s.nw.Host(sl.host).SetDown(true)
-		}
 		sl.down = true
+		a.s.onHost(sl.host, func() {
+			sl.d.Close()
+			if a.s.nw != nil {
+				a.s.nw.Host(sl.host).SetDown(true)
+			}
+		})
 		a.logf("faults: crashed daemon %s", sl.name)
 	}
 	return n, nil
 }
 
 // Restart implements faults.Actuators: every crashed slot gets a fresh
-// daemon process that reconnects to the controller.
+// daemon process that reconnects to the controller, on its host's
+// partition; the slot counts as up again once the reconnect succeeded
+// (a later Restart may retry one that failed). On a partitioned testbed
+// the reconnects run in parallel and report back at a later barrier, so
+// the count and first error returned cover only what finished inline.
 func (a *actuators) Restart() (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -96,18 +108,21 @@ func (a *actuators) Restart() (int, error) {
 		if !sl.down {
 			continue
 		}
-		if a.s.nw != nil {
-			a.s.nw.Host(sl.host).SetDown(false)
-		}
-		sl.d = sl.mk()
-		if err := sl.d.Connect(a.s.ctlAddr); err != nil {
-			if firstErr == nil {
-				firstErr = err
+		a.s.onHost(sl.host, func() {
+			if a.s.nw != nil {
+				a.s.nw.Host(sl.host).SetDown(false)
 			}
-			continue // still down; a later Restart may succeed
-		}
-		sl.down = false
-		n++
+			sl.d = sl.mk()
+			err := sl.d.Connect(a.s.ctlAddr)
+			a.s.stage(a.s.partOf(sl.name), a.s.home, func() {
+				if err != nil {
+					firstErr = cmp.Or(firstErr, err)
+					return
+				}
+				sl.down = false
+				n++
+			})
+		})
 	}
 	return n, firstErr
 }
@@ -132,7 +147,7 @@ func (a *actuators) Partition(fraction float64) error {
 		for _, i := range idx {
 			side[slots[i].host] = true
 		}
-		a.s.nw.Partition(side)
+		a.s.nw.Partition(a.s.home, side)
 		return nil
 	}
 	for _, i := range idx {
@@ -145,7 +160,7 @@ func (a *actuators) Partition(fraction float64) error {
 // live — dropped daemons redial on their own).
 func (a *actuators) Heal() error {
 	if a.s.nw != nil {
-		a.s.nw.HealPartition()
+		a.s.nw.HealPartition(a.s.home)
 	}
 	return nil
 }
@@ -161,7 +176,7 @@ func (a *actuators) Degrade(extraLatency time.Duration, loss float64) error {
 		for _, sl := range a.s.slots {
 			hosts[sl.host] = true
 		}
-		a.s.nw.Degrade(hosts, extraLatency, loss)
+		a.s.nw.Degrade(a.s.home, hosts, extraLatency, loss)
 		return nil
 	}
 	if a.s.rpcRules == nil {
@@ -177,7 +192,7 @@ func (a *actuators) Restore() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.s.nw != nil {
-		a.s.nw.Restore()
+		a.s.nw.Restore(a.s.home)
 		return nil
 	}
 	a.degrade = nil
@@ -210,22 +225,28 @@ func (a *actuators) ClearRPCFault() error {
 	return nil
 }
 
-// rebuildRules reinstalls the shared RPC rule set from the current
+// rebuildRules reinstalls every partition's RPC rule set from the current
 // degradation and fault filters (callers hold a.mu).
 func (a *actuators) rebuildRules() {
-	a.s.rpcRules.Clear()
+	var rules []faults.RPCRule
 	if a.degrade != nil {
-		a.s.rpcRules.Add(*a.degrade)
+		rules = append(rules, *a.degrade)
 	}
-	for _, r := range a.rpcFaults {
-		a.s.rpcRules.Add(r)
+	rules = append(rules, a.rpcFaults...)
+	for p, set := range a.s.rpcRules {
+		a.s.stage(a.s.home, p, func() {
+			set.Clear()
+			for _, r := range rules {
+				set.Add(r)
+			}
+		})
 	}
 }
 
 // Grow implements faults.Actuators: count additional instances of the
 // scenario's first application are deployed through the controller. The
-// submission runs as its own driver task so a slow deployment never
-// stalls the engine's evaluation ticks.
+// submission runs as its own driver task, on the controller's partition,
+// so a slow deployment never stalls the engine's evaluation ticks.
 func (a *actuators) Grow(count int) error {
 	if count <= 0 {
 		return fmt.Errorf("splay: grow count %d", count)
@@ -241,12 +262,52 @@ func (a *actuators) Grow(count int) error {
 		App: spec.Name, Params: spec.Params, Nodes: count,
 		Superset: spec.Superset, FullList: spec.FullList,
 	}
-	a.s.Go(func() {
-		if _, err := a.s.ctl.Submit(js); err != nil {
-			a.logf("faults: grow %d: %v", count, err)
-		}
+	a.s.stage(a.s.home, 0, func() {
+		a.s.rt.Go(func() {
+			if _, err := a.s.ctl.Submit(js); err != nil {
+				a.logf("faults: grow %d: %v", count, err)
+			}
+		})
 	})
 	return nil
+}
+
+// stage runs fn on kernel partition to for code running on partition from:
+// inline on a live or single-partition testbed, otherwise at the current
+// lookahead window's barrier (simnet.Network.Stage), so what fn changes is
+// visible everywhere at one virtual instant, whatever the worker count.
+func (s *Session) stage(from, to int, fn func()) {
+	if s.nw == nil {
+		fn()
+		return
+	}
+	s.nw.Stage(from, to, fn)
+}
+
+// onHost runs fn for the fault engine on the partition that owns host, as a
+// task (it may block: a dial, a kill handler): inline in the engine's own
+// task on a live or single-partition testbed, otherwise in a task spawned
+// there at the window's barrier.
+func (s *Session) onHost(host int, fn func()) {
+	if s.nw == nil || s.nw.Partitions() == 1 {
+		fn()
+		return
+	}
+	rt := s.bed.Runtime(host)
+	s.nw.Stage(s.home, s.nw.Host(host).Part(), func() { rt.Go(fn) })
+}
+
+// partOf returns the kernel partition of the simulated host named host (0
+// live).
+func (s *Session) partOf(host string) int {
+	if s.nw == nil {
+		return 0
+	}
+	id, err := simnet.HostID(host)
+	if err != nil {
+		return 0
+	}
+	return s.nw.Host(id).Part()
 }
 
 // ArmFaults starts the scenario's fault plan and assertions relative to
@@ -278,7 +339,7 @@ func (s *Session) ArmFaults() error {
 	// fault never perturbs the runtime's random sequence.
 	s.frng = rand.New(rand.NewSource(s.seed ^ 0x5fa17))
 	s.act = &actuators{s: s, logf: logf}
-	s.eng = faults.NewEngine(s.rt, view, s.act, plan, asserts, logf)
+	s.eng = faults.NewEngine(s.homeRT, view, s.act, plan, asserts, logf)
 	s.eng.Arm()
 	return nil
 }

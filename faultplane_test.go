@@ -7,6 +7,8 @@ package splay_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,5 +274,92 @@ func TestScenarioRPCFaultBindsEveryClient(t *testing.T) {
 				t.Fatalf("after the clear: %d lookups succeeded, %d before it", after, before)
 			}
 		})
+	}
+}
+
+// TestPlanesWorkerNeutralityPartitioned is invariant 9 across every plane
+// at once: a 2,048-host testbed that collects metrics, runs a plan with
+// every event kind, a grow rule and assertions provisions two kernel
+// partitions, and Workers 1, 2 and 4 give the same firings at the same
+// times, the same assertion verdicts, the same telemetry — every counter,
+// every series percentile — the same population and the same network
+// bytes.
+func TestPlanesWorkerNeutralityPartitioned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2k-host population, three runs")
+	}
+	run := func(workers int) string {
+		spec := splay.AppSpec{Name: "chord", Nodes: 32,
+			Params: []byte(`{"fault_tolerant":true,"lookups_per_min":30,"report":true}`)}
+		sc := splay.Scenario{
+			Seed:    17,
+			Workers: workers,
+			Testbed: splay.Uniform(2046, 20*time.Millisecond, 0),
+			Apps:    []splay.AppSpec{spec},
+			Collect: splay.Collect{Metrics: true, ReportEvery: 2 * time.Second},
+			Faults: splay.FaultPlan{
+				Events: []splay.FaultEvent{
+					splay.CrashAt(10*time.Second, 0.05),
+					splay.RestartAt(20 * time.Second),
+					splay.PartitionAt(30*time.Second, 0.3),
+					splay.HealAt(45 * time.Second),
+					splay.DegradeAt(50*time.Second, 40*time.Millisecond, 0.1),
+					splay.RestoreAt(65 * time.Second),
+					splay.RPCFaultAt(70*time.Second, "", 0.3, 10*time.Millisecond),
+					splay.RPCClearAt(85 * time.Second),
+				},
+				Rules: []splay.TriggerRule{{
+					Name: "grow-once-reporting",
+					When: splay.Metric("chord.lookups", splay.StatTotal, splay.Above, 0),
+					Do:   splay.TriggerAction{Kind: splay.ActGrow, Count: 4},
+				}},
+				EvalEvery: 2 * time.Second,
+			},
+			Assert: []splay.Assertion{
+				splay.EventuallyHolds("lookups-flow", splay.Metric("chord.lookups", splay.StatTotal, splay.Above, 0), 0),
+				splay.StaysBelow("never-fails", "chord.failed_lookups", splay.StatTotal, 1, 0),
+			},
+		}
+		sess, err := sc.Start(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		defer sess.Stop()
+		if got := sess.Partitions(); got != 2 {
+			t.Fatalf("workers=%d: %d partitions at 2,048 hosts, want 2", workers, got)
+		}
+		if _, err := sess.Deploy(spec).Wait(); err != nil {
+			t.Fatalf("workers=%d: deploy: %v", workers, err)
+		}
+		armAt := sess.Now()
+		if err := sess.ArmFaults(); err != nil {
+			t.Fatal(err)
+		}
+		sess.RunFor(100 * time.Second)
+		var sb strings.Builder
+		for _, f := range sess.Firings() {
+			fmt.Fprintf(&sb, "firing %s at +%s: %s\n", f.Rule, f.At.Sub(armAt), f.Action)
+		}
+		fmt.Fprintf(&sb, "assertions: %v\n", sess.CheckAssertions())
+		fmt.Fprintf(&sb, "daemons %d, net bytes %d, now %s\n", sess.Daemons(), sess.NetBytes(), sess.Now())
+		tel := sess.Telemetry()
+		frames, bytes := tel.Received()
+		fmt.Fprintf(&sb, "telemetry: %d nodes, %d frames, %d bytes\n", tel.Nodes(), frames, bytes)
+		for _, s := range tel.Snapshot() {
+			fmt.Fprintf(&sb, "%+v\n", s)
+		}
+		return sb.String()
+	}
+	ref := run(1)
+	t.Logf("workers=1:\n%s", ref)
+	for _, want := range []string{"firing grow-once-reporting", "never-fails", "chord.failed_lookups", "rpc.timeouts", "daemon.commands"} {
+		if !strings.Contains(ref, want) {
+			t.Errorf("the run never exercised %q", want)
+		}
+	}
+	for _, w := range []int{2, 4} {
+		if got := run(w); got != ref {
+			t.Errorf("workers=%d changed the result:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", w, ref, w, got)
+		}
 	}
 }

@@ -120,7 +120,7 @@ func (s *Session) Host(cfg HostConfig) (*Host, error) {
 	if reg != nil {
 		// The host's instrument stream rides the session's collection
 		// plane exactly like the controller's (node "ctl" ↔ node "host").
-		s.Go(func() { s.report("host", reg) })
+		s.Go(func() { s.report(s.rt, s.node, "host", reg) })
 	}
 	return h, nil
 }

@@ -421,10 +421,10 @@ func TestGrantReporting(t *testing.T) {
 
 	// A partition resets the stream; after the heal a failed flush
 	// redials and the increments made meanwhile arrive.
-	k.Go(func() { b.nw.Partition([]bool{false, true}) })
+	k.Go(func() { b.nw.Partition(0, []bool{false, true}) })
 	k.RunFor(20 * time.Second)
 	cut := agg.CounterTotal("ticks")
-	k.Go(b.nw.HealPartition)
+	k.Go(func() { b.nw.HealPartition(0) })
 	k.RunFor(3 * time.Minute)
 	if got := agg.CounterTotal("ticks"); got <= cut || got < ticks.Total()-5 {
 		t.Fatalf("after the heal: ticks = %d at the aggregator (%d at the cut, %d counted)", got, cut, ticks.Total())
@@ -443,9 +443,9 @@ func TestGrantReportingKilledMidRedial(t *testing.T) {
 	b.ctx.Grant(Grant{Collect: b.collect()})
 	b.report(t)
 	b.k.RunFor(6 * time.Second)
-	b.k.Go(func() { b.nw.Partition([]bool{false, true}) })
+	b.k.Go(func() { b.nw.Partition(0, []bool{false, true}) })
 	b.k.RunFor(2 * time.Second) // the stream is reset, no flush has noticed yet
-	b.k.Go(b.nw.HealPartition)
+	b.k.Go(func() { b.nw.HealPartition(0) })
 	for i := 0; b.dials == 1 && i < 1000; i++ {
 		b.k.RunFor(10 * time.Millisecond)
 	}

@@ -53,12 +53,23 @@ func Granted(app App, g Grant) App {
 // Granted returns f with g applied to the context of every instance it
 // builds, before the application sees it.
 func (f Factory) Granted(g Grant) Factory {
+	return f.GrantedBy(func(*AppContext) Grant { return g })
+}
+
+// GrantedBy is Granted with the grant chosen per instance, from the context
+// it is about to run in: a host whose services differ by where an instance
+// lands (the simulated fault plane keeps one RPC filter per kernel
+// partition) picks them there.
+func (f Factory) GrantedBy(g func(*AppContext) Grant) Factory {
 	return func(params json.RawMessage) (App, error) {
 		app, err := f(params)
 		if err != nil {
 			return nil, err
 		}
-		return Granted(app, g), nil
+		return AppFunc(func(ctx *AppContext) error {
+			ctx.Grant(g(ctx))
+			return app.Run(ctx)
+		}), nil
 	}
 }
 

@@ -74,6 +74,9 @@ func (r *SimRuntime) Sleep(d time.Duration) { r.kernel.Sleep(d) }
 // Go implements Runtime.
 func (r *SimRuntime) Go(fn func()) { r.kernel.Go(fn) }
 
+// GoAfter starts fn as a new task after d.
+func (r *SimRuntime) GoAfter(d time.Duration, fn func()) { r.kernel.GoAfter(d, fn) }
+
 // After implements Runtime.
 func (r *SimRuntime) After(d time.Duration, fn func()) (cancel func()) {
 	return r.kernel.After(d, fn)

@@ -27,10 +27,13 @@ type Options struct {
 	Seed int64
 	// Out receives the experiment's rows; nil discards them.
 	Out io.Writer
-	// Workers sets the OS threads a sharded-kernel experiment (lookup100k)
-	// may use; 0 or 1 runs single-threaded. Results are a pure function of
-	// Scale and Seed — Workers changes wall-clock time only, never a metric
-	// or an output byte. Single-kernel experiments ignore it.
+	// Workers sets the OS threads a sharded-kernel experiment may use:
+	// lookup100k runs 0 or 1 single-threaded; faultplane and hostplane,
+	// whose testbeds shard at full scale, pass it to Scenario.Workers,
+	// where 0 means a thread per partition as far as there are processors.
+	// Results are a pure function of Scale and Seed — Workers changes
+	// wall-clock time only, never a metric or an output byte.
+	// Single-kernel experiments ignore it.
 	Workers int
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	splay "github.com/splaykit/splay"
@@ -46,7 +47,7 @@ func faultplane(opt Options) (*Result, error) {
 	res := newResult("faultplane")
 	daemons := opt.n(2500, 125)
 	nodes := daemons * 4 / 5
-	run, err := runFaultplane(w, daemons, nodes, opt.Seed)
+	run, err := runFaultplane(w, daemons, nodes, opt.Seed, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("faultplane %d daemons: %w", daemons, err)
 	}
@@ -85,10 +86,11 @@ type faultplaneRun struct {
 // workload. Everything rides the scenario SDK: the plan and assertions
 // are declared on the Scenario; the experiment only supplies the
 // workload and reads the outcome.
-func runFaultplane(w io.Writer, daemons, nodes int, seed int64) (*faultplaneRun, error) {
+func runFaultplane(w io.Writer, daemons, nodes int, seed int64, workers int) (*faultplaneRun, error) {
 	sc := splay.Scenario{
 		Name:            "faultplane",
 		Seed:            seed,
+		Workers:         workers,
 		Testbed:         splay.ModelNet(daemons),
 		RegisterTimeout: 60 * time.Second,
 		Collect: splay.Collect{
@@ -132,19 +134,21 @@ func runFaultplane(w io.Writer, daemons, nodes int, seed int64) (*faultplaneRun,
 	}
 	defer sess.Stop()
 	tel := sess.Telemetry()
-	remaining := nodes
+	var remaining atomic.Int64
+	remaining.Store(int64(nodes))
 	rng := rand.New(rand.NewSource(seed))
 	for i := range chordNodes {
 		node := chordNodes[i]
 		start := time.Duration(rng.Intn(int(fpLookupEvery/time.Millisecond))) * time.Millisecond
-		sess.GoAfter(start, func() {
+		// Each driver runs on its node's partition, like the node itself.
+		node.rt.GoAfter(start, func() {
 			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
 			for j := 0; j < fpRounds; j++ {
 				key := lrng.Uint64() & (1<<fpBits - 1)
 				node.Lookup(key) //nolint:errcheck // failures land in the instruments
-				sess.Sleep(fpLookupEvery)
+				node.rt.Sleep(fpLookupEvery)
 			}
-			remaining--
+			remaining.Add(-1)
 		})
 	}
 	armAt := sess.Now()
@@ -176,11 +180,11 @@ func runFaultplane(w io.Writer, daemons, nodes int, seed int64) (*faultplaneRun,
 				tel.Counter("chord.lookups"), tel.Counter("chord.failed_lookups"), healed)
 		}
 	}
-	for i := 0; i < 30 && remaining > 0; i++ {
+	for i := 0; i < 30 && remaining.Load() > 0; i++ {
 		sess.RunFor(10 * time.Second)
 	}
-	if remaining > 0 {
-		return nil, fmt.Errorf("%d lookup drivers still running", remaining)
+	if n := remaining.Load(); n > 0 {
+		return nil, fmt.Errorf("%d lookup drivers still running", n)
 	}
 	// Drain the report pipeline, then close the books: the final
 	// assertion evaluation happens inside CheckAssertions.

@@ -38,35 +38,41 @@ func TestFaultplaneReconverges(t *testing.T) {
 	}
 }
 
-// TestFaultplaneDeterministic runs the same seeded fault plan at worker
-// counts 1, 2 and 4 and requires bit-identical metrics AND byte-identical
+// TestFaultplaneDeterministic runs the same seeded fault plan at several
+// worker counts and requires bit-identical metrics AND byte-identical
 // output: fault injection must not perturb the simulation's determinism,
-// and the Workers knob must never leak into a single-kernel experiment.
+// and the Workers knob must never leak into a result. At golden scale the
+// testbed has one partition; at 2,050 daemons it has two, so the cut, the
+// heal and the metric trigger between them cross the kernel's barriers.
 func TestFaultplaneDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full fault-plane runs")
+		t.Skip("five full fault-plane runs")
 	}
 	t.Parallel()
-	workers := []int{1, 2, 4}
-	outs := make([]bytes.Buffer, len(workers))
-	runs := make([]*Result, len(workers))
-	for i, w := range workers {
-		res, err := Run("faultplane", Options{Scale: 0.05, Seed: 23, Out: &outs[i], Workers: w})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		scale   float64
+		workers []int
+	}{{0.05, []int{1, 2, 4}}, {0.82, []int{1, 2}}} {
+		outs := make([]bytes.Buffer, len(c.workers))
+		runs := make([]*Result, len(c.workers))
+		for i, w := range c.workers {
+			res, err := Run("faultplane", Options{Scale: c.scale, Seed: 23, Out: &outs[i], Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = res
 		}
-		runs[i] = res
-	}
-	for i := 1; i < len(workers); i++ {
-		if !bytes.Equal(outs[0].Bytes(), outs[i].Bytes()) {
-			t.Errorf("workers=%d: same seeded plan produced different output bytes than workers=1", workers[i])
-		}
-		if len(runs[0].Metrics) != len(runs[i].Metrics) {
-			t.Fatalf("metric counts differ: %d vs %d", len(runs[0].Metrics), len(runs[i].Metrics))
-		}
-		for k, v := range runs[0].Metrics {
-			if w, ok := runs[i].Metrics[k]; !ok || w != v {
-				t.Errorf("metric %s drifted between identical runs: %v vs %v", k, v, w)
+		for i := 1; i < len(c.workers); i++ {
+			if !bytes.Equal(outs[0].Bytes(), outs[i].Bytes()) {
+				t.Errorf("scale %g, workers=%d: same seeded plan produced different output bytes than workers=1", c.scale, c.workers[i])
+			}
+			if len(runs[0].Metrics) != len(runs[i].Metrics) {
+				t.Fatalf("metric counts differ: %d vs %d", len(runs[0].Metrics), len(runs[i].Metrics))
+			}
+			for k, v := range runs[0].Metrics {
+				if w, ok := runs[i].Metrics[k]; !ok || w != v {
+					t.Errorf("scale %g: metric %s drifted between identical runs: %v vs %v", c.scale, k, v, w)
+				}
 			}
 		}
 	}

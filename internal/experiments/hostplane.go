@@ -50,7 +50,7 @@ func hostplane(opt Options) (*Result, error) {
 	res := newResult("hostplane")
 	daemons := opt.n(5000, 250)
 	jobN := daemons / 10
-	run, err := runHostplane(w, daemons, jobN, opt.Seed)
+	run, err := runHostplane(w, daemons, jobN, opt.Seed, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("hostplane %d daemons: %w", daemons, err)
 	}
@@ -203,10 +203,11 @@ type hostedSub struct {
 // runHostplane provisions the resident platform, drives the tenants'
 // submissions, and replays every submission locally for the byte-
 // identity check.
-func runHostplane(w io.Writer, daemons, jobN int, seed int64) (*hostplaneRun, error) {
+func runHostplane(w io.Writer, daemons, jobN int, seed int64, workers int) (*hostplaneRun, error) {
 	resident := splay.Scenario{
 		Name:            "hostplane",
 		Seed:            seed,
+		Workers:         workers,
 		Testbed:         splay.Uniform(daemons, hpRTT, 0),
 		RegisterTimeout: 60 * time.Second,
 		Collect: splay.Collect{

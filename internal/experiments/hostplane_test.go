@@ -49,7 +49,7 @@ func TestHostplane5000Daemons(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-population hosting run")
 	}
-	run, err := runHostplane(io.Discard, 5000, 500, 2009)
+	run, err := runHostplane(io.Discard, 5000, 500, 2009, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

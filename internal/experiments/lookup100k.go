@@ -94,7 +94,7 @@ func chordRing(bed *simbed.Bed, cfg chord.Config, lookups int, seed int64, opts 
 			}
 			return b
 		})
-		pk.SetBarrierHook(acct.Observe)
+		pk.AddBarrierHook(acct.Observe)
 	}
 	if err := bed.StartAll(upTo(n), func(i int) error { return nodes[i].Start() }); err != nil {
 		return nil, err

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	splay "github.com/splaykit/splay"
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/protocols/chord"
 	"github.com/splaykit/splay/internal/rpc"
 )
@@ -80,14 +84,26 @@ func obsplane(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// ringNode is one instance of an observed ring: its Chord node and the
+// runtime of the kernel partition it runs on, where whatever drives the
+// node must run too.
+type ringNode struct {
+	*chord.Node
+	rt *core.SimRuntime
+}
+
 // observedRing is the instrumented-Chord deployment the observability and
 // fault planes share: it starts sc with one app, name, on nodes daemons —
 // each instance a Chord node configured by cfg whose chord and RPC
 // instruments live in its Env's registry and stream to the scenario's
 // aggregator — waits for the job to run, and converges the ring statically.
-// The caller owns the returned session and must Stop it.
-func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (*splay.Session, []*chord.Node, error) {
-	var ring []*chord.Node
+// The ring comes back in start order, ties broken by ring identifier, so
+// on a sharded testbed thread timing decides nothing. The caller owns the
+// returned session and must Stop it.
+func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (*splay.Session, []ringNode, error) {
+	var mu sync.Mutex
+	var ring []ringNode
+	startedAt := map[*chord.Node]time.Time{}
 	sc.Apps = []splay.AppSpec{{
 		Name:  name,
 		Nodes: nodes,
@@ -105,7 +121,10 @@ func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (
 			if err := env.StartReporting(); err != nil {
 				return err
 			}
-			ring = append(ring, node)
+			mu.Lock()
+			ring = append(ring, ringNode{node, env.AppContext().Runtime().(*core.SimRuntime)})
+			startedAt[node] = env.Now()
+			mu.Unlock()
 			return nil
 		}),
 	}}
@@ -114,11 +133,19 @@ func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (
 		return nil, nil, err
 	}
 	job, err := sess.Deploy(sc.Apps[0]).Wait()
+	sort.SliceStable(ring, func(i, j int) bool {
+		a, b := startedAt[ring[i].Node], startedAt[ring[j].Node]
+		return a.Before(b) || a.Equal(b) && ring[i].Self().ID < ring[j].Self().ID
+	})
 	if err == nil && (job.State != splay.JobRunning || len(ring) != nodes) {
 		err = fmt.Errorf("deployed %d instances (state %s), want %d running", len(ring), job.State, nodes)
 	}
 	if err == nil {
-		err = chord.BuildRing(ring, chord.BuildOptions{})
+		chordNodes := make([]*chord.Node, len(ring))
+		for i, n := range ring {
+			chordNodes[i] = n.Node
+		}
+		err = chord.BuildRing(chordNodes, chord.BuildOptions{})
 	}
 	if err != nil {
 		sess.Stop()
@@ -170,18 +197,19 @@ func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
 	tel := sess.Telemetry()
 	watchStart := sess.Now()
 	f0, b0 := tel.Received()
-	remaining := nodes
+	var remaining atomic.Int64
+	remaining.Store(int64(nodes))
 	rng := rand.New(rand.NewSource(seed))
 	for i := range chordNodes {
 		node := chordNodes[i]
 		start := time.Duration(rng.Intn(int(obsSpread/time.Millisecond))) * time.Millisecond
-		sess.GoAfter(start, func() {
+		node.rt.GoAfter(start, func() {
 			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
 			for j := 0; j < obsLookups; j++ {
 				key := lrng.Uint64() & (1<<obsBits - 1)
 				node.Lookup(key) //nolint:errcheck // failures land in the instruments
 			}
-			remaining--
+			remaining.Add(-1)
 		})
 	}
 
@@ -206,11 +234,11 @@ func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
 		sess.RunFor(obsWatchEvery)
 		watch()
 	}
-	for i := 0; i < 30 && remaining > 0; i++ {
+	for i := 0; i < 30 && remaining.Load() > 0; i++ {
 		sess.RunFor(10 * time.Second)
 	}
-	if remaining > 0 {
-		return nil, fmt.Errorf("%d lookup drivers still running", remaining)
+	if n := remaining.Load(); n > 0 {
+		return nil, fmt.Errorf("%d lookup drivers still running", n)
 	}
 	// Drain: two report periods so every periodic flush ships its last
 	// deltas, then close the books.

@@ -65,11 +65,10 @@ type ParKernel struct {
 
 	stats ParStats // Events is filled in by Stats
 
-	// barrierHook, when set, runs on the coordinator between lookahead
-	// windows — after the barrier merge, before the next round starts. It
-	// must not touch simulation state; the memory plane points it at a
-	// footprint accountant's Observe. Nil (the default) costs nothing.
-	barrierHook func()
+	// barrierHooks run on the coordinator between lookahead windows — after
+	// the barrier merge, before the next round starts — in the order they
+	// were added (see AddBarrierHook). None (the default) costs nothing.
+	barrierHooks []func()
 }
 
 // xev is a cross-partition event in flight: produced by one partition during
@@ -159,12 +158,13 @@ func (pk *ParKernel) Workers() int { return pk.workers }
 // Lookahead returns the conservative lookahead window.
 func (pk *ParKernel) Lookahead() time.Duration { return time.Duration(pk.lookNS) }
 
-// SetBarrierHook installs fn to run between lookahead windows, on the
-// coordinator, outside every partition's event execution. Hooks observe
-// (memory statistics, wall-clock progress) — they must not schedule
-// events or touch partition state, and they never run on single-partition
-// kernels (which have no barriers). Nil clears the hook.
-func (pk *ParKernel) SetBarrierHook(fn func()) { pk.barrierHook = fn }
+// AddBarrierHook adds fn to run between lookahead windows, on the
+// coordinator, while no partition executes. Hooks must not schedule events
+// or touch anything an event reads for its outcome: they observe (memory
+// statistics, wall-clock progress) or move what no schedule can see
+// (simnet's free lists). They never run on single-partition kernels, which
+// have no barriers.
+func (pk *ParKernel) AddBarrierHook(fn func()) { pk.barrierHooks = append(pk.barrierHooks, fn) }
 
 // Go starts fn as a cooperative task on partition part at that partition's
 // current virtual time.
@@ -195,6 +195,20 @@ func (pk *ParKernel) Post(src, dst int, atNS int64, run func()) {
 	o := &pk.out[src]
 	o.evs = append(o.evs, xev{atNS: atNS, seq: o.seq, src: int32(src), dst: int32(dst), run: run})
 	o.seq++
+}
+
+// PostBarrier is Post at the current window's barrier: the earliest instant
+// a post from inside the window may target, and a point every partition
+// reaches at the same place in the schedule whatever the worker count — so
+// posts to several partitions from one event take effect on all of them at
+// one virtual instant. Outside a run it posts at the later of the two
+// partitions' clocks.
+func (pk *ParKernel) PostBarrier(src, dst int, run func()) {
+	at := pk.windowEnd
+	if !pk.running {
+		at = max(pk.subs[src].nowNS, pk.subs[dst].nowNS)
+	}
+	pk.Post(src, dst, at, run)
 }
 
 // Since returns the virtual duration elapsed since Epoch at the slowest
@@ -348,8 +362,8 @@ func (pk *ParKernel) runWindows(limitNS int64, bounded bool) uint64 {
 				pk.halted = true
 			}
 		}
-		if pk.barrierHook != nil {
-			pk.barrierHook()
+		for _, fn := range pk.barrierHooks {
+			fn()
 		}
 	}
 	return n

@@ -286,8 +286,6 @@ func (c *conn) Write(b []byte) (int, error) {
 	np := c.h.np()
 	np.stats.StreamMsgs++
 	np.stats.StreamBytes += uint64(len(b))
-	c.h.nw.ins.StreamMsgs.Inc()
-	c.h.nw.ins.StreamBytes.Add(uint64(len(b)))
 
 	data := np.getBuf(len(b))
 	copy(data, b)
@@ -296,7 +294,7 @@ func (c *conn) Write(b []byte) (int, error) {
 		// Sender half of the fluid model here; the receiver half (downlink
 		// queueing, FIFO floor) runs on the peer's partition at arrival.
 		senderFree = c.h.nw.upTimes(c.h, len(data))
-		arrive := senderFree.Add(c.h.nw.delay(c.h.id, c.peerHost.id))
+		arrive := senderFree.Add(c.h.nw.delay(np, c.h.id, c.peerHost.id))
 		c.h.nw.postData(c.h, c.wr, data, arrive)
 	} else {
 		var delivered time.Time
@@ -326,7 +324,7 @@ func (c *conn) Close() error {
 	c.closed = true
 	c.h.removeConn(c)
 	k := c.h.kern()
-	arrive := k.Now().Add(c.h.nw.delay(c.h.id, c.peerHost.id))
+	arrive := k.Now().Add(c.h.nw.delay(c.h.np(), c.h.id, c.peerHost.id))
 	if c.h.nw.cross(c.h, c.peerHost) {
 		// The FIFO floor against in-flight data is applied on the peer's
 		// partition when the EOF arrives, not here.
@@ -350,7 +348,7 @@ func (c *conn) reset() {
 		// travels like any other message (cold path, closure is fine).
 		nw := c.h.nw
 		wr := c.wr
-		arrive := c.h.kern().Now().Add(nw.delay(c.h.id, c.peerHost.id))
+		arrive := c.h.kern().Now().Add(nw.delay(c.h.np(), c.h.id, c.peerHost.id))
 		nw.pk.Post(c.h.part, c.peerHost.part, int64(arrive.Sub(sim.Epoch)), func() {
 			wr.fail(transport.ErrClosed)
 		})

@@ -23,9 +23,8 @@ import (
 // reschedules the same object under the terminal kind. The split keeps
 // every mutation of host state on the partition that owns the host.
 type delivery struct {
-	nw   *Network
-	run  func() // scheduled on the kernel; created once per pooled object
-	next *delivery
+	nw  *Network
+	run func() // scheduled on the kernel; created once per pooled object
 
 	kind uint8
 	pipe *pipe  // dlvData, dlvEOF
@@ -46,13 +45,14 @@ const (
 
 // newDelivery allocates from this partition's pool. Deliveries recycle into
 // the pool of the partition whose kernel fired them — the destination — so
-// a steady cross-partition flow drains one pool and feeds the other; the
-// reverse traffic of any real protocol balances it, and an imbalance only
-// costs the pool a few extra objects, never correctness.
+// a steady cross-partition flow drains one pool and feeds the other, and a
+// one-way stream (metric reports to the monitoring host) would do so
+// without bound; balancePools levels the pools at every barrier.
 func (pt *netPart) newDelivery(nw *Network) *delivery {
-	if d := pt.freeDlv; d != nil {
-		pt.freeDlv = d.next
-		d.next = nil
+	if l := len(pt.freeDlv); l > 0 {
+		d := pt.freeDlv[l-1]
+		pt.freeDlv[l-1] = nil
+		pt.freeDlv = pt.freeDlv[:l-1]
 		return d
 	}
 	d := &delivery{nw: nw}
@@ -87,8 +87,6 @@ func (d *delivery) fire() {
 		return
 	}
 
-	d.nw.ins.Deliveries.Inc()
-	d.nw.ins.QueuedBytes.Add(-int64(len(d.data)))
 	var pt *netPart
 	switch d.kind {
 	case dlvData:
@@ -109,8 +107,7 @@ func (d *delivery) fire() {
 	d.data = nil
 	d.to = nil
 	d.from = transport.Addr{}
-	d.next = pt.freeDlv
-	pt.freeDlv = d
+	pt.freeDlv = append(pt.freeDlv, d)
 }
 
 // scheduleData delivers data into p at virtual time at. Same-partition
@@ -120,7 +117,6 @@ func (nw *Network) scheduleData(at time.Time, p *pipe, data []byte) {
 	d.kind = dlvData
 	d.pipe = p
 	d.data = data
-	nw.ins.QueuedBytes.Add(int64(len(data)))
 	p.dst.kern().AtFunc(at, d.run)
 }
 
@@ -141,7 +137,6 @@ func (nw *Network) scheduleDgram(at time.Time, to *Host, port int, data []byte, 
 	d.port = port
 	d.data = data
 	d.from = from
-	nw.ins.QueuedBytes.Add(int64(len(data)))
 	to.kern().AtFunc(at, d.run)
 }
 
@@ -154,7 +149,6 @@ func (nw *Network) postData(from *Host, p *pipe, data []byte, arrive time.Time) 
 	d.kind = dlvXData
 	d.pipe = p
 	d.data = data
-	nw.ins.QueuedBytes.Add(int64(len(data)))
 	nw.pk.Post(from.part, p.dst.part, int64(arrive.Sub(sim.Epoch)), d.run)
 }
 
@@ -174,6 +168,53 @@ func (nw *Network) postDgram(from, to *Host, port int, data []byte, fromAddr tra
 	d.port = port
 	d.data = data
 	d.from = fromAddr
-	nw.ins.QueuedBytes.Add(int64(len(data)))
 	nw.pk.Post(from.part, to.part, int64(arrive.Sub(sim.Epoch)), d.run)
+}
+
+// poolSlack is how far above the average across partitions a free list
+// may grow before balancePools moves the excess: enough to leave the small
+// drift of two-way traffic alone, small next to the pools a one-way stream
+// would otherwise build.
+const poolSlack = 64
+
+// balancePools levels the partitions' delivery and payload-buffer free lists
+// at a lookahead barrier, while no partition runs. A one-way
+// cross-partition stream thereby recycles into the sender's pools instead
+// of growing the receiver's with every message, and the pools stay bounded
+// by what is in flight. Free lists are invisible to every schedule, so the
+// levelling is too.
+func (nw *Network) balancePools() {
+	levelPools(nw.parts, func(pt *netPart) *[]*delivery { return &pt.freeDlv })
+	levelPools(nw.parts, func(pt *netPart) *[][]byte { return &pt.freeBuf })
+}
+
+// levelPools moves pool entries from the partitions holding more than the
+// average to those holding less, once some partition holds more than the
+// average plus poolSlack.
+func levelPools[T any](parts []netPart, pool func(*netPart) *[]T) {
+	total, most := 0, 0
+	for i := range parts {
+		l := len(*pool(&parts[i]))
+		total, most = total+l, max(most, l)
+	}
+	avg := total / len(parts)
+	if most <= avg+poolSlack {
+		return
+	}
+	for i, j := 0, 0; ; {
+		for i < len(parts) && len(*pool(&parts[i])) <= avg {
+			i++
+		}
+		for j < len(parts) && len(*pool(&parts[j])) >= avg {
+			j++
+		}
+		if i == len(parts) || j == len(parts) {
+			return
+		}
+		src, dst := pool(&parts[i]), pool(&parts[j])
+		k := len(*src) - min(len(*src)-avg, avg-len(*dst))
+		*dst = append(*dst, (*src)[k:]...)
+		clear((*src)[k:])
+		*src = (*src)[:k]
+	}
 }

@@ -50,7 +50,7 @@ func TestPartitionResetsAndBlackholes(t *testing.T) {
 		}
 		k.Sleep(100 * time.Millisecond)
 
-		nw.Partition([]bool{false, true})
+		nw.Partition(0, []bool{false, true})
 		if _, err := c.Read(make([]byte, 8)); err == nil {
 			t.Error("read on a crossing conn survived the partition")
 		}
@@ -65,7 +65,7 @@ func TestPartitionResetsAndBlackholes(t *testing.T) {
 			t.Errorf("partitioned WriteTo errored: %v", err)
 		}
 
-		nw.HealPartition()
+		nw.HealPartition(0)
 		c2, err := nw.Node(0).Dial(transport.Addr{Host: "n1", Port: 80}, 2*time.Second)
 		redialErr = err
 		if err == nil {
@@ -105,7 +105,7 @@ func TestDegradeAddsLatency(t *testing.T) {
 		at = k.Now().Sub(start)
 	})
 	k.Go(func() {
-		nw.Degrade(nil, 100*time.Millisecond, 0)
+		nw.Degrade(0, nil, 100*time.Millisecond, 0)
 		p, _ := nw.Node(0).ListenPacket(0)
 		p.WriteTo([]byte("slow"), transport.Addr{Host: "n1", Port: 90})
 	})
@@ -120,10 +120,10 @@ func TestDegradeAddsLatency(t *testing.T) {
 func TestDegradeLossDropsDatagrams(t *testing.T) {
 	k, nw := newTestNet(t, 2, Symmetric{RTT: 10 * time.Millisecond})
 	k.Go(func() {
-		nw.Degrade(nil, 0, 1.0)
+		nw.Degrade(0, nil, 0, 1.0)
 		p, _ := nw.Node(0).ListenPacket(0)
 		p.WriteTo([]byte("gone"), transport.Addr{Host: "n1", Port: 90})
-		nw.Restore()
+		nw.Restore(0)
 		p.WriteTo([]byte("kept"), transport.Addr{Host: "n1", Port: 90})
 	})
 	var got string

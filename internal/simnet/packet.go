@@ -56,31 +56,23 @@ func (p *packetConn) WriteTo(b []byte, to transport.Addr) (int, error) {
 	}
 	np := p.host.np()
 	np.stats.Datagrams++
-	nw.ins.Datagrams.Inc()
 	if loss := nw.model.Loss(p.host.id, remote.id); loss > 0 && np.rng.Float64() < loss {
 		np.stats.DroppedDgrams++
-		nw.ins.DroppedDgrams.Inc()
 		return len(b), nil
 	}
 	// Fault-plane drops: a partition blackholes crossing datagrams without
 	// an rng draw; degradation adds loss sampled only while active, so the
 	// rng sequence with no plan armed is untouched.
-	if nw.cut(p.host.id, remote.id) {
+	if f := &np.faults; f.cut(p.host.id, remote.id) ||
+		f.degraded && f.degLoss > 0 && f.degApplies(p.host.id, remote.id) && np.rng.Float64() < f.degLoss {
 		np.stats.DroppedDgrams++
-		nw.ins.DroppedDgrams.Inc()
-		return len(b), nil
-	}
-	if nw.degraded && nw.degLoss > 0 && nw.degApplies(p.host.id, remote.id) &&
-		np.rng.Float64() < nw.degLoss {
-		np.stats.DroppedDgrams++
-		nw.ins.DroppedDgrams.Inc()
 		return len(b), nil
 	}
 	data := np.getBuf(len(b))
 	copy(data, b)
 	if nw.cross(p.host, remote) {
 		senderFree := nw.upTimes(p.host, len(data))
-		arrive := senderFree.Add(nw.delay(p.host.id, remote.id))
+		arrive := senderFree.Add(nw.delay(np, p.host.id, remote.id))
 		nw.postDgram(p.host, remote, to.Port, data, p.Addr(), arrive)
 		return len(b), nil
 	}

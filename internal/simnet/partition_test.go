@@ -250,21 +250,140 @@ func TestNewPartitionedValidation(t *testing.T) {
 	_ = bare{}
 }
 
-func TestPartitionedFaultsPanic(t *testing.T) {
-	pk := sim.NewParKernel(2, 1, 5*time.Millisecond)
-	nw, err := NewPartitioned(pk, Symmetric{RTT: 10 * time.Millisecond}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic on a partitioned network", name)
+// TestStagedFaultsTakeEffectAtOneBarrier: on a two-partition network a
+// Partition, Degrade or SetDown staged from a task of either partition lands
+// on every partition at one virtual instant — the barrier that closes the
+// window the task ran in — and the worker count moves nothing.
+func TestStagedFaultsTakeEffectAtOneBarrier(t *testing.T) {
+	const look = 5 * time.Millisecond
+	run := func(workers int) string {
+		pk := sim.NewParKernel(2, workers, look)
+		nw, err := NewPartitioned(pk, Symmetric{RTT: 2 * look}, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hosts 0 and 2 live on partition 0, hosts 1 and 3 on partition 1.
+		// Every host logs into its own slice; index 4 and 5 belong to the
+		// staging tasks of partitions 0 and 1.
+		logs := make([][]string, 6)
+		logf := func(i int, format string, args ...any) {
+			logs[i] = append(logs[i], fmt.Sprintf(format, args...))
+		}
+		at := func(p int) time.Duration { return pk.Sub(p).Since() }
+		// stage applies change from partition from at its current time t,
+		// then stages a probe behind it onto both partitions, which checks
+		// the change is visible there and records the instant.
+		stage := func(from int, name string, change func(), visible func(p int) bool) {
+			t0 := at(from)
+			change()
+			for p := 0; p < 2; p++ {
+				nw.Stage(from, p, func() {
+					b := at(p)
+					if b <= t0 || b > t0+look || !visible(p) {
+						t.Errorf("%s staged at %s: partition %d sees it=%v at %s, want at the window's barrier in (%s, %s]",
+							name, t0, p, visible(p), b, t0, t0+look)
+					}
+					logf(4+p, "%s visible at %s", name, b)
+				})
 			}
-		}()
-		f()
+		}
+		for i := 0; i < 4; i++ {
+			pk.Go(nw.Host(i).Part(), func() {
+				l, _ := nw.Node(i).Listen(80)
+				for {
+					c, err := l.Accept()
+					if err != nil {
+						return
+					}
+					pk.Go(nw.Host(i).Part(), func() {
+						_, err := c.Read(make([]byte, 8))
+						logf(i, "accepted conn read %v at %s", err, at(nw.Host(i).Part()))
+					})
+				}
+			})
+		}
+		// Conns that the cut {0,1} | {2,3} crosses: 0→2 inside partition 0,
+		// 1→3 inside partition 1, 0→3 across partitions.
+		for _, pair := range [][2]int{{0, 2}, {1, 3}, {0, 3}} {
+			from, to := pair[0], pair[1]
+			pk.GoAfter(nw.Host(from).Part(), time.Millisecond, func() {
+				c, err := nw.Node(from).Dial(transport.Addr{Host: HostName(to), Port: 80}, 0)
+				if err != nil {
+					t.Errorf("n%d dial n%d: %v", from, to, err)
+					return
+				}
+				_, err = c.Read(make([]byte, 8))
+				logf(from, "dialed n%d read %v at %s", to, err, at(nw.Host(from).Part()))
+			})
+		}
+		// Ticks keep both partitions busy so windows stay short.
+		for p := 0; p < 2; p++ {
+			pk.Go(p, func() {
+				for at(p) < 400*time.Millisecond {
+					pk.Sub(p).Sleep(time.Millisecond)
+				}
+			})
+		}
+		pk.GoAfter(0, 103*time.Millisecond, func() {
+			stage(0, "partition", func() { nw.Partition(0, []bool{false, false, true, true}) },
+				func(p int) bool { return nw.parts[p].faults.cut(0, 3) })
+		})
+		pk.GoAfter(1, 152*time.Millisecond, func() {
+			stage(1, "heal", func() { nw.HealPartition(1) },
+				func(p int) bool { return nw.parts[p].faults.partition == nil })
+		})
+		pk.GoAfter(1, 201*time.Millisecond, func() {
+			stage(1, "degrade", func() { nw.Degrade(1, nil, 100*time.Millisecond, 0) },
+				func(p int) bool { return nw.parts[p].faults.degraded })
+		})
+		pk.GoAfter(0, 252*time.Millisecond, func() {
+			// Host 3 belongs to partition 1: only it reads the flag, and
+			// partition 0 sees the host refuse its dials.
+			stage(0, "down", func() { nw.Stage(0, 1, func() { nw.Host(3).SetDown(true) }) },
+				func(p int) bool { return p == 0 || nw.Host(3).down })
+			pk.Sub(0).Sleep(5 * time.Millisecond)
+			_, err := nw.Node(2).Dial(transport.Addr{Host: HostName(3), Port: 80}, 0)
+			logf(2, "dial after down: %v at %s", err, at(0))
+		})
+		// Degradation reaches traffic from both partitions: a datagram
+		// after the degrade takes RTT/2 + 100ms either way.
+		for _, pair := range [][2]int{{2, 1}, {1, 2}} {
+			from, to := pair[0], pair[1]
+			pk.Go(nw.Host(to).Part(), func() {
+				pc, _ := nw.Node(to).ListenPacket(90)
+				buf := make([]byte, 8)
+				n, _, err := pc.ReadFrom(buf)
+				logf(to, "dgram %q %v at %s", buf[:n], err, at(nw.Host(to).Part()))
+			})
+			pk.GoAfter(nw.Host(from).Part(), 220*time.Millisecond, func() {
+				pc, _ := nw.Node(from).ListenPacket(0)
+				pc.WriteTo([]byte("slow"), transport.Addr{Host: HostName(to), Port: 90})
+			})
+		}
+		pk.Run()
+		var sb strings.Builder
+		for i, l := range logs {
+			fmt.Fprintf(&sb, "== %d ==\n%s\n", i, strings.Join(l, "\n"))
+		}
+		return sb.String()
 	}
-	expectPanic("Partition", func() { nw.Partition(make([]bool, 4)) })
-	expectPanic("Degrade", func() { nw.Degrade(nil, time.Millisecond, 0) })
-	expectPanic("SetDown", func() { nw.Host(0).SetDown(true) })
+	ref := run(1)
+	// Every endpoint of a crossing conn fails at the partition's barrier,
+	// on both partitions; the degraded datagrams arrive 105 ms after their
+	// 220 ms send, and the dial sent at 257 ms to the downed host is refused
+	// one degraded round trip later.
+	for _, want := range []string{
+		"dialed n2 read transport: use of closed connection at 105ms",
+		"dialed n3 read transport: use of closed connection at 105ms",
+		"accepted conn read transport: use of closed connection at 105ms",
+		"dial after down: transport: connection refused at 467ms", "partition visible at 105ms", "heal visible at 155ms",
+		"degrade visible at 205ms", "down visible at 255ms", `dgram "slow" <nil> at 325ms`,
+	} {
+		if !strings.Contains(ref, want) {
+			t.Errorf("trace lacks %q:\n%s", want, ref)
+		}
+	}
+	if got := run(2); got != ref {
+		t.Errorf("workers=2 trace differs from workers=1:\n--- w1 ---\n%s\n--- w2 ---\n%s", ref, got)
+	}
 }

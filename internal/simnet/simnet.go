@@ -22,7 +22,10 @@
 // queues, pipes, sockets) is only ever touched by the partition that owns
 // the host: cross-partition sends split the fluid model in two, the sender
 // charging its uplink and the receiver charging its downlink when the
-// message arrives.
+// message arrives. The fault plane's network state (partition sides, link
+// degradation) is one replica per partition, changed on every replica at
+// one lookahead barrier (Stage); free lists drift toward the partitions
+// that receive more than they send and are levelled at every barrier.
 package simnet
 
 import (
@@ -88,17 +91,18 @@ func (s Symmetric) DownlinkBps(host int) float64 { return s.Bps }
 type ProcDelayFunc func(host int, size int) time.Duration
 
 // netPart is the per-partition slice of network state. Everything a message
-// hot path touches — kernel, rng, delivery and payload pools, stats — lives
-// here, owned exclusively by the partition's worker,
-// so partitions never contend and never race. A single-kernel network is
-// simply a network with one partition.
+// hot path touches — kernel, rng, delivery and payload pools, stats, the
+// fault state it checks — lives here, owned exclusively by the partition's
+// worker, so partitions never contend and never race. A single-kernel
+// network is simply a network with one partition.
 type netPart struct {
 	k       *sim.Kernel
 	rng     *rand.Rand
-	freeDlv *delivery // pooled scheduled messages (see delivery.go)
-	freeBuf [][]byte  // pooled payload buffers (see getBuf/putBuf)
-	connSeq int       // conn creation stamp; see newConnPair for uniqueness
+	freeDlv []*delivery // pooled scheduled messages (see delivery.go)
+	freeBuf [][]byte    // pooled payload buffers (see getBuf/putBuf)
+	connSeq int         // conn creation stamp; see newConnPair for uniqueness
 	stats   Stats
+	faults  faultState // this partition's replica (see faults.go)
 
 	_ [64]byte // keep neighbouring partitions off this cache line
 }
@@ -117,20 +121,6 @@ type Network struct {
 	hosts  []*Host // stable pointers into slab
 	proc   ProcDelayFunc
 	silent bool // dead hosts blackhole instead of refusing
-
-	// Fault-plane state, driven by the scenario layer's actuators (see
-	// internal/faults). All zero when no fault plan is active: every hook
-	// below nil-checks before doing anything, so an empty plan adds no
-	// kernel events and changes no rng draws — the schedule-neutrality
-	// invariant the simulation goldens pin. Fault injection requires a
-	// single-partition network (see assertUnpartitioned).
-	partition []bool        // partition side by host id; nil = no partition
-	degHosts  []bool        // degraded hosts; nil while degraded = all hosts
-	degExtra  time.Duration // added one-way delay on degraded links
-	degLoss   float64       // added datagram loss on degraded links
-	degraded  bool          // Degrade active (degExtra/degLoss may be 0)
-
-	ins Instruments
 }
 
 // getBuf returns a payload buffer of length n from the partition's free
@@ -140,7 +130,8 @@ type Network struct {
 // slice — so the copies ride pooled buffers instead: recycled when the
 // reader fully consumes a segment or a delivery is dropped (dead port,
 // frozen pipe). See DESIGN.md for the ownership rules. Cross-partition
-// payloads drain into the receiver's pool; flows balance out.
+// payloads drain into the receiver's pool; balancePools levels the pools
+// at every barrier.
 func (pt *netPart) getBuf(n int) []byte {
 	if l := len(pt.freeBuf); l > 0 {
 		b := pt.freeBuf[l-1]
@@ -223,8 +214,9 @@ func partSeed(seed int64, p int) int64 {
 // than pk's lookahead — conservative synchronization is only sound when no
 // message can cross partitions faster than the lookahead window.
 //
-// Fault injection (Partition, Degrade, SetDown) is not supported on
-// multi-partition networks and panics.
+// Fault injection works on any partition count: Partition, Degrade and
+// their undos are staged onto every partition (Stage), and SetDown runs on
+// the host's own partition, like everything else that touches the host.
 func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Network, error) {
 	p := pk.Parts()
 	if p > 1 {
@@ -247,6 +239,9 @@ func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Net
 	}
 	for i := range nw.slab {
 		nw.slab[i].part = i % p
+	}
+	if p > 1 {
+		pk.AddBarrierHook(nw.balancePools)
 	}
 	return nw, nil
 }
@@ -278,14 +273,6 @@ func (nw *Network) SetProcDelay(f ProcDelayFunc) { nw.proc = f }
 // or a powered-off machine, which Fig. 10's massive-failure experiment
 // models.
 func (nw *Network) SetSilentFailures(on bool) { nw.silent = on }
-
-// assertUnpartitioned guards the fault-plane mutators: they reach across
-// host state in ways only a single event loop can serialize.
-func (nw *Network) assertUnpartitioned(op string) {
-	if len(nw.parts) > 1 {
-		panic("simnet: " + op + " is not supported on a partitioned network")
-	}
-}
 
 // FootprintBytes reports the long-lived heap the network layer holds —
 // the host slab, the open connection endpoints (half a connPair each;
@@ -342,14 +329,14 @@ func (nw *Network) hostByName(name string) (*Host, error) {
 }
 
 // delay returns the one-way delay between two hosts with a defensive floor
-// of zero, plus any active link degradation.
-func (nw *Network) delay(a, b int) time.Duration {
+// of zero, plus any link degradation active on pt, the caller's partition.
+func (nw *Network) delay(pt *netPart, a, b int) time.Duration {
 	d := nw.model.Delay(a, b)
 	if d < 0 {
 		d = 0
 	}
-	if nw.degraded && nw.degExtra > 0 && nw.degApplies(a, b) {
-		d += nw.degExtra
+	if f := &pt.faults; f.degraded && f.degExtra > 0 && f.degApplies(a, b) {
+		d += f.degExtra
 	}
 	return d
 }
@@ -464,9 +451,9 @@ func (h *Host) Down() bool { return h.down }
 
 // SetDown fails or revives the machine. Failing a host resets every open
 // connection (both endpoints observe errors), closes its listeners and
-// packet sockets, and refuses future dials until revived.
+// packet sockets, and refuses future dials until revived. Like every other
+// mutation of the host, it runs on the host's partition.
 func (h *Host) SetDown(down bool) {
-	h.nw.assertUnpartitioned("SetDown")
 	if h.down == down {
 		return
 	}
@@ -582,7 +569,6 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 		return nil, err
 	}
 	h.np().stats.Dials++
-	h.nw.ins.Dials.Inc()
 	port, err := h.ephemeralPort()
 	if err != nil {
 		return nil, err
@@ -595,8 +581,8 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	// those late wakes safe no-ops.
 	ref := w.Ref()
 	w.WakeAfter(timeout, transport.ErrTimeout)
-	fwd := h.nw.delay(h.id, remote.id)
-	rev := h.nw.delay(remote.id, h.id)
+	fwd := h.nw.delay(h.np(), h.id, remote.id)
+	rev := h.nw.delay(h.np(), remote.id, h.id)
 	gen := h.gen
 	crossing := h.nw.cross(h, remote)
 
@@ -616,13 +602,12 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 		if remote.down && h.nw.silent {
 			return // blackholed: the dialer's timeout fires
 		}
-		if h.nw.cut(h.id, remote.id) {
+		if remote.np().faults.cut(h.id, remote.id) {
 			return // partitioned: same blackhole, the dialer times out
 		}
 		l := remote.listenerOn(to.Port)
 		if l == nil || remote.down {
 			remote.np().stats.RefusedDials++
-			h.nw.ins.RefusedDials.Inc()
 			verdict(func() { ref.Wake(transport.ErrRefused) })
 			return
 		}
@@ -708,7 +693,7 @@ func (nw *Network) recvTimes(b *Host, arrive time.Time, size int) (delivered tim
 // upTimes and let the destination partition run recvTimes on arrival.
 func (nw *Network) sendTimes(a, b *Host, size int) (senderFree, delivered time.Time) {
 	senderFree = nw.upTimes(a, size)
-	arrive := senderFree.Add(nw.delay(a.id, b.id))
+	arrive := senderFree.Add(nw.delay(a.np(), a.id, b.id))
 	delivered = nw.recvTimes(b, arrive, size)
 	return senderFree, delivered
 }

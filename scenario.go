@@ -129,15 +129,15 @@ type Scenario struct {
 	// Workers sets how many OS threads may drive a simulated testbed's
 	// kernel. It is a performance knob only: a scenario's result is a
 	// pure function of Seed and the scenario itself, never of Workers or
-	// GOMAXPROCS (invariant 9, DESIGN.md). Plain scenarios at large
-	// populations provision a sharded kernel — the partition count comes
-	// from autoParts, a pure function of the host population, so the
-	// schedule can never depend on Workers — and 0 means
-	// min(partitions, GOMAXPROCS): a thread per partition as far as the
-	// machine has processors for them, every partition inline on the
-	// caller's goroutine when it has one. Small populations, PlanetLab
-	// testbeds and scenarios with collection, logging, faults, assertions
-	// or churn run a single partition, where Workers changes nothing.
+	// GOMAXPROCS (invariant 9, DESIGN.md). Scenarios at large
+	// populations provision a sharded kernel — metrics, faults and
+	// assertions included; the partition count comes from autoParts, a
+	// pure function of the host population, so the schedule can never
+	// depend on Workers — and 0 means min(partitions, GOMAXPROCS): a
+	// thread per partition as far as the machine has processors for them,
+	// every partition inline on the caller's goroutine when it has one.
+	// Small populations, PlanetLab testbeds and scenarios with logging or
+	// churn run a single partition, where Workers changes nothing.
 	Workers int
 }
 
@@ -150,13 +150,18 @@ type Session struct {
 	seed int64
 	live bool
 
-	k      *sim.Kernel
-	pk     *sim.ParKernel // drives k (partition 0) plus any further partitions (simulated testbeds)
-	nw     *simnet.Network
-	netIns simnet.Instruments // zero unless a simulated testbed collects
+	k   *sim.Kernel
+	pk  *sim.ParKernel // drives k (partition 0) plus any further partitions (simulated testbeds)
+	nw  *simnet.Network
+	bed *simbed.Bed
 
-	rt      core.Runtime
-	node    transport.Node // the controller's host (reporter dialing)
+	rt   core.Runtime
+	node transport.Node // the controller's host (reporter dialing)
+	// home is the monitoring host's kernel partition (0 without one, and
+	// live), homeRT its runtime: the aggregator and the fault engine that
+	// reads it run there.
+	home    int
+	homeRT  core.Runtime
 	ctl     *controller.Controller
 	agg     *metrics.Aggregator
 	reg     *core.Registry
@@ -171,7 +176,7 @@ type Session struct {
 	// assertions.
 	slots    []*slot
 	ctlAddr  transport.Addr
-	rpcRules *faults.RPCRules
+	rpcRules []*faults.RPCRules // one per kernel partition (see buildRegistry)
 	frng     *rand.Rand
 	eng      *faults.Engine
 	act      *actuators
@@ -245,11 +250,12 @@ func (sc Scenario) Run(ctx context.Context) (*Result, error) {
 
 // startSim provisions on the simulation kernel — the one simulated start.
 // Kernel, network, per-partition runtimes, collection plane, RPC fault
-// filter, registry and logger are built the same way for every scenario;
+// filters, registry and logger are built the same way for every scenario;
 // only who provisions the population forks: the controller and its
 // daemons, or the churn executor. The sequence of kernel events is pinned
 // by the experiment goldens (ctlplane, obsplane): aggregator first (when
-// collecting), then the population.
+// collecting, on the monitoring host's partition — the session's home),
+// then the population.
 func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	seed := sc.Seed
 	if seed == 0 {
@@ -283,16 +289,19 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	model, proc := tb.build(total, seed)
 
 	// Partition count: a pure function of the host population (never of
-	// Workers — invariant 9), restricted to plain scenarios. Collection,
-	// logging, faults, assertions and churn keep their single-partition
-	// planes: the aggregator, fault actuators, shared loggers and the
-	// churn executor all assume one kernel owns every host. So does a
+	// Workers — invariant 9). Metrics, faults and assertions are partition-
+	// aware: the aggregator and the fault engine live on the monitoring
+	// host's partition, actuations are staged onto the partitions that
+	// own what they change, and fault filters and fleet counters are kept
+	// per partition. Logging and churn keep a single partition: every
+	// partition would write one shared writer, and the churn executor
+	// starts and kills instances on every host from one task. So does a
 	// testbed's processing-delay hook (PlanetLab): it draws every host's
 	// jitter from one stream, which partitions would consume in thread
 	// order — a data race, and a result that depends on the machine.
 	parts := 1
 	lookahead := time.Duration(0)
-	if !collecting && sc.Collect.Logs == nil && sc.Faults.Empty() && len(sc.Assert) == 0 && !churned && proc == nil {
+	if sc.Collect.Logs == nil && !churned && proc == nil {
 		if p := autoParts(total); p > 1 {
 			if md, ok := model.(simnet.MinDelayModel); ok && md.MinDelay() > 0 {
 				parts, lookahead = p, md.MinDelay()
@@ -314,22 +323,19 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 		return nil, err
 	}
 	nw := bed.Net
-	s.pk, s.k, s.nw, s.rt = bed.Par, bed.K, nw, bed.Runtime(0)
+	s.pk, s.k, s.nw, s.bed, s.rt = bed.Par, bed.K, nw, bed, bed.Runtime(0)
+	s.homeRT = s.rt
 
 	if collecting {
-		// Network-global instruments: the ground truth monitoring
-		// overhead is measured against.
-		netReg := metrics.NewRegistry()
-		s.netIns = simnet.NewInstruments(netReg)
-		nw.SetInstruments(s.netIns)
-
 		every, key := sc.Collect.reportDefaults()
 		port := sc.Collect.MetricsPort
 		if port == 0 {
 			port = 7000
 		}
-		s.k.Go(func() {
-			if s.agg, err = metrics.NewAggregator(nw.Node(monHost), port, s.k.Go); err == nil {
+		s.home, s.homeRT = nw.Host(monHost).Part(), bed.Runtime(monHost)
+		mrt := s.homeRT
+		mrt.Go(func() {
+			if s.agg, err = metrics.NewAggregator(nw.Node(monHost), port, mrt.Go); err == nil {
 				s.agg.Authorize(key)
 			}
 		})
@@ -347,7 +353,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	if churned {
 		err = s.startChurn(lg)
 	} else {
-		err = s.startDaemons(first, pop, bed, lg)
+		err = s.startDaemons(first, pop, lg)
 	}
 	if err != nil {
 		return nil, err
@@ -358,21 +364,22 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 // startDaemons provisions the controller on host 0 and pop daemons from
 // host first on, staggered 2ms apart by host index, then runs the settle
 // window.
-func (s *Session) startDaemons(first, pop int, bed *simbed.Bed, lg core.Logger) error {
+func (s *Session) startDaemons(first, pop int, lg core.Logger) error {
 	sc, nw := s.sc, s.nw
-	ctlReg, dmnIns := s.newController(nw.Node(0), controller.DefaultConfig())
+	ctlReg := s.newController(nw.Node(0), controller.DefaultConfig())
 	ctl := s.ctl
 	s.k.Go(func() {
 		if s.startErr = ctl.Start(); s.startErr == nil && ctlReg != nil {
-			s.report("ctl", ctlReg)
+			s.report(s.rt, s.node, "ctl", ctlReg)
 		}
 	})
 	s.ctlAddr = ctl.Addr()
+	fleet := s.fleetCounters(ctlReg, first, pop)
 	for i := first; i < first+pop; i++ {
 		host := i
 		// A daemon lives on its host's kernel partition with that
 		// partition's runtime.
-		part, drt := nw.Host(host).Part(), bed.Runtime(host)
+		part, drt := nw.Host(host).Part(), s.bed.Runtime(host)
 		dcfg := daemon.DefaultConfig(simnet.HostName(host))
 		if !sc.Faults.Empty() {
 			// Fault-plane sessions survive their own faults: daemons
@@ -381,8 +388,8 @@ func (s *Session) startDaemons(first, pop int, bed *simbed.Bed, lg core.Logger) 
 		}
 		mk := func() *daemon.Daemon {
 			d := daemon.New(drt, nw.Node(host), s.reg, dcfg, lg)
-			if s.collect != nil {
-				d.SetInstruments(dmnIns)
+			if fleet != nil {
+				d.SetInstruments(fleet[part])
 			}
 			return d
 		}
@@ -534,7 +541,7 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	}
 	s := &Session{sc: sc, seed: seed, live: true}
 	rt := core.NewLiveRuntime(seed)
-	s.rt = rt
+	s.rt, s.homeRT = rt, rt
 	if sc.Collect.Metrics {
 		every, key := sc.Collect.reportDefaults()
 		// The aggregator gets its own loopback address: the controller
@@ -551,10 +558,10 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	}
 	cfg := controller.DefaultConfig()
 	cfg.Port = controller.PortEphemeral
-	ctlReg, _ := s.newController(livenet.NewNode(tb.host), cfg)
+	ctlReg := s.newController(livenet.NewNode(tb.host), cfg)
 	ctl := s.ctl
 	if ctlReg != nil {
-		s.Go(func() { s.report("ctl", ctlReg) })
+		s.Go(func() { s.report(s.rt, s.node, "ctl", ctlReg) })
 	}
 	if err := ctl.Start(); err != nil {
 		s.Stop()
@@ -617,11 +624,10 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 }
 
 // newController builds the scenario's controller on node, cfg giving the
-// testbed's default port. When collecting, controller instruments plus
-// fleet-wide daemon accounting share one registry (returned with the
-// daemons' instrument set), reported over the wire as node "ctl" like
-// every application stream.
-func (s *Session) newController(node transport.Node, cfg controller.Config) (*metrics.Registry, daemon.Instruments) {
+// testbed's default port. When collecting, its instruments live in the
+// registry it returns, reported over the wire as node "ctl" like every
+// application stream.
+func (s *Session) newController(node transport.Node, cfg controller.Config) *metrics.Registry {
 	if s.sc.ControllerPort != 0 {
 		cfg.Port = s.sc.ControllerPort
 	}
@@ -630,16 +636,43 @@ func (s *Session) newController(node transport.Node, cfg controller.Config) (*me
 	}
 	s.ctl, s.node = controller.New(s.rt, node, cfg), node
 	if s.collect == nil {
-		return nil, daemon.Instruments{}
+		return nil
 	}
 	ctlReg := metrics.NewRegistry()
 	s.ctl.SetInstruments(controller.NewInstruments(ctlReg))
-	dmnIns := daemon.NewInstruments(ctlReg)
-	// One instrument set is shared by the whole fleet: the counters sum
-	// correctly but the per-daemon jobs gauge would just be clobbered by
-	// whichever daemon Set it last — disable it.
-	dmnIns.Jobs = nil
-	return ctlReg, dmnIns
+	return ctlReg
+}
+
+// fleetCounters returns the daemons' instrument sets, one per kernel
+// partition (nil when not collecting): partition 0's in the controller's
+// registry ctlReg, every other partition's in a registry of its own that
+// the partition reports as node "ctl" too, from its first daemon host. No
+// counter is then written by one partition and read by another's reporter
+// inside a window; the aggregator sums the streams. Within a partition one
+// set serves every daemon: the counters sum correctly, but a per-daemon
+// jobs gauge would just be clobbered by whichever daemon Set it last, so
+// it is disabled.
+func (s *Session) fleetCounters(ctlReg *metrics.Registry, first, pop int) []daemon.Instruments {
+	if ctlReg == nil {
+		return nil
+	}
+	fleet := make([]daemon.Instruments, s.pk.Parts())
+	newSet := func(p int, reg *metrics.Registry) {
+		fleet[p] = daemon.NewInstruments(reg)
+		fleet[p].Jobs = nil
+	}
+	newSet(0, ctlReg)
+	for host := first; host < first+pop; host++ {
+		p := s.nw.Host(host).Part()
+		if fleet[p].Commands != nil {
+			continue
+		}
+		reg := metrics.NewRegistry()
+		newSet(p, reg)
+		rt, node := s.bed.Runtime(host), s.nw.Node(host)
+		rt.Go(func() { s.report(rt, node, "ctl", reg) })
+	}
+	return fleet
 }
 
 // reportDefaults resolves the collection plane's period and key.
@@ -671,22 +704,22 @@ func (sc Scenario) label() string {
 	return sc.Name
 }
 
-// report is the session's one reporter loop, run as a driver task: it
-// streams reg from the controller's host to the collection plane as the
-// named node, one flush per period until the session stops. Live streams
-// redial after a failed flush; a simulated one fails only with the
-// session.
-func (s *Session) report(node string, reg *metrics.Registry) {
-	rep, err := metrics.DialReporter(s.node, s.collect.Addr, reg,
+// report is the session's one reporter loop, run as a task of rt: it
+// streams reg from the host from to the collection plane as the named
+// node, one flush per period until the session stops. Live streams redial
+// after a failed flush; a simulated one fails only with the session, and a
+// failed dial is the session's start error.
+func (s *Session) report(rt core.Runtime, from transport.Node, node string, reg *metrics.Registry) {
+	rep, err := metrics.DialReporter(from, s.collect.Addr, reg,
 		metrics.ReporterConfig{Key: s.collect.Key, Node: node})
 	if err != nil {
 		if !s.live {
-			s.startErr = err
+			s.stage(s.partOf(from.Host()), 0, func() { s.startErr = err })
 		}
 		return
 	}
 	for {
-		s.rt.Sleep(s.collect.Every)
+		rt.Sleep(s.collect.Every)
 		if s.stopped.Load() {
 			return
 		}
@@ -698,17 +731,25 @@ func (s *Session) report(node string, reg *metrics.Registry) {
 
 // buildRegistry assembles the deployable application registry: built-ins
 // when a spec names one, SDK apps otherwise, and every factory decorated
-// with the one grant its instances' contexts start under — the spec's Env
-// restrictions plus the session's collect target and RPC fault filter. A
-// duplicate name surfaces as an error.
+// with the grant its instances' contexts start under — the spec's Env
+// restrictions plus the session's collect target and the RPC fault filter
+// of the partition the instance runs on. A duplicate name surfaces as an
+// error.
 func (s *Session) buildRegistry() error {
-	session := core.Grant{Collect: s.collect}
 	if !s.sc.Faults.Empty() {
-		// The RPC fault filter exists only for non-empty plans: an unarmed
+		// The RPC fault filters exist only for non-empty plans: an unarmed
 		// filter would still sit on every call path, and schedule
-		// neutrality wants the default client untouched.
-		s.rpcRules = faults.NewRPCRules(s.seed)
-		session.RPCFault = s.rpcRules.Check
+		// neutrality wants the default client untouched. One filter per
+		// kernel partition, each drawing its own drop stream (partition 0
+		// the plain seed), so no filter is read by two threads and no
+		// drop depends on which thread called first.
+		parts := 1
+		if s.pk != nil {
+			parts = s.pk.Parts()
+		}
+		for p := 0; p < parts; p++ {
+			s.rpcRules = append(s.rpcRules, faults.NewRPCRules(s.seed+int64(p)))
+		}
 	}
 	s.reg = core.NewRegistry()
 	for _, spec := range s.sc.Apps {
@@ -725,8 +766,15 @@ func (s *Session) buildRegistry() error {
 			return fmt.Errorf("splay: app %q is not built in and has no implementation", spec.Name)
 		}
 		grant := spec.Env.grant()
-		grant.Collect, grant.RPCFault = session.Collect, session.RPCFault
-		if err := s.reg.Register(spec.Name, factory.Granted(grant)); err != nil {
+		grant.Collect = s.collect
+		granted := factory.GrantedBy(func(ctx *core.AppContext) core.Grant {
+			g := grant
+			if s.rpcRules != nil {
+				g.RPCFault = s.rpcRules[s.partOf(ctx.Node().Host())].Check
+			}
+			return g
+		})
+		if err := s.reg.Register(spec.Name, granted); err != nil {
 			return fmt.Errorf("splay: %w", err)
 		}
 	}
@@ -918,7 +966,10 @@ func (s *Session) Telemetry() *Telemetry {
 // the denominator of the monitoring byte share (0 live: the real network
 // is not ours to meter).
 func (s *Session) NetBytes() uint64 {
-	return s.netIns.StreamBytes.Total()
+	if s.nw == nil {
+		return 0
+	}
+	return s.nw.Stats().StreamBytes
 }
 
 // StopJob terminates a deployed job everywhere. In simulation the stop

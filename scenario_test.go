@@ -177,8 +177,9 @@ func TestScenarioWorkerNeutrality(t *testing.T) {
 }
 
 // TestScenarioAutoPartition pins the testbed partitioning contract: a
-// plain scenario past the population threshold provisions a sharded
-// kernel (P > 1, chosen from the host count alone), and the choice is
+// scenario past the population threshold provisions a sharded kernel
+// (P > 1, chosen from the host count alone) — also when it collects
+// metrics, injects faults and asserts — and the choice is
 // schedule-visible only via P — Workers, including 0 for "as many
 // threads as partitions and processors allow", never changes a result
 // byte, and neither does GOMAXPROCS.
@@ -263,6 +264,21 @@ func TestScenarioAutoPartition(t *testing.T) {
 	}
 	if stats.CoordParks == 0 {
 		t.Errorf("GOMAXPROCS=1, Workers=4: no barrier parks in %d rounds", stats.Rounds)
+	}
+	// The observed planes shard like the plain one.
+	sess, err := splay.Scenario{
+		Seed:    13,
+		Testbed: splay.Uniform(2047, 10*time.Millisecond, 0),
+		Collect: splay.Collect{Metrics: true},
+		Faults:  splay.FaultPlan{Events: []splay.FaultEvent{splay.DegradeAt(time.Second, time.Millisecond, 0)}},
+		Assert:  []splay.Assertion{splay.EventuallyHolds("reports", splay.Metric("", splay.StatNodes, splay.Above, 0), 0)},
+	}.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Stop()
+	if got := sess.Partitions(); got != 2 {
+		t.Errorf("collecting, faulted, asserting scenario on 2,049 hosts: %d partitions, want 2", got)
 	}
 }
 
