@@ -70,7 +70,7 @@ func (m *Msg) AppendJSON(buf []byte) ([]byte, bool) {
 		}
 		if len(j.Nodes) > 0 {
 			var ok bool
-			if b, ok = llenc.AppendList(append(b, `,"nodes":`...), j.Nodes); !ok {
+			if b, ok = llenc.AppendDerived(append(b, `,"nodes":`...), &j.Nodes); !ok {
 				return buf, false // a host encoding/json would escape
 			}
 		}

@@ -10,7 +10,7 @@ import (
 
 // jsonSafe is the character-class rule jsonSafeMsg mirrors the encoder
 // with.
-var jsonSafe = llenc.JSONSafe
+var jsonSafe = llenc.JSONSafe[string]
 
 // checkMsgParse is the differential oracle the rpc and metrics fuzzers
 // use: whatever the fast parser accepts must match encoding/json's

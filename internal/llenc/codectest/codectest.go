@@ -1,7 +1,9 @@
 // Package codectest is the differential oracle shared by the fuzzers and
-// fast-path tests of every value codec (llenc.FastMarshaler /
-// FastUnmarshaler on a message type): encoding/json is the reference, the
-// codec may only ever agree with it or decline.
+// fast-path tests of every value codec — a type's own
+// (llenc.FastMarshaler / FastUnmarshaler) or, for a type without one, its
+// derived plan — run through the entry points the seams use,
+// llenc.AppendDerived and ParseDerived. encoding/json is the reference;
+// the codec may only ever agree with it or decline.
 package codectest
 
 import (
@@ -19,14 +21,11 @@ import (
 // must leave the receiver equal to what json.Unmarshal leaves in an
 // identical one — and the value it produced must then encode under
 // CheckAppend; a declined parse must leave it untouched.
-func Check[T llenc.FastMarshaler, P interface {
-	*T
-	llenc.FastUnmarshaler
-}](t testing.TB, data []byte, receivers ...func() T) {
+func Check[T any](t testing.TB, data []byte, receivers ...func() T) {
 	t.Helper()
 	for i, fresh := range receivers {
 		fast := fresh()
-		if !P(&fast).ParseJSON(data) {
+		if !llenc.ParseDerived(data, &fast) {
 			if !reflect.DeepEqual(fast, fresh()) {
 				t.Fatalf("receiver %d: declined parse of %q mutated the receiver: %+v", i, data, fast)
 			}
@@ -43,22 +42,22 @@ func Check[T llenc.FastMarshaler, P interface {
 	}
 }
 
-// CheckAppend runs the encode half: an accepted AppendJSON appends exactly
+// CheckAppend runs the encode half: an accepted encode appends exactly
 // json.Marshal's bytes after what buf held, a declined one returns buf
 // unchanged. It reports whether the codec accepted.
-func CheckAppend[T llenc.FastMarshaler](t testing.TB, v T) bool {
+func CheckAppend[T any](t testing.TB, v T) bool {
 	t.Helper()
 	const prefix = "\x00kept"
-	got, ok := v.AppendJSON([]byte(prefix))
+	got, ok := llenc.AppendDerived([]byte(prefix), v)
 	if !ok {
 		if string(got) != prefix {
-			t.Fatalf("declined AppendJSON of %+v changed buf to %q", v, got)
+			t.Fatalf("declined encode of %+v changed buf to %q", v, got)
 		}
 		return false
 	}
 	want, err := json.Marshal(v)
 	if err != nil {
-		t.Fatalf("AppendJSON accepted %+v, json.Marshal rejects: %v", v, err)
+		t.Fatalf("encode accepted %+v, json.Marshal rejects: %v", v, err)
 	}
 	if !bytes.Equal(got, append([]byte(prefix), want...)) {
 		t.Fatalf("encode diverges for %+v:\n fast %s\n json %s", v, got[len(prefix):], want)
@@ -68,20 +67,17 @@ func CheckAppend[T llenc.FastMarshaler](t testing.TB, v T) bool {
 
 // Accepts is for a protocol's TestHotMessagesTakeTheFastPath: v must take
 // the codec both ways — encode, then parse its own bytes back into a zero
-// receiver — so a member added later without its codec line fails a test
-// instead of falling back to encoding/json forever.
-func Accepts[T llenc.FastMarshaler, P interface {
-	*T
-	llenc.FastUnmarshaler
-}](t testing.TB, v T) {
+// receiver — so a member added later that the codec cannot carry fails a
+// test instead of falling back to encoding/json forever.
+func Accepts[T any](t testing.TB, v T) {
 	t.Helper()
 	if !CheckAppend(t, v) {
-		t.Fatalf("AppendJSON declined %+v", v)
+		t.Fatalf("encode declined %+v", v)
 	}
 	wire, _ := json.Marshal(v)
 	var back T
-	if !P(&back).ParseJSON(wire) {
-		t.Fatalf("ParseJSON declined %s", wire)
+	if !llenc.ParseDerived(wire, &back) {
+		t.Fatalf("parse declined %s", wire)
 	}
-	Check[T, P](t, wire, func() T { var zero T; return zero })
+	Check(t, wire, func() T { var zero T; return zero })
 }

@@ -2,14 +2,14 @@ package llenc
 
 import (
 	"strconv"
-	"sync"
 	"unicode/utf8"
 )
 
 // Shared primitives for hand-rolled JSON fast paths (FastMarshaler /
-// FastUnmarshaler implementations). Four codecs use them — the control
-// plane's ctlproto.Msg, the RPC library's request/response envelopes,
-// metrics.Report and logging.Record — and all carry the same contract:
+// FastUnmarshaler implementations, and the derived plans of derive.go).
+// The hand-written codecs — the control plane's ctlproto.Msg, the RPC
+// library's request/response envelopes, logging.Record and
+// transport.Addr — and the plans all carry the same contract:
 // the fast encoding must be byte-identical to encoding/json's output,
 // and the fast parser must either reproduce encoding/json's result
 // exactly or decline so the caller falls back. Keeping the
@@ -19,7 +19,7 @@ import (
 // JSONSafe reports whether encoding/json would emit s as a plain quoted
 // string: printable ASCII with no characters that JSON or the default
 // HTML escaping would rewrite.
-func JSONSafe(s string) bool {
+func JSONSafe[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
@@ -528,69 +528,7 @@ func AppendHex64(b []byte, v uint64) []byte {
 // json.Unmarshal leaves in the same, possibly non-zero, receiver. So a
 // value type's parser is a walker: it consumes exactly one value at the
 // cursor, writes only the members it meets, and never writes through a
-// slice the receiver already held (ParseList builds a new one). The three
-// helpers below hold the rest of the rule in one place; a codec is
-// AppendJSON, a walker over Lexer.Object, and a one-line ParseJSON.
-
-// lexers lends ParseValue its cursor: walk is a function value, so a
-// local one would be heap-allocated on every call.
-var lexers = sync.Pool{New: func() any { return new(Lexer) }}
-
-// ParseValue is the body of a value type's ParseJSON: it runs the type's
-// walker over *dst — in place, so members the input omits keep what the
-// receiver held — and accepts when the walker did and nothing but
-// whitespace follows; otherwise *dst is put back as it was.
-func ParseValue[T any](data []byte, dst *T, walk func(*T, *Lexer) bool) bool {
-	l := lexers.Get().(*Lexer)
-	*l = Lexer{Data: data}
-	saved := *dst
-	ok := walk(dst, l) && l.End()
-	if !ok {
-		*dst = saved
-	}
-	l.Data = nil // don't pin the caller's buffer from the pool
-	lexers.Put(l)
-	return ok
-}
-
-// AppendList appends s as a JSON array of its elements' own encodings:
-// nil is null and empty is [], as encoding/json has them.
-func AppendList[T FastMarshaler](buf []byte, s []T) ([]byte, bool) {
-	if s == nil {
-		return append(buf, "null"...), true
-	}
-	b := append(buf, '[')
-	for i := range s {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var ok bool
-		if b, ok = s[i].AppendJSON(b); !ok {
-			return buf, false
-		}
-	}
-	return append(b, ']'), true
-}
-
-// ParseList walks a JSON array into *dst the way encoding/json fills a
-// slice: element i starts from what the old slice held at i, up to its
-// capacity, so an element that omits a member keeps the old one, and
-// "[]" yields an empty non-nil slice. The elements are built in a fresh
-// backing array and *dst is assigned only on success. elem parses one
-// element at the cursor of l, which it captures.
-func ParseList[T any](l *Lexer, dst *[]T, elem func(*T) bool) bool {
-	old := (*dst)[:cap(*dst)]
-	out := []T{}
-	if !l.Array(func() bool {
-		var e T
-		if len(out) < len(old) {
-			e = old[len(out)]
-		}
-		out = append(out, e)
-		return elem(&out[len(out)-1])
-	}) {
-		return false
-	}
-	*dst = out
-	return true
-}
+// slice the receiver already held. A type with plain json tags gets all
+// of this derived (derive.go); a hand-written value codec is AppendJSON
+// and a walker over Lexer.Object, WalkJSON, which a plan nests as a leaf
+// and runs at the top level too (transport.Addr).

@@ -92,31 +92,29 @@ func (w *Writer) WriteMessage(payload []byte) error {
 	return err
 }
 
-// Encode marshals v as JSON and writes it as one frame. Values
-// implementing FastMarshaler encode straight into the frame buffer,
-// skipping both reflection and the payload copy.
+// Encode marshals v as JSON and writes it as one frame. Values with their
+// own codec or a derived plan (AppendDerived) encode straight into the
+// frame buffer, skipping both reflection and the payload copy.
 func (w *Writer) Encode(v any) error {
-	if fm, ok := v.(FastMarshaler); ok {
-		bp := wbufPool.Get().(*[]byte)
-		frame := append((*bp)[:0], 0, 0, 0, 0)
-		if b, ok := fm.AppendJSON(frame); ok {
-			size := len(b) - HeaderSize
-			if size > MaxMessage {
-				*bp = b[:0]
-				wbufPool.Put(bp)
-				return ErrTooLarge
-			}
-			binary.BigEndian.PutUint32(b, uint32(size))
-			n, err := w.w.Write(b)
-			w.n += uint64(n)
+	bp := wbufPool.Get().(*[]byte)
+	frame := append((*bp)[:0], 0, 0, 0, 0)
+	if b, ok := AppendDerived(frame, v); ok {
+		size := len(b) - HeaderSize
+		if size > MaxMessage {
 			*bp = b[:0]
 			wbufPool.Put(bp)
-			return err
+			return ErrTooLarge
 		}
-		// Declined: keep whatever capacity the attempt grew.
-		*bp = frame[:0]
+		binary.BigEndian.PutUint32(b, uint32(size))
+		n, err := w.w.Write(b)
+		w.n += uint64(n)
+		*bp = b[:0]
 		wbufPool.Put(bp)
+		return err
 	}
+	// Declined: keep whatever capacity the attempt grew.
+	*bp = frame[:0]
+	wbufPool.Put(bp)
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("llenc: encode: %w", err)
@@ -168,12 +166,12 @@ func (r *Reader) Decode(v any) error {
 	return Unmarshal(payload, v)
 }
 
-// Unmarshal decodes one frame's JSON payload into v: values implementing
-// FastUnmarshaler try their hand-rolled parser first and fall back to
-// encoding/json for anything it declined. It is the second half of
+// Unmarshal decodes one frame's JSON payload into v: a receiver with its
+// own codec or a derived plan (ParseDerived) tries it first, and
+// encoding/json takes anything declined. It is the second half of
 // Reader.Decode, for a FrameSink that is handed the payload.
 func Unmarshal(payload []byte, v any) error {
-	if fu, ok := v.(FastUnmarshaler); ok && fu.ParseJSON(payload) {
+	if ParseDerived(payload, v) {
 		return nil
 	}
 	if err := json.Unmarshal(payload, v); err != nil {

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"testing"
+
+	"github.com/splaykit/splay/internal/llenc"
 )
 
 // BenchmarkMetricsHotPath is the instrument hot path CI pins at zero
@@ -78,8 +80,8 @@ func BenchmarkMetricsDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkReportEncode measures the fast codec against a steady-state
-// frame.
+// BenchmarkReportEncode measures the report's derived codec against a
+// steady-state frame.
 func BenchmarkReportEncode(b *testing.B) {
 	rep := &Report{Key: "obs", Node: "n1234", Seq: 42,
 		C: []Delta{{ID: 0, D: 12}, {ID: 3, D: 1}},
@@ -90,7 +92,7 @@ func BenchmarkReportEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ok bool
-		buf, ok = rep.AppendJSON(buf[:0])
+		buf, ok = llenc.AppendDerived(buf[:0], rep)
 		if !ok {
 			b.Fatal("encoder declined")
 		}

@@ -1,52 +1,36 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
-	"reflect"
 	"testing"
+
+	"github.com/splaykit/splay/internal/llenc"
+	"github.com/splaykit/splay/internal/llenc/codectest"
 )
 
 // checkReportParse is the differential oracle shared by the table tests
-// and the fuzzer: whatever the fast parser accepts must match
-// encoding/json's decode of the same bytes exactly; whatever it
+// and the fuzzer (see codectest.Check): whatever the derived parser
+// accepts must match encoding/json's decode of the same bytes into the
+// same receiver — zero, and one holding old values — exactly; whatever it
 // declines must leave the receiver untouched.
 func checkReportParse(t *testing.T, data []byte) {
 	t.Helper()
-	sentinel := Report{Key: "sentinel", Seq: 999}
-	fast := sentinel
-	ok := fast.ParseJSON(data)
-	var want Report
-	jerr := json.Unmarshal(data, &want)
-	if !ok {
-		if !reflect.DeepEqual(fast, sentinel) {
-			t.Fatalf("declined parse mutated receiver: %+v", fast)
-		}
-		return
-	}
-	if jerr != nil {
-		t.Fatalf("fast parser accepted %q, encoding/json rejects: %v", data, jerr)
-	}
-	if !reflect.DeepEqual(fast, want) {
-		t.Fatalf("parse diverges for %q:\n fast %+v\n json %+v", data, fast, want)
-	}
+	codectest.Check(t, data,
+		func() Report { return Report{} },
+		func() Report {
+			return Report{Key: "sentinel", Seq: 999, C: []Delta{{ID: 1, D: 2}, {ID: 3, D: 4}}[:1],
+				H: []HistDelta{{ID: 5, B: []uint64{6, 7}, S: 8}}}
+		})
 }
 
-// checkReportEncode verifies the fast encoding equals json.Marshal.
+// checkReportEncode verifies the derived encoding equals json.Marshal.
 func checkReportEncode(t *testing.T, rep *Report) {
 	t.Helper()
-	want, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := rep.AppendJSON(nil)
-	if !ok {
+	if !codectest.CheckAppend(t, rep) {
 		return // declined: the fallback handles it
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fast encode diverges:\n got  %s\n want %s", got, want)
-	}
+	want, _ := json.Marshal(rep)
 	checkReportParse(t, want)
 }
 
@@ -81,7 +65,7 @@ func TestReportEncoderDeclinesUnsafeStrings(t *testing.T) {
 		{Key: "k", Node: "ü"},
 		{Key: "k", Defs: []Def{{Name: "quote\""}}},
 	} {
-		if got, ok := rep.AppendJSON(nil); ok {
+		if got, ok := llenc.AppendDerived(nil, rep); ok {
 			t.Fatalf("encoder accepted unsafe strings: %s", got)
 		}
 	}
@@ -100,15 +84,25 @@ func TestReportParserDeclines(t *testing.T) {
 		`{"key":"k","seq":1,"h":[{"i":0,"b":[1,2,]}]}`,               // trailing comma
 		`not json at all`,
 		`{"key":"k","seq":1}trailing`,
-		// Repeated struct-bearing members: encoding/json decodes the
-		// second array into the first's elements.
+	} {
+		if rep := (Report{Key: "old"}); llenc.ParseDerived([]byte(s), &rep) {
+			t.Errorf("accepted %s", s)
+		}
+		checkReportParse(t, []byte(s))
+	}
+	// Repeated members are accepted with decode parity: encoding/json
+	// decodes a repeated array into the first's elements, and scalars and
+	// scalar slices are last-wins.
+	for _, s := range []string{
 		`{"key":"k","seq":1,"defs":[{"i":1,"n":"a","k":2}],"defs":[{"i":2}]}`,
 		`{"key":"k","seq":1,"c":[{"i":1,"d":5}],"c":[{"i":2}]}`,
 		`{"key":"k","seq":1,"g":[{"i":1,"v":5}],"g":[{"i":2}]}`,
 		`{"key":"k","seq":1,"h":[{"i":1,"b":[1,2],"s":3}],"h":[{"i":2}]}`,
-		// Repeated scalars and scalar slices are last-wins in both decoders.
 		`{"key":"a","key":"k","seq":1,"seq":2,"h":[{"i":0,"b":[1,2],"b":[3],"b":null}]}`,
 	} {
+		if rep := (Report{Key: "old"}); !llenc.ParseDerived([]byte(s), &rep) {
+			t.Errorf("declined %s", s)
+		}
 		checkReportParse(t, []byte(s))
 	}
 }
@@ -144,9 +138,9 @@ func TestReportRoundTripRandomized(t *testing.T) {
 	}
 }
 
-// FuzzMetricsReportParse feeds arbitrary bytes to the report parser;
-// any accepted frame must decode identically via encoding/json, any
-// declined frame must leave the receiver untouched.
+// FuzzMetricsReportParse feeds arbitrary bytes to the report's derived
+// parser; any accepted frame must decode identically via encoding/json
+// into the same receiver, any declined frame must leave it untouched.
 func FuzzMetricsReportParse(f *testing.F) {
 	f.Add([]byte(`{"key":"obs","seq":1}`))
 	f.Add([]byte(`{"key":"obs","node":"n3","seq":2,"defs":[{"i":0,"n":"rpc.calls","k":0}],"c":[{"i":0,"d":9}]}`))

@@ -3,6 +3,7 @@ package chord
 import (
 	"testing"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/llenc/codectest"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -19,13 +20,13 @@ var (
 	}
 	// The second list has a stale reference in its spare capacity, which
 	// encoding/json decodes a second element into.
-	listReceivers = []func() nodeRefs{
-		func() nodeRefs { return nil },
-		func() nodeRefs { return nodeRefs{oldRef, {ID: 88, Addr: transport.Addr{Host: "stale"}}}[:1] },
+	listReceivers = []func() []NodeRef{
+		func() []NodeRef { return nil },
+		func() []NodeRef { return []NodeRef{oldRef, {ID: 88, Addr: transport.Addr{Host: "stale"}}}[:1] },
 	}
 )
 
-// checkWire runs one input through all three codecs' oracles.
+// checkWire runs one input through the three messages' oracles.
 func checkWire(t *testing.T, data []byte) {
 	codectest.Check(t, data, refReceivers...)
 	codectest.Check(t, data, findReceivers...)
@@ -33,35 +34,34 @@ func checkWire(t *testing.T, data []byte) {
 }
 
 // TestHotMessagesTakeTheFastPath pins that what notify, predecessor,
-// find_successor and successors carry rides its codec in both directions.
+// find_successor and successors carry rides the derived codec in both
+// directions.
 func TestHotMessagesTakeTheFastPath(t *testing.T) {
 	ref := NodeRef{ID: 1<<64 - 1, Addr: transport.Addr{Host: "n204", Port: 20000}}
 	codectest.Accepts(t, NodeRef{})
 	codectest.Accepts(t, ref)
 	codectest.Accepts(t, findResult{})
 	codectest.Accepts(t, findResult{Node: ref, Hops: 11})
-	codectest.Accepts(t, nodeRefs{})
-	codectest.Accepts(t, nodeRefs{ref, {}})
-	if !codectest.CheckAppend(t, nodeRefs(nil)) {
-		t.Error("a nil list declined")
-	}
+	codectest.Accepts(t, []NodeRef{})
+	codectest.Accepts(t, []NodeRef{ref, {}})
+	codectest.Accepts(t, []NodeRef(nil))
 	// A host encoding/json would escape declines at every nesting depth.
 	esc := NodeRef{ID: 1, Addr: transport.Addr{Host: "<h>"}}
-	if codectest.CheckAppend(t, esc) || codectest.CheckAppend(t, findResult{Node: esc}) || codectest.CheckAppend(t, nodeRefs{ref, esc}) {
+	if codectest.CheckAppend(t, esc) || codectest.CheckAppend(t, findResult{Node: esc}) || codectest.CheckAppend(t, []NodeRef{ref, esc}) {
 		t.Error("a host that needs escaping was not declined")
 	}
 	for _, src := range []string{`null`, `{"id":null}`, `{"ID":1}`, `{"id":1.0}`, `{"id":-1}`, `{"node":null}`, `{"hops":1e1}`, `{"x":1}`} {
 		var r NodeRef
 		var f findResult
-		if r.ParseJSON([]byte(src)) || f.ParseJSON([]byte(src)) {
-			t.Errorf("ParseJSON accepted %s", src)
+		if llenc.ParseDerived([]byte(src), &r) || llenc.ParseDerived([]byte(src), &f) {
+			t.Errorf("ParseDerived accepted %s", src)
 		}
 		checkWire(t, []byte(src))
 	}
 }
 
-// FuzzWire feeds arbitrary bytes to the three codecs under the house
-// oracle (see codectest.Check).
+// FuzzWire feeds arbitrary bytes to the three messages' derived codecs
+// under the house oracle (see codectest.Check).
 func FuzzWire(f *testing.F) {
 	for _, src := range []string{
 		`{}`, `[]`, `null`, `{"id":18446744073709551615,"addr":{"host":"n1","port":8000}}`,

@@ -7,10 +7,11 @@
 package pastry
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"strconv"
+
+	"github.com/splaykit/splay/internal/llenc"
 )
 
 // Identifier geometry: b = 4 (hexadecimal digits), 64-bit identifiers,
@@ -29,18 +30,15 @@ type ID uint64
 // String renders the identifier in hex.
 func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
-// MarshalJSON implements json.Marshaler.
-func (id ID) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + id.String() + `"`), nil
-}
+// AppendText implements encoding.TextAppender: the String form.
+func (id ID) AppendText(b []byte) ([]byte, error) { return llenc.AppendHex64(b, uint64(id)), nil }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (id *ID) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	v, err := strconv.ParseUint(s, 16, 64)
+// MarshalText implements encoding.TextMarshaler.
+func (id ID) MarshalText() ([]byte, error) { return id.AppendText(nil) }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (id *ID) UnmarshalText(s []byte) error {
+	v, err := strconv.ParseUint(string(s), 16, 64)
 	if err != nil {
 		return fmt.Errorf("pastry: bad id %q: %w", s, err)
 	}

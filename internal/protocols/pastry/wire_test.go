@@ -3,6 +3,7 @@ package pastry
 import (
 	"testing"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/llenc/codectest"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -20,7 +21,7 @@ var (
 	}
 )
 
-// checkWire runs one input through all three codecs' oracles.
+// checkWire runs one input through the three messages' oracles.
 func checkWire(t *testing.T, data []byte) {
 	codectest.Check(t, data, idReceivers...)
 	codectest.Check(t, data, refReceivers...)
@@ -28,7 +29,9 @@ func checkWire(t *testing.T, data []byte) {
 }
 
 // TestHotMessagesTakeTheFastPath pins that what the route hop carries —
-// key, reference, result — rides its codec in both directions.
+// key, reference, result — and what joins and repairs carry — the
+// join_route reply, a leaf set, a table entry — ride the derived codec
+// in both directions.
 func TestHotMessagesTakeTheFastPath(t *testing.T) {
 	ref := NodeRef{ID: 1<<64 - 1, Addr: transport.Addr{Host: "n204", Port: 20000}}
 	codectest.Accepts(t, ID(0))
@@ -38,12 +41,16 @@ func TestHotMessagesTakeTheFastPath(t *testing.T) {
 	codectest.Accepts(t, ref)
 	codectest.Accepts(t, routeResult{})
 	codectest.Accepts(t, routeResult{Root: ref, Hops: 7})
+	codectest.Accepts(t, []NodeRef{ref, {}})
+	codectest.Accepts(t, joinInfo{})
+	codectest.Accepts(t, joinInfo{Path: []NodeRef{ref}, Rows: [][]NodeRef{{ref, {}}, nil, {}}, Leafset: []NodeRef{}})
 	// A host encoding/json would escape declines at every nesting depth.
 	esc := NodeRef{ID: 1, Addr: transport.Addr{Host: "a&b"}}
-	if codectest.CheckAppend(t, esc) || codectest.CheckAppend(t, routeResult{Root: esc}) {
+	if codectest.CheckAppend(t, esc) || codectest.CheckAppend(t, routeResult{Root: esc}) ||
+		codectest.CheckAppend(t, joinInfo{Rows: [][]NodeRef{{esc}}}) {
 		t.Error("a host that needs escaping was not declined")
 	}
-	// Forms UnmarshalJSON reads and the walker may too, under the oracle;
+	// Forms UnmarshalText reads and the plan may too, under the oracle;
 	// and forms both must refuse.
 	for _, src := range []string{`"2A"`, `"00000000000000FF"`, `"0x1f"`, `"1_0"`, `"+1"`, `""`, `"10000000000000000"`, `"1"`, `null`, `17`} {
 		checkWire(t, []byte(src))
@@ -51,15 +58,15 @@ func TestHotMessagesTakeTheFastPath(t *testing.T) {
 	for _, src := range []string{`null`, `{"id":null}`, `{"ID":"01"}`, `{"id":1}`, `{"root":null}`, `{"hops":1e1}`, `{"x":1}`} {
 		var r NodeRef
 		var rr routeResult
-		if r.ParseJSON([]byte(src)) || rr.ParseJSON([]byte(src)) {
-			t.Errorf("ParseJSON accepted %s", src)
+		if llenc.ParseDerived([]byte(src), &r) || llenc.ParseDerived([]byte(src), &rr) {
+			t.Errorf("ParseDerived accepted %s", src)
 		}
 		checkWire(t, []byte(src))
 	}
 }
 
-// FuzzWire feeds arbitrary bytes to the three codecs under the house
-// oracle (see codectest.Check).
+// FuzzWire feeds arbitrary bytes to the three messages' derived codecs
+// under the house oracle (see codectest.Check).
 func FuzzWire(f *testing.F) {
 	for _, src := range []string{
 		`{}`, `null`, `"000000000000002a"`, `"FFFFFFFFFFFFFFFF"`, `"2a"`, `"g0"`, `"-1"`, ` "01" `,

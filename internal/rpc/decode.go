@@ -33,17 +33,15 @@ var decoderPool = sync.Pool{New: func() any {
 	return d
 }}
 
-// parseFast is the decoding half of the value seam: a receiver with its
-// own codec (llenc.FastUnmarshaler) parses itself, and the scalar
-// pointers handlers decode most — ids, hop counts, names, flags — are
-// read by the lexer. It reports false, with v untouched, for every other
-// receiver and for any input a parser declines (null, floats, escapes,
-// surrounding whitespace on a scalar); the caller then asks encoding/json.
+// parseFast is the decoding half of the value seam: the scalar pointers
+// handlers decode most — ids, hop counts, names, flags — are read by the
+// lexer, and any other receiver takes its own codec or its type's derived
+// plan (llenc.ParseDerived). It reports false, with v untouched, for any
+// input a parser declines (floats, escapes, surrounding whitespace on a
+// scalar, a type with no plan); the caller then asks encoding/json.
 func parseFast(data []byte, v any) bool {
 	l := llenc.Lexer{Data: data}
 	switch p := v.(type) {
-	case llenc.FastUnmarshaler:
-		return p.ParseJSON(data)
 	case *uint64:
 		if x, ok := l.Uint(); ok && l.End() {
 			*p = x
@@ -64,6 +62,8 @@ func parseFast(data []byte, v any) bool {
 			*p = s == "true"
 			return true
 		}
+	default:
+		return llenc.ParseDerived(data, v)
 	}
 	return false
 }

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"encoding/json"
-	"reflect"
 	"sync"
 
 	"github.com/splaykit/splay/internal/llenc"
@@ -27,13 +26,13 @@ import (
 
 // appendValue is the one value encoder of the message plane: call
 // arguments, handler results and PreEncode all go through it, and it
-// appends exactly what encoding/json would. A value with its own codec
-// (llenc.FastMarshaler) encodes itself; common scalar types are
+// appends exactly what encoding/json would. Common scalar types are
 // hand-rolled; pre-encoded json.RawMessage values are appended verbatim
-// when provably canonical; everything else — a codec that declines
-// included — takes an encoding/json round trip (still byte-identical: a
-// value's encoding does not depend on where it sits). The error is
-// json.Marshal's, for a value that cannot be marshaled at all.
+// when provably canonical; any other value takes its own codec or its
+// type's derived plan (llenc.AppendDerived); whatever declines takes an
+// encoding/json round trip (still byte-identical: a value's encoding does
+// not depend on where it sits). The error is json.Marshal's, for a value
+// that cannot be marshaled at all.
 func appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -61,13 +60,9 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		if len(x) > 0 && llenc.JSONVerbatim(x) && llenc.ValidJSON(x) {
 			return append(b, x...), nil
 		}
-	case llenc.FastMarshaler:
-		// encoding/json writes a nil pointer as null without calling its
-		// methods; a value-receiver codec reached through one would panic.
-		if rv := reflect.ValueOf(v); rv.Kind() != reflect.Pointer || !rv.IsNil() {
-			if enc, ok := x.AppendJSON(b); ok {
-				return enc, nil
-			}
+	default:
+		if enc, ok := llenc.AppendDerived(b, v); ok {
+			return enc, nil
 		}
 	}
 	enc, err := json.Marshal(v)

@@ -34,17 +34,20 @@ func (r fastRef) AppendJSON(buf []byte) ([]byte, bool) {
 
 func (r *fastRef) ParseJSON(data []byte) bool {
 	fastRefParses++
-	return llenc.ParseValue(data, r, func(r *fastRef, l *llenc.Lexer) bool {
-		return l.Object(func(key []byte) (ok bool) {
-			switch string(key) {
-			case "id":
-				r.ID, ok = l.Uint()
-			case "addr":
-				ok = r.Addr.WalkJSON(l)
-			}
-			return ok
-		})
-	})
+	l, saved := llenc.Lexer{Data: data}, *r
+	ok := l.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "id":
+			r.ID, ok = l.Uint()
+		case "addr":
+			ok = r.Addr.WalkJSON(&l)
+		}
+		return ok
+	}) && l.End()
+	if !ok {
+		*r = saved
+	}
+	return ok
 }
 
 // decliningRef has a codec that is asked and always says no.

@@ -3,6 +3,7 @@ package transport
 import (
 	"testing"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/llenc/codectest"
 )
 
@@ -26,8 +27,8 @@ func TestAddrCodec(t *testing.T) {
 	}
 	for _, src := range []string{`null`, `{"host":null}`, `{"Host":"a"}`, `{"port":1.0}`, `{"port":"1"}`, `{"host":"a\u0062"}`, `{"x":1}`, `[]`} {
 		var a Addr
-		if a.ParseJSON([]byte(src)) {
-			t.Errorf("ParseJSON accepted %s", src)
+		if llenc.ParseDerived([]byte(src), &a) {
+			t.Errorf("ParseDerived accepted %s", src)
 		}
 		codectest.Check(t, []byte(src), addrReceivers...)
 	}

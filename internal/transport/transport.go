@@ -52,9 +52,10 @@ func (a Addr) AppendJSON(buf []byte) ([]byte, bool) {
 	return append(llenc.AppendInt(b, int64(a.Port)), '}'), true
 }
 
-// WalkJSON is the address's lexer-level parser, for codecs that nest one:
-// it consumes one address object at the cursor, writing only the members
-// it meets. On false a may be half written (see llenc.ParseValue).
+// WalkJSON is the address's lexer-level parser, which derived plans and
+// ctlproto nest and call at the top level (llenc.ParseDerived): it
+// consumes one address object at the cursor, writing only the members it
+// meets. On false a may be half written; the caller puts it back.
 func (a *Addr) WalkJSON(l *llenc.Lexer) bool {
 	return l.Object(func(key []byte) (ok bool) {
 		switch string(key) {
@@ -66,9 +67,6 @@ func (a *Addr) WalkJSON(l *llenc.Lexer) bool {
 		return ok
 	})
 }
-
-// ParseJSON implements llenc.FastUnmarshaler.
-func (a *Addr) ParseJSON(data []byte) bool { return llenc.ParseValue(data, a, (*Addr).WalkJSON) }
 
 // ParseAddr parses "host:port" with net.SplitHostPort's bracket
 // semantics: IPv6 hosts must be bracketed ("[::1]:5555" parses to host
