@@ -2,6 +2,8 @@ package controller
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -51,6 +53,28 @@ func benchTestbed(b *testing.B, n int) (*sim.Kernel, *Controller) {
 		b.Fatalf("connected %d daemons, want %d", got, n)
 	}
 	return k, ctl
+}
+
+// BenchmarkSelect prices one placement choice — the 40 fastest of a fleet,
+// platform_jobs' probe for a 32-node job — at two fleet sizes. What it
+// allocates must not grow with the fleet (CI compares B/op across the
+// two sizes).
+func BenchmarkSelect(b *testing.B) {
+	for _, n := range []int{3000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			reg := newRegistry()
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("n%d", i+1)
+				reg.put(&daemonSession{name: name, hash: nameHash(name),
+					rtt: time.Duration(1+rng.Intn(200_000)) * time.Microsecond})
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				reg.fastest(40, nil)
+			}
+		})
+	}
 }
 
 // BenchmarkControlPlane measures submit throughput against 1000 simulated

@@ -17,7 +17,7 @@ package controller
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -478,7 +478,7 @@ func popPending(d *daemonSession, filter func(pendingReply) bool) []pendingReply
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	out := make([]pendingReply, 0, len(seqs))
 	for _, seq := range seqs {
 		out = append(out, d.pending[seq])
@@ -755,25 +755,18 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 	c.jobs[job.ID] = job
 	c.mu.Unlock()
 
-	// Candidate pool: every live daemon, capped at superset × request.
-	candidates := c.reg.snapshot()
-	if len(candidates) < spec.Nodes {
+	// Candidate pool: the superset × request most responsive daemons.
+	candidates, have := c.reg.fastest(int(float64(spec.Nodes)*superset), nil)
+	if have < spec.Nodes {
 		derr := &DeployError{
 			Job:     job.ID,
-			Missing: spec.Nodes - len(candidates),
-			Reason:  fmt.Sprintf("need %d daemons, have %d", spec.Nodes, len(candidates)),
+			Missing: spec.Nodes - have,
+			Reason:  fmt.Sprintf("need %d daemons, have %d", spec.Nodes, have),
 		}
 		job.State = JobFailed
 		job.Err = derr.Error()
 		return job, derr
 	}
-	// Prefer the most responsive daemons from monitoring, then cap.
-	sortByRTT(candidates)
-	probeN := int(float64(spec.Nodes) * superset)
-	if probeN > len(candidates) {
-		probeN = len(candidates)
-	}
-	candidates = candidates[:probeN]
 
 	desc := &ctlproto.Job{ID: job.ID, App: spec.App, Params: spec.Params}
 	// Daemons already probed for this job never get re-probed: a daemon
@@ -819,22 +812,8 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 			}
 		}
 		if missing > 0 {
-			var avail []*daemonSession
-			for _, d := range c.reg.snapshot() {
-				if !tried[d.name] {
-					avail = append(avail, d)
-				}
-			}
-			if len(avail) >= missing {
-				sortByRTT(avail)
-				probe := int(float64(missing) * superset)
-				if probe < missing {
-					probe = missing
-				}
-				if probe > len(avail) {
-					probe = len(avail)
-				}
-				avail = avail[:probe]
+			avail, untried := c.reg.fastest(max(int(float64(missing)*superset), missing), tried)
+			if untried >= missing {
 				for _, d := range avail {
 					tried[d.name] = true
 				}
@@ -1100,32 +1079,4 @@ func (c *Controller) Job(id string) (*JobStatus, bool) {
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	return j, ok
-}
-
-// sortByRTT orders sessions by measured responsiveness, fastest first;
-// unmeasured daemons (rtt 0) sort last. The sort is stable, so ties keep
-// the registry's deterministic snapshot order. RTTs are read once up
-// front: a comparison-time read would take two locks per comparison,
-// which dominated selection at thousands of daemons.
-func sortByRTT(ds []*daemonSession) {
-	type byRTT struct {
-		d   *daemonSession
-		rtt time.Duration
-	}
-	tmp := make([]byRTT, len(ds))
-	for i, d := range ds {
-		d.mu.Lock()
-		tmp[i] = byRTT{d: d, rtt: d.rtt}
-		d.mu.Unlock()
-	}
-	sort.SliceStable(tmp, func(i, j int) bool {
-		ra, rb := tmp[i].rtt, tmp[j].rtt
-		if (ra == 0) != (rb == 0) {
-			return rb == 0
-		}
-		return ra < rb
-	})
-	for i := range tmp {
-		ds[i] = tmp[i].d
-	}
 }

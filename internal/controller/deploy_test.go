@@ -17,7 +17,9 @@ func TestReplacementAfterStartLoss(t *testing.T) {
 	// selection forces a re-placement round.
 	var job *JobStatus
 	var err error
+	var ranked []*daemonSession
 	tb.k.Go(func() {
+		ranked, _ = tb.ctl.reg.fastest(10, nil)
 		job, err = tb.ctl.Submit(JobSpec{App: "pingapp", Nodes: 5, Superset: 1.001})
 	})
 	// The REGISTER round completes within one RTT batch; kill one of the
@@ -36,9 +38,18 @@ func TestReplacementAfterStartLoss(t *testing.T) {
 	if job.State != JobRunning || len(job.Deployed) != 5 {
 		t.Fatalf("job %s on %d nodes, want running on 5", job.State, len(job.Deployed))
 	}
+	// The lost slot goes to the fastest daemon the first probe left out.
+	want := map[string]bool{}
+	for _, d := range ranked[:6] {
+		want[d.name] = true
+	}
+	delete(want, simnet.HostName(1))
+	if len(want) != 5 || ranked[5].name == simnet.HostName(1) {
+		t.Fatalf("the killed daemon was not in the first probe of %v", want)
+	}
 	for _, addr := range job.Deployed {
-		if addr.Host == simnet.HostName(1) {
-			t.Fatalf("dead daemon %s still in the deployment", addr.Host)
+		if !want[addr.Host] {
+			t.Fatalf("deployed on %s, want the five fastest live daemons %v", addr.Host, want)
 		}
 	}
 	// Count running instances on live hosts only: the dead daemon object

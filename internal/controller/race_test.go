@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/daemon"
+	"github.com/splaykit/splay/internal/livenet"
 )
 
 // TestPeriodicStopUnderLiveRuntime exercises the periodic helper exactly
@@ -88,9 +90,9 @@ func seedSortByRTT(ds []*daemonSession) {
 
 // TestShardedSelectionMatchesSeedOrder is the selection-order golden
 // check: for daemons with distinct measured RTTs, the sharded registry's
-// snapshot sorted by sortByRTT must order candidates exactly as the seed
-// controller's per-comparison insertion sort did, with unmeasured
-// daemons last in both.
+// one-pass selection must order candidates exactly as the seed
+// controller's per-comparison insertion sort of a snapshot did, with
+// unmeasured daemons last in both.
 func TestShardedSelectionMatchesSeedOrder(t *testing.T) {
 	t.Parallel()
 	reg := newRegistry()
@@ -112,10 +114,12 @@ func TestShardedSelectionMatchesSeedOrder(t *testing.T) {
 		t.Fatalf("snapshot has %d sessions, want %d", len(snapshot), len(connectOrder))
 	}
 
-	// Same candidate enumeration: the new sort must order it exactly as
+	// Same candidate enumeration: the selection must order it exactly as
 	// the seed's insertion sort would have (both are stable by rtt).
-	sharded := append([]*daemonSession(nil), snapshot...)
-	sortByRTT(sharded)
+	sharded, eligible := reg.fastest(len(snapshot), nil)
+	if eligible != len(snapshot) || len(sharded) != len(snapshot) {
+		t.Fatalf("fastest returned %d of %d eligible, want all %d", len(sharded), eligible, len(snapshot))
+	}
 	seed := append([]*daemonSession(nil), snapshot...)
 	seedSortByRTT(seed)
 	for i := range seed {
@@ -148,6 +152,55 @@ func TestShardedSelectionMatchesSeedOrder(t *testing.T) {
 		if !tail[d] {
 			t.Fatalf("unmeasured daemon %s missing from sharded tail", d.name)
 		}
+	}
+}
+
+// TestSubmitWhilePingsMeasure places jobs on the live runtime while the
+// monitor's ping callbacks write each session's rtt from other goroutines.
+// Selection reads those rtts under the session lock while holding a shard
+// lock; run with -race, this covers that lock order against the writers.
+func TestSubmitWhilePingsMeasure(t *testing.T) {
+	t.Parallel()
+	rt := core.NewLiveRuntime(1)
+	cfg := DefaultConfig()
+	cfg.Port = PortEphemeral
+	cfg.PingEvery = 8 * time.Millisecond // one slice per millisecond
+	ctl := New(rt, livenet.NewNode("127.0.0.1"), cfg)
+	if err := ctl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Stop()
+	const fleet = 8
+	for i := 0; i < fleet; i++ {
+		name := fmt.Sprintf("127.0.4.%d", i+1)
+		dcfg := daemon.DefaultConfig(name)
+		dcfg.PortLow, dcfg.PortHigh, dcfg.ProbePorts = 32000+100*i, 32099+100*i, true
+		d := daemon.New(rt, livenet.NewNode(name), noopRegistry(), dcfg, nil)
+		if err := d.Connect(ctl.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ctl.Daemons() < fleet; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d daemons connected", ctl.Daemons(), fleet)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		job, err := ctl.Submit(JobSpec{App: "noop", Nodes: fleet / 2})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if err := ctl.StopJob(job.ID); err != nil {
+			t.Fatalf("stop %d: %v", i, err)
+		}
+	}
+	best, _ := ctl.reg.fastest(1, nil)
+	best[0].mu.Lock()
+	measured := best[0].rtt > 0
+	best[0].mu.Unlock()
+	if !measured {
+		t.Fatal("no ping was answered while jobs were placed")
 	}
 }
 

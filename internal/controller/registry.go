@@ -1,6 +1,9 @@
 package controller
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // The daemon registry is sharded by a hash of the daemon name so that
 // sessions (connect/disconnect), monitoring and selection no longer
@@ -127,6 +130,101 @@ func (r *registry) snapshot() []*daemonSession {
 		s.mu.Unlock()
 	}
 	return out
+}
+
+// fastest returns the k most responsive sessions whose names skip does not
+// hold, fastest first, and how many sessions skip let through. The result
+// is exactly snapshot() filtered by skip, stably sorted by rtt (unmeasured
+// daemons last) and cut to k — in one pass and O(k) memory: a max-heap
+// keeps the k best seen so far, and a session replaces the slowest of them
+// only if it ranks strictly before it, so ties keep snapshot order.
+//
+// Each rtt is read under d.mu while its shard is locked. The lock order is
+// shard, then session; nothing takes a shard lock while holding a session's.
+func (r *registry) fastest(k int, skip map[string]bool) (best []*daemonSession, eligible int) {
+	h := make(rankHeap, 0, min(k, r.count()))
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		for _, d := range s.order {
+			if skip[d.name] {
+				continue
+			}
+			d.mu.Lock()
+			c := rttRank{d: d, rtt: d.rtt, pos: eligible}
+			d.mu.Unlock()
+			eligible++
+			if len(h) < k {
+				h = append(h, c)
+				h.up(len(h) - 1)
+			} else if k > 0 && c.before(&h[0]) {
+				h[0] = c
+				h.down(0)
+			}
+		}
+		s.mu.Unlock()
+	}
+	// Heapsort: move the slowest to the back until the heap is empty.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		h[:end].down(0)
+	}
+	best = make([]*daemonSession, len(h))
+	for i := range h {
+		best[i] = h[i].d
+	}
+	return best, eligible
+}
+
+// rttRank is one selection candidate: its rtt as read once, and its
+// position among the eligible sessions in snapshot order.
+type rttRank struct {
+	d   *daemonSession
+	rtt time.Duration
+	pos int
+}
+
+// before reports whether a ranks ahead of b: measured daemons first, by
+// rtt, then by snapshot position — the order of a stable sort.
+func (a *rttRank) before(b *rttRank) bool {
+	if (a.rtt == 0) != (b.rtt == 0) {
+		return b.rtt == 0
+	}
+	if a.rtt != b.rtt {
+		return a.rtt < b.rtt
+	}
+	return a.pos < b.pos
+}
+
+// rankHeap is a max-heap by rank: the root is the slowest candidate kept.
+type rankHeap []rttRank
+
+func (h rankHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[p].before(&h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func (h rankHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c].before(&h[c+1]) {
+			c++
+		}
+		if !h[i].before(&h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // slice returns the sessions assigned to monitor time-slice n: the

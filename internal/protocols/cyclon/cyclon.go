@@ -84,7 +84,7 @@ func New(ctx *core.AppContext, cfg Config) *Node {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 10 * time.Second
 	}
-	n := &Node{ctx: ctx, cfg: cfg, self: ctx.Job.Me}
+	n := &Node{ctx: ctx, cfg: cfg, self: ctx.Job.Me, view: make([]Entry, 0, cfg.ViewSize)}
 	n.client = rpc.NewClient(ctx)
 	n.client.Timeout = cfg.RPCTimeout
 	return n
@@ -151,7 +151,7 @@ func (n *Node) removeAddr(a transport.Addr) {
 func (n *Node) sample(l int, skip transport.Addr) []Entry {
 	rng := n.ctx.Rand()
 	idx := rng.Perm(len(n.view))
-	var out []Entry
+	out := make([]Entry, 0, max(l, 0))
 	for _, i := range idx {
 		if len(out) >= l {
 			break
@@ -227,7 +227,7 @@ func (n *Node) shuffle() {
 	n.removeAddr(peer) // replaced by our fresh entry at the peer's side
 
 	send := n.sample(n.cfg.ShuffleLen-1, peer)
-	payload := append(append([]Entry(nil), send...), Entry{Addr: n.self, Age: 0})
+	payload := append(append(make([]Entry, 0, len(send)+1), send...), Entry{Addr: n.self, Age: 0})
 	res, err := n.client.Call(peer, "shuffle", payload)
 	if err != nil {
 		return // dead peer already dropped from the view
