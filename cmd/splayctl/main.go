@@ -27,7 +27,7 @@
 //
 // The operator subcommands present the platform's operator key. "watch"
 // without -job polls /metrics and renders the aggregator's live
-// population view — the in-flight counterpart of the log collector;
+// population view — the in-flight counterpart of the paper's log collector;
 // with -job it follows one hosted job (as its tenant) until it settles.
 // "daemons" counts the connected fleet. "faults inject -kind crash"
 // drops daemon control sessions (daemons started with -reconnect redial

@@ -152,7 +152,7 @@ func main() {
 	cfg := daemon.DefaultConfig(*name)
 	cfg.Net = sandbox.NetLimits{MaxSockets: *maxSockets, MaxTxBytes: *maxTx}
 	cfg.Reconnect = *reconnect
-	lg := logging.New(&logging.WriterSink{W: os.Stdout}, *name, cfg.Key, nil)
+	lg := logging.New(&logging.WriterSink{W: os.Stdout}, *name, "", nil)
 	d := daemon.New(rt, node, builtinRegistry(maddr, *metricsKey), cfg, lg)
 
 	// The observability plane: the daemon's own instruments stream to

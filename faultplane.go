@@ -43,8 +43,7 @@ type slot struct {
 // mutex serializes the live case and is uncontended under the cooperative
 // simulation scheduler.
 type actuators struct {
-	s    *Session
-	logf func(format string, args ...any)
+	s *Session
 
 	mu        sync.Mutex
 	rpcFaults []faults.RPCRule
@@ -88,7 +87,7 @@ func (a *actuators) Crash(fraction float64, count int) (int, error) {
 				a.s.nw.Host(sl.host).SetDown(true)
 			}
 		})
-		a.logf("faults: crashed daemon %s", sl.name)
+		a.s.logf(a.s.home, "faults: crashed daemon %s", sl.name)
 	}
 	return n, nil
 }
@@ -245,8 +244,9 @@ func (a *actuators) rebuildRules() {
 
 // Grow implements faults.Actuators: count additional instances of the
 // scenario's first application are deployed through the controller. The
-// submission runs as its own driver task, on the controller's partition,
-// so a slow deployment never stalls the engine's evaluation ticks.
+// submission runs as its own driver task, on the controller's partition
+// (0, whose logger reports a failure), so a slow deployment never stalls
+// the engine's evaluation ticks.
 func (a *actuators) Grow(count int) error {
 	if count <= 0 {
 		return fmt.Errorf("splay: grow count %d", count)
@@ -265,7 +265,7 @@ func (a *actuators) Grow(count int) error {
 	a.s.stage(a.s.home, 0, func() {
 		a.s.rt.Go(func() {
 			if _, err := a.s.ctl.Submit(js); err != nil {
-				a.logf("faults: grow %d: %v", count, err)
+				a.s.logf(0, "faults: grow %d: %v", count, err)
 			}
 		})
 	})
@@ -331,14 +331,12 @@ func (s *Session) ArmFaults() error {
 	if s.agg != nil {
 		view = s.agg
 	}
-	logf := func(string, ...any) {}
-	if lg := s.sc.simLogger(s.rt); lg != nil {
-		logf = lg.Printf
-	}
 	// Victim selection draws from its own seeded stream, so injecting a
 	// fault never perturbs the runtime's random sequence.
 	s.frng = rand.New(rand.NewSource(s.seed ^ 0x5fa17))
-	s.act = &actuators{s: s, logf: logf}
+	s.act = &actuators{s: s}
+	// The engine runs on the home partition and logs through its logger.
+	logf := func(format string, args ...any) { s.logf(s.home, format, args...) }
 	s.eng = faults.NewEngine(s.homeRT, view, s.act, plan, asserts, logf)
 	s.eng.Arm()
 	return nil

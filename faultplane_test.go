@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -278,17 +279,18 @@ func TestScenarioRPCFaultBindsEveryClient(t *testing.T) {
 }
 
 // TestPlanesWorkerNeutralityPartitioned is invariant 9 across every plane
-// at once: a 2,048-host testbed that collects metrics, runs a plan with
-// every event kind, a grow rule and assertions provisions two kernel
+// at once: a 2,048-host testbed that collects metrics and logs, runs a plan
+// with every event kind, a grow rule and assertions provisions two kernel
 // partitions, and Workers 1, 2 and 4 give the same firings at the same
 // times, the same assertion verdicts, the same telemetry — every counter,
-// every series percentile — the same population and the same network
-// bytes.
+// every series percentile — the same population, the same network bytes
+// and the same log bytes. Logging is schedule-neutral (invariant 6): a
+// logs-off run gives the same fingerprint.
 func TestPlanesWorkerNeutralityPartitioned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2k-host population, three runs")
+		t.Skip("2k-host population, four runs")
 	}
-	run := func(workers int) string {
+	run := func(workers int, logs io.Writer) string {
 		spec := splay.AppSpec{Name: "chord", Nodes: 32,
 			Params: []byte(`{"fault_tolerant":true,"lookups_per_min":30,"report":true}`)}
 		sc := splay.Scenario{
@@ -296,7 +298,7 @@ func TestPlanesWorkerNeutralityPartitioned(t *testing.T) {
 			Workers: workers,
 			Testbed: splay.Uniform(2046, 20*time.Millisecond, 0),
 			Apps:    []splay.AppSpec{spec},
-			Collect: splay.Collect{Metrics: true, ReportEvery: 2 * time.Second},
+			Collect: splay.Collect{Metrics: true, ReportEvery: 2 * time.Second, Logs: logs},
 			Faults: splay.FaultPlan{
 				Events: []splay.FaultEvent{
 					splay.CrashAt(10*time.Second, 0.05),
@@ -350,16 +352,30 @@ func TestPlanesWorkerNeutralityPartitioned(t *testing.T) {
 		}
 		return sb.String()
 	}
-	ref := run(1)
+	var refLogs strings.Builder
+	ref := run(1, &refLogs)
 	t.Logf("workers=1:\n%s", ref)
+	t.Logf("workers=1: %d log lines", strings.Count(refLogs.String(), "\n"))
 	for _, want := range []string{"firing grow-once-reporting", "never-fails", "chord.failed_lookups", "rpc.timeouts", "daemon.commands"} {
 		if !strings.Contains(ref, want) {
 			t.Errorf("the run never exercised %q", want)
 		}
 	}
+	for _, want := range []string{"started job-", "faults: crashed daemon", "reconnected to controller"} {
+		if !strings.Contains(refLogs.String(), want) {
+			t.Errorf("no log line contains %q", want)
+		}
+	}
 	for _, w := range []int{2, 4} {
-		if got := run(w); got != ref {
+		var logs strings.Builder
+		if got := run(w, &logs); got != ref {
 			t.Errorf("workers=%d changed the result:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", w, ref, w, got)
 		}
+		if logs.String() != refLogs.String() {
+			t.Errorf("workers=%d changed the log bytes (%d vs %d at workers=1)", w, logs.Len(), refLogs.Len())
+		}
+	}
+	if got := run(2, nil); got != ref {
+		t.Errorf("collecting logs changed the result:\n--- logs ---\n%s\n--- no logs ---\n%s", ref, got)
 	}
 }

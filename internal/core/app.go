@@ -14,8 +14,7 @@ import (
 )
 
 // Logger is the minimal logging surface applications see; the logging
-// package provides implementations that print locally or stream to the
-// controller's log collector.
+// package provides the implementation a session or splayd hands out.
 type Logger interface {
 	Printf(format string, args ...any)
 }

@@ -8,8 +8,8 @@ import (
 // Shared primitives for hand-rolled JSON fast paths (FastMarshaler /
 // FastUnmarshaler implementations, and the derived plans of derive.go).
 // The hand-written codecs — the control plane's ctlproto.Msg, the RPC
-// library's request/response envelopes, logging.Record and
-// transport.Addr — and the plans all carry the same contract:
+// library's request/response envelopes and transport.Addr — and the
+// plans all carry the same contract:
 // the fast encoding must be byte-identical to encoding/json's output,
 // and the fast parser must either reproduce encoding/json's result
 // exactly or decline so the caller falls back. Keeping the

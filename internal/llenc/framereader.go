@@ -1,8 +1,8 @@
 package llenc
 
 // The steady-state reader of every framed protocol — rpc's two connection
-// ends, controller sessions, the daemon's control loop, the aggregator's
-// and the log collector's streams. Each states only what it does with a
+// ends, controller sessions, the daemon's control loop and the
+// aggregator's streams. Each states only what it does with a
 // frame (a FrameSink); how frames come off the stream is decided here.
 //
 // The rule: the transport picks the reader. On the simulated network every
@@ -32,8 +32,8 @@ package llenc
 // its own task (rpc handlers and error replies, the daemon's command
 // handlers and redial). What sinks call directly was audited for this:
 // the controller's pendingReply.fn (wakes a waiter or records under a
-// plain mutex), metrics.Aggregator.absorb (a merge under a plain mutex)
-// and the log collector's Sink.Emit (WriterSink formats onto an io.Writer).
+// plain mutex) and metrics.Aggregator.absorb (a merge under a plain
+// mutex).
 
 import (
 	"encoding/binary"

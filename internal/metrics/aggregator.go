@@ -112,8 +112,7 @@ func (st *stream) OnEnd(error) { st.conn.Close() }
 
 // absorb merges one report; it reports false when the stream must be
 // dropped: unknown key — checked on every frame, so a stream that
-// stops presenting its key dies mid-stream like the log collector's —
-// or a frame referencing ids and kinds inconsistently. Validation runs
+// stops presenting its key dies mid-stream — or a frame referencing ids and kinds inconsistently. Validation runs
 // before any mutation, so a refused frame leaves the views untouched.
 func (a *Aggregator) absorb(rep *Report, rxBytes uint64, st *stream) bool {
 	a.mu.Lock()

@@ -11,8 +11,7 @@ import (
 
 // ReporterConfig names the stream a Reporter opens.
 type ReporterConfig struct {
-	// Key authenticates the stream to the aggregator (daemon-issued,
-	// like the log collector's identification keys).
+	// Key authenticates the stream to the aggregator (daemon-issued).
 	Key string
 	// Node names this node in aggregated views.
 	Node string

@@ -1,6 +1,7 @@
 package splay
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -71,7 +72,10 @@ type Collect struct {
 	// MetricsPort is the aggregator's port on the simulated monitoring
 	// host (default 7000); live testbeds always bind ephemerally.
 	MetricsPort int
-	// Logs receives daemon and instance log lines (nil discards).
+	// Logs receives daemon, instance and fault-plane log lines (nil
+	// discards), each stamped with its (virtual or real) time. On a sharded
+	// simulated testbed the lines arrive at each lookahead barrier, one
+	// partition's after another's.
 	Logs io.Writer
 }
 
@@ -130,14 +134,15 @@ type Scenario struct {
 	// kernel. It is a performance knob only: a scenario's result is a
 	// pure function of Seed and the scenario itself, never of Workers or
 	// GOMAXPROCS (invariant 9, DESIGN.md). Scenarios at large
-	// populations provision a sharded kernel — metrics, faults and
-	// assertions included; the partition count comes from autoParts, a
-	// pure function of the host population, so the schedule can never
-	// depend on Workers — and 0 means min(partitions, GOMAXPROCS): a
-	// thread per partition as far as the machine has processors for them,
-	// every partition inline on the caller's goroutine when it has one.
-	// Small populations, PlanetLab testbeds and scenarios with logging or
-	// churn run a single partition, where Workers changes nothing.
+	// populations provision a sharded kernel — metrics, faults,
+	// assertions and logs included; the partition count comes from
+	// autoParts, a pure function of the host population, so the schedule
+	// can never depend on Workers — and 0 means min(partitions,
+	// GOMAXPROCS): a thread per partition as far as the machine has
+	// processors for them, every partition inline on the caller's
+	// goroutine when it has one. Small populations, PlanetLab testbeds and
+	// churned scenarios run a single partition, where Workers changes
+	// nothing.
 	Workers int
 }
 
@@ -180,6 +185,10 @@ type Session struct {
 	frng     *rand.Rand
 	eng      *faults.Engine
 	act      *actuators
+
+	// logs are the session's loggers over Collect.Logs, one per kernel
+	// partition (one live); nil when the scenario collects no logs.
+	logs []core.Logger
 
 	startErr error
 	stopped  atomic.Bool
@@ -292,16 +301,15 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	// Workers — invariant 9). Metrics, faults and assertions are partition-
 	// aware: the aggregator and the fault engine live on the monitoring
 	// host's partition, actuations are staged onto the partitions that
-	// own what they change, and fault filters and fleet counters are kept
-	// per partition. Logging and churn keep a single partition: every
-	// partition would write one shared writer, and the churn executor
-	// starts and kills instances on every host from one task. So does a
-	// testbed's processing-delay hook (PlanetLab): it draws every host's
-	// jitter from one stream, which partitions would consume in thread
-	// order — a data race, and a result that depends on the machine.
+	// own what they change, and fault filters, fleet counters and loggers
+	// are kept per partition. Churn keeps a single partition: the churn
+	// executor starts and kills instances on every host from one task. So
+	// does a testbed's processing-delay hook (PlanetLab): it draws every
+	// host's jitter from one stream, which partitions would consume in
+	// thread order — a data race, and a result that depends on the machine.
 	parts := 1
 	lookahead := time.Duration(0)
-	if sc.Collect.Logs == nil && !churned && proc == nil {
+	if !churned && proc == nil {
 		if p := autoParts(total); p > 1 {
 			if md, ok := model.(simnet.MinDelayModel); ok && md.MinDelay() > 0 {
 				parts, lookahead = p, md.MinDelay()
@@ -325,6 +333,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	nw := bed.Net
 	s.pk, s.k, s.nw, s.bed, s.rt = bed.Par, bed.K, nw, bed, bed.Runtime(0)
 	s.homeRT = s.rt
+	s.buildSimLogs()
 
 	if collecting {
 		every, key := sc.Collect.reportDefaults()
@@ -349,11 +358,10 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	if err = s.buildRegistry(); err != nil {
 		return nil, err
 	}
-	lg := sc.simLogger(s.rt)
 	if churned {
-		err = s.startChurn(lg)
+		err = s.startChurn()
 	} else {
-		err = s.startDaemons(first, pop, lg)
+		err = s.startDaemons(first, pop)
 	}
 	if err != nil {
 		return nil, err
@@ -364,7 +372,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 // startDaemons provisions the controller on host 0 and pop daemons from
 // host first on, staggered 2ms apart by host index, then runs the settle
 // window.
-func (s *Session) startDaemons(first, pop int, lg core.Logger) error {
+func (s *Session) startDaemons(first, pop int) error {
 	sc, nw := s.sc, s.nw
 	ctlReg := s.newController(nw.Node(0), controller.DefaultConfig())
 	ctl := s.ctl
@@ -378,8 +386,9 @@ func (s *Session) startDaemons(first, pop int, lg core.Logger) error {
 	for i := first; i < first+pop; i++ {
 		host := i
 		// A daemon lives on its host's kernel partition with that
-		// partition's runtime.
+		// partition's runtime and logger.
 		part, drt := nw.Host(host).Part(), s.bed.Runtime(host)
+		lg := s.logger(part)
 		dcfg := daemon.DefaultConfig(simnet.HostName(host))
 		if !sc.Faults.Empty() {
 			// Fault-plane sessions survive their own faults: daemons
@@ -440,7 +449,7 @@ func autoParts(hosts int) int {
 // the trace is the deployment, starting Apps[0] on a slot's host at each
 // join and killing it (and downing the host) at each leave. The slots it
 // fills are the table the fault actuators read.
-func (s *Session) startChurn(lg core.Logger) error {
+func (s *Session) startChurn() error {
 	spec := s.sc.Apps[0]
 	if spec.App == nil && spec.New == nil {
 		// A by-name built-in's factory only decodes params, so bad ones
@@ -492,7 +501,7 @@ func (s *Session) startChurn(lg core.Logger) error {
 				Nodes:    live,
 				Position: i + 1,
 			}
-			sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, lg, app)
+			sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, s.logger(0), app)
 		},
 		Stop: func(i int) {
 			sl := s.slots[i]
@@ -542,6 +551,13 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	s := &Session{sc: sc, seed: seed, live: true}
 	rt := core.NewLiveRuntime(seed)
 	s.rt, s.homeRT = rt, rt
+	// One sink serializes every daemon's lines and the fault plane's onto
+	// the writer; each daemon's logger names it in the node column.
+	var sink *logging.WriterSink
+	if sc.Collect.Logs != nil {
+		sink = &logging.WriterSink{W: sc.Collect.Logs}
+		s.logs = []core.Logger{logging.New(sink, sc.label(), "", nil)}
+	}
 	if sc.Collect.Metrics {
 		every, key := sc.Collect.reportDefaults()
 		// The aggregator gets its own loopback address: the controller
@@ -588,8 +604,8 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 			dcfg.Reconnect = true
 		}
 		var lg core.Logger
-		if sc.Collect.Logs != nil {
-			lg = logging.New(&logging.WriterSink{W: sc.Collect.Logs}, name, dcfg.Key, nil)
+		if sink != nil {
+			lg = logging.New(sink, name, "", nil)
 		}
 		mk := func() *daemon.Daemon {
 			return daemon.New(rt, livenet.NewNode(name), s.reg, dcfg, lg)
@@ -687,13 +703,54 @@ func (c Collect) reportDefaults() (every time.Duration, key string) {
 	return every, key
 }
 
-// simLogger builds the daemons'/instances' logger from Collect.Logs,
-// stamped with virtual time. Nil writer, nil logger.
-func (sc Scenario) simLogger(rt core.Runtime) core.Logger {
-	if sc.Collect.Logs == nil {
+// buildSimLogs gives a simulated session its loggers over Collect.Logs
+// (none without a writer): one per kernel partition, stamped with that
+// partition's clock. On one partition the logger writes straight through
+// to the writer. On several, each partition's logger formats into a buffer
+// only that partition touches, and a barrier hook copies the buffers to
+// the writer in partition order. Hooks run after every round, the last
+// included, so a run returns with every line written; they post no kernel
+// event (invariant 6), and the bytes depend on the partition count, never
+// on Workers (invariant 9).
+func (s *Session) buildSimLogs() {
+	w := s.sc.Collect.Logs
+	if w == nil {
+		return
+	}
+	parts := s.pk.Parts()
+	s.logs = make([]core.Logger, parts)
+	if parts == 1 {
+		s.logs[0] = logging.New(&logging.WriterSink{W: w}, s.sc.label(), "", s.k.Now)
+		return
+	}
+	bufs := make([]bytes.Buffer, parts)
+	for p := range bufs {
+		s.logs[p] = logging.New(&logging.WriterSink{W: &bufs[p]}, s.sc.label(), "", s.pk.Sub(p).Now)
+	}
+	s.pk.AddBarrierHook(func() {
+		for p := range bufs {
+			if bufs[p].Len() > 0 {
+				w.Write(bufs[p].Bytes()) //nolint:errcheck // logging is best effort
+				bufs[p].Reset()
+			}
+		}
+	})
+}
+
+// logger returns kernel partition p's logger, nil when the scenario
+// collects no logs.
+func (s *Session) logger(p int) core.Logger {
+	if s.logs == nil {
 		return nil
 	}
-	return logging.New(&logging.WriterSink{W: sc.Collect.Logs}, sc.label(), sc.label(), rt.Now)
+	return s.logs[p]
+}
+
+// logf logs one line through kernel partition p's logger.
+func (s *Session) logf(p int, format string, args ...any) {
+	if lg := s.logger(p); lg != nil {
+		lg.Printf(format, args...)
+	}
 }
 
 // label is the scenario's name in log lines and churned-in job IDs.

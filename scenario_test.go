@@ -5,9 +5,11 @@ package splay_test
 // wiring, and registration error surfacing.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
 	"runtime"
 	"sort"
 	"strings"
@@ -279,6 +281,71 @@ func TestScenarioAutoPartition(t *testing.T) {
 	defer sess.Stop()
 	if got := sess.Partitions(); got != 2 {
 		t.Errorf("collecting, faulted, asserting scenario on 2,049 hosts: %d partitions, want 2", got)
+	}
+	// So does one that collects logs.
+	var logs strings.Builder
+	logged, err := splay.Scenario{
+		Seed:    13,
+		Testbed: splay.Uniform(2047, 10*time.Millisecond, 0),
+		Collect: splay.Collect{Logs: &logs},
+	}.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logged.Stop()
+	if got := logged.Partitions(); got != 2 {
+		t.Errorf("logging scenario on 2,048 hosts: %d partitions, want 2", got)
+	}
+}
+
+// TestLiveLogsShareOneWriter: every live daemon's instances log onto the
+// scenario's one writer concurrently. One sink serializes them, so the
+// writer needs no lock of its own (-race reports a sink per daemon), no
+// line is torn, and each line names its daemon in the node column.
+func TestLiveLogsShareOneWriter(t *testing.T) {
+	const daemons, lines = 3, 200
+	var logs bytes.Buffer
+	var wg sync.WaitGroup
+	wg.Add(daemons)
+	sc := splay.Scenario{
+		Testbed:  splay.Live(daemons),
+		Collect:  splay.Collect{Logs: &logs},
+		Duration: 200 * time.Millisecond,
+		Apps: []splay.AppSpec{{
+			Name:  "chatty",
+			Nodes: daemons,
+			App: splay.AppFunc(func(env *splay.Env) error {
+				defer wg.Done()
+				for i := 0; i < lines; i++ {
+					env.Logf("line %d from %s", i, env.Job().Me.Host)
+				}
+				return nil
+			}),
+		}},
+	}
+	if _, err := sc.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	line := regexp.MustCompile(`^\S+ INFO  (127\.0\.1\.\d) line \d+ from (127\.0\.1\.\d)$`)
+	perNode := map[string]int{}
+	for _, l := range strings.Split(strings.TrimSuffix(logs.String(), "\n"), "\n") {
+		if !strings.Contains(l, " line ") {
+			continue // the daemons' own started/stopped lines
+		}
+		m := line.FindStringSubmatch(l)
+		if m == nil || m[1] != m[2] {
+			t.Fatalf("torn or misattributed line %q", l)
+		}
+		perNode[m[1]]++
+	}
+	if len(perNode) != daemons {
+		t.Fatalf("lines from %d daemons, want %d: %v", len(perNode), daemons, perNode)
+	}
+	for node, n := range perNode {
+		if n != lines {
+			t.Errorf("%s wrote %d lines, want %d", node, n, lines)
+		}
 	}
 }
 
