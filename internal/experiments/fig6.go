@@ -32,7 +32,7 @@ type chordRun struct {
 // single-kernel wiring — which cannot fail, only sharding constrains the
 // link model.
 func oneBed(model simnet.LinkModel, hosts int, seed int64, proc simnet.ProcDelayFunc) *simbed.Bed {
-	bed, err := simbed.New(1, 1, 0, model, hosts, seed, proc)
+	bed, err := simbed.New(1, 1, model, hosts, seed, proc)
 	if err != nil {
 		panic(err)
 	}

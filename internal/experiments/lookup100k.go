@@ -154,7 +154,7 @@ func chordRing(bed *simbed.Bed, cfg chord.Config, lookups int, seed int64, opts 
 
 // shardedChord is the lookup100k shape: a converged Chord ring of n nodes on
 // the ModelNet transit-stub model, on a parts-way sharded kernel whose
-// lookahead is the model's minimum link delay. With footprint set, an
+// partitions follow stub domains. With footprint set, an
 // accountant whose baseline predates the substrate measures the run (see
 // chordOpts.acct): the memory plane's 10k-node smoke — the denominator
 // behind BENCH_mem.json and the ≥3× reduction gate — and lookup1m are this
@@ -165,7 +165,7 @@ func shardedChord(parts, workers, n, lookups int, seed int64, footprint bool) (*
 	if footprint {
 		opts.acct = memprof.New()
 	}
-	bed, err := simbed.New(parts, workers, mn.MinDelay(), mn, n, seed, nil)
+	bed, err := simbed.New(parts, workers, mn, n, seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func upTo(n int) []int {
 // lookup100k pushes Chord another order of magnitude past lookup10k:
 // converged rings of 25,000, 50,000 and 100,000 nodes on the ModelNet
 // transit-stub model, one lookup per node, on an 8-way sharded kernel
-// with conservative lookahead equal to the model's minimum link delay.
+// whose conservative lookahead is the smallest delay between stub domains.
 // The experiment exists to prove the sharded kernel at populations no
 // single event loop should own — and to pin, via the golden suite, that
 // its results never depend on how many OS threads drive it.

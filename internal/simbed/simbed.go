@@ -18,8 +18,6 @@
 package simbed
 
 import (
-	"time"
-
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
@@ -37,11 +35,14 @@ type Bed struct {
 
 // New builds a bed of hosts hosts over the link model on a parts-way kernel
 // driven by up to workers threads; proc, when non-nil, is the network's
-// receiver-side processing-delay hook. With more than one partition the
-// lookahead must be positive and no larger than the model's minimum link
-// delay (simnet.NewPartitioned's rule, and its error).
-func New(parts, workers int, lookahead time.Duration, model simnet.LinkModel,
-	hosts int, seed int64, proc simnet.ProcDelayFunc) (*Bed, error) {
+// receiver-side processing-delay hook. The model places the hosts, and the
+// kernel's lookahead is the smallest delay between hosts that placement
+// puts on different partitions (simnet.Placement, and its error).
+func New(parts, workers int, model simnet.LinkModel, hosts int, seed int64, proc simnet.ProcDelayFunc) (*Bed, error) {
+	_, lookahead, err := simnet.Placement(model, hosts, parts)
+	if err != nil {
+		return nil, err
+	}
 	pk := sim.NewParKernel(parts, workers, lookahead)
 	nw, err := simnet.NewPartitioned(pk, model, hosts, seed)
 	if err != nil {

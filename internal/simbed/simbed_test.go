@@ -62,7 +62,7 @@ func TestOnePartitionIsHistoricalWiring(t *testing.T) {
 	nw.SetProcDelay(proc)
 	a1, l1, d1 := trace(k, nw, core.NewSimRuntime(k, seed), k.Run)
 
-	bed, err := New(1, 1, 0, model, 2, seed, proc)
+	bed, err := New(1, 1, model, 2, seed, proc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestHostsBindToTheirPartition(t *testing.T) {
 	const hosts, parts, seed = 13, 4, 7
 	model := simnet.Symmetric{RTT: 10 * time.Millisecond}
 	for _, workers := range []int{1, 4} {
-		bed, err := New(parts, workers, model.MinDelay(), model, hosts, seed, nil)
+		bed, err := New(parts, workers, model, hosts, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestHostsBindToTheirPartition(t *testing.T) {
 func TestStartAllFirstErrorInPartitionOrder(t *testing.T) {
 	const hosts, parts = 12, 4
 	model := simnet.Symmetric{RTT: 10 * time.Millisecond}
-	bed, err := New(parts, parts, model.MinDelay(), model, hosts, 1, nil)
+	bed, err := New(parts, parts, model, hosts, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestStartAllFirstErrorInPartitionOrder(t *testing.T) {
 // bed reports that as simnet does.
 func TestNewReturnsSimnetsError(t *testing.T) {
 	noMin := struct{ simnet.LinkModel }{simnet.Symmetric{RTT: 10 * time.Millisecond}}
-	if _, err := New(2, 1, time.Millisecond, noMin, 4, 1, nil); err == nil || !strings.Contains(err.Error(), "MinDelay") {
+	if _, err := New(2, 1, noMin, 4, 1, nil); err == nil || !strings.Contains(err.Error(), "MinDelay") {
 		t.Errorf("New with a model hiding MinDelay on 2 partitions = %v, want simnet's error", err)
 	}
-	if _, err := New(1, 1, 0, noMin, 4, 1, nil); err != nil {
+	if _, err := New(1, 1, noMin, 4, 1, nil); err != nil {
 		t.Errorf("one partition should not need MinDelay: %v", err)
 	}
 }

@@ -289,19 +289,11 @@ func (c *conn) Write(b []byte) (int, error) {
 
 	data := np.getBuf(len(b))
 	copy(data, b)
-	var senderFree time.Time
-	if c.h.nw.cross(c.h, c.peerHost) {
-		// Sender half of the fluid model here; the receiver half (downlink
-		// queueing, FIFO floor) runs on the peer's partition at arrival.
-		senderFree = c.h.nw.upTimes(c.h, len(data))
-		arrive := senderFree.Add(c.h.nw.delay(np, c.h.id, c.peerHost.id))
-		c.h.nw.postData(c.h, c.wr, data, arrive)
-	} else {
-		var delivered time.Time
-		senderFree, delivered = c.h.nw.sendTimes(c.h, c.peerHost, len(data))
-		delivered = c.wr.deliverTime(delivered)
-		c.h.nw.scheduleData(delivered, c.wr, data)
-	}
+	// Sender half of the fluid model here; the receiver half (downlink
+	// queueing, FIFO floor) runs on the peer's partition at arrival.
+	nw := c.h.nw
+	senderFree := nw.upTimes(c.h, len(data))
+	nw.sendData(c.h, c.wr, data, senderFree.Add(nw.delay(np, c.h.id, c.peerHost.id)))
 
 	if wait := senderFree.Sub(k.Now()); wait > 0 {
 		k.Sleep(wait)
@@ -323,38 +315,27 @@ func (c *conn) Close() error {
 	}
 	c.closed = true
 	c.h.removeConn(c)
-	k := c.h.kern()
-	arrive := k.Now().Add(c.h.nw.delay(c.h.np(), c.h.id, c.peerHost.id))
-	if c.h.nw.cross(c.h, c.peerHost) {
-		// The FIFO floor against in-flight data is applied on the peer's
-		// partition when the EOF arrives, not here.
-		c.h.nw.postEOF(c.h, c.wr, arrive)
-	} else {
-		c.h.nw.scheduleEOF(c.wr.deliverTime(arrive), c.wr)
-	}
+	// The FIFO floor against in-flight data is applied on the peer's
+	// partition when the EOF arrives, not here.
+	nw := c.h.nw
+	nw.sendEOF(c.h, c.wr, c.h.kern().Now().Add(nw.delay(c.h.np(), c.h.id, c.peerHost.id)))
 	// Wake a parked local reader; it will observe closed.
 	c.rd.wakeReader()
 	return nil
 }
 
-// reset tears the connection down abruptly: both endpoints observe errors
-// immediately (the behaviour of a peer process being killed).
+// reset tears the connection down abruptly (the behaviour of a peer
+// process being killed): this endpoint observes the error immediately, the
+// peer one one-way delay later, like any other message from here (cold
+// path, so the closure is fine).
 func (c *conn) reset() {
 	c.closed = true
 	c.h.removeConn(c)
 	c.rd.fail(transport.ErrClosed)
-	if c.h.nw.cross(c.h, c.peerHost) {
-		// The peer's pipe state belongs to its partition; the reset
-		// travels like any other message (cold path, closure is fine).
-		nw := c.h.nw
-		wr := c.wr
-		arrive := c.h.kern().Now().Add(nw.delay(c.h.np(), c.h.id, c.peerHost.id))
-		nw.pk.Post(c.h.part, c.peerHost.part, int64(arrive.Sub(sim.Epoch)), func() {
-			wr.fail(transport.ErrClosed)
-		})
-		return
-	}
-	c.wr.fail(transport.ErrClosed)
+	nw, wr := c.h.nw, c.wr
+	nw.post(c.h, c.peerHost, c.h.kern().Now().Add(nw.delay(c.h.np(), c.h.id, c.peerHost.id)), func() {
+		wr.fail(transport.ErrClosed)
+	})
 }
 
 // freeze blackholes the connection: the local (dying) endpoint errors,

@@ -3,7 +3,6 @@ package simnet
 import (
 	"time"
 
-	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -12,16 +11,16 @@ import (
 // d) make the message hot path — stream writes, EOFs and datagrams —
 // allocation-free in steady state apart from the payload copy itself.
 //
-// A delivery fires in one of two shapes. Intra-partition messages are
-// scheduled directly at their delivery instant with a terminal kind
-// (dlvData, dlvEOF, dlvDgram): fire delivers and recycles. Cross-partition
-// messages carry a staged kind (dlvXData, dlvXEOF, dlvXDgram) and are
-// posted to the destination partition at their *arrival* instant — the
-// moment the payload reaches the receiver's access link. Firing a staged
-// kind runs the receiver half of the fluid model (downlink queueing,
-// processing delay, pipe FIFO floor) on the destination's own state, then
-// reschedules the same object under the terminal kind. The split keeps
-// every mutation of host state on the partition that owns the host.
+// A delivery fires twice. The sender posts it to the receiver's partition
+// at its *arrival* instant — the moment the payload reaches the receiver's
+// access link — under an arriving kind (arriveData, arriveEOF,
+// arriveDgram). Firing an arriving kind runs the receiver half of the fluid
+// model (downlink queueing, processing delay, pipe FIFO floor) on the
+// receiver's own state, then reschedules the same object under the
+// terminal kind (dlvData, dlvEOF, dlvDgram), whose firing delivers and
+// recycles. Every message takes this path, whichever partitions its ends
+// live on, so a receiver's downlink serves messages in arrival order and
+// every mutation of host state happens on the partition that owns the host.
 type delivery struct {
 	nw  *Network
 	run func() // scheduled on the kernel; created once per pooled object
@@ -38,9 +37,9 @@ const (
 	dlvData uint8 = iota
 	dlvEOF
 	dlvDgram
-	dlvXData  // cross-partition stage 1: data arriving at receiver's link
-	dlvXEOF   // cross-partition stage 1: EOF arriving
-	dlvXDgram // cross-partition stage 1: datagram arriving
+	arriveData  // data arriving at the receiver's link
+	arriveEOF   // EOF arriving
+	arriveDgram // datagram arriving
 )
 
 // newDelivery allocates from this partition's pool. Deliveries recycle into
@@ -63,23 +62,23 @@ func (pt *netPart) newDelivery(nw *Network) *delivery {
 // fire performs the delivery and recycles the object. All conditions are
 // re-checked at delivery time, exactly like the closures this replaces.
 func (d *delivery) fire() {
-	// Staged cross-partition kinds: run the receiver half of the fluid
-	// model now, on the destination partition at arrival time, and
-	// reschedule this same object as its terminal kind. No recycling yet.
+	// Arriving kinds: run the receiver half of the fluid model now, on the
+	// destination partition at arrival time, and reschedule this same object
+	// as its terminal kind. No recycling yet.
 	switch d.kind {
-	case dlvXData:
+	case arriveData:
 		k := d.pipe.dst.kern()
 		at := d.pipe.deliverTime(d.nw.recvTimes(d.pipe.dst, k.Now(), len(d.data)))
 		d.kind = dlvData
 		k.AtFunc(at, d.run)
 		return
-	case dlvXEOF:
+	case arriveEOF:
 		k := d.pipe.dst.kern()
 		at := d.pipe.deliverTime(k.Now())
 		d.kind = dlvEOF
 		k.AtFunc(at, d.run)
 		return
-	case dlvXDgram:
+	case arriveDgram:
 		k := d.to.kern()
 		at := d.nw.recvTimes(d.to, k.Now(), len(d.data))
 		d.kind = dlvDgram
@@ -110,65 +109,35 @@ func (d *delivery) fire() {
 	pt.freeDlv = append(pt.freeDlv, d)
 }
 
-// scheduleData delivers data into p at virtual time at. Same-partition
-// only: at is the full fluid-model delivery instant.
-func (nw *Network) scheduleData(at time.Time, p *pipe, data []byte) {
-	d := p.dst.np().newDelivery(nw)
-	d.kind = dlvData
+// sendData ships data from host from into pipe p, arriving at the
+// receiver's link at virtual time arrive.
+func (nw *Network) sendData(from *Host, p *pipe, data []byte, arrive time.Time) {
+	d := from.np().newDelivery(nw)
+	d.kind = arriveData
 	d.pipe = p
 	d.data = data
-	p.dst.kern().AtFunc(at, d.run)
+	nw.post(from, p.dst, arrive, d.run)
 }
 
-// scheduleEOF delivers EOF into p at virtual time at. Same-partition only.
-func (nw *Network) scheduleEOF(at time.Time, p *pipe) {
-	d := p.dst.np().newDelivery(nw)
-	d.kind = dlvEOF
-	d.pipe = p
-	p.dst.kern().AtFunc(at, d.run)
-}
-
-// scheduleDgram delivers a datagram to (to, port) at virtual time at.
-// Same-partition only.
-func (nw *Network) scheduleDgram(at time.Time, to *Host, port int, data []byte, from transport.Addr) {
-	d := to.np().newDelivery(nw)
-	d.kind = dlvDgram
-	d.to = to
-	d.port = port
-	d.data = data
-	d.from = from
-	to.kern().AtFunc(at, d.run)
-}
-
-// postData ships data from host `from` into pipe p (owned by another
-// partition), arriving at the receiver's link at virtual time arrive. The
-// staged delivery crosses at the ParKernel barrier; receiver-side queueing
-// happens on arrival.
-func (nw *Network) postData(from *Host, p *pipe, data []byte, arrive time.Time) {
+// sendEOF ships a stream EOF into pipe p, arriving at arrive.
+func (nw *Network) sendEOF(from *Host, p *pipe, arrive time.Time) {
 	d := from.np().newDelivery(nw)
-	d.kind = dlvXData
+	d.kind = arriveEOF
 	d.pipe = p
-	d.data = data
-	nw.pk.Post(from.part, p.dst.part, int64(arrive.Sub(sim.Epoch)), d.run)
+	nw.post(from, p.dst, arrive, d.run)
 }
 
-// postEOF ships a stream EOF across partitions, arriving at arrive.
-func (nw *Network) postEOF(from *Host, p *pipe, arrive time.Time) {
+// sendDgram ships a datagram to (to, port), arriving at arrive. Delivery
+// re-checks for a live destination socket; a dead port silently swallows
+// the datagram, like UDP.
+func (nw *Network) sendDgram(from, to *Host, port int, data []byte, fromAddr transport.Addr, arrive time.Time) {
 	d := from.np().newDelivery(nw)
-	d.kind = dlvXEOF
-	d.pipe = p
-	nw.pk.Post(from.part, p.dst.part, int64(arrive.Sub(sim.Epoch)), d.run)
-}
-
-// postDgram ships a datagram across partitions, arriving at arrive.
-func (nw *Network) postDgram(from, to *Host, port int, data []byte, fromAddr transport.Addr, arrive time.Time) {
-	d := from.np().newDelivery(nw)
-	d.kind = dlvXDgram
+	d.kind = arriveDgram
 	d.to = to
 	d.port = port
 	d.data = data
 	d.from = fromAddr
-	nw.pk.Post(from.part, to.part, int64(arrive.Sub(sim.Epoch)), d.run)
+	nw.post(from, to, arrive, d.run)
 }
 
 // poolSlack is how far above the average across partitions a free list

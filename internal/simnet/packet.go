@@ -70,16 +70,8 @@ func (p *packetConn) WriteTo(b []byte, to transport.Addr) (int, error) {
 	}
 	data := np.getBuf(len(b))
 	copy(data, b)
-	if nw.cross(p.host, remote) {
-		senderFree := nw.upTimes(p.host, len(data))
-		arrive := senderFree.Add(nw.delay(np, p.host.id, remote.id))
-		nw.postDgram(p.host, remote, to.Port, data, p.Addr(), arrive)
-		return len(b), nil
-	}
-	_, delivered := nw.sendTimes(p.host, remote, len(data))
-	// Delivery re-checks for a live destination socket at delivery time;
-	// a dead port silently swallows the datagram, like UDP.
-	nw.scheduleDgram(delivered, remote, to.Port, data, p.Addr())
+	senderFree := nw.upTimes(p.host, len(data))
+	nw.sendDgram(p.host, remote, to.Port, data, p.Addr(), senderFree.Add(nw.delay(np, p.host.id, remote.id)))
 	return len(b), nil
 }
 

@@ -248,6 +248,92 @@ func TestNewPartitionedValidation(t *testing.T) {
 		t.Errorf("single partition should not need MinDelay: %v", err)
 	}
 	_ = bare{}
+
+	// A Partitioner's placement and bound replace i mod P and MinDelay.
+	model := halves{Symmetric{RTT: 10 * time.Millisecond}}
+	nw, err := NewPartitioned(sim.NewParKernel(2, 1, 20*time.Millisecond), model, 4, 1)
+	if err != nil {
+		t.Errorf("lookahead == the placement's cross-partition minimum rejected: %v", err)
+	} else if got := []int{nw.Host(0).Part(), nw.Host(1).Part(), nw.Host(2).Part(), nw.Host(3).Part()}; !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
+		t.Errorf("hosts placed on partitions %v, want the model's [0 0 1 1]", got)
+	}
+	if _, err := NewPartitioned(sim.NewParKernel(2, 1, 21*time.Millisecond), model, 4, 1); err == nil {
+		t.Error("lookahead above the placement's cross-partition minimum accepted")
+	}
+}
+
+// halves is a four-host Partitioner: hosts 0 and 1 on partition 0, hosts 2
+// and 3 on partition 1, 5 ms apart inside a half (its MinDelay) and 20 ms
+// across.
+type halves struct{ Symmetric }
+
+func (halves) Delay(a, b int) time.Duration {
+	if a/2 == b/2 {
+		return 5 * time.Millisecond
+	}
+	return 20 * time.Millisecond
+}
+
+func (halves) Assign(hosts, parts int) ([]int, time.Duration) {
+	return []int{0, 0, 1, 1}, 20 * time.Millisecond
+}
+
+// skewed is Symmetric except that host 1 reaches host 0 in 10 ms and every
+// other pair is 20 ms apart.
+type skewed struct{ Symmetric }
+
+func (skewed) Delay(a, b int) time.Duration {
+	if a == 1 && b == 0 {
+		return 10 * time.Millisecond
+	}
+	return 20 * time.Millisecond
+}
+
+func (skewed) MinDelay() time.Duration { return 10 * time.Millisecond }
+
+// TestDownlinkServesArrivalOrder: hosts 2 and 1 send host 0 an 8 KB
+// datagram at the same instant, host 2 first. Host 1's arrives 10 ms
+// earlier, and each needs host 0's downlink for 7.8 ms. On two partitions
+// host 2 shares host 0's partition and host 1 does not. Either way the
+// downlink serves the datagrams in arrival order, at the instants of the
+// one-partition network: whether a sender shares the receiver's partition
+// never decides who queues first.
+func TestDownlinkServesArrivalOrder(t *testing.T) {
+	run := func(parts int) []string {
+		pk := sim.NewParKernel(parts, 1, 10*time.Millisecond)
+		nw, err := NewPartitioned(pk, skewed{Symmetric{Bps: 1 << 20}}, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		pk.Go(nw.Host(0).Part(), func() {
+			pc, _ := nw.Node(0).ListenPacket(90)
+			buf := make([]byte, 8192)
+			for range 2 {
+				_, from, err := pc.ReadFrom(buf)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = append(got, fmt.Sprintf("%s at %s", from.Host, pk.Sub(nw.Host(0).Part()).Since()))
+			}
+		})
+		for _, from := range []int{2, 1} {
+			pk.Go(nw.Host(from).Part(), func() {
+				pc, _ := nw.Node(from).ListenPacket(0)
+				pc.WriteTo(make([]byte, 8192), transport.Addr{Host: "n0", Port: 90})
+			})
+		}
+		pk.Run()
+		return got
+	}
+	one, two := run(1), run(2)
+	if want := []string{"n1 at 25.625ms", "n2 at 35.625ms"}; !reflect.DeepEqual(one, want) {
+		t.Errorf("one partition delivered %q, want arrival order %q", one, want)
+	}
+	if !reflect.DeepEqual(two, one) {
+		t.Errorf("two partitions delivered %q, one partition %q", two, one)
+	}
 }
 
 // TestStagedFaultsTakeEffectAtOneBarrier: on a two-partition network a

@@ -14,18 +14,19 @@
 // runtime-scalability experiments (Figs. 7 and 8).
 //
 // A network runs either on a single kernel (New) or partitioned across the
-// sub-kernels of a sim.ParKernel (NewPartitioned): hosts are sharded
-// deterministically by ID, intra-partition traffic keeps the pooled
-// fast path unchanged, and cross-partition traffic rides per-source queues
-// drained at the ParKernel's conservative lookahead barriers — the model's
-// minimum link delay is the lookahead window. Host state (uplink/downlink
-// queues, pipes, sockets) is only ever touched by the partition that owns
-// the host: cross-partition sends split the fluid model in two, the sender
-// charging its uplink and the receiver charging its downlink when the
-// message arrives. The fault plane's network state (partition sides, link
-// degradation) is one replica per partition, changed on every replica at
-// one lookahead barrier (Stage); free lists drift toward the partitions
-// that receive more than they send and are levelled at every barrier.
+// sub-kernels of a sim.ParKernel (NewPartitioned): the link model places
+// hosts on partitions (Placement), intra-partition messages are events on
+// the owning kernel, and cross-partition ones ride per-source queues
+// drained at the ParKernel's conservative lookahead barriers — the
+// smallest delay between hosts on different partitions is the lookahead
+// window. Host state (uplink/downlink queues, pipes, sockets) is only ever
+// touched by the partition that owns the host, and every message takes one
+// path whatever the placement: the sender charges its uplink, and the
+// receiver charges its downlink when the message arrives. The fault plane's
+// network state (partition sides, link degradation) is one replica per
+// partition, changed on every replica at one lookahead barrier (Stage);
+// free lists drift toward the partitions that receive more than they send
+// and are levelled at every barrier.
 package simnet
 
 import (
@@ -57,11 +58,47 @@ type LinkModel interface {
 // MinDelayModel is implemented by link models that can state a positive
 // lower bound on the one-way delay between any two *distinct* hosts
 // (self-delay may be zero — a host never crosses a kernel partition to
-// reach itself). Partitioned networks require it: the bound is the
-// conservative lookahead window, inside which partitions provably cannot
-// influence each other.
+// reach itself). A partitioned network over a model that does not place
+// its own hosts requires it: the bound is the conservative lookahead
+// window, inside which partitions provably cannot influence each other.
 type MinDelayModel interface {
 	MinDelay() time.Duration
+}
+
+// Partitioner is implemented by link models that place hosts on kernel
+// partitions themselves. Assign returns the partition of each of hosts
+// hosts on a parts-way network, host 0 on partition 0, and the smallest
+// one-way delay between two hosts it placed on different partitions.
+type Partitioner interface {
+	Assign(hosts, parts int) (part []int, cross time.Duration)
+}
+
+// Placement returns the partition of each of n hosts on a parts-way network
+// over model, and the lookahead that placement admits: the smallest one-way
+// delay between hosts on different partitions. A Partitioner places the
+// hosts itself; any other model puts host i on partition i mod parts,
+// bounded by its MinDelay. One partition needs no bound and has lookahead 0.
+func Placement(model LinkModel, n, parts int) ([]int, time.Duration, error) {
+	if parts == 1 {
+		return make([]int, n), 0, nil
+	}
+	var place []int
+	var look time.Duration
+	switch m := model.(type) {
+	case Partitioner:
+		place, look = m.Assign(n, parts)
+	case MinDelayModel:
+		place, look = make([]int, n), m.MinDelay()
+		for i := range place {
+			place[i] = i % parts
+		}
+	default:
+		return nil, 0, fmt.Errorf("simnet: link model %T does not expose MinDelay; partitioned networks need a positive minimum link delay", model)
+	}
+	if look <= 0 {
+		return nil, 0, fmt.Errorf("simnet: link model %T bounds the delay between partitions by %s; partitioned networks need a positive bound", model, look)
+	}
+	return place, look, nil
 }
 
 // Symmetric is a trivial LinkModel: constant delay and bandwidth between
@@ -208,28 +245,23 @@ func partSeed(seed int64, p int) int64 {
 }
 
 // NewPartitioned creates a network of n hosts sharded across the
-// sub-kernels of pk: host i lives on partition i mod pk.Parts(), and all of
-// its state is owned by that partition. With more than one partition the
-// link model must implement MinDelayModel with a positive bound no smaller
-// than pk's lookahead — conservative synchronization is only sound when no
-// message can cross partitions faster than the lookahead window.
+// sub-kernels of pk by the link model's Placement; all of a host's state is
+// owned by its partition. With more than one partition pk's lookahead must
+// be positive and no larger than the placement's smallest cross-partition
+// delay — conservative synchronization is only sound when no message can
+// cross partitions faster than the lookahead window.
 //
 // Fault injection works on any partition count: Partition, Degrade and
 // their undos are staged onto every partition (Stage), and SetDown runs on
 // the host's own partition, like everything else that touches the host.
 func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Network, error) {
 	p := pk.Parts()
-	if p > 1 {
-		md, ok := model.(MinDelayModel)
-		if !ok {
-			return nil, fmt.Errorf("simnet: link model %T does not expose MinDelay; partitioned networks need a positive minimum link delay", model)
-		}
-		if md.MinDelay() <= 0 {
-			return nil, fmt.Errorf("simnet: link model %T has MinDelay %s; partitioned networks need a positive minimum link delay", model, md.MinDelay())
-		}
-		if pk.Lookahead() <= 0 || pk.Lookahead() > md.MinDelay() {
-			return nil, fmt.Errorf("simnet: kernel lookahead %s must be in (0, %s], the model's minimum link delay", pk.Lookahead(), md.MinDelay())
-		}
+	place, look, err := Placement(model, n, p)
+	if err != nil {
+		return nil, err
+	}
+	if p > 1 && (pk.Lookahead() <= 0 || pk.Lookahead() > look) {
+		return nil, fmt.Errorf("simnet: kernel lookahead %s must be in (0, %s], the smallest delay between hosts on different partitions", pk.Lookahead(), look)
 	}
 	nw := newNetwork(model, n)
 	nw.pk = pk
@@ -238,7 +270,7 @@ func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Net
 		nw.parts[i].init(pk.Sub(i), partSeed(seed, i))
 	}
 	for i := range nw.slab {
-		nw.slab[i].part = i % p
+		nw.slab[i].part = place[i]
 	}
 	if p > 1 {
 		pk.AddBarrierHook(nw.balancePools)
@@ -299,8 +331,18 @@ func (nw *Network) Host(i int) *Host { return nw.hosts[i] }
 // Node returns host i's transport.Node view.
 func (nw *Network) Node(i int) transport.Node { return nw.hosts[i] }
 
-// cross reports whether traffic between a and b crosses kernel partitions.
-func (nw *Network) cross(a, b *Host) bool { return a.part != b.part }
+// post runs fn on to's partition at instant at, on behalf of code running
+// on from's partition: an event on to's kernel when the two share a
+// partition, a cross-partition post otherwise. Every message between two
+// hosts — SYN, dial verdict, data, EOF, datagram, reset — travels this way,
+// so when its receiver side runs depends on the link, never on placement.
+func (nw *Network) post(from, to *Host, at time.Time, fn func()) {
+	if from.part == to.part {
+		to.kern().AtFunc(at, fn)
+		return
+	}
+	nw.pk.Post(from.part, to.part, int64(at.Sub(sim.Epoch)), fn)
+}
 
 // HostName returns the canonical name of host i.
 func HostName(i int) string { return "n" + strconv.Itoa(i) }
@@ -552,19 +594,19 @@ const DefaultDialTimeout = 60 * time.Second
 // missing listener or failed host costs the same round trip and returns
 // ErrRefused.
 //
-// Cross-partition dials run the same protocol, split along ownership lines:
-// the SYN is posted to the acceptor's partition (it reads the listener
-// table and creates the pair), the verdict is posted back to the dialer's
-// partition (it registers the local endpoint and wakes the waiter).
+// The protocol is split along ownership lines: the SYN runs on the
+// acceptor's partition (it reads the listener table and creates the pair),
+// the verdict on the dialer's (it registers the local endpoint and wakes
+// the waiter).
 func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, error) {
-	k := h.kern()
+	k, nw := h.kern(), h.nw
 	if h.down {
 		return nil, transport.ErrClosed
 	}
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	remote, err := h.nw.hostByName(to.Host)
+	remote, err := nw.hostByName(to.Host)
 	if err != nil {
 		return nil, err
 	}
@@ -581,25 +623,15 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	// those late wakes safe no-ops.
 	ref := w.Ref()
 	w.WakeAfter(timeout, transport.ErrTimeout)
-	fwd := h.nw.delay(h.np(), h.id, remote.id)
-	rev := h.nw.delay(h.np(), remote.id, h.id)
+	fwd := nw.delay(h.np(), h.id, remote.id)
+	rev := nw.delay(h.np(), remote.id, h.id)
 	gen := h.gen
-	crossing := h.nw.cross(h, remote)
 
 	// SYN arrives at the remote after the forward delay; the verdict
-	// (connection or refusal) travels back after the reverse delay. The SYN
-	// body runs on the remote's partition; every verdict body runs on the
-	// dialer's.
+	// (connection or refusal) travels back after the reverse delay.
 	syn := func() {
-		rk := remote.kern()
-		verdict := func(fn func()) {
-			if crossing {
-				h.nw.pk.Post(remote.part, h.part, int64(rk.Now().Add(rev).Sub(sim.Epoch)), fn)
-			} else {
-				rk.AfterFunc(rev, fn)
-			}
-		}
-		if remote.down && h.nw.silent {
+		verdict := func(fn func()) { nw.post(remote, h, remote.kern().Now().Add(rev), fn) }
+		if remote.down && nw.silent {
 			return // blackholed: the dialer's timeout fires
 		}
 		if remote.np().faults.cut(h.id, remote.id) {
@@ -614,7 +646,7 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 		cl, cr := newConnPair(h, local, remote, to)
 		l.deliver(cr)
 		verdict(func() {
-			if crossing {
+			if h.part != remote.part {
 				// The dialer-side endpoint joins its host's table on its
 				// own partition, symmetric with newConnPair registering cr.
 				h.addConn(cl)
@@ -629,11 +661,7 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 			}
 		})
 	}
-	if crossing {
-		h.nw.pk.Post(h.part, remote.part, int64(k.Now().Add(fwd).Sub(sim.Epoch)), syn)
-	} else {
-		k.AfterFunc(fwd, syn)
-	}
+	nw.post(h, remote, k.Now().Add(fwd), syn)
 
 	switch v := w.Wait().(type) {
 	case *conn:
@@ -667,7 +695,7 @@ func (nw *Network) upTimes(a *Host, size int) (senderFree time.Time) {
 // recvTimes charges size bytes to b's downlink queue for a message arriving
 // at arrive and returns the delivery instant, including any processing
 // delay. Receiver-side half of the fluid model; always runs on b's
-// partition (at arrival time, for cross-partition traffic).
+// partition, when the message arrives.
 func (nw *Network) recvTimes(b *Host, arrive time.Time, size int) (delivered time.Time) {
 	down := nw.model.DownlinkBps(b.id)
 	rxStart := arrive
@@ -684,16 +712,4 @@ func (nw *Network) recvTimes(b *Host, arrive time.Time, size int) (delivered tim
 		delivered = delivered.Add(nw.proc(b.id, size))
 	}
 	return delivered
-}
-
-// sendTimes computes the fluid-model schedule for moving size bytes from
-// host a to host b starting now: the instant the sender's uplink releases
-// the message and the instant the payload is fully delivered at b. Both
-// hosts must live on the same partition; cross-partition senders use
-// upTimes and let the destination partition run recvTimes on arrival.
-func (nw *Network) sendTimes(a, b *Host, size int) (senderFree, delivered time.Time) {
-	senderFree = nw.upTimes(a, size)
-	arrive := senderFree.Add(nw.delay(a.np(), a.id, b.id))
-	delivered = nw.recvTimes(b, arrive, size)
-	return senderFree, delivered
 }

@@ -6,7 +6,9 @@ package topology
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"sort"
 	"time"
 )
 
@@ -195,6 +197,62 @@ func (m *ModelNet) Delay(a, b int) time.Duration { return m.RTT(a, b) / 2 }
 // between distinct hosts is half the intra-domain RTT (self-delay is zero,
 // but a host never crosses a kernel partition to reach itself).
 func (m *ModelNet) MinDelay() time.Duration { return m.accessRTT / 2 }
+
+// Assign implements simnet.Partitioner: partitions follow stub domains, so
+// every path between two of them leaves a stub domain over at least one
+// StubTransitRTT link, and the returned bound is at least
+// (SameDomainRTT+StubTransitRTT)/2 — four times MinDelay on the paper's
+// topology. Whole stub domains are binned largest first, each onto the
+// partition holding the fewest hosts so far (ties to the lowest index), and
+// the partitions are then numbered in order of their first host, so host 0
+// is on partition 0.
+func (m *ModelNet) Assign(hosts, parts int) ([]int, time.Duration) {
+	stubs := m.hostStub[:hosts]
+	size := make([]int, len(m.stubDelay))
+	first := make([]int, len(size)) // a host of each stub domain
+	for h := len(stubs) - 1; h >= 0; h-- {
+		size[stubs[h]]++
+		first[stubs[h]] = h
+	}
+	order := make([]int, len(size))
+	for s := range order {
+		order[s] = s
+	}
+	sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
+	load, bin := make([]int, parts), make([]int, len(size))
+	for _, s := range order {
+		p := 0
+		for q := range load {
+			if load[q] < load[p] {
+				p = q
+			}
+		}
+		bin[s], load[p] = p, load[p]+size[s]
+	}
+	label := make([]int, parts)
+	for i := range label {
+		label[i] = -1
+	}
+	place, next := make([]int, hosts), 0
+	for h, s := range stubs {
+		if label[bin[s]] < 0 {
+			label[bin[s]], next = next, next+1
+		}
+		place[h] = label[bin[s]]
+	}
+	cross := time.Duration(math.MaxInt64)
+	for a := range size {
+		for b := range size {
+			if size[a] > 0 && size[b] > 0 && bin[a] != bin[b] {
+				cross = min(cross, m.Delay(first[a], first[b]))
+			}
+		}
+	}
+	if cross == math.MaxInt64 {
+		cross = m.MinDelay() // one partition holds every host: nothing crosses
+	}
+	return place, cross
+}
 
 // Loss implements simnet.LinkModel; ModelNet links are lossless here.
 func (m *ModelNet) Loss(a, b int) float64 { return 0 }

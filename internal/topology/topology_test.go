@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -207,5 +208,58 @@ func TestProcDelayScalesWithSlowness(t *testing.T) {
 	}
 	if af, as := avg(fast), avg(slow); af >= as {
 		t.Fatalf("fast host proc delay %s ≥ slow host %s", af, as)
+	}
+}
+
+// TestModelNetPlacement pins Assign's contract: whole stub domains per
+// partition, host 0 on partition 0, host counts balanced to within the
+// largest stub domain, and a bound that is exactly the smallest delay
+// between hosts on different partitions — four times MinDelay on the
+// paper's topology, which is what lengthens a sharded run's lookahead.
+func TestModelNetPlacement(t *testing.T) {
+	for _, hosts := range []int{300, 2048} {
+		m := NewModelNet(DefaultModelNet(hosts))
+		for _, parts := range []int{2, 4, 8} {
+			place, cross := m.Assign(hosts, parts)
+			if len(place) != hosts || place[0] != 0 {
+				t.Fatalf("%d hosts, %d parts: %d placements, host 0 on partition %d", hosts, parts, len(place), place[0])
+			}
+			stubPart := map[int]int{}
+			stubSize := map[int]int{}
+			load := make([]int, parts)
+			for h, p := range place {
+				s := m.hostStub[h]
+				if q, ok := stubPart[s]; ok && q != p {
+					t.Fatalf("%d hosts, %d parts: stub %d spans partitions %d and %d", hosts, parts, s, q, p)
+				}
+				stubPart[s] = p
+				stubSize[s]++
+				load[p]++
+			}
+			largest := 0
+			for _, n := range stubSize {
+				largest = max(largest, n)
+			}
+			if lo, hi := slices.Min(load), slices.Max(load); hi-lo > largest {
+				t.Errorf("%d hosts, %d parts: partition sizes %v differ by more than the largest stub (%d)", hosts, parts, load, largest)
+			}
+			if hosts == 2048 {
+				if cross < 4*m.MinDelay() {
+					t.Errorf("2048 hosts, %d parts: cross-partition bound %s < 4 × MinDelay %s", parts, cross, m.MinDelay())
+				}
+				continue
+			}
+			brute := time.Duration(math.MaxInt64)
+			for a := range place {
+				for b := range place {
+					if place[a] != place[b] {
+						brute = min(brute, m.Delay(a, b))
+					}
+				}
+			}
+			if cross != brute {
+				t.Errorf("%d hosts, %d parts: bound %s, brute-force minimum %s", hosts, parts, cross, brute)
+			}
+		}
 	}
 }

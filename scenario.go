@@ -307,13 +307,13 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	// does a testbed's processing-delay hook (PlanetLab): it draws every
 	// host's jitter from one stream, which partitions would consume in
 	// thread order — a data race, and a result that depends on the machine.
+	// So does a model that cannot bound the delay between partitions (a
+	// zero-RTT uniform testbed). The model places the hosts, and the bed
+	// derives the kernel's lookahead from that placement.
 	parts := 1
-	lookahead := time.Duration(0)
-	if !churned && proc == nil {
-		if p := autoParts(total); p > 1 {
-			if md, ok := model.(simnet.MinDelayModel); ok && md.MinDelay() > 0 {
-				parts, lookahead = p, md.MinDelay()
-			}
+	if p := autoParts(total); p > 1 && !churned && proc == nil {
+		if _, _, err := simnet.Placement(model, total, p); err == nil {
+			parts = p
 		}
 	}
 	workers := sc.Workers
@@ -326,7 +326,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	// draws the plain seed), so single-partition scenarios keep their exact
 	// historical schedules. The session itself lives where host 0 does (the
 	// controller, or churn slot 0): partition 0.
-	bed, err := simbed.New(parts, workers, lookahead, model, total, seed, proc)
+	bed, err := simbed.New(parts, workers, model, total, seed, proc)
 	if err != nil {
 		return nil, err
 	}

@@ -298,6 +298,48 @@ func TestScenarioAutoPartition(t *testing.T) {
 	}
 }
 
+// TestShardedModelNetRounds: on a ModelNet testbed the partitions follow
+// stub domains, so the kernel's lookahead is the 20 ms a message needs to
+// leave its stub domain, not the 5 ms inside one. A busy 2,048-host run
+// therefore takes at most one barrier round per 20 simulated ms (a round
+// starts at the earliest pending event and covers one lookahead), and it
+// takes the same rounds, events and bytes at Workers 1 and 2 (invariant 9).
+func TestShardedModelNetRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2k-host population, two runs")
+	}
+	const window = 60 * time.Second
+	run := func(workers int) string {
+		spec := splay.AppSpec{Name: "chord", Nodes: 64, Params: []byte(`{"lookups_per_min":60}`)}
+		sess, err := splay.Scenario{Seed: 7, Workers: workers, Testbed: splay.ModelNet(2047),
+			Apps: []splay.AppSpec{spec}}.Start(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		defer sess.Stop()
+		if got := sess.Partitions(); got != 2 {
+			t.Fatalf("workers=%d: %d partitions at 2,048 hosts, want 2", workers, got)
+		}
+		if _, err := sess.Deploy(spec).Wait(); err != nil {
+			t.Fatalf("workers=%d: deploy: %v", workers, err)
+		}
+		before := sess.KernelStats()
+		sess.RunFor(window)
+		after := sess.KernelStats()
+		rounds := after.Rounds - before.Rounds
+		if limit := uint64(window/(20*time.Millisecond)) + 1; rounds > limit {
+			t.Errorf("workers=%d: %d barrier rounds in %s, want ≤ %d (one per 20 ms)", workers, rounds, window, limit)
+		}
+		return fmt.Sprintf("rounds %d, cross posts %d, events %v, bytes %d, now %s",
+			rounds, after.CrossPosts, after.Events, sess.NetBytes(), sess.Now())
+	}
+	ref := run(1)
+	t.Log(ref)
+	if got := run(2); got != ref {
+		t.Errorf("Workers=2 changed the run:\n got  %s\n want %s", got, ref)
+	}
+}
+
 // TestLiveLogsShareOneWriter: every live daemon's instances log onto the
 // scenario's one writer concurrently. One sink serializes them, so the
 // writer needs no lock of its own (-race reports a sink per daemon), no
