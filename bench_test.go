@@ -20,7 +20,6 @@ import (
 	"github.com/splaykit/splay/experiments"
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/protocols/pastry"
-	"github.com/splaykit/splay/internal/rpc"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/transport"
@@ -104,38 +103,6 @@ func BenchmarkFig8RealMemoryPerInstance(b *testing.B) {
 	}
 }
 
-// Ablation: RPC connection pooling on versus off (DESIGN.md design
-// choice; the paper credits FreePastry's pool for part of its tuning).
-func BenchmarkAblationRPCPool(b *testing.B) {
-	for _, pooled := range []bool{true, false} {
-		name := "pooled"
-		if !pooled {
-			name = "unpooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k := sim.NewKernel()
-				nw := simnet.New(k, simnet.Symmetric{RTT: 10 * time.Millisecond}, 2, 1)
-				rt := core.NewSimRuntime(k, 1)
-				sctx := core.NewAppContext(rt, nw.Node(1), core.JobInfo{Me: transport.Addr{Host: "n1", Port: 80}}, nil)
-				benchStartEcho(b, sctx)
-				var virtual time.Duration
-				k.Go(func() {
-					cctx := core.NewAppContext(rt, nw.Node(0), core.JobInfo{}, nil)
-					cl := newBenchClient(cctx, pooled)
-					start := k.Now()
-					for j := 0; j < 200; j++ {
-						cl(transport.Addr{Host: "n1", Port: 80})
-					}
-					virtual = k.Now().Sub(start)
-				})
-				k.Run()
-				b.ReportMetric(float64(virtual.Milliseconds())/200, "virtual-ms/call")
-			}
-		})
-	}
-}
-
 // Ablation: superset selection versus exact probing (Fig. 12's subject).
 func BenchmarkAblationSuperset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -147,28 +114,6 @@ func BenchmarkAblationSuperset(b *testing.B) {
 		wide := res.Metrics["t_200_200"]
 		b.ReportMetric(exact, "s-at-110pct")
 		b.ReportMetric(wide, "s-at-200pct")
-	}
-}
-
-// Helpers for the RPC ablation (full RPC benchmarks live in
-// internal/rpc).
-
-func benchStartEcho(b *testing.B, ctx *core.AppContext) {
-	b.Helper()
-	ctx.Runtime().Go(func() {
-		srv := rpc.NewServer(ctx)
-		srv.Register("echo", func(a rpc.Args) (any, error) { return a.String(0), nil })
-		if err := srv.Start(ctx.Job.Me.Port); err != nil {
-			b.Errorf("echo server: %v", err)
-		}
-	})
-}
-
-func newBenchClient(ctx *core.AppContext, pooled bool) func(transport.Addr) {
-	cl := rpc.NewClient(ctx)
-	cl.SetPooling(pooled)
-	return func(to transport.Addr) {
-		cl.CallTimeout(to, 10*time.Second, "echo", "x") //nolint:errcheck
 	}
 }
 

@@ -2,8 +2,7 @@
 // controls deployment and execution of SPLAY applications (§3.1): it
 // tracks daemons through sessions, selects deployment targets by
 // responsiveness with superset probing, drives the job state machine
-// (idle → selected → running), manages the blacklist, and hosts the log
-// collector.
+// (idle → selected → running) and manages the blacklist.
 //
 // The control plane is built to scale to thousands of daemons (the
 // paper's §5.2–5.3 evaluation): the daemon registry is sharded
@@ -1026,28 +1025,6 @@ func (c *Controller) StopJob(id string) error {
 	})
 	job.State = JobDone
 	return nil
-}
-
-// StopJobOn sends a job's STOP to a subset of its daemons by name — the
-// fault plane's kill actuator. Unlike StopJob the job stays running on
-// the untouched daemons.
-func (c *Controller) StopJobOn(id string, daemons []string) error {
-	c.mu.Lock()
-	_, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("controller: unknown job %s", id)
-	}
-	desc := &ctlproto.Job{ID: id}
-	var ds []*daemonSession
-	for _, name := range daemons {
-		if d, ok := c.reg.get(name); ok {
-			ds = append(ds, d)
-		}
-	}
-	return c.phase(ds, func(int) *ctlproto.Msg {
-		return &ctlproto.Msg{Type: ctlproto.TStop, Job: desc}
-	})
 }
 
 // DaemonNames returns the names of every connected daemon, in the

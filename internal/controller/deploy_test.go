@@ -97,37 +97,6 @@ func TestDeployErrorEnumeratesFailures(t *testing.T) {
 	}
 }
 
-// TestStopJobOnKillsSubset stops a job on two named daemons only.
-func TestStopJobOnKillsSubset(t *testing.T) {
-	tb := newTestbed(t, 6)
-	var job *JobStatus
-	var err error
-	tb.k.Go(func() {
-		job, err = tb.ctl.Submit(JobSpec{App: "pingapp", Nodes: 5})
-	})
-	tb.k.RunFor(2 * time.Minute)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	victims := []string{job.Deployed[1].Host, job.Deployed[3].Host}
-	tb.k.Go(func() {
-		if err := tb.ctl.StopJobOn(job.ID, victims); err != nil {
-			t.Errorf("StopJobOn: %v", err)
-		}
-	})
-	tb.k.RunFor(time.Minute)
-	running := 0
-	for _, d := range tb.daemons {
-		running += d.Running()
-	}
-	if running != 3 {
-		t.Fatalf("%d instances running after killing 2 of 5, want 3", running)
-	}
-	if st, _ := tb.ctl.Job(job.ID); st.State != JobRunning {
-		t.Fatalf("job state = %s after partial stop, want running", st.State)
-	}
-}
-
 // TestDropDaemonTriggersReconnect drops a reconnect-enabled daemon's
 // session controller-side and checks it comes back with backoff.
 func TestDropDaemonTriggersReconnect(t *testing.T) {

@@ -338,8 +338,8 @@ func (c *AppContext) Periodic(interval time.Duration, fn func()) (stop func()) {
 // Track registers a socket or other closer to be closed when the instance
 // is killed, and returns it for convenience. The contract: Kill closes
 // whatever is still tracked, in registration order; an owner that closes a
-// tracked socket itself — a failed connection, a finished one-shot call, a
-// served stream that ended — calls Untrack beside that Close. Otherwise
+// tracked socket itself — a failed connection, a served stream that
+// ended — calls Untrack beside that Close. Otherwise
 // the entry, and everything the dead socket references, stays pinned for
 // the instance's lifetime.
 func (c *AppContext) Track(cl io.Closer) io.Closer {

@@ -14,18 +14,40 @@ import (
 
 // Command and answer types.
 const (
-	THello     = "hello"     // daemon → controller: introduce + capabilities
-	TWelcome   = "welcome"   // controller → daemon: session + blacklist
-	TRegister  = "register"  // controller → daemon: reserve resources for a job
-	TList      = "list"      // controller → daemon: bootstrap node list
-	TStart     = "start"     // controller → daemon: begin execution
-	TStop      = "stop"      // controller → daemon: terminate a running job
-	TFree      = "free"      // controller → daemon: release a reservation
-	TPing      = "ping"      // controller → daemon: liveness/responsiveness probe
-	TAck       = "ack"       // daemon → controller: positive answer
-	TErr       = "err"       // daemon → controller: negative answer
-	TBlacklist = "blacklist" // controller → daemon: blacklist update (no answer)
+	THello     MsgType = "hello"     // daemon → controller: introduce + capabilities
+	TWelcome   MsgType = "welcome"   // controller → daemon: session + blacklist
+	TRegister  MsgType = "register"  // controller → daemon: reserve resources for a job
+	TList      MsgType = "list"      // controller → daemon: bootstrap node list
+	TStart     MsgType = "start"     // controller → daemon: begin execution
+	TStop      MsgType = "stop"      // controller → daemon: terminate a running job
+	TFree      MsgType = "free"      // controller → daemon: release a reservation
+	TPing      MsgType = "ping"      // controller → daemon: liveness/responsiveness probe
+	TAck       MsgType = "ack"       // daemon → controller: positive answer
+	TErr       MsgType = "err"       // daemon → controller: negative answer
+	TBlacklist MsgType = "blacklist" // controller → daemon: blacklist update (no answer)
 )
+
+// MsgType is a frame's command or answer type, a JSON string on the wire.
+// It is a text type so that decoding a frame hands back the protocol's
+// own constants instead of allocating a string.
+type MsgType string
+
+var msgTypes = [...]MsgType{THello, TWelcome, TRegister, TList, TStart, TStop, TFree, TPing, TAck, TErr, TBlacklist}
+
+func (t MsgType) AppendText(b []byte) ([]byte, error) { return append(b, t...), nil }
+
+func (t MsgType) MarshalText() ([]byte, error) { return []byte(t), nil }
+
+func (t *MsgType) UnmarshalText(b []byte) error {
+	for _, c := range msgTypes {
+		if string(c) == string(b) {
+			*t = c
+			return nil
+		}
+	}
+	*t = MsgType(b)
+	return nil
+}
 
 // Job describes a deployment unit shipped to daemons: a registered
 // application name plus its parameters (standing in for Lua source, see
@@ -40,10 +62,11 @@ type Job struct {
 	Nodes []transport.Addr `json:"nodes,omitempty"`
 }
 
-// Msg is one frame in either direction.
+// Msg is one frame in either direction. Its codec is the plan llenc
+// derives from these tags: the wire form is exactly encoding/json's.
 type Msg struct {
-	Seq  uint64 `json:"seq"`
-	Type string `json:"type"`
+	Seq  uint64  `json:"seq"`
+	Type MsgType `json:"type"`
 
 	// HELLO fields.
 	Name     string `json:"name,omitempty"`

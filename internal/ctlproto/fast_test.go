@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
-	"reflect"
 	"testing"
 
+	"github.com/splaykit/splay/internal/llenc"
+	"github.com/splaykit/splay/internal/llenc/codectest"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -14,8 +15,8 @@ import (
 // empty strings, zero ports, empty and nil slices, negative ints, strings
 // that force the encoding/json fallback (escapes, HTML characters,
 // non-ASCII), and raw Params payloads — the by-name deploy's frame shape,
-// which rides the fast path when encoding/json would emit the parameters
-// byte for byte and declines when it would rewrite them (whitespace, HTML
+// which rides the plan when encoding/json would emit the parameters byte
+// for byte and declines when it would rewrite them (whitespace, HTML
 // characters) or when they are a literal null.
 func sampleMsgs() []Msg {
 	return []Msg{
@@ -49,55 +50,40 @@ func sampleMsgs() []Msg {
 	}
 }
 
-// TestFastCodecMatchesEncodingJSON is the byte-compatibility contract:
-// whenever the fast encoder claims a message, its bytes equal
-// json.Marshal's; and the fast parser applied to json.Marshal output
-// either reproduces json.Unmarshal's result exactly or declines.
+// TestFastCodecMatchesEncodingJSON is the byte-compatibility contract of
+// Msg's plan: whenever it encodes a message its bytes equal json.Marshal's,
+// it declines nothing jsonSafeMsg calls safe, and parsing json.Marshal's
+// output either reproduces json.Unmarshal's result exactly or declines.
 func TestFastCodecMatchesEncodingJSON(t *testing.T) {
 	for i, m := range sampleMsgs() {
-		m := m
 		want, err := json.Marshal(&m)
 		if err != nil {
 			t.Fatalf("msg %d: marshal: %v", i, err)
 		}
-		if got, ok := m.AppendJSON(nil); ok {
-			if !bytes.Equal(got, want) {
-				t.Errorf("msg %d: fast encode diverges:\n got  %s\n want %s", i, got, want)
-			}
-		} else if jsonSafeMsg(&m) {
-			t.Errorf("msg %d: fast encoder declined a safe message %s", i, want)
+		if !codectest.CheckAppend(t, &m) && jsonSafeMsg(&m) {
+			t.Errorf("msg %d: plan declined a safe message %s", i, want)
 		}
-
-		var viaJSON, viaFast Msg
-		if err := json.Unmarshal(want, &viaJSON); err != nil {
-			t.Fatalf("msg %d: unmarshal: %v", i, err)
-		}
-		if viaFast.ParseJSON(want) {
-			if !reflect.DeepEqual(viaFast, viaJSON) {
-				t.Errorf("msg %d: fast decode diverges:\n got  %+v\n want %+v", i, viaFast, viaJSON)
-			}
-		} else if !reflect.DeepEqual(viaFast, Msg{}) {
-			t.Errorf("msg %d: declined ParseJSON mutated the receiver: %+v", i, viaFast)
-		}
+		codectest.Check(t, want, msgReceivers...)
 	}
 }
 
-// jsonSafeMsg mirrors the encoder's own fallback conditions, so the test
-// catches an encoder that declines too eagerly.
+// jsonSafeMsg mirrors the plan's decline conditions, so the tests catch a
+// plan that declines too eagerly.
 func jsonSafeMsg(m *Msg) bool {
-	ok := jsonSafe(m.Type) && jsonSafe(m.Name) && jsonSafe(m.Key) && jsonSafe(m.Err)
+	safe := llenc.JSONSafe[string]
+	ok := safe(string(m.Type)) && safe(m.Name) && safe(m.Key) && safe(m.Err)
 	for _, h := range m.Hosts {
-		ok = ok && jsonSafe(h)
+		ok = ok && safe(h)
 	}
 	if j := m.Job; j != nil {
-		ok = ok && jsonSafe(j.ID) && jsonSafe(j.App)
+		ok = ok && safe(j.ID) && safe(j.App)
 		if len(j.Params) > 0 {
 			// Verbatim means encoding/json's own encoder leaves them alone.
 			enc, err := json.Marshal(j.Params)
 			ok = ok && err == nil && bytes.Equal(enc, j.Params) && string(enc) != "null"
 		}
 		for _, a := range j.Nodes {
-			ok = ok && jsonSafe(a.Host)
+			ok = ok && safe(a.Host)
 		}
 	}
 	return ok
@@ -116,7 +102,7 @@ func TestFastCodecRandomized(t *testing.T) {
 		}
 		return string(b)
 	}
-	types := []string{THello, TRegister, TList, TPing, TAck, TErr, TBlacklist}
+	types := []MsgType{THello, TRegister, TList, TPing, TAck, TErr, TBlacklist}
 	for i := 0; i < 2000; i++ {
 		m := Msg{
 			Seq:  rng.Uint64() >> uint(rng.Intn(64)),
@@ -148,26 +134,20 @@ func TestFastCodecRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: marshal: %v", i, err)
 		}
-		if got, ok := m.AppendJSON(nil); ok {
-			if !bytes.Equal(got, want) {
-				t.Fatalf("case %d: fast encode diverges:\n got  %s\n want %s", i, got, want)
-			}
-		} else if jsonSafeMsg(&m) {
-			t.Fatalf("case %d: fast encoder declined safe message %s", i, want)
+		if !codectest.CheckAppend(t, &m) && jsonSafeMsg(&m) {
+			t.Fatalf("case %d: plan declined safe message %s", i, want)
 		}
-		var viaJSON, viaFast Msg
-		if err := json.Unmarshal(want, &viaJSON); err != nil {
-			t.Fatalf("case %d: unmarshal: %v", i, err)
-		}
-		if viaFast.ParseJSON(want) && !reflect.DeepEqual(viaFast, viaJSON) {
-			t.Fatalf("case %d: fast decode diverges on %s:\n got  %+v\n want %+v", i, want, viaFast, viaJSON)
-		}
+		codectest.Check(t, want, msgReceivers...)
 	}
 }
 
-// TestParseJSONRejectsMalformed pins the parser's decline-don't-guess
-// behavior on inputs it must hand to encoding/json.
+// TestParseJSONRejectsMalformed pins the plan's decline-don't-guess
+// behavior on inputs it must hand to encoding/json: whatever it accepts
+// must be what encoding/json decodes, into every receiver.
 func TestParseJSONRejectsMalformed(t *testing.T) {
+	// A repeated job must decline: encoding/json merges the second into
+	// the first's struct.
+	repeatedJob := `{"seq":1,"type":"list","job":{"id":"a","app":"x"},"job":{"app":"b"}}`
 	cases := []string{
 		``, `{`, `[]`, `null`, `{"seq":}`, `{"seq":1.5,"type":"ping"}`,
 		`{"seq":1e3,"type":"ping"}`, `{"unknown":1}`,
@@ -177,19 +157,39 @@ func TestParseJSONRejectsMalformed(t *testing.T) {
 		`{"seq":18446744073709551616,"type":"ack"}`, // uint64 overflow must not wrap
 		`{"seq":01,"type":"ping"}`,                  // leading zero is invalid JSON
 		`{"seq":00,"type":"ping"}`,
-		// A repeated struct-bearing member must decline: encoding/json
-		// merges the second into the first's structs.
-		`{"seq":1,"type":"list","job":{"id":"a","app":"x"},"job":{"app":"b"}}`,
+		repeatedJob,
+		// A repeated list is decoded as encoding/json does: element i
+		// starts from the first list's element i.
 		`{"seq":1,"type":"list","job":{"id":"a","nodes":[{"host":"h","port":1}],"nodes":[{"port":2}]}}`,
+		`{"job":{"params":null}}`, `{"job":{"params":01}}`,
 	}
 	for _, src := range cases {
-		var m Msg
-		if m.ParseJSON([]byte(src)) {
-			// Acceptance is only wrong if encoding/json disagrees.
-			var ref Msg
-			if err := json.Unmarshal([]byte(src), &ref); err != nil || !reflect.DeepEqual(m, ref) {
-				t.Errorf("ParseJSON accepted %q (got %+v)", src, m)
-			}
-		}
+		codectest.Check(t, []byte(src), msgReceivers...)
+	}
+	if m := (Msg{}); llenc.ParseDerived([]byte(repeatedJob), &m) {
+		t.Errorf("accepted a repeated job: %+v", m)
+	}
+}
+
+// TestHotMessagesTakeTheFastPath: every frame kind the controller and the
+// daemon send takes the plan both ways, so a member added later that the
+// plan cannot carry fails here instead of falling back to encoding/json.
+func TestHotMessagesTakeTheFastPath(t *testing.T) {
+	job := &Job{ID: "job-3", App: "cyclon", Params: json.RawMessage(`{"report":true,"view":[20,8]}`)}
+	for _, m := range []*Msg{
+		{Seq: 1, Type: THello, Name: "n42", Key: "k-n42", PortLow: 20000, PortHigh: 29999},
+		{Seq: 2, Type: TWelcome, Hosts: []string{"10.0.0.1", "n0"}},
+		{Seq: 3, Type: TRegister, Job: job},
+		{Seq: 4, Type: TList, Job: &Job{ID: "job-3", App: "cyclon", Position: 2,
+			Nodes: []transport.Addr{{Host: "n1", Port: 20000}, {Host: "n7", Port: 20003}}}},
+		{Seq: 5, Type: TStart, Job: job},
+		{Seq: 6, Type: TStop, Job: &Job{ID: "job-3"}},
+		{Seq: 7, Type: TFree, Job: job},
+		{Seq: 8, Type: TPing},
+		{Seq: 3, Type: TAck, Port: 20001},
+		{Seq: 4, Type: TErr, Err: "not registered"},
+		{Seq: 9, Type: TBlacklist, Hosts: []string{"n3"}},
+	} {
+		codectest.Accepts(t, m)
 	}
 }

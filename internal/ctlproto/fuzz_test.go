@@ -2,36 +2,33 @@ package ctlproto
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 
-	"github.com/splaykit/splay/internal/llenc"
+	"github.com/splaykit/splay/internal/llenc/codectest"
 )
 
-// jsonSafe is the character-class rule jsonSafeMsg mirrors the encoder
-// with.
-var jsonSafe = llenc.JSONSafe[string]
+// msgReceivers are the receivers every parse is checked into: a zero one,
+// one holding old members (a host list with stale spare capacity), and
+// one holding a job, into which a frame's job must decline — encoding/json
+// would merge it into the old one.
+var msgReceivers = []func() Msg{
+	func() Msg { return Msg{} },
+	func() Msg {
+		return Msg{Seq: 99, Type: "sentinel", Name: "old", Hosts: []string{"a", "stale"}[:1], Port: 7}
+	},
+	func() Msg { return Msg{Seq: 99, Type: TList, Job: &Job{ID: "untouched"}} },
+}
 
 // checkMsgParse is the differential oracle the rpc and metrics fuzzers
-// use: whatever the fast parser accepts must match encoding/json's
-// decode exactly; whatever it declines must leave the receiver
-// untouched.
+// use (codectest): whatever the plan accepts must match encoding/json's
+// decode exactly, into each receiver, and re-encode as json.Marshal does;
+// whatever it declines must leave the receiver untouched. Whatever
+// encoding/json decodes must encode as json.Marshal does, or decline.
 func checkMsgParse(t *testing.T, data []byte) {
-	t.Helper()
-	sentinel := Msg{Seq: 99, Type: "sentinel", Job: &Job{ID: "untouched"}}
-	fast := sentinel
-	if !fast.ParseJSON(data) {
-		if !reflect.DeepEqual(fast, sentinel) {
-			t.Fatalf("declined parse of %q mutated the receiver: %+v", data, fast)
-		}
-		return
-	}
-	var want Msg
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("fast parser accepted %q, encoding/json rejects: %v", data, err)
-	}
-	if !reflect.DeepEqual(fast, want) {
-		t.Fatalf("parse diverges for %q:\n fast %+v (job %+v)\n json %+v (job %+v)", data, fast, fast.Job, want, want.Job)
+	codectest.Check(t, data, msgReceivers...)
+	var m Msg
+	if json.Unmarshal(data, &m) == nil {
+		codectest.CheckAppend(t, &m)
 	}
 }
 

@@ -292,7 +292,7 @@ func (d *Daemon) handle(m *ctlproto.Msg) *ctlproto.Msg {
 		d.stopJob(m.Job.ID)
 		return &ctlproto.Msg{Type: ctlproto.TAck}
 	default:
-		return &ctlproto.Msg{Type: ctlproto.TErr, Err: "unknown command " + m.Type}
+		return &ctlproto.Msg{Type: ctlproto.TErr, Err: "unknown command " + string(m.Type)}
 	}
 }
 

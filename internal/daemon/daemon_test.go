@@ -43,8 +43,8 @@ func TestControllerScript(t *testing.T) {
 	peers := []transport.Addr{{Host: "n1", Port: 20000}, {Host: "n7", Port: 20003}}
 	steps := []struct {
 		send ctlproto.Msg
-		want string // answer type
-		err  string // substring of the answer's Err
+		want ctlproto.MsgType // answer type
+		err  string           // substring of the answer's Err
 		port int
 		held int // Running() after the answer: reserved plus started jobs
 	}{

@@ -1,9 +1,9 @@
 // Package codectest is the differential oracle shared by the fuzzers and
-// fast-path tests of every value codec — a type's own
-// (llenc.FastMarshaler / FastUnmarshaler) or, for a type without one, its
-// derived plan — run through the entry points the seams use,
-// llenc.AppendDerived and ParseDerived. encoding/json is the reference;
-// the codec may only ever agree with it or decline.
+// fast-path tests of every value codec — a type's own encoder
+// (llenc.FastMarshaler) or its derived plan — run through the entry
+// points the seams use, llenc.AppendDerived and ParseDerived.
+// encoding/json is the reference; the codec may only ever agree with it
+// or decline.
 package codectest
 
 import (

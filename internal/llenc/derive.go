@@ -18,15 +18,20 @@ import (
 // and parses it by field offsets, with no per-message reflection, under
 // the contract of the hand-written codecs ("Value codecs" in fastjson.go).
 // Planned are strings, bools, sized ints and uints (uint8 is a number),
-// structs, and slices of those (nil is null, null is nil); text types
-// (AppendText and MarshalText on the value, UnmarshalText on the pointer)
-// travel as JSON strings; a type with its own AppendJSON and WalkJSON,
-// transport.Addr's, is a leaf the plan calls. Floats, maps, pointers,
-// interfaces, []byte, json.Number, embedded or duplicate fields, tag
-// options other than omitempty, json.Marshaler/Unmarshaler types and
-// recursive types get no plan; at run time a plan declines strings that
-// need escaping, keys that are not exactly a field's name and numbers out
-// of their field's range. encoding/json takes all of that, as before.
+// structs, and slices of those (nil is null, null is nil); pointers to
+// planned structs (nil is null, null is nil; parsing into a non-nil one
+// declines, because encoding/json would merge into the old pointee);
+// json.RawMessage, written verbatim when encoding/json would copy it too
+// and read as a strictly validated, copied span (null declines both
+// ways); text types (AppendText and MarshalText on the value,
+// UnmarshalText on the pointer) travel as JSON strings; a type with its
+// own AppendJSON and WalkJSON, transport.Addr's, is a leaf the plan
+// calls. Floats, maps, other pointers, interfaces, []byte, json.Number,
+// embedded or duplicate fields, tag options other than omitempty,
+// json.Marshaler/Unmarshaler types and recursive types get no plan; at
+// run time a plan declines strings that need escaping, keys that are not
+// exactly a field's name and numbers out of their field's range.
+// encoding/json takes all of that, as before.
 // Plans are built once per type under a lock and published read-only, so
 // both kernel partitions' threads share them.
 
@@ -50,14 +55,11 @@ func AppendDerived(buf []byte, v any) ([]byte, bool) {
 	return buf, false
 }
 
-// ParseDerived parses data into what v points to and reports whether it
-// did: through the receiver's own codec (FastUnmarshaler) if it has one,
-// else through the plan derived for its type. On false the receiver is as
-// it was and the caller asks encoding/json.
+// ParseDerived parses data into what v points to through the plan derived
+// for its type — a leaf's own walker included — and reports whether it
+// did. On false the receiver is as it was and the caller asks
+// encoding/json.
 func ParseDerived(data []byte, v any) bool {
-	if fu, ok := v.(FastUnmarshaler); ok {
-		return fu.ParseJSON(data)
-	}
 	e := (*[2]unsafe.Pointer)(unsafe.Pointer(&v))
 	if e[1] == nil || reflect.TypeOf(v).Kind() != reflect.Pointer {
 		return false
@@ -74,11 +76,12 @@ type (
 // A codec is the plan for one type; it is immutable once published.
 type codec struct {
 	typ    reflect.Type
+	kind   reflect.Kind
 	size   uintptr
 	enc    encFn
 	dec    decFn
 	fields []field // structs, in declaration order
-	elem   *codec  // slices
+	elem   *codec  // slices and pointers
 	// The itabs of *typ for a text type's or a leaf's interfaces, taken
 	// when the plan is built, so a call does no type assertion.
 	encTab, decTab unsafe.Pointer
@@ -160,12 +163,15 @@ var ints = [8]struct {
 
 func build(t reflect.Type) *codec {
 	pt := reflect.PointerTo(t)
-	c := &codec{typ: t, size: t.Size()}
+	c := &codec{typ: t, kind: t.Kind(), size: t.Size()}
 	c.scratch.New = func() any { return reflect.New(t).UnsafePointer() }
 	marshalText, appendText := reflect.TypeFor[encoding.TextMarshaler](), reflect.TypeFor[encoding.TextAppender]()
 	unmarshalText := reflect.TypeFor[encoding.TextUnmarshaler]()
-	switch k := t.Kind(); {
-	case k != reflect.Bool && (k < reflect.Int || k > reflect.Uint64) && k != reflect.String && k != reflect.Struct && k != reflect.Slice,
+	switch k := c.kind; {
+	case t == reflect.TypeFor[json.RawMessage]():
+		c.enc, c.dec = encRaw, decRaw
+	case k != reflect.Bool && (k < reflect.Int || k > reflect.Uint64) && k != reflect.String && k != reflect.Struct && k != reflect.Slice && k != reflect.Pointer,
+		k == reflect.Pointer && t.Elem().Kind() != reflect.Struct,
 		k == reflect.Slice && t.Elem().Kind() == reflect.Uint8, // []byte is base64 in encoding/json
 		pt.Implements(reflect.TypeFor[json.Marshaler]()) || pt.Implements(reflect.TypeFor[json.Unmarshaler]()),
 		t == reflect.TypeFor[json.Number]():
@@ -198,6 +204,10 @@ func build(t reflect.Type) *codec {
 			return nil
 		}
 		c.slots.New = func() any { return newSlot(t) }
+	case k == reflect.Pointer:
+		if c.enc, c.dec, c.elem = encPtr, decPtr, plan(t.Elem()); c.elem == nil {
+			return nil
+		}
 	default:
 		c.enc, c.dec = encStruct, decStruct
 		for i := 0; i < t.NumField(); i++ {
@@ -242,9 +252,13 @@ func as[I any](tab, p unsafe.Pointer) (i I) {
 
 // empty is encoding/json's omitempty test for the kinds a plan admits.
 func (c *codec) empty(p unsafe.Pointer) bool {
-	switch c.typ.Kind() {
-	case reflect.String, reflect.Slice:
-		return (*sliceHeader)(p).len == 0 // a string's length sits where a slice's does
+	switch c.kind {
+	case reflect.String:
+		// Not through sliceHeader: a string that ends its allocation is
+		// shorter than one, and -race's pointer checks reject the cast.
+		return len(*(*string)(p)) == 0
+	case reflect.Slice:
+		return (*sliceHeader)(p).len == 0
 	case reflect.Struct:
 		return false
 	}
@@ -302,6 +316,23 @@ func encSlice(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
 		}
 	}
 	return append(b, ']'), true
+}
+
+func encPtr(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
+	if q := *(*unsafe.Pointer)(p); q != nil {
+		return c.elem.enc(c.elem, b, q)
+	}
+	return append(b, "null"...), true
+}
+
+// encRaw writes raw verbatim when encoding/json would: it compacts and
+// HTML-escapes a RawMessage and writes an empty one as null.
+func encRaw(_ *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
+	raw := *(*json.RawMessage)(p)
+	if len(raw) == 0 || string(raw) == "null" || !JSONVerbatim(raw) || !ValidJSON(raw) {
+		return b, false
+	}
+	return append(b, raw...), true
 }
 
 func encText(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
@@ -401,6 +432,36 @@ func decStruct(c *codec, l *Lexer, p unsafe.Pointer) bool {
 		f := &c.fields[i]
 		return f.c.dec(f.c, l, unsafe.Add(p, f.off))
 	})
+}
+
+// decPtr allocates the pointee; into a non-nil one encoding/json would
+// merge, which a snapshot of the receiver could not undo.
+func decPtr(c *codec, l *Lexer, p unsafe.Pointer) bool {
+	pp := (*unsafe.Pointer)(p)
+	if l.consumeLit("null") {
+		*pp = nil
+		return true
+	}
+	if *pp != nil {
+		return false
+	}
+	q := reflect.New(c.elem.typ).UnsafePointer()
+	if !c.elem.dec(c.elem, l, q) {
+		return false
+	}
+	*pp = q
+	return true
+}
+
+// decRaw copies the span out of the read buffer. encoding/json captures a
+// null too, but nothing here proves it, so null declines.
+func decRaw(_ *codec, l *Lexer, p unsafe.Pointer) bool {
+	span, ok := l.Value()
+	if !ok || string(span) == "null" {
+		return false
+	}
+	*(*json.RawMessage)(p) = append(json.RawMessage(nil), span...)
+	return true
 }
 
 func decText(c *codec, l *Lexer, p unsafe.Pointer) bool {

@@ -59,33 +59,35 @@ type fixInner struct {
 
 // fixture holds every kind a plan admits.
 type fixture struct {
-	Str    string     `json:"str"`
-	Bool   bool       `json:"bool,omitempty"`
-	I8     int8       `json:"i8"`
-	I16    int16      `json:"i16,omitempty"`
-	I32    int32      `json:"i32"`
-	I64    int64      `json:"i64"`
-	Int    int        `json:"int"`
-	U8     uint8      `json:"u8"`
-	U16    uint16     `json:"u16"`
-	U32    uint32     `json:"u32,omitempty"`
-	U64    uint64     `json:"u64"`
-	Uint   uint       `json:"uint"`
-	Text   fixText    `json:"text,omitempty"`
-	Leaf   fixLeaf    `json:"leaf"`
-	Inner  fixInner   `json:"inner,omitempty"`
-	List   []fixInner `json:"list,omitempty"`
-	Flags  []bool     `json:"flags"`
-	Rows   [][]string `json:"rows"`
-	Plain  int        // keyed by its Go name
-	Dash   int        `json:"-"`
-	Minus  int        `json:"-,"`
+	Str    string          `json:"str"`
+	Bool   bool            `json:"bool,omitempty"`
+	I8     int8            `json:"i8"`
+	I16    int16           `json:"i16,omitempty"`
+	I32    int32           `json:"i32"`
+	I64    int64           `json:"i64"`
+	Int    int             `json:"int"`
+	U8     uint8           `json:"u8"`
+	U16    uint16          `json:"u16"`
+	U32    uint32          `json:"u32,omitempty"`
+	U64    uint64          `json:"u64"`
+	Uint   uint            `json:"uint"`
+	Text   fixText         `json:"text,omitempty"`
+	Leaf   fixLeaf         `json:"leaf"`
+	Inner  fixInner        `json:"inner,omitempty"`
+	List   []fixInner      `json:"list,omitempty"`
+	Flags  []bool          `json:"flags"`
+	Rows   [][]string      `json:"rows"`
+	Ptr    *fixInner       `json:"ptr"`
+	Raw    json.RawMessage `json:"raw,omitempty"`
+	Plain  int             // keyed by its Go name
+	Dash   int             `json:"-"`
+	Minus  int             `json:"-,"`
 	hidden int
 }
 
 // receivers: zero, and one holding old values everywhere — slices with
 // stale elements in their spare capacity, which encoding/json decodes
-// into.
+// into, and a pointer, which it merges into and a plan declines.
 var (
 	fixtureReceivers = []func() fixture{
 		func() fixture { return fixture{} },
@@ -93,7 +95,8 @@ var (
 			return fixture{Str: "old", Bool: true, I8: -3, U64: 9, Text: 7, Leaf: fixLeaf{N: 4}, Dash: 5, hidden: 6,
 				Inner: fixInner{S: "in", V: []int16{1, 2}},
 				List:  []fixInner{{S: "a", B: true, V: []int16{3}}, {S: "stale", V: []int16{4, 5}}}[:1],
-				Flags: []bool{true}, Rows: [][]string{{"r"}, {"stale"}}[:1]}
+				Flags: []bool{true}, Rows: [][]string{{"r"}, {"stale"}}[:1],
+				Ptr: &fixInner{S: "old"}, Raw: json.RawMessage(`[1,2]`)}
 		},
 	}
 	listReceivers = []func() []fixInner{
@@ -101,6 +104,13 @@ var (
 		func() []fixInner { return []fixInner{{S: "a"}, {S: "stale", B: true}}[:1] },
 	}
 )
+
+// fixTail ends in an omitempty string, which ends its allocation: -race's
+// pointer checks fail a plan that reads it as a longer header.
+type fixTail struct {
+	N int    `json:"n"`
+	S string `json:"s,omitempty"`
+}
 
 // fixTree is recursive: no plan.
 type fixTree struct {
@@ -154,13 +164,19 @@ func TestDerivedPlansEveryKind(t *testing.T) {
 	full := fixture{Str: "s", Bool: true, I8: -128, I16: 32767, I32: -1 << 31, I64: -1 << 63, Int: 1 << 62,
 		U8: 255, U16: 65535, U32: 1<<32 - 1, U64: 1<<64 - 1, Uint: 7, Text: 0xab, Leaf: fixLeaf{N: -2},
 		Inner: fixInner{S: "in", B: true, V: []int16{-1, 0}}, List: []fixInner{{}, {S: "x", V: []int16{}}},
-		Flags: []bool{false, true}, Rows: [][]string{nil, {}, {"a", "b"}}, Plain: 3, Dash: 4, Minus: 5}
+		Flags: []bool{false, true}, Rows: [][]string{nil, {}, {"a", "b"}}, Ptr: &fixInner{S: "p", V: []int16{1}},
+		Raw: json.RawMessage(`{"k":[1,"v",null]}`), Plain: 3, Dash: 4, Minus: 5}
 	codectest.Accepts(t, full)
 	codectest.Accepts(t, fixture{})
 	codectest.Accepts(t, []fixInner{{S: "a"}})
 	codectest.Accepts(t, fixText(3))
 	codectest.Accepts(t, fixLeaf{N: 1})
-	for _, v := range []fixture{{Str: "<"}, {Text: 0x100}, {List: []fixInner{{S: "ü"}}}} {
+	codectest.Accepts(t, &fixTail{N: 1})
+	// A raw span encoding/json would rewrite (compact, HTML-escape) and a
+	// raw null decline to encode.
+	for _, v := range []fixture{{Str: "<"}, {Text: 0x100}, {List: []fixInner{{S: "ü"}}}, {Ptr: &fixInner{S: "<"}},
+		{Raw: json.RawMessage(`{ "k" : 1 }`)}, {Raw: json.RawMessage(`{"h":"<"}`)}, {Raw: json.RawMessage(`null`)},
+		{Raw: json.RawMessage(`{"k"`)}} {
 		if codectest.CheckAppend(t, v) {
 			t.Errorf("encoded %+v, which encoding/json escapes", v)
 		}
@@ -168,13 +184,19 @@ func TestDerivedPlansEveryKind(t *testing.T) {
 	for _, src := range []string{
 		`{"str":"a` + esc + `"}`, `{"STR":"a"}`, `{"nope":1}`, `{"i8":128}`, `{"i8":-129}`, `{"u8":256}`,
 		`{"u8":-1}`, `{"int":1.5}`, `{"str":null}`, `{"inner":null}`, `{"text":1}`, `{"text":"zz"}`,
-		`{"bool":1}`, `{"flags":[true,]}`, `{"Dash":1}`, `{"hidden":1}`,
+		`{"bool":1}`, `{"flags":[true,]}`, `{"Dash":1}`, `{"hidden":1}`, `{"raw":null}`, `{"raw":01}`,
+		`{"ptr":{"s":1}}`,
 	} {
 		if v := (fixture{Str: "old"}); llenc.ParseDerived([]byte(src), &v) {
 			t.Errorf("accepted %s", src)
 		}
 		codectest.Check(t, []byte(src), fixtureReceivers...)
 	}
+	// Into a non-nil pointer encoding/json merges: a plan declines.
+	if v := (fixture{Ptr: &fixInner{S: "old"}}); llenc.ParseDerived([]byte(`{"ptr":{"b":true}}`), &v) {
+		t.Errorf("parsed into a non-nil pointer: %+v", v.Ptr)
+	}
+	codectest.Check(t, []byte(`{"ptr":{"b":true}}`), fixtureReceivers...)
 	for i, d := range declines {
 		if v := d(); llenc.ParseDerived([]byte(`{}`), v) {
 			t.Errorf("decline class %d: parsed into %T", i, v)
@@ -253,6 +275,8 @@ func FuzzDerived(f *testing.F) {
 		`{"STR":"a"}`, `{"str":"a` + esc + `"}`, `{"str":"é"}`, `{"text":"<1ff"}`, `{"text":"` + esc + `"}`,
 		`{"leaf":{"n":1,"n":2}}`, `{"inner":{"v":null},"inner":{"s":"t"}}`, `[{"s":"a"},{"b":true}]`,
 		`{"flags":[true,]}`, `{"str":"a"}x`, `{"bool":false,"bool":true}`,
+		`{"ptr":{"s":"p","v":[1]},"raw":{"k":[1,"v",null]}}`, `{"ptr":null,"raw":"s"}`, `{"ptr":{},"ptr":{"b":true}}`,
+		`{"raw":null}`, `{"raw": [ 1 ] }`, `{"raw":"\u003c"}`,
 	} {
 		f.Add([]byte(src))
 	}

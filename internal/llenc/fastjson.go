@@ -5,11 +5,11 @@ import (
 	"unicode/utf8"
 )
 
-// Shared primitives for hand-rolled JSON fast paths (FastMarshaler /
-// FastUnmarshaler implementations, and the derived plans of derive.go).
-// The hand-written codecs — the control plane's ctlproto.Msg, the RPC
-// library's request/response envelopes and transport.Addr — and the
-// plans all carry the same contract:
+// Shared primitives for hand-rolled JSON fast paths (FastMarshaler
+// implementations and their parsers, and the derived plans of derive.go).
+// The hand-written codecs — the RPC library's request/response envelopes
+// and transport.Addr — and the plans, which carry every other message,
+// the control plane's ctlproto.Msg included, all share one contract:
 // the fast encoding must be byte-identical to encoding/json's output,
 // and the fast parser must either reproduce encoding/json's result
 // exactly or decline so the caller falls back. Keeping the

@@ -30,16 +30,11 @@ const HeaderSize = 4
 // fast path. AppendJSON appends the value's encoding to buf and reports
 // whether it did; the appended bytes must be identical to json.Marshal's
 // output for the value. When it reports false, buf is returned unchanged
-// and the caller uses encoding/json instead.
+// and the caller uses encoding/json instead. A type that also has a
+// walker (WalkJSON, see "Value codecs" in fastjson.go) is parsed through
+// it as a leaf of the derived plans.
 type FastMarshaler interface {
 	AppendJSON(buf []byte) ([]byte, bool)
-}
-
-// FastUnmarshaler is the decoding counterpart: ParseJSON parses data and
-// reports whether it handled it, leaving the receiver untouched on
-// false so the caller can retry with encoding/json.
-type FastUnmarshaler interface {
-	ParseJSON(data []byte) bool
 }
 
 // Writer frames messages onto an io.Writer.
@@ -166,10 +161,10 @@ func (r *Reader) Decode(v any) error {
 	return Unmarshal(payload, v)
 }
 
-// Unmarshal decodes one frame's JSON payload into v: a receiver with its
-// own codec or a derived plan (ParseDerived) tries it first, and
-// encoding/json takes anything declined. It is the second half of
-// Reader.Decode, for a FrameSink that is handed the payload.
+// Unmarshal decodes one frame's JSON payload into v: a receiver with a
+// derived plan (ParseDerived) tries it first, and encoding/json takes
+// anything declined. It is the second half of Reader.Decode, for a
+// FrameSink that is handed the payload.
 func Unmarshal(payload []byte, v any) error {
 	if ParseDerived(payload, v) {
 		return nil

@@ -36,7 +36,6 @@ type Client struct {
 	// a protocol instance talks to a handful of neighbours, and at
 	// memory-plane scale a per-client map costs more than its entries.
 	mu      sync.Mutex
-	pooling bool
 	peers   []*peerConn
 	ins     *Instruments                    // shared noInstruments when disabled; never nil
 	backoff faults.Backoff                  // redial pacing; zero = disabled
@@ -59,10 +58,10 @@ type redialState struct {
 	notBefore time.Time // earliest next dial under backoff
 }
 
-// NewClient returns a client with the paper's default two-minute timeout,
-// pooling enabled, and the fault filter the instance's host granted.
+// NewClient returns a client with the paper's default two-minute timeout
+// and the fault filter the instance's host granted.
 func NewClient(ctx *core.AppContext) *Client {
-	return &Client{ctx: ctx, Timeout: DefaultTimeout, Fault: ctx.RPCFault(), pooling: true, ins: &noInstruments}
+	return &Client{ctx: ctx, Timeout: DefaultTimeout, Fault: ctx.RPCFault(), ins: &noInstruments}
 }
 
 // findPeer returns the pooled connection to the destination, or nil.
@@ -103,10 +102,6 @@ func (c *Client) removePeer(p *peerConn) {
 		}
 	}
 }
-
-// SetPooling toggles connection reuse (ablation: one connection per call
-// versus multiplexing).
-func (c *Client) SetPooling(on bool) { c.pooling = on }
 
 // SetRedialBackoff paces repeat dials to a destination that keeps
 // failing: after each failed dial the next one to the same address waits
@@ -183,13 +178,8 @@ func (c *Client) Ping(to transport.Addr, timeout time.Duration) (time.Duration, 
 }
 
 // peer returns a live pooled connection to the destination, dialing one if
-// needed. Without pooling it always dials a fresh connection.
+// needed.
 func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, error) {
-	if !c.pooling {
-		pc := newPeerConn(c, to, false)
-		pc.dial(timeout)
-		return pc, pc.lastErr()
-	}
 	c.mu.Lock()
 	pc := c.findPeer(to)
 	if pc != nil && !pc.broken {
@@ -235,7 +225,7 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 		}
 		return pc, nil
 	}
-	pc = newPeerConn(c, to, true)
+	pc = newPeerConn(c, to)
 	c.addPeer(pc)
 	var wait time.Duration
 	if c.ins.Redials != nil {
@@ -296,7 +286,6 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 type peerConn struct {
 	client *Client
 	to     transport.Addr
-	pooled bool
 
 	conn  transport.Conn
 	wlock core.Lock // write lock, embedded; framing and encode staging ride pooled encJobs
@@ -324,15 +313,11 @@ type pendingCall struct {
 	w  core.Waiter
 }
 
-func newPeerConn(c *Client, to transport.Addr, pooled bool) *peerConn {
+func newPeerConn(c *Client, to transport.Addr) *peerConn {
 	// The write lock is instance-bound: a task parked on it yields the
 	// instance baton, so the current writer (who holds the baton inside
 	// its Blocking section) can finish.
-	p := &peerConn{
-		client: c,
-		to:     to,
-		pooled: pooled,
-	}
+	p := &peerConn{client: c, to: to}
 	c.ctx.InitLock(&p.wlock)
 	return p
 }
@@ -399,14 +384,6 @@ func (p *peerConn) dial(timeout time.Duration) {
 	p.client.ctx.Go(p.fr.Run)
 }
 
-// closeConn ends a one-shot (non-pooled) connection after its call: the
-// client closes it itself, so it untracks it too — see
-// core.AppContext.Track.
-func (p *peerConn) closeConn() {
-	p.client.ctx.Untrack(p.conn)
-	p.conn.Close()
-}
-
 // lastErr reads the connection's verdict under the client lock.
 func (p *peerConn) lastErr() error {
 	p.client.mu.Lock()
@@ -424,16 +401,14 @@ func (p *peerConn) fail(err error) {
 	}
 	p.broken = true
 	p.err = err
-	if p.pooled {
-		c.removePeer(p)
-		if c.ins.Redials != nil {
-			// Mark the destination so the dial that replaces this
-			// connection counts as a redial (see Client.deadPeers).
-			if c.deadPeers == nil {
-				c.deadPeers = make(map[transport.Addr]struct{})
-			}
-			c.deadPeers[p.to] = struct{}{}
+	c.removePeer(p)
+	if c.ins.Redials != nil {
+		// Mark the destination so the dial that replaces this
+		// connection counts as a redial (see Client.deadPeers).
+		if c.deadPeers == nil {
+			c.deadPeers = make(map[transport.Addr]struct{})
 		}
+		c.deadPeers[p.to] = struct{}{}
 	}
 	conn := p.conn
 	pend := p.pending
@@ -558,9 +533,6 @@ func (p *peerConn) call(timeout time.Duration, method string, args []any) (Resul
 
 	switch v := w.Wait().(type) {
 	case *response:
-		if !p.pooled {
-			p.closeConn()
-		}
 		errMsg, result := v.Err, v.Result
 		putResp(v)
 		if errMsg != "" {
@@ -571,9 +543,6 @@ func (p *peerConn) call(timeout time.Duration, method string, args []any) (Resul
 		c.mu.Lock()
 		p.takePending(id)
 		c.mu.Unlock()
-		if !p.pooled {
-			p.closeConn()
-		}
 		return nil, v
 	default:
 		return nil, fmt.Errorf("rpc: internal: unexpected wake %T", v)

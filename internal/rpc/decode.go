@@ -35,8 +35,8 @@ var decoderPool = sync.Pool{New: func() any {
 
 // parseFast is the decoding half of the value seam: the scalar pointers
 // handlers decode most — ids, hop counts, names, flags — are read by the
-// lexer, and any other receiver takes its own codec or its type's derived
-// plan (llenc.ParseDerived). It reports false, with v untouched, for any
+// lexer, and any other receiver takes its type's derived plan
+// (llenc.ParseDerived). It reports false, with v untouched, for any
 // input a parser declines (floats, escapes, surrounding whitespace on a
 // scalar, a type with no plan); the caller then asks encoding/json.
 func parseFast(data []byte, v any) bool {

@@ -7,10 +7,11 @@ import (
 	"github.com/splaykit/splay/internal/llenc"
 )
 
-// Fast-path JSON codec for the RPC envelopes, mirroring ctlproto's: the
-// request ({"id","m","a"}) and response ({"id","e","r"}) frames implement
-// llenc.FastMarshaler/FastUnmarshaler with hand-rolled encoders and
-// decline-don't-guess parsers. The bytes are identical to encoding/json's
+// Fast-path JSON codec for the RPC envelopes, the one hand-written frame
+// codec: the request ({"id","m","a"}) and response ({"id","e","r"})
+// frames implement llenc.FastMarshaler with hand-rolled encoders and have
+// decline-don't-guess parsers (parseRequest, response.parseJSON) that
+// keep raw spans for the lazy decode below. The bytes are identical to encoding/json's
 // for these structs — field order, omitempty, HTML escaping — which
 // TestRPCFastCodecMatchesEncodingJSON and the fuzz targets check
 // differentially, so the wire format (and with it every golden-pinned

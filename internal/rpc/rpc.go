@@ -7,8 +7,7 @@
 // return) come back as Go errors. Ping is the paper's rpc.ping.
 //
 // Clients keep a small pool of connections, multiplexing concurrent calls
-// to one destination over a single stream; SetPooling(false) disables the
-// pool for ablation experiments.
+// to one destination over a single stream.
 //
 // The message plane is built for throughput: envelopes ride the
 // hand-rolled fast codec in fast.go (byte-identical to encoding/json),

@@ -174,24 +174,6 @@ func TestPoolingReusesConnections(t *testing.T) {
 	}
 }
 
-func TestNoPoolingDialsPerCall(t *testing.T) {
-	e := newEnv(t, 2)
-	e.k.Go(func() { startEchoServer(t, e.ctx(1), 8000) })
-	e.k.GoAfter(time.Second, func() {
-		c := NewClient(e.ctx(0))
-		c.SetPooling(false)
-		for i := 0; i < 5; i++ {
-			if _, err := c.Call(transport.Addr{Host: "n1", Port: 8000}, "echo", "x"); err != nil {
-				t.Errorf("call %d: %v", i, err)
-			}
-		}
-	})
-	e.k.Run()
-	if dials := e.nw.Stats().Dials; dials != 5 {
-		t.Fatalf("unpooled client dialed %d times, want 5", dials)
-	}
-}
-
 func TestConcurrentCallsMultiplex(t *testing.T) {
 	e := newEnv(t, 2)
 	sctx := e.ctx(1)
@@ -324,9 +306,9 @@ func TestManyClientsOneServer(t *testing.T) {
 // ends of the fabric: an instance tracks what it has open — its listener
 // and its live connections — not every connection it ever dialed or
 // served. Pooled peers whose servers die are untracked when they fail, and
-// a thousand one-shot (non-pooled) calls leave nothing behind on either
-// side — in simulation (event-driven readers) and over loopback TCP
-// (task-based serveConn and readLoop, what a production splayd runs).
+// a hundred clients that come and go leave nothing behind on the server —
+// in simulation (event-driven readers) and over loopback TCP (task-based
+// serveConn and readLoop, what a production splayd runs).
 func TestClientReleasesDeadPeers(t *testing.T) {
 	t.Run("sim", testReleasesDeadPeersSim)
 	t.Run("live", testReleasesClosedConnsLive)
@@ -372,18 +354,19 @@ func testReleasesDeadPeersSim(t *testing.T) {
 		}
 		tracked("after a refused redial", cctx, 1+servers-2)
 
-		oneShot := NewClient(cctx)
-		oneShot.SetPooling(false)
-		for i := 0; i < 1000; i++ {
-			if _, err := oneShot.Call(addrs[0], "echo", "x"); err != nil {
-				t.Errorf("one-shot call %d: %v", i, err)
+		// A hundred client instances, each dying after its call.
+		for i := 0; i < 100; i++ {
+			short := e.ctx(0)
+			_, err := NewClient(short).Call(addrs[0], "echo", "x")
+			short.Kill()
+			if err != nil {
+				t.Errorf("short-lived client %d: %v", i, err)
 				return
 			}
 		}
 		cctx.Sleep(time.Second) // let the last EOF reach the server
-		tracked("after 1000 one-shot calls", cctx, 1+servers-2)
 		// The server's side of it: its listener and the one pooled
-		// connection still open from the client.
+		// connection still open from the first client.
 		tracked("server, after serving them", sctxs[0], 2)
 	})
 	e.k.Run()
@@ -400,17 +383,14 @@ func testReleasesClosedConnsLive(t *testing.T) {
 	}
 	addr := transport.Addr{Host: "127.0.0.1", Port: srv.Addr().Port}
 
-	cctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
-	defer cctx.Kill()
-	c := NewClient(cctx)
-	c.SetPooling(false)
+	// Each client instance dies after its call, closing its connection.
 	for i := 0; i < 100; i++ {
-		if _, err := c.CallTimeout(addr, 10*time.Second, "echo", "x"); err != nil {
-			t.Fatalf("one-shot call %d: %v", i, err)
+		cctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+		_, err := NewClient(cctx).CallTimeout(addr, 10*time.Second, "echo", "x")
+		cctx.Kill()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
 		}
-	}
-	if got := cctx.Tracked(); got != 0 {
-		t.Errorf("client tracks %d closers after 100 one-shot calls, want 0", got)
 	}
 	// The server untracks as each serve loop sees its EOF.
 	deadline := time.Now().Add(10 * time.Second)

@@ -17,7 +17,8 @@ type plainRef struct {
 	Addr transport.Addr `json:"addr"`
 }
 
-// fastRef is plainRef with a value codec that counts its consultations.
+// fastRef is plainRef with a value codec — an encoder and a walker, which
+// the plan runs as a leaf — that counts its consultations.
 type fastRef plainRef
 
 var fastRefEncodes, fastRefParses int
@@ -32,22 +33,17 @@ func (r fastRef) AppendJSON(buf []byte) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-func (r *fastRef) ParseJSON(data []byte) bool {
+func (r *fastRef) WalkJSON(l *llenc.Lexer) bool {
 	fastRefParses++
-	l, saved := llenc.Lexer{Data: data}, *r
-	ok := l.Object(func(key []byte) (ok bool) {
+	return l.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "id":
 			r.ID, ok = l.Uint()
 		case "addr":
-			ok = r.Addr.WalkJSON(&l)
+			ok = r.Addr.WalkJSON(l)
 		}
 		return ok
-	}) && l.End()
-	if !ok {
-		*r = saved
-	}
-	return ok
+	})
 }
 
 // decliningRef has a codec that is asked and always says no.
@@ -56,7 +52,7 @@ type decliningRef plainRef
 var decliningRefAsked int
 
 func (r decliningRef) AppendJSON(buf []byte) ([]byte, bool) { decliningRefAsked++; return buf, false }
-func (r *decliningRef) ParseJSON([]byte) bool               { decliningRefAsked++; return false }
+func (r *decliningRef) WalkJSON(*llenc.Lexer) bool          { decliningRefAsked++; return false }
 
 // TestValueSeamsConsultTheContract drives one call through all four value
 // seams — call argument, Args.Decode, handler result, Result.Decode —
