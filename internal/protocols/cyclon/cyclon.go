@@ -7,6 +7,7 @@
 package cyclon
 
 import (
+	"slices"
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
@@ -97,8 +98,8 @@ func (n *Node) View() []Entry { return append([]Entry(nil), n.view...) }
 // (typically ctx.Job.Nodes).
 func (n *Node) Start(bootstrap []transport.Addr) error {
 	for _, a := range bootstrap {
-		if a != n.self {
-			n.insert(Entry{Addr: a})
+		if a != n.self && n.find(a) < 0 {
+			n.view = append(n.view, Entry{Addr: a})
 		}
 	}
 	s := rpc.NewServer(n.ctx)
@@ -121,38 +122,33 @@ func (n *Node) Stop() {
 	}
 }
 
-func (n *Node) insert(e Entry) {
+// find returns the index of a's entry in the view, or -1.
+func (n *Node) find(a transport.Addr) int {
 	for i := range n.view {
-		if n.view[i].Addr == e.Addr {
-			if e.Age < n.view[i].Age {
-				n.view[i].Age = e.Age
-			}
-			return
+		if n.view[i].Addr == a {
+			return i
 		}
 	}
-	n.view = append(n.view, e)
+	return -1
 }
 
-// removeAddr drops a peer from the view.
-func (n *Node) removeAddr(a transport.Addr) {
-	kept := n.view[:0]
-	for _, e := range n.view {
-		if e.Addr != a {
-			kept = append(kept, e)
-		}
-	}
-	n.view = kept
-}
-
-// sample copies up to l entries (excluding the peer at skip). Entries
-// stay in the view: Cyclon only discards a sent entry when the received
-// ones need its slot, so view sizes are conserved even when replies are
-// short or lost.
+// sample copies up to l entries (excluding the peer at skip) into a wire
+// payload of ShuffleLen capacity, which leaves the initiator (l =
+// ShuffleLen-1) a spare slot for its self-entry. It visits the view in
+// rand.Perm's order, drawn on the stack with Perm's own Intn calls, so the
+// RNG ends where Perm leaves it. Entries stay in the view: Cyclon only
+// discards a sent entry when the received ones need its slot, so view
+// sizes are conserved even when replies are short or lost.
 func (n *Node) sample(l int, skip transport.Addr) []Entry {
-	rng := n.ctx.Rand()
-	idx := rng.Perm(len(n.view))
-	out := make([]Entry, 0, max(l, 0))
-	for _, i := range idx {
+	var buf [64]int // a larger view (a big bootstrap) grows perm onto the heap
+	perm, rng := buf[:0], n.ctx.Rand()
+	for i := range n.view {
+		perm = append(perm, i)
+		j := rng.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	out := make([]Entry, 0, n.cfg.ShuffleLen)
+	for _, i := range perm {
 		if len(out) >= l {
 			break
 		}
@@ -165,47 +161,40 @@ func (n *Node) sample(l int, skip transport.Addr) []Entry {
 }
 
 // merge folds received entries into the view. When the view is full, the
-// entries we sent in the same exchange (sacrificable) are replaced first;
-// further incoming entries are dropped.
+// entries we sent in the same exchange (sacrificable) are replaced first,
+// earliest sent first; further incoming entries are dropped. No entry of
+// sacrificable[:next] is in the view, so each eviction resumes its search
+// at next instead of rescanning the candidates from the start.
 func (n *Node) merge(in, sacrificable []Entry) {
+	next := 0
 	for _, e := range in {
 		if e.Addr == n.self {
 			continue
 		}
-		if n.contains(e.Addr) {
-			n.insert(e) // refresh age only
+		if i := n.find(e.Addr); i >= 0 {
+			n.view[i].Age = min(n.view[i].Age, e.Age) // refresh age only
 			continue
 		}
 		if len(n.view) >= n.cfg.ViewSize {
-			if !n.evictOneOf(sacrificable) {
+			i := -1
+			for ; i < 0 && next < len(sacrificable); next++ {
+				i = n.find(sacrificable[next].Addr)
+			}
+			if i < 0 {
 				continue // nothing sacrificable left: drop the entry
 			}
+			n.view = slices.Delete(n.view, i, i+1)
 		}
-		n.insert(e)
-	}
-}
-
-func (n *Node) contains(a transport.Addr) bool {
-	for i := range n.view {
-		if n.view[i].Addr == a {
-			return true
-		}
-	}
-	return false
-}
-
-// evictOneOf removes the first view entry that appears in the candidates
-// and reports whether one was removed.
-func (n *Node) evictOneOf(candidates []Entry) bool {
-	for _, c := range candidates {
-		for i := range n.view {
-			if n.view[i].Addr == c.Addr {
-				n.view = append(n.view[:i], n.view[i+1:]...)
-				return true
+		n.view = append(n.view, e)
+		// An entry sent and evicted earlier in this exchange may come back:
+		// it is sacrificable again.
+		for j := range next {
+			if sacrificable[j].Addr == e.Addr {
+				next = j
+				break
 			}
 		}
 	}
-	return false
 }
 
 // shuffle is one gossip round: age the view, contact the oldest peer with
@@ -214,21 +203,18 @@ func (n *Node) shuffle() {
 	if len(n.view) == 0 {
 		return
 	}
-	for i := range n.view {
-		n.view[i].Age++
-	}
 	oldest := 0
 	for i := range n.view {
+		n.view[i].Age++
 		if n.view[i].Age > n.view[oldest].Age {
 			oldest = i
 		}
 	}
 	peer := n.view[oldest].Addr
-	n.removeAddr(peer) // replaced by our fresh entry at the peer's side
+	n.view = slices.Delete(n.view, oldest, oldest+1) // replaced by our fresh entry at the peer's side
 
 	send := n.sample(n.cfg.ShuffleLen-1, peer)
-	payload := append(append(make([]Entry, 0, len(send)+1), send...), Entry{Addr: n.self, Age: 0})
-	res, err := n.client.Call(peer, "shuffle", payload)
+	res, err := n.client.Call(peer, "shuffle", append(send, Entry{Addr: n.self}))
 	if err != nil {
 		return // dead peer already dropped from the view
 	}
@@ -252,8 +238,5 @@ func (n *Node) handleShuffle(args rpc.Args) (any, error) {
 	reply := n.sample(n.cfg.ShuffleLen, transport.Addr{})
 	n.merge(in, reply)
 	n.ins.View.Set(int64(len(n.view)))
-	if reply == nil {
-		reply = []Entry{}
-	}
 	return reply, nil
 }

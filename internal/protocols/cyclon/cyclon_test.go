@@ -1,6 +1,8 @@
 package cyclon
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,5 +123,145 @@ func TestDeadPeersEventuallyDropped(t *testing.T) {
 	}
 	if holders > 4 {
 		t.Fatalf("dead peer still in %d views", holders)
+	}
+}
+
+// refMerge is the merge the package shipped before the one-pass
+// eviction: contains, insert and evictOneOf, rescanning the candidates
+// against the whole view for every incoming entry. It is the oracle the
+// current merge must match.
+func refMerge(n *Node, in, sacrificable []Entry) {
+	contains := func(a transport.Addr) bool {
+		for i := range n.view {
+			if n.view[i].Addr == a {
+				return true
+			}
+		}
+		return false
+	}
+	insert := func(e Entry) {
+		for i := range n.view {
+			if n.view[i].Addr == e.Addr {
+				if e.Age < n.view[i].Age {
+					n.view[i].Age = e.Age
+				}
+				return
+			}
+		}
+		n.view = append(n.view, e)
+	}
+	evictOneOf := func(candidates []Entry) bool {
+		for _, c := range candidates {
+			for i := range n.view {
+				if n.view[i].Addr == c.Addr {
+					n.view = append(n.view[:i], n.view[i+1:]...)
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, e := range in {
+		if e.Addr == n.self {
+			continue
+		}
+		if contains(e.Addr) {
+			insert(e)
+			continue
+		}
+		if len(n.view) >= n.cfg.ViewSize && !evictOneOf(sacrificable) {
+			continue
+		}
+		insert(e)
+	}
+}
+
+// refSample is sample as it was: rand.Perm's index order over the view.
+func refSample(view []Entry, rng *rand.Rand, l int, skip transport.Addr) []Entry {
+	out := []Entry{}
+	for _, i := range rng.Perm(len(view)) {
+		if len(out) >= l {
+			break
+		}
+		if view[i].Addr != skip {
+			out = append(out, view[i])
+		}
+	}
+	return out
+}
+
+// randEntries draws k entries over a small address universe, so lists
+// collide with the view, with each other and with self; distinct keeps
+// addresses unique, as a view's are.
+func randEntries(rng *rand.Rand, k int, distinct bool) []Entry {
+	var out []Entry
+	seen := map[int]bool{}
+	for len(out) < k {
+		h := rng.Intn(48)
+		if distinct && seen[h] {
+			continue
+		}
+		seen[h] = true
+		out = append(out, Entry{Addr: transport.Addr{Host: simnet.HostName(h), Port: 8100}, Age: rng.Intn(6)})
+	}
+	return out
+}
+
+// TestMergeMatchesReference drives the one-pass merge and the reference
+// from identical views over seeded random inputs — views below, at and
+// above ViewSize (Start keeps every bootstrap peer), incoming lists with
+// self and duplicates, sacrificable lists that miss the view, repeat
+// themselves or name incoming peers — and requires identical views.
+func TestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	self := transport.Addr{Host: simnet.HostName(0), Port: 8100}
+	for trial := 0; trial < 20000; trial++ {
+		viewSize := 1 + rng.Intn(12)
+		view := randEntries(rng, rng.Intn(viewSize+8), true)
+		view = slices.DeleteFunc(view, func(e Entry) bool { return e.Addr == self })
+		in := randEntries(rng, rng.Intn(12), rng.Intn(2) == 0)
+		sacrificable := randEntries(rng, rng.Intn(10), rng.Intn(4) != 0)
+		if rng.Intn(3) == 0 && len(view) > 0 { // sent entries come from the view
+			sacrificable = append(sacrificable[:0], view[:rng.Intn(len(view))]...)
+		}
+		got := &Node{cfg: Config{ViewSize: viewSize}, self: self, view: slices.Clone(view)}
+		want := &Node{cfg: Config{ViewSize: viewSize}, self: self, view: slices.Clone(view)}
+		got.merge(in, sacrificable)
+		refMerge(want, in, sacrificable)
+		if !slices.Equal(got.view, want.view) {
+			t.Fatalf("trial %d: view %v, size %d, in %v, sacrificable %v:\n got %v\nwant %v",
+				trial, view, viewSize, in, sacrificable, got.view, want.view)
+		}
+	}
+}
+
+// TestSampleMatchesPerm pins that sample visits the view in rand.Perm's
+// order and leaves the RNG where Perm leaves it, for views that fit the
+// stack buffer and views that do not.
+func TestSampleMatchesPerm(t *testing.T) {
+	k := sim.NewKernel()
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 1, 1)
+	for _, size := range []int{0, 1, 2, 7, 20, 64, 65, 150} {
+		for _, l := range []int{0, 1, 7, 8, 200} {
+			const seed = 7
+			ctx := core.NewAppContext(core.NewSimRuntime(k, seed), nw.Node(0), core.JobInfo{}, nil)
+			view := make([]Entry, size)
+			for i := range view {
+				view[i] = Entry{Addr: transport.Addr{Host: simnet.HostName(i), Port: 8100}, Age: i % 5}
+			}
+			skip := transport.Addr{Host: simnet.HostName(size / 2), Port: 8100}
+			n := &Node{ctx: ctx, cfg: Config{ShuffleLen: l + 1}, view: view} // as the initiator samples
+			ref := rand.New(rand.NewSource(seed))
+			got, want := n.sample(l, skip), refSample(view, ref, l, skip)
+			if !slices.Equal(got, want) {
+				t.Fatalf("view %d, l %d: sample %v, rand.Perm order %v", size, l, got, want)
+			}
+			if cap(got) <= len(got) {
+				t.Errorf("view %d, l %d: no spare slot for the self-entry (len %d, cap %d)", size, l, len(got), cap(got))
+			}
+			if a, b := ctx.Rand().Int63(), ref.Int63(); a != b {
+				t.Fatalf("view %d, l %d: RNG state after sample differs from after rand.Perm", size, l)
+			}
+		}
 	}
 }

@@ -362,7 +362,7 @@ func (p *peerConn) dial(timeout time.Duration) {
 		conn, err = p.client.ctx.Node().Dial(p.to, timeout)
 	})
 	if err != nil {
-		p.fail(fmt.Errorf("rpc: dial %s: %w", p.to, err))
+		p.fail(&connError{op: opDial, to: p.to, err: err})
 		return
 	}
 	// Tracked before it is published: once ready, a racing caller (live)
@@ -383,6 +383,30 @@ func (p *peerConn) dial(timeout time.Duration) {
 	p.fr.Init(conn, p, p.client.ctx.Blocking)
 	p.client.ctx.Go(p.fr.Run)
 }
+
+// connError is a failed dial, lost connection or failed send toward one
+// peer. Under churn most go unread — the protocol just drops the peer —
+// so the text is assembled in Error, not when the connection fails.
+type connError struct {
+	op  uint8 // opDial, opLost or opSend: an index into connErrorText
+	to  transport.Addr
+	err error
+}
+
+const opDial, opLost, opSend = 0, 1, 2
+
+var connErrorText = [...][2]string{
+	opDial: {"rpc: dial ", ": "},
+	opLost: {"rpc: connection to ", " lost: "},
+	opSend: {"rpc: send to ", ": "},
+}
+
+func (e *connError) Error() string {
+	t := connErrorText[e.op]
+	return t[0] + e.to.String() + t[1] + e.err.Error()
+}
+
+func (e *connError) Unwrap() error { return e.err }
 
 // lastErr reads the connection's verdict under the client lock.
 func (p *peerConn) lastErr() error {
@@ -437,7 +461,7 @@ func putResp(r *response) {
 // OnEnd and OnFrame make peerConn the sink of its embedded frame reader.
 func (p *peerConn) OnEnd(err error) {
 	if err != nil {
-		p.fail(fmt.Errorf("rpc: connection to %s lost: %w", p.to, err))
+		p.fail(&connError{op: opLost, to: p.to, err: err})
 	}
 }
 
@@ -450,7 +474,7 @@ func (p *peerConn) OnFrame(payload []byte) bool {
 		*resp = response{}
 		if err := json.Unmarshal(payload, resp); err != nil {
 			putResp(resp)
-			p.fail(fmt.Errorf("rpc: connection to %s lost: %w", p.to, err))
+			p.fail(&connError{op: opLost, to: p.to, err: err})
 			return false
 		}
 	}
@@ -494,7 +518,7 @@ func (p *peerConn) send(req request) bool {
 		p.client.mu.Lock()
 		p.takePending(req.ID)
 		p.client.mu.Unlock()
-		p.fail(fmt.Errorf("rpc: send to %s: %w", p.to, err))
+		p.fail(&connError{op: opSend, to: p.to, err: err})
 		return false
 	}
 	return true

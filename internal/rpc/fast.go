@@ -77,13 +77,13 @@ func appendValue(b []byte, v any) ([]byte, error) {
 // pinning its size in the scratch pool.
 const maxPooledScratch = 64 << 10
 
-// valueScratch stages marshalValue's encodes, so a result costs one
-// exact-size allocation however large it grows on the way.
+// valueScratch stages encodes: marshalValue's, so a value costs one
+// exact-size allocation however large it grows on the way, and handler
+// results, which ride their response in the buffer until it is framed.
 var valueScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// marshalValue is appendValue into a fresh slice the caller owns: handler
-// results (which must be copied before the pooled arguments they may alias
-// are recycled), Marshal and PreEncode.
+// marshalValue is appendValue into a fresh slice the caller owns (Marshal
+// and PreEncode).
 func marshalValue(v any) (json.RawMessage, error) {
 	bp := valueScratch.Get().(*[]byte)
 	b, err := appendValue((*bp)[:0], v)
@@ -91,11 +91,16 @@ func marshalValue(v any) (json.RawMessage, error) {
 	if err == nil {
 		out = append(out, b...)
 	}
+	releaseScratch(bp, b)
+	return out, err
+}
+
+// releaseScratch returns a staging buffer, now grown to b, to the pool.
+func releaseScratch(bp *[]byte, b []byte) {
 	if cap(b) <= maxPooledScratch {
 		*bp = b[:0]
 	}
 	valueScratch.Put(bp)
-	return out, err
 }
 
 // AppendJSON implements llenc.FastMarshaler for the request envelope.

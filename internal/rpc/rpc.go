@@ -55,6 +55,8 @@ type response struct {
 	ID     uint64          `json:"id"`
 	Err    string          `json:"e,omitempty"`
 	Result json.RawMessage `json:"r,omitempty"`
+
+	scratch *[]byte // server side: Result's pooled backing, released once framed
 }
 
 // Args gives handlers typed access to positional call arguments. The
@@ -234,8 +236,10 @@ func (s *Server) Start(port int) error {
 	s.ln = ln
 	s.ctx.Track(ln)
 	// One spawn installs the accept loop; on the simulated network it
-	// arms a callback and ends, so an idle listener parks no task.
-	s.ctx.Go(func() { transport.Serve(ln, s.ctx.Blocking, s.serve) })
+	// arms a callback and ends, so an idle listener parks no task. The
+	// Blocking hook is bound here once, not per accepted connection.
+	blocking := s.ctx.Blocking
+	s.ctx.Go(func() { transport.Serve(ln, blocking, func(c transport.Conn) { s.serve(c, blocking) }) })
 	return nil
 }
 
@@ -268,11 +272,11 @@ type serverConn struct {
 // serve tracks an accepted connection and spawns its frame reader
 // (llenc.FrameReader.Run: on the simulated network the task installs a
 // callback and ends, so an idle served connection holds no goroutine).
-func (s *Server) serve(conn transport.Conn) {
+func (s *Server) serve(conn transport.Conn, blocking func(func())) {
 	s.ctx.Track(conn)
 	sc := &serverConn{s: s}
-	sc.cw.init(conn)
-	sc.fr.Init(conn, sc, s.ctx.Blocking)
+	sc.cw.enc.Reset(conn)
+	sc.fr.Init(conn, sc, blocking)
 	s.ctx.Go(sc.fr.Run)
 }
 
@@ -384,16 +388,18 @@ func (j *reqJob) exec() {
 	if err != nil {
 		resp.Err = err.Error()
 	} else if result != nil {
-		raw, merr := marshalValue(result)
+		bp := valueScratch.Get().(*[]byte)
+		raw, merr := appendValue((*bp)[:0], result)
 		if merr != nil {
 			resp.Err = "rpc: unserializable result: " + merr.Error()
+			releaseScratch(bp, raw)
 		} else {
-			resp.Result = raw
+			resp.Result, resp.scratch = raw, bp
 		}
 	}
-	// The result is encoded (copied) above, so the pooled argument
-	// buffer can be recycled even if the handler returned bytes
-	// aliasing it.
+	// The result is encoded (copied) above into scratch that rides the
+	// response until flushBatch has framed it, so the pooled argument
+	// buffer can be recycled even if the handler returned bytes aliasing it.
 	args.release()
 	s.reply(cw, resp)
 }
@@ -404,12 +410,10 @@ func (j *reqJob) exec() {
 // same coalescing the controller's pipelined Submit uses. The mutex is
 // never held across Encode (which blocks in virtual time), so enqueuing
 // never parks a task; live, the flusher yields the instance baton across
-// the batch write (writeBatch is built once per connection), so a slow
-// receiver cannot stall the instance's other tasks or deadlock against
-// its read loop.
+// the batch write, so a slow receiver cannot stall the instance's other
+// tasks or deadlock against its read loop.
 type replyWriter struct {
-	enc        llenc.Writer
-	writeBatch func() // flushBatch, bound once; run under ctx.Blocking
+	enc llenc.Writer
 
 	mu       sync.Mutex
 	queue    []response
@@ -417,19 +421,16 @@ type replyWriter struct {
 	flushing bool
 }
 
-// init points the writer at conn; the zero replyWriter embeds by value
-// in per-connection state (serverConn) with no allocation of its own.
-func (cw *replyWriter) init(conn transport.Conn) {
-	cw.enc.Reset(conn)
-	cw.writeBatch = cw.flushBatch
-}
-
 func (cw *replyWriter) flushBatch() {
 	for i := range cw.wbatch {
 		// A dead conn is detected by the read loop; later frames
 		// just fail the same way.
-		cw.enc.Encode(&cw.wbatch[i]) //nolint:errcheck
-		cw.wbatch[i] = response{}    // drop Result references
+		r := &cw.wbatch[i]
+		cw.enc.Encode(r) //nolint:errcheck
+		if r.scratch != nil {
+			releaseScratch(r.scratch, r.Result)
+		}
+		*r = response{} // drop Result references
 	}
 }
 
@@ -454,7 +455,7 @@ func (s *Server) reply(cw *replyWriter, resp response) {
 		cw.queue = spare[:0]
 		cw.mu.Unlock()
 		sent := cw.enc.Bytes() // the flusher is the writer's only user
-		s.ctx.Blocking(cw.writeBatch)
+		s.ctx.Blocking(cw.flushBatch)
 		s.ins.BytesOut.Add(cw.enc.Bytes() - sent)
 		cw.mu.Lock()
 		spare = cw.wbatch[:0]

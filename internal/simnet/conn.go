@@ -137,7 +137,7 @@ type connPair struct {
 // dialer lives on another partition, its endpoint is registered by the dial
 // verdict over there — host tables are only ever touched by their owning
 // partition.
-func newConnPair(lh *Host, laddr transport.Addr, rh *Host, raddr transport.Addr) (*conn, *conn) {
+func newConnPair(lh *Host, lport int, rh *Host, rport int) (*conn, *conn) {
 	nw := lh.nw
 	pt := rh.np()
 	pair := new(connPair)
@@ -146,9 +146,9 @@ func newConnPair(lh *Host, laddr transport.Addr, rh *Host, raddr transport.Addr)
 	toLocal.dst = lh
 	cl, cr := &pair.cl, &pair.cr
 	cl.h, cl.peerHost, cl.rd, cl.wr = lh, rh, toLocal, toRemote
-	cl.lport, cl.rport = int32(laddr.Port), int32(raddr.Port)
+	cl.lport, cl.rport = int32(lport), int32(rport)
 	cr.h, cr.peerHost, cr.rd, cr.wr = rh, lh, toRemote, toLocal
-	cr.lport, cr.rport = int32(raddr.Port), int32(laddr.Port)
+	cr.lport, cr.rport = int32(rport), int32(lport)
 	parts := len(nw.parts)
 	base := pt.connSeq
 	pt.connSeq += 2
@@ -410,13 +410,14 @@ func (l *listener) TryAccept() (transport.Conn, error) {
 	return nil, nil
 }
 
-// popBacklog dequeues the oldest queued connection, clearing the vacated
-// slot: the backing array outlives the pop, and a stale pointer there would
-// pin a whole closed connPair until the array happened to reallocate.
+// popBacklog dequeues the oldest queued connection, copying the rest down
+// so later arrivals reuse the backing array, and clears the vacated slot,
+// where a stale pointer would pin a whole closed connPair.
 func (l *listener) popBacklog() *conn {
 	c := l.backlog[0]
-	l.backlog[0] = nil
-	l.backlog = l.backlog[1:]
+	n := copy(l.backlog, l.backlog[1:])
+	l.backlog[n] = nil
+	l.backlog = l.backlog[:n]
 	return c
 }
 

@@ -34,6 +34,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -593,11 +594,6 @@ const DefaultDialTimeout = 60 * time.Second
 // Dial implements transport.Node. The handshake costs one round trip; a
 // missing listener or failed host costs the same round trip and returns
 // ErrRefused.
-//
-// The protocol is split along ownership lines: the SYN runs on the
-// acceptor's partition (it reads the listener table and creates the pair),
-// the verdict on the dialer's (it registers the local endpoint and wakes
-// the waiter).
 func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, error) {
 	k, nw := h.kern(), h.nw
 	if h.down {
@@ -615,53 +611,16 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	if err != nil {
 		return nil, err
 	}
-	local := transport.Addr{Host: h.Host(), Port: port}
-
 	w := k.NewWaiter()
-	// The verdict events below may fire after the dialer has timed out and
-	// its (pooled) waiter been recycled; the generation-stamped ref makes
-	// those late wakes safe no-ops.
-	ref := w.Ref()
+	// The verdict may fire after the dialer has timed out and its (pooled)
+	// waiter been recycled; the generation-stamped ref makes those late
+	// wakes safe no-ops.
+	d := dialReqs.Get().(*dialReq)
+	d.h, d.remote, d.lport, d.rport, d.gen, d.ref = h, remote, port, to.Port, h.gen, w.Ref()
 	w.WakeAfter(timeout, transport.ErrTimeout)
 	fwd := nw.delay(h.np(), h.id, remote.id)
-	rev := nw.delay(h.np(), remote.id, h.id)
-	gen := h.gen
-
-	// SYN arrives at the remote after the forward delay; the verdict
-	// (connection or refusal) travels back after the reverse delay.
-	syn := func() {
-		verdict := func(fn func()) { nw.post(remote, h, remote.kern().Now().Add(rev), fn) }
-		if remote.down && nw.silent {
-			return // blackholed: the dialer's timeout fires
-		}
-		if remote.np().faults.cut(h.id, remote.id) {
-			return // partitioned: same blackhole, the dialer times out
-		}
-		l := remote.listenerOn(to.Port)
-		if l == nil || remote.down {
-			remote.np().stats.RefusedDials++
-			verdict(func() { ref.Wake(transport.ErrRefused) })
-			return
-		}
-		cl, cr := newConnPair(h, local, remote, to)
-		l.deliver(cr)
-		verdict(func() {
-			if h.part != remote.part {
-				// The dialer-side endpoint joins its host's table on its
-				// own partition, symmetric with newConnPair registering cr.
-				h.addConn(cl)
-			}
-			if h.down || h.gen != gen {
-				cl.reset()
-				return
-			}
-			if !ref.Wake(cl) {
-				// Dialer already timed out; tear down the orphan.
-				cl.Close()
-			}
-		})
-	}
-	nw.post(h, remote, k.Now().Add(fwd), syn)
+	d.rev = nw.delay(h.np(), remote.id, h.id)
+	nw.post(h, remote, k.Now().Add(fwd), d.run)
 
 	switch v := w.Wait().(type) {
 	case *conn:
@@ -671,6 +630,71 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	default:
 		return nil, transport.ErrClosed
 	}
+}
+
+// dialReq is one handshake in flight, split along ownership lines: it
+// fires first as the SYN on the acceptor's partition (which reads the
+// listener table and creates the pair), then as the verdict on the
+// dialer's (which registers the local endpoint and wakes the waiter).
+// It is pooled with its closure built once; the verdict recycles it, and a
+// blackholed SYN leaves it to the collector.
+type dialReq struct {
+	h, remote    *Host
+	lport, rport int
+	gen          int           // h.gen at dial time
+	rev          time.Duration // verdict delay, taken at dial time
+	ref          sim.WaiterRef
+	cl           *conn // the dialer's endpoint; nil when refused
+	verdict      bool  // the next firing is the verdict
+	run          func()
+}
+
+var dialReqs sync.Pool
+
+func init() {
+	dialReqs.New = func() any {
+		d := &dialReq{}
+		d.run = d.fire
+		return d
+	}
+}
+
+func (d *dialReq) fire() {
+	h, remote, nw := d.h, d.remote, d.h.nw
+	if !d.verdict {
+		if remote.down && nw.silent {
+			return // blackholed: the dialer's timeout fires
+		}
+		if remote.np().faults.cut(h.id, remote.id) {
+			return // partitioned: same blackhole, the dialer times out
+		}
+		if l := remote.listenerOn(d.rport); l == nil || remote.down {
+			remote.np().stats.RefusedDials++
+		} else {
+			var cr *conn
+			d.cl, cr = newConnPair(h, d.lport, remote, d.rport)
+			l.deliver(cr)
+		}
+		d.verdict = true
+		nw.post(remote, h, remote.kern().Now().Add(d.rev), d.run)
+		return
+	}
+	if cl := d.cl; cl == nil {
+		d.ref.Wake(transport.ErrRefused)
+	} else {
+		if h.part != remote.part {
+			// The dialer-side endpoint joins its host's table on its own
+			// partition, symmetric with newConnPair registering cr.
+			h.addConn(cl)
+		}
+		if h.down || h.gen != d.gen {
+			cl.reset()
+		} else if !d.ref.Wake(cl) {
+			cl.Close() // dialer already timed out; tear down the orphan
+		}
+	}
+	*d = dialReq{run: d.run}
+	dialReqs.Put(d)
 }
 
 // upTimes charges size bytes to a's uplink queue starting now and returns
