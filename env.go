@@ -34,6 +34,8 @@ type (
 	Logger = core.Logger
 	// Lock is the cooperative lock library.
 	Lock = core.Lock
+	// Timer is the handle After returns; Stop cancels the callback.
+	Timer = core.Timer
 	// FS is the sandboxed virtual filesystem (the paper's sb_fs).
 	FS = sandbox.FS
 	// File is an open sandboxed file handle.
@@ -225,7 +227,7 @@ func (e *Env) Go(fn func()) { e.ctx.Go(fn) }
 
 // After schedules fn once after d; it is canceled automatically when the
 // instance is killed.
-func (e *Env) After(d time.Duration, fn func()) (cancel func()) { return e.ctx.After(d, fn) }
+func (e *Env) After(d time.Duration, fn func()) Timer { return e.ctx.After(d, fn) }
 
 // Periodic runs fn every interval until stopped or the instance is
 // killed (the paper's events.periodic).

@@ -43,7 +43,7 @@ type Executor struct {
 	alive   map[int]bool
 	started int
 	stopped int
-	cancels []func()
+	timers  []core.Timer
 	halted  bool
 }
 
@@ -58,8 +58,7 @@ func NewExecutor(rt core.Runtime, trace Trace, ctl NodeControl) *Executor {
 // events fire as tasks on the runtime.
 func (e *Executor) Run() {
 	for _, ev := range e.trace {
-		ev := ev
-		cancel := e.rt.After(ev.At, func() {
+		t := e.rt.After(ev.At, func() {
 			e.mu.Lock()
 			if e.halted {
 				// Stop won the race with this in-flight fire.
@@ -89,15 +88,13 @@ func (e *Executor) Run() {
 			}
 		})
 		e.mu.Lock()
-		halted := e.halted
-		if !halted {
-			e.cancels = append(e.cancels, cancel)
-		}
-		e.mu.Unlock()
-		if halted {
-			cancel()
+		if e.halted {
+			e.mu.Unlock()
+			t.Stop()
 			return
 		}
+		e.timers = append(e.timers, t)
+		e.mu.Unlock()
 	}
 }
 
@@ -107,11 +104,11 @@ func (e *Executor) Run() {
 func (e *Executor) Stop() {
 	e.mu.Lock()
 	e.halted = true
-	cancels := e.cancels
-	e.cancels = nil
+	timers := e.timers
+	e.timers = nil
 	e.mu.Unlock()
-	for _, c := range cancels {
-		c()
+	for _, t := range timers {
+		t.Stop()
 	}
 }
 

@@ -108,7 +108,7 @@ func TestExecutorStopRacesInFlightFires(t *testing.T) {
 }
 
 // TestExecutorStopDuringRun races Stop against Run itself: scheduling
-// must not leak cancels appended after the halt.
+// must not leak timers appended after the halt.
 func TestExecutorStopDuringRun(t *testing.T) {
 	t.Parallel()
 	for i := 0; i < 20; i++ {

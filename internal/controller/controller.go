@@ -199,12 +199,12 @@ type Controller struct {
 	framesOut atomic.Int64 // command/answer frames written, for load reporting
 	ins       Instruments
 
-	mu        sync.Mutex // guards jobs/blacklist/stops under LiveRuntime
+	mu        sync.Mutex // guards jobs/blacklist/mon under LiveRuntime
 	ln        transport.Listener
 	jobs      map[string]*JobStatus
 	blacklist []string
 	jobSeq    int
-	stops     []func()
+	mon       *core.Ticker // the monitor, one ping slice per tick
 
 	monMu    sync.Mutex
 	monSlice int
@@ -266,60 +266,21 @@ func (c *Controller) Start() error {
 	if every <= 0 {
 		every = time.Millisecond
 	}
-	stopMon := c.periodic(every, c.monitorTick)
+	mon := c.monitorTick // bound once: a tick spawns it without allocating
+	t := core.StartTicker(c.rt, every, func() { c.rt.Go(mon) })
 	c.mu.Lock()
-	c.stops = append(c.stops, stopMon)
+	c.mon = t
 	c.mu.Unlock()
 	return nil
-}
-
-// periodic is a minimal runtime-periodic helper for controller loops. It
-// is safe under LiveRuntime: the stop flag and the re-armed timer are
-// guarded, so a stop() racing a tick can neither be missed by the next
-// re-arm nor leave a live timer behind.
-func (c *Controller) periodic(every time.Duration, fn func()) (stop func()) {
-	var mu sync.Mutex
-	stopped := false
-	var cancel func()
-	var tick func()
-	tick = func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return
-		}
-		cancel = c.rt.After(every, func() {
-			mu.Lock()
-			if stopped {
-				mu.Unlock()
-				return
-			}
-			mu.Unlock()
-			c.rt.Go(fn)
-			tick()
-		})
-	}
-	tick()
-	return func() {
-		mu.Lock()
-		stopped = true
-		cc := cancel
-		mu.Unlock()
-		if cc != nil {
-			cc()
-		}
-	}
 }
 
 // Stop closes the controller.
 func (c *Controller) Stop() {
 	c.mu.Lock()
-	stops := c.stops
-	c.stops = nil
-	ln := c.ln
+	mon, ln := c.mon, c.ln
 	c.mu.Unlock()
-	for _, stop := range stops {
-		stop()
+	if mon != nil {
+		mon.Stop()
 	}
 	if ln != nil {
 		ln.Close()

@@ -2,8 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,59 +9,6 @@ import (
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/livenet"
 )
-
-// TestPeriodicStopUnderLiveRuntime exercises the periodic helper exactly
-// where the old implementation raced: stopped/cancel were touched from
-// timer goroutines without synchronization, and a stop() landing just
-// after a tick could miss the re-armed timer. Run with -race.
-func TestPeriodicStopUnderLiveRuntime(t *testing.T) {
-	t.Parallel()
-	c := &Controller{rt: core.NewLiveRuntime(1)}
-	var fires atomic.Int64
-	stop := c.periodic(time.Millisecond, func() { fires.Add(1) })
-	time.Sleep(20 * time.Millisecond)
-
-	// Stop concurrently from several goroutines while ticks are firing.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stop()
-		}()
-	}
-	wg.Wait()
-	if fires.Load() == 0 {
-		t.Fatal("periodic never fired")
-	}
-	// After stop has returned, at most one in-flight fire may still land;
-	// the count must then stay frozen — a missed cancel keeps ticking.
-	time.Sleep(5 * time.Millisecond)
-	frozen := fires.Load()
-	time.Sleep(20 * time.Millisecond)
-	if got := fires.Load(); got != frozen {
-		t.Fatalf("periodic kept firing after stop: %d -> %d", frozen, got)
-	}
-}
-
-// TestPeriodicStopStress churns many short-lived periodic loops with
-// concurrent stops; the race detector is the assertion.
-func TestPeriodicStopStress(t *testing.T) {
-	t.Parallel()
-	c := &Controller{rt: core.NewLiveRuntime(2)}
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stop := c.periodic(100*time.Microsecond, func() {})
-			time.Sleep(time.Millisecond)
-			stop()
-			stop() // stop must be idempotent
-		}()
-	}
-	wg.Wait()
-}
 
 // seedSortByRTT is the pre-sharding controller's selection order: an
 // insertion sort reading each session's rtt (under its lock) per

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -84,7 +83,8 @@ type AppContext struct {
 
 	mu      sync.Mutex
 	killed  bool
-	cancels []func()
+	pending map[*oneShot]struct{} // After callbacks neither fired nor stopped
+	tickers []*Ticker             // Periodic activities
 	closers []io.Closer
 }
 
@@ -272,67 +272,67 @@ func (c *AppContext) Go(fn func()) {
 	c.rt.Go(w.run)
 }
 
-// After schedules fn once after d; it is canceled automatically on Kill.
-func (c *AppContext) After(d time.Duration, fn func()) (cancel func()) {
-	cancel = c.rt.After(d, func() {
-		if c.Killed() {
-			return
-		}
-		c.acquireBaton()
-		defer c.releaseBaton()
-		fn()
-	})
+// oneShot is one After callback and the handle Kill stops. It sits in the
+// context's pending set only until it fires or is stopped, so the set
+// holds exactly what Kill still has to cancel. Kill drops the set whole,
+// so a live fire racing it deletes from a nil map: a no-op.
+type oneShot struct {
+	c  *AppContext
+	fn func()
+	t  Timer
+}
+
+func (o *oneShot) fire() {
+	c := o.c
 	c.mu.Lock()
-	c.cancels = append(c.cancels, cancel)
+	delete(c.pending, o)
+	killed := c.killed
 	c.mu.Unlock()
-	return cancel
+	if killed {
+		return // a live fire that lost the race with Kill
+	}
+	c.acquireBaton()
+	defer c.releaseBaton()
+	o.fn()
+}
+
+// stop is the returned handle's Stop: it cancels the timer and unlists it,
+// so a timeout canceled on every reply leaves nothing behind for Kill.
+func (o *oneShot) stop() bool {
+	o.c.mu.Lock()
+	delete(o.c.pending, o)
+	o.c.mu.Unlock()
+	return o.t.Stop()
+}
+
+// After schedules fn once after d; it is canceled automatically on Kill.
+func (c *AppContext) After(d time.Duration, fn func()) Timer {
+	o := &oneShot{c: c, fn: fn}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o.t = c.rt.After(d, o.fire) // a live fire waits on c.mu until o is listed
+	if !c.killed {
+		if c.pending == nil {
+			c.pending = map[*oneShot]struct{}{}
+		}
+		c.pending[o] = struct{}{}
+	}
+	return Timer{shot: o}
 }
 
 // Periodic runs fn every interval until stopped or the instance is killed
-// (the paper's events.periodic). fn runs as a task, so it may block.
-// It is safe under LiveRuntime: the stop flag and the re-armed timer are
-// guarded, so a stop() (or Kill) racing a tick can neither be missed by
-// the next re-arm nor leave a live timer behind.
+// (the paper's events.periodic). fn runs as a task, so it may block. The
+// rate is fixed: the next tick is armed as fn's task is spawned (see
+// Ticker).
 func (c *AppContext) Periodic(interval time.Duration, fn func()) (stop func()) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("core: non-positive periodic interval %s", interval))
-	}
-	var mu sync.Mutex
-	stopped := false
-	var cancel func()
-	var tick, fire func()
-	tick = func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped || c.Killed() {
-			return
-		}
-		cancel = c.rt.After(interval, fire)
-	}
-	fire = func() { // built once, re-armed every tick
-		mu.Lock()
-		dead := stopped
-		mu.Unlock()
-		if dead || c.Killed() {
-			return
-		}
-		c.Go(fn)
-		tick()
-	}
-	tick()
-	stopFn := func() {
-		mu.Lock()
-		stopped = true
-		cc := cancel
-		mu.Unlock()
-		if cc != nil {
-			cc()
-		}
-	}
 	c.mu.Lock()
-	c.cancels = append(c.cancels, stopFn)
-	c.mu.Unlock()
-	return stopFn
+	defer c.mu.Unlock()
+	if c.killed {
+		return func() {}
+	}
+	t := StartTicker(c.rt, interval, func() { c.Go(fn) })
+	c.tickers = append(c.tickers, t)
+	return t.Stop
 }
 
 // Track registers a socket or other closer to be closed when the instance
@@ -401,11 +401,14 @@ func (c *AppContext) Kill() {
 		return
 	}
 	c.killed = true
-	cancels, closers := c.cancels, c.closers
-	c.cancels, c.closers = nil, nil
+	pending, tickers, closers := c.pending, c.tickers, c.closers
+	c.pending, c.tickers, c.closers = nil, nil, nil
 	c.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
+	for o := range pending {
+		o.t.Stop()
+	}
+	for _, t := range tickers {
+		t.Stop()
 	}
 	for _, cl := range closers {
 		cl.Close()

@@ -300,9 +300,11 @@ func TestLiveRuntimeBasics(t *testing.T) {
 	rt.Go(func() { close(done) })
 	<-done
 	fired := make(chan struct{})
-	cancel := rt.After(time.Millisecond, func() { close(fired) })
+	tm := rt.After(time.Millisecond, func() { close(fired) })
 	<-fired
-	cancel() // after fire: no-op
+	if tm.Stop() {
+		t.Fatal("Stop after fire reported a pending timer")
+	}
 	// Rand must be callable concurrently.
 	for i := 0; i < 4; i++ {
 		go rt.Rand().Intn(100)

@@ -42,8 +42,9 @@ type Runtime interface {
 	Sleep(d time.Duration)
 	// Go starts fn as a new task.
 	Go(fn func())
-	// After runs fn once after d; the returned function cancels it.
-	After(d time.Duration, fn func()) (cancel func())
+	// After runs fn once after d on the dispatch path; Stop on the
+	// returned handle cancels it.
+	After(d time.Duration, fn func()) Timer
 	// NewWaiter returns a fresh one-shot waiter.
 	NewWaiter() Waiter
 	// Rand returns the runtime's random source. In simulation it is
@@ -78,8 +79,8 @@ func (r *SimRuntime) Go(fn func()) { r.kernel.Go(fn) }
 func (r *SimRuntime) GoAfter(d time.Duration, fn func()) { r.kernel.GoAfter(d, fn) }
 
 // After implements Runtime.
-func (r *SimRuntime) After(d time.Duration, fn func()) (cancel func()) {
-	return r.kernel.After(d, fn)
+func (r *SimRuntime) After(d time.Duration, fn func()) Timer {
+	return Timer{sim: r.kernel.AfterFunc(d, fn)}
 }
 
 // NewWaiter implements Runtime.
@@ -111,9 +112,8 @@ func (r *LiveRuntime) Sleep(d time.Duration) { time.Sleep(d) }
 func (r *LiveRuntime) Go(fn func()) { go fn() }
 
 // After implements Runtime.
-func (r *LiveRuntime) After(d time.Duration, fn func()) (cancel func()) {
-	t := time.AfterFunc(d, fn)
-	return func() { t.Stop() }
+func (r *LiveRuntime) After(d time.Duration, fn func()) Timer {
+	return Timer{live: time.AfterFunc(d, fn)}
 }
 
 // NewWaiter implements Runtime.
@@ -151,7 +151,7 @@ type liveWaiter struct {
 	mu    sync.Mutex
 	done  bool
 	ch    chan any
-	timer *time.Timer
+	timer Timer
 }
 
 func newLiveWaiter() *liveWaiter {
@@ -165,10 +165,7 @@ func (w *liveWaiter) Wake(v any) bool {
 		return false
 	}
 	w.done = true
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
+	w.timer.Stop()
 	w.ch <- v
 	return true
 }
@@ -179,10 +176,8 @@ func (w *liveWaiter) WakeAfter(d time.Duration, v any) {
 	if w.done {
 		return
 	}
-	if w.timer != nil {
-		w.timer.Stop()
-	}
-	w.timer = time.AfterFunc(d, func() { w.Wake(v) })
+	w.timer.Stop()
+	w.timer = Timer{live: time.AfterFunc(d, func() { w.Wake(v) })}
 }
 
 func (w *liveWaiter) Wait() any { return <-w.ch }

@@ -32,7 +32,8 @@ type Engine struct {
 	rules    []*ruleState
 	checks   []*assertState
 	firings  []Firing
-	cancels  []func()
+	events   []core.Timer // the plan's timed events
+	next     core.Timer   // the pending evaluation tick
 	lastTick time.Time
 }
 
@@ -94,18 +95,13 @@ func (e *Engine) Arm() {
 	e.armed = true
 	e.start = e.rt.Now()
 	e.lastTick = e.start
-	e.mu.Unlock()
-
 	for _, ev := range e.plan.Events {
-		ev := ev
 		// Timer callbacks fire on the dispatch path, where blocking
 		// primitives are illegal in simulation; actuators may park
 		// (restart dials, grow deploys), so application hops to a task.
-		cancel := e.rt.After(ev.At, func() { e.rt.Go(func() { e.apply(ev) }) })
-		e.mu.Lock()
-		e.cancels = append(e.cancels, cancel)
-		e.mu.Unlock()
+		e.events = append(e.events, e.rt.After(ev.At, func() { e.rt.Go(func() { e.apply(ev) }) }))
 	}
+	e.mu.Unlock()
 	if len(e.rules) > 0 || len(e.checks) > 0 {
 		every := e.plan.EvalEvery
 		if every <= 0 {
@@ -115,25 +111,23 @@ func (e *Engine) Arm() {
 	}
 }
 
-// tickLoop re-arms one evaluation timer at a time, stopping cleanly when
-// the engine is stopped (the guarded re-arm pattern the controller's
-// periodics use).
+// tickLoop re-arms one evaluation timer at a time. The delay is fixed, not
+// the rate: the timer hops to a task (fired actions may block, see Arm),
+// and the task re-arms only after tick() returns, so evaluations never
+// overlap. The callbacks are bound once and the engine holds only the
+// pending tick's handle, so re-arming allocates nothing.
 func (e *Engine) tickLoop(every time.Duration) {
 	var arm func()
+	run := func() {
+		e.tick()
+		arm()
+	}
+	fire := func() { e.rt.Go(run) }
 	arm = func() {
 		e.mu.Lock()
-		if e.stopped {
-			e.mu.Unlock()
-			return
+		if !e.stopped {
+			e.next = e.rt.After(every, fire)
 		}
-		cancel := e.rt.After(every, func() {
-			// Hop to a task (see Arm): fired actions may block.
-			e.rt.Go(func() {
-				e.tick()
-				arm()
-			})
-		})
-		e.cancels = append(e.cancels, cancel)
 		e.mu.Unlock()
 	}
 	arm()
@@ -142,17 +136,16 @@ func (e *Engine) tickLoop(every time.Duration) {
 // Stop cancels scheduled events and ticks. Finish implies it.
 func (e *Engine) Stop() {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.stopped {
-		e.mu.Unlock()
 		return
 	}
 	e.stopped = true
-	cancels := e.cancels
-	e.cancels = nil
-	e.mu.Unlock()
-	for _, c := range cancels {
-		c()
+	for _, t := range e.events {
+		t.Stop()
 	}
+	e.events = nil
+	e.next.Stop()
 }
 
 // Firings returns the rule activations so far, in firing order.

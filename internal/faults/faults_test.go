@@ -186,6 +186,47 @@ func TestEngineRuleFiresOnceAfterSustain(t *testing.T) {
 	}
 }
 
+// TestEngineHoldsOneTickHandle runs a thousand evaluation ticks, then
+// checks that a further tick re-arms the one held handle without
+// allocating (a cancel kept per tick would be allocated and retained),
+// and that Stop still ends the loop.
+func TestEngineHoldsOneTickHandle(t *testing.T) {
+	k := sim.NewKernel()
+	rt := core.NewSimRuntime(k, 1)
+	plan := Plan{
+		EvalEvery: time.Second,
+		Events: []Event{
+			{At: 10 * time.Second, Kind: Partition, Fraction: 0.5},
+			{At: time.Hour, Kind: Heal},
+		},
+		Rules: []Rule{{
+			Name: "never",
+			When: Condition{Metric: "app.failed", Stat: StatTotal, Op: Above, Value: 1e9},
+			Do:   Action{Kind: ActHeal},
+		}},
+	}
+	e := NewEngine(rt, newFakeView(), &fakeActuators{}, plan, nil, nil)
+	e.Arm()
+	k.RunFor(1000*time.Second + time.Millisecond)
+	allocs := testing.AllocsPerRun(100, func() { k.RunFor(time.Second) })
+	e.mu.Lock()
+	ticked := e.lastTick.Sub(e.start)
+	e.mu.Unlock()
+	if ticked != 1101*time.Second {
+		t.Fatalf("last evaluation at +%s, want +1101s", ticked)
+	}
+	// An evaluation tick that re-arms the held handle retains nothing; one
+	// that kept a cancel per tick would allocate it.
+	if allocs != 0 {
+		t.Fatalf("an evaluation tick allocates %.2f, want 0", allocs)
+	}
+	e.Stop()
+	k.RunFor(10 * time.Second)
+	if got := e.lastTick.Sub(e.start); got != ticked {
+		t.Fatalf("evaluated at +%s after Stop", got)
+	}
+}
+
 // TestEngineAssertions covers the three temporal kinds.
 func TestEngineAssertions(t *testing.T) {
 	k := sim.NewKernel()

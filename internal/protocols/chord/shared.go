@@ -1,7 +1,6 @@
 package chord
 
 import (
-	"github.com/splaykit/splay/internal/arena"
 	"github.com/splaykit/splay/internal/ring"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -20,8 +19,8 @@ import (
 // not a slab chunk.
 type Shared struct {
 	refs *ring.Interner[NodeRef]
-	slab *arena.Slab[ring.Handle] // created on first finger allocation
-	cfgs []*Config                // interned normalized configs (see internConfig)
+	slab *ring.Slab // created on first finger allocation
+	cfgs []*Config  // interned normalized configs (see internConfig)
 }
 
 // NewShared returns per-partition storage over base, which holds the
@@ -73,7 +72,7 @@ func (s *Shared) internConfig(cfg Config) *Config {
 // one.
 func (s *Shared) fingers(n int, private bool) []ring.Handle {
 	if s.slab == nil && !private {
-		s.slab = arena.NewSlab[ring.Handle](n, 256)
+		s.slab = ring.NewSlab(n, 256)
 	}
 	if s.slab == nil || s.slab.BlockLen() != n {
 		return make([]ring.Handle, n)

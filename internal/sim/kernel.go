@@ -210,18 +210,6 @@ func (k *Kernel) AtFunc(at time.Time, fn func()) Timer {
 	return Timer{e: e, gen: e.gen}
 }
 
-// After schedules fn to run once after virtual duration d and returns a
-// cancel function. Cancelling after the event has fired is a no-op. The
-// callback runs on the kernel's run loop and must not block; to run blocking
-// code, have the callback call Go.
-//
-// After allocates a closure for the cancel function; hot paths should use
-// AfterFunc and keep the Timer instead.
-func (k *Kernel) After(d time.Duration, fn func()) (cancel func()) {
-	t := k.AfterFunc(d, fn)
-	return func() { t.Stop() }
-}
-
 // Go starts fn as a new cooperative task at the current virtual time.
 // The task may block only through kernel primitives.
 func (k *Kernel) Go(fn func()) {

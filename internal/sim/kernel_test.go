@@ -11,9 +11,9 @@ import (
 func TestAfterOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	k.After(30*time.Millisecond, func() { got = append(got, 3) })
-	k.After(10*time.Millisecond, func() { got = append(got, 1) })
-	k.After(20*time.Millisecond, func() { got = append(got, 2) })
+	k.AfterFunc(30*time.Millisecond, func() { got = append(got, 3) })
+	k.AfterFunc(10*time.Millisecond, func() { got = append(got, 1) })
+	k.AfterFunc(20*time.Millisecond, func() { got = append(got, 2) })
 	k.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired out of order: %v", got)
@@ -28,7 +28,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.After(time.Second, func() { got = append(got, i) })
+		k.AfterFunc(time.Second, func() { got = append(got, i) })
 	}
 	k.Run()
 	for i, v := range got {
@@ -41,16 +41,16 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestAfterCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	cancel := k.After(time.Second, func() { fired = true })
-	cancel()
+	tm := k.AfterFunc(time.Second, func() { fired = true })
+	tm.Stop()
 	k.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	// Cancel after fire is a no-op.
-	cancel2 := k.After(time.Second, func() { fired = true })
+	// Stop after fire is a no-op.
+	tm2 := k.AfterFunc(time.Second, func() { fired = true })
 	k.Run()
-	cancel2()
+	tm2.Stop()
 	if !fired {
 		t.Fatal("event did not fire")
 	}
@@ -101,7 +101,7 @@ func TestWaiterWakeOnce(t *testing.T) {
 	var got any
 	w := k.NewWaiter()
 	k.Go(func() { got = w.Wait() })
-	k.After(time.Second, func() {
+	k.AfterFunc(time.Second, func() {
 		if !w.Wake("first") {
 			t.Error("first wake rejected")
 		}
@@ -193,8 +193,8 @@ func TestWakeBeforeWaitDoesNotDeadlock(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []int
-	k.After(time.Second, func() { fired = append(fired, 1) })
-	k.After(3*time.Second, func() { fired = append(fired, 3) })
+	k.AfterFunc(time.Second, func() { fired = append(fired, 1) })
+	k.AfterFunc(3*time.Second, func() { fired = append(fired, 3) })
 	k.RunUntil(Epoch.Add(2 * time.Second))
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("fired %v, want [1]", fired)
@@ -211,18 +211,18 @@ func TestRunUntil(t *testing.T) {
 func TestRunFor(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	var cancel func()
+	var tm Timer
 	var tick func()
 	tick = func() {
 		n++
-		cancel = k.After(time.Second, tick)
+		tm = k.AfterFunc(time.Second, tick)
 	}
-	cancel = k.After(time.Second, tick)
+	tm = k.AfterFunc(time.Second, tick)
 	k.RunFor(10 * time.Second)
 	if n != 10 {
 		t.Fatalf("ticks = %d, want 10", n)
 	}
-	cancel()
+	tm.Stop()
 	k.Run()
 	if n != 10 {
 		t.Fatalf("ticks after cancel = %d, want 10", n)
@@ -233,7 +233,7 @@ func TestHalt(t *testing.T) {
 	k := NewKernel()
 	n := 0
 	for i := 0; i < 100; i++ {
-		k.After(time.Duration(i)*time.Millisecond, func() {
+		k.AfterFunc(time.Duration(i)*time.Millisecond, func() {
 			n++
 			if n == 10 {
 				k.Halt()
@@ -345,7 +345,7 @@ func TestQuickEventOrdering(t *testing.T) {
 		k := NewKernel()
 		var times []time.Duration
 		for _, d := range delays {
-			k.After(time.Duration(d)*time.Millisecond, func() {
+			k.AfterFunc(time.Duration(d)*time.Millisecond, func() {
 				times = append(times, k.Since())
 			})
 		}
@@ -404,23 +404,6 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 	b.ResetTimer()
 	k.AfterFunc(time.Millisecond, tick)
-	k.Run()
-}
-
-// BenchmarkKernelEventsLegacyAfter tracks the closure-returning After wrapper
-// so the cost of the compatibility path stays visible.
-func BenchmarkKernelEventsLegacyAfter(b *testing.B) {
-	k := NewKernel()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(time.Millisecond, tick)
-		}
-	}
-	b.ResetTimer()
-	k.After(time.Millisecond, tick)
 	k.Run()
 }
 

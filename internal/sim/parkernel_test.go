@@ -14,8 +14,8 @@ import (
 func TestHaltResetAcrossRuns(t *testing.T) {
 	k := NewKernel()
 	ran := false
-	k.After(10*time.Millisecond, k.Halt)
-	k.After(20*time.Millisecond, func() { ran = true })
+	k.AfterFunc(10*time.Millisecond, k.Halt)
+	k.AfterFunc(20*time.Millisecond, func() { ran = true })
 	k.Run()
 	if ran {
 		t.Fatal("event after Halt ran in the halted call")

@@ -11,16 +11,16 @@ import (
 // steady-state hot paths must not allocate.
 
 // TestCancelAfterFireIsIsolated fires an event, lets the pool reuse its
-// storage for a second event, then invokes the first event's cancel: the
+// storage for a second event, then stops the first event's timer: the
 // second event must still fire.
 func TestCancelAfterFireIsIsolated(t *testing.T) {
 	k := NewKernel()
 	fired := ""
-	cancelA := k.After(time.Millisecond, func() { fired += "a" })
+	tmA := k.AfterFunc(time.Millisecond, func() { fired += "a" })
 	k.Run()
 	// Event A's pooled storage is free; B takes it.
 	k.AfterFunc(time.Millisecond, func() { fired += "b" })
-	cancelA() // must be a no-op, not cancel B
+	tmA.Stop() // must be a no-op, not cancel B
 	k.Run()
 	if fired != "ab" {
 		t.Fatalf("fired %q, want \"ab\" (stale cancel leaked into a recycled event)", fired)

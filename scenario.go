@@ -922,10 +922,7 @@ func (d *Deployment) Frames() int64 { return d.frames }
 // job's status; callers decide whether non-running states are fatal.
 func (d *Deployment) Wait() (*JobStatus, error) {
 	if d.sess.k != nil {
-		for i := 0; i < 30 && !d.finished(); i++ {
-			d.sess.pk.RunFor(10 * time.Second)
-		}
-		if !d.finished() {
+		if !d.sess.driveUntil(d.finished) {
 			return nil, errors.New("splay: deployment did not finish within the run window")
 		}
 	} else {
@@ -936,6 +933,15 @@ func (d *Deployment) Wait() (*JobStatus, error) {
 		}
 	}
 	return d.job, d.err
+}
+
+// driveUntil runs the simulated kernel in windows of 10 virtual seconds,
+// at most 30 of them, until done reports true, and reports whether it did.
+func (s *Session) driveUntil(done func() bool) bool {
+	for i := 0; i < 30 && !done(); i++ {
+		s.pk.RunFor(10 * time.Second)
+	}
+	return done()
 }
 
 // RunFor advances the scenario: d of virtual time in simulation, a real
@@ -1045,10 +1051,7 @@ func (s *Session) StopJob(id string) error {
 		err = s.ctl.StopJob(id)
 		done = true
 	})
-	for i := 0; i < 30 && !done; i++ {
-		s.pk.RunFor(10 * time.Second)
-	}
-	if !done {
+	if !s.driveUntil(func() bool { return done }) {
 		return errors.New("splay: job stop did not finish within the run window")
 	}
 	return err
