@@ -260,24 +260,3 @@ func TestExecutorStopCancels(t *testing.T) {
 		t.Fatalf("canceled event fired")
 	}
 }
-
-func TestMaintainPopulation(t *testing.T) {
-	tr := MaintainPopulation(50, time.Hour, 10*time.Minute, 1)
-	pop, joins, leaves := tr.Population(time.Minute)
-	for m := 1; m < 59; m++ {
-		if pop[m] < 45 || pop[m] > 50 {
-			t.Fatalf("population at minute %d = %d, want ≈50", m, pop[m])
-		}
-	}
-	totalJ, totalL := 0, 0
-	for i := range joins {
-		totalJ += joins[i]
-		totalL += leaves[i]
-	}
-	if totalL < 100 {
-		t.Fatalf("too little churn: %d leaves in an hour with 10m sessions", totalL)
-	}
-	if totalJ <= totalL {
-		t.Fatalf("joins %d must exceed leaves %d (replacements)", totalJ, totalL)
-	}
-}

@@ -1,9 +1,7 @@
 package churn
 
 import (
-	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/splaykit/splay/internal/core"
 )
@@ -124,43 +122,4 @@ func (e *Executor) Counts() (started, stopped int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.started, e.stopped
-}
-
-// MaintainPopulation returns a trace that holds a fixed-size population of
-// n nodes for the given duration while sessions last sessionMean on
-// average (exponentially distributed) — the §3.2 long-running-DHT use
-// case where the churn manager "maintains a fixed-size population and
-// automatically bootstraps new nodes as faults occur".
-func MaintainPopulation(n int, duration, sessionMean time.Duration, seed int64) Trace {
-	rng := rand.New(rand.NewSource(seed))
-	var tr Trace
-	nextSlot := 0
-	for i := 0; i < n; i++ {
-		tr = append(tr, Event{At: 0, Action: Join, Node: nextSlot})
-		nextSlot++
-	}
-	// For each of the n logical positions, generate end-of-session and
-	// replacement times.
-	for i := 0; i < n; i++ {
-		at := time.Duration(0)
-		slot := i
-		for {
-			session := time.Duration(rng.ExpFloat64() * float64(sessionMean))
-			at += session
-			if at >= duration {
-				break
-			}
-			tr = append(tr, Event{At: at, Action: Leave, Node: slot})
-			// Replacement joins promptly on a fresh slot.
-			at += 2 * time.Second
-			if at >= duration {
-				break
-			}
-			slot = nextSlot
-			nextSlot++
-			tr = append(tr, Event{At: at, Action: Join, Node: slot})
-		}
-	}
-	tr.Sort()
-	return tr
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/splaykit/splay/internal/apps"
 )
@@ -106,65 +107,24 @@ func (c *Catalog) compileParams(app string, n *node, path string) ([]byte, *Erro
 // compileParamValue converts one scalar per its declared kind and
 // checks bounds.
 func compileParamValue(p apps.Param, n *node, path string) (any, *Error) {
-	var num float64
-	var val any
-	switch p.Kind {
-	case apps.KindString:
-		s, perr := asString(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		return s, nil
-	case apps.KindBool:
-		b, perr := asBool(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		return b, nil
-	case apps.KindInt:
-		v, perr := asInt(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		num, val = float64(v), v
-	case apps.KindFloat:
-		v, perr := asFloat(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		num, val = v, v
-	case apps.KindDuration:
-		d, perr := asDuration(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		num, val = float64(d), int64(d)
-	case apps.KindSize:
-		v, perr := asSize(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		num, val = float64(v), v
-	case apps.KindRate:
-		v, perr := asRate(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		num, val = v, v
-	case apps.KindFraction:
-		v, perr := asFraction(n, path)
-		if perr != nil {
-			return nil, perr
-		}
-		num, val = v, v
-	default:
-		return nil, errf(ErrBadValue, path, n, "unhandled parameter kind %v", p.Kind)
+	val, num, perr := scalarValue(p.Kind, n, path)
+	if perr != nil {
+		return nil, perr
 	}
-	if p.Bounded && (num < p.Min || num > p.Max) {
-		return nil, errf(ErrOutOfRange, path, n, "%s is outside %s..%s",
+	return val, paramRange(p, num, path, n)
+}
+
+// paramRange is the one bound check on an app parameter, for documents
+// and wire JSON alike; n anchors a document's error (nil on the wire).
+func paramRange(p apps.Param, num float64, path string, n *node) *Error {
+	if p.Kind == apps.KindString || p.Kind == apps.KindBool || !p.Bounded {
+		return nil
+	}
+	if num < p.Min || num > p.Max {
+		return errf(ErrOutOfRange, path, n, "%s is outside %s..%s",
 			p.Kind.Format(num), p.Kind.Format(p.Min), p.Kind.Format(p.Max))
 	}
-	return val, nil
+	return nil
 }
 
 // validateParamsJSON checks an already-serialized (wire JSON) parameter
@@ -203,33 +163,28 @@ func (c *Catalog) validateParamsJSON(app string, raw []byte, path string) *Error
 
 func validateParamJSON(p apps.Param, raw json.RawMessage, path string) *Error {
 	var num float64
+	var err error
+	want := "a number"
 	switch p.Kind {
 	case apps.KindString:
 		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want a string, got %s", raw)}
-		}
-		return nil
+		err, want = json.Unmarshal(raw, &s), "a string"
 	case apps.KindBool:
 		var b bool
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want a boolean, got %s", raw)}
-		}
-		return nil
+		err, want = json.Unmarshal(raw, &b), "a boolean"
+	case apps.KindInt, apps.KindDuration, apps.KindSize:
+		// The apps decode these into Go integers, which take an integer
+		// literal only: 16.0 or 1e3 would fail at deploy time.
+		var v int64
+		v, err = strconv.ParseInt(string(raw), 10, 64)
+		num, want = float64(v), "an integer"
 	default:
-		if err := json.Unmarshal(raw, &num); err != nil {
-			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want a number, got %s", raw)}
-		}
-		if (p.Kind == apps.KindInt || p.Kind == apps.KindDuration || p.Kind == apps.KindSize) && num != float64(int64(num)) {
-			return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want an integer, got %s", raw)}
-		}
+		err = json.Unmarshal(raw, &num)
 	}
-	if p.Bounded && (num < p.Min || num > p.Max) {
-		return &Error{Code: ErrOutOfRange, Path: path,
-			Msg: fmt.Sprintf("%s is outside %s..%s",
-				p.Kind.Format(num), p.Kind.Format(p.Min), p.Kind.Format(p.Max))}
+	if err != nil {
+		return &Error{Code: ErrBadValue, Path: path, Msg: fmt.Sprintf("want %s, got %s", want, raw)}
 	}
-	return nil
+	return paramRange(p, num, path, nil)
 }
 
 // Builtins catalogs the built-in applications, derived from their

@@ -18,9 +18,12 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/splaykit/splay/internal/apps"
 	"github.com/splaykit/splay/internal/churn"
 	"github.com/splaykit/splay/internal/faults"
 	"github.com/splaykit/splay/internal/sandbox"
@@ -97,24 +100,148 @@ type compiler struct {
 	reportAt *node
 }
 
-// requireKeys rejects mapping keys outside the allowed set, anchored at
-// the offending key.
-func requireKeys(n *node, path string, allowed ...string) *Error {
+// Every document section is a mapping declared once, as a field table:
+// each entry names a key and how its value converts, so the keys a
+// section accepts and the keys it decodes are the same list. bind walks
+// a table over a node.
+
+// field is one entry of a section's table.
+type field struct {
+	key string
+	// kind converts a scalar value the way app parameters convert, into
+	// dst: a *string, *bool, *int, *int64, *float64 or *time.Duration.
+	kind apps.ParamKind
+	dst  any
+	// bound, when set, confines a converted number.
+	bound *bound
+	// conv converts the value instead of kind and dst. An entry without
+	// a key is a check on the whole section, run with the section's node
+	// at its place in the table.
+	conv func(n *node, path string) *Error
+	// required, when set, is the message for an absent key.
+	required string
+	// before, when set, runs the entry just ahead of that key's entry
+	// rather than at its own place in the table.
+	before string
+}
+
+// bound rejects numbers outside min..max with msg, formatted with the
+// converted value when it has a verb.
+type bound struct {
+	min, max float64
+	msg      string
+}
+
+var portRange = &bound{1, 65535, "port %d is outside 1..65535"}
+
+// bind checks that n is a mapping (what names it in the error), rejects
+// keys outside the table, and then runs the table's entries in order,
+// each entry with a before just ahead of its key's: an absent key is
+// skipped or, when required, reported missing; a present one is
+// converted.
+func bind(n *node, path, what string, fields []field) *Error {
+	if n.kind != mapNode {
+		return errf(ErrBadValue, path, n, "%s must be a mapping", what)
+	}
 	for i := range n.keys {
 		e := &n.keys[i]
-		ok := false
-		for _, a := range allowed {
-			if e.key == a {
-				ok = true
-				break
+		if !slices.ContainsFunc(fields, func(f field) bool { return f.key == e.key }) {
+			var want []string
+			for _, f := range fields {
+				if f.key != "" {
+					want = append(want, f.key)
+				}
+			}
+			return &Error{Code: ErrUnknownField, Path: joinPath(path, e.key), Line: e.keyLine, Col: e.keyCol,
+				Msg: fmt.Sprintf("unknown field %q (want %s)", e.key, strings.Join(want, ", "))}
+		}
+	}
+	for i := range fields {
+		f := &fields[i]
+		if f.before != "" {
+			continue
+		}
+		for j := range fields {
+			if g := &fields[j]; f.key != "" && g.before == f.key {
+				if perr := g.bind(n, path); perr != nil {
+					return perr
+				}
 			}
 		}
-		if !ok {
-			return &Error{Code: ErrUnknownField, Path: joinPath(path, e.key), Line: e.keyLine, Col: e.keyCol,
-				Msg: fmt.Sprintf("unknown field %q (want %s)", e.key, strings.Join(allowed, ", "))}
+		if perr := f.bind(n, path); perr != nil {
+			return perr
 		}
 	}
 	return nil
+}
+
+// bind runs one entry against its section's node.
+func (f *field) bind(sec *node, path string) *Error {
+	if f.key == "" {
+		return f.conv(sec, path)
+	}
+	path = joinPath(path, f.key)
+	n := sec.get(f.key)
+	switch {
+	case n == nil && f.required != "":
+		return errf(ErrMissing, path, sec, "%s", f.required)
+	case n == nil:
+		return nil
+	case f.conv != nil:
+		return f.conv(n, path)
+	}
+	return convert(n, path, f.kind, f.dst, f.bound)
+}
+
+// convert converts a scalar per kind, confines it to b (when set) and
+// stores it in dst.
+func convert(n *node, path string, kind apps.ParamKind, dst any, b *bound) *Error {
+	val, num, perr := scalarValue(kind, n, path)
+	if perr != nil {
+		return perr
+	}
+	if b != nil && (num < b.min || num > b.max) {
+		msg := b.msg
+		if strings.Contains(msg, "%") {
+			msg = fmt.Sprintf(msg, val)
+		}
+		return errf(ErrOutOfRange, path, n, "%s", msg)
+	}
+	switch d := dst.(type) {
+	case *string:
+		*d = val.(string)
+	case *bool:
+		*d = val.(bool)
+	case *int:
+		*d = int(val.(int64))
+	case *int64:
+		*d = val.(int64)
+	case *float64:
+		*d = val.(float64)
+	case *time.Duration:
+		*d = val.(time.Duration)
+	default:
+		panic(fmt.Sprintf("config: no %v value lands in %T", kind, dst))
+	}
+	return nil
+}
+
+// eachItem converts every item of a list value, each at path[i].
+func eachItem(n *node, path string, item func(n *node, path string) *Error) *Error {
+	if n.kind != listNode {
+		return errf(ErrBadValue, path, n, "%s must be a list", lastKey(path))
+	}
+	for i, it := range n.items {
+		if perr := item(it, fmt.Sprintf("%s[%d]", path, i)); perr != nil {
+			return perr
+		}
+	}
+	return nil
+}
+
+// lastKey is the key a path ends in.
+func lastKey(path string) string {
+	return path[strings.LastIndexByte(path, '.')+1:]
 }
 
 func joinPath(base, key string) string {
@@ -125,424 +252,223 @@ func joinPath(base, key string) string {
 }
 
 func (c *compiler) scenario(doc *node) (*wire.Scenario, *Error) {
-	if perr := requireKeys(doc, "", "name", "seed", "testbed", "apps", "churn", "collect",
-		"faults", "assert", "settle", "duration", "register_timeout", "controller_port", "workers"); perr != nil {
-		return nil, perr
-	}
 	w := &wire.Scenario{}
-	var perr *Error
-	if n := doc.get("name"); n != nil {
-		if w.Name, perr = asString(n, "name"); perr != nil {
-			return nil, perr
-		}
-	}
-	if n := doc.get("seed"); n != nil {
-		if w.Seed, perr = asInt(n, "seed"); perr != nil {
-			return nil, perr
-		}
-	}
-	if n := doc.get("testbed"); n != nil {
-		if w.Testbed, perr = c.testbed(n); perr != nil {
-			return nil, perr
-		}
-	}
-	apps := doc.get("apps")
-	if apps == nil {
-		return nil, errf(ErrMissing, "apps", doc, "scenario deploys no applications")
-	}
-	if apps.kind != listNode {
-		return nil, errf(ErrBadValue, "apps", apps, "apps must be a list")
-	}
-	for i, item := range apps.items {
-		wa, perr := c.app(item, fmt.Sprintf("apps[%d]", i))
-		if perr != nil {
-			return nil, perr
-		}
-		w.Apps = append(w.Apps, wa)
-	}
-	if n := doc.get("collect"); n != nil {
-		if w.Collect, perr = c.collect(n); perr != nil {
-			return nil, perr
-		}
-	}
-	if c.reportAt != nil && (w.Collect == nil || !w.Collect.Metrics) {
-		return nil, errf(ErrBadValue, "", c.reportAt,
-			"report: true needs collect.metrics: true — nothing collects the stream")
-	}
-	if n := doc.get("churn"); n != nil {
-		if w.Churn, perr = c.churn(n, w.Seed); perr != nil {
-			return nil, perr
-		}
-	}
-	if n := doc.get("faults"); n != nil {
-		if w.Faults, perr = c.faults(n); perr != nil {
-			return nil, perr
-		}
-	}
-	if n := doc.get("assert"); n != nil {
-		if w.Assert, perr = c.asserts(n); perr != nil {
-			return nil, perr
-		}
-	}
-	for _, f := range []struct {
-		key string
-		dst *time.Duration
-	}{{"settle", &w.SettleNS}, {"duration", &w.DurationNS}, {"register_timeout", &w.RegisterTimeout}} {
-		if n := doc.get(f.key); n != nil {
-			if *f.dst, perr = asDuration(n, f.key); perr != nil {
-				return nil, perr
+	outOfRange := &bound{0, 1 << 31, "%d is out of range"}
+	return w, bind(doc, "", "a scenario", []field{
+		{key: "name", kind: apps.KindString, dst: &w.Name},
+		{key: "seed", kind: apps.KindInt, dst: &w.Seed},
+		{key: "testbed", conv: func(n *node, path string) (perr *Error) {
+			w.Testbed, perr = testbed(n, path)
+			return perr
+		}},
+		{key: "apps", required: "scenario deploys no applications", conv: func(n *node, path string) *Error {
+			return eachItem(n, path, func(n *node, path string) *Error {
+				wa, perr := c.app(n, path)
+				w.Apps = append(w.Apps, wa)
+				return perr
+			})
+		}},
+		{key: "churn", conv: func(n *node, path string) (perr *Error) {
+			w.Churn, perr = c.churn(n, path, w.Seed)
+			return perr
+		}},
+		// collect is read before churn: report: true needs it.
+		{key: "collect", before: "churn", conv: func(n *node, path string) (perr *Error) {
+			w.Collect, perr = collect(n, path)
+			return perr
+		}},
+		{before: "churn", conv: func(*node, string) *Error {
+			if c.reportAt != nil && (w.Collect == nil || !w.Collect.Metrics) {
+				return errf(ErrBadValue, "", c.reportAt,
+					"report: true needs collect.metrics: true — nothing collects the stream")
 			}
-		}
-	}
-	for _, f := range []struct {
-		key string
-		dst *int
-	}{{"controller_port", &w.ControllerPort}, {"workers", &w.Workers}} {
-		if n := doc.get(f.key); n != nil {
-			v, perr := asInt(n, f.key)
-			if perr != nil {
-				return nil, perr
-			}
-			if v < 0 || v > 1<<31 {
-				return nil, errf(ErrOutOfRange, f.key, n, "%d is out of range", v)
-			}
-			*f.dst = int(v)
-		}
-	}
-	return w, nil
+			return nil
+		}},
+		{key: "faults", conv: func(n *node, path string) (perr *Error) {
+			w.Faults, perr = faultPlan(n, path)
+			return perr
+		}},
+		{key: "assert", conv: func(n *node, path string) *Error {
+			return eachItem(n, path, func(n *node, path string) *Error {
+				a, perr := assertion(n, path)
+				w.Assert = append(w.Assert, a)
+				return perr
+			})
+		}},
+		{key: "settle", kind: apps.KindDuration, dst: &w.SettleNS},
+		{key: "duration", kind: apps.KindDuration, dst: &w.DurationNS},
+		{key: "register_timeout", kind: apps.KindDuration, dst: &w.RegisterTimeout},
+		{key: "controller_port", kind: apps.KindInt, dst: &w.ControllerPort, bound: outOfRange},
+		{key: "workers", kind: apps.KindInt, dst: &w.Workers, bound: outOfRange},
+	})
 }
 
-func (c *compiler) testbed(n *node) (*wire.Testbed, *Error) {
-	if n.kind != mapNode {
-		return nil, errf(ErrBadValue, "testbed", n, "testbed must be a mapping")
-	}
-	if perr := requireKeys(n, "testbed", "kind", "daemons", "rtt", "bps"); perr != nil {
-		return nil, perr
-	}
+const testbedKinds = "planetlab, modelnet, uniform or live"
+
+func testbed(n *node, path string) (*wire.Testbed, *Error) {
 	w := &wire.Testbed{}
-	kindN := n.get("kind")
-	if kindN == nil {
-		return nil, errf(ErrMissing, "testbed.kind", n, "want planetlab, modelnet, uniform or live")
-	}
-	kind, perr := asString(kindN, "testbed.kind")
-	if perr != nil {
-		return nil, perr
-	}
-	switch kind {
-	case "planetlab", "modelnet", "uniform", "live":
-		w.Kind = kind
-	default:
-		return nil, errf(ErrBadValue, "testbed.kind", kindN,
-			"unknown testbed %q (want planetlab, modelnet, uniform or live)", kind)
-	}
-	dN := n.get("daemons")
-	if dN == nil {
-		return nil, errf(ErrMissing, "testbed.daemons", n, "daemon count required")
-	}
-	d, perr := asInt(dN, "testbed.daemons")
-	if perr != nil {
-		return nil, perr
-	}
-	if d < 1 || d > 2_000_000 {
-		return nil, errf(ErrOutOfRange, "testbed.daemons", dN, "%d daemons is outside 1..2000000", d)
-	}
-	w.Daemons = int(d)
-	if rttN := n.get("rtt"); rttN != nil {
-		if kind != "uniform" {
-			return nil, errf(ErrBadValue, "testbed.rtt", rttN, "rtt applies to uniform testbeds only")
-		}
-		if w.RTT, perr = asDuration(rttN, "testbed.rtt"); perr != nil {
-			return nil, perr
+	uniformOnly := func(kind apps.ParamKind, dst any) func(*node, string) *Error {
+		return func(n *node, path string) *Error {
+			if w.Kind != "uniform" {
+				return errf(ErrBadValue, path, n, "%s applies to uniform testbeds only", lastKey(path))
+			}
+			return convert(n, path, kind, dst, nil)
 		}
 	}
-	if bpsN := n.get("bps"); bpsN != nil {
-		if kind != "uniform" {
-			return nil, errf(ErrBadValue, "testbed.bps", bpsN, "bps applies to uniform testbeds only")
-		}
-		if w.Bps, perr = asRate(bpsN, "testbed.bps"); perr != nil {
-			return nil, perr
-		}
-	}
-	return w, nil
+	return w, bind(n, path, "testbed", []field{
+		{key: "kind", required: "want " + testbedKinds, conv: func(n *node, path string) *Error {
+			if perr := convert(n, path, apps.KindString, &w.Kind, nil); perr != nil {
+				return perr
+			}
+			switch w.Kind {
+			case "planetlab", "modelnet", "uniform", "live":
+				return nil
+			}
+			return errf(ErrBadValue, path, n, "unknown testbed %q (want %s)", w.Kind, testbedKinds)
+		}},
+		{key: "daemons", required: "daemon count required", kind: apps.KindInt, dst: &w.Daemons,
+			bound: &bound{1, 2_000_000, "%d daemons is outside 1..2000000"}},
+		{key: "rtt", conv: uniformOnly(apps.KindDuration, &w.RTT)},
+		{key: "bps", conv: uniformOnly(apps.KindRate, &w.Bps)},
+	})
 }
 
 func (c *compiler) app(n *node, path string) (wire.App, *Error) {
 	var w wire.App
-	if n.kind != mapNode {
-		return w, errf(ErrBadValue, path, n, "each apps entry must be a mapping")
-	}
-	if perr := requireKeys(n, path, "app", "params", "nodes", "superset", "full_list", "env", "port"); perr != nil {
-		return w, perr
-	}
-	nameN := n.get("app")
-	if nameN == nil {
-		return w, errf(ErrMissing, path+".app", n, "application name required")
-	}
-	name, perr := asString(nameN, path+".app")
-	if perr != nil {
-		return w, perr
-	}
-	if _, ok := c.cat.Lookup(name); !ok {
-		return w, errf(ErrUnknownApp, path+".app", nameN,
-			"unknown application %q (catalog: %v)", name, c.cat.Names())
-	}
-	w.App = name
-	paramsN := n.get("params")
-	if w.Params, perr = c.cat.compileParams(name, paramsN, path+".params"); perr != nil {
-		return w, perr
-	}
-	if paramsN != nil && c.reportAt == nil {
-		if r := paramsN.get("report"); r != nil && r.scalar == "true" {
-			c.reportAt = r
-		}
-	}
-	if nodesN := n.get("nodes"); nodesN != nil {
-		v, perr := asInt(nodesN, path+".nodes")
-		if perr != nil {
-			return w, perr
-		}
-		if v < 1 || v > 2_000_000 {
-			return w, errf(ErrOutOfRange, path+".nodes", nodesN, "%d nodes is outside 1..2000000", v)
-		}
-		w.Nodes = int(v)
-	}
-	if sN := n.get("superset"); sN != nil {
-		v, perr := asFloat(sN, path+".superset")
-		if perr != nil {
-			return w, perr
-		}
-		if v < 1 || v > 10 {
-			return w, errf(ErrOutOfRange, path+".superset", sN, "superset %g is outside 1..10", v)
-		}
-		w.Superset = v
-	}
-	if fN := n.get("full_list"); fN != nil {
-		if w.FullList, perr = asBool(fN, path+".full_list"); perr != nil {
-			return w, perr
-		}
-	}
-	if eN := n.get("env"); eN != nil {
-		if w.Env, perr = c.env(eN, path+".env"); perr != nil {
-			return w, perr
-		}
-	}
-	if pN := n.get("port"); pN != nil {
-		v, perr := asInt(pN, path+".port")
-		if perr != nil {
-			return w, perr
-		}
-		if v < 1 || v > 65535 {
-			return w, errf(ErrOutOfRange, path+".port", pN, "port %d is outside 1..65535", v)
-		}
-		w.Port = int(v)
-	}
-	return w, nil
+	perr := bind(n, path, "each apps entry", []field{
+		{key: "app", required: "application name required", conv: func(n *node, path string) *Error {
+			if perr := convert(n, path, apps.KindString, &w.App, nil); perr != nil {
+				return perr
+			}
+			if _, ok := c.cat.Lookup(w.App); !ok {
+				return errf(ErrUnknownApp, path, n, "unknown application %q (catalog: %v)", w.App, c.cat.Names())
+			}
+			return nil
+		}},
+		{key: "params", conv: func(n *node, path string) (perr *Error) {
+			if w.Params, perr = c.cat.compileParams(w.App, n, path); perr != nil {
+				return perr
+			}
+			if r := n.get("report"); c.reportAt == nil && r != nil && r.scalar == "true" {
+				c.reportAt = r
+			}
+			return nil
+		}},
+		{key: "nodes", kind: apps.KindInt, dst: &w.Nodes, bound: &bound{1, 2_000_000, "%d nodes is outside 1..2000000"}},
+		{key: "superset", kind: apps.KindFloat, dst: &w.Superset, bound: &bound{1, 10, "superset %g is outside 1..10"}},
+		{key: "full_list", kind: apps.KindBool, dst: &w.FullList},
+		{key: "env", conv: func(n *node, path string) (perr *Error) {
+			w.Env, perr = env(n, path)
+			return perr
+		}},
+		{key: "port", kind: apps.KindInt, dst: &w.Port, bound: portRange},
+	})
+	return w, perr
 }
 
-func (c *compiler) env(n *node, path string) (*wire.Env, *Error) {
-	if n.kind != mapNode {
-		return nil, errf(ErrBadValue, path, n, "env must be a mapping")
-	}
-	if perr := requireKeys(n, path, "caps", "net", "fs"); perr != nil {
-		return nil, perr
-	}
+func env(n *node, path string) (*wire.Env, *Error) {
 	w := &wire.Env{}
-	if capsN := n.get("caps"); capsN != nil {
-		switch capsN.kind {
-		case scalarNode:
-			if capsN.scalar != "all" {
-				return nil, errf(ErrBadValue, path+".caps", capsN,
-					"want \"all\" or a list like [net, fs], got %q", capsN.scalar)
-			}
-			w.Caps = wire.CapNet | wire.CapFS
-		case listNode:
-			for _, item := range capsN.items {
-				switch item.scalar {
-				case "net":
-					w.Caps |= wire.CapNet
-				case "fs":
-					w.Caps |= wire.CapFS
-				default:
-					return nil, errf(ErrBadValue, path+".caps", item,
-						"unknown capability %q (want net or fs)", item.scalar)
+	perr := bind(n, path, "env", []field{
+		{key: "caps", conv: func(n *node, path string) *Error {
+			switch n.kind {
+			case scalarNode:
+				if n.scalar != "all" {
+					return errf(ErrBadValue, path, n, "want \"all\" or a list like [net, fs], got %q", n.scalar)
 				}
-			}
-			if w.Caps == 0 {
-				return nil, errf(ErrBadValue, path+".caps", capsN,
-					"an empty capability list would grant everything; omit caps instead")
-			}
-		default:
-			return nil, errf(ErrBadValue, path+".caps", capsN, "want \"all\" or a list like [net, fs]")
-		}
-	}
-	if netN := n.get("net"); netN != nil {
-		if netN.kind != mapNode {
-			return nil, errf(ErrBadValue, path+".net", netN, "net must be a mapping")
-		}
-		if perr := requireKeys(netN, path+".net", "max_sockets", "max_tx", "max_rx", "blacklist"); perr != nil {
-			return nil, perr
-		}
-		lim := &sandbox.NetLimits{}
-		if v := netN.get("max_sockets"); v != nil {
-			s, perr := asInt(v, path+".net.max_sockets")
-			if perr != nil {
-				return nil, perr
-			}
-			lim.MaxSockets = int(s)
-		}
-		if v := netN.get("max_tx"); v != nil {
-			s, perr := asSize(v, path+".net.max_tx")
-			if perr != nil {
-				return nil, perr
-			}
-			lim.MaxTxBytes = s
-		}
-		if v := netN.get("max_rx"); v != nil {
-			s, perr := asSize(v, path+".net.max_rx")
-			if perr != nil {
-				return nil, perr
-			}
-			lim.MaxRxBytes = s
-		}
-		if v := netN.get("blacklist"); v != nil {
-			if v.kind != listNode {
-				return nil, errf(ErrBadValue, path+".net.blacklist", v, "blacklist must be a list")
-			}
-			for _, item := range v.items {
-				s, perr := asString(item, path+".net.blacklist")
-				if perr != nil {
-					return nil, perr
+				w.Caps = wire.CapNet | wire.CapFS
+			case listNode:
+				for _, item := range n.items {
+					switch item.scalar {
+					case "net":
+						w.Caps |= wire.CapNet
+					case "fs":
+						w.Caps |= wire.CapFS
+					default:
+						return errf(ErrBadValue, path, item, "unknown capability %q (want net or fs)", item.scalar)
+					}
 				}
-				lim.Blacklist = append(lim.Blacklist, s)
+				if w.Caps == 0 {
+					return errf(ErrBadValue, path, n,
+						"an empty capability list would grant everything; omit caps instead")
+				}
+			default:
+				return errf(ErrBadValue, path, n, "want \"all\" or a list like [net, fs]")
 			}
-		}
-		w.Net = lim
-	}
-	if fsN := n.get("fs"); fsN != nil {
-		if fsN.kind != mapNode {
-			return nil, errf(ErrBadValue, path+".fs", fsN, "fs must be a mapping")
-		}
-		if perr := requireKeys(fsN, path+".fs", "max_bytes", "max_open_files"); perr != nil {
-			return nil, perr
-		}
-		lim := &sandbox.FSLimits{}
-		if v := fsN.get("max_bytes"); v != nil {
-			s, perr := asSize(v, path+".fs.max_bytes")
-			if perr != nil {
-				return nil, perr
-			}
-			lim.MaxBytes = s
-		}
-		if v := fsN.get("max_open_files"); v != nil {
-			s, perr := asInt(v, path+".fs.max_open_files")
-			if perr != nil {
-				return nil, perr
-			}
-			lim.MaxOpenFiles = int(s)
-		}
-		w.FS = lim
-	}
-	if w.Caps == 0 && w.Net == nil && w.FS == nil {
-		return nil, nil
+			return nil
+		}},
+		{key: "net", conv: func(n *node, path string) *Error {
+			lim := &sandbox.NetLimits{}
+			w.Net = lim
+			return bind(n, path, "net", []field{
+				{key: "max_sockets", kind: apps.KindInt, dst: &lim.MaxSockets},
+				{key: "max_tx", kind: apps.KindSize, dst: &lim.MaxTxBytes},
+				{key: "max_rx", kind: apps.KindSize, dst: &lim.MaxRxBytes},
+				{key: "blacklist", conv: func(n *node, path string) *Error {
+					return eachItem(n, path, func(item *node, _ string) *Error {
+						var host string
+						perr := convert(item, path, apps.KindString, &host, nil)
+						lim.Blacklist = append(lim.Blacklist, host)
+						return perr
+					})
+				}},
+			})
+		}},
+		{key: "fs", conv: func(n *node, path string) *Error {
+			lim := &sandbox.FSLimits{}
+			w.FS = lim
+			return bind(n, path, "fs", []field{
+				{key: "max_bytes", kind: apps.KindSize, dst: &lim.MaxBytes},
+				{key: "max_open_files", kind: apps.KindInt, dst: &lim.MaxOpenFiles},
+			})
+		}},
+	})
+	if perr != nil || w.Caps == 0 && w.Net == nil && w.FS == nil {
+		return nil, perr
 	}
 	return w, nil
 }
 
-func (c *compiler) collect(n *node) (*wire.Collect, *Error) {
-	if n.kind != mapNode {
-		return nil, errf(ErrBadValue, "collect", n, "collect must be a mapping")
-	}
-	if perr := requireKeys(n, "collect", "metrics", "report_every", "key", "metrics_port"); perr != nil {
-		return nil, perr
-	}
+func collect(n *node, path string) (*wire.Collect, *Error) {
 	w := &wire.Collect{}
-	var perr *Error
-	if v := n.get("metrics"); v != nil {
-		if w.Metrics, perr = asBool(v, "collect.metrics"); perr != nil {
-			return nil, perr
-		}
-	}
-	if v := n.get("report_every"); v != nil {
-		if w.ReportEvery, perr = asDuration(v, "collect.report_every"); perr != nil {
-			return nil, perr
-		}
-	}
-	if v := n.get("key"); v != nil {
-		if w.Key, perr = asString(v, "collect.key"); perr != nil {
-			return nil, perr
-		}
-	}
-	if v := n.get("metrics_port"); v != nil {
-		p, perr := asInt(v, "collect.metrics_port")
-		if perr != nil {
-			return nil, perr
-		}
-		if p < 1 || p > 65535 {
-			return nil, errf(ErrOutOfRange, "collect.metrics_port", v, "port %d is outside 1..65535", p)
-		}
-		w.MetricsPort = int(p)
-	}
-	return w, nil
+	return w, bind(n, path, "collect", []field{
+		{key: "metrics", kind: apps.KindBool, dst: &w.Metrics},
+		{key: "report_every", kind: apps.KindDuration, dst: &w.ReportEvery},
+		{key: "key", kind: apps.KindString, dst: &w.Key},
+		{key: "metrics_port", kind: apps.KindInt, dst: &w.MetricsPort, bound: portRange},
+	})
 }
 
-func (c *compiler) churn(n *node, seed int64) ([]wire.ChurnEvent, *Error) {
-	if n.kind != mapNode {
-		return nil, errf(ErrBadValue, "churn", n, "churn must be a mapping")
-	}
-	if perr := requireKeys(n, "churn", "script", "trace", "seed"); perr != nil {
+// churn expands a script or a trace into the explicit timeline. The two
+// are one source: each entry only notes its value, exactly one must be
+// there, and it expands once churn.seed is read.
+func (c *compiler) churn(n *node, path string, seed int64) ([]wire.ChurnEvent, *Error) {
+	var sources int
+	var expand func() (churn.Trace, *Error)
+	perr := bind(n, path, "churn", []field{
+		{key: "script", conv: func(n *node, path string) *Error {
+			sources++
+			expand = func() (churn.Trace, *Error) { return script(n, path, seed) }
+			return nil
+		}},
+		{key: "trace", conv: func(n *node, path string) *Error {
+			sources++
+			expand = func() (churn.Trace, *Error) { return c.trace(n, path) }
+			return nil
+		}},
+		{conv: func(n *node, path string) *Error {
+			if sources != 1 {
+				return errf(ErrBadValue, path, n, "churn takes exactly one of script or trace")
+			}
+			return nil
+		}},
+		{key: "seed", kind: apps.KindInt, dst: &seed},
+	})
+	if perr != nil {
 		return nil, perr
 	}
-	scriptN, traceN := n.get("script"), n.get("trace")
-	if (scriptN == nil) == (traceN == nil) {
-		return nil, errf(ErrBadValue, "churn", n, "churn takes exactly one of script or trace")
-	}
-	if sN := n.get("seed"); sN != nil {
-		v, perr := asInt(sN, "churn.seed")
-		if perr != nil {
-			return nil, perr
-		}
-		seed = v
-	}
-	var tr churn.Trace
-	if scriptN != nil {
-		var lines []string
-		switch scriptN.kind {
-		case scalarNode:
-			lines = []string{scriptN.scalar}
-		case listNode:
-			for _, item := range scriptN.items {
-				s, perr := asString(item, "churn.script")
-				if perr != nil {
-					return nil, perr
-				}
-				lines = append(lines, s)
-			}
-		default:
-			return nil, errf(ErrBadValue, "churn.script", scriptN,
-				"script must be a line or a list of lines")
-		}
-		s, err := churn.ParseScript(strings.Join(lines, "\n"))
-		if err != nil {
-			return nil, errf(ErrBadValue, "churn.script", scriptN, "%v", err)
-		}
-		tr = churn.FromScript(s, seed)
-	} else {
-		path, perr := asString(traceN, "churn.trace")
-		if perr != nil {
-			return nil, perr
-		}
-		if c.open == nil {
-			return nil, errf(ErrUnsupported, "churn.trace", traceN,
-				"trace references need a file-based loader (LoadScenarioFile or splayctl); inline documents cannot reach %q", path)
-		}
-		raw, err := c.open(path)
-		if err != nil {
-			return nil, errf(ErrBadValue, "churn.trace", traceN, "trace %q: %v", path, err)
-		}
-		tr, err = churn.ReadTrace(strings.NewReader(string(raw)))
-		if err != nil {
-			return nil, errf(ErrBadValue, "churn.trace", traceN, "trace %q: %v", path, err)
-		}
+	tr, perr := expand()
+	if perr != nil {
+		return nil, perr
 	}
 	out := make([]wire.ChurnEvent, len(tr))
 	for i, e := range tr {
@@ -551,47 +477,74 @@ func (c *compiler) churn(n *node, seed int64) ([]wire.ChurnEvent, *Error) {
 	return out, nil
 }
 
-func (c *compiler) faults(n *node) (*faults.Plan, *Error) {
-	if n.kind != mapNode {
-		return nil, errf(ErrBadValue, "faults", n, "faults must be a mapping")
+// script expands a synthetic churn description: one line or a list of lines.
+func script(n *node, path string, seed int64) (churn.Trace, *Error) {
+	var lines []string
+	switch n.kind {
+	case scalarNode:
+		lines = []string{n.scalar}
+	case listNode:
+		lines = make([]string, len(n.items))
+		for i, item := range n.items {
+			if perr := convert(item, path, apps.KindString, &lines[i], nil); perr != nil {
+				return nil, perr
+			}
+		}
+	default:
+		return nil, errf(ErrBadValue, path, n, "script must be a line or a list of lines")
 	}
-	if perr := requireKeys(n, "faults", "events", "rules", "eval_every"); perr != nil {
+	s, err := churn.ParseScript(strings.Join(lines, "\n"))
+	if err != nil {
+		return nil, errf(ErrBadValue, path, n, "%v", err)
+	}
+	return churn.FromScript(s, seed), nil
+}
+
+// trace loads a churn trace reference through the caller's loader.
+func (c *compiler) trace(n *node, path string) (churn.Trace, *Error) {
+	var ref string
+	if perr := convert(n, path, apps.KindString, &ref, nil); perr != nil {
 		return nil, perr
 	}
+	if c.open == nil {
+		return nil, errf(ErrUnsupported, path, n,
+			"trace references need a file-based loader (LoadScenarioFile or splayctl); inline documents cannot reach %q", ref)
+	}
+	raw, err := c.open(ref)
+	if err != nil {
+		return nil, errf(ErrBadValue, path, n, "trace %q: %v", ref, err)
+	}
+	tr, err := churn.ReadTrace(strings.NewReader(string(raw)))
+	if err != nil {
+		return nil, errf(ErrBadValue, path, n, "trace %q: %v", ref, err)
+	}
+	return tr, nil
+}
+
+func faultPlan(n *node, path string) (*faults.Plan, *Error) {
 	plan := &faults.Plan{}
-	if evN := n.get("events"); evN != nil {
-		if evN.kind != listNode {
-			return nil, errf(ErrBadValue, "faults.events", evN, "events must be a list")
-		}
-		for i, item := range evN.items {
-			ev, perr := c.faultEvent(item, fmt.Sprintf("faults.events[%d]", i))
-			if perr != nil {
-				return nil, perr
-			}
-			plan.Events = append(plan.Events, ev)
-		}
-	}
-	if rN := n.get("rules"); rN != nil {
-		if rN.kind != listNode {
-			return nil, errf(ErrBadValue, "faults.rules", rN, "rules must be a list")
-		}
-		for i, item := range rN.items {
-			rule, perr := c.faultRule(item, fmt.Sprintf("faults.rules[%d]", i))
-			if perr != nil {
-				return nil, perr
-			}
-			plan.Rules = append(plan.Rules, rule)
-		}
-	}
-	if eN := n.get("eval_every"); eN != nil {
-		d, perr := asDuration(eN, "faults.eval_every")
-		if perr != nil {
-			return nil, perr
-		}
-		plan.EvalEvery = d
+	perr := bind(n, path, "faults", []field{
+		{key: "events", conv: func(n *node, path string) *Error {
+			return eachItem(n, path, func(n *node, path string) *Error {
+				ev, perr := faultEvent(n, path)
+				plan.Events = append(plan.Events, ev)
+				return perr
+			})
+		}},
+		{key: "rules", conv: func(n *node, path string) *Error {
+			return eachItem(n, path, func(n *node, path string) *Error {
+				r, perr := faultRule(n, path)
+				plan.Rules = append(plan.Rules, r)
+				return perr
+			})
+		}},
+		{key: "eval_every", kind: apps.KindDuration, dst: &plan.EvalEvery},
+	})
+	if perr != nil {
+		return nil, perr
 	}
 	if plan.Empty() && plan.EvalEvery == 0 {
-		return nil, errf(ErrMissing, "faults", n, "faults declares no events and no rules")
+		return nil, errf(ErrMissing, path, n, "faults declares no events and no rules")
 	}
 	return plan, nil
 }
@@ -607,80 +560,35 @@ var faultKinds = map[string]faults.EventKind{
 	"rpc-clear": faults.RPCClear,
 }
 
-func (c *compiler) faultEvent(n *node, path string) (faults.Event, *Error) {
+const eventKinds = "crash, restart, partition, heal, degrade, restore, rpc-fault or rpc-clear"
+
+func faultEvent(n *node, path string) (faults.Event, *Error) {
 	var ev faults.Event
-	if n.kind != mapNode {
-		return ev, errf(ErrBadValue, path, n, "each event must be a mapping")
-	}
-	if perr := requireKeys(n, path, "at", "kind", "fraction", "count",
-		"extra_latency", "loss", "method", "drop", "delay"); perr != nil {
-		return ev, perr
-	}
-	atN := n.get("at")
-	if atN == nil {
-		return ev, errf(ErrMissing, path+".at", n, "event time required")
-	}
-	at, perr := asDuration(atN, path+".at")
+	perr := bind(n, path, "each event", []field{
+		{key: "at", required: "event time required", kind: apps.KindDuration, dst: &ev.At},
+		{key: "kind", required: "event kind required (" + eventKinds + ")", conv: func(n *node, path string) *Error {
+			var kind string
+			if perr := convert(n, path, apps.KindString, &kind, nil); perr != nil {
+				return perr
+			}
+			var ok bool
+			if ev.Kind, ok = faultKinds[kind]; !ok {
+				return errf(ErrBadValue, path, n, "unknown event kind %q (want %s)", kind, eventKinds)
+			}
+			return nil
+		}},
+		{key: "fraction", kind: apps.KindFraction, dst: &ev.Fraction},
+		{key: "count", kind: apps.KindInt, dst: &ev.Count, bound: &bound{1, math.Inf(1), "count must be positive"}},
+		{key: "extra_latency", kind: apps.KindDuration, dst: &ev.ExtraLatency},
+		{key: "loss", kind: apps.KindFraction, dst: &ev.Loss},
+		{key: "method", kind: apps.KindString, dst: &ev.Method},
+		{key: "drop", kind: apps.KindFraction, dst: &ev.Drop},
+		{key: "delay", kind: apps.KindDuration, dst: &ev.Delay},
+	})
 	if perr != nil {
 		return ev, perr
 	}
-	ev.At = at
-	kindN := n.get("kind")
-	if kindN == nil {
-		return ev, errf(ErrMissing, path+".kind", n,
-			"event kind required (crash, restart, partition, heal, degrade, restore, rpc-fault or rpc-clear)")
-	}
-	kindS, perr := asString(kindN, path+".kind")
-	if perr != nil {
-		return ev, perr
-	}
-	kind, ok := faultKinds[kindS]
-	if !ok {
-		return ev, errf(ErrBadValue, path+".kind", kindN,
-			"unknown event kind %q (want crash, restart, partition, heal, degrade, restore, rpc-fault or rpc-clear)", kindS)
-	}
-	ev.Kind = kind
-	if v := n.get("fraction"); v != nil {
-		if ev.Fraction, perr = asFraction(v, path+".fraction"); perr != nil {
-			return ev, perr
-		}
-	}
-	if v := n.get("count"); v != nil {
-		cnt, perr := asInt(v, path+".count")
-		if perr != nil {
-			return ev, perr
-		}
-		if cnt < 1 {
-			return ev, errf(ErrOutOfRange, path+".count", v, "count must be positive")
-		}
-		ev.Count = int(cnt)
-	}
-	if v := n.get("extra_latency"); v != nil {
-		if ev.ExtraLatency, perr = asDuration(v, path+".extra_latency"); perr != nil {
-			return ev, perr
-		}
-	}
-	if v := n.get("loss"); v != nil {
-		if ev.Loss, perr = asFraction(v, path+".loss"); perr != nil {
-			return ev, perr
-		}
-	}
-	if v := n.get("method"); v != nil {
-		if ev.Method, perr = asString(v, path+".method"); perr != nil {
-			return ev, perr
-		}
-	}
-	if v := n.get("drop"); v != nil {
-		if ev.Drop, perr = asFraction(v, path+".drop"); perr != nil {
-			return ev, perr
-		}
-	}
-	if v := n.get("delay"); v != nil {
-		if ev.Delay, perr = asDuration(v, path+".delay"); perr != nil {
-			return ev, perr
-		}
-	}
-	switch kind {
+	switch ev.Kind {
 	case faults.Crash:
 		if ev.Fraction == 0 && ev.Count == 0 {
 			return ev, errf(ErrMissing, path, n, "crash needs a fraction or a count")
@@ -694,120 +602,56 @@ func (c *compiler) faultEvent(n *node, path string) (faults.Event, *Error) {
 	return ev, nil
 }
 
-func (c *compiler) faultRule(n *node, path string) (faults.Rule, *Error) {
+func faultRule(n *node, path string) (faults.Rule, *Error) {
 	var r faults.Rule
-	if n.kind != mapNode {
-		return r, errf(ErrBadValue, path, n, "each rule must be a mapping")
-	}
-	if perr := requireKeys(n, path, "name", "when", "for", "do", "cooldown", "max_fires"); perr != nil {
-		return r, perr
-	}
-	nameN := n.get("name")
-	if nameN == nil {
-		return r, errf(ErrMissing, path+".name", n, "rule name required")
-	}
-	var perr *Error
-	if r.Name, perr = asString(nameN, path+".name"); perr != nil {
-		return r, perr
-	}
-	whenN := n.get("when")
-	if whenN == nil {
-		return r, errf(ErrMissing, path+".when", n, "rule condition required, e.g. \"total(chord.failed_lookups) > 10\"")
-	}
-	if r.When, perr = parseCondition(whenN, path+".when"); perr != nil {
-		return r, perr
-	}
-	doN := n.get("do")
-	if doN == nil {
-		return r, errf(ErrMissing, path+".do", n, "rule action required (heal, \"kill n\", \"kill p%%\" or \"grow n\")")
-	}
-	if r.Do, perr = parseAction(doN, path+".do"); perr != nil {
-		return r, perr
-	}
-	if v := n.get("for"); v != nil {
-		if r.For, perr = asDuration(v, path+".for"); perr != nil {
-			return r, perr
-		}
-	}
-	if v := n.get("cooldown"); v != nil {
-		if r.Cooldown, perr = asDuration(v, path+".cooldown"); perr != nil {
-			return r, perr
-		}
-	}
-	if v := n.get("max_fires"); v != nil {
-		m, perr := asInt(v, path+".max_fires")
-		if perr != nil {
-			return r, perr
-		}
-		if m < 0 {
-			return r, errf(ErrOutOfRange, path+".max_fires", v, "max_fires must be non-negative")
-		}
-		r.MaxFires = int(m)
-	}
-	return r, nil
+	perr := bind(n, path, "each rule", []field{
+		{key: "name", required: "rule name required", kind: apps.KindString, dst: &r.Name},
+		{key: "when", required: `rule condition required, e.g. "total(chord.failed_lookups) > 10"`,
+			conv: func(n *node, path string) (perr *Error) {
+				r.When, perr = parseCondition(n, path)
+				return perr
+			}},
+		{key: "for", kind: apps.KindDuration, dst: &r.For},
+		{key: "do", before: "for", required: `rule action required (heal, "kill n", "kill p%" or "grow n")`,
+			conv: func(n *node, path string) (perr *Error) {
+				r.Do, perr = parseAction(n, path)
+				return perr
+			}},
+		{key: "cooldown", kind: apps.KindDuration, dst: &r.Cooldown},
+		{key: "max_fires", kind: apps.KindInt, dst: &r.MaxFires, bound: &bound{0, math.Inf(1), "max_fires must be non-negative"}},
+	})
+	return r, perr
 }
 
-func (c *compiler) asserts(n *node) ([]faults.Assertion, *Error) {
-	if n.kind != listNode {
-		return nil, errf(ErrBadValue, "assert", n, "assert must be a list")
-	}
-	var out []faults.Assertion
-	for i, item := range n.items {
-		a, perr := c.assertion(item, fmt.Sprintf("assert[%d]", i))
-		if perr != nil {
-			return nil, perr
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func (c *compiler) assertion(n *node, path string) (faults.Assertion, *Error) {
+func assertion(n *node, path string) (faults.Assertion, *Error) {
 	var a faults.Assertion
-	if n.kind != mapNode {
-		return a, errf(ErrBadValue, path, n, "each assertion must be a mapping")
-	}
-	if perr := requireKeys(n, path, "name", "eventually", "always", "converges", "within", "after"); perr != nil {
-		return a, perr
-	}
-	nameN := n.get("name")
-	if nameN == nil {
-		return a, errf(ErrMissing, path+".name", n, "assertion name required")
-	}
-	var perr *Error
-	if a.Name, perr = asString(nameN, path+".name"); perr != nil {
-		return a, perr
-	}
 	kinds := 0
-	for _, k := range []struct {
-		key  string
-		kind faults.AssertKind
-	}{{"eventually", faults.Eventually}, {"always", faults.Always}, {"converges", faults.Converges}} {
-		if v := n.get(k.key); v != nil {
+	cond := func(kind faults.AssertKind) func(*node, string) *Error {
+		return func(n *node, path string) (perr *Error) {
 			kinds++
-			a.Kind = k.kind
-			if a.Cond, perr = parseCondition(v, path+"."+k.key); perr != nil {
-				return a, perr
+			a.Kind = kind
+			a.Cond, perr = parseCondition(n, path)
+			return perr
+		}
+	}
+	perr := bind(n, path, "each assertion", []field{
+		{key: "name", required: "assertion name required", kind: apps.KindString, dst: &a.Name},
+		{key: "eventually", conv: cond(faults.Eventually)},
+		{key: "always", conv: cond(faults.Always)},
+		{key: "converges", conv: cond(faults.Converges)},
+		{conv: func(n *node, path string) *Error {
+			switch {
+			case kinds == 0:
+				return errf(ErrMissing, path, n, "want one of eventually, always or converges with a condition")
+			case kinds > 1:
+				return errf(ErrBadValue, path, n, "want exactly one of eventually, always or converges")
 			}
-		}
-	}
-	if kinds == 0 {
-		return a, errf(ErrMissing, path, n, "want one of eventually, always or converges with a condition")
-	}
-	if kinds > 1 {
-		return a, errf(ErrBadValue, path, n, "want exactly one of eventually, always or converges")
-	}
-	if v := n.get("within"); v != nil {
-		if a.Within, perr = asDuration(v, path+".within"); perr != nil {
-			return a, perr
-		}
-	}
-	if v := n.get("after"); v != nil {
-		if a.After, perr = asDuration(v, path+".after"); perr != nil {
-			return a, perr
-		}
-	}
-	return a, nil
+			return nil
+		}},
+		{key: "within", kind: apps.KindDuration, dst: &a.Within},
+		{key: "after", kind: apps.KindDuration, dst: &a.After},
+	})
+	return a, perr
 }
 
 // ValidateWire validates a decoded wire scenario's application

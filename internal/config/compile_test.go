@@ -16,28 +16,7 @@ import (
 // JSON holding only what the document set.
 func TestCompileMinimal(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
-		{
-			"bare app",
-			"apps:\n  - app: chord\n",
-			`{"apps":[{"app":"chord"}]}`,
-		},
-		{
-			"params sorted and sparse",
-			"apps:\n  - app: chord\n    params:\n      lookups_per_min: 6\n      bits: 16\n",
-			`{"apps":[{"app":"chord","params":{"bits":16,"lookups_per_min":6}}]}`,
-		},
-		{
-			"human units",
-			"name: demo\nseed: 7\napps:\n  - app: cyclon\n    params:\n      shuffle_every: 5s\n    nodes: 24\nduration: 60s\n",
-			`{"name":"demo","seed":7,"apps":[{"app":"cyclon","params":{"shuffle_every":5000000000},"nodes":24}],"duration_ns":60000000000}`,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range compileMinimalCases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			got, perr := Compile([]byte(tc.doc), Options{})
@@ -49,6 +28,28 @@ func TestCompileMinimal(t *testing.T) {
 			}
 		})
 	}
+}
+
+var compileMinimalCases = []struct {
+	name string
+	doc  string
+	want string
+}{
+	{
+		"bare app",
+		"apps:\n  - app: chord\n",
+		`{"apps":[{"app":"chord"}]}`,
+	},
+	{
+		"params sorted and sparse",
+		"apps:\n  - app: chord\n    params:\n      lookups_per_min: 6\n      bits: 16\n",
+		`{"apps":[{"app":"chord","params":{"bits":16,"lookups_per_min":6}}]}`,
+	},
+	{
+		"human units",
+		"name: demo\nseed: 7\napps:\n  - app: cyclon\n    params:\n      shuffle_every: 5s\n    nodes: 24\nduration: 60s\n",
+		`{"name":"demo","seed":7,"apps":[{"app":"cyclon","params":{"shuffle_every":5000000000},"nodes":24}],"duration_ns":60000000000}`,
+	},
 }
 
 // fullDoc exercises every schema section at once.
@@ -232,58 +233,7 @@ func TestCompileTrace(t *testing.T) {
 // position of every compiler-level rejection.
 func TestCompileErrors(t *testing.T) {
 	t.Parallel()
-	app := "apps:\n  - app: chord\n" // 2 lines of valid prefix
-	cases := []struct {
-		name      string
-		doc       string
-		code      ErrorCode
-		path      string
-		line, col int
-	}{
-		{"unknown top field", app + "bogus: 1\n", ErrUnknownField, "bogus", 3, 1},
-		{"missing apps", "name: x\n", ErrMissing, "apps", 1, 1},
-		{"apps not a list", "apps: 3\n", ErrBadValue, "apps", 1, 7},
-		{"unknown app", "apps:\n  - app: quux\n", ErrUnknownApp, "apps[0].app", 2, 10},
-		{"app entry not a mapping", "apps:\n  - chord\n", ErrBadValue, "apps[0]", 2, 5},
-		{"app name missing", "apps:\n  - nodes: 3\n", ErrMissing, "apps[0].app", 2, 5},
-		{"unknown app field", "apps:\n  - app: chord\n    size: 3\n", ErrUnknownField, "apps[0].size", 3, 5},
-		{"unknown param", "apps:\n  - app: chord\n    params:\n      qux: 1\n", ErrUnknownParam, "apps[0].params.qux", 4, 7},
-		{"param bad value", "apps:\n  - app: chord\n    params:\n      bits: fast\n", ErrBadValue, "apps[0].params.bits", 4, 13},
-		{"param out of range", "apps:\n  - app: chord\n    params:\n      bits: 99\n", ErrOutOfRange, "apps[0].params.bits", 4, 13},
-		{"param kind mismatch", "apps:\n  - app: chord\n    params:\n      fault_tolerant: 1\n", ErrBadValue, "apps[0].params.fault_tolerant", 4, 23},
-		{"params not a mapping", "apps:\n  - app: chord\n    params: 3\n", ErrBadValue, "apps[0].params", 3, 13},
-		{"report without collect", "apps:\n  - app: chord\n    params:\n      report: true\n", ErrBadValue, "", 4, 15},
-		{"nodes out of range", app[:len(app)-1] + "\n    nodes: 0\n", ErrOutOfRange, "apps[0].nodes", 3, 12},
-		{"superset out of range", app[:len(app)-1] + "\n    superset: 99\n", ErrOutOfRange, "apps[0].superset", 3, 15},
-		{"port out of range", app[:len(app)-1] + "\n    port: 70000\n", ErrOutOfRange, "apps[0].port", 3, 11},
-		{"testbed unknown kind", "testbed:\n  kind: mars\n  daemons: 5\n" + app, ErrBadValue, "testbed.kind", 2, 9},
-		{"testbed missing kind", "testbed:\n  daemons: 5\n" + app, ErrMissing, "testbed.kind", 2, 3},
-		{"testbed missing daemons", "testbed:\n  kind: live\n" + app, ErrMissing, "testbed.daemons", 2, 3},
-		{"daemons out of range", "testbed:\n  kind: live\n  daemons: 0\n" + app, ErrOutOfRange, "testbed.daemons", 3, 12},
-		{"rtt on non-uniform", "testbed:\n  kind: live\n  daemons: 5\n  rtt: 10ms\n" + app, ErrBadValue, "testbed.rtt", 4, 8},
-		{"bps on non-uniform", "testbed:\n  kind: live\n  daemons: 5\n  bps: 1mbps\n" + app, ErrBadValue, "testbed.bps", 4, 8},
-		{"env unknown cap", app[:len(app)-1] + "\n    env:\n      caps: [disk]\n", ErrBadValue, "apps[0].env.caps", 4, 14},
-		{"env caps scalar not all", app[:len(app)-1] + "\n    env:\n      caps: some\n", ErrBadValue, "apps[0].env.caps", 4, 13},
-		{"env empty caps list", app[:len(app)-1] + "\n    env:\n      caps: []\n", ErrBadValue, "apps[0].env.caps", 4, 13},
-		{"collect bad port", app + "collect:\n  metrics_port: 0\n", ErrOutOfRange, "collect.metrics_port", 4, 17},
-		{"churn needs one source", app + "churn:\n  seed: 3\n", ErrBadValue, "churn", 4, 3},
-		{"churn bad script", app + "churn:\n  script: garbage here\n", ErrBadValue, "churn.script", 4, 11},
-		{"faults declare nothing", app + "faults:\n  eval_every: 0\n", ErrMissing, "faults", 4, 3},
-		{"event missing at", app + "faults:\n  events:\n    - kind: crash\n      count: 1\n", ErrMissing, "faults.events[0].at", 5, 7},
-		{"event unknown kind", app + "faults:\n  events:\n    - at: 1s\n      kind: meteor\n", ErrBadValue, "faults.events[0].kind", 6, 13},
-		{"crash needs a target", app + "faults:\n  events:\n    - at: 1s\n      kind: crash\n", ErrMissing, "faults.events[0]", 5, 7},
-		{"partition fraction bounds", app + "faults:\n  events:\n    - at: 1s\n      kind: partition\n      fraction: 100%\n", ErrOutOfRange, "faults.events[0].fraction", 5, 7},
-		{"rule missing when", app + "faults:\n  rules:\n    - name: r\n      do: heal\n", ErrMissing, "faults.rules[0].when", 5, 7},
-		{"rule bad condition", app + "faults:\n  rules:\n    - name: r\n      when: whenever\n      do: heal\n", ErrBadValue, "faults.rules[0].when", 6, 13},
-		{"rule unknown stat", app + "faults:\n  rules:\n    - name: r\n      when: median(x) > 1\n      do: heal\n", ErrBadValue, "faults.rules[0].when", 6, 13},
-		{"nodes takes no metric", app + "faults:\n  rules:\n    - name: r\n      when: nodes(x) > 1\n      do: heal\n", ErrBadValue, "faults.rules[0].when", 6, 13},
-		{"rule inject unsupported", app + "faults:\n  rules:\n    - name: r\n      when: nodes() < 5\n      do: inject crash\n", ErrUnsupported, "faults.rules[0].do", 7, 11},
-		{"kill percent bounds", app + "faults:\n  rules:\n    - name: r\n      when: nodes() < 5\n      do: kill 150%\n", ErrBadValue, "faults.rules[0].do", 7, 11},
-		{"assert needs a kind", app + "assert:\n  - name: a\n", ErrMissing, "assert[0]", 4, 5},
-		{"assert exactly one kind", app + "assert:\n  - name: a\n    eventually: nodes() > 1\n    always: nodes() > 1\n", ErrBadValue, "assert[0]", 4, 5},
-		{"controller_port out of range", app + "controller_port: -1\n", ErrOutOfRange, "controller_port", 3, 18},
-	}
-	for _, tc := range cases {
+	for _, tc := range compileErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			_, perr := Compile([]byte(tc.doc), Options{})
@@ -298,6 +248,59 @@ func TestCompileErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+const appPrefix = "apps:\n  - app: chord\n" // 2 lines of valid prefix
+
+var compileErrorCases = []struct {
+	name      string
+	doc       string
+	code      ErrorCode
+	path      string
+	line, col int
+}{
+	{"unknown top field", appPrefix + "bogus: 1\n", ErrUnknownField, "bogus", 3, 1},
+	{"missing apps", "name: x\n", ErrMissing, "apps", 1, 1},
+	{"apps not a list", "apps: 3\n", ErrBadValue, "apps", 1, 7},
+	{"unknown app", "apps:\n  - app: quux\n", ErrUnknownApp, "apps[0].app", 2, 10},
+	{"app entry not a mapping", "apps:\n  - chord\n", ErrBadValue, "apps[0]", 2, 5},
+	{"app name missing", "apps:\n  - nodes: 3\n", ErrMissing, "apps[0].app", 2, 5},
+	{"unknown app field", "apps:\n  - app: chord\n    size: 3\n", ErrUnknownField, "apps[0].size", 3, 5},
+	{"unknown param", "apps:\n  - app: chord\n    params:\n      qux: 1\n", ErrUnknownParam, "apps[0].params.qux", 4, 7},
+	{"param bad value", "apps:\n  - app: chord\n    params:\n      bits: fast\n", ErrBadValue, "apps[0].params.bits", 4, 13},
+	{"param out of range", "apps:\n  - app: chord\n    params:\n      bits: 99\n", ErrOutOfRange, "apps[0].params.bits", 4, 13},
+	{"param kind mismatch", "apps:\n  - app: chord\n    params:\n      fault_tolerant: 1\n", ErrBadValue, "apps[0].params.fault_tolerant", 4, 23},
+	{"params not a mapping", "apps:\n  - app: chord\n    params: 3\n", ErrBadValue, "apps[0].params", 3, 13},
+	{"report without collect", "apps:\n  - app: chord\n    params:\n      report: true\n", ErrBadValue, "", 4, 15},
+	{"nodes out of range", appPrefix[:len(appPrefix)-1] + "\n    nodes: 0\n", ErrOutOfRange, "apps[0].nodes", 3, 12},
+	{"superset out of range", appPrefix[:len(appPrefix)-1] + "\n    superset: 99\n", ErrOutOfRange, "apps[0].superset", 3, 15},
+	{"port out of range", appPrefix[:len(appPrefix)-1] + "\n    port: 70000\n", ErrOutOfRange, "apps[0].port", 3, 11},
+	{"testbed unknown kind", "testbed:\n  kind: mars\n  daemons: 5\n" + appPrefix, ErrBadValue, "testbed.kind", 2, 9},
+	{"testbed missing kind", "testbed:\n  daemons: 5\n" + appPrefix, ErrMissing, "testbed.kind", 2, 3},
+	{"testbed missing daemons", "testbed:\n  kind: live\n" + appPrefix, ErrMissing, "testbed.daemons", 2, 3},
+	{"daemons out of range", "testbed:\n  kind: live\n  daemons: 0\n" + appPrefix, ErrOutOfRange, "testbed.daemons", 3, 12},
+	{"rtt on non-uniform", "testbed:\n  kind: live\n  daemons: 5\n  rtt: 10ms\n" + appPrefix, ErrBadValue, "testbed.rtt", 4, 8},
+	{"bps on non-uniform", "testbed:\n  kind: live\n  daemons: 5\n  bps: 1mbps\n" + appPrefix, ErrBadValue, "testbed.bps", 4, 8},
+	{"env unknown cap", appPrefix[:len(appPrefix)-1] + "\n    env:\n      caps: [disk]\n", ErrBadValue, "apps[0].env.caps", 4, 14},
+	{"env caps scalar not all", appPrefix[:len(appPrefix)-1] + "\n    env:\n      caps: some\n", ErrBadValue, "apps[0].env.caps", 4, 13},
+	{"env empty caps list", appPrefix[:len(appPrefix)-1] + "\n    env:\n      caps: []\n", ErrBadValue, "apps[0].env.caps", 4, 13},
+	{"collect bad port", appPrefix + "collect:\n  metrics_port: 0\n", ErrOutOfRange, "collect.metrics_port", 4, 17},
+	{"churn needs one source", appPrefix + "churn:\n  seed: 3\n", ErrBadValue, "churn", 4, 3},
+	{"churn bad script", appPrefix + "churn:\n  script: garbage here\n", ErrBadValue, "churn.script", 4, 11},
+	{"faults declare nothing", appPrefix + "faults:\n  eval_every: 0\n", ErrMissing, "faults", 4, 3},
+	{"event missing at", appPrefix + "faults:\n  events:\n    - kind: crash\n      count: 1\n", ErrMissing, "faults.events[0].at", 5, 7},
+	{"event unknown kind", appPrefix + "faults:\n  events:\n    - at: 1s\n      kind: meteor\n", ErrBadValue, "faults.events[0].kind", 6, 13},
+	{"crash needs a target", appPrefix + "faults:\n  events:\n    - at: 1s\n      kind: crash\n", ErrMissing, "faults.events[0]", 5, 7},
+	{"partition fraction bounds", appPrefix + "faults:\n  events:\n    - at: 1s\n      kind: partition\n      fraction: 100%\n", ErrOutOfRange, "faults.events[0].fraction", 5, 7},
+	{"rule missing when", appPrefix + "faults:\n  rules:\n    - name: r\n      do: heal\n", ErrMissing, "faults.rules[0].when", 5, 7},
+	{"rule bad condition", appPrefix + "faults:\n  rules:\n    - name: r\n      when: whenever\n      do: heal\n", ErrBadValue, "faults.rules[0].when", 6, 13},
+	{"rule unknown stat", appPrefix + "faults:\n  rules:\n    - name: r\n      when: median(x) > 1\n      do: heal\n", ErrBadValue, "faults.rules[0].when", 6, 13},
+	{"nodes takes no metric", appPrefix + "faults:\n  rules:\n    - name: r\n      when: nodes(x) > 1\n      do: heal\n", ErrBadValue, "faults.rules[0].when", 6, 13},
+	{"rule inject unsupported", appPrefix + "faults:\n  rules:\n    - name: r\n      when: nodes() < 5\n      do: inject crash\n", ErrUnsupported, "faults.rules[0].do", 7, 11},
+	{"kill percent bounds", appPrefix + "faults:\n  rules:\n    - name: r\n      when: nodes() < 5\n      do: kill 150%\n", ErrBadValue, "faults.rules[0].do", 7, 11},
+	{"assert needs a kind", appPrefix + "assert:\n  - name: a\n", ErrMissing, "assert[0]", 4, 5},
+	{"assert exactly one kind", appPrefix + "assert:\n  - name: a\n    eventually: nodes() > 1\n    always: nodes() > 1\n", ErrBadValue, "assert[0]", 4, 5},
+	{"controller_port out of range", appPrefix + "controller_port: -1\n", ErrOutOfRange, "controller_port", 3, 18},
 }
 
 // TestIsDocument pins the wire-vs-document sniff.
@@ -332,7 +335,8 @@ func TestValidateWire(t *testing.T) {
 		{"unknown param", `{"apps":[{"app":"chord","params":{"qux":1}}]}`, ErrUnknownParam, "apps[0].params.qux"},
 		{"out of range", `{"apps":[{"app":"chord","params":{"bits":99}}]}`, ErrOutOfRange, "apps[0].params.bits"},
 		{"kind mismatch", `{"apps":[{"app":"chord","params":{"bits":2.5}}]}`, ErrBadValue, "apps[0].params.bits"},
-		{"bool mismatch", `{"apps":[{"app":"chord","params":{"fault_tolerant":"yes"}}]}`, ErrBadValue, "apps[0].params.fault_tolerant"},
+		{"integral float for an int", `{"apps":[{"app":"chord","params":{"bits":16.0}}]}`, ErrBadValue, "apps[0].params.bits"},
+		{"exponent for a duration", `{"apps":[{"app":"cyclon","params":{"shuffle_every":5e9}}]}`, ErrBadValue, "apps[0].params.shuffle_every"}, {"bool mismatch", `{"apps":[{"app":"chord","params":{"fault_tolerant":"yes"}}]}`, ErrBadValue, "apps[0].params.fault_tolerant"},
 		{"second app checked", `{"apps":[{"app":"chord"},{"app":"cyclon","params":{"view_size":0}}]}`, ErrOutOfRange, "apps[1].params.view_size"},
 	}
 	for _, tc := range cases {

@@ -17,18 +17,9 @@ import (
 // Seeds live in testdata/fuzz/FuzzCompile; `go test -fuzz=FuzzCompile`
 // explores from there.
 func FuzzCompile(f *testing.F) {
-	f.Add("apps:\n  - app: chord\n")
-	f.Add(fullDoc)
-	f.Add("name: demo\napps:\n  - app: cyclon\n    params:\n      view_size: 16\n      shuffle_every: 5s\n")
-	f.Add("apps:\n  - app: bittorrent\n    params:\n      size: 4MB\n      piece_size: 64KB\n")
-	f.Add("seed: 3\napps:\n  - app: chord\nchurn:\n  script: at 30s join 10\n")
-	f.Add("apps:\n  - app: chord\n    env:\n      caps: [net, fs]\n      net:\n        max_tx: 1MB\n")
-	f.Add("apps:\n  - app: chord\nfaults:\n  events:\n    - at: 1s\n      kind: partition\n      fraction: 50%\n")
-	f.Add("apps:\n  - app: chord\nassert:\n  - name: a\n    eventually: nodes() > 1\n")
-	f.Add("a: [x, y, \"z\"]\nb: 'quoted'\n")
-	f.Add("---\nbad: doc")
-	f.Add("\tbad")
-	f.Add("apps: {flow: map}")
+	for _, doc := range compileSeeds {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		out, perr := Compile([]byte(doc), Options{})
 		if perr != nil {
@@ -59,13 +50,9 @@ func FuzzCompile(f *testing.F) {
 // produce a tree or a positioned syntax error, never a panic, and every
 // error must carry a 1-based position.
 func FuzzParseDoc(f *testing.F) {
-	f.Add([]byte("a: 1\nb:\n  - x\n  - y\n"))
-	f.Add([]byte("k: \"esc\\\"aped\"\n"))
-	f.Add([]byte("k: 'it''s'\n"))
-	f.Add([]byte("k: [a, b,c ]\n"))
-	f.Add([]byte("# only\n\n# comments"))
-	f.Add([]byte("a:\n  b:\n    c: deep\n"))
-	f.Add([]byte{0xff, 0xfe, ':', ' ', 0})
+	for _, doc := range parseSeeds {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root, perr := parseDoc(data)
 		if perr != nil {
@@ -78,4 +65,31 @@ func FuzzParseDoc(f *testing.F) {
 			t.Fatalf("nil/odd root without error for %q", data)
 		}
 	})
+}
+
+// compileSeeds and parseSeeds start the two fuzzers; TestCompileCorpus
+// pins what the compiler makes of them.
+var compileSeeds = []string{
+	"apps:\n  - app: chord\n",
+	fullDoc,
+	"name: demo\napps:\n  - app: cyclon\n    params:\n      view_size: 16\n      shuffle_every: 5s\n",
+	"apps:\n  - app: bittorrent\n    params:\n      size: 4MB\n      piece_size: 64KB\n",
+	"seed: 3\napps:\n  - app: chord\nchurn:\n  script: at 30s join 10\n",
+	"apps:\n  - app: chord\n    env:\n      caps: [net, fs]\n      net:\n        max_tx: 1MB\n",
+	"apps:\n  - app: chord\nfaults:\n  events:\n    - at: 1s\n      kind: partition\n      fraction: 50%\n",
+	"apps:\n  - app: chord\nassert:\n  - name: a\n    eventually: nodes() > 1\n",
+	"a: [x, y, \"z\"]\nb: 'quoted'\n",
+	"---\nbad: doc",
+	"\tbad",
+	"apps: {flow: map}",
+}
+
+var parseSeeds = []string{
+	"a: 1\nb:\n  - x\n  - y\n",
+	"k: \"esc\\\"aped\"\n",
+	"k: 'it''s'\n",
+	"k: [a, b,c ]\n",
+	"# only\n\n# comments",
+	"a:\n  b:\n    c: deep\n",
+	"\xff\xfe: \x00",
 }

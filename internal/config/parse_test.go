@@ -5,28 +5,30 @@ import (
 	"testing"
 )
 
+// parseStructureDoc holds every shape the parser accepts.
+var parseStructureDoc = strings.Join([]string{
+	"# header comment",
+	"name: demo  # trailing comment",
+	"seed: 42",
+	"testbed:",
+	"  kind: uniform",
+	"  daemons: 10",
+	"apps:",
+	"  - app: chord",
+	"    nodes: 8",
+	"  - app: cyclon",
+	"caps: [net, fs]",
+	"quoted: \"a: b # not a comment\"",
+	"single: 'it''s'",
+	"",
+}, "\n")
+
 // TestParseStructure pins the parser's shape handling: mappings, block
 // and flow lists, nesting, comments, quoting, and the positions nodes
 // carry.
 func TestParseStructure(t *testing.T) {
 	t.Parallel()
-	doc := strings.Join([]string{
-		"# header comment",
-		"name: demo  # trailing comment",
-		"seed: 42",
-		"testbed:",
-		"  kind: uniform",
-		"  daemons: 10",
-		"apps:",
-		"  - app: chord",
-		"    nodes: 8",
-		"  - app: cyclon",
-		"caps: [net, fs]",
-		"quoted: \"a: b # not a comment\"",
-		"single: 'it''s'",
-		"",
-	}, "\n")
-	root, perr := parseDoc([]byte(doc))
+	root, perr := parseDoc([]byte(parseStructureDoc))
 	if perr != nil {
 		t.Fatalf("parse: %v", perr)
 	}
@@ -74,42 +76,7 @@ func TestParseStructure(t *testing.T) {
 // the 1-based position each error is anchored at.
 func TestParseErrors(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		name      string
-		doc       string
-		code      ErrorCode
-		line, col int
-	}{
-		{"empty", "", ErrSyntax, 1, 1},
-		{"comments only", "# nothing\n\n# here\n", ErrSyntax, 1, 1},
-		{"tab indent", "a: 1\n\tb: 2", ErrSyntax, 2, 1},
-		{"top-level list", "- item", ErrSyntax, 1, 1},
-		{"indented start", "  a: 1", ErrSyntax, 1, 3},
-		{"duplicate key", "a: 1\na: 2", ErrSyntax, 2, 1},
-		{"missing colon", "a: 1\njust words", ErrSyntax, 2, 1},
-		{"invalid key", "a b: 1", ErrSyntax, 1, 1},
-		{"key without value", "a:", ErrSyntax, 1, 1},
-		{"empty value", "a: \"\"x", ErrSyntax, 1, 4},
-		{"unexpected indent", "a: 1\n  b: 2", ErrSyntax, 2, 3},
-		{"list then deeper", "a:\n  - x\n    - y", ErrSyntax, 3, 5},
-		{"empty list item", "a:\n  - ", ErrSyntax, 2, 3},
-		{"unclosed double quote", "a: \"abc", ErrSyntax, 1, 4},
-		{"unclosed single quote", "a: 'abc", ErrSyntax, 1, 4},
-		{"trailing after quote", "a: \"x\" y", ErrSyntax, 1, 4},
-		{"unclosed flow list", "a: [x, y", ErrSyntax, 1, 4},
-		{"empty flow element", "a: [x, , y]", ErrSyntax, 1, 4},
-		{"trailing after flow list", "a: [x] y", ErrSyntax, 1, 4},
-		{"multi-doc", "---\na: 1", ErrUnsupported, 1, 1},
-		{"directive", "%YAML 1.2\na: 1", ErrUnsupported, 1, 1},
-		{"flow mapping", "a: {b: 1}", ErrUnsupported, 1, 4},
-		{"anchor", "a: &x 1", ErrUnsupported, 1, 4},
-		{"alias", "a: *x", ErrUnsupported, 1, 4},
-		{"tag", "a: !!str x", ErrUnsupported, 1, 4},
-		{"block scalar", "a: |\n  text", ErrUnsupported, 1, 4},
-		{"complex key", "a: ? x", ErrUnsupported, 1, 4},
-		{"flow list holding non-scalar", "a: [x, {y}]", ErrUnsupported, 1, 8},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			_, perr := parseDoc([]byte(tc.doc))
@@ -126,10 +93,48 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+var parseErrorCases = []struct {
+	name      string
+	doc       string
+	code      ErrorCode
+	line, col int
+}{
+	{"empty", "", ErrSyntax, 1, 1},
+	{"comments only", "# nothing\n\n# here\n", ErrSyntax, 1, 1},
+	{"tab indent", "a: 1\n\tb: 2", ErrSyntax, 2, 1},
+	{"top-level list", "- item", ErrSyntax, 1, 1},
+	{"indented start", "  a: 1", ErrSyntax, 1, 3},
+	{"duplicate key", "a: 1\na: 2", ErrSyntax, 2, 1},
+	{"missing colon", "a: 1\njust words", ErrSyntax, 2, 1},
+	{"invalid key", "a b: 1", ErrSyntax, 1, 1},
+	{"key without value", "a:", ErrSyntax, 1, 1},
+	{"empty value", "a: \"\"x", ErrSyntax, 1, 4},
+	{"unexpected indent", "a: 1\n  b: 2", ErrSyntax, 2, 3},
+	{"list then deeper", "a:\n  - x\n    - y", ErrSyntax, 3, 5},
+	{"empty list item", "a:\n  - ", ErrSyntax, 2, 3},
+	{"unclosed double quote", "a: \"abc", ErrSyntax, 1, 4},
+	{"unclosed single quote", "a: 'abc", ErrSyntax, 1, 4},
+	{"trailing after quote", "a: \"x\" y", ErrSyntax, 1, 4},
+	{"unclosed flow list", "a: [x, y", ErrSyntax, 1, 4},
+	{"empty flow element", "a: [x, , y]", ErrSyntax, 1, 4},
+	{"trailing after flow list", "a: [x] y", ErrSyntax, 1, 4},
+	{"multi-doc", "---\na: 1", ErrUnsupported, 1, 1},
+	{"directive", "%YAML 1.2\na: 1", ErrUnsupported, 1, 1},
+	{"flow mapping", "a: {b: 1}", ErrUnsupported, 1, 4},
+	{"anchor", "a: &x 1", ErrUnsupported, 1, 4},
+	{"alias", "a: *x", ErrUnsupported, 1, 4},
+	{"tag", "a: !!str x", ErrUnsupported, 1, 4},
+	{"block scalar", "a: |\n  text", ErrUnsupported, 1, 4},
+	{"complex key", "a: ? x", ErrUnsupported, 1, 4},
+	{"flow list holding non-scalar", "a: [x, {y}]", ErrUnsupported, 1, 8},
+}
+
+const crlfDoc = "a: 1\r\nb: two\r\n"
+
 // TestParseCRLF accepts Windows line endings transparently.
 func TestParseCRLF(t *testing.T) {
 	t.Parallel()
-	root, perr := parseDoc([]byte("a: 1\r\nb: two\r\n"))
+	root, perr := parseDoc([]byte(crlfDoc))
 	if perr != nil {
 		t.Fatalf("parse: %v", perr)
 	}

@@ -4,12 +4,48 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/splaykit/splay/internal/apps"
 )
 
 // Human-unit scalar conversions. Every converter takes the node for
 // positions and a schema path for the error; quoted scalars are always
 // strings, so a quoted "30s" where a duration belongs is declined
 // rather than coerced.
+
+// scalarValue converts a scalar per kind — the one kind switch behind
+// app parameters and every scalar document field. It returns the value
+// as it lands (a string, bool, int64, float64 or time.Duration) and, for
+// numeric kinds, its magnitude for bound checks.
+func scalarValue(kind apps.ParamKind, n *node, path string) (any, float64, *Error) {
+	switch kind {
+	case apps.KindString:
+		s, perr := asString(n, path)
+		return s, 0, perr
+	case apps.KindBool:
+		b, perr := asBool(n, path)
+		return b, 0, perr
+	case apps.KindInt:
+		v, perr := asInt(n, path)
+		return v, float64(v), perr
+	case apps.KindFloat:
+		v, perr := asFloat(n, path)
+		return v, v, perr
+	case apps.KindDuration:
+		d, perr := asDuration(n, path)
+		return d, float64(d), perr
+	case apps.KindSize:
+		v, perr := asSize(n, path)
+		return v, float64(v), perr
+	case apps.KindRate:
+		v, perr := asRate(n, path)
+		return v, v, perr
+	case apps.KindFraction:
+		v, perr := asFraction(n, path)
+		return v, v, perr
+	}
+	return nil, 0, errf(ErrBadValue, path, n, "unhandled parameter kind %v", kind)
+}
 
 // asScalar asserts the node is a scalar.
 func asScalar(n *node, path string) (string, *Error) {

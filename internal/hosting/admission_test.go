@@ -137,6 +137,30 @@ func TestAdmissionRejections(t *testing.T) {
 	fl.k.RunFor(time.Second)
 }
 
+// TestAdmissionWantsIntegerLiterals: the built-in apps decode integer
+// parameters into Go integers, so wire JSON carrying 16.0 where an int
+// belongs is refused at the door, naming the parameter, exactly as the
+// document form "bits: 16.0" is — not admitted and failed at deploy.
+func TestAdmissionWantsIntegerLiterals(t *testing.T) {
+	fl := newSimFleet(t, 4)
+	svc := New(fl.rt, fl.ctl, Config{Catalog: config.Builtins()})
+	if err := svc.AddTenant(Tenant{Name: "gil", Key: "kg"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ wire, field string }{
+		{`{"apps":[{"app":"chord","params":{"bits":16.0}}]}`, "apps[0].params.bits"},
+		{`{"apps":[{"app":"cyclon","params":{"view_size":8.0}}]}`, "apps[0].params.view_size"},
+		{`{"apps":[{"app":"cyclon","params":{"shuffle_every":5e9}}]}`, "apps[0].params.shuffle_every"},
+		{"apps:\n  - app: chord\n    params:\n      bits: 16.0\n", "apps[0].params.bits"},
+	} {
+		_, err := svc.Submit("kg", []byte(tc.wire))
+		var jerr *JobError
+		if !errors.As(err, &jerr) || jerr.Code != ErrBadScenario || jerr.Field != tc.field {
+			t.Errorf("%s: err = %v, want %s at %s", tc.wire, err, ErrBadScenario, tc.field)
+		}
+	}
+}
+
 // unhostedCases are submissions carrying a member the platform would not
 // honour, each with the field its refusal must name; the last entries are
 // the local-replay members a hosted job carries and ignores.

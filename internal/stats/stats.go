@@ -1,13 +1,11 @@
 // Package stats provides the small numerical helpers the experiment
 // harness uses to turn raw samples into the paper's figures: percentiles,
-// CDFs, PDFs and time-bucketed series.
+// CDFs and PDFs.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -196,80 +194,4 @@ func (h *IntHistogram) Mean() float64 {
 		sum += i * c
 	}
 	return float64(sum) / float64(h.total)
-}
-
-// TimeSeries buckets timestamped values into fixed windows, producing the
-// paper's "per-minute" plots.
-type TimeSeries struct {
-	Start  time.Time
-	Bucket time.Duration
-	sums   []float64
-	counts []int
-}
-
-// NewTimeSeries returns a series bucketed by the given window.
-func NewTimeSeries(start time.Time, bucket time.Duration) *TimeSeries {
-	if bucket <= 0 {
-		panic("stats: non-positive bucket")
-	}
-	return &TimeSeries{Start: start, Bucket: bucket}
-}
-
-// Add records value v at time t. Samples before Start are ignored.
-func (ts *TimeSeries) Add(t time.Time, v float64) {
-	if t.Before(ts.Start) {
-		return
-	}
-	i := int(t.Sub(ts.Start) / ts.Bucket)
-	for len(ts.sums) <= i {
-		ts.sums = append(ts.sums, 0)
-		ts.counts = append(ts.counts, 0)
-	}
-	ts.sums[i] += v
-	ts.counts[i]++
-}
-
-// Buckets returns the number of buckets with data capacity.
-func (ts *TimeSeries) Buckets() int { return len(ts.sums) }
-
-// Sum returns the sum of values in bucket i.
-func (ts *TimeSeries) Sum(i int) float64 {
-	if i < 0 || i >= len(ts.sums) {
-		return 0
-	}
-	return ts.sums[i]
-}
-
-// Count returns the number of samples in bucket i.
-func (ts *TimeSeries) Count(i int) int {
-	if i < 0 || i >= len(ts.counts) {
-		return 0
-	}
-	return ts.counts[i]
-}
-
-// Mean returns the mean value in bucket i (0 when empty).
-func (ts *TimeSeries) Mean(i int) float64 {
-	if i < 0 || i >= len(ts.sums) || ts.counts[i] == 0 {
-		return 0
-	}
-	return ts.sums[i] / float64(ts.counts[i])
-}
-
-// FormatRow renders aligned experiment-output rows: a label column then
-// the values.
-func FormatRow(label string, values ...any) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s", label)
-	for _, v := range values {
-		switch x := v.(type) {
-		case time.Duration:
-			fmt.Fprintf(&b, " %10s", x.Round(time.Millisecond))
-		case float64:
-			fmt.Fprintf(&b, " %10.3f", x)
-		default:
-			fmt.Fprintf(&b, " %10v", x)
-		}
-	}
-	return b.String()
 }

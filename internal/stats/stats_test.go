@@ -103,27 +103,6 @@ func TestQuickHistogramPDFSumsToOne(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	start := time.Unix(0, 0)
-	ts := NewTimeSeries(start, time.Minute)
-	ts.Add(start.Add(10*time.Second), 1)
-	ts.Add(start.Add(30*time.Second), 3)
-	ts.Add(start.Add(90*time.Second), 10)
-	ts.Add(start.Add(-time.Second), 99) // before start: ignored
-	if ts.Buckets() != 2 {
-		t.Fatalf("buckets = %d", ts.Buckets())
-	}
-	if ts.Sum(0) != 4 || ts.Count(0) != 2 || ts.Mean(0) != 2 {
-		t.Fatalf("bucket 0: sum=%f count=%d mean=%f", ts.Sum(0), ts.Count(0), ts.Mean(0))
-	}
-	if ts.Mean(1) != 10 {
-		t.Fatalf("bucket 1 mean = %f", ts.Mean(1))
-	}
-	if ts.Mean(7) != 0 || ts.Sum(-1) != 0 {
-		t.Fatal("out-of-range buckets must be zero")
-	}
-}
-
 func TestSortedDoesNotMutate(t *testing.T) {
 	d := Durations{3, 1, 2}
 	s := d.Sorted()
@@ -194,12 +173,5 @@ func TestQuantileFloorConvention(t *testing.T) {
 	}
 	if (Sorted{}).Quantile(0.5) != 0 || (Sorted{}).Percentile(50) != 0 {
 		t.Error("empty sorted views must be zero")
-	}
-}
-
-func TestFormatRow(t *testing.T) {
-	row := FormatRow("label", time.Second, 3.14159, 42)
-	if len(row) < 28 {
-		t.Fatalf("row too short: %q", row)
 	}
 }
