@@ -61,8 +61,6 @@ type HostConfig struct {
 	DeployAttempts int
 	// RetryDelay spaces re-placement attempts (0 = 1s).
 	RetryDelay time.Duration
-	// DefaultDuration runs jobs that declare none (0 = 30s).
-	DefaultDuration time.Duration
 	// MaxDuration clamps declared job durations (0 = unclamped).
 	MaxDuration time.Duration
 	// Catalog validates submissions at admission (app references and
@@ -95,14 +93,13 @@ func (s *Session) Host(cfg HostConfig) (*Host, error) {
 		return nil, errors.New("splay: session already hosts")
 	}
 	hcfg := hosting.Config{
-		Capacity:        cfg.Capacity,
-		DeployAttempts:  cfg.DeployAttempts,
-		RetryDelay:      cfg.RetryDelay,
-		DefaultDuration: cfg.DefaultDuration,
-		MaxDuration:     cfg.MaxDuration,
-		Catalog:         cfg.Catalog,
-		OperatorKey:     cfg.OperatorKey,
-		Aggregator:      s.agg,
+		Capacity:       cfg.Capacity,
+		DeployAttempts: cfg.DeployAttempts,
+		RetryDelay:     cfg.RetryDelay,
+		MaxDuration:    cfg.MaxDuration,
+		Catalog:        cfg.Catalog,
+		OperatorKey:    cfg.OperatorKey,
+		Aggregator:     s.agg,
 	}
 	var reg *metrics.Registry
 	if s.collect != nil {

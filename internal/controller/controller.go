@@ -62,14 +62,9 @@ type Config struct {
 	// Port accepts daemon connections. PortEphemeral binds an
 	// ephemeral port (read it back with Addr).
 	Port int
-	// DefaultSuperset is the fraction of extra daemons probed per job
-	// (the paper settles on 1.25 as the default, §5.6).
-	DefaultSuperset float64
-	// RegisterTimeout bounds how long selection waits for slow daemons.
+	// RegisterTimeout bounds how long each command round waits for slow
+	// daemons.
 	RegisterTimeout time.Duration
-	// UnseenAfter expires daemons that stop showing activity (the
-	// paper's long-term disconnection threshold, typically one hour).
-	UnseenAfter time.Duration
 	// PingEvery is the session keep-alive/monitoring period. Each daemon
 	// is pinged once per period; the fan-out is staggered over
 	// pingSlices time-slices so the load on the controller and the
@@ -79,22 +74,27 @@ type Config struct {
 	// controller's own host is always appended so applications cannot
 	// actively connect to it.
 	Blacklist []string
-	// DeployRetries is how many re-placement rounds Submit runs when
-	// daemons fail or vanish mid-deployment: each round registers fresh
-	// candidates for the lost slots and replays LIST/START for them. 0
-	// means the default (2); negative disables re-placement entirely.
-	DeployRetries int
 }
+
+const (
+	// defaultSuperset is the fraction of extra daemons probed for a job
+	// that names none (the paper settles on 1.25, §5.6).
+	defaultSuperset = 1.25
+	// unseenAfter expires daemons that stop showing activity (the
+	// paper's long-term disconnection threshold).
+	unseenAfter = time.Hour
+	// deployRetries is how many re-placement rounds Submit runs when
+	// daemons fail or vanish mid-deployment: each round registers fresh
+	// candidates for the lost slots and replays LIST/START for them.
+	deployRetries = 2
+)
 
 // DefaultConfig returns the paper's defaults.
 func DefaultConfig() Config {
 	return Config{
 		Port:            5555,
-		DefaultSuperset: 1.25,
 		RegisterTimeout: 30 * time.Second,
-		UnseenAfter:     time.Hour,
 		PingEvery:       30 * time.Second,
-		DeployRetries:   2,
 	}
 }
 
@@ -215,20 +215,11 @@ func New(rt core.Runtime, node transport.Node, cfg Config) *Controller {
 	if cfg.Port == 0 {
 		cfg.Port = 5555
 	}
-	if cfg.DefaultSuperset <= 1 {
-		cfg.DefaultSuperset = 1.25
-	}
 	if cfg.RegisterTimeout <= 0 {
 		cfg.RegisterTimeout = 30 * time.Second
 	}
-	if cfg.UnseenAfter <= 0 {
-		cfg.UnseenAfter = time.Hour
-	}
 	if cfg.PingEvery <= 0 {
 		cfg.PingEvery = 30 * time.Second
-	}
-	if cfg.DeployRetries == 0 {
-		cfg.DeployRetries = 2
 	}
 	// Clone before appending: sharing the caller's backing array would
 	// let the append clobber elements the caller still owns.
@@ -321,8 +312,14 @@ func (c *Controller) SetBlacklist(patterns []string) {
 	c.blacklist = append(append([]string(nil), patterns...), c.node.Host())
 	blk := append([]string(nil), c.blacklist...)
 	c.mu.Unlock()
+	c.pushBlacklist(blk)
+}
+
+// pushBlacklist ships hosts as the blacklist to every connected daemon,
+// fire-and-forget.
+func (c *Controller) pushBlacklist(hosts []string) {
 	c.fanout(c.reg.snapshot(), c.cfg.RegisterTimeout,
-		func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TBlacklist, Hosts: blk} },
+		func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TBlacklist, Hosts: hosts} },
 		func(int, *daemonSession, ctlproto.Msg, error) {})
 }
 
@@ -375,9 +372,7 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 	c.send(d, &ctlproto.Msg{Type: ctlproto.TWelcome, Hosts: blk}) //nolint:errcheck
 	if cleared {
 		// The fleet learned the old blacklist; push the shrunk one.
-		c.fanout(c.reg.snapshot(), c.cfg.RegisterTimeout,
-			func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TBlacklist, Hosts: blk} },
-			func(int, *daemonSession, ctlproto.Msg, error) {})
+		c.pushBlacklist(blk)
 	}
 
 	d.fr.Init(conn, d, nil)
@@ -474,42 +469,6 @@ func (c *Controller) enqueue(d *daemonSession, m *ctlproto.Msg, timeout time.Dur
 	return nil
 }
 
-// call sends a command and waits for the daemon's answer.
-func (c *Controller) call(d *daemonSession, m *ctlproto.Msg, timeout time.Duration) (ctlproto.Msg, error) {
-	type callResult struct {
-		ans ctlproto.Msg
-		err error
-	}
-	w := c.rt.NewWaiter()
-	d.mu.Lock()
-	if d.gone {
-		d.mu.Unlock()
-		return ctlproto.Msg{}, fmt.Errorf("controller: daemon %s gone", d.name)
-	}
-	d.nextSeq++
-	m.Seq = d.nextSeq
-	w.WakeAfter(timeout, error(transport.ErrTimeout))
-	d.pending[m.Seq] = pendingReply{
-		fn:       func(ans ctlproto.Msg, err error) { w.Wake(callResult{ans, err}) },
-		deadline: c.rt.Now().Add(timeout),
-	}
-	d.mu.Unlock()
-	if err := c.send(d, m); err != nil {
-		d.drop(m.Seq)
-		return ctlproto.Msg{}, err
-	}
-	switch v := w.Wait().(type) {
-	case callResult:
-		return v.ans, v.err
-	case error:
-		// Timeout: remove the entry ourselves so the callback can never
-		// wake a recycled waiter.
-		d.drop(m.Seq)
-		return ctlproto.Msg{}, v
-	}
-	return ctlproto.Msg{}, fmt.Errorf("controller: internal wake type")
-}
-
 // writeBatch is how many command frames one writer task ships: the batch
 // pipeline's fan-out granularity.
 const writeBatch = 128
@@ -557,7 +516,7 @@ func (c *Controller) monitorTick() {
 	live := due[:0]
 	for _, d := range due {
 		d.mu.Lock()
-		stale := now.Sub(d.lastSeen) > c.cfg.UnseenAfter
+		stale := now.Sub(d.lastSeen) > unseenAfter
 		if stale {
 			d.gone = true
 		}
@@ -615,9 +574,9 @@ func (c *Controller) Submit(spec JobSpec) (*JobStatus, error) {
 	return job, nil
 }
 
-// regResult is one daemon's successful REGISTER: the session and the
-// port it granted.
-type regResult struct {
+// ack is one session's success in a gathered round: the session and the
+// port its answer granted (REGISTER's; zero for other commands).
+type ack struct {
 	d    *daemonSession
 	port int
 }
@@ -631,69 +590,91 @@ type deploySlot struct {
 	started bool // START acked; the instance is running
 }
 
-// registerRound REGISTERs desc with the candidate set and returns up to
-// want winners in ack order; stragglers and spares are FREEd. The acks
-// accumulate under a plain mutex (no yields inside) and a waiter
-// unblocks the submitter as soon as enough daemons answered, or at the
-// timeout.
-func (c *Controller) registerRound(candidates []*daemonSession, desc *ctlproto.Job, want int) []regResult {
-	probeN := len(candidates)
+// gather is the controller's one way to wait on the fleet. It writes
+// makeMsg's command to every session in ds through fanout and collects
+// the answers until want sessions have acked, every session has
+// answered, or RegisterTimeout has passed. errs holds one verdict per
+// session — nil for an ack, the daemon's error, ErrTimeout for no
+// answer — and acks the successes in arrival order. The round then
+// closes under the mutex: a success arriving later goes to late (nil
+// drops it), and no answer wakes the waiter, pooled in simulation, once
+// Wait has returned.
+func (c *Controller) gather(ds []*daemonSession, makeMsg func(i int) *ctlproto.Msg, want int,
+	late func(d *daemonSession)) (errs []error, acks []ack) {
+	if len(ds) == 0 {
+		return nil, nil
+	}
+	errs = make([]error, len(ds))
+	for i := range errs {
+		errs[i] = transport.ErrTimeout
+	}
+	acks = make([]ack, 0, len(ds))
 	var mu sync.Mutex
-	var acks []regResult
-	answered := 0
-	closed := false
-	done := c.rt.NewWaiter()
-	done.WakeAfter(c.cfg.RegisterTimeout, nil)
-	c.fanout(candidates, c.cfg.RegisterTimeout,
-		func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TRegister, Job: desc} },
-		func(_ int, d *daemonSession, ans ctlproto.Msg, err error) {
+	answered, closed := 0, false
+	w := c.rt.NewWaiter()
+	w.WakeAfter(c.cfg.RegisterTimeout, nil)
+	c.fanout(ds, c.cfg.RegisterTimeout, makeMsg,
+		func(i int, d *daemonSession, ans ctlproto.Msg, err error) {
 			mu.Lock()
-			answered++
-			late := closed
-			if err == nil && !late {
-				acks = append(acks, regResult{d: d, port: ans.Port})
-			}
-			enough := len(acks) >= want || answered == probeN
-			mu.Unlock()
-			if late && err == nil {
-				// Selection already happened: release the straggler.
-				c.rt.Go(func() {
-					c.call(d, &ctlproto.Msg{Type: ctlproto.TFree, Job: desc}, c.cfg.RegisterTimeout) //nolint:errcheck
-				})
+			if closed {
+				mu.Unlock()
+				if err == nil && late != nil {
+					late(d)
+				}
 				return
 			}
-			// Never wake after selection closed: the (pooled) waiter may
-			// already be recycled for an unrelated rendezvous.
-			if enough && !late {
-				done.Wake(nil)
+			answered++
+			errs[i] = err
+			if err == nil {
+				acks = append(acks, ack{d: d, port: ans.Port})
 			}
+			if len(acks) >= want || answered == len(ds) {
+				w.Wake(nil)
+			}
+			mu.Unlock()
 		})
-	done.Wait()
+	w.Wait()
 	mu.Lock()
 	closed = true
-	var selected, spare []regResult
-	for _, r := range acks {
-		if len(selected) < want {
-			selected = append(selected, r)
-		} else {
-			spare = append(spare, r)
+	mu.Unlock()
+	return errs, acks
+}
+
+// registerRound REGISTERs desc with the candidate set and returns the
+// first want acks; the spares that acked before selection closed and the
+// stragglers that ack after it are FREEd.
+func (c *Controller) registerRound(candidates []*daemonSession, desc *ctlproto.Job, want int) []ack {
+	_, acks := c.gather(candidates,
+		func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TRegister, Job: desc} },
+		want, func(d *daemonSession) { c.freeAll([]*daemonSession{d}, desc) })
+	if len(acks) <= want {
+		return acks
+	}
+	spares := make([]*daemonSession, len(acks)-want)
+	for i, a := range acks[want:] {
+		spares[i] = a.d
+	}
+	c.freeAll(spares, desc)
+	return acks[:want]
+}
+
+// unfilled counts the slots without a daemon and, with running, those
+// not running yet.
+func unfilled(slots []deploySlot, running bool) int {
+	n := 0
+	for _, s := range slots {
+		if s.d == nil || running && !s.started {
+			n++
 		}
 	}
-	mu.Unlock()
-	// Supernumerary daemons are released immediately.
-	spareDs := make([]*daemonSession, len(spare))
-	for i, r := range spare {
-		spareDs[i] = r.d
-	}
-	c.freeAll(spareDs, desc)
-	return selected
+	return n
 }
 
 // submit is Submit's body behind the instrument hooks. Deployment is
 // slot-driven: REGISTER fills spec.Nodes slots from a superset probe,
 // LIST/START drive each slot to running, and any slot whose daemon
 // fails a phase is cleared, FREEd, and re-placed onto a fresh daemon in
-// the next round (up to DeployRetries rounds). A deployment that cannot
+// the next round (up to deployRetries rounds). A deployment that cannot
 // fill its slots returns a *DeployError naming every failure instead of
 // whichever error arrived first.
 //
@@ -707,7 +688,7 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 	}
 	superset := spec.Superset
 	if superset <= 1 {
-		superset = c.cfg.DefaultSuperset
+		superset = defaultSuperset
 	}
 	c.mu.Lock()
 	c.jobSeq++
@@ -736,18 +717,13 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 		tried[d.name] = true
 	}
 	// REGISTER with the whole superset; the first Nodes acks win.
-	winners := c.registerRound(candidates, desc, spec.Nodes)
 	slots := make([]deploySlot, spec.Nodes)
-	for i := 0; i < len(winners); i++ {
-		slots[i] = deploySlot{d: winners[i].d, port: winners[i].port}
+	for i, w := range c.registerRound(candidates, desc, spec.Nodes) {
+		slots[i] = deploySlot{d: w.d, port: w.port}
 	}
 	job.State = JobSelected
 
 	var fails []DeployFailure
-	retries := c.cfg.DeployRetries
-	if retries < 0 {
-		retries = 0
-	}
 	giveUp := func(missing int) (*JobStatus, error) {
 		var live []*daemonSession
 		for _, s := range slots {
@@ -761,17 +737,38 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 		job.Err = derr.Error()
 		return job, derr
 	}
+	// slotPhase ships cmd to every slot pick selects and waits for every
+	// verdict: an ack marks the slot, a failure is recorded and clears
+	// the slot. It returns the cleared slots' daemons, to be FREEd.
+	slotPhase := func(name string, pick func(deploySlot) bool, mark func(*deploySlot),
+		cmd func(slot int) *ctlproto.Msg) (freed []*daemonSession) {
+		var idx []int
+		for i, s := range slots {
+			if pick(s) {
+				idx = append(idx, i)
+			}
+		}
+		ds := make([]*daemonSession, len(idx))
+		for j, i := range idx {
+			ds[j] = slots[i].d
+		}
+		for j, err := range c.phaseAll(ds, func(j int) *ctlproto.Msg { return cmd(idx[j]) }) {
+			i := idx[j]
+			if err != nil {
+				fails = append(fails, DeployFailure{Daemon: slots[i].d.name, Phase: name, Err: err.Error()})
+				freed = append(freed, slots[i].d)
+				slots[i] = deploySlot{}
+			} else {
+				mark(&slots[i])
+			}
+		}
+		return freed
+	}
 
 	for round := 0; ; round++ {
 		// Re-place lost slots onto fresh daemons (round 0 starts full
 		// unless registration came up short).
-		missing := 0
-		for _, s := range slots {
-			if s.d == nil {
-				missing++
-			}
-		}
-		if missing > 0 {
+		if missing := unfilled(slots, false); missing > 0 {
 			avail, untried := c.reg.fastest(max(int(float64(missing)*superset), missing), tried)
 			if untried >= missing {
 				for _, d := range avail {
@@ -793,13 +790,7 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 					}
 				}
 			}
-			missing = 0
-			for _, s := range slots {
-				if s.d == nil {
-					missing++
-				}
-			}
-			if missing > 0 {
+			if missing := unfilled(slots, false); missing > 0 {
 				return giveUp(missing)
 			}
 		}
@@ -814,143 +805,41 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 			bootstrap = addrs
 		}
 
-		// LIST every slot that needs (re-)listing.
-		var listIdx []int
-		for i, s := range slots {
-			if !s.listed {
-				listIdx = append(listIdx, i)
-			}
-		}
-		listDs := make([]*daemonSession, len(listIdx))
-		for j, i := range listIdx {
-			listDs[j] = slots[i].d
-		}
-		var freed []*daemonSession
-		for j, err := range c.phaseAll(listDs, func(j int) *ctlproto.Msg {
-			listJob := *desc
-			listJob.Position = listIdx[j] + 1
-			listJob.Nodes = bootstrap
-			return &ctlproto.Msg{Type: ctlproto.TList, Job: &listJob}
-		}) {
-			i := listIdx[j]
-			if err != nil {
-				fails = append(fails, DeployFailure{Daemon: slots[i].d.name, Phase: "list", Err: err.Error()})
-				freed = append(freed, slots[i].d)
-				slots[i] = deploySlot{}
-			} else {
-				slots[i].listed = true
-			}
-		}
-
-		// START every listed slot not yet running.
-		var startIdx []int
-		for i, s := range slots {
-			if s.d != nil && s.listed && !s.started {
-				startIdx = append(startIdx, i)
-			}
-		}
-		startDs := make([]*daemonSession, len(startIdx))
-		for j, i := range startIdx {
-			startDs[j] = slots[i].d
-		}
-		for j, err := range c.phaseAll(startDs, func(int) *ctlproto.Msg {
-			return &ctlproto.Msg{Type: ctlproto.TStart, Job: desc}
-		}) {
-			i := startIdx[j]
-			if err != nil {
-				fails = append(fails, DeployFailure{Daemon: slots[i].d.name, Phase: "start", Err: err.Error()})
-				freed = append(freed, slots[i].d)
-				slots[i] = deploySlot{}
-			} else {
-				slots[i].started = true
-			}
-		}
+		// LIST every slot that needs (re-)listing, then START every
+		// listed slot not yet running.
+		freed := slotPhase("list", func(s deploySlot) bool { return !s.listed },
+			func(s *deploySlot) { s.listed = true },
+			func(i int) *ctlproto.Msg {
+				listJob := *desc
+				listJob.Position = i + 1
+				listJob.Nodes = bootstrap
+				return &ctlproto.Msg{Type: ctlproto.TList, Job: &listJob}
+			})
+		freed = append(freed, slotPhase("start", func(s deploySlot) bool { return s.listed && !s.started },
+			func(s *deploySlot) { s.started = true },
+			func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TStart, Job: desc} })...)
 		c.freeAll(freed, desc)
 
-		done := true
-		for _, s := range slots {
-			if s.d == nil || !s.started {
-				done = false
-				break
-			}
-		}
-		if done {
+		missing := unfilled(slots, true)
+		if missing == 0 {
 			job.State = JobRunning
 			job.Deployed = addrs
 			job.StartedAt = c.rt.Now()
 			return job, nil
 		}
-		if round >= retries {
-			missing := 0
-			for _, s := range slots {
-				if s.d == nil || !s.started {
-					missing++
-				}
-			}
+		if round >= deployRetries {
 			return giveUp(missing)
 		}
 	}
 }
 
 // phaseAll ships one command to every session and waits for every
-// answer (or the RegisterTimeout), returning one verdict per session:
-// nil for an ack, the daemon's error otherwise; unanswered sessions
-// report ErrTimeout. Unlike a first-error latch, one failed daemon does
-// not hide the others' verdicts — submit's re-placement rounds need each
-// one.
+// answer (or the RegisterTimeout), returning one verdict per session.
+// Unlike a first-error latch, one failed daemon does not hide the
+// others' verdicts — submit's re-placement rounds need each one.
 func (c *Controller) phaseAll(ds []*daemonSession, makeMsg func(i int) *ctlproto.Msg) []error {
-	if len(ds) == 0 {
-		return nil
-	}
-	errs := make([]error, len(ds))
-	answered := make([]bool, len(ds))
-	var mu sync.Mutex
-	remaining := len(ds)
-	closed := false
-	w := c.rt.NewWaiter()
-	w.WakeAfter(c.cfg.RegisterTimeout, error(transport.ErrTimeout))
-	c.fanout(ds, c.cfg.RegisterTimeout, makeMsg,
-		func(i int, _ *daemonSession, _ ctlproto.Msg, err error) {
-			mu.Lock()
-			if closed || answered[i] {
-				mu.Unlock()
-				return
-			}
-			answered[i] = true
-			errs[i] = err
-			remaining--
-			finished := remaining == 0
-			if finished {
-				closed = true
-			}
-			mu.Unlock()
-			// closed is set before the wake, so no later callback can
-			// touch the (pooled) waiter once Wait has returned.
-			if finished {
-				w.Wake(nil)
-			}
-		})
-	w.Wait()
-	mu.Lock()
-	closed = true
-	for i := range errs {
-		if !answered[i] {
-			errs[i] = transport.ErrTimeout
-		}
-	}
-	mu.Unlock()
+	errs, _ := c.gather(ds, makeMsg, len(ds), nil)
 	return errs
-}
-
-// phase ships one command to every session and reports the first
-// failure, for callers that need no per-daemon verdicts.
-func (c *Controller) phase(ds []*daemonSession, makeMsg func(i int) *ctlproto.Msg) error {
-	for _, err := range c.phaseAll(ds, makeMsg) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // freeAll releases reservations fire-and-forget: answers are discarded
@@ -981,9 +870,7 @@ func (c *Controller) StopJob(id string) error {
 	}
 	// Best-effort: every daemon gets the STOP frame regardless of
 	// individual failures, mirroring the sequential design's semantics.
-	c.phase(ds, func(int) *ctlproto.Msg { //nolint:errcheck
-		return &ctlproto.Msg{Type: ctlproto.TStop, Job: desc}
-	})
+	c.phaseAll(ds, func(int) *ctlproto.Msg { return &ctlproto.Msg{Type: ctlproto.TStop, Job: desc} })
 	job.State = JobDone
 	return nil
 }
@@ -1009,12 +896,4 @@ func (c *Controller) DropDaemon(name string) bool {
 	}
 	d.conn.Close()
 	return true
-}
-
-// Job returns a job's status.
-func (c *Controller) Job(id string) (*JobStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
 }

@@ -55,8 +55,6 @@ type Config struct {
 	// Net and FS are the administrator's resource restrictions.
 	Net sandbox.NetLimits
 	FS  sandbox.FSLimits
-	// DialTimeout bounds the controller connection attempt.
-	DialTimeout time.Duration
 	// ProbePorts makes job registration verify a candidate port is
 	// actually bindable before granting it, skipping busy ones. Several
 	// daemons sharing one real machine (the loopback testbed) would
@@ -69,14 +67,16 @@ type Config struct {
 	Reconnect bool
 }
 
-// DefaultConfig fills ports and timeouts.
+// DefaultConfig fills the key and the port range.
 func DefaultConfig(name string) Config {
 	return Config{
 		Name: name, Key: "k-" + name,
 		PortLow: 20000, PortHigh: 29999,
-		DialTimeout: time.Minute,
 	}
 }
+
+// dialTimeout bounds the controller connection attempt.
+const dialTimeout = time.Minute
 
 // runningJob is one instantiated application.
 type runningJob struct {
@@ -115,9 +115,6 @@ func New(rt core.Runtime, node transport.Node, registry *core.Registry, cfg Conf
 	if cfg.PortLow == 0 {
 		cfg.PortLow, cfg.PortHigh = 20000, 29999
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Minute
-	}
 	return &Daemon{
 		rt: rt, node: node, cfg: cfg, registry: registry, log: log,
 		nextPort: cfg.PortLow,
@@ -145,7 +142,7 @@ func (d *Daemon) Running() int {
 // Connect dials the controller, introduces itself, and serves commands
 // until the connection drops.
 func (d *Daemon) Connect(controller transport.Addr) error {
-	conn, err := d.node.Dial(controller, d.cfg.DialTimeout)
+	conn, err := d.node.Dial(controller, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("daemon %s: connect: %w", d.cfg.Name, err)
 	}

@@ -61,8 +61,6 @@ type Config struct {
 	// RetryDelay spaces re-placement attempts after a deploy failure,
 	// giving a churning population time to re-register. Default 1s.
 	RetryDelay time.Duration
-	// DefaultDuration runs jobs that declare none. Default 30s.
-	DefaultDuration time.Duration
 	// MaxDuration clamps declared job durations. 0 leaves them alone.
 	MaxDuration time.Duration
 	// Metrics receives per-tenant instruments (host.deploys.<tenant>,
@@ -85,6 +83,9 @@ type Config struct {
 	// serves an empty view.
 	Aggregator *metrics.Aggregator
 }
+
+// defaultDuration runs jobs that declare no duration.
+const defaultDuration = 30 * time.Second
 
 // ErrorCode classifies a JobError.
 type ErrorCode string
@@ -209,9 +210,6 @@ func New(rt core.Runtime, fleet *controller.Controller, cfg Config) *Service {
 	if cfg.DeployAttempts == 0 {
 		cfg.DeployAttempts = 2
 	}
-	if cfg.DefaultDuration == 0 {
-		cfg.DefaultDuration = 30 * time.Second
-	}
 	if cfg.RetryDelay == 0 {
 		cfg.RetryDelay = time.Second
 	}
@@ -322,7 +320,7 @@ func (s *Service) Submit(key string, scenario []byte) (JobView, error) {
 	}
 	dur := req.duration
 	if dur == 0 {
-		dur = s.cfg.DefaultDuration
+		dur = defaultDuration
 	}
 	if s.cfg.MaxDuration > 0 && dur > s.cfg.MaxDuration {
 		dur = s.cfg.MaxDuration

@@ -15,9 +15,10 @@ type ReporterConfig struct {
 	Key string
 	// Node names this node in aggregated views.
 	Node string
-	// DialTimeout bounds the connection attempt (0 = one minute).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds a connection attempt to the aggregator.
+const dialTimeout = time.Minute
 
 // Reporter streams a registry's delta reports to an aggregator. It is
 // owned by one task: the caller schedules Flush on whatever period the
@@ -34,7 +35,6 @@ type Reporter struct {
 	reg  *Registry
 	node transport.Node
 	addr transport.Addr
-	cfg  ReporterConfig
 	conn transport.Conn
 	enc  llenc.Writer // its tally spans reconnects
 
@@ -51,14 +51,11 @@ func DialReporter(node transport.Node, addr transport.Addr, reg *Registry, cfg R
 	if reg == nil {
 		return nil, fmt.Errorf("metrics: nil registry")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Minute
-	}
-	conn, err := node.Dial(addr, cfg.DialTimeout)
+	conn, err := node.Dial(addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: dial aggregator: %w", err)
 	}
-	r := &Reporter{reg: reg, node: node, addr: addr, cfg: cfg, conn: conn}
+	r := &Reporter{reg: reg, node: node, addr: addr, conn: conn}
 	r.rep.Key = cfg.Key
 	r.rep.Node = cfg.Node
 	r.enc.Reset(conn)
@@ -94,7 +91,7 @@ func (r *Reporter) Flush() error {
 // the aggregator's view of it is per-connection.
 func (r *Reporter) Reconnect() error {
 	r.conn.Close()
-	conn, err := r.node.Dial(r.addr, r.cfg.DialTimeout)
+	conn, err := r.node.Dial(r.addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("metrics: redial aggregator: %w", err)
 	}
