@@ -375,9 +375,11 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 		c.pushBlacklist(blk)
 	}
 
-	d.fr.Init(conn, d, nil)
-	d.fr.Run()
+	d.Readable()
 }
+
+// Readable continues the session's frame reader (llenc.FrameSink).
+func (d *daemonSession) Readable() { d.fr.Run(d.conn, d, nil) }
 
 // OnFrame delivers one answer to the command that awaits it.
 func (d *daemonSession) OnFrame(payload []byte) bool {

@@ -213,15 +213,6 @@ func (c *AppContext) NewLock() *Lock {
 	return l
 }
 
-// InitLock binds a zero-value lock embedded in caller-owned state to the
-// instance — NewLock without the allocation, for population-scaled
-// structs (one lock per pooled connection).
-func (c *AppContext) InitLock(l *Lock) {
-	*l = Lock{}
-	l.rt = c.rt
-	l.ctx = c
-}
-
 // Killed reports whether the instance has been stopped.
 func (c *AppContext) Killed() bool {
 	c.mu.Lock()

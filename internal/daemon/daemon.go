@@ -158,7 +158,7 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 		d.mu.Unlock()
 		return err
 	}
-	s := &control{d: d, controller: controller, enc: llenc.NewWriter(conn), wlock: core.NewLock(d.rt)}
+	s := &control{d: d, controller: controller, conn: conn, enc: llenc.NewWriter(conn), wlock: core.NewLock(d.rt)}
 	hello := &ctlproto.Msg{
 		Type: ctlproto.THello, Name: d.cfg.Name, Key: d.cfg.Key,
 		PortLow: d.cfg.PortLow, PortHigh: d.cfg.PortHigh,
@@ -176,8 +176,7 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 	d.blacklist = welcome.Hosts
 	d.connected = true
 	d.mu.Unlock()
-	s.fr.Init(conn, s, nil)
-	d.rt.Go(s.fr.Run)
+	llenc.Go(d.rt.Go, s)
 	return nil
 }
 
@@ -186,10 +185,14 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 type control struct {
 	d          *Daemon
 	controller transport.Addr
+	conn       transport.Conn
 	enc        *llenc.Writer
 	wlock      *core.Lock
 	fr         llenc.FrameReader
 }
+
+// Readable continues the session's frame reader (llenc.FrameSink).
+func (s *control) Readable() { s.fr.Run(s.conn, s, nil) }
 
 // OnFrame answers one command under its Seq from a task of its own:
 // handlers instantiate applications and the answer is a socket write.

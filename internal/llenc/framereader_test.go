@@ -32,12 +32,12 @@ func (s *chunkStream) Read(p []byte) (int, error) {
 
 // eventChunks is the same stream as an event source: TryRead hands out the
 // chunk that has arrived and reports (0, nil) when it is used up; pump
-// then delivers the next one (or EOF) and fires the armed callback, one
+// then delivers the next one (or EOF) and wakes the armed reader, one
 // arrival per wake like simnet.
 type eventChunks struct {
 	chunkStream
 	eof bool
-	cb  func()
+	cb  Readable
 }
 
 func (e *eventChunks) Read([]byte) (int, error) { panic("blocking Read on an event source") }
@@ -55,15 +55,15 @@ func (e *eventChunks) TryRead(p []byte) (int, error) {
 	return n, nil
 }
 
-func (e *eventChunks) OnReadable(cb func()) {
+func (e *eventChunks) OnReadable(r Readable) {
 	if e.cb != nil {
 		panic("armed twice")
 	}
-	e.cb = cb
+	e.cb = r
 }
 
-func (e *eventChunks) pump(fr *FrameReader) {
-	fr.Run()
+func (e *eventChunks) pump(sink FrameSink) {
+	Go(func(fn func()) { fn() }, sink)
 	for e.cb != nil {
 		cb := e.cb
 		e.cb = nil
@@ -72,13 +72,17 @@ func (e *eventChunks) pump(fr *FrameReader) {
 		} else {
 			e.eof = true
 		}
-		cb()
+		cb.Readable()
 	}
 }
 
-// recordSink keeps what a FrameReader hands over; it declines frame
-// number stop (counting from 1; 0 never declines).
+// recordSink keeps what the FrameReader it embeds hands over; it declines
+// frame number stop (counting from 1; 0 never declines).
 type recordSink struct {
+	fr       FrameReader
+	src      io.Reader
+	blocking func(func())
+
 	frames [][]byte
 	bytes  uint64 // HeaderSize+len(payload) summed, as a metering sink does
 	stop   int
@@ -93,6 +97,8 @@ func (s *recordSink) OnFrame(payload []byte) bool {
 }
 
 func (s *recordSink) OnEnd(err error) { s.ends++; s.err = err }
+
+func (s *recordSink) Readable() { s.fr.Run(s.src, s, s.blocking) }
 
 // cut splits stream at the lengths cuts spells (each byte + 1, cycling).
 func cut(stream, cuts []byte) [][]byte {
@@ -112,21 +118,17 @@ func cut(stream, cuts []byte) [][]byte {
 // plain io.Reader and returns both sinks and the bytes each took.
 func readBoth(t *testing.T, stream, cuts []byte, stop int) (ev, plain *recordSink, evRead, plainRead uint64) {
 	t.Helper()
-	var fr FrameReader
-	ev = &recordSink{stop: stop}
 	src := &eventChunks{chunkStream: chunkStream{chunks: cut(stream, cuts)}}
-	fr.Init(src, ev, nil)
-	src.pump(&fr)
-	if fr.buf != nil {
+	ev = &recordSink{src: src, stop: stop}
+	src.pump(ev)
+	if ev.fr.buf != nil {
 		t.Error("event reader holds a pooled buffer after the end")
 	}
 
-	var fp FrameReader
-	plain = &recordSink{stop: stop}
 	ps := &chunkStream{chunks: cut(stream, cuts)}
 	bracketed := 0
-	fp.Init(ps, plain, func(read func()) { bracketed++; read() })
-	fp.Run()
+	plain = &recordSink{src: ps, blocking: func(read func()) { bracketed++; read() }, stop: stop}
+	plain.Readable()
 	if bracketed == 0 {
 		t.Error("the blocking reads did not go through the caller's hook")
 	}

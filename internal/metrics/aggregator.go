@@ -93,10 +93,11 @@ func (a *Aggregator) Close() error { return a.ln.Close() }
 
 // serve spawns an accepted stream's frame reader.
 func (a *Aggregator) serve(conn transport.Conn) {
-	st := &stream{a: a, conn: conn}
-	st.fr.Init(conn, st, nil)
-	a.spawn(st.fr.Run)
+	llenc.Go(a.spawn, &stream{a: a, conn: conn})
 }
+
+// Readable continues the stream's frame reader (llenc.FrameSink).
+func (st *stream) Readable() { st.fr.Run(st.conn, st, nil) }
 
 // OnFrame merges one report frame; an undecodable, unauthenticated or
 // malformed one drops the stream.

@@ -10,17 +10,16 @@ import (
 	"github.com/splaykit/splay/internal/transport"
 )
 
-// benchCalls times b.N sequential calls on a pooled connection in the
-// simulator, against a server with the benchmarks' handlers. Virtual time
-// is free, so ns/op and allocs/op are purely the message plane's CPU and
-// garbage cost. One warm-up call outside the timer dials the connection
-// and fills every buffer pool.
-func benchCalls(b *testing.B, call func(c *Client, addr transport.Addr) error) {
+// benchAddr is where benchServer listens.
+var benchAddr = transport.Addr{Host: "n1", Port: 8000}
+
+// benchServer builds a two-host simulated network and starts a server
+// with the benchmarks' handlers on n1; n0 is left for clients.
+func benchServer(b *testing.B) (*sim.Kernel, *simnet.Network, *core.SimRuntime) {
 	k := sim.NewKernel()
 	nw := simnet.New(k, simnet.Symmetric{RTT: 2 * time.Millisecond}, 2, 1)
 	rt := core.NewSimRuntime(k, 1)
-	addr := transport.Addr{Host: "n1", Port: 8000}
-	sctx := core.NewAppContext(rt, nw.Node(1), core.JobInfo{Me: addr}, nil)
+	sctx := core.NewAppContext(rt, nw.Node(1), core.JobInfo{Me: benchAddr}, nil)
 	k.Go(func() {
 		s := NewServer(sctx)
 		s.Register("echo", func(args Args) (any, error) { return args.String(0), nil })
@@ -38,13 +37,23 @@ func benchCalls(b *testing.B, call func(c *Client, addr transport.Addr) error) {
 			r.ID++
 			return r, err
 		})
-		if err := s.Start(addr.Port); err != nil {
+		if err := s.Start(benchAddr.Port); err != nil {
 			b.Errorf("server: %v", err)
 		}
 	})
+	return k, nw, rt
+}
+
+// benchCalls times b.N sequential calls on a pooled connection in the
+// simulator, against a server with the benchmarks' handlers. Virtual time
+// is free, so ns/op and allocs/op are purely the message plane's CPU and
+// garbage cost. One warm-up call outside the timer dials the connection
+// and fills every buffer pool.
+func benchCalls(b *testing.B, call func(c *Client, addr transport.Addr) error) {
+	k, nw, rt := benchServer(b)
 	c := NewClient(core.NewAppContext(rt, nw.Node(0), core.JobInfo{}, nil))
 	k.Go(func() {
-		if err := call(c, addr); err != nil {
+		if err := call(c, benchAddr); err != nil {
 			b.Errorf("warmup: %v", err)
 		}
 	})
@@ -53,13 +62,42 @@ func benchCalls(b *testing.B, call func(c *Client, addr transport.Addr) error) {
 	b.ResetTimer()
 	k.Go(func() {
 		for i := 0; i < b.N; i++ {
-			if err := call(c, addr); err != nil {
+			if err := call(c, benchAddr); err != nil {
 				b.Errorf("call: %v", err)
 				return
 			}
 		}
 	})
 	k.Run()
+}
+
+// BenchmarkRPCFreshCall prices the call gossip makes on almost every
+// round: a fresh instance context and client dial the server, make one
+// string echo and are killed, which closes both ends. Under churn a
+// Cyclon node rarely calls the same peer twice (92 % of cyclon_churn's
+// calls dial, 99.8 % of platform_jobs'), so this — not
+// BenchmarkRPCThroughput's pooled call — is the common path there. Warm-up
+// rounds fill the kernel's, the network's and the message plane's pools
+// first; CI records it in BENCH_rpc.json and gates its allocs/op.
+func BenchmarkRPCFreshCall(b *testing.B) {
+	k, nw, rt := benchServer(b)
+	fresh := func(n int) {
+		k.Go(func() {
+			for i := 0; i < n; i++ {
+				ctx := core.NewAppContext(rt, nw.Node(0), core.JobInfo{}, nil)
+				if _, err := NewClient(ctx).Call(benchAddr, "echo", "payload-string"); err != nil {
+					b.Errorf("call: %v", err)
+					return
+				}
+				ctx.Kill()
+			}
+		})
+		k.Run()
+	}
+	fresh(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	fresh(b.N)
 }
 
 // BenchmarkRPCThroughput measures the steady-state cost of one complete

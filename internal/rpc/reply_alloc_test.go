@@ -11,11 +11,11 @@ import (
 )
 
 // TestLoneReplyQueuesOnPooledBacking pins the steady-state garbage of a
-// call whose reply finds the writer idle: the reply rides the pooled
-// one-response backing, not a fresh queue slice — one allocation per
-// call fewer (38 per ten nil-result calls; 48 when every lone reply
-// allocated its queue). Ten calls per kernel run amortize the run's own
-// spawn.
+// call whose reply finds the writer idle: the reply rides the queue
+// backing of the pooled replyFlush, not a fresh queue slice — one
+// allocation per call fewer (38 per ten nil-result calls; 48 when every
+// lone reply allocated its queue). Ten calls per kernel run amortize the
+// run's own spawn.
 func TestLoneReplyQueuesOnPooledBacking(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

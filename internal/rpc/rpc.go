@@ -236,10 +236,8 @@ func (s *Server) Start(port int) error {
 	s.ln = ln
 	s.ctx.Track(ln)
 	// One spawn installs the accept loop; on the simulated network it
-	// arms a callback and ends, so an idle listener parks no task. The
-	// Blocking hook is bound here once, not per accepted connection.
-	blocking := s.ctx.Blocking
-	s.ctx.Go(func() { transport.Serve(ln, blocking, func(c transport.Conn) { s.serve(c, blocking) }) })
+	// arms a callback and ends, so an idle listener parks no task.
+	s.ctx.Go(func() { transport.Serve(ln, s.ctx.Blocking, s.serve) })
 	return nil
 }
 
@@ -259,40 +257,53 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// serverConn is the whole per-connection state of a served connection:
-// frame reader (which holds the connection), reply writer and framing
-// encoder embedded by value, so an idle served connection costs one
-// allocation instead of one per layer. It is its reader's sink.
+// serverConn is the whole per-connection state of a served connection —
+// the socket, the reply writer's state and the frame reader, embedded by
+// value — so an idle served connection costs one small allocation. The
+// framing writer and the reply queues exist only while replies are being
+// written (a pooled replyFlush). It is its reader's sink.
 type serverConn struct {
-	s  *Server
-	cw replyWriter
+	s    *Server
+	conn transport.Conn
+
+	// Reply batching: finishing handlers enqueue on the busy period's
+	// flush under a plain mutex and return; the task that finds flush nil
+	// becomes the flusher and drains everything queued behind it — the
+	// same coalescing the controller's pipelined Submit uses. The mutex
+	// is never held across Encode (which blocks in virtual time), so
+	// enqueuing never parks a task; live, the flusher yields the instance
+	// baton across the batch write, so a slow receiver cannot stall the
+	// instance's other tasks or deadlock against its read loop.
+	mu    sync.Mutex
+	flush *replyFlush // the busy period's writer and queues; nil while idle
+
 	fr llenc.FrameReader
 }
 
-// serve tracks an accepted connection and spawns its frame reader
-// (llenc.FrameReader.Run: on the simulated network the task installs a
-// callback and ends, so an idle served connection holds no goroutine).
-func (s *Server) serve(conn transport.Conn, blocking func(func())) {
+// serve tracks an accepted connection and starts its frame reader
+// (llenc.FrameReader.Run: on the simulated network the task arms the
+// connection as the socket's wake callback and ends, so an idle served
+// connection holds no goroutine).
+func (s *Server) serve(conn transport.Conn) {
 	s.ctx.Track(conn)
-	sc := &serverConn{s: s}
-	sc.cw.enc.Reset(conn)
-	sc.fr.Init(conn, sc, blocking)
-	s.ctx.Go(sc.fr.Run)
+	llenc.Go(s.ctx.Go, &serverConn{s: s, conn: conn})
 }
+
+// Readable continues sc's frame reader (llenc.FrameSink).
+func (sc *serverConn) Readable() { sc.fr.Run(sc.conn, sc, sc.s.ctx.Blocking) }
 
 // OnEnd ends the connection. serve tracked it; the server closes it
 // itself, so it untracks it too — see core.AppContext.Track.
 func (sc *serverConn) OnEnd(error) {
-	conn := sc.fr.Source().(transport.Conn)
-	sc.s.ctx.Untrack(conn)
-	conn.Close()
+	sc.s.ctx.Untrack(sc.conn)
+	sc.conn.Close()
 }
 
 // OnFrame processes one request frame and reports whether the connection
 // should keep serving. It may run inside an event callback, so it never
 // blocks: handlers and error replies run as their own tasks.
 func (sc *serverConn) OnFrame(payload []byte) bool {
-	s, cw := sc.s, &sc.cw
+	s := sc.s
 	s.ins.Served.Inc()
 	s.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload)))
 	var id uint64
@@ -328,7 +339,7 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 		if len(req.Args) > 0 {
 			var elems []json.RawMessage
 			if err := json.Unmarshal(req.Args, &elems); err != nil {
-				s.errReply(cw, response{ID: req.ID, Err: "rpc: malformed arguments"})
+				s.errReply(sc, response{ID: req.ID, Err: "rpc: malformed arguments"})
 				return true
 			}
 			args = newArgsSplit(elems)
@@ -338,7 +349,7 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 	}
 	if !hok {
 		args.release()
-		s.errReply(cw, response{ID: id, Err: fmt.Sprintf("rpc: unknown method %q", method)})
+		s.errReply(sc, response{ID: id, Err: fmt.Sprintf("rpc: unknown method %q", method)})
 		return true
 	}
 	// Handlers run as their own task so they may block; the connection
@@ -346,7 +357,7 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 	// pooled job (one closure per pooled object, ever) so steady-state
 	// serving allocates no per-request bookkeeping.
 	j := jobPool.Get().(*reqJob)
-	j.s, j.cw, j.id, j.h, j.args = s, cw, id, h, args
+	j.sc, j.id, j.h, j.args = sc, id, h, args
 	s.ctx.Go(j.run)
 	return true
 }
@@ -354,14 +365,13 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 // errReply writes a server-side error response (unknown method, malformed
 // arguments — paths no healthy protocol traffic takes) from a spawned
 // task: OnFrame must not block in the reply writer.
-func (s *Server) errReply(cw *replyWriter, resp response) {
-	s.ctx.Go(func() { s.reply(cw, resp) })
+func (s *Server) errReply(sc *serverConn, resp response) {
+	s.ctx.Go(func() { s.reply(sc, resp) })
 }
 
 // reqJob carries one dispatched request into its handler task.
 type reqJob struct {
-	s    *Server
-	cw   *replyWriter
+	sc   *serverConn
 	id   uint64
 	h    Handler
 	args Args
@@ -379,8 +389,8 @@ func init() {
 }
 
 func (j *reqJob) exec() {
-	s, cw, id, h, args := j.s, j.cw, j.id, j.h, j.args
-	j.s, j.cw, j.h, j.args = nil, nil, nil, Args{}
+	sc, id, h, args := j.sc, j.id, j.h, j.args
+	j.sc, j.h, j.args = nil, nil, Args{}
 	jobPool.Put(j)
 
 	resp := response{ID: id}
@@ -398,35 +408,36 @@ func (j *reqJob) exec() {
 		}
 	}
 	// The result is encoded (copied) above into scratch that rides the
-	// response until flushBatch has framed it, so the pooled argument
+	// response until its reply batch is framed, so the pooled argument
 	// buffer can be recycled even if the handler returned bytes aliasing it.
 	args.release()
-	s.reply(cw, resp)
+	sc.s.reply(sc, resp)
 }
 
-// replyWriter batches responses onto one connection. Finishing handlers
-// enqueue under a plain mutex and return; the task that finds the writer
-// idle becomes the flusher and drains everything queued behind it — the
-// same coalescing the controller's pipelined Submit uses. The mutex is
-// never held across Encode (which blocks in virtual time), so enqueuing
-// never parks a task; live, the flusher yields the instance baton across
-// the batch write, so a slow receiver cannot stall the instance's other
-// tasks or deadlock against its read loop.
-type replyWriter struct {
-	enc llenc.Writer
-
-	mu       sync.Mutex
-	queue    []response
-	wbatch   []response // the flusher's current batch (flusher-only)
-	flushing bool
+// replyFlush is one busy period of a connection's reply writer: the
+// framing writer, the queue finishing handlers append to and the batch the
+// flusher is writing. It is pooled, so a connection holds it only while
+// replies are going out, and the pool keeps the batch capacity a lone
+// reply would otherwise allocate each time.
+type replyFlush struct {
+	w     llenc.Writer
+	queue []response // replies waiting behind the batch
+	batch []response // the batch being written (flusher-only)
+	run   func()     // writes batch; one closure per pooled object, ever
 }
 
-func (cw *replyWriter) flushBatch() {
-	for i := range cw.wbatch {
+var replyFlushes = sync.Pool{New: func() any {
+	f := &replyFlush{}
+	f.run = f.writeBatch
+	return f
+}}
+
+func (f *replyFlush) writeBatch() {
+	for i := range f.batch {
 		// A dead conn is detected by the read loop; later frames
 		// just fail the same way.
-		r := &cw.wbatch[i]
-		cw.enc.Encode(r) //nolint:errcheck
+		r := &f.batch[i]
+		f.w.Encode(r) //nolint:errcheck
 		if r.scratch != nil {
 			releaseScratch(r.scratch, r.Result)
 		}
@@ -434,38 +445,28 @@ func (cw *replyWriter) flushBatch() {
 	}
 }
 
-// oneReply pools the backing the flusher queues its own reply on: a lone
-// reply finding the writer idle, the common case, allocates nothing and
-// a connection still keeps no batch capacity between busy periods.
-var oneReply = sync.Pool{New: func() any { return new([1]response) }}
-
-func (s *Server) reply(cw *replyWriter, resp response) {
-	cw.mu.Lock()
-	if cw.flushing {
-		cw.queue = append(cw.queue, resp)
-		cw.mu.Unlock()
+func (s *Server) reply(sc *serverConn, resp response) {
+	sc.mu.Lock()
+	if f := sc.flush; f != nil {
+		f.queue = append(f.queue, resp)
+		sc.mu.Unlock()
 		return
 	}
-	cw.flushing = true
-	first := oneReply.Get().(*[1]response)
-	cw.queue = append(first[:0], resp)
-	var spare []response // recycled batch backing, scoped to this busy period
-	for len(cw.queue) > 0 {
-		cw.wbatch = cw.queue
-		cw.queue = spare[:0]
-		cw.mu.Unlock()
-		sent := cw.enc.Bytes() // the flusher is the writer's only user
-		s.ctx.Blocking(cw.flushBatch)
-		s.ins.BytesOut.Add(cw.enc.Bytes() - sent)
-		cw.mu.Lock()
-		spare = cw.wbatch[:0]
-		cw.wbatch = nil
+	f := replyFlushes.Get().(*replyFlush)
+	sc.flush = f
+	f.w.Reset(sc.conn)
+	f.queue = append(f.queue, resp)
+	for len(f.queue) > 0 {
+		f.batch, f.queue = f.queue, f.batch[:0]
+		sc.mu.Unlock()
+		sent := f.w.Bytes() // the pooled writer's tally spans its borrowers
+		s.ctx.Blocking(f.run)
+		s.ins.BytesOut.Add(f.w.Bytes() - sent)
+		sc.mu.Lock()
 	}
-	cw.flushing = false
-	// Drop the backing between busy periods: at memory-plane scale the
-	// per-connection high-water batch capacity dwarfs the occasional
-	// re-allocation when the next burst arrives.
-	cw.queue = nil
-	cw.mu.Unlock()
-	oneReply.Put(first) // flushBatch cleared it; nothing refers to it now
+	sc.flush = nil
+	sc.mu.Unlock()
+	f.batch = f.batch[:0] // writeBatch cleared it; nothing refers to it now
+	f.w.Reset(nil)
+	replyFlushes.Put(f)
 }

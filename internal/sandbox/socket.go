@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -274,7 +275,7 @@ func (c *sbEventConn) TryRead(p []byte) (int, error) {
 	return c.n.chargeRx(c.Conn.(transport.EventConn).TryRead(p))
 }
 
-func (c *sbEventConn) OnReadable(cb func()) { c.Conn.(transport.EventConn).OnReadable(cb) }
+func (c *sbEventConn) OnReadable(r llenc.Readable) { c.Conn.(transport.EventConn).OnReadable(r) }
 
 // sbListener wraps a listener; accepted conns are sandboxed and counted.
 type sbListener struct {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/splaykit/splay/internal/memprof"
 	"github.com/splaykit/splay/internal/sim"
@@ -211,5 +212,87 @@ func TestClosedConnsAreCollectable(t *testing.T) {
 			}
 			t.Logf("footprint %d → %d B, live heap %d → %d B", baseFoot, foot, baseHeap, heap)
 		})
+	}
+}
+
+// TestFootprintMatchesIdleHeap keeps FootprintBytes truthful about open
+// connections: it charges each open endpoint what that endpoint pins — half
+// its connPair and its read pipe's segment array — plus the hosts'
+// connection tables, so four thousand idle connections, each after one
+// message in each direction, must cost within a tenth of what the live
+// heap says they do.
+func TestFootprintMatchesIdleHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement; run without -short")
+	}
+	const n = 4000
+	k := sim.NewKernel()
+	nw := New(k, Symmetric{RTT: 2 * time.Millisecond}, 2, 1)
+	accepted := make([]transport.Conn, 0, n+16)
+	dialed := make([]transport.Conn, 0, n+16)
+	k.Go(func() {
+		ln, err := nw.Host(1).Listen(80)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		transport.Serve(ln, nil, func(c transport.Conn) { accepted = append(accepted, c) })
+	})
+	// open makes count connections one at a time, sends a byte each way
+	// on every one and reads it, leaving both pipes drained and idle. The
+	// short dial timeout keeps the kernel from holding thousands of armed
+	// ones, which would grow its event pool inside the measurement.
+	open := func(count int) {
+		k.Go(func() {
+			buf := make([]byte, 1)
+			for i := 0; i < count; i++ {
+				c, err := nw.Host(0).Dial(transport.Addr{Host: "n1", Port: 80}, 5*time.Millisecond)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				dialed = append(dialed, c)
+				c.Write(buf) //nolint:errcheck
+				k.Sleep(2 * time.Millisecond)
+				a := accepted[len(accepted)-1]
+				a.Read(buf)  //nolint:errcheck
+				a.Write(buf) //nolint:errcheck
+				k.Sleep(2 * time.Millisecond)
+				c.Read(buf) //nolint:errcheck
+			}
+		})
+		k.Run()
+	}
+	open(16) // fills the kernel's and the network's pools
+	baseFoot, baseHeap := nw.FootprintBytes(), memprof.LiveHeap()
+	open(n)
+	foot, heap := nw.FootprintBytes(), memprof.LiveHeap()
+	runtime.KeepAlive(nw)
+	if len(dialed) != n+16 || len(accepted) != n+16 {
+		t.Fatalf("%d dialed and %d accepted connections, want %d", len(dialed), len(accepted), n+16)
+	}
+	charged, pinned := float64(foot-baseFoot), float64(int64(heap)-int64(baseHeap))
+	t.Logf("%d idle connections: FootprintBytes +%.0f B (%.1f B each), live heap +%.0f B (%.1f B each)",
+		n, charged, charged/n, pinned, pinned/n)
+	if charged < 0.9*pinned || charged > 1.1*pinned {
+		t.Errorf("FootprintBytes charges %.0f B for %d idle connections that pin %.0f B: off by more than a tenth", charged, n, pinned)
+	}
+}
+
+// TestConnPairFillsItsSizeClass: FootprintBytes charges
+// unsafe.Sizeof(connPair{}), which is what the heap holds for a pair only
+// while the struct fills its allocation size class exactly. A field that
+// pushed it past the class would pin the next class's bytes unnoticed.
+func TestConnPairFillsItsSizeClass(t *testing.T) {
+	pairs := make([]*connPair, 1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range pairs {
+		pairs[i] = new(connPair)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pairs)
+	if per, size := (after.TotalAlloc-before.TotalAlloc)/uint64(len(pairs)), uint64(unsafe.Sizeof(connPair{})); per != size {
+		t.Errorf("a connPair allocates %d B for its %d-byte struct: resize it to a size class or charge the class in FootprintBytes", per, size)
 	}
 }

@@ -4,27 +4,30 @@ import (
 	"io"
 	"time"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/transport"
 )
 
 // pipe is one direction of a stream connection: bytes in flight toward, or
-// buffered at, the destination host. Two live in every connPair, so the
-// struct is kept compact: virtual times are int64 nanoseconds since
-// sim.Epoch (a third the size of time.Time) and cursors are int32.
+// buffered at, the endpoint on host dst, port port. Two live in every
+// connPair, so the struct is kept compact: virtual times are int64
+// nanoseconds since sim.Epoch (a third the size of time.Time), cursors and
+// the port are int32, and the two ways of reading — a parked task or an
+// armed callback, never both — share one field.
 type pipe struct {
 	dst *Host
 
 	segs   [][]byte // delivered, unread segments; a ring over one backing array
 	head   int32    // index of the first unread segment
 	off    int32    // read offset into segs[head]
+	port   int32    // local port of the endpoint this pipe feeds
 	eof    bool     // write end closed and EOF delivered
 	frozen bool     // blackholed: drop deliveries, never notify readers
-	err    error    // connection reset
+	reset  bool     // connection reset: reads fail with transport.ErrClosed
 
-	reader        *sim.Waiter // parked reader, if any
-	onReadable    func()      // armed event-driven reader (EventConn), if any
-	lastDeliverNS int64       // FIFO floor for future deliveries, ns since Epoch
+	reader        any   // parked reader (*sim.Waiter) or armed llenc.Readable, if any
+	lastDeliverNS int64 // FIFO floor for future deliveries, ns since Epoch
 }
 
 func (p *pipe) deliverTime(t time.Time) time.Time {
@@ -38,7 +41,7 @@ func (p *pipe) deliverTime(t time.Time) time.Time {
 }
 
 func (p *pipe) deliverData(data []byte) {
-	if p.eof || p.err != nil || p.frozen {
+	if p.eof || p.reset || p.frozen {
 		p.dst.np().putBuf(data) // dropped: the payload buffer is free again
 		return
 	}
@@ -56,18 +59,20 @@ func (p *pipe) deliverData(data []byte) {
 func (p *pipe) unread() bool { return int(p.head) < len(p.segs) }
 
 func (p *pipe) deliverEOF() {
-	if p.eof || p.err != nil || p.frozen {
+	if p.eof || p.reset || p.frozen {
 		return
 	}
 	p.eof = true
 	p.wakeReader()
 }
 
-func (p *pipe) fail(err error) {
-	if p.err != nil {
+// fail resets the pipe: its reader observes transport.ErrClosed, the only
+// error a stream connection ends with.
+func (p *pipe) fail() {
+	if p.reset {
 		return
 	}
-	p.err = err
+	p.reset = true
 	p.wakeReader()
 }
 
@@ -78,35 +83,29 @@ func (p *pipe) fail(err error) {
 // schedule — the pinned golden event orders see the same sequence
 // numbers either way.
 func (p *pipe) wakeReader() {
-	if p.reader != nil {
-		w := p.reader
+	switch r := p.reader.(type) {
+	case nil: // nobody is reading
+	case *sim.Waiter:
 		p.reader = nil
-		w.Wake(nil)
-		return
-	}
-	if p.onReadable != nil {
-		cb := p.onReadable
-		p.onReadable = nil
-		p.dst.kern().AfterFunc(0, cb)
+		r.Wake(nil)
+	default:
+		p.reader = nil
+		p.dst.wakeReadable(r.(llenc.Readable))
 	}
 }
 
 // conn is one endpoint of a simulated stream connection. Like pipe it is
-// population-scaled, so only ports are stored — the endpoint addresses are
-// derived from the host pointers on the rare LocalAddr/RemoteAddr call —
-// and the read deadline is int64 nanoseconds.
+// population-scaled, so it stores only what is its own — everything else
+// follows from its pair and side: its host is the destination of the pipe
+// flowing toward it, its peer's the other pipe's, and the ports ride the
+// pipes too. Endpoint addresses are derived on the rare
+// LocalAddr/RemoteAddr call, and the read deadline is int64 nanoseconds.
 type conn struct {
-	h        *Host
-	peerHost *Host
-
-	rd *pipe // data flowing toward us
-	wr *pipe // data flowing toward the peer
-
+	pair       *connPair
 	seq        int   // creation order; fault-plane resets replay in seq order
-	lport      int32 // local port
-	rport      int32 // remote port
-	closed     bool
 	deadlineNS int64 // read deadline, ns since Epoch; 0 = none
+	side       uint8 // this endpoint is pair.ends[side]; pair.pipes[side] flows toward it
+	closed     bool
 }
 
 var (
@@ -116,18 +115,27 @@ var (
 )
 
 // connPair is the whole state of one stream connection — both endpoints
-// and both directions — as a single heap object. Nothing pools or recycles
-// it: a pair stays reachable through its hosts' tables while an endpoint is
-// open, through whoever holds an endpoint, and through any scheduled
-// delivery or cross-partition post that names one of its pipes; once both
-// endpoints are closed and the last such event has fired, the collector
-// reclaims the pair together with its segs arrays and unread payload. A
-// closed connection therefore costs nothing, and no kernel event can ever
+// and both directions — as a single heap object, sized to fill its
+// allocation class exactly. Nothing pools or recycles it: a pair stays
+// reachable through its hosts' tables while an endpoint is open, through
+// whoever holds an endpoint, and through any scheduled delivery or
+// cross-partition post that names one of its pipes; once both endpoints
+// are closed and the last such event has fired, the collector reclaims
+// the pair together with its segs arrays and unread payload. A closed
+// connection therefore costs nothing, and no kernel event can ever
 // observe a reused pipe.
 type connPair struct {
-	cl, cr            conn
-	toRemote, toLocal pipe
+	ends  [2]conn // the dialer's endpoint, then the acceptor's
+	pipes [2]pipe // pipes[s] carries data toward ends[s]
 }
+
+// rd is the pipe data flows toward this endpoint on; wr the one it writes.
+func (c *conn) rd() *pipe { return &c.pair.pipes[c.side] }
+func (c *conn) wr() *pipe { return &c.pair.pipes[c.side^1] }
+
+// host is the endpoint's own host; peer the other end's.
+func (c *conn) host() *Host { return c.rd().dst }
+func (c *conn) peer() *Host { return c.wr().dst }
 
 // newConnPair wires two endpoints together and registers them with their
 // hosts so machine failures can reset them. It always runs on the accepting
@@ -141,14 +149,10 @@ func newConnPair(lh *Host, lport int, rh *Host, rport int) (*conn, *conn) {
 	nw := lh.nw
 	pt := rh.np()
 	pair := new(connPair)
-	toRemote, toLocal := &pair.toRemote, &pair.toLocal
-	toRemote.dst = rh
-	toLocal.dst = lh
-	cl, cr := &pair.cl, &pair.cr
-	cl.h, cl.peerHost, cl.rd, cl.wr = lh, rh, toLocal, toRemote
-	cl.lport, cl.rport = int32(lport), int32(rport)
-	cr.h, cr.peerHost, cr.rd, cr.wr = rh, lh, toRemote, toLocal
-	cr.lport, cr.rport = int32(rport), int32(lport)
+	pair.pipes[0].dst, pair.pipes[0].port = lh, int32(lport)
+	pair.pipes[1].dst, pair.pipes[1].port = rh, int32(rport)
+	cl, cr := &pair.ends[0], &pair.ends[1]
+	cl.pair, cr.pair, cr.side = pair, pair, 1
 	parts := len(nw.parts)
 	base := pt.connSeq
 	pt.connSeq += 2
@@ -162,10 +166,10 @@ func newConnPair(lh *Host, lport int, rh *Host, rport int) (*conn, *conn) {
 }
 
 func (c *conn) LocalAddr() transport.Addr {
-	return transport.Addr{Host: c.h.Host(), Port: int(c.lport)}
+	return transport.Addr{Host: c.host().Host(), Port: int(c.rd().port)}
 }
 func (c *conn) RemoteAddr() transport.Addr {
-	return transport.Addr{Host: c.peerHost.Host(), Port: int(c.rport)}
+	return transport.Addr{Host: c.peer().Host(), Port: int(c.wr().port)}
 }
 
 // SetReadDeadline implements transport.Conn. The deadline applies to Read
@@ -182,27 +186,16 @@ func (c *conn) SetReadDeadline(t time.Time) error {
 // Read implements transport.Conn. It blocks in virtual time until data,
 // EOF, reset, or the read deadline.
 func (c *conn) Read(b []byte) (int, error) {
-	k := c.h.kern()
+	rd, h := c.rd(), c.host()
+	k := h.kern()
 	for {
-		if c.rd.unread() {
-			seg := c.rd.segs[c.rd.head]
-			n := copy(b, seg[c.rd.off:])
-			c.rd.off += int32(n)
-			if int(c.rd.off) == len(seg) {
-				c.rd.segs[c.rd.head] = nil
-				c.rd.head++
-				c.rd.off = 0
-				c.h.np().putBuf(seg) // fully consumed: recycle the payload
-			}
+		if n, ok := rd.consume(h, b); ok {
 			return n, nil
 		}
-		if c.rd.err != nil {
-			return 0, c.rd.err
-		}
-		if c.closed {
+		if rd.reset || c.closed {
 			return 0, transport.ErrClosed
 		}
-		if c.rd.eof {
+		if rd.eof {
 			return 0, io.EOF
 		}
 		if c.deadlineNS != 0 && int64(k.Since()) >= c.deadlineNS {
@@ -212,19 +205,37 @@ func (c *conn) Read(b []byte) (int, error) {
 		if c.deadlineNS != 0 {
 			w.WakeAfter(time.Duration(c.deadlineNS-int64(k.Since())), transport.ErrTimeout)
 		}
-		if c.rd.reader != nil {
+		if rd.reader != nil {
 			// A second concurrent reader is a protocol bug; fail loudly
 			// rather than corrupting the stream.
 			panic("simnet: concurrent Read on one connection")
 		}
-		c.rd.reader = w
+		rd.reader = w
 		if v := w.Wait(); v != nil {
-			c.rd.reader = nil
+			rd.reader = nil
 			if err, ok := v.(error); ok {
 				return 0, err
 			}
 		}
 	}
+}
+
+// consume copies buffered data into b, recycling each fully read segment
+// into h's partition pool; false means nothing was buffered.
+func (p *pipe) consume(h *Host, b []byte) (int, bool) {
+	if !p.unread() {
+		return 0, false
+	}
+	seg := p.segs[p.head]
+	n := copy(b, seg[p.off:])
+	p.off += int32(n)
+	if int(p.off) == len(seg) {
+		p.segs[p.head] = nil
+		p.head++
+		p.off = 0
+		h.np().putBuf(seg) // fully consumed: recycle the payload
+	}
+	return n, true
 }
 
 // TryRead implements transport.EventConn: it copies buffered data like
@@ -233,39 +244,29 @@ func (c *conn) Read(b []byte) (int, error) {
 // closed, EOF — so an event-driven reader observes the same verdicts in
 // the same order a task-based one would.
 func (c *conn) TryRead(b []byte) (int, error) {
-	if c.rd.unread() {
-		seg := c.rd.segs[c.rd.head]
-		n := copy(b, seg[c.rd.off:])
-		c.rd.off += int32(n)
-		if int(c.rd.off) == len(seg) {
-			c.rd.segs[c.rd.head] = nil
-			c.rd.head++
-			c.rd.off = 0
-			c.h.np().putBuf(seg) // fully consumed: recycle the payload
-		}
+	rd := c.rd()
+	if n, ok := rd.consume(c.host(), b); ok {
 		return n, nil
 	}
-	if c.rd.err != nil {
-		return 0, c.rd.err
-	}
-	if c.closed {
+	if rd.reset || c.closed {
 		return 0, transport.ErrClosed
 	}
-	if c.rd.eof {
+	if rd.eof {
 		return 0, io.EOF
 	}
 	return 0, nil
 }
 
-// OnReadable implements transport.EventConn: it arms cb to run as one
-// kernel event when the connection next has data, EOF, or an error.
-// Arming while a task reader is parked (or vice versa) is a protocol
-// bug, like two concurrent Reads.
-func (c *conn) OnReadable(cb func()) {
-	if c.rd.reader != nil || c.rd.onReadable != nil {
+// OnReadable implements transport.EventConn: it arms r, whose Readable
+// runs as one kernel event when the connection next has data, EOF, or an
+// error. Arming while a task reader is parked (or vice versa) is a
+// protocol bug, like two concurrent Reads.
+func (c *conn) OnReadable(r llenc.Readable) {
+	rd := c.rd()
+	if rd.reader != nil {
 		panic("simnet: concurrent readers on one connection")
 	}
-	c.rd.onReadable = cb
+	rd.reader = r
 }
 
 // Write implements transport.Conn. The calling task blocks (in virtual
@@ -273,17 +274,15 @@ func (c *conn) OnReadable(cb func()) {
 // small socket buffer; the payload is delivered to the peer after queueing
 // plus propagation delay.
 func (c *conn) Write(b []byte) (int, error) {
-	k := c.h.kern()
-	if c.closed {
+	h := c.host()
+	k := h.kern()
+	if c.closed || c.rd().reset {
 		return 0, transport.ErrClosed
-	}
-	if c.rd.err != nil {
-		return 0, c.rd.err
 	}
 	if len(b) == 0 {
 		return 0, nil
 	}
-	np := c.h.np()
+	np := h.np()
 	np.stats.StreamMsgs++
 	np.stats.StreamBytes += uint64(len(b))
 
@@ -291,18 +290,15 @@ func (c *conn) Write(b []byte) (int, error) {
 	copy(data, b)
 	// Sender half of the fluid model here; the receiver half (downlink
 	// queueing, FIFO floor) runs on the peer's partition at arrival.
-	nw := c.h.nw
-	senderFree := nw.upTimes(c.h, len(data))
-	nw.sendData(c.h, c.wr, data, senderFree.Add(nw.delay(np, c.h.id, c.peerHost.id)))
+	nw := h.nw
+	senderFree := nw.upTimes(h, len(data))
+	nw.sendData(h, c.wr(), data, senderFree.Add(nw.delay(np, h.id, c.peer().id)))
 
 	if wait := senderFree.Sub(k.Now()); wait > 0 {
 		k.Sleep(wait)
 	}
-	if c.closed {
+	if c.closed || c.rd().reset {
 		return 0, transport.ErrClosed
-	}
-	if c.rd.err != nil {
-		return 0, c.rd.err
 	}
 	return len(b), nil
 }
@@ -314,13 +310,14 @@ func (c *conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.h.removeConn(c)
+	h := c.host()
+	h.removeConn(c)
 	// The FIFO floor against in-flight data is applied on the peer's
 	// partition when the EOF arrives, not here.
-	nw := c.h.nw
-	nw.sendEOF(c.h, c.wr, c.h.kern().Now().Add(nw.delay(c.h.np(), c.h.id, c.peerHost.id)))
+	nw := h.nw
+	nw.sendEOF(h, c.wr(), h.kern().Now().Add(nw.delay(h.np(), h.id, c.peer().id)))
 	// Wake a parked local reader; it will observe closed.
-	c.rd.wakeReader()
+	c.rd().wakeReader()
 	return nil
 }
 
@@ -330,12 +327,11 @@ func (c *conn) Close() error {
 // path, so the closure is fine).
 func (c *conn) reset() {
 	c.closed = true
-	c.h.removeConn(c)
-	c.rd.fail(transport.ErrClosed)
-	nw, wr := c.h.nw, c.wr
-	nw.post(c.h, c.peerHost, c.h.kern().Now().Add(nw.delay(c.h.np(), c.h.id, c.peerHost.id)), func() {
-		wr.fail(transport.ErrClosed)
-	})
+	h, peer := c.host(), c.peer()
+	h.removeConn(c)
+	c.rd().fail()
+	nw, wr := h.nw, c.wr()
+	nw.post(h, peer, h.kern().Now().Add(nw.delay(h.np(), h.id, peer.id)), wr.fail)
 }
 
 // freeze blackholes the connection: the local (dying) endpoint errors,
@@ -343,18 +339,19 @@ func (c *conn) reset() {
 // block until a deadline fires (silent-failure mode).
 func (c *conn) freeze() {
 	c.closed = true
-	c.h.removeConn(c)
-	c.rd.frozen = true
-	c.wr.frozen = true
+	c.host().removeConn(c)
+	rd := c.rd()
+	rd.frozen = true
+	c.wr().frozen = true
 	// Wake a parked local reader; it observes the closed connection. An
 	// event-driven reader is armed only when its buffer is dry, so the
 	// callback observes the same ErrClosed verdict the waiter value
 	// delivers here.
-	if w := c.rd.reader; w != nil {
-		c.rd.reader = nil
+	if w, ok := rd.reader.(*sim.Waiter); ok {
+		rd.reader = nil
 		w.Wake(transport.ErrClosed)
 	} else {
-		c.rd.wakeReader()
+		rd.wakeReader()
 	}
 }
 

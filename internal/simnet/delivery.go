@@ -3,6 +3,7 @@ package simnet
 import (
 	"time"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -26,10 +27,11 @@ type delivery struct {
 	run func() // scheduled on the kernel; created once per pooled object
 
 	kind uint8
-	pipe *pipe  // dlvData, dlvEOF
-	data []byte // dlvData, dlvDgram payload
-	to   *Host  // dlvDgram destination host
-	port int    // dlvDgram destination port
+	pipe *pipe          // dlvData, dlvEOF
+	data []byte         // dlvData, dlvDgram payload
+	to   *Host          // dlvDgram destination host; dlvReadable reader's host
+	port int            // dlvDgram destination port
+	rd   llenc.Readable // dlvReadable: the woken event-driven reader
 	from transport.Addr
 }
 
@@ -37,6 +39,7 @@ const (
 	dlvData uint8 = iota
 	dlvEOF
 	dlvDgram
+	dlvReadable // an armed reader's wake: no payload, no arriving half
 	arriveData  // data arriving at the receiver's link
 	arriveEOF   // EOF arriving
 	arriveDgram // datagram arriving
@@ -86,6 +89,16 @@ func (d *delivery) fire() {
 		return
 	}
 
+	if d.kind == dlvReadable {
+		// Recycled before the reader runs, so the traffic it sends can
+		// reuse this very object.
+		r, pt := d.rd, d.to.np()
+		d.rd, d.to = nil, nil
+		pt.freeDlv = append(pt.freeDlv, d)
+		r.Readable()
+		return
+	}
+
 	var pt *netPart
 	switch d.kind {
 	case dlvData:
@@ -107,6 +120,19 @@ func (d *delivery) fire() {
 	d.to = nil
 	d.from = transport.Addr{}
 	pt.freeDlv = append(pt.freeDlv, d)
+}
+
+// wakeReadable runs r.Readable on h's kernel as one event at the current
+// instant — the cost of waking a parked reader's waiter — riding a pooled
+// delivery, so an armed reader is woken without allocating and without
+// holding a callback of its own.
+func (h *Host) wakeReadable(r llenc.Readable) {
+	pt := h.np()
+	d := pt.newDelivery(h.nw)
+	d.kind = dlvReadable
+	d.to = h
+	d.rd = r
+	pt.k.AfterFunc(0, d.run)
 }
 
 // sendData ships data from host from into pipe p, arriving at the

@@ -73,7 +73,7 @@ func (nw *Network) Partition(from int, sideB []bool) {
 				continue
 			}
 			for _, c := range h.conns {
-				if pt.faults.cut(c.h.id, c.peerHost.id) {
+				if pt.faults.cut(c.host().id, c.peer().id) {
 					crossing = append(crossing, c)
 				}
 			}

@@ -308,14 +308,24 @@ func (nw *Network) SetProcDelay(f ProcDelayFunc) { nw.proc = f }
 func (nw *Network) SetSilentFailures(on bool) { nw.silent = on }
 
 // FootprintBytes reports the long-lived heap the network layer holds —
-// the host slab, the open connection endpoints (half a connPair each;
-// closed ones cost nothing) and the payload buffer pools — for the memory
-// plane's accountant. It only reads sizes, so sampling it never perturbs a
+// the host slab, its connection tables, what each open endpoint pins
+// (half its connPair and the segs array of the pipe it reads; closed ones
+// cost nothing) and the payload buffer pools — for the memory plane's
+// accountant. It only reads sizes, so sampling it never perturbs a
 // schedule; call it between runs, when no partition is mutating its hosts.
 func (nw *Network) FootprintBytes() uint64 {
+	const (
+		ptrBytes      = uint64(unsafe.Sizeof((*conn)(nil)))
+		segBytes      = uint64(unsafe.Sizeof([]byte(nil)))
+		endpointBytes = uint64(unsafe.Sizeof(connPair{}) / 2)
+	)
 	b := uint64(len(nw.slab)) * uint64(unsafe.Sizeof(Host{}))
 	for i := range nw.slab {
-		b += uint64(len(nw.slab[i].conns)) * uint64(unsafe.Sizeof(connPair{})/2)
+		h := &nw.slab[i]
+		b += uint64(cap(h.conns)) * ptrBytes
+		for _, c := range h.conns {
+			b += endpointBytes + uint64(cap(c.rd().segs))*segBytes
+		}
 	}
 	for i := range nw.parts {
 		pt := &nw.parts[i]

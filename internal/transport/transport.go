@@ -123,20 +123,20 @@ type Conn interface {
 
 // EventConn is an optional Conn extension for event-driven readers.
 // Instead of parking a task inside Read, a reader drains buffered data
-// with TryRead and arms a one-shot OnReadable callback when it runs dry;
-// the transport invokes the callback (on its scheduler) when data, EOF,
+// with TryRead and arms itself with a one-shot OnReadable when it runs
+// dry; the transport calls r.Readable (on its scheduler) when data, EOF,
 // or an error next arrives. The simulated network implements it so that
-// an idle connection costs no parked goroutine; the wake-up consumes
-// exactly one scheduler event either way, which keeps event-driven and
-// task-based readers schedule-identical in simulation.
+// an idle connection costs no parked goroutine and holds no closure; the
+// wake-up consumes exactly one scheduler event either way, which keeps
+// event-driven and task-based readers schedule-identical in simulation.
 //
 // TryRead never blocks: it returns (0, nil) when nothing is buffered.
-// OnReadable must only be armed while no Read is outstanding, and the
-// callback must not block (it may hand off to a task).
+// OnReadable must only be armed while no Read is outstanding, and
+// Readable must not block (it may hand off to a task).
 type EventConn interface {
 	Conn
 	TryRead(p []byte) (int, error)
-	OnReadable(cb func())
+	OnReadable(r llenc.Readable)
 }
 
 // EventListener is the accept-side analogue of EventConn: TryAccept

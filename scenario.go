@@ -485,20 +485,35 @@ func (s *Session) startChurn() error {
 			}
 			// job.nodes as the controller would ship it: one running
 			// instance as the rendez-vous (all of them for FullList),
-			// empty for the first join.
-			var live []transport.Addr
+			// empty for the first join. The rendez-vous is the k-th
+			// running slot of a count, not an entry of a list built to
+			// be thrown away: the same draw picks the same instance.
+			var nodes []transport.Addr
+			running := 0
 			for _, o := range s.slots {
 				if o.inst != nil {
-					live = append(live, transport.Addr{Host: o.name, Port: port})
+					running++
+					if spec.FullList {
+						nodes = append(nodes, transport.Addr{Host: o.name, Port: port})
+					}
 				}
 			}
-			if !spec.FullList && len(live) > 0 {
-				live = []transport.Addr{live[jrng.Intn(len(live))]}
+			if !spec.FullList && running > 0 {
+				k := jrng.Intn(running)
+				for _, o := range s.slots {
+					if o.inst != nil {
+						if k == 0 {
+							nodes = []transport.Addr{{Host: o.name, Port: port}}
+							break
+						}
+						k--
+					}
+				}
 			}
 			job := core.JobInfo{
 				JobID:    s.sc.label(),
 				Me:       transport.Addr{Host: sl.name, Port: port},
-				Nodes:    live,
+				Nodes:    nodes,
 				Position: i + 1,
 			}
 			sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, s.logger(0), app)
