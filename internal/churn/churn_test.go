@@ -2,6 +2,7 @@ package churn
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -258,5 +259,41 @@ func TestExecutorStopCancels(t *testing.T) {
 	k.Run()
 	if n != 0 {
 		t.Fatalf("canceled event fired")
+	}
+}
+
+// TestExecutorSpawnsInTraceOrder: events that share an instant start in
+// trace order at that instant, and a Stop between instants cancels what
+// is left of a long trace.
+func TestExecutorSpawnsInTraceOrder(t *testing.T) {
+	k := sim.NewKernel()
+	rt := core.NewSimRuntime(k, 1)
+	var log []string
+	ctl := NodeControlFuncs{
+		Start: func(slot int) { log = append(log, fmt.Sprintf("%s start %d", k.Since(), slot)) },
+		Stop:  func(slot int) { log = append(log, fmt.Sprintf("%s stop %d", k.Since(), slot)) },
+	}
+	tr := Trace{
+		{At: 2 * time.Second, Action: Leave, Node: 3},
+		{At: time.Second, Action: Join, Node: 3},
+		{At: time.Second, Action: Join, Node: 1},
+		{At: 2 * time.Second, Action: Join, Node: 2},
+		{At: time.Second, Action: Join, Node: 2},
+		{At: time.Hour, Action: Join, Node: 9},
+	}
+	for i := 0; i < 1000; i++ {
+		tr = append(tr, Event{At: time.Hour + time.Duration(i)*time.Second, Action: Join, Node: 10 + i})
+	}
+	ex := NewExecutor(rt, tr, ctl)
+	k.Go(ex.Run)
+	k.RunFor(3 * time.Second)
+	want := []string{"1s start 3", "1s start 1", "1s start 2", "2s stop 3"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("replay = %q, want %q", log, want)
+	}
+	ex.Stop()
+	k.Run()
+	if len(log) != len(want) {
+		t.Fatalf("%d commands after Stop, want none", len(log)-len(want))
 	}
 }

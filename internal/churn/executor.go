@@ -2,6 +2,7 @@ package churn
 
 import (
 	"sync"
+	"time"
 
 	"github.com/splaykit/splay/internal/core"
 )
@@ -29,19 +30,26 @@ func (f NodeControlFuncs) StopNode(slot int) { f.Stop(slot) }
 // Executor replays a trace against a NodeControl on a runtime: the churn
 // manager component of Fig. 2, which "sends instructions to the daemons
 // for stopping and starting processes on-the-fly".
+//
+// A replay holds one timer whatever the trace's length, so a churned
+// session's heap does not grow with the trace: a cursor walks the sorted
+// trace, and each fire handles every event at that instant, in trace
+// order, then re-arms the same timer for the next instant.
 type Executor struct {
 	rt    core.Runtime
 	ctl   NodeControl
 	trace Trace
+	fire  func() // e.step, bound once
 
-	// mu guards the replay state: under LiveRuntime the scheduled events
-	// fire from time.AfterFunc goroutines, concurrently with each other
-	// and with Alive/Counts/Stop callers.
+	// mu guards the replay state: under LiveRuntime the timer fires from a
+	// time.AfterFunc goroutine, concurrently with Alive/Counts/Stop callers.
 	mu      sync.Mutex
+	start   time.Time // the instant Run was called; event times count from it
+	next    int       // the trace index of the next event to fire
 	alive   map[int]bool
 	started int
 	stopped int
-	timers  []core.Timer
+	timer   core.Timer
 	halted  bool
 }
 
@@ -49,51 +57,59 @@ type Executor struct {
 func NewExecutor(rt core.Runtime, trace Trace, ctl NodeControl) *Executor {
 	sorted := append(Trace(nil), trace...)
 	sorted.Sort()
-	return &Executor{rt: rt, ctl: ctl, trace: sorted, alive: make(map[int]bool)}
+	e := &Executor{rt: rt, ctl: ctl, trace: sorted, alive: make(map[int]bool)}
+	e.fire = e.step
+	return e
 }
 
-// Run schedules every trace event relative to now. It returns immediately;
-// events fire as tasks on the runtime.
+// Run schedules the trace relative to now. It returns immediately; events
+// fire as tasks on the runtime.
 func (e *Executor) Run() {
-	for _, ev := range e.trace {
-		t := e.rt.After(ev.At, func() {
-			e.mu.Lock()
-			if e.halted {
-				// Stop won the race with this in-flight fire.
-				e.mu.Unlock()
-				return
-			}
-			var run func()
-			switch ev.Action {
-			case Join:
-				if !e.alive[ev.Node] {
-					e.alive[ev.Node] = true
-					e.started++
-					run = func() { e.ctl.StartNode(ev.Node) }
-				}
-			case Leave:
-				if e.alive[ev.Node] {
-					delete(e.alive, ev.Node)
-					e.stopped++
-					run = func() { e.ctl.StopNode(ev.Node) }
-				}
-			}
-			e.mu.Unlock()
-			// Node control may block (protocol joins, socket teardown),
-			// so it runs as a task, never on the event loop itself.
-			if run != nil {
-				e.rt.Go(run)
-			}
-		})
-		e.mu.Lock()
-		if e.halted {
-			e.mu.Unlock()
-			t.Stop()
-			return
-		}
-		e.timers = append(e.timers, t)
-		e.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.start = e.rt.Now()
+	e.arm()
+}
+
+// arm schedules the timer for the event at the cursor, if any. The caller
+// holds e.mu.
+func (e *Executor) arm() {
+	if e.halted || e.next >= len(e.trace) {
+		return
 	}
+	e.timer = e.rt.After(e.start.Add(e.trace[e.next].At).Sub(e.rt.Now()), e.fire)
+}
+
+// step handles every event at the cursor's instant, in trace order, and
+// arms the timer for the next one.
+func (e *Executor) step() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.halted {
+		// Stop won the race with this in-flight fire.
+		return
+	}
+	at := e.trace[e.next].At
+	for ; e.next < len(e.trace) && e.trace[e.next].At == at; e.next++ {
+		ev := e.trace[e.next]
+		// Node control may block (protocol joins, socket teardown), so it
+		// runs as a task, never on the event loop itself.
+		switch ev.Action {
+		case Join:
+			if !e.alive[ev.Node] {
+				e.alive[ev.Node] = true
+				e.started++
+				e.rt.Go(func() { e.ctl.StartNode(ev.Node) })
+			}
+		case Leave:
+			if e.alive[ev.Node] {
+				delete(e.alive, ev.Node)
+				e.stopped++
+				e.rt.Go(func() { e.ctl.StopNode(ev.Node) })
+			}
+		}
+	}
+	e.arm()
 }
 
 // Stop cancels all pending events and suppresses in-flight fires
@@ -102,12 +118,8 @@ func (e *Executor) Run() {
 func (e *Executor) Stop() {
 	e.mu.Lock()
 	e.halted = true
-	timers := e.timers
-	e.timers = nil
+	e.timer.Stop()
 	e.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 }
 
 // Alive returns the currently live slot count.
