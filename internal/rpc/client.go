@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -33,14 +34,15 @@ type Client struct {
 	// goroutines. It is held only across memory operations — never a
 	// dial, an encode, or a waiter Wait — so the cooperative event
 	// order in simulation is untouched.
-	// peers is the connection pool as a short slice scanned by address;
-	// at memory-plane scale a per-client map costs more than its entries.
-	// Measured over seed-1 bench runs (set-up and window): a Chord node
-	// pools 12 peers on average and never more than 25, and 99 % of its
-	// calls reuse one (chord_plain); a Cyclon node pools 37 on average,
-	// at most 93, but only 8 % of its calls reuse one (cyclon_churn),
-	// 0.2 % on platform_jobs — gossip mostly dials, and the pool is
-	// mostly idle connections, which is why a peerConn is kept small.
+	// peers is the connection pool, least recently used first: a pooled
+	// hit moves its peer to the end, and a new dial that pushes the pool
+	// past maxPooledPeers closes the oldest idle ready peer (evictIdle).
+	// A short slice scanned by address: at ≤ 16 entries a per-client map
+	// costs more than its entries. Measured over seed-1 bench runs
+	// (set-up and window): a Chord node pools 11.7 peers on average and
+	// reuses one on 99 % of its calls (chord_plain); a Cyclon node reuses
+	// one on 4 % (cyclon_churn) and pools 14. Uncapped, gossip would keep
+	// every peer it ever reached open: 37 per node on average, at most 93.
 	mu      sync.Mutex
 	peers   []*peerConn
 	writers []parkedWriter                  // tasks parked on a peer's write lock, oldest first
@@ -55,6 +57,14 @@ type Client struct {
 	// Allocated only when redials are instrumented.
 	deadPeers map[transport.Addr]struct{}
 }
+
+// maxPooledPeers bounds a client's pool: the most recently used peers
+// stay open, older idle ones are closed and redialed on their next call.
+// 16 holds Chord's working set (successors, predecessor, the fingers it
+// uses): a 300-node ring evicts ≈ 150 times in 435k calls. Gossip, which
+// reaches a different peer almost every round, keeps 16 sockets per node
+// instead of one per peer it ever reached.
+const maxPooledPeers = 16
 
 // redialState is one destination's backoff clock. An entry exists only
 // while the destination is failing: it is created on a failed dial and
@@ -71,32 +81,21 @@ func NewClient(ctx *core.AppContext) *Client {
 	return &Client{ctx: ctx, Timeout: DefaultTimeout, Fault: ctx.RPCFault(), ins: &noInstruments}
 }
 
-// findPeer returns the pooled connection to the destination, or nil.
-// Caller holds c.mu.
-func (c *Client) findPeer(to transport.Addr) *peerConn {
-	for _, p := range c.peers {
+// usePeer returns the pooled connection to the destination, or nil, and
+// makes it the most recently used. Caller holds c.mu.
+func (c *Client) usePeer(to transport.Addr) *peerConn {
+	for i, p := range c.peers {
 		if p.to == to {
+			copy(c.peers[i:], c.peers[i+1:])
+			c.peers[len(c.peers)-1] = p
 			return p
 		}
 	}
 	return nil
 }
 
-// addPeer pools pc, replacing any previous connection to the same
-// destination (the exact semantics of the map assignment it replaces).
-// Caller holds c.mu.
-func (c *Client) addPeer(pc *peerConn) {
-	for i := range c.peers {
-		if c.peers[i].to == pc.to {
-			c.peers[i] = pc
-			return
-		}
-	}
-	c.peers = append(c.peers, pc)
-}
-
 // removePeer drops p from the pool if it is still pooled there. Matching
-// by connection (not address) means a failed connection can never evict
+// by connection (not address) means a failed connection can never drop
 // its own replacement. Caller holds c.mu.
 func (c *Client) removePeer(p *peerConn) {
 	for i := range c.peers {
@@ -107,6 +106,39 @@ func (c *Client) removePeer(p *peerConn) {
 			c.peers = c.peers[:last]
 			return
 		}
+	}
+}
+
+// evicted is the verdict on a peer the pool closed to make room. Only a
+// call that took the peer from the pool just before the eviction can read
+// it, before it sent anything, and that call redials (callInstrumented).
+var evicted = &connError{op: opLost, err: errors.New("evicted from the pool")}
+
+// evictIdle closes the least recently used idle ready peer while the pool
+// is over its cap: one with no call in flight, no dial waiter and a free
+// write lock. A peer still dialing or in use is never closed, so the pool
+// may stay over the cap until one of them goes idle. An eviction is not a
+// failure: the destination is not marked for the Redials count.
+func (c *Client) evictIdle() {
+	for {
+		c.mu.Lock()
+		var conn transport.Conn
+		if len(c.peers) > maxPooledPeers {
+			for i, p := range c.peers {
+				if p.conn != nil && len(p.pending) == 0 && !p.writing {
+					p.err = evicted
+					c.peers = slices.Delete(c.peers, i, i+1)
+					conn = p.conn
+					break
+				}
+			}
+		}
+		c.mu.Unlock()
+		if conn == nil {
+			return
+		}
+		c.ctx.Untrack(conn)
+		conn.Close()
 	}
 }
 
@@ -163,11 +195,29 @@ func (c *Client) CallTimeout(to transport.Addr, timeout time.Duration, method st
 
 // callInstrumented is CallTimeout's body behind the instrument hooks.
 func (c *Client) callInstrumented(to transport.Addr, timeout time.Duration, start time.Time, method string, args []any) (Result, error) {
-	pc, err := c.peer(to, timeout)
+	for {
+		res, err := c.callPeer(to, timeout, start, method, args)
+		if err != evicted {
+			return res, err
+		}
+		// The pool closed the peer between our pick and our call (another
+		// task's dial, or a live goroutine's): nothing was sent, so dial
+		// again within what is left of the budget.
+	}
+}
+
+// callPeer makes one attempt at the call, on a pooled connection or a new
+// one, within what is left of the budget that started at start.
+func (c *Client) callPeer(to transport.Addr, timeout time.Duration, start time.Time, method string, args []any) (Result, error) {
+	remaining := timeout - c.ctx.Now().Sub(start)
+	if remaining <= 0 {
+		return nil, ErrTimeout
+	}
+	pc, err := c.peer(to, remaining)
 	if err != nil {
 		return nil, err
 	}
-	remaining := timeout - c.ctx.Now().Sub(start)
+	remaining = timeout - c.ctx.Now().Sub(start)
 	if remaining <= 0 {
 		return nil, ErrTimeout
 	}
@@ -188,8 +238,8 @@ func (c *Client) Ping(to transport.Addr, timeout time.Duration) (time.Duration, 
 // needed.
 func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, error) {
 	c.mu.Lock()
-	pc := c.findPeer(to)
-	if pc != nil && pc.err == nil {
+	pc := c.usePeer(to)
+	if pc != nil { // pooled peers carry no verdict: fail and evictIdle unpool them
 		if pc.conn != nil {
 			c.mu.Unlock()
 			return pc, nil
@@ -233,7 +283,8 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 		return pc, nil
 	}
 	pc = &peerConn{client: c, to: to}
-	c.addPeer(pc)
+	c.peers = append(c.peers, pc)
+	full := len(c.peers) > maxPooledPeers
 	var wait time.Duration
 	if c.ins.Redials != nil {
 		// A pooled peer to this destination died since last use: this
@@ -250,6 +301,9 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 		}
 	}
 	c.mu.Unlock()
+	if full {
+		c.evictIdle()
+	}
 	if wait > 0 {
 		// Backoff: this destination failed recently; later callers park
 		// as dial waiters on pc and share the verdict, so the whole

@@ -109,3 +109,72 @@ func TestRegisterWhileServingUnderLiveRuntime(t *testing.T) {
 	default:
 	}
 }
+
+// TestEvictionRacesLiveCalls: under LiveRuntime a dial on one goroutine
+// may evict a peer another goroutine has just taken from the pool and not
+// yet called on. Fifteen calls held open on their own servers keep the
+// rest of the pool busy, so the one hot peer a caller hammers is the only
+// one a dial can evict; two goroutines dial a closed port in a loop, and
+// every such dial evicts the hot peer whenever it is idle — often in that
+// window. Every hot call must succeed (a call whose peer was evicted
+// under it redials); the race detector checks the pool's bookkeeping.
+func TestEvictionRacesLiveCalls(t *testing.T) {
+	t.Parallel()
+	rt := core.NewLiveRuntime(1)
+	release := make(chan struct{})
+	server := func() (*core.AppContext, transport.Addr) {
+		sctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+		t.Cleanup(sctx.Kill)
+		srv := NewServer(sctx)
+		srv.Register("echo", func(args Args) (any, error) { return args.Int(0), nil })
+		srv.Register("hold", func(args Args) (any, error) { <-release; return nil, nil })
+		if err := srv.Start(0); err != nil {
+			t.Fatalf("start: %v", err)
+		}
+		return sctx, transport.Addr{Host: "127.0.0.1", Port: srv.Addr().Port}
+	}
+	cctx := core.NewAppContext(rt, livenet.NewNode("127.0.0.1"), core.JobInfo{}, nil)
+	defer cctx.Kill()
+	c := NewClient(cctx)
+
+	var holders sync.WaitGroup
+	for i := 0; i < maxPooledPeers-1; i++ {
+		_, a := server()
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			if _, err := c.CallTimeout(a, 30*time.Second, "hold"); err != nil {
+				t.Errorf("held call: %v", err)
+			}
+		}()
+	}
+	defer holders.Wait()
+	defer close(release)
+	_, hot := server()
+	gone, closed := server()
+	gone.Kill() // its port now refuses: every dial there fails at once
+
+	stop := make(chan struct{})
+	var dialers sync.WaitGroup
+	defer dialers.Wait()
+	defer close(stop)
+	for g := 0; g < 2; g++ {
+		dialers.Add(1)
+		go func() {
+			defer dialers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.CallTimeout(closed, time.Second, "echo", 0) //nolint:errcheck
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		if _, err := c.CallTimeout(hot, 10*time.Second, "echo", i); err != nil {
+			t.Fatalf("hot call %d: %v", i, err)
+		}
+	}
+}
