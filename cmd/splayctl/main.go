@@ -30,11 +30,10 @@
 // population view — the in-flight counterpart of the paper's log collector;
 // with -job it follows one hosted job (as its tenant) until it settles.
 // "daemons" counts the connected fleet. "faults inject -kind crash"
-// drops daemon control sessions (daemons started with -reconnect redial
-// with backoff), "-kind partition" blacklists a fraction of the
-// population — the controller pushes the blacklist to every daemon,
-// whose sandboxes then refuse traffic to the cut side — and "faults
-// heal" clears the blacklist.
+// drops daemon control sessions (daemons redial with backoff), "-kind
+// partition" blacklists a fraction of the population — the controller
+// pushes the blacklist to every daemon, whose sandboxes then refuse
+// traffic to the cut side — and "faults heal" clears the blacklist.
 //
 // Every subcommand bounds each HTTP request with -timeout; a platform's
 // refusal arrives as its typed error (code and detail). Exit status is 2
@@ -49,7 +48,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -63,7 +61,6 @@ import (
 	"time"
 
 	splay "github.com/splaykit/splay"
-	"github.com/splaykit/splay/internal/hosting"
 )
 
 // errUsage marks a command-line mistake; the flag package has by then
@@ -163,29 +160,12 @@ func (c *cmd) sleep(d time.Duration) bool {
 	}
 }
 
-// operate issues one operator request and returns the response body; a
-// refusal comes back as the typed *splay.HostError the platform sent.
+// operate issues one operator request to the route at url and returns
+// the response body; a refusal comes back as the typed *splay.HostError.
 func (c *cmd) operate(method, url string, body []byte) ([]byte, error) {
 	ctx, cancel := c.request()
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+c.key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, hosting.DecodeError(resp.StatusCode, out)
-	}
-	return out, nil
+	return splay.Connect(url, c.key).Request(ctx, method, "", body)
 }
 
 // show prints an operator route's answer.
@@ -203,7 +183,8 @@ func (c *cmd) faults(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("need an action (inject or heal): %w", errUsage)
 	}
-	kind := c.fs.String("kind", "crash", "fault to inject: crash or partition")
+	kind := c.fs.String("kind", splay.FaultCrash.String(),
+		fmt.Sprintf("fault to inject: %s or %s", splay.FaultCrash, splay.FaultPartition))
 	count := c.fs.Int("count", 0, "number of daemons to hit")
 	fraction := c.fs.Float64("fraction", 0, "population fraction to hit (alternative to -count)")
 	url, err := c.parseURL(args[1:])
@@ -211,12 +192,12 @@ func (c *cmd) faults(args []string) error {
 		return err
 	}
 	switch args[0] {
-	case "inject":
+	case splay.ActInject.String():
 		body, _ := json.Marshal(map[string]any{ //nolint:errcheck // static shape
 			"kind": *kind, "count": *count, "fraction": *fraction,
 		})
 		return c.show(http.MethodPost, url+"/faults/inject", body)
-	case "heal":
+	case splay.FaultHeal.String():
 		return c.show(http.MethodPost, url+"/faults/heal", nil)
 	}
 	return fmt.Errorf("unknown action %q (want inject or heal): %w", args[0], errUsage)

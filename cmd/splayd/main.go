@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	splayd -controller 127.0.0.1:5555 -name host-a [-tls] [-reconnect]
+//	splayd -controller 127.0.0.1:5555 -name host-a [-tls]
 //	       [-metrics 127.0.2.1:5556]
 //	splayd -host [-port 5555] [-http 8080] [-metrics-port 5556]
 //	       [-capacity n] [-operator ko] -tenant alice:ka:100 -tenant bob:kb
@@ -96,8 +96,6 @@ func main() {
 	maxTx := flag.Int64("max-tx", 0, "per-app lifetime egress bytes (0 = unlimited)")
 	metricsAddr := flag.String("metrics", "", "aggregator address for metric reports (empty disables)")
 	metricsKey := flag.String("metrics-key", "splay", "key authenticating metric streams: daemons present it, the platform (host mode) requires it")
-	reconnect := flag.Bool("reconnect", false,
-		"redial the controller with jittered exponential backoff when the session drops")
 	hostMode := flag.Bool("host", false,
 		"run the resident hosting platform (controller + multi-tenant job API) instead of a daemon")
 	hostPort := flag.Int("port", 5555, "daemon connection port (host mode)")
@@ -151,7 +149,9 @@ func main() {
 	}
 	cfg := daemon.DefaultConfig(*name)
 	cfg.Net = sandbox.NetLimits{MaxSockets: *maxSockets, MaxTxBytes: *maxTx}
-	cfg.Reconnect = *reconnect
+	// A dropped controller session is redialed with jittered exponential
+	// backoff; running instances survive the gap.
+	cfg.Reconnect = true
 	lg := logging.New(&logging.WriterSink{W: os.Stdout}, *name, "", nil)
 	d := daemon.New(rt, node, builtinRegistry(maddr, *metricsKey), cfg, lg)
 
@@ -163,24 +163,13 @@ func main() {
 		go report(context.Background(), node, maddr, reg, *metricsKey, *name)
 	}
 
-	for {
-		if err := d.Connect(addr); err != nil {
-			log.Printf("splayd: %v (retrying in 5s)", err)
-			time.Sleep(5 * time.Second)
-			continue
-		}
-		log.Printf("splayd %s: connected to %s", *name, addr)
-		if *reconnect {
-			// The daemon owns the redial loop from here: a dropped session
-			// is redialed with jittered exponential backoff, and running
-			// instances survive the gap.
-			select {}
-		}
-		for d.Connected() {
-			time.Sleep(time.Second)
-		}
-		log.Printf("splayd %s: connection lost, reconnecting", *name)
+	for err := d.Connect(addr); err != nil; err = d.Connect(addr) {
+		log.Printf("splayd: %v (retrying in 5s)", err)
+		time.Sleep(5 * time.Second)
 	}
+	log.Printf("splayd %s: connected to %s", *name, addr)
+	// The daemon owns the redial loop from here.
+	select {}
 }
 
 // builtinRegistry is the application registry the daemon instantiates
@@ -196,31 +185,20 @@ func builtinRegistry(maddr transport.Addr, key string) *core.Registry {
 }
 
 // report streams reg to the aggregator at addr as the named node until
-// ctx ends, one flush per 5 s period. A failed dial is retried next
-// period; a failed flush redials at once — Reconnect keeps the delta
-// state, so the stream resumes with increments, never re-shipping
-// lifetime totals.
+// ctx ends, one flush per 5 s period, redialing whatever fails.
 func report(ctx context.Context, node transport.Node, addr transport.Addr, reg *metrics.Registry, key, name string) {
-	var rep *metrics.Reporter
-	var err error
-	for {
-		if rep == nil {
-			rep, err = metrics.DialReporter(node, addr, reg, metrics.ReporterConfig{Key: key, Node: name})
-		} else if err = rep.Flush(); err != nil {
-			err = rep.Reconnect()
-		}
-		if err != nil {
-			log.Printf("splayd: metrics: %v (retrying)", err)
-		}
-		select {
-		case <-time.After(5 * time.Second):
-		case <-ctx.Done():
-			if rep != nil {
-				rep.Close() //nolint:errcheck // nothing left to flush to
+	metrics.Stream(node, addr, reg, metrics.ReporterConfig{Key: key, Node: name}, 5*time.Second, //nolint:errcheck // a redialing stream returns nil
+		func(d time.Duration, err error) bool {
+			if err != nil {
+				log.Printf("splayd: metrics: %v (retrying)", err)
 			}
-			return
-		}
-	}
+			select {
+			case <-time.After(d):
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		}, true)
 }
 
 // hostOptions is host mode's share of the command line.

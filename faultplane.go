@@ -248,9 +248,6 @@ func (a *actuators) rebuildRules() {
 // (0, whose logger reports a failure), so a slow deployment never stalls
 // the engine's evaluation ticks.
 func (a *actuators) Grow(count int) error {
-	if count <= 0 {
-		return fmt.Errorf("splay: grow count %d", count)
-	}
 	if a.s.ctl == nil {
 		return fmt.Errorf("splay: grow %d: %w", count, ErrNoController)
 	}

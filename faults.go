@@ -42,6 +42,11 @@ type (
 	AssertionError = faults.AssertionError
 	// AssertionFailure is one violated assertion.
 	AssertionFailure = faults.AssertionFailure
+	// FaultPlanError is a fault plan, trigger rule or assertion that
+	// cannot run (Start refuses it before provisioning), or a condition
+	// or action line that does not parse. Field names the offender
+	// ("faults.events[0].fraction", "assert[1].cond.metric").
+	FaultPlanError = faults.PlanError
 	// Backoff is a jittered exponential backoff schedule (daemon
 	// reconnect, RPC redial pacing).
 	Backoff = faults.Backoff

@@ -549,33 +549,13 @@ func faultPlan(n *node, path string) (*faults.Plan, *Error) {
 	return plan, nil
 }
 
-var faultKinds = map[string]faults.EventKind{
-	"crash":     faults.Crash,
-	"restart":   faults.Restart,
-	"partition": faults.Partition,
-	"heal":      faults.Heal,
-	"degrade":   faults.Degrade,
-	"restore":   faults.Restore,
-	"rpc-fault": faults.RPCFault,
-	"rpc-clear": faults.RPCClear,
-}
-
-const eventKinds = "crash, restart, partition, heal, degrade, restore, rpc-fault or rpc-clear"
-
 func faultEvent(n *node, path string) (faults.Event, *Error) {
 	var ev faults.Event
 	perr := bind(n, path, "each event", []field{
 		{key: "at", required: "event time required", kind: apps.KindDuration, dst: &ev.At},
-		{key: "kind", required: "event kind required (" + eventKinds + ")", conv: func(n *node, path string) *Error {
-			var kind string
-			if perr := convert(n, path, apps.KindString, &kind, nil); perr != nil {
-				return perr
-			}
-			var ok bool
-			if ev.Kind, ok = faultKinds[kind]; !ok {
-				return errf(ErrBadValue, path, n, "unknown event kind %q (want %s)", kind, eventKinds)
-			}
-			return nil
+		{key: "kind", required: "event kind required (" + faults.EventKinds.String() + ")", conv: func(n *node, path string) (perr *Error) {
+			ev.Kind, perr = oneLine(n, path, faults.EventKinds.Parse)
+			return perr
 		}},
 		{key: "fraction", kind: apps.KindFraction, dst: &ev.Fraction},
 		{key: "count", kind: apps.KindInt, dst: &ev.Count, bound: &bound{1, math.Inf(1), "count must be positive"}},
@@ -588,18 +568,7 @@ func faultEvent(n *node, path string) (faults.Event, *Error) {
 	if perr != nil {
 		return ev, perr
 	}
-	switch ev.Kind {
-	case faults.Crash:
-		if ev.Fraction == 0 && ev.Count == 0 {
-			return ev, errf(ErrMissing, path, n, "crash needs a fraction or a count")
-		}
-	case faults.Partition:
-		if ev.Fraction <= 0 || ev.Fraction >= 1 {
-			return ev, errf(ErrOutOfRange, path+".fraction", n,
-				"partition needs a fraction strictly between 0 and 1")
-		}
-	}
-	return ev, nil
+	return ev, faultErr(ev.Validate(), path, n)
 }
 
 func faultRule(n *node, path string) (faults.Rule, *Error) {
@@ -608,13 +577,13 @@ func faultRule(n *node, path string) (faults.Rule, *Error) {
 		{key: "name", required: "rule name required", kind: apps.KindString, dst: &r.Name},
 		{key: "when", required: `rule condition required, e.g. "total(chord.failed_lookups) > 10"`,
 			conv: func(n *node, path string) (perr *Error) {
-				r.When, perr = parseCondition(n, path)
+				r.When, perr = oneLine(n, path, faults.ParseCondition)
 				return perr
 			}},
 		{key: "for", kind: apps.KindDuration, dst: &r.For},
-		{key: "do", before: "for", required: `rule action required (heal, "kill n", "kill p%" or "grow n")`,
+		{key: "do", before: "for", required: "rule action required (" + faults.ActionForms + ")",
 			conv: func(n *node, path string) (perr *Error) {
-				r.Do, perr = parseAction(n, path)
+				r.Do, perr = oneLine(n, path, faults.ParseAction)
 				return perr
 			}},
 		{key: "cooldown", kind: apps.KindDuration, dst: &r.Cooldown},
@@ -626,25 +595,23 @@ func faultRule(n *node, path string) (faults.Rule, *Error) {
 func assertion(n *node, path string) (faults.Assertion, *Error) {
 	var a faults.Assertion
 	kinds := 0
-	cond := func(kind faults.AssertKind) func(*node, string) *Error {
-		return func(n *node, path string) (perr *Error) {
+	cond := func(kind faults.AssertKind) field {
+		return field{key: kind.String(), conv: func(n *node, path string) (perr *Error) {
 			kinds++
 			a.Kind = kind
-			a.Cond, perr = parseCondition(n, path)
+			a.Cond, perr = oneLine(n, path, faults.ParseCondition)
 			return perr
-		}
+		}}
 	}
 	perr := bind(n, path, "each assertion", []field{
 		{key: "name", required: "assertion name required", kind: apps.KindString, dst: &a.Name},
-		{key: "eventually", conv: cond(faults.Eventually)},
-		{key: "always", conv: cond(faults.Always)},
-		{key: "converges", conv: cond(faults.Converges)},
+		cond(faults.Eventually), cond(faults.Always), cond(faults.Converges),
 		{conv: func(n *node, path string) *Error {
 			switch {
 			case kinds == 0:
-				return errf(ErrMissing, path, n, "want one of eventually, always or converges with a condition")
+				return errf(ErrMissing, path, n, "want one of %s with a condition", faults.AssertKinds)
 			case kinds > 1:
-				return errf(ErrBadValue, path, n, "want exactly one of eventually, always or converges")
+				return errf(ErrBadValue, path, n, "want exactly one of %s", faults.AssertKinds)
 			}
 			return nil
 		}},
@@ -652,6 +619,27 @@ func assertion(n *node, path string) (faults.Assertion, *Error) {
 		{key: "after", kind: apps.KindDuration, dst: &a.After},
 	})
 	return a, perr
+}
+
+// oneLine reads a scalar in the fault language's one-line syntax: an
+// event kind, a condition or an action.
+func oneLine[T any](n *node, path string, parse func(string) (T, error)) (v T, perr *Error) {
+	s, perr := asString(n, path)
+	if perr == nil {
+		v, err := parse(s)
+		return v, faultErr(err, path, n)
+	}
+	return v, perr
+}
+
+// faultErr positions a fault-language error at n, its field below path:
+// the language's error classes are this package's codes.
+func faultErr(err error, path string, n *node) *Error {
+	if err == nil {
+		return nil
+	}
+	pe := faults.Within(path, err).(*faults.PlanError)
+	return errf(ErrorCode(pe.Class.String()), pe.Field, n, "%s", pe.Msg)
 }
 
 // ValidateWire validates a decoded wire scenario's application

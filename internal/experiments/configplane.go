@@ -34,7 +34,7 @@ func exampleDoc(rel string) ([]byte, error) {
 // configplane experiment pins the two forms byte-identical — on the
 // wire and in the run.
 func faultdrillGo() splay.Scenario {
-	return splay.Scenario{
+	sc := splay.Scenario{
 		Name:            "faultdrill",
 		Seed:            11,
 		Testbed:         splay.ModelNet(60),
@@ -50,25 +50,9 @@ func faultdrillGo() splay.Scenario {
 			Nodes:  48,
 			Params: []byte(`{"bits":40,"fault_tolerant":true,"lookups_per_min":6,"report":true}`),
 		}},
-		Faults: splay.FaultPlan{
-			Events: []splay.FaultEvent{
-				splay.PartitionAt(60*time.Second, 0.5),
-			},
-			Rules: []splay.TriggerRule{{
-				Name: "heal-on-failures",
-				When: splay.Metric("chord.failed_lookups", splay.StatTotal, splay.Above, 10),
-				For:  10 * time.Second,
-				Do:   splay.TriggerAction{Kind: splay.ActHeal},
-			}},
-			EvalEvery: 5 * time.Second,
-		},
-		Assert: []splay.Assertion{
-			splay.EventuallyHolds("partition-bites",
-				splay.Metric("chord.failed_lookups", splay.StatTotal, splay.Above, 0), 0),
-			splay.ConvergesWithin("lookups-reconverge",
-				splay.Metric("chord.failed_lookups", splay.StatRate, splay.Below, 0.5), 0),
-		},
 	}
+	sc.Faults, sc.Assert = drillFaults()
+	return sc
 }
 
 // runFingerprint flattens a run into one comparable string: job states

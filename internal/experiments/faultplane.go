@@ -82,6 +82,31 @@ type faultplaneRun struct {
 	reconvergeS float64
 }
 
+// drillFaults is the drill this experiment and the faultdrill document's
+// Go twin (configplane) both run: cut half the population at +60 s, and
+// heal once the partition has demonstrably bitten — ten observed
+// failures, sustained two ticks. The trigger watches the monotonic total,
+// not the instantaneous rate: fault-tolerant Chord reroutes around the
+// cut within seconds, so the rate spikes and collapses while the total
+// holds.
+func drillFaults() (splay.FaultPlan, []splay.Assertion) {
+	return splay.FaultPlan{
+			Events: []splay.FaultEvent{splay.PartitionAt(fpPartitionAt, 0.5)},
+			Rules: []splay.TriggerRule{{
+				Name: "heal-on-failures",
+				When: splay.Metric("chord.failed_lookups", splay.StatTotal, splay.Above, 10),
+				For:  10 * time.Second,
+				Do:   splay.TriggerAction{Kind: splay.ActHeal},
+			}},
+			EvalEvery: 5 * time.Second,
+		}, []splay.Assertion{
+			splay.EventuallyHolds("partition-bites",
+				splay.Metric("chord.failed_lookups", splay.StatTotal, splay.Above, 0), 0),
+			splay.ConvergesWithin("lookups-reconverge",
+				splay.Metric("chord.failed_lookups", splay.StatRate, splay.Below, 0.5), 0),
+		}
+}
+
 // runFaultplane provisions, deploys, arms the plan and drives the
 // workload. Everything rides the scenario SDK: the plan and assertions
 // are declared on the Scenario; the experiment only supplies the
@@ -98,30 +123,8 @@ func runFaultplane(w io.Writer, daemons, nodes int, seed int64, workers int) (*f
 			ReportEvery: fpReportEvery,
 			Key:         fpKey,
 		},
-		Faults: splay.FaultPlan{
-			Events: []splay.FaultEvent{
-				splay.PartitionAt(fpPartitionAt, 0.5),
-			},
-			// Heal once the partition has demonstrably bitten: ten
-			// observed failures, sustained two ticks. The trigger watches
-			// the monotonic total, not the instantaneous rate — fault-
-			// tolerant Chord reroutes around the cut within seconds, so
-			// the rate spikes and collapses while the total holds.
-			Rules: []splay.TriggerRule{{
-				Name: "heal-on-failures",
-				When: splay.Metric("chord.failed_lookups", splay.StatTotal, splay.Above, 10),
-				For:  10 * time.Second,
-				Do:   splay.TriggerAction{Kind: splay.ActHeal},
-			}},
-			EvalEvery: 5 * time.Second,
-		},
-		Assert: []splay.Assertion{
-			splay.EventuallyHolds("partition-bites",
-				splay.Metric("chord.failed_lookups", splay.StatTotal, splay.Above, 0), 0),
-			splay.ConvergesWithin("lookups-reconverge",
-				splay.Metric("chord.failed_lookups", splay.StatRate, splay.Below, 0.5), 0),
-		},
 	}
+	sc.Faults, sc.Assert = drillFaults()
 	ccfg := chord.FaultTolerantConfig()
 	ccfg.Bits = fpBits
 	ccfg.RPCTimeout = fpRPCTimeout

@@ -68,8 +68,9 @@ type condState struct {
 }
 
 // NewEngine builds an engine over the session's runtime, metric view and
-// actuators. view may be nil only when the plan has no rules and asserts
-// is empty (enforced by the scenario layer); logf may be nil.
+// actuators. The plan and every assertion must Validate, and view may be
+// nil only when the plan has no rules and asserts is empty (both enforced
+// by the scenario layer); logf may be nil.
 func NewEngine(rt core.Runtime, view View, act Actuators, plan Plan, asserts []Assertion, logf func(string, ...any)) *Engine {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -389,9 +390,6 @@ func (e *Engine) doAction(a Action) error {
 	case ActGrow:
 		return e.act.Grow(a.Count)
 	case ActInject:
-		if a.Event == nil {
-			return fmt.Errorf("faults: inject action without an event")
-		}
 		return e.applyEvent(*a.Event)
 	}
 	return fmt.Errorf("faults: unknown action kind %d", int(a.Kind))

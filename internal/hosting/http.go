@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/splaykit/splay/internal/faults"
 	"github.com/splaykit/splay/internal/metrics"
 )
 
@@ -147,20 +148,20 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		victims := names[:n]
-		switch req.Kind {
-		case "crash":
+		switch kind, err := faults.EventKinds.Parse(req.Kind); {
+		case err == nil && kind == faults.Crash:
 			dropped := make([]string, 0, n)
 			for _, name := range victims {
 				if s.fleet.DropDaemon(name) {
 					dropped = append(dropped, name)
 				}
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"kind": "crash", "dropped": dropped})
-		case "partition":
+			writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "dropped": dropped})
+		case err == nil && kind == faults.Partition:
 			s.fleet.SetBlacklist(victims)
-			writeJSON(w, http.StatusOK, map[string]any{"kind": "partition", "blacklisted": victims})
+			writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "blacklisted": victims})
 		default:
-			writeErr(w, &JobError{Code: ErrBadRequest, Detail: "kind must be crash or partition"})
+			writeErr(w, &JobError{Code: ErrBadRequest, Detail: fmt.Sprintf("kind must be %s or %s", faults.Crash, faults.Partition)})
 		}
 	}))
 	mux.HandleFunc("POST /faults/heal", s.operator(func(w http.ResponseWriter, _ *http.Request) {

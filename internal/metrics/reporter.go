@@ -110,3 +110,33 @@ func (r *Reporter) Sent() (frames, bytes uint64) {
 
 // Close closes the stream.
 func (r *Reporter) Close() error { return r.conn.Close() }
+
+// Stream is a process's one reporter loop: dial, one flush per period,
+// close once wait says stop. wait sleeps d on the caller's clock (so a
+// simulated stream keeps its schedule), is told the last dial or flush
+// error, and reports whether to go on. With redial a failed dial is
+// retried next period and a failed flush reconnects, keeping the delta
+// state; without it the dial's error is returned.
+func Stream(node transport.Node, addr transport.Addr, reg *Registry, cfg ReporterConfig,
+	period time.Duration, wait func(d time.Duration, err error) bool, redial bool) error {
+	rep, err := DialReporter(node, addr, reg, cfg)
+	if err != nil && !redial {
+		return err
+	}
+	for wait(period, err) {
+		switch {
+		case rep == nil:
+			rep, err = DialReporter(node, addr, reg, cfg)
+		case redial:
+			if err = rep.Flush(); err != nil {
+				err = rep.Reconnect()
+			}
+		default:
+			rep.Flush() //nolint:errcheck // retried next period
+		}
+	}
+	if rep != nil {
+		rep.Close() //nolint:errcheck // nothing left to flush to
+	}
+	return nil
+}

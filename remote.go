@@ -35,16 +35,18 @@ func Connect(url, key string) *Remote {
 	}
 }
 
-// do issues one authenticated request and decodes the response into
-// out. Non-2xx responses come back as typed *HostError.
-func (r *Remote) do(ctx context.Context, method, path string, body []byte, out any) error {
+// Request issues one authenticated request for path and returns the
+// response body undecoded — what the operator routes (/metrics,
+// /daemons, /faults/…) are read with. Non-2xx responses come back as
+// typed *HostError.
+func (r *Remote) Request(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, r.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Authorization", "Bearer "+r.key)
 	if body != nil {
@@ -52,23 +54,29 @@ func (r *Remote) do(ctx context.Context, method, path string, body []byte, out a
 	}
 	resp, err := r.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return hosting.DecodeError(resp.StatusCode, data)
+		return nil, hosting.DecodeError(resp.StatusCode, data)
 	}
-	if out == nil {
-		return nil
+	return data, nil
+}
+
+// call issues one request and decodes the response as a T.
+func call[T any](ctx context.Context, r *Remote, method, path string, body []byte) (out T, err error) {
+	data, err := r.Request(ctx, method, path, body)
+	if err != nil {
+		return out, err
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("splay: remote response: %w", err)
+	if err := json.Unmarshal(data, &out); err != nil {
+		return out, fmt.Errorf("splay: remote response: %w", err)
 	}
-	return nil
+	return out, nil
 }
 
 // Submit serializes the scenario and submits it.
@@ -82,42 +90,33 @@ func (r *Remote) Submit(ctx context.Context, sc Scenario) (HostJob, error) {
 
 // SubmitRaw submits an already-serialized scenario.
 func (r *Remote) SubmitRaw(ctx context.Context, scenario []byte) (HostJob, error) {
-	var view HostJob
-	err := r.do(ctx, http.MethodPost, "/jobs", scenario, &view)
-	return view, err
+	return call[HostJob](ctx, r, http.MethodPost, "/jobs", scenario)
 }
 
 // Job returns one job's state.
 func (r *Remote) Job(ctx context.Context, id string) (HostJob, error) {
-	var view HostJob
-	err := r.do(ctx, http.MethodGet, "/jobs/"+id, nil, &view)
-	return view, err
+	return call[HostJob](ctx, r, http.MethodGet, "/jobs/"+id, nil)
 }
 
 // Jobs lists the tenant's jobs.
 func (r *Remote) Jobs(ctx context.Context) ([]HostJob, error) {
-	var views []HostJob
-	err := r.do(ctx, http.MethodGet, "/jobs", nil, &views)
-	return views, err
+	return call[[]HostJob](ctx, r, http.MethodGet, "/jobs", nil)
 }
 
 // Result returns a finished job's result.
 func (r *Remote) Result(ctx context.Context, id string) (HostResult, error) {
-	var res HostResult
-	err := r.do(ctx, http.MethodGet, "/jobs/"+id+"/result", nil, &res)
-	return res, err
+	return call[HostResult](ctx, r, http.MethodGet, "/jobs/"+id+"/result", nil)
 }
 
 // Kill dequeues or stops a job.
 func (r *Remote) Kill(ctx context.Context, id string) error {
-	return r.do(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
+	_, err := r.Request(ctx, http.MethodDelete, "/jobs/"+id, nil)
+	return err
 }
 
 // Usage reports the tenant's accounting.
 func (r *Remote) Usage(ctx context.Context, tenant string) (HostUsage, error) {
-	var u HostUsage
-	err := r.do(ctx, http.MethodGet, "/tenants/"+tenant+"/usage", nil, &u)
-	return u, err
+	return call[HostUsage](ctx, r, http.MethodGet, "/tenants/"+tenant+"/usage", nil)
 }
 
 // Run submits a scenario and polls until the job finishes, returning

@@ -109,7 +109,9 @@ type Scenario struct {
 	Collect Collect
 	// Faults is the declarative fault schedule: timed injections plus
 	// closed-loop trigger rules, armed right after deployment. The zero
-	// plan injects nothing and leaves every schedule untouched. Under
+	// plan injects nothing and leaves every schedule untouched. Start
+	// refuses a plan (or an assertion) that cannot run with a typed
+	// *FaultPlanError before provisioning anything. Under
 	// Churn, Crash/Restart events and ActKill/ActGrow actions fail Start
 	// with ErrNoController: the trace owns who is up.
 	Faults FaultPlan
@@ -199,6 +201,15 @@ type Session struct {
 func (sc Scenario) Start(ctx context.Context) (*Session, error) {
 	if sc.Testbed == nil {
 		return nil, errors.New("splay: scenario needs a testbed")
+	}
+	// A plan that cannot run fails here, not as a log line mid-run.
+	if err := sc.Faults.Validate(); err != nil {
+		return nil, faults.Within("faults", err)
+	}
+	for i, a := range sc.Assert {
+		if err := a.Validate(); err != nil {
+			return nil, faults.Within(fmt.Sprintf("assert[%d]", i), err)
+		}
 	}
 	switch tb := sc.Testbed.(type) {
 	case *simTestbed:
@@ -776,28 +787,19 @@ func (sc Scenario) label() string {
 	return sc.Name
 }
 
-// report is the session's one reporter loop, run as a task of rt: it
-// streams reg from the host from to the collection plane as the named
-// node, one flush per period until the session stops. Live streams redial
-// after a failed flush; a simulated one fails only with the session, and a
-// failed dial is the session's start error.
+// report is the session's reporter loop, run as a task of rt: it streams
+// reg from the host from to the collection plane as the named node, one
+// flush per period on rt's clock until the session stops. Live streams
+// redial; a simulated one fails only with the session, and a failed dial
+// is the session's start error.
 func (s *Session) report(rt core.Runtime, from transport.Node, node string, reg *metrics.Registry) {
-	rep, err := metrics.DialReporter(from, s.collect.Addr, reg,
-		metrics.ReporterConfig{Key: s.collect.Key, Node: node})
+	err := metrics.Stream(from, s.collect.Addr, reg, metrics.ReporterConfig{Key: s.collect.Key, Node: node},
+		s.collect.Every, func(d time.Duration, _ error) bool {
+			rt.Sleep(d)
+			return !s.stopped.Load()
+		}, s.live)
 	if err != nil {
-		if !s.live {
-			s.stage(s.partOf(from.Host()), 0, func() { s.startErr = err })
-		}
-		return
-	}
-	for {
-		rt.Sleep(s.collect.Every)
-		if s.stopped.Load() {
-			return
-		}
-		if rep.Flush() != nil && s.live {
-			rep.Reconnect() //nolint:errcheck // monitoring is best effort, retried next period
-		}
+		s.stage(s.partOf(from.Host()), 0, func() { s.startErr = err })
 	}
 }
 
