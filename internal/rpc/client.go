@@ -35,14 +35,13 @@ type Client struct {
 	// dial, an encode, or a waiter Wait — so the cooperative event
 	// order in simulation is untouched.
 	// peers is the connection pool, least recently used first: a pooled
-	// hit moves its peer to the end, and a new dial that pushes the pool
-	// past maxPooledPeers closes the oldest idle ready peer (evictIdle).
+	// hit stamps its peer and moves it to the end, and every new dial
+	// sweeps the front (evictIdle), closing idle ready peers while the
+	// pool is over maxPooledPeers or unused for longer than maxIdle.
 	// A short slice scanned by address: at ≤ 16 entries a per-client map
-	// costs more than its entries. Measured over seed-1 bench runs
-	// (set-up and window): a Chord node pools 11.7 peers on average and
-	// reuses one on 99 % of its calls (chord_plain); a Cyclon node reuses
-	// one on 4 % (cyclon_churn) and pools 14. Uncapped, gossip would keep
-	// every peer it ever reached open: 37 per node on average, at most 93.
+	// costs more than its entries. Gossip reuses a pooled peer on 3 % of
+	// its calls (cyclon_churn), Chord on 98 % (chord_plain); DESIGN.md
+	// ("A pool that forgets") has the measured pool sizes.
 	mu      sync.Mutex
 	peers   []*peerConn
 	writers []parkedWriter                  // tasks parked on a peer's write lock, oldest first
@@ -50,21 +49,28 @@ type Client struct {
 	backoff faults.Backoff                  // redial pacing; zero = disabled
 	redials map[transport.Addr]*redialState // destinations under backoff only
 
-	// deadPeers marks destinations whose pooled connection failed, so
-	// the next dial there counts as a redial. Entries are removed by
-	// that dial — unlike the dial-history map it replaces, which kept
-	// one record per destination ever dialed for the client's lifetime.
-	// Allocated only when redials are instrumented.
-	deadPeers map[transport.Addr]struct{}
+	// deadPeers maps each destination whose pooled connection failed to
+	// the failure's UnixNano instant, so a dial there within maxIdle
+	// counts as a redial. A mark is removed by that dial or, once older
+	// than maxIdle, by the next sweep (evictIdle): a dial later than that
+	// is a fresh dial, and the map holds only peers that died within the
+	// last maxIdle. Allocated only when redials are instrumented.
+	deadPeers map[transport.Addr]int64
 }
 
 // maxPooledPeers bounds a client's pool: the most recently used peers
 // stay open, older idle ones are closed and redialed on their next call.
 // 16 holds Chord's working set (successors, predecessor, the fingers it
-// uses): a 300-node ring evicts ≈ 150 times in 435k calls. Gossip, which
-// reaches a different peer almost every round, keeps 16 sockets per node
-// instead of one per peer it ever reached.
+// uses). Gossip, which reaches a different peer almost every round,
+// keeps at most 16 sockets per node instead of one per peer it ever
+// reached.
 const maxPooledPeers = 16
+
+// maxIdle is how long a pooled peer may sit unused before the next dial
+// closes it, in runtime time: twice the default period of Chord's
+// stabilization and of Cyclon's shuffle. Gossip's pool then holds the
+// peers of its last few rounds, not the last 16 it reached.
+const maxIdle = 10 * time.Second
 
 // redialState is one destination's backoff clock. An entry exists only
 // while the destination is failing: it is created on a failed dial and
@@ -82,12 +88,13 @@ func NewClient(ctx *core.AppContext) *Client {
 }
 
 // usePeer returns the pooled connection to the destination, or nil, and
-// makes it the most recently used. Caller holds c.mu.
-func (c *Client) usePeer(to transport.Addr) *peerConn {
+// makes it the most recently used, stamped now. Caller holds c.mu.
+func (c *Client) usePeer(to transport.Addr, now int64) *peerConn {
 	for i, p := range c.peers {
 		if p.to == to {
 			copy(c.peers[i:], c.peers[i+1:])
 			c.peers[len(c.peers)-1] = p
+			p.used = now
 			return p
 		}
 	}
@@ -114,23 +121,37 @@ func (c *Client) removePeer(p *peerConn) {
 // it, before it sent anything, and that call redials (callInstrumented).
 var evicted = &connError{op: opLost, err: errors.New("evicted from the pool")}
 
-// evictIdle closes the least recently used idle ready peer while the pool
-// is over its cap: one with no call in flight, no dial waiter and a free
-// write lock. A peer still dialing or in use is never closed, so the pool
-// may stay over the cap until one of them goes idle. An eviction is not a
-// failure: the destination is not marked for the Redials count.
-func (c *Client) evictIdle() {
+// evictIdle is the pool's one sweep, run at every new dial (now is the
+// dial's instant). It closes the least recently used idle ready peer —
+// no call in flight, no dial waiter, a free write lock — while the pool
+// is over its cap or that peer was last used more than maxIdle ago. The
+// pool is in recency order, so the scan stops at the first peer used
+// more recently than that once the pool is within its cap: a sweep costs
+// O(closed + 1). A peer still dialing or in use is never closed, so the
+// pool may stay over the cap until one of them goes idle. An eviction is
+// not a failure: the destination is not marked for the Redials count.
+// The sweep also drops redial marks older than maxIdle. There is no
+// timer: a client that stops dialing keeps its peers and arms nothing.
+func (c *Client) evictIdle(now int64) {
+	stale := now - int64(maxIdle)
+	c.mu.Lock()
+	for to, failed := range c.deadPeers {
+		if failed < stale {
+			delete(c.deadPeers, to)
+		}
+	}
 	for {
-		c.mu.Lock()
 		var conn transport.Conn
-		if len(c.peers) > maxPooledPeers {
-			for i, p := range c.peers {
-				if p.conn != nil && len(p.pending) == 0 && !p.writing {
-					p.err = evicted
-					c.peers = slices.Delete(c.peers, i, i+1)
-					conn = p.conn
-					break
-				}
+		over := len(c.peers) > maxPooledPeers
+		for i, p := range c.peers {
+			if !over && p.used >= stale {
+				break
+			}
+			if p.conn != nil && len(p.pending) == 0 && !p.writing {
+				p.err = evicted
+				c.peers = slices.Delete(c.peers, i, i+1)
+				conn = p.conn
+				break
 			}
 		}
 		c.mu.Unlock()
@@ -139,6 +160,7 @@ func (c *Client) evictIdle() {
 		}
 		c.ctx.Untrack(conn)
 		conn.Close()
+		c.mu.Lock()
 	}
 }
 
@@ -209,11 +231,12 @@ func (c *Client) callInstrumented(to transport.Addr, timeout time.Duration, star
 // callPeer makes one attempt at the call, on a pooled connection or a new
 // one, within what is left of the budget that started at start.
 func (c *Client) callPeer(to transport.Addr, timeout time.Duration, start time.Time, method string, args []any) (Result, error) {
-	remaining := timeout - c.ctx.Now().Sub(start)
+	now := c.ctx.Now()
+	remaining := timeout - now.Sub(start)
 	if remaining <= 0 {
 		return nil, ErrTimeout
 	}
-	pc, err := c.peer(to, remaining)
+	pc, err := c.peer(to, now.UnixNano(), remaining)
 	if err != nil {
 		return nil, err
 	}
@@ -235,10 +258,10 @@ func (c *Client) Ping(to transport.Addr, timeout time.Duration) (time.Duration, 
 }
 
 // peer returns a live pooled connection to the destination, dialing one if
-// needed.
-func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, error) {
+// needed; now is the caller's instant in UnixNano.
+func (c *Client) peer(to transport.Addr, now int64, timeout time.Duration) (*peerConn, error) {
 	c.mu.Lock()
-	pc := c.usePeer(to)
+	pc := c.usePeer(to, now)
 	if pc != nil { // pooled peers carry no verdict: fail and evictIdle unpool them
 		if pc.conn != nil {
 			c.mu.Unlock()
@@ -282,17 +305,18 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 		}
 		return pc, nil
 	}
-	pc = &peerConn{client: c, to: to}
+	pc = &peerConn{client: c, to: to, used: now}
 	c.peers = append(c.peers, pc)
-	full := len(c.peers) > maxPooledPeers
 	var wait time.Duration
 	if c.ins.Redials != nil {
-		// A pooled peer to this destination died since last use: this
-		// dial replaces it, which is what Redials counts. Consuming the
-		// mark here keeps the set bounded by currently-dead peers.
-		if _, dead := c.deadPeers[to]; dead {
+		// A pooled peer to this destination died within maxIdle: this
+		// dial replaces it, which is what Redials counts. An older mark
+		// is a fresh dial's; evictIdle would drop it anyway.
+		if failed, dead := c.deadPeers[to]; dead {
 			delete(c.deadPeers, to)
-			c.ins.Redials.Inc()
+			if failed >= now-int64(maxIdle) {
+				c.ins.Redials.Inc()
+			}
 		}
 	}
 	if rs := c.redials[to]; rs != nil {
@@ -301,9 +325,7 @@ func (c *Client) peer(to transport.Addr, timeout time.Duration) (*peerConn, erro
 		}
 	}
 	c.mu.Unlock()
-	if full {
-		c.evictIdle()
-	}
+	c.evictIdle(now)
 	if wait > 0 {
 		// Backoff: this destination failed recently; later callers park
 		// as dial waiters on pc and share the verdict, so the whole
@@ -353,6 +375,7 @@ type peerConn struct {
 
 	conn transport.Conn // set once the dial succeeds: the connection is ready
 	err  *connError     // the verdict once the connection failed: it is broken
+	used int64          // UnixNano of the dial or the latest pooled hit (usePeer)
 
 	// pending holds every caller parked on this connection, in arrival
 	// order. Before ready it holds dial waiters (id 0); once ready it
@@ -533,9 +556,9 @@ func (p *peerConn) fail(op uint8, cause error) {
 		// Mark the destination so the dial that replaces this
 		// connection counts as a redial (see Client.deadPeers).
 		if c.deadPeers == nil {
-			c.deadPeers = make(map[transport.Addr]struct{})
+			c.deadPeers = make(map[transport.Addr]int64)
 		}
-		c.deadPeers[p.to] = struct{}{}
+		c.deadPeers[p.to] = c.ctx.Now().UnixNano()
 	}
 	conn := p.conn
 	pend := p.pending

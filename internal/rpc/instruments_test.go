@@ -94,6 +94,60 @@ func TestInstrumentedRedial(t *testing.T) {
 	}
 }
 
+// TestDeadPeerMarksExpire: the marks that let a redial be counted last
+// maxIdle. 200 distinct pooled peers fail under an instrumented client,
+// ten at a time; a dial 11 s after the last failure — to one of them,
+// back up — is a fresh dial, not a redial, and leaves no mark behind. Kept until
+// the same destination was dialed again, the marks grew with every peer
+// that ever died under the client.
+func TestDeadPeerMarksExpire(t *testing.T) {
+	const peers, batch = 200, 10
+	e := newEnv(t, 1+peers)
+	e.k.Go(func() {
+		for i := 1; i <= peers; i++ {
+			startEchoServer(t, e.ctx(i), 8000)
+		}
+	})
+	ins := NewInstruments(metrics.NewRegistry())
+	c := NewClient(e.ctx(0))
+	c.SetInstruments(ins)
+	marks := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.deadPeers)
+	}
+	e.k.GoAfter(time.Second, func() {
+		for first := 1; first <= peers; first += batch {
+			for i := first; i < first+batch; i++ {
+				if _, err := c.Call(echoAddr(i), "echo", "x"); err != nil {
+					t.Errorf("echo n%d: %v", i, err)
+					return
+				}
+			}
+			for i := first; i < first+batch; i++ {
+				e.nw.Host(i).SetDown(true)
+			}
+			e.k.Sleep(time.Second) // the read loops fail the pooled peers
+		}
+		if n := marks(); n == 0 || pooled(c) != 0 {
+			t.Fatalf("after the failures: %d marks, %d pooled peers; want some marks and no peers", n, pooled(c))
+		}
+		e.k.Sleep(maxIdle)
+		e.nw.Host(peers).SetDown(false) // the last peer comes back
+		startEchoServer(t, e.ctx(peers), 8000)
+		if _, err := c.Call(echoAddr(peers), "echo", "x"); err != nil {
+			t.Errorf("echo n%d, back up: %v", peers, err)
+		}
+	})
+	e.k.Run()
+	if n := marks(); n != 0 {
+		t.Errorf("%d dead-peer marks left %v after the last failure, want 0", n, maxIdle+time.Second)
+	}
+	if r := ins.Redials.Total(); r != 0 {
+		t.Errorf("a dial %v after its peer failed counted as %d redials, want 0", maxIdle+time.Second, r)
+	}
+}
+
 // TestInstrumentsCountBytes: the byte instruments are read off the frames
 // — written ones from the llenc.Writer's tally, received ones as each
 // complete frame reaches dispatch/handleResponse — so what one side counts

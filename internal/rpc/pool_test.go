@@ -206,3 +206,79 @@ func TestPoolFitsASocketLimit(t *testing.T) {
 		t.Errorf("the instance held %d sockets at most, want ≤ %d", most, maxPooledPeers)
 	}
 }
+
+// TestIdlePeersSwept: a new dial closes every pooled peer that has sat
+// idle longer than maxIdle — even when the pool is far below its cap and
+// the dial itself is refused — and frees both its ends; a peer used more
+// recently survives, and so does one whose call has been in flight for
+// longer than maxIdle. The sweep is lazy: a client that stops dialing
+// keeps its peers and leaves nothing armed on the kernel.
+func TestIdlePeersSwept(t *testing.T) {
+	e := newEnv(t, 5)
+	sctxs := make([]*core.AppContext, 4)
+	e.k.Go(func() {
+		for i := 1; i <= 3; i++ {
+			sctxs[i] = e.ctx(i)
+			s := startEchoServer(t, sctxs[i], 8000)
+			s.Register("hang", func(Args) (any, error) {
+				sctxs[i].Sleep(2 * maxIdle)
+				return "done", nil
+			})
+		}
+	})
+	cctx := e.ctx(0)
+	c := NewClient(cctx)
+	tracked := func(what string, ctx *core.AppContext, want int) {
+		t.Helper()
+		if got := ctx.Tracked(); got != want {
+			t.Errorf("%s tracks %d, want %d", what, got, want)
+		}
+	}
+	echo := func(host int) {
+		if _, err := c.Call(echoAddr(host), "echo", "x"); err != nil {
+			t.Errorf("echo n%d: %v", host, err)
+		}
+	}
+	var hung string
+	var quiet time.Time
+	e.k.GoAfter(time.Second, func() {
+		res, err := c.Call(echoAddr(3), "hang")
+		if err != nil {
+			t.Errorf("hang on n3: %v", err)
+			return
+		}
+		res.Decode(&hung) //nolint:errcheck
+		quiet = cctx.Now()
+	})
+	e.k.GoAfter(time.Second, func() {
+		echo(1) // idle from here on
+		cctx.Sleep(maxIdle / 2)
+		echo(2) // idle from here on, half as long
+		cctx.Sleep(maxIdle/2 + time.Second)
+		// n1 has been idle for maxIdle + 1 s, n2 for half that, and n3's
+		// call has been in flight for as long as n1 sat idle.
+		tracked("the client, before the sweep", cctx, 3)
+		footprint := e.nw.FootprintBytes()
+		if _, err := c.CallTimeout(echoAddr(4), time.Second, "echo", "x"); err == nil {
+			t.Error("a call to n4, which serves nothing, succeeded")
+		}
+		cctx.Sleep(time.Second) // let the close reach n1
+		tracked("the client, after the sweep", cctx, 2)
+		tracked("n1 (its listener)", sctxs[1], 1)
+		tracked("n2", sctxs[2], 2)
+		tracked("n3", sctxs[3], 2)
+		if after := e.nw.FootprintBytes(); after >= footprint {
+			t.Errorf("simnet holds %d B after the sweep, %d before: the swept pair was kept", after, footprint)
+		}
+	})
+	e.k.Run()
+	if hung != "done" {
+		t.Errorf("the call in flight across the sweep returned %q, want done", hung)
+	}
+	// Nothing dials after the hung call returned: the idle peers stay
+	// open, and no timer of the pool's outlived that call.
+	tracked("the quiet client", cctx, 2)
+	if now := e.k.Now(); now.After(quiet) {
+		t.Errorf("the kernel ran until %v, %v after the client's last call", now, now.Sub(quiet))
+	}
+}
