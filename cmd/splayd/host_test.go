@@ -61,7 +61,7 @@ func TestRunHost(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("127.0.3.%d", i+1)
 		cfg := daemon.DefaultConfig(name)
-		cfg.PortLow, cfg.PortHigh, cfg.ProbePorts = 31000+100*i, 31099+100*i, true
+		cfg.PortLow, cfg.PortHigh = 31000+100*i, 31099+100*i
 		d := daemon.New(rt, livenet.NewNode(name), builtinRegistry(maddr, "km"), cfg, nil)
 		if err := d.Connect(at.ctl); err != nil {
 			t.Fatal(err)

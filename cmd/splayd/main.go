@@ -149,9 +149,6 @@ func main() {
 	}
 	cfg := daemon.DefaultConfig(*name)
 	cfg.Net = sandbox.NetLimits{MaxSockets: *maxSockets, MaxTxBytes: *maxTx}
-	// A dropped controller session is redialed with jittered exponential
-	// backoff; running instances survive the gap.
-	cfg.Reconnect = true
 	lg := logging.New(&logging.WriterSink{W: os.Stdout}, *name, "", nil)
 	d := daemon.New(rt, node, builtinRegistry(maddr, *metricsKey), cfg, lg)
 
@@ -168,7 +165,9 @@ func main() {
 		time.Sleep(5 * time.Second)
 	}
 	log.Printf("splayd %s: connected to %s", *name, addr)
-	// The daemon owns the redial loop from here.
+	// The daemon owns the redial loop from here: a dropped controller
+	// session is redialed with jittered exponential backoff, and running
+	// instances survive the gap.
 	select {}
 }
 

@@ -56,11 +56,6 @@ type HostConfig struct {
 	// Capacity is the instance budget jobs are packed into (0 sizes it
 	// to the live daemon count at each dispatch).
 	Capacity int
-	// DeployAttempts re-queues a job that many times after a deploy
-	// failure before failing it (0 = 2).
-	DeployAttempts int
-	// RetryDelay spaces re-placement attempts (0 = 1s).
-	RetryDelay time.Duration
 	// MaxDuration clamps declared job durations (0 = unclamped).
 	MaxDuration time.Duration
 	// Catalog validates submissions at admission (app references and
@@ -93,13 +88,11 @@ func (s *Session) Host(cfg HostConfig) (*Host, error) {
 		return nil, errors.New("splay: session already hosts")
 	}
 	hcfg := hosting.Config{
-		Capacity:       cfg.Capacity,
-		DeployAttempts: cfg.DeployAttempts,
-		RetryDelay:     cfg.RetryDelay,
-		MaxDuration:    cfg.MaxDuration,
-		Catalog:        cfg.Catalog,
-		OperatorKey:    cfg.OperatorKey,
-		Aggregator:     s.agg,
+		Capacity:    cfg.Capacity,
+		MaxDuration: cfg.MaxDuration,
+		Catalog:     cfg.Catalog,
+		OperatorKey: cfg.OperatorKey,
+		Aggregator:  s.agg,
 	}
 	var reg *metrics.Registry
 	if s.collect != nil {

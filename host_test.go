@@ -7,8 +7,10 @@ package splay_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,5 +172,44 @@ func BenchmarkHostSubmitLatency(b *testing.B) {
 			time.Sleep(time.Millisecond)
 		}
 		b.StartTimer()
+	}
+}
+
+// TestOperatorCrashDrillRecovers: an operator crash drill over the
+// hosting plane's HTTP API drops daemon sessions on a session without a
+// fault plan, and every dropped daemon redials — within a simulated
+// minute the whole fleet is back.
+func TestOperatorCrashDrillRecovers(t *testing.T) {
+	const fleet = 8
+	sess, err := splay.Scenario{Seed: 5, Testbed: splay.ModelNet(fleet)}.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Stop()
+	host, err := sess.Host(splay.HostConfig{OperatorKey: "ko"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("Authorization", "Bearer ko")
+		rec := httptest.NewRecorder()
+		sess.Go(func() { host.Handler().ServeHTTP(rec, req) })
+		sess.RunFor(50 * time.Millisecond) // before the first redial, at least 100ms after a drop
+		return rec
+	}
+	var crash struct{ Dropped []string }
+	rec := serve("POST", "/faults/inject", `{"kind":"crash","count":3}`)
+	if err := json.Unmarshal(rec.Body.Bytes(), &crash); err != nil || len(crash.Dropped) != 3 {
+		t.Fatalf("crash drill answered %d %s, want 3 daemons dropped", rec.Code, rec.Body)
+	}
+	if got := sess.Daemons(); got != fleet-3 {
+		t.Fatalf("%d daemons right after the drill, want %d", got, fleet-3)
+	}
+	sess.RunFor(60 * time.Second)
+	var n struct{ Daemons int }
+	rec = serve("GET", "/daemons", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &n); err != nil || n.Daemons != fleet {
+		t.Fatalf("GET /daemons a minute after the drill = %d %s, want all %d", rec.Code, rec.Body, fleet)
 	}
 }

@@ -132,8 +132,6 @@ type bound struct {
 	msg      string
 }
 
-var portRange = &bound{1, 65535, "port %d is outside 1..65535"}
-
 // bind checks that n is a mapping (what names it in the error), rejects
 // keys outside the table, and then runs the table's entries in order,
 // each entry with a before just ahead of its key's: an absent key is
@@ -295,10 +293,8 @@ func (c *compiler) scenario(doc *node) (*wire.Scenario, *Error) {
 				return perr
 			})
 		}},
-		{key: "settle", kind: apps.KindDuration, dst: &w.SettleNS},
 		{key: "duration", kind: apps.KindDuration, dst: &w.DurationNS},
 		{key: "register_timeout", kind: apps.KindDuration, dst: &w.RegisterTimeout},
-		{key: "controller_port", kind: apps.KindInt, dst: &w.ControllerPort, bound: outOfRange},
 		{key: "workers", kind: apps.KindInt, dst: &w.Workers, bound: outOfRange},
 	})
 }
@@ -361,7 +357,6 @@ func (c *compiler) app(n *node, path string) (wire.App, *Error) {
 			w.Env, perr = env(n, path)
 			return perr
 		}},
-		{key: "port", kind: apps.KindInt, dst: &w.Port, bound: portRange},
 	})
 	return w, perr
 }
@@ -434,7 +429,6 @@ func collect(n *node, path string) (*wire.Collect, *Error) {
 		{key: "metrics", kind: apps.KindBool, dst: &w.Metrics},
 		{key: "report_every", kind: apps.KindDuration, dst: &w.ReportEvery},
 		{key: "key", kind: apps.KindString, dst: &w.Key},
-		{key: "metrics_port", kind: apps.KindInt, dst: &w.MetricsPort, bound: portRange},
 	})
 }
 

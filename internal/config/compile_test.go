@@ -80,7 +80,7 @@ apps:
       fs:
         max_bytes: 64KB
         max_open_files: 8
-    port: 2001
+
 collect:
   metrics: true
   report_every: 5s
@@ -109,10 +109,10 @@ assert:
   - name: recovers
     converges: rate(chord.failed_lookups) < 0.5
     after: 30s
-settle: 1s
+
 duration: 5m
 register_timeout: 30s
-controller_port: 5555
+
 workers: 2
 `
 
@@ -137,7 +137,7 @@ func TestCompileFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"name", "seed", "testbed", "apps", "collect", "faults",
-		"assert", "settle_ns", "duration_ns", "register_timeout_ns", "controller_port", "workers"} {
+		"assert", "duration_ns", "register_timeout_ns", "workers"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("wire output lacks %q: %s", key, wire)
 		}
@@ -274,7 +274,7 @@ var compileErrorCases = []struct {
 	{"report without collect", "apps:\n  - app: chord\n    params:\n      report: true\n", ErrBadValue, "", 4, 15},
 	{"nodes out of range", appPrefix[:len(appPrefix)-1] + "\n    nodes: 0\n", ErrOutOfRange, "apps[0].nodes", 3, 12},
 	{"superset out of range", appPrefix[:len(appPrefix)-1] + "\n    superset: 99\n", ErrOutOfRange, "apps[0].superset", 3, 15},
-	{"port out of range", appPrefix[:len(appPrefix)-1] + "\n    port: 70000\n", ErrOutOfRange, "apps[0].port", 3, 11},
+	{"port is not a key", appPrefix[:len(appPrefix)-1] + "\n    port: 9000\n", ErrUnknownField, "apps[0].port", 3, 5},
 	{"testbed unknown kind", "testbed:\n  kind: mars\n  daemons: 5\n" + appPrefix, ErrBadValue, "testbed.kind", 2, 9},
 	{"testbed missing kind", "testbed:\n  daemons: 5\n" + appPrefix, ErrMissing, "testbed.kind", 2, 3},
 	{"testbed missing daemons", "testbed:\n  kind: live\n" + appPrefix, ErrMissing, "testbed.daemons", 2, 3},
@@ -284,7 +284,7 @@ var compileErrorCases = []struct {
 	{"env unknown cap", appPrefix[:len(appPrefix)-1] + "\n    env:\n      caps: [disk]\n", ErrBadValue, "apps[0].env.caps", 4, 14},
 	{"env caps scalar not all", appPrefix[:len(appPrefix)-1] + "\n    env:\n      caps: some\n", ErrBadValue, "apps[0].env.caps", 4, 13},
 	{"env empty caps list", appPrefix[:len(appPrefix)-1] + "\n    env:\n      caps: []\n", ErrBadValue, "apps[0].env.caps", 4, 13},
-	{"collect bad port", appPrefix + "collect:\n  metrics_port: 0\n", ErrOutOfRange, "collect.metrics_port", 4, 17},
+	{"metrics_port is not a key", appPrefix + "collect:\n  metrics_port: 7000\n", ErrUnknownField, "collect.metrics_port", 4, 3},
 	{"churn needs one source", appPrefix + "churn:\n  seed: 3\n", ErrBadValue, "churn", 4, 3},
 	{"churn bad script", appPrefix + "churn:\n  script: garbage here\n", ErrBadValue, "churn.script", 4, 11},
 	{"faults declare nothing", appPrefix + "faults:\n  eval_every: 0\n", ErrMissing, "faults", 4, 3},
@@ -300,7 +300,8 @@ var compileErrorCases = []struct {
 	{"kill percent bounds", appPrefix + "faults:\n  rules:\n    - name: r\n      when: nodes() < 5\n      do: kill 150%\n", ErrBadValue, "faults.rules[0].do", 7, 11},
 	{"assert needs a kind", appPrefix + "assert:\n  - name: a\n", ErrMissing, "assert[0]", 4, 5},
 	{"assert exactly one kind", appPrefix + "assert:\n  - name: a\n    eventually: nodes() > 1\n    always: nodes() > 1\n", ErrBadValue, "assert[0]", 4, 5},
-	{"controller_port out of range", appPrefix + "controller_port: -1\n", ErrOutOfRange, "controller_port", 3, 18},
+	{"controller_port is not a key", appPrefix + "controller_port: 5555\n", ErrUnknownField, "controller_port", 3, 1},
+	{"settle is not a key", appPrefix + "settle: 45s\n", ErrUnknownField, "settle", 3, 1},
 }
 
 // TestIsDocument pins the wire-vs-document sniff.

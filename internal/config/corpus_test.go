@@ -143,7 +143,7 @@ churn:
 // the compiler's evaluation order is not its sections' key order, so the
 // golden pins which one is reported.
 var corpusOrderDocs = []corpusCase{
-	{"order/collect before churn", appPrefix + "churn:\n  script: garbage\ncollect:\n  metrics_port: 0\n"},
+	{"order/collect before churn", appPrefix + "churn:\n  script: garbage\ncollect:\n  metrics: maybe\n"},
 	{"order/report check before churn", "apps:\n  - app: chord\n    params:\n      report: true\nchurn:\n  script: garbage\n"},
 	{"order/churn source before seed", appPrefix + "churn:\n  seed: x\n  script: at 1s join 1\n  trace: nodes.trace\n"},
 	{"order/churn seed before script", appPrefix + "churn:\n  script: garbage\n  seed: x\n"},

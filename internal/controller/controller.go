@@ -65,11 +65,6 @@ type Config struct {
 	// RegisterTimeout bounds how long each command round waits for slow
 	// daemons.
 	RegisterTimeout time.Duration
-	// PingEvery is the session keep-alive/monitoring period. Each daemon
-	// is pinged once per period; the fan-out is staggered over
-	// pingSlices time-slices so the load on the controller and the
-	// network is spread instead of bursting every period.
-	PingEvery time.Duration
 	// Blacklist is the initial set of forbidden address patterns; the
 	// controller's own host is always appended so applications cannot
 	// actively connect to it.
@@ -83,6 +78,11 @@ const (
 	// unseenAfter expires daemons that stop showing activity (the
 	// paper's long-term disconnection threshold).
 	unseenAfter = time.Hour
+	// pingEvery is the session keep-alive/monitoring period. Each daemon
+	// is pinged once per period; the fan-out is staggered over
+	// pingSlices time-slices so the load on the controller and the
+	// network is spread instead of bursting every period.
+	pingEvery = 30 * time.Second
 	// deployRetries is how many re-placement rounds Submit runs when
 	// daemons fail or vanish mid-deployment: each round registers fresh
 	// candidates for the lost slots and replays LIST/START for them.
@@ -94,7 +94,6 @@ func DefaultConfig() Config {
 	return Config{
 		Port:            5555,
 		RegisterTimeout: 30 * time.Second,
-		PingEvery:       30 * time.Second,
 	}
 }
 
@@ -218,9 +217,6 @@ func New(rt core.Runtime, node transport.Node, cfg Config) *Controller {
 	if cfg.RegisterTimeout <= 0 {
 		cfg.RegisterTimeout = 30 * time.Second
 	}
-	if cfg.PingEvery <= 0 {
-		cfg.PingEvery = 30 * time.Second
-	}
 	// Clone before appending: sharing the caller's backing array would
 	// let the append clobber elements the caller still owns.
 	cfg.Blacklist = append(append([]string(nil), cfg.Blacklist...), node.Host())
@@ -252,11 +248,8 @@ func (c *Controller) Start() error {
 	// The unseen process: expire daemons after long-term disconnection;
 	// the monitor ping doubles as the session activity signal. Each tick
 	// serves one time-slice of the population, so every daemon is pinged
-	// once per PingEvery without a population-wide burst.
-	every := c.cfg.PingEvery / pingSlices
-	if every <= 0 {
-		every = time.Millisecond
-	}
+	// once per pingEvery without a population-wide burst.
+	const every = pingEvery / pingSlices
 	mon := c.monitorTick // bound once: a tick spawns it without allocating
 	t := core.StartTicker(c.rt, every, func() { c.rt.Go(mon) })
 	c.mu.Lock()
@@ -539,7 +532,7 @@ func (c *Controller) monitorTick() {
 	}
 
 	sent := make([]time.Time, len(live))
-	c.fanout(live, c.cfg.PingEvery,
+	c.fanout(live, pingEvery,
 		func(i int) *ctlproto.Msg {
 			sent[i] = c.rt.Now()
 			return &ctlproto.Msg{Type: ctlproto.TPing}

@@ -94,11 +94,11 @@ func runGather(t *testing.T, rt core.Runtime, node func(i int) transport.Node, u
 	cfg := DefaultConfig()
 	cfg.Port = PortEphemeral
 	cfg.RegisterTimeout = gatherTimeout * unit
-	cfg.PingEvery = time.Hour // no monitor ping reaches a stub
 	ctl := New(rt, node(0), cfg)
 	if err := ctl.Start(); err != nil {
 		t.Fatal(err)
 	}
+	ctl.mon.Stop() // no monitor ping reaches a stub
 	defer ctl.Stop()
 	for i, s := range c.stubs {
 		rt.Go(func() { stub(t, rt, node(i+1), ctl.Addr(), fmt.Sprint("s", i), s, unit) })

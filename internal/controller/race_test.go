@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,7 +110,6 @@ func TestSubmitWhilePingsMeasure(t *testing.T) {
 	rt := core.NewLiveRuntime(1)
 	cfg := DefaultConfig()
 	cfg.Port = PortEphemeral
-	cfg.PingEvery = 8 * time.Millisecond // one slice per millisecond
 	ctl := New(rt, livenet.NewNode("127.0.0.1"), cfg)
 	if err := ctl.Start(); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSubmitWhilePingsMeasure(t *testing.T) {
 	for i := 0; i < fleet; i++ {
 		name := fmt.Sprintf("127.0.4.%d", i+1)
 		dcfg := daemon.DefaultConfig(name)
-		dcfg.PortLow, dcfg.PortHigh, dcfg.ProbePorts = 32000+100*i, 32099+100*i, true
+		dcfg.PortLow, dcfg.PortHigh = 32000+100*i, 32099+100*i
 		d := daemon.New(rt, livenet.NewNode(name), noopRegistry(), dcfg, nil)
 		if err := d.Connect(ctl.Addr()); err != nil {
 			t.Fatal(err)
@@ -131,6 +131,24 @@ func TestSubmitWhilePingsMeasure(t *testing.T) {
 			t.Fatalf("%d of %d daemons connected", ctl.Daemons(), fleet)
 		}
 	}
+	// The monitor's ping rounds back to back, one slice per millisecond,
+	// instead of one every few seconds.
+	stop := make(chan struct{})
+	var pinging sync.WaitGroup
+	pinging.Add(1)
+	go func() {
+		defer pinging.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				ctl.monitorTick()
+			}
+		}
+	}()
+	defer pinging.Wait()
+	defer close(stop)
 	for i := 0; i < 20; i++ {
 		job, err := ctl.Submit(JobSpec{App: "noop", Nodes: fleet / 2})
 		if err != nil {

@@ -19,7 +19,7 @@ const (
 	numShards = 16 // power of two; shard = hash & (numShards-1)
 
 	// pingSlices staggers session monitoring: each monitor tick serves
-	// one slice, so a full PingEvery period spreads the ping fan-out over
+	// one slice, so a full pingEvery period spreads the ping fan-out over
 	// pingSlices time-slices instead of bursting the whole population. A
 	// slice is a contiguous group of shards (shardsPerSlice each), so a
 	// tick touches only its own shards' locks and lists — O(n/pingSlices)

@@ -124,6 +124,7 @@ var frameCases = []struct {
 		tb.k.Go(func() { tb.ctl.SetBlacklist([]string{"evil-host", simnet.HostName(2)}) })
 		tb.k.RunFor(time.Minute)
 		tb.ctl.DropDaemon(simnet.HostName(2))
+		tb.daemons[1].Close() // revived below as a fresh process, not by its own redial
 		tb.k.RunFor(time.Minute)
 		d := daemon.New(tb.rt, tb.nw.Node(2), pingRegistry(), daemon.DefaultConfig(simnet.HostName(2)), nil)
 		tb.k.Go(func() {

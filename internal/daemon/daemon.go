@@ -55,16 +55,6 @@ type Config struct {
 	// Net and FS are the administrator's resource restrictions.
 	Net sandbox.NetLimits
 	FS  sandbox.FSLimits
-	// ProbePorts makes job registration verify a candidate port is
-	// actually bindable before granting it, skipping busy ones. Several
-	// daemons sharing one real machine (the loopback testbed) would
-	// otherwise grant ports other processes already own.
-	ProbePorts bool
-	// Reconnect makes a daemon whose controller session drops redial it
-	// with jittered exponential backoff until Close. Off by default: the
-	// retry sleeps add events to simulation schedules, so the fault plane
-	// turns it on only when a scenario declares a fault plan.
-	Reconnect bool
 }
 
 // DefaultConfig fills the key and the port range.
@@ -149,8 +139,8 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 	d.mu.Lock()
 	d.conn = conn
 	d.mu.Unlock()
-	// A refused session must not leak its socket: under Reconnect every
-	// failed attempt would leave one open, and a session at the controller.
+	// A refused session must not leak its socket: every failed redial
+	// would leave one open, and a session at the controller.
 	refuse := func(err error) error {
 		conn.Close()
 		d.mu.Lock()
@@ -211,15 +201,17 @@ func (s *control) OnFrame(payload []byte) bool {
 	return true
 }
 
-// OnEnd marks the session lost and, under Reconnect, starts redialing on
-// a task of its own: the redial sleeps and a sink may not.
+// OnEnd marks the session lost and, unless the daemon was closed, starts
+// redialing on a task of its own: the redial sleeps and a sink may not.
+// Every daemon redials: a fault-free run never loses a session before it
+// stops, so the retry sleeps enter no schedule there.
 func (s *control) OnEnd(error) {
 	d := s.d
 	d.mu.Lock()
 	d.connected = false
 	closed := d.closed
 	d.mu.Unlock()
-	if d.cfg.Reconnect && !closed {
+	if !closed {
 		d.rt.Go(func() { d.reconnectLoop(s.controller) })
 	}
 }
@@ -316,9 +308,10 @@ func (d *Daemon) register(job *ctlproto.Job) *ctlproto.Msg {
 	return &ctlproto.Msg{Type: ctlproto.TAck, Port: port}
 }
 
-// grantPort hands out the next port of the administrator's range,
-// optionally probing each candidate for bindability (ProbePorts). Called
-// under d.mu; the probe itself is a bind+close on the local stack.
+// grantPort hands out the next port of the administrator's range that is
+// actually bindable, skipping busy ones: several daemons sharing one real
+// machine would otherwise grant ports other processes already own. Called
+// under d.mu.
 func (d *Daemon) grantPort() (int, bool) {
 	span := d.cfg.PortHigh - d.cfg.PortLow + 1
 	for tries := 0; tries < span; tries++ {
@@ -327,16 +320,27 @@ func (d *Daemon) grantPort() (int, bool) {
 		if d.nextPort > d.cfg.PortHigh {
 			d.nextPort = d.cfg.PortLow
 		}
-		if d.cfg.ProbePorts {
-			ln, err := d.node.Listen(port)
-			if err != nil {
-				continue
-			}
-			ln.Close()
+		if d.bindable(port) {
+			return port, true
 		}
-		return port, true
 	}
 	return 0, false
+}
+
+// bindable probes whether port can be bound on the daemon's host: a bind
+// and a close on the local stack, or a lookup on a network that can tell
+// without binding (the simulated one, where the probe then posts no event
+// and allocates nothing).
+func (d *Daemon) bindable(port int) bool {
+	if n, ok := d.node.(interface{ Bindable(port int) bool }); ok {
+		return n.Bindable(port)
+	}
+	ln, err := d.node.Listen(port)
+	if err != nil {
+		return false
+	}
+	ln.Close()
+	return true
 }
 
 // list installs the bootstrap information.

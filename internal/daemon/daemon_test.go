@@ -9,6 +9,7 @@ import (
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/ctlproto"
 	"github.com/splaykit/splay/internal/llenc"
+	"github.com/splaykit/splay/internal/sandbox"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/transport"
@@ -131,7 +132,7 @@ func TestControllerScript(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	k.RunFor(time.Minute) // the daemon redials the hung-up session until Close
 	if !scripted {
 		t.Fatal("script did not run to its end")
 	}
@@ -148,4 +149,42 @@ func TestControllerScript(t *testing.T) {
 		t.Errorf("instance ran with %+v, want %+v", got, wantJob)
 	}
 	d.Close()
+	k.Run() // the redial ends at its next wake
+}
+
+// TestGrantSkipsBusyPorts: every daemon grants only ports it can bind —
+// by a lookup where the simulated network answers it, by a bind and a
+// close through a node that hides the lookup (a sandbox) — and grants
+// none when the whole range is taken.
+func TestGrantSkipsBusyPorts(t *testing.T) {
+	k := sim.NewKernel()
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 1, 1)
+	host := nw.Node(0)
+	for name, node := range map[string]transport.Node{"lookup": host, "bind": sandbox.Wrap(host, sandbox.NetLimits{})} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig(simnet.HostName(0))
+			cfg.PortHigh = cfg.PortLow + 1
+			d := New(core.NewSimRuntime(k, 1), node, core.NewRegistry(), cfg, nil)
+			grant := func() (int, bool) {
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				return d.grantPort()
+			}
+			take := func(port int) {
+				ln, err := host.Listen(port)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ln.Close() })
+			}
+			take(cfg.PortLow)
+			if port, ok := grant(); !ok || port != cfg.PortLow+1 {
+				t.Fatalf("granted %d (%v) with %d taken, want %d", port, ok, cfg.PortLow, cfg.PortLow+1)
+			}
+			take(cfg.PortLow + 1)
+			if port, ok := grant(); ok {
+				t.Fatalf("granted %d with the whole range taken", port)
+			}
+		})
+	}
 }

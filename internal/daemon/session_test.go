@@ -16,9 +16,9 @@ import (
 )
 
 // TestConnectClosesARefusedSession: a Connect the controller does not
-// welcome returns its error with the socket it dialed closed. Under
-// Reconnect every failed attempt used to leave one open — and one session
-// task parked at the controller. The daemon's node is a sandbox with no
+// welcome returns its error with the socket it dialed closed. Every
+// failed redial used to leave one open — and one session task parked at
+// the controller. The daemon's node is a sandbox with no
 // limits, used as a spy on what is open.
 func TestConnectClosesARefusedSession(t *testing.T) {
 	for name, answer := range map[string]func(transport.Conn){
@@ -144,7 +144,7 @@ func FuzzDaemonFrames(f *testing.F) {
 				want[m.Seq]++
 			}
 		})
-		k.Run()
+		k.RunFor(time.Minute) // a dropped session redials until Close
 
 		r := llenc.NewReader(&wire)
 		for {

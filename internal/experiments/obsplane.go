@@ -22,8 +22,7 @@ func init() {
 
 // Observability-plane experiment parameters.
 const (
-	obsKey         = "obs" // stream authentication key
-	obsAggPort     = 7000
+	obsKey         = "obs"            // stream authentication key
 	obsReportEvery = 5 * time.Second  // per-node delta report period
 	obsWatchEvery  = 15 * time.Second // in-flight view cadence
 	obsSpread      = 45 * time.Second // lookup start stagger: spans the watch window
@@ -182,7 +181,6 @@ func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
 			Metrics:     true,
 			ReportEvery: obsReportEvery,
 			Key:         obsKey,
-			MetricsPort: obsAggPort,
 		},
 	}
 	ccfg := chord.DefaultConfig()

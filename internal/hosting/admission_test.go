@@ -185,8 +185,7 @@ var unhostedCases = []struct {
 	{"local-replay members", func(w *wire.Scenario) {
 		w.Testbed = &wire.Testbed{Kind: "uniform", Daemons: 4, RTT: time.Millisecond}
 		w.Collect = &wire.Collect{Metrics: true}
-		w.SettleNS, w.Workers, w.ControllerPort, w.RegisterTimeout = time.Second, 2, 5555, time.Second
-		w.Apps[0].Port = 9000
+		w.Workers, w.RegisterTimeout = 2, time.Second
 	}, ""},
 }
 

@@ -55,12 +55,6 @@ type Config struct {
 	// Capacity is the instance budget jobs are packed into. 0 sizes it
 	// to the fleet's live daemon count at each dispatch.
 	Capacity int
-	// DeployAttempts is how many times a job is re-queued after a
-	// *controller.DeployError before failing. Default 2.
-	DeployAttempts int
-	// RetryDelay spaces re-placement attempts after a deploy failure,
-	// giving a churning population time to re-register. Default 1s.
-	RetryDelay time.Duration
 	// MaxDuration clamps declared job durations. 0 leaves them alone.
 	MaxDuration time.Duration
 	// Metrics receives per-tenant instruments (host.deploys.<tenant>,
@@ -84,8 +78,16 @@ type Config struct {
 	Aggregator *metrics.Aggregator
 }
 
-// defaultDuration runs jobs that declare no duration.
-const defaultDuration = 30 * time.Second
+const (
+	// defaultDuration runs jobs that declare no duration.
+	defaultDuration = 30 * time.Second
+	// deployAttempts is how many times a job is placed before a
+	// *controller.DeployError fails it: once, and once more re-queued.
+	deployAttempts = 2
+	// retryDelay spaces re-placement attempts after a deploy failure,
+	// giving a churning population time to re-register.
+	retryDelay = time.Second
+)
 
 // ErrorCode classifies a JobError.
 type ErrorCode string
@@ -207,12 +209,6 @@ type Service struct {
 // New builds a service over a runtime and the fleet's controller. Add
 // tenants with AddTenant before serving submissions.
 func New(rt core.Runtime, fleet *controller.Controller, cfg Config) *Service {
-	if cfg.DeployAttempts == 0 {
-		cfg.DeployAttempts = 2
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = time.Second
-	}
 	return &Service{
 		rt:      rt,
 		fleet:   fleet,
@@ -449,7 +445,7 @@ func (s *Service) runJob(j *job) {
 		}
 		j.attempts++
 		var derr *controller.DeployError
-		if errors.As(err, &derr) && j.attempts < s.cfg.DeployAttempts {
+		if errors.As(err, &derr) && j.attempts < deployAttempts {
 			// The population churned underneath us: hand the nodes
 			// back and requeue at our original position.
 			j.state = Queued
@@ -464,7 +460,7 @@ func (s *Service) runJob(j *job) {
 			s.queue = append(s.queue, j)
 			sort.Slice(s.queue, func(a, b int) bool { return s.queue[a].seq < s.queue[b].seq })
 			s.mu.Unlock()
-			s.rt.After(s.cfg.RetryDelay, func() { s.rt.Go(s.dispatch) })
+			s.rt.After(retryDelay, func() { s.rt.Go(s.dispatch) })
 			return
 		}
 		j.ten.deployFails.Inc()

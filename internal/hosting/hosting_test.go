@@ -41,15 +41,9 @@ type simFleet struct {
 }
 
 // newSimFleet wires a controller on host 0 and n daemons on hosts 1..n,
-// runs until everyone registered, and returns the fleet.
+// runs until everyone registered, and returns the fleet. Like every
+// daemon, they redial a dropped control session with backoff.
 func newSimFleet(t *testing.T, n int) *simFleet {
-	t.Helper()
-	return newSimFleetOf(t, n, false)
-}
-
-// newSimFleetOf is newSimFleet with the daemons' -reconnect choice: a
-// reconnecting daemon redials a dropped control session with backoff.
-func newSimFleetOf(t *testing.T, n int, reconnect bool) *simFleet {
 	t.Helper()
 	k := sim.NewKernel()
 	nw := simnet.New(k, simnet.Symmetric{RTT: 30 * time.Millisecond}, n+1, 1)
@@ -63,9 +57,7 @@ func newSimFleetOf(t *testing.T, n int, reconnect bool) *simFleet {
 	})
 	ctlAddr := transport.Addr{Host: "n0", Port: controller.DefaultConfig().Port}
 	for i := 1; i <= n; i++ {
-		dcfg := daemon.DefaultConfig(simnet.HostName(i))
-		dcfg.Reconnect = reconnect
-		d := daemon.New(rt, nw.Node(i), reg, dcfg, nil)
+		d := daemon.New(rt, nw.Node(i), reg, daemon.DefaultConfig(simnet.HostName(i)), nil)
 		k.GoAfter(time.Duration(i)*100*time.Millisecond, func() {
 			if err := d.Connect(ctlAddr); err != nil {
 				t.Errorf("daemon connect: %v", err)
@@ -337,11 +329,11 @@ func TestRequeueAfterChurn(t *testing.T) {
 	for i := 1; i <= 3; i++ { // too few for a 6-node job
 		connect(i, time.Duration(i)*100*time.Millisecond)
 	}
-	for i := 4; i <= 8; i++ { // the reinforcements
-		connect(i, 20*time.Second+time.Duration(i)*100*time.Millisecond)
+	for i := 4; i <= 8; i++ { // the reinforcements, after the first attempt failed
+		connect(i, 2*time.Second+time.Duration(i)*50*time.Millisecond)
 	}
 
-	svc := New(rt, ctl, Config{Capacity: 8, DeployAttempts: 30, RetryDelay: 2 * time.Second})
+	svc := New(rt, ctl, Config{Capacity: 8})
 	if err := svc.AddTenant(Tenant{Name: "erin", Key: "ke"}); err != nil {
 		t.Fatal(err)
 	}
@@ -363,5 +355,8 @@ func TestRequeueAfterChurn(t *testing.T) {
 	}
 	if res.Apps[0].Deployed != 6 {
 		t.Fatalf("placed %d instances, want 6", res.Apps[0].Deployed)
+	}
+	if n := svc.jobs[jv.ID].attempts; n != 1 {
+		t.Errorf("%d failed placements before the job landed, want 1 (too few daemons at first)", n)
 	}
 }

@@ -121,8 +121,8 @@ func (s *Service) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]int{"daemons": s.fleet.Daemons()})
 	}))
 	// Fault drills — the live counterparts of the scenario SDK's fault
-	// plan, driven over HTTP so chaos tooling needs no Go. Reconnect-enabled
-	// daemons redial a dropped session with backoff; a blacklist reaches
+	// plan, driven over HTTP so chaos tooling needs no Go. Every daemon
+	// redials a dropped session with backoff; a blacklist reaches
 	// every daemon's sandbox, which then refuses traffic to the cut side.
 	mux.HandleFunc("POST /faults/inject", s.operator(func(w http.ResponseWriter, r *http.Request) {
 		var req struct {

@@ -126,13 +126,19 @@ func TestOperatorRoutes(t *testing.T) {
 	if c := call("POST", "/faults/heal", "ko", "", &healed); c != "" || !healed.Healed || healed.Daemons != 6 {
 		t.Errorf("heal = %q %+v", c, healed)
 	}
+	// A crash drill drops sessions; the daemons redial them. 50ms is
+	// before the first redial (at least 100ms after the drop).
 	var crash struct{ Dropped []string }
-	if c := call("POST", "/faults/inject", "ko", `{"kind":"crash","count":2}`, &crash); c != "" ||
-		!slices.Equal(crash.Dropped, []string{"n1", "n2"}) {
-		t.Errorf("crash = %q %v, want n1 and n2 dropped", c, crash.Dropped)
+	rec := fl.serve(h, "POST", "/faults/inject", "ko", `{"kind":"crash","count":2}`, 50*time.Millisecond)
+	if err := json.Unmarshal(rec.Body.Bytes(), &crash); err != nil || !slices.Equal(crash.Dropped, []string{"n1", "n2"}) {
+		t.Errorf("crash = %d %s, want n1 and n2 dropped", rec.Code, rec.Body)
 	}
 	if got := fl.ctl.Daemons(); got != 4 {
-		t.Errorf("%d daemons after crashing 2 of 6 (none reconnect), want 4", got)
+		t.Errorf("%d daemons right after crashing 2 of 6, want 4", got)
+	}
+	fl.k.RunFor(time.Minute)
+	if got := fl.ctl.Daemons(); got != 6 {
+		t.Errorf("%d daemons a minute after crashing 2 of 6, want all 6 redialed", got)
 	}
 }
 
@@ -171,7 +177,7 @@ func FuzzHandler(f *testing.F) {
 		}
 		req.Header.Set("Authorization", "Bearer "+key)
 
-		fl := newSimFleetOf(t, 4, true)
+		fl := newSimFleet(t, 4)
 		svc := New(fl.rt, fl.ctl, Config{Catalog: sleeperCatalog(t), OperatorKey: "ko", MaxDuration: 20 * time.Second})
 		if err := svc.AddTenant(Tenant{Name: "ivy", Key: "ki"}); err != nil {
 			t.Fatal(err)

@@ -49,7 +49,7 @@ func newSubmission(w *wire.Scenario) (sub submission, field string, err error) {
 	sub = submission{
 		name:     w.Name,
 		seed:     w.Seed,
-		duration: w.SettleNS + w.DurationNS,
+		duration: w.DurationNS,
 	}
 	for i, a := range w.Apps {
 		if a.App == "" {

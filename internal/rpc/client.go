@@ -44,18 +44,14 @@ type Client struct {
 	// ("A pool that forgets") has the measured pool sizes.
 	mu      sync.Mutex
 	peers   []*peerConn
-	writers []parkedWriter                  // tasks parked on a peer's write lock, oldest first
-	ins     *Instruments                    // shared noInstruments when disabled; never nil
-	backoff faults.Backoff                  // redial pacing; zero = disabled
-	redials map[transport.Addr]*redialState // destinations under backoff only
+	writers []parkedWriter // tasks parked on a peer's write lock, oldest first
+	ins     *Instruments   // shared noInstruments when disabled; never nil
+	backoff faults.Backoff // redial pacing; zero = disabled
 
-	// deadPeers maps each destination whose pooled connection failed to
-	// the failure's UnixNano instant, so a dial there within maxIdle
-	// counts as a redial. A mark is removed by that dial or, once older
-	// than maxIdle, by the next sweep (evictIdle): a dial later than that
-	// is a fresh dial, and the map holds only peers that died within the
-	// last maxIdle. Allocated only when redials are instrumented.
-	deadPeers map[transport.Addr]int64
+	// failures holds one record per destination that failed recently
+	// (see peerFailure). Allocated only when redials are instrumented or
+	// paced by a backoff.
+	failures map[transport.Addr]*peerFailure
 }
 
 // maxPooledPeers bounds a client's pool: the most recently used peers
@@ -72,13 +68,35 @@ const maxPooledPeers = 16
 // peers of its last few rounds, not the last 16 it reached.
 const maxIdle = 10 * time.Second
 
-// redialState is one destination's backoff clock. An entry exists only
-// while the destination is failing: it is created on a failed dial and
-// evicted by the next successful one, so a healthy steady state holds
-// no per-destination records (the fabric's no-leak invariant).
-type redialState struct {
-	fails     int       // consecutive dial failures
-	notBefore time.Time // earliest next dial under backoff
+// peerFailure is one destination's failure record: what the Redials
+// count and the redial backoff need to know about it. A connection that
+// fails (a lost pooled peer or a failed dial) creates or restamps it; a
+// successful dial deletes it; and the pool's sweep (evictIdle) drops it
+// once the last failure is older than maxIdle and its backoff expired. A
+// healthy steady state, and a client whose failed destinations left for
+// good, hold no records (the fabric's no-leak invariant). A destination
+// failing again after its record was dropped starts its backoff over at
+// the first step.
+type peerFailure struct {
+	at        int64 // UnixNano of the latest failure
+	redial    bool  // unconsumed: the next dial within maxIdle of at counts as a redial
+	fails     int   // consecutive failed dials, the backoff step
+	notBefore int64 // UnixNano of the earliest next dial under backoff
+}
+
+// failed returns the destination's failure record, creating it, stamped
+// at the failure instant at. Caller holds c.mu.
+func (c *Client) failed(to transport.Addr, at int64) *peerFailure {
+	f := c.failures[to]
+	if f == nil {
+		if c.failures == nil {
+			c.failures = make(map[transport.Addr]*peerFailure)
+		}
+		f = &peerFailure{}
+		c.failures[to] = f
+	}
+	f.at = at
+	return f
 }
 
 // NewClient returns a client with the paper's default two-minute timeout
@@ -129,15 +147,16 @@ var evicted = &connError{op: opLost, err: errors.New("evicted from the pool")}
 // more recently than that once the pool is within its cap: a sweep costs
 // O(closed + 1). A peer still dialing or in use is never closed, so the
 // pool may stay over the cap until one of them goes idle. An eviction is
-// not a failure: the destination is not marked for the Redials count.
-// The sweep also drops redial marks older than maxIdle. There is no
-// timer: a client that stops dialing keeps its peers and arms nothing.
+// not a failure: the destination gets no failure record. The sweep also
+// drops failure records older than maxIdle whose backoff expired. There
+// is no timer: a client that stops dialing keeps its peers and arms
+// nothing.
 func (c *Client) evictIdle(now int64) {
 	stale := now - int64(maxIdle)
 	c.mu.Lock()
-	for to, failed := range c.deadPeers {
-		if failed < stale {
-			delete(c.deadPeers, to)
+	for to, f := range c.failures {
+		if f.at < stale && f.notBefore <= now {
+			delete(c.failures, to)
 		}
 	}
 	for {
@@ -308,20 +327,18 @@ func (c *Client) peer(to transport.Addr, now int64, timeout time.Duration) (*pee
 	pc = &peerConn{client: c, to: to, used: now}
 	c.peers = append(c.peers, pc)
 	var wait time.Duration
-	if c.ins.Redials != nil {
-		// A pooled peer to this destination died within maxIdle: this
-		// dial replaces it, which is what Redials counts. An older mark
-		// is a fresh dial's; evictIdle would drop it anyway.
-		if failed, dead := c.deadPeers[to]; dead {
-			delete(c.deadPeers, to)
-			if failed >= now-int64(maxIdle) {
+	if f := c.failures[to]; f != nil {
+		// A connection to this destination failed within maxIdle: this
+		// dial replaces it, which is what Redials counts. An older
+		// failure is a fresh dial's.
+		if f.redial {
+			f.redial = false
+			if f.at >= now-int64(maxIdle) {
 				c.ins.Redials.Inc()
 			}
 		}
-	}
-	if rs := c.redials[to]; rs != nil {
-		if now := c.ctx.Now(); now.Before(rs.notBefore) {
-			wait = rs.notBefore.Sub(now)
+		if t := c.ctx.Now().UnixNano(); t < f.notBefore {
+			wait = time.Duration(f.notBefore - t)
 		}
 	}
 	c.mu.Unlock()
@@ -337,20 +354,14 @@ func (c *Client) peer(to transport.Addr, now int64, timeout time.Duration) (*pee
 	if c.backoff.Enabled() {
 		c.mu.Lock()
 		if err != nil {
-			rs := c.redials[to]
-			if rs == nil {
-				if c.redials == nil {
-					c.redials = make(map[transport.Addr]*redialState)
-				}
-				rs = &redialState{}
-				c.redials[to] = rs
-			}
-			rs.fails++
-			rs.notBefore = c.ctx.Now().Add(c.backoff.Delay(rs.fails-1, c.ctx.Rand()))
+			t := c.ctx.Now()
+			f := c.failed(to, t.UnixNano())
+			f.fails++
+			f.notBefore = t.Add(c.backoff.Delay(f.fails-1, c.ctx.Rand())).UnixNano()
 		} else {
-			// Healthy again: evict the backoff record rather than zero
-			// it, so repeatedly cycling destinations cannot grow the map.
-			delete(c.redials, to)
+			// Healthy again: delete the record rather than zero it, so
+			// repeatedly cycling destinations cannot grow the map.
+			delete(c.failures, to)
 		}
 		c.mu.Unlock()
 	}
@@ -552,13 +563,10 @@ func (p *peerConn) fail(op uint8, cause error) {
 	err := &connError{op: op, to: p.to, err: cause}
 	p.err = err
 	c.removePeer(p)
-	if c.ins.Redials != nil {
-		// Mark the destination so the dial that replaces this
-		// connection counts as a redial (see Client.deadPeers).
-		if c.deadPeers == nil {
-			c.deadPeers = make(map[transport.Addr]int64)
-		}
-		c.deadPeers[p.to] = c.ctx.Now().UnixNano()
+	if c.ins.Redials != nil || c.backoff.Enabled() {
+		// Record the failure: the dial that replaces this connection
+		// counts as a redial and waits out the backoff (see peerFailure).
+		c.failed(p.to, c.ctx.Now().UnixNano()).redial = c.ins.Redials != nil
 	}
 	conn := p.conn
 	pend := p.pending

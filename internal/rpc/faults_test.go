@@ -93,10 +93,10 @@ func TestRedialBackoffPacesDials(t *testing.T) {
 			t.Errorf("call after server start: %v", err)
 		}
 		c.mu.Lock()
-		rs := c.redials[addr]
+		f := c.failures[addr]
 		c.mu.Unlock()
-		if rs != nil {
-			t.Errorf("redial state not evicted after success: %+v", rs)
+		if f != nil {
+			t.Errorf("failure record not deleted after success: %+v", f)
 		}
 	})
 	e.k.Run()
@@ -109,8 +109,44 @@ func TestRedialBackoffPacesDials(t *testing.T) {
 	}
 }
 
+// TestRedialBackoffRecordsExpire: failure records of destinations that
+// failed once and were never dialed again are gone once they are older
+// than maxIdle and their backoff expired — the next dial's sweep drops
+// them. Kept until a successful dial to the same destination, they grew
+// with every departed peer a backoff client ever tried.
+func TestRedialBackoffRecordsExpire(t *testing.T) {
+	const dead = 200
+	e := newEnv(t, 2+dead)
+	records := func(c *Client) int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.failures)
+	}
+	e.k.Go(func() {
+		startEchoServer(t, e.ctx(1), 8000)
+		c := NewClient(e.ctx(0))
+		c.SetRedialBackoff(faults.DefaultBackoff())
+		for i := 2; i < 2+dead; i++ {
+			if _, err := c.Call(echoAddr(i), "echo", "x"); err == nil {
+				t.Errorf("call to n%d, where nothing listens, succeeded", i)
+			}
+		}
+		if n := records(c); n != dead {
+			t.Errorf("%d failure records after %d failed dials, want %d", n, dead, dead)
+		}
+		e.k.Sleep(maxIdle + time.Second)
+		if _, err := c.Call(echoAddr(1), "echo", "x"); err != nil {
+			t.Errorf("echo n1: %v", err)
+		}
+		if n := records(c); n != 0 {
+			t.Errorf("%d failure records left %v after the failures, want 0", n, maxIdle+time.Second)
+		}
+	})
+	e.k.Run()
+}
+
 // TestBackoffDisabledAddsNothing checks the default client never touches
-// the redial map (the allocation profile BenchmarkRPCThroughput gates).
+// the failure map (the allocation profile BenchmarkRPCThroughput gates).
 func TestBackoffDisabledAddsNothing(t *testing.T) {
 	e := newEnv(t, 2)
 	e.k.Go(func() { startEchoServer(t, e.ctx(1), 8000) })
@@ -119,8 +155,8 @@ func TestBackoffDisabledAddsNothing(t *testing.T) {
 		if _, err := c.Call(transport.Addr{Host: "n1", Port: 8000}, "echo", "x"); err != nil {
 			t.Errorf("call: %v", err)
 		}
-		if c.redials != nil {
-			t.Error("redial map allocated without Redials instrument or backoff")
+		if c.failures != nil {
+			t.Error("failure map allocated without Redials instrument or backoff")
 		}
 	})
 	e.k.Run()

@@ -114,7 +114,7 @@ func TestDeadPeerMarksExpire(t *testing.T) {
 	marks := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.deadPeers)
+		return len(c.failures)
 	}
 	e.k.GoAfter(time.Second, func() {
 		for first := 1; first <= peers; first += batch {

@@ -309,26 +309,14 @@ func (k *Kernel) setNow(ns int64) {
 	k.wq.advanceTo(ns)
 }
 
+// run is the entry and exit handling of one Run, RunFor or RunUntil
+// around the event loop: it resets the halted flag, advances the clock to
+// a bound the queue did not reach, and drains the task pool when the queue
+// ran dry.
 func (k *Kernel) run(limitNS int64, bounded bool) uint64 {
 	k.halted = false
 	defer k.leaveTask() // a task that panicked or called Goexit is unwinding through here
-	var n uint64
-	for !k.halted {
-		e := k.wq.pop(limitNS, bounded)
-		if e == nil {
-			break
-		}
-		if e.canceled {
-			k.free(e)
-			continue
-		}
-		if e.atNS > k.nowNS {
-			k.setNow(e.atNS)
-		}
-		k.fire(e)
-		n++
-		k.events++
-	}
+	n := k.loop(limitNS, bounded)
 	if bounded && !k.halted && limitNS > k.nowNS {
 		k.setNow(limitNS)
 	}
@@ -357,14 +345,16 @@ func (k *Kernel) peekNS() int64 {
 	return math.MaxInt64
 }
 
-// runWindow executes queued events with firing times ≤ limitNS and returns
-// the count. Unlike run it does not reset the halted flag, advance the clock
-// to the limit, or drain the task pool: ParKernel calls it once per lookahead
-// window and handles all three at the boundaries of the whole run.
-func (k *Kernel) runWindow(limitNS int64) uint64 {
+// loop is the kernel's one event loop: it pops, skips canceled, advances
+// the clock and fires queued events — with firing times ≤ limitNS when
+// bounded — until the queue runs dry or Halt is called, and returns the
+// count. It does not reset the halted flag, advance the clock to the
+// limit, or drain the task pool: run does that around one call, and
+// ParKernel around a whole run of lookahead windows, one call each.
+func (k *Kernel) loop(limitNS int64, bounded bool) uint64 {
 	var n uint64
 	for !k.halted {
-		e := k.wq.pop(limitNS, true)
+		e := k.wq.pop(limitNS, bounded)
 		if e == nil {
 			break
 		}

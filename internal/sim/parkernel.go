@@ -480,7 +480,7 @@ func (pk *ParKernel) runRound(last int64) uint64 {
 // runShare executes worker i's partitions — i, i+W, i+2W, ... — up to last.
 func (pk *ParKernel) runShare(i int, last int64) (n uint64) {
 	for j := i; j < len(pk.subs); j += pk.workers {
-		n += pk.subs[j].runWindow(last)
+		n += pk.subs[j].loop(last, true)
 	}
 	return n
 }

@@ -578,6 +578,10 @@ func (h *Host) Listen(port int) (transport.Listener, error) {
 	return l, nil
 }
 
+// Bindable reports whether Listen(port) would bind the fixed port now —
+// the host is up and nothing listens there — without binding it.
+func (h *Host) Bindable(port int) bool { return !h.down && h.listenerOn(port) == nil }
+
 // ListenPacket implements transport.Node.
 func (h *Host) ListenPacket(port int) (transport.PacketConn, error) {
 	if h.down {

@@ -36,10 +36,8 @@ type Scenario struct {
 	Collect         *Collect           `json:"collect,omitempty"`
 	Faults          *faults.Plan       `json:"faults,omitempty"`
 	Assert          []faults.Assertion `json:"assert,omitempty"`
-	SettleNS        time.Duration      `json:"settle_ns,omitempty"`
 	DurationNS      time.Duration      `json:"duration_ns,omitempty"`
 	RegisterTimeout time.Duration      `json:"register_timeout_ns,omitempty"`
-	ControllerPort  int                `json:"controller_port,omitempty"`
 	Workers         int                `json:"workers,omitempty"`
 }
 
@@ -61,7 +59,6 @@ type App struct {
 	Superset float64         `json:"superset,omitempty"`
 	FullList bool            `json:"full_list,omitempty"`
 	Env      *Env            `json:"env,omitempty"`
-	Port     int             `json:"port,omitempty"`
 }
 
 // Env is an application's capability grant and sandbox limits.
@@ -85,7 +82,6 @@ type Collect struct {
 	Metrics     bool          `json:"metrics,omitempty"`
 	ReportEvery time.Duration `json:"report_every_ns,omitempty"`
 	Key         string        `json:"key,omitempty"`
-	MetricsPort int           `json:"metrics_port,omitempty"`
 }
 
 // DecodeError is a document Decode refused. Field names the offending

@@ -11,10 +11,10 @@ import (
 const full = `{"name":"n","seed":3,"testbed":{"kind":"uniform","daemons":4,"rtt_ns":1000,"bps":8},` +
 	`"apps":[{"app":"chord","params":{"bits":16},"nodes":3,"superset":1.5,"full_list":true,` +
 	`"env":{"caps":1,"net":{"MaxSockets":4,"MaxTxBytes":0,"MaxRxBytes":0,"Blacklist":null},` +
-	`"fs":{"MaxBytes":9,"MaxOpenFiles":1}},"port":7000}],` +
+	`"fs":{"MaxBytes":9,"MaxOpenFiles":1}}}],` +
 	`"churn":[{"at":5,"join":true,"node":1}],` +
-	`"collect":{"metrics":true,"report_every_ns":7,"key":"k","metrics_port":9},` +
-	`"settle_ns":1,"duration_ns":2,"register_timeout_ns":3,"controller_port":4,"workers":5}`
+	`"collect":{"metrics":true,"report_every_ns":7,"key":"k"},` +
+	`"duration_ns":2,"register_timeout_ns":3,"workers":5}`
 
 // TestDecodeRoundTrip: a document using every member decodes and
 // marshals back to the same bytes — the fixed point the SDK's round-trip
@@ -53,6 +53,11 @@ func TestDecodeRejects(t *testing.T) {
 		{"sandbox limits", `{"apps":[{"app":"a","env":{"net":{"MaxSocket":1}}}]}`, "MaxSocket"},
 		{"fault plan", `{"faults":{"Event":[]}}`, "Event"},
 		{"mistyped", `{"apps":[{"app":"a","nodes":"three"}]}`, "apps.nodes"},
+		// Members whose values are constants of the running side.
+		{"settle", `{"apps":[{"app":"a"}],"settle_ns":1}`, "settle_ns"},
+		{"controller port", `{"apps":[{"app":"a"}],"controller_port":5555}`, "controller_port"},
+		{"metrics port", `{"collect":{"metrics":true,"metrics_port":7000}}`, "metrics_port"},
+		{"app port", `{"apps":[{"app":"a","port":9000}]}`, "port"},
 		{"not json", `{broken`, ""},
 		{"trailing data", `{"seed":1} {"seed":2}`, ""},
 		{"not an object", `[1]`, ""},

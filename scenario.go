@@ -51,10 +51,6 @@ type AppSpec struct {
 	// Env tunes the capability grant and extra sandbox limits every
 	// instance of this application receives.
 	Env EnvConfig
-	// Port is every instance's port under Scenario.Churn, where the
-	// trace starts the application itself and no daemon grants one
-	// (default 9000); controller deployments ignore it.
-	Port int
 }
 
 // Collect declares what a Scenario's observability plane gathers while
@@ -69,9 +65,6 @@ type Collect struct {
 	ReportEvery time.Duration
 	// Key authenticates metric streams (default "splay").
 	Key string
-	// MetricsPort is the aggregator's port on the simulated monitoring
-	// host (default 7000); live testbeds always bind ephemerally.
-	MetricsPort int
 	// Logs receives daemon, instance and fault-plane log lines (nil
 	// discards), each stamped with its (virtual or real) time. On a sharded
 	// simulated testbed the lines arrive at each lookahead barrier, one
@@ -120,18 +113,11 @@ type Scenario struct {
 	// valid Result, under Churn as without. Trigger rules and assertions
 	// read the aggregated telemetry and therefore need Collect.Metrics.
 	Assert []Assertion
-	// Settle is the daemon connect window before deployments begin
-	// (default 45 simulated seconds; live, a 10s readiness deadline
-	// polled on the controller's registry).
-	Settle time.Duration
 	// Duration is Run's workload window after deployment (default 30s).
 	Duration time.Duration
 	// RegisterTimeout bounds deployment probing (0 = the controller
 	// default, 30s; heavy-tailed testbeds want 60s).
 	RegisterTimeout time.Duration
-	// ControllerPort overrides the daemon-connection port (default
-	// 5555 simulated, ephemeral live).
-	ControllerPort int
 	// Workers sets how many OS threads may drive a simulated testbed's
 	// kernel. It is a performance knob only: a scenario's result is a
 	// pure function of Seed and the scenario itself, never of Workers or
@@ -348,14 +334,10 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 
 	if collecting {
 		every, key := sc.Collect.reportDefaults()
-		port := sc.Collect.MetricsPort
-		if port == 0 {
-			port = 7000
-		}
 		s.home, s.homeRT = nw.Host(monHost).Part(), bed.Runtime(monHost)
 		mrt := s.homeRT
 		mrt.Go(func() {
-			if s.agg, err = metrics.NewAggregator(nw.Node(monHost), port, mrt.Go); err == nil {
+			if s.agg, err = metrics.NewAggregator(nw.Node(monHost), simMetricsPort, mrt.Go); err == nil {
 				s.agg.Authorize(key)
 			}
 		})
@@ -384,7 +366,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 // host first on, staggered 2ms apart by host index, then runs the settle
 // window.
 func (s *Session) startDaemons(first, pop int) error {
-	sc, nw := s.sc, s.nw
+	nw := s.nw
 	ctlReg := s.newController(nw.Node(0), controller.DefaultConfig())
 	ctl := s.ctl
 	s.k.Go(func() {
@@ -401,11 +383,6 @@ func (s *Session) startDaemons(first, pop int) error {
 		part, drt := nw.Host(host).Part(), s.bed.Runtime(host)
 		lg := s.logger(part)
 		dcfg := daemon.DefaultConfig(simnet.HostName(host))
-		if !sc.Faults.Empty() {
-			// Fault-plane sessions survive their own faults: daemons
-			// redial a lost controller session with jittered backoff.
-			dcfg.Reconnect = true
-		}
 		mk := func() *daemon.Daemon {
 			d := daemon.New(drt, nw.Node(host), s.reg, dcfg, lg)
 			if fleet != nil {
@@ -419,13 +396,7 @@ func (s *Session) startDaemons(first, pop int) error {
 			d.Connect(s.ctlAddr) //nolint:errcheck // expiry is the monitor's job
 		})
 	}
-	// Connect window plus one full ping rotation, so selection has
-	// measured responsiveness for every daemon.
-	settle := sc.Settle
-	if settle <= 0 {
-		settle = 45 * time.Second
-	}
-	s.pk.RunFor(settle)
+	s.pk.RunFor(simSettle)
 	if s.startErr != nil {
 		return s.startErr
 	}
@@ -434,6 +405,23 @@ func (s *Session) startDaemons(first, pop int) error {
 	}
 	return nil
 }
+
+// A testbed's fixed provisioning parameters.
+const (
+	// simSettle is the simulated daemon connect window before deployments
+	// begin: the staggered connects plus one full ping rotation, so
+	// selection has measured responsiveness for every daemon.
+	simSettle = 45 * time.Second
+	// liveSettle is the live readiness deadline, polled on the
+	// controller's registry.
+	liveSettle = 10 * time.Second
+	// simMetricsPort is the aggregator's port on the simulated monitoring
+	// host; live aggregators bind an ephemeral port.
+	simMetricsPort = 7000
+	// churnPort is every instance's port under Scenario.Churn, where the
+	// trace starts the application itself and no daemon grants one.
+	churnPort = 9000
+)
 
 // autoParts picks a simulated testbed's kernel partition count from its
 // host population. It must stay a pure function of that population —
@@ -470,10 +458,6 @@ func (s *Session) startChurn() error {
 			return err
 		}
 	}
-	port := spec.Port
-	if port == 0 {
-		port = 9000
-	}
 	for i := 0; i < s.sc.Churn.Slots(); i++ {
 		s.slots = append(s.slots, &slot{host: i, name: simnet.HostName(i), down: true})
 	}
@@ -505,7 +489,7 @@ func (s *Session) startChurn() error {
 				if o.inst != nil {
 					running++
 					if spec.FullList {
-						nodes = append(nodes, transport.Addr{Host: o.name, Port: port})
+						nodes = append(nodes, transport.Addr{Host: o.name, Port: churnPort})
 					}
 				}
 			}
@@ -514,7 +498,7 @@ func (s *Session) startChurn() error {
 				for _, o := range s.slots {
 					if o.inst != nil {
 						if k == 0 {
-							nodes = []transport.Addr{{Host: o.name, Port: port}}
+							nodes = []transport.Addr{{Host: o.name, Port: churnPort}}
 							break
 						}
 						k--
@@ -523,7 +507,7 @@ func (s *Session) startChurn() error {
 			}
 			job := core.JobInfo{
 				JobID:    s.sc.label(),
-				Me:       transport.Addr{Host: sl.name, Port: port},
+				Me:       transport.Addr{Host: sl.name, Port: churnPort},
 				Nodes:    nodes,
 				Position: i + 1,
 			}
@@ -586,11 +570,11 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	}
 	if sc.Collect.Metrics {
 		every, key := sc.Collect.reportDefaults()
-		// The aggregator gets its own loopback address: the controller
-		// host is blacklisted for applications, the monitoring plane
-		// must not be.
+		// The aggregator gets its own loopback address, on an ephemeral
+		// port: the controller host is blacklisted for applications, the
+		// monitoring plane must not be.
 		aggNode := livenet.NewNode("127.0.2.1")
-		agg, err := metrics.NewAggregator(aggNode, sc.Collect.MetricsPort, func(fn func()) { go fn() })
+		agg, err := metrics.NewAggregator(aggNode, 0, func(fn func()) { go fn() })
 		if err != nil {
 			return nil, fmt.Errorf("splay: aggregator: %w", err)
 		}
@@ -625,10 +609,6 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 		dcfg := daemon.DefaultConfig(name)
 		dcfg.PortLow = tb.basePort + i*tb.portSpan
 		dcfg.PortHigh = dcfg.PortLow + tb.portSpan - 1
-		dcfg.ProbePorts = true
-		if !sc.Faults.Empty() {
-			dcfg.Reconnect = true
-		}
 		var lg core.Logger
 		if sink != nil {
 			lg = logging.New(sink, name, "", nil)
@@ -645,11 +625,7 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	}
 	// Readiness: poll the controller's registry instead of sleeping an
 	// arbitrary delay and hoping the daemons made it.
-	settle := sc.Settle
-	if settle <= 0 {
-		settle = 10 * time.Second
-	}
-	deadline := time.Now().Add(settle)
+	deadline := time.Now().Add(liveSettle)
 	for ctl.Daemons() < tb.daemons {
 		if ctx != nil && ctx.Err() != nil {
 			s.Stop()
@@ -658,7 +634,7 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 		if time.Now().After(deadline) {
 			got := ctl.Daemons()
 			s.Stop()
-			return nil, fmt.Errorf("splay: only %d/%d daemons connected after %s", got, tb.daemons, settle)
+			return nil, fmt.Errorf("splay: only %d/%d daemons connected after %s", got, tb.daemons, liveSettle)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -666,13 +642,10 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 }
 
 // newController builds the scenario's controller on node, cfg giving the
-// testbed's default port. When collecting, its instruments live in the
-// registry it returns, reported over the wire as node "ctl" like every
-// application stream.
+// testbed's port: 5555 simulated, ephemeral live. When collecting, its
+// instruments live in the registry it returns, reported over the wire as
+// node "ctl" like every application stream.
 func (s *Session) newController(node transport.Node, cfg controller.Config) *metrics.Registry {
-	if s.sc.ControllerPort != 0 {
-		cfg.Port = s.sc.ControllerPort
-	}
 	if s.sc.RegisterTimeout > 0 {
 		cfg.RegisterTimeout = s.sc.RegisterTimeout
 	}
@@ -1074,8 +1047,8 @@ func (s *Session) StopJob(id string) error {
 	return err
 }
 
-// Stop tears the session down: churn replay, controller, daemons,
-// aggregator, and any churn-started instances. Idempotent.
+// Stop tears the session down: churn replay, any churn-started instances,
+// daemons, controller and aggregator. Idempotent.
 func (s *Session) Stop() {
 	if !s.stopped.CompareAndSwap(false, true) {
 		return
@@ -1091,18 +1064,19 @@ func (s *Session) Stop() {
 		// sessions halt with their kernel.
 		s.host.svc.Close()
 	}
-	if s.ctl != nil {
-		s.ctl.Stop()
-	}
 	for _, sl := range s.slots {
 		if sl.inst != nil {
 			sl.inst.Kill() // churned-in instances run their kill handlers
 		}
 		// Simulated daemons need no teardown (the kernel stopped with
-		// the session); live ones hold real sockets.
+		// the session); live ones hold real sockets. They close before
+		// the controller does, or each would redial the lost session.
 		if s.live && sl.d != nil {
 			sl.d.Close()
 		}
+	}
+	if s.ctl != nil {
+		s.ctl.Stop()
 	}
 	if s.agg != nil {
 		s.agg.Close()

@@ -723,3 +723,23 @@ func TestScenarioBuiltinApps(t *testing.T) {
 		t.Fatal("unknown built-in accepted")
 	}
 }
+
+// TestLiveStopLeavesNoRedial: every daemon redials a lost controller
+// session, so a live Stop closes the daemons before the controller —
+// the other order would start a redial on each of them. Run it under
+// -race: the daemons' readers see their sessions end on goroutines of
+// their own.
+func TestLiveStopLeavesNoRedial(t *testing.T) {
+	sess, err := splay.Scenario{Testbed: splay.Live(4)}.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Stop()
+	// A redial sleeps at least 100ms before it looks at Close again.
+	time.Sleep(50 * time.Millisecond)
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if n := strings.Count(stacks, "daemon.(*Daemon).reconnectLoop"); n > 0 {
+		t.Fatalf("%d daemons redial after Stop:\n%s", n, stacks)
+	}
+}

@@ -30,10 +30,8 @@ func (sc Scenario) Marshal() ([]byte, error) {
 	w := wire.Scenario{
 		Name:            sc.Name,
 		Seed:            sc.Seed,
-		SettleNS:        sc.Settle,
 		DurationNS:      sc.Duration,
 		RegisterTimeout: sc.RegisterTimeout,
-		ControllerPort:  sc.ControllerPort,
 		Workers:         sc.Workers,
 	}
 	if sc.Testbed != nil {
@@ -56,7 +54,6 @@ func (sc Scenario) Marshal() ([]byte, error) {
 			Nodes:    spec.Nodes,
 			Superset: spec.Superset,
 			FullList: spec.FullList,
-			Port:     spec.Port,
 		}
 		if e := spec.Env; envNonZero(e) {
 			we := &wire.Env{Caps: uint32(e.Caps)}
@@ -75,11 +72,11 @@ func (sc Scenario) Marshal() ([]byte, error) {
 	for _, e := range sc.Churn.trace {
 		w.Churn = append(w.Churn, wire.ChurnEvent{At: e.At, Join: e.Action == churn.Join, Node: e.Node})
 	}
-	if c := sc.Collect; c.Metrics || c.ReportEvery != 0 || c.Key != "" || c.MetricsPort != 0 || c.Logs != nil {
+	if c := sc.Collect; c.Metrics || c.ReportEvery != 0 || c.Key != "" || c.Logs != nil {
 		if c.Logs != nil {
 			return nil, errors.New("splay: Collect.Logs is a writer and cannot be serialized")
 		}
-		w.Collect = &wire.Collect{Metrics: c.Metrics, ReportEvery: c.ReportEvery, Key: c.Key, MetricsPort: c.MetricsPort}
+		w.Collect = &wire.Collect{Metrics: c.Metrics, ReportEvery: c.ReportEvery, Key: c.Key}
 	}
 	if !sc.Faults.Empty() || sc.Faults.EvalEvery != 0 {
 		f := sc.Faults
@@ -127,10 +124,8 @@ func UnmarshalScenario(data []byte) (Scenario, error) {
 	sc := Scenario{
 		Name:            w.Name,
 		Seed:            w.Seed,
-		Settle:          w.SettleNS,
 		Duration:        w.DurationNS,
 		RegisterTimeout: w.RegisterTimeout,
-		ControllerPort:  w.ControllerPort,
 		Workers:         w.Workers,
 	}
 	if w.Testbed != nil {
@@ -150,7 +145,6 @@ func UnmarshalScenario(data []byte) (Scenario, error) {
 			Nodes:    wa.Nodes,
 			Superset: wa.Superset,
 			FullList: wa.FullList,
-			Port:     wa.Port,
 		}
 		if wa.Env != nil {
 			spec.Env.Caps = Cap(wa.Env.Caps)
@@ -179,7 +173,6 @@ func UnmarshalScenario(data []byte) (Scenario, error) {
 			Metrics:     w.Collect.Metrics,
 			ReportEvery: w.Collect.ReportEvery,
 			Key:         w.Collect.Key,
-			MetricsPort: w.Collect.MetricsPort,
 		}
 	}
 	if w.Faults != nil {
