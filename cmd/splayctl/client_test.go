@@ -152,7 +152,9 @@ func TestClientAgainstPlatform(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if out = must("", "faults", "inject", "-key", "ko", "-kind", "partition", "-fraction", "0.5", url); !strings.Contains(out, `"blacklisted":["127.0.1.2","127.0.1.3"]`) {
+	// Half of the five left is three: a drill's fraction rounds to the
+	// nearest daemon, as a plan's partition does.
+	if out = must("", "faults", "inject", "-key", "ko", "-kind", "partition", "-fraction", "0.5", url); !strings.Contains(out, `"blacklisted":["127.0.1.2","127.0.1.3","127.0.1.4"]`) {
 		t.Errorf("partition drill printed %q", out)
 	}
 	if out = must("", "faults", "heal", "-key", "ko", url); !strings.Contains(out, `"healed":true`) {

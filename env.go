@@ -313,7 +313,7 @@ func (e *Env) NewRPCClient() (*RPCClient, error) {
 		return nil, &CapabilityError{Cap: CapNet}
 	}
 	cl := rpc.NewClient(e.ctx)
-	if cl.Fault != nil {
+	if e.ctx.RPCFault() != nil {
 		cl.SetRedialBackoff(faults.DefaultBackoff())
 	}
 	return cl, nil

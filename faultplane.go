@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -68,13 +67,7 @@ func (a *actuators) Crash(fraction float64, count int) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	up := a.upSlots()
-	n := count
-	if n <= 0 {
-		n = int(math.Round(fraction * float64(len(up))))
-	}
-	if n > len(up) {
-		n = len(up)
-	}
+	n := min(faults.Victims(fraction, count, len(up)), len(up))
 	if n <= 0 {
 		return 0, nil
 	}
@@ -136,7 +129,7 @@ func (a *actuators) Partition(fraction float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	slots := a.s.slots
-	n := int(math.Round(fraction * float64(len(slots))))
+	n := faults.Victims(fraction, 0, len(slots))
 	if n <= 0 || n >= len(slots) {
 		return fmt.Errorf("splay: partition fraction %g selects %d of %d daemons", fraction, n, len(slots))
 	}

@@ -882,8 +882,8 @@ func (c *Controller) DaemonNames() []string {
 }
 
 // DropDaemon forcibly closes a daemon's controller session (a fault
-// drill: the daemon observes a lost controller and, if configured,
-// reconnects with backoff). Reports whether the daemon was connected.
+// drill: the daemon observes a lost controller and redials it with
+// backoff). Reports whether the daemon was connected.
 func (c *Controller) DropDaemon(name string) bool {
 	d, ok := c.reg.get(name)
 	if !ok {

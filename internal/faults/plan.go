@@ -15,6 +15,7 @@ package faults
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -585,4 +586,16 @@ type Actuators interface {
 	ClearRPCFault() error
 	// Grow deploys count additional instances.
 	Grow(count int) error
+}
+
+// Victims is how many of population daemons a Crash or Partition takes:
+// count when positive (Crash only), else fraction of the population
+// rounded to the nearest — the one selection rule of the actuators and
+// the operator's fault drills. A count may exceed the population; the
+// caller caps or refuses it.
+func Victims(fraction float64, count, population int) int {
+	if count > 0 {
+		return count
+	}
+	return int(math.Round(fraction * float64(population)))
 }

@@ -32,10 +32,13 @@ const maxScenarioBytes = 4 << 20
 //
 //	GET    /metrics             the aggregator's merged series
 //	GET    /daemons             connected daemon count
-//	POST   /faults/inject       {"kind":"crash"|"partition","count"|"fraction"}:
-//	                            crash drops the victims' control sessions,
-//	                            partition blacklists them fleet-wide; victims
-//	                            are the first n daemon names in sorted order
+//	POST   /faults/inject       {"kind":"crash","count"|"fraction"} or
+//	                            {"kind":"partition","fraction"}, valid as a
+//	                            fault plan's event and counted as a plan
+//	                            counts (faults.Victims): crash drops the
+//	                            victims' control sessions, partition
+//	                            blacklists them fleet-wide; victims are the
+//	                            first n daemon names in sorted order
 //	POST   /faults/heal         clear the blacklist
 //
 // Keys travel as "Authorization: Bearer <key>" (or the X-Splay-Key
@@ -136,20 +139,31 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, &JobError{Code: ErrBadRequest, Err: err})
 			return
 		}
+		kind, err := faults.EventKinds.Parse(req.Kind)
+		if err != nil || kind != faults.Crash && kind != faults.Partition {
+			writeErr(w, &JobError{Code: ErrBadRequest, Detail: fmt.Sprintf("kind must be %s or %s", faults.Crash, faults.Partition)})
+			return
+		}
+		// A drill is a plan's event applied now: the same validity rule,
+		// the same victim count (a partition is a fraction, never a count).
+		ev := faults.Event{Kind: kind, Fraction: req.Fraction, Count: req.Count}
+		if err := ev.Validate(); err != nil {
+			writeErr(w, &JobError{Code: ErrBadRequest, Detail: err.Error()})
+			return
+		}
+		if kind == faults.Partition {
+			ev.Count = 0
+		}
 		names := s.fleet.DaemonNames()
 		sort.Strings(names)
-		n := req.Count
-		if n <= 0 && req.Fraction > 0 {
-			n = int(req.Fraction * float64(len(names)))
-		}
-		if n <= 0 || n > len(names) {
+		n := faults.Victims(ev.Fraction, ev.Count, len(names))
+		if n <= 0 || n > len(names) || kind == faults.Partition && n == len(names) {
 			writeErr(w, &JobError{Code: ErrBadRequest,
-				Detail: fmt.Sprintf("need a count (or fraction) selecting 1..%d daemons", len(names))})
+				Detail: fmt.Sprintf("%s selects %d of %d daemons", kind, n, len(names))})
 			return
 		}
 		victims := names[:n]
-		switch kind, err := faults.EventKinds.Parse(req.Kind); {
-		case err == nil && kind == faults.Crash:
+		if kind == faults.Crash {
 			dropped := make([]string, 0, n)
 			for _, name := range victims {
 				if s.fleet.DropDaemon(name) {
@@ -157,12 +171,10 @@ func (s *Service) Handler() http.Handler {
 				}
 			}
 			writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "dropped": dropped})
-		case err == nil && kind == faults.Partition:
-			s.fleet.SetBlacklist(victims)
-			writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "blacklisted": victims})
-		default:
-			writeErr(w, &JobError{Code: ErrBadRequest, Detail: fmt.Sprintf("kind must be %s or %s", faults.Crash, faults.Partition)})
+			return
 		}
+		s.fleet.SetBlacklist(victims)
+		writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "blacklisted": victims})
 	}))
 	mux.HandleFunc("POST /faults/heal", s.operator(func(w http.ResponseWriter, _ *http.Request) {
 		s.fleet.SetBlacklist(nil)

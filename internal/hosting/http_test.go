@@ -107,8 +107,11 @@ func TestOperatorRoutes(t *testing.T) {
 		t.Errorf("GET /metrics without an aggregator = %q %v, want []", c, snaps)
 	}
 
+	// A drill is refused wherever a plan's event would be: a partition of
+	// everybody or by count, a fraction outside 0..1.
 	for _, body := range []string{`{broken`, `{"kind":"crash"}`, `{"kind":"crash","count":7}`,
-		`{"kind":"meteor","count":1}`, `{"kind":"crash","count":1,"nodes":1}`} {
+		`{"kind":"meteor","count":1}`, `{"kind":"crash","count":1,"nodes":1}`,
+		`{"kind":"partition","fraction":1}`, `{"kind":"partition","count":2}`, `{"kind":"crash","fraction":1.5}`} {
 		if c := call("POST", "/faults/inject", "ko", body, nil); c != ErrBadRequest {
 			t.Errorf("inject %s = %q, want bad_request", body, c)
 		}
@@ -139,6 +142,12 @@ func TestOperatorRoutes(t *testing.T) {
 	fl.k.RunFor(time.Minute)
 	if got := fl.ctl.Daemons(); got != 6 {
 		t.Errorf("%d daemons a minute after crashing 2 of 6, want all 6 redialed", got)
+	}
+	// A fraction rounds to the nearest daemon, as a plan's crash does:
+	// a quarter of six is two.
+	rec = fl.serve(h, "POST", "/faults/inject", "ko", `{"kind":"crash","fraction":0.25}`, 50*time.Millisecond)
+	if err := json.Unmarshal(rec.Body.Bytes(), &crash); err != nil || !slices.Equal(crash.Dropped, []string{"n1", "n2"}) {
+		t.Errorf("crash of a quarter = %d %s, want n1 and n2 dropped", rec.Code, rec.Body)
 	}
 }
 

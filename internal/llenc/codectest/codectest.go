@@ -1,9 +1,8 @@
 // Package codectest is the differential oracle shared by the fuzzers and
-// fast-path tests of every value codec — a type's own encoder
-// (llenc.FastMarshaler) or its derived plan — run through the entry
-// points the seams use, llenc.AppendDerived and ParseDerived.
-// encoding/json is the reference; the codec may only ever agree with it
-// or decline.
+// fast-path tests of the one value codec, a type's derived plan, run
+// through the entry points the seams use, llenc.AppendDerived and
+// ParseDerived. encoding/json is the reference; the plan may only ever
+// agree with it or decline.
 package codectest
 
 import (
@@ -66,8 +65,8 @@ func CheckAppend[T any](t testing.TB, v T) bool {
 }
 
 // Accepts is for a protocol's TestHotMessagesTakeTheFastPath: v must take
-// the codec both ways — encode, then parse its own bytes back into a zero
-// receiver — so a member added later that the codec cannot carry fails a
+// its plan both ways — encode, then parse its own bytes back into a zero
+// receiver — so a member added later that the plan cannot carry fails a
 // test instead of falling back to encoding/json forever.
 func Accepts[T any](t testing.TB, v T) {
 	t.Helper()

@@ -16,7 +16,7 @@ import (
 // needs no codec of its own: on first use llenc derives a plan for the
 // type from its tags — field order, keys, omitempty — and then encodes
 // and parses it by field offsets, with no per-message reflection, under
-// the contract of the hand-written codecs ("Value codecs" in fastjson.go).
+// the fast paths' contract ("Value codecs" in fastjson.go).
 // Planned are strings, bools, sized ints and uints (uint8 is a number),
 // structs, and slices of those (nil is null, null is nil); pointers to
 // planned structs (nil is null, null is nil; parsing into a non-nil one
@@ -24,28 +24,25 @@ import (
 // json.RawMessage, written verbatim when encoding/json would copy it too
 // and read as a strictly validated, copied span (null declines both
 // ways); text types (AppendText and MarshalText on the value,
-// UnmarshalText on the pointer) travel as JSON strings; a type with its
-// own AppendJSON and WalkJSON, transport.Addr's, is a leaf the plan
-// calls. Floats, maps, other pointers, interfaces, []byte, json.Number,
-// embedded or duplicate fields, tag options other than omitempty,
-// json.Marshaler/Unmarshaler types and recursive types get no plan; at
-// run time a plan declines strings that need escaping, keys that are not
-// exactly a field's name and numbers out of their field's range.
+// UnmarshalText on the pointer) travel as JSON strings. A plan is a
+// value's only fast codec: transport.Addr and rpc's response envelope
+// are planned by their tags like every message. Floats, maps, other
+// pointers, interfaces, []byte, json.Number, embedded or duplicate
+// fields, tag options other than omitempty, json.Marshaler/Unmarshaler
+// types and recursive types get no plan; at run time a plan declines
+// strings that need escaping, keys that are not exactly a field's name
+// and numbers out of their field's range.
 // encoding/json takes all of that, as before.
 // Plans are built once per type under a lock and published read-only, so
 // both kernel partitions' threads share them.
 
-// AppendDerived appends v's encoding and reports whether it did: through
-// v's own codec (FastMarshaler) if it has one, else through the plan
-// derived for its type. On false buf is returned with its original length
-// and the caller uses encoding/json.
+// AppendDerived appends v's encoding through the plan derived for its
+// type and reports whether it did. On false buf is returned with its
+// original length and the caller uses encoding/json.
 func AppendDerived(buf []byte, v any) ([]byte, bool) {
 	e := (*[2]unsafe.Pointer)(unsafe.Pointer(&v))
-	switch fm, ok := v.(FastMarshaler); {
-	case e[1] == nil: // nil, or a nil pointer encoding/json writes as null
+	if e[1] == nil { // nil, or a nil pointer encoding/json writes as null
 		return buf, false
-	case ok:
-		return fm.AppendJSON(buf)
 	}
 	if c := lookup(e[0], v); c != nil {
 		if b, ok := c.enc(c, buf, e[1]); ok {
@@ -56,9 +53,8 @@ func AppendDerived(buf []byte, v any) ([]byte, bool) {
 }
 
 // ParseDerived parses data into what v points to through the plan derived
-// for its type — a leaf's own walker included — and reports whether it
-// did. On false the receiver is as it was and the caller asks
-// encoding/json.
+// for its type and reports whether it did. On false the receiver is as
+// it was and the caller asks encoding/json.
 func ParseDerived(data []byte, v any) bool {
 	e := (*[2]unsafe.Pointer)(unsafe.Pointer(&v))
 	if e[1] == nil || reflect.TypeOf(v).Kind() != reflect.Pointer {
@@ -82,8 +78,8 @@ type codec struct {
 	dec    decFn
 	fields []field // structs, in declaration order
 	elem   *codec  // slices and pointers
-	// The itabs of *typ for a text type's or a leaf's interfaces, taken
-	// when the plan is built, so a call does no type assertion.
+	// The itabs of *typ for a text type's interfaces, taken when the
+	// plan is built, so a call does no type assertion.
 	encTab, decTab unsafe.Pointer
 	scratch        sync.Pool // *typ snapshots of non-zero receivers
 	slots          sync.Pool // slices: *slot
@@ -96,9 +92,6 @@ type field struct {
 	omitempty bool
 	c         *codec
 }
-
-// walker is a leaf's lexer-level parser (transport.Addr.WalkJSON).
-type walker interface{ WalkJSON(*Lexer) bool }
 
 type sliceHeader struct {
 	data     unsafe.Pointer
@@ -176,11 +169,6 @@ func build(t reflect.Type) *codec {
 		pt.Implements(reflect.TypeFor[json.Marshaler]()) || pt.Implements(reflect.TypeFor[json.Unmarshaler]()),
 		t == reflect.TypeFor[json.Number]():
 		return nil
-	case pt.Implements(reflect.TypeFor[FastMarshaler]()):
-		if !pt.Implements(reflect.TypeFor[walker]()) {
-			return nil
-		}
-		c.enc, c.dec, c.encTab, c.decTab = encLeaf, decLeaf, itab[FastMarshaler](t), itab[walker](t)
 	case pt.Implements(marshalText) || pt.Implements(appendText) || pt.Implements(unmarshalText):
 		// encoding/json calls a pointer-receiver MarshalText only on
 		// addressable values: no plan can know which it will meet.
@@ -341,10 +329,6 @@ func encText(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
 	return append(b, '"'), err == nil && JSONSafe(b[start:])
 }
 
-func encLeaf(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
-	return as[FastMarshaler](c.encTab, p).AppendJSON(b)
-}
-
 // parseInto is a top-level parse into the receiver at p: accepted only if
 // nothing but whitespace follows the value; on a decline the receiver is
 // put back — zeroed, or restored from a pooled snapshot. Slices are parsed
@@ -398,20 +382,11 @@ func decBool(_ *codec, l *Lexer, p unsafe.Pointer) bool {
 }
 
 func decInt[T int8 | int16 | int32 | int64](_ *codec, l *Lexer, p unsafe.Pointer) bool {
-	neg := l.Consume('-')
-	u, ok := l.Uint()
-	limit := uint64(1)<<(8*unsafe.Sizeof(T(0))-1) - 1
-	if neg {
-		limit++
+	v, ok := l.signed(uint(8 * unsafe.Sizeof(T(0))))
+	if ok {
+		*(*T)(p) = T(v)
 	}
-	if !ok || u > limit {
-		return false
-	}
-	if neg {
-		u = -u
-	}
-	*(*T)(p) = T(u)
-	return true
+	return ok
 }
 
 func decUint[T uint8 | uint16 | uint32 | uint64](_ *codec, l *Lexer, p unsafe.Pointer) bool {
@@ -467,10 +442,6 @@ func decRaw(_ *codec, l *Lexer, p unsafe.Pointer) bool {
 func decText(c *codec, l *Lexer, p unsafe.Pointer) bool {
 	s, ok := l.RawString()
 	return ok && as[encoding.TextUnmarshaler](c.decTab, p).UnmarshalText(s) == nil
-}
-
-func decLeaf(c *codec, l *Lexer, p unsafe.Pointer) bool {
-	return as[walker](c.decTab, p).WalkJSON(l)
 }
 
 // field finds the member named exactly key.

@@ -5,16 +5,15 @@ import (
 	"unicode/utf8"
 )
 
-// Shared primitives for hand-rolled JSON fast paths (FastMarshaler
-// implementations and their parsers, and the derived plans of derive.go).
-// The hand-written codecs — the RPC library's request/response envelopes
-// and transport.Addr — and the plans, which carry every other message,
-// the control plane's ctlproto.Msg included, all share one contract:
-// the fast encoding must be byte-identical to encoding/json's output,
-// and the fast parser must either reproduce encoding/json's result
-// exactly or decline so the caller falls back. Keeping the
-// character-class rules and the one object/array loop (Lexer.Object,
-// Lexer.Array) here means the codecs cannot drift from each other.
+// Shared primitives for the JSON fast paths: the derived plans of
+// derive.go, which carry every value and every frame but one, and the
+// RPC library's request frame (a FastMarshaler with its own parser). They
+// share one contract: the fast encoding must be byte-identical to
+// encoding/json's output, and the fast parser must either reproduce
+// encoding/json's result exactly or decline so the caller falls back.
+// Keeping the character-class rules, the integer range rule and the one
+// object/array loop (Lexer.Object, Lexer.Array) here means the codecs
+// cannot drift from each other.
 
 // JSONSafe reports whether encoding/json would emit s as a plain quoted
 // string: printable ASCII with no characters that JSON or the default
@@ -208,12 +207,6 @@ func (l *Lexer) RawString() ([]byte, bool) {
 	return nil, false
 }
 
-// String is RawString converted to a string.
-func (l *Lexer) String() (string, bool) {
-	b, ok := l.RawString()
-	return string(b), ok
-}
-
 // Uint parses a non-negative JSON integer. Overflow, leading zeros and
 // float/exponent syntax are declined — encoding/json rejects or decodes
 // those differently, so guessing would diverge.
@@ -250,15 +243,27 @@ func (l *Lexer) Uint() (uint64, bool) {
 
 // Int parses a JSON integer that fits an int.
 func (l *Lexer) Int() (int, bool) {
+	v, ok := l.signed(strconv.IntSize)
+	return int(v), ok
+}
+
+// signed parses a JSON integer that fits a signed integer of the given
+// width, the one range rule of the lexer and the plans: up to its
+// maximum, down to its minimum.
+func (l *Lexer) signed(bits uint) (int64, bool) {
 	neg := l.Consume('-')
-	v, ok := l.Uint()
-	if !ok || v > 1<<62 {
+	u, ok := l.Uint()
+	limit := uint64(1)<<(bits-1) - 1
+	if neg {
+		limit++
+	}
+	if !ok || u > limit {
 		return 0, false
 	}
 	if neg {
-		return int(-int64(v)), true
+		u = -u
 	}
-	return int(v), true
+	return int64(u), true
 }
 
 // SkipValue consumes one JSON value of any kind and returns its raw
@@ -521,14 +526,11 @@ func AppendHex64(b []byte, v uint64) []byte {
 	return b
 }
 
-// Value codecs. The envelopes above are frames; the values inside them —
-// rpc arguments and results, control-frame members — ride the same
-// contract, and beyond byte identity their parsers owe decode parity:
-// for every input a parser accepts, the receiver ends equal to what
-// json.Unmarshal leaves in the same, possibly non-zero, receiver. So a
-// value type's parser is a walker: it consumes exactly one value at the
-// cursor, writes only the members it meets, and never writes through a
-// slice the receiver already held. A type with plain json tags gets all
-// of this derived (derive.go); a hand-written value codec is AppendJSON
-// and a walker over Lexer.Object, WalkJSON, which a plan nests as a leaf
-// and runs at the top level too (transport.Addr).
+// Value codecs. The values inside the frames — rpc arguments and
+// results, control-frame members — ride the same contract, and beyond
+// byte identity their parsers owe decode parity: for every input a parser
+// accepts, the receiver ends equal to what json.Unmarshal leaves in the
+// same, possibly non-zero, receiver. So a plan consumes exactly one value
+// at the cursor, writes only the members it meets, and never writes
+// through a slice the receiver already held. Every value type with plain
+// json tags gets this derived (derive.go); none has a codec of its own.

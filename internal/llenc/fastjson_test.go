@@ -186,3 +186,26 @@ func TestLexerObjectArray(t *testing.T) {
 		}
 	}
 }
+
+// TestLexerIntTakesIntsRange pins Lexer.Int to exactly int's range, the
+// plans' rule: every integer json.Unmarshal decodes into an int is
+// accepted with its value, and the first ones past either end decline.
+func TestLexerIntTakesIntsRange(t *testing.T) {
+	for _, src := range []string{`0`, `-0`, `4611686018427387905`, `-4611686018427387905`,
+		`9223372036854775807`, `-9223372036854775808`} {
+		var want int
+		if err := json.Unmarshal([]byte(src), &want); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		l := Lexer{Data: []byte(src)}
+		if got, ok := l.Int(); !ok || !l.End() || got != want {
+			t.Errorf("Int(%s) = %d, %v; want %d", src, got, ok, want)
+		}
+	}
+	for _, src := range []string{`9223372036854775808`, `-9223372036854775809`, `18446744073709551616`} {
+		l := Lexer{Data: []byte(src)}
+		if _, ok := l.Int(); ok {
+			t.Errorf("Int(%s) accepted a value outside int's range", src)
+		}
+	}
+}

@@ -26,13 +26,13 @@ var ErrTooLarge = errors.New("llenc: message exceeds maximum size")
 // HeaderSize is the length prefix every frame carries ahead of its payload.
 const HeaderSize = 4
 
-// FastMarshaler is implemented by message types with a hand-rolled JSON
-// fast path. AppendJSON appends the value's encoding to buf and reports
-// whether it did; the appended bytes must be identical to json.Marshal's
-// output for the value. When it reports false, buf is returned unchanged
-// and the caller uses encoding/json instead. A type that also has a
-// walker (WalkJSON, see "Value codecs" in fastjson.go) is parsed through
-// it as a leaf of the derived plans.
+// FastMarshaler is the frame hook Writer.Encode consults before the
+// derived plans, for a frame no plan can express: rpc's request, whose
+// positional []any arguments are encoded one by one. AppendJSON appends
+// the frame's encoding to buf and reports whether it did; the appended
+// bytes must be identical to json.Marshal's output. When it reports
+// false, buf is returned unchanged and Encode uses encoding/json. It is
+// not a value codec: AppendDerived and the plans never consult it.
 type FastMarshaler interface {
 	AppendJSON(buf []byte) ([]byte, bool)
 }
@@ -87,13 +87,20 @@ func (w *Writer) WriteMessage(payload []byte) error {
 	return err
 }
 
-// Encode marshals v as JSON and writes it as one frame. Values with their
-// own codec or a derived plan (AppendDerived) encode straight into the
-// frame buffer, skipping both reflection and the payload copy.
+// Encode marshals v as JSON and writes it as one frame. A FastMarshaler
+// frame or a value with a derived plan (AppendDerived) encodes straight
+// into the frame buffer, skipping both reflection and the payload copy.
 func (w *Writer) Encode(v any) error {
 	bp := wbufPool.Get().(*[]byte)
 	frame := append((*bp)[:0], 0, 0, 0, 0)
-	if b, ok := AppendDerived(frame, v); ok {
+	var b []byte
+	var ok bool
+	if fm, hook := v.(FastMarshaler); hook {
+		b, ok = fm.AppendJSON(frame)
+	} else {
+		b, ok = AppendDerived(frame, v)
+	}
+	if ok {
 		size := len(b) - HeaderSize
 		if size > MaxMessage {
 			*bp = b[:0]

@@ -25,12 +25,6 @@ func benchServer(b *testing.B) (*sim.Kernel, *simnet.Network, *core.SimRuntime) 
 		s.Register("echo", func(args Args) (any, error) { return args.String(0), nil })
 		s.Register("sum", func(args Args) (any, error) { return args.Int(0) + args.Int(1), nil })
 		s.Register("notify", func(args Args) (any, error) { return nil, nil })
-		s.Register("next-fast", func(args Args) (any, error) {
-			var r fastRef
-			err := args.Decode(0, &r)
-			r.ID++
-			return r, err
-		})
 		s.Register("next-plain", func(args Args) (any, error) {
 			var r plainRef
 			err := args.Decode(0, &r)
@@ -113,23 +107,11 @@ func BenchmarkRPCThroughput(b *testing.B) {
 }
 
 // BenchmarkRPCStructCall is one call carrying and returning an {id, addr}
-// struct — every protocol's node reference — decoded at both ends: once
-// with a value codec on the type (the llenc contract) and once as its
-// plain twin through encoding/json. The pair is the layer price of a
-// typed message with and without a codec; CI records both in
+// struct — every protocol's node reference — decoded at both ends through
+// its derived plan: the layer price of a typed message. CI records it in
 // BENCH_rpc.json.
 func BenchmarkRPCStructCall(b *testing.B) {
 	ref := plainRef{ID: 12345, Addr: transport.Addr{Host: "n0", Port: 8000}}
-	b.Run("contract", func(b *testing.B) {
-		benchCalls(b, func(c *Client, addr transport.Addr) error {
-			var out fastRef
-			res, err := c.Call(addr, "next-fast", fastRef(ref))
-			if err != nil {
-				return err
-			}
-			return res.Decode(&out)
-		})
-	})
 	b.Run("plain", func(b *testing.B) {
 		benchCalls(b, func(c *Client, addr transport.Addr) error {
 			var out plainRef

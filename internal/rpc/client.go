@@ -22,12 +22,12 @@ type Client struct {
 
 	// Timeout applies to Call; CallTimeout overrides it per call.
 	Timeout time.Duration
-	// Fault, when set, is consulted per call with the destination and
+	// fault, when set, is consulted per call with the destination and
 	// method: a drop verdict makes the request vanish (the call fails by
 	// timeout, the paper's library-level lossy link); a delay stalls it
 	// before sending. NewClient takes it from the instance's context
 	// (core.Grant); nil — no fault plan — adds nothing to any schedule.
-	Fault func(to transport.Addr, method string) (drop bool, delay time.Duration)
+	fault func(to transport.Addr, method string) (drop bool, delay time.Duration)
 
 	// mu guards the pool and every peerConn's mutable state under
 	// LiveRuntime, where caller tasks and read loops are real
@@ -102,7 +102,7 @@ func (c *Client) failed(to transport.Addr, at int64) *peerFailure {
 // NewClient returns a client with the paper's default two-minute timeout
 // and the fault filter the instance's host granted.
 func NewClient(ctx *core.AppContext) *Client {
-	return &Client{ctx: ctx, Timeout: DefaultTimeout, Fault: ctx.RPCFault(), ins: &noInstruments}
+	return &Client{ctx: ctx, Timeout: DefaultTimeout, fault: ctx.RPCFault(), ins: &noInstruments}
 }
 
 // usePeer returns the pooled connection to the destination, or nil, and
@@ -207,8 +207,8 @@ func (c *Client) CallTimeout(to transport.Addr, timeout time.Duration, method st
 		timeout = DefaultTimeout
 	}
 	c.ins.Calls.Inc()
-	if c.Fault != nil {
-		drop, delay := c.Fault(to, method)
+	if c.fault != nil {
+		drop, delay := c.fault(to, method)
 		if drop {
 			// Injected loss: the request vanishes and the caller times out.
 			c.ctx.Sleep(timeout)
@@ -604,13 +604,10 @@ func (p *peerConn) OnEnd(err error) {
 func (p *peerConn) OnFrame(payload []byte) bool {
 	p.client.ins.BytesIn.Add(uint64(llenc.HeaderSize + len(payload)))
 	resp := respPool.Get().(*response)
-	if !resp.parseJSON(payload) {
-		*resp = response{}
-		if err := json.Unmarshal(payload, resp); err != nil {
-			putResp(resp)
-			p.fail(opLost, err)
-			return false
-		}
+	if err := llenc.Unmarshal(payload, resp); err != nil {
+		putResp(resp)
+		p.fail(opLost, err)
+		return false
 	}
 	p.client.mu.Lock()
 	w, ok := p.takePending(resp.ID)

@@ -14,12 +14,12 @@ type decodeProbe struct {
 	List []string `json:"list,omitempty"`
 }
 
-// TestUnmarshalMatchesEncodingJSON drives the pooled decoders and
-// json.Unmarshal over the same inputs — valid, padded, trailed by garbage,
-// malformed, mistyped, oversized — interleaved, so a decoder that came back
-// to the pool dirty would corrupt the next case.
+// TestUnmarshalMatchesEncodingJSON drives unmarshal and json.Unmarshal
+// over the same inputs — valid, padded, trailed by garbage, malformed,
+// mistyped, large, at and past the ends of int's range — three rounds,
+// interleaved, so state one case left behind would show in the next.
 func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
-	big := `["` + strings.Repeat("x", 2*maxPooledDecode) + `"]`
+	big := `["` + strings.Repeat("x", 8<<10) + `"]`
 	cases := []struct {
 		in  string
 		new func() any
@@ -27,6 +27,11 @@ func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 		{`42`, func() any { return new(uint64) }},
 		{`18446744073709551615`, func() any { return new(uint64) }},
 		{`-7`, func() any { return new(int) }},
+		{`4611686018427387905`, func() any { return new(int) }},
+		{`-4611686018427387905`, func() any { return new(int) }},
+		{`9223372036854775807`, func() any { return new(int) }},
+		{`-9223372036854775808`, func() any { return new(int) }},
+		{`9223372036854775808`, func() any { return new(int) }},
 		{`"pong"`, func() any { return new(string) }},
 		{`true`, func() any { return new(bool) }},
 		{`null`, func() any { return new(*int) }},
@@ -92,9 +97,9 @@ func TestUnmarshalDoesNotAlias(t *testing.T) {
 	}
 }
 
-// TestDecodeSteadyStateAllocs pins what the pool is for: decoding an
-// argument or a result into an existing value allocates nothing once a
-// decoder is pooled.
+// TestDecodeSteadyStateAllocs pins that decoding an argument or a result
+// into an existing value allocates nothing: the lexer and the plan take
+// both, and nothing reaches encoding/json.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -7,13 +7,16 @@ import (
 	"github.com/splaykit/splay/internal/llenc"
 )
 
-// Fast-path JSON codec for the RPC envelopes, the one hand-written frame
-// codec: the request ({"id","m","a"}) and response ({"id","e","r"})
-// frames implement llenc.FastMarshaler with hand-rolled encoders and have
-// decline-don't-guess parsers (parseRequest, response.parseJSON) that
-// keep raw spans for the lazy decode below. The bytes are identical to encoding/json's
-// for these structs — field order, omitempty, HTML escaping — which
-// TestRPCFastCodecMatchesEncodingJSON and the fuzz targets check
+// Fast-path JSON codec for the RPC request frame, the one hand-written
+// frame codec: a request ({"id","m","a"}) implements llenc.FastMarshaler
+// with a hand-rolled encoder, because no derived plan can carry its
+// positional []any arguments, and parseRequest is its decline-don't-guess
+// parser, which keeps the argument array as a raw span for the lazy
+// decode below. The response ({"id","e","r"}) has plain json tags and
+// rides its derived plan both ways (llenc.Writer.Encode, llenc.Unmarshal).
+// The bytes are identical to encoding/json's for these structs — field
+// order, omitempty, HTML escaping — which
+// TestRPCFastEncodeMatchesEncodingJSON and the fuzz targets check
 // differentially, so the wire format (and with it every golden-pinned
 // experiment) cannot diverge. Anything the fast path cannot reproduce
 // exactly falls back to encoding/json.
@@ -29,11 +32,11 @@ import (
 // arguments, handler results and PreEncode all go through it, and it
 // appends exactly what encoding/json would. Common scalar types are
 // hand-rolled; pre-encoded json.RawMessage values are appended verbatim
-// when provably canonical; any other value takes its own codec or its
-// type's derived plan (llenc.AppendDerived); whatever declines takes an
-// encoding/json round trip (still byte-identical: a value's encoding does
-// not depend on where it sits). The error is json.Marshal's, for a value
-// that cannot be marshaled at all.
+// when provably canonical; any other value takes its type's derived plan
+// (llenc.AppendDerived); whatever declines takes an encoding/json round
+// trip (still byte-identical: a value's encoding does not depend on where
+// it sits). The error is json.Marshal's, for a value that cannot be
+// marshaled at all.
 func appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -131,36 +134,6 @@ func (r *request) AppendJSON(buf []byte) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// AppendJSON implements llenc.FastMarshaler for the response envelope.
-// Result bytes come from appendValue on the server, so they are
-// canonical already; the verbatim scan only rejects what a raw handler
-// payload could smuggle in.
-func (r *response) AppendJSON(buf []byte) ([]byte, bool) {
-	if !llenc.JSONSafe(r.Err) {
-		return buf, false
-	}
-	b := append(buf, `{"id":`...)
-	b = llenc.AppendUint(b, r.ID)
-	if r.Err != "" {
-		b = append(b, `,"e":"`...)
-		b = append(b, r.Err...)
-		b = append(b, '"')
-	}
-	if len(r.Result) > 0 {
-		b = append(b, `,"r":`...)
-		if llenc.JSONVerbatim(r.Result) {
-			b = append(b, r.Result...)
-		} else {
-			enc, err := json.Marshal(r.Result)
-			if err != nil {
-				return buf, false
-			}
-			b = append(b, enc...)
-		}
-	}
-	return append(b, '}'), true
-}
-
 // wireRequest is the server-side fast parse of a request frame.
 // RawMethod and RawArgs alias the connection's read buffer and are only
 // valid until the next frame is read; the serve loop looks the method up
@@ -194,27 +167,6 @@ func parseRequest(data []byte) (wireRequest, bool) {
 		return ok
 	})
 	return out, ok && l.End()
-}
-
-// parseJSON is the client-side fast parse of a response frame into r.
-// The result span is copied into a fresh allocation because it outlives
-// the read buffer (it is handed to the application as Result). On false
-// r may be partially written; the caller resets it before falling back.
-func (r *response) parseJSON(data []byte) bool {
-	l := llenc.Lexer{Data: data}
-	return l.Object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "id":
-			r.ID, ok = l.Uint()
-		case "e":
-			r.Err, ok = l.String()
-		case "r":
-			var span []byte
-			span, ok = l.Value()
-			r.Result = append(json.RawMessage(nil), span...)
-		}
-		return ok
-	}) && l.End()
 }
 
 // argList is the pooled backing store of Args: the raw argument array

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/splaykit/splay/internal/llenc/codectest"
 )
 
 // jsonEnvelope is the reference decode of a request frame via
@@ -62,8 +64,8 @@ func sampleResponses() []response {
 }
 
 // TestRPCFastEncodeMatchesEncodingJSON is the byte-compatibility
-// contract for the encoders: whenever AppendJSON claims an envelope its
-// bytes equal json.Marshal's.
+// contract for the encoders: whenever the request's AppendJSON or the
+// response's plan claims an envelope its bytes equal json.Marshal's.
 func TestRPCFastEncodeMatchesEncodingJSON(t *testing.T) {
 	for i, req := range sampleRequests() {
 		req := req
@@ -75,15 +77,20 @@ func TestRPCFastEncodeMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("req %d: fast encode diverges:\n got  %s\n want %s", i, got, want)
 		}
 	}
-	for i, resp := range sampleResponses() {
-		resp := resp
-		want, err := json.Marshal(&resp)
-		if err != nil {
-			t.Fatalf("resp %d: marshal: %v", i, err)
-		}
-		if got, ok := resp.AppendJSON(nil); ok && !bytes.Equal(got, want) {
-			t.Errorf("resp %d: fast encode diverges:\n got  %s\n want %s", i, got, want)
-		}
+	for _, resp := range sampleResponses() {
+		codectest.CheckAppend(t, &resp)
+	}
+}
+
+// TestResponseTakesItsPlan: every response shape the server writes —
+// a result, an error, neither — takes the plan both ways, so a member
+// the plan cannot carry fails here instead of falling back.
+func TestResponseTakesItsPlan(t *testing.T) {
+	for _, resp := range []response{
+		{}, {ID: 1, Result: json.RawMessage(`"pong"`)}, {ID: 1<<64 - 1, Err: "plain error"},
+		{ID: 2, Result: json.RawMessage(`{"node":{"id":7,"addr":{"host":"n1","port":8000}},"hops":3}`)},
+	} {
+		codectest.Accepts(t, resp)
 	}
 }
 
@@ -134,22 +141,14 @@ func checkRequestParse(t *testing.T, frame []byte) {
 	}
 }
 
-// checkResponseParse cross-checks response.parseJSON the same way.
+// checkResponseParse cross-checks the response's plan against
+// encoding/json on one frame, into a zero receiver (the pooled one the
+// client reads into) and a used one (see codectest.Check).
 func checkResponseParse(t *testing.T, frame []byte) {
 	t.Helper()
-	var fast response
-	ok := fast.parseJSON(frame)
-	var ref response
-	refErr := json.Unmarshal(frame, &ref)
-	if !ok {
-		return
-	}
-	if refErr != nil {
-		t.Fatalf("fast parser accepted %q which encoding/json rejects: %v", frame, refErr)
-	}
-	if fast.ID != ref.ID || fast.Err != ref.Err || !bytes.Equal(fast.Result, ref.Result) {
-		t.Fatalf("fast response parse diverges on %q:\n got  %+v\n want %+v", frame, fast, ref)
-	}
+	codectest.Check(t, frame,
+		func() response { return response{} },
+		func() response { return response{ID: 9, Err: "old", Result: json.RawMessage(`[1]`)} })
 }
 
 // TestRPCFastParseMatchesEncodingJSON round-trips every sample through
@@ -246,9 +245,7 @@ func TestRPCFastCodecRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := resp.AppendJSON(nil); ok && !bytes.Equal(got, want) {
-			t.Fatalf("case %d: fast response encode diverges:\n got  %s\n want %s", i, got, want)
-		}
+		codectest.CheckAppend(t, &resp)
 		checkResponseParse(t, want)
 	}
 }
@@ -270,7 +267,8 @@ func FuzzRPCRequestParse(f *testing.F) {
 	})
 }
 
-// FuzzRPCResponseParse is the response-side twin.
+// FuzzRPCResponseParse is the response-side twin: any frame the plan on
+// *response accepts must decode identically via encoding/json.
 func FuzzRPCResponseParse(f *testing.F) {
 	f.Add([]byte(`{"id":1,"r":"pong"}`))
 	f.Add([]byte(`{"id":1,"e":"boom"}`))

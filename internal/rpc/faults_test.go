@@ -21,7 +21,7 @@ func TestFaultHookDropsAndDelays(t *testing.T) {
 	e.k.GoAfter(time.Second, func() {
 		rules := faults.NewRPCRules(7)
 		ctx := e.ctx(0)
-		if NewClient(ctx).Fault != nil {
+		if NewClient(ctx).fault != nil {
 			t.Error("client of an ungranted context carries a fault hook")
 		}
 		ctx.Grant(core.Grant{RPCFault: rules.Check})

@@ -9,10 +9,10 @@
 // Clients keep a small pool of connections, multiplexing concurrent calls
 // to one destination over a single stream.
 //
-// The message plane is built for throughput: envelopes ride the
-// hand-rolled fast codec in fast.go (byte-identical to encoding/json),
-// the values inside them ride the same contract when their type has a
-// codec, argument arrays decode lazily from pooled buffers, and replies
+// The message plane is built for throughput: requests ride the
+// hand-rolled fast codec in fast.go and responses and the values inside
+// both ride llenc's derived plans (byte-identical to encoding/json),
+// argument arrays decode lazily from pooled buffers, and replies
 // queued behind one connection writer are drained in a batch by whichever
 // task got there first. See DESIGN.md ("The message plane").
 package rpc
@@ -102,34 +102,23 @@ func (a Args) Decode(i int, v any) error {
 	return unmarshal(a.l.elems[i], v)
 }
 
-// String returns argument i as a string (empty on mismatch). Plain
-// ASCII strings with no escapes are sliced straight out of the element;
-// anything else (escapes, non-ASCII that json would re-validate) takes
-// the encoding/json path so the semantics cannot diverge.
+// String returns argument i as a string (empty on mismatch). A string
+// the lexer reads verbatim (Lexer.RawString: no escapes, valid UTF-8) is
+// copied straight out of the element; anything else takes Decode, so the
+// semantics cannot diverge.
 func (a Args) String(i int) string {
 	if a.l != nil {
 		a.l.ensureSplit()
 		if i >= 0 && i < len(a.l.elems) {
-			e := a.l.elems[i]
-			if len(e) >= 2 && e[0] == '"' && asciiPlain(e[1:len(e)-1]) && e[len(e)-1] == '"' {
-				return string(e[1 : len(e)-1])
+			lex := llenc.Lexer{Data: a.l.elems[i]}
+			if s, ok := lex.RawString(); ok && lex.End() {
+				return string(s)
 			}
 		}
 	}
 	var s string
 	a.Decode(i, &s) //nolint:errcheck // zero value on mismatch is the contract
 	return s
-}
-
-// asciiPlain reports printable ASCII with no quotes or escapes — bytes
-// encoding/json's unquote returns verbatim.
-func asciiPlain(b []byte) bool {
-	for _, c := range b {
-		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
 }
 
 // Int returns argument i as an int (zero on mismatch). Integer literals

@@ -254,8 +254,9 @@ func TestDropRateCausesTimeouts(t *testing.T) {
 	e.k.Go(func() { startEchoServer(t, e.ctx(1), 8000) })
 	timeouts := 0
 	e.k.GoAfter(time.Second, func() {
-		c := NewClient(e.ctx(0))
-		c.Fault = func(transport.Addr, string) (bool, time.Duration) { return true, 0 }
+		ctx := e.ctx(0)
+		ctx.Grant(core.Grant{RPCFault: func(transport.Addr, string) (bool, time.Duration) { return true, 0 }})
+		c := NewClient(ctx)
 		for i := 0; i < 3; i++ {
 			if _, err := c.CallTimeout(transport.Addr{Host: "n1", Port: 8000}, time.Second, "echo", "x"); errors.Is(err, ErrTimeout) {
 				timeouts++

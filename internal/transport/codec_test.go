@@ -14,7 +14,7 @@ var addrReceivers = []func() Addr{
 	func() Addr { return Addr{Host: "old", Port: 9} },
 }
 
-// TestAddrCodec pins what the one address codec accepts (every shape the
+// TestAddrCodec pins what the address's plan accepts (every shape the
 // platform's own hosts take) and what it must leave to encoding/json.
 func TestAddrCodec(t *testing.T) {
 	for _, a := range []Addr{{}, {Host: "n17", Port: 20001}, {Host: "10.0.0.1"}, {Port: -1}, {Host: "::1", Port: 65535}, {Host: "sp ace"}} {
@@ -22,7 +22,7 @@ func TestAddrCodec(t *testing.T) {
 	}
 	for _, a := range []Addr{{Host: `q"uote`}, {Host: `back\slash`}, {Host: "<html>"}, {Host: "ünï"}, {Host: "ctl\x01"}} {
 		if codectest.CheckAppend(t, a) {
-			t.Errorf("AppendJSON accepted %q, which encoding/json escapes", a.Host)
+			t.Errorf("the plan encoded %q, which encoding/json escapes", a.Host)
 		}
 	}
 	for _, src := range []string{`null`, `{"host":null}`, `{"Host":"a"}`, `{"port":1.0}`, `{"port":"1"}`, `{"host":"a\u0062"}`, `{"x":1}`, `[]`} {

@@ -24,7 +24,8 @@ import (
 
 // Addr identifies a network endpoint: a host name plus a port. In the
 // simulated network hosts are named "n0", "n1", …; in the live network the
-// host is an IP address or DNS name.
+// host is an IP address or DNS name. On the wire it is {"host":…,"port":…},
+// carried by llenc's plan for these tags like every other message.
 type Addr struct {
 	Host string `json:"host"`
 	Port int    `json:"port"`
@@ -37,36 +38,6 @@ func (a Addr) String() string { return net.JoinHostPort(a.Host, strconv.Itoa(a.P
 
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }
-
-// AppendJSON implements llenc.FastMarshaler. This file is the one place
-// that spells the address's wire form, {"host":"…","port":…}: control
-// frames and every protocol's node references nest this codec. A host
-// encoding/json would escape declines.
-func (a Addr) AppendJSON(buf []byte) ([]byte, bool) {
-	if !llenc.JSONSafe(a.Host) {
-		return buf, false
-	}
-	b := append(buf, `{"host":"`...)
-	b = append(b, a.Host...)
-	b = append(b, `","port":`...)
-	return append(llenc.AppendInt(b, int64(a.Port)), '}'), true
-}
-
-// WalkJSON is the address's lexer-level parser, which derived plans and
-// ctlproto nest and call at the top level (llenc.ParseDerived): it
-// consumes one address object at the cursor, writing only the members it
-// meets. On false a may be half written; the caller puts it back.
-func (a *Addr) WalkJSON(l *llenc.Lexer) bool {
-	return l.Object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "host":
-			a.Host, ok = l.String()
-		case "port":
-			a.Port, ok = l.Int()
-		}
-		return ok
-	})
-}
 
 // ParseAddr parses "host:port" with net.SplitHostPort's bracket
 // semantics: IPv6 hosts must be bracketed ("[::1]:5555" parses to host
