@@ -219,7 +219,8 @@ func (e *Env) Now() time.Time { return e.ctx.Now() }
 // Sleep parks the calling task for d.
 func (e *Env) Sleep(d time.Duration) { e.ctx.Sleep(d) }
 
-// Rand returns the runtime's random source (deterministic in simulation).
+// Rand returns the instance's stream, keyed by (scenario seed, app name,
+// job.position) alone: derive identity and workload from it.
 func (e *Env) Rand() *rand.Rand { return e.ctx.Rand() }
 
 // Go starts fn as a task of this instance (the paper's events.thread).

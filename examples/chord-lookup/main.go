@@ -11,17 +11,16 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	splay "github.com/splaykit/splay"
 	"github.com/splaykit/splay/internal/protocols/chord"
 	"github.com/splaykit/splay/internal/stats"
+	"github.com/splaykit/splay/internal/stream"
 )
 
 func main() {
 	const n = 200
-	rng := rand.New(rand.NewSource(42))
 	var nodes []*chord.Node
 	sc := splay.Scenario{
 		Seed:    42,
@@ -31,7 +30,7 @@ func main() {
 			Nodes: n,
 			App: splay.AppFunc(func(env *splay.Env) error {
 				cfg := chord.DefaultConfig()
-				id := uint64(rng.Intn(1 << 24))
+				id := uint64(env.Rand().Intn(1 << 24))
 				cfg.ID = &id
 				node, err := chord.New(env.AppContext(), cfg)
 				if err != nil {
@@ -60,6 +59,7 @@ func main() {
 	hist := &stats.IntHistogram{}
 	var delays stats.Durations
 	done := false
+	rng := stream.Rand(sess.Seed(), "lookups", 0)
 	sess.Go(func() {
 		for i := 0; i < 2000; i++ {
 			src := nodes[rng.Intn(len(nodes))]

@@ -14,11 +14,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	splay "github.com/splaykit/splay"
 	"github.com/splaykit/splay/internal/protocols/pastry"
+	"github.com/splaykit/splay/internal/stream"
 )
 
 func main() {
@@ -36,7 +36,6 @@ at 20m stop`, 99)
 	cfg := pastry.DefaultConfig()
 	cfg.RPCTimeout = 5 * time.Second
 	cfg.MaintainEvery = 10 * time.Second
-	rng := rand.New(rand.NewSource(99))
 	nodes := make([]*pastry.Node, churn.Slots())
 	var alive []int
 
@@ -49,7 +48,7 @@ at 20m stop`, 99)
 			App: splay.AppFunc(func(env *splay.Env) error {
 				slot := env.Job().Position - 1
 				c := cfg
-				id := pastry.ID(rng.Uint64())
+				id := pastry.ID(env.Rand().Uint64())
 				c.ID = &id
 				n := pastry.New(env.AppContext(), c)
 				nodes[slot] = n
@@ -57,7 +56,7 @@ at 20m stop`, 99)
 					return err
 				}
 				if len(alive) > 0 {
-					seed := nodes[alive[rng.Intn(len(alive))]]
+					seed := nodes[alive[env.Rand().Intn(len(alive))]]
 					n.Join(seed.Self().Addr) //nolint:errcheck // churned-out seeds are expected
 				}
 				n.StartMaintenance()
@@ -80,7 +79,8 @@ at 20m stop`, 99)
 	}
 	defer sess.Stop()
 
-	// Sample lookups every 30 seconds.
+	// Sample lookups every 30 seconds, from a stream of the driver's own.
+	rng := stream.Rand(sess.Seed(), "samples", 0)
 	fmt.Printf("%-8s %8s %8s %8s\n", "minute", "alive", "ok", "fail")
 	for m := 0; m < 21; m++ {
 		m := m

@@ -4,15 +4,14 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"github.com/splaykit/splay/internal/controller"
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/faults"
 	"github.com/splaykit/splay/internal/simnet"
+	"github.com/splaykit/splay/internal/stream"
 )
 
 // slot is one entry of a session's population table, which the fault
@@ -225,13 +224,8 @@ func (a *actuators) rebuildRules() {
 		rules = append(rules, *a.degrade)
 	}
 	rules = append(rules, a.rpcFaults...)
-	for p, set := range a.s.rpcRules {
-		a.s.stage(a.s.home, p, func() {
-			set.Clear()
-			for _, r := range rules {
-				set.Add(r)
-			}
-		})
+	for p := range a.s.rpcRules {
+		a.s.stage(a.s.home, p, func() { a.s.rpcRules[p].Set(rules) })
 	}
 }
 
@@ -247,11 +241,7 @@ func (a *actuators) Grow(count int) error {
 	if len(a.s.sc.Apps) == 0 {
 		return errors.New("splay: grow needs a deployed application")
 	}
-	spec := a.s.sc.Apps[0]
-	js := controller.JobSpec{
-		App: spec.Name, Params: spec.Params, Nodes: count,
-		Superset: spec.Superset, FullList: spec.FullList,
-	}
+	js := a.s.jobSpec(a.s.sc.Apps[0], count)
 	a.s.stage(a.s.home, 0, func() {
 		a.s.rt.Go(func() {
 			if _, err := a.s.ctl.Submit(js); err != nil {
@@ -321,9 +311,7 @@ func (s *Session) ArmFaults() error {
 	if s.agg != nil {
 		view = s.agg
 	}
-	// Victim selection draws from its own seeded stream, so injecting a
-	// fault never perturbs the runtime's random sequence.
-	s.frng = rand.New(rand.NewSource(s.seed ^ 0x5fa17))
+	s.frng = stream.Rand(s.seed, "faults", 0)
 	s.act = &actuators{s: s}
 	// The engine runs on the home partition and logs through its logger.
 	logf := func(format string, args ...any) { s.logf(s.home, format, args...) }

@@ -135,6 +135,7 @@ type JobSpec struct {
 	// rendez-vous node or a random subset, depending on the
 	// application", §3.1).
 	FullList bool
+	Seed     int64 // keys the instances' random streams (0: the daemon runtime's)
 }
 
 // JobStatus reports a job's progress.
@@ -704,7 +705,7 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 		return job, derr
 	}
 
-	desc := &ctlproto.Job{ID: job.ID, App: spec.App, Params: spec.Params}
+	desc := &ctlproto.Job{ID: job.ID, App: spec.App, Params: spec.Params, Seed: spec.Seed}
 	// Daemons already probed for this job never get re-probed: a daemon
 	// that failed once is not a re-placement target.
 	tried := make(map[string]bool, len(candidates))

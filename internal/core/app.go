@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"io"
 	"math/rand"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/metrics"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -28,9 +30,12 @@ func (NopLogger) Printf(format string, args ...any) {}
 // the paper's job table: the instance's own address (job.me), the
 // bootstrap list chosen by the controller (job.nodes, e.g. a single
 // rendez-vous node or a random subset) and the instance's 1-based rank in
-// the deployment sequence (job.position).
+// the deployment sequence (job.position). Seed, App and Position key the
+// instance's random stream (AppContext.Rand).
 type JobInfo struct {
 	JobID    string           `json:"job_id"`
+	App      string           `json:"app,omitempty"`
+	Seed     int64            `json:"seed,omitempty"`
 	Me       transport.Addr   `json:"me"`
 	Nodes    []transport.Addr `json:"nodes"`
 	Position int              `json:"position"`
@@ -59,8 +64,9 @@ type AppContext struct {
 	rt   Runtime
 	node transport.Node // as the host restricted it (Grant)
 
-	reg      *metrics.Registry // lazily created by Metrics
-	collect  *Collect          // nil: StartReporting is ErrNoCollector
+	reg      *metrics.Registry         // lazily created by Metrics
+	rng      atomic.Pointer[rand.Rand] // lazily created by Rand
+	collect  *Collect                  // nil: StartReporting is ErrNoCollector
 	rpcFault func(transport.Addr, string) (bool, time.Duration)
 
 	// Job describes this instance's deployment.
@@ -193,8 +199,15 @@ func (c *AppContext) Sleep(d time.Duration) {
 	}
 }
 
-// Rand returns the runtime's random source.
-func (c *AppContext) Rand() *rand.Rand { return c.rt.Rand() }
+// Rand returns the instance's own stream, keyed by (job seed, or the
+// runtime's, app, position) alone — not by who shares its host or
+// partition, nor by who drew first. Built on first use; concurrency-safe.
+func (c *AppContext) Rand() *rand.Rand {
+	if c.rng.Load() == nil {
+		c.rng.CompareAndSwap(nil, stream.Rand(cmp.Or(c.Job.Seed, c.rt.Seed()), c.Job.App, uint64(c.Job.Position)))
+	}
+	return c.rng.Load()
+}
 
 // NewWaiter returns a fresh waiter whose Wait yields the instance baton.
 func (c *AppContext) NewWaiter() Waiter {

@@ -305,11 +305,13 @@ func TestLiveRuntimeBasics(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("Stop after fire reported a pending timer")
 	}
-	// Rand must be callable concurrently.
+	// An instance's stream must be callable concurrently, its first use
+	// included.
+	ctx := NewAppContext(rt, nil, JobInfo{Position: 1}, nil)
 	for i := 0; i < 4; i++ {
-		go rt.Rand().Intn(100)
+		go ctx.Rand().Intn(100)
 	}
-	rt.Rand().Intn(100)
+	ctx.Rand().Intn(100)
 }
 
 // countingNode counts the streams dialed through it: attempts, and the

@@ -13,7 +13,6 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -47,23 +46,22 @@ type Runtime interface {
 	After(d time.Duration, fn func()) Timer
 	// NewWaiter returns a fresh one-shot waiter.
 	NewWaiter() Waiter
-	// Rand returns the runtime's random source. In simulation it is
-	// deterministic and must only be used from tasks; in live mode it is
-	// safe for concurrent use.
-	Rand() *rand.Rand
+	// Seed keys the streams of what has no seed of its own: a daemon's
+	// redial jitter, an instance whose job names none.
+	Seed() int64
 }
 
 // SimRuntime adapts the simulation kernel to the Runtime interface.
 type SimRuntime struct {
 	kernel *sim.Kernel
-	rng    *rand.Rand
+	seed   int64
 }
 
 var _ Runtime = (*SimRuntime)(nil)
 
-// NewSimRuntime wraps a kernel; seed fixes the runtime's random source.
+// NewSimRuntime wraps a kernel; seed is the runtime's Seed.
 func NewSimRuntime(k *sim.Kernel, seed int64) *SimRuntime {
-	return &SimRuntime{kernel: k, rng: rand.New(rand.NewSource(seed))}
+	return &SimRuntime{kernel: k, seed: seed}
 }
 
 // Now implements Runtime.
@@ -86,20 +84,19 @@ func (r *SimRuntime) After(d time.Duration, fn func()) Timer {
 // NewWaiter implements Runtime.
 func (r *SimRuntime) NewWaiter() Waiter { return r.kernel.NewWaiter() }
 
-// Rand implements Runtime.
-func (r *SimRuntime) Rand() *rand.Rand { return r.rng }
+// Seed implements Runtime.
+func (r *SimRuntime) Seed() int64 { return r.seed }
 
 // LiveRuntime implements Runtime over real time and goroutines.
 type LiveRuntime struct {
-	rng *rand.Rand
+	seed int64
 }
 
 var _ Runtime = (*LiveRuntime)(nil)
 
-// NewLiveRuntime returns a live runtime with a concurrency-safe random
-// source seeded from seed.
+// NewLiveRuntime returns a live runtime; seed is its Seed.
 func NewLiveRuntime(seed int64) *LiveRuntime {
-	return &LiveRuntime{rng: rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)})}
+	return &LiveRuntime{seed: seed}
 }
 
 // Now implements Runtime.
@@ -119,32 +116,8 @@ func (r *LiveRuntime) After(d time.Duration, fn func()) Timer {
 // NewWaiter implements Runtime.
 func (r *LiveRuntime) NewWaiter() Waiter { return newLiveWaiter() }
 
-// Rand implements Runtime.
-func (r *LiveRuntime) Rand() *rand.Rand { return r.rng }
-
-// lockedSource makes a rand.Source64 safe for concurrent use.
-type lockedSource struct {
-	mu  sync.Mutex
-	src rand.Source64
-}
-
-func (s *lockedSource) Int63() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Int63()
-}
-
-func (s *lockedSource) Uint64() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Uint64()
-}
-
-func (s *lockedSource) Seed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.src.Seed(seed)
-}
+// Seed implements Runtime.
+func (r *LiveRuntime) Seed() int64 { return r.seed }
 
 // liveWaiter implements Waiter with channels and real timers.
 type liveWaiter struct {

@@ -60,6 +60,7 @@ type Job struct {
 	Position int `json:"position,omitempty"`
 	// Nodes is the bootstrap list delivered with LIST.
 	Nodes []transport.Addr `json:"nodes,omitempty"`
+	Seed  int64            `json:"seed,omitempty"` // keys the instances' random streams
 }
 
 // Msg is one frame in either direction. Its codec is the plan llenc

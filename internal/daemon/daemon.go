@@ -9,6 +9,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/sandbox"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -65,7 +67,7 @@ func DefaultConfig(name string) Config {
 	}
 }
 
-// dialTimeout bounds the controller connection attempt.
+// dialTimeout bounds the controller connection attempt and its welcome.
 const dialTimeout = time.Minute
 
 // runningJob is one instantiated application.
@@ -94,7 +96,8 @@ type Daemon struct {
 	nextPort  int
 	jobs      map[string]*runningJob
 	connected bool
-	closed    bool // Close was called: no reconnects
+	closed    bool            // Close was called: no reconnects
+	jitter    stream.Source64 // redial jitter: the stream (seed, "daemon", host)
 }
 
 // New creates a daemon that instantiates applications from the registry.
@@ -105,11 +108,13 @@ func New(rt core.Runtime, node transport.Node, registry *core.Registry, cfg Conf
 	if cfg.PortLow == 0 {
 		cfg.PortLow, cfg.PortHigh = 20000, 29999
 	}
-	return &Daemon{
+	d := &Daemon{
 		rt: rt, node: node, cfg: cfg, registry: registry, log: log,
 		nextPort: cfg.PortLow,
 		jobs:     make(map[string]*runningJob),
 	}
+	d.jitter.Init(rt.Seed(), "daemon", stream.Hash(cfg.Name))
+	return d
 }
 
 // SetInstruments attaches instruments. Call it before Connect.
@@ -156,12 +161,14 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 	if err := s.enc.Encode(hello); err != nil {
 		return refuse(fmt.Errorf("daemon %s: hello: %w", d.cfg.Name, err))
 	}
-	// The handshake blocks, and llenc.Reader takes exactly the welcome
-	// frame off the stream; the session's frame reader has the rest.
+	// The handshake blocks, under a deadline, and llenc.Reader takes the
+	// welcome frame alone off the stream; the session's reader has the rest.
 	var welcome ctlproto.Msg
+	conn.SetReadDeadline(d.rt.Now().Add(dialTimeout)) //nolint:errcheck // without deadlines the wait is unbounded, as before
 	if err := llenc.NewReader(conn).Decode(&welcome); err != nil || welcome.Type != ctlproto.TWelcome {
 		return refuse(fmt.Errorf("daemon %s: no welcome (%v)", d.cfg.Name, err))
 	}
+	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // as above: nothing was set
 	d.mu.Lock()
 	d.blacklist = welcome.Hosts
 	d.connected = true
@@ -201,11 +208,12 @@ func (s *control) OnFrame(payload []byte) bool {
 	return true
 }
 
-// OnEnd marks the session lost and, unless the daemon was closed, starts
-// redialing on a task of its own: the redial sleeps and a sink may not.
-// Every daemon redials: a fault-free run never loses a session before it
-// stops, so the retry sleeps enter no schedule there.
+// OnEnd closes the session's socket, marks it lost and, unless the daemon
+// was closed, starts redialing on a task of its own: the redial sleeps and
+// a sink may not. Every daemon redials: a fault-free run never loses a
+// session before it stops, so the retry sleeps enter no schedule there.
 func (s *control) OnEnd(error) {
+	s.conn.Close()
 	d := s.d
 	d.mu.Lock()
 	d.connected = false
@@ -223,7 +231,7 @@ func (d *Daemon) reconnectLoop(controller transport.Addr) {
 	d.log.Printf("daemon %s: controller session lost, reconnecting", d.cfg.Name)
 	b := faults.DefaultBackoff()
 	for attempt := 0; ; attempt++ {
-		d.rt.Sleep(b.Delay(attempt, d.rt.Rand()))
+		d.rt.Sleep(b.Delay(attempt, rand.New(&d.jitter)))
 		d.mu.Lock()
 		closed := d.closed
 		d.mu.Unlock()
@@ -385,6 +393,8 @@ func (d *Daemon) start(job *ctlproto.Job) *ctlproto.Msg {
 	app = core.Granted(app, core.Grant{Net: d.cfg.Net.Tighten(sandbox.NetLimits{Blacklist: blacklist})})
 	info := core.JobInfo{
 		JobID:    spec.ID,
+		App:      spec.App,
+		Seed:     spec.Seed,
 		Me:       transport.Addr{Host: d.cfg.Name, Port: port},
 		Nodes:    spec.Nodes,
 		Position: spec.Position,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splaykit/splay/internal/controller"
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/ctlproto"
 	"github.com/splaykit/splay/internal/llenc"
@@ -71,6 +72,92 @@ func TestConnectClosesARefusedSession(t *testing.T) {
 	}
 }
 
+// TestHandshakeWaitsAtMostDialTimeout: a controller that accepts and reads
+// the hello but never answers fails Connect after dialTimeout, with the
+// dialed socket closed, instead of parking it — and the redial loop it
+// runs in — forever.
+func TestHandshakeWaitsAtMostDialTimeout(t *testing.T) {
+	k := sim.NewKernel()
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 2, 1)
+	spy := sandbox.Wrap(nw.Node(1), sandbox.NetLimits{})
+	d := New(core.NewSimRuntime(k, 1), spy, core.NewRegistry(), DefaultConfig(simnet.HostName(1)), nil)
+	ctlAddr := transport.Addr{Host: simnet.HostName(0), Port: 5000}
+	k.Go(func() {
+		ln, err := nw.Node(0).Listen(ctlAddr.Port)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r := llenc.NewReader(c)
+		var m ctlproto.Msg
+		for r.Decode(&m) == nil { // the hello, then silence until the daemon hangs up
+		}
+	})
+	var err error
+	var took time.Duration
+	returned := false
+	k.Go(func() {
+		start := k.Now()
+		err = d.Connect(ctlAddr)
+		took, returned = k.Now().Sub(start), true
+	})
+	k.RunFor(3 * dialTimeout)
+	if !returned {
+		t.Fatalf("Connect still waits for the welcome after %s", 3*dialTimeout)
+	}
+	if err == nil || took < dialTimeout || took > dialTimeout+time.Second {
+		t.Errorf("Connect returned %v after %s, want an error after %s", err, took, dialTimeout)
+	}
+	if n := spy.OpenSockets(); n != 0 {
+		t.Errorf("%d sockets open on the daemon's node after the unanswered handshake, want 0", n)
+	}
+}
+
+// TestLostSessionsCloseTheirSockets: every session the controller drops
+// is closed on the daemon's side before the daemon redials, so after many
+// drops the daemon's node holds one controller connection — the live one
+// — not one per lost session.
+func TestLostSessionsCloseTheirSockets(t *testing.T) {
+	const drops = 5
+	k := sim.NewKernel()
+	nw := simnet.New(k, simnet.Symmetric{RTT: time.Millisecond}, 2, 1)
+	rt := core.NewSimRuntime(k, 1)
+	ctl := controller.New(rt, nw.Node(0), controller.DefaultConfig())
+	spy := sandbox.Wrap(nw.Node(1), sandbox.NetLimits{})
+	name := simnet.HostName(1)
+	d := New(rt, spy, core.NewRegistry(), DefaultConfig(name), nil)
+	k.Go(func() {
+		if err := ctl.Start(); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := d.Connect(transport.Addr{Host: simnet.HostName(0), Port: controller.DefaultConfig().Port}); err != nil {
+			t.Error(err)
+		}
+	})
+	k.RunFor(time.Second)
+	for i := 0; i < drops; i++ {
+		if !ctl.DropDaemon(name) {
+			t.Fatalf("drop %d: the controller has no session of %s", i, name)
+		}
+		k.RunFor(time.Minute) // the daemon redials within its backoff
+		if !d.Connected() {
+			t.Fatalf("drop %d: the daemon did not reconnect", i)
+		}
+	}
+	if n := spy.OpenSockets(); n != 1 {
+		t.Errorf("%d sockets open on the daemon's node after %d lost sessions, want 1", n, drops)
+	}
+	d.Close()
+	ctl.Stop()
+	k.Run()
+}
+
 // FuzzDaemonFrames: control frames are network input. Whatever payload
 // sequence reaches the daemon's control sink, nothing panics, every frame
 // that decodes is answered exactly once under its Seq — until the first
@@ -127,7 +214,7 @@ func FuzzDaemonFrames(f *testing.F) {
 		cfg.PortHigh = cfg.PortLow + 1 // two ports: the allocator runs dry
 		d := New(rt, spy, reg, cfg, nil)
 		var wire bytes.Buffer
-		s := &control{d: d, enc: llenc.NewWriter(&wire), wlock: core.NewLock(rt)}
+		s := &control{d: d, conn: stubConn{}, enc: llenc.NewWriter(&wire), wlock: core.NewLock(rt)}
 
 		want := map[uint64]int{} // answers owed per Seq
 		k.Go(func() {
@@ -179,3 +266,8 @@ func FuzzDaemonFrames(f *testing.F) {
 		}
 	})
 }
+
+// stubConn stands in for a session's socket that is only ever closed.
+type stubConn struct{ transport.Conn }
+
+func (stubConn) Close() error { return nil }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	splay "github.com/splaykit/splay"
@@ -63,6 +64,7 @@ type ctlplaneRun struct {
 func runCtlplane(n, nodes int, seed int64) (*ctlplaneRun, error) {
 	run := &ctlplaneRun{}
 	var dep *splay.Deployment // set before any instance runs
+	var mu sync.Mutex         // instances start on every kernel partition
 	sc := splay.Scenario{
 		Seed:    seed,
 		Testbed: splay.PlanetLab(n),
@@ -73,7 +75,9 @@ func runCtlplane(n, nodes int, seed int64) (*ctlplaneRun, error) {
 			Name:  "ctlapp",
 			Nodes: nodes,
 			App: splay.AppFunc(func(env *splay.Env) error {
+				mu.Lock()
 				run.delays = append(run.delays, env.Now().Sub(dep.SubmittedAt()))
+				mu.Unlock()
 				return nil
 			}),
 		}},

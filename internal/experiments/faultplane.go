@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"sync/atomic"
 	"time"
 
 	splay "github.com/splaykit/splay"
@@ -137,23 +135,7 @@ func runFaultplane(w io.Writer, daemons, nodes int, seed int64, workers int) (*f
 	}
 	defer sess.Stop()
 	tel := sess.Telemetry()
-	var remaining atomic.Int64
-	remaining.Store(int64(nodes))
-	rng := rand.New(rand.NewSource(seed))
-	for i := range chordNodes {
-		node := chordNodes[i]
-		start := time.Duration(rng.Intn(int(fpLookupEvery/time.Millisecond))) * time.Millisecond
-		// Each driver runs on its node's partition, like the node itself.
-		node.rt.GoAfter(start, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
-			for j := 0; j < fpRounds; j++ {
-				key := lrng.Uint64() & (1<<fpBits - 1)
-				node.Lookup(key) //nolint:errcheck // failures land in the instruments
-				node.rt.Sleep(fpLookupEvery)
-			}
-			remaining.Add(-1)
-		})
-	}
+	wait := driveLookups(sess, chordNodes, fpLookupEvery, fpRounds, fpBits, fpLookupEvery)
 	armAt := sess.Now()
 	if err := sess.ArmFaults(); err != nil {
 		return nil, err
@@ -183,11 +165,8 @@ func runFaultplane(w io.Writer, daemons, nodes int, seed int64, workers int) (*f
 				tel.Counter("chord.lookups"), tel.Counter("chord.failed_lookups"), healed)
 		}
 	}
-	for i := 0; i < 30 && remaining.Load() > 0; i++ {
-		sess.RunFor(10 * time.Second)
-	}
-	if n := remaining.Load(); n > 0 {
-		return nil, fmt.Errorf("%d lookup drivers still running", n)
+	if err := wait(); err != nil {
+		return nil, err
 	}
 	// Drain the report pipeline, then close the books: the final
 	// assertion evaluation happens inside CheckAssertions.

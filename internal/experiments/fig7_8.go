@@ -2,15 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/hostmodel"
 	"github.com/splaykit/splay/internal/protocols/pastry"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
+	"github.com/splaykit/splay/internal/stream"
 )
 
 func init() {
@@ -41,13 +42,15 @@ func pastryRun(n int, kind hostmodel.Kind, physHosts, lookups int, seed int64) (
 // issued from every node, their starts spread uniformly over spread.
 func pastryRing(bed *simbed.Bed, lookups int, seed int64, spread time.Duration) (stats.Durations, error) {
 	k, n := bed.K, bed.Net.NumHosts()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stream.Rand(seed, "pastryring", 0)
 	nodes := make([]*pastry.Node, 0, n)
+	ctxs := make([]*core.AppContext, 0, n)
 	for i := 0; i < n; i++ {
 		cfg := pastry.DefaultConfig()
 		id := pastry.ID(rng.Uint64())
 		cfg.ID = &id
-		nodes = append(nodes, pastry.New(bed.Context(i, 9000), cfg))
+		ctxs = append(ctxs, bed.Context(i, 9000))
+		nodes = append(nodes, pastry.New(ctxs[i], cfg))
 	}
 	if err := bed.StartAll(upTo(n), func(i int) error { return nodes[i].Start() }); err != nil {
 		return nil, err
@@ -59,11 +62,10 @@ func pastryRing(bed *simbed.Bed, lookups int, seed int64, spread time.Duration) 
 	var delays stats.Durations
 	perNode := lookups/n + 1
 	for i := range nodes {
-		node := nodes[i]
+		node, keys := nodes[i], ctxs[i]
 		k.GoAfter(time.Duration(rng.Intn(int(spread/time.Millisecond)))*time.Millisecond, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
 			for j := 0; j < perNode; j++ {
-				if res, err := node.Route(pastry.ID(lrng.Uint64())); err == nil {
+				if res, err := node.Route(pastry.ID(keys.Rand().Uint64())); err == nil {
 					delays = append(delays, res.RTT)
 				}
 			}

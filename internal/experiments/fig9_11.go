@@ -11,6 +11,7 @@ import (
 	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/topology"
 	"github.com/splaykit/splay/internal/workload"
 )
@@ -91,7 +92,7 @@ func newChurnedPastry(model simnet.LinkModel, slots int, cfg pastry.Config,
 		bed:   oneBed(model, slots, seed, proc),
 		cfg:   cfg,
 		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   stream.Rand(seed, "churnedpastry", 0),
 		nodes: make([]*pastry.Node, slots),
 		ctxs:  make([]*core.AppContext, slots),
 	}

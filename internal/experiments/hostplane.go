@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	splay "github.com/splaykit/splay"
@@ -94,7 +93,6 @@ type hostplaneRun struct {
 // workload.
 type hostChordParams struct {
 	Series    string `json:"series"`     // telemetry prefix, unique per job
-	Seed      int64  `json:"seed"`       // pins ring ids and lookup keys
 	StaggerMS int64  `json:"stagger_ms"` // join spacing
 	StartMS   int64  `json:"start_ms"`   // workload start on the instance clock
 	Rounds    int    `json:"rounds"`     // lookups per node
@@ -103,11 +101,10 @@ type hostChordParams struct {
 
 // hostChordApp is the registry entry the resident platform is started
 // with; submissions reference it by name. Ring identifiers and lookup
-// keys derive from the params' seed and the instance position — never
-// from placement — so a job builds the same ring whether its instances
-// land on daemons 3..27 of a private testbed or 812..2201 of the shared
-// fleet. That is what makes hosted results byte-comparable to local
-// ones.
+// keys come from env.Rand, keyed by (job seed, app, position) — never by
+// placement — so a job builds the same ring whether its instances land on
+// daemons 3..27 of a private testbed or 812..2201 of the shared fleet:
+// hosted results are byte-comparable to local ones.
 func hostChordApp(params []byte) (splay.App, error) {
 	var p hostChordParams
 	// Daemons validate registry entries with nil params at REGISTER
@@ -127,7 +124,7 @@ func hostChordApp(params []byte) (splay.App, error) {
 		// 200 s to converge, while this cadence fits inside hpMargin even
 		// for the job's last joiner (hpMargin/hpStabilize > hpBits).
 		cfg.StabilizeEvery = hpStabilize
-		id := rand.New(rand.NewSource(p.Seed*7919+int64(job.Position))).Uint64() & (1<<hpBits - 1)
+		id := env.Rand().Uint64() & (1<<hpBits - 1)
 		cfg.ID = &id
 		n, err := chord.New(env.AppContext(), cfg)
 		if err != nil {
@@ -152,9 +149,8 @@ func hostChordApp(params []byte) (splay.App, error) {
 		if d := time.Duration(p.StartMS)*time.Millisecond - env.Now().Sub(t0); d > 0 {
 			env.Sleep(d)
 		}
-		krng := rand.New(rand.NewSource(p.Seed + int64(job.Position)))
 		for j := 0; j < p.Rounds && !env.Killed(); j++ {
-			key := krng.Uint64() & (1<<hpBits - 1)
+			key := env.Rand().Uint64() & (1<<hpBits - 1)
 			lookups.Inc()
 			if _, err := n.Lookup(key); err != nil {
 				failed.Inc()
@@ -174,7 +170,6 @@ func hostSubmission(name, series string, seed int64, nodes int) (splay.Scenario,
 	start := time.Duration(nodes)*hpStagger + hpMargin
 	params, err := json.Marshal(hostChordParams{
 		Series:    series,
-		Seed:      seed,
 		StaggerMS: hpStagger.Milliseconds(),
 		StartMS:   start.Milliseconds(),
 		Rounds:    hpRounds,

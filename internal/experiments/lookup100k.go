@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"github.com/splaykit/splay/internal/protocols/chord"
 	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/stats"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/topology"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -47,7 +47,7 @@ type chordOpts struct {
 func chordRing(bed *simbed.Bed, cfg chord.Config, lookups int, seed int64, opts chordOpts) (*chordRun, error) {
 	pk, nw, acct := bed.Par, bed.Net, opts.acct
 	n, parts := nw.NumHosts(), pk.Parts()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stream.Rand(seed, "chordring", 0)
 
 	// Identifiers and addresses are drawn before any node exists — the
 	// same rng, the same draw order — so the whole population is known
@@ -115,13 +115,12 @@ func chordRing(bed *simbed.Bed, cfg chord.Config, lookups int, seed int64, opts 
 		perNode = 1
 	}
 	for i := range nodes {
-		node := nodes[i]
+		node, keys := nodes[i], ctxs[i]
 		part := nw.Host(i).Part()
 		start := time.Duration(rng.Intn(10000)) * time.Millisecond
 		pk.GoAfter(part, start, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
 			for j := 0; j < perNode; j++ {
-				key := lrng.Uint64() & ((1 << cfg.Bits) - 1)
+				key := keys.Rand().Uint64() & ((1 << cfg.Bits) - 1)
 				res, err := node.Lookup(key)
 				if err != nil {
 					runs[part].fails++

@@ -83,12 +83,14 @@ func obsplane(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// ringNode is one instance of an observed ring: its Chord node and the
-// runtime of the kernel partition it runs on, where whatever drives the
-// node must run too.
+// ringNode is one instance of an observed ring: its Chord node, its random
+// stream, the runtime of the kernel partition it runs on, where whatever
+// drives the node must run too, and when it started.
 type ringNode struct {
 	*chord.Node
-	rt *core.SimRuntime
+	rt   *core.SimRuntime
+	rand *rand.Rand
+	at   time.Time
 }
 
 // observedRing is the instrumented-Chord deployment the observability and
@@ -102,7 +104,6 @@ type ringNode struct {
 func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (*splay.Session, []ringNode, error) {
 	var mu sync.Mutex
 	var ring []ringNode
-	startedAt := map[*chord.Node]time.Time{}
 	sc.Apps = []splay.AppSpec{{
 		Name:  name,
 		Nodes: nodes,
@@ -121,8 +122,7 @@ func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (
 				return err
 			}
 			mu.Lock()
-			ring = append(ring, ringNode{node, env.AppContext().Runtime().(*core.SimRuntime)})
-			startedAt[node] = env.Now()
+			ring = append(ring, ringNode{node, env.AppContext().Runtime().(*core.SimRuntime), env.Rand(), env.Now()})
 			mu.Unlock()
 			return nil
 		}),
@@ -133,7 +133,7 @@ func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (
 	}
 	job, err := sess.Deploy(sc.Apps[0]).Wait()
 	sort.SliceStable(ring, func(i, j int) bool {
-		a, b := startedAt[ring[i].Node], startedAt[ring[j].Node]
+		a, b := ring[i].at, ring[j].at
 		return a.Before(b) || a.Equal(b) && ring[i].Self().ID < ring[j].Self().ID
 	})
 	if err == nil && (job.State != splay.JobRunning || len(ring) != nodes) {
@@ -151,6 +151,34 @@ func observedRing(sc splay.Scenario, name string, nodes int, cfg chord.Config) (
 		return nil, nil, err
 	}
 	return sess, ring, nil
+}
+
+// driveLookups starts a driver per node of ring, on its partition and from
+// its stream: a start within spread, then rounds lookups of keys below
+// 2^bits, every apart. wait drives sess until all are done (300 s at most).
+func driveLookups(sess *splay.Session, ring []ringNode, spread time.Duration, rounds int, bits uint, every time.Duration) (wait func() error) {
+	var remaining atomic.Int64
+	remaining.Store(int64(len(ring)))
+	for _, node := range ring {
+		node.rt.GoAfter(time.Duration(node.rand.Int63n(spread.Milliseconds()))*time.Millisecond, func() {
+			for j := 0; j < rounds; j++ {
+				node.Lookup(node.rand.Uint64() & (1<<bits - 1)) //nolint:errcheck // failures land in the instruments
+				if every > 0 {
+					node.rt.Sleep(every)
+				}
+			}
+			remaining.Add(-1)
+		})
+	}
+	return func() error {
+		for i := 0; i < 30 && remaining.Load() > 0; i++ {
+			sess.RunFor(10 * time.Second)
+		}
+		if n := remaining.Load(); n > 0 {
+			return fmt.Errorf("%d lookup drivers still running", n)
+		}
+		return nil
+	}
 }
 
 // obsplaneRun carries one run's aggregated results.
@@ -195,21 +223,7 @@ func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
 	tel := sess.Telemetry()
 	watchStart := sess.Now()
 	f0, b0 := tel.Received()
-	var remaining atomic.Int64
-	remaining.Store(int64(nodes))
-	rng := rand.New(rand.NewSource(seed))
-	for i := range chordNodes {
-		node := chordNodes[i]
-		start := time.Duration(rng.Intn(int(obsSpread/time.Millisecond))) * time.Millisecond
-		node.rt.GoAfter(start, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
-			for j := 0; j < obsLookups; j++ {
-				key := lrng.Uint64() & (1<<obsBits - 1)
-				node.Lookup(key) //nolint:errcheck // failures land in the instruments
-			}
-			remaining.Add(-1)
-		})
-	}
+	wait := driveLookups(sess, chordNodes, obsSpread, obsLookups, obsBits, 0)
 
 	// The live query surface: the aggregator's merged view while the
 	// experiment converges in flight.
@@ -232,11 +246,8 @@ func runObsplane(w io.Writer, n, nodes int, seed int64) (*obsplaneRun, error) {
 		sess.RunFor(obsWatchEvery)
 		watch()
 	}
-	for i := 0; i < 30 && remaining.Load() > 0; i++ {
-		sess.RunFor(10 * time.Second)
-	}
-	if n := remaining.Load(); n > 0 {
-		return nil, fmt.Errorf("%d lookup drivers still running", n)
+	if err := wait(); err != nil {
+		return nil, err
 	}
 	// Drain: two report periods so every periodic flush ships its last
 	// deltas, then close the books.

@@ -8,6 +8,7 @@ import (
 
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/sim"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -296,27 +297,27 @@ func TestEngineRateStat(t *testing.T) {
 	}
 }
 
-// TestRPCRules checks matching, composition and Clear.
+// TestRPCRules checks matching, composition and removal.
 func TestRPCRules(t *testing.T) {
-	r := NewRPCRules(3)
+	r, src := new(RPCRules), new(stream.Source64).Init(3, "rpcfault", 0)
 	to := transport.Addr{Host: "n1", Port: 9000}
-	if drop, delay := r.Check(to, "get"); drop || delay != 0 {
+	if drop, delay := r.Check(src, to, "get"); drop || delay != 0 {
 		t.Fatalf("empty rules produced a verdict: %v %s", drop, delay)
 	}
-	r.Add(RPCRule{Method: "get", Delay: 5 * time.Millisecond})
-	r.Add(RPCRule{Delay: time.Millisecond}) // matches everything
-	if _, delay := r.Check(to, "get"); delay != 6*time.Millisecond {
+	rules := []RPCRule{{Method: "get", Delay: 5 * time.Millisecond}, {Delay: time.Millisecond}} // the second matches everything
+	r.Set(rules)
+	if _, delay := r.Check(src, to, "get"); delay != 6*time.Millisecond {
 		t.Fatalf("delay = %s, want 6ms", delay)
 	}
-	if _, delay := r.Check(to, "put"); delay != time.Millisecond {
+	if _, delay := r.Check(src, to, "put"); delay != time.Millisecond {
 		t.Fatalf("delay = %s, want 1ms for non-matching method", delay)
 	}
-	r.Add(RPCRule{Method: "put", Drop: 1})
-	if drop, _ := r.Check(to, "put"); !drop {
+	r.Set(append(rules, RPCRule{Method: "put", Drop: 1}))
+	if drop, _ := r.Check(src, to, "put"); !drop {
 		t.Fatal("certain drop not applied")
 	}
-	r.Clear()
-	if r.Active() {
-		t.Fatal("Active after Clear")
+	r.Set(nil)
+	if drop, delay := r.Check(src, to, "put"); drop || delay != 0 {
+		t.Fatalf("removed rules produced a verdict: %v %s", drop, delay)
 	}
 }

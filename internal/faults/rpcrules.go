@@ -1,10 +1,10 @@
 package faults
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -20,50 +20,31 @@ type RPCRule struct {
 // scenario deploys: the live counterpart of simnet's link hooks, and an
 // extra knob in simulation. A scenario wires each instance's RPC client
 // to Check; with no rules installed Check is a mutex acquire and a nil
-// slice scan, and clients without a filter never call it at all.
+// slice scan, and clients without a filter never call it at all. The
+// zero value is an empty filter.
 type RPCRules struct {
 	mu    sync.Mutex
-	rng   *rand.Rand
 	rules []RPCRule
 }
 
-// NewRPCRules returns an empty filter; seed fixes the drop sampling.
-func NewRPCRules(seed int64) *RPCRules {
-	return &RPCRules{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Add installs one rule alongside the existing ones.
-func (r *RPCRules) Add(rule RPCRule) {
+// Set replaces the rules (nil removes all); the caller must not modify rules afterwards.
+func (r *RPCRules) Set(rules []RPCRule) {
 	r.mu.Lock()
-	r.rules = append(r.rules, rule)
+	r.rules = rules
 	r.mu.Unlock()
-}
-
-// Clear removes every rule.
-func (r *RPCRules) Clear() {
-	r.mu.Lock()
-	r.rules = nil
-	r.mu.Unlock()
-}
-
-// Active reports whether any rule is installed.
-func (r *RPCRules) Active() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.rules) > 0
 }
 
 // Check is the per-call verdict: whether to drop the request and how much
-// extra latency to add before sending it. Matching rules compose — any
-// drop verdict wins, delays accumulate.
-func (r *RPCRules) Check(to transport.Addr, method string) (drop bool, delay time.Duration) {
+// extra latency to add before sending it, drop rules drawing from src.
+// Matching rules compose — any drop verdict wins, delays accumulate.
+func (r *RPCRules) Check(src *stream.Source64, to transport.Addr, method string) (drop bool, delay time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, rule := range r.rules {
 		if rule.Method != "" && rule.Method != method {
 			continue
 		}
-		if rule.Drop > 0 && r.rng.Float64() < rule.Drop {
+		if rule.Drop > 0 && src.Float64() < rule.Drop {
 			drop = true
 		}
 		delay += rule.Delay

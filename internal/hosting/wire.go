@@ -1,6 +1,7 @@
 package hosting
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -68,6 +69,7 @@ func newSubmission(w *wire.Scenario) (sub submission, field string, err error) {
 			Nodes:    nodes,
 			Superset: a.Superset,
 			FullList: a.FullList,
+			Seed:     cmp.Or(w.Seed, wire.DefaultSimSeed), // what a local replay draws
 		})
 		sub.nodes += nodes
 	}

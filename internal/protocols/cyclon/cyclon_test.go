@@ -9,6 +9,7 @@ import (
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -251,7 +252,7 @@ func TestSampleMatchesPerm(t *testing.T) {
 			}
 			skip := transport.Addr{Host: simnet.HostName(size / 2), Port: 8100}
 			n := &Node{ctx: ctx, cfg: Config{ShuffleLen: l + 1}, view: view} // as the initiator samples
-			ref := rand.New(rand.NewSource(seed))
+			ref := stream.Rand(seed, "", 0)                                  // the stream of a context with no app and no position
 			got, want := n.sample(l, skip), refSample(view, ref, l, skip)
 			if !slices.Equal(got, want) {
 				t.Fatalf("view %d, l %d: sample %v, rand.Perm order %v", size, l, got, want)

@@ -24,7 +24,7 @@ func buildNet(t *testing.T, n, fanout int) (*sim.Kernel, []*Node) {
 	cfg := DefaultConfig()
 	cfg.Fanout = fanout
 	for i := 0; i < n; i++ {
-		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: peers[i]}, nil)
+		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: peers[i], Position: i + 1}, nil)
 		nodes = append(nodes, New(ctx, cfg, peers))
 	}
 	k.Go(func() {

@@ -2,10 +2,10 @@ package pastry
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -36,7 +36,7 @@ func BuildNetwork(nodes []*Node, opts BuildOptions) error {
 	if opts.CandidateSample <= 0 {
 		opts.CandidateSample = 8
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 42))
+	rng := stream.Rand(opts.Seed, "pastry.build", 0)
 
 	sorted := make([]*Node, len(nodes))
 	copy(sorted, nodes)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/faults"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -19,12 +20,15 @@ func TestFaultHookDropsAndDelays(t *testing.T) {
 	addr := transport.Addr{Host: "n1", Port: 8000}
 	e.k.Go(func() { startEchoServer(t, e.ctx(1), 8000) })
 	e.k.GoAfter(time.Second, func() {
-		rules := faults.NewRPCRules(7)
+		rules := new(faults.RPCRules)
 		ctx := e.ctx(0)
 		if NewClient(ctx).fault != nil {
 			t.Error("client of an ungranted context carries a fault hook")
 		}
-		ctx.Grant(core.Grant{RPCFault: rules.Check})
+		src := new(stream.Source64).Init(1, "rpcfault", 0)
+		ctx.Grant(core.Grant{RPCFault: func(to transport.Addr, method string) (bool, time.Duration) {
+			return rules.Check(src, to, method)
+		}})
 		c := NewClient(ctx)
 
 		// No rules: a plain call.
@@ -32,7 +36,7 @@ func TestFaultHookDropsAndDelays(t *testing.T) {
 			t.Errorf("clean call: %v", err)
 		}
 
-		rules.Add(faults.RPCRule{Method: "echo", Drop: 1})
+		rules.Set([]faults.RPCRule{{Method: "echo", Drop: 1}})
 		start := e.k.Now()
 		_, err := c.CallTimeout(addr, 2*time.Second, "echo", "b")
 		if !errors.Is(err, ErrTimeout) {
@@ -46,8 +50,7 @@ func TestFaultHookDropsAndDelays(t *testing.T) {
 			t.Errorf("unmatched method: %v", err)
 		}
 
-		rules.Clear()
-		rules.Add(faults.RPCRule{Method: "echo", Delay: 300 * time.Millisecond})
+		rules.Set([]faults.RPCRule{{Method: "echo", Delay: 300 * time.Millisecond}})
 		start = e.k.Now()
 		if _, err := c.Call(addr, "echo", "c"); err != nil {
 			t.Errorf("delayed call: %v", err)
@@ -56,7 +59,7 @@ func TestFaultHookDropsAndDelays(t *testing.T) {
 			t.Errorf("delayed call returned in %s, want ≥ 300ms", took)
 		}
 
-		rules.Clear()
+		rules.Set(nil)
 		if _, err := c.Call(addr, "echo", "d"); err != nil {
 			t.Errorf("call after clear: %v", err)
 		}

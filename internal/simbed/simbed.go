@@ -4,11 +4,10 @@
 // theirs from a Bed, so how a run is seeded and how a host is bound to its
 // partition's runtime is decided once.
 //
-// Seeding: the network's partition p draws simnet's partSeed(seed, p), the
-// runtime of partition p draws seed+p. Partition 0 therefore draws the plain
-// seed on both, and a one-partition bed is exactly the historical
-// single-kernel wiring (sim.NewKernel + simnet.New + core.NewSimRuntime on
-// one seed): same streams, same run loop.
+// Seeding: no draw belongs to a partition. The network keys each host's
+// loss stream by the seed and every runtime carries it, so a one-partition
+// bed is exactly the single-kernel wiring (sim.NewKernel + simnet.New +
+// core.NewSimRuntime on one seed).
 //
 // Binding: everything that belongs to a host — its runtime, its application
 // context, the task that starts it — is resolved through the network's own
@@ -51,7 +50,7 @@ func New(parts, workers int, model simnet.LinkModel, hosts int, seed int64, proc
 	nw.SetProcDelay(proc)
 	b := &Bed{Par: pk, K: pk.Sub(0), Net: nw, rts: make([]*core.SimRuntime, parts)}
 	for p := range b.rts {
-		b.rts[p] = core.NewSimRuntime(pk.Sub(p), seed+int64(p))
+		b.rts[p] = core.NewSimRuntime(pk.Sub(p), seed)
 	}
 	return b, nil
 }

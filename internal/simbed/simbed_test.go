@@ -2,8 +2,8 @@ package simbed
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +22,7 @@ func (lossy) Loss(a, b int) float64 { return 0.5 }
 
 // trace runs 200 datagrams from host 0 to host 1 and returns which arrived
 // and when the last one did (the network's stream and its processing hook),
-// followed by eight draws of the runtime's.
+// followed by eight draws of an instance stream keyed by the runtime's seed.
 func trace(k *sim.Kernel, nw *simnet.Network, rt *core.SimRuntime, run func() uint64) (arrived []byte, last time.Duration, draws []int64) {
 	k.Go(func() {
 		pc, _ := nw.Node(1).ListenPacket(5000)
@@ -43,8 +43,9 @@ func trace(k *sim.Kernel, nw *simnet.Network, rt *core.SimRuntime, run func() ui
 		}
 	})
 	run()
+	r := core.NewAppContext(rt, nw.Node(0), core.JobInfo{}, nil).Rand()
 	for i := 0; i < 8; i++ {
-		draws = append(draws, rt.Rand().Int63())
+		draws = append(draws, r.Int63())
 	}
 	return arrived, last, draws
 }
@@ -77,7 +78,8 @@ func TestOnePartitionIsHistoricalWiring(t *testing.T) {
 }
 
 // TestHostsBindToTheirPartition: at four partitions a host's runtime and
-// context are its partition's — the runtime seeded seed+p — and StartAll
+// context are its partition's — every runtime carrying the bed's seed, no
+// partition a stream of its own — and StartAll
 // runs each start, in the order given, on a task of the host's partition.
 // The per-partition logs are written without synchronization and every start
 // sleeps on its host's runtime: a start placed on another partition's task
@@ -96,8 +98,8 @@ func TestHostsBindToTheirPartition(t *testing.T) {
 			p := bed.Net.Host(i).Part()
 			if byPart[p] == nil {
 				byPart[p] = bed.Runtime(i)
-				if got, want := byPart[p].Rand().Int63(), rand.New(rand.NewSource(seed+int64(p))).Int63(); got != want {
-					t.Errorf("partition %d's runtime is not seeded seed+%d", p, p)
+				if got := byPart[p].Seed(); got != seed {
+					t.Errorf("partition %d's runtime carries seed %d, want %d", p, got, seed)
 				}
 			}
 			ctx := bed.Context(i, 8000+i)
@@ -177,4 +179,52 @@ func TestNewReturnsSimnetsError(t *testing.T) {
 	if _, err := New(1, 1, noMin, 4, 1, nil); err != nil {
 		t.Errorf("one partition should not need MinDelay: %v", err)
 	}
+}
+
+// TestInstanceStreamsIgnoreNeighbours: an instance's first draws depend
+// only on (seed, app, position) — not on which instances share its kernel
+// partition, nor on who drew first. Each host's instance draws from a task
+// of its partition at 1, 2 and 4 partitions, hosts drawing in index order
+// and in reverse.
+func TestInstanceStreamsIgnoreNeighbours(t *testing.T) {
+	const hosts, seed = 8, 5
+	model := simnet.Symmetric{RTT: 10 * time.Millisecond}
+	var ref [][3]int64
+	for _, parts := range []int{1, 2, 4} {
+		for _, reverse := range []bool{false, true} {
+			bed, err := New(parts, 1, model, hosts, seed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := upTo(hosts)
+			if reverse {
+				slices.Reverse(order)
+			}
+			draws := make([][3]int64, hosts)
+			if err := bed.StartAll(order, func(h int) error {
+				r := bed.Context(h, 8000).Rand()
+				draws[h] = [3]int64{r.Int63(), r.Int63(), r.Int63()}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = draws
+				continue
+			}
+			for h := range draws {
+				if draws[h] != ref[h] {
+					t.Errorf("%d partitions, reverse %v: host %d drew %v, want %v", parts, reverse, h, draws[h], ref[h])
+				}
+			}
+		}
+	}
+}
+
+func upTo(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }

@@ -56,15 +56,15 @@ func (p *packetConn) WriteTo(b []byte, to transport.Addr) (int, error) {
 	}
 	np := p.host.np()
 	np.stats.Datagrams++
-	if loss := nw.model.Loss(p.host.id, remote.id); loss > 0 && np.rng.Float64() < loss {
+	if loss := nw.model.Loss(p.host.id, remote.id); loss > 0 && p.host.loss.Float64() < loss {
 		np.stats.DroppedDgrams++
 		return len(b), nil
 	}
 	// Fault-plane drops: a partition blackholes crossing datagrams without
-	// an rng draw; degradation adds loss sampled only while active, so the
-	// rng sequence with no plan armed is untouched.
+	// a draw; degradation adds loss sampled only while active, so the
+	// sender's loss stream with no plan armed is untouched.
 	if f := &np.faults; f.cut(p.host.id, remote.id) ||
-		f.degraded && f.degLoss > 0 && f.degApplies(p.host.id, remote.id) && np.rng.Float64() < f.degLoss {
+		f.degraded && f.degLoss > 0 && f.degApplies(p.host.id, remote.id) && p.host.loss.Float64() < f.degLoss {
 		np.stats.DroppedDgrams++
 		return len(b), nil
 	}

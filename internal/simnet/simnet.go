@@ -31,7 +31,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,6 +38,7 @@ import (
 	"unsafe"
 
 	"github.com/splaykit/splay/internal/sim"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -129,13 +129,12 @@ func (s Symmetric) DownlinkBps(host int) float64 { return s.Bps }
 type ProcDelayFunc func(host int, size int) time.Duration
 
 // netPart is the per-partition slice of network state. Everything a message
-// hot path touches — kernel, rng, delivery and payload pools, stats, the
+// hot path touches — kernel, delivery and payload pools, stats, the
 // fault state it checks — lives here, owned exclusively by the partition's
 // worker, so partitions never contend and never race. A single-kernel
 // network is simply a network with one partition.
 type netPart struct {
 	k       *sim.Kernel
-	rng     *rand.Rand
 	freeDlv []*delivery // pooled scheduled messages (see delivery.go)
 	freeBuf [][]byte    // pooled payload buffers (see getBuf/putBuf)
 	connSeq int         // conn creation stamp; see newConnPair for uniqueness
@@ -143,11 +142,6 @@ type netPart struct {
 	faults  faultState // this partition's replica (see faults.go)
 
 	_ [64]byte // keep neighbouring partitions off this cache line
-}
-
-func (pt *netPart) init(k *sim.Kernel, seed int64) {
-	pt.k = k
-	pt.rng = rand.New(rand.NewSource(seed))
 }
 
 // Network is a simulated network of hosts.
@@ -212,7 +206,7 @@ func (s *Stats) add(o *Stats) {
 	s.RefusedDials += o.RefusedDials
 }
 
-func newNetwork(model LinkModel, n int) *Network {
+func newNetwork(model LinkModel, n int, seed int64) *Network {
 	nw := &Network{
 		model: model,
 		slab:  make([]Host, n),
@@ -223,26 +217,18 @@ func newNetwork(model LinkModel, n int) *Network {
 		h.nw = nw
 		h.id = i
 		h.nextEphem = 40000
+		h.loss.Init(seed, "simnet.loss", uint64(i))
 		nw.hosts[i] = h
 	}
 	return nw
 }
 
 // New creates a network of n hosts over the kernel using the given link
-// model. The seed makes datagram loss and ephemeral choices deterministic.
+// model. The seed keys every host's datagram-loss stream.
 func New(k *sim.Kernel, model LinkModel, n int, seed int64) *Network {
-	nw := newNetwork(model, n)
-	nw.parts = make([]netPart, 1)
-	nw.parts[0].init(k, seed)
+	nw := newNetwork(model, n, seed)
+	nw.parts = []netPart{{k: k}}
 	return nw
-}
-
-// partSeed derives partition p's rng seed. Partition 0 gets the plain seed,
-// so a one-partition network draws the exact sequence New's networks always
-// drew.
-func partSeed(seed int64, p int) int64 {
-	const golden = int64(-0x61C8864680B583EB) // 2^64 / φ, as a signed word
-	return seed + int64(p)*golden
 }
 
 // NewPartitioned creates a network of n hosts sharded across the
@@ -264,11 +250,11 @@ func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Net
 	if p > 1 && (pk.Lookahead() <= 0 || pk.Lookahead() > look) {
 		return nil, fmt.Errorf("simnet: kernel lookahead %s must be in (0, %s], the smallest delay between hosts on different partitions", pk.Lookahead(), look)
 	}
-	nw := newNetwork(model, n)
+	nw := newNetwork(model, n, seed)
 	nw.pk = pk
 	nw.parts = make([]netPart, p)
 	for i := range nw.parts {
-		nw.parts[i].init(pk.Sub(i), partSeed(seed, i))
+		nw.parts[i].k = pk.Sub(i)
 	}
 	for i := range nw.slab {
 		nw.slab[i].part = place[i]
@@ -416,8 +402,9 @@ type Host struct {
 	upFree   time.Time // uplink busy until
 	downFree time.Time // downlink busy until
 
-	down bool // machine failed: sockets reset, dials refused
-	gen  int  // incremented at every Down/Up transition
+	down bool            // machine failed: sockets reset, dials refused
+	gen  int             // incremented at every Down/Up transition
+	loss stream.Source64 // datagram loss draws of what this host sends
 }
 
 // ID returns the host's index in the network.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"github.com/splaykit/splay/internal/stream"
 )
 
 // PlanetLabConfig parameterizes the PlanetLab model.
@@ -35,10 +37,10 @@ func DefaultPlanetLab(hosts int) PlanetLabConfig {
 // simnet.Network.SetProcDelay to charge per-message load at receivers.
 type PlanetLab struct {
 	cfg  PlanetLabConfig
-	base []time.Duration // per-host one-way delay contribution
-	slow []float64       // per-host slowness percentile in [0,1)
-	bps  []float64       // per-host access bandwidth
-	rng  *rand.Rand      // jitter source; only used inside kernel events
+	base []time.Duration   // per-host one-way delay contribution
+	slow []float64         // per-host slowness percentile in [0,1)
+	bps  []float64         // per-host access bandwidth
+	jit  []stream.Source64 // per-host jitter: the hooks run on the host's partition
 }
 
 // NewPlanetLab builds the model deterministically from its seed.
@@ -49,9 +51,10 @@ func NewPlanetLab(cfg PlanetLabConfig) *PlanetLab {
 		base: make([]time.Duration, cfg.Hosts),
 		slow: make([]float64, cfg.Hosts),
 		bps:  make([]float64, cfg.Hosts),
-		rng:  rng,
+		jit:  make([]stream.Source64, cfg.Hosts),
 	}
 	for i := 0; i < cfg.Hosts; i++ {
+		p.jit[i].Init(cfg.Seed, "planetlab.jitter", uint64(i))
 		// One-way contribution ~ lognormal, median 20 ms: pairwise RTTs
 		// land mostly in 40–300 ms, median ≈ 80 ms.
 		p.base[i] = time.Duration(20e3*math.Exp(rng.NormFloat64()*0.6)) * time.Microsecond
@@ -135,7 +138,7 @@ func slownessQuantile(u float64) time.Duration {
 // 20 KB payloads. It includes pairwise RTT, transfer time at the host's
 // bandwidth and the host's (jittered) load-induced delay.
 func (p *PlanetLab) ProbeDelay(host int, size int) time.Duration {
-	u := p.slow[host] + p.rng.NormFloat64()*0.02
+	u := p.slow[host] + rand.New(&p.jit[host]).NormFloat64()*0.02
 	d := slownessQuantile(u)
 	transfer := time.Duration(float64(size) / p.bps[host] * float64(time.Second))
 	// The slowness quantile is the calibrated total; the physical floor
@@ -153,5 +156,5 @@ func (p *PlanetLab) ProbeDelay(host int, size int) time.Duration {
 // round-trip), sampled exponentially per message.
 func (p *PlanetLab) ProcDelay(host int, size int) time.Duration {
 	mean := float64(slownessQuantile(p.slow[host])) / 14
-	return time.Duration(p.rng.ExpFloat64() * mean)
+	return time.Duration(rand.New(&p.jit[host]).ExpFloat64() * mean)
 }

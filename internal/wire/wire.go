@@ -26,6 +26,9 @@ const (
 	CapFS
 )
 
+// DefaultSimSeed is what a simulated run, and so a hosted job, resolves a zero Seed to.
+const DefaultSimSeed = 2009
+
 // Scenario is the serialized scenario document.
 type Scenario struct {
 	Name            string             `json:"name,omitempty"`

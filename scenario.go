@@ -2,6 +2,7 @@ package splay
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,7 +25,9 @@ import (
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simbed"
 	"github.com/splaykit/splay/internal/simnet"
+	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/transport"
+	"github.com/splaykit/splay/internal/wire"
 )
 
 // AppSpec names one application a Scenario deploys: either a built-in
@@ -85,7 +88,7 @@ type Scenario struct {
 	// Name labels the scenario (job IDs, logs).
 	Name string
 	// Seed fixes all randomness (0 = 2009 in simulation, wall-clock
-	// live).
+	// live; see Env.Rand).
 	Seed int64
 	// Testbed is where to provision: PlanetLab(n), ModelNet(n),
 	// Uniform(n, rtt, bps) or Live(n).
@@ -128,9 +131,8 @@ type Scenario struct {
 	// can never depend on Workers — and 0 means min(partitions,
 	// GOMAXPROCS): a thread per partition as far as the machine has
 	// processors for them, every partition inline on the caller's
-	// goroutine when it has one. Small populations, PlanetLab testbeds and
-	// churned scenarios run a single partition, where Workers changes
-	// nothing.
+	// goroutine when it has one. Small populations and churned scenarios
+	// run a single partition, where Workers changes nothing.
 	Workers int
 }
 
@@ -169,8 +171,8 @@ type Session struct {
 	// assertions.
 	slots    []*slot
 	ctlAddr  transport.Addr
-	rpcRules []*faults.RPCRules // one per kernel partition (see buildRegistry)
-	frng     *rand.Rand
+	rpcRules []faults.RPCRules // one per kernel partition (see buildRegistry)
+	frng     *rand.Rand        // victim selection: the session's "faults" stream
 	eng      *faults.Engine
 	act      *actuators
 
@@ -263,11 +265,7 @@ func (sc Scenario) Run(ctx context.Context) (*Result, error) {
 // collecting, on the monitoring host's partition — the session's home),
 // then the population.
 func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
-	seed := sc.Seed
-	if seed == 0 {
-		seed = 2009
-	}
-	s := &Session{sc: sc, seed: seed}
+	s := &Session{sc: sc, seed: cmp.Or(sc.Seed, wire.DefaultSimSeed)}
 	churned, collecting := sc.Churn.Enabled(), sc.Collect.Metrics
 	if churned {
 		if len(sc.Apps) != 1 {
@@ -292,7 +290,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 		first, pop, monHost = 0, sc.Churn.Slots(), sc.Churn.Slots()
 		total = pop + mon
 	}
-	model, proc := tb.build(total, seed)
+	model, proc := tb.build(total, s.seed)
 
 	// Partition count: a pure function of the host population (never of
 	// Workers — invariant 9). Metrics, faults and assertions are partition-
@@ -301,14 +299,11 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	// own what they change, and fault filters, fleet counters and loggers
 	// are kept per partition. Churn keeps a single partition: the churn
 	// executor starts and kills instances on every host from one task. So
-	// does a testbed's processing-delay hook (PlanetLab): it draws every
-	// host's jitter from one stream, which partitions would consume in
-	// thread order — a data race, and a result that depends on the machine.
-	// So does a model that cannot bound the delay between partitions (a
+	// does a model that cannot bound the delay between partitions (a
 	// zero-RTT uniform testbed). The model places the hosts, and the bed
 	// derives the kernel's lookahead from that placement.
 	parts := 1
-	if p := autoParts(total); p > 1 && !churned && proc == nil {
+	if p := autoParts(total); p > 1 && !churned {
 		if _, _, err := simnet.Placement(model, total, p); err == nil {
 			parts = p
 		}
@@ -319,11 +314,9 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 		// processors — they would only take turns at the window barrier.
 		workers = min(parts, runtime.GOMAXPROCS(0))
 	}
-	// The one-partition bed is the plain single-kernel wiring (partition 0
-	// draws the plain seed), so single-partition scenarios keep their exact
-	// historical schedules. The session itself lives where host 0 does (the
-	// controller, or churn slot 0): partition 0.
-	bed, err := simbed.New(parts, workers, model, total, seed, proc)
+	// The session itself lives where host 0 does (the controller, or churn
+	// slot 0): partition 0.
+	bed, err := simbed.New(parts, workers, model, total, s.seed, proc)
 	if err != nil {
 		return nil, err
 	}
@@ -461,10 +454,7 @@ func (s *Session) startChurn() error {
 	for i := 0; i < s.sc.Churn.Slots(); i++ {
 		s.slots = append(s.slots, &slot{host: i, name: simnet.HostName(i), down: true})
 	}
-	// Rendez-vous selection draws from its own seeded stream, so neither
-	// the runtime's random sequence nor an app that ignores job.nodes
-	// sees a different schedule.
-	jrng := rand.New(rand.NewSource(s.seed ^ 0x10b5))
+	jrng := stream.Rand(s.seed, "churn", 0) // rendez-vous selection
 	ctl := churn.NodeControlFuncs{
 		Start: func(i int) {
 			sl := s.slots[i]
@@ -507,6 +497,8 @@ func (s *Session) startChurn() error {
 			}
 			job := core.JobInfo{
 				JobID:    s.sc.label(),
+				App:      spec.Name,
+				Seed:     s.seed,
 				Me:       transport.Addr{Host: sl.name, Port: churnPort},
 				Nodes:    nodes,
 				Position: i + 1,
@@ -786,17 +778,11 @@ func (s *Session) buildRegistry() error {
 	if !s.sc.Faults.Empty() {
 		// The RPC fault filters exist only for non-empty plans: an unarmed
 		// filter would still sit on every call path, and schedule
-		// neutrality wants the default client untouched. One filter per
-		// kernel partition, each drawing its own drop stream (partition 0
-		// the plain seed), so no filter is read by two threads and no
-		// drop depends on which thread called first.
-		parts := 1
-		if s.pk != nil {
-			parts = s.pk.Parts()
-		}
-		for p := 0; p < parts; p++ {
-			s.rpcRules = append(s.rpcRules, faults.NewRPCRules(s.seed+int64(p)))
-		}
+		// neutrality wants the default client untouched. One rule table
+		// per kernel partition, as Stage delivers rule changes; drop
+		// verdicts draw from the calling instance's "rpcfault" stream, so
+		// they never move a draw of the application.
+		s.rpcRules = make([]faults.RPCRules, max(1, s.Partitions()))
 	}
 	s.reg = core.NewRegistry()
 	for _, spec := range s.sc.Apps {
@@ -817,7 +803,11 @@ func (s *Session) buildRegistry() error {
 		granted := factory.GrantedBy(func(ctx *core.AppContext) core.Grant {
 			g := grant
 			if s.rpcRules != nil {
-				g.RPCFault = s.rpcRules[s.partOf(ctx.Node().Host())].Check
+				rules := &s.rpcRules[s.partOf(ctx.Node().Host())]
+				src := new(stream.Source64).Init(ctx.Job.Seed, "rpcfault", uint64(ctx.Job.Position))
+				g.RPCFault = func(to transport.Addr, method string) (bool, time.Duration) {
+					return rules.Check(src, to, method)
+				}
 			}
 			return g
 		})
@@ -861,10 +851,7 @@ func (s *Session) Deploy(spec AppSpec) *Deployment {
 		close(dep.done)
 		return dep
 	}
-	js := controller.JobSpec{
-		App: spec.Name, Params: spec.Params, Nodes: spec.Nodes,
-		Superset: spec.Superset, FullList: spec.FullList,
-	}
+	js := s.jobSpec(spec, spec.Nodes)
 	framesBefore := s.ctl.FramesSent()
 	submit := func() {
 		dep.submittedAt = s.rt.Now()
@@ -877,6 +864,12 @@ func (s *Session) Deploy(spec AppSpec) *Deployment {
 	}
 	s.rt.Go(submit)
 	return dep
+}
+
+// jobSpec is the job of nodes instances of spec, under the session's seed.
+func (s *Session) jobSpec(spec AppSpec, nodes int) controller.JobSpec {
+	return controller.JobSpec{App: spec.Name, Params: spec.Params, Nodes: nodes,
+		Superset: spec.Superset, FullList: spec.FullList, Seed: s.seed}
 }
 
 // Deployment is one in-flight (or completed) job submission.

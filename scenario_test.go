@@ -391,23 +391,44 @@ func TestLiveLogsShareOneWriter(t *testing.T) {
 	}
 }
 
-// TestScenarioProcDelayTestbedStaysUnsharded: PlanetLab's processing-delay
-// hook draws every host's jitter from one stream, so a population that
-// would otherwise shard keeps one partition — partitions consuming that
-// stream concurrently would race, and the result would depend on thread
-// order (at 5,000 daemons the ctlplane experiment lost instances that way).
-func TestScenarioProcDelayTestbedStaysUnsharded(t *testing.T) {
+// TestScenarioPlanetLabShards: PlanetLab's processing-delay hook draws
+// from the receiving host's own jitter stream, on the partition that owns
+// the host, so a PlanetLab testbed shards like any other: 4,096 daemons
+// provision two partitions, and a gossip job over them — every message
+// charged a jittered delay on both partitions — ends in one fingerprint at
+// Workers 1, 2 and 4.
+func TestScenarioPlanetLabShards(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2k-host population")
+		t.Skip("4k-host population")
 	}
 	t.Parallel()
-	sess, err := splay.Scenario{Seed: 13, Testbed: splay.PlanetLab(2047)}.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	fingerprint := func(workers int) string {
+		sc := splay.Scenario{
+			Seed:    13,
+			Workers: workers,
+			Testbed: splay.PlanetLab(4096),
+			Apps:    []splay.AppSpec{{Name: "cyclon", Nodes: 48, Params: []byte(`{"view_size":8,"shuffle_len":4,"shuffle_every":2000000000}`)}},
+		}
+		sess, err := sc.Start(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		defer sess.Stop()
+		if got := sess.Partitions(); got != 2 {
+			t.Fatalf("PlanetLab(4096) provisioned %d partitions, want 2", got)
+		}
+		job, err := sess.Deploy(sc.Apps[0]).Wait()
+		if err != nil || job.State != splay.JobRunning {
+			t.Fatalf("workers=%d: deploy: %v (%+v)", workers, err, job)
+		}
+		sess.RunFor(30 * time.Second)
+		return fmt.Sprintf("%v at %s, %d bytes", job.Deployed, sess.Now().Format(time.RFC3339Nano), sess.NetBytes())
 	}
-	defer sess.Stop()
-	if got := sess.Partitions(); got != 1 {
-		t.Fatalf("PlanetLab(2047) provisioned %d partitions, want 1", got)
+	ref := fingerprint(1)
+	for _, w := range []int{2, 4} {
+		if got := fingerprint(w); got != ref {
+			t.Errorf("Workers=%d changed the run:\n got  %s\n want %s", w, got, ref)
+		}
 	}
 }
 
