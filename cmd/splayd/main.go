@@ -156,7 +156,8 @@ func main() {
 	// the controller-side aggregator as batched delta reports.
 	if *metricsAddr != "" {
 		reg := metrics.NewRegistry()
-		d.SetInstruments(daemon.NewInstruments(reg))
+		ins := daemon.NewInstruments(reg)
+		d.SetInstruments(&ins)
 		go report(context.Background(), node, maddr, reg, *metricsKey, *name)
 	}
 

@@ -17,16 +17,14 @@ import (
 // slot is one entry of a session's population table, which the fault
 // actuators and the churn executor's start/stop closures both read: a
 // provisioned daemon, tracked so the fault plane can crash and revive it,
-// or a churn-trace slot and the instance its last join started. The
-// construction closure rebuilds an identical daemon (same host, config,
-// registry, instruments) when a Restart event fires; a restarted daemon
+// or a churn-trace slot and the instance its last join started. A Restart
+// event rebuilds an identical daemon through Session.newDaemon; it
 // re-registers under its old name, replacing the dead controller session.
 type slot struct {
 	host int    // simulated host index (-1 live)
 	name string // simnet host name / live loopback IP
 	down bool
-	mk   func() *daemon.Daemon // controller-provisioned slots
-	d    *daemon.Daemon
+	d    *daemon.Daemon // controller-provisioned slots
 	inst *core.Instance // churned slots: the running instance, nil while away
 }
 
@@ -95,7 +93,7 @@ func (a *actuators) Restart() (int, error) {
 	defer a.mu.Unlock()
 	n := 0
 	var firstErr error
-	for _, sl := range a.s.slots {
+	for i, sl := range a.s.slots {
 		if !sl.down {
 			continue
 		}
@@ -103,7 +101,7 @@ func (a *actuators) Restart() (int, error) {
 			if a.s.nw != nil {
 				a.s.nw.Host(sl.host).SetDown(false)
 			}
-			sl.d = sl.mk()
+			sl.d = a.s.newDaemon(i)
 			err := sl.d.Connect(a.s.ctlAddr)
 			a.s.stage(a.s.partOf(sl.name), a.s.home, func() {
 				if err != nil {

@@ -157,9 +157,15 @@ type replyFn func(ans ctlproto.Msg, err error)
 
 // pendingReply is one in-flight command awaiting its answer.
 type pendingReply struct {
+	seq      uint64
 	fn       replyFn
 	deadline time.Time
 }
+
+// answers recycles OnFrame's decode targets: an answer reaches its
+// callback by value, so its target is free again once the callback
+// returns, and no session needs one of its own.
+var answers = sync.Pool{New: func() any { return new(ctlproto.Msg) }}
 
 // daemonSession is the controller's view of one connected daemon, and the
 // sink of the frame reader that feeds it the daemon's answers.
@@ -168,25 +174,53 @@ type daemonSession struct {
 	name  string
 	hash  uint32 // nameHash(name): shard (and thereby ping-slice) assignment
 	conn  transport.Conn
-	enc   *llenc.Writer
+	enc   llenc.Writer
 	wlock *core.Lock
 	fr    llenc.FrameReader
-	m     ctlproto.Msg // OnFrame's decode target: answers go to p.fn by value
 
 	mu       sync.Mutex // guards the fields below under LiveRuntime
 	lastSeen time.Time
 	rtt      time.Duration // last measured responsiveness
 	nextSeq  uint64
-	pending  map[uint64]pendingReply
+	pending  []pendingReply // in seq order: enqueue appends the next seq
 	gone     bool
+}
+
+// take removes and returns the pending reply for seq. Callers hold d.mu.
+// Answers mostly arrive in seq order, so the scan usually stops at once.
+func (d *daemonSession) take(seq uint64) (pendingReply, bool) {
+	for i, p := range d.pending {
+		if p.seq == seq {
+			d.pending = slices.Delete(d.pending, i, i+1) // clears the tail: no callback outlives its entry
+			return p, true
+		}
+	}
+	return pendingReply{}, false
 }
 
 // drop removes a pending reply without invoking its callback (the caller
 // already has its answer, e.g. from its own timeout).
 func (d *daemonSession) drop(seq uint64) {
 	d.mu.Lock()
-	delete(d.pending, seq)
+	d.take(seq)
 	d.mu.Unlock()
+}
+
+// expire removes the pending replies whose deadline is before now and
+// returns them in seq order; the rest keep theirs. Callers hold d.mu. A
+// sweep that expires nothing allocates nothing.
+func (d *daemonSession) expire(now time.Time) (out []pendingReply) {
+	kept := d.pending[:0]
+	for _, p := range d.pending {
+		if now.After(p.deadline) {
+			out = append(out, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	clear(d.pending[len(kept):])
+	d.pending = kept
+	return out
 }
 
 // Controller is a running splayctl instance.
@@ -332,11 +366,10 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 		name:     hello.Name,
 		hash:     nameHash(hello.Name),
 		conn:     conn,
-		enc:      llenc.NewWriter(conn),
 		wlock:    core.NewLock(c.rt),
 		lastSeen: c.rt.Now(),
-		pending:  make(map[uint64]pendingReply),
 	}
+	d.enc.Reset(conn)
 	// Gauge tracking rides atomic deltas, not Set-after-read: a Set from
 	// a racing connect/disconnect could latch a stale population.
 	if old := c.reg.put(d); old != nil {
@@ -351,16 +384,9 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 	// A registering daemon clears its own stale blacklist entry: a host
 	// partitioned by a fault drill that reconnects is placeable again
 	// immediately, without waiting for an operator heal.
-	cleared := false
-	kept := c.blacklist[:0]
-	for _, pat := range c.blacklist {
-		if pat == d.name {
-			cleared = true
-			continue
-		}
-		kept = append(kept, pat)
-	}
-	c.blacklist = kept
+	n := len(c.blacklist)
+	c.blacklist = slices.DeleteFunc(c.blacklist, func(pat string) bool { return pat == d.name })
+	cleared := len(c.blacklist) < n
 	blk := append(append([]string(nil), c.cfg.Blacklist...), c.blacklist...)
 	c.mu.Unlock()
 	c.send(d, &ctlproto.Msg{Type: ctlproto.TWelcome, Hosts: blk}) //nolint:errcheck
@@ -377,23 +403,22 @@ func (d *daemonSession) Readable() { d.fr.Run(d.conn, d, nil) }
 
 // OnFrame delivers one answer to the command that awaits it.
 func (d *daemonSession) OnFrame(payload []byte) bool {
-	d.m = ctlproto.Msg{}
-	if llenc.Unmarshal(payload, &d.m) != nil {
+	m := answers.Get().(*ctlproto.Msg)
+	defer answers.Put(m)
+	*m = ctlproto.Msg{}
+	if llenc.Unmarshal(payload, m) != nil {
 		return false
 	}
 	d.mu.Lock()
 	d.lastSeen = d.c.rt.Now()
-	p, ok := d.pending[d.m.Seq]
-	if ok {
-		delete(d.pending, d.m.Seq)
-	}
+	p, ok := d.take(m.Seq)
 	d.mu.Unlock()
 	if ok {
 		var err error
-		if d.m.Type == ctlproto.TErr {
-			err = fmt.Errorf("controller: daemon %s: %s", d.name, d.m.Err)
+		if m.Type == ctlproto.TErr {
+			err = fmt.Errorf("controller: daemon %s: %s", d.name, m.Err)
 		}
-		p.fn(d.m, err)
+		p.fn(*m, err)
 	}
 	return true
 }
@@ -404,7 +429,8 @@ func (d *daemonSession) OnFrame(payload []byte) bool {
 func (d *daemonSession) OnEnd(error) {
 	d.mu.Lock()
 	d.gone = true
-	orphans := popPending(d, nil)
+	orphans := d.pending
+	d.pending = nil
 	d.mu.Unlock()
 	if d.c.reg.removeIf(d) {
 		d.c.ins.Daemons.Add(-1)
@@ -414,28 +440,6 @@ func (d *daemonSession) OnEnd(error) {
 		p.fn(ctlproto.Msg{}, err)
 	}
 	d.conn.Close()
-}
-
-// popPending removes and returns pending replies under d.mu, in seq order
-// so failure delivery stays deterministic in simulation. A nil filter
-// takes everything; otherwise only entries the filter accepts.
-func popPending(d *daemonSession, filter func(pendingReply) bool) []pendingReply {
-	if len(d.pending) == 0 {
-		return nil
-	}
-	seqs := make([]uint64, 0, len(d.pending))
-	for seq, p := range d.pending {
-		if filter == nil || filter(p) {
-			seqs = append(seqs, seq)
-		}
-	}
-	slices.Sort(seqs)
-	out := make([]pendingReply, 0, len(seqs))
-	for _, seq := range seqs {
-		out = append(out, d.pending[seq])
-		delete(d.pending, seq)
-	}
-	return out
 }
 
 func (c *Controller) send(d *daemonSession, m *ctlproto.Msg) error {
@@ -456,7 +460,7 @@ func (c *Controller) enqueue(d *daemonSession, m *ctlproto.Msg, timeout time.Dur
 	}
 	d.nextSeq++
 	m.Seq = d.nextSeq
-	d.pending[m.Seq] = pendingReply{fn: fn, deadline: c.rt.Now().Add(timeout)}
+	d.pending = append(d.pending, pendingReply{seq: m.Seq, fn: fn, deadline: c.rt.Now().Add(timeout)})
 	d.mu.Unlock()
 	if err := c.send(d, m); err != nil {
 		d.drop(m.Seq)
@@ -478,16 +482,10 @@ func (c *Controller) fanout(ds []*daemonSession, timeout time.Duration,
 	makeMsg func(i int) *ctlproto.Msg,
 	fn func(i int, d *daemonSession, ans ctlproto.Msg, err error)) {
 	for lo := 0; lo < len(ds); lo += writeBatch {
-		hi := lo + writeBatch
-		if hi > len(ds) {
-			hi = len(ds)
-		}
-		batch := ds[lo:hi]
-		base := lo
+		batch := ds[lo:min(lo+writeBatch, len(ds))]
 		c.rt.Go(func() {
 			for j, d := range batch {
-				i := base + j
-				d := d
+				i := lo + j
 				if err := c.enqueue(d, makeMsg(i), timeout, func(ans ctlproto.Msg, err error) {
 					fn(i, d, ans, err)
 				}); err != nil {
@@ -516,7 +514,7 @@ func (c *Controller) monitorTick() {
 		if stale {
 			d.gone = true
 		}
-		expired := popPending(d, func(p pendingReply) bool { return now.After(p.deadline) })
+		expired := d.expire(now)
 		d.mu.Unlock()
 		for _, p := range expired {
 			p.fn(ctlproto.Msg{}, transport.ErrTimeout)

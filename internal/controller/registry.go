@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -99,11 +100,8 @@ func (r *registry) removeIf(d *daemonSession) bool {
 
 func (s *regShard) dropLocked(d *daemonSession) {
 	delete(s.daemons, d.name)
-	for i, o := range s.order {
-		if o == d {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.order, d); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1) // clears the vacated slot
 	}
 }
 

@@ -7,9 +7,12 @@
 package daemon
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,11 +49,16 @@ func NewInstruments(reg *metrics.Registry) Instruments {
 	}
 }
 
+// noInstruments is the shared disabled set a daemon points at until
+// SetInstruments, so no access needs a nil guard. It is never written to.
+var noInstruments Instruments
+
 // Config is the daemon's local configuration file equivalent.
 type Config struct {
 	// Name identifies the daemon (its advertised host name).
 	Name string
-	// Key authenticates the daemon to the controller.
+	// Key authenticates the daemon to the controller; empty sends
+	// "k-" followed by Name.
 	Key string
 	// PortLow/PortHigh is the port range granted to applications.
 	PortLow, PortHigh int
@@ -59,12 +67,10 @@ type Config struct {
 	FS  sandbox.FSLimits
 }
 
-// DefaultConfig fills the key and the port range.
+// DefaultConfig fills the port range; the key is derived from the name
+// when the hello is sent.
 func DefaultConfig(name string) Config {
-	return Config{
-		Name: name, Key: "k-" + name,
-		PortLow: 20000, PortHigh: 29999,
-	}
+	return Config{Name: name, PortLow: 20000, PortHigh: 29999}
 }
 
 // dialTimeout bounds the controller connection attempt and its welcome.
@@ -85,7 +91,7 @@ type Daemon struct {
 	cfg      Config
 	registry *core.Registry
 	log      core.Logger
-	ins      Instruments
+	ins      *Instruments
 
 	// mu guards the session state: under LiveRuntime every controller
 	// command is handled on its own goroutine, so jobs, the port
@@ -94,7 +100,7 @@ type Daemon struct {
 	conn      transport.Conn
 	blacklist []string
 	nextPort  int
-	jobs      map[string]*runningJob
+	jobs      map[string]*runningJob // made at the first REGISTER
 	connected bool
 	closed    bool            // Close was called: no reconnects
 	jitter    stream.Source64 // redial jitter: the stream (seed, "daemon", host)
@@ -110,15 +116,16 @@ func New(rt core.Runtime, node transport.Node, registry *core.Registry, cfg Conf
 	}
 	d := &Daemon{
 		rt: rt, node: node, cfg: cfg, registry: registry, log: log,
+		ins:      &noInstruments,
 		nextPort: cfg.PortLow,
-		jobs:     make(map[string]*runningJob),
 	}
 	d.jitter.Init(rt.Seed(), "daemon", stream.Hash(cfg.Name))
 	return d
 }
 
-// SetInstruments attaches instruments. Call it before Connect.
-func (d *Daemon) SetInstruments(ins Instruments) { d.ins = ins }
+// SetInstruments attaches instruments, shared with whoever else holds
+// them. Call it before Connect.
+func (d *Daemon) SetInstruments(ins *Instruments) { d.ins = ins }
 
 // Connected reports whether the controller session is up.
 func (d *Daemon) Connected() bool {
@@ -153,9 +160,10 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 		d.mu.Unlock()
 		return err
 	}
-	s := &control{d: d, controller: controller, conn: conn, enc: llenc.NewWriter(conn), wlock: core.NewLock(d.rt)}
+	s := &control{d: d, controller: controller, conn: conn, wlock: core.NewLock(d.rt)}
+	s.enc.Reset(conn)
 	hello := &ctlproto.Msg{
-		Type: ctlproto.THello, Name: d.cfg.Name, Key: d.cfg.Key,
+		Type: ctlproto.THello, Name: d.cfg.Name, Key: cmp.Or(d.cfg.Key, "k-"+d.cfg.Name),
 		PortLow: d.cfg.PortLow, PortHigh: d.cfg.PortHigh,
 	}
 	if err := s.enc.Encode(hello); err != nil {
@@ -183,7 +191,7 @@ type control struct {
 	d          *Daemon
 	controller transport.Addr
 	conn       transport.Conn
-	enc        *llenc.Writer
+	enc        llenc.Writer
 	wlock      *core.Lock
 	fr         llenc.FrameReader
 }
@@ -250,10 +258,7 @@ func (d *Daemon) Close() {
 	d.mu.Lock()
 	d.closed = true
 	conn := d.conn
-	ids := make([]string, 0, len(d.jobs))
-	for id := range d.jobs {
-		ids = append(ids, id)
-	}
+	ids := slices.Collect(maps.Keys(d.jobs))
 	d.mu.Unlock()
 	if conn != nil {
 		conn.Close()
@@ -311,6 +316,9 @@ func (d *Daemon) register(job *ctlproto.Job) *ctlproto.Msg {
 	port, ok := d.grantPort()
 	if !ok {
 		return &ctlproto.Msg{Type: ctlproto.TErr, Err: "no free port in range"}
+	}
+	if d.jobs == nil {
+		d.jobs = make(map[string]*runningJob)
 	}
 	d.jobs[job.ID] = &runningJob{job: job, port: port}
 	return &ctlproto.Msg{Type: ctlproto.TAck, Port: port}

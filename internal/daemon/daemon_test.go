@@ -93,7 +93,7 @@ func TestControllerScript(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		want := ctlproto.Msg{Type: ctlproto.THello, Name: cfg.Name, Key: cfg.Key, PortLow: cfg.PortLow, PortHigh: cfg.PortHigh}
+		want := ctlproto.Msg{Type: ctlproto.THello, Name: cfg.Name, Key: "k-" + cfg.Name, PortLow: cfg.PortLow, PortHigh: cfg.PortHigh}
 		if hello.Type != want.Type || hello.Name != want.Name || hello.Key != want.Key ||
 			hello.PortLow != want.PortLow || hello.PortHigh != want.PortHigh {
 			t.Errorf("hello = %+v, want %+v", hello, want)

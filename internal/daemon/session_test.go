@@ -214,7 +214,8 @@ func FuzzDaemonFrames(f *testing.F) {
 		cfg.PortHigh = cfg.PortLow + 1 // two ports: the allocator runs dry
 		d := New(rt, spy, reg, cfg, nil)
 		var wire bytes.Buffer
-		s := &control{d: d, conn: stubConn{}, enc: llenc.NewWriter(&wire), wlock: core.NewLock(rt)}
+		s := &control{d: d, conn: stubConn{}, wlock: core.NewLock(rt)}
+		s.enc.Reset(&wire)
 
 		want := map[uint64]int{} // answers owed per Seq
 		k.Go(func() {

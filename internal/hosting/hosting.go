@@ -24,6 +24,7 @@ package hosting
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -408,18 +409,14 @@ func (s *Service) dispatch() {
 	}
 	s.mu.Unlock()
 	for _, j := range starting {
-		j := j
 		s.rt.Go(func() { s.runJob(j) })
 	}
 }
 
 // removeQueued drops a job from the wait queue. Callers hold s.mu.
 func (s *Service) removeQueued(j *job) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.queue, j); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1) // clears the vacated slot
 	}
 }
 

@@ -303,6 +303,41 @@ func TestKillLifecycle(t *testing.T) {
 	}
 }
 
+// TestKilledQueuedJobLeavesTheQueue: a job killed while it waits leaves
+// no trace in the queue's spare capacity, where it would stay reachable
+// until the next submission overwrote the slot.
+func TestKilledQueuedJobLeavesTheQueue(t *testing.T) {
+	fl := newSimFleet(t, 4)
+	svc := New(fl.rt, fl.ctl, Config{Capacity: 4})
+	if err := svc.AddTenant(Tenant{Name: "erin", Key: "ke"}); err != nil {
+		t.Fatal(err)
+	}
+	var queued JobView
+	fl.k.Go(func() {
+		var err error
+		if _, err = svc.Submit("ke", scenarioJSON("r", 4, time.Hour)); err != nil {
+			t.Errorf("submit: %v", err)
+		}
+		if queued, err = svc.Submit("ke", scenarioJSON("q", 4, time.Hour)); err != nil {
+			t.Errorf("submit: %v", err)
+		}
+	})
+	fl.k.RunFor(10 * time.Second)
+	if err := svc.Kill("ke", queued.ID); err != nil {
+		t.Fatalf("kill queued: %v", err)
+	}
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if len(svc.queue) != 0 {
+		t.Fatalf("%d jobs queued after the kill", len(svc.queue))
+	}
+	for i, j := range svc.queue[:cap(svc.queue)] {
+		if j != nil {
+			t.Errorf("spare queue slot %d still holds job %s", i, j.id)
+		}
+	}
+}
+
 // TestRequeueAfterChurn places a job that cannot fit the initial
 // population, lets more daemons register, and checks the re-placement
 // machinery lands it — the hosted state machine survives daemon churn.

@@ -313,11 +313,8 @@ func (c *Client) peer(to transport.Addr, now int64, timeout time.Duration) (*pee
 			// Timed out before the dial verdict: drop our (now recycled,
 			// pooled) waiter from the list so the verdict cannot touch it.
 			c.mu.Lock()
-			for i := range pc.pending {
-				if pc.pending[i].w == w {
-					pc.pending = append(pc.pending[:i], pc.pending[i+1:]...)
-					break
-				}
+			if i := slices.IndexFunc(pc.pending, func(p pendingCall) bool { return p.w == w }); i >= 0 {
+				pc.pending = slices.Delete(pc.pending, i, i+1) // clears the vacated slot
 			}
 			c.mu.Unlock()
 			return nil, v.(error)

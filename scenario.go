@@ -178,7 +178,9 @@ type Session struct {
 
 	// logs are the session's loggers over Collect.Logs, one per kernel
 	// partition (one live); nil when the scenario collects no logs.
-	logs []core.Logger
+	logs  []core.Logger
+	sink  *logging.WriterSink  // live: every daemon's logger and the session's write through it
+	fleet []daemon.Instruments // the daemons' instruments per partition (see fleetCounters)
 
 	startErr error
 	stopped  atomic.Bool
@@ -368,25 +370,13 @@ func (s *Session) startDaemons(first, pop int) error {
 		}
 	})
 	s.ctlAddr = ctl.Addr()
-	fleet := s.fleetCounters(ctlReg, first, pop)
-	for i := first; i < first+pop; i++ {
-		host := i
-		// A daemon lives on its host's kernel partition with that
-		// partition's runtime and logger.
-		part, drt := nw.Host(host).Part(), s.bed.Runtime(host)
-		lg := s.logger(part)
-		dcfg := daemon.DefaultConfig(simnet.HostName(host))
-		mk := func() *daemon.Daemon {
-			d := daemon.New(drt, nw.Node(host), s.reg, dcfg, lg)
-			if fleet != nil {
-				d.SetInstruments(fleet[part])
-			}
-			return d
-		}
-		d := mk()
-		s.slots = append(s.slots, &slot{host: host, name: dcfg.Name, mk: mk, d: d})
-		s.pk.GoAfter(part, time.Duration(host)*2*time.Millisecond, func() {
-			d.Connect(s.ctlAddr) //nolint:errcheck // expiry is the monitor's job
+	s.fleetCounters(ctlReg, first, pop)
+	for host := first; host < first+pop; host++ {
+		sl := &slot{host: host, name: simnet.HostName(host)}
+		s.slots = append(s.slots, sl)
+		sl.d = s.newDaemon(len(s.slots) - 1)
+		s.pk.GoAfter(nw.Host(host).Part(), time.Duration(host)*2*time.Millisecond, func() {
+			sl.d.Connect(s.ctlAddr) //nolint:errcheck // expiry is the monitor's job
 		})
 	}
 	s.pk.RunFor(simSettle)
@@ -555,10 +545,9 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	s.rt, s.homeRT = rt, rt
 	// One sink serializes every daemon's lines and the fault plane's onto
 	// the writer; each daemon's logger names it in the node column.
-	var sink *logging.WriterSink
 	if sc.Collect.Logs != nil {
-		sink = &logging.WriterSink{W: sc.Collect.Logs}
-		s.logs = []core.Logger{logging.New(sink, sc.label(), "", nil)}
+		s.sink = &logging.WriterSink{W: sc.Collect.Logs}
+		s.logs = []core.Logger{logging.New(s.sink, sc.label(), "", nil)}
 	}
 	if sc.Collect.Metrics {
 		every, key := sc.Collect.reportDefaults()
@@ -593,27 +582,15 @@ func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, er
 	}
 
 	for i := 0; i < tb.daemons; i++ {
-		// Distinct loopback addresses per daemon (names must be unique
-		// per controller session), each with its own probed port range
-		// so several daemons and unrelated processes coexist on one
-		// machine.
-		name := fmt.Sprintf("%s.%d", tb.daemonIP, i+1)
-		dcfg := daemon.DefaultConfig(name)
-		dcfg.PortLow = tb.basePort + i*tb.portSpan
-		dcfg.PortHigh = dcfg.PortLow + tb.portSpan - 1
-		var lg core.Logger
-		if sink != nil {
-			lg = logging.New(sink, name, "", nil)
-		}
-		mk := func() *daemon.Daemon {
-			return daemon.New(rt, livenet.NewNode(name), s.reg, dcfg, lg)
-		}
-		d := mk()
-		if err := d.Connect(ctlAddr); err != nil {
+		// Distinct loopback addresses per daemon: names must be unique per
+		// controller session.
+		sl := &slot{host: -1, name: fmt.Sprintf("%s.%d", tb.daemonIP, i+1)}
+		s.slots = append(s.slots, sl)
+		sl.d = s.newDaemon(i)
+		if err := sl.d.Connect(ctlAddr); err != nil {
 			s.Stop()
 			return nil, err
 		}
-		s.slots = append(s.slots, &slot{host: -1, name: name, mk: mk, d: d})
 	}
 	// Readiness: poll the controller's registry instead of sleeping an
 	// arbitrary delay and hoping the daemons made it.
@@ -650,28 +627,28 @@ func (s *Session) newController(node transport.Node, cfg controller.Config) *met
 	return ctlReg
 }
 
-// fleetCounters returns the daemons' instrument sets, one per kernel
-// partition (nil when not collecting): partition 0's in the controller's
-// registry ctlReg, every other partition's in a registry of its own that
-// the partition reports as node "ctl" too, from its first daemon host. No
-// counter is then written by one partition and read by another's reporter
-// inside a window; the aggregator sums the streams. Within a partition one
-// set serves every daemon: the counters sum correctly, but a per-daemon
-// jobs gauge would just be clobbered by whichever daemon Set it last, so
-// it is disabled.
-func (s *Session) fleetCounters(ctlReg *metrics.Registry, first, pop int) []daemon.Instruments {
+// fleetCounters builds the daemons' instrument sets into s.fleet, one per
+// kernel partition (none when not collecting): partition 0's in the
+// controller's registry ctlReg, every other partition's in a registry of
+// its own that the partition reports as node "ctl" too, from its first
+// daemon host. No counter is then written by one partition and read by
+// another's reporter inside a window; the aggregator sums the streams.
+// Within a partition one set serves every daemon: the counters sum
+// correctly, but a per-daemon jobs gauge would just be clobbered by
+// whichever daemon Set it last, so it is disabled.
+func (s *Session) fleetCounters(ctlReg *metrics.Registry, first, pop int) {
 	if ctlReg == nil {
-		return nil
+		return
 	}
-	fleet := make([]daemon.Instruments, s.pk.Parts())
+	s.fleet = make([]daemon.Instruments, s.pk.Parts())
 	newSet := func(p int, reg *metrics.Registry) {
-		fleet[p] = daemon.NewInstruments(reg)
-		fleet[p].Jobs = nil
+		s.fleet[p] = daemon.NewInstruments(reg)
+		s.fleet[p].Jobs = nil
 	}
 	newSet(0, ctlReg)
 	for host := first; host < first+pop; host++ {
 		p := s.nw.Host(host).Part()
-		if fleet[p].Commands != nil {
+		if s.fleet[p].Commands != nil {
 			continue
 		}
 		reg := metrics.NewRegistry()
@@ -679,7 +656,32 @@ func (s *Session) fleetCounters(ctlReg *metrics.Registry, first, pop int) []daem
 		rt, node := s.bed.Runtime(host), s.nw.Node(host)
 		rt.Go(func() { s.report(rt, node, "ctl", reg) })
 	}
-	return fleet
+}
+
+// newDaemon builds slot i's daemon, named after the slot, at provisioning
+// and at every fault-plan restart. Simulated, the rest follows from the
+// slot's host: its partition's runtime, logger and fleet counters. Live,
+// the slot index gives it a port range of its own, so several daemons and
+// unrelated processes coexist on one machine.
+func (s *Session) newDaemon(i int) *daemon.Daemon {
+	sl := s.slots[i]
+	cfg := daemon.DefaultConfig(sl.name)
+	if s.nw == nil {
+		tb := s.sc.Testbed.(*liveTestbed)
+		cfg.PortLow = tb.basePort + i*tb.portSpan
+		cfg.PortHigh = cfg.PortLow + tb.portSpan - 1
+		var lg core.Logger
+		if s.sink != nil {
+			lg = logging.New(s.sink, sl.name, "", nil)
+		}
+		return daemon.New(s.rt, livenet.NewNode(sl.name), s.reg, cfg, lg)
+	}
+	part := s.nw.Host(sl.host).Part()
+	d := daemon.New(s.bed.Runtime(sl.host), s.nw.Node(sl.host), s.reg, cfg, s.logger(part))
+	if s.fleet != nil {
+		d.SetInstruments(&s.fleet[part])
+	}
+	return d
 }
 
 // reportDefaults resolves the collection plane's period and key.
