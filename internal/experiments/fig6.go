@@ -28,11 +28,11 @@ type chordRun struct {
 	footprint memprof.Report // zero unless chordOpts.acct measured it
 }
 
-// oneBed is the figure harnesses' substrate: one partition, hence the plain
-// single-kernel wiring — which cannot fail, only sharding constrains the
-// link model.
+// oneBed is the figure harnesses' substrate: one partition — every host on
+// partition 0, no lookahead — hence the plain single-kernel wiring, which
+// cannot fail: only sharding constrains the link model.
 func oneBed(model simnet.LinkModel, hosts int, seed int64, proc simnet.ProcDelayFunc) *simbed.Bed {
-	bed, err := simbed.New(1, 1, model, hosts, seed, proc)
+	bed, err := simbed.New(1, 1, model, make([]int, hosts), 0, seed, proc)
 	if err != nil {
 		panic(err)
 	}

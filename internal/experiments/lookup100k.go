@@ -9,6 +9,7 @@ import (
 	"github.com/splaykit/splay/internal/memprof"
 	"github.com/splaykit/splay/internal/protocols/chord"
 	"github.com/splaykit/splay/internal/simbed"
+	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/stats"
 	"github.com/splaykit/splay/internal/stream"
 	"github.com/splaykit/splay/internal/topology"
@@ -164,7 +165,11 @@ func shardedChord(parts, workers, n, lookups int, seed int64, footprint bool) (*
 	if footprint {
 		opts.acct = memprof.New()
 	}
-	bed, err := simbed.New(parts, workers, mn, n, seed, nil)
+	place, look, err := simnet.Placement(mn, n, parts)
+	if err != nil {
+		return nil, err
+	}
+	bed, err := simbed.New(parts, workers, mn, place, look, seed, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -317,7 +317,7 @@ func encPtr(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
 // HTML-escapes a RawMessage and writes an empty one as null.
 func encRaw(_ *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
 	raw := *(*json.RawMessage)(p)
-	if len(raw) == 0 || string(raw) == "null" || !JSONVerbatim(raw) || !ValidJSON(raw) {
+	if string(raw) == "null" || !ValidVerbatim(raw) {
 		return b, false
 	}
 	return append(b, raw...), true

@@ -28,45 +28,6 @@ func JSONSafe[S ~string | ~[]byte](s S) bool {
 	return true
 }
 
-// JSONVerbatim reports whether encoding/json's RawMessage encoder
-// (compact plus HTML escaping) would emit raw byte-for-byte: no
-// whitespace outside strings, no HTML metacharacters anywhere, no
-// control bytes, and no U+2028/U+2029 (which the encoder escapes).
-// It does not validate raw's grammar — callers that cannot vouch for
-// the bytes must check json.Valid separately.
-func JSONVerbatim(raw []byte) bool {
-	inStr := false
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		switch {
-		case c == '<' || c == '>' || c == '&':
-			return false
-		case c == 0xe2 && i+2 < len(raw) && raw[i+1] == 0x80 && (raw[i+2] == 0xa8 || raw[i+2] == 0xa9):
-			return false // U+2028 / U+2029
-		}
-		if inStr {
-			switch {
-			case c == '"':
-				inStr = false
-			case c == '\\':
-				i++ // escape sequence: next byte is literal
-			case c < 0x20:
-				return false
-			}
-			continue
-		}
-		switch {
-		case c == '"':
-			inStr = true
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			return false // compact would strip it
-		case c < 0x20:
-			return false
-		}
-	}
-	return !inStr
-}
-
 // AppendJSONString appends s as a quoted JSON string. The caller must
 // have checked JSONSafe(s).
 func AppendJSONString(b []byte, s string) []byte {
@@ -82,11 +43,13 @@ func AppendJSONString(b []byte, s string) []byte {
 type Lexer struct {
 	Data []byte
 	Pos  int
+
+	verbatim bool // ValidVerbatim's compact mode: no whitespace, no HTML escapes
 }
 
 // SkipWS advances past insignificant whitespace.
 func (l *Lexer) SkipWS() {
-	for l.Pos < len(l.Data) {
+	for l.Pos < len(l.Data) && !l.verbatim {
 		switch l.Data[l.Pos] {
 		case ' ', '\t', '\n', '\r':
 			l.Pos++
@@ -418,8 +381,9 @@ func (l *Lexer) validString() bool {
 			default:
 				return false
 			}
-		case c < 0x20:
-			return false
+		case c < 0x20 || l.verbatim && (c == '<' || c == '>' || c == '&' ||
+			c == 0xe2 && l.Pos+2 < len(l.Data) && l.Data[l.Pos+1] == 0x80 && (l.Data[l.Pos+2] == 0xa8 || l.Data[l.Pos+2] == 0xa9)):
+			return false // 0xe2 0x80 0xa8/0xa9: U+2028/U+2029
 		default:
 			l.Pos++
 		}
@@ -477,14 +441,14 @@ func isHex(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
-// ValidJSON reports whether b is exactly one valid JSON value — the
-// allocation-free counterpart of json.Valid for fast-path guards.
-func ValidJSON(b []byte) bool {
-	l := Lexer{Data: b}
-	if _, ok := l.Value(); !ok {
-		return false
-	}
-	return l.End()
+// ValidVerbatim reports whether b is exactly one valid JSON value that
+// encoding/json's RawMessage encoder (compact plus HTML escaping) emits
+// byte for byte, in one allocation-free pass: the strict validator, run in
+// a compact mode that refuses whitespace outside strings and, inside them,
+// the characters the encoder escapes — <, >, & and U+2028/U+2029.
+func ValidVerbatim(b []byte) bool {
+	l := Lexer{Data: b, verbatim: true}
+	return l.validValue(0) && l.Pos == len(b)
 }
 
 // skipString consumes a quoted string including escape sequences.

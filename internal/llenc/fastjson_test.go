@@ -3,54 +3,67 @@ package llenc
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// TestValidJSONMatchesEncodingJSON is the strict validator's contract:
-// acceptance must never be wider than json.Valid's (narrower is fine —
-// a decline only costs the caller a fallback).
+// verbatim is ValidVerbatim's oracle: encoding/json's RawMessage encoder
+// accepts raw and emits it unchanged.
+func verbatim(raw []byte) bool {
+	enc, err := json.Marshal(json.RawMessage(raw))
+	return err == nil && bytes.Equal(enc, raw)
+}
+
+// TestValidJSONMatchesEncodingJSON is ValidVerbatim's contract on grammar
+// and on layout: every compact, unescaped valid value is accepted, and
+// anything the encoder rejects or rewrites is not.
 func TestValidJSONMatchesEncodingJSON(t *testing.T) {
 	accepts := []string{
 		`null`, `true`, `false`, `0`, `-0`, `123`, `-12.5`, `1e3`, `1E+3`,
 		`2.5e-7`, `""`, `"abc"`, `"sp ace"`, `"esc\"aped\\\n"`, `"é"`,
 		`[]`, `[1,2,3]`, `{"k":1}`, `{"a":{"b":[true,null,"x"]}}`,
-		` [ 1 , {"k" : "v"} ] `, `"é"`,
+		`[1,{"k":"v"}]`, `"\u003c"`, `{"\u0026k":"/"}`, "\"\xff\"",
 	}
 	for _, src := range accepts {
-		if !ValidJSON([]byte(src)) {
-			t.Errorf("ValidJSON rejected valid %q", src)
+		if !ValidVerbatim([]byte(src)) {
+			t.Errorf("ValidVerbatim rejected %q", src)
 		}
-		if !json.Valid([]byte(src)) {
-			t.Fatalf("test case %q is not actually valid", src)
+		if !verbatim([]byte(src)) {
+			t.Fatalf("test case %q is not actually verbatim", src)
 		}
 	}
 	rejects := []string{
+		// Invalid.
 		``, `{`, `}`, `[1,]`, `{"k":}`, `{"k" 1}`, `{k:1}`, `01`, `+1`,
 		`1.`, `.5`, `1e`, `truex`, `nul`, `"unterminated`, `"bad\escape"`,
 		`"\u00zz"`, `[1 2]`, `{"a":1,}`, `[]]`, `1 2`, "\"ctrl\x01\"",
+		// Valid, but compacted or escaped.
+		` [ 1 , {"k" : "v"} ] `, ` 1`, `1 `, "[1,\n2]", `{"k": 1}`, `"<tag>"`,
+		`"a&b"`, `[1,"<"]`, `{"a>":1}`, "\"\u2028\"", "[\"\u2029\"]",
 	}
 	for _, src := range rejects {
-		if json.Valid([]byte(src)) {
-			t.Fatalf("test case %q is actually valid", src)
+		if verbatim([]byte(src)) {
+			t.Fatalf("test case %q is actually verbatim", src)
 		}
-		if ValidJSON([]byte(src)) {
-			t.Errorf("ValidJSON accepted invalid %q", src)
+		if ValidVerbatim([]byte(src)) {
+			t.Errorf("ValidVerbatim accepted %q", src)
 		}
 	}
 }
 
-// TestValidJSONNeverWiderQuick fuzzes the one-way implication with
-// random bytes (mostly JSON-ish punctuation so real structures appear).
+// TestValidJSONNeverWiderQuick fuzzes ValidVerbatim's one-way
+// implication with random bytes (mostly JSON-ish punctuation so real
+// structures appear).
 func TestValidJSONNeverWiderQuick(t *testing.T) {
-	alphabet := []byte(`{}[]",:0123456789.eE+-truefalsnl \`)
+	alphabet := []byte(`{}[]",:0123456789.eE+-truefalsnl \<&`)
 	f := func(raw []byte) bool {
 		b := make([]byte, len(raw))
 		for i, v := range raw {
 			b[i] = alphabet[int(v)%len(alphabet)]
 		}
-		if ValidJSON(b) && !json.Valid(b) {
-			t.Logf("accepted invalid %q", b)
+		if ValidVerbatim(b) && !verbatim(b) {
+			t.Logf("accepted %q, which the encoder rejects or rewrites", b)
 			return false
 		}
 		return true
@@ -60,37 +73,37 @@ func TestValidJSONNeverWiderQuick(t *testing.T) {
 	}
 }
 
-// TestJSONVerbatimCompactIdentity pins JSONVerbatim's meaning: when it
-// reports true for a valid value, encoding/json's RawMessage encoder
-// emits the bytes unchanged.
+// TestJSONVerbatimCompactIdentity: the lexer's compact mode belongs to
+// ValidVerbatim alone — the same bytes still parse with whitespace in a
+// plain Lexer — and nesting past maxFastDepth declines rather than
+// diverges.
 func TestJSONVerbatimCompactIdentity(t *testing.T) {
-	cases := []string{
-		`null`, `123`, `"plain"`, `"sp ace"`, `"escA"`, `{"k":[1,"x"]}`,
-		`"é"`, `[{"a":1},{"b":2}]`,
+	l := Lexer{Data: []byte(` [ 1 , "<&>" ] `)}
+	if span, ok := l.Value(); !ok || string(span) != `[ 1 , "<&>" ]` || !l.End() {
+		t.Errorf("plain Value = %q, %v", span, ok)
 	}
-	for _, src := range cases {
-		raw := json.RawMessage(src)
-		enc, err := json.Marshal(raw)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if JSONVerbatim(raw) && !bytes.Equal(enc, raw) {
-			t.Errorf("JSONVerbatim(%q) true but encoder emits %q", src, enc)
-		}
+	deep := []byte(strings.Repeat("[", maxFastDepth+2) + strings.Repeat("]", maxFastDepth+2))
+	if ValidVerbatim(deep) || !verbatim(deep) {
+		t.Errorf("%d-deep nesting: ValidVerbatim %v, encoder verbatim %v", maxFastDepth+2, ValidVerbatim(deep), verbatim(deep))
 	}
-	// Values the encoder rewrites must report false.
+}
+
+// FuzzValidVerbatim: ValidVerbatim(b) holds exactly when encoding/json
+// marshals json.RawMessage(b) without error and returns b unchanged — but
+// for nesting deeper than maxFastDepth, which the validator declines.
+func FuzzValidVerbatim(f *testing.F) {
 	for _, src := range []string{
-		`[1, 2]`, `{"k": 1}`, `"<tag>"`, `"a&b"`, "\" \"", `[1,"<"]`,
+		`null`, `[1,{"k":"v"}]`, ` [ 1 ] `, `"<a&b>"`, "\"\u2028\"", `"\u2028"`,
+		`{"a":[true,false,null,-0.5e+7]}`, `{"a" :1}`, "\"\xff\"", `01`, `[1,]`,
 	} {
-		raw := json.RawMessage(src)
-		enc, err := json.Marshal(raw)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if JSONVerbatim(raw) && !bytes.Equal(enc, raw) {
-			t.Errorf("JSONVerbatim(%q) true but encoder emits %q", src, enc)
-		}
+		f.Add([]byte(src))
 	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, want := ValidVerbatim(b), verbatim(b)
+		if got != want && (got || bytes.Count(b, []byte("["))+bytes.Count(b, []byte("{")) <= maxFastDepth) {
+			t.Fatalf("ValidVerbatim(%q) = %v, encoder verbatim %v", b, got, want)
+		}
+	})
 }
 
 // TestLexerRawStringDeclinesInvalidUTF8 pins the U+FFFD divergence

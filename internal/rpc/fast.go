@@ -61,7 +61,7 @@ func appendValue(b []byte, v any) ([]byte, error) {
 	case uint:
 		return llenc.AppendUint(b, uint64(x)), nil
 	case json.RawMessage:
-		if len(x) > 0 && llenc.JSONVerbatim(x) && llenc.ValidJSON(x) {
+		if llenc.ValidVerbatim(x) {
 			return append(b, x...), nil
 		}
 	default:

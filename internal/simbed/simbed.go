@@ -17,6 +17,8 @@
 package simbed
 
 import (
+	"time"
+
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
@@ -32,18 +34,16 @@ type Bed struct {
 	rts []*core.SimRuntime // one per partition
 }
 
-// New builds a bed of hosts hosts over the link model on a parts-way kernel
-// driven by up to workers threads; proc, when non-nil, is the network's
-// receiver-side processing-delay hook. The model places the hosts, and the
-// kernel's lookahead is the smallest delay between hosts that placement
-// puts on different partitions (simnet.Placement, and its error).
-func New(parts, workers int, model simnet.LinkModel, hosts int, seed int64, proc simnet.ProcDelayFunc) (*Bed, error) {
-	_, lookahead, err := simnet.Placement(model, hosts, parts)
-	if err != nil {
-		return nil, err
-	}
-	pk := sim.NewParKernel(parts, workers, lookahead)
-	nw, err := simnet.NewPartitioned(pk, model, hosts, seed)
+// New builds a bed of len(place) hosts over the link model on a parts-way
+// kernel driven by up to workers threads; proc, when non-nil, is the
+// network's receiver-side processing-delay hook. place and look are the
+// model's simnet.Placement on parts partitions, which the caller computed
+// once (and chose parts by): host i lives on partition place[i], and the
+// kernel's lookahead is look, the smallest delay between hosts on different
+// partitions.
+func New(parts, workers int, model simnet.LinkModel, place []int, look time.Duration, seed int64, proc simnet.ProcDelayFunc) (*Bed, error) {
+	pk := sim.NewParKernel(parts, workers, look)
+	nw, err := simnet.NewPlaced(pk, model, place, look, seed)
 	if err != nil {
 		return nil, err
 	}

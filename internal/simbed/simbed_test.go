@@ -63,7 +63,7 @@ func TestOnePartitionIsHistoricalWiring(t *testing.T) {
 	nw.SetProcDelay(proc)
 	a1, l1, d1 := trace(k, nw, core.NewSimRuntime(k, seed), k.Run)
 
-	bed, err := New(1, 1, model, 2, seed, proc)
+	bed, err := New(1, 1, model, make([]int, 2), 0, seed, proc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestHostsBindToTheirPartition(t *testing.T) {
 	const hosts, parts, seed = 13, 4, 7
 	model := simnet.Symmetric{RTT: 10 * time.Millisecond}
 	for _, workers := range []int{1, 4} {
-		bed, err := New(parts, workers, model, hosts, seed, nil)
+		bed, err := placed(parts, workers, model, hosts, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestHostsBindToTheirPartition(t *testing.T) {
 func TestStartAllFirstErrorInPartitionOrder(t *testing.T) {
 	const hosts, parts = 12, 4
 	model := simnet.Symmetric{RTT: 10 * time.Millisecond}
-	bed, err := New(parts, parts, model, hosts, 1, nil)
+	bed, err := placed(parts, parts, model, hosts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,15 +169,32 @@ func TestStartAllFirstErrorInPartitionOrder(t *testing.T) {
 	}
 }
 
-// TestNewReturnsSimnetsError: sharding constrains the link model, and the
-// bed reports that as simnet does.
+// TestNewReturnsSimnetsError: sharding constrains the link model, and a bed
+// built over the model's placement reports that as simnet does; one
+// partition needs no placement from the model, so not even a MinDelay.
 func TestNewReturnsSimnetsError(t *testing.T) {
 	noMin := struct{ simnet.LinkModel }{simnet.Symmetric{RTT: 10 * time.Millisecond}}
-	if _, err := New(2, 1, noMin, 4, 1, nil); err == nil || !strings.Contains(err.Error(), "MinDelay") {
-		t.Errorf("New with a model hiding MinDelay on 2 partitions = %v, want simnet's error", err)
+	if _, err := placed(2, 1, noMin, 4, 1); err == nil || !strings.Contains(err.Error(), "MinDelay") {
+		t.Errorf("a bed over a model hiding MinDelay on 2 partitions = %v, want simnet's error", err)
 	}
-	if _, err := New(1, 1, noMin, 4, 1, nil); err != nil {
+	if _, err := New(1, 1, noMin, make([]int, 4), 0, 1, nil); err != nil {
 		t.Errorf("one partition should not need MinDelay: %v", err)
+	}
+}
+
+// TestNewKeepsItsPlacement: the bed places no host itself — host i lives
+// on the partition its caller's placement names, however the model would
+// have placed it.
+func TestNewKeepsItsPlacement(t *testing.T) {
+	place := []int{0, 2, 1, 2, 0, 1}
+	bed, err := New(3, 1, simnet.Symmetric{RTT: 10 * time.Millisecond}, place, 5*time.Millisecond, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h, p := range place {
+		if got := bed.Net.Host(h).Part(); got != p {
+			t.Errorf("host %d on partition %d, placed on %d", h, got, p)
+		}
 	}
 }
 
@@ -192,7 +209,7 @@ func TestInstanceStreamsIgnoreNeighbours(t *testing.T) {
 	var ref [][3]int64
 	for _, parts := range []int{1, 2, 4} {
 		for _, reverse := range []bool{false, true} {
-			bed, err := New(parts, 1, model, hosts, seed, nil)
+			bed, err := placed(parts, 1, model, hosts, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,6 +236,16 @@ func TestInstanceStreamsIgnoreNeighbours(t *testing.T) {
 			}
 		}
 	}
+}
+
+// placed builds a bed the way its callers do: the model places the hosts,
+// and the bed is built over that placement.
+func placed(parts, workers int, model simnet.LinkModel, hosts int, seed int64) (*Bed, error) {
+	place, look, err := simnet.Placement(model, hosts, parts)
+	if err != nil {
+		return nil, err
+	}
+	return New(parts, workers, model, place, look, seed, nil)
 }
 
 func upTo(n int) []int {

@@ -242,15 +242,22 @@ func New(k *sim.Kernel, model LinkModel, n int, seed int64) *Network {
 // their undos are staged onto every partition (Stage), and SetDown runs on
 // the host's own partition, like everything else that touches the host.
 func NewPartitioned(pk *sim.ParKernel, model LinkModel, n int, seed int64) (*Network, error) {
-	p := pk.Parts()
-	place, look, err := Placement(model, n, p)
+	place, look, err := Placement(model, n, pk.Parts())
 	if err != nil {
 		return nil, err
 	}
+	return NewPlaced(pk, model, place, look, seed)
+}
+
+// NewPlaced is NewPartitioned over a placement its caller already took
+// from Placement: host i of len(place) lives on partition place[i], and
+// look is the smallest delay between hosts on different partitions.
+func NewPlaced(pk *sim.ParKernel, model LinkModel, place []int, look time.Duration, seed int64) (*Network, error) {
+	p := pk.Parts()
 	if p > 1 && (pk.Lookahead() <= 0 || pk.Lookahead() > look) {
 		return nil, fmt.Errorf("simnet: kernel lookahead %s must be in (0, %s], the smallest delay between hosts on different partitions", pk.Lookahead(), look)
 	}
-	nw := newNetwork(model, n, seed)
+	nw := newNetwork(model, len(place), seed)
 	nw.pk = pk
 	nw.parts = make([]netPart, p)
 	for i := range nw.parts {

@@ -5,7 +5,6 @@
 package topology
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -50,23 +49,37 @@ func DefaultModelNet(hosts int) ModelNetConfig {
 // table between stub routers. It implements simnet.LinkModel.
 type ModelNet struct {
 	cfg       ModelNetConfig
-	hostStub  []int      // host -> stub router index
-	stubDelay [][]uint32 // stub -> stub RTT in microseconds (router part)
+	hostStub  []int    // host -> stub router index
+	stubDelay []uint32 // stub↔stub RTT in µs (router part), a lower triangle indexed by tri
 	accessRTT time.Duration
 }
 
 // NewModelNet generates a topology. Generation is deterministic in
 // cfg.Seed.
 func NewModelNet(cfg ModelNetConfig) *ModelNet {
+	links, hostStub := generate(cfg)
+	return &ModelNet{
+		cfg:       cfg,
+		hostStub:  hostStub,
+		stubDelay: stubTable(cfg.TransitDomains*cfg.TransitPerDom, cfg.StubRouters, links),
+		accessRTT: cfg.SameDomainRTT,
+	}
+}
+
+// link is an undirected router-graph link with an RTT weight in
+// microseconds.
+type link struct {
+	a, b int32
+	w    uint32
+}
+
+// generate draws the router graph — transit routers first, then the stub
+// routers — and each host's stub router, in one fixed draw order.
+func generate(cfg ModelNetConfig) (links []link, hostStub []int) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nTransit := cfg.TransitDomains * cfg.TransitPerDom
-	nRouters := nTransit + cfg.StubRouters
-
-	adj := make([][]edge, nRouters)
 	addLink := func(a, b int, rtt time.Duration) {
-		w := uint32(rtt / time.Microsecond)
-		adj[a] = append(adj[a], edge{b, w})
-		adj[b] = append(adj[b], edge{a, w})
+		links = append(links, link{int32(a), int32(b), uint32(rtt / time.Microsecond)})
 	}
 
 	// Transit mesh: full mesh inside a domain at the same-domain RTT;
@@ -100,75 +113,105 @@ func NewModelNet(cfg ModelNetConfig) *ModelNet {
 		}
 	}
 
-	// All-pairs stub↔stub delays via Dijkstra from every stub router.
-	stubDelay := make([][]uint32, cfg.StubRouters)
-	for s := 0; s < cfg.StubRouters; s++ {
-		dist := dijkstra(adj, nTransit+s)
-		row := make([]uint32, cfg.StubRouters)
-		for q := 0; q < cfg.StubRouters; q++ {
-			row[q] = dist[nTransit+q]
-		}
-		stubDelay[s] = row
-	}
-
-	hostStub := make([]int, cfg.Hosts)
+	hostStub = make([]int, cfg.Hosts)
 	for h := range hostStub {
 		hostStub[h] = rng.Intn(cfg.StubRouters)
 	}
-	return &ModelNet{
-		cfg:       cfg,
-		hostStub:  hostStub,
-		stubDelay: stubDelay,
-		accessRTT: cfg.SameDomainRTT,
-	}
+	return links, hostStub
 }
 
-// edge is a router-graph link with an RTT weight in microseconds.
-type edge struct {
-	to int
-	w  uint32
+// tri indexes the stub pair {a, b} in a symmetric table stored as its
+// lower triangle, row by row: hi(hi+1)/2 + lo, written order-free as
+// hi(hi-1)/2 + a + b so that only the maximum is taken.
+func tri(a, b int) int {
+	hi := uint(max(a, b))
+	return int(hi*(hi-1)/2 + uint(a) + uint(b))
 }
 
-// dijkstra returns shortest-path RTTs (µs) from src over the router graph.
-func dijkstra(adj [][]edge, src int) []uint32 {
-	const inf = ^uint32(0)
-	dist := make([]uint32, len(adj))
-	for i := range dist {
-		dist[i] = inf
+// stubTable returns the shortest-path RTTs (µs) between the stub routers —
+// routers transit.. of the graph — as a lower triangle. Dijkstra runs over
+// a CSR adjacency with a binary heap of packed dist<<32|router entries,
+// reusing its buffers across sources. A stub whose only link goes to
+// router u with weight w reaches everything else through u, so its row is
+// w plus u's, and one search from u fills the rows of every stub hanging
+// off it: on the paper's topology 85 searches (50 transit routers, 35
+// stubs with shortcuts) fill all 450 rows.
+func stubTable(transit, stubs int, links []link) []uint32 {
+	n := transit + stubs
+	off, to, wt := make([]int32, n+2), make([]int32, 2*len(links)), make([]uint32, 2*len(links))
+	for _, l := range links {
+		off[l.a+2]++
+		off[l.b+2]++
 	}
-	dist[src] = 0
-	pq := &distHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.node] {
+	for r := 2; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	put := func(a, b int32, w uint32) { // off[a+1] fills a's links, then ends them
+		to[off[a+1]], wt[off[a+1]] = b, w
+		off[a+1]++
+	}
+	for _, l := range links {
+		put(l.a, l.b, l.w)
+		put(l.b, l.a, l.w)
+	}
+	// anchor returns the router whose distances give stub s's row, and
+	// the weight to add to them.
+	anchor := func(s int) (int32, uint32) {
+		r := int32(transit + s)
+		if e := off[r]; off[r+1]-e == 1 {
+			return to[e], wt[e]
+		}
+		return r, 0
+	}
+	table, dist, searched := make([]uint32, stubs*(stubs+1)/2), make([]uint32, n), make([]bool, n)
+	var pq []uint64
+	for s := range stubs {
+		src, _ := anchor(s)
+		if searched[src] {
 			continue
 		}
-		for _, e := range adj[it.node] {
-			if nd := it.d + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				heap.Push(pq, distItem{e.to, nd})
+		searched[src] = true
+		for r := range dist {
+			dist[r] = math.MaxUint32
+		}
+		dist[src] = 0
+		for pq = append(pq[:0], uint64(src)); len(pq) > 0; {
+			top, last := pq[0], len(pq)-1
+			pq[0], pq = pq[last], pq[:last]
+			for i, c := 0, 1; c < len(pq); i, c = c, 2*c+1 { // sift down
+				if c+1 < len(pq) && pq[c+1] < pq[c] {
+					c++
+				}
+				if pq[i] <= pq[c] {
+					break
+				}
+				pq[i], pq[c] = pq[c], pq[i]
+			}
+			d, r := uint32(top>>32), uint32(top)
+			if d > dist[r] {
+				continue // a stale entry: r was settled closer
+			}
+			for e := off[r]; e < off[r+1]; e++ {
+				if v, nd := to[e], d+wt[e]; nd < dist[v] {
+					dist[v] = nd
+					pq = append(pq, uint64(nd)<<32|uint64(v))
+					for i := len(pq) - 1; i > 0 && pq[(i-1)/2] > pq[i]; i = (i - 1) / 2 { // sift up
+						pq[i], pq[(i-1)/2] = pq[(i-1)/2], pq[i]
+					}
+				}
+			}
+		}
+		for t := s; t < stubs; t++ {
+			if u, w := anchor(t); u == src {
+				row := table[tri(t, 0) : tri(t, t)+1]
+				for q := range row {
+					row[q] = w + dist[transit+q]
+				}
+				row[t] = 0
 			}
 		}
 	}
-	return dist
-}
-
-type distItem struct {
-	node int
-	d    uint32
-}
-type distHeap []distItem
-
-func (h distHeap) Len() int           { return len(h) }
-func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() (it any) {
-	old := *h
-	n := len(old)
-	it = old[n-1]
-	*h = old[:n-1]
-	return
+	return table
 }
 
 // NumHosts returns the emulated host population.
@@ -186,8 +229,7 @@ func (m *ModelNet) RTT(a, b int) time.Duration {
 	if sa == sb {
 		return m.accessRTT
 	}
-	router := time.Duration(m.stubDelay[sa][sb]) * time.Microsecond
-	return m.accessRTT + router
+	return m.accessRTT + time.Duration(m.stubDelay[tri(sa, sb)])*time.Microsecond
 }
 
 // Delay implements simnet.LinkModel (one-way delay).
@@ -208,11 +250,9 @@ func (m *ModelNet) MinDelay() time.Duration { return m.accessRTT / 2 }
 // is on partition 0.
 func (m *ModelNet) Assign(hosts, parts int) ([]int, time.Duration) {
 	stubs := m.hostStub[:hosts]
-	size := make([]int, len(m.stubDelay))
-	first := make([]int, len(size)) // a host of each stub domain
-	for h := len(stubs) - 1; h >= 0; h-- {
-		size[stubs[h]]++
-		first[stubs[h]] = h
+	size := make([]int, m.cfg.StubRouters)
+	for _, s := range stubs {
+		size[s]++
 	}
 	order := make([]int, len(size))
 	for s := range order {
@@ -240,18 +280,23 @@ func (m *ModelNet) Assign(hosts, parts int) ([]int, time.Duration) {
 		}
 		place[h] = label[bin[s]]
 	}
-	cross := time.Duration(math.MaxInt64)
+	// The smallest router delay between occupied stubs on different
+	// partitions, read off the triangle (a > b, so never one stub twice).
+	cross := uint32(math.MaxUint32)
 	for a := range size {
-		for b := range size {
-			if size[a] > 0 && size[b] > 0 && bin[a] != bin[b] {
-				cross = min(cross, m.Delay(first[a], first[b]))
+		if size[a] == 0 {
+			continue
+		}
+		for b, d := range m.stubDelay[tri(a, 0):tri(a, a)] {
+			if size[b] > 0 && bin[a] != bin[b] {
+				cross = min(cross, d)
 			}
 		}
 	}
-	if cross == math.MaxInt64 {
-		cross = m.MinDelay() // one partition holds every host: nothing crosses
+	if cross == math.MaxUint32 {
+		return place, m.MinDelay() // one partition holds every host: nothing crosses
 	}
-	return place, cross
+	return place, (m.accessRTT + time.Duration(cross)*time.Microsecond) / 2
 }
 
 // Loss implements simnet.LinkModel; ModelNet links are lossless here.

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -261,5 +263,126 @@ func TestModelNetPlacement(t *testing.T) {
 				t.Errorf("%d hosts, %d parts: bound %s, brute-force minimum %s", hosts, parts, cross, brute)
 			}
 		}
+	}
+}
+
+// TestModelNetTableMatchesReference checks the stub table against an
+// independent all-pairs computation — Floyd–Warshall over the router graph
+// — on the paper's topology, other seeds and odd shapes: one transit
+// domain, a handful of stubs, and small shortcut-heavy graphs in which most
+// stubs are not leaves and some leaves hang off other stubs.
+func TestModelNetTableMatchesReference(t *testing.T) {
+	cfgs := []ModelNetConfig{DefaultModelNet(3000)}
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := DefaultModelNet(500)
+		cfg.Seed = seed
+		cfgs = append(cfgs, cfg)
+	}
+	oneDomain := DefaultModelNet(200)
+	oneDomain.TransitDomains, oneDomain.StubRouters = 1, 40
+	fewStubs := DefaultModelNet(50)
+	fewStubs.StubRouters = 3
+	lone := DefaultModelNet(10)
+	lone.TransitDomains, lone.TransitPerDom, lone.StubRouters = 1, 1, 2
+	cfgs = append(cfgs, oneDomain, fewStubs, lone)
+	for _, cfg := range cfgs {
+		links, hostStub := generate(cfg)
+		m := NewModelNet(cfg)
+		if !slices.Equal(m.hostStub, hostStub) {
+			t.Fatalf("%+v: host placement differs from the generator's", cfg)
+		}
+		checkStubTable(t, fmt.Sprintf("%+v", cfg), cfg.TransitDomains*cfg.TransitPerDom, cfg.StubRouters, links, m.stubDelay)
+	}
+
+	// The generator draws a shortcut for one stub in twenty, so the
+	// shortcut-heavy graphs are drawn here: every stub links to a transit
+	// router or to an earlier stub, and most gain extra stub-stub links.
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const transit, stubs = 3, 24
+		links := []link{{0, 1, 100}, {1, 2, 70}, {2, 0, 250}}
+		for s := range stubs {
+			r := int32(transit + s)
+			if s > 0 && rng.Intn(4) == 0 {
+				links = append(links, link{r, int32(transit + rng.Intn(s)), uint32(1 + rng.Intn(50))})
+			} else {
+				links = append(links, link{r, int32(rng.Intn(transit)), uint32(1 + rng.Intn(50))})
+			}
+			for range rng.Intn(3) {
+				links = append(links, link{r, int32(transit + rng.Intn(stubs)), uint32(1 + rng.Intn(50))})
+			}
+		}
+		deg := make([]int, transit+stubs)
+		for _, l := range links {
+			deg[l.a]++
+			deg[l.b]++
+		}
+		leaves := 0
+		for _, d := range deg[transit:] {
+			if d == 1 {
+				leaves++
+			}
+		}
+		if leaves*2 >= stubs {
+			t.Fatalf("shortcut-heavy seed %d: %d of %d stubs are leaves", seed, leaves, stubs)
+		}
+		checkStubTable(t, fmt.Sprintf("shortcut-heavy seed %d", seed), transit, stubs, links, stubTable(transit, stubs, links))
+	}
+}
+
+// checkStubTable compares a lower-triangle stub table with Floyd–Warshall
+// over the graph, and checks the reference is symmetric with a zero
+// diagonal.
+func checkStubTable(t *testing.T, name string, transit, stubs int, links []link, table []uint32) {
+	t.Helper()
+	n := transit + stubs
+	d := make([][]uint64, n)
+	for i := range d {
+		d[i] = make([]uint64, n)
+		for j := range d[i] {
+			d[i][j] = math.MaxUint32
+		}
+		d[i][i] = 0
+	}
+	for _, l := range links {
+		d[l.a][l.b] = min(d[l.a][l.b], uint64(l.w))
+		d[l.b][l.a] = min(d[l.b][l.a], uint64(l.w))
+	}
+	for k := range n {
+		for _, di := range d {
+			dk, dik := d[k][:len(di)], di[k]
+			for j := range di {
+				di[j] = min(di[j], dik+dk[j])
+			}
+		}
+	}
+	if len(table) != stubs*(stubs+1)/2 {
+		t.Fatalf("%s: table holds %d entries for %d stubs", name, len(table), stubs)
+	}
+	for a := range stubs {
+		for b := range stubs {
+			want := d[transit+a][transit+b]
+			if want != d[transit+b][transit+a] || a == b && want != 0 {
+				t.Fatalf("%s: reference %d µs from stub %d to %d, %d µs back", name, want, a, b, d[transit+b][transit+a])
+			}
+			if got := table[tri(a, b)]; uint64(got) != want {
+				t.Fatalf("%s: stubs %d, %d: table %d µs, reference %d µs", name, a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestModelNetBuildAllocs bounds the build's allocations: the table is
+// filled without an allocation per edge or per row.
+func TestModelNetBuildAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(3, func() { NewModelNet(DefaultModelNet(3000)) }); n > 1000 {
+		t.Fatalf("NewModelNet(DefaultModelNet(3000)) makes %.0f allocations, want ≤ 1000", n)
+	}
+}
+
+func BenchmarkModelNetBuild(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		NewModelNet(DefaultModelNet(3000))
 	}
 }

@@ -302,12 +302,12 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	// are kept per partition. Churn keeps a single partition: the churn
 	// executor starts and kills instances on every host from one task. So
 	// does a model that cannot bound the delay between partitions (a
-	// zero-RTT uniform testbed). The model places the hosts, and the bed
-	// derives the kernel's lookahead from that placement.
-	parts := 1
+	// zero-RTT uniform testbed). The model places the hosts once, and the
+	// bed takes that placement and its lookahead as they are.
+	parts, place, look := 1, make([]int, total), time.Duration(0)
 	if p := autoParts(total); p > 1 && !churned {
-		if _, _, err := simnet.Placement(model, total, p); err == nil {
-			parts = p
+		if pl, lk, err := simnet.Placement(model, total, p); err == nil {
+			parts, place, look = p, pl, lk
 		}
 	}
 	workers := sc.Workers
@@ -318,7 +318,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	}
 	// The session itself lives where host 0 does (the controller, or churn
 	// slot 0): partition 0.
-	bed, err := simbed.New(parts, workers, model, total, s.seed, proc)
+	bed, err := simbed.New(parts, workers, model, place, look, s.seed, proc)
 	if err != nil {
 		return nil, err
 	}
