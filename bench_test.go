@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/splaykit/splay/experiments"
 	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/experiments"
 	"github.com/splaykit/splay/internal/protocols/pastry"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"

@@ -35,7 +35,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/splaykit/splay/experiments"
+	"github.com/splaykit/splay/internal/experiments"
 )
 
 // errUsage marks a command-line mistake: a bad flag (which the flag package

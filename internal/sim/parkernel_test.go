@@ -372,12 +372,25 @@ func settledGoroutines(want int) int {
 	return n
 }
 
+// quietGoroutines returns the goroutine count once it has held still for
+// 50 ms: an earlier test's helper may still be on its way out.
+func quietGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for deadline := since.Add(5 * time.Second); time.Since(since) < 50*time.Millisecond && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 // TestParKernelNoGoroutineOutlivesRun: helpers exist only inside a run, on
 // every way out of it — queues drained, time limit, Halt, a panic on the
 // coordinator's partition, a panic on a helper's — and the kernel runs again
 // after each.
 func TestParKernelNoGoroutineOutlivesRun(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := quietGoroutines()
 	pk := NewParKernel(4, 4, time.Millisecond)
 	// Events only: a task parked across runs is a coroutine, which counts.
 	var tick func(part, left int)

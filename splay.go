@@ -31,7 +31,7 @@
 //
 // Entry points:
 //   - Scenario / Session / Env: the authoring and deployment SDK.
-//   - The experiments package: every figure/table of the paper.
+//   - cmd/splay-experiments: every figure/table of the paper.
 //   - cmd/splayd, cmd/splayctl: the distributed deployment chain for
 //     real multi-host testbeds — daemons, the resident platform
 //     (splayd -host), and its client.
