@@ -16,6 +16,7 @@ package memprof
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -166,14 +167,47 @@ func human(b uint64) string {
 	}
 }
 
-// LiveHeap returns HeapAlloc after settling the GC. Two cycles make the
-// figure stable: the first turns freshly unreachable objects into
-// finalizable garbage, the second collects anything their finalizers
-// released.
+// LiveHeap returns HeapAlloc once the heap has settled: it collects,
+// lets the finalizers that cycle queued run, and repeats until two
+// cycles in a row free nothing more; a last cycle then frees the
+// markers it waited on. Two back-to-back cycles are not enough: an
+// object a finalizer still holds survives both whenever the finalizer
+// goroutine has not run in between (under CPU load) or sits behind a
+// chain of finalizers, and a baseline that counts it undercounts every
+// later growth once it dies.
 func LiveHeap() uint64 {
-	runtime.GC()
+	live, still := uint64(math.MaxUint64), 0
+	for i := 0; i < maxSettle && still < 2; i++ {
+		ran := finalizerMark()
+		if h := collect(); h < live {
+			live, still = h, 0
+		} else {
+			still++
+		}
+		<-ran
+	}
+	return collect()
+}
+
+// collect runs a full cycle and returns the heap it left.
+func collect() uint64 {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// maxSettle bounds LiveHeap's cycles on a heap that keeps shrinking.
+const maxSettle = 16
+
+// finalizerMark returns a channel closed when the finalizer goroutine
+// reaches an object the next cycle finds unreachable. The object holds
+// a pointer, so it is never a tiny allocation whose finalizer may not
+// run. Finalizers run one at a time, so a finalizer elsewhere that never
+// returns stalls LiveHeap as it stalls every finalizer queued after it.
+func finalizerMark() <-chan struct{} {
+	ran := make(chan struct{})
+	mark := &struct{ p *byte }{}
+	runtime.SetFinalizer(mark, func(*struct{ p *byte }) { close(ran) })
+	return ran
 }

@@ -2,6 +2,7 @@ package memprof
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -39,6 +40,31 @@ func TestObserveSamplesEvery64th(t *testing.T) {
 	}
 	if rep := a.Report(1); rep.PeakBytes < 8<<20 || rep.HeapBytes < 8<<20 {
 		t.Errorf("report = %+v, want peak and live growth of at least the 8 MB held", rep)
+	}
+	sink = nil
+}
+
+// link is one object in a finalizer chain.
+type link struct {
+	next    *link
+	payload []byte
+}
+
+// TestBaselineSettlesFinalizerChains: a payload only a chain of two
+// finalizers still holds is garbage the moment the accountant starts,
+// so it must not count in the baseline. Two back-to-back cycles left it
+// there (the second finalizer is queued by the second cycle), and the
+// growth read 4 MB short once it died.
+func TestBaselineSettlesFinalizerChains(t *testing.T) {
+	inner := &link{payload: make([]byte, 4<<20)}
+	runtime.SetFinalizer(inner, func(*link) {})
+	outer := &link{next: inner}
+	runtime.SetFinalizer(outer, func(*link) {})
+	inner, outer = nil, nil //nolint:ineffassign,wastedassign // drop the chain's last references
+	a := New()
+	sink = make([]byte, 8<<20)
+	if rep := a.Report(1); rep.HeapBytes < 8<<20 {
+		t.Errorf("live growth %d B, want at least the 8 MB held", rep.HeapBytes)
 	}
 	sink = nil
 }

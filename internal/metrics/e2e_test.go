@@ -1,6 +1,9 @@
 package metrics_test
 
 import (
+	"errors"
+	"math/bits"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +11,7 @@ import (
 	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
+	"github.com/splaykit/splay/internal/transport"
 )
 
 // newSimPair builds an aggregator on host 0 and returns a dialer for
@@ -276,6 +280,100 @@ func TestReporterReconnectResumes(t *testing.T) {
 	rf, rb := agg.Received()
 	if sf != 2 || rf != 2 || sb == 0 || sb != rb {
 		t.Fatalf("sent %d frames %d bytes, received %d frames %d bytes; want 2 frames and equal bytes", sf, sb, rf, rb)
+	}
+}
+
+// failFirstNode's first dial hands out a conn whose writes fail; every
+// later dial goes through the real node.
+type failFirstNode struct {
+	real  transport.Node
+	dials int
+}
+
+func (n *failFirstNode) Host() string                             { return n.real.Host() }
+func (n *failFirstNode) Listen(p int) (transport.Listener, error) { return n.real.Listen(p) }
+func (n *failFirstNode) ListenPacket(int) (transport.PacketConn, error) {
+	return nil, transport.ErrRefused
+}
+func (n *failFirstNode) Dial(to transport.Addr, d time.Duration) (transport.Conn, error) {
+	if n.dials++; n.dials == 1 {
+		return brokenConn{}, nil
+	}
+	return n.real.Dial(to, d)
+}
+
+// brokenConn refuses every write.
+type brokenConn struct{}
+
+var errBroken = errors.New("broken conn")
+
+func (brokenConn) Read([]byte) (int, error)        { return 0, errBroken }
+func (brokenConn) Write([]byte) (int, error)       { return 0, errBroken }
+func (brokenConn) Close() error                    { return nil }
+func (brokenConn) LocalAddr() transport.Addr       { return transport.Addr{} }
+func (brokenConn) RemoteAddr() transport.Addr      { return transport.Addr{} }
+func (brokenConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestFailedSendKeepsHistogramDeltas: a flush whose write fails hands
+// its drained buckets back, so after a reconnect the aggregator merges
+// every observation exactly once — count, sum and buckets — and the
+// histogram's own Count and Sum stay lifetime totals.
+func TestFailedSendKeepsHistogramDeltas(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel()
+	nw, agg := newSimPair(t, k, 2)
+	before := []int64{1, 5, 5, 40, 1000}
+	after := []int64{5, 7, 1000, 1 << 20}
+	var h *metrics.Histogram
+	k.Go(func() {
+		reg := metrics.NewRegistry()
+		h = reg.Histogram("lat", metrics.KindHistPow2)
+		rep, err := metrics.DialReporter(&failFirstNode{real: nw.Node(1)}, agg.Addr(), reg,
+			metrics.ReporterConfig{Key: "obs", Node: "n1"})
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		for _, v := range before {
+			h.Observe(v)
+		}
+		if err := rep.Flush(); !errors.Is(err, errBroken) {
+			t.Errorf("flush on a broken conn: %v", err)
+		}
+		if err := rep.Reconnect(); err != nil {
+			t.Errorf("reconnect: %v", err)
+			return
+		}
+		for _, v := range after {
+			h.Observe(v)
+		}
+		for i := 0; i < 2; i++ { // the second flush has nothing to send
+			if err := rep.Flush(); err != nil {
+				t.Errorf("flush %d: %v", i, err)
+			}
+		}
+	})
+	k.Run()
+
+	all := append(before, after...)
+	var sum int64
+	want := make([]time.Duration, 0, len(all))
+	for _, v := range all {
+		sum += v
+		want = append(want, time.Duration(metrics.BucketUpper(metrics.KindHistPow2, bits.Len64(uint64(v)))))
+	}
+	slices.Sort(want)
+	if count, s := agg.HistStats("lat"); count != uint64(len(all)) || s != sum {
+		t.Fatalf("merged count=%d sum=%d, want %d/%d", count, s, len(all), sum)
+	}
+	if got := agg.HistSorted("lat"); !slices.Equal(got, want) {
+		t.Fatalf("merged buckets %v, want %v", got, want)
+	}
+	if f, _ := agg.Received(); f != 1 {
+		t.Fatalf("aggregator received %d frames, want 1", f)
+	}
+	if h.Count() != uint64(len(all)) || h.Sum() != sum {
+		t.Fatalf("histogram Count=%d Sum=%d after reports, want lifetime %d/%d", h.Count(), h.Sum(), len(all), sum)
 	}
 }
 

@@ -4,7 +4,7 @@
 // records, metrics ships *aggregates*: applications and runtime layers
 // increment counters, set gauges and observe histogram samples on a hot
 // path built like the kernel and RPC fast paths (zero allocations,
-// cache-line-sharded atomics), and a Reporter periodically encodes the
+// one atomic word per counter), and a Reporter periodically encodes the
 // *deltas* since the last report into one batched frame for the
 // controller-side Aggregator — the ACME-style in-band aggregation plane
 // rather than raw log shipping.
@@ -22,7 +22,6 @@ package metrics
 
 import (
 	"math/bits"
-	randv2 "math/rand/v2"
 	"sync"
 	"sync/atomic"
 )
@@ -53,48 +52,12 @@ func (k Kind) String() string {
 	}
 }
 
-// numShards stripes counter increments across cache lines so concurrent
-// writers under LiveRuntime do not serialize on one word. Must be a
-// power of two.
-const numShards = 8
-
-// shardHint picks a stripe. runtime-backed rand/v2 is a few ns, never
-// allocates, and draws from the per-M cheaprand — not from any seeded
-// source the simulation depends on, so instrumented code stays
-// schedule-deterministic (shard choice only moves which stripe a delta
-// lands in; totals are exact sums).
-func shardHint() uint64 { return randv2.Uint64() & (numShards - 1) }
-
-// pad keeps neighbouring shards on distinct cache lines.
-type shard struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// shardBlock is a counter's stripe storage, allocated on first touch: a
-// registered-but-idle counter (error and timeout series on a healthy
-// node, most of a wide instrument set) costs one pointer, not 512 bytes
-// of padded cache lines. See DESIGN.md ("The memory plane").
-type shardBlock [numShards]shard
-
-// Counter is a monotonically increasing count, sharded across cache
-// lines. The zero value is ready to use; a nil *Counter discards.
+// Counter is a monotonically increasing count: one atomic word. Every
+// registry belongs to one instance or one process loop, so its writers
+// rarely contend and striping the word across cache lines would only
+// cost memory. The zero value is ready to use; a nil *Counter discards.
 type Counter struct {
-	shards atomic.Pointer[shardBlock]
-}
-
-// block returns the stripe storage, allocating it on the first call. A
-// racing allocation loses the CAS and adopts the winner's block, so
-// every writer stripes over the same storage.
-func (c *Counter) block() *shardBlock {
-	b := c.shards.Load()
-	if b == nil {
-		b = new(shardBlock)
-		if !c.shards.CompareAndSwap(nil, b) {
-			b = c.shards.Load()
-		}
-	}
-	return b
+	v atomic.Uint64
 }
 
 // Inc adds one.
@@ -105,23 +68,15 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.block()[shardHint()].v.Add(n)
+	c.v.Add(n)
 }
 
-// Total returns the exact sum across shards.
+// Total returns the count since creation.
 func (c *Counter) Total() uint64 {
 	if c == nil {
 		return 0
 	}
-	b := c.shards.Load()
-	if b == nil {
-		return 0
-	}
-	var sum uint64
-	for i := range b {
-		sum += b[i].v.Load()
-	}
-	return sum
+	return c.v.Load()
 }
 
 // Gauge is an instantaneous signed value (queue depths, population
@@ -169,11 +124,14 @@ const NumBuckets = 64
 //     i.e. v in [2^(i-1), 2^i) — exponential resolution for nanosecond
 //     latencies up to ~292 years.
 //
-// A nil *Histogram discards. Bucket storage is allocated on the first
-// observation, so a registered-but-quiet histogram costs a header, not
-// 512 bytes of bucket words.
+// A nil *Histogram discards. The buckets hold only the observations
+// not yet reported (a Reporter drains them); count and sum are lifetime
+// totals. Bucket storage is allocated on the first observation, so a
+// registered-but-quiet histogram costs a header, not 512 bytes of
+// bucket words.
 type Histogram struct {
 	kind    Kind
+	count   atomic.Uint64
 	sum     atomic.Int64
 	buckets atomic.Pointer[bucketBlock]
 }
@@ -181,8 +139,9 @@ type Histogram struct {
 // bucketBlock is a histogram's bucket storage, allocated on first touch.
 type bucketBlock [NumBuckets]atomic.Uint64
 
-// block returns the bucket storage, allocating it on the first call
-// (same CAS discipline as Counter.block).
+// block returns the bucket storage, allocating it on the first call. A
+// racing allocation loses the CAS and adopts the winner's block, so
+// every writer counts into the same storage.
 func (h *Histogram) block() *bucketBlock {
 	b := h.buckets.Load()
 	if b == nil {
@@ -226,7 +185,25 @@ func (h *Histogram) Observe(v int64) {
 		return
 	}
 	h.block()[bucketOf(h.kind, v)].Add(1)
+	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// drain appends the (bucket, count) pairs observed since the last drain
+// to pairs, in ascending bucket order, and zeroes those buckets. An
+// observation racing the drain lands in this drain or the next, never
+// in neither.
+func (h *Histogram) drain(pairs []uint64) []uint64 {
+	b := h.buckets.Load()
+	if b == nil {
+		return pairs
+	}
+	for i := range b {
+		if b[i].Load() != 0 {
+			pairs = append(pairs, uint64(i), b[i].Swap(0))
+		}
+	}
+	return pairs
 }
 
 // Sum returns the sum of all observed values.
@@ -242,23 +219,16 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	b := h.buckets.Load()
-	if b == nil {
-		return 0
-	}
-	var n uint64
-	for i := range b {
-		n += b[i].Load()
-	}
-	return n
+	return h.count.Load()
 }
 
-// instrument is one registered series.
+// instrument is one registered series. A counter or gauge lives inside
+// its record, so registering one is a single allocation.
 type instrument struct {
 	name string
 	kind Kind
-	c    *Counter
-	g    *Gauge
+	c    Counter
+	g    Gauge
 	h    *Histogram
 }
 
@@ -305,12 +275,12 @@ func (r *Registry) Counter(name string) *Counter {
 		return nil
 	}
 	in := r.lookup(name, KindCounter, func() *instrument {
-		return &instrument{name: name, kind: KindCounter, c: &Counter{}}
+		return &instrument{name: name, kind: KindCounter}
 	})
 	if in == nil {
 		return nil
 	}
-	return in.c
+	return &in.c
 }
 
 // Gauge returns the named gauge, creating it if needed.
@@ -319,12 +289,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return nil
 	}
 	in := r.lookup(name, KindGauge, func() *instrument {
-		return &instrument{name: name, kind: KindGauge, g: &Gauge{}}
+		return &instrument{name: name, kind: KindGauge}
 	})
 	if in == nil {
 		return nil
 	}
-	return in.g
+	return &in.g
 }
 
 // Histogram returns the named histogram, creating it with the given

@@ -25,6 +25,69 @@ func TestCounterShardedTotal(t *testing.T) {
 	}
 }
 
+// TestDrainRacesObserve: observations racing delta builds — committed
+// or handed back as if the send failed — land in exactly one committed
+// report, and Count and Sum stay lifetime totals.
+func TestDrainRacesObserve(t *testing.T) {
+	t.Parallel()
+	reg := NewRegistry()
+	h := reg.Histogram("lat", KindHistLinear)
+	const writers, each = 4, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(int64(i % 8))
+			}
+		}()
+	}
+	var st deltaState
+	var rep Report
+	var got [NumBuckets]uint64
+	var sum int64
+	build := func(fail bool) {
+		if !appendDelta(reg, &st, &rep) {
+			return
+		}
+		if fail {
+			restoreDelta(reg, &rep)
+			return
+		}
+		for _, hd := range rep.H {
+			for i := 0; i+1 < len(hd.B); i += 2 {
+				got[hd.B[i]] += hd.B[i+1]
+			}
+			sum += hd.S
+		}
+		commitDelta(&st, &rep)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for n := 0; ; n++ {
+		select {
+		case <-done:
+			// A sum ships beside its buckets, so a last zero sample
+			// carries whatever sum raced the previous drain.
+			h.Observe(0)
+			build(false)
+			got[0]--
+			for b := 0; b < 8; b++ {
+				if got[b] != writers*each/8 {
+					t.Fatalf("bucket %d reported %d times, want %d", b, got[b], writers*each/8)
+				}
+			}
+			if want := int64(writers * each / 8 * 28); sum != want || h.Sum() != want || h.Count() != writers*each+1 {
+				t.Fatalf("reported sum %d, Sum %d, Count %d; want %d, %d, %d", sum, h.Sum(), h.Count(), want, want, writers*each+1)
+			}
+			return
+		default:
+			build(n%3 == 0)
+		}
+	}
+}
+
 func TestNilInstrumentsNoOp(t *testing.T) {
 	t.Parallel()
 	var c *Counter
@@ -152,18 +215,25 @@ func TestDeltaReports(t *testing.T) {
 		t.Fatalf("late defs %+v", rep.Defs)
 	}
 
-	// An uncommitted build (a failed send) keeps its deltas: the next
-	// build re-reports them.
+	// A failed send keeps its deltas: restoreDelta hands the drained
+	// buckets back (as Reporter.Flush does), and the next build
+	// re-reports everything.
 	c.Add(7)
-	if !appendDelta(reg, &st, &rep) || rep.C[0].D != 7 {
-		t.Fatalf("pre-failure delta %+v", rep.C)
+	h.Observe(9)
+	if !appendDelta(reg, &st, &rep) || rep.C[0].D != 7 || len(rep.H) != 1 {
+		t.Fatalf("pre-failure delta %+v", rep)
 	}
+	restoreDelta(reg, &rep)
 	c.Add(1) // more activity while the frame was failing
+	h.Observe(9)
 	if !appendDelta(reg, &st, &rep) {
 		t.Fatal("post-failure delta empty")
 	}
 	if rep.C[0].D != 8 {
 		t.Fatalf("deltas lost across a failed send: %+v", rep.C)
+	}
+	if len(rep.H) != 1 || rep.H[0].S != 18 || len(rep.H[0].B) != 2 || rep.H[0].B[0] != 4 || rep.H[0].B[1] != 2 {
+		t.Fatalf("histogram deltas across a failed send: %+v", rep.H)
 	}
 	commitDelta(&st, &rep)
 	if appendDelta(reg, &st, &rep) {

@@ -49,73 +49,56 @@ type HistDelta struct {
 	S  int64    `json:"s,omitempty"`
 }
 
-// histState remembers a histogram's last-reported totals.
-type histState struct {
-	buckets [NumBuckets]uint64
-	sum     int64
-	pairs   []uint64 // reused backing for HistDelta.B
-}
-
-// instrState remembers one instrument's last-reported value.
-type instrState struct {
-	c uint64
-	g int64
-	h *histState
-}
-
-// deltaState tracks what a stream has already shipped: which
-// dictionary entries went out and every instrument's last-reported
-// totals. One deltaState belongs to exactly one stream (reports carry
+// deltaState tracks what a stream has already shipped: how many
+// dictionary entries went out and, per instrument id, the last-reported
+// counter total, gauge value or histogram sum (the signed values stored
+// as their bits). Histogram buckets need no memory here: they hold only
+// what is not yet reported, and appendDelta drains them into pairs.
+// One deltaState belongs to exactly one stream (reports carry
 // increments, so streams cannot share it).
 type deltaState struct {
 	defsSent int
-	last     []instrState
+	last     []uint64
+	pairs    []uint64 // drained (bucket, delta) pairs; HistDelta.B aliases it
 }
 
 // appendDelta fills rep with everything that changed in reg since st's
 // last committed report and reports whether the frame carries
-// anything. It does NOT advance st — the caller commits with
-// commitDelta only once the frame is safely on the wire, so a failed
-// encode keeps the deltas for the next flush instead of silently
-// dropping that period. The report's slices are reused across calls;
-// HistDelta.B aliases st-owned scratch, so rep must be encoded (and
-// committed or abandoned) before the next call.
+// anything. Counters, gauges and sums are compared against st, which
+// appendDelta does not advance; histogram buckets are drained. So the
+// caller must settle every build before the next one: commitDelta once
+// the frame is safely on the wire, restoreDelta when the send failed —
+// it hands the drained buckets back, and the deltas ride the next flush
+// instead of silently dropping that period. The report's slices are
+// reused across calls, and HistDelta.B aliases st.pairs.
 func appendDelta(reg *Registry, st *deltaState, rep *Report) bool {
 	instrs := reg.snapshot()
 	rep.Defs, rep.C, rep.G, rep.H = rep.Defs[:0], rep.C[:0], rep.G[:0], rep.H[:0]
+	if st.defsSent == len(instrs) {
+		rep.Defs = nil // every def has shipped: let go of the backing
+	}
+	st.pairs = st.pairs[:0]
 	for len(st.last) < len(instrs) {
-		st.last = append(st.last, instrState{})
+		st.last = append(st.last, 0)
 	}
 	for id, in := range instrs {
 		if id >= st.defsSent {
 			rep.Defs = append(rep.Defs, Def{ID: id, Name: in.name, Kind: in.kind})
 		}
-		s := &st.last[id]
+		last := st.last[id]
 		switch in.kind {
 		case KindCounter:
-			if d := in.c.Total() - s.c; d != 0 {
+			if d := in.c.Total() - last; d != 0 {
 				rep.C = append(rep.C, Delta{ID: id, D: d})
 			}
 		case KindGauge:
-			if v := in.g.Value(); v != s.g {
+			if v := in.g.Value(); v != int64(last) {
 				rep.G = append(rep.G, GaugeVal{ID: id, V: v})
 			}
 		default: // histograms
-			if s.h == nil {
-				s.h = &histState{}
-			}
-			hs := s.h
-			pairs := hs.pairs[:0]
-			if bb := in.h.buckets.Load(); bb != nil { // untouched: nothing to delta
-				for b := range bb {
-					if d := bb[b].Load() - hs.buckets[b]; d != 0 {
-						pairs = append(pairs, uint64(b), d)
-					}
-				}
-			}
-			hs.pairs = pairs
-			if len(pairs) > 0 {
-				rep.H = append(rep.H, HistDelta{ID: id, B: pairs, S: in.h.Sum() - hs.sum})
+			from := len(st.pairs)
+			if st.pairs = in.h.drain(st.pairs); len(st.pairs) > from {
+				rep.H = append(rep.H, HistDelta{ID: id, B: st.pairs[from:], S: in.h.Sum() - int64(last)})
 			}
 		}
 	}
@@ -124,24 +107,32 @@ func appendDelta(reg *Registry, st *deltaState, rep *Report) bool {
 
 // commitDelta applies an encoded report back onto st: the reported
 // deltas — not re-read instrument totals, which other tasks may have
-// advanced meanwhile — become the new last-reported values.
+// advanced meanwhile — become the new last-reported counter totals,
+// gauge values and histogram sums. Histogram buckets need nothing:
+// the build already drained them.
 func commitDelta(st *deltaState, rep *Report) {
 	for _, c := range rep.C {
-		st.last[c.ID].c += c.D
+		st.last[c.ID] += c.D
 	}
 	for _, g := range rep.G {
-		st.last[g.ID].g = g.V
+		st.last[g.ID] = uint64(g.V)
 	}
 	for _, h := range rep.H {
-		hs := st.last[h.ID].h
-		for i := 0; i+1 < len(h.B); i += 2 {
-			hs.buckets[h.B[i]] += h.B[i+1]
-		}
-		hs.sum += h.S
+		st.last[h.ID] += uint64(h.S)
 	}
-	for _, d := range rep.Defs {
-		if d.ID >= st.defsSent {
-			st.defsSent = d.ID + 1
+	if n := len(rep.Defs); n > 0 {
+		st.defsSent = rep.Defs[n-1].ID + 1
+	}
+}
+
+// restoreDelta undoes a build whose frame never reached the wire: the
+// drained bucket deltas go back to their histograms.
+func restoreDelta(reg *Registry, rep *Report) {
+	instrs := reg.snapshot()
+	for _, h := range rep.H {
+		b := instrs[h.ID].h.block()
+		for i := 0; i+1 < len(h.B); i += 2 {
+			b[h.B[i]].Add(h.B[i+1])
 		}
 	}
 }

@@ -20,8 +20,9 @@ type ReporterConfig struct {
 // dialTimeout bounds a connection attempt to the aggregator.
 const dialTimeout = time.Minute
 
-// Reporter streams a registry's delta reports to an aggregator. It is
-// owned by one task: the caller schedules Flush on whatever period the
+// Reporter streams a registry's delta reports to an aggregator. A
+// registry has at most one reporter, since flushing drains its
+// histograms' buckets. The reporter is owned by one task: the caller schedules Flush on whatever period the
 // deployment can afford (ctx.Periodic in applications, a timer loop in
 // splayd) and Flush/Close must not be called concurrently — exactly
 // the llenc.Writer contract underneath. Sent is safe from any task.
@@ -64,8 +65,8 @@ func DialReporter(node transport.Node, addr transport.Addr, reg *Registry, cfg R
 
 // Flush sends one delta report covering everything that changed since
 // the last *successful* flush. Nothing changed means nothing sent; a
-// failed send keeps the deltas, so they ride the next flush instead of
-// vanishing (at-least-once across a Reconnect — the frame is a single
+// failed send keeps the deltas (the drained histogram buckets are
+// handed back), so they ride the next flush instead of vanishing (at-least-once across a Reconnect — the frame is a single
 // write, so duplicates require it to have landed just as the stream
 // died).
 func (r *Reporter) Flush() error {
@@ -76,6 +77,7 @@ func (r *Reporter) Flush() error {
 	err := r.enc.Encode(&r.rep)
 	r.bytes.Store(r.enc.Bytes())
 	if err != nil {
+		restoreDelta(r.reg, &r.rep)
 		return fmt.Errorf("metrics: report: %w", err)
 	}
 	r.seq++

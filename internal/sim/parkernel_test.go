@@ -361,13 +361,19 @@ func TestParKernelLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-// settledGoroutines returns the goroutine count once it has stopped falling:
-// a retired helper's last act is its arrival at the barrier, so it may still
-// be on its way out when Run returns.
+// settledGoroutines returns the goroutine count once it is down to want or
+// has stopped falling — no drop for 50 ms. A retired helper's last act is
+// its arrival at the barrier, so it may still be on its way out when Run
+// returns; a leaked one never leaves, and the check fails 50 ms later.
 func settledGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for n > want && time.Since(since) < 50*time.Millisecond {
 		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m < n {
+			since = time.Now()
+		}
+		n = m
 	}
 	return n
 }
