@@ -23,8 +23,9 @@ import (
 // declines, because encoding/json would merge into the old pointee);
 // json.RawMessage, written verbatim when encoding/json would copy it too
 // and read as a strictly validated, copied span (null declines both
-// ways); text types (AppendText and MarshalText on the value,
-// UnmarshalText on the pointer) travel as JSON strings. A plan is a
+// ways); Verbatim is written as it is; text types (AppendText and
+// MarshalText on the value, UnmarshalText on the pointer) travel as JSON
+// strings. A plan is a
 // value's only fast codec: transport.Addr and rpc's response envelope
 // are planned by their tags like every message. Floats, maps, other
 // pointers, interfaces, []byte, json.Number, embedded or duplicate
@@ -35,6 +36,15 @@ import (
 // encoding/json takes all of that, as before.
 // Plans are built once per type under a lock and published read-only, so
 // both kernel partitions' threads share them.
+
+// Verbatim is JSON its producer vouches for: encoding/json's own output
+// for some value — compact, HTML-escaped — such as what AppendDerived
+// appends. Its plan writes the bytes as they are, without json.RawMessage's
+// validating pass, and parses nothing. It is the one planned type whose
+// encoding is not encoding/json's for the same value (which would be
+// base64): a struct that carries a non-empty Verbatim must have no member
+// that can make its plan decline.
+type Verbatim []byte
 
 // AppendDerived appends v's encoding through the plan derived for its
 // type and reports whether it did. On false buf is returned with its
@@ -163,6 +173,8 @@ func build(t reflect.Type) *codec {
 	switch k := c.kind; {
 	case t == reflect.TypeFor[json.RawMessage]():
 		c.enc, c.dec = encRaw, decRaw
+	case t == reflect.TypeFor[Verbatim]():
+		c.enc, c.dec = encVerbatim, decVerbatim
 	case k != reflect.Bool && (k < reflect.Int || k > reflect.Uint64) && k != reflect.String && k != reflect.Struct && k != reflect.Slice && k != reflect.Pointer,
 		k == reflect.Pointer && t.Elem().Kind() != reflect.Struct,
 		k == reflect.Slice && t.Elem().Kind() == reflect.Uint8, // []byte is base64 in encoding/json
@@ -323,6 +335,16 @@ func encRaw(_ *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
 	return append(b, raw...), true
 }
 
+// encVerbatim writes v unchecked; an empty one declines, to the base64
+// encoding/json writes for it.
+func encVerbatim(_ *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
+	v := *(*Verbatim)(p)
+	return append(b, v...), len(v) > 0
+}
+
+// decVerbatim declines: encoding/json reads a Verbatim as base64.
+func decVerbatim(*codec, *Lexer, unsafe.Pointer) bool { return false }
+
 func encText(c *codec, b []byte, p unsafe.Pointer) ([]byte, bool) {
 	start := len(b) + 1
 	b, err := as[encoding.TextAppender](c.encTab, p).AppendText(append(b, '"'))
@@ -371,7 +393,7 @@ func (c *codec) value(p unsafe.Pointer) reflect.Value { return reflect.NewAt(c.t
 func decString(_ *codec, l *Lexer, p unsafe.Pointer) bool {
 	s, ok := l.RawString()
 	if ok {
-		*(*string)(p) = string(s)
+		*(*string)(p) = intern(s)
 	}
 	return ok
 }

@@ -229,59 +229,6 @@ func (l *Lexer) signed(bits uint) (int64, bool) {
 	return int64(u), true
 }
 
-// SkipValue consumes one JSON value of any kind and returns its raw
-// span, leading and trailing whitespace excluded — the same bytes
-// encoding/json captures into a json.RawMessage. The scan is
-// structural (strings, nesting, token boundaries), not a grammar
-// check: callers that need strictness must validate the span with
-// json.Valid before trusting it.
-func (l *Lexer) SkipValue() ([]byte, bool) {
-	l.SkipWS()
-	start := l.Pos
-	depth := 0
-	for l.Pos < len(l.Data) {
-		c := l.Data[l.Pos]
-		switch {
-		case c == '"':
-			if !l.skipString() {
-				return nil, false
-			}
-		case c == '{' || c == '[':
-			depth++
-			l.Pos++
-			continue
-		case c == '}' || c == ']':
-			if depth == 0 {
-				return nil, false
-			}
-			depth--
-			l.Pos++
-		case c == ',' || c == ':':
-			if depth == 0 {
-				return nil, false
-			}
-			l.Pos++
-			continue
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			if depth == 0 {
-				return nil, false // no value started yet
-			}
-			l.Pos++
-			continue
-		case isTokenByte(c):
-			for l.Pos < len(l.Data) && isTokenByte(l.Data[l.Pos]) {
-				l.Pos++
-			}
-		default:
-			return nil, false
-		}
-		if depth == 0 {
-			return l.Data[start:l.Pos], true
-		}
-	}
-	return nil, false
-}
-
 // maxFastDepth bounds nesting in the strict validator. encoding/json
 // allows 10,000 levels; declining earlier only costs a fallback, never a
 // divergence.
@@ -290,9 +237,9 @@ const maxFastDepth = 1000
 // Value strictly consumes one JSON value — exactly the RFC 8259 grammar
 // encoding/json's scanner accepts (any bytes ≥ 0x20 pass inside strings,
 // UTF-8 is not validated, \u escapes need four hex digits) — and returns
-// its raw span, whitespace-trimmed like SkipValue. Unlike SkipValue the
-// span needs no separate json.Valid check; values nested deeper than
-// maxFastDepth are declined.
+// its raw span with leading and trailing whitespace excluded, the same
+// bytes encoding/json captures into a json.RawMessage. Values nested
+// deeper than maxFastDepth are declined.
 func (l *Lexer) Value() ([]byte, bool) {
 	l.SkipWS()
 	start := l.Pos
@@ -300,6 +247,27 @@ func (l *Lexer) Value() ([]byte, bool) {
 		return nil, false
 	}
 	return l.Data[start:l.Pos], true
+}
+
+// ValueArray is Value for a value that must be an array, reporting each
+// element's span (whitespace-trimmed, like Value's) to elem in order as
+// the one strict pass meets it. It walks exactly Value's array branch,
+// so it accepts what Value accepts that starts with '[', and nesting is
+// bounded as there; elem sees the spans of a declined array's leading
+// elements before the decline.
+func (l *Lexer) ValueArray(elem func(span []byte)) bool {
+	l.SkipWS()
+	if l.Pos >= len(l.Data) || l.Data[l.Pos] != '[' {
+		return false
+	}
+	return l.Array(func() bool {
+		start := l.Pos
+		if !l.validValue(1) {
+			return false
+		}
+		elem(l.Data[start:l.Pos])
+		return true
+	})
 }
 
 // validValue shares Array with the codecs but walks objects itself: the
@@ -449,29 +417,6 @@ func isHex(c byte) bool {
 func ValidVerbatim(b []byte) bool {
 	l := Lexer{Data: b, verbatim: true}
 	return l.validValue(0) && l.Pos == len(b)
-}
-
-// skipString consumes a quoted string including escape sequences.
-func (l *Lexer) skipString() bool {
-	l.Pos++ // opening quote
-	for l.Pos < len(l.Data) {
-		switch l.Data[l.Pos] {
-		case '"':
-			l.Pos++
-			return true
-		case '\\':
-			l.Pos += 2
-		default:
-			l.Pos++
-		}
-	}
-	return false
-}
-
-// isTokenByte reports bytes that continue a number or keyword token.
-func isTokenByte(c byte) bool {
-	return c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c == '-' || c == '+' || c == '.'
 }
 
 // AppendUint appends v in base 10 (a strconv re-export so fast encoders

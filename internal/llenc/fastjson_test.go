@@ -222,3 +222,46 @@ func TestLexerIntTakesIntsRange(t *testing.T) {
 		}
 	}
 }
+
+// TestValueArraySplitsAsItValidates pins Lexer.ValueArray to the two
+// passes it replaces: it accepts exactly what Value accepts when the
+// value starts with '[', returns the same span, and reports the element
+// spans encoding/json splits the array into — across whitespace between
+// elements, the empty array, and nesting up to maxFastDepth and one past.
+func TestValueArraySplitsAsItValidates(t *testing.T) {
+	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	for _, src := range []string{
+		`[]`, `[ ]`, " [\n] ", `[1]`, `[1,"two",null]`, ` [ 1 , "two" ,	{"k" : [ 3 ] } ] `,
+		`[{"a":1},[true,false],-0.5e+7,"é"]`, `["<&>"]`,
+		deep(maxFastDepth), deep(maxFastDepth + 1), "[" + deep(maxFastDepth) + "]",
+		`[1,]`, `[,1]`, `[01]`, `["\u00zz"]`, `[1 2]`, `[`, `[1`, `{"k":1}`, `null`, `1`, ``, `"["`,
+	} {
+		var got []json.RawMessage
+		l := Lexer{Data: []byte(src)}
+		ok := l.ValueArray(func(s []byte) { got = append(got, s) })
+		ref := Lexer{Data: []byte(src)}
+		span, refOK := ref.Value()
+		refOK = refOK && span[0] == '['
+		if ok != refOK || ok && l.Pos != ref.Pos {
+			t.Errorf("%.40q: ValueArray %v at %d; Value then '[' %v at %d", src, ok, l.Pos, refOK, ref.Pos)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		var want []json.RawMessage
+		if err := json.Unmarshal(span, &want); err != nil {
+			t.Errorf("%.40q: accepted, encoding/json says %v", src, err)
+			continue
+		}
+		if len(got) != len(want) {
+			t.Errorf("%.40q: %d elements, want %d", src, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%.40q: element %d is %q, want %q", src, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -49,8 +49,8 @@ func BenchmarkCyclonShuffle(b *testing.B) {
 	rounds := func(n int) {
 		k.Go(func() {
 			for i := 0; i < n; i++ {
-				initiator.view = append(initiator.view[:0], initiatorView...)
-				resp.view = append(resp.view[:0], respView...)
+				initiator.setView(initiatorView)
+				resp.setView(respView)
 				initiator.shuffle()
 			}
 		})

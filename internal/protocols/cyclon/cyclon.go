@@ -59,6 +59,7 @@ type Node struct {
 	cfg    Config
 	self   transport.Addr
 	view   []Entry
+	keys   []uint64 // keys[i] is view[i].Addr.Key(); add and remove keep them in step
 	client *rpc.Client
 	server *rpc.Server
 	stop   func()
@@ -85,8 +86,8 @@ func New(ctx *core.AppContext, cfg Config) *Node {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 10 * time.Second
 	}
-	n := &Node{ctx: ctx, cfg: cfg, self: ctx.Job.Me, view: make([]Entry, 0, cfg.ViewSize)}
-	n.client = rpc.NewClient(ctx)
+	n := &Node{ctx: ctx, cfg: cfg, self: ctx.Job.Me, client: rpc.NewClient(ctx),
+		view: make([]Entry, 0, cfg.ViewSize), keys: make([]uint64, 0, cfg.ViewSize)}
 	n.client.Timeout = cfg.RPCTimeout
 	return n
 }
@@ -99,7 +100,7 @@ func (n *Node) View() []Entry { return append([]Entry(nil), n.view...) }
 func (n *Node) Start(bootstrap []transport.Addr) error {
 	for _, a := range bootstrap {
 		if a != n.self && n.find(a) < 0 {
-			n.view = append(n.view, Entry{Addr: a})
+			n.add(Entry{Addr: a})
 		}
 	}
 	s := rpc.NewServer(n.ctx)
@@ -122,14 +123,23 @@ func (n *Node) Stop() {
 	}
 }
 
-// find returns the index of a's entry in the view, or -1.
+// find returns the index of a's entry in the view, or -1, comparing keys
+// before addresses.
 func (n *Node) find(a transport.Addr) int {
-	for i := range n.view {
-		if n.view[i].Addr == a {
+	k := a.Key()
+	for i, ki := range n.keys {
+		if ki == k && n.view[i].Addr == a {
 			return i
 		}
 	}
 	return -1
+}
+
+// add appends e to the view; remove deletes entry i, keeping the order of
+// the rest.
+func (n *Node) add(e Entry) { n.view, n.keys = append(n.view, e), append(n.keys, e.Addr.Key()) }
+func (n *Node) remove(i int) {
+	n.view, n.keys = slices.Delete(n.view, i, i+1), slices.Delete(n.keys, i, i+1)
 }
 
 // sample copies up to l entries (excluding the peer at skip) into a wire
@@ -183,16 +193,13 @@ func (n *Node) merge(in, sacrificable []Entry) {
 			if i < 0 {
 				continue // nothing sacrificable left: drop the entry
 			}
-			n.view = slices.Delete(n.view, i, i+1)
+			n.remove(i)
 		}
-		n.view = append(n.view, e)
+		n.add(e)
 		// An entry sent and evicted earlier in this exchange may come back:
 		// it is sacrificable again.
-		for j := range next {
-			if sacrificable[j].Addr == e.Addr {
-				next = j
-				break
-			}
+		if j := slices.IndexFunc(sacrificable[:next], func(s Entry) bool { return s.Addr == e.Addr }); j >= 0 {
+			next = j
 		}
 	}
 }
@@ -211,16 +218,13 @@ func (n *Node) shuffle() {
 		}
 	}
 	peer := n.view[oldest].Addr
-	n.view = slices.Delete(n.view, oldest, oldest+1) // replaced by our fresh entry at the peer's side
+	n.remove(oldest) // replaced by our fresh entry at the peer's side
 
 	send := n.sample(n.cfg.ShuffleLen-1, peer)
 	res, err := n.client.Call(peer, "shuffle", append(send, Entry{Addr: n.self}))
-	if err != nil {
-		return // dead peer already dropped from the view
-	}
 	var reply []Entry
-	if err := res.Decode(&reply); err != nil {
-		return
+	if err != nil || res.Decode(&reply) != nil {
+		return // a dead peer is already dropped from the view
 	}
 	n.merge(reply, send)
 	n.Shuffles++

@@ -97,6 +97,7 @@ func TestViewsNeverContainSelfOrDuplicates(t *testing.T) {
 		if len(node.View()) > node.cfg.ViewSize {
 			t.Fatalf("node %d view exceeds capacity", i)
 		}
+		node.checkKeys(t)
 	}
 }
 
@@ -225,7 +226,8 @@ func TestMergeMatchesReference(t *testing.T) {
 		if rng.Intn(3) == 0 && len(view) > 0 { // sent entries come from the view
 			sacrificable = append(sacrificable[:0], view[:rng.Intn(len(view))]...)
 		}
-		got := &Node{cfg: Config{ViewSize: viewSize}, self: self, view: slices.Clone(view)}
+		got := &Node{cfg: Config{ViewSize: viewSize}, self: self}
+		got.setView(view)
 		want := &Node{cfg: Config{ViewSize: viewSize}, self: self, view: slices.Clone(view)}
 		got.merge(in, sacrificable)
 		refMerge(want, in, sacrificable)
@@ -233,6 +235,7 @@ func TestMergeMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: view %v, size %d, in %v, sacrificable %v:\n got %v\nwant %v",
 				trial, view, viewSize, in, sacrificable, got.view, want.view)
 		}
+		got.checkKeys(t)
 	}
 }
 
@@ -251,8 +254,9 @@ func TestSampleMatchesPerm(t *testing.T) {
 				view[i] = Entry{Addr: transport.Addr{Host: simnet.HostName(i), Port: 8100}, Age: i % 5}
 			}
 			skip := transport.Addr{Host: simnet.HostName(size / 2), Port: 8100}
-			n := &Node{ctx: ctx, cfg: Config{ShuffleLen: l + 1}, view: view} // as the initiator samples
-			ref := stream.Rand(seed, "", 0)                                  // the stream of a context with no app and no position
+			n := &Node{ctx: ctx, cfg: Config{ShuffleLen: l + 1}} // as the initiator samples
+			n.setView(view)
+			ref := stream.Rand(seed, "", 0) // the stream of a context with no app and no position
 			got, want := n.sample(l, skip), refSample(view, ref, l, skip)
 			if !slices.Equal(got, want) {
 				t.Fatalf("view %d, l %d: sample %v, rand.Perm order %v", size, l, got, want)
@@ -263,6 +267,27 @@ func TestSampleMatchesPerm(t *testing.T) {
 			if a, b := ctx.Rand().Int63(), ref.Int63(); a != b {
 				t.Fatalf("view %d, l %d: RNG state after sample differs from after rand.Perm", size, l)
 			}
+		}
+	}
+}
+
+// setView replaces n's view with a copy of v, keys in step.
+func (n *Node) setView(v []Entry) {
+	n.view, n.keys = n.view[:0], n.keys[:0]
+	for _, e := range v {
+		n.add(e)
+	}
+}
+
+// checkKeys fails t unless every key is its entry's.
+func (n *Node) checkKeys(t *testing.T) {
+	t.Helper()
+	if len(n.keys) != len(n.view) {
+		t.Fatalf("%d keys for %d entries", len(n.keys), len(n.view))
+	}
+	for i, e := range n.view {
+		if n.keys[i] != e.Addr.Key() {
+			t.Fatalf("key %d is not %v's", i, e.Addr)
 		}
 	}
 }

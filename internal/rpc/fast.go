@@ -11,22 +11,21 @@ import (
 // frame codec: a request ({"id","m","a"}) implements llenc.FastMarshaler
 // with a hand-rolled encoder, because no derived plan can carry its
 // positional []any arguments, and parseRequest is its decline-don't-guess
-// parser, which keeps the argument array as a raw span for the lazy
-// decode below. The response ({"id","e","r"}) has plain json tags and
-// rides its derived plan both ways (llenc.Writer.Encode, llenc.Unmarshal).
-// The bytes are identical to encoding/json's for these structs — field
+// parser, which validates the argument array and splits it into element
+// spans in one pass. The response ({"id","e","r"}) has plain json tags
+// and rides derived plans: the client reads a response (its Result a
+// json.RawMessage the plan validates and copies), and the server writes
+// a reply, whose Result is the llenc.Verbatim appendValue produced. The
+// bytes are identical to encoding/json's for these structs — field
 // order, omitempty, HTML escaping — which
-// TestRPCFastEncodeMatchesEncodingJSON and the fuzz targets check
-// differentially, so the wire format (and with it every golden-pinned
-// experiment) cannot diverge. Anything the fast path cannot reproduce
-// exactly falls back to encoding/json.
+// TestRPCFastEncodeMatchesEncodingJSON, TestReplyEncodesAsResponse and
+// the fuzz targets check differentially, so the wire format (and with it
+// every golden-pinned experiment) cannot diverge. Anything the fast path
+// cannot reproduce exactly falls back to encoding/json.
 //
-// The decode side is lazy: the server's fast parser captures the
-// argument array as one raw byte span without touching its elements;
-// Args splits the span only when a handler actually reads an argument,
-// and decodes only the elements it is asked for. Raw spans live in
-// pooled buffers owned by the server — see the ownership rules on
-// Handler and in DESIGN.md ("The message plane").
+// Only the element a handler asks for is decoded. The element spans
+// live in pooled buffers owned by the server — see the ownership rules
+// on Handler and in DESIGN.md ("The message plane").
 
 // appendValue is the one value encoder of the message plane: call
 // arguments, handler results and PreEncode all go through it, and it
@@ -82,7 +81,7 @@ const maxPooledScratch = 64 << 10
 
 // valueScratch stages encodes: marshalValue's, so a value costs one
 // exact-size allocation however large it grows on the way, and handler
-// results, which ride their response in the buffer until it is framed.
+// results, which ride their reply in the buffer until it is framed.
 var valueScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // marshalValue is appendValue into a fresh slice the caller owns (Marshal
@@ -134,23 +133,25 @@ func (r *request) AppendJSON(buf []byte) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// wireRequest is the server-side fast parse of a request frame.
-// RawMethod and RawArgs alias the connection's read buffer and are only
-// valid until the next frame is read; the serve loop looks the method up
+// wireRequest is the server-side fast parse of a request frame. Its
+// byte slices alias the parsed buffer: the serve loop parses its own
+// pooled copy of the frame (an argList's raw), looks the method up
 // without converting (the map[string(b)] non-allocating pattern) and
-// copies the args into a pooled Args before handing off.
+// hands the element spans to the handler as they are.
 type wireRequest struct {
 	ID        uint64
 	RawMethod []byte
-	RawArgs   []byte // the "a" array, nil when absent
+	Args      []json.RawMessage // the "a" array's element spans, in order
 }
 
 // parseRequest is the decline-don't-guess parser for request frames. On
 // false the caller falls back to encoding/json. Acceptance is strictly
 // narrower than encoding/json's: unknown keys, escaped method names and
-// anything json.Valid rejects inside the args array all decline.
-func parseRequest(data []byte) (wireRequest, bool) {
-	var out wireRequest
+// anything json.Valid rejects inside the args array all decline. The
+// args array is validated and split in one pass (Lexer.ValueArray), its
+// element spans appended to args[:0].
+func parseRequest(data []byte, args []json.RawMessage) (wireRequest, bool) {
+	out := wireRequest{Args: args[:0]}
 	l := llenc.Lexer{Data: data}
 	ok := l.Object(func(key []byte) (ok bool) {
 		switch string(key) {
@@ -159,47 +160,36 @@ func parseRequest(data []byte) (wireRequest, bool) {
 		case "m":
 			out.RawMethod, ok = l.RawString()
 		case "a":
-			// Strict: the lazy split must never surface errors the
-			// eager path reported at envelope time.
-			out.RawArgs, ok = l.Value()
-			ok = ok && out.RawArgs[0] == '['
+			// Strict: a handler must never meet an element
+			// encoding/json would have rejected at envelope time.
+			out.Args = out.Args[:0]
+			ok = l.ValueArray(func(span []byte) {
+				out.Args = append(out.Args, span)
+			})
 		}
 		return ok
 	})
 	return out, ok && l.End()
 }
 
-// argList is the pooled backing store of Args: the raw argument array
-// (server-owned copy of the wire bytes) and its lazily split elements.
+// argList is the pooled backing store of Args: the server's copy of the
+// request frame and the argument elements, split at parse.
 type argList struct {
-	raw   []byte            // the JSON array; nil when built from pre-split elements
-	elems []json.RawMessage // split elements, aliasing raw (or eager fallback copies)
-	split bool
+	raw   []byte            // the frame; nil when built from caller-owned elements
+	elems []json.RawMessage // the elements, aliasing raw (or encoding/json's copies)
 }
 
 var argPool = sync.Pool{New: func() any { return new(argList) }}
 
-// newArgsRaw copies the wire bytes of the argument array into a pooled
-// buffer and defers all element work until a handler asks.
-func newArgsRaw(raw []byte) Args {
-	if len(raw) == 0 {
+// args hands the elements to a handler; an empty list goes straight back
+// to the pool.
+func (l *argList) args() Args {
+	a := Args{l: l}
+	if len(l.elems) == 0 {
+		a.release()
 		return Args{}
 	}
-	l := argPool.Get().(*argList)
-	l.raw = append(l.raw[:0], raw...)
-	l.elems = l.elems[:0]
-	l.split = false
-	return Args{l: l}
-}
-
-// newArgsSplit wraps already-split elements (the encoding/json fallback
-// path) in the same pooled shape.
-func newArgsSplit(elems []json.RawMessage) Args {
-	l := argPool.Get().(*argList)
-	l.raw = l.raw[:0]
-	l.elems = elems
-	l.split = true
-	return Args{l: l}
+	return a
 }
 
 // release recycles the backing store. The serve loop calls it after the
@@ -209,35 +199,7 @@ func (a Args) release() {
 	if a.l == nil {
 		return
 	}
-	for i := range a.l.elems {
-		a.l.elems[i] = nil
-	}
+	clear(a.l.elems)
+	a.l.elems = a.l.elems[:0]
 	argPool.Put(a.l)
-}
-
-// ensureSplit materializes the element spans. The raw bytes were
-// validated with json.Valid at parse time, so the structural scan
-// cannot fail; the encoding/json fallback covers the impossible case
-// anyway rather than guessing.
-func (l *argList) ensureSplit() {
-	if l.split {
-		return
-	}
-	l.split = true
-	lex := llenc.Lexer{Data: l.raw}
-	if !lex.Array(func() bool {
-		span, ok := lex.SkipValue()
-		l.elems = append(l.elems, json.RawMessage(span))
-		return ok
-	}) || !lex.End() {
-		l.fallbackSplit()
-	}
-}
-
-func (l *argList) fallbackSplit() {
-	l.elems = l.elems[:0]
-	var elems []json.RawMessage
-	if err := json.Unmarshal(l.raw, &elems); err == nil {
-		l.elems = elems
-	}
 }

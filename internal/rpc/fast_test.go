@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/llenc/codectest"
 )
 
@@ -82,6 +83,27 @@ func TestRPCFastEncodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestReplyEncodesAsResponse: the server's reply, its result written
+// unchecked, frames byte for byte as json.Marshal(response) for every
+// sample — results, errors the plan carries and errors that send the
+// reply to encoding/json.
+func TestReplyEncodesAsResponse(t *testing.T) {
+	for _, resp := range sampleResponses() {
+		want, err := json.Marshal(&resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		r := reply{ID: resp.ID, Err: resp.Err, Result: llenc.Verbatim(resp.Result)}
+		if err := llenc.NewWriter(&buf).Encode(&r); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes()[llenc.HeaderSize:]; !bytes.Equal(got, want) {
+			t.Errorf("reply framed %s, response marshals %s", got, want)
+		}
+	}
+}
+
 // TestResponseTakesItsPlan: every response shape the server writes —
 // a result, an error, neither — takes the plan both ways, so a member
 // the plan cannot carry fails here instead of falling back.
@@ -94,11 +116,37 @@ func TestResponseTakesItsPlan(t *testing.T) {
 	}
 }
 
+// refParseRequest is parseRequest's acceptance rule stated the long way:
+// the strict validator over the whole "a" value (Lexer.Value), then the
+// check that it is an array. The one-pass parse must accept exactly the
+// frames this accepts.
+func refParseRequest(data []byte) bool {
+	l := llenc.Lexer{Data: data}
+	return l.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "id":
+			_, ok = l.Uint()
+		case "m":
+			_, ok = l.RawString()
+		case "a":
+			var span []byte
+			span, ok = l.Value()
+			ok = ok && span[0] == '['
+		}
+		return ok
+	}) && l.End()
+}
+
 // checkRequestParse cross-checks parseRequest against encoding/json on
-// one frame: acceptance must imply an identical decode.
+// one frame: acceptance must imply an identical decode, with element
+// spans equal to encoding/json's split of the array, and acceptance must
+// equal refParseRequest's.
 func checkRequestParse(t *testing.T, frame []byte) {
 	t.Helper()
-	fast, ok := parseRequest(frame)
+	fast, ok := parseRequest(frame, nil)
+	if refOK := refParseRequest(frame); ok != refOK {
+		t.Fatalf("one-pass parse of %q accepted %v; Value then '[' accepted %v", frame, ok, refOK)
+	}
 	var ref jsonEnvelope
 	refErr := json.Unmarshal(frame, &ref)
 	if !ok {
@@ -111,32 +159,28 @@ func checkRequestParse(t *testing.T, frame []byte) {
 		t.Fatalf("fast parse diverges on %q: got (%d, %q), want (%d, %q)",
 			frame, fast.ID, fast.RawMethod, ref.ID, ref.Method)
 	}
-	if !bytes.Equal(fast.RawArgs, ref.Args) && !(len(fast.RawArgs) == 0 && len(ref.Args) == 0) {
-		// encoding/json accepts "a":null as a nil RawMessage; the fast
-		// parser declines null, so spans must match exactly otherwise.
-		t.Fatalf("fast args span diverges on %q: got %q, want %q", frame, fast.RawArgs, ref.Args)
-	}
-	// The lazy split must agree element-for-element with eager decoding.
+	// The spans split at parse must equal encoding/json's split of the
+	// array it captured ("a":null, which it reads as no arguments, the
+	// fast parser declines).
+	var want []json.RawMessage
 	if len(ref.Args) > 0 {
-		var want []json.RawMessage
 		if err := json.Unmarshal(ref.Args, &want); err != nil {
 			t.Fatalf("reference split failed on %q: %v", frame, err)
 		}
-		args := newArgsRaw(fast.RawArgs)
-		defer args.release()
-		if args.Len() != len(want) {
-			t.Fatalf("lazy split length %d, want %d on %q", args.Len(), len(want), frame)
+	}
+	if len(fast.Args) != len(want) {
+		t.Fatalf("split %d elements of %q, want %d", len(fast.Args), frame, len(want))
+	}
+	args := NewArgs(fast.Args...)
+	for i := range want {
+		if !bytes.Equal(fast.Args[i], want[i]) {
+			t.Fatalf("element %d of %q: span %q, want %q", i, frame, fast.Args[i], want[i])
 		}
-		for i := range want {
-			var a, b any
-			errA := args.Decode(i, &a)
-			errB := json.Unmarshal(want[i], &b)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("lazy element %d decode disagreement on %q: %v vs %v", i, frame, errA, errB)
-			}
-			if errA == nil && !reflect.DeepEqual(a, b) {
-				t.Fatalf("lazy element %d diverges on %q: %v vs %v", i, frame, a, b)
-			}
+		var a, b any
+		errA := args.Decode(i, &a)
+		errB := json.Unmarshal(want[i], &b)
+		if (errA == nil) != (errB == nil) || errA == nil && !reflect.DeepEqual(a, b) {
+			t.Fatalf("element %d of %q decodes to %v (%v), want %v (%v)", i, frame, a, errA, b, errB)
 		}
 	}
 }
@@ -183,6 +227,12 @@ func TestRPCFastParseMatchesEncodingJSON(t *testing.T) {
 		`{"id":1,"m":"x","a":null}`,
 		`{"id":1,"m":"x","unknown":1}`,
 		`{ "id" : 1 , "m" : "x" , "a" : [ 1 , "two" ] }`, // whitespace everywhere
+		`{"id":1,"m":"x","a":[]}`, `{"id":1,"m":"x","a":[ ]}`, `{"id":1,"m":"x","a":[1],"a":[2,3]}`,
+		`{"id":1,"m":"x","a":[1,[2,{"k":[3]}]	,"4"]}`,
+		// Nesting at llenc's limit of 1,000 levels below the envelope
+		// and one past it, which declines to the fallback.
+		`{"id":1,"m":"x","a":` + strings.Repeat("[", 1000) + strings.Repeat("]", 1000) + `}`,
+		`{"id":1,"m":"x","a":` + strings.Repeat("[", 1001) + strings.Repeat("]", 1001) + `}`,
 		`{"id":1,"e":"boom"}`, `{"id":1,"r":{"x":[1,2]}}`, `{"id":1,"r":}`,
 	} {
 		checkRequestParse(t, []byte(src))
@@ -247,6 +297,11 @@ func TestRPCFastCodecRandomized(t *testing.T) {
 		}
 		codectest.CheckAppend(t, &resp)
 		checkResponseParse(t, want)
+		var buf bytes.Buffer
+		r := reply{ID: resp.ID, Err: resp.Err, Result: llenc.Verbatim(resp.Result)}
+		if err := llenc.NewWriter(&buf).Encode(&r); err != nil || !bytes.Equal(buf.Bytes()[llenc.HeaderSize:], want) {
+			t.Fatalf("case %d: reply framed %s (%v), response marshals %s", i, buf.Bytes()[llenc.HeaderSize:], err, want)
+		}
 	}
 }
 

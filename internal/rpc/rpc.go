@@ -12,9 +12,9 @@
 // The message plane is built for throughput: requests ride the
 // hand-rolled fast codec in fast.go and responses and the values inside
 // both ride llenc's derived plans (byte-identical to encoding/json),
-// argument arrays decode lazily from pooled buffers, and replies
-// queued behind one connection writer are drained in a batch by whichever
-// task got there first. See DESIGN.md ("The message plane").
+// argument arrays are split as they are validated, into pooled buffers,
+// and replies queued behind one connection writer are drained in a
+// batch by whichever task got there first. See DESIGN.md ("The message plane").
 package rpc
 
 import (
@@ -51,18 +51,32 @@ type request struct {
 	Args   []any  `json:"a,omitempty"`
 }
 
+// response is a reply as the client reads it: Result is a strictly
+// validated copy (the plan's json.RawMessage).
 type response struct {
 	ID     uint64          `json:"id"`
 	Err    string          `json:"e,omitempty"`
 	Result json.RawMessage `json:"r,omitempty"`
+}
 
-	scratch *[]byte // server side: Result's pooled backing, released once framed
+// reply is a response as the server writes it. Its Result is what
+// appendValue encoded — encoding/json's own compact, HTML-escaped bytes —
+// so the plan writes it verbatim instead of validating it again. A reply
+// sets Err or Result, never both: when an Err the plan cannot carry sends
+// the reply through encoding/json, Result is empty and omitted, and the
+// bytes are json.Marshal(response{ID, Err}) all the same.
+type reply struct {
+	ID     uint64         `json:"id"`
+	Err    string         `json:"e,omitempty"`
+	Result llenc.Verbatim `json:"r,omitempty"`
+
+	scratch *[]byte // Result's pooled backing, released once framed
 }
 
 // Args gives handlers typed access to positional call arguments. The
-// argument array is decoded lazily: elements are split on first access
-// and unmarshaled only when asked for, so a handler that reads two of
-// five arguments never parses the other three.
+// argument array is validated and split in one pass when the request is
+// parsed; elements are unmarshaled only when asked for, so a handler that
+// reads two of five arguments never decodes the other three.
 //
 // Args and any raw bytes reached through it are owned by the server and
 // valid only until the handler returns (the backing buffer is pooled).
@@ -79,7 +93,7 @@ func NewArgs(elems ...json.RawMessage) Args {
 	if len(elems) == 0 {
 		return Args{}
 	}
-	return Args{l: &argList{elems: elems, split: true}}
+	return Args{l: &argList{elems: elems}}
 }
 
 // Len returns the number of arguments.
@@ -87,15 +101,11 @@ func (a Args) Len() int {
 	if a.l == nil {
 		return 0
 	}
-	a.l.ensureSplit()
 	return len(a.l.elems)
 }
 
 // Decode unmarshals argument i into v.
 func (a Args) Decode(i int, v any) error {
-	if a.l != nil {
-		a.l.ensureSplit()
-	}
 	if a.l == nil || i < 0 || i >= len(a.l.elems) {
 		return fmt.Errorf("rpc: argument %d out of range (%d args)", i, a.Len())
 	}
@@ -108,7 +118,6 @@ func (a Args) Decode(i int, v any) error {
 // semantics cannot diverge.
 func (a Args) String(i int) string {
 	if a.l != nil {
-		a.l.ensureSplit()
 		if i >= 0 && i < len(a.l.elems) {
 			lex := llenc.Lexer{Data: a.l.elems[i]}
 			if s, ok := lex.RawString(); ok && lex.End() {
@@ -125,7 +134,6 @@ func (a Args) String(i int) string {
 // parse without encoding/json.
 func (a Args) Int(i int) int {
 	if a.l != nil {
-		a.l.ensureSplit()
 		if i >= 0 && i < len(a.l.elems) {
 			lex := llenc.Lexer{Data: a.l.elems[i]}
 			if v, ok := lex.Int(); ok && lex.End() {
@@ -299,8 +307,11 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 	var h Handler
 	var hok bool
 	var method string
-	var args Args
-	if req, ok := parseRequest(payload); ok {
+	// The frame is copied once into pooled storage and parsed there, so
+	// the element spans the parse records are the handler's arguments.
+	l := argPool.Get().(*argList)
+	l.raw = append(l.raw[:0], payload...)
+	if req, ok := parseRequest(l.raw, l.elems); ok {
 		id = req.ID
 		s.mu.RLock()
 		for i := range s.handlers {
@@ -313,7 +324,7 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 		if !hok {
 			method = string(req.RawMethod)
 		}
-		args = newArgsRaw(req.RawArgs)
+		l.elems = req.Args
 	} else {
 		// encoding/json fallback: frames the fast parser declined
 		// (escaped method names, odd whitespace, hostile input).
@@ -322,23 +333,27 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 			Method string          `json:"m"`
 			Args   json.RawMessage `json:"a"`
 		}
+		l.elems = l.elems[:0]
 		if err := json.Unmarshal(payload, &req); err != nil {
+			Args{l: l}.release()
 			return false // framing is broken; drop the connection
 		}
 		if len(req.Args) > 0 {
 			var elems []json.RawMessage
 			if err := json.Unmarshal(req.Args, &elems); err != nil {
-				s.errReply(sc, response{ID: req.ID, Err: "rpc: malformed arguments"})
+				Args{l: l}.release()
+				s.errReply(sc, reply{ID: req.ID, Err: "rpc: malformed arguments"})
 				return true
 			}
-			args = newArgsSplit(elems)
+			l.elems = elems
 		}
 		id, method = req.ID, req.Method
 		h, hok = s.handler(method)
 	}
+	args := l.args()
 	if !hok {
 		args.release()
-		s.errReply(sc, response{ID: id, Err: fmt.Sprintf("rpc: unknown method %q", method)})
+		s.errReply(sc, reply{ID: id, Err: fmt.Sprintf("rpc: unknown method %q", method)})
 		return true
 	}
 	// Handlers run as their own task so they may block; the connection
@@ -354,8 +369,8 @@ func (sc *serverConn) OnFrame(payload []byte) bool {
 // errReply writes a server-side error response (unknown method, malformed
 // arguments — paths no healthy protocol traffic takes) from a spawned
 // task: OnFrame must not block in the reply writer.
-func (s *Server) errReply(sc *serverConn, resp response) {
-	s.ctx.Go(func() { s.reply(sc, resp) })
+func (s *Server) errReply(sc *serverConn, r reply) {
+	s.ctx.Go(func() { s.reply(sc, r) })
 }
 
 // reqJob carries one dispatched request into its handler task.
@@ -382,25 +397,25 @@ func (j *reqJob) exec() {
 	j.sc, j.h, j.args = nil, nil, Args{}
 	jobPool.Put(j)
 
-	resp := response{ID: id}
+	r := reply{ID: id}
 	result, err := h(args)
 	if err != nil {
-		resp.Err = err.Error()
+		r.Err = err.Error()
 	} else if result != nil {
 		bp := valueScratch.Get().(*[]byte)
 		raw, merr := appendValue((*bp)[:0], result)
 		if merr != nil {
-			resp.Err = "rpc: unserializable result: " + merr.Error()
+			r.Err = "rpc: unserializable result: " + merr.Error()
 			releaseScratch(bp, raw)
 		} else {
-			resp.Result, resp.scratch = raw, bp
+			r.Result, r.scratch = raw, bp
 		}
 	}
 	// The result is encoded (copied) above into scratch that rides the
-	// response until its reply batch is framed, so the pooled argument
+	// reply until its batch is framed, so the pooled argument
 	// buffer can be recycled even if the handler returned bytes aliasing it.
 	args.release()
-	sc.s.reply(sc, resp)
+	sc.s.reply(sc, r)
 }
 
 // replyFlush is one busy period of a connection's reply writer: the
@@ -410,9 +425,9 @@ func (j *reqJob) exec() {
 // reply would otherwise allocate each time.
 type replyFlush struct {
 	w     llenc.Writer
-	queue []response // replies waiting behind the batch
-	batch []response // the batch being written (flusher-only)
-	run   func()     // writes batch; one closure per pooled object, ever
+	queue []reply // replies waiting behind the batch
+	batch []reply // the batch being written (flusher-only)
+	run   func()  // writes batch; one closure per pooled object, ever
 }
 
 var replyFlushes = sync.Pool{New: func() any {
@@ -430,21 +445,21 @@ func (f *replyFlush) writeBatch() {
 		if r.scratch != nil {
 			releaseScratch(r.scratch, r.Result)
 		}
-		*r = response{} // drop Result references
+		*r = reply{} // drop Result references
 	}
 }
 
-func (s *Server) reply(sc *serverConn, resp response) {
+func (s *Server) reply(sc *serverConn, r reply) {
 	sc.mu.Lock()
 	if f := sc.flush; f != nil {
-		f.queue = append(f.queue, resp)
+		f.queue = append(f.queue, r)
 		sc.mu.Unlock()
 		return
 	}
 	f := replyFlushes.Get().(*replyFlush)
 	sc.flush = f
 	f.w.Reset(sc.conn)
-	f.queue = append(f.queue, resp)
+	f.queue = append(f.queue, r)
 	for len(f.queue) > 0 {
 		f.batch, f.queue = f.queue, f.batch[:0]
 		sc.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/transport"
 )
 
@@ -57,15 +58,18 @@ func TestValueSeamsConsultTheContract(t *testing.T) {
 // json.Marshal over what handlers return and callers pass: the scalars
 // ("pong" included), planned values the plan accepts and declines, raw
 // payloads, and a nil pointer to a planned type, which encoding/json
-// writes as null.
+// writes as null. Every encoding is also verbatim JSON (ValidVerbatim),
+// which is what lets the server write a result unchecked (llenc.Verbatim).
 func TestValuesEncodeAsEncodingJSON(t *testing.T) {
 	ref := plainRef{ID: 7, Addr: transport.Addr{Host: "n1", Port: 8000}}
 	esc := plainRef{ID: 7, Addr: transport.Addr{Host: `<"n1">`}}
 	values := []any{
-		"pong", "", "sp ace", `needs "quotes"`, "html <&>", "ünïcode", "ctrl\x01",
-		0, -42, int64(-1 << 62), int32(7), uint(9), uint64(1<<64 - 1), true, false, 3.25,
+		"pong", "", "sp ace", `needs "quotes"`, "html <&>", "ünïcode", "ctrl\x01", "\u2028",
+		0, -42, int64(-1 << 62), int32(7), uint(9), uint64(1<<64 - 1), true, false, 3.25, 1e300,
 		ref, esc, &ref, &esc, (*plainRef)(nil), []plainRef{ref, esc}, map[string]int{"a": 1},
-		json.RawMessage(`{"k":[1,2]}`), json.RawMessage(`{ "spaced" : 1 }`), json.RawMessage(nil),
+		map[string]string{"<": "&"}, []any{1.5, "x", nil},
+		json.RawMessage(`{"k":[1,2]}`), json.RawMessage(`{ "spaced" : 1 }`), json.RawMessage(`"<"`),
+		json.RawMessage(nil), json.RawMessage(`null`),
 	}
 	for _, v := range values {
 		want, err := json.Marshal(v)
@@ -75,6 +79,9 @@ func TestValuesEncodeAsEncodingJSON(t *testing.T) {
 		got, err := marshalValue(v)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%#v: encoded %s (%v), want %s", v, got, err, want)
+		}
+		if !llenc.ValidVerbatim(got) {
+			t.Errorf("%#v: encoded %s, which is not verbatim JSON", v, got)
 		}
 		if got, _ := appendValue([]byte("kept"), v); string(got) != "kept"+string(want) {
 			t.Errorf("%#v: appended %s, want kept%s", v, got, want)

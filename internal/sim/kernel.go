@@ -200,13 +200,13 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
 	return Timer{e: e, gen: e.gen}
 }
 
-// AtFunc schedules fn to run once at absolute virtual time at (clamped to
-// now), like AfterFunc.
-func (k *Kernel) AtFunc(at time.Time, fn func()) Timer {
+// AtFunc schedules fn to run once at absolute virtual time atNS (ns since
+// Epoch, clamped to now), like AfterFunc and like ParKernel.Post.
+func (k *Kernel) AtFunc(atNS int64, fn func()) Timer {
 	e := k.alloc()
 	e.kind = evFunc
 	e.fn = fn
-	k.push(e, int64(at.Sub(Epoch)))
+	k.push(e, atNS)
 	return Timer{e: e, gen: e.gen}
 }
 

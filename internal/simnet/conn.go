@@ -30,14 +30,12 @@ type pipe struct {
 	lastDeliverNS int64 // FIFO floor for future deliveries, ns since Epoch
 }
 
-func (p *pipe) deliverTime(t time.Time) time.Time {
-	ns := int64(t.Sub(sim.Epoch))
-	if ns < p.lastDeliverNS {
-		ns = p.lastDeliverNS
-		t = sim.Epoch.Add(time.Duration(ns))
-	}
+// deliverTime applies the pipe's FIFO floor to a delivery instant (ns since
+// sim.Epoch): nothing is delivered before what was sent ahead of it.
+func (p *pipe) deliverTime(ns int64) int64 {
+	ns = max(ns, p.lastDeliverNS)
 	p.lastDeliverNS = ns
-	return t
+	return ns
 }
 
 func (p *pipe) deliverData(data []byte) {
@@ -292,9 +290,9 @@ func (c *conn) Write(b []byte) (int, error) {
 	// queueing, FIFO floor) runs on the peer's partition at arrival.
 	nw := h.nw
 	senderFree := nw.upTimes(h, len(data))
-	nw.sendData(h, c.wr(), data, senderFree.Add(nw.delay(np, h.id, c.peer().id)))
+	nw.sendData(h, c.wr(), data, senderFree+int64(nw.delay(np, h.id, c.peer().id)))
 
-	if wait := senderFree.Sub(k.Now()); wait > 0 {
+	if wait := time.Duration(senderFree - int64(k.Since())); wait > 0 {
 		k.Sleep(wait)
 	}
 	if c.closed || c.rd().reset {
@@ -315,7 +313,7 @@ func (c *conn) Close() error {
 	// The FIFO floor against in-flight data is applied on the peer's
 	// partition when the EOF arrives, not here.
 	nw := h.nw
-	nw.sendEOF(h, c.wr(), h.kern().Now().Add(nw.delay(h.np(), h.id, c.peer().id)))
+	nw.sendEOF(h, c.wr(), int64(h.kern().Since()+nw.delay(h.np(), h.id, c.peer().id)))
 	// Wake a parked local reader; it will observe closed.
 	c.rd().wakeReader()
 	return nil
@@ -331,7 +329,7 @@ func (c *conn) reset() {
 	h.removeConn(c)
 	c.rd().fail()
 	nw, wr := h.nw, c.wr()
-	nw.post(h, peer, h.kern().Now().Add(nw.delay(h.np(), h.id, peer.id)), wr.fail)
+	nw.post(h, peer, int64(h.kern().Since()+nw.delay(h.np(), h.id, peer.id)), wr.fail)
 }
 
 // freeze blackholes the connection: the local (dying) endpoint errors,

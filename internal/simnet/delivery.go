@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"time"
-
 	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/transport"
 )
@@ -71,19 +69,19 @@ func (d *delivery) fire() {
 	switch d.kind {
 	case arriveData:
 		k := d.pipe.dst.kern()
-		at := d.pipe.deliverTime(d.nw.recvTimes(d.pipe.dst, k.Now(), len(d.data)))
+		at := d.pipe.deliverTime(d.nw.recvTimes(d.pipe.dst, int64(k.Since()), len(d.data)))
 		d.kind = dlvData
 		k.AtFunc(at, d.run)
 		return
 	case arriveEOF:
 		k := d.pipe.dst.kern()
-		at := d.pipe.deliverTime(k.Now())
+		at := d.pipe.deliverTime(int64(k.Since()))
 		d.kind = dlvEOF
 		k.AtFunc(at, d.run)
 		return
 	case arriveDgram:
 		k := d.to.kern()
-		at := d.nw.recvTimes(d.to, k.Now(), len(d.data))
+		at := d.nw.recvTimes(d.to, int64(k.Since()), len(d.data))
 		d.kind = dlvDgram
 		k.AtFunc(at, d.run)
 		return
@@ -136,8 +134,8 @@ func (h *Host) wakeReadable(r llenc.Readable) {
 }
 
 // sendData ships data from host from into pipe p, arriving at the
-// receiver's link at virtual time arrive.
-func (nw *Network) sendData(from *Host, p *pipe, data []byte, arrive time.Time) {
+// receiver's link at virtual time arrive (ns since sim.Epoch).
+func (nw *Network) sendData(from *Host, p *pipe, data []byte, arrive int64) {
 	d := from.np().newDelivery(nw)
 	d.kind = arriveData
 	d.pipe = p
@@ -146,7 +144,7 @@ func (nw *Network) sendData(from *Host, p *pipe, data []byte, arrive time.Time) 
 }
 
 // sendEOF ships a stream EOF into pipe p, arriving at arrive.
-func (nw *Network) sendEOF(from *Host, p *pipe, arrive time.Time) {
+func (nw *Network) sendEOF(from *Host, p *pipe, arrive int64) {
 	d := from.np().newDelivery(nw)
 	d.kind = arriveEOF
 	d.pipe = p
@@ -156,7 +154,7 @@ func (nw *Network) sendEOF(from *Host, p *pipe, arrive time.Time) {
 // sendDgram ships a datagram to (to, port), arriving at arrive. Delivery
 // re-checks for a live destination socket; a dead port silently swallows
 // the datagram, like UDP.
-func (nw *Network) sendDgram(from, to *Host, port int, data []byte, fromAddr transport.Addr, arrive time.Time) {
+func (nw *Network) sendDgram(from, to *Host, port int, data []byte, fromAddr transport.Addr, arrive int64) {
 	d := from.np().newDelivery(nw)
 	d.kind = arriveDgram
 	d.to = to

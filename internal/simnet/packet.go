@@ -71,7 +71,7 @@ func (p *packetConn) WriteTo(b []byte, to transport.Addr) (int, error) {
 	data := np.getBuf(len(b))
 	copy(data, b)
 	senderFree := nw.upTimes(p.host, len(data))
-	nw.sendDgram(p.host, remote, to.Port, data, p.Addr(), senderFree.Add(nw.delay(np, p.host.id, remote.id)))
+	nw.sendDgram(p.host, remote, to.Port, data, p.Addr(), senderFree+int64(nw.delay(np, p.host.id, remote.id)))
 	return len(b), nil
 }
 

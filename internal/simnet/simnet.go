@@ -340,12 +340,13 @@ func (nw *Network) Node(i int) transport.Node { return nw.hosts[i] }
 // partition, a cross-partition post otherwise. Every message between two
 // hosts — SYN, dial verdict, data, EOF, datagram, reset — travels this way,
 // so when its receiver side runs depends on the link, never on placement.
-func (nw *Network) post(from, to *Host, at time.Time, fn func()) {
+// Like every link time in this package, at is ns since sim.Epoch.
+func (nw *Network) post(from, to *Host, at int64, fn func()) {
 	if from.part == to.part {
 		to.kern().AtFunc(at, fn)
 		return
 	}
-	nw.pk.Post(from.part, to.part, int64(at.Sub(sim.Epoch)), fn)
+	nw.pk.Post(from.part, to.part, at, fn)
 }
 
 // HostName returns the canonical name of host i.
@@ -406,8 +407,8 @@ type Host struct {
 	conns     []*conn
 	nextEphem int
 
-	upFree   time.Time // uplink busy until
-	downFree time.Time // downlink busy until
+	upFree   int64 // uplink busy until, ns since sim.Epoch
+	downFree int64 // downlink busy until, ns since sim.Epoch
 
 	down bool            // machine failed: sockets reset, dials refused
 	gen  int             // incremented at every Down/Up transition
@@ -628,7 +629,7 @@ func (h *Host) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	w.WakeAfter(timeout, transport.ErrTimeout)
 	fwd := nw.delay(h.np(), h.id, remote.id)
 	d.rev = nw.delay(h.np(), remote.id, h.id)
-	nw.post(h, remote, k.Now().Add(fwd), d.run)
+	nw.post(h, remote, int64(k.Since()+fwd), d.run)
 
 	switch v := w.Wait().(type) {
 	case *conn:
@@ -684,7 +685,7 @@ func (d *dialReq) fire() {
 			l.deliver(cr)
 		}
 		d.verdict = true
-		nw.post(remote, h, remote.kern().Now().Add(d.rev), d.run)
+		nw.post(remote, h, int64(remote.kern().Since()+d.rev), d.run)
 		return
 	}
 	if cl := d.cl; cl == nil {
@@ -706,42 +707,35 @@ func (d *dialReq) fire() {
 }
 
 // upTimes charges size bytes to a's uplink queue starting now and returns
-// the instant the uplink releases the message. Sender-side half of the
-// fluid model; always runs on a's partition.
-func (nw *Network) upTimes(a *Host, size int) (senderFree time.Time) {
-	now := a.kern().Now()
+// the instant (ns since sim.Epoch) the uplink releases the message.
+// Sender-side half of the fluid model; always runs on a's partition.
+func (nw *Network) upTimes(a *Host, size int) (senderFree int64) {
 	up := nw.model.UplinkBps(a.id)
-	txStart := now
-	if txStart.Before(a.upFree) {
-		txStart = a.upFree
-	}
-	txDur := time.Duration(0)
+	txStart := max(int64(a.kern().Since()), a.upFree)
+	var txDur time.Duration
 	if up > 0 {
 		txDur = time.Duration(float64(size) / up * float64(time.Second))
 	}
-	senderFree = txStart.Add(txDur)
+	senderFree = txStart + int64(txDur)
 	a.upFree = senderFree
 	return senderFree
 }
 
 // recvTimes charges size bytes to b's downlink queue for a message arriving
 // at arrive and returns the delivery instant, including any processing
-// delay. Receiver-side half of the fluid model; always runs on b's
-// partition, when the message arrives.
-func (nw *Network) recvTimes(b *Host, arrive time.Time, size int) (delivered time.Time) {
+// delay; both are ns since sim.Epoch. Receiver-side half of the fluid
+// model; always runs on b's partition, when the message arrives.
+func (nw *Network) recvTimes(b *Host, arrive int64, size int) (delivered int64) {
 	down := nw.model.DownlinkBps(b.id)
-	rxStart := arrive
-	if rxStart.Before(b.downFree) {
-		rxStart = b.downFree
-	}
-	rxDur := time.Duration(0)
+	rxStart := max(arrive, b.downFree)
+	var rxDur time.Duration
 	if down > 0 {
 		rxDur = time.Duration(float64(size) / down * float64(time.Second))
 	}
-	delivered = rxStart.Add(rxDur)
+	delivered = rxStart + int64(rxDur)
 	b.downFree = delivered
 	if nw.proc != nil {
-		delivered = delivered.Add(nw.proc(b.id, size))
+		delivered += int64(nw.proc(b.id, size))
 	}
 	return delivered
 }

@@ -39,6 +39,16 @@ func (a Addr) String() string { return net.JoinHostPort(a.Host, strconv.Itoa(a.P
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }
 
+// Key is a 64-bit FNV-1a hash of the address: equal addresses have equal
+// keys, so a scan of an address list can compare keys before strings.
+func (a Addr) Key() uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(a.Host); i++ {
+		h = (h ^ uint64(a.Host[i])) * 1099511628211
+	}
+	return (h ^ uint64(a.Port)) * 1099511628211
+}
+
 // ParseAddr parses "host:port" with net.SplitHostPort's bracket
 // semantics: IPv6 hosts must be bracketed ("[::1]:5555" parses to host
 // "::1"); an unbracketed "::1:5555" is rejected rather than mis-split at

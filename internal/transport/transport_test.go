@@ -1,6 +1,9 @@
 package transport
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func TestAddrStringBracketsIPv6(t *testing.T) {
 	cases := []struct {
@@ -55,6 +58,27 @@ func TestParseAddrRejects(t *testing.T) {
 	} {
 		if a, err := ParseAddr(s); err == nil {
 			t.Errorf("ParseAddr(%q) = %+v, want error", s, a)
+		}
+	}
+}
+
+// TestAddrKey: equal addresses share a key, whatever string backs the
+// host; the addresses a view holds (hosts n0…n999 on a few ports) do not
+// collide.
+func TestAddrKey(t *testing.T) {
+	a := Addr{Host: "n12", Port: 8000}
+	b := Addr{Host: string([]byte("n12")), Port: 8000}
+	if a.Key() != b.Key() {
+		t.Fatalf("equal addresses %v, %v have keys %x, %x", a, b, a.Key(), b.Key())
+	}
+	seen := map[uint64]Addr{}
+	for i := range 1000 {
+		for _, port := range []int{0, 8000, 8001, 20001} {
+			x := Addr{Host: "n" + strconv.Itoa(i), Port: port}
+			if y, dup := seen[x.Key()]; dup {
+				t.Fatalf("%v and %v share key %x", x, y, x.Key())
+			}
+			seen[x.Key()] = x
 		}
 	}
 }
