@@ -98,10 +98,11 @@ var rules = []rule{
 		},
 		fx("internal/transport/x.go", "package transport\nfunc (a Addr) MarshalJSON() ([]byte, error) { return nil, nil }")},
 	{"deleted-declarations-stay-deleted",
-		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel",
+		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule",
 		"each was folded into the one definition that replaced it",
 		only(union(where(declOf, gone), where(ifaceOf, gone))),
 		fx("internal/sim/x.go", "package sim\nfunc (k *Kernel) After() {}",
+			"internal/sim/y.go", "package sim\nfunc (k *Kernel) drainTaskPool() {}",
 			"internal/controller/x.go", "package controller\nfunc (c *Controller) phase() {}",
 			"internal/config/x.go", "package config\nfunc requireKeys() {}",
 			"internal/core/x.go", "package core\ntype Runtime interface{ Rand() }",
@@ -363,11 +364,12 @@ func count(s sites, least, most int) func(m *module) []string {
 }
 
 // gone matches the declarations folded away: the kernel's closure-returning
-// After, the controller's own periodic and per-command waits, config's
-// separate key allow-list, a runtime's shared random source, the churn start
-// path and the single-partition guard.
+// After and its task-pool drain beside the epoch release, the controller's
+// own periodic and per-command waits, config's separate key allow-list, a
+// runtime's shared random source, the churn start path and the
+// single-partition guard.
 func gone(f *file, x fact) bool {
-	return in(f.path, "internal/sim/") && x.recv == "Kernel" && x.name == "After" ||
+	return in(f.path, "internal/sim/") && x.recv == "Kernel" && in(x.name, "After", "drainTaskPool") ||
 		in(f.path, "internal/controller/") && x.recv == "Controller" && in(x.name, "periodic", "call", "phase") ||
 		in(f.path, "internal/config/") && x.name == "requireKeys" ||
 		strings.HasSuffix(x.recv, "Runtime") && x.name == "Rand" ||

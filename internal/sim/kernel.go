@@ -14,6 +14,8 @@
 // The scheduling hot path is allocation-free in steady state: events, tasks
 // (with their coroutines) and Waiters are all pooled on free lists, and the
 // event queue is a hierarchical timer wheel (see wheel.go and DESIGN.md).
+// Every epoch of virtual time the kernel hands back what its pools and
+// queue slices held unused for the whole epoch (see release).
 package sim
 
 import (
@@ -27,10 +29,13 @@ import (
 // date is arbitrary; experiments only use durations relative to it.
 var Epoch = time.Date(2009, 4, 22, 0, 0, 0, 0, time.UTC)
 
-// maxFreeTasks bounds the task pool: a finished task's coroutine stays
-// suspended for reuse up to this limit and exits beyond it, so bursty spawns
-// don't pin an unbounded number of idle coroutines to the kernel.
-const maxFreeTasks = 512
+// epochBits sets the release epoch: 1<<33 ns ≈ 8.6 s of virtual time. It
+// is longer than the slowest beat of the loads the simulations run (5 s
+// metric reports and Cyclon shuffles), so what such a load needs once a
+// beat is not handed back between beats and re-made at the next; and it is
+// a whole number of turns of the timer wheel (16), so a load that recurs
+// once an epoch meets the same ring buckets every time.
+const epochBits = 33
 
 // task is a pooled cooperative task: one iter.Pull coroutine, reused across
 // task spawns so GoAfter and Waiter.Wait never allocate. The run loop enters
@@ -47,8 +52,7 @@ type task struct {
 }
 
 // run is the coroutine's life: run the spawned body, recycle, wait for the
-// next spawn. It returns — ending the coroutine — when the pool is full or
-// drainTaskPool stops it.
+// next spawn. It returns — ending the coroutine — when releaseTasks stops it.
 func (t *task) run(yield func(struct{}) bool) {
 	t.yield = yield
 	for {
@@ -56,9 +60,6 @@ func (t *task) run(yield func(struct{}) bool) {
 		t.fn = nil
 		k := t.k
 		k.tasks--
-		if k.freeTaskCount >= maxFreeTasks {
-			return
-		}
 		t.link = k.freeTasks
 		k.freeTasks = t
 		k.freeTaskCount++
@@ -85,25 +86,17 @@ type Kernel struct {
 	events  uint64 // total events executed, for stats
 	halted  bool
 
-	freeEvents      *event
-	freeEventCount  int
-	freeTasks       *task
-	freeTaskCount   int
-	freeWaiters     *Waiter
-	freeWaiterCount int
+	// The free lists, each with its length and its low-water mark since
+	// the last release: the objects no allocation reached all epoch.
+	freeEvents                 *event
+	freeEventCount, eventLow   int
+	freeTasks                  *task
+	freeTaskCount, taskLow     int
+	freeWaiters                *Waiter
+	freeWaiterCount, waiterLow int
+	releaseNS                  int64    // the next epoch boundary
+	releaseHooks               []func() // see AddReleaseHook
 }
-
-// maxFreeEvents and maxFreeWaiters bound the recycling pools. Startup
-// bursts (a whole population joining at once) push the in-flight event
-// count far above steady state; an unbounded free list would pin that
-// high-water mark for the rest of the run, which at memory-plane scale
-// is megabytes per sub-kernel. Excess objects are simply dropped to the
-// garbage collector — pool occupancy never affects event order, so
-// schedules (and goldens) are unchanged.
-const (
-	maxFreeEvents  = 2048
-	maxFreeWaiters = 1024
-)
 
 // NewKernel returns a kernel with its clock set to Epoch.
 func NewKernel() *Kernel {
@@ -122,11 +115,21 @@ func (k *Kernel) Events() uint64 { return k.events }
 // Tasks returns the number of live tasks.
 func (k *Kernel) Tasks() int { return k.tasks }
 
+// addHeld adds k's live tasks and what it holds for reuse to st.
+func (k *Kernel) addHeld(st *ParStats) {
+	st.Tasks += k.tasks
+	st.IdleTasks += k.freeTaskCount
+	st.FreeEvents += k.freeEventCount
+	st.FreeWaiters += k.freeWaiterCount
+	st.QueueSlots += k.wq.slots()
+}
+
 // alloc takes an event from the free list, or makes one.
 func (k *Kernel) alloc() *event {
 	if e := k.freeEvents; e != nil {
 		k.freeEvents = e.next
 		k.freeEventCount--
+		k.eventLow = min(k.eventLow, k.freeEventCount)
 		e.next = nil
 		return e
 	}
@@ -144,9 +147,6 @@ func (k *Kernel) free(e *event) {
 	e.w = nil
 	e.wgen = 0
 	e.v = nil
-	if k.freeEventCount >= maxFreeEvents {
-		return // drop to the GC; see maxFreeEvents
-	}
 	e.next = k.freeEvents
 	k.freeEvents = e
 	k.freeEventCount++
@@ -234,6 +234,7 @@ func (k *Kernel) allocTask() *task {
 	if t := k.freeTasks; t != nil {
 		k.freeTasks = t.link
 		k.freeTaskCount--
+		k.taskLow = min(k.taskLow, k.freeTaskCount)
 		t.link = nil
 		return t
 	}
@@ -306,29 +307,92 @@ func (k *Kernel) Halt() { k.halted = true }
 // setNow advances the clock and keeps the timer wheel's cursor in step.
 func (k *Kernel) setNow(ns int64) {
 	k.nowNS = ns
-	k.wq.advanceTo(ns)
+	if slot := ns >> slotBits; slot != k.wq.startSlot {
+		k.newSlot(slot)
+	}
 }
+
+// newSlot moves the wheel's cursor to slot and ends the epoch when the
+// clock has reached its boundary, which is always a bucket boundary too.
+func (k *Kernel) newSlot(slot int64) {
+	k.wq.advanceTo(slot)
+	if k.nowNS >= k.releaseNS {
+		k.release()
+	}
+}
+
+// release ends an epoch. It hands back exactly what sat unused for the
+// whole of it — from each free list its low-water mark, from each queue
+// slice the capacity far above its high-water length (Trim) — then runs
+// the release hooks and starts the next epoch at the following boundary. A
+// steady load keeps its working set and never re-allocates it; a burst's
+// surplus goes at the end of the first epoch it sat through unused. Pools and slice capacity are
+// invisible to every schedule, so releasing never moves an event.
+func (k *Kernel) release() {
+	for ; k.eventLow > 0; k.eventLow-- {
+		e := k.freeEvents
+		k.freeEvents, e.next = e.next, nil
+		k.freeEventCount--
+	}
+	for ; k.waiterLow > 0; k.waiterLow-- {
+		w := k.freeWaiters
+		k.freeWaiters, w.next = w.next, nil
+		k.freeWaiterCount--
+	}
+	k.releaseTasks(k.taskLow)
+	k.wq.release()
+	for _, fn := range k.releaseHooks {
+		fn()
+	}
+	k.eventLow, k.taskLow, k.waiterLow = k.freeEventCount, k.freeTaskCount, k.freeWaiterCount
+	k.releaseNS = (k.nowNS>>epochBits + 1) << epochBits
+}
+
+// releaseTasks ends n idle pooled tasks' coroutines. stop is synchronous,
+// so their goroutines are gone when it returns. Only free tasks are
+// touched; parked tasks (blocked in Wait) keep running when resumed.
+func (k *Kernel) releaseTasks(n int) {
+	for ; n > 0; n-- {
+		t := k.freeTasks
+		k.freeTasks, t.link = t.link, nil
+		k.freeTaskCount--
+		t.stop()
+	}
+	k.taskLow = min(k.taskLow, k.freeTaskCount)
+}
+
+// AddReleaseHook adds fn to run at the end of every epoch release, on the
+// goroutine executing this kernel (for a ParKernel partition, its worker),
+// while no task runs. Hooks hand back what their own free lists held unused
+// all epoch (simnet's delivery and payload pools); like the kernel's, they
+// must not schedule events.
+func (k *Kernel) AddReleaseHook(fn func()) { k.releaseHooks = append(k.releaseHooks, fn) }
 
 // run is the entry and exit handling of one Run, RunFor or RunUntil
 // around the event loop: it resets the halted flag, advances the clock to
-// a bound the queue did not reach, and drains the task pool when the queue
-// ran dry.
+// a bound the queue did not reach, and retires the idle coroutines when
+// the queue ran dry.
 func (k *Kernel) run(limitNS int64, bounded bool) uint64 {
 	k.halted = false
 	defer k.leaveTask() // a task that panicked or called Goexit is unwinding through here
 	n := k.loop(limitNS, bounded)
-	if bounded && !k.halted && limitNS > k.nowNS {
+	k.leaveRun(limitNS, bounded && !k.halted)
+	return n
+}
+
+// leaveRun ends a run at limitNS (when toLimit and the queue did not get
+// there) and, if the queue ran dry, retires every idle pooled coroutine:
+// nothing can fire until new work is scheduled from outside, and a
+// suspended coroutine is never collected, so without this every finished
+// simulation would pin its task pool (and kernel) for the process
+// lifetime. The pool re-grows on demand.
+func (k *Kernel) leaveRun(limitNS int64, toLimit bool) {
+	if toLimit && limitNS > k.nowNS {
 		k.setNow(limitNS)
 	}
 	if k.wq.size() == 0 {
-		// Nothing can fire until new work is scheduled from outside, so
-		// retire the idle pooled coroutines: a suspended coroutine is never
-		// collected, and without this every finished simulation would pin
-		// its task pool (and kernel) for the process lifetime. The pool
-		// re-grows on demand.
-		k.drainTaskPool()
+		k.releaseTasks(k.freeTaskCount)
 	}
-	return n
 }
 
 // leaveTask marks the run loop as executing. resume does it inline on the
@@ -349,7 +413,7 @@ func (k *Kernel) peekNS() int64 {
 // the clock and fires queued events — with firing times ≤ limitNS when
 // bounded — until the queue runs dry or Halt is called, and returns the
 // count. It does not reset the halted flag, advance the clock to the
-// limit, or drain the task pool: run does that around one call, and
+// limit, or retire idle coroutines: run does that around one call, and
 // ParKernel around a whole run of lookahead windows, one call each.
 func (k *Kernel) loop(limitNS int64, bounded bool) uint64 {
 	var n uint64
@@ -370,20 +434,6 @@ func (k *Kernel) loop(limitNS int64, bounded bool) uint64 {
 		k.events++
 	}
 	return n
-}
-
-// drainTaskPool ends every idle pooled task's coroutine. stop is
-// synchronous, so their goroutines are gone when it returns. Only free tasks
-// are touched; parked tasks (blocked in Wait) keep running when resumed.
-func (k *Kernel) drainTaskPool() {
-	for t := k.freeTasks; t != nil; {
-		next := t.link
-		t.link = nil
-		t.stop()
-		t = next
-	}
-	k.freeTasks = nil
-	k.freeTaskCount = 0
 }
 
 // fire executes one event. The event is recycled before its action runs, so
@@ -459,6 +509,7 @@ func (k *Kernel) NewWaiter() *Waiter {
 	if w := k.freeWaiters; w != nil {
 		k.freeWaiters = w.next
 		k.freeWaiterCount--
+		k.waiterLow = min(k.waiterLow, k.freeWaiterCount)
 		w.next = nil
 		return w
 	}
@@ -474,9 +525,6 @@ func (k *Kernel) freeWaiter(w *Waiter) {
 	w.task = nil
 	w.value = nil
 	w.timer = Timer{}
-	if k.freeWaiterCount >= maxFreeWaiters {
-		return // drop to the GC; see maxFreeWaiters
-	}
 	w.next = k.freeWaiters
 	k.freeWaiters = w
 	k.freeWaiterCount++

@@ -43,17 +43,19 @@ type ParKernel struct {
 	windowEnd int64
 
 	out []outbox // per source partition, appended by that partition's worker
-	in  [][]xev  // per destination partition, coordinator merge scratch
+	in  []inbox  // per destination partition, coordinator merge scratch
+
+	releaseNS int64 // the next epoch boundary for out and in (see Kernel.release)
 
 	// The window barrier. ws[0] is the coordinator — the goroutine driving
 	// the run, which executes worker 0's partitions itself — and ws[1:] the
 	// helpers, goroutines that live only for the duration of one run (parked
-	// goroutines would pin the kernel forever, mirroring drainTaskPool's
-	// reasoning). A round is published by storing last and bumping epoch;
-	// each helper counts pending down when its share is done. spin is this
-	// run's polling budget before a waiter parks. epoch and pending get a
-	// cache line each: one side polls them while the other writes the
-	// fields around them.
+	// goroutines would pin the kernel forever, which is also why a run that
+	// drains the queue retires the idle task coroutines). A round is
+	// published by storing last and bumping epoch; each helper counts
+	// pending down when its share is done. spin is this run's polling
+	// budget before a waiter parks. epoch and pending get a cache line each:
+	// one side polls them while the other writes the fields around them.
 	ws      []worker
 	spin    int
 	_       [64]byte
@@ -97,9 +99,16 @@ func xevLess(a, b xev) bool {
 // window. Padded so outboxes of neighbouring partitions — appended by
 // different workers concurrently — do not share a cache line.
 type outbox struct {
-	evs []xev
-	seq uint64
-	_   [32]byte
+	evs  []xev
+	seq  uint64
+	high int // the most events of one window since the last release
+	_    [24]byte
+}
+
+// inbox is one destination partition's merge scratch.
+type inbox struct {
+	evs  []xev
+	high int // the most events of one merge since the last release
 }
 
 // NewParKernel returns a partitioned kernel with parts sub-kernels executed
@@ -125,7 +134,7 @@ func NewParKernel(parts, workers int, lookahead time.Duration) *ParKernel {
 		subs:   make([]*Kernel, parts),
 		lookNS: int64(lookahead),
 		out:    make([]outbox, parts),
-		in:     make([][]xev, parts),
+		in:     make([]inbox, parts),
 	}
 	for i := range pk.subs {
 		pk.subs[i] = NewKernel()
@@ -238,7 +247,10 @@ func (pk *ParKernel) Events() uint64 {
 // ParStats is what a ParKernel counted about its own runs since it was
 // created: plain counters kept by the coordinator, no clock reads. With one
 // worker there is no barrier to wait at, so the park counts stay 0; with one
-// partition there are no rounds either.
+// partition there are no rounds either. The last four fields are what the
+// partitions hold for reuse right now, read off lengths and capacities the
+// kernel keeps anyway; each epoch release hands back what a whole epoch
+// left unused (see Kernel.release).
 type ParStats struct {
 	Rounds      uint64   // lookahead windows executed
 	CrossPosts  uint64   // cross-partition events merged at barriers
@@ -246,6 +258,10 @@ type ParStats struct {
 	HelperParks uint64   // the same for helpers, one count per helper and round
 	Events      []uint64 // events executed, per partition
 	Tasks       int      // live cooperative tasks right now, parked ones included
+	IdleTasks   int      // pooled coroutines waiting for a spawn: each a parked goroutine
+	FreeEvents  int      // pooled events
+	FreeWaiters int      // pooled waiters
+	QueueSlots  int      // capacity of the timer wheels' slices and the cross-partition buffers
 }
 
 // Stats returns the kernel's self-counters. Call it between runs or from a
@@ -255,8 +271,9 @@ func (pk *ParKernel) Stats() ParStats {
 	st.Events = make([]uint64, len(pk.subs))
 	for i, s := range pk.subs {
 		st.Events[i] = s.events
+		s.addHeld(&st)
+		st.QueueSlots += cap(pk.out[i].evs) + cap(pk.in[i].evs)
 	}
-	st.Tasks = pk.Tasks()
 	return st
 }
 
@@ -313,7 +330,9 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 		// Kernel run loop (merge first in case anything was posted from
 		// outside a run).
 		pk.mergeCross()
-		return pk.subs[0].run(limitNS, bounded)
+		n := pk.subs[0].run(limitNS, bounded)
+		pk.releaseCross(pk.subs[0].nowNS)
+		return n
 	}
 
 	n := pk.runWindows(limitNS, bounded)
@@ -322,14 +341,27 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 	pk.mergeCross()
 
 	for _, s := range pk.subs {
-		if bounded && !pk.halted && limitNS > s.nowNS {
-			s.setNow(limitNS)
-		}
-		if s.wq.size() == 0 {
-			s.drainTaskPool()
-		}
+		s.leaveRun(limitNS, bounded && !pk.halted)
 	}
+	pk.releaseCross(int64(pk.Since()))
 	return n
+}
+
+// releaseCross ends the cross buffers' epoch once the clock, at nowNS, has
+// reached its boundary: each outbox and inbox is trimmed to the most one
+// window or merge put in it (Trim), as the sub-kernels trim their queues.
+// It runs on the coordinator while no partition executes, after a merge,
+// when every outbox is empty.
+func (pk *ParKernel) releaseCross(nowNS int64) {
+	if nowNS < pk.releaseNS {
+		return
+	}
+	for i := range pk.out {
+		o, in := &pk.out[i], &pk.in[i]
+		o.evs, o.high = Trim(o.evs, o.high), 0
+		in.evs, in.high = Trim(in.evs[:0], in.high), 0
+	}
+	pk.releaseNS = (nowNS>>epochBits + 1) << epochBits
 }
 
 // runWindows is the lookahead loop of one run: helpers up, rounds until the
@@ -350,6 +382,7 @@ func (pk *ParKernel) runWindows(limitNS int64, bounded bool) uint64 {
 		if low == math.MaxInt64 || (bounded && low > limitNS) {
 			break
 		}
+		pk.releaseCross(low)
 		we := low + pk.lookNS
 		pk.windowEnd = we
 		last := we - 1
@@ -584,23 +617,26 @@ func (pk *ParKernel) retireHelpers() {
 // allocations in steady state.
 func (pk *ParKernel) mergeCross() {
 	for d := range pk.in {
-		pk.in[d] = pk.in[d][:0]
+		pk.in[d].evs = pk.in[d].evs[:0]
 	}
 	for s := range pk.out {
 		o := &pk.out[s]
 		pk.stats.CrossPosts += uint64(len(o.evs))
+		o.high = max(o.high, len(o.evs))
 		for i := range o.evs {
 			e := o.evs[i]
 			o.evs[i].run = nil // keep retained capacity from pinning closures
-			pk.in[e.dst] = append(pk.in[e.dst], e)
+			in := &pk.in[e.dst]
+			in.evs = append(in.evs, e)
 		}
 		o.evs = o.evs[:0]
 	}
 	for d := range pk.in {
-		evs := pk.in[d]
+		evs := pk.in[d].evs
 		if len(evs) == 0 {
 			continue
 		}
+		pk.in[d].high = max(pk.in[d].high, len(evs))
 		sortXevs(evs)
 		sub := pk.subs[d]
 		for i := range evs {

@@ -7,7 +7,8 @@ import "math/bits"
 // it fast:
 //
 //   - events are pooled on a free list, so steady-state scheduling performs
-//     no heap allocation at all, and
+//     no heap allocation at all (the kernel's epoch release hands back only
+//     what a whole epoch left unused, so it never takes the working set), and
 //   - the queue is a hierarchical timer wheel: a ring of 256 buckets of
 //     ~2 ms of virtual time each (~0.5 s horizon) absorbs the dominant
 //     near-future events (RTT-scale delays, task switches), while far events
@@ -124,9 +125,28 @@ type wheel struct {
 	occ       [occWords]uint64 // bitmap of non-empty buckets
 	overflow  []*event         // events beyond the ring horizon
 	sweepAt   int              // len(overflow) at which push asks for a sweep; the first one sets it
+
+	// The longest each slice has been since the last release (see Trim),
+	// and a bitmap of the buckets that have been longer than trimSlack: the
+	// only ones a release may trim, so the only ones it visits and resets.
+	// An unmarked bucket's mark is never above trimSlack, below any length
+	// that marks it, so it needs no reset.
+	high     [wheelSlots]int32
+	big      [occWords]uint64
+	overHigh int
 }
 
 func (q *wheel) size() int { return q.ringCount + len(q.overflow) }
+
+// slots is the capacity of the queue's slices: what it holds for reuse
+// beyond the events queued.
+func (q *wheel) slots() int {
+	n := cap(q.overflow)
+	for i := range q.buckets {
+		n += cap(q.buckets[i])
+	}
+	return n
+}
 
 // push enqueues e (atNS and seq already set). Events within the horizon go
 // to their ring bucket; the rest overflow. It reports whether the overflow
@@ -134,14 +154,61 @@ func (q *wheel) size() int { return q.ringCount + len(q.overflow) }
 func (q *wheel) push(e *event) (sweep bool) {
 	if (e.atNS>>slotBits)-q.startSlot < wheelSlots {
 		i := int((e.atNS >> slotBits) & wheelMask)
-		evPush(&q.buckets[i], e)
+		b := &q.buckets[i]
+		evPush(b, e)
+		n := int32(len(*b))
+		q.high[i] = max(q.high[i], n)
+		if n > trimSlack {
+			q.big[i>>6] |= 1 << uint(i&63)
+		}
 		q.occ[i>>6] |= 1 << uint(i&63)
 		q.ringCount++
 		return false
 	}
 	evPush(&q.overflow, e)
+	q.overHigh = max(q.overHigh, len(q.overflow))
 	return len(q.overflow) >= q.sweepAt
 }
+
+// release trims the queue's slices to the epoch's use (see Trim) and starts
+// the next epoch's high-water marks at their lengths. It visits only the
+// buckets marked big, so an epoch with one event costs a few words.
+func (q *wheel) release() {
+	for w := range q.big {
+		for m := q.big[w]; m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			b := Trim(q.buckets[i], int(q.high[i]))
+			q.buckets[i], q.high[i] = b, int32(len(b))
+			if cap(b) <= trimSlack {
+				q.big[w] &^= 1 << uint(i&63)
+			}
+		}
+	}
+	q.overflow = Trim(q.overflow, q.overHigh)
+	q.overHigh = len(q.overflow)
+}
+
+// Trim is the release rule for a slice that a pool or queue keeps for
+// reuse: given the longest it has been since the last release, it returns
+// s unchanged while its capacity is within four times that high-water mark
+// plus trimSlack, and otherwise a copy of s (same elements, same order)
+// with capacity for exactly the high-water mark. Append growth never
+// leaves a slice more than about twice its length, so a steady load is
+// never trimmed; capacity only a burst needed goes at the first release
+// after it.
+func Trim[T any](s []T, high int) []T {
+	if cap(s) <= 4*high+trimSlack {
+		return s
+	}
+	t := make([]T, len(s), max(high, len(s)))
+	copy(t, s)
+	return t
+}
+
+// trimSlack is the capacity every slice may keep whatever its use: the
+// few slots of a ring bucket that a sparse load touches once in several
+// epochs are not worth re-allocating.
+const trimSlack = 16
 
 // minSweepAt is the smallest overflow size worth sweeping.
 const minSweepAt = 1024
@@ -235,20 +302,12 @@ func (q *wheel) pop(limitNS int64, bounded bool) *event {
 	return nil
 }
 
-// advanceTo moves the cursor to the bucket containing virtual time ns and
-// cascades overflow events that fall inside the new horizon into the ring.
-// Every overflow event migrates at most once.
-func (q *wheel) advanceTo(ns int64) {
-	slot := ns >> slotBits
-	if slot == q.startSlot {
-		return
-	}
+// advanceTo moves the cursor to slot, the bucket containing a later
+// virtual time, and cascades overflow events that fall inside the new
+// horizon into the ring. Every overflow event migrates at most once.
+func (q *wheel) advanceTo(slot int64) {
 	q.startSlot = slot
 	for len(q.overflow) > 0 && (q.overflow[0].atNS>>slotBits)-slot < wheelSlots {
-		e := evPop(&q.overflow)
-		i := int((e.atNS >> slotBits) & wheelMask)
-		evPush(&q.buckets[i], e)
-		q.occ[i>>6] |= 1 << uint(i&63)
-		q.ringCount++
+		q.push(evPop(&q.overflow))
 	}
 }

@@ -49,10 +49,7 @@ const (
 // one-way stream (metric reports to the monitoring host) would do so
 // without bound; balancePools levels the pools at every barrier.
 func (pt *netPart) newDelivery(nw *Network) *delivery {
-	if l := len(pt.freeDlv); l > 0 {
-		d := pt.freeDlv[l-1]
-		pt.freeDlv[l-1] = nil
-		pt.freeDlv = pt.freeDlv[:l-1]
+	if d, ok := pt.freeDlv.pop(); ok {
 		return d
 	}
 	d := &delivery{nw: nw}
@@ -92,7 +89,7 @@ func (d *delivery) fire() {
 		// reuse this very object.
 		r, pt := d.rd, d.to.np()
 		d.rd, d.to = nil, nil
-		pt.freeDlv = append(pt.freeDlv, d)
+		pt.freeDlv.push(d)
 		r.Readable()
 		return
 	}
@@ -117,7 +114,7 @@ func (d *delivery) fire() {
 	d.data = nil
 	d.to = nil
 	d.from = transport.Addr{}
-	pt.freeDlv = append(pt.freeDlv, d)
+	pt.freeDlv.push(d)
 }
 
 // wakeReadable runs r.Readable on h's kernel as one event at the current
@@ -174,20 +171,23 @@ const poolSlack = 64
 // at a lookahead barrier, while no partition runs. A one-way
 // cross-partition stream thereby recycles into the sender's pools instead
 // of growing the receiver's with every message, and the pools stay bounded
-// by what is in flight. Free lists are invisible to every schedule, so the
-// levelling is too.
+// by what is in flight. What the levelled pools hold beyond that goes at
+// the partitions' epoch releases (netPart.release): levelling only moves
+// entries, it hands none back. Free lists are invisible to every schedule,
+// so the levelling is too.
 func (nw *Network) balancePools() {
-	levelPools(nw.parts, func(pt *netPart) *[]*delivery { return &pt.freeDlv })
-	levelPools(nw.parts, func(pt *netPart) *[][]byte { return &pt.freeBuf })
+	levelPools(nw.parts, func(pt *netPart) *freeList[*delivery] { return &pt.freeDlv })
+	levelPools(nw.parts, func(pt *netPart) *freeList[[]byte] { return &pt.freeBuf })
 }
 
 // levelPools moves pool entries from the partitions holding more than the
 // average to those holding less, once some partition holds more than the
-// average plus poolSlack.
-func levelPools[T any](parts []netPart, pool func(*netPart) *[]T) {
+// average plus poolSlack. A moved entry counts as taken from its source
+// and given to its destination, so the low- and high-water marks stay true.
+func levelPools[T any](parts []netPart, pool func(*netPart) *freeList[T]) {
 	total, most := 0, 0
 	for i := range parts {
-		l := len(*pool(&parts[i]))
+		l := len(pool(&parts[i]).items)
 		total, most = total+l, max(most, l)
 	}
 	avg := total / len(parts)
@@ -195,19 +195,21 @@ func levelPools[T any](parts []netPart, pool func(*netPart) *[]T) {
 		return
 	}
 	for i, j := 0, 0; ; {
-		for i < len(parts) && len(*pool(&parts[i])) <= avg {
+		for i < len(parts) && len(pool(&parts[i]).items) <= avg {
 			i++
 		}
-		for j < len(parts) && len(*pool(&parts[j])) >= avg {
+		for j < len(parts) && len(pool(&parts[j]).items) >= avg {
 			j++
 		}
 		if i == len(parts) || j == len(parts) {
 			return
 		}
 		src, dst := pool(&parts[i]), pool(&parts[j])
-		k := len(*src) - min(len(*src)-avg, avg-len(*dst))
-		*dst = append(*dst, (*src)[k:]...)
-		clear((*src)[k:])
-		*src = (*src)[:k]
+		k := len(src.items) - min(len(src.items)-avg, avg-len(dst.items))
+		dst.items = append(dst.items, src.items[k:]...)
+		dst.high = max(dst.high, len(dst.items))
+		clear(src.items[k:])
+		src.items = src.items[:k]
+		src.low = min(src.low, k)
 	}
 }

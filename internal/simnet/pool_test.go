@@ -12,8 +12,8 @@ import (
 // lists.
 func poolSizes(nw *Network) (dlv, buf []int) {
 	for i := range nw.parts {
-		dlv = append(dlv, len(nw.parts[i].freeDlv))
-		buf = append(buf, len(nw.parts[i].freeBuf))
+		dlv = append(dlv, len(nw.parts[i].freeDlv.items))
+		buf = append(buf, len(nw.parts[i].freeBuf.items))
 	}
 	return dlv, buf
 }
@@ -81,6 +81,47 @@ func TestOneWayStreamKeepsPoolsBounded(t *testing.T) {
 		if bound := 3*peak + poolSlack; dlv[p] > bound || buf[p] > bound {
 			t.Errorf("partition %d pools hold %d deliveries and %d buffers after %d messages; in-flight peak %d bounds them at %d",
 				p, dlv[p], buf[p], msgs, peak, bound)
+		}
+	}
+}
+
+// TestFreeListReleasesWhatSatUnused: a release drops exactly the entries
+// no pop reached since the last one — the bottom of the stack, down to its
+// low-water mark — and trims the backing array; entries a steady load
+// keeps cycling through stay, however many there are.
+func TestFreeListReleasesWhatSatUnused(t *testing.T) {
+	var f freeList[int]
+	for i := 0; i < 1000; i++ {
+		f.push(i)
+	}
+	f.release() // given back during the epoch: not unused for the whole of it
+	if len(f.items) != 1000 {
+		t.Fatalf("the first release kept %d of the 1,000 entries pushed during its epoch", len(f.items))
+	}
+	f.release() // an epoch without a pop: all 1,000 sat unused
+	if len(f.items) != 0 || cap(f.items) > 16 {
+		t.Fatalf("after an epoch without a pop the list holds %d entries in %d slots, want 0 in at most 16", len(f.items), cap(f.items))
+	}
+	for i := 0; i < 100; i++ {
+		f.push(i)
+	}
+	f.release()
+	// A steady load: each epoch takes 60 entries and gives them back.
+	for epoch := 0; epoch < 3; epoch++ {
+		var taken []int
+		for i := 0; i < 60; i++ {
+			x, ok := f.pop()
+			if !ok {
+				t.Fatalf("epoch %d: the list ran dry after %d pops", epoch, i)
+			}
+			taken = append(taken, x)
+		}
+		for _, x := range taken {
+			f.push(x)
+		}
+		f.release()
+		if len(f.items) != 60 {
+			t.Fatalf("epoch %d: %d entries kept, want the 60 the load cycles through", epoch, len(f.items))
 		}
 	}
 }

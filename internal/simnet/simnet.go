@@ -135,9 +135,9 @@ type ProcDelayFunc func(host int, size int) time.Duration
 // network is simply a network with one partition.
 type netPart struct {
 	k       *sim.Kernel
-	freeDlv []*delivery // pooled scheduled messages (see delivery.go)
-	freeBuf [][]byte    // pooled payload buffers (see getBuf/putBuf)
-	connSeq int         // conn creation stamp; see newConnPair for uniqueness
+	freeDlv freeList[*delivery] // pooled scheduled messages (see delivery.go)
+	freeBuf freeList[[]byte]    // pooled payload buffers (see getBuf/putBuf)
+	connSeq int                 // conn creation stamp; see newConnPair for uniqueness
 	stats   Stats
 	faults  faultState // this partition's replica (see faults.go)
 
@@ -165,13 +165,7 @@ type Network struct {
 // payloads drain into the receiver's pool; balancePools levels the pools
 // at every barrier.
 func (pt *netPart) getBuf(n int) []byte {
-	if l := len(pt.freeBuf); l > 0 {
-		b := pt.freeBuf[l-1]
-		pt.freeBuf[l-1] = nil
-		pt.freeBuf = pt.freeBuf[:l-1]
-		if cap(b) < n {
-			return make([]byte, n)
-		}
+	if b, ok := pt.freeBuf.pop(); ok && cap(b) >= n {
 		return b[:n]
 	}
 	return make([]byte, n)
@@ -183,7 +177,49 @@ func (pt *netPart) putBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	pt.freeBuf = append(pt.freeBuf, b)
+	pt.freeBuf.push(b)
+}
+
+// release ends the partition's pool epoch; its kernel calls it at every
+// epoch release (sim.Kernel.AddReleaseHook), on the partition's own worker.
+func (pt *netPart) release() {
+	pt.freeDlv.release()
+	pt.freeBuf.release()
+}
+
+// freeList is a LIFO free list under the kernel's release rule: what no
+// pop reached since the last release — the bottom low entries — sat
+// unused for the whole epoch and goes, and the backing array is trimmed to
+// the longest the list was without them (sim.Trim). Free lists are
+// invisible to every schedule, so releasing is too.
+type freeList[T any] struct {
+	items     []T
+	low, high int // shortest and longest since the last release
+}
+
+func (f *freeList[T]) pop() (x T, ok bool) {
+	n := len(f.items) - 1
+	if n < 0 {
+		return x, false
+	}
+	x = f.items[n]
+	var zero T
+	f.items[n] = zero
+	f.items = f.items[:n]
+	f.low = min(f.low, n)
+	return x, true
+}
+
+func (f *freeList[T]) push(x T) {
+	f.items = append(f.items, x)
+	f.high = max(f.high, len(f.items))
+}
+
+func (f *freeList[T]) release() {
+	n := copy(f.items, f.items[f.low:])
+	clear(f.items[n:])
+	f.items = sim.Trim(f.items[:n], f.high-f.low)
+	f.low, f.high = n, n
 }
 
 // Stats aggregates network-level counters, useful in tests and experiment
@@ -228,6 +264,7 @@ func newNetwork(model LinkModel, n int, seed int64) *Network {
 func New(k *sim.Kernel, model LinkModel, n int, seed int64) *Network {
 	nw := newNetwork(model, n, seed)
 	nw.parts = []netPart{{k: k}}
+	k.AddReleaseHook(nw.parts[0].release)
 	return nw
 }
 
@@ -261,7 +298,9 @@ func NewPlaced(pk *sim.ParKernel, model LinkModel, place []int, look time.Durati
 	nw.pk = pk
 	nw.parts = make([]netPart, p)
 	for i := range nw.parts {
-		nw.parts[i].k = pk.Sub(i)
+		pt := &nw.parts[i]
+		pt.k = pk.Sub(i)
+		pt.k.AddReleaseHook(pt.release)
 	}
 	for i := range nw.slab {
 		nw.slab[i].part = place[i]
@@ -322,7 +361,7 @@ func (nw *Network) FootprintBytes() uint64 {
 	}
 	for i := range nw.parts {
 		pt := &nw.parts[i]
-		for _, buf := range pt.freeBuf {
+		for _, buf := range pt.freeBuf.items {
 			b += uint64(cap(buf))
 		}
 	}

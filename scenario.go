@@ -974,10 +974,13 @@ func (s *Session) Partitions() int {
 // KernelStats is what the simulated kernel counted about its own runs:
 // lookahead rounds, cross-partition posts merged at barriers, how often
 // the coordinator and the helper threads slept at a barrier instead of
-// spinning through it, events per partition, and live cooperative tasks
-// (parked ones included: a task held per idle connection shows here).
-// Plain counters that observe the run without entering it (invariant 6) —
-// the park counts depend on the machine, nothing in a Result does.
+// spinning through it, events per partition, live cooperative tasks
+// (parked ones included: a task held per idle connection shows here), and
+// what the kernel holds for reuse: idle coroutines, free events and
+// waiters, and queue slots, each handed back once a whole release epoch
+// left it unused. Plain counters that observe the run without entering it
+// (invariant 6) — the park counts depend on the machine, nothing in a
+// Result does.
 type KernelStats = sim.ParStats
 
 // KernelStats returns the simulated kernel's self-counters so far; the
