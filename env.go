@@ -247,8 +247,9 @@ func (e *Env) Killed() bool { return e.ctx.Killed() }
 // shared state under churn.
 func (e *Env) OnKill(fn func()) { e.ctx.OnKill(fn) }
 
-// RunUntilKilled parks the main task while background tasks work: the
-// idiomatic tail of a long-running application's Run.
+// RunUntilKilled parks the main task while background tasks work, until
+// the instance is killed: the idiomatic tail of a long-running
+// application's Run.
 func (e *Env) RunUntilKilled() { e.ctx.RunUntilKilled() }
 
 // Log returns the instance's logger (never nil).

@@ -2,8 +2,9 @@
 // test. It parses the module once and checks one table of rules against
 // it: which package may import which, where a call may appear, which
 // declarations stay deleted, which string literals have a single owner,
-// and that every test a document names exists. Each rule carries a
-// fixture that breaks it, and the test fails unless the rule fires on it.
+// that every package is reached, and that every test a document names
+// exists. Each rule carries a fixture that breaks it, and the test fails
+// unless the rule fires on it.
 package archtest
 
 import (

@@ -175,11 +175,12 @@ var rules = []rule{
 			return append(guards, "scenario.go: want one if guarding autoParts(total), reading p and churned")
 		},
 		fx("scenario.go", "package splay\nfunc f(total int, churned, logs bool) { if p := autoParts(total); p > 1 && !churned && !logs {} }")},
-	{"retired-paths-stay-absent", "One resident service; Dead connections cost zero bytes; One frame reader; One fault vocabulary; Architecture rules are one Go test",
-		"folded into splayd, GC-managed connections, llenc's reader, internal/faults and internal/experiments",
+	{"retired-paths-stay-absent", "One resident service; Dead connections cost zero bytes; One frame reader; One fault vocabulary; Architecture rules are one Go test; Nothing the product cannot reach",
+		"folded into splayd, GC-managed connections, llenc's reader, internal/faults and internal/experiments, or deleted as unreached",
 		func(m *module) (bad []string) {
 			retired := []string{"cmd/splay", "cmd/splay/", "internal/arena", "internal/arena/", "internal/config/cond.go",
-				"internal/rpc/eventloop.go", "experiments", "experiments/"}
+				"internal/rpc/eventloop.go", "experiments", "experiments/", "internal/protocols/scribe", "internal/protocols/scribe/",
+				"internal/protocols/splitstream", "internal/protocols/splitstream/"}
 			for p := range m.paths {
 				if in(p, retired...) {
 					bad = append(bad, p+": exists")
@@ -189,6 +190,37 @@ var rules = []rule{
 		},
 		fx("experiments/experiments.go", "package experiments",
 			"internal/simnet/x_test.go", "package simnet\nimport _ \"github.com/splaykit/splay/internal/arena\"")},
+	{"every-package-is-reached", "Nothing the product cannot reach", "a package that no command, example or the SDK root imports, nor a reached package's test, is dead code",
+		func(m *module) (bad []string) {
+			imports := map[string][]string{} // package dir → what its files import: a reached package's tests reach too
+			var todo []string                // the roots: commands, examples and the SDK root
+			for _, f := range m.files {
+				if !f.test && (f.dir == "." || f.ast.Name.Name == "main") {
+					todo = append(todo, f.dir)
+				}
+				for _, x := range f.facts {
+					if x.kind == importOf {
+						imports[f.dir] = append(imports[f.dir], x.name)
+					}
+				}
+			}
+			reached := map[string]bool{}
+			for len(todo) > 0 {
+				p := todo[len(todo)-1]
+				todo = todo[:len(todo)-1]
+				if !reached[p] {
+					reached[p] = true
+					todo = append(todo, imports[p]...)
+				}
+			}
+			for _, f := range m.files {
+				if !f.test && !reached[f.dir] {
+					bad = append(bad, m.fset.Position(f.ast.Package).String()+": package "+f.dir+" is reached by no command, example, the SDK root or a reached package's test")
+				}
+			}
+			return bad
+		},
+		fx("internal/orphan/orphan.go", "package orphan\nimport _ \"github.com/splaykit/splay/internal/sim\"")},
 	{"documents-name-real-tests", "Architecture rules are one Go test", "an invariant, a CI line or a verify step naming a missing test checks nothing",
 		func(m *module) (bad []string) {
 			var defined []string

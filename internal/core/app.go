@@ -92,6 +92,7 @@ type AppContext struct {
 	pending map[*oneShot]struct{} // After callbacks neither fired nor stopped
 	tickers []*Ticker             // Periodic activities
 	closers []io.Closer
+	parked  []Waiter // tasks in RunUntilKilled
 }
 
 // NewAppContext builds a context for one instance. A nil log defaults to
@@ -395,9 +396,9 @@ func (c *AppContext) Tracked() int {
 	return len(c.closers)
 }
 
-// Kill stops the instance: periodic and delayed tasks are canceled and
-// tracked sockets closed, waking any task blocked on them. Kill is
-// idempotent.
+// Kill stops the instance: periodic and delayed tasks are canceled,
+// tracked sockets closed, waking any task blocked on them, and tasks in
+// RunUntilKilled woken. Kill is idempotent.
 func (c *AppContext) Kill() {
 	c.mu.Lock()
 	if c.killed {
@@ -405,8 +406,8 @@ func (c *AppContext) Kill() {
 		return
 	}
 	c.killed = true
-	pending, tickers, closers := c.pending, c.tickers, c.closers
-	c.pending, c.tickers, c.closers = nil, nil, nil
+	pending, tickers, closers, parked := c.pending, c.tickers, c.closers, c.parked
+	c.pending, c.tickers, c.closers, c.parked = nil, nil, nil, nil
 	c.mu.Unlock()
 	for o := range pending {
 		o.t.Stop()
@@ -417,14 +418,24 @@ func (c *AppContext) Kill() {
 	for _, cl := range closers {
 		cl.Close()
 	}
+	for _, w := range parked {
+		w.Wake(nil)
+	}
 }
 
 // RunUntilKilled parks the calling task while the instance's background
-// tasks work: the idiomatic tail of a long-running application's Run.
+// tasks work, yielding the instance baton, and returns as Kill wakes it:
+// the idiomatic tail of a long-running application's Run.
 func (c *AppContext) RunUntilKilled() {
-	for !c.Killed() {
-		c.Sleep(5 * time.Second)
+	c.mu.Lock()
+	if c.killed {
+		c.mu.Unlock()
+		return
 	}
+	w := c.NewWaiter()
+	c.parked = append(c.parked, w)
+	c.mu.Unlock()
+	w.Wait()
 }
 
 // Instance is a running (or finished) application instance.

@@ -236,6 +236,56 @@ func TestInstanceKillStopsApp(t *testing.T) {
 	}
 }
 
+// A task in RunUntilKilled returns at the instant of Kill, in simulation
+// and live, and one that calls it after Kill returns at once.
+func TestRunUntilKilledEndsAtKill(t *testing.T) {
+	k, rt := newSim(t)
+	var insts []*Instance
+	k.Go(func() {
+		for range 2 {
+			insts = append(insts, StartInstance(rt, nil, JobInfo{}, nil, AppFunc(func(ctx *AppContext) error {
+				ctx.RunUntilKilled()
+				return nil
+			})))
+		}
+	})
+	k.RunFor(time.Minute)
+	k.Go(insts[0].Kill)
+	insts[1].Kill()
+	k.RunFor(0)
+	for i, inst := range insts {
+		if done, err := inst.Done(); !done || err != nil {
+			t.Errorf("instance %d: done=%v err=%v one kernel step after Kill", i, done, err)
+		}
+	}
+	if n := k.Tasks(); n != 0 {
+		t.Errorf("%d tasks live after Kill", n)
+	}
+
+	ctx := NewAppContext(rt, nil, JobInfo{}, nil)
+	ctx.Kill()
+	k.Go(ctx.RunUntilKilled)
+	k.RunFor(0)
+	if n := k.Tasks(); n != 0 {
+		t.Errorf("RunUntilKilled after Kill parked: %d tasks live", n)
+	}
+
+	live := StartInstance(NewLiveRuntime(1), nil, JobInfo{}, nil, AppFunc(func(ctx *AppContext) error {
+		ctx.RunUntilKilled()
+		return nil
+	}))
+	time.Sleep(10 * time.Millisecond)
+	live.Kill()
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		if done, _ := live.Done(); done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("live instance still in RunUntilKilled 1 s after Kill")
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Register("echo", func(params json.RawMessage) (App, error) {

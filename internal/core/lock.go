@@ -69,10 +69,3 @@ func (l *Lock) Unlock() {
 	l.held = false
 	l.mu.Unlock()
 }
-
-// With runs fn while holding the lock.
-func (l *Lock) With(fn func()) {
-	l.Lock()
-	defer l.Unlock()
-	fn()
-}

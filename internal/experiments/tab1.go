@@ -17,8 +17,8 @@ func init() {
 // for each protocol implemented on SPLAY. The paper counts Lua lines; we
 // count non-blank, non-comment Go lines of each protocol package
 // (excluding tests and static-build scaffolding, which exist only for
-// experiment bootstrapping). Substrate reuse mirrors the paper: Scribe
-// and the web cache sit on Pastry; SplitStream sits on Pastry and Scribe.
+// experiment bootstrapping). The table lists the protocols the product
+// runs; substrate reuse mirrors the paper: the web cache sits on Pastry.
 func tab1(opt Options) (*Result, error) {
 	w := opt.out()
 	res := newResult("tab1")
@@ -34,11 +34,7 @@ func tab1(opt Options) (*Result, error) {
 	}
 	fmt.Fprintf(w, "# Table (§5.1) — protocol implementation sizes (Go NCLOC)\n")
 	fmt.Fprintf(w, "%-16s %8s   %s\n", "protocol", "ncloc", "substrate")
-	substrates := map[string]string{
-		"scribe":      "pastry",
-		"splitstream": "pastry, scribe",
-		"webcache":    "pastry",
-	}
+	substrates := map[string]string{"webcache": "pastry"}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue

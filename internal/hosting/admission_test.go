@@ -111,6 +111,16 @@ func TestAdmissionRejections(t *testing.T) {
 	if got := field(err); got != "duration" {
 		t.Errorf("misspelt wire member field = %q (%v)", got, err)
 	}
+	// An entry without nodes is refused as a local run refuses it, not
+	// deployed once.
+	_, err = svc.Submit("ke", []byte("apps:\n  - app: sleeper\n"))
+	if got := field(err); got != "apps[0].nodes" {
+		t.Errorf("nodeless document field = %q (%v)", got, err)
+	}
+	_, err = svc.Submit("ke", []byte(`{"apps":[{"app":"sleeper","nodes":2},{"app":"sleeper"}]}`))
+	if got := field(err); got != "apps[1].nodes" {
+		t.Errorf("nodeless wire field = %q (%v)", got, err)
+	}
 	_, err = svc.Submit("ke", []byte(`{broken`))
 	if got := field(err); got != "" {
 		t.Errorf("unparseable wire field = %q (%v)", got, err)

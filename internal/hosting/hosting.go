@@ -101,7 +101,6 @@ const (
 	ErrBadScenario ErrorCode = "bad_scenario" // submission did not parse or validate
 	ErrUnknownJob  ErrorCode = "unknown_job"  // no such job for this tenant
 	ErrPending     ErrorCode = "pending"      // result requested before the job finished
-	ErrDeploy      ErrorCode = "deploy"       // placement failed after all attempts
 	ErrClosed      ErrorCode = "closed"       // service shut down
 	ErrBadRequest  ErrorCode = "bad_request"  // operator request did not parse or selects nothing
 )

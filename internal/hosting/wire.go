@@ -59,19 +59,18 @@ func newSubmission(w *wire.Scenario) (sub submission, field string, err error) {
 		if a.Env != nil {
 			return unhosted(fmt.Sprintf("apps[%d].env", i))
 		}
-		nodes := a.Nodes
-		if nodes <= 0 {
-			nodes = 1
+		if a.Nodes <= 0 { // a local run's controller refuses it too
+			return submission{}, fmt.Sprintf("apps[%d].nodes", i), fmt.Errorf("app entry %d deploys no nodes", i)
 		}
 		sub.specs = append(sub.specs, controller.JobSpec{
 			App:      a.App,
 			Params:   a.Params,
-			Nodes:    nodes,
+			Nodes:    a.Nodes,
 			Superset: a.Superset,
 			FullList: a.FullList,
 			Seed:     cmp.Or(w.Seed, wire.DefaultSimSeed), // what a local replay draws
 		})
-		sub.nodes += nodes
+		sub.nodes += a.Nodes
 	}
 	if sub.duration < 0 {
 		return submission{}, "", errors.New("scenario declares a negative duration")

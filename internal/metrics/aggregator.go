@@ -346,25 +346,6 @@ func (a *Aggregator) HistQuantile(name string, p float64) int64 {
 	return histQuantileLocked(s, p)
 }
 
-// PerNodeSorted returns a counter or gauge series' per-node values as
-// a stats.Sorted view — the cross-population percentile surface (e.g.
-// lookups per node, queue depth per node).
-func (a *Aggregator) PerNodeSorted(name string) stats.Sorted {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s, ok := a.series[name]
-	if !ok || (s.kind != KindCounter && s.kind != KindGauge) {
-		return nil
-	}
-	vals := make(stats.Durations, 0, len(s.perNode))
-	for _, n := range a.nodeOrder {
-		if v, ok := s.perNode[n]; ok {
-			vals = append(vals, time.Duration(v))
-		}
-	}
-	return vals.Sorted()
-}
-
 // SeriesSnapshot is one merged series in a queryable snapshot.
 type SeriesSnapshot struct {
 	Name  string  `json:"name"`

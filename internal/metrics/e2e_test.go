@@ -85,10 +85,6 @@ func TestReporterAggregatorEndToEnd(t *testing.T) {
 	if p99 := sorted.Percentile(99); p99 != 2 {
 		t.Fatalf("hops p99 = %d, want 2", p99)
 	}
-	perNode := agg.PerNodeSorted("lookups")
-	if len(perNode) != 2 || perNode.Percentile(100) != 5 {
-		t.Fatalf("per-node lookups %v", perNode)
-	}
 	frames, bytes := agg.Received()
 	if frames != 10 || bytes == 0 {
 		t.Fatalf("aggregator received %d frames %d bytes", frames, bytes)

@@ -330,8 +330,8 @@ func (n *Node) inLeafRange(key ID) bool {
 
 // NextHop makes Pastry's local routing decision for key: the next node to
 // forward to, or root == true when this node is the key's root. It is
-// exported so protocols built on Pastry (Scribe, SplitStream, the web
-// cache) can walk routes hop by hop.
+// exported so protocols built on Pastry (the web cache) can walk routes
+// hop by hop.
 func (n *Node) NextHop(key ID) (next NodeRef, root bool) {
 	if key == n.self.ID {
 		return n.self, true

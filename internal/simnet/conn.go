@@ -181,20 +181,14 @@ func (c *conn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// Read implements transport.Conn. It blocks in virtual time until data,
-// EOF, reset, or the read deadline.
+// Read implements transport.Conn. It returns TryRead's verdict, parking in
+// virtual time while there is none, until data, EOF, reset, or the read
+// deadline. A zero-length Read returns at once.
 func (c *conn) Read(b []byte) (int, error) {
-	rd, h := c.rd(), c.host()
-	k := h.kern()
+	rd, k := c.rd(), c.host().kern()
 	for {
-		if n, ok := rd.consume(h, b); ok {
-			return n, nil
-		}
-		if rd.reset || c.closed {
-			return 0, transport.ErrClosed
-		}
-		if rd.eof {
-			return 0, io.EOF
+		if n, err := c.TryRead(b); n > 0 || err != nil || len(b) == 0 {
+			return n, err
 		}
 		if c.deadlineNS != 0 && int64(k.Since()) >= c.deadlineNS {
 			return 0, transport.ErrTimeout
@@ -236,11 +230,11 @@ func (p *pipe) consume(h *Host, b []byte) (int, bool) {
 	return n, true
 }
 
-// TryRead implements transport.EventConn: it copies buffered data like
-// Read but never parks, returning (0, nil) when nothing is available.
-// The branch order mirrors Read exactly — data first, then reset,
-// closed, EOF — so an event-driven reader observes the same verdicts in
-// the same order a task-based one would.
+// TryRead implements transport.EventConn: it copies buffered data but
+// never parks, returning (0, nil) when nothing is available. Its branch
+// order — data first, then reset, closed, EOF — is Read's too, since Read
+// loops on it, so an event-driven reader observes the same verdicts in
+// the same order a task-based one does.
 func (c *conn) TryRead(b []byte) (int, error) {
 	rd := c.rd()
 	if n, ok := rd.consume(c.host(), b); ok {

@@ -52,6 +52,10 @@ func TestDialAcceptRoundTrip(t *testing.T) {
 			return
 		}
 		acceptedFrom = c.RemoteAddr()
+		at := k.Since()
+		if n, err := c.Read(nil); n != 0 || err != nil || k.Since() != at {
+			t.Errorf("zero-length read = %d, %v after %s, want 0, nil at once", n, err, k.Since()-at)
+		}
 		buf := make([]byte, 64)
 		n, err := c.Read(buf)
 		if err != nil {

@@ -71,10 +71,5 @@ func (t *Telemetry) HistStats(name string) (count uint64, sum int64) {
 // sample view for percentile queries.
 func (t *Telemetry) Series(name string) Series { return t.agg.HistSorted(name) }
 
-// PerNode returns one sorted sample per reporting node for the named
-// counter or gauge — the cross-population distribution of a per-node
-// total.
-func (t *Telemetry) PerNode(name string) Series { return t.agg.PerNodeSorted(name) }
-
 // Snapshot renders every aggregated series, for serving or printing.
 func (t *Telemetry) Snapshot() []SeriesSnapshot { return t.agg.Snapshot() }
