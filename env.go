@@ -248,8 +248,11 @@ func (e *Env) Killed() bool { return e.ctx.Killed() }
 func (e *Env) OnKill(fn func()) { e.ctx.OnKill(fn) }
 
 // RunUntilKilled parks the main task while background tasks work, until
-// the instance is killed: the idiomatic tail of a long-running
-// application's Run.
+// the instance is killed. It is for a Run with work left after the kill.
+// A Run with none returns nil instead: the instance stays resident, its
+// periodic tasks, timers and sockets running until Kill, and holds no
+// task while it waits; teardown that would follow the park goes in
+// OnKill.
 func (e *Env) RunUntilKilled() { e.ctx.RunUntilKilled() }
 
 // Log returns the instance's logger (never nil).

@@ -17,12 +17,12 @@ import (
 // An idle connected fleet parks nothing, whatever its size (one session
 // task and one control loop per daemon made it 81 at 40 daemons and 801
 // at 400); only the session's own `ctl` report loop sleeps when it
-// collects. A running instance adds its parked main task and nothing
-// else, however many connections it serves or pools or reports over
-// (81 → 685 on this ring before the sandbox carried simnet's event
-// capability through). Limits from AppSpec.Env tighten the same sandbox,
-// and byte instruments are read off the frames, so neither changes the
-// reader.
+// collects. A running instance adds at most its main task (a resident
+// built-in not even that) and nothing else, however many connections it
+// serves or pools or reports over (81 → 685 on this ring before the
+// sandbox carried simnet's event capability through). Limits from
+// AppSpec.Env tighten the same sandbox, and byte instruments are read off
+// the frames, so neither changes the reader.
 func TestDaemonInstancesReadEventDriven(t *testing.T) {
 	t.Parallel()
 	const nodes, slack, idle = 32, 8, 2

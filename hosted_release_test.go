@@ -15,11 +15,12 @@ import (
 // 40 hosted Cyclon jobs have come and gone and its kernel has passed two
 // release boundaries with the fleet idle: the fleet, the controller, the
 // hosting plane's records and what the kernel keeps for the fleet's idle
-// traffic. It measures 4,171,000–4,174,000 B; the budget is that +10 %.
-// While the task pool kept up to 512 idle coroutines per partition and
-// the event queue every slice a burst had grown, it measured
-// 4,978,000–4,986,000 B.
-const hostedReleaseHeap = 4_590_000
+// traffic. It measures 3,759,000–3,791,000 B; the budget is that +10 %.
+// While every instance parked its main task until Kill, it measured
+// 4,171,000–4,174,000 B, and while the task pool kept up to 512 idle
+// coroutines per partition and the event queue every slice a burst had
+// grown, 4,978,000–4,986,000 B.
+const hostedReleaseHeap = 4_170_000
 
 // hostedReleaseSlack is how many goroutines the session may run beyond
 // its live tasks: the idle coroutines the last epoch's traffic still

@@ -38,7 +38,9 @@ type App struct {
 // schedule-neutral) and reporting starts right after it, failing the
 // instance with core.ErrNoCollector on a host that collects nothing — so
 // jobs that never ask for telemetry keep their exact schedule and
-// footprint.
+// footprint. A body that has nothing left to do but wait for Kill returns
+// nil once it is set up: the instance stays resident on its tickers,
+// timers and server, which Kill stops and closes, and holds no task.
 func define[P any](s Schema, body func(ctx *core.AppContext, p P) error) App {
 	return App{Schema: s, Factory: func(params json.RawMessage) (core.App, error) {
 		var p P
@@ -143,8 +145,6 @@ var chordApp = define(Schema{
 			}
 		})
 	}
-	ctx.RunUntilKilled()
-	n.Stop()
 	return nil
 })
 
@@ -188,8 +188,6 @@ var pastryApp = define(Schema{
 			}
 		})
 	}
-	ctx.RunUntilKilled()
-	n.Stop()
 	return nil
 })
 
@@ -238,8 +236,6 @@ var cyclonApp = define(Schema{
 			return err
 		}
 	}
-	ctx.RunUntilKilled()
-	n.Stop()
 	return nil
 })
 
@@ -270,8 +266,6 @@ var epidemicApp = define(Schema{
 			n.Broadcast("rumor-1", []byte("hello from the rendez-vous"))
 		})
 	}
-	ctx.RunUntilKilled()
-	n.Stop()
 	return nil
 })
 
@@ -306,11 +300,7 @@ var bittorrentApp = define(Schema{
 	torrent := bittorrent.Torrent{Name: ctx.Job.JobID, Size: p.Size, PieceSize: p.PieceSize}
 	if ctx.Job.Position == 1 {
 		tr := bittorrent.NewTracker(ctx)
-		if err := tr.Start(); err != nil {
-			return err
-		}
-		ctx.RunUntilKilled()
-		return nil
+		return tr.Start()
 	}
 	if len(ctx.Job.Nodes) == 0 {
 		return fmt.Errorf("bittorrent app: no tracker address")

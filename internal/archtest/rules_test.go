@@ -221,6 +221,11 @@ var rules = []rule{
 			return bad
 		},
 		fx("internal/orphan/orphan.go", "package orphan\nimport _ \"github.com/splaykit/splay/internal/sim\"")},
+	{"built-in-apps-hold-no-task", "A resident instance holds no coroutine", "a built-in returns from Run once set up; Kill stops what it left running",
+		only(where(callOf, func(f *file, x fact) bool {
+			return x.method && x.name == "RunUntilKilled" && in(f.path, "internal/apps/")
+		})),
+		fx("internal/apps/x.go", "package apps\nfunc f(ctx interface{ RunUntilKilled() }) { ctx.RunUntilKilled() }")},
 	{"documents-name-real-tests", "Architecture rules are one Go test", "an invariant, a CI line or a verify step naming a missing test checks nothing",
 		func(m *module) (bad []string) {
 			var defined []string

@@ -42,8 +42,10 @@ type JobInfo struct {
 }
 
 // App is a deployable SPLAY application. Run executes the application's
-// main logic and returns when the application terminates or is killed;
-// long-running applications typically loop until ctx.Killed().
+// main logic. An error return ends the instance. A nil return leaves it
+// resident: its periodic tasks, timers and tracked sockets keep running
+// until Kill, so a long-running application sets them up and returns, and
+// holds no task while it waits.
 type App interface {
 	Run(ctx *AppContext) error
 }
@@ -424,8 +426,10 @@ func (c *AppContext) Kill() {
 }
 
 // RunUntilKilled parks the calling task while the instance's background
-// tasks work, yielding the instance baton, and returns as Kill wakes it:
-// the idiomatic tail of a long-running application's Run.
+// tasks work, yielding the instance baton, and returns as Kill wakes it.
+// It is for a Run that has work left after Kill; one that has none
+// returns nil instead (the instance stays resident, see App) and puts any
+// teardown in OnKill.
 func (c *AppContext) RunUntilKilled() {
 	c.mu.Lock()
 	if c.killed {
@@ -438,7 +442,7 @@ func (c *AppContext) RunUntilKilled() {
 	w.Wait()
 }
 
-// Instance is a running (or finished) application instance.
+// Instance is a running, resident or ended application instance.
 type Instance struct {
 	Ctx *AppContext
 
@@ -466,9 +470,12 @@ func StartInstance(rt Runtime, node transport.Node, job JobInfo, log Logger, app
 // Kill stops the instance.
 func (i *Instance) Kill() { i.Ctx.Kill() }
 
-// Done reports whether Run has returned, and its error.
+// Done reports whether the instance has ended, and Run's error: Run
+// returned an error, or it returned and the instance was killed. A Run
+// that returned nil before Kill leaves the instance resident, not done.
 func (i *Instance) Done() (bool, error) {
 	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.done, i.err
+	done, err := i.done, i.err
+	i.mu.Unlock()
+	return done && (err != nil || i.Ctx.Killed()), err
 }

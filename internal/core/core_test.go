@@ -286,6 +286,43 @@ func TestRunUntilKilledEndsAtKill(t *testing.T) {
 	}
 }
 
+// TestResidentInstanceEndsAtKill: a Run that starts a Periodic and
+// returns nil leaves the instance resident. It keeps ticking, holds no
+// task between ticks and is not done; Kill ends it, stops the ticks and
+// leaves no task behind.
+func TestResidentInstanceEndsAtKill(t *testing.T) {
+	k, rt := newSim(t)
+	ticks := 0
+	var inst *Instance
+	k.Go(func() {
+		inst = StartInstance(rt, nil, JobInfo{}, nil, AppFunc(func(ctx *AppContext) error {
+			ctx.Periodic(time.Second, func() { ticks++ })
+			return nil
+		}))
+	})
+	k.RunFor(4500 * time.Millisecond)
+	if ticks != 4 {
+		t.Errorf("%d ticks in 4.5 s, want 4", ticks)
+	}
+	if done, err := inst.Done(); done || err != nil {
+		t.Errorf("resident instance: done=%v err=%v, want neither", done, err)
+	}
+	if n := k.Tasks(); n != 0 {
+		t.Errorf("resident instance holds %d tasks between ticks, want 0", n)
+	}
+	inst.Kill()
+	k.RunFor(time.Minute)
+	if done, err := inst.Done(); !done || err != nil {
+		t.Errorf("killed instance: done=%v err=%v, want done", done, err)
+	}
+	if ticks != 4 {
+		t.Errorf("%d ticks after Kill, want 4", ticks)
+	}
+	if n := k.Tasks(); n != 0 {
+		t.Errorf("%d tasks live after Kill", n)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Register("echo", func(params json.RawMessage) (App, error) {

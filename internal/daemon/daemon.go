@@ -100,7 +100,7 @@ type Daemon struct {
 	conn      transport.Conn
 	blacklist []string
 	nextPort  int
-	jobs      map[string]*runningJob // made at the first REGISTER
+	jobs      map[string]*runningJob // made at a REGISTER, dropped as the last job leaves
 	connected bool
 	closed    bool            // Close was called: no reconnects
 	jitter    stream.Source64 // redial jitter: the stream (seed, "daemon", host)
@@ -429,6 +429,9 @@ func (d *Daemon) stopJob(id string) {
 	rj, ok := d.jobs[id]
 	if ok {
 		delete(d.jobs, id)
+		if len(d.jobs) == 0 {
+			d.jobs = nil // maps never shrink: an idle daemon holds no table
+		}
 		d.ins.JobsStopped.Inc()
 		d.ins.Jobs.Set(int64(len(d.jobs)))
 	}

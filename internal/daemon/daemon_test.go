@@ -125,6 +125,11 @@ func TestControllerScript(t *testing.T) {
 				t.Errorf("step %d (%s): %d jobs held, want %d", i, st.send.Type, n, st.held)
 			}
 		}
+		// Maps never shrink: the daemon the last STOP left idle drops its
+		// jobs table rather than keep its busiest moment.
+		if d.jobs != nil {
+			t.Errorf("the idle daemon keeps its jobs table (%d entries)", len(d.jobs))
+		}
 		scripted = true
 	})
 	k.Go(func() {

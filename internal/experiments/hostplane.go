@@ -157,8 +157,6 @@ func hostChordApp(params []byte) (splay.App, error) {
 			}
 			env.Sleep(time.Duration(p.EveryMS) * time.Millisecond)
 		}
-		env.RunUntilKilled()
-		n.Stop()
 		return nil
 	}), nil
 }

@@ -78,13 +78,15 @@ func (t *task) run(yield func(struct{}) bool) {
 // use from foreign goroutines; tasks and events already execute one at a
 // time.
 type Kernel struct {
-	nowNS   int64 // virtual ns since Epoch
-	seq     uint64
-	wq      wheel
-	current *task  // the task executing right now, nil on the run loop
-	tasks   int    // live (started, unfinished) tasks
-	events  uint64 // total events executed, for stats
-	halted  bool
+	nowNS     int64 // virtual ns since Epoch
+	seq       uint64
+	wq        wheel
+	current   *task  // the task executing right now, nil on the run loop
+	tasks     int    // live (started, unfinished) tasks
+	coros     int    // live task coroutines, running, parked or pooled
+	peakCoros int    // coros' high-water mark
+	events    uint64 // total events executed, for stats
+	halted    bool
 
 	// The free lists, each with its length and its low-water mark since
 	// the last release: the objects no allocation reached all epoch.
@@ -118,6 +120,7 @@ func (k *Kernel) Tasks() int { return k.tasks }
 // addHeld adds k's live tasks and what it holds for reuse to st.
 func (k *Kernel) addHeld(st *ParStats) {
 	st.Tasks += k.tasks
+	st.PeakCoroutines += k.peakCoros
 	st.IdleTasks += k.freeTaskCount
 	st.FreeEvents += k.freeEventCount
 	st.FreeWaiters += k.freeWaiterCount
@@ -240,6 +243,8 @@ func (k *Kernel) allocTask() *task {
 	}
 	t := &task{k: k}
 	t.next, t.stop = iter.Pull(t.run)
+	k.coros++
+	k.peakCoros = max(k.peakCoros, k.coros)
 	return t
 }
 
@@ -357,6 +362,7 @@ func (k *Kernel) releaseTasks(n int) {
 		k.freeTasks, t.link = t.link, nil
 		k.freeTaskCount--
 		t.stop()
+		k.coros--
 	}
 	k.taskLow = min(k.taskLow, k.freeTaskCount)
 }

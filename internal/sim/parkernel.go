@@ -252,16 +252,17 @@ func (pk *ParKernel) Events() uint64 {
 // kernel keeps anyway; each epoch release hands back what a whole epoch
 // left unused (see Kernel.release).
 type ParStats struct {
-	Rounds      uint64   // lookahead windows executed
-	CrossPosts  uint64   // cross-partition events merged at barriers
-	CoordParks  uint64   // rounds in which the coordinator out-waited its spin budget and slept
-	HelperParks uint64   // the same for helpers, one count per helper and round
-	Events      []uint64 // events executed, per partition
-	Tasks       int      // live cooperative tasks right now, parked ones included
-	IdleTasks   int      // pooled coroutines waiting for a spawn: each a parked goroutine
-	FreeEvents  int      // pooled events
-	FreeWaiters int      // pooled waiters
-	QueueSlots  int      // capacity of the timer wheels' slices and the cross-partition buffers
+	Rounds         uint64   // lookahead windows executed
+	CrossPosts     uint64   // cross-partition events merged at barriers
+	CoordParks     uint64   // rounds in which the coordinator out-waited its spin budget and slept
+	HelperParks    uint64   // the same for helpers, one count per helper and round
+	Events         []uint64 // events executed, per partition
+	Tasks          int      // live cooperative tasks right now, parked ones included
+	PeakCoroutines int      // each partition's most task coroutines alive at once, summed
+	IdleTasks      int      // pooled coroutines waiting for a spawn: each a parked goroutine
+	FreeEvents     int      // pooled events
+	FreeWaiters    int      // pooled waiters
+	QueueSlots     int      // capacity of the timer wheels' slices and the cross-partition buffers
 }
 
 // Stats returns the kernel's self-counters. Call it between runs or from a

@@ -216,6 +216,10 @@ func TestParKernelReleasesBurst(t *testing.T) {
 	pk.RunFor(3 * epoch)
 	// Two wheels, two outboxes and two inboxes.
 	checkQuiet(t, pk.Stats(), 2*quietSlots+4*trimSlack, runtime.NumGoroutine(), before)
+	// The release stopped every burst coroutine; the high-water mark stays.
+	if peak := pk.Stats().PeakCoroutines; peak < 2*burstTasks || peak > 2*burstTasks+2 {
+		t.Errorf("peak coroutines %d, want the two bursts' %d parked tasks (+1 per partition)", peak, 2*burstTasks)
+	}
 	stop = true
 	pk.Run()
 }

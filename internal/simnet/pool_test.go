@@ -125,3 +125,30 @@ func TestFreeListReleasesWhatSatUnused(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallBufferSurvivesLargeWrite: a write larger than every pooled
+// buffer gets a new one and leaves the pooled ones listed, so the next
+// small write reuses the small buffer on top instead of allocating; a
+// write that fits a buffer just under the top takes that one.
+func TestSmallBufferSurvivesLargeWrite(t *testing.T) {
+	var pt netPart
+	mid, small := make([]byte, 1024), make([]byte, 64)
+	pt.putBuf(mid)
+	pt.putBuf(small)
+	if big := pt.getBuf(4096); len(big) != 4096 {
+		t.Fatalf("a 4,096-byte write got a buffer of length %d", len(big))
+	}
+	if n := len(pt.freeBuf.items); n != 2 {
+		t.Fatalf("the free list holds %d buffers after the large write, want both pooled ones", n)
+	}
+	if b := pt.getBuf(32); len(b) != 32 || &b[0] != &small[0] {
+		t.Fatal("the next small write did not reuse the small pooled buffer")
+	}
+	pt.putBuf(small)
+	if b := pt.getBuf(512); len(b) != 512 || &b[0] != &mid[0] {
+		t.Fatal("a 512-byte write did not take the 1,024-byte buffer under the small one")
+	}
+	if len(pt.freeBuf.items) != 1 || &pt.freeBuf.items[0][0] != &small[0] {
+		t.Fatal("taking the buffer under the top did not leave the small one listed")
+	}
+}

@@ -31,6 +31,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,8 +156,11 @@ type Network struct {
 	silent bool // dead hosts blackhole instead of refusing
 }
 
-// getBuf returns a payload buffer of length n from the partition's free
-// list, growing a recycled buffer when needed. Payload copies are the
+// getBuf returns a payload buffer of length n: the topmost of the
+// partition's last bufSearch pooled buffers that is large enough, else a
+// new one, its capacity rounded up to the allocator's size class (memory
+// the allocation holds anyway). A pooled buffer too small for this write
+// stays listed for the next write it fits. Payload copies are the
 // one per-message allocation the delivery fast path cannot avoid — every
 // stream write and datagram copies its bytes so the sender may reuse its
 // slice — so the copies ride pooled buffers instead: recycled when the
@@ -165,11 +169,20 @@ type Network struct {
 // payloads drain into the receiver's pool; balancePools levels the pools
 // at every barrier.
 func (pt *netPart) getBuf(n int) []byte {
-	if b, ok := pt.freeBuf.pop(); ok && cap(b) >= n {
-		return b[:n]
+	items := pt.freeBuf.items
+	for i := len(items) - 1; i >= max(0, len(items)-bufSearch); i-- {
+		if cap(items[i]) >= n {
+			return pt.freeBuf.take(i)[:n]
+		}
 	}
-	return make([]byte, n)
+	return slices.Grow([]byte(nil), n)[:n]
 }
+
+// bufSearch is how many pooled buffers, from the top, getBuf looks through
+// for one that fits. On cyclon_churn (seed 1) a search of 4 with size-class
+// capacities allocates 764 payload buffers where taking the top alone and
+// dropping a misfit allocated 3,553; 16 saves little more (612).
+const bufSearch = 4
 
 // putBuf recycles a payload buffer. The caller must be the buffer's sole
 // owner: segments go back exactly once, when consumed or dropped.
@@ -198,16 +211,23 @@ type freeList[T any] struct {
 }
 
 func (f *freeList[T]) pop() (x T, ok bool) {
-	n := len(f.items) - 1
-	if n < 0 {
+	if len(f.items) == 0 {
 		return x, false
 	}
-	x = f.items[n]
+	return f.take(len(f.items) - 1), true
+}
+
+// take removes and returns entry i, moving the top entry into its place.
+// Everything from i up was reached, so the low-water mark falls to i.
+func (f *freeList[T]) take(i int) T {
+	last := len(f.items) - 1
+	x := f.items[i]
+	f.items[i] = f.items[last]
 	var zero T
-	f.items[n] = zero
-	f.items = f.items[:n]
-	f.low = min(f.low, n)
-	return x, true
+	f.items[last] = zero
+	f.items = f.items[:last]
+	f.low = min(f.low, i)
+	return x
 }
 
 func (f *freeList[T]) push(x T) {

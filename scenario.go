@@ -975,7 +975,8 @@ func (s *Session) Partitions() int {
 // lookahead rounds, cross-partition posts merged at barriers, how often
 // the coordinator and the helper threads slept at a barrier instead of
 // spinning through it, events per partition, live cooperative tasks
-// (parked ones included: a task held per idle connection shows here), and
+// (parked ones included: a task held per idle connection shows here), the
+// most task coroutines alive at once (summed over partitions), and
 // what the kernel holds for reuse: idle coroutines, free events and
 // waiters, and queue slots, each handed back once a whole release epoch
 // left it unused. Plain counters that observe the run without entering it
