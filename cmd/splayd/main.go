@@ -187,7 +187,7 @@ func builtinRegistry(maddr transport.Addr, key string) *core.Registry {
 // report streams reg to the aggregator at addr as the named node until
 // ctx ends, one flush per 5 s period, redialing whatever fails.
 func report(ctx context.Context, node transport.Node, addr transport.Addr, reg *metrics.Registry, key, name string) {
-	metrics.Stream(node, addr, reg, metrics.ReporterConfig{Key: key, Node: name}, 5*time.Second, //nolint:errcheck // a redialing stream returns nil
+	metrics.Stream(node, addr, reg, metrics.ReporterConfig{Key: key, Node: name}, 5*time.Second,
 		func(d time.Duration, err error) bool {
 			if err != nil {
 				log.Printf("splayd: metrics: %v (retrying)", err)
@@ -198,7 +198,7 @@ func report(ctx context.Context, node transport.Node, addr transport.Addr, reg *
 			case <-ctx.Done():
 				return false
 			}
-		}, true)
+		})
 }
 
 // hostOptions is host mode's share of the command line.

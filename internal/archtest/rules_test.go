@@ -98,7 +98,7 @@ var rules = []rule{
 		},
 		fx("internal/transport/x.go", "package transport\nfunc (a Addr) MarshalJSON() ([]byte, error) { return nil, nil }")},
 	{"deleted-declarations-stay-deleted",
-		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule",
+		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge",
 		"each was folded into the one definition that replaced it",
 		only(union(where(declOf, gone), where(ifaceOf, gone))),
 		fx("internal/sim/x.go", "package sim\nfunc (k *Kernel) After() {}",
@@ -107,7 +107,11 @@ var rules = []rule{
 			"internal/config/x.go", "package config\nfunc requireKeys() {}",
 			"internal/core/x.go", "package core\ntype Runtime interface{ Rand() }",
 			"scenario_x.go", "package splay\nfunc startSimChurn() {}",
-			"internal/simnet/x_test.go", "package simnet\nfunc (n *Network) assertUnpartitioned() {}")},
+			"internal/simnet/x_test.go", "package simnet\nfunc (n *Network) assertUnpartitioned() {}",
+			"internal/hosting/x.go", "package hosting\nfunc (s *Service) removeQueued() {}",
+			"internal/sim/v.go", "package sim\nfunc sortXevs() {}",
+			"internal/sim/w.go", "package sim\nfunc siftXev() {}",
+			"internal/sim/z.go", "package sim\nfunc xevLess() bool { return false }")},
 	{"no-socket-wrappers", "One socket decorator", "a wrapper embedding a socket hides simnet's event interfaces; internal/sandbox passes them through",
 		only(where(embedOf, func(f *file, x fact) bool {
 			return x.is("internal/transport", "Conn", "Listener", "PacketConn", "EventConn", "EventListener")
@@ -403,10 +407,13 @@ func count(s sites, least, most int) func(m *module) []string {
 // gone matches the declarations folded away: the kernel's closure-returning
 // After and its task-pool drain beside the epoch release, the controller's
 // own periodic and per-command waits, config's separate key allow-list, a
-// runtime's shared random source, the churn start path and the
-// single-partition guard.
+// runtime's shared random source, the churn start path, the
+// single-partition guard, the hosting queue's removal helper beside the
+// live-job list, and the parallel kernel's hand-written merge heapsort.
 func gone(f *file, x fact) bool {
 	return in(f.path, "internal/sim/") && x.recv == "Kernel" && in(x.name, "After", "drainTaskPool") ||
+		in(f.path, "internal/sim/") && in(x.name, "sortXevs", "siftXev", "xevLess") ||
+		in(f.path, "internal/hosting/") && x.name == "removeQueued" ||
 		in(f.path, "internal/controller/") && x.recv == "Controller" && in(x.name, "periodic", "call", "phase") ||
 		in(f.path, "internal/config/") && x.name == "requireKeys" ||
 		strings.HasSuffix(x.recv, "Runtime") && x.name == "Rand" ||

@@ -65,10 +65,6 @@ type Config struct {
 	// RegisterTimeout bounds how long each command round waits for slow
 	// daemons.
 	RegisterTimeout time.Duration
-	// Blacklist is the initial set of forbidden address patterns; the
-	// controller's own host is always appended so applications cannot
-	// actively connect to it.
-	Blacklist []string
 }
 
 const (
@@ -228,6 +224,9 @@ type Controller struct {
 	rt   core.Runtime
 	node transport.Node
 	cfg  Config
+	// self is the controller's own host. Every blacklist a daemon gets
+	// names it, so applications cannot actively connect to it.
+	self string
 
 	reg       *registry    // sharded daemon sessions
 	framesOut atomic.Int64 // command/answer frames written, for load reporting
@@ -235,7 +234,7 @@ type Controller struct {
 
 	mu        sync.Mutex // guards jobs/blacklist/mon under LiveRuntime
 	ln        transport.Listener
-	jobs      map[string]*JobStatus
+	jobs      map[string]*JobStatus // running jobs, until StopJob
 	blacklist []string
 	jobSeq    int
 	mon       *core.Ticker // the monitor, one ping slice per tick
@@ -252,11 +251,8 @@ func New(rt core.Runtime, node transport.Node, cfg Config) *Controller {
 	if cfg.RegisterTimeout <= 0 {
 		cfg.RegisterTimeout = 30 * time.Second
 	}
-	// Clone before appending: sharing the caller's backing array would
-	// let the append clobber elements the caller still owns.
-	cfg.Blacklist = append(append([]string(nil), cfg.Blacklist...), node.Host())
 	return &Controller{
-		rt: rt, node: node, cfg: cfg,
+		rt: rt, node: node, cfg: cfg, self: node.Host(),
 		reg:  newRegistry(),
 		jobs: make(map[string]*JobStatus),
 	}
@@ -337,7 +333,7 @@ func (c *Controller) FramesSent() int64 { return c.framesOut.Load() }
 // connected daemon (piggybacked in its own message here).
 func (c *Controller) SetBlacklist(patterns []string) {
 	c.mu.Lock()
-	c.blacklist = append(append([]string(nil), patterns...), c.node.Host())
+	c.blacklist = append(append([]string(nil), patterns...), c.self)
 	blk := append([]string(nil), c.blacklist...)
 	c.mu.Unlock()
 	c.pushBlacklist(blk)
@@ -387,7 +383,7 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 	n := len(c.blacklist)
 	c.blacklist = slices.DeleteFunc(c.blacklist, func(pat string) bool { return pat == d.name })
 	cleared := len(c.blacklist) < n
-	blk := append(append([]string(nil), c.cfg.Blacklist...), c.blacklist...)
+	blk := append([]string{c.self}, c.blacklist...)
 	c.mu.Unlock()
 	c.send(d, &ctlproto.Msg{Type: ctlproto.TWelcome, Hosts: blk}) //nolint:errcheck
 	if cleared {
@@ -687,7 +683,6 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 	c.mu.Lock()
 	c.jobSeq++
 	job := &JobStatus{ID: fmt.Sprintf("job-%d", c.jobSeq), State: JobIdle}
-	c.jobs[job.ID] = job
 	c.mu.Unlock()
 
 	// Candidate pool: the superset × request most responsive daemons.
@@ -819,6 +814,9 @@ func (c *Controller) submit(spec JobSpec) (*JobStatus, error) {
 			job.State = JobRunning
 			job.Deployed = addrs
 			job.StartedAt = c.rt.Now()
+			c.mu.Lock()
+			c.jobs[job.ID] = job
+			c.mu.Unlock()
 			return job, nil
 		}
 		if round >= deployRetries {
@@ -847,10 +845,11 @@ func (c *Controller) freeAll(ds []*daemonSession, desc *ctlproto.Job) {
 		func(int, *daemonSession, ctlproto.Msg, error) {})
 }
 
-// StopJob terminates a running job everywhere.
+// StopJob terminates a running job everywhere and forgets it.
 func (c *Controller) StopJob(id string) error {
 	c.mu.Lock()
 	job, ok := c.jobs[id]
+	delete(c.jobs, id)
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("controller: unknown job %s", id)

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +128,45 @@ func TestSubmitDeploysAndRuns(t *testing.T) {
 	}
 	if running != 0 {
 		t.Fatalf("%d instances survive StopJob", running)
+	}
+}
+
+// TestJobTableHoldsRunningJobsOnly: the controller remembers a job from
+// JobRunning to StopJob. A stopped job and a deployment that failed with
+// a *DeployError leave nothing in the table, and the failed one's caller
+// still gets its status.
+func TestJobTableHoldsRunningJobsOnly(t *testing.T) {
+	tb := newTestbed(t, 4)
+	held := func() int {
+		tb.ctl.mu.Lock()
+		defer tb.ctl.mu.Unlock()
+		return len(tb.ctl.jobs)
+	}
+	var job, failed *JobStatus
+	var err, ferr error
+	tb.k.Go(func() {
+		job, err = tb.ctl.Submit(JobSpec{App: "pingapp", Nodes: 3})
+		failed, ferr = tb.ctl.Submit(JobSpec{App: "pingapp", Nodes: 9})
+	})
+	tb.k.RunFor(time.Minute)
+	if err != nil || job.State != JobRunning {
+		t.Fatalf("submit: %v (%+v)", err, job)
+	}
+	var derr *DeployError
+	if !errors.As(ferr, &derr) || failed == nil || failed.State != JobFailed {
+		t.Fatalf("a 9-node job on 4 daemons: %v (%+v), want a *DeployError and a failed status", ferr, failed)
+	}
+	if n := held(); n != 1 {
+		t.Fatalf("the table holds %d jobs with one running, want 1", n)
+	}
+	tb.k.Go(func() {
+		if err := tb.ctl.StopJob(job.ID); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
+	tb.k.RunFor(time.Minute)
+	if n := held(); n != 0 {
+		t.Fatalf("the table holds %d jobs once every job has stopped, want 0", n)
 	}
 }
 

@@ -62,9 +62,8 @@ type Config struct {
 	Key string
 	// PortLow/PortHigh is the port range granted to applications.
 	PortLow, PortHigh int
-	// Net and FS are the administrator's resource restrictions.
+	// Net is the administrator's network restriction.
 	Net sandbox.NetLimits
-	FS  sandbox.FSLimits
 }
 
 // DefaultConfig fills the port range; the key is derived from the name

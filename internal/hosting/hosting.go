@@ -150,15 +150,10 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool { return s == Done || s == Failed || s == Killed }
 
-// tenant is the service's account state.
+// tenant is the service's account state. Its counts are read off the
+// live list (see tally), never kept beside it.
 type tenant struct {
 	Tenant
-	runningNodes int // placed instances (deploying + running)
-	runningJobs  int
-	queuedJobs   int
-	totalJobs    int
-	totalFrames  int64
-
 	deploys, deployFails, frames *metrics.Counter
 	nodesG, queuedG              *metrics.Gauge
 }
@@ -177,7 +172,6 @@ type job struct {
 	state       JobState
 	attempts    int
 	killed      bool
-	acquired    bool // holds tenant/platform node accounting
 	ctlJobs     []string
 	deployed    []int // instances placed, per spec
 	submittedAt time.Time
@@ -194,14 +188,16 @@ type Service struct {
 	fleet *controller.Controller // the shared daemon population jobs are placed onto
 	cfg   Config
 
-	mu        sync.Mutex
-	tenants   map[string]*tenant // by name
-	byKey     map[string]*tenant
-	jobs      map[string]*job
-	queue     []*job // waiting, ascending seq
-	seq       int64
-	usedNodes int
-	closed    bool
+	mu      sync.Mutex
+	tenants map[string]*tenant // by name
+	byKey   map[string]*tenant
+	jobs    map[string]*job
+	// live holds every admitted job, ascending seq, until it is killed
+	// while it waits or its finished instances are stopped. The wait
+	// queue is its Queued members; every other member holds its nodes.
+	live   []*job
+	seq    int64
+	closed bool
 
 	rejects *metrics.Counter
 }
@@ -333,12 +329,12 @@ func (s *Service) Submit(key string, scenario []byte) (JobView, error) {
 		return JobView{}, &JobError{Code: ErrCapacity, Tenant: ten.Name,
 			Detail: fmt.Sprintf("%d instances exceed the platform's %d", req.nodes, cap)}
 	}
-	if q := ten.Quota; (q.MaxNodes > 0 && req.nodes > q.MaxNodes) ||
-		(q.MaxQueued > 0 && ten.queuedJobs >= q.MaxQueued) {
+	if q, queued := ten.Quota, s.tally(ten).queued; (q.MaxNodes > 0 && req.nodes > q.MaxNodes) ||
+		(q.MaxQueued > 0 && queued >= q.MaxQueued) {
 		s.mu.Unlock()
 		s.rejects.Inc()
 		return JobView{}, &JobError{Code: ErrQuota, Tenant: ten.Name,
-			Detail: fmt.Sprintf("%d instances against quota %+v with %d queued", req.nodes, q, ten.queuedJobs)}
+			Detail: fmt.Sprintf("%d instances against quota %+v with %d queued", req.nodes, q, queued)}
 	}
 	s.seq++
 	j := &job{
@@ -354,15 +350,50 @@ func (s *Service) Submit(key string, scenario []byte) (JobView, error) {
 		submittedAt: s.rt.Now(),
 	}
 	s.jobs[j.id] = j
-	s.queue = append(s.queue, j)
-	ten.queuedJobs++
-	ten.totalJobs++
-	ten.queuedG.Add(1)
+	s.live = append(s.live, j)
+	s.gauge(ten)
 	view := s.viewLocked(j)
 	s.mu.Unlock()
 
 	s.dispatch()
 	return view, nil
+}
+
+// tally is what the live list says of one tenant, or of the platform:
+// jobs waiting, jobs placed, and the nodes the placed ones hold.
+type tally struct{ queued, placed, nodes int }
+
+// tally counts ten's live jobs, or every live job when ten is nil.
+// Callers hold s.mu.
+func (s *Service) tally(ten *tenant) (t tally) {
+	for _, j := range s.live {
+		switch {
+		case ten != nil && j.ten != ten:
+		case j.state == Queued:
+			t.queued++
+		default:
+			t.placed++
+			t.nodes += j.nodes
+		}
+	}
+	return t
+}
+
+// gauge sets a tenant's host gauges to its tally after a transition.
+// Callers hold s.mu.
+func (s *Service) gauge(ten *tenant) {
+	t := s.tally(ten)
+	ten.queuedG.Set(int64(t.queued))
+	ten.nodesG.Set(int64(t.nodes))
+}
+
+// retire drops a job that holds nothing any more from the live list.
+// Callers hold s.mu.
+func (s *Service) retire(j *job) {
+	if i := slices.Index(s.live, j); i >= 0 {
+		s.live = slices.Delete(s.live, i, i+1) // clears the vacated slot
+	}
+	s.gauge(j.ten)
 }
 
 // dispatch places every admissible queued job. Deterministic fair
@@ -375,47 +406,32 @@ func (s *Service) dispatch() {
 	s.mu.Lock()
 	for !s.closed {
 		var pick *job
+		var pickNodes int
 		seen := make(map[*tenant]bool, len(s.tenants))
-		for _, j := range s.queue {
-			if seen[j.ten] {
+		for _, j := range s.live {
+			if j.state != Queued || seen[j.ten] {
 				continue
 			}
 			seen[j.ten] = true // head of this tenant's line
-			if q := j.ten.Quota; q.MaxJobs > 0 && j.ten.runningJobs >= q.MaxJobs {
+			t, q := s.tally(j.ten), j.ten.Quota
+			if q.MaxJobs > 0 && t.placed >= q.MaxJobs || q.MaxNodes > 0 && t.nodes+j.nodes > q.MaxNodes {
 				continue
 			}
-			if q := j.ten.Quota; q.MaxNodes > 0 && j.ten.runningNodes+j.nodes > q.MaxNodes {
-				continue
-			}
-			if pick == nil || j.ten.runningNodes < pick.ten.runningNodes ||
-				(j.ten.runningNodes == pick.ten.runningNodes && j.seq < pick.seq) {
-				pick = j
+			// live is in submission order, so a tie keeps the earlier job.
+			if pick == nil || t.nodes < pickNodes {
+				pick, pickNodes = j, t.nodes
 			}
 		}
-		if pick == nil || s.usedNodes+pick.nodes > s.capacity() {
+		if pick == nil || s.tally(nil).nodes+pick.nodes > s.capacity() {
 			break
 		}
-		s.removeQueued(pick)
 		pick.state = Deploying
-		pick.acquired = true
-		pick.ten.queuedJobs--
-		pick.ten.queuedG.Add(-1)
-		pick.ten.runningJobs++
-		pick.ten.runningNodes += pick.nodes
-		pick.ten.nodesG.Add(int64(pick.nodes))
-		s.usedNodes += pick.nodes
+		s.gauge(pick.ten)
 		starting = append(starting, pick)
 	}
 	s.mu.Unlock()
 	for _, j := range starting {
 		s.rt.Go(func() { s.runJob(j) })
-	}
-}
-
-// removeQueued drops a job from the wait queue. Callers hold s.mu.
-func (s *Service) removeQueued(j *job) {
-	if i := slices.Index(s.queue, j); i >= 0 {
-		s.queue = slices.Delete(s.queue, i, i+1) // clears the vacated slot
 	}
 }
 
@@ -443,18 +459,9 @@ func (s *Service) runJob(j *job) {
 		var derr *controller.DeployError
 		if errors.As(err, &derr) && j.attempts < deployAttempts {
 			// The population churned underneath us: hand the nodes
-			// back and requeue at our original position.
+			// back and wait again, at our original position.
 			j.state = Queued
-			j.acquired = false
-			j.ctlJobs, j.deployed = nil, nil
-			j.ten.runningJobs--
-			j.ten.runningNodes -= j.nodes
-			j.ten.nodesG.Add(-int64(j.nodes))
-			j.ten.queuedJobs++
-			j.ten.queuedG.Add(1)
-			s.usedNodes -= j.nodes
-			s.queue = append(s.queue, j)
-			sort.Slice(s.queue, func(a, b int) bool { return s.queue[a].seq < s.queue[b].seq })
+			s.gauge(j.ten)
 			s.mu.Unlock()
 			s.rt.After(retryDelay, func() { s.rt.Go(s.dispatch) })
 			return
@@ -476,10 +483,7 @@ func (s *Service) runJob(j *job) {
 		killed := j.killed
 		s.mu.Unlock()
 		if killed {
-			for _, id := range placed {
-				s.fleet.StopJob(id) //nolint:errcheck
-			}
-			s.finish(j, Killed, "")
+			fail(nil)
 			return
 		}
 	}
@@ -493,7 +497,6 @@ func (s *Service) runJob(j *job) {
 	// placements by other tenants share the fleet counter, so this is an
 	// upper bound, not an exact split.
 	j.frames = s.fleet.FramesSent() - j.frames0
-	j.ten.totalFrames += j.frames
 	j.ten.deploys.Inc()
 	j.ten.frames.Add(uint64(j.frames))
 	killed := j.killed
@@ -509,7 +512,8 @@ func (s *Service) runJob(j *job) {
 }
 
 // finish moves a job to a terminal state exactly once, stops its
-// controller jobs and hands its nodes back to the dispatcher.
+// controller jobs and only then hands its nodes back to the dispatcher:
+// until StopJob has returned, the job stays live and its nodes stay taken.
 func (s *Service) finish(j *job, state JobState, errMsg string) {
 	s.mu.Lock()
 	if j.state.Terminal() {
@@ -520,17 +524,13 @@ func (s *Service) finish(j *job, state JobState, errMsg string) {
 	j.errMsg = errMsg
 	j.finishedAt = s.rt.Now()
 	ctl := j.ctlJobs
-	if j.acquired {
-		j.acquired = false
-		j.ten.runningJobs--
-		j.ten.runningNodes -= j.nodes
-		j.ten.nodesG.Add(-int64(j.nodes))
-		s.usedNodes -= j.nodes
-	}
 	s.mu.Unlock()
 	for _, id := range ctl {
 		s.fleet.StopJob(id) //nolint:errcheck
 	}
+	s.mu.Lock()
+	s.retire(j)
+	s.mu.Unlock()
 	s.dispatch()
 }
 
@@ -610,20 +610,22 @@ func (s *Service) Kill(key, id string) error {
 	if jerr != nil {
 		return jerr
 	}
+	s.kill(j)
+	return nil
+}
+
+// kill ends a job in any state but a terminal one.
+func (s *Service) kill(j *job) {
 	s.mu.Lock()
 	switch {
 	case j.state.Terminal():
 		s.mu.Unlock()
-		return nil
 	case j.state == Queued:
-		s.removeQueued(j)
 		j.state = Killed
 		j.finishedAt = s.rt.Now()
-		j.ten.queuedJobs--
-		j.ten.queuedG.Add(-1)
+		s.retire(j)
 		s.mu.Unlock()
 		s.dispatch()
-		return nil
 	default: // deploying or running
 		j.killed = true
 		running := j.state == Running
@@ -633,7 +635,6 @@ func (s *Service) Kill(key, id string) error {
 		}
 		// A deploying job is finished by its own runJob task when the
 		// in-flight placement returns.
-		return nil
 	}
 }
 
@@ -649,38 +650,25 @@ func (s *Service) Usage(key, name string) (UsageView, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return UsageView{
-		Tenant:       ten.Name,
-		Quota:        ten.Quota,
-		RunningJobs:  ten.runningJobs,
-		RunningNodes: ten.runningNodes,
-		QueuedJobs:   ten.queuedJobs,
-		TotalJobs:    ten.totalJobs,
-		TotalFrames:  ten.totalFrames,
-	}, nil
+	t := s.tally(ten)
+	u := UsageView{Tenant: ten.Name, Quota: ten.Quota,
+		RunningJobs: t.placed, RunningNodes: t.nodes, QueuedJobs: t.queued}
+	for _, j := range s.jobs {
+		if j.ten == ten {
+			u.TotalJobs++
+			u.TotalFrames += j.frames
+		}
+	}
+	return u, nil
 }
 
 // Close stops admissions and kills every live job.
 func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
-	var live []*job
-	for _, j := range s.jobs {
-		if !j.state.Terminal() {
-			live = append(live, j)
-		}
-	}
-	queued := s.queue
-	s.queue = nil
-	for _, j := range queued {
-		j.ten.queuedJobs--
-		j.ten.queuedG.Add(-1)
-	}
+	live := slices.Clone(s.live)
 	s.mu.Unlock()
 	for _, j := range live {
-		s.mu.Lock()
-		j.killed = true
-		s.mu.Unlock()
-		s.finish(j, Killed, "")
+		s.kill(j)
 	}
 }

@@ -36,8 +36,10 @@ func sleepRegistry() *core.Registry {
 
 type simFleet struct {
 	k   *sim.Kernel
+	nw  *simnet.Network
 	rt  *core.SimRuntime
 	ctl *controller.Controller
+	ds  []*daemon.Daemon // on hosts 1..n
 }
 
 // newSimFleet wires a controller on host 0 and n daemons on hosts 1..n,
@@ -56,8 +58,10 @@ func newSimFleet(t *testing.T, n int) *simFleet {
 		}
 	})
 	ctlAddr := transport.Addr{Host: "n0", Port: controller.DefaultConfig().Port}
+	fl := &simFleet{k: k, nw: nw, rt: rt, ctl: ctl}
 	for i := 1; i <= n; i++ {
 		d := daemon.New(rt, nw.Node(i), reg, daemon.DefaultConfig(simnet.HostName(i)), nil)
+		fl.ds = append(fl.ds, d)
 		k.GoAfter(time.Duration(i)*100*time.Millisecond, func() {
 			if err := d.Connect(ctlAddr); err != nil {
 				t.Errorf("daemon connect: %v", err)
@@ -68,7 +72,17 @@ func newSimFleet(t *testing.T, n int) *simFleet {
 	if got := ctl.Daemons(); got != n {
 		t.Fatalf("fleet has %d daemons, want %d", got, n)
 	}
-	return &simFleet{k: k, rt: rt, ctl: ctl}
+	return fl
+}
+
+// registered counts the instances the fleet's daemons hold, reserved or
+// running.
+func (fl *simFleet) registered() int {
+	n := 0
+	for _, d := range fl.ds {
+		n += d.Running()
+	}
+	return n
 }
 
 // scenarioJSON builds a minimal serialized scenario for submission.
@@ -303,9 +317,69 @@ func TestKillLifecycle(t *testing.T) {
 	}
 }
 
+// TestFinishedJobHoldsItsNodesUntilStopped: a job that is done keeps its
+// nodes until its instances have stopped. The platform fits one job; A
+// runs and B waits. A's daemons' links slow down while A runs, so the
+// fleet's fastest daemons are others and A's STOP round is long. While
+// it is in flight, a second tenant's submission runs a dispatch, which
+// must not place B yet: at no sampled instant may the daemons hold more
+// instances than the platform's capacity.
+func TestFinishedJobHoldsItsNodesUntilStopped(t *testing.T) {
+	fl := newSimFleet(t, 4)
+	const capacity = 2
+	svc := New(fl.rt, fl.ctl, Config{Capacity: capacity})
+	for _, ten := range []Tenant{{Name: "alice", Key: "ka"}, {Name: "bob", Key: "kb"}} {
+		if err := svc.AddTenant(ten); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a, b, c JobView
+	fl.k.Go(func() {
+		var err error
+		if a, err = svc.Submit("ka", scenarioJSON("a", capacity, 40*time.Second)); err != nil {
+			t.Errorf("submit a: %v", err)
+		}
+		if b, err = svc.Submit("ka", scenarioJSON("b", capacity, 5*time.Second)); err != nil {
+			t.Errorf("submit b: %v", err)
+		}
+	})
+	fl.k.RunFor(time.Second)
+	slow := make([]bool, len(fl.ds)+1)
+	for i, d := range fl.ds {
+		slow[i+1] = d.Running() > 0 // A's daemons
+	}
+	fl.nw.Degrade(0, slow, 100*time.Millisecond, 0)
+
+	peak, inStop := 0, false
+	fl.k.Go(func() {
+		for range 90_000 {
+			peak = max(peak, fl.registered())
+			if v, err := svc.Job("ka", a.ID); !inStop && err == nil && v.State == Done {
+				inStop = true // A reads done; its STOP round is in flight
+				if c, err = svc.Submit("kb", scenarioJSON("c", capacity, 5*time.Second)); err != nil {
+					t.Errorf("submit c: %v", err)
+				}
+			}
+			fl.k.Sleep(time.Millisecond)
+		}
+	})
+	fl.k.RunFor(90 * time.Second)
+	if !inStop {
+		t.Fatal("job a never finished")
+	}
+	if peak > capacity {
+		t.Errorf("the daemons held %d instances at once on a platform of %d", peak, capacity)
+	}
+	for _, p := range []struct{ key, id string }{{"ka", a.ID}, {"ka", b.ID}, {"kb", c.ID}} {
+		if res, err := svc.Result(p.key, p.id); err != nil || res.State != Done {
+			t.Errorf("job %s: %+v, %v; want done", p.id, res, err)
+		}
+	}
+}
+
 // TestKilledQueuedJobLeavesTheQueue: a job killed while it waits leaves
-// no trace in the queue's spare capacity, where it would stay reachable
-// until the next submission overwrote the slot.
+// the live list, and no trace in its spare capacity, where it would stay
+// reachable until the next submission overwrote the slot.
 func TestKilledQueuedJobLeavesTheQueue(t *testing.T) {
 	fl := newSimFleet(t, 4)
 	svc := New(fl.rt, fl.ctl, Config{Capacity: 4})
@@ -328,12 +402,12 @@ func TestKilledQueuedJobLeavesTheQueue(t *testing.T) {
 	}
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	if len(svc.queue) != 0 {
-		t.Fatalf("%d jobs queued after the kill", len(svc.queue))
+	if q := svc.tally(nil).queued; q != 0 {
+		t.Fatalf("%d jobs queued after the kill", q)
 	}
-	for i, j := range svc.queue[:cap(svc.queue)] {
-		if j != nil {
-			t.Errorf("spare queue slot %d still holds job %s", i, j.id)
+	for i, j := range svc.live[:cap(svc.live)] {
+		if j != nil && j.id == queued.ID {
+			t.Errorf("live slot %d (of %d in use) still holds the killed job %s", i, len(svc.live), j.id)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -83,16 +85,18 @@ type xev struct {
 	run  func()
 }
 
-// xevLess orders merged cross events by (timestamp, seq, partition): a total
-// order independent of worker count and of barrier arrival interleaving.
-func xevLess(a, b xev) bool {
+// xevCmp orders merged cross events by (timestamp, seq, partition): a
+// strict total order, since seq is unique per source partition, and so
+// independent of worker count, of barrier arrival interleaving and of the
+// sort that applies it.
+func xevCmp(a, b xev) int {
 	if a.atNS != b.atNS {
-		return a.atNS < b.atNS
+		return cmp.Compare(a.atNS, b.atNS)
 	}
 	if a.seq != b.seq {
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	}
-	return a.src < b.src
+	return cmp.Compare(a.src, b.src)
 }
 
 // outbox is one source partition's queue of cross events for the current
@@ -638,7 +642,7 @@ func (pk *ParKernel) mergeCross() {
 			continue
 		}
 		pk.in[d].high = max(pk.in[d].high, len(evs))
-		sortXevs(evs)
+		slices.SortFunc(evs, xevCmp)
 		sub := pk.subs[d]
 		for i := range evs {
 			e := sub.alloc()
@@ -647,36 +651,6 @@ func (pk *ParKernel) mergeCross() {
 			sub.push(e, evs[i].atNS)
 			evs[i].run = nil
 		}
-	}
-}
-
-// sortXevs is an in-place heapsort by xevLess: sort.Slice would allocate its
-// closure on every barrier, and the merge path is pinned at 0 allocs/op.
-func sortXevs(s []xev) {
-	n := len(s)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftXev(s, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		s[0], s[i] = s[i], s[0]
-		siftXev(s, 0, i)
-	}
-}
-
-func siftXev(s []xev, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && xevLess(s[c], s[c+1]) {
-			c++
-		}
-		if !xevLess(s[i], s[c]) {
-			return
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
 	}
 }
 

@@ -756,18 +756,14 @@ func (sc Scenario) label() string {
 
 // report is the session's reporter loop, run as a task of rt: it streams
 // reg from the host from to the collection plane as the named node, one
-// flush per period on rt's clock until the session stops. Live streams
-// redial; a simulated one fails only with the session, and a failed dial
-// is the session's start error.
+// flush per period on rt's clock until the session stops, redialing a
+// stream that a crash or a partition of its host broke.
 func (s *Session) report(rt core.Runtime, from transport.Node, node string, reg *metrics.Registry) {
-	err := metrics.Stream(from, s.collect.Addr, reg, metrics.ReporterConfig{Key: s.collect.Key, Node: node},
+	metrics.Stream(from, s.collect.Addr, reg, metrics.ReporterConfig{Key: s.collect.Key, Node: node},
 		s.collect.Every, func(d time.Duration, _ error) bool {
 			rt.Sleep(d)
 			return !s.stopped.Load()
-		}, s.live)
-	if err != nil {
-		s.stage(s.partOf(from.Host()), 0, func() { s.startErr = err })
-	}
+		})
 }
 
 // buildRegistry assembles the deployable application registry: built-ins
