@@ -9,8 +9,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -224,7 +227,8 @@ func TestUsageErrors(t *testing.T) {
 		{"faults", "-key", "ko", "http://x"}, // -key is not an action
 		{"faults", "melt", "-key", "ko", "http://x"},
 		{"apply"},
-		{"apply", "-host", "http://x", "doc.yaml"}, // no key
+		{"apply", "-host", "http://127.0.0.1:1", "-key", "ka", "doc.yaml"}, // hosted submission is submit -f
+		{"apply", "-wait", "doc.yaml"},
 		{"validate"},
 	} {
 		if _, err := ctl(context.Background(), "", args...); !errors.Is(err, errUsage) {
@@ -233,5 +237,42 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if _, err := ctl(context.Background(), "", "validate", "testdata/nosuch.yaml"); err == nil || errors.Is(err, errUsage) {
 		t.Errorf("validate of a missing file = %v, want a plain failure", err)
+	}
+}
+
+// TestSubmitFileCompilesClientSide: "submit -f doc.yaml" compiles the
+// document before any request, so what reaches the platform is the
+// canonical wire form, and a document that does not type-check never
+// reaches it.
+func TestSubmitFileCompilesClientSide(t *testing.T) {
+	t.Parallel()
+	const doc = "../../examples/quickstart/scenario.yaml"
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := splay.CompileConfig(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posted [][]byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body) //nolint:errcheck // compared below
+		posted = append(posted, body)
+		json.NewEncoder(w).Encode(splay.HostJob{ID: "j1"}) //nolint:errcheck // the client reports a short body
+	}))
+	defer srv.Close()
+	if out, err := ctl(context.Background(), "", "submit", "-key", "ka", "-f", doc, srv.URL); err != nil || !strings.Contains(out, `"j1"`) {
+		t.Fatalf("submit -f %s = %q, %v", doc, out, err)
+	}
+	if len(posted) != 1 || !bytes.Equal(posted[0], want) {
+		t.Fatalf("the platform received %q, want the compiled wire form %q", posted, want)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.yaml")
+	if err := os.WriteFile(bad, []byte("apps:\n  - app: chord\n    nodes: many\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl(context.Background(), "", "submit", "-key", "ka", "-f", bad, srv.URL); err == nil || errors.Is(err, errUsage) || len(posted) != 1 {
+		t.Errorf("submit -f of an ill-typed document = %v after %d requests, want a compile error and none sent", err, len(posted))
 	}
 }

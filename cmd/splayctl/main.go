@@ -12,7 +12,7 @@
 //	splayctl daemons -key ko http://host:8080
 //	splayctl faults inject -key ko [-kind crash|partition] [-count n] [-fraction f] http://host:8080
 //	splayctl faults heal -key ko http://host:8080
-//	splayctl apply [-host http://host:8080 -key k [-wait]] scenario.yaml
+//	splayctl apply scenario.yaml
 //	splayctl validate scenario.yaml [more.yaml ...]
 //	splayctl catalog
 //
@@ -40,11 +40,11 @@
 // for a command-line mistake, 1 for any other failure.
 //
 // The config-plane subcommands need no platform: "apply" compiles a
-// scenario document and runs it — in-process on a fresh simulated (or
-// live) testbed, or hosted when -host names a platform — "validate"
-// type-checks documents against the catalog, and "catalog" prints the
-// catalog itself: every built-in application with its typed parameters,
-// defaults and bounds.
+// scenario document and runs it in-process on a fresh simulated (or
+// live) testbed — "submit -f" sends one to a platform instead —
+// "validate" type-checks documents against the catalog, and "catalog"
+// prints the catalog itself: every built-in application with its typed
+// parameters, defaults and bounds.
 package main
 
 import (
@@ -423,30 +423,16 @@ func (c *cmd) submit(cl *splay.Remote, data []byte, wait bool) error {
 	return settled(res.ID, res.State, res.Error)
 }
 
-// apply runs a scenario document. Without -host it compiles and
-// executes the document in-process — the full no-Go path: testbed,
-// deployment, faults, assertions — and prints the deployed jobs plus
-// the aggregated metric view. With -host it compiles client-side and
-// submits the canonical wire bytes to a platform as -key's tenant.
+// apply compiles and executes a scenario document in-process — the full
+// no-Go path: testbed, deployment, faults, assertions — and prints the
+// deployed jobs plus the aggregated metric view.
 func (c *cmd) apply(args []string) error {
-	hostURL := c.fs.String("host", "", "submit to this platform URL instead of running in-process")
-	wait := c.fs.Bool("wait", false, "poll until the hosted job settles (with -host)")
 	if c.fs.Parse(args) != nil {
 		return errUsage
 	}
 	path := c.fs.Arg(0)
 	if path == "" {
 		return fmt.Errorf("need a scenario document (e.g. examples/quickstart/scenario.yaml): %w", errUsage)
-	}
-	if *hostURL != "" {
-		if c.key == "" {
-			return fmt.Errorf("need a tenant -key with -host: %w", errUsage)
-		}
-		data, err := c.readScenario(path)
-		if err != nil {
-			return err
-		}
-		return c.submit(splay.Connect(*hostURL, c.key), data, *wait)
 	}
 	sc, err := splay.LoadScenarioFile(path)
 	if err != nil {

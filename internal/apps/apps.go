@@ -309,16 +309,14 @@ var bittorrentApp = define(Schema{
 	if err := peer.Start(); err != nil {
 		return err
 	}
-	for !ctx.Killed() {
-		ctx.Sleep(5 * time.Second)
+	// The peer seeds on its own periodics until Kill stops them and closes
+	// its server; one more periodic reports completion, then stops.
+	var stop func()
+	stop = ctx.Periodic(5*time.Second, func() {
 		if peer.Complete() {
 			ctx.Log.Printf("download complete (%d pieces)", peer.Pieces())
-			break
+			stop()
 		}
-	}
-	for !ctx.Killed() { // keep seeding
-		ctx.Sleep(10 * time.Second)
-	}
-	peer.Stop()
+	})
 	return nil
 })

@@ -59,6 +59,7 @@ const (
 	assertOf                // a type asserted or switched on
 	compositeOf             // a composite literal's type
 	assignOf                // a field assigned through a selector (x.name = …)
+	typeOf                  // a declared type; name is the type
 )
 
 // A fact is one thing a rule can ask of a file: a name at a position and
@@ -214,6 +215,7 @@ func (m *module) index(rel, src string, af *ast.File) *file {
 				f.facts = append(f.facts, fact{kind: literal, pos: n.Pos(), name: v})
 			}
 		case *ast.TypeSpec:
+			f.facts = append(f.facts, fact{kind: typeOf, pos: n.Pos(), name: n.Name.Name})
 			if it, ok := n.Type.(*ast.InterfaceType); ok {
 				for _, fl := range it.Methods.List {
 					for _, id := range fl.Names {

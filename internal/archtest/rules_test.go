@@ -98,9 +98,9 @@ var rules = []rule{
 		},
 		fx("internal/transport/x.go", "package transport\nfunc (a Addr) MarshalJSON() ([]byte, error) { return nil, nil }")},
 	{"deleted-declarations-stay-deleted",
-		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge",
-		"each was folded into the one definition that replaced it",
-		only(union(where(declOf, gone), where(ifaceOf, gone))),
+		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge; One table under one lock; One line per Printf; Two churn callbacks",
+		"each was folded into the one definition that replaced it, or had no caller",
+		only(union(where(declOf, gone), where(ifaceOf, gone), where(typeOf, gone))),
 		fx("internal/sim/x.go", "package sim\nfunc (k *Kernel) After() {}",
 			"internal/sim/y.go", "package sim\nfunc (k *Kernel) drainTaskPool() {}",
 			"internal/controller/x.go", "package controller\nfunc (c *Controller) phase() {}",
@@ -111,7 +111,15 @@ var rules = []rule{
 			"internal/hosting/x.go", "package hosting\nfunc (s *Service) removeQueued() {}",
 			"internal/sim/v.go", "package sim\nfunc sortXevs() {}",
 			"internal/sim/w.go", "package sim\nfunc siftXev() {}",
-			"internal/sim/z.go", "package sim\nfunc xevLess() bool { return false }")},
+			"internal/sim/z.go", "package sim\nfunc xevLess() bool { return false }",
+			"internal/controller/r.go", "package controller\ntype regShard struct{}",
+			"internal/controller/s.go", "package controller\nfunc (r *registry) shardFor(uint32) {}",
+			"internal/churn/x.go", "package churn\ntype NodeControl interface{ StartNode(int) }",
+			"internal/churn/y.go", "package churn\ntype NodeControlFuncs struct{}",
+			"internal/logging/w.go", "package logging\nfunc (l *Logger) SetLevel() {}",
+			"internal/logging/x.go", "package logging\nfunc (l *Logger) SetEnabled() {}",
+			"internal/logging/y.go", "package logging\nfunc (l *Logger) Debugf() {}",
+			"internal/logging/z.go", "package logging\nfunc (l *Logger) Warnf() {}")},
 	{"no-socket-wrappers", "One socket decorator", "a wrapper embedding a socket hides simnet's event interfaces; internal/sandbox passes them through",
 		only(where(embedOf, func(f *file, x fact) bool {
 			return x.is("internal/transport", "Conn", "Listener", "PacketConn", "EventConn", "EventListener")
@@ -409,7 +417,10 @@ func count(s sites, least, most int) func(m *module) []string {
 // own periodic and per-command waits, config's separate key allow-list, a
 // runtime's shared random source, the churn start path, the
 // single-partition guard, the hosting queue's removal helper beside the
-// live-job list, and the parallel kernel's hand-written merge heapsort.
+// live-job list, the parallel kernel's hand-written merge heapsort, the
+// daemon registry's lock shards, the churn executor's node-control
+// interface and its adapter, and the log levels and switches nothing
+// called.
 func gone(f *file, x fact) bool {
 	return in(f.path, "internal/sim/") && x.recv == "Kernel" && in(x.name, "After", "drainTaskPool") ||
 		in(f.path, "internal/sim/") && in(x.name, "sortXevs", "siftXev", "xevLess") ||
@@ -417,7 +428,10 @@ func gone(f *file, x fact) bool {
 		in(f.path, "internal/controller/") && x.recv == "Controller" && in(x.name, "periodic", "call", "phase") ||
 		in(f.path, "internal/config/") && x.name == "requireKeys" ||
 		strings.HasSuffix(x.recv, "Runtime") && x.name == "Rand" ||
-		in(x.name, "startSimChurn", "assertUnpartitioned")
+		in(x.name, "startSimChurn", "assertUnpartitioned") ||
+		in(f.path, "internal/controller/") && in(x.name, "regShard", "shardFor") ||
+		in(f.path, "internal/churn/") && in(x.name, "NodeControl", "NodeControlFuncs") ||
+		in(f.path, "internal/logging/") && x.recv == "Logger" && in(x.name, "SetLevel", "SetEnabled", "Debugf", "Warnf")
 }
 
 // testNames lists the words of text that name a test, fuzz target or

@@ -223,17 +223,15 @@ func TestExecutorReplaysTrace(t *testing.T) {
 	k := sim.NewKernel()
 	rt := core.NewSimRuntime(k, 1)
 	var log []string
-	ctl := NodeControlFuncs{
-		Start: func(slot int) { log = append(log, "start") },
-		Stop:  func(slot int) { log = append(log, "stop") },
-	}
+	start := func(slot int) { log = append(log, "start") }
+	stop := func(slot int) { log = append(log, "stop") }
 	tr := Trace{
 		{At: time.Second, Action: Join, Node: 0},
 		{At: 2 * time.Second, Action: Join, Node: 1},
 		{At: 3 * time.Second, Action: Leave, Node: 0},
 		{At: 3 * time.Second, Action: Leave, Node: 0}, // duplicate ignored
 	}
-	ex := NewExecutor(rt, tr, ctl)
+	ex := NewExecutor(rt, tr, start, stop)
 	ex.Run()
 	k.Run()
 	if len(log) != 3 {
@@ -252,8 +250,8 @@ func TestExecutorStopCancels(t *testing.T) {
 	k := sim.NewKernel()
 	rt := core.NewSimRuntime(k, 1)
 	n := 0
-	ctl := NodeControlFuncs{Start: func(int) { n++ }, Stop: func(int) {}}
-	ex := NewExecutor(rt, Trace{{At: time.Minute, Action: Join, Node: 0}}, ctl)
+	start, stop := func(int) { n++ }, func(int) {}
+	ex := NewExecutor(rt, Trace{{At: time.Minute, Action: Join, Node: 0}}, start, stop)
 	ex.Run()
 	ex.Stop()
 	k.Run()
@@ -269,10 +267,8 @@ func TestExecutorSpawnsInTraceOrder(t *testing.T) {
 	k := sim.NewKernel()
 	rt := core.NewSimRuntime(k, 1)
 	var log []string
-	ctl := NodeControlFuncs{
-		Start: func(slot int) { log = append(log, fmt.Sprintf("%s start %d", k.Since(), slot)) },
-		Stop:  func(slot int) { log = append(log, fmt.Sprintf("%s stop %d", k.Since(), slot)) },
-	}
+	start := func(slot int) { log = append(log, fmt.Sprintf("%s start %d", k.Since(), slot)) }
+	stop := func(slot int) { log = append(log, fmt.Sprintf("%s stop %d", k.Since(), slot)) }
 	tr := Trace{
 		{At: 2 * time.Second, Action: Leave, Node: 3},
 		{At: time.Second, Action: Join, Node: 3},
@@ -284,7 +280,7 @@ func TestExecutorSpawnsInTraceOrder(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr = append(tr, Event{At: time.Hour + time.Duration(i)*time.Second, Action: Join, Node: 10 + i})
 	}
-	ex := NewExecutor(rt, tr, ctl)
+	ex := NewExecutor(rt, tr, start, stop)
 	k.Go(ex.Run)
 	k.RunFor(3 * time.Second)
 	want := []string{"1s start 3", "1s start 1", "1s start 2", "2s stop 3"}

@@ -7,39 +7,21 @@ import (
 	"github.com/splaykit/splay/internal/core"
 )
 
-// NodeControl starts and stops node slots. The simulation experiments
-// implement it by reviving/failing simnet hosts and instantiating
-// applications; the live controller implements it with daemon commands.
-type NodeControl interface {
-	StartNode(slot int)
-	StopNode(slot int)
-}
-
-// NodeControlFuncs adapts two functions to NodeControl.
-type NodeControlFuncs struct {
-	Start func(slot int)
-	Stop  func(slot int)
-}
-
-// StartNode implements NodeControl.
-func (f NodeControlFuncs) StartNode(slot int) { f.Start(slot) }
-
-// StopNode implements NodeControl.
-func (f NodeControlFuncs) StopNode(slot int) { f.Stop(slot) }
-
-// Executor replays a trace against a NodeControl on a runtime: the churn
-// manager component of Fig. 2, which "sends instructions to the daemons
-// for stopping and starting processes on-the-fly".
+// Executor replays a trace on a runtime through two callbacks that start
+// and stop node slots (a simulated session revives or fails a simnet host
+// and starts or kills its instance): the churn manager component of
+// Fig. 2, which "sends instructions to the daemons for stopping and
+// starting processes on-the-fly".
 //
 // A replay holds one timer whatever the trace's length, so a churned
 // session's heap does not grow with the trace: a cursor walks the sorted
 // trace, and each fire handles every event at that instant, in trace
 // order, then re-arms the same timer for the next instant.
 type Executor struct {
-	rt    core.Runtime
-	ctl   NodeControl
-	trace Trace
-	fire  func() // e.step, bound once
+	rt                  core.Runtime
+	startNode, stopNode func(slot int)
+	trace               Trace
+	fire                func() // e.step, bound once
 
 	// mu guards the replay state: under LiveRuntime the timer fires from a
 	// time.AfterFunc goroutine, concurrently with Alive/Counts/Stop callers.
@@ -53,11 +35,12 @@ type Executor struct {
 	halted  bool
 }
 
-// NewExecutor prepares (but does not start) a replay.
-func NewExecutor(rt core.Runtime, trace Trace, ctl NodeControl) *Executor {
+// NewExecutor prepares (but does not start) a replay that calls start
+// for each slot that joins and stop for each that leaves.
+func NewExecutor(rt core.Runtime, trace Trace, start, stop func(slot int)) *Executor {
 	sorted := append(Trace(nil), trace...)
 	sorted.Sort()
-	e := &Executor{rt: rt, ctl: ctl, trace: sorted, alive: make(map[int]bool)}
+	e := &Executor{rt: rt, startNode: start, stopNode: stop, trace: sorted, alive: make(map[int]bool)}
 	e.fire = e.step
 	return e
 }
@@ -99,13 +82,13 @@ func (e *Executor) step() {
 			if !e.alive[ev.Node] {
 				e.alive[ev.Node] = true
 				e.started++
-				e.rt.Go(func() { e.ctl.StartNode(ev.Node) })
+				e.rt.Go(func() { e.startNode(ev.Node) })
 			}
 		case Leave:
 			if e.alive[ev.Node] {
 				delete(e.alive, ev.Node)
 				e.stopped++
-				e.rt.Go(func() { e.ctl.StopNode(ev.Node) })
+				e.rt.Go(func() { e.stopNode(ev.Node) })
 			}
 		}
 	}

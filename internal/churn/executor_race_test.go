@@ -17,10 +17,8 @@ func TestExecutorLiveRuntimeRace(t *testing.T) {
 	t.Parallel()
 	rt := core.NewLiveRuntime(1)
 	var started, stopped atomic.Int64
-	ctl := NodeControlFuncs{
-		Start: func(int) { started.Add(1) },
-		Stop:  func(int) { stopped.Add(1) },
-	}
+	start := func(int) { started.Add(1) }
+	stop := func(int) { stopped.Add(1) }
 	// Joins burst in the first few milliseconds; leaves burst well after,
 	// so per-slot ordering survives timer-goroutine scheduling jitter
 	// while each burst still fires with full concurrency.
@@ -31,7 +29,7 @@ func TestExecutorLiveRuntimeRace(t *testing.T) {
 		tr = append(tr, Event{At: at, Action: Join, Node: i})
 		tr = append(tr, Event{At: at + 250*time.Millisecond, Action: Leave, Node: i})
 	}
-	ex := NewExecutor(rt, tr, ctl)
+	ex := NewExecutor(rt, tr, start, stop)
 
 	stopRead := make(chan struct{})
 	var wg sync.WaitGroup
@@ -80,15 +78,13 @@ func TestExecutorStopRacesInFlightFires(t *testing.T) {
 	t.Parallel()
 	rt := core.NewLiveRuntime(2)
 	var cmds atomic.Int64
-	ctl := NodeControlFuncs{
-		Start: func(int) { cmds.Add(1) },
-		Stop:  func(int) { cmds.Add(1) },
-	}
+	start := func(int) { cmds.Add(1) }
+	stop := func(int) { cmds.Add(1) }
 	var tr Trace
 	for i := 0; i < 500; i++ {
 		tr = append(tr, Event{At: time.Duration(i%20) * time.Millisecond, Action: Join, Node: i})
 	}
-	ex := NewExecutor(rt, tr, ctl)
+	ex := NewExecutor(rt, tr, start, stop)
 	ex.Run()
 	time.Sleep(5 * time.Millisecond)
 	ex.Stop()
@@ -113,12 +109,12 @@ func TestExecutorStopDuringRun(t *testing.T) {
 	t.Parallel()
 	for i := 0; i < 20; i++ {
 		rt := core.NewLiveRuntime(int64(i))
-		ctl := NodeControlFuncs{Start: func(int) {}, Stop: func(int) {}}
+		start, stop := func(int) {}, func(int) {}
 		var tr Trace
 		for j := 0; j < 200; j++ {
 			tr = append(tr, Event{At: time.Duration(j) * time.Millisecond, Action: Join, Node: j})
 		}
-		ex := NewExecutor(rt, tr, ctl)
+		ex := NewExecutor(rt, tr, start, stop)
 		done := make(chan struct{})
 		go func() {
 			ex.Run()

@@ -13,9 +13,9 @@
 //	at 20m stop
 //
 // Scripts compile to a Trace — an explicit timeline of join/leave events
-// against numbered node slots — which the executor replays against any
-// NodeControl (simulated hosts, daemons, …). Traces can also be loaded
-// directly, sped up, or amplified (§5.5's tooling).
+// against numbered node slots — which the executor replays through a
+// start and a stop callback. Traces can also be loaded directly, sped up,
+// or amplified (§5.5's tooling).
 package churn
 
 import (

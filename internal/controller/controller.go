@@ -5,13 +5,13 @@
 // (idle → selected → running) and manages the blacklist.
 //
 // The control plane is built to scale to thousands of daemons (the
-// paper's §5.2–5.3 evaluation): the daemon registry is sharded
-// (registry.go), session monitoring staggers its ping fan-out over
-// time-slices instead of bursting the whole population, and Submit
-// pipelines its REGISTER/LIST/START rounds with batched frame writes and
-// reply callbacks rather than one task per command. The wire protocol
-// (internal/ctlproto) and the superset semantics — first-Nodes-acks win,
-// stragglers are FREEd — are unchanged from the single-mutex design.
+// paper's §5.2–5.3 evaluation): the daemon registry is one table that
+// no frame touches (registry.go), session monitoring staggers its ping
+// fan-out over time-slices instead of bursting the whole population, and
+// Submit pipelines its REGISTER/LIST/START rounds with batched frame
+// writes and reply callbacks rather than one task per command. The wire
+// protocol (internal/ctlproto) and the superset semantics —
+// first-Nodes-acks win, stragglers are FREEd — are unchanged.
 package controller
 
 import (
@@ -168,7 +168,7 @@ var answers = sync.Pool{New: func() any { return new(ctlproto.Msg) }}
 type daemonSession struct {
 	c     *Controller
 	name  string
-	hash  uint32 // nameHash(name): shard (and thereby ping-slice) assignment
+	hash  uint32 // nameHash(name): registry bucket (and thereby ping-slice) assignment
 	conn  transport.Conn
 	enc   llenc.Writer
 	wlock *core.Lock
@@ -228,7 +228,7 @@ type Controller struct {
 	// names it, so applications cannot actively connect to it.
 	self string
 
-	reg       *registry    // sharded daemon sessions
+	reg       *registry    // daemon sessions
 	framesOut atomic.Int64 // command/answer frames written, for load reporting
 	ins       Instruments
 
@@ -238,9 +238,6 @@ type Controller struct {
 	blacklist []string
 	jobSeq    int
 	mon       *core.Ticker // the monitor, one ping slice per tick
-
-	monMu    sync.Mutex
-	monSlice int
 }
 
 // New creates a controller on the given runtime and network stack.
@@ -496,13 +493,8 @@ func (c *Controller) fanout(ds []*daemonSession, timeout time.Duration,
 // daemons, sweeps timed-out pending replies, and pings the slice's live
 // daemons in a batch (recording responsiveness when answers arrive).
 func (c *Controller) monitorTick() {
-	c.monMu.Lock()
-	slice := c.monSlice
-	c.monSlice = (c.monSlice + 1) % pingSlices
-	c.monMu.Unlock()
-
 	now := c.rt.Now()
-	due := c.reg.slice(slice)
+	due := c.reg.nextSlice()
 	live := due[:0]
 	for _, d := range due {
 		d.mu.Lock()

@@ -35,7 +35,7 @@ func seedSortByRTT(ds []*daemonSession) {
 }
 
 // TestShardedSelectionMatchesSeedOrder is the selection-order golden
-// check: for daemons with distinct measured RTTs, the sharded registry's
+// check: for daemons with distinct measured RTTs, the registry's
 // one-pass selection must order candidates exactly as the seed
 // controller's per-comparison insertion sort of a snapshot did, with
 // unmeasured daemons last in both.
@@ -103,8 +103,8 @@ func TestShardedSelectionMatchesSeedOrder(t *testing.T) {
 
 // TestSubmitWhilePingsMeasure places jobs on the live runtime while the
 // monitor's ping callbacks write each session's rtt from other goroutines.
-// Selection reads those rtts under the session lock while holding a shard
-// lock; run with -race, this covers that lock order against the writers.
+// Selection reads those rtts under the session lock while holding the
+// registry lock; run with -race, this covers that lock order against the writers.
 func TestSubmitWhilePingsMeasure(t *testing.T) {
 	t.Parallel()
 	rt := core.NewLiveRuntime(1)
@@ -187,7 +187,7 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 			t.Fatalf("snapshot order not deterministic at %d: %s vs %s", i, sa[i].name, sb[i].name)
 		}
 	}
-	// Reconnecting n5 moves it to the back of its shard; count is stable.
+	// Reconnecting n5 moves it to the back of its bucket; count is stable.
 	re := &daemonSession{name: "n5", hash: nameHash("n5")}
 	if old := a.put(re); old == nil {
 		t.Fatal("put did not report the displaced session")
@@ -209,10 +209,82 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	}
 	// Every session sits in exactly one ping slice.
 	total := 0
-	for s := 0; s < pingSlices; s++ {
-		total += len(a.slice(s))
+	for range pingSlices {
+		total += len(a.nextSlice())
 	}
 	if total != 99 {
 		t.Fatalf("slices cover %d sessions, want 99", total)
+	}
+}
+
+// TestRegistryConcurrentAccessKeepsEverySession: goroutines connect,
+// reconnect and drop sessions while others count, snapshot and take
+// monitor slices. Afterwards count, the snapshot and the union of the
+// pingSlices slices agree on exactly the sessions left live: none lost,
+// none duplicated, none stale.
+func TestRegistryConcurrentAccessKeepsEverySession(t *testing.T) {
+	t.Parallel()
+	const writers, perWriter = 8, 200
+	reg := newRegistry()
+	live := make([]map[string]*daemonSession, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		live[w] = map[string]*daemonSession{}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				name := fmt.Sprintf("w%d-%d", w, i%(perWriter/2))
+				d := &daemonSession{name: name, hash: nameHash(name)}
+				if old := reg.put(d); old != live[w][name] {
+					t.Errorf("put %s displaced %p, want %p", name, old, live[w][name])
+				}
+				live[w][name] = d
+				if i%3 == 0 && reg.removeIf(d) {
+					delete(live[w], name)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range perWriter {
+				for _, ds := range [][]*daemonSession{reg.snapshot(), reg.nextSlice()} {
+					seen := map[string]bool{}
+					for _, d := range ds {
+						if seen[d.name] {
+							t.Errorf("%s listed twice mid-run", d.name)
+						}
+						seen[d.name] = true
+					}
+				}
+				if n := reg.count(); n > writers*perWriter/2 {
+					t.Errorf("count %d mid-run, want at most %d", n, writers*perWriter/2)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	want := map[*daemonSession]bool{}
+	for _, m := range live {
+		for _, d := range m {
+			want[d] = true
+		}
+	}
+	sliced := map[*daemonSession]int{}
+	for range pingSlices {
+		for _, d := range reg.nextSlice() {
+			sliced[d]++
+		}
+	}
+	snap := reg.snapshot()
+	if reg.count() != len(want) || len(snap) != len(want) || len(sliced) != len(want) {
+		t.Fatalf("count %d, snapshot %d, slices %d distinct; want %d live sessions",
+			reg.count(), len(snap), len(sliced), len(want))
+	}
+	for _, d := range snap {
+		if !want[d] || sliced[d] != 1 {
+			t.Fatalf("session %s: live %v, in %d slices", d.name, want[d], sliced[d])
+		}
 	}
 }

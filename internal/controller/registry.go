@@ -6,27 +6,28 @@ import (
 	"time"
 )
 
-// The daemon registry is sharded by a hash of the daemon name so that
-// sessions (connect/disconnect), monitoring and selection no longer
-// serialize on a single controller-wide mutex: with thousands of daemons
-// the registry is touched on every frame, and one lock was the scaling
-// bottleneck the paper's §5.2/§5.3 controller-load evaluation exposes.
+// The daemon registry is one table under one lock. Its traffic is one
+// put per hello, a removal per disconnect or expiry, a lookup per
+// deployed daemon at StopJob and per DropDaemon, one selection per
+// placement round and one slice per monitor tick; no frame touches it (a
+// frame takes only its session's lock), and in simulation every caller
+// runs on the controller's partition, one task at a time.
 //
-// Each shard keeps both a map (lookup by name) and an insertion-ordered
-// slice. Snapshots concatenate the shards in index order, so iteration
-// order is a deterministic function of connection order — a requirement
-// for bit-for-bit reproducible simulations (see DESIGN.md).
+// Sessions sit in name-hash buckets, each in insertion order. Snapshots
+// concatenate the buckets in index order, so iteration order is a
+// deterministic function of connection order — a requirement for
+// bit-for-bit reproducible simulations (see DESIGN.md) — and selection's
+// tie-break, the blacklist fan-out and every golden see that order.
 const (
-	numShards = 16 // power of two; shard = hash & (numShards-1)
+	numBuckets = 16 // power of two; bucket = hash & (numBuckets-1)
 
 	// pingSlices staggers session monitoring: each monitor tick serves
 	// one slice, so a full pingEvery period spreads the ping fan-out over
 	// pingSlices time-slices instead of bursting the whole population. A
-	// slice is a contiguous group of shards (shardsPerSlice each), so a
-	// tick touches only its own shards' locks and lists — O(n/pingSlices)
-	// per tick, not a full-population scan.
-	pingSlices     = 8
-	shardsPerSlice = numShards / pingSlices
+	// slice is a contiguous group of buckets (bucketsPerSlice each), so a
+	// tick reads O(n/pingSlices) sessions, not the full population.
+	pingSlices      = 8
+	bucketsPerSlice = numBuckets / pingSlices
 )
 
 // nameHash is FNV-1a over the daemon name.
@@ -39,95 +40,85 @@ func nameHash(name string) uint32 {
 	return h
 }
 
-type regShard struct {
+type registry struct {
 	mu      sync.Mutex
 	daemons map[string]*daemonSession
-	order   []*daemonSession // insertion order of the live sessions
-}
-
-type registry struct {
-	shards [numShards]regShard
+	buckets [numBuckets][]*daemonSession // each bucket's live sessions, in insertion order
+	cursor  int                          // the monitor slice nextSlice serves
 }
 
 func newRegistry() *registry {
-	r := &registry{}
-	for i := range r.shards {
-		r.shards[i].daemons = make(map[string]*daemonSession)
-	}
-	return r
-}
-
-func (r *registry) shardFor(hash uint32) *regShard {
-	return &r.shards[hash&(numShards-1)]
+	return &registry{daemons: make(map[string]*daemonSession)}
 }
 
 // put installs d under its name and returns the session it displaced, if
 // any. The displaced session is already removed from the registry.
 func (r *registry) put(d *daemonSession) (old *daemonSession) {
-	s := r.shardFor(d.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old = s.daemons[d.name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old = r.daemons[d.name]
 	if old != nil {
-		s.dropLocked(old)
+		r.dropLocked(old)
 	}
-	s.daemons[d.name] = d
-	s.order = append(s.order, d)
+	r.daemons[d.name] = d
+	b := &r.buckets[d.hash&(numBuckets-1)]
+	*b = append(*b, d)
 	return old
 }
 
 // get looks a session up by name.
 func (r *registry) get(name string) (*daemonSession, bool) {
-	s := r.shardFor(nameHash(name))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.daemons[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	d, ok := r.daemons[name]
 	return d, ok
 }
 
 // removeIf drops the session registered under name only if it is still d
 // (a reconnect may have replaced it).
 func (r *registry) removeIf(d *daemonSession) bool {
-	s := r.shardFor(d.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.daemons[d.name] != d {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.daemons[d.name] != d {
 		return false
 	}
-	s.dropLocked(d)
+	r.dropLocked(d)
 	return true
 }
 
-func (s *regShard) dropLocked(d *daemonSession) {
-	delete(s.daemons, d.name)
-	if i := slices.Index(s.order, d); i >= 0 {
-		s.order = slices.Delete(s.order, i, i+1) // clears the vacated slot
+func (r *registry) dropLocked(d *daemonSession) {
+	delete(r.daemons, d.name)
+	b := &r.buckets[d.hash&(numBuckets-1)]
+	if i := slices.Index(*b, d); i >= 0 {
+		*b = slices.Delete(*b, i, i+1) // clears the vacated slot
 	}
 }
 
 // count returns the live session count.
 func (r *registry) count() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += len(s.daemons)
-		s.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.daemons)
 }
 
-// snapshot returns every live session, shards in index order and insertion
-// order within a shard: deterministic for a deterministic connect order.
+// snapshot returns every live session, buckets in index order and
+// insertion order within a bucket: deterministic for a deterministic
+// connect order.
 func (r *registry) snapshot() []*daemonSession {
-	out := make([]*daemonSession, 0, r.count())
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		out = append(out, s.order...)
-		s.mu.Unlock()
-	}
-	return out
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Concat(r.buckets[:]...)
+}
+
+// nextSlice returns the sessions of the monitor time-slice due now — those
+// of buckets [n·bucketsPerSlice, (n+1)·bucketsPerSlice) — and moves the
+// cursor to the next slice.
+func (r *registry) nextSlice() []*daemonSession {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.cursor
+	r.cursor = (n + 1) % pingSlices
+	return slices.Concat(r.buckets[n*bucketsPerSlice : (n+1)*bucketsPerSlice]...)
 }
 
 // fastest returns the k most responsive sessions whose names skip does not
@@ -137,14 +128,14 @@ func (r *registry) snapshot() []*daemonSession {
 // keeps the k best seen so far, and a session replaces the slowest of them
 // only if it ranks strictly before it, so ties keep snapshot order.
 //
-// Each rtt is read under d.mu while its shard is locked. The lock order is
-// shard, then session; nothing takes a shard lock while holding a session's.
+// Each rtt is read under d.mu while the registry is locked. The lock order
+// is registry, then session; nothing takes the registry lock while holding
+// a session's.
 func (r *registry) fastest(k int, skip map[string]bool) (best []*daemonSession, eligible int) {
-	h := make(rankHeap, 0, min(k, r.count()))
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for _, d := range s.order {
+	r.mu.Lock()
+	h := make(rankHeap, 0, min(k, len(r.daemons)))
+	for _, b := range &r.buckets {
+		for _, d := range b {
 			if skip[d.name] {
 				continue
 			}
@@ -160,8 +151,8 @@ func (r *registry) fastest(k int, skip map[string]bool) (best []*daemonSession, 
 				h.down(0)
 			}
 		}
-		s.mu.Unlock()
 	}
+	r.mu.Unlock()
 	// Heapsort: move the slowest to the back until the heap is empty.
 	for end := len(h) - 1; end > 0; end-- {
 		h[0], h[end] = h[end], h[0]
@@ -223,17 +214,4 @@ func (h rankHeap) down(i int) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// slice returns the sessions assigned to monitor time-slice n: the
-// sessions of shards [n·shardsPerSlice, (n+1)·shardsPerSlice).
-func (r *registry) slice(n int) []*daemonSession {
-	var out []*daemonSession
-	for i := n * shardsPerSlice; i < (n+1)*shardsPerSlice; i++ {
-		s := &r.shards[i]
-		s.mu.Lock()
-		out = append(out, s.order...)
-		s.mu.Unlock()
-	}
-	return out
 }

@@ -30,7 +30,7 @@ func stableFastest(reg *registry, k int, skip map[string]bool) (best []*daemonSe
 // TestFastestSelectionMatchesStableSort checks the one-pass selection
 // against the stable sort it replaces on random fleets: distinct RTTs,
 // runs of equal RTTs, an all-unmeasured fleet, reconnects that reorder
-// shards, with and without a skip set, for k = 0, 1, a job size, n−1, n
+// buckets, with and without a skip set, for k = 0, 1, a job size, n−1, n
 // and n+5.
 func TestFastestSelectionMatchesStableSort(t *testing.T) {
 	t.Parallel()
@@ -60,7 +60,7 @@ func TestFastestSelectionMatchesStableSort(t *testing.T) {
 				put(i)
 			}
 			for r := 0; r < n/10; r++ {
-				put(rng.Intn(n)) // a reconnect moves to the back of its shard
+				put(rng.Intn(n)) // a reconnect moves to the back of its bucket
 			}
 			var skip map[string]bool
 			if trial%2 == 1 {

@@ -147,9 +147,9 @@ func TestSessionEndFailsPendingOnceInSeqOrder(t *testing.T) {
 
 // TestRemovedSessionIsCollectable: a session the registry has dropped is
 // garbage once nothing else holds it. A stub daemon registers, hangs up,
-// and its session — the shard's last entry, conn and reader state with it
-// — must not survive in the spare capacity of the shard's order slice
-// until the shard's next put.
+// and its session — its bucket's last entry, conn and reader state with
+// it — must not survive in the spare capacity of the bucket's slice until
+// the bucket's next put.
 func TestRemovedSessionIsCollectable(t *testing.T) {
 	k := sim.NewKernel()
 	nw := simnet.New(k, simnet.Symmetric{RTT: 10 * time.Millisecond}, 2, 1)

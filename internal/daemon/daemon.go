@@ -7,7 +7,6 @@
 package daemon
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -57,17 +56,13 @@ var noInstruments Instruments
 type Config struct {
 	// Name identifies the daemon (its advertised host name).
 	Name string
-	// Key authenticates the daemon to the controller; empty sends
-	// "k-" followed by Name.
-	Key string
 	// PortLow/PortHigh is the port range granted to applications.
 	PortLow, PortHigh int
 	// Net is the administrator's network restriction.
 	Net sandbox.NetLimits
 }
 
-// DefaultConfig fills the port range; the key is derived from the name
-// when the hello is sent.
+// DefaultConfig fills the port range.
 func DefaultConfig(name string) Config {
 	return Config{Name: name, PortLow: 20000, PortHigh: 29999}
 }
@@ -161,8 +156,10 @@ func (d *Daemon) Connect(controller transport.Addr) error {
 	}
 	s := &control{d: d, controller: controller, conn: conn, wlock: core.NewLock(d.rt)}
 	s.enc.Reset(conn)
+	// The hello's key is "k-" and the name. The controller reads only the
+	// name: the key authenticates nothing.
 	hello := &ctlproto.Msg{
-		Type: ctlproto.THello, Name: d.cfg.Name, Key: cmp.Or(d.cfg.Key, "k-"+d.cfg.Name),
+		Type: ctlproto.THello, Name: d.cfg.Name, Key: "k-" + d.cfg.Name,
 		PortLow: d.cfg.PortLow, PortHigh: d.cfg.PortHigh,
 	}
 	if err := s.enc.Encode(hello); err != nil {

@@ -131,8 +131,8 @@ func (cp *churnedPastry) bootstrap(initial []int) error {
 	return nil
 }
 
-// StartNode implements churn.NodeControl: bring the slot up and join via
-// a random live seed.
+// StartNode is the churn executor's start callback: bring the slot up
+// and join via a random live seed.
 func (cp *churnedPastry) StartNode(slot int) {
 	cp.bed.Net.Host(slot).SetDown(false)
 	n := cp.newNode(slot)
@@ -147,9 +147,9 @@ func (cp *churnedPastry) StartNode(slot int) {
 	cp.alive = append(cp.alive, slot)
 }
 
-// StopNode implements churn.NodeControl. The host goes down before the
-// context is killed so that, in silent-failure mode, peers observe no
-// clean shutdown (no EOFs) — only timeouts.
+// StopNode is the churn executor's stop callback. The host goes down
+// before the context is killed so that, in silent-failure mode, peers
+// observe no clean shutdown (no EOFs) — only timeouts.
 func (cp *churnedPastry) StopNode(slot int) {
 	cp.bed.Net.Host(slot).SetDown(true)
 	if cp.ctxs[slot] != nil {
@@ -340,7 +340,7 @@ func fig11(opt Options) (*Result, error) {
 		if err := cp.bootstrap(initial); err != nil {
 			return nil, err
 		}
-		ex := churn.NewExecutor(cp.bed.Runtime(0), replay, cp)
+		ex := churn.NewExecutor(cp.bed.Runtime(0), replay, cp.StartNode, cp.StopNode)
 		cp.bed.K.Go(ex.Run)
 
 		series := sampleLoop(cp, 2*time.Second, duration, time.Minute, opt.n(10, 3))

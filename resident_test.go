@@ -1,7 +1,9 @@
 package splay_test
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,5 +39,48 @@ func TestResidentInstancesHoldNoTask(t *testing.T) {
 	sess.RunFor(10 * time.Second)
 	if sess.NetBytes() == sent {
 		t.Error("the instances stopped shuffling once their Run returned")
+	}
+}
+
+// TestResidentPeersHoldNoTask: a by-name BitTorrent swarm's peers return
+// from Run once started and keep seeding on their periodics, so once every
+// peer has completed the swarm holds no parked task. While each peer's main
+// task polled for completion and then slept until Kill, the swarm held one
+// task per peer.
+func TestResidentPeersHoldNoTask(t *testing.T) {
+	t.Parallel()
+	const nodes = 16
+	var logs bytes.Buffer
+	spec := splay.AppSpec{Name: "bittorrent", Nodes: nodes, Params: []byte(`{"size":65536,"piece_size":8192}`)}
+	sess, err := splay.Scenario{
+		Seed:    1,
+		Testbed: splay.Uniform(nodes, 10*time.Millisecond, 0),
+		Collect: splay.Collect{Logs: &logs},
+		Apps:    []splay.AppSpec{spec},
+	}.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Stop()
+	if _, err := sess.Deploy(spec).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for range 12 {
+		if strings.Count(logs.String(), "download complete") == nodes-1 {
+			break
+		}
+		sess.RunFor(5 * time.Second)
+	}
+	if n := strings.Count(logs.String(), "download complete"); n != nodes-1 {
+		t.Fatalf("%d of %d peers completed:\n%s", n, nodes-1, logs.String())
+	}
+	sess.RunFor(time.Minute + 2500*time.Millisecond) // between the peers' ticks
+	st := sess.KernelStats()
+	t.Logf("%d live tasks, %d peak coroutines, %d peers seeding", st.Tasks, st.PeakCoroutines, nodes-1)
+	if st.Tasks > nodes/8 {
+		t.Errorf("%d tasks live with %d seeding peers, want at most %d: their main tasks are parked", st.Tasks, nodes-1, nodes/8)
+	}
+	if n := strings.Count(logs.String(), "download complete"); n != nodes-1 {
+		t.Errorf("%d completion lines for %d peers: a peer reported twice", n, nodes-1)
 	}
 }

@@ -445,67 +445,65 @@ func (s *Session) startChurn() error {
 		s.slots = append(s.slots, &slot{host: i, name: simnet.HostName(i), down: true})
 	}
 	jrng := stream.Rand(s.seed, "churn", 0) // rendez-vous selection
-	ctl := churn.NodeControlFuncs{
-		Start: func(i int) {
-			sl := s.slots[i]
-			s.nw.Host(i).SetDown(false)
-			sl.down = false
-			app, err := s.reg.New(spec.Name, spec.Params)
-			if err != nil {
-				// The slot joined but runs nothing: Run reports it.
-				if s.startErr == nil {
-					s.startErr = fmt.Errorf("splay: churn slot %d: %w", i, err)
-				}
-				return
+	start := func(i int) {
+		sl := s.slots[i]
+		s.nw.Host(i).SetDown(false)
+		sl.down = false
+		app, err := s.reg.New(spec.Name, spec.Params)
+		if err != nil {
+			// The slot joined but runs nothing: Run reports it.
+			if s.startErr == nil {
+				s.startErr = fmt.Errorf("splay: churn slot %d: %w", i, err)
 			}
-			// job.nodes as the controller would ship it: one running
-			// instance as the rendez-vous (all of them for FullList),
-			// empty for the first join. The rendez-vous is the k-th
-			// running slot of a count, not an entry of a list built to
-			// be thrown away: the same draw picks the same instance.
-			var nodes []transport.Addr
-			running := 0
+			return
+		}
+		// job.nodes as the controller would ship it: one running
+		// instance as the rendez-vous (all of them for FullList),
+		// empty for the first join. The rendez-vous is the k-th
+		// running slot of a count, not an entry of a list built to
+		// be thrown away: the same draw picks the same instance.
+		var nodes []transport.Addr
+		running := 0
+		for _, o := range s.slots {
+			if o.inst != nil {
+				running++
+				if spec.FullList {
+					nodes = append(nodes, transport.Addr{Host: o.name, Port: churnPort})
+				}
+			}
+		}
+		if !spec.FullList && running > 0 {
+			k := jrng.Intn(running)
 			for _, o := range s.slots {
 				if o.inst != nil {
-					running++
-					if spec.FullList {
-						nodes = append(nodes, transport.Addr{Host: o.name, Port: churnPort})
+					if k == 0 {
+						nodes = []transport.Addr{{Host: o.name, Port: churnPort}}
+						break
 					}
+					k--
 				}
 			}
-			if !spec.FullList && running > 0 {
-				k := jrng.Intn(running)
-				for _, o := range s.slots {
-					if o.inst != nil {
-						if k == 0 {
-							nodes = []transport.Addr{{Host: o.name, Port: churnPort}}
-							break
-						}
-						k--
-					}
-				}
-			}
-			job := core.JobInfo{
-				JobID:    s.sc.label(),
-				App:      spec.Name,
-				Seed:     s.seed,
-				Me:       transport.Addr{Host: sl.name, Port: churnPort},
-				Nodes:    nodes,
-				Position: i + 1,
-			}
-			sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, s.logger(0), app)
-		},
-		Stop: func(i int) {
-			sl := s.slots[i]
-			if sl.inst != nil {
-				sl.inst.Kill()
-				sl.inst = nil
-			}
-			s.nw.Host(i).SetDown(true)
-			sl.down = true
-		},
+		}
+		job := core.JobInfo{
+			JobID:    s.sc.label(),
+			App:      spec.Name,
+			Seed:     s.seed,
+			Me:       transport.Addr{Host: sl.name, Port: churnPort},
+			Nodes:    nodes,
+			Position: i + 1,
+		}
+		sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, s.logger(0), app)
 	}
-	s.ex = churn.NewExecutor(s.rt, s.sc.Churn.trace, ctl)
+	stop := func(i int) {
+		sl := s.slots[i]
+		if sl.inst != nil {
+			sl.inst.Kill()
+			sl.inst = nil
+		}
+		s.nw.Host(i).SetDown(true)
+		sl.down = true
+	}
+	s.ex = churn.NewExecutor(s.rt, s.sc.Churn.trace, start, stop)
 	s.k.Go(s.ex.Run)
 	return nil
 }
