@@ -92,7 +92,7 @@ func BenchmarkFig8RealMemoryPerInstance(b *testing.B) {
 			}
 		})
 		k.Run()
-		if err := pastry.BuildNetwork(nodes, pastry.BuildOptions{Seed: 1}); err != nil {
+		if err := pastry.BuildNetwork(nodes, 1); err != nil {
 			b.Fatal(err)
 		}
 		runtime.GC()

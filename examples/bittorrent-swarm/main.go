@@ -37,7 +37,7 @@ func main() {
 					return bittorrent.NewTracker(env.AppContext()).Start()
 				}
 				p := bittorrent.NewPeer(env.AppContext(), torrent, job.Nodes[0],
-					job.Position == 2, bittorrent.DefaultConfig())
+					job.Position == 2)
 				if err := p.Start(); err != nil {
 					return err
 				}

@@ -31,7 +31,7 @@ func main() {
 			Nodes: nodes,
 			App: splay.AppFunc(func(env *splay.Env) error {
 				p := pastry.New(env.AppContext(), pastry.DefaultConfig())
-				c := webcache.New(env.AppContext(), p, webcache.DefaultConfig())
+				c := webcache.New(env.AppContext(), p)
 				if err := p.Start(); err != nil {
 					return err
 				}
@@ -51,7 +51,7 @@ func main() {
 	if _, err := sess.Deploy(sc.Apps[0]).Wait(); err != nil {
 		log.Fatal(err)
 	}
-	if err := pastry.BuildNetwork(pnodes, pastry.BuildOptions{Seed: 3}); err != nil {
+	if err := pastry.BuildNetwork(pnodes, 3); err != nil {
 		log.Fatal(err)
 	}
 

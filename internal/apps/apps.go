@@ -305,7 +305,7 @@ var bittorrentApp = define(Schema{
 	if len(ctx.Job.Nodes) == 0 {
 		return fmt.Errorf("bittorrent app: no tracker address")
 	}
-	peer := bittorrent.NewPeer(ctx, torrent, ctx.Job.Nodes[0], ctx.Job.Position == 2, bittorrent.DefaultConfig())
+	peer := bittorrent.NewPeer(ctx, torrent, ctx.Job.Nodes[0], ctx.Job.Position == 2)
 	if err := peer.Start(); err != nil {
 		return err
 	}

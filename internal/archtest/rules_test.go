@@ -98,7 +98,7 @@ var rules = []rule{
 		},
 		fx("internal/transport/x.go", "package transport\nfunc (a Addr) MarshalJSON() ([]byte, error) { return nil, nil }")},
 	{"deleted-declarations-stay-deleted",
-		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge; One table under one lock; One line per Printf; Two churn callbacks",
+		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge; One table under one lock; One line per Printf; Two churn callbacks; Settings no caller changes are constants",
 		"each was folded into the one definition that replaced it, or had no caller",
 		only(union(where(declOf, gone), where(ifaceOf, gone), where(typeOf, gone))),
 		fx("internal/sim/x.go", "package sim\nfunc (k *Kernel) After() {}",
@@ -119,7 +119,13 @@ var rules = []rule{
 			"internal/logging/w.go", "package logging\nfunc (l *Logger) SetLevel() {}",
 			"internal/logging/x.go", "package logging\nfunc (l *Logger) SetEnabled() {}",
 			"internal/logging/y.go", "package logging\nfunc (l *Logger) Debugf() {}",
-			"internal/logging/z.go", "package logging\nfunc (l *Logger) Warnf() {}")},
+			"internal/logging/z.go", "package logging\nfunc (l *Logger) Warnf() {}",
+			"internal/protocols/chord/x.go", "package chord\nfunc (n *Node) pickNearFinger() {}",
+			"internal/protocols/bittorrent/x.go", "package bittorrent\ntype Config struct{}",
+			"internal/protocols/bittorrent/y.go", "package bittorrent\nfunc DefaultConfig() {}",
+			"internal/protocols/webcache/x.go", "package webcache\ntype Config struct{}",
+			"internal/protocols/webcache/y.go", "package webcache\nfunc DefaultConfig() {}",
+			"internal/hostmodel/x.go", "package hostmodel\nfunc DefaultConfig() {}")},
 	{"no-socket-wrappers", "One socket decorator", "a wrapper embedding a socket hides simnet's event interfaces; internal/sandbox passes them through",
 		only(where(embedOf, func(f *file, x fact) bool {
 			return x.is("internal/transport", "Conn", "Listener", "PacketConn", "EventConn", "EventListener")
@@ -419,8 +425,10 @@ func count(s sites, least, most int) func(m *module) []string {
 // single-partition guard, the hosting queue's removal helper beside the
 // live-job list, the parallel kernel's hand-written merge heapsort, the
 // daemon registry's lock shards, the churn executor's node-control
-// interface and its adapter, and the log levels and switches nothing
-// called.
+// interface and its adapter, the log levels and switches nothing
+// called, Chord's dynamic proximity-finger probe nothing enabled, and the
+// settings structs of BitTorrent, the web cache and the host model, which
+// every caller left at their defaults.
 func gone(f *file, x fact) bool {
 	return in(f.path, "internal/sim/") && x.recv == "Kernel" && in(x.name, "After", "drainTaskPool") ||
 		in(f.path, "internal/sim/") && in(x.name, "sortXevs", "siftXev", "xevLess") ||
@@ -431,7 +439,10 @@ func gone(f *file, x fact) bool {
 		in(x.name, "startSimChurn", "assertUnpartitioned") ||
 		in(f.path, "internal/controller/") && in(x.name, "regShard", "shardFor") ||
 		in(f.path, "internal/churn/") && in(x.name, "NodeControl", "NodeControlFuncs") ||
-		in(f.path, "internal/logging/") && x.recv == "Logger" && in(x.name, "SetLevel", "SetEnabled", "Debugf", "Warnf")
+		in(f.path, "internal/logging/") && x.recv == "Logger" && in(x.name, "SetLevel", "SetEnabled", "Debugf", "Warnf") ||
+		in(f.path, "internal/protocols/chord/") && x.name == "pickNearFinger" ||
+		in(f.path, "internal/protocols/bittorrent/", "internal/protocols/webcache/") && in(x.name, "Config", "DefaultConfig") ||
+		in(f.path, "internal/hostmodel/") && x.name == "DefaultConfig"
 }
 
 // testNames lists the words of text that name a test, fuzz target or

@@ -363,9 +363,16 @@ func (c *Controller) serveDaemon(conn transport.Conn) {
 		lastSeen: c.rt.Now(),
 	}
 	d.enc.Reset(conn)
+	// A hello naming a daemon registered from another host is refused
+	// like a malformed one: a restarted daemon redials from its own host.
 	// Gauge tracking rides atomic deltas, not Set-after-read: a Set from
 	// a racing connect/disconnect could latch a stale population.
-	if old := c.reg.put(d); old != nil {
+	old, ok := c.reg.put(d)
+	if !ok {
+		conn.Close()
+		return
+	}
+	if old != nil {
 		old.mu.Lock()
 		old.gone = true
 		old.mu.Unlock()

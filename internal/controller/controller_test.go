@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/ctlproto"
 	"github.com/splaykit/splay/internal/daemon"
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/rpc"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
@@ -270,6 +272,53 @@ func TestBlacklistPropagation(t *testing.T) {
 	tb.k.RunFor(2 * time.Minute)
 	if job == nil || job.State != JobRunning {
 		t.Fatal("job not running")
+	}
+}
+
+// TestHelloFromAnotherHostEvictsNobody: a hello naming a registered
+// daemon replaces its session only when it comes from that session's
+// host. A stub on n2 claiming to be n1 gets its connection closed and n1
+// keeps its session; a hello from n1's own host, as a restarted daemon
+// sends, still replaces it.
+func TestHelloFromAnotherHostEvictsNobody(t *testing.T) {
+	tb := newTestbed(t, 2)
+	name := simnet.HostName(1)
+	before, ok := tb.ctl.reg.get(name)
+	if !ok {
+		t.Fatalf("%s never registered", name)
+	}
+	hello := func(from int) (welcomed bool) {
+		stub, err := tb.nw.Node(from).Dial(tb.ctl.Addr(), time.Second)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		llenc.NewWriter(stub).Encode(&ctlproto.Msg{Type: ctlproto.THello, Name: name}) //nolint:errcheck
+		var m ctlproto.Msg
+		return llenc.NewReader(stub).Decode(&m) == nil && m.Type == ctlproto.TWelcome
+	}
+
+	var strangerWelcomed bool
+	tb.k.Go(func() { strangerWelcomed = hello(2) })
+	tb.k.RunFor(time.Second)
+	if strangerWelcomed {
+		t.Error("the controller welcomed a hello for n1 from n2")
+	}
+	if d, ok := tb.ctl.reg.get(name); !ok {
+		t.Fatalf("%s lost its session", name)
+	} else if d != before {
+		t.Fatalf("%s's session was replaced (the registered one now comes from %s)", name, d.conn.RemoteAddr().Host)
+	}
+	if !tb.daemons[0].Connected() || tb.ctl.Daemons() != 2 {
+		t.Fatalf("after the stranger's hello: %s connected %v, %d daemons, want true and 2",
+			name, tb.daemons[0].Connected(), tb.ctl.Daemons())
+	}
+
+	var ownWelcomed bool
+	tb.k.Go(func() { ownWelcomed = hello(1) })
+	tb.k.RunFor(time.Second)
+	if d, _ := tb.ctl.reg.get(name); !ownWelcomed || d == before {
+		t.Fatalf("a hello from %s's own host was not accepted (welcomed %v)", name, ownWelcomed)
 	}
 }
 

@@ -9,7 +9,14 @@ import (
 	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/livenet"
+	"github.com/splaykit/splay/internal/transport"
 )
+
+// hostConn is a connection that knows only its remote host, all the
+// registry reads of a session's connection.
+type hostConn struct{ transport.Conn }
+
+func (hostConn) RemoteAddr() transport.Addr { return transport.Addr{Host: "h"} }
 
 // seedSortByRTT is the pre-sharding controller's selection order: an
 // insertion sort reading each session's rtt (under its lock) per
@@ -176,7 +183,7 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 		reg := newRegistry()
 		for i := 0; i < 100; i++ {
 			name := fmt.Sprintf("n%d", i)
-			reg.put(&daemonSession{name: name, hash: nameHash(name)})
+			reg.put(&daemonSession{name: name, hash: nameHash(name), conn: hostConn{}})
 		}
 		return reg
 	}
@@ -188,8 +195,8 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 		}
 	}
 	// Reconnecting n5 moves it to the back of its bucket; count is stable.
-	re := &daemonSession{name: "n5", hash: nameHash("n5")}
-	if old := a.put(re); old == nil {
+	re := &daemonSession{name: "n5", hash: nameHash("n5"), conn: hostConn{}}
+	if old, _ := a.put(re); old == nil {
 		t.Fatal("put did not report the displaced session")
 	}
 	if a.count() != 100 {
@@ -235,8 +242,8 @@ func TestRegistryConcurrentAccessKeepsEverySession(t *testing.T) {
 			defer wg.Done()
 			for i := range perWriter {
 				name := fmt.Sprintf("w%d-%d", w, i%(perWriter/2))
-				d := &daemonSession{name: name, hash: nameHash(name)}
-				if old := reg.put(d); old != live[w][name] {
+				d := &daemonSession{name: name, hash: nameHash(name), conn: hostConn{}}
+				if old, _ := reg.put(d); old != live[w][name] {
 					t.Errorf("put %s displaced %p, want %p", name, old, live[w][name])
 				}
 				live[w][name] = d

@@ -52,18 +52,23 @@ func newRegistry() *registry {
 }
 
 // put installs d under its name and returns the session it displaced, if
-// any. The displaced session is already removed from the registry.
-func (r *registry) put(d *daemonSession) (old *daemonSession) {
+// any. The displaced session is already removed from the registry. A
+// session whose connection comes from another host than the registered
+// one's displaces nothing: put then installs nothing and reports !ok.
+func (r *registry) put(d *daemonSession) (old *daemonSession, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old = r.daemons[d.name]
 	if old != nil {
+		if old.conn.RemoteAddr().Host != d.conn.RemoteAddr().Host {
+			return nil, false
+		}
 		r.dropLocked(old)
 	}
 	r.daemons[d.name] = d
 	b := &r.buckets[d.hash&(numBuckets-1)]
 	*b = append(*b, d)
-	return old
+	return old, true
 }
 
 // get looks a session up by name.

@@ -54,7 +54,7 @@ func TestFastestSelectionMatchesStableSort(t *testing.T) {
 			reg := newRegistry()
 			put := func(i int) {
 				name := fmt.Sprintf("d%d", i)
-				reg.put(&daemonSession{name: name, hash: nameHash(name), rtt: fleet.rtt()})
+				reg.put(&daemonSession{name: name, hash: nameHash(name), conn: hostConn{}, rtt: fleet.rtt()})
 			}
 			for i := 0; i < n; i++ {
 				put(i)

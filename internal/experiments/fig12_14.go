@@ -167,7 +167,7 @@ func fig14(opt Options) (*Result, error) {
 		ctx := bed.Context(i, 9000)
 		p := pastry.New(ctx, pastry.DefaultConfig())
 		pnodes = append(pnodes, p)
-		caches = append(caches, webcache.New(ctx, p, webcache.DefaultConfig()))
+		caches = append(caches, webcache.New(ctx, p))
 	}
 	err := bed.StartAll(upTo(nodes), func(i int) error {
 		if err := pnodes[i].Start(); err != nil {
@@ -178,7 +178,7 @@ func fig14(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pastry.BuildNetwork(pnodes, pastry.BuildOptions{Seed: opt.Seed}); err != nil {
+	if err := pastry.BuildNetwork(pnodes, opt.Seed); err != nil {
 		return nil, err
 	}
 

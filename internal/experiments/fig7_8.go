@@ -30,7 +30,7 @@ func clusterModel() simnet.LinkModel {
 // pastryRun measures lookup delays over a converged Pastry network hosted
 // on a modeled physical cluster.
 func pastryRun(n int, kind hostmodel.Kind, physHosts, lookups int, seed int64) (stats.Durations, error) {
-	cluster := hostmodel.NewCluster(hostmodel.DefaultConfig(physHosts))
+	cluster := hostmodel.NewCluster(physHosts)
 	cluster.AssignInstances(n, kind)
 	bed := oneBed(clusterModel(), n, seed, nil)
 	bed.Net.SetProcDelay(cluster.Hook(bed.K.Now))
@@ -55,7 +55,7 @@ func pastryRing(bed *simbed.Bed, lookups int, seed int64, spread time.Duration) 
 	if err := bed.StartAll(upTo(n), func(i int) error { return nodes[i].Start() }); err != nil {
 		return nil, err
 	}
-	if err := pastry.BuildNetwork(nodes, pastry.BuildOptions{Seed: seed}); err != nil {
+	if err := pastry.BuildNetwork(nodes, seed); err != nil {
 		return nil, err
 	}
 
@@ -142,12 +142,11 @@ func r(d time.Duration) string { return d.Round(time.Millisecond).String() }
 func fig8(opt Options) (*Result, error) {
 	w := opt.out()
 	res := newResult("fig8")
-	cfg := hostmodel.DefaultConfig(1)
 	fmt.Fprintf(w, "# Fig. 8 — one host filling with SPLAY Pastry instances\n")
 	fmt.Fprintf(w, "%-10s %14s %10s %8s\n", "instances", "mem/instance", "load", "swap")
 	onset := 0
 	for n := 100; n <= 1400; n += 100 {
-		cluster := hostmodel.NewCluster(cfg)
+		cluster := hostmodel.NewCluster(1)
 		cluster.AssignInstances(n, hostmodel.Splay)
 		// One request per instance per minute (the paper's workload),
 		// exercised through the processing model for one virtual minute.
@@ -164,11 +163,11 @@ func fig8(opt Options) (*Result, error) {
 		fmt.Fprintf(w, "%-10d %14s %10.3f %8v\n", n,
 			fmtBytes(cluster.MemPerInstance(0)), cluster.Load(0), swapping)
 	}
-	analytic := hostmodel.NewCluster(cfg).SwapOnset(hostmodel.Splay)
+	analytic := hostmodel.NewCluster(1).SwapOnset(hostmodel.Splay)
 	fmt.Fprintf(w, "swap onset: analytic %d instances (paper: 1,263)\n", analytic)
 	res.Metrics["swap_onset"] = float64(analytic)
 	res.Metrics["first_swapping_sweep"] = float64(onset)
-	per := hostmodel.NewCluster(cfg)
+	per := hostmodel.NewCluster(1)
 	per.AssignInstances(1000, hostmodel.Splay)
 	res.Metrics["mem_per_instance_mb"] = float64(per.MemPerInstance(0)) / (1 << 20)
 	return res, nil

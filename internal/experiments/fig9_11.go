@@ -53,7 +53,7 @@ func fig9(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plHalf := topology.NewPlanetLab(topology.PlanetLabConfig{Hosts: n / 2, Seed: opt.Seed, LossProb: 0.005})
+	plHalf := topology.NewPlanetLab(topology.PlanetLabConfig{Hosts: n / 2, Seed: opt.Seed})
 	mnHalf := topology.NewModelNet(topology.DefaultModelNet(n - n/2))
 	mixed := topology.NewMixed(plHalf, mnHalf, n/2, 60*time.Millisecond)
 	mixProc := func(host, size int) time.Duration {
@@ -120,7 +120,7 @@ func (cp *churnedPastry) bootstrap(initial []int) error {
 	if err := cp.bed.StartAll(initial, func(slot int) error { return cp.nodes[slot].Start() }); err != nil {
 		return err
 	}
-	if err := pastry.BuildNetwork(ns, pastry.BuildOptions{Seed: cp.seed}); err != nil {
+	if err := pastry.BuildNetwork(ns, cp.seed); err != nil {
 		return err
 	}
 	cp.bed.K.Go(func() {

@@ -40,7 +40,6 @@ import (
 // unlimited.
 type Quota struct {
 	MaxNodes  int `json:"max_nodes,omitempty"`  // placed instances at once
-	MaxJobs   int `json:"max_jobs,omitempty"`   // placed jobs at once
 	MaxQueued int `json:"max_queued,omitempty"` // jobs waiting in the queue
 }
 
@@ -414,7 +413,7 @@ func (s *Service) dispatch() {
 			}
 			seen[j.ten] = true // head of this tenant's line
 			t, q := s.tally(j.ten), j.ten.Quota
-			if q.MaxJobs > 0 && t.placed >= q.MaxJobs || q.MaxNodes > 0 && t.nodes+j.nodes > q.MaxNodes {
+			if q.MaxNodes > 0 && t.nodes+j.nodes > q.MaxNodes {
 				continue
 			}
 			// live is in submission order, so a tie keeps the earlier job.

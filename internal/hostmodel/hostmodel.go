@@ -37,63 +37,42 @@ func (k Kind) String() string {
 	return "jvm"
 }
 
-// Config sets the physical characteristics. DefaultConfig matches the
-// paper's cluster: 11 machines, 2 GB RAM, dual cores.
-type Config struct {
-	Hosts    int
-	MemBytes int64 // physical memory per host
+// The physical characteristics reproduce §5.3's cluster (2 GB RAM, dual
+// cores) and the published breakpoints: FreePastry swaps at 1,980 nodes
+// over 11 hosts (180/host) and SPLAY at 1,263 instances on one host.
+const (
+	memBytes = 2 << 30 // physical memory per host: 2 GB
 
-	// SPLAY footprints: the daemon plus per-instance state.
-	SplayDaemonBase  int64
-	SplayPerInstance int64
-	// JVM footprints: per-JVM base plus per-node heap.
-	JVMBase        int64
-	JVMsPerHost    int
-	JVMPerInstance int64
+	// SPLAY footprints: the daemon plus per-instance state. Daemon +
+	// libraries + OS share ≈154 MB; 1.5 MB per instance (Fig. 8) puts
+	// the swap onset at exactly 1,263 instances.
+	splayDaemonBase  = 154 << 20
+	splayPerInstance = 1536 << 10
+	// JVM footprints: per-JVM base plus per-node heap. Three 150 MB JVMs
+	// plus ≈8.9 MB per node swap at 180 nodes/host: 11 hosts × 180 = the
+	// paper's 1,980-node wall.
+	jvmBase        = 150 << 20
+	jvmsPerHost    = 3
+	jvmPerInstance = 9100 << 10
 
 	// Per-message CPU service time on an idle host.
-	SplayMsgCost time.Duration
-	JVMMsgCost   time.Duration
+	splayMsgCost = 100 * time.Microsecond
+	jvmMsgCost   = 400 * time.Microsecond
 
-	// SwapPenalty multiplies service time once resident memory exceeds
+	// swapPenalty multiplies service time once resident memory exceeds
 	// physical memory.
-	SwapPenalty float64
+	swapPenalty = 60
 
-	// GCPauseProb is the per-message probability that a JVM-hosted
-	// receiver is interrupted by a collector pause; GCPauseMean is the
+	// gcPauseProb is the per-message probability that a JVM-hosted
+	// receiver is interrupted by a collector pause; gcPauseMean is the
 	// pause's mean duration on an unpressured heap (it scales with the
 	// GC factor). SPLAY-hosted instances have no such pauses.
-	GCPauseProb float64
-	GCPauseMean time.Duration
+	gcPauseProb = 0.25
+	gcPauseMean = 60 * time.Millisecond
 
-	// Seed drives the deterministic pause sampling.
-	Seed int64
-}
-
-// DefaultConfig reproduces §5.3's cluster and the published breakpoints:
-// FreePastry swaps at 1,980 nodes over 11 hosts (180/host) and SPLAY at
-// 1,263 instances on one host.
-func DefaultConfig(hosts int) Config {
-	return Config{
-		Hosts:    hosts,
-		MemBytes: 2 << 30, // 2 GB
-		// Daemon + libraries + OS share ≈154 MB; 1.5 MB per instance
-		// (Fig. 8) puts the swap onset at exactly 1,263 instances.
-		SplayDaemonBase:  154 << 20,
-		SplayPerInstance: 1536 << 10,
-		// Three 150 MB JVMs plus ≈8.9 MB per node swap at 180
-		// nodes/host: 11 hosts × 180 = the paper's 1,980-node wall.
-		JVMBase:        150 << 20,
-		JVMsPerHost:    3,
-		JVMPerInstance: 9100 << 10,
-		SplayMsgCost:   100 * time.Microsecond,
-		JVMMsgCost:     400 * time.Microsecond,
-		SwapPenalty:    60,
-		GCPauseProb:    0.25,
-		GCPauseMean:    60 * time.Millisecond,
-		Seed:           7,
-	}
-}
+	// seed drives the deterministic pause sampling.
+	seed = 7
+)
 
 // hostState is one physical machine.
 type hostState struct {
@@ -112,21 +91,19 @@ type hostState struct {
 // Cluster is a set of modeled machines plus the mapping from emulated
 // overlay nodes (simnet hosts) to the physical machines running them.
 type Cluster struct {
-	cfg   Config
 	hosts []*hostState
 	owner []int // overlay node -> physical host
 	rng   *rand.Rand
 }
 
-// NewCluster returns an empty cluster.
-func NewCluster(cfg Config) *Cluster {
-	if cfg.Hosts <= 0 {
+// NewCluster returns an empty cluster of the given number of machines.
+func NewCluster(hosts int) *Cluster {
+	if hosts <= 0 {
 		panic("hostmodel: no hosts")
 	}
 	c := &Cluster{
-		cfg:   cfg,
-		hosts: make([]*hostState, cfg.Hosts),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		hosts: make([]*hostState, hosts),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 	for i := range c.hosts {
 		c.hosts[i] = &hostState{}
@@ -143,7 +120,7 @@ func (c *Cluster) AssignInstances(n int, kind Kind) {
 		h.instances = 0
 	}
 	for i := 0; i < n; i++ {
-		phys := i % c.cfg.Hosts
+		phys := i % len(c.hosts)
 		c.owner[i] = phys
 		c.hosts[phys].instances++
 	}
@@ -154,18 +131,15 @@ func (c *Cluster) MemUsed(i int) int64 {
 	h := c.hosts[i]
 	switch h.kind {
 	case JVM:
-		jvms := c.cfg.JVMsPerHost
-		if h.instances < jvms {
-			jvms = h.instances
-		}
-		return int64(jvms)*c.cfg.JVMBase + int64(h.instances)*c.cfg.JVMPerInstance
+		jvms := min(h.instances, jvmsPerHost)
+		return int64(jvms)*jvmBase + int64(h.instances)*jvmPerInstance
 	default:
-		return c.cfg.SplayDaemonBase + int64(h.instances)*c.cfg.SplayPerInstance
+		return splayDaemonBase + int64(h.instances)*splayPerInstance
 	}
 }
 
 // Swapping reports whether host i has exceeded physical memory.
-func (c *Cluster) Swapping(i int) bool { return c.MemUsed(i) > c.cfg.MemBytes }
+func (c *Cluster) Swapping(i int) bool { return c.MemUsed(i) > memBytes }
 
 // MemPerInstance returns the apparent per-instance footprint on host i,
 // the quantity Fig. 8 plots.
@@ -182,18 +156,18 @@ func (c *Cluster) Load(i int) float64 { return c.hosts[i].load }
 
 // gcFactor models collector pressure: service time inflates as resident
 // memory approaches physical memory, and is additionally multiplied by
-// SwapPenalty beyond it. This produces FreePastry's exponential delay
+// swapPenalty beyond it. This produces FreePastry's exponential delay
 // growth past ~145 nodes/host and the hard wall at the swap point.
 func (c *Cluster) gcFactor(i int) float64 {
 	used := float64(c.MemUsed(i))
-	capacity := float64(c.cfg.MemBytes)
+	capacity := float64(memBytes)
 	ratio := used / capacity
 	if ratio <= 0.6 {
 		return 1
 	}
 	if ratio >= 1 {
 		over := ratio - 1
-		return c.cfg.SwapPenalty * (1 + 10*over)
+		return swapPenalty * (1 + 10*over)
 	}
 	// 0.6 → 1×, 0.95 → ~8×, approaching the swap wall smoothly.
 	return 1 / (1 - (ratio-0.6)/0.42)
@@ -209,9 +183,9 @@ func (c *Cluster) ProcDelay(now time.Time, node int, size int) time.Duration {
 		return 0
 	}
 	h := c.hosts[c.owner[node]]
-	base := c.cfg.SplayMsgCost
+	base := splayMsgCost
 	if h.kind == JVM {
-		base = c.cfg.JVMMsgCost
+		base = jvmMsgCost
 	}
 	// Larger payloads cost proportionally more to deserialize.
 	service := base + time.Duration(size)*time.Nanosecond/2
@@ -220,8 +194,8 @@ func (c *Cluster) ProcDelay(now time.Time, node int, size int) time.Duration {
 	// JVM collector pauses: occasional stop-the-world interruptions whose
 	// length grows with heap pressure. This, not steady per-message cost,
 	// is what separates the Fig. 7(a) delay distributions.
-	if h.kind == JVM && c.cfg.GCPauseProb > 0 && c.rng.Float64() < c.cfg.GCPauseProb {
-		service += time.Duration(c.rng.ExpFloat64() * float64(c.cfg.GCPauseMean) * factor)
+	if h.kind == JVM && c.rng.Float64() < gcPauseProb {
+		service += time.Duration(c.rng.ExpFloat64() * float64(gcPauseMean) * factor)
 	}
 
 	start := now
@@ -256,11 +230,9 @@ func (c *Cluster) Hook(now func() time.Time) func(node, size int) time.Duration 
 func (c *Cluster) SwapOnset(kind Kind) int {
 	switch kind {
 	case JVM:
-		avail := c.cfg.MemBytes - int64(c.cfg.JVMsPerHost)*c.cfg.JVMBase
-		return int(avail/c.cfg.JVMPerInstance) + 1
+		return (memBytes-jvmsPerHost*jvmBase)/jvmPerInstance + 1
 	default:
-		avail := c.cfg.MemBytes - c.cfg.SplayDaemonBase
-		return int(avail/c.cfg.SplayPerInstance) + 1
+		return (memBytes-splayDaemonBase)/splayPerInstance + 1
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSwapOnsetMatchesPaper(t *testing.T) {
-	c := NewCluster(DefaultConfig(1))
+	c := NewCluster(1)
 	if got := c.SwapOnset(Splay); got != 1263 {
 		t.Errorf("SPLAY swap onset = %d instances, want 1263 (Fig. 8)", got)
 	}
@@ -17,7 +17,7 @@ func TestSwapOnsetMatchesPaper(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	c := NewCluster(DefaultConfig(11))
+	c := NewCluster(11)
 	c.AssignInstances(1100, Splay)
 	// 1100 instances over 11 hosts = 100 each.
 	for i := 0; i < 11; i++ {
@@ -35,7 +35,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestGCFactorMonotone(t *testing.T) {
-	c := NewCluster(DefaultConfig(1))
+	c := NewCluster(1)
 	prev := 0.0
 	for n := 10; n <= 220; n += 10 {
 		c.AssignInstances(n, JVM)
@@ -63,7 +63,7 @@ func TestGCFactorMonotone(t *testing.T) {
 }
 
 func TestProcDelayQueues(t *testing.T) {
-	c := NewCluster(DefaultConfig(1))
+	c := NewCluster(1)
 	c.AssignInstances(10, Splay)
 	now := time.Unix(0, 0)
 	d1 := c.ProcDelay(now, 0, 100)
@@ -80,12 +80,11 @@ func TestProcDelayQueues(t *testing.T) {
 }
 
 func TestJVMDelaysExplodeNearSwap(t *testing.T) {
-	cfg := DefaultConfig(11)
-	light := NewCluster(cfg)
+	light := NewCluster(11)
 	light.AssignInstances(11*100, JVM)
-	heavy := NewCluster(cfg)
+	heavy := NewCluster(11)
 	heavy.AssignInstances(11*179, JVM)
-	swapping := NewCluster(cfg)
+	swapping := NewCluster(11)
 	swapping.AssignInstances(11*185, JVM)
 
 	now := time.Unix(0, 0)
@@ -103,10 +102,9 @@ func TestJVMDelaysExplodeNearSwap(t *testing.T) {
 func TestSplayScalesFlat(t *testing.T) {
 	// 500 SPLAY instances/host (the paper's 5,500 over 11 hosts) must not
 	// inflate service times: that is Fig. 7(c)'s flatness.
-	cfg := DefaultConfig(11)
-	few := NewCluster(cfg)
+	few := NewCluster(11)
 	few.AssignInstances(11*10, Splay)
-	many := NewCluster(cfg)
+	many := NewCluster(11)
 	many.AssignInstances(11*500, Splay)
 	now := time.Unix(0, 0)
 	df := few.ProcDelay(now, 0, 1024)
@@ -117,7 +115,7 @@ func TestSplayScalesFlat(t *testing.T) {
 }
 
 func TestMemPerInstance(t *testing.T) {
-	c := NewCluster(DefaultConfig(1))
+	c := NewCluster(1)
 	c.AssignInstances(1000, Splay)
 	per := c.MemPerInstance(0)
 	// Apparent footprint = instances' share plus amortized daemon.
@@ -127,7 +125,7 @@ func TestMemPerInstance(t *testing.T) {
 }
 
 func TestLoadWindow(t *testing.T) {
-	c := NewCluster(DefaultConfig(1))
+	c := NewCluster(1)
 	c.AssignInstances(100, Splay)
 	now := time.Unix(0, 0)
 	for i := 0; i < 10000; i++ {

@@ -96,27 +96,15 @@ func (t *Tracker) handleAnnounce(args rpc.Args) (any, error) {
 	return others, nil
 }
 
-// Config parameterizes a peer.
-type Config struct {
-	MaxPeers      int           // connections kept
-	MaxInflight   int           // outstanding piece requests
-	UnchokeSlots  int           // reciprocated upload slots
-	RechokeEvery  time.Duration // choking algorithm period
-	ScheduleEvery time.Duration // request scheduler period
-	RPCTimeout    time.Duration
-}
-
-// DefaultConfig mirrors mainline defaults scaled to simulation.
-func DefaultConfig() Config {
-	return Config{
-		MaxPeers:      16,
-		MaxInflight:   4,
-		UnchokeSlots:  3, // plus one optimistic slot
-		RechokeEvery:  10 * time.Second,
-		ScheduleEvery: time.Second,
-		RPCTimeout:    30 * time.Second,
-	}
-}
+// Peer settings: mainline defaults scaled to simulation.
+const (
+	maxPeers      = 16               // connections kept
+	maxInflight   = 4                // outstanding piece requests
+	unchokeSlots  = 3                // reciprocated upload slots, plus one optimistic slot
+	rechokeEvery  = 10 * time.Second // choking algorithm period
+	scheduleEvery = time.Second      // request scheduler period
+	rpcTimeout    = 30 * time.Second
+)
 
 // remotePeer is this node's view of a neighbor.
 type remotePeer struct {
@@ -130,7 +118,6 @@ type remotePeer struct {
 // Peer is one swarm participant.
 type Peer struct {
 	ctx     *core.AppContext
-	cfg     Config
 	torrent Torrent
 	tracker transport.Addr
 	self    transport.Addr
@@ -153,9 +140,9 @@ type Peer struct {
 }
 
 // NewPeer creates a peer. If seed is true it starts with the whole file.
-func NewPeer(ctx *core.AppContext, torrent Torrent, tracker transport.Addr, seed bool, cfg Config) *Peer {
+func NewPeer(ctx *core.AppContext, torrent Torrent, tracker transport.Addr, seed bool) *Peer {
 	p := &Peer{
-		ctx: ctx, cfg: cfg, torrent: torrent, tracker: tracker,
+		ctx: ctx, torrent: torrent, tracker: tracker,
 		self:     ctx.Job.Me,
 		selfArg:  rpc.PreEncode(ctx.Job.Me),
 		have:     make([]bool, torrent.NumPieces()),
@@ -170,7 +157,7 @@ func NewPeer(ctx *core.AppContext, torrent Torrent, tracker transport.Addr, seed
 		p.CompletedAt = ctx.Now()
 	}
 	p.client = rpc.NewClient(ctx)
-	p.client.Timeout = cfg.RPCTimeout
+	p.client.Timeout = rpcTimeout
 	return p
 }
 
@@ -196,8 +183,8 @@ func (p *Peer) Start() error {
 	p.server = s
 	p.ctx.Go(p.announce)
 	p.stops = append(p.stops,
-		p.ctx.Periodic(p.cfg.ScheduleEvery, p.schedule),
-		p.ctx.Periodic(p.cfg.RechokeEvery, p.rechoke),
+		p.ctx.Periodic(scheduleEvery, p.schedule),
+		p.ctx.Periodic(rechokeEvery, p.rechoke),
 		p.ctx.Periodic(30*time.Second, p.announce),
 	)
 	return nil
@@ -225,7 +212,7 @@ func (p *Peer) announce() {
 		return
 	}
 	for _, a := range others {
-		if len(p.peers) >= p.cfg.MaxPeers {
+		if len(p.peers) >= maxPeers {
 			break
 		}
 		if _, ok := p.peers[a.String()]; ok || a == p.self {
@@ -256,7 +243,7 @@ func (p *Peer) handleHandshake(args rpc.Args) (any, error) {
 	if err := args.Decode(1, &theirHave); err != nil || len(theirHave) != len(p.have) {
 		return nil, fmt.Errorf("bittorrent: bad bitfield")
 	}
-	if _, ok := p.peers[who.String()]; !ok && len(p.peers) < p.cfg.MaxPeers {
+	if _, ok := p.peers[who.String()]; !ok && len(p.peers) < maxPeers {
 		p.peers[who.String()] = &remotePeer{addr: who, have: theirHave}
 	} else if rp, ok := p.peers[who.String()]; ok {
 		rp.have = theirHave
@@ -341,7 +328,7 @@ func (p *Peer) schedule() {
 		return
 	}
 	for _, idx := range p.rarestMissing() {
-		if len(p.inflight) >= p.cfg.MaxInflight {
+		if len(p.inflight) >= maxInflight {
 			return
 		}
 		// Any neighbor holding the piece may serve it; try in random
@@ -413,10 +400,10 @@ func (p *Peer) rechoke() {
 		return ranked[a].downloaded > ranked[b].downloaded
 	})
 	for i, rp := range ranked {
-		rp.unchoked = i < p.cfg.UnchokeSlots
+		rp.unchoked = i < unchokeSlots
 	}
-	if len(ranked) > p.cfg.UnchokeSlots {
-		rest := ranked[p.cfg.UnchokeSlots:]
+	if len(ranked) > unchokeSlots {
+		rest := ranked[unchokeSlots:]
 		rest[p.ctx.Rand().Intn(len(rest))].unchoked = true // optimistic
 	}
 }

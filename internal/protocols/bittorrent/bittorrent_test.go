@@ -29,10 +29,10 @@ func buildSwarm(t *testing.T, leechers int, torrent Torrent, bps float64) *swarm
 	sw := &swarm{k: k}
 	trackerAddr := transport.Addr{Host: simnet.HostName(0), Port: 6881}
 	sw.tracker = NewTracker(mk(0))
-	seed := NewPeer(mk(1), torrent, trackerAddr, true, DefaultConfig())
+	seed := NewPeer(mk(1), torrent, trackerAddr, true)
 	sw.peers = append(sw.peers, seed)
 	for i := 0; i < leechers; i++ {
-		sw.peers = append(sw.peers, NewPeer(mk(i+2), torrent, trackerAddr, false, DefaultConfig()))
+		sw.peers = append(sw.peers, NewPeer(mk(i+2), torrent, trackerAddr, false))
 	}
 	k.Go(func() {
 		if err := sw.tracker.Start(); err != nil {
@@ -84,10 +84,9 @@ func TestChokingLimitsUnchokedPeers(t *testing.T) {
 	torrent := Torrent{Name: "f", Size: 1 << 20, PieceSize: 64 << 10}
 	sw := buildSwarm(t, 11, torrent, 1<<20)
 	sw.k.RunFor(2 * time.Minute)
-	cfg := DefaultConfig()
 	for i, p := range sw.peers {
-		if u := p.Unchoked(); u > cfg.UnchokeSlots+1 {
-			t.Fatalf("peer %d unchokes %d peers, cap is %d", i, u, cfg.UnchokeSlots+1)
+		if u := p.Unchoked(); u > unchokeSlots+1 {
+			t.Fatalf("peer %d unchokes %d peers, cap is %d", i, u, unchokeSlots+1)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func BuildRing(nodes []*Node, opts BuildOptions) error {
 		n.setSuccessor(refs[succIdx])
 		if n.cfg.FaultTolerant {
 			n.succs = n.succs[:0]
-			for j := 0; j < n.cfg.SuccListLen && j < len(refs)-1; j++ {
+			for j := 0; j < succListLen && j < len(refs)-1; j++ {
 				n.succs = append(n.succs, n.intern(refs[(i+1+j)%len(refs)]))
 			}
 		}

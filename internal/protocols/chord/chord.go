@@ -1,8 +1,9 @@
 // Package chord implements the Chord DHT exactly as developed in §4 of the
 // paper: the base protocol (Listings 1–3), the fault-tolerant extension
 // (rpc.a_call with suspicion, successor/predecessor lists — Listing 4 and
-// the surrounding discussion), and the latency-aware finger selection used
-// as the "MIT Chord" comparison baseline in §5.2.
+// the surrounding discussion), and the latency-aware finger tables used as
+// the "MIT Chord" comparison baseline in §5.2, which BuildRing installs
+// from an RTT oracle.
 //
 // The implementation deliberately follows the paper's structure: join,
 // stabilize, notify, fix_fingers and check_predecessor map one-to-one onto
@@ -66,20 +67,14 @@ type Config struct {
 	// FaultTolerant enables the §4 extensions: suspicion on failed RPCs
 	// and successor lists (the leafset-like structure).
 	FaultTolerant bool
-	// SuccListLen is the successor-list length (4 in the paper).
-	SuccListLen int
-	// LatencyAware enables MIT-Chord-style proximity finger selection:
-	// among the candidates owning a finger interval, pick the one with
-	// the lowest measured RTT.
-	LatencyAware bool
-	// Candidates bounds how many candidates latency-aware selection
-	// probes per finger.
-	Candidates int
 	// Shared, when set, is the per-partition memory plane this node
 	// stores its routing state in (see Shared). All nodes sharing one
 	// must live on the same partition. Nil gets a private instance.
 	Shared *Shared
 }
+
+// succListLen is the successor-list length (4 in the paper).
+const succListLen = 4
 
 // DefaultConfig mirrors §4: m=24, 5 s stabilization, 2 min RPC timeout.
 func DefaultConfig() Config {
@@ -87,8 +82,6 @@ func DefaultConfig() Config {
 		Bits:           24,
 		StabilizeEvery: 5 * time.Second,
 		RPCTimeout:     rpc.DefaultTimeout,
-		SuccListLen:    4,
-		Candidates:     4,
 	}
 }
 
@@ -98,7 +91,6 @@ func FaultTolerantConfig() Config {
 	c := DefaultConfig()
 	c.FaultTolerant = true
 	c.RPCTimeout = time.Minute
-	c.StabilizeEvery = 5 * time.Second
 	return c
 }
 
@@ -174,12 +166,6 @@ func New(ctx *core.AppContext, cfg Config) (*Node, error) {
 	}
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = rpc.DefaultTimeout
-	}
-	if cfg.SuccListLen <= 0 {
-		cfg.SuccListLen = 4
-	}
-	if cfg.Candidates <= 0 {
-		cfg.Candidates = 4
 	}
 	space := ring.NewSpace(cfg.Bits)
 	id := space.HashString(ctx.Job.Me.String())
@@ -302,8 +288,8 @@ func (n *Node) setSuccessor(s NodeRef) {
 		// equality is reference equality: the interner is bijective.
 		if len(n.succs) == 0 || n.succs[0] != h {
 			n.succs = append([]ring.Handle{h}, n.succs...)
-			if len(n.succs) > n.cfg.SuccListLen {
-				n.succs = n.succs[:n.cfg.SuccListLen]
+			if len(n.succs) > succListLen {
+				n.succs = n.succs[:succListLen]
 			}
 		}
 	}
@@ -349,7 +335,7 @@ func (n *Node) refreshSuccList() {
 	merged := n.succs[:0]
 	merged = append(merged, n.finger[1])
 	for _, r := range list {
-		if r.Addr != n.self.Addr && len(merged) < n.cfg.SuccListLen {
+		if r.Addr != n.self.Addr && len(merged) < succListLen {
 			merged = append(merged, n.intern(r))
 		}
 	}
@@ -380,57 +366,12 @@ func (n *Node) FixFingers() {
 	if err != nil {
 		return
 	}
-	target := res.Node
-	if n.cfg.LatencyAware && n.refresh > 1 {
-		target = n.pickNearFinger(n.refresh, target)
-	}
 	n.stats.FingersFixed++
 	if n.refresh == 1 {
-		n.setSuccessor(target)
+		n.setSuccessor(res.Node)
 	} else {
-		n.finger[n.refresh] = n.intern(target)
+		n.finger[n.refresh] = n.intern(res.Node)
 	}
-}
-
-// pickNearFinger implements proximity finger selection: any node whose
-// identifier falls inside finger i's interval is a valid entry, so probe a
-// few candidates (the found node and its successors within the interval)
-// and keep the lowest-RTT one. This is the optimization the paper credits
-// for MIT Chord's lower lookup delays.
-func (n *Node) pickNearFinger(i uint, found NodeRef) NodeRef {
-	lo := n.space.FingerStart(n.self.ID, i)
-	var hi uint64
-	if i == n.cfg.Bits {
-		hi = n.self.ID
-	} else {
-		hi = n.space.FingerStart(n.self.ID, i+1)
-	}
-	candidates := []NodeRef{found}
-	res, err := n.client.Call(found.Addr, "successors")
-	if err == nil {
-		var list []NodeRef
-		if res.Decode(&list) == nil {
-			for _, r := range list {
-				if n.space.Between(r.ID, lo, hi, true, false) {
-					candidates = append(candidates, r)
-				}
-			}
-		}
-	}
-	if len(candidates) > n.cfg.Candidates {
-		candidates = candidates[:n.cfg.Candidates]
-	}
-	best, bestRTT := found, time.Duration(1<<62)
-	for _, c := range candidates {
-		rtt, err := n.client.Ping(c.Addr, n.cfg.RPCTimeout)
-		if err != nil {
-			continue
-		}
-		if rtt < bestRTT {
-			best, bestRTT = c, rtt
-		}
-	}
-	return best
 }
 
 // suspect prunes a peer from the routing state after a failed call — the

@@ -51,7 +51,7 @@ func Population(cfg Config, addrs []transport.Addr, ids []uint64) *ring.Base[Nod
 // internConfig returns the partition's canonical copy of a normalized
 // config, content-matched with per-node fields (ID, Shared) blanked: a
 // deployment uses one or two distinct configs, so every node storing a
-// pointer into this table drops the 72-byte struct from its own state.
+// pointer into this table drops the 48-byte struct from its own state.
 func (s *Shared) internConfig(cfg Config) *Config {
 	cfg.ID, cfg.Shared = nil, nil
 	for _, p := range s.cfgs {

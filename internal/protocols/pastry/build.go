@@ -3,40 +3,20 @@ package pastry
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/splaykit/splay/internal/stream"
-	"github.com/splaykit/splay/internal/transport"
 )
-
-// RTTOracle reports round-trip time between two addresses; static builds
-// use the testbed's link model to produce converged locality-aware tables.
-type RTTOracle func(a, b transport.Addr) time.Duration
-
-// BuildOptions tunes BuildNetwork.
-type BuildOptions struct {
-	// Oracle enables locality-aware table construction: each slot gets
-	// the lowest-RTT node among candidates sharing the required prefix.
-	Oracle RTTOracle
-	// CandidateSample bounds how many candidates per slot are compared
-	// (default 8).
-	CandidateSample int
-	// Seed drives deterministic slot choices when no oracle is given.
-	Seed int64
-}
 
 // BuildNetwork statically installs converged leaf sets and routing tables
 // into a set of started nodes, standing in for running the join protocol
 // when §5.3 measures "a converged Pastry ring" at thousands of nodes. The
 // join/maintenance path is exercised by tests and churn experiments.
-func BuildNetwork(nodes []*Node, opts BuildOptions) error {
+// Each routing-table slot holds a node drawn from its candidates by seed.
+func BuildNetwork(nodes []*Node, seed int64) error {
 	if len(nodes) == 0 {
 		return nil
 	}
-	if opts.CandidateSample <= 0 {
-		opts.CandidateSample = 8
-	}
-	rng := stream.Rand(opts.Seed, "pastry.build", 0)
+	rng := stream.Rand(seed, "pastry.build", 0)
 
 	sorted := make([]*Node, len(nodes))
 	copy(sorted, nodes)
@@ -60,8 +40,7 @@ func BuildNetwork(nodes []*Node, opts BuildOptions) error {
 	for i, n := range sorted {
 		// Leaf set: nearest neighbors on each side in identifier order.
 		n.left, n.right = nil, nil
-		half := n.halfCap()
-		for j := 1; j <= half && j < len(sorted); j++ {
+		for j := 1; j <= halfLeaf && j < len(sorted); j++ {
 			n.right = append(n.right, refs[(i+j)%len(refs)])
 			n.left = append(n.left, refs[(i-j+len(refs))%len(refs)])
 		}
@@ -93,22 +72,7 @@ func BuildNetwork(nodes []*Node, opts BuildOptions) error {
 				if last == len(ids) || ids[last] > hi {
 					last--
 				}
-				count := last - first + 1
-				if opts.Oracle == nil {
-					n.table[row][col] = refs[first+rng.Intn(count)]
-					continue
-				}
-				best := NodeRef{}
-				var bestRTT time.Duration
-				stride := count/opts.CandidateSample + 1
-				for j := first; j <= last; j += stride {
-					cand := refs[j]
-					rtt := opts.Oracle(n.self.Addr, cand.Addr)
-					if best.IsZero() || rtt < bestRTT {
-						best, bestRTT = cand, rtt
-					}
-				}
-				n.table[row][col] = best
+				n.table[row][col] = refs[first+rng.Intn(last-first+1)]
 			}
 			// Stop once the prefix is unique to this node: deeper rows
 			// have no candidates.
@@ -151,8 +115,7 @@ func CheckLeafsets(nodes []*Node) error {
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].self.ID < sorted[j].self.ID })
 	for i, n := range sorted {
-		half := n.halfCap()
-		for j := 1; j <= half && j < len(sorted); j++ {
+		for j := 1; j <= halfLeaf && j < len(sorted); j++ {
 			wantR := sorted[(i+j)%len(sorted)].self
 			if j-1 >= len(n.right) || n.right[j-1].Addr != wantR.Addr {
 				return fmt.Errorf("pastry: node %s right[%d] wrong: want %s", n.self, j-1, wantR)

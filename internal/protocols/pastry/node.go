@@ -46,31 +46,29 @@ func (r NodeRef) IsZero() bool { return r.Addr.IsZero() }
 
 func (r NodeRef) String() string { return fmt.Sprintf("%s@%s", r.ID, r.Addr) }
 
+// leafSize is the total leaf-set size (split between the two sides);
+// FreePastry's default is 16 and our implementation is functionally
+// identical (§5.3).
+const leafSize = 16
+
+// halfLeaf is the per-side leaf capacity.
+const halfLeaf = leafSize / 2
+
 // Config parameterizes a node.
 type Config struct {
 	// ID fixes the identifier; nil hashes the address.
 	ID *ID
-	// LeafSize is the total leaf-set size (split between the two sides);
-	// FreePastry's default is 16 and our implementation is functionally
-	// identical (§5.3).
-	LeafSize int
 	// MaintainEvery is the leaf-set/table maintenance period.
 	MaintainEvery time.Duration
 	// RPCTimeout bounds every remote call.
 	RPCTimeout time.Duration
-	// LatencyAware keeps the lower-RTT candidate when a routing-table
-	// slot is contested: the paper's "locality-aware routing table
-	// construction".
-	LatencyAware bool
 }
 
 // DefaultConfig mirrors the FreePastry-comparable setup of §5.3.
 func DefaultConfig() Config {
 	return Config{
-		LeafSize:      16,
 		MaintainEvery: 10 * time.Second,
 		RPCTimeout:    30 * time.Second,
-		LatencyAware:  true,
 	}
 }
 
@@ -117,9 +115,6 @@ func (n *Node) SetInstruments(ins Instruments) { n.ins = ins }
 
 // New creates a node bound to ctx; its address is ctx.Job.Me.
 func New(ctx *core.AppContext, cfg Config) *Node {
-	if cfg.LeafSize <= 0 {
-		cfg.LeafSize = 16
-	}
 	if cfg.MaintainEvery <= 0 {
 		cfg.MaintainEvery = 10 * time.Second
 	}
@@ -204,9 +199,6 @@ func (n *Node) Stop() {
 
 // ---- Leaf-set bookkeeping ----
 
-// halfCap is the per-side leaf capacity.
-func (n *Node) halfCap() int { return n.cfg.LeafSize / 2 }
-
 // addRef folds a discovered node into the leaf set and routing table.
 func (n *Node) addRef(r NodeRef) {
 	if r.IsZero() || r.Addr == n.self.Addr {
@@ -225,13 +217,13 @@ func (n *Node) leafInsert(r NodeRef) {
 			}
 			if d < dist(x.ID) {
 				side = append(side[:i], append([]NodeRef{r}, side[i:]...)...)
-				if len(side) > n.halfCap() {
-					side = side[:n.halfCap()]
+				if len(side) > halfLeaf {
+					side = side[:halfLeaf]
 				}
 				return side
 			}
 		}
-		if len(side) < n.halfCap() {
+		if len(side) < halfLeaf {
 			side = append(side, r)
 		}
 		return side
@@ -251,10 +243,11 @@ func (n *Node) tableInsert(r NodeRef) {
 		n.table[row][col] = r
 		return
 	}
-	if cur.Addr == r.Addr || !n.cfg.LatencyAware {
+	if cur.Addr == r.Addr {
 		return
 	}
-	// Locality-aware: keep the lower-RTT candidate. Only probe when the
+	// Locality-aware, the paper's "locality-aware routing table
+	// construction": keep the lower-RTT candidate. Only probe when the
 	// entry is contested, which keeps maintenance cheap.
 	n.ctx.Go(func() {
 		curRTT, errCur := n.client.Ping(cur.Addr, n.cfg.RPCTimeout)

@@ -116,7 +116,7 @@ func newTestNet(t *testing.T, n int, cfg Config, seed int64) *testNet {
 
 func TestStaticBuildRouting(t *testing.T) {
 	tn := newTestNet(t, 256, DefaultConfig(), 1)
-	if err := BuildNetwork(tn.nodes, BuildOptions{Seed: 1}); err != nil {
+	if err := BuildNetwork(tn.nodes, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckLeafsets(tn.nodes); err != nil {
@@ -192,7 +192,7 @@ func TestRepairAfterFailures(t *testing.T) {
 	cfg.RPCTimeout = 5 * time.Second
 	cfg.MaintainEvery = 5 * time.Second
 	tn := newTestNet(t, 64, cfg, 5)
-	if err := BuildNetwork(tn.nodes, BuildOptions{Seed: 5}); err != nil {
+	if err := BuildNetwork(tn.nodes, 5); err != nil {
 		t.Fatal(err)
 	}
 	tn.k.Go(func() {
@@ -247,7 +247,7 @@ func TestRouteFailsWithoutAlternates(t *testing.T) {
 	// A two-node net where the peer dies: routing to its id range fails
 	// after suspicion exhausts alternates (an honest route failure).
 	tn := newTestNet(t, 2, DefaultConfig(), 7)
-	if err := BuildNetwork(tn.nodes, BuildOptions{Seed: 7}); err != nil {
+	if err := BuildNetwork(tn.nodes, 7); err != nil {
 		t.Fatal(err)
 	}
 	var rerr error
@@ -281,7 +281,7 @@ func TestLeafInsertOrderingProperty(t *testing.T) {
 		}
 		// Right side must be sorted by clockwise distance, left by
 		// counter-clockwise; capacity respected.
-		if len(n.right) > n.halfCap() || len(n.left) > n.halfCap() {
+		if len(n.right) > halfLeaf || len(n.left) > halfLeaf {
 			return false
 		}
 		for i := 1; i < len(n.right); i++ {
@@ -305,7 +305,7 @@ func TestNextHopConvergesToOwner(t *testing.T) {
 	// Pure local-decision walk (no RPC) must reach the true owner in a
 	// bounded number of steps on a converged network.
 	tn := newTestNet(t, 128, DefaultConfig(), 8)
-	if err := BuildNetwork(tn.nodes, BuildOptions{Seed: 8}); err != nil {
+	if err := BuildNetwork(tn.nodes, 8); err != nil {
 		t.Fatal(err)
 	}
 	byAddr := map[string]*Node{}
@@ -331,5 +331,68 @@ func TestNextHopConvergesToOwner(t *testing.T) {
 		if want := OwnerOf(tn.nodes, key); cur.Self().Addr != want.Addr {
 			t.Fatalf("walk(%s) ended at %s, want %s", key, cur.Self(), want)
 		}
+	}
+}
+
+// hostDelays is a link model in which host i sits hostDelays[i] away
+// from a central switch.
+type hostDelays []time.Duration
+
+func (m hostDelays) Delay(a, b int) time.Duration {
+	if a == b {
+		return 0
+	}
+	return m[a] + m[b]
+}
+func (hostDelays) Loss(a, b int) float64   { return 0 }
+func (hostDelays) UplinkBps(int) float64   { return 0 }
+func (hostDelays) DownlinkBps(int) float64 { return 0 }
+
+// TestContestedSlotKeepsFasterLiveNode: the locality-aware table keeps,
+// of two candidates for one routing-table slot, the one that answers a
+// ping sooner, whichever is offered first, and replaces an entry that no
+// longer answers.
+func TestContestedSlotKeepsFasterLiveNode(t *testing.T) {
+	const self, fast, slow, dead = 0, 1, 2, 3
+	ids := []ID{0x1000000000000000, 0x5000000000000001, 0x5000000000000002, 0x5000000000000003}
+	for _, tc := range []struct {
+		name   string
+		offers []int
+	}{
+		{"slower first", []int{slow, fast}},
+		{"faster first", []int{fast, slow}},
+		{"dead current entry", []int{dead, slow, fast}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			model := hostDelays{time.Millisecond, 2 * time.Millisecond, 50 * time.Millisecond, 2 * time.Millisecond}
+			nw := simnet.New(k, model, len(model), 1)
+			rt := core.NewSimRuntime(k, 1)
+			var nodes []*Node
+			for i := range model {
+				cfg := DefaultConfig()
+				cfg.ID = &ids[i]
+				ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: transport.Addr{Host: simnet.HostName(i), Port: 9000}}, nil)
+				nodes = append(nodes, New(ctx, cfg))
+			}
+			k.Go(func() {
+				for _, i := range []int{self, fast, slow} { // dead never serves
+					if err := nodes[i].Start(); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			k.RunFor(time.Second)
+			n := nodes[self]
+			row := CommonPrefix(n.self.ID, ids[fast])
+			col := ids[fast].Digit(row)
+			for _, i := range tc.offers {
+				k.Go(func() { n.tableInsert(nodes[i].self) })
+				k.RunFor(time.Minute) // the probe settles before the next offer
+			}
+			if got := n.table[row][col]; got.Addr != nodes[fast].self.Addr {
+				t.Fatalf("slot [%d][%d] holds %s, want the faster live node %s", row, col, got, nodes[fast].self)
+			}
+		})
 	}
 }

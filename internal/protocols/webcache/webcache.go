@@ -12,30 +12,20 @@ import (
 	"github.com/splaykit/splay/internal/transport"
 )
 
-// Config parameterizes a cache node; defaults match §5.7.
-type Config struct {
-	// MaxEntries bounds the local store (paper: 100).
-	MaxEntries int
-	// TTL expires entries (paper: 120 s).
-	TTL time.Duration
-	// OriginDelay simulates a non-cached fetch from the origin server;
-	// the paper measures 1–2 s on average. nil uses a 1.5 s constant.
-	OriginDelay func(url string) time.Duration
-	// Port is the cache RPC port (distinct from Pastry's).
-	Port int
-	// RPCTimeout bounds cache calls.
-	RPCTimeout time.Duration
-}
-
-// DefaultConfig matches the paper's experiment.
-func DefaultConfig() Config {
-	return Config{
-		MaxEntries: 100,
-		TTL:        120 * time.Second,
-		Port:       9100,
-		RPCTimeout: 30 * time.Second,
-	}
-}
+// Cache settings; they match §5.7.
+const (
+	// maxEntries bounds the local store (paper: 100).
+	maxEntries = 100
+	// ttl expires entries (paper: 120 s).
+	ttl = 120 * time.Second
+	// originDelay simulates a non-cached fetch from the origin server;
+	// the paper measures 1–2 s on average.
+	originDelay = 1500 * time.Millisecond
+	// port is the cache RPC port (distinct from Pastry's).
+	port = 9100
+	// rpcTimeout bounds cache calls.
+	rpcTimeout = 30 * time.Second
+)
 
 // Stats counts cache activity at one node.
 type Stats struct {
@@ -54,7 +44,6 @@ type GetResult struct {
 // Cache is one cooperative-cache node layered over a Pastry node.
 type Cache struct {
 	ctx    *core.AppContext
-	cfg    Config
 	pastry *pastry.Node
 	store  *lruCache
 	client *rpc.Client
@@ -63,27 +52,14 @@ type Cache struct {
 }
 
 // New creates a cache node over an already started Pastry node.
-func New(ctx *core.AppContext, p *pastry.Node, cfg Config) *Cache {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 100
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 120 * time.Second
-	}
-	if cfg.Port == 0 {
-		cfg.Port = 9100
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 30 * time.Second
-	}
+func New(ctx *core.AppContext, p *pastry.Node) *Cache {
 	c := &Cache{
 		ctx:    ctx,
-		cfg:    cfg,
 		pastry: p,
-		store:  newLRUCache(cfg.MaxEntries, cfg.TTL),
+		store:  newLRUCache(maxEntries, ttl),
 	}
 	c.client = rpc.NewClient(ctx)
-	c.client.Timeout = cfg.RPCTimeout
+	c.client.Timeout = rpcTimeout
 	return c
 }
 
@@ -94,7 +70,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Start() error {
 	s := rpc.NewServer(c.ctx)
 	s.Register("cache_get", c.handleCacheGet)
-	if err := s.Start(c.cfg.Port); err != nil {
+	if err := s.Start(port); err != nil {
 		return err
 	}
 	c.server = s
@@ -132,11 +108,7 @@ func (c *Cache) handleCacheGet(args rpc.Args) (any, error) {
 		return cacheReply{Hit: true, Size: 0}, nil
 	}
 	// Origin fetch (simulated).
-	delay := 1500 * time.Millisecond
-	if c.cfg.OriginDelay != nil {
-		delay = c.cfg.OriginDelay(url)
-	}
-	c.ctx.Sleep(delay)
+	c.ctx.Sleep(originDelay)
 	c.store.put(url, 8<<10, c.ctx.Now())
 	c.stats.Stored++
 	return cacheReply{Hit: false, Size: 8 << 10}, nil
@@ -144,8 +116,8 @@ func (c *Cache) handleCacheGet(args rpc.Args) (any, error) {
 
 // cacheAddr maps a Pastry peer to its cache RPC endpoint (same host,
 // cache port).
-func (c *Cache) cacheAddr(ref pastry.NodeRef) transport.Addr {
-	return transport.Addr{Host: ref.Addr.Host, Port: c.cfg.Port}
+func cacheAddr(ref pastry.NodeRef) transport.Addr {
+	return transport.Addr{Host: ref.Addr.Host, Port: port}
 }
 
 // Get proxies one client request through the cooperative cache: route to
@@ -175,7 +147,7 @@ func (c *Cache) Get(url string) (GetResult, error) {
 		}
 		reply = r.(cacheReply)
 	} else {
-		res, err := c.client.Call(c.cacheAddr(home), "cache_get", url)
+		res, err := c.client.Call(cacheAddr(home), "cache_get", url)
 		if err != nil {
 			return GetResult{}, fmt.Errorf("webcache: home %s: %w", home, err)
 		}

@@ -77,7 +77,7 @@ func newCacheNet(t *testing.T, n int) *cacheNet {
 		ctx := core.NewAppContext(rt, nw.Node(i), core.JobInfo{Me: addr}, nil)
 		p := pastry.New(ctx, pastry.DefaultConfig())
 		pnodes = append(pnodes, p)
-		caches = append(caches, New(ctx, p, DefaultConfig()))
+		caches = append(caches, New(ctx, p))
 	}
 	k.Go(func() {
 		for i := range pnodes {
@@ -90,7 +90,7 @@ func newCacheNet(t *testing.T, n int) *cacheNet {
 		}
 	})
 	k.Run()
-	if err := pastry.BuildNetwork(pnodes, pastry.BuildOptions{Seed: 1}); err != nil {
+	if err := pastry.BuildNetwork(pnodes, 1); err != nil {
 		t.Fatal(err)
 	}
 	return &cacheNet{k: k, caches: caches}

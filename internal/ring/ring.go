@@ -1,6 +1,7 @@
 // Package ring provides identifier-space arithmetic for ring-structured
-// overlays: the paper's misc.between_c and friends, used by Chord and
-// Pastry. Identifiers live in [0, 2^m) for a configurable m ≤ 64.
+// overlays: the paper's misc.between_c and friends, used by Chord (Pastry
+// keeps its own 64-bit ID arithmetic). Identifiers live in [0, 2^m) for a
+// configurable m ≤ 64.
 package ring
 
 import (

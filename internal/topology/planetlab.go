@@ -12,9 +12,10 @@ import (
 type PlanetLabConfig struct {
 	Hosts int
 	Seed  int64
-	// LossProb is the datagram loss probability between any pair.
-	LossProb float64
 }
+
+// lossProb is the datagram loss probability between any pair.
+const lossProb = 0.005
 
 // DefaultPlanetLab returns a model of the paper's PlanetLab slice
 // (400–450 hosts were used; pass the desired count).
@@ -22,7 +23,7 @@ func DefaultPlanetLab(hosts int) PlanetLabConfig {
 	if hosts <= 0 {
 		hosts = 450
 	}
-	return PlanetLabConfig{Hosts: hosts, Seed: 1971, LossProb: 0.005}
+	return PlanetLabConfig{Hosts: hosts, Seed: 1971}
 }
 
 // PlanetLab models the live testbed: wide-area delays plus per-host load.
@@ -94,7 +95,7 @@ func (p *PlanetLab) MinDelay() time.Duration {
 }
 
 // Loss implements simnet.LinkModel.
-func (p *PlanetLab) Loss(a, b int) float64 { return p.cfg.LossProb }
+func (p *PlanetLab) Loss(a, b int) float64 { return lossProb }
 
 // UplinkBps implements simnet.LinkModel.
 func (p *PlanetLab) UplinkBps(host int) float64 { return p.bps[host] }

@@ -20,24 +20,26 @@ import (
 // ≈600–650 concurrent nodes with heavy, session-based churn; sped up 10×
 // it reaches ≈14% of nodes changing state per minute (§5.5).
 type OvernetConfig struct {
-	Nodes       int           // target concurrent population
-	Duration    time.Duration // trace length (paper window: ≈50 minutes at 1×… scaled)
-	MeanSession time.Duration // mean node uptime
-	MeanAway    time.Duration // mean downtime before rejoining
-	Seed        int64
+	Nodes    int           // target concurrent population
+	Duration time.Duration // trace length (paper window: ≈50 minutes at 1×… scaled)
+	Seed     int64
 }
 
-// DefaultOvernet matches the Fig. 11 setup at 1× speed: with a
+// The Overnet session lengths match the Fig. 11 setup at 1× speed: with a
 // 143-minute mean session and one-hour mean downtime, the per-minute
 // state-change rate is ≈1.4% of the live population at 1×, hence ≈14% at
 // the paper's 10× speed-up.
+const (
+	meanSession = 143 * time.Minute // mean node uptime
+	meanAway    = 60 * time.Minute  // mean downtime before rejoining
+)
+
+// DefaultOvernet matches the Fig. 11 setup at 1× speed.
 func DefaultOvernet() OvernetConfig {
 	return OvernetConfig{
-		Nodes:       620,
-		Duration:    50 * time.Minute,
-		MeanSession: 143 * time.Minute,
-		MeanAway:    60 * time.Minute,
-		Seed:        12,
+		Nodes:    620,
+		Duration: 50 * time.Minute,
+		Seed:     12,
 	}
 }
 
@@ -47,15 +49,15 @@ func DefaultOvernet() OvernetConfig {
 // new overlay instance.
 func OvernetTrace(cfg OvernetConfig) churn.Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	up := float64(cfg.MeanSession) / float64(cfg.MeanSession+cfg.MeanAway)
+	up := float64(meanSession) / float64(meanSession+meanAway)
 	pool := int(float64(cfg.Nodes)/up + 0.5)
 	var tr churn.Trace
 	slot := 0
 	session := func() time.Duration {
-		return time.Duration(rng.ExpFloat64() * float64(cfg.MeanSession))
+		return time.Duration(rng.ExpFloat64() * float64(meanSession))
 	}
 	away := func() time.Duration {
-		return time.Duration(rng.ExpFloat64() * float64(cfg.MeanAway))
+		return time.Duration(rng.ExpFloat64() * float64(meanAway))
 	}
 	for i := 0; i < pool; i++ {
 		at := time.Duration(0)

@@ -100,9 +100,6 @@ func netNonZero(n NetLimits) bool {
 func marshalTestbed(tb Testbed) (*wire.Testbed, error) {
 	switch t := tb.(type) {
 	case *simTestbed:
-		if t.kind == "" {
-			return nil, errors.New("splay: testbed was not built by a splay constructor and cannot be serialized")
-		}
 		return &wire.Testbed{Kind: t.kind, Daemons: t.daemons, RTT: t.rtt, Bps: t.bps}, nil
 	case *liveTestbed:
 		return &wire.Testbed{Kind: "live", Daemons: t.daemons}, nil

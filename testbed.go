@@ -19,47 +19,52 @@ type Testbed interface {
 
 // simTestbed is a simulated testbed: a link model over total hosts
 // (daemons plus the controller and, when metrics are collected, a
-// dedicated monitoring host). kind (plus rtt/bps for Uniform) records
-// which constructor built it, so a Scenario can serialize its testbed
-// and Unmarshal can rebuild an equivalent one (see serialize.go).
+// dedicated monitoring host). kind (plus rtt/bps for Uniform) names the
+// model, so a Scenario can serialize its testbed and Unmarshal can
+// rebuild an equivalent one (see serialize.go).
 type simTestbed struct {
 	daemons int
-	kind    string
+	kind    string        // "planetlab", "modelnet" or "uniform"
 	rtt     time.Duration // Uniform only
 	bps     float64       // Uniform only
-	build   func(total int, seed int64) (simnet.LinkModel, simnet.ProcDelayFunc)
 }
 
 func (t *simTestbed) Daemons() int { return t.daemons }
 func (t *simTestbed) isTestbed()   {}
 
-// PlanetLab simulates a PlanetLab-like testbed of the given daemon
-// population: heavy-tailed host slowness, per-host asymmetric access
-// links and a loss floor (the paper's §5.2-5.3 deployment environment).
-func PlanetLab(daemons int) Testbed {
-	return &simTestbed{daemons: daemons, kind: "planetlab", build: func(total int, seed int64) (simnet.LinkModel, simnet.ProcDelayFunc) {
+// build makes the testbed's link model over total hosts, and its
+// receiver-side processing delay (nil when the model has none).
+func (t *simTestbed) build(total int, seed int64) (simnet.LinkModel, simnet.ProcDelayFunc) {
+	switch t.kind {
+	case "planetlab":
 		cfg := topology.DefaultPlanetLab(total)
 		cfg.Seed = seed
 		pl := topology.NewPlanetLab(cfg)
 		return pl, pl.ProcDelay
-	}}
+	case "modelnet":
+		return topology.NewModelNet(topology.DefaultModelNet(total)), nil
+	}
+	return simnet.Symmetric{RTT: t.rtt, Bps: t.bps}, nil
+}
+
+// PlanetLab simulates a PlanetLab-like testbed of the given daemon
+// population: heavy-tailed host slowness, per-host asymmetric access
+// links and a loss floor (the paper's §5.2-5.3 deployment environment).
+func PlanetLab(daemons int) Testbed {
+	return &simTestbed{daemons: daemons, kind: "planetlab"}
 }
 
 // ModelNet simulates a ModelNet-style emulation cluster: a transit-stub
 // topology with shortest-path delays (the paper's §5.2 cluster).
 func ModelNet(daemons int) Testbed {
-	return &simTestbed{daemons: daemons, kind: "modelnet", build: func(total int, seed int64) (simnet.LinkModel, simnet.ProcDelayFunc) {
-		return topology.NewModelNet(topology.DefaultModelNet(total)), nil
-	}}
+	return &simTestbed{daemons: daemons, kind: "modelnet"}
 }
 
 // Uniform simulates a homogeneous cluster: every pair of hosts shares
 // the same round-trip time and per-host bandwidth (0 = unlimited).
 // Daemons may be 0 when a churn trace drives the population instead.
 func Uniform(daemons int, rtt time.Duration, bps float64) Testbed {
-	return &simTestbed{daemons: daemons, kind: "uniform", rtt: rtt, bps: bps, build: func(total int, seed int64) (simnet.LinkModel, simnet.ProcDelayFunc) {
-		return simnet.Symmetric{RTT: rtt, Bps: bps}, nil
-	}}
+	return &simTestbed{daemons: daemons, kind: "uniform", rtt: rtt, bps: bps}
 }
 
 // liveTestbed provisions a controller and daemons in-process on real
