@@ -61,3 +61,14 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("stats on a malformed trace: err = %v, want the parse error", err)
 	}
 }
+
+// TestAmplifyDeterministic amplifies the overnet trace, whose sessions are
+// still open at its end, five times at one seed: the traces must be equal.
+func TestAmplifyDeterministic(t *testing.T) {
+	first := pipe(t, "overnet", "amplify -factor 2 -seed 1")
+	for i := 1; i < 5; i++ {
+		if !bytes.Equal(pipe(t, "overnet", "amplify -factor 2 -seed 1"), first) {
+			t.Fatalf("amplify run %d printed a different trace than run 0", i)
+		}
+	}
+}

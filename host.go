@@ -72,8 +72,7 @@ type HostConfig struct {
 
 // Host is a session's resident hosting plane.
 type Host struct {
-	svc  *hosting.Service
-	sess *Session
+	svc *hosting.Service
 }
 
 // Host starts the hosting plane over the session's fleet. When the
@@ -105,7 +104,7 @@ func (s *Session) Host(cfg HostConfig) (*Host, error) {
 			return nil, err
 		}
 	}
-	h := &Host{svc: svc, sess: s}
+	h := &Host{svc: svc}
 	s.host = h
 	if reg != nil {
 		// The host's instrument stream rides the session's collection

@@ -1,21 +1,29 @@
 // Package archtest holds the repository's architecture rules as one Go
-// test. It parses the module once and checks one table of rules against
-// it: which package may import which, where a call may appear, which
-// declarations stay deleted, which string literals have a single owner,
-// that every package is reached, and that every test a document names
-// exists. Each rule carries a fixture that breaks it, and the test fails
-// unless the rule fires on it.
+// test. It parses the module once, type-checks it (and bench/) on the
+// first rule that asks, and checks one table of rules against it: which
+// package may import which, where a call may appear, which declarations
+// stay deleted, which string literals have a single owner, that every
+// declaration is reached, and that every test a document names exists.
+// Each rule carries a fixture that breaks it, and the test fails unless
+// the rule fires on it.
 package archtest
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/build/constraint"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"maps"
 	"os"
 	"path"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,6 +43,9 @@ type module struct {
 	paths map[string]bool   // every file and directory walked
 	names map[string]string // package dir → package name
 	docs  map[string]string // docFiles by path
+	bench []*ast.File       // bench/'s non-test files: a module of its own, read as roots only
+	std   types.Importer    // the standard library from source, shared with fixtures
+	typed *typed            // the module type-checked, on first use
 }
 
 type file struct {
@@ -76,11 +87,13 @@ type fact struct {
 func (x fact) is(pkg string, names ...string) bool { return x.pkg == pkg && in(x.name, names...) }
 
 // load walks the module as the go tool does, skipping directories whose
-// names start with "." or "_", testdata, and bench/ (a module of its own),
-// and parses every Go file once.
+// names start with "." or "_", testdata, and bench/ (a module of its own,
+// whose non-test files it parses apart), and parses every Go file once.
 func load(t testing.TB) *module {
 	root := filepath.Join("..", "..")
 	m := &module{fset: token.NewFileSet(), paths: map[string]bool{}, names: map[string]string{}, docs: map[string]string{}}
+	build.Default.CgoEnabled = false // the standard library's pure-Go files type-check without running cgo
+	m.std = importer.ForCompiler(m.fset, "source", nil)
 	srcs := map[*ast.File]string{}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || p == root {
@@ -127,13 +140,30 @@ func load(t testing.TB) *module {
 		}
 		m.docs[d] = string(b)
 	}
+	bench, err := filepath.Glob(filepath.Join(root, "bench", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range bench {
+		if !strings.HasSuffix(p, "_test.go") {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			af, err := parser.ParseFile(m.fset, "bench/"+filepath.Base(p), src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.bench = append(m.bench, af)
+		}
+	}
 	return m
 }
 
 // with returns m with the fixture's files added, replacing any at the same
 // path: a path ending in ".go" is Go source, any other a document.
 func (m *module) with(t testing.TB, fixture map[string]string) *module {
-	fm := &module{fset: m.fset, paths: maps.Clone(m.paths), names: m.names, docs: maps.Clone(m.docs)}
+	fm := &module{fset: m.fset, paths: maps.Clone(m.paths), names: m.names, docs: maps.Clone(m.docs), bench: m.bench, std: m.std}
 	for _, f := range m.files {
 		if _, ok := fixture[f.path]; !ok {
 			fm.files = append(fm.files, f)
@@ -286,4 +316,108 @@ func in(path string, places ...string) bool {
 		}
 	}
 	return false
+}
+
+// A typed module is the module and bench/ type-checked with go/types.
+// Product packages share one universe, whose Defs, Uses and Types info
+// records; each package's tests are checked again beside it, as the go
+// tool builds them, and only their Uses are kept, in tests. Positions
+// identify a declaration across the two.
+type typed struct {
+	info, tests *types.Info
+	pkgs        map[string]*types.Package // product and bench/ packages by dir
+	errs        []string
+}
+
+// check type-checks m once: module packages from the files load parsed, so
+// fixtures are seen, and the standard library from source through m.std.
+func (m *module) check() *typed {
+	if m.typed != nil {
+		return m.typed
+	}
+	t := &typed{pkgs: map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		tests: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	prod, inner, outer := map[string][]*ast.File{}, map[string][]*ast.File{}, map[string][]*ast.File{}
+	for _, f := range m.files {
+		switch {
+		case !builds(f.ast):
+		case !f.test:
+			prod[f.dir] = append(prod[f.dir], f.ast)
+		case strings.HasSuffix(f.ast.Name.Name, "_test"):
+			outer[f.dir] = append(outer[f.dir], f.ast)
+		default:
+			inner[f.dir] = append(inner[f.dir], f.ast)
+		}
+	}
+	prod["bench"] = m.bench
+	run := func(path string, files []*ast.File, info *types.Info, imp func(string) (*types.Package, error)) *types.Package {
+		conf := types.Config{Importer: importerFunc(imp), Error: func(err error) { t.errs = append(t.errs, err.Error()) }}
+		p, _ := conf.Check(path, m.fset, files, info)
+		return p
+	}
+	var product func(path string) (*types.Package, error)
+	product = func(path string) (*types.Package, error) {
+		dir, ok := moduleDir(path)
+		switch {
+		case !ok:
+			return m.std.Import(path)
+		case t.pkgs[dir] == nil && len(prod[dir]) == 0:
+			return nil, errors.New("no package in " + dir)
+		case t.pkgs[dir] == nil:
+			t.pkgs[dir] = run(path, prod[dir], t.info, product)
+		}
+		return t.pkgs[dir], nil
+	}
+	for _, dir := range slices.Sorted(maps.Keys(prod)) {
+		product(importPath(dir))
+	}
+	variants := map[string]*types.Package{} // a package with its own tests, as its outer tests import it
+	for _, dir := range slices.Sorted(maps.Keys(inner)) {
+		variants[dir] = run(importPath(dir), append(slices.Clip(prod[dir]), inner[dir]...), t.tests, product)
+	}
+	for _, dir := range slices.Sorted(maps.Keys(outer)) {
+		run(importPath(dir)+"_test", outer[dir], t.tests, func(path string) (*types.Package, error) {
+			if p := variants[dir]; p != nil && path == importPath(dir) {
+				return p, nil
+			}
+			return product(path)
+		})
+	}
+	m.typed = t
+	return t
+}
+
+// builds reports whether af's build constraint, if it has one, holds in
+// the default build: this platform, the gc compiler, no race detector.
+func builds(af *ast.File) bool {
+	for _, g := range af.Comments {
+		for _, c := range g.List {
+			if x, err := constraint.Parse(c.Text); err == nil && c.Pos() < af.Package {
+				return x.Eval(func(tag string) bool {
+					return in(tag, runtime.GOOS, runtime.GOARCH, "gc") || slices.Contains(build.Default.ReleaseTags, tag)
+				})
+			}
+		}
+	}
+	return true
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// moduleDir maps an import path into the module (bench/ included) to its dir.
+func moduleDir(path string) (string, bool) {
+	if path == modulePath {
+		return ".", true
+	}
+	return strings.CutPrefix(path, modulePath+"/")
+}
+
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + dir
 }

@@ -98,7 +98,7 @@ var rules = []rule{
 		},
 		fx("internal/transport/x.go", "package transport\nfunc (a Addr) MarshalJSON() ([]byte, error) { return nil, nil }")},
 	{"deleted-declarations-stay-deleted",
-		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge; One table under one lock; One line per Printf; Two churn callbacks; Settings no caller changes are constants",
+		"One timer idiom; One way to wait on the fleet; Declare each scenario-document key once; One stream idiom; One simulated start path; Observed runs on the parallel kernel; One release rule; One live-job list; Deterministic merge; One table under one lock; Two churn callbacks; Settings no caller changes are constants",
 		"each was folded into the one definition that replaced it, or had no caller",
 		only(union(where(declOf, gone), where(ifaceOf, gone), where(typeOf, gone))),
 		fx("internal/sim/x.go", "package sim\nfunc (k *Kernel) After() {}",
@@ -116,10 +116,6 @@ var rules = []rule{
 			"internal/controller/s.go", "package controller\nfunc (r *registry) shardFor(uint32) {}",
 			"internal/churn/x.go", "package churn\ntype NodeControl interface{ StartNode(int) }",
 			"internal/churn/y.go", "package churn\ntype NodeControlFuncs struct{}",
-			"internal/logging/w.go", "package logging\nfunc (l *Logger) SetLevel() {}",
-			"internal/logging/x.go", "package logging\nfunc (l *Logger) SetEnabled() {}",
-			"internal/logging/y.go", "package logging\nfunc (l *Logger) Debugf() {}",
-			"internal/logging/z.go", "package logging\nfunc (l *Logger) Warnf() {}",
 			"internal/protocols/chord/x.go", "package chord\nfunc (n *Node) pickNearFinger() {}",
 			"internal/protocols/bittorrent/x.go", "package bittorrent\ntype Config struct{}",
 			"internal/protocols/bittorrent/y.go", "package bittorrent\nfunc DefaultConfig() {}",
@@ -193,12 +189,11 @@ var rules = []rule{
 			return append(guards, "scenario.go: want one if guarding autoParts(total), reading p and churned")
 		},
 		fx("scenario.go", "package splay\nfunc f(total int, churned, logs bool) { if p := autoParts(total); p > 1 && !churned && !logs {} }")},
-	{"retired-paths-stay-absent", "One resident service; Dead connections cost zero bytes; One frame reader; One fault vocabulary; Architecture rules are one Go test; Nothing the product cannot reach",
-		"folded into splayd, GC-managed connections, llenc's reader, internal/faults and internal/experiments, or deleted as unreached",
+	{"retired-paths-stay-absent", "One resident service; Dead connections cost zero bytes; One frame reader; One fault vocabulary; Architecture rules are one Go test",
+		"folded into splayd, GC-managed connections, llenc's reader, internal/faults and internal/experiments",
 		func(m *module) (bad []string) {
 			retired := []string{"cmd/splay", "cmd/splay/", "internal/arena", "internal/arena/", "internal/config/cond.go",
-				"internal/rpc/eventloop.go", "experiments", "experiments/", "internal/protocols/scribe", "internal/protocols/scribe/",
-				"internal/protocols/splitstream", "internal/protocols/splitstream/"}
+				"internal/rpc/eventloop.go", "experiments", "experiments/"}
 			for p := range m.paths {
 				if in(p, retired...) {
 					bad = append(bad, p+": exists")
@@ -208,37 +203,11 @@ var rules = []rule{
 		},
 		fx("experiments/experiments.go", "package experiments",
 			"internal/simnet/x_test.go", "package simnet\nimport _ \"github.com/splaykit/splay/internal/arena\"")},
-	{"every-package-is-reached", "Nothing the product cannot reach", "a package that no command, example or the SDK root imports, nor a reached package's test, is dead code",
-		func(m *module) (bad []string) {
-			imports := map[string][]string{} // package dir → what its files import: a reached package's tests reach too
-			var todo []string                // the roots: commands, examples and the SDK root
-			for _, f := range m.files {
-				if !f.test && (f.dir == "." || f.ast.Name.Name == "main") {
-					todo = append(todo, f.dir)
-				}
-				for _, x := range f.facts {
-					if x.kind == importOf {
-						imports[f.dir] = append(imports[f.dir], x.name)
-					}
-				}
-			}
-			reached := map[string]bool{}
-			for len(todo) > 0 {
-				p := todo[len(todo)-1]
-				todo = todo[:len(todo)-1]
-				if !reached[p] {
-					reached[p] = true
-					todo = append(todo, imports[p]...)
-				}
-			}
-			for _, f := range m.files {
-				if !f.test && !reached[f.dir] {
-					bad = append(bad, m.fset.Position(f.ast.Package).String()+": package "+f.dir+" is reached by no command, example, the SDK root or a reached package's test")
-				}
-			}
-			return bad
-		},
-		fx("internal/orphan/orphan.go", "package orphan\nimport _ \"github.com/splaykit/splay/internal/sim\"")},
+	{"every-declaration-is-reached", "Nothing the product cannot reach; Reached or gone", "a package or declaration that no command, example, SDK export, bench app or test reaches is dead code",
+		unreached,
+		fx("internal/sim/x.go", "package sim\nfunc unused() {}",
+			"internal/sim/y.go", "package sim\nfunc (k *Kernel) Unused() {}",
+			"internal/orphan/orphan.go", "package orphan\nimport _ \"github.com/splaykit/splay/internal/sim\"")},
 	{"built-in-apps-hold-no-task", "A resident instance holds no coroutine", "a built-in returns from Run once set up; Kill stops what it left running",
 		only(where(callOf, func(f *file, x fact) bool {
 			return x.method && x.name == "RunUntilKilled" && in(f.path, "internal/apps/")
@@ -425,10 +394,11 @@ func count(s sites, least, most int) func(m *module) []string {
 // single-partition guard, the hosting queue's removal helper beside the
 // live-job list, the parallel kernel's hand-written merge heapsort, the
 // daemon registry's lock shards, the churn executor's node-control
-// interface and its adapter, the log levels and switches nothing
-// called, Chord's dynamic proximity-finger probe nothing enabled, and the
-// settings structs of BitTorrent, the web cache and the host model, which
-// every caller left at their defaults.
+// interface and its adapter, Chord's dynamic proximity-finger probe
+// nothing enabled, and the settings structs of BitTorrent, the web cache
+// and the host model, which every caller left at their defaults. What
+// was deleted only for having no caller is not listed: the rule
+// every-declaration-is-reached refuses it should it come back.
 func gone(f *file, x fact) bool {
 	return in(f.path, "internal/sim/") && x.recv == "Kernel" && in(x.name, "After", "drainTaskPool") ||
 		in(f.path, "internal/sim/") && in(x.name, "sortXevs", "siftXev", "xevLess") ||
@@ -439,7 +409,6 @@ func gone(f *file, x fact) bool {
 		in(x.name, "startSimChurn", "assertUnpartitioned") ||
 		in(f.path, "internal/controller/") && in(x.name, "regShard", "shardFor") ||
 		in(f.path, "internal/churn/") && in(x.name, "NodeControl", "NodeControlFuncs") ||
-		in(f.path, "internal/logging/") && x.recv == "Logger" && in(x.name, "SetLevel", "SetEnabled", "Debugf", "Warnf") ||
 		in(f.path, "internal/protocols/chord/") && x.name == "pickNearFinger" ||
 		in(f.path, "internal/protocols/bittorrent/", "internal/protocols/webcache/") && in(x.name, "Config", "DefaultConfig") ||
 		in(f.path, "internal/hostmodel/") && x.name == "DefaultConfig"

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,10 +139,11 @@ func (tr Trace) Amplify(factor float64, seed int64) Trace {
 			}
 		}
 	}
-	// Sessions still open at trace end can be split up to the last event.
+	// Sessions still open at trace end can be split up to the last event,
+	// in slot order: split draws from rng.
 	end := sorted.Duration()
-	for slot, t1 := range opens {
-		split(slot, t1, end)
+	for _, slot := range slices.Sorted(maps.Keys(opens)) {
+		split(slot, opens[slot], end)
 	}
 	out.Sort()
 	return out

@@ -67,16 +67,6 @@ func (n *node) get(key string) *node {
 	return nil
 }
 
-// entry returns the full mapping entry for key.
-func (n *node) entry(key string) *mapEntry {
-	for i := range n.keys {
-		if n.keys[i].key == key {
-			return &n.keys[i]
-		}
-	}
-	return nil
-}
-
 // srcLine is one content-bearing document line, comments stripped.
 type srcLine struct {
 	indent int    // leading spaces

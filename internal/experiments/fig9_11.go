@@ -193,13 +193,12 @@ func (cp *churnedPastry) sample() (ok bool, delay time.Duration, idle bool) {
 // churnSeries runs periodic lookup sampling and aggregates per-bucket
 // delays and failure rates.
 type churnSeries struct {
-	bucket   time.Duration
 	delays   []stats.Durations
 	ok, fail []int
 }
 
 func sampleLoop(cp *churnedPastry, every, duration, bucket time.Duration, perTick int) *churnSeries {
-	cs := &churnSeries{bucket: bucket}
+	cs := &churnSeries{}
 	nBuckets := int(duration/bucket) + 1
 	cs.delays = make([]stats.Durations, nBuckets)
 	cs.ok = make([]int, nBuckets)

@@ -67,7 +67,7 @@ func (n *Node) Dial(to transport.Addr, timeout time.Duration) (transport.Conn, e
 	if err != nil {
 		return nil, err
 	}
-	return &conn{c: c, local: transport.Addr{Host: n.host}, remote: to}, nil
+	return &conn{c: c, remote: to}, nil
 }
 
 // ListenPacket implements transport.Node.
@@ -81,7 +81,6 @@ func (n *Node) ListenPacket(port int) (transport.PacketConn, error) {
 
 type conn struct {
 	c      net.Conn
-	local  transport.Addr
 	remote transport.Addr
 }
 

@@ -8,37 +8,16 @@
 package bittorrent
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
-	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/rpc"
 	"github.com/splaykit/splay/internal/transport"
 )
-
-// Instruments is the protocol's optional metric set for the
-// observability plane. The zero value disables everything; increments
-// are pure memory operations, so attaching instruments never perturbs
-// simulation schedules.
-type Instruments struct {
-	Pieces      *metrics.Counter   // pieces received
-	PieceBytes  *metrics.Counter   // payload bytes received
-	Completions *metrics.Counter   // peers that finished the file
-	PieceSize   *metrics.Histogram // received piece sizes, pow2 buckets
-}
-
-// NewInstruments registers the protocol's canonical series on reg
-// ("bt." prefix). A nil registry yields the zero (disabled) set.
-func NewInstruments(reg *metrics.Registry) Instruments {
-	return Instruments{
-		Pieces:      reg.Counter("bt.pieces"),
-		PieceBytes:  reg.Counter("bt.piece_bytes"),
-		Completions: reg.Counter("bt.completions"),
-		PieceSize:   reg.Histogram("bt.piece_size", metrics.KindHistPow2),
-	}
-}
 
 // Torrent describes the content being swarmed.
 type Torrent struct {
@@ -53,21 +32,20 @@ func (t Torrent) NumPieces() int { return (t.Size + t.PieceSize - 1) / t.PieceSi
 // Tracker maintains the swarm membership.
 type Tracker struct {
 	ctx    *core.AppContext
-	server *rpc.Server
-	swarm  map[string]transport.Addr
+	joined map[transport.Addr]bool
+	swarm  []transport.Addr // in join order: a reply's seeded shuffle starts from it
 }
 
 // NewTracker creates a tracker bound to ctx (it listens on ctx.Job.Me's
 // port).
 func NewTracker(ctx *core.AppContext) *Tracker {
-	return &Tracker{ctx: ctx, swarm: make(map[string]transport.Addr)}
+	return &Tracker{ctx: ctx, joined: make(map[transport.Addr]bool)}
 }
 
 // Start serves announce requests.
 func (t *Tracker) Start() error {
 	s := rpc.NewServer(t.ctx)
 	s.Register("announce", t.handleAnnounce)
-	t.server = s
 	return s.Start(t.ctx.Job.Me.Port)
 }
 
@@ -92,7 +70,10 @@ func (t *Tracker) handleAnnounce(args rpc.Args) (any, error) {
 	if len(others) > 30 {
 		others = others[:30]
 	}
-	t.swarm[who.String()] = who
+	if !t.joined[who] {
+		t.joined[who] = true
+		t.swarm = append(t.swarm, who)
+	}
 	return others, nil
 }
 
@@ -126,12 +107,10 @@ type Peer struct {
 	have     []bool
 	pieces   int
 	peers    map[string]*remotePeer
+	joined   []*remotePeer // peers' values in join order; every pass walks this, not the map
 	inflight map[int]bool
 
 	client *rpc.Client
-	server *rpc.Server
-	ins    Instruments
-	stops  []func()
 
 	// CompletedAt is non-zero once the peer holds every piece.
 	CompletedAt time.Time
@@ -161,9 +140,6 @@ func NewPeer(ctx *core.AppContext, torrent Torrent, tracker transport.Addr, seed
 	return p
 }
 
-// SetInstruments attaches instruments to the peer.
-func (p *Peer) SetInstruments(ins Instruments) { p.ins = ins }
-
 // Complete reports whether the peer holds all pieces.
 func (p *Peer) Complete() bool { return p.pieces == p.torrent.NumPieces() }
 
@@ -180,24 +156,11 @@ func (p *Peer) Start() error {
 	if err := s.Start(p.self.Port); err != nil {
 		return err
 	}
-	p.server = s
 	p.ctx.Go(p.announce)
-	p.stops = append(p.stops,
-		p.ctx.Periodic(scheduleEvery, p.schedule),
-		p.ctx.Periodic(rechokeEvery, p.rechoke),
-		p.ctx.Periodic(30*time.Second, p.announce),
-	)
+	p.ctx.Periodic(scheduleEvery, p.schedule)
+	p.ctx.Periodic(rechokeEvery, p.rechoke)
+	p.ctx.Periodic(30*time.Second, p.announce)
 	return nil
-}
-
-// Stop halts the peer.
-func (p *Peer) Stop() {
-	for _, stop := range p.stops {
-		stop()
-	}
-	if p.server != nil {
-		p.server.Close()
-	}
 }
 
 // announce refreshes the peer set from the tracker and handshakes new
@@ -231,7 +194,18 @@ func (p *Peer) handshake(a transport.Addr) {
 	if err := res.Decode(&theirHave); err != nil || len(theirHave) != len(p.have) {
 		return
 	}
-	p.peers[a.String()] = &remotePeer{addr: a, have: theirHave}
+	p.join(a, theirHave)
+}
+
+// join adds a neighbour, or refreshes its bitfield if it is one already.
+func (p *Peer) join(a transport.Addr, have []bool) {
+	if rp, ok := p.peers[a.String()]; ok {
+		rp.have = have
+		return
+	}
+	rp := &remotePeer{addr: a, have: have}
+	p.peers[a.String()] = rp
+	p.joined = append(p.joined, rp)
 }
 
 func (p *Peer) handleHandshake(args rpc.Args) (any, error) {
@@ -243,10 +217,8 @@ func (p *Peer) handleHandshake(args rpc.Args) (any, error) {
 	if err := args.Decode(1, &theirHave); err != nil || len(theirHave) != len(p.have) {
 		return nil, fmt.Errorf("bittorrent: bad bitfield")
 	}
-	if _, ok := p.peers[who.String()]; !ok && len(p.peers) < maxPeers {
-		p.peers[who.String()] = &remotePeer{addr: who, have: theirHave}
-	} else if rp, ok := p.peers[who.String()]; ok {
-		rp.have = theirHave
+	if _, ok := p.peers[who.String()]; ok || len(p.peers) < maxPeers {
+		p.join(who, theirHave)
 	}
 	return p.have, nil
 }
@@ -300,7 +272,7 @@ func (p *Peer) pieceSize(idx int) int {
 // the current neighborhood.
 func (p *Peer) rarestMissing() []int {
 	counts := make([]int, len(p.have))
-	for _, rp := range p.peers {
+	for _, rp := range p.joined {
 		for i, h := range rp.have {
 			if h {
 				counts[i]++
@@ -334,7 +306,7 @@ func (p *Peer) schedule() {
 		// Any neighbor holding the piece may serve it; try in random
 		// order so load spreads.
 		var holders []*remotePeer
-		for _, rp := range p.peers {
+		for _, rp := range p.joined {
 			if rp.have[idx] {
 				holders = append(holders, rp)
 			}
@@ -369,15 +341,11 @@ func (p *Peer) onPiece(idx, size int, from *remotePeer) {
 	p.pieces++
 	from.downloaded += size
 	p.Downloaded += size
-	p.ins.Pieces.Inc()
-	p.ins.PieceBytes.Add(uint64(size))
-	p.ins.PieceSize.Observe(int64(size))
 	if p.Complete() && p.CompletedAt.IsZero() {
 		p.CompletedAt = p.ctx.Now()
-		p.ins.Completions.Inc()
 	}
 	// Advertise availability.
-	for _, rp := range p.peers {
+	for _, rp := range p.joined {
 		rp := rp
 		p.ctx.Go(func() {
 			p.client.Call(rp.addr, "bt_have", p.selfArg, idx) //nolint:errcheck
@@ -387,17 +355,17 @@ func (p *Peer) onPiece(idx, size int, from *remotePeer) {
 
 // rechoke runs the choking algorithm: unchoke the UnchokeSlots best
 // uploaders to us (tit-for-tat; seeds rank by what they serve), plus one
-// random optimistic slot.
+// random optimistic slot. Ties rank by address, so the order is total.
 func (p *Peer) rechoke() {
-	var ranked []*remotePeer
-	for _, rp := range p.peers {
-		ranked = append(ranked, rp)
-	}
-	sort.Slice(ranked, func(a, b int) bool {
+	ranked := slices.Clone(p.joined)
+	score := func(rp *remotePeer) int {
 		if p.Complete() {
-			return ranked[a].uploaded > ranked[b].uploaded
+			return rp.uploaded
 		}
-		return ranked[a].downloaded > ranked[b].downloaded
+		return rp.downloaded
+	}
+	slices.SortFunc(ranked, func(a, b *remotePeer) int {
+		return cmp.Or(cmp.Compare(score(b), score(a)), cmp.Compare(a.addr.Host, b.addr.Host), cmp.Compare(a.addr.Port, b.addr.Port))
 	})
 	for i, rp := range ranked {
 		rp.unchoked = i < unchokeSlots
@@ -411,7 +379,7 @@ func (p *Peer) rechoke() {
 // Unchoked counts currently unchoked neighbors (for tests).
 func (p *Peer) Unchoked() int {
 	n := 0
-	for _, rp := range p.peers {
+	for _, rp := range p.joined {
 		if rp.unchoked {
 			n++
 		}

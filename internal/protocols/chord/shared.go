@@ -65,8 +65,8 @@ func (s *Shared) internConfig(cfg Config) *Config {
 }
 
 // fingers hands out one node's finger array. Arrays of the partition's
-// common length come from the slab (and return to it on Stop); an
-// off-size request — mixed Bits configs on one partition — falls back to
+// common length come from the slab, for as long as the Shared lives: the
+// nodes that share one live for the whole run. An off-size request — mixed Bits configs on one partition — falls back to
 // a plain allocation. So does a private Shared, the one New makes for a
 // node given none: a slab chunk would cost that node 256 arrays to hold
 // one.
@@ -78,13 +78,6 @@ func (s *Shared) fingers(n int, private bool) []ring.Handle {
 		return make([]ring.Handle, n)
 	}
 	return s.slab.Get()
-}
-
-// release returns a finger array to the slab.
-func (s *Shared) release(b []ring.Handle) {
-	if s.slab != nil {
-		s.slab.Put(b)
-	}
 }
 
 // Bytes reports the Shared's heap footprint (overlay and slab; a shared

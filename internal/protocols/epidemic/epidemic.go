@@ -34,7 +34,6 @@ type Node struct {
 	peers  []transport.Addr // known membership (static, as in the paper's class-room usage)
 	seen   map[string]bool
 	client *rpc.Client
-	server *rpc.Server
 
 	// Delivered records (rumor id → delivery time) for measurements.
 	Delivered map[string]time.Time
@@ -70,15 +69,7 @@ func New(ctx *core.AppContext, cfg Config, peers []transport.Addr) *Node {
 func (n *Node) Start() error {
 	s := rpc.NewServer(n.ctx)
 	s.Register("rumor", n.handleRumor)
-	n.server = s
 	return s.Start(n.self.Port)
-}
-
-// Stop closes the server.
-func (n *Node) Stop() {
-	if n.server != nil {
-		n.server.Close()
-	}
 }
 
 // Broadcast originates a rumor from this node.

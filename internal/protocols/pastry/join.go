@@ -103,7 +103,6 @@ func (n *Node) Join(seed transport.Addr) error {
 // thousands of nodes yet recovers the Fig. 10 massive failure within
 // minutes.
 func (n *Node) Maintain() {
-	n.stats.Maintenance++
 	// Probe leaves; suspects disappear from both structures.
 	for _, l := range n.Leaves() {
 		if _, err := n.client.Ping(l.Addr, n.cfg.RPCTimeout); err != nil {
@@ -154,7 +153,6 @@ func (n *Node) Maintain() {
 	}
 	var r NodeRef
 	if res.Decode(&r) == nil && !r.IsZero() {
-		n.stats.TableRepairs++
 		n.addRef(r)
 	}
 }

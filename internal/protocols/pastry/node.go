@@ -79,16 +79,6 @@ type RouteResult struct {
 	RTT  time.Duration
 }
 
-// Stats counts protocol activity.
-type Stats struct {
-	Routes       uint64 // Route invocations at this node
-	RouteFails   uint64
-	Forwards     uint64 // route messages forwarded
-	Suspected    uint64
-	Maintenance  uint64
-	TableRepairs uint64
-}
-
 // ErrRouteFailed is returned when a message cannot make progress.
 var ErrRouteFailed = errors.New("pastry: route failed")
 
@@ -103,11 +93,8 @@ type Node struct {
 	table [Digits][Radix]NodeRef
 
 	client  *rpc.Client
-	server  *rpc.Server
 	selfArg any // self pre-encoded once for join/announce calls
-	stats   Stats
 	ins     Instruments
-	stops   []func()
 }
 
 // SetInstruments attaches instruments to the node.
@@ -153,9 +140,6 @@ func hashAddr(a transport.Addr) ID {
 // Self returns the node's reference.
 func (n *Node) Self() NodeRef { return n.self }
 
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.stats }
-
 // Leaves returns the current leaf set (both sides, nearest first).
 func (n *Node) Leaves() []NodeRef {
 	out := make([]NodeRef, 0, len(n.left)+len(n.right))
@@ -172,29 +156,14 @@ func (n *Node) Start() error {
 	s.Register("leafset", n.handleLeafset)
 	s.Register("announce", n.handleAnnounce)
 	s.Register("table_entry", n.handleTableEntry)
-	if err := s.Start(n.ctx.Job.Me.Port); err != nil {
-		return err
-	}
-	n.server = s
-	return nil
+	return s.Start(n.ctx.Job.Me.Port)
 }
 
 // StartMaintenance launches periodic leaf-set and routing-table repair,
 // the stabilization mechanisms §5.3 notes are functionally identical to
 // FreePastry's.
 func (n *Node) StartMaintenance() {
-	n.stops = append(n.stops, n.ctx.Periodic(n.cfg.MaintainEvery, n.Maintain))
-}
-
-// Stop halts maintenance and the RPC server.
-func (n *Node) Stop() {
-	for _, stop := range n.stops {
-		stop()
-	}
-	n.stops = nil
-	if n.server != nil {
-		n.server.Close()
-	}
+	n.ctx.Periodic(n.cfg.MaintainEvery, n.Maintain)
 }
 
 // ---- Leaf-set bookkeeping ----
@@ -248,23 +217,32 @@ func (n *Node) tableInsert(r NodeRef) {
 	}
 	// Locality-aware, the paper's "locality-aware routing table
 	// construction": keep the lower-RTT candidate. Only probe when the
-	// entry is contested, which keeps maintenance cheap.
+	// entry is contested, which keeps maintenance cheap. Another probe may
+	// fill the slot while this one pings, so the candidate must beat what
+	// the slot holds once the pings return: nothing, a dead entry, or a
+	// live one with a higher RTT (probed in turn if it is new).
 	n.ctx.Go(func() {
 		curRTT, errCur := n.client.Ping(cur.Addr, n.cfg.RPCTimeout)
 		newRTT, errNew := n.client.Ping(r.Addr, n.cfg.RPCTimeout)
-		if errCur != nil && errNew == nil {
-			n.table[row][col] = r
+		for errNew == nil {
+			now := n.table[row][col]
+			switch {
+			case now.Addr == r.Addr:
+				return
+			case !now.IsZero() && now.Addr != cur.Addr:
+				cur = now
+				curRTT, errCur = n.client.Ping(cur.Addr, n.cfg.RPCTimeout)
+				continue
+			case now.IsZero() || errCur != nil || newRTT < curRTT:
+				n.table[row][col] = r
+			}
 			return
-		}
-		if errCur == nil && errNew == nil && newRTT < curRTT && n.table[row][col].Addr == cur.Addr {
-			n.table[row][col] = r
 		}
 	})
 }
 
 // suspect removes a peer everywhere after a failed interaction.
 func (n *Node) suspect(addr transport.Addr) {
-	n.stats.Suspected++
 	drop := func(side []NodeRef) []NodeRef {
 		kept := side[:0]
 		for _, x := range side {
@@ -385,7 +363,6 @@ func (n *Node) route(key ID, hops int) (routeResult, error) {
 		if root {
 			return routeResult{Root: n.self, Hops: hops}, nil
 		}
-		n.stats.Forwards++
 		n.ins.Forwards.Inc()
 		res, err := n.client.Call(next.Addr, "route", key, hops+1)
 		if err != nil {
@@ -404,12 +381,10 @@ func (n *Node) route(key ID, hops int) (routeResult, error) {
 // Route resolves the root of key from this node, reporting route length
 // and latency — the measurement behind Figs. 7, 9, 10 and 11.
 func (n *Node) Route(key ID) (RouteResult, error) {
-	n.stats.Routes++
 	n.ins.Routes.Inc()
 	start := n.ctx.Now()
 	rr, err := n.route(key, 0)
 	if err != nil {
-		n.stats.RouteFails++
 		n.ins.RouteFails.Inc()
 		return RouteResult{}, err
 	}

@@ -351,17 +351,19 @@ func (hostDelays) DownlinkBps(int) float64 { return 0 }
 // TestContestedSlotKeepsFasterLiveNode: the locality-aware table keeps,
 // of two candidates for one routing-table slot, the one that answers a
 // ping sooner, whichever is offered first, and replaces an entry that no
-// longer answers.
+// longer answers — also when both candidates are offered at once against
+// a dead entry, so their probes race.
 func TestContestedSlotKeepsFasterLiveNode(t *testing.T) {
 	const self, fast, slow, dead = 0, 1, 2, 3
 	ids := []ID{0x1000000000000000, 0x5000000000000001, 0x5000000000000002, 0x5000000000000003}
 	for _, tc := range []struct {
 		name   string
-		offers []int
+		offers [][]int // each inner list is offered in one task
 	}{
-		{"slower first", []int{slow, fast}},
-		{"faster first", []int{fast, slow}},
-		{"dead current entry", []int{dead, slow, fast}},
+		{"slower first", [][]int{{slow}, {fast}}},
+		{"faster first", [][]int{{fast}, {slow}}},
+		{"dead current entry", [][]int{{dead}, {slow}, {fast}}},
+		{"both at once against a dead entry", [][]int{{dead}, {fast, slow}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel()
@@ -386,9 +388,13 @@ func TestContestedSlotKeepsFasterLiveNode(t *testing.T) {
 			n := nodes[self]
 			row := CommonPrefix(n.self.ID, ids[fast])
 			col := ids[fast].Digit(row)
-			for _, i := range tc.offers {
-				k.Go(func() { n.tableInsert(nodes[i].self) })
-				k.RunFor(time.Minute) // the probe settles before the next offer
+			for _, offer := range tc.offers {
+				k.Go(func() {
+					for _, i := range offer {
+						n.tableInsert(nodes[i].self)
+					}
+				})
+				k.RunFor(time.Minute) // the probes settle before the next offer
 			}
 			if got := n.table[row][col]; got.Addr != nodes[fast].self.Addr {
 				t.Fatalf("slot [%d][%d] holds %s, want the faster live node %s", row, col, got, nodes[fast].self)

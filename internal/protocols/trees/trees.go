@@ -113,7 +113,6 @@ type Session struct {
 
 	// Completions[i] is the time node i finished (zero while pending).
 	Completions []time.Time
-	start       time.Time
 	completed   int
 }
 
@@ -140,7 +139,6 @@ func (s *Session) Completed() int { return s.completed }
 // Start launches every participant and then the source. Completion times
 // accumulate in s.Completions as the simulation runs.
 func (s *Session) Start() error {
-	s.start = s.ctxs[0].Now()
 	for i := 1; i < s.cfg.Nodes; i++ {
 		n := newNode(s, i)
 		if err := n.listen(); err != nil {

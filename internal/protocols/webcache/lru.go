@@ -14,7 +14,6 @@ import (
 type lruEntry struct {
 	url     string
 	fetched time.Time
-	size    int
 }
 
 // lruCache is a fixed-capacity LRU with TTL expiry. It is cooperative-
@@ -53,18 +52,17 @@ func (c *lruCache) get(url string, now time.Time) bool {
 }
 
 // put stores url (fetched at time now), evicting the LRU entry when full.
-func (c *lruCache) put(url string, size int, now time.Time) {
+func (c *lruCache) put(url string, now time.Time) {
 	if el, ok := c.byURL[url]; ok {
 		e := el.Value.(*lruEntry)
 		e.fetched = now
-		e.size = size
 		c.order.MoveToFront(el)
 		return
 	}
 	for c.order.Len() >= c.capacity {
 		c.remove(c.order.Back())
 	}
-	el := c.order.PushFront(&lruEntry{url: url, fetched: now, size: size})
+	el := c.order.PushFront(&lruEntry{url: url, fetched: now})
 	c.byURL[url] = el
 }
 

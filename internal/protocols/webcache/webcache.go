@@ -27,14 +27,6 @@ const (
 	rpcTimeout = 30 * time.Second
 )
 
-// Stats counts cache activity at one node.
-type Stats struct {
-	Requests uint64 // client requests issued from this node
-	Hits     uint64 // answered from some home node's store
-	Misses   uint64 // required an origin fetch
-	Stored   uint64 // objects stored at this node (as home)
-}
-
 // GetResult describes one proxied request.
 type GetResult struct {
 	Hit   bool
@@ -47,8 +39,6 @@ type Cache struct {
 	pastry *pastry.Node
 	store  *lruCache
 	client *rpc.Client
-	server *rpc.Server
-	stats  Stats
 }
 
 // New creates a cache node over an already started Pastry node.
@@ -63,25 +53,11 @@ func New(ctx *core.AppContext, p *pastry.Node) *Cache {
 	return c
 }
 
-// Stats returns a copy of the node's counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // Start serves the cache RPC interface.
 func (c *Cache) Start() error {
 	s := rpc.NewServer(c.ctx)
 	s.Register("cache_get", c.handleCacheGet)
-	if err := s.Start(port); err != nil {
-		return err
-	}
-	c.server = s
-	return nil
-}
-
-// Stop closes the RPC server.
-func (c *Cache) Stop() {
-	if c.server != nil {
-		c.server.Close()
-	}
+	return s.Start(port)
 }
 
 // URLKey hashes a URL into the Pastry identifier space (the home node).
@@ -109,8 +85,7 @@ func (c *Cache) handleCacheGet(args rpc.Args) (any, error) {
 	}
 	// Origin fetch (simulated).
 	c.ctx.Sleep(originDelay)
-	c.store.put(url, 8<<10, c.ctx.Now())
-	c.stats.Stored++
+	c.store.put(url, c.ctx.Now())
 	return cacheReply{Hit: false, Size: 8 << 10}, nil
 }
 
@@ -124,7 +99,6 @@ func cacheAddr(ref pastry.NodeRef) transport.Addr {
 // the URL's home node, then ask it for the object. The returned delay is
 // what a browser pointed at this proxy would observe (Fig. 14's metric).
 func (c *Cache) Get(url string) (GetResult, error) {
-	c.stats.Requests++
 	start := c.ctx.Now()
 	key := URLKey(url)
 
@@ -154,11 +128,6 @@ func (c *Cache) Get(url string) (GetResult, error) {
 		if err := res.Decode(&reply); err != nil {
 			return GetResult{}, err
 		}
-	}
-	if reply.Hit {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
 	}
 	return GetResult{Hit: reply.Hit, Delay: c.ctx.Now().Sub(start)}, nil
 }

@@ -15,12 +15,12 @@ import (
 func TestLRUBasics(t *testing.T) {
 	now := time.Unix(0, 0)
 	c := newLRUCache(2, time.Minute)
-	c.put("a", 1, now)
-	c.put("b", 1, now)
+	c.put("a", now)
+	c.put("b", now)
 	if !c.get("a", now) || !c.get("b", now) {
 		t.Fatal("fresh entries missing")
 	}
-	c.put("c", 1, now) // evicts LRU = "a" (b and a both touched; a touched first)
+	c.put("c", now) // evicts LRU = "a" (b and a both touched; a touched first)
 	if c.len() != 2 {
 		t.Fatalf("len = %d", c.len())
 	}
@@ -35,7 +35,7 @@ func TestLRUBasics(t *testing.T) {
 func TestLRUTTL(t *testing.T) {
 	now := time.Unix(0, 0)
 	c := newLRUCache(10, time.Minute)
-	c.put("a", 1, now)
+	c.put("a", now)
 	if !c.get("a", now.Add(59*time.Second)) {
 		t.Fatal("entry expired early")
 	}
@@ -50,8 +50,8 @@ func TestLRUTTL(t *testing.T) {
 func TestLRURefreshOnPut(t *testing.T) {
 	now := time.Unix(0, 0)
 	c := newLRUCache(10, time.Minute)
-	c.put("a", 1, now)
-	c.put("a", 2, now.Add(50*time.Second))
+	c.put("a", now)
+	c.put("a", now.Add(50*time.Second))
 	if !c.get("a", now.Add(100*time.Second)) {
 		t.Fatal("re-put did not refresh TTL")
 	}

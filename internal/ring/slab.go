@@ -4,13 +4,11 @@ import "unsafe"
 
 // Slab hands out fixed-length []Handle blocks — finger tables — from
 // chunked backing storage, so a 100k-node ring does not pay a malloc and
-// permanent GC scan pressure per table. Freed blocks (nodes that leave
-// under churn) return through a free list; never-free semantics would
-// leak a block per departure. Blocks are zeroed on every Get, including
-// reused ones, so reuse can never leak routing state between owners. A
-// Slab suits state with a single owner and an explicit release point;
-// state whose pointers escape into kernel events (simnet's connections)
-// stays one plain heap object per unit.
+// permanent GC scan pressure per table. Blocks are never freed: a slab
+// serves nodes that live as long as it does (a partition's ring for the
+// whole run), and the slab is garbage once they are. Every block comes
+// zeroed from a fresh chunk. State whose pointers escape into kernel
+// events (simnet's connections) stays one plain heap object per unit.
 //
 // A Slab is single-threaded: in partitioned simulations each partition
 // owns its own slabs.
@@ -19,7 +17,6 @@ type Slab struct {
 	perChunk int
 	chunks   [][]Handle
 	used     int // blocks handed out from the newest chunk
-	free     [][]Handle
 }
 
 // NewSlab returns a slab of blockLen-length blocks, carving
@@ -31,16 +28,8 @@ func NewSlab(blockLen, blocksPerChunk int) *Slab {
 // BlockLen returns the fixed length of every block.
 func (s *Slab) BlockLen() int { return s.blockLen }
 
-// Get returns a zeroed block of BlockLen handles, reusing a freed block
-// when one is available.
+// Get returns a zeroed block of BlockLen handles.
 func (s *Slab) Get() []Handle {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		clear(b)
-		return b
-	}
 	if len(s.chunks) == 0 || s.used == s.perChunk {
 		s.chunks = append(s.chunks, make([]Handle, s.blockLen*s.perChunk))
 		s.used = 0
@@ -51,23 +40,12 @@ func (s *Slab) Get() []Handle {
 	return b
 }
 
-// Put returns a block to the free list. Only blocks obtained from this
-// slab's Get may be returned, each at most once; blocks of the wrong
-// length are dropped (defensively) rather than recycled.
-func (s *Slab) Put(b []Handle) {
-	if len(b) != s.blockLen {
-		return
-	}
-	s.free = append(s.free, b)
-}
-
-// Live returns the number of blocks currently handed out and not freed.
+// Live returns the number of blocks handed out.
 func (s *Slab) Live() int {
-	total := 0
 	if n := len(s.chunks); n > 0 {
-		total = (n-1)*s.perChunk + s.used
+		return (n-1)*s.perChunk + s.used
 	}
-	return total - len(s.free)
+	return 0
 }
 
 // Bytes returns the heap bytes the slab's chunks occupy — the memory

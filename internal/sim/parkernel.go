@@ -35,7 +35,6 @@ type ParKernel struct {
 	lookNS  int64
 	workers int
 
-	halted  bool
 	running bool
 
 	// windowEnd is the current round's barrier time. It is written by the
@@ -165,9 +164,6 @@ func (pk *ParKernel) Sub(i int) *Kernel { return pk.subs[i] }
 // Parts returns the number of partitions.
 func (pk *ParKernel) Parts() int { return len(pk.subs) }
 
-// Workers returns the effective worker count.
-func (pk *ParKernel) Workers() int { return pk.workers }
-
 // Lookahead returns the conservative lookahead window.
 func (pk *ParKernel) Lookahead() time.Duration { return time.Duration(pk.lookNS) }
 
@@ -236,9 +232,6 @@ func (pk *ParKernel) Since() time.Duration {
 	return time.Duration(low)
 }
 
-// Now returns the current virtual time (see Since).
-func (pk *ParKernel) Now() time.Time { return Epoch.Add(pk.Since()) }
-
 // Events returns the total number of events executed across all partitions.
 func (pk *ParKernel) Events() uint64 {
 	var n uint64
@@ -291,24 +284,16 @@ func (pk *ParKernel) Tasks() int {
 	return n
 }
 
-// Run executes events until every partition's queue drains or Halt is
-// called. It returns the number of events executed during this call.
+// Run executes events until every partition's queue drains or a task
+// halts its sub-kernel, which stops that partition immediately and the
+// whole ParKernel at the next barrier. It returns the number of events
+// executed during this call.
 func (pk *ParKernel) Run() uint64 { return pk.run(0, false) }
-
-// RunUntil executes events with firing times ≤ t, then sets every
-// partition's clock to t.
-func (pk *ParKernel) RunUntil(t time.Time) uint64 { return pk.run(int64(t.Sub(Epoch)), true) }
 
 // RunFor advances the simulation by virtual duration d.
 func (pk *ParKernel) RunFor(d time.Duration) uint64 {
 	return pk.run(int64(pk.Since())+int64(d), true)
 }
-
-// Halt stops the run after the current lookahead window completes. Call it
-// between runs or from the driving goroutine; a task inside the simulation
-// halts deterministically by calling Halt on its own sub-kernel, which stops
-// that partition immediately and the whole ParKernel at the next barrier.
-func (pk *ParKernel) Halt() { pk.halted = true }
 
 func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 	if pk.running {
@@ -325,7 +310,6 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 
 	// Reset halt latches on entry, mirroring Kernel.run: Halt stops this
 	// run, not every future one.
-	pk.halted = false
 	for _, s := range pk.subs {
 		s.halted = false
 	}
@@ -340,13 +324,13 @@ func (pk *ParKernel) run(limitNS int64, bounded bool) uint64 {
 		return n
 	}
 
-	n := pk.runWindows(limitNS, bounded)
+	n, halted := pk.runWindows(limitNS, bounded)
 	// Posts from the final round are future events: queue them for the next
 	// run before the outboxes go quiet.
 	pk.mergeCross()
 
 	for _, s := range pk.subs {
-		s.leaveRun(limitNS, bounded && !pk.halted)
+		s.leaveRun(limitNS, bounded && !halted)
 	}
 	pk.releaseCross(int64(pk.Since()))
 	return n
@@ -372,11 +356,10 @@ func (pk *ParKernel) releaseCross(nowNS int64) {
 // runWindows is the lookahead loop of one run: helpers up, rounds until the
 // queues drain, the limit is reached or a partition halts, helpers retired —
 // also when a round panics, so no goroutine outlives the run.
-func (pk *ParKernel) runWindows(limitNS int64, bounded bool) uint64 {
+func (pk *ParKernel) runWindows(limitNS int64, bounded bool) (n uint64, halted bool) {
 	pk.startHelpers()
 	defer pk.retireHelpers()
-	var n uint64
-	for !pk.halted {
+	for !halted {
 		pk.mergeCross()
 		low := int64(math.MaxInt64)
 		for _, s := range pk.subs {
@@ -396,15 +379,13 @@ func (pk *ParKernel) runWindows(limitNS int64, bounded bool) uint64 {
 		}
 		n += pk.runRound(last)
 		for _, s := range pk.subs {
-			if s.halted {
-				pk.halted = true
-			}
+			halted = halted || s.halted
 		}
 		for _, fn := range pk.barrierHooks {
 			fn()
 		}
 	}
-	return n
+	return n, halted
 }
 
 // Spin-then-park: a waiter polls the value it waits for spinBudget times

@@ -474,9 +474,6 @@ type Host struct {
 	loss stream.Source64 // datagram loss draws of what this host sends
 }
 
-// ID returns the host's index in the network.
-func (h *Host) ID() int { return h.id }
-
 // Part returns the kernel partition that owns this host.
 func (h *Host) Part() int { return h.part }
 

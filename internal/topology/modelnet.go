@@ -217,9 +217,6 @@ func stubTable(transit, stubs int, links []link) []uint32 {
 // NumHosts returns the emulated host population.
 func (m *ModelNet) NumHosts() int { return m.cfg.Hosts }
 
-// Config returns the generator configuration.
-func (m *ModelNet) Config() ModelNetConfig { return m.cfg }
-
 // RTT returns the emulated round-trip time between two hosts.
 func (m *ModelNet) RTT(a, b int) time.Duration {
 	if a == b {

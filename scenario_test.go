@@ -7,6 +7,7 @@ package splay_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -742,6 +743,50 @@ func TestScenarioBuiltinApps(t *testing.T) {
 	}
 	if _, err := bad.Start(context.Background()); err == nil {
 		t.Fatal("unknown built-in accepted")
+	}
+}
+
+// TestEveryCatalogAppTwice is the determinism invariant over the whole
+// built-in catalog: each app, reporting and with its workload on, runs
+// three times at one seed on the same simulated testbed, and every run
+// must print the same log bytes and gather the same telemetry.
+func TestEveryCatalogAppTwice(t *testing.T) {
+	t.Parallel()
+	for _, app := range splay.BuiltinCatalog().Apps() {
+		params := map[string]any{}
+		for _, p := range app.Params {
+			switch p.Name {
+			case "report", "originate":
+				params[p.Name] = true
+			case "lookups_per_min":
+				params[p.Name] = 12
+			}
+		}
+		raw, err := json.Marshal(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for run := range 3 {
+			var logs bytes.Buffer
+			res, err := splay.Scenario{
+				Seed:     1,
+				Testbed:  splay.Uniform(16, 10*time.Millisecond, 0),
+				Apps:     []splay.AppSpec{{Name: app.Name, Nodes: 12, Params: raw}},
+				Collect:  splay.Collect{Metrics: true, ReportEvery: 2 * time.Second, Logs: &logs},
+				Duration: time.Minute,
+			}.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			got := fmt.Sprintf("%s%+v", logs.String(), res.Metrics.Snapshot())
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s: run %d differs from run 0 at seed 1", app.Name, run)
+				break
+			}
+		}
 	}
 }
 
