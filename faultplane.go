@@ -20,6 +20,8 @@ import (
 // or a churn-trace slot and the instance its last join started. A Restart
 // event rebuilds an identical daemon through Session.newDaemon; it
 // re-registers under its old name, replacing the dead controller session.
+// Session.substrate places the controller and the monitoring host with a
+// slot too, outside the table.
 type slot struct {
 	host int    // simulated host index (-1 live)
 	name string // simnet host name / live loopback IP
@@ -73,8 +75,8 @@ func (a *actuators) Crash(fraction float64, count int) (int, error) {
 		sl.down = true
 		a.s.onHost(sl.host, func() {
 			sl.d.Close()
-			if a.s.nw != nil {
-				a.s.nw.Host(sl.host).SetDown(true)
+			if a.s.bed != nil {
+				a.s.bed.Net.Host(sl.host).SetDown(true)
 			}
 		})
 		a.s.logf(a.s.home, "faults: crashed daemon %s", sl.name)
@@ -98,8 +100,8 @@ func (a *actuators) Restart() (int, error) {
 			continue
 		}
 		a.s.onHost(sl.host, func() {
-			if a.s.nw != nil {
-				a.s.nw.Host(sl.host).SetDown(false)
+			if a.s.bed != nil {
+				a.s.bed.Net.Host(sl.host).SetDown(false)
 			}
 			sl.d = a.s.newDaemon(i)
 			err := sl.d.Connect(a.s.ctlAddr)
@@ -131,12 +133,12 @@ func (a *actuators) Partition(fraction float64) error {
 		return fmt.Errorf("splay: partition fraction %g selects %d of %d daemons", fraction, n, len(slots))
 	}
 	idx := a.s.frng.Perm(len(slots))[:n]
-	if a.s.nw != nil {
-		side := make([]bool, a.s.nw.NumHosts())
+	if a.s.bed != nil {
+		side := make([]bool, a.s.bed.Net.NumHosts())
 		for _, i := range idx {
 			side[slots[i].host] = true
 		}
-		a.s.nw.Partition(a.s.home, side)
+		a.s.bed.Net.Partition(a.s.home, side)
 		return nil
 	}
 	for _, i := range idx {
@@ -148,8 +150,8 @@ func (a *actuators) Partition(fraction float64) error {
 // Heal implements faults.Actuators: the partition is removed (no-op
 // live — dropped daemons redial on their own).
 func (a *actuators) Heal() error {
-	if a.s.nw != nil {
-		a.s.nw.HealPartition(a.s.home)
+	if a.s.bed != nil {
+		a.s.bed.Net.HealPartition(a.s.home)
 	}
 	return nil
 }
@@ -160,12 +162,12 @@ func (a *actuators) Heal() error {
 func (a *actuators) Degrade(extraLatency time.Duration, loss float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.s.nw != nil {
-		hosts := make([]bool, a.s.nw.NumHosts())
+	if a.s.bed != nil {
+		hosts := make([]bool, a.s.bed.Net.NumHosts())
 		for _, sl := range a.s.slots {
 			hosts[sl.host] = true
 		}
-		a.s.nw.Degrade(a.s.home, hosts, extraLatency, loss)
+		a.s.bed.Net.Degrade(a.s.home, hosts, extraLatency, loss)
 		return nil
 	}
 	if a.s.rpcRules == nil {
@@ -180,8 +182,8 @@ func (a *actuators) Degrade(extraLatency time.Duration, loss float64) error {
 func (a *actuators) Restore() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.s.nw != nil {
-		a.s.nw.Restore(a.s.home)
+	if a.s.bed != nil {
+		a.s.bed.Net.Restore(a.s.home)
 		return nil
 	}
 	a.degrade = nil
@@ -255,11 +257,11 @@ func (a *actuators) Grow(count int) error {
 // lookahead window's barrier (simnet.Network.Stage), so what fn changes is
 // visible everywhere at one virtual instant, whatever the worker count.
 func (s *Session) stage(from, to int, fn func()) {
-	if s.nw == nil {
+	if s.bed == nil {
 		fn()
 		return
 	}
-	s.nw.Stage(from, to, fn)
+	s.bed.Net.Stage(from, to, fn)
 }
 
 // onHost runs fn for the fault engine on the partition that owns host, as a
@@ -267,25 +269,22 @@ func (s *Session) stage(from, to int, fn func()) {
 // task on a live or single-partition testbed, otherwise in a task spawned
 // there at the window's barrier.
 func (s *Session) onHost(host int, fn func()) {
-	if s.nw == nil || s.nw.Partitions() == 1 {
+	if s.Partitions() <= 1 {
 		fn()
 		return
 	}
 	rt := s.bed.Runtime(host)
-	s.nw.Stage(s.home, s.nw.Host(host).Part(), func() { rt.Go(fn) })
+	s.bed.Net.Stage(s.home, s.part(host), func() { rt.Go(fn) })
 }
 
 // partOf returns the kernel partition of the simulated host named host (0
-// live).
+// for a live host, whose loopback address names no simulated one).
 func (s *Session) partOf(host string) int {
-	if s.nw == nil {
-		return 0
-	}
 	id, err := simnet.HostID(host)
 	if err != nil {
 		return 0
 	}
-	return s.nw.Host(id).Part()
+	return s.part(id)
 }
 
 // ArmFaults starts the scenario's fault plan and assertions relative to

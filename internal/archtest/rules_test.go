@@ -26,7 +26,7 @@ var rules = []rule{
 			return f.dir == "internal/logging" && !f.test && in(x.name, "internal/llenc", "internal/transport")
 		})),
 		fx("internal/logging/x.go", "package logging\nimport _ \"github.com/splaykit/splay/internal/transport\"")},
-	{"simbed-imported-by-the-root-and-experiments", "One simulated substrate", "a simulated bed is built by startSim or an experiment harness",
+	{"simbed-imported-by-the-root-and-experiments", "One simulated substrate", "a simulated bed is built by Session.substrate or an experiment harness",
 		only(where(importOf, func(f *file, x fact) bool { return !f.test && f.dir != "." && x.name == "internal/simbed" }), "internal/experiments/"),
 		fx("internal/hosting/x.go", "package hosting\nimport _ \"github.com/splaykit/splay/internal/simbed\"")},
 	{"one-mux", "One resident service, one HTTP surface", "the only HTTP surface is hosting's handler",
@@ -43,7 +43,7 @@ var rules = []rule{
 	{"controllers-are-sessions-or-splayd", "One resident service, one HTTP surface", "a controller runs inside a session or splayd -host",
 		only(callsTo("internal/controller", "New"), "scenario.go", "cmd/splayd/main.go"),
 		fx("cmd/splayctl/x.go", "package main\nimport ctl \"github.com/splaykit/splay/internal/controller\"\nvar _ = ctl.New(nil)")},
-	{"one-simulated-start", "One simulated substrate", "the SDK root builds its simulated bed once, in startSim, churn included",
+	{"one-simulated-start", "One simulated substrate", "the SDK root builds its simulated bed once, in Session.substrate, churn included",
 		count(where(callOf, func(f *file, x fact) bool { return f.dir == "." && x.is("internal/simbed", "New") }), 1, 1),
 		fx("churn_x.go", "package splay\nimport \"github.com/splaykit/splay/internal/simbed\"\nvar _ = simbed.New()")},
 	{"one-simulated-substrate", "One simulated substrate", "kernel, network and runtimes are assembled only in internal/simbed",
@@ -208,6 +208,11 @@ var rules = []rule{
 		fx("internal/sim/x.go", "package sim\nfunc unused() {}",
 			"internal/sim/y.go", "package sim\nfunc (k *Kernel) Unused() {}",
 			"internal/orphan/orphan.go", "package orphan\nimport _ \"github.com/splaykit/splay/internal/sim\"")},
+	{"no-map-order-in-schedules", "Same seed, same run; One start path for both worlds",
+		"Go draws a map's iteration order anew on every pass, so a loop whose order reaches a schedule or an output makes one seed two runs",
+		mapOrder,
+		fx("internal/protocols/bittorrent/x.go", "package bittorrent\nfunc f(joined map[string]bool) (swarm []string) {\n\tfor a := range joined {\n\t\tswarm = append(swarm, a)\n\t}\n\treturn swarm\n}",
+			"internal/churn/x.go", "package churn\nimport \"sort\"\nfunc f(open map[int]bool, g func([]int)) {\n\tvar ids []int\n\tfor id := range open {\n\t\tids = append(ids, id)\n\t}\n\tg(ids)\n\tsort.Ints(ids)\n}")},
 	{"built-in-apps-hold-no-task", "A resident instance holds no coroutine", "a built-in returns from Run once set up; Kill stops what it left running",
 		only(where(callOf, func(f *file, x fact) bool {
 			return x.method && x.name == "RunUntilKilled" && in(f.path, "internal/apps/")

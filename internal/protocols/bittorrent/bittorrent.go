@@ -355,7 +355,8 @@ func (p *Peer) onPiece(idx, size int, from *remotePeer) {
 
 // rechoke runs the choking algorithm: unchoke the UnchokeSlots best
 // uploaders to us (tit-for-tat; seeds rank by what they serve), plus one
-// random optimistic slot. Ties rank by address, so the order is total.
+// random optimistic slot. Ties keep join order, so the order is total
+// and never a function of where the platform placed the neighbours.
 func (p *Peer) rechoke() {
 	ranked := slices.Clone(p.joined)
 	score := func(rp *remotePeer) int {
@@ -364,8 +365,8 @@ func (p *Peer) rechoke() {
 		}
 		return rp.downloaded
 	}
-	slices.SortFunc(ranked, func(a, b *remotePeer) int {
-		return cmp.Or(cmp.Compare(score(b), score(a)), cmp.Compare(a.addr.Host, b.addr.Host), cmp.Compare(a.addr.Port, b.addr.Port))
+	slices.SortStableFunc(ranked, func(a, b *remotePeer) int {
+		return cmp.Compare(score(b), score(a))
 	})
 	for i, rp := range ranked {
 		rp.unchoked = i < unchokeSlots

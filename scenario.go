@@ -82,7 +82,8 @@ type Collect struct {
 // windows, live watch rows) with the provisioned system.
 //
 // The same Scenario runs on a simulated testbed in virtual time or on a
-// live testbed on real sockets; application code sees the same Env
+// live testbed on real sockets, provisioned by one sequence; application
+// code sees the same Env, and the platform reports the same series,
 // either way.
 type Scenario struct {
 	// Name labels the scenario (job IDs, logs).
@@ -139,18 +140,18 @@ type Scenario struct {
 // Session is a provisioned scenario: controller started, daemons
 // connected (or the churn trace replaying), collection plane up. It
 // hands experiments the handles the declarative surface cannot know
-// about — deployments, virtual-time control, and the aggregated view.
+// about — deployments, virtual-time control, and the aggregated view —
+// and the same methods serve both worlds, each reading one substrate
+// handle where the worlds differ.
 type Session struct {
 	sc   Scenario
 	seed int64
-	live bool
 
-	k   *sim.Kernel
-	pk  *sim.ParKernel // drives k (partition 0) plus any further partitions (simulated testbeds)
-	nw  *simnet.Network
+	// bed is the simulated substrate (kernel partitions, network, a runtime
+	// per partition), nil live: every step that differs by world reads it.
 	bed *simbed.Bed
 
-	rt   core.Runtime
+	rt   core.Runtime   // partition 0's runtime (live: real time and goroutines)
 	node transport.Node // the controller's host (reporter dialing)
 	// home is the monitoring host's kernel partition (0 without one, and
 	// live), homeRT its runtime: the aggregator and the fault engine that
@@ -187,7 +188,9 @@ type Session struct {
 }
 
 // Start provisions the scenario and returns a Session. The caller owns
-// it and must Stop it (Run does both).
+// it and must Stop it (Run does both). Simulated and live testbeds are
+// provisioned by one sequence (see provision); a start that fails tears
+// down what it had built and returns the error.
 func (sc Scenario) Start(ctx context.Context) (*Session, error) {
 	if sc.Testbed == nil {
 		return nil, errors.New("splay: scenario needs a testbed")
@@ -201,13 +204,12 @@ func (sc Scenario) Start(ctx context.Context) (*Session, error) {
 			return nil, faults.Within(fmt.Sprintf("assert[%d]", i), err)
 		}
 	}
-	switch tb := sc.Testbed.(type) {
-	case *simTestbed:
-		return sc.startSim(tb)
-	case *liveTestbed:
-		return sc.startLive(ctx, tb)
+	s := &Session{sc: sc}
+	if err := s.provision(ctx); err != nil {
+		s.Stop()
+		return nil, err
 	}
-	return nil, fmt.Errorf("splay: unknown testbed %T", sc.Testbed)
+	return s, nil
 }
 
 // Run executes the scenario end to end: provision, deploy every app,
@@ -258,25 +260,157 @@ func (sc Scenario) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// startSim provisions on the simulation kernel — the one simulated start.
-// Kernel, network, per-partition runtimes, collection plane, RPC fault
-// filters, registry and logger are built the same way for every scenario;
-// only who provisions the population forks: the controller and its
-// daemons, or the churn executor. The sequence of kernel events is pinned
-// by the experiment goldens (ctlplane, obsplane): aggregator first (when
-// collecting, on the monitoring host's partition — the session's home),
-// then the population.
-func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
-	s := &Session{sc: sc, seed: cmp.Or(sc.Seed, wire.DefaultSimSeed)}
-	churned, collecting := sc.Churn.Enabled(), sc.Collect.Metrics
-	if churned {
+// provision is the one start of every testbed: the substrate and its
+// loggers, the aggregator (when collecting), the application registry,
+// the controller with its instruments and "ctl" stream, the daemons with
+// their fleet counters, then readiness; under Churn, startChurn hands the
+// population to the trace instead. Only the substrate, its loggers and
+// the readiness wait differ by world, each read off s.bed.
+//
+// The simulated event order is pinned by the goldens (ctlplane, obsplane)
+// and the bench digests: the aggregator's task on the monitoring host's
+// partition, run to quiescence; the controller's start as a partition-0
+// task, posted before the daemons' connects (staggered 2ms × host index);
+// then one settle window.
+func (s *Session) provision(ctx context.Context) error {
+	sc := s.sc
+	if sc.Churn.Enabled() {
 		if len(sc.Apps) != 1 {
-			return nil, fmt.Errorf("splay: a churn scenario drives exactly one app (have %d)", len(sc.Apps))
+			return fmt.Errorf("splay: a churn scenario drives exactly one app (have %d)", len(sc.Apps))
 		}
 		if err := needsController(sc.Faults); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	ctlAt, monAt, err := s.substrate()
+	if err != nil {
+		return err
+	}
+	s.homeRT = s.rt
+
+	// The aggregator: simulated on simMetricsPort, in a task of the
+	// monitoring host's partition, which becomes the session's home; live
+	// on an ephemeral port.
+	if sc.Collect.Metrics {
+		every, key := sc.Collect.reportDefaults()
+		start := func(port int) {
+			if s.agg, err = metrics.NewAggregator(s.nodeOf(monAt), port, s.homeRT.Go); err == nil {
+				s.agg.Authorize(key)
+			}
+		}
+		if s.bed == nil {
+			start(0)
+		} else {
+			s.home, s.homeRT = s.part(monAt.host), s.bed.Runtime(monAt.host)
+			s.homeRT.Go(func() { start(simMetricsPort) })
+			s.bed.Par.Run()
+		}
+		if err != nil {
+			return fmt.Errorf("splay: aggregator: %w", err)
+		}
+		s.collect = &core.Collect{Addr: s.agg.Addr(), Key: key, Every: every}
+	}
+	if err := s.buildRegistry(); err != nil {
+		return err
+	}
+	if sc.Churn.Enabled() {
+		return s.startChurn()
+	}
+
+	// The controller, on 5555 simulated and an ephemeral port live. Live,
+	// the daemons dial the port its start binds, so they wait for it.
+	cfg := controller.DefaultConfig()
+	if sc.RegisterTimeout > 0 {
+		cfg.RegisterTimeout = sc.RegisterTimeout
+	}
+	if s.bed == nil {
+		cfg.Port = controller.PortEphemeral
+	}
+	s.node = s.nodeOf(ctlAt)
+	s.ctl = controller.New(s.rt, s.node, cfg)
+	var ctlReg *metrics.Registry
+	if s.collect != nil {
+		ctlReg = metrics.NewRegistry()
+		s.ctl.SetInstruments(controller.NewInstruments(ctlReg))
+	}
+	started := make(chan struct{})
+	s.rt.Go(func() {
+		s.startErr = s.ctl.Start()
+		close(started)
+		if s.startErr == nil && ctlReg != nil {
+			s.report(s.rt, s.node, "ctl", ctlReg)
+		}
+	})
+	if s.bed == nil {
+		<-started
+		if s.startErr != nil {
+			return s.startErr
+		}
+	}
+	s.ctlAddr = s.ctl.Addr()
+
+	s.fleetCounters(ctlReg)
+	for i, sl := range s.slots {
+		sl.d = s.newDaemon(i)
+		if s.bed == nil {
+			if err := sl.d.Connect(s.ctlAddr); err != nil {
+				return err
+			}
+			continue
+		}
+		s.bed.Par.GoAfter(s.part(sl.host), time.Duration(sl.host)*2*time.Millisecond, func() {
+			sl.d.Connect(s.ctlAddr) //nolint:errcheck // expiry is the monitor's job
+		})
+	}
+
+	// Readiness: one settle window simulated; live, a poll of the
+	// controller's registry rather than an arbitrary sleep.
+	if s.bed != nil {
+		s.bed.Par.RunFor(simSettle)
+	}
+	deadline := time.Now().Add(liveSettle)
+	for s.bed == nil && s.ctl.Daemons() < len(s.slots) && time.Now().Before(deadline) {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if s.startErr != nil {
+		return s.startErr
+	}
+	if got := s.ctl.Daemons(); got != len(s.slots) {
+		return fmt.Errorf("splay: only %d/%d daemons connected", got, len(s.slots))
+	}
+	return nil
+}
+
+// substrate builds the world the session runs in and its loggers, fills
+// the population table, and returns where the controller and the
+// monitoring host live. Simulated: a bed over the testbed's link model,
+// seeded wire.DefaultSimSeed by default. Live: real time seeded from the
+// wall clock, one log sink, and the testbed's loopback layout, each
+// daemon with a port range of its own (see newDaemon).
+func (s *Session) substrate() (ctlAt, monAt *slot, err error) {
+	if tb, live := s.sc.Testbed.(*liveTestbed); live {
+		if s.sc.Churn.Enabled() {
+			return nil, nil, errors.New("splay: churn is only supported on simulated testbeds")
+		}
+		s.seed = cmp.Or(s.sc.Seed, time.Now().UnixNano())
+		s.rt = core.NewLiveRuntime(s.seed)
+		// One sink serializes every daemon's lines and the fault plane's
+		// onto the writer; each daemon's logger names it in the node column.
+		if s.sc.Collect.Logs != nil {
+			s.sink = &logging.WriterSink{W: s.sc.Collect.Logs}
+			s.logs = []core.Logger{logging.New(s.sink, s.sc.label(), "", nil)}
+		}
+		for i := 0; i < tb.daemons; i++ {
+			s.slots = append(s.slots, &slot{host: -1, name: fmt.Sprintf("%s.%d", liveDaemonNet, i+1)})
+		}
+		return &slot{host: -1, name: liveCtlHost}, &slot{host: -1, name: liveAggHost}, nil
+	}
+	tb := s.sc.Testbed.(*simTestbed)
+	s.seed = cmp.Or(s.sc.Seed, wire.DefaultSimSeed)
+	churned, collecting := s.sc.Churn.Enabled(), s.sc.Collect.Metrics
 
 	// Host layout. Controller-provisioned: [ctl, mon?, daemons…]. Churned:
 	// [slots…, mon?] — slot i stays host i, there is no controller host,
@@ -289,7 +423,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	first, pop, monHost := 1+mon, tb.daemons, 1
 	total := first + pop
 	if churned {
-		first, pop, monHost = 0, sc.Churn.Slots(), sc.Churn.Slots()
+		first, pop, monHost = 0, s.sc.Churn.Slots(), s.sc.Churn.Slots()
 		total = pop + mon
 	}
 	model, proc := tb.build(total, s.seed)
@@ -310,7 +444,7 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 			parts, place, look = p, pl, lk
 		}
 	}
-	workers := sc.Workers
+	workers := s.sc.Workers
 	if workers == 0 {
 		// Auto: a thread per partition, but never more threads than
 		// processors — they would only take turns at the window barrier.
@@ -318,75 +452,32 @@ func (sc Scenario) startSim(tb *simTestbed) (*Session, error) {
 	}
 	// The session itself lives where host 0 does (the controller, or churn
 	// slot 0): partition 0.
-	bed, err := simbed.New(parts, workers, model, place, look, s.seed, proc)
-	if err != nil {
-		return nil, err
+	if s.bed, err = simbed.New(parts, workers, model, place, look, s.seed, proc); err != nil {
+		return nil, nil, err
 	}
-	nw := bed.Net
-	s.pk, s.k, s.nw, s.bed, s.rt = bed.Par, bed.K, nw, bed, bed.Runtime(0)
-	s.homeRT = s.rt
+	s.rt = s.bed.Runtime(0)
 	s.buildSimLogs()
-
-	if collecting {
-		every, key := sc.Collect.reportDefaults()
-		s.home, s.homeRT = nw.Host(monHost).Part(), bed.Runtime(monHost)
-		mrt := s.homeRT
-		mrt.Go(func() {
-			if s.agg, err = metrics.NewAggregator(nw.Node(monHost), simMetricsPort, mrt.Go); err == nil {
-				s.agg.Authorize(key)
-			}
-		})
-		s.pk.Run()
-		if err != nil {
-			return nil, fmt.Errorf("splay: aggregator: %w", err)
-		}
-		s.collect = &core.Collect{Addr: s.agg.Addr(), Key: key, Every: every}
+	for host := first; host < first+pop; host++ { // a churn slot is down until its first join
+		s.slots = append(s.slots, &slot{host: host, name: simnet.HostName(host), down: churned})
 	}
-
-	if err = s.buildRegistry(); err != nil {
-		return nil, err
-	}
-	if churned {
-		err = s.startChurn()
-	} else {
-		err = s.startDaemons(first, pop)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &slot{host: 0, name: simnet.HostName(0)}, &slot{host: monHost, name: simnet.HostName(monHost)}, nil
 }
 
-// startDaemons provisions the controller on host 0 and pop daemons from
-// host first on, staggered 2ms apart by host index, then runs the settle
-// window.
-func (s *Session) startDaemons(first, pop int) error {
-	nw := s.nw
-	ctlReg := s.newController(nw.Node(0), controller.DefaultConfig())
-	ctl := s.ctl
-	s.k.Go(func() {
-		if s.startErr = ctl.Start(); s.startErr == nil && ctlReg != nil {
-			s.report(s.rt, s.node, "ctl", ctlReg)
-		}
-	})
-	s.ctlAddr = ctl.Addr()
-	s.fleetCounters(ctlReg, first, pop)
-	for host := first; host < first+pop; host++ {
-		sl := &slot{host: host, name: simnet.HostName(host)}
-		s.slots = append(s.slots, sl)
-		sl.d = s.newDaemon(len(s.slots) - 1)
-		s.pk.GoAfter(nw.Host(host).Part(), time.Duration(host)*2*time.Millisecond, func() {
-			sl.d.Connect(s.ctlAddr) //nolint:errcheck // expiry is the monitor's job
-		})
+// nodeOf returns the network node of a host the substrate laid out: its
+// simulated host's, or a loopback node at its address live.
+func (s *Session) nodeOf(at *slot) transport.Node {
+	if s.bed == nil {
+		return livenet.NewNode(at.name)
 	}
-	s.pk.RunFor(simSettle)
-	if s.startErr != nil {
-		return s.startErr
+	return s.bed.Net.Node(at.host)
+}
+
+// part returns the kernel partition of simulated host (0 live).
+func (s *Session) part(host int) int {
+	if s.bed == nil {
+		return 0
 	}
-	if got := ctl.Daemons(); got != pop {
-		return fmt.Errorf("splay: only %d/%d daemons connected", got, pop)
-	}
-	return nil
+	return s.bed.Net.Host(host).Part()
 }
 
 // A testbed's fixed provisioning parameters.
@@ -430,7 +521,7 @@ func autoParts(hosts int) int {
 // startChurn hands the population to the churn executor: no controller —
 // the trace is the deployment, starting Apps[0] on a slot's host at each
 // join and killing it (and downing the host) at each leave. The slots it
-// fills are the table the fault actuators read.
+// starts and stops are the table the fault actuators read.
 func (s *Session) startChurn() error {
 	spec := s.sc.Apps[0]
 	if spec.App == nil && spec.New == nil {
@@ -441,13 +532,10 @@ func (s *Session) startChurn() error {
 			return err
 		}
 	}
-	for i := 0; i < s.sc.Churn.Slots(); i++ {
-		s.slots = append(s.slots, &slot{host: i, name: simnet.HostName(i), down: true})
-	}
 	jrng := stream.Rand(s.seed, "churn", 0) // rendez-vous selection
 	start := func(i int) {
 		sl := s.slots[i]
-		s.nw.Host(i).SetDown(false)
+		s.bed.Net.Host(i).SetDown(false)
 		sl.down = false
 		app, err := s.reg.New(spec.Name, spec.Params)
 		if err != nil {
@@ -492,7 +580,7 @@ func (s *Session) startChurn() error {
 			Nodes:    nodes,
 			Position: i + 1,
 		}
-		sl.inst = core.StartInstance(s.rt, s.nw.Node(i), job, s.logger(0), app)
+		sl.inst = core.StartInstance(s.rt, s.bed.Net.Node(i), job, s.logger(0), app)
 	}
 	stop := func(i int) {
 		sl := s.slots[i]
@@ -500,11 +588,11 @@ func (s *Session) startChurn() error {
 			sl.inst.Kill()
 			sl.inst = nil
 		}
-		s.nw.Host(i).SetDown(true)
+		s.bed.Net.Host(i).SetDown(true)
 		sl.down = true
 	}
 	s.ex = churn.NewExecutor(s.rt, s.sc.Churn.trace, start, stop)
-	s.k.Go(s.ex.Run)
+	s.rt.Go(s.ex.Run)
 	return nil
 }
 
@@ -528,154 +616,58 @@ func needsController(plan FaultPlan) error {
 	return nil
 }
 
-// startLive provisions controller and daemons in-process on loopback
-// sockets: the quickstart path.
-func (sc Scenario) startLive(ctx context.Context, tb *liveTestbed) (*Session, error) {
-	if sc.Churn.Enabled() {
-		return nil, errors.New("splay: churn is only supported on simulated testbeds")
-	}
-	seed := sc.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	s := &Session{sc: sc, seed: seed, live: true}
-	rt := core.NewLiveRuntime(seed)
-	s.rt, s.homeRT = rt, rt
-	// One sink serializes every daemon's lines and the fault plane's onto
-	// the writer; each daemon's logger names it in the node column.
-	if sc.Collect.Logs != nil {
-		s.sink = &logging.WriterSink{W: sc.Collect.Logs}
-		s.logs = []core.Logger{logging.New(s.sink, sc.label(), "", nil)}
-	}
-	if sc.Collect.Metrics {
-		every, key := sc.Collect.reportDefaults()
-		// The aggregator gets its own loopback address, on an ephemeral
-		// port: the controller host is blacklisted for applications, the
-		// monitoring plane must not be.
-		aggNode := livenet.NewNode("127.0.2.1")
-		agg, err := metrics.NewAggregator(aggNode, 0, func(fn func()) { go fn() })
-		if err != nil {
-			return nil, fmt.Errorf("splay: aggregator: %w", err)
-		}
-		agg.Authorize(key)
-		s.agg = agg
-		s.collect = &core.Collect{Addr: agg.Addr(), Key: key, Every: every}
-	}
-	cfg := controller.DefaultConfig()
-	cfg.Port = controller.PortEphemeral
-	ctlReg := s.newController(livenet.NewNode(tb.host), cfg)
-	ctl := s.ctl
-	if ctlReg != nil {
-		s.Go(func() { s.report(s.rt, s.node, "ctl", ctlReg) })
-	}
-	if err := ctl.Start(); err != nil {
-		s.Stop()
-		return nil, err
-	}
-	ctlAddr := ctl.Addr()
-	s.ctlAddr = ctlAddr
-	if err := s.buildRegistry(); err != nil {
-		s.Stop()
-		return nil, err
-	}
-
-	for i := 0; i < tb.daemons; i++ {
-		// Distinct loopback addresses per daemon: names must be unique per
-		// controller session.
-		sl := &slot{host: -1, name: fmt.Sprintf("%s.%d", tb.daemonIP, i+1)}
-		s.slots = append(s.slots, sl)
-		sl.d = s.newDaemon(i)
-		if err := sl.d.Connect(ctlAddr); err != nil {
-			s.Stop()
-			return nil, err
-		}
-	}
-	// Readiness: poll the controller's registry instead of sleeping an
-	// arbitrary delay and hoping the daemons made it.
-	deadline := time.Now().Add(liveSettle)
-	for ctl.Daemons() < tb.daemons {
-		if ctx != nil && ctx.Err() != nil {
-			s.Stop()
-			return nil, ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			got := ctl.Daemons()
-			s.Stop()
-			return nil, fmt.Errorf("splay: only %d/%d daemons connected after %s", got, tb.daemons, liveSettle)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return s, nil
-}
-
-// newController builds the scenario's controller on node, cfg giving the
-// testbed's port: 5555 simulated, ephemeral live. When collecting, its
-// instruments live in the registry it returns, reported over the wire as
-// node "ctl" like every application stream.
-func (s *Session) newController(node transport.Node, cfg controller.Config) *metrics.Registry {
-	if s.sc.RegisterTimeout > 0 {
-		cfg.RegisterTimeout = s.sc.RegisterTimeout
-	}
-	s.ctl, s.node = controller.New(s.rt, node, cfg), node
-	if s.collect == nil {
-		return nil
-	}
-	ctlReg := metrics.NewRegistry()
-	s.ctl.SetInstruments(controller.NewInstruments(ctlReg))
-	return ctlReg
-}
-
 // fleetCounters builds the daemons' instrument sets into s.fleet, one per
-// kernel partition (none when not collecting): partition 0's in the
-// controller's registry ctlReg, every other partition's in a registry of
-// its own that the partition reports as node "ctl" too, from its first
+// kernel partition (one live; none when not collecting): partition 0's in
+// the controller's registry ctlReg, every other partition's in a registry
+// of its own that the partition reports as node "ctl" too, from its first
 // daemon host. No counter is then written by one partition and read by
 // another's reporter inside a window; the aggregator sums the streams.
 // Within a partition one set serves every daemon: the counters sum
-// correctly, but a per-daemon jobs gauge would just be clobbered by
-// whichever daemon Set it last, so it is disabled.
-func (s *Session) fleetCounters(ctlReg *metrics.Registry, first, pop int) {
+// correctly (they are atomic, so live daemons share them too), but a
+// per-daemon jobs gauge would just be clobbered by whichever daemon Set it
+// last, so it is disabled.
+func (s *Session) fleetCounters(ctlReg *metrics.Registry) {
 	if ctlReg == nil {
 		return
 	}
-	s.fleet = make([]daemon.Instruments, s.pk.Parts())
+	s.fleet = make([]daemon.Instruments, max(1, s.Partitions()))
 	newSet := func(p int, reg *metrics.Registry) {
 		s.fleet[p] = daemon.NewInstruments(reg)
 		s.fleet[p].Jobs = nil
 	}
 	newSet(0, ctlReg)
-	for host := first; host < first+pop; host++ {
-		p := s.nw.Host(host).Part()
+	for _, sl := range s.slots {
+		p := s.part(sl.host)
 		if s.fleet[p].Commands != nil {
 			continue
 		}
 		reg := metrics.NewRegistry()
 		newSet(p, reg)
-		rt, node := s.bed.Runtime(host), s.nw.Node(host)
+		rt, node := s.bed.Runtime(sl.host), s.nodeOf(sl)
 		rt.Go(func() { s.report(rt, node, "ctl", reg) })
 	}
 }
 
 // newDaemon builds slot i's daemon, named after the slot, at provisioning
-// and at every fault-plan restart. Simulated, the rest follows from the
-// slot's host: its partition's runtime, logger and fleet counters. Live,
-// the slot index gives it a port range of its own, so several daemons and
-// unrelated processes coexist on one machine.
+// and at every fault-plan restart, with its partition's fleet counters.
+// Simulated, its runtime and logger are its host partition's. Live, the
+// slot index gives it a port range of its own, so several daemons and
+// unrelated processes coexist on one machine, and its logger names it.
 func (s *Session) newDaemon(i int) *daemon.Daemon {
 	sl := s.slots[i]
 	cfg := daemon.DefaultConfig(sl.name)
-	if s.nw == nil {
-		tb := s.sc.Testbed.(*liveTestbed)
-		cfg.PortLow = tb.basePort + i*tb.portSpan
-		cfg.PortHigh = cfg.PortLow + tb.portSpan - 1
-		var lg core.Logger
+	rt, part := s.rt, s.part(sl.host)
+	lg := s.logger(part)
+	if s.bed == nil {
+		cfg.PortLow = liveBasePort + i*livePortSpan
+		cfg.PortHigh = cfg.PortLow + livePortSpan - 1
 		if s.sink != nil {
 			lg = logging.New(s.sink, sl.name, "", nil)
 		}
-		return daemon.New(s.rt, livenet.NewNode(sl.name), s.reg, cfg, lg)
+	} else {
+		rt = s.bed.Runtime(sl.host)
 	}
-	part := s.nw.Host(sl.host).Part()
-	d := daemon.New(s.bed.Runtime(sl.host), s.nw.Node(sl.host), s.reg, cfg, s.logger(part))
+	d := daemon.New(rt, s.nodeOf(sl), s.reg, cfg, lg)
 	if s.fleet != nil {
 		d.SetInstruments(&s.fleet[part])
 	}
@@ -708,17 +700,18 @@ func (s *Session) buildSimLogs() {
 	if w == nil {
 		return
 	}
-	parts := s.pk.Parts()
+	pk := s.bed.Par
+	parts := pk.Parts()
 	s.logs = make([]core.Logger, parts)
 	if parts == 1 {
-		s.logs[0] = logging.New(&logging.WriterSink{W: w}, s.sc.label(), "", s.k.Now)
+		s.logs[0] = logging.New(&logging.WriterSink{W: w}, s.sc.label(), "", s.bed.K.Now)
 		return
 	}
 	bufs := make([]bytes.Buffer, parts)
 	for p := range bufs {
-		s.logs[p] = logging.New(&logging.WriterSink{W: &bufs[p]}, s.sc.label(), "", s.pk.Sub(p).Now)
+		s.logs[p] = logging.New(&logging.WriterSink{W: &bufs[p]}, s.sc.label(), "", pk.Sub(p).Now)
 	}
-	s.pk.AddBarrierHook(func() {
+	pk.AddBarrierHook(func() {
 		for p := range bufs {
 			if bufs[p].Len() > 0 {
 				w.Write(bufs[p].Bytes()) //nolint:errcheck // logging is best effort
@@ -837,9 +830,8 @@ func makeFactory(spec AppSpec) core.Factory {
 
 // Deploy submits one application for deployment and returns immediately;
 // Wait drives the run until the job is placed. The submission runs as a
-// kernel task in simulation, a goroutine live — exactly the shape every
-// experiment hand-wired before this API existed. On a churn session (no
-// controller: the trace deploys) Wait returns ErrNoController.
+// driver task. On a churn session (no controller: the trace deploys)
+// Wait returns ErrNoController.
 func (s *Session) Deploy(spec AppSpec) *Deployment {
 	dep := &Deployment{sess: s, done: make(chan struct{})}
 	if s.ctl == nil {
@@ -878,15 +870,6 @@ type Deployment struct {
 	frames      int64
 }
 
-func (d *Deployment) finished() bool {
-	select {
-	case <-d.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // SubmittedAt is the (virtual or real) time the submission entered the
 // controller — the zero of per-instance deployment delay. It is set
 // before any instance starts, so application code may read it.
@@ -896,38 +879,48 @@ func (d *Deployment) SubmittedAt() time.Time { return d.submittedAt }
 // (valid after Wait).
 func (d *Deployment) Frames() int64 { return d.frames }
 
-// Wait drives the run until the submission completes: up to 30 windows
-// of 10 simulated seconds, or five real minutes live. It returns the
-// job's status; callers decide whether non-running states are fatal.
+// Wait drives the run until the submission completes (see await). It
+// returns the job's status; callers decide whether non-running states
+// are fatal.
 func (d *Deployment) Wait() (*JobStatus, error) {
-	if d.sess.k != nil {
-		if !d.sess.driveUntil(d.finished) {
-			return nil, errors.New("splay: deployment did not finish within the run window")
-		}
-	} else {
-		select {
-		case <-d.done:
-		case <-time.After(5 * time.Minute):
-			return nil, errors.New("splay: deployment timed out")
-		}
+	if !d.sess.await(d.done) {
+		return nil, errors.New("splay: deployment did not finish within the run window")
 	}
 	return d.job, d.err
 }
 
-// driveUntil runs the simulated kernel in windows of 10 virtual seconds,
-// at most 30 of them, until done reports true, and reports whether it did.
-func (s *Session) driveUntil(done func() bool) bool {
-	for i := 0; i < 30 && !done(); i++ {
-		s.pk.RunFor(10 * time.Second)
+// await drives the run until done closes, for a driver task the caller
+// posted, and reports whether it did: in simulation the kernel runs in
+// windows of 10 virtual seconds, at most 30 of them; live it waits at
+// most five real minutes.
+func (s *Session) await(done <-chan struct{}) bool {
+	if s.bed == nil {
+		select {
+		case <-done:
+			return true
+		case <-time.After(5 * time.Minute):
+			return false
+		}
 	}
-	return done()
+	closed := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	for i := 0; i < 30 && !closed(); i++ {
+		s.bed.Par.RunFor(10 * time.Second)
+	}
+	return closed()
 }
 
 // RunFor advances the scenario: d of virtual time in simulation, a real
 // sleep live.
 func (s *Session) RunFor(d time.Duration) {
-	if s.k != nil {
-		s.pk.RunFor(d)
+	if s.bed != nil {
+		s.bed.Par.RunFor(d)
 	} else {
 		time.Sleep(d)
 	}
@@ -939,8 +932,8 @@ func (s *Session) Go(fn func()) { s.rt.Go(fn) }
 
 // GoAfter schedules fn as a driver task after d.
 func (s *Session) GoAfter(d time.Duration, fn func()) {
-	if s.k != nil {
-		s.k.GoAfter(d, fn)
+	if s.bed != nil {
+		s.bed.K.GoAfter(d, fn)
 	} else {
 		time.AfterFunc(d, func() { fn() })
 	}
@@ -959,10 +952,10 @@ func (s *Session) Seed() int64 { return s.seed }
 // provisioned (see autoParts); 0 on live testbeds. The count is part of
 // the scenario's schedule; Workers never is.
 func (s *Session) Partitions() int {
-	if s.pk == nil {
+	if s.bed == nil {
 		return 0
 	}
-	return s.pk.Parts()
+	return s.bed.Par.Parts()
 }
 
 // KernelStats is what the simulated kernel counted about its own runs:
@@ -981,10 +974,10 @@ type KernelStats = sim.ParStats
 // KernelStats returns the simulated kernel's self-counters so far; the
 // zero value on live testbeds.
 func (s *Session) KernelStats() KernelStats {
-	if s.pk == nil {
+	if s.bed == nil {
 		return KernelStats{}
 	}
-	return s.pk.Stats()
+	return s.bed.Par.Stats()
 }
 
 // Daemons reports the connected daemon population (under churn, where
@@ -1012,29 +1005,26 @@ func (s *Session) Telemetry() *Telemetry {
 // the denominator of the monitoring byte share (0 live: the real network
 // is not ours to meter).
 func (s *Session) NetBytes() uint64 {
-	if s.nw == nil {
+	if s.bed == nil {
 		return 0
 	}
-	return s.nw.Stats().StreamBytes
+	return s.bed.Net.Stats().StreamBytes
 }
 
-// StopJob terminates a deployed job everywhere. In simulation the stop
-// protocol runs as a kernel task and the kernel is driven until the
-// daemons acknowledged. ErrNoController on a churn session.
+// StopJob terminates a deployed job everywhere: the stop protocol runs
+// as a driver task, and the run is driven until the daemons acknowledged
+// (see await). ErrNoController on a churn session.
 func (s *Session) StopJob(id string) error {
 	if s.ctl == nil {
 		return fmt.Errorf("splay: stop job %s: %w", id, ErrNoController)
 	}
-	if s.k == nil {
-		return s.ctl.StopJob(id)
-	}
 	var err error
-	done := false
-	s.k.Go(func() {
+	done := make(chan struct{})
+	s.rt.Go(func() {
 		err = s.ctl.StopJob(id)
-		done = true
+		close(done)
 	})
-	if !s.driveUntil(func() bool { return done }) {
+	if !s.await(done) {
 		return errors.New("splay: job stop did not finish within the run window")
 	}
 	return err
@@ -1052,7 +1042,7 @@ func (s *Session) Stop() {
 	if s.eng != nil {
 		s.eng.Stop()
 	}
-	if s.host != nil && s.live {
+	if s.host != nil && s.bed == nil {
 		// Kill hosted jobs while the controller still answers; simulated
 		// sessions halt with their kernel.
 		s.host.svc.Close()
@@ -1064,7 +1054,7 @@ func (s *Session) Stop() {
 		// Simulated daemons need no teardown (the kernel stopped with
 		// the session); live ones hold real sockets. They close before
 		// the controller does, or each would redial the lost session.
-		if s.live && sl.d != nil {
+		if s.bed == nil && sl.d != nil {
 			sl.d.Close()
 		}
 	}

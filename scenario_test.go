@@ -87,6 +87,30 @@ func TestScenarioSimLiveParity(t *testing.T) {
 	}
 }
 
+// TestLiveDaemonsReportFleetCounters: simulated and live testbeds are
+// provisioned by one sequence, so a live fleet's daemons count their
+// commands and job starts into the controller's "ctl" stream exactly as
+// a simulated fleet's do.
+func TestLiveDaemonsReportFleetCounters(t *testing.T) {
+	t.Parallel()
+	for _, tb := range []splay.Testbed{splay.Uniform(3, time.Millisecond, 0), splay.Live(3)} {
+		res, err := splay.Scenario{
+			Testbed:  tb,
+			Collect:  splay.Collect{Metrics: true, ReportEvery: 200 * time.Millisecond},
+			Apps:     []splay.AppSpec{{Name: "chord", Nodes: 3}},
+			Duration: time.Second,
+		}.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%T: %v", tb, err)
+		}
+		for _, name := range []string{"ctl.deploys", "daemon.commands", "daemon.jobs_started"} {
+			if got := res.Metrics.Counter(name); got == 0 {
+				t.Errorf("%T: %s = 0 in the telemetry", tb, name)
+			}
+		}
+	}
+}
+
 // TestScenarioCollectsMetrics runs a simulated scenario whose app
 // reports instruments through Env.StartReporting and checks the
 // aggregated result surfaces them.

@@ -70,28 +70,23 @@ func Uniform(daemons int, rtt time.Duration, bps float64) Testbed {
 // liveTestbed provisions a controller and daemons in-process on real
 // loopback sockets: the splayctl+splayd chain of the paper collapsed
 // into one binary, as the quickstart runs it.
-type liveTestbed struct {
-	daemons  int
-	host     string // controller (and aggregator) address
-	daemonIP string // daemon addresses: daemonIP+".1", ".2", …
-	basePort int    // first daemon's application port range
-	portSpan int    // application ports per daemon
-}
+type liveTestbed struct{ daemons int }
 
 func (t *liveTestbed) Daemons() int { return t.daemons }
 func (t *liveTestbed) isTestbed()   {}
+
+// The live testbed's loopback layout.
+const (
+	liveCtlHost   = "127.0.0.1" // the controller's address
+	liveAggHost   = "127.0.2.1" // the aggregator's: the controller's host is blacklisted for applications
+	liveDaemonNet = "127.0.1"   // daemon i is liveDaemonNet.(i+1)
+	liveBasePort  = 21000       // first daemon's application port range
+	livePortSpan  = 100         // application ports per daemon
+)
 
 // Live provisions an in-process controller plus the given number of
 // daemons on loopback addresses (the controller on 127.0.0.1, daemons on
 // 127.0.1.x), each daemon with its own application port range probed for
 // availability. The controller and the metric aggregator bind ephemeral
 // ports, so concurrent scenarios coexist on one machine.
-func Live(daemons int) Testbed {
-	return &liveTestbed{
-		daemons:  daemons,
-		host:     "127.0.0.1",
-		daemonIP: "127.0.1",
-		basePort: 21000,
-		portSpan: 100,
-	}
-}
+func Live(daemons int) Testbed { return &liveTestbed{daemons: daemons} }
